@@ -8,6 +8,13 @@ store:
 * **post-update query latency** — star-query latency while the MergeScan
   layer folds ``base ∪ delta − tombstones`` into every access path,
   compared against the pre-update latency;
+* **first read after an update** — every update clears the plan cache and
+  may append literals, so the next read re-plans and re-resolves its range
+  predicates; it must cost what the same uncached read costs on a clean
+  store (pending/clean ratio);
+* **pending-size sweep** — steady-state latency of the star and a range
+  query with 0/50/500/2000 pending triples, as pending/clean ratios: reads
+  over a delta should stay near clean-read cost;
 * **compaction cost** — one ``compact()`` call folding the whole delta into
   the clustered base (the explicit heavy step), and the query latency
   recovered afterwards.
@@ -35,9 +42,16 @@ INSERT_BATCHES = 3 if SMOKE else 20
 BATCH_SUBJECTS = 5 if SMOKE else 25
 ROUNDS = 1 if SMOKE else 5
 
+PENDING_SWEEP = (0, 50, 500, 2000)  # pending triples; batches carry 4 per subject
+FIRST_READS = 5 if SMOKE else 25
+
 STAR_QUERY = (
     f"SELECT ?p ?t ?c WHERE {{ ?p <{P_TITLE}> ?t . ?p <{P_PART_OF}> ?c . "
     f"?p <{P_CREATOR}> ?a . }}"
+)
+RANGE_QUERY = (
+    f"SELECT ?p ?t WHERE {{ ?p <{P_TITLE}> ?t . ?p <{P_PART_OF}> ?c . "
+    f"FILTER(?t >= \"Paper title 4\") }}"
 )
 
 
@@ -48,9 +62,9 @@ def _build_store() -> RDFStore:
     return RDFStore.build(triples, config=config)
 
 
-def _insert_batch(batch: int) -> str:
+def _insert_batch(batch: int, subjects: int = BATCH_SUBJECTS) -> str:
     lines = []
-    for i in range(BATCH_SUBJECTS):
+    for i in range(subjects):
         paper = f"{DBLP}inproc/new{batch}_{i}"
         lines.append(
             f"<{paper}> a <{CLASS_INPROCEEDINGS}> ; "
@@ -70,6 +84,19 @@ def _time_query(store: RDFStore, rounds: int = ROUNDS) -> float:
         best = min(best, time.perf_counter() - started)
     assert result is not None and len(result) > 0
     return best
+
+
+def _timed_runs(store: RDFStore, text: str, rounds: int, uncached: bool = False) -> list:
+    """Wall times of ``rounds`` runs, for ``bench_report.record_timings``."""
+    runs = []
+    for _ in range(rounds):
+        if uncached:
+            store.plan_cache.clear()
+        started = time.perf_counter()
+        result = store.sparql(text)
+        runs.append(time.perf_counter() - started)
+    assert len(result) > 0
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +145,66 @@ def test_post_update_query_latency(report_lines, bench_report):
         f"query latency: {before * 1e3:.2f} ms clean -> {after * 1e3:.2f} ms "
         f"with {store.delta.insert_count()} pending inserts "
         f"({rows_after - rows_before} extra rows)")
+
+
+def test_first_read_after_update(report_lines, bench_report):
+    """The read that follows an update pays no more than an uncached clean read.
+
+    Each of ``FIRST_READS`` single-subject inserts (new literals included)
+    is followed by one timed range query — always a plan-cache miss, always
+    over a dictionary that just grew.  The clean figure is the same query
+    with the plan cache cleared before each run.
+    """
+    store = _build_store()
+    clean = bench_report.record_timings(
+        "first_read_clean_seconds",
+        _timed_runs(store, RANGE_QUERY, max(ROUNDS, 3), uncached=True))
+    runs = []
+    for batch in range(FIRST_READS):
+        store.update(_insert_batch(1000 + batch, subjects=1))
+        runs += _timed_runs(store, RANGE_QUERY, 1)
+    first_read = bench_report.record_timings(
+        "first_read_after_update_seconds", runs,
+        extra={"pending_inserts": store.delta.insert_count()})
+    ratio = first_read / max(clean, 1e-9)
+    bench_report.record("first_read_after_update_ratio", ratio, unit="ratio",
+                        extra={"base": "first_read_clean_seconds"})
+    report_lines.append(
+        f"first read after an update: {first_read * 1e3:.2f} ms vs "
+        f"{clean * 1e3:.2f} ms uncached on the clean store ({ratio:.2f}x, "
+        f"median of {FIRST_READS})")
+
+
+def test_pending_size_sweep(report_lines, bench_report):
+    """Steady-state read latency as the pending delta grows.
+
+    One store takes inserts up to each size of ``PENDING_SWEEP`` in turn;
+    at each size the star and the range query run hot (plan cached) and
+    their median is reported as a ratio over the size-0 (clean) median.
+    """
+    store = _build_store()
+    rounds = max(ROUNDS, 3)
+    clean = {}
+    batch = 0
+    for pending in PENDING_SWEEP:
+        while store.delta.insert_count() < pending:
+            missing = pending - store.delta.insert_count()
+            store.update(_insert_batch(2000 + batch,
+                                       subjects=min(BATCH_SUBJECTS, -(-missing // 4))))
+            batch += 1
+        for name, text in (("star", STAR_QUERY), ("range", RANGE_QUERY)):
+            store.sparql(text)  # plan + warm
+            seconds = bench_report.record_timings(
+                f"{name}_query_pending_{pending}_seconds", _timed_runs(store, text, rounds),
+                extra={"pending_inserts": store.delta.insert_count()})
+            clean.setdefault(name, seconds)
+            ratio = seconds / max(clean[name], 1e-9)
+            bench_report.record(f"{name}_query_pending_{pending}_ratio", ratio,
+                                unit="ratio",
+                                extra={"base": f"{name}_query_pending_0_seconds"})
+            report_lines.append(
+                f"{name} query with {store.delta.insert_count()} pending triples: "
+                f"{seconds * 1e3:.2f} ms ({ratio:.2f}x clean)")
 
 
 def test_batched_vs_row_merged_scan(report_lines, bench_report):

@@ -257,17 +257,39 @@ def git_revision(default: str = "unknown") -> str:
     return default
 
 
+def git_dirty() -> bool:
+    """Whether the measured tree differs from the commit ``git_sha`` names.
+
+    A run from a working tree with uncommitted changes measures *that
+    commit plus the changes*; stamping only the SHA would attribute the
+    numbers to code that did not produce them.  ``False`` when git cannot
+    tell (no checkout, or ``GITHUB_SHA`` names an exact CI checkout).
+    """
+    if os.environ.get("GITHUB_SHA", "").strip():
+        return False
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10)
+        return proc.returncode == 0 and bool(proc.stdout.strip())
+    except (OSError, subprocess.SubprocessError):
+        return False
+
+
 def collect_environment(**extra: object) -> Dict[str, object]:
     """Reproducibility metadata stamped into every benchmark result file.
 
-    Interpreter and library versions, platform, and the git SHA; callers
-    merge in run parameters (scale factor, batch size, smoke flag, …) via
-    keyword arguments.
+    Interpreter and library versions, platform, the git SHA and whether the
+    tree carried uncommitted changes on top of it; callers merge in run
+    parameters (scale factor, batch size, smoke flag, …) via keyword
+    arguments.
     """
     env: Dict[str, object] = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "git_sha": git_revision(),
+        "git_dirty": git_dirty(),
     }
     try:
         import numpy

@@ -717,7 +717,8 @@ class RDFStore:
                 self.delta.commit_request(undo)
             finally:
                 # even a rolled-back request may have run queries (DELETE WHERE)
-                # and appended dictionary terms; drop plan/encoder caches either way
+                # and appended dictionary terms; drop cached plans and index
+                # the new literals either way
                 self._after_write()
             self._update_seconds.observe(time.perf_counter() - started)
             self._undo_log_entries.observe(len(undo))
@@ -798,14 +799,14 @@ class RDFStore:
         """Invalidate plan-dependent caches after a write.
 
         Plans embed zone-map push-downs and constant OIDs that are only
-        valid for one delta state, so the plan cache is cleared; the value
-        encoder re-indexes literals because updates may have appended new
-        ones.  The physical stores and execution context survive — a write
-        is never a rebuild.
+        valid for one delta state, so the plan cache is cleared.  Literals
+        the request appended are folded into the dictionary's sorted tail
+        here, under the writer lock, so no reader has to.  The physical
+        stores, the execution context and the literal order index's head
+        survive — a write is never a rebuild.
         """
         self.plan_cache.clear()
-        if self._context is not None:
-            self._context.encoder.invalidate()
+        self.dictionary.index_appended_literals()
 
     def compact(self) -> CompactionReport:
         """Fold the pending delta into base storage (the explicit heavy step).

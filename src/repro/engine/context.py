@@ -63,8 +63,7 @@ class ExecutionContext:
         """A shallow copy of this context with ``tracer`` attached.
 
         Shares the encoder/decoder (and every store reference) with the
-        original, so dictionary-growth invalidation keeps propagating; only
-        the tracer slot differs.
+        original; only the tracer slot differs.
         """
         clone = copy.copy(self)
         clone.tracer = tracer

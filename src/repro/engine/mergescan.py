@@ -9,8 +9,7 @@ execution context carries a pending :class:`~repro.updates.DeltaStore`.
 
 The delta object is duck-typed (the engine layer does not import the
 updates package): it only needs ``scan_pattern``, ``tombstone_mask``,
-``pair_tombstone_mask``, ``subjects_touching``, ``object_values``,
-``delta_subjects`` and ``is_tombstoned``.
+``pair_tombstone_mask`` and ``subjects_touching``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..columnar import NULL_OID
 from ..errors import ExecutionError
-from ..storage.clustered import CSBlock, ClusteredStore
+from ..storage.clustered import CSBlock
 from ..storage.triple_table import TripleTable
 from .bindings import Batch, BatchEmitter, BindingTable, join_tables
 from .context import ExecutionContext
@@ -38,7 +38,44 @@ from .mergescan import merge_property_pairs
 from .plan import OidRange, PhysicalOperator, StarPattern, StarProperty
 
 
-class RDFScanOp(PhysicalOperator):
+_RESIDUAL_BUCKETS = (0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 100000)
+
+
+class _StarOperator(PhysicalOperator):
+    """What RDFscan and RDFjoin share: one star, evaluated over whichever
+    store the context offers, and the ``residual=`` plan annotation."""
+
+    star: StarPattern
+    use_zone_maps: bool
+    force_index_path: bool
+
+    residual_subjects: Optional[int] = None
+    """Subjects of the last run's star that no CS block could answer alone
+    (irregular triples or pending writes on a star predicate) and so took
+    the residual scan; counted before candidate or subject-range narrowing,
+    hence the same at every batch size.  ``None`` on the index path."""
+
+    def _open_star(self, context: ExecutionContext) -> None:
+        context.tracker.operator_invocations += 1
+        self._clustered: Optional[_ClusteredStarScan] = None
+        if context.has_clustered_store() and not self.force_index_path:
+            self._clustered = _ClusteredStarScan(context, self.star, self.use_zone_maps)
+            self.residual_subjects = int(self._clustered.residual_subjects.size)
+
+    def _scan_star(self, context: ExecutionContext,
+                   candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
+        if self._clustered is not None:
+            return self._clustered.scan(candidate_subjects)
+        return _scan_index_merge(context, self.star, candidate_subjects)
+
+    def cardinality_note(self) -> str:
+        note = super().cardinality_note()
+        if self.residual_subjects is None:
+            return note
+        return f"{note} residual={self.residual_subjects}".lstrip()
+
+
+class RDFScanOp(_StarOperator):
     """Evaluate a full star pattern in one operator."""
 
     def __init__(self, star: StarPattern, use_zone_maps: bool = False,
@@ -57,21 +94,17 @@ class RDFScanOp(PhysicalOperator):
         return f"RDFscan[{self.star.describe()}]{suffix}"
 
     def _open(self, context: ExecutionContext) -> None:
-        context.tracker.operator_invocations += 1
-        if context.has_clustered_store() and not self.force_index_path:
-            table = _scan_clustered(context, self.star, self.use_zone_maps)
-        else:
-            table = _scan_index_merge(context, self.star, candidate_subjects=None)
-        self._emitter = BatchEmitter(table)
+        self._open_star(context)
+        self._emitter = BatchEmitter(self._scan_star(context))
 
     def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
         return self._emitter.next(context.batch_size)
 
     def _close(self, context: ExecutionContext) -> None:
-        self._emitter = None
+        self._emitter = self._clustered = None
 
 
-class RDFJoinOp(PhysicalOperator):
+class RDFJoinOp(_StarOperator):
     """Evaluate a star pattern for candidate subjects supplied by a child."""
 
     def __init__(self, child: PhysicalOperator, star: StarPattern,
@@ -88,7 +121,7 @@ class RDFJoinOp(PhysicalOperator):
         return f"RDFjoin[{self.star.describe()}]"
 
     def _open(self, context: ExecutionContext) -> None:
-        context.tracker.operator_invocations += 1
+        self._open_star(context)
         context.tracker.join_operations += 1
         self.child.open(context)
 
@@ -103,11 +136,8 @@ class RDFJoinOp(PhysicalOperator):
         candidates = np.unique(input_table.column(subject_var))
         if candidates.size == 0:
             star_table = BindingTable.empty(self.star.output_variables())
-        elif context.has_clustered_store() and not self.force_index_path:
-            star_table = _scan_clustered(context, self.star, self.use_zone_maps,
-                                         candidate_subjects=candidates)
         else:
-            star_table = _scan_index_merge(context, self.star, candidate_subjects=candidates)
+            star_table = self._scan_star(context, candidates)
         context.tracker.tuples_probed += int(candidates.size)
         join_vars = sorted(set(input_table.variables) & set(star_table.variables))
         # star side builds, input side probes: the output follows the input
@@ -115,57 +145,133 @@ class RDFJoinOp(PhysicalOperator):
         return Batch(join_tables(star_table, input_table, join_vars or [subject_var]))
 
     def _close(self, context: ExecutionContext) -> None:
+        self._clustered = None
         self.child.close(context)
 
 
 # -- clustered-store evaluation -----------------------------------------------------
 
 
-def _scan_clustered(context: ExecutionContext, star: StarPattern, use_zone_maps: bool,
-                    candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
-    store = context.require_clustered_store()
-    delta = context.active_delta()
-    predicates = star.predicate_oids()
-    blocks = store.blocks_with_properties(predicates)
+class _ClusteredStarScan:
+    """One operator run's evaluation of a star over the clustered store.
 
-    results: List[BindingTable] = []
-    residual_subjects = _irregular_star_subjects(store.irregular, predicates)
-    # MergeScan: subjects with pending inserts or tombstones on a star
-    # predicate can no longer be answered from their base block alone — route
-    # them through the per-subject union path, which consults base ∪ delta −
-    # tombstones.  This covers brand-new subjects (no CS) as well.
-    if delta is not None:
-        touched = delta.subjects_touching(predicates)
-        if touched.size:
-            residual_subjects = np.union1d(residual_subjects, touched)
+    What does not depend on the candidate subjects is derived once per run —
+    the CS blocks holding the star, its residual subject set and, on first
+    need, the residual subjects' property pairs — so an RDFjoin pays it once,
+    not once per input batch.
+    """
 
-    for block in blocks:
-        table = _scan_block(context, block, star, use_zone_maps, candidate_subjects,
-                            exclude_subjects=residual_subjects)
-        if table.num_rows:
-            results.append(table)
+    def __init__(self, context: ExecutionContext, star: StarPattern,
+                 use_zone_maps: bool) -> None:
+        self.context = context
+        self.star = star
+        self.use_zone_maps = use_zone_maps
+        self.store = store = context.require_clustered_store()
+        self.delta = delta = context.active_delta()
+        predicates = star.predicate_oids()
+        self.blocks = store.blocks_with_properties(predicates)
+        # Subjects touched by irregular triples (spilled multi-values, dirty
+        # data, subjects of no CS at all) or, MergeScan, by pending inserts or
+        # tombstones on a star predicate cannot be answered from their base
+        # block alone: they take the residual scan over base ∪ delta −
+        # tombstones, so that neither clustering nor a pending write ever
+        # changes query answers.  This covers brand-new subjects as well.
+        residual = _irregular_star_subjects(store.irregular, predicates)
+        if delta is not None:
+            touched = delta.subjects_touching(predicates)
+            if touched.size:
+                residual = np.union1d(residual, touched)
+        self.residual_subjects = residual
+        self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        if context.metrics is not None:
+            context.metrics.histogram(
+                "rdfscan_residual_subjects",
+                "Subjects per clustered star scan routed to the residual scan.",
+                buckets=_RESIDUAL_BUCKETS).observe(residual.size)
 
-    # Residual path: subjects touched by irregular triples (spilled multi-values,
-    # dirty data) or by pending writes are answered from the union of block +
-    # irregular + delta data so that clustering never changes query answers.
-    if residual_subjects.size:
-        residual = _star_over_union(store, star, residual_subjects, candidate_subjects, delta)
-        if residual.num_rows:
-            results.append(residual)
+    def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
+        """The star's bindings: block by block, then the residual subjects."""
+        results: List[BindingTable] = []
+        for block in self.blocks:
+            table = _scan_block(self.context, block, self.star, self.use_zone_maps,
+                                candidate_subjects, exclude_subjects=self.residual_subjects)
+            if table.num_rows:
+                results.append(table)
+        if self.residual_subjects.size:
+            residual = self._scan_residual(candidate_subjects)
+            if residual.num_rows:
+                results.append(residual)
+        output_vars = self.star.output_variables()
+        if not results:
+            return BindingTable.empty(output_vars)
+        merged = results[0]
+        for table in results[1:]:
+            merged = merged.concat(table)
+        return merged.project(output_vars)
 
-    # Subjects that live only in the irregular store (no CS membership at all).
-    irregular_only = _star_over_irregular_only(store, star, residual_subjects,
-                                               candidate_subjects, delta)
-    if irregular_only is not None and irregular_only.num_rows:
-        results.append(irregular_only)
+    def _scan_residual(self, candidate_subjects: Optional[np.ndarray]) -> BindingTable:
+        """Answer the star for the residual subjects, set-at-a-time.
 
-    output_vars = star.output_variables()
-    if not results:
-        return BindingTable.empty(output_vars)
-    merged = results[0]
-    for table in results[1:]:
-        merged = merged.concat(table)
-    return merged.project(output_vars)
+        Each property's ``(subject, object)`` pairs are merged into the
+        running bindings exactly like the index path merges a property.
+        Rows come out subjects ascending and, within a subject, as the
+        product of its values in property order (per property: block value,
+        irregular values, delta values) — the order every batch size and
+        ``LIMIT`` rely on.
+        """
+        star = self.star
+        subjects = self.residual_subjects
+        if candidate_subjects is not None:
+            subjects = np.intersect1d(subjects, candidate_subjects)
+        if star.subject_range is not None and not star.subject_range.is_unbounded():
+            subjects = subjects[star.subject_range.mask(subjects)]
+        if subjects.size == 0:
+            return BindingTable.empty(star.output_variables())
+        if self._residual_pairs is None:
+            self._residual_pairs = self._gather_residual_pairs()
+        table = BindingTable({star.subject_var: subjects})
+        for prop, pairs in zip(star.properties, self._residual_pairs):
+            table, values = _match_property(self.context, table, star.subject_var, prop, *pairs)
+            if values is None:
+                continue
+            var = prop.object_term.var
+            if table.has(var):
+                # repeated variable: a real value must match the earlier binding,
+                # a missing optional one keeps it (the block scan's NULL handling)
+                table = table.filter_mask((values == table.column(var)) | (values == NULL_OID))
+            else:
+                table = table.with_column(var, values)
+        return table
+
+    def _gather_residual_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per star property, the residual subjects' ``(subject, object)``
+        pairs from block columns, the irregular table and the delta, minus
+        tombstones, constrained like the property and subject-sorted."""
+        store = self.store
+        predicates = self.star.predicate_oids()
+        block_rows = []
+        for block in store.blocks:
+            if any(block.has_property(p) for p in predicates):
+                positions = block.positions_of_subjects(self.residual_subjects)
+                if positions.size:
+                    block_rows.append((block, positions, block.subject_column.gather(positions)))
+        pairs = []
+        for prop in self.star.properties:
+            predicate = prop.predicate_oid
+            parts = [(members, block.column(predicate).gather(positions))
+                     for block, positions, members in block_rows
+                     if block.has_property(predicate)]
+            # every irregular triple of a star predicate has a residual subject
+            irregular = store.irregular.scan_prefix(predicate, fetch="so")
+            parts.append((irregular[:, 0], irregular[:, 1]))
+            base_subjects = np.concatenate([subjects for subjects, _objects in parts])
+            base_objects = np.concatenate([objects for _subjects, objects in parts])
+            present = base_objects != NULL_OID
+            if not prop.object_term.is_variable:
+                present &= base_objects == prop.object_term.oid
+            pairs.append(_finish_pairs(self.delta, prop, base_subjects[present],
+                                       base_objects[present]))
+        return pairs
 
 
 def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
@@ -336,112 +442,6 @@ def _irregular_star_subjects(irregular: TripleTable, predicates: List[int]) -> n
     return np.unique(np.concatenate(parts))
 
 
-def _star_over_union(store: ClusteredStore, star: StarPattern, subjects: np.ndarray,
-                     candidate_subjects: Optional[np.ndarray],
-                     delta=None) -> BindingTable:
-    """Answer the star for specific subjects from block + irregular + delta data."""
-    if candidate_subjects is not None:
-        subjects = np.intersect1d(subjects, candidate_subjects)
-    rows: Dict[str, List[int]] = {name: [] for name in star.output_variables()}
-    for subject in subjects:
-        subject = int(subject)
-        if star.subject_range is not None and not star.subject_range.contains(subject):
-            continue
-        block = store.block_of_subject(subject)
-        per_property: List[List[int]] = []
-        satisfiable = True
-        for prop in star.properties:
-            values = _property_values_for_subject(store, block, subject, prop.predicate_oid,
-                                                 delta)
-            values = [v for v in values if _value_matches(v, prop)]
-            if not values:
-                if prop.required:
-                    satisfiable = False
-                    break
-                values = [NULL_OID]
-            per_property.append(values)
-        if not satisfiable:
-            continue
-        _expand_product(rows, star, subject, per_property)
-    return BindingTable({name: np.asarray(values, dtype=np.int64) for name, values in rows.items()})
-
-
-def _star_over_irregular_only(store: ClusteredStore, star: StarPattern,
-                              residual_subjects: np.ndarray,
-                              candidate_subjects: Optional[np.ndarray],
-                              delta=None) -> Optional[BindingTable]:
-    """Answer the star for subjects that belong to no CS at all."""
-    predicates = star.predicate_oids()
-    subjects = _irregular_star_subjects(store.irregular, predicates)
-    if subjects.size == 0:
-        return None
-    no_cs = np.asarray([s for s in subjects if store.schema.cs_of_subject(int(s)) is None],
-                       dtype=np.int64)
-    no_cs = np.setdiff1d(no_cs, residual_subjects)
-    if no_cs.size == 0:
-        return None
-    return _star_over_union(store, star, no_cs, candidate_subjects, delta)
-
-
-def _property_values_for_subject(store: ClusteredStore, block: Optional[CSBlock],
-                                 subject: int, predicate: int,
-                                 delta=None) -> List[int]:
-    values: List[int] = []
-    if block is not None and block.has_property(predicate):
-        positions = block.positions_of_subjects(np.asarray([subject], dtype=np.int64))
-        if positions.size:
-            value = int(block.column(predicate).gather(positions)[0])
-            if value != NULL_OID and not (delta is not None
-                                          and delta.is_tombstoned(subject, predicate, value)):
-                values.append(value)
-    rows = store.irregular.scan_prefix(predicate, subject, fetch="o")
-    if rows.size:
-        values.extend(int(v) for v in rows[:, 0]
-                      if not (delta is not None
-                              and delta.is_tombstoned(subject, predicate, int(v))))
-    if delta is not None:
-        values.extend(delta.object_values(subject, predicate))
-    return values
-
-
-def _value_matches(value: int, prop: StarProperty) -> bool:
-    if not prop.object_term.is_variable and value != prop.object_term.oid:
-        return False
-    if prop.oid_range is not None and not prop.oid_range.is_unbounded():
-        if not prop.oid_range.contains(value):
-            return False
-    return True
-
-
-def _expand_product(rows: Dict[str, List[int]], star: StarPattern, subject: int,
-                    per_property: List[List[int]]) -> None:
-    """Append the cartesian product of per-property values for one subject."""
-    combos: List[Dict[str, int]] = [{star.subject_var: subject}]
-    for prop, values in zip(star.properties, per_property):
-        term = prop.object_term
-        new_combos: List[Dict[str, int]] = []
-        for combo in combos:
-            for value in values:
-                if term.is_variable:
-                    if term.var in combo:
-                        # repeated variable: a real value must match the prior
-                        # binding; a missing optional value keeps it (mirrors
-                        # the block path's NULL handling)
-                        if value != NULL_OID and combo[term.var] != value:
-                            continue
-                        new_combos.append(dict(combo))
-                        continue
-                    extended = dict(combo)
-                    extended[term.var] = value
-                    new_combos.append(extended)
-                else:
-                    new_combos.append(dict(combo))
-        combos = new_combos
-    for combo in combos:
-        for name in rows:
-            rows[name].append(combo.get(name, NULL_OID))
-
-
 # -- parse-order (index merge) evaluation ----------------------------------------------
 
 
@@ -515,17 +515,20 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty,
         rows = table.fetch_rows(start, stop, fetch="so")
     else:
         rows = store.scan_pattern(p=prop.predicate_oid, fetch="so")
-    if rows.size == 0:
-        subjects = objects = np.empty(0, dtype=np.int64)
-    else:
-        subjects, objects = rows[:, 0], rows[:, 1]
-    delta = context.active_delta()
+    return _finish_pairs(context.active_delta(), prop, rows[:, 0], rows[:, 1], subject_range)
+
+
+def _finish_pairs(delta, prop: StarProperty, subjects: np.ndarray, objects: np.ndarray,
+                  subject_range: Optional[OidRange] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge one property's base pairs with the delta, constrain and subject-sort them.
+
+    The sort is stable, so within a subject base values stay ahead of delta
+    values, each in scan order.
+    """
     if delta is not None:
         constant = None if prop.object_term.is_variable else prop.object_term.oid
         subjects, objects = merge_property_pairs(delta, subjects, objects,
                                                  prop.predicate_oid, constant)
-    if subjects.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if prop.oid_range is not None and not prop.oid_range.is_unbounded():
         mask = prop.oid_range.mask(objects)
         subjects, objects = subjects[mask], objects[mask]
@@ -539,6 +542,25 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty,
 def _merge_property(context: ExecutionContext, table: BindingTable, subject_var: str,
                     prop: StarProperty, subjects: np.ndarray, objects: np.ndarray) -> BindingTable:
     """Join the current bindings with one property's (subject, object) pairs."""
+    result, values = _match_property(context, table, subject_var, prop, subjects, objects)
+    if values is not None:
+        var = prop.object_term.var
+        if result.has(var):
+            result = result.filter_mask(result.column(var) == values)
+        else:
+            result = result.with_column(var, values)
+    return result
+
+
+def _match_property(context: ExecutionContext, table: BindingTable, subject_var: str,
+                    prop: StarProperty, subjects: np.ndarray, objects: np.ndarray
+                    ) -> Tuple[BindingTable, Optional[np.ndarray]]:
+    """Fan the bindings out over one property's subject-sorted pairs.
+
+    Returns the expanded rows and, for a variable object, the object value
+    aligned with each row; a row without a match is dropped when the
+    property is required and otherwise kept once with ``NULL_OID``.
+    """
     current = table.column(subject_var)
     lo = np.searchsorted(subjects, current, side="left")
     hi = np.searchsorted(subjects, current, side="right")
@@ -553,18 +575,11 @@ def _merge_property(context: ExecutionContext, table: BindingTable, subject_var:
                                                np.where(empty, 0, hi))
 
     result = table.select_rows(row_indices)
-    if prop.object_term.is_variable:
-        if objects.size:
-            values = np.where(positions >= 0, objects[np.maximum(positions, 0)], NULL_OID)
-        else:
-            values = np.full(positions.size, NULL_OID, dtype=np.int64)
-        var = prop.object_term.var
-        if result.has(var):
-            mask = result.column(var) == values
-            result = result.filter_mask(mask)
-        else:
-            result = result.with_column(var, values)
-    return result
+    if not prop.object_term.is_variable:
+        return result, None
+    if objects.size:
+        return result, np.where(positions >= 0, objects[np.maximum(positions, 0)], NULL_OID)
+    return result, np.full(positions.size, NULL_OID, dtype=np.int64)
 
 
 # -- zone-map push-down helpers ----------------------------------------------------------

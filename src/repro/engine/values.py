@@ -16,55 +16,29 @@ values are needed:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..model import Literal, Term, TermDictionary
-from ..model.terms import term_sort_key
 from .plan import OidRange
 
 
 class ValueEncoder:
-    """Maps value-space constants and ranges to OID-space equivalents."""
+    """Maps value-space constants and ranges to OID-space equivalents.
+
+    Stateless: the literal order index belongs to the dictionary (see
+    :meth:`~repro.model.TermDictionary.literal_value_range`), so every
+    context over one dictionary — the store's, each snapshot's, a reopened
+    store's — shares it and nothing here needs invalidating after a write.
+    """
 
     def __init__(self, dictionary: TermDictionary) -> None:
         self.dictionary = dictionary
-        self._literal_oids: Optional[list[int]] = None
-        self._literal_keys: Optional[list[tuple]] = None
-
-    def _ensure_literal_index(self) -> None:
-        if self._literal_oids is not None:
-            return
-        oids = self.dictionary.sorted_literal_oids()
-        self._literal_oids = oids
-        self._literal_keys = [term_sort_key(self.dictionary.decode(oid)) for oid in oids]
-
-    def invalidate(self) -> None:
-        """Drop cached indexes (call after the dictionary is remapped)."""
-        self._literal_oids = None
-        self._literal_keys = None
 
     def term_oid(self, term: Term) -> Optional[int]:
         """OID of an exact term, or ``None`` if it does not occur in the data."""
         return self.dictionary.lookup_term(term)
-
-    def _range_indexes(self, low: Optional[Literal], high: Optional[Literal],
-                       low_inclusive: bool, high_inclusive: bool) -> tuple[int, int]:
-        """Bounds of a value range inside the value-sorted literal index."""
-        self._ensure_literal_index()
-        assert self._literal_keys is not None
-        keys = self._literal_keys
-        lo_idx = 0
-        hi_idx = len(keys)
-        if low is not None:
-            key = term_sort_key(low)
-            lo_idx = bisect_left(keys, key) if low_inclusive else bisect_right(keys, key)
-        if high is not None:
-            key = term_sort_key(high)
-            hi_idx = bisect_right(keys, key) if high_inclusive else bisect_left(keys, key)
-        return lo_idx, hi_idx
 
     def literal_range(
         self,
@@ -83,19 +57,16 @@ class ValueEncoder:
         delta scans check them explicitly.  Returns ``None`` when no stored
         literal satisfies the range at all.
         """
-        lo_idx, hi_idx = self._range_indexes(low, high, low_inclusive, high_inclusive)
-        if hi_idx <= lo_idx:
+        clean, extras = self.dictionary.literal_value_range(
+            low, high, low_inclusive, high_inclusive)
+        if not clean.size and not extras:
             return None
-        assert self._literal_oids is not None
-        watermark = self.dictionary.value_order_watermark
-        in_range = self._literal_oids[lo_idx:hi_idx]
-        clean = [oid for oid in in_range if oid < watermark]
-        extras = frozenset(oid for oid in in_range if oid >= watermark)
-        if clean:
+        extra_oids = frozenset(extras)
+        if clean.size:
             # clean OIDs are value-ordered, so the value slice is one OID run
-            return OidRange(clean[0], clean[-1], extras)
+            return OidRange(int(clean[0]), int(clean[-1]), extra_oids)
         # nothing in the value-ordered region: an empty interval plus extras
-        return OidRange(1, 0, extras)
+        return OidRange(1, 0, extra_oids)
 
 
 class ValueDecoder:

@@ -13,15 +13,34 @@ reproduction:
   OIDs "in a way that is meaningful to SPARQL value comparison semantics" so
   range predicates can be evaluated on OIDs directly.
   :meth:`TermDictionary.reassign_value_ordered_literals` implements that.
+* **The literal order index.**  The dictionary owns the one index that maps
+  a value range to literal OIDs (:meth:`TermDictionary.literal_value_range`):
+  a *head* — the literal OIDs below the value-order watermark, ascending,
+  which by the invariant above already *is* value order, so it is never
+  sorted and stores no keys — plus a small value-sorted *tail* of the
+  literals appended since.  Lookups bisect with a key function that decodes
+  only the O(log n) probed terms.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import DictionaryError
+from ..obs import default_registry
 from .terms import Literal, Term, term_sort_key
 from .triples import EncodedTriple, Triple
+
+_HEAD_BUILDS = default_registry().counter(
+    "literal_index_full_builds_total",
+    "Full passes over a dictionary to build its literal order index "
+    "(store build, compaction and open only; never per update, snapshot or query).")
+
+_NO_OIDS = np.empty(0, dtype=np.int64)
 
 
 class TermDictionary:
@@ -36,6 +55,15 @@ class TermDictionary:
         self._term_to_oid: Dict[Term, int] = {}
         self._oid_to_term: List[Term] = []
         self._value_order_watermark = 0
+        self._literal_head: np.ndarray = _NO_OIDS
+        """Literal OIDs below the watermark, ascending — which is value
+        order.  Immutable once published (clones share it)."""
+        self._literal_tail: Tuple[int, List[Tuple[tuple, int]]] = (0, [])
+        """``(covered, entries)``: one ``(sort key, OID)`` entry, sorted, per
+        literal with watermark <= OID < covered.  The tail is small, so unlike
+        the head it keeps its keys.  One tuple so lock-free readers see both
+        halves of a writer's replacement at once; a published list is never
+        mutated."""
 
     @property
     def value_order_watermark(self) -> int:
@@ -128,6 +156,8 @@ class TermDictionary:
         twin._term_to_oid = dict(self._term_to_oid)
         twin._oid_to_term = list(self._oid_to_term)
         twin._value_order_watermark = self._value_order_watermark
+        twin._literal_head = self._literal_head
+        twin._literal_tail = self._literal_tail
         return twin
 
     # -- persistence ---------------------------------------------------------
@@ -159,7 +189,7 @@ class TermDictionary:
             raise DictionaryError(
                 f"value-order watermark {value_order_watermark} out of range for "
                 f"{len(dictionary._oid_to_term)} terms")
-        dictionary._value_order_watermark = int(value_order_watermark)
+        dictionary._set_value_order(int(value_order_watermark))
         return dictionary
 
     # -- re-mapping ----------------------------------------------------------
@@ -183,9 +213,15 @@ class TermDictionary:
             if new_to_old[new] is not None:
                 raise DictionaryError(f"remap is not a bijection: new OID {new} assigned twice")
             new_to_old[new] = old
-        new_terms: List[Term] = [self._oid_to_term[old] for old in new_to_old]  # type: ignore[index]
+        old_terms = self._oid_to_term
+        new_terms: List[Term] = [old_terms[old] for old in new_to_old]  # type: ignore[index]
         self._oid_to_term = new_terms
         self._term_to_oid = {term: oid for oid, term in enumerate(new_terms)}
+        if any(old != new and isinstance(old_terms[old], Literal)
+               for old, new in mapping.items()):
+            # a moved literal voids "OID order is value order"; only
+            # reassign_value_ordered_literals re-establishes it
+            self._set_value_order(0)
 
     def reassign_value_ordered_literals(self) -> Dict[int, int]:
         """Reassign literal OIDs so that OID order matches value order.
@@ -197,14 +233,88 @@ class TermDictionary:
         """
         literal_oids = [oid for oid, term in enumerate(self._oid_to_term) if isinstance(term, Literal)]
         ranked = sorted(literal_oids, key=lambda oid: term_sort_key(self._oid_to_term[oid]))
-        mapping = {old: new for old, new in zip(ranked, sorted(literal_oids))}
+        mapping = {old: new for old, new in zip(ranked, literal_oids)}
         identity = all(old == new for old, new in mapping.items())
         if not identity:
             self.remap(mapping)
-        self._value_order_watermark = len(self._oid_to_term)
+        self._set_value_order(len(self._oid_to_term), literal_oids)
         return mapping
 
-    def sorted_literal_oids(self) -> List[int]:
-        """Return literal OIDs sorted by literal value order."""
-        literal_oids = [oid for oid, term in enumerate(self._oid_to_term) if isinstance(term, Literal)]
-        return sorted(literal_oids, key=lambda oid: term_sort_key(self._oid_to_term[oid]))
+    # -- the literal order index ------------------------------------------------
+
+    def _set_value_order(self, watermark: int,
+                         literal_oids: Optional[List[int]] = None) -> None:
+        """Move the watermark and rebuild the head for it (the one full pass)."""
+        if literal_oids is None:
+            terms = self._oid_to_term
+            literal_oids = [oid for oid in range(watermark) if isinstance(terms[oid], Literal)]
+        self._value_order_watermark = watermark
+        self._literal_head = np.asarray(literal_oids, dtype=np.int64)
+        self._literal_tail = (watermark, [])
+        if watermark:
+            _HEAD_BUILDS.inc()
+
+    def _literal_key(self, oid: int) -> tuple:
+        return term_sort_key(self._oid_to_term[oid])
+
+    def _tail_through(self, size: int) -> List[Tuple[tuple, int]]:
+        """The value-sorted tail covering OIDs ``[watermark, size)``.
+
+        Only ``_oid_to_term[covered:size]`` is inspected; each new literal
+        is bisected into a copy of the existing tail.  Pure: the result is
+        stored by the writer (:meth:`index_appended_literals`) and merely
+        used by a reader that finds terms appended since.
+        """
+        covered, tail = self._literal_tail
+        terms = self._oid_to_term
+        fresh = [(term_sort_key(terms[oid]), oid) for oid in range(covered, size)
+                 if isinstance(terms[oid], Literal)]
+        if not fresh:
+            return tail
+        tail = list(tail)
+        for entry in fresh:
+            # a fresh OID exceeds every OID in the tail, so ties on the key
+            # stay in OID order, as one stable sort by key would leave them
+            insort(tail, entry)
+        return tail
+
+    def index_appended_literals(self) -> None:
+        """Fold literals appended since the last call into the sorted tail.
+
+        The write side calls this under the store's writer lock after each
+        update, so readers normally find nothing left to fold.
+        """
+        size = len(self._oid_to_term)
+        if self._literal_tail[0] < size:
+            self._literal_tail = (size, self._tail_through(size))
+
+    def literal_value_range(
+        self,
+        low: Optional[Literal],
+        high: Optional[Literal],
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Literal OIDs whose value lies between ``low`` and ``high``.
+
+        Returns ``(head_run, tail_oids)``: the in-range slice of the
+        value-ordered head — a view of ascending OIDs, so its first and last
+        element bound one OID interval — and the in-range literals of the
+        tail, which sit outside that interval in OID space.  ``None`` leaves
+        a side unbounded.
+        """
+        low_key = None if low is None else term_sort_key(low)
+        high_key = None if high is None else term_sort_key(high)
+
+        def in_range(entries, key):
+            lo, hi = 0, len(entries)
+            if low_key is not None:
+                lo = (bisect_left if low_inclusive else bisect_right)(entries, low_key, key=key)
+            if high_key is not None:
+                hi = (bisect_right if high_inclusive else bisect_left)(
+                    entries, high_key, lo, key=key)
+            return entries[lo:hi]
+
+        tail = self._tail_through(len(self._oid_to_term))
+        return (in_range(self._literal_head, self._literal_key),
+                [oid for _key, oid in in_range(tail, itemgetter(0))])

@@ -12,7 +12,9 @@ bundles everything a query needs to run against exactly that state:
 * a :class:`~repro.updates.FrozenDelta` view of the pending writes —
   an immutable copy the live delta's later mutations cannot touch;
 * a private :class:`~repro.engine.ExecutionContext` and SPARQL/SQL engines
-  wired to those references.
+  wired to those references — cheap to create: a context holds no index of
+  its own (the literal order index that range predicates resolve through
+  belongs to the pinned dictionary and is shared with the live store).
 
 Acquisition happens under the store's shared (read) lock and is cheap: the
 frozen delta is built once per delta version and cached by the

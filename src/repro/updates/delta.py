@@ -128,6 +128,11 @@ class DeltaStore:
         self._routes: Dict[int, Optional[int]] = {}
         self._index: Optional[ExhaustiveIndexStore] = None
         self._tombstones_by_p: Optional[Dict[int, List[TripleKey]]] = None
+        self._touched_by_p: Optional[Dict[int, np.ndarray]] = None
+        """Per predicate, the sorted distinct subjects with a pending insert
+        or tombstone on it.  Derived once per delta version, like the index:
+        built on first use, dropped by :meth:`_dirty`, shared with frozen
+        views."""
         self.version = 0
         self._undo: Optional[UndoLog] = None
         self._pin_lock = threading.Lock()
@@ -269,6 +274,7 @@ class DeltaStore:
                         self.pool.drop_segments(self._segment_prefix(self.version))
         self._index = None
         self._tombstones_by_p = None
+        self._touched_by_p = None
         self.version += 1
 
     def _segment_prefix(self, version: int) -> str:
@@ -395,23 +401,27 @@ class DeltaStore:
         return np.asarray(sorted(self._subject_props), dtype=np.int64)
 
     def subjects_touching(self, predicates: Iterable[int]) -> np.ndarray:
-        """Subjects with an insert *or* tombstone on any given predicate.
+        """Sorted subjects with an insert *or* tombstone on any given predicate.
 
         These are the subjects whose star-pattern answers can no longer be
         read from the base CS block alone; the clustered scan routes them
-        through its per-subject union path.
+        through its residual scan.
         """
-        wanted = set(int(p) for p in predicates)
-        touched: Set[int] = set()
-        for s, p, _o in self._inserts:
-            if p in wanted:
-                touched.add(s)
-        for s, p, _o in self._tombstones:
-            if p in wanted:
-                touched.add(s)
-        if not touched:
+        touched = self._touched_subjects()
+        parts = [touched[p] for p in predicates if p in touched]
+        if not parts:
             return np.empty(0, dtype=np.int64)
-        return np.asarray(sorted(touched), dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+
+    def _touched_subjects(self) -> Dict[int, np.ndarray]:
+        if self._touched_by_p is None:
+            grouped: Dict[int, Set[int]] = {}
+            for keys in (self._inserts, self._tombstones):
+                for s, p, _o in keys:
+                    grouped.setdefault(p, set()).add(s)
+            self._touched_by_p = {p: np.asarray(sorted(subjects), dtype=np.int64)
+                                  for p, subjects in grouped.items()}
+        return self._touched_by_p
 
     # -- merge-scan access paths ----------------------------------------------------
 
@@ -433,13 +443,6 @@ class DeltaStore:
         if not self._inserts:
             return np.empty((0, len(fetch)), dtype=np.int64)
         return self.index().scan_pattern(s=s, p=p, o=o, fetch=fetch)
-
-    def object_values(self, subject: int, predicate: int) -> List[int]:
-        """Pending object values of ``(subject, predicate)``."""
-        if not self._inserts:
-            return []
-        rows = self.scan_pattern(s=subject, p=predicate, fetch="o")
-        return [int(v) for v in rows[:, 0]]
 
     def _grouped_tombstones(self) -> Dict[int, List[TripleKey]]:
         if self._tombstones_by_p is None:
@@ -580,6 +583,7 @@ class FrozenDelta(DeltaStore):
         self._subject_inserts = {s: set(k) for s, k in source._subject_inserts.items()}
         self._routes = dict(source._routes)
         self._index = source._index
+        self._touched_by_p = source._touched_by_p
         self._frozen = True
 
     def _immutable(self) -> StorageError:

@@ -1,0 +1,152 @@
+"""Reference implementations the engine no longer ships, kept as test oracles.
+
+Both were the production code until the literal order index moved into
+``TermDictionary`` and the residual star scan became set-at-a-time:
+
+* :func:`sorted_literal_oids` / :func:`oracle_literal_range` — the full
+  Python sort of every literal plus bisect over a materialised key list
+  that ``ValueEncoder`` used to rebuild after every update;
+* :func:`star_over_union` — the per-subject loop that answered a star for
+  residual subjects from block + irregular + delta data, one subject and
+  one cartesian product at a time.
+
+A plain importable module for the same reason as ``_datasets``.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional
+
+import numpy as np
+
+from repro.columnar import NULL_OID
+from repro.engine.bindings import BindingTable
+from repro.engine.plan import OidRange, StarPattern, StarProperty
+from repro.model import Literal, TermDictionary
+from repro.model.terms import term_sort_key
+
+
+# -- literal ranges --------------------------------------------------------------------
+
+
+def sorted_literal_oids(dictionary: TermDictionary) -> List[int]:
+    """Every literal OID, sorted by literal value order (a full sort)."""
+    literal_oids = [oid for term, oid in dictionary.items() if isinstance(term, Literal)]
+    return sorted(literal_oids, key=lambda oid: term_sort_key(dictionary.decode(oid)))
+
+
+def oracle_literal_range(dictionary: TermDictionary, low: Optional[Literal],
+                         high: Optional[Literal], low_inclusive: bool = True,
+                         high_inclusive: bool = True) -> Optional[OidRange]:
+    """What ``ValueEncoder.literal_range`` must return, by brute force."""
+    oids = sorted_literal_oids(dictionary)
+    keys = [term_sort_key(dictionary.decode(oid)) for oid in oids]
+    lo_idx, hi_idx = 0, len(keys)
+    if low is not None:
+        key = term_sort_key(low)
+        lo_idx = bisect_left(keys, key) if low_inclusive else bisect_right(keys, key)
+    if high is not None:
+        key = term_sort_key(high)
+        hi_idx = bisect_right(keys, key) if high_inclusive else bisect_left(keys, key)
+    if hi_idx <= lo_idx:
+        return None
+    watermark = dictionary.value_order_watermark
+    in_range = oids[lo_idx:hi_idx]
+    clean = [oid for oid in in_range if oid < watermark]
+    extras = frozenset(oid for oid in in_range if oid >= watermark)
+    if clean:
+        return OidRange(clean[0], clean[-1], extras)
+    return OidRange(1, 0, extras)
+
+
+# -- the residual star scan ------------------------------------------------------------
+
+
+def star_over_union(store, star: StarPattern, subjects: np.ndarray,
+                    candidate_subjects: Optional[np.ndarray], delta=None) -> BindingTable:
+    """Answer the star for specific subjects, one subject at a time."""
+    if candidate_subjects is not None:
+        subjects = np.intersect1d(subjects, candidate_subjects)
+    rows: Dict[str, List[int]] = {name: [] for name in star.output_variables()}
+    for subject in subjects:
+        subject = int(subject)
+        if star.subject_range is not None and not star.subject_range.contains(subject):
+            continue
+        block = store.block_of_subject(subject)
+        per_property: List[List[int]] = []
+        satisfiable = True
+        for prop in star.properties:
+            values = _property_values_for_subject(store, block, subject,
+                                                  prop.predicate_oid, delta)
+            values = [v for v in values if _value_matches(v, prop)]
+            if not values:
+                if prop.required:
+                    satisfiable = False
+                    break
+                values = [NULL_OID]
+            per_property.append(values)
+        if not satisfiable:
+            continue
+        _expand_product(rows, star, subject, per_property)
+    return BindingTable({name: np.asarray(values, dtype=np.int64)
+                         for name, values in rows.items()})
+
+
+def _property_values_for_subject(store, block, subject: int, predicate: int,
+                                 delta=None) -> List[int]:
+    values: List[int] = []
+    if block is not None and block.has_property(predicate):
+        positions = block.positions_of_subjects(np.asarray([subject], dtype=np.int64))
+        if positions.size:
+            value = int(block.column(predicate).gather(positions)[0])
+            if value != NULL_OID and not (delta is not None
+                                          and delta.is_tombstoned(subject, predicate, value)):
+                values.append(value)
+    rows = store.irregular.scan_prefix(predicate, subject, fetch="o")
+    if rows.size:
+        values.extend(int(v) for v in rows[:, 0]
+                      if not (delta is not None
+                              and delta.is_tombstoned(subject, predicate, int(v))))
+    if delta is not None and delta.insert_count():
+        values.extend(int(v) for v in
+                      delta.scan_pattern(s=subject, p=predicate, fetch="o")[:, 0])
+    return values
+
+
+def _value_matches(value: int, prop: StarProperty) -> bool:
+    if not prop.object_term.is_variable and value != prop.object_term.oid:
+        return False
+    if prop.oid_range is not None and not prop.oid_range.is_unbounded():
+        if not prop.oid_range.contains(value):
+            return False
+    return True
+
+
+def _expand_product(rows: Dict[str, List[int]], star: StarPattern, subject: int,
+                    per_property: List[List[int]]) -> None:
+    """Append the cartesian product of per-property values for one subject."""
+    combos: List[Dict[str, int]] = [{star.subject_var: subject}]
+    for prop, values in zip(star.properties, per_property):
+        term = prop.object_term
+        new_combos: List[Dict[str, int]] = []
+        for combo in combos:
+            for value in values:
+                if term.is_variable:
+                    if term.var in combo:
+                        # repeated variable: a real value must match the prior
+                        # binding; a missing optional value keeps it (mirrors
+                        # the block path's NULL handling)
+                        if value != NULL_OID and combo[term.var] != value:
+                            continue
+                        new_combos.append(dict(combo))
+                        continue
+                    extended = dict(combo)
+                    extended[term.var] = value
+                    new_combos.append(extended)
+                else:
+                    new_combos.append(dict(combo))
+        combos = new_combos
+    for combo in combos:
+        for name in rows:
+            rows[name].append(combo.get(name, NULL_OID))

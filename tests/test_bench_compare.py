@@ -52,7 +52,7 @@ class TestBenchReporter:
         assert document["schema_version"] == BENCH_SCHEMA_VERSION
         assert document["name"] == "demo"
         assert document["environment"]["scale_factor"] == 0.002
-        for key in ("python", "platform", "git_sha", "numpy"):
+        for key in ("python", "platform", "git_sha", "git_dirty", "numpy"):
             assert key in document["environment"]
         measurement = document["measurements"]["q_seconds"]
         assert measurement["value"] == 0.5

@@ -1,0 +1,174 @@
+"""The literal order index: one per dictionary, never rebuilt by a write.
+
+``TermDictionary`` owns the index that turns a value range into literal
+OIDs: a *head* (literal OIDs below the value-order watermark, which are in
+value order already) and a small value-sorted *tail* of literals appended
+since.  ``ValueEncoder.literal_range`` is checked here against the full
+Python sort it used to redo after every update (``_oracles``), and the
+``literal_index_full_builds_total`` counter pins down *when* a full pass
+over the dictionary may happen: build, compaction and open — never an
+update, a snapshot or a query.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from _datasets import EX, book_triples
+from _oracles import oracle_literal_range
+from repro import RDFStore, default_registry
+from repro.engine.values import ValueEncoder
+from repro.model import IRI, Literal, TermDictionary
+from repro.model.terms import XSD_DATE, XSD_DOUBLE, XSD_INTEGER
+from test_updates import _config, insert_book
+
+# -- literal_range against the brute-force oracle --------------------------------------
+
+_literals = st.one_of(
+    st.integers(-6, 6).map(lambda i: Literal(str(i), datatype=XSD_INTEGER)),
+    # cross-datatype ties: 1 vs 1.0 vs 1.00 compare equal numerically
+    st.integers(-6, 6).map(lambda i: Literal(f"{i}.0", datatype=XSD_DOUBLE)),
+    st.integers(-6, 6).map(lambda i: Literal(f"{i}.00", datatype=XSD_DOUBLE)),
+    st.integers(-6, 6).map(lambda i: Literal(str(i), datatype=XSD_DOUBLE)),
+    st.integers(1, 28).map(lambda d: Literal(f"1995-03-{d:02d}", datatype=XSD_DATE)),
+    st.text(alphabet="abc", max_size=3).map(Literal),
+)
+_terms = st.one_of(_literals, st.integers(0, 15).map(lambda i: IRI(f"{EX}iri/{i}")))
+_bounds = st.tuples(st.none() | _literals, st.none() | _literals,
+                    st.booleans(), st.booleans())
+
+
+def _assert_ranges_match(dictionary: TermDictionary, bounds) -> None:
+    encoder = ValueEncoder(dictionary)
+    for low, high, low_inclusive, high_inclusive in bounds:
+        got = encoder.literal_range(low, high, low_inclusive, high_inclusive)
+        expected = oracle_literal_range(dictionary, low, high, low_inclusive, high_inclusive)
+        assert got == expected, (low, high, low_inclusive, high_inclusive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loaded=st.lists(_terms, max_size=40), value_order=st.booleans(),
+       appended=st.lists(_terms, max_size=25), folded=st.integers(0, 25),
+       bounds=st.lists(_bounds, min_size=1, max_size=8))
+def test_literal_range_matches_the_full_sort(loaded, value_order, appended, folded, bounds):
+    dictionary = TermDictionary()
+    for term in loaded:
+        dictionary.encode_term(term)
+    if value_order:  # else: watermark 0, every literal lives in the tail
+        dictionary.reassign_value_ordered_literals()
+    for position, term in enumerate(appended):
+        if position == folded:
+            # the write side folds what it appended; a reader folds the rest
+            dictionary.index_appended_literals()
+        dictionary.encode_term(term)
+    _assert_ranges_match(dictionary, bounds)
+
+    twin = dictionary.clone()
+    _assert_ranges_match(twin, bounds)
+
+    # compaction moves the watermark over the tail; the clone keeps its own view
+    twin.reassign_value_ordered_literals()
+    assert twin.value_order_watermark == len(twin)
+    _assert_ranges_match(twin, bounds)
+    _assert_ranges_match(dictionary, bounds)
+
+    restored = TermDictionary.restore(list(dictionary.terms()),
+                                      dictionary.value_order_watermark)
+    _assert_ranges_match(restored, bounds)
+
+
+def test_a_remap_that_moves_a_literal_drops_the_value_order():
+    dictionary = TermDictionary()
+    two = dictionary.encode_term(Literal("2", datatype=XSD_INTEGER))
+    one = dictionary.encode_term(Literal("1", datatype=XSD_INTEGER))
+    dictionary.reassign_value_ordered_literals()
+    assert dictionary.value_order_watermark == 2
+    dictionary.remap({one: two, two: one})  # OID order is no longer value order
+    assert dictionary.value_order_watermark == 0
+    _assert_ranges_match(dictionary, [(Literal("2", datatype=XSD_INTEGER), None, True, True)])
+
+
+# -- store level: who may build the index, and when ------------------------------------
+
+XSD_INT = XSD_INTEGER
+RANGE_QUERY = f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . FILTER(?y >= 2005) }}"
+STORE_BOUNDS = [
+    (Literal("1995", datatype=XSD_INT), Literal("2003", datatype=XSD_INT), True, False),
+    (Literal("2001", datatype=XSD_INT), None, True, True),
+    (None, Literal("isbn-n0003"), True, True),
+    (Literal("2100", datatype=XSD_INT), Literal("2000", datatype=XSD_INT), True, True),
+]
+
+
+def _full_builds() -> float:
+    return default_registry().collect()["literal_index_full_builds_total"]
+
+
+def _build() -> RDFStore:
+    return RDFStore.build(book_triples(), config=_config())
+
+
+def _insert_book(n: int) -> str:
+    return insert_book(n, year=2005 + n)  # base years stop at 2004
+
+
+def test_updates_and_range_queries_never_rebuild_the_index():
+    before = _full_builds()
+    store = _build()
+    assert _full_builds() == before + 1  # the load-time value-ordering pass
+    built = _full_builds()
+    for n in range(12):
+        store.update(_insert_book(n))
+        rows = store.decode_rows(store.sparql(RANGE_QUERY))
+        assert len(rows) == n + 1  # base years stop at 2004
+        store.decode_rows(store.sql("SELECT isbn_no FROM Book WHERE in_year >= 2005"))
+    assert _full_builds() == built
+    assert store.metrics()["literal_index_full_builds_total"] == built
+    _assert_ranges_match(store.dictionary, STORE_BOUNDS)
+
+
+def test_index_is_built_once_by_compact_clone_and_open(tmp_path):
+    store = _build()
+    for n in range(5):
+        store.update(_insert_book(n))
+    watermark = store.dictionary.value_order_watermark
+    assert watermark < len(store.dictionary)
+    _assert_ranges_match(store.dictionary, STORE_BOUNDS)
+
+    built = _full_builds()
+    with store.snapshot() as pinned:  # forces the copy-on-write clone in compact()
+        store.compact()
+        assert _full_builds() == built + 1
+        assert store.dictionary is not pinned.context.dictionary
+        assert pinned.context.dictionary.value_order_watermark == watermark
+        _assert_ranges_match(pinned.context.dictionary, STORE_BOUNDS)
+    assert store.dictionary.value_order_watermark == len(store.dictionary)
+    _assert_ranges_match(store.dictionary, STORE_BOUNDS)
+
+    store.update(_insert_book(7))  # leave a WAL record: open() replays an update
+    store.save(tmp_path / "db")
+    built = _full_builds()
+    reopened = RDFStore.open(tmp_path / "db")
+    assert _full_builds() == built + 1
+    assert len(reopened.decode_rows(reopened.sparql(RANGE_QUERY))) == 6
+    assert _full_builds() == built + 1  # neither replay nor the first query rebuilt it
+    _assert_ranges_match(reopened.dictionary, STORE_BOUNDS)
+
+
+def test_snapshots_share_the_index_across_updates():
+    """Every ``SnapshotRegistry.acquire`` builds a fresh execution context;
+    none of them may pay a literal re-sort on its first range predicate."""
+    store = _build()
+    built = _full_builds()
+    pinned = []
+    try:
+        for n in range(20):
+            store.update(_insert_book(n))
+            pinned.append(store.snapshot())
+        for n, snapshot in enumerate(pinned):
+            rows = snapshot.decode_rows(snapshot.sparql(RANGE_QUERY))
+            assert len(rows) == n + 1  # each snapshot sees its own delta version
+    finally:
+        for snapshot in pinned:
+            snapshot.close()
+    assert _full_builds() == built
