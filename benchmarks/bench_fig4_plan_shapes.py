@@ -56,9 +56,11 @@ def test_plan_shapes_and_equivalence(table1_harness, bench_report):
         lines.append(f"  RDFscan/RDFjoin: {rdfscan_plan.count_joins()} joins, "
                      f"{rdfscan_plan.count_operators()} operators")
         lines.append("  Default plan:")
-        lines.extend("    " + line for line in default_plan.explain().splitlines())
+        lines.extend("    " + line for line in
+                     default_result.plan.explain(run=default_result.run).splitlines())
         lines.append("  RDFscan/RDFjoin plan:")
-        lines.extend("    " + line for line in rdfscan_plan.explain().splitlines())
+        lines.extend("    " + line for line in
+                     rdfscan_result.plan.explain(run=rdfscan_result.run).splitlines())
         lines.append("")
 
         # the paper's claim: per-property joins disappear

@@ -148,13 +148,13 @@ def test_trace_overhead(table1_harness, bench_report):
     The same hot micro-query runs four ways:
 
     * *bare* — straight through the SPARQL engine, no registry, no tracer
-      (``NULL_ACTIVE_QUERY`` + ``NULL_TRACER``: two attribute checks per
-      operator call);
-    * *registry* — ``store.sparql()`` untraced, which now also registers
+      (the ``NULL_ACTIVE_QUERY`` run: one ``enabled`` check per operator
+      per run);
+    * *registry* — ``store.sparql()`` untraced, which also registers
       every run in the active-query registry (begin/finish bookkeeping
       plus per-batch row accounting);
     * *traced* — ``store.sparql(trace=True)``, span enter/exit around
-      every ``open``/``next_batch``/``close``.
+      every pull of a batch from an operator.
 
     The report records all medians and relative overheads; the assertion
     only bounds the *traced* run (5x vs the registry path) — the ≤5%

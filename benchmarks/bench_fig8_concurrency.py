@@ -13,7 +13,11 @@ Two measurements:
   once while a writer thread applies updates and compactions.  Readers never
   block on the writer during execution (only snapshot *acquisition*
   serializes with an in-flight update), so throughput should degrade
-  gracefully, not collapse.
+  gracefully, not collapse.  Measured with all readers sending one text
+  (one cached plan, executed re-entrantly), with one text per reader, and
+  for the one-text case also with 1 and 2 readers.  On CPython the readers
+  share one GIL, so more threads do not mean more queries per second; the
+  sweep records how much the hand-offs cost.
 
 Run in smoke mode (small store, short windows) with ``REPRO_BENCH_SMOKE=1``
 — CI does this on every push.  Results land in ``benchmarks/results/``.
@@ -110,16 +114,24 @@ def test_update_burst_latency_is_flat(report_lines, bench_report):
         f"superlinear in pending-delta size again")
 
 
-def _reader_window(store: RDFStore, seconds: float, errors: list) -> int:
-    """Run READERS snapshot-pinning reader threads; return queries completed."""
-    counts = [0] * READERS
+def _star_query(slot: int) -> str:
+    """The star query under reader ``slot``'s own variable names: the same
+    plan shape and answer, but a text (and so a cached plan) of its own."""
+    return (STAR_QUERY.replace("?p", f"?p{slot}").replace("?t", f"?t{slot}")
+            .replace("?c", f"?c{slot}").replace("?a", f"?a{slot}"))
+
+
+def _reader_window(store: RDFStore, seconds: float, errors: list,
+                   texts: list) -> int:
+    """Run one snapshot-pinning reader thread per text; return queries completed."""
+    counts = [0] * len(texts)
     stop = threading.Event()
 
     def read_loop(slot: int) -> None:
         try:
             while not stop.is_set():
                 with store.snapshot() as snap:
-                    result = snap.sparql(STAR_QUERY)
+                    result = snap.sparql(texts[slot])
                     if len(result) == 0:
                         errors.append("star query returned no rows")
                 counts[slot] += 1
@@ -127,7 +139,7 @@ def _reader_window(store: RDFStore, seconds: float, errors: list) -> int:
             errors.append(repr(exc))
 
     threads = [threading.Thread(target=read_loop, args=(slot,))
-               for slot in range(READERS)]
+               for slot in range(len(texts))]
     for thread in threads:
         thread.start()
     time.sleep(seconds)
@@ -137,11 +149,12 @@ def _reader_window(store: RDFStore, seconds: float, errors: list) -> int:
     return sum(counts)
 
 
-def test_reader_throughput_vs_writer_load(report_lines, bench_report):
+def _idle_then_loaded(texts: list) -> tuple:
+    """Reader q/s over a fresh store: idle, then beside a writer thread that
+    applies updates and compactions; also the updates it got through."""
     store = _build_store()
     errors: list = []
-
-    idle_reads = _reader_window(store, WINDOW_SECONDS, errors)
+    idle_reads = _reader_window(store, WINDOW_SECONDS, errors, texts)
     assert errors == []
 
     writer_stop = threading.Event()
@@ -159,29 +172,55 @@ def test_reader_throughput_vs_writer_load(report_lines, bench_report):
     writer = threading.Thread(target=write_loop)
     writer.start()
     try:
-        loaded_reads = _reader_window(store, WINDOW_SECONDS, errors)
+        loaded_reads = _reader_window(store, WINDOW_SECONDS, errors, texts)
     finally:
         writer_stop.set()
         writer.join(timeout=60)
     assert errors == []
     assert idle_reads > 0 and loaded_reads > 0
     assert updates_applied[0] > 0, "the writer never got a turn"
+    return idle_reads / WINDOW_SECONDS, loaded_reads / WINDOW_SECONDS, updates_applied[0]
 
-    ratio = loaded_reads / idle_reads if idle_reads else float("inf")
-    bench_report.record("reader_throughput_idle_qps",
-                        idle_reads / WINDOW_SECONDS, unit="queries/s",
+
+def test_reader_throughput_vs_writer_load(report_lines, bench_report):
+    """All readers send one text (one cached plan, run re-entrantly), then
+    one text per reader, then the one-text case again with 1 and 2 readers."""
+    idle, loaded, updates = _idle_then_loaded([STAR_QUERY] * READERS)
+    bench_report.record("reader_throughput_idle_qps", idle, unit="queries/s",
                         direction="higher_is_better",
                         extra={"readers": READERS})
-    bench_report.record("reader_throughput_under_writes_qps",
-                        loaded_reads / WINDOW_SECONDS, unit="queries/s",
-                        direction="higher_is_better",
-                        extra={"readers": READERS,
-                               "updates_applied": updates_applied[0]})
+    bench_report.record("reader_throughput_under_writes_qps", loaded,
+                        unit="queries/s", direction="higher_is_better",
+                        extra={"readers": READERS, "updates_applied": updates})
     report_lines.append(
-        f"reader throughput ({READERS} threads, {WINDOW_SECONDS:.1f}s windows): "
-        f"{idle_reads / WINDOW_SECONDS:,.0f} q/s idle -> "
-        f"{loaded_reads / WINDOW_SECONDS:,.0f} q/s with a writer applying "
-        f"{updates_applied[0]} updates (+compactions) concurrently "
-        f"(x{ratio:.2f})")
+        f"reader throughput ({READERS} threads, one text, {WINDOW_SECONDS:.1f}s windows): "
+        f"{idle:,.0f} q/s idle -> {loaded:,.0f} q/s with a writer applying "
+        f"{updates} updates (+compactions) concurrently (x{loaded / idle:.2f})")
+
+    idle, loaded, updates = _idle_then_loaded(
+        [_star_query(slot) for slot in range(READERS)])
+    bench_report.record("reader_throughput_idle_distinct_texts_qps", idle,
+                        unit="queries/s", direction="higher_is_better",
+                        extra={"readers": READERS})
+    bench_report.record("reader_throughput_under_writes_distinct_texts_qps", loaded,
+                        unit="queries/s", direction="higher_is_better",
+                        extra={"readers": READERS, "updates_applied": updates})
+    report_lines.append(
+        f"reader throughput ({READERS} threads, one text each): "
+        f"{idle:,.0f} q/s idle -> {loaded:,.0f} q/s under the writer "
+        f"(x{loaded / idle:.2f})")
+
+    for readers in (1, 2):
+        idle, loaded, updates = _idle_then_loaded([STAR_QUERY] * readers)
+        bench_report.record(f"reader_throughput_idle_{readers}_readers_qps", idle,
+                            unit="queries/s", direction="higher_is_better",
+                            extra={"readers": readers})
+        bench_report.record(f"reader_throughput_under_writes_{readers}_readers_qps",
+                            loaded, unit="queries/s", direction="higher_is_better",
+                            extra={"readers": readers, "updates_applied": updates})
+        report_lines.append(
+            f"reader throughput ({readers} thread{'s' if readers > 1 else ''}, one text): "
+            f"{idle:,.0f} q/s idle -> {loaded:,.0f} q/s under the writer "
+            f"(x{loaded / idle:.2f})")
     bench_report.write_text("fig8_concurrency.txt",
                             "\n".join(report_lines) + "\n")

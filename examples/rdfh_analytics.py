@@ -41,7 +41,7 @@ def main() -> None:
     result = clustered.sparql(q3_sparql(), PlannerOptions(scheme="rdfscan", use_zone_maps=True))
     for order, orderdate, _priority, revenue in clustered.decode_rows(result):
         print(f"  {order}  {orderdate}  revenue={revenue:,.2f}")
-    print(f"  plan:\n{result.plan.explain()}")
+    print(f"  plan:\n{result.plan.explain(run=result.run)}")
 
     print("\n=== Table I grid ===")
     grid = harness.run()

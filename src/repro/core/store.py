@@ -55,7 +55,7 @@ import numpy as np
 
 from ..columnar import BufferPool, CostModel
 from ..cs import DiscoveryConfig, EmergentSchema, discover_schema
-from ..engine import ExecutionContext, execute_plan
+from ..engine import ExecutionContext
 from ..errors import (
     PendingUpdatesError,
     PersistenceError,
@@ -65,6 +65,7 @@ from ..errors import (
 )
 from ..model import Graph, IRI, TermDictionary, Triple
 from ..obs import (
+    ActiveQuery,
     ActiveQueryRegistry,
     EventLog,
     MetricsRegistry,
@@ -211,6 +212,41 @@ class CheckpointReport:
         return (f"checkpoint: {self.compaction.describe()}; snapshot at "
                 f"{self.snapshot.path} ({self.snapshot.triples} triples, "
                 f"{self.snapshot.files} files, {self.snapshot.data_bytes} bytes)")
+
+
+class _QueryScope:
+    """The one query lifecycle: a context manager around one execution.
+
+    Entering yields the registered run; leaving deregisters it with the
+    time since it was registered and its outcome — ``cancelled`` (an operator
+    action, so it does not count as a query error), an error (event plus
+    ``query_errors_total``), or success (metrics, slow-query log and, for
+    a traced run, :meth:`RDFStore.last_trace`).  The store's registries are
+    resolved on leaving: the live ones even across an ``open(into=)`` swap.
+    """
+
+    __slots__ = ("store", "run")
+
+    def __init__(self, store: "RDFStore", run: ActiveQuery) -> None:
+        self.store = store
+        self.run = run
+
+    def __enter__(self) -> ActiveQuery:
+        return self.run
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        store, run = self.store, self.run
+        elapsed = run.elapsed_seconds()
+        if exc is None:
+            store.query_registry.finish(run, elapsed)
+            store._observer.observe(run, elapsed)
+            if run.trace is not None:
+                store._last_trace = run.trace
+        elif isinstance(exc, QueryCancelledError):
+            store.query_registry.finish(run, elapsed, status="cancelled")
+        else:
+            store.query_registry.finish(run, elapsed, error=exc)
+            store._observer.error(run.frontend)
 
 
 class RDFStore:
@@ -621,7 +657,6 @@ class RDFStore:
                 cost_model=self.config.cost_model,
                 delta=self.delta,
                 batch_size=self.config.batch_size,
-                metrics=self.metrics_registry,
             )
         # batch_size is a live runtime knob: the context is cached, so pick
         # up config changes here (snapshots still capture it at pin time)
@@ -1116,8 +1151,8 @@ class RDFStore:
                 allocations per operator.  Implies ``trace``.
 
         Returns:
-            A :class:`QueryResult` with OID bindings, measured cost and the
-            executed plan.
+            A :class:`QueryResult` with OID bindings, measured cost, the
+            executed plan and the run that observed it.
 
         Raises:
             ParseError: when the query text is not in the supported subset.
@@ -1126,45 +1161,30 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel` (see :meth:`active_queries`).
         """
-        tracer = self._make_tracer(trace, profile)
         scheme = (options or PlannerOptions()).scheme
-        active = self.query_registry.begin(text, "sparql", scheme, pool=self.pool)
-        started = time.perf_counter()
-        try:
-            result = self.sparql_engine().query(text, options, tracer=tracer,
-                                                active=active)
-        except QueryCancelledError:
-            # a cancel is an operator action, not a query failure: it gets
-            # its own lifecycle status and does not bump query_errors_total
-            self.query_registry.finish(
-                active, status="cancelled",
-                seconds=time.perf_counter() - started)
-            raise
-        except Exception as exc:
-            self.query_registry.finish(
-                active, seconds=time.perf_counter() - started, error=exc)
-            self._observer.error("sparql")
-            raise
-        elapsed = time.perf_counter() - started
-        self.query_registry.finish(active, rows=len(result), seconds=elapsed)
-        self._observer.observe("sparql", scheme, elapsed, len(result),
-                               text=text, trace=tracer)
-        if tracer is not None:
-            self._last_trace = tracer
-        return result
+        with self.query_scope(text, "sparql", scheme, trace=trace,
+                              profile=profile) as run:
+            return self.sparql_engine().query(text, options, run=run)
 
-    def _make_tracer(self, trace: bool, profile: bool):
-        """The observation object one query run carries (or ``None``).
+    def query_scope(self, text: str, frontend: str, scheme: str,
+                    source: str = "store", trace: bool = False,
+                    profile: bool = False) -> "_QueryScope":
+        """Register a query (listed and cancellable from here on) and return
+        the :class:`_QueryScope` its execution runs in.  Direct store calls,
+        MVCC snapshot reads and ``explain(analyze=True)`` all use this.
 
         Profiling wins over plain tracing: a :class:`~repro.obs.QueryProfile`
         *is* a :class:`~repro.obs.QueryTrace`, so every trace consumer (the
         result's ``trace`` field, :meth:`last_trace`, the slow-query digest)
         keeps working and merely sees richer spans.
         """
+        tracer = None
         if profile or self.config.profile_queries:
-            return QueryProfile(pool=self.pool,
-                                memory=self.config.profile_memory)
-        return QueryTrace() if trace else None
+            tracer = QueryProfile(pool=self.pool, memory=self.config.profile_memory)
+        elif trace:
+            tracer = QueryTrace()
+        return _QueryScope(self, self.query_registry.begin(
+            text, frontend, scheme, source=source, pool=self.pool, trace=tracer))
 
     def sparql_plan(self, text: str, options: Optional[PlannerOptions] = None):
         """Parse and plan (but do not run) a SPARQL query.
@@ -1193,30 +1213,29 @@ class RDFStore:
             ``pages=`` after execution — the analyze run is profiled, so
             buffer-pool reads are attributed per operator, and a ``mem=``
             column appears when ``config.profile_memory`` is on).  With
-            ``analyze=True`` a ``buffers:`` line reports the pool's memory
-            accounting — cached pages, *this run's* evictions/reads/hits
-            (via :meth:`BufferPool.snapshot_delta`) and how much of a
-            lazily opened database the run materialized.
+            ``analyze=True`` the header carries the executor's cost and
+            ``prepare=``, the parse plus plan time, and a ``buffers:`` line
+            reports the pool's memory accounting — cached pages, *this
+            run's* evictions/reads/hits (the profile's
+            :meth:`BufferPool.snapshot_delta`) and how much of a lazily
+            opened database the run materialized.  The analyze run is a
+            query like any other (``source="explain"``): listed,
+            cancellable, counted and logged.
         """
         options = options or PlannerOptions()
-        _query, plan = self.sparql_engine().prepare(text, options)
         header = f"plan [{options.describe()}]"
-        trace = None
-        if analyze:
-            trace = QueryProfile(pool=self.pool,
-                                 memory=self.config.profile_memory)
-            mark = self.pool.stats()
-            context = self.context().with_tracer(trace)
-            _bindings, cost = execute_plan(plan, context)
-            self._last_trace = trace
-            header += f" {cost.describe()}"
-            stats = self.pool.snapshot_delta(mark)
-            header += (
-                "\nbuffers: cached_pages={cached_pages} resident_bytes={resident_bytes}"
-                " evictions={evictions} reads={page_reads} hits={page_hits}"
-                " lazy_materialized={lazy_segments_materialized}/{lazy_segments_registered}"
-                " lazy_values_loaded={lazy_values_loaded}".format(**stats))
-        return header + "\n" + plan.explain(trace=trace)
+        if not analyze:
+            return header + "\n" + self.sparql_plan(text, options).explain()
+        with self.query_scope(text, "sparql", options.scheme, source="explain",
+                              profile=True) as run:
+            result = self.sparql_engine().query(text, options, run=run)
+        header += (
+            f" {result.cost.describe()} prepare={run.prepare_seconds * 1e3:.2f}ms"
+            "\nbuffers: cached_pages={cached_pages} resident_bytes={resident_bytes}"
+            " evictions={evictions} reads={page_reads} hits={page_hits}"
+            " lazy_materialized={lazy_segments_materialized}/{lazy_segments_registered}"
+            " lazy_values_loaded={lazy_values_loaded}".format(**run.trace.buffers))
+        return header + "\n" + result.plan.explain(run=run)
 
     def plan_cache_stats(self) -> Dict[str, int]:
         """Plan-cache counters: size, capacity, hits, misses, evictions,
@@ -1272,8 +1291,8 @@ class RDFStore:
 
         The executing thread observes the request at its next batch
         boundary and unwinds with
-        :class:`~repro.errors.QueryCancelledError` — snapshot pins and
-        plan locks are released by the same paths a successful run uses.
+        :class:`~repro.errors.QueryCancelledError` — snapshot pins are
+        released by the same paths a successful run uses.
 
         Args:
             query_id: the id shown by :meth:`active_queries` / ``/queries``.
@@ -1328,29 +1347,8 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel`.
         """
-        tracer = self._make_tracer(trace, profile)
-        active = self.query_registry.begin(text, "sql", "sql", pool=self.pool)
-        started = time.perf_counter()
-        try:
-            result = SqlEngine(self.context(), self.require_catalog()).query(
-                text, tracer=tracer, active=active)
-        except QueryCancelledError:
-            self.query_registry.finish(
-                active, status="cancelled",
-                seconds=time.perf_counter() - started)
-            raise
-        except Exception as exc:
-            self.query_registry.finish(
-                active, seconds=time.perf_counter() - started, error=exc)
-            self._observer.error("sql")
-            raise
-        elapsed = time.perf_counter() - started
-        self.query_registry.finish(active, rows=len(result), seconds=elapsed)
-        self._observer.observe("sql", "sql", elapsed, len(result),
-                               text=text, trace=tracer)
-        if tracer is not None:
-            self._last_trace = tracer
-        return result
+        with self.query_scope(text, "sql", "sql", trace=trace, profile=profile) as run:
+            return SqlEngine(self.context(), self.require_catalog()).query(text, run=run)
 
     def decode_rows(self, result: QueryResult | SqlResult) -> List[tuple]:
         """Decode a query result's OIDs back to Python values.

@@ -4,10 +4,10 @@ RDFscan/RDFjoin and the executor."""
 from . import kernels
 from .bindings import (
     Batch,
-    BatchEmitter,
     BindingTable,
     concat_tables,
     cross_join,
+    emit_batches,
     hash_join,
     join_tables,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "AggregateOp",
     "AggregateSpec",
     "Batch",
-    "BatchEmitter",
     "BinaryOp",
     "BindingTable",
     "DistinctOp",
@@ -78,6 +77,7 @@ __all__ = [
     "ValueEncoder",
     "concat_tables",
     "cross_join",
+    "emit_batches",
     "execute_plan",
     "explain_plan",
     "fk_range_from_zonemap",

@@ -31,6 +31,8 @@ class BindingTable:
         lengths = {len(values) for values in self.columns.values()}
         if len(lengths) > 1:
             raise ExecutionError(f"binding table columns have unequal lengths: {lengths}")
+        self.num_rows: int = lengths.pop() if lengths else 0
+        """Row count; fixed at construction (tables are never mutated)."""
 
     # -- construction ----------------------------------------------------------
 
@@ -46,12 +48,6 @@ class BindingTable:
         return BindingTable({name: values.copy() for name, values in self.columns.items()})
 
     # -- shape ------------------------------------------------------------------
-
-    @property
-    def num_rows(self) -> int:
-        if not self.columns:
-            return 0
-        return int(len(next(iter(self.columns.values()))))
 
     @property
     def variables(self) -> List[str]:
@@ -300,30 +296,16 @@ class Batch:
         return f"Batch(vars={self.variables}, rows={self.table.num_rows}, live={self.live_count()})"
 
 
-class BatchEmitter:
-    """Emit a materialized table as a sequence of batch-sized slices.
+def emit_batches(table: BindingTable, batch_size: int) -> Iterator[Batch]:
+    """Yield a materialized table as a sequence of batch-sized slices.
 
     Blocking operators (scans, sorts, aggregates) compute their full output
-    in ``_open`` and stream it out through one of these.  At least one batch
-    is always emitted — an empty result still yields one schema-complete
-    empty batch, which downstream operators rely on to learn their input
-    variables.
+    and stream it out through this.  At least one batch is always yielded —
+    an empty result still gives one schema-complete empty batch, which
+    downstream operators rely on to learn their input variables.
     """
-
-    def __init__(self, table: BindingTable) -> None:
-        self.table = table
-        self._offset = 0
-        self._emitted = False
-
-    def next(self, batch_size: int) -> Optional[Batch]:
-        total = self.table.num_rows
-        if self._offset >= total:
-            if self._emitted:
-                return None
-            self._emitted = True
-            return Batch(self.table.slice(0, 0))
-        start = self._offset
-        stop = min(total, start + batch_size)
-        self._offset = stop
-        self._emitted = True
-        return Batch(self.table.slice(start, stop))
+    total = table.num_rows
+    if total == 0:
+        yield Batch(table.slice(0, 0))
+    for start in range(0, total, batch_size):
+        yield Batch(table.slice(start, min(total, start + batch_size)))

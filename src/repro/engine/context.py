@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -11,7 +9,7 @@ from ..columnar import BufferPool, CostModel, CostTracker
 from ..cs import EmergentSchema
 from ..errors import ExecutionError
 from ..model import TermDictionary
-from ..obs import NULL_ACTIVE_QUERY, NULL_TRACER
+from ..obs import NULL_ACTIVE_QUERY
 from ..storage import ClusteredStore, ExhaustiveIndexStore
 from .values import ValueDecoder, ValueEncoder
 
@@ -40,18 +38,12 @@ class ExecutionContext:
     """Rows per batch flowing between operators (from
     :attr:`repro.core.StoreConfig.batch_size`).  Size 1 degenerates to
     row-at-a-time execution; both sizes must produce identical answers."""
-    tracer: object = NULL_TRACER
-    """Per-query span recorder (:class:`repro.obs.QueryTrace`); the shared
-    no-op :data:`repro.obs.NULL_TRACER` by default, so untraced runs pay one
-    ``tracer.enabled`` attribute check per operator call."""
-    metrics: Optional[object] = None
-    """Optional :class:`repro.obs.MetricsRegistry` the executor feeds
-    batch/row throughput counters into (``None`` disables them)."""
-    active_query: object = NULL_ACTIVE_QUERY
-    """Live registry handle (:class:`repro.obs.ActiveQuery`) for this run —
-    carries the cooperative-cancellation flag and per-operator row counts;
-    the shared no-op :data:`repro.obs.NULL_ACTIVE_QUERY` by default, so an
-    unregistered run pays two attribute checks per operator call."""
+    run: object = NULL_ACTIVE_QUERY
+    """The one observation slot: this execution's per-run object (a
+    :class:`repro.obs.ActiveQuery` — cancellation flag, per-operator row
+    counts, optional trace), or the shared no-op
+    :data:`repro.obs.NULL_ACTIVE_QUERY` for a bare run, which costs one
+    ``run.enabled`` check per operator per run."""
     encoder: ValueEncoder = field(init=False)
     decoder: ValueDecoder = field(init=False)
 
@@ -59,30 +51,16 @@ class ExecutionContext:
         self.encoder = ValueEncoder(self.dictionary)
         self.decoder = ValueDecoder(self.dictionary)
 
-    def with_tracer(self, tracer) -> "ExecutionContext":
-        """A shallow copy of this context with ``tracer`` attached.
+    def with_run(self, run) -> "ExecutionContext":
+        """A shallow copy of this context carrying ``run``.
 
         Shares the encoder/decoder (and every store reference) with the
-        original; only the tracer slot differs.
+        original; only the run slot differs.
         """
-        clone = copy.copy(self)
-        clone.tracer = tracer
-        return clone
-
-    def with_observation(self, tracer=None, active=None) -> "ExecutionContext":
-        """A shallow copy with a tracer and/or active-query handle attached.
-
-        Like :meth:`with_tracer`, the clone shares every store reference
-        with the original; only the observation slots differ.  ``None``
-        leaves the corresponding slot at the original's value.
-        """
-        if tracer is None and active is None:
-            return self
-        clone = copy.copy(self)
-        if tracer is not None:
-            clone.tracer = tracer
-        if active is not None:
-            clone.active_query = active
+        # on every observed query's path: a plain field copy, cheaper than
+        # copy.copy()'s reduce protocol, and it never re-runs __post_init__
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, run=run)
         return clone
 
     @property

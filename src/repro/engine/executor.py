@@ -18,12 +18,15 @@ def execute_plan(plan: PhysicalOperator, context: ExecutionContext) -> Tuple[Bin
     warm pool naturally show the cold/hot difference; the returned counters
     are the delta caused by this execution only.
     """
+    run = context.run
+    if run.enabled:
+        run.attach_plan(plan)
     baseline = context.tracker.snapshot()
     started = time.perf_counter()
     result = plan.execute(context)
     elapsed = time.perf_counter() - started
-    if context.tracer.enabled:
-        context.tracer.finish(elapsed)
+    if run.enabled:
+        run.executed(elapsed)
     counters = context.tracker.diff(baseline)
     simulated = context.cost_model.simulated_seconds(counters)
     return result, QueryCost(wall_seconds=elapsed, counters=counters, simulated_seconds=simulated)

@@ -10,13 +10,13 @@ exact shape the paper criticizes for its lack of locality.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ExecutionError
 from . import kernels
-from .bindings import Batch, BatchEmitter, BindingTable, join_tables
+from .bindings import Batch, BindingTable, emit_batches, join_tables
 from .context import ExecutionContext
 from .expressions import AggregateSpec, Expression
 from .mergescan import merge_pattern_rows, merged_subject_objects
@@ -48,7 +48,7 @@ class IndexScanOp(PhysicalOperator):
             parts.append(f"subj{self.subject_range.describe()}")
         return " ".join(parts)
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         store = context.require_index_store()
         s, p, o = self.pattern.subject, self.pattern.predicate, self.pattern.object
@@ -90,13 +90,7 @@ class IndexScanOp(PhysicalOperator):
                 p=None if p.is_variable else p.oid,
                 o=None if o.is_variable else o.oid,
             )
-        self._emitter = BatchEmitter(self._bind(rows, context))
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        return self._emitter.next(context.batch_size)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self._emitter = None
+        yield from emit_batches(self._bind(rows, context), context.batch_size)
 
     def _filter_constant_slots(self, rows: np.ndarray) -> np.ndarray:
         """Re-apply constant S/O slots that a fast-path range scan did not cover."""
@@ -185,26 +179,18 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def describe(self) -> str:
         return f"NestedLoopIndexJoin[{self.pattern.describe()}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         context.tracker.join_operations += 1
         store = context.require_index_store()
-        self._index = store.table("pso") if "pso" in store.tables \
+        index = store.table("pso") if "pso" in store.tables \
             else store.table(store.best_order("sp"))
-        self._prefix = self._index.prefix_row_range(self.pattern.predicate.oid)
-        self.child.open(context)
+        prefix = index.prefix_row_range(self.pattern.predicate.oid)
+        for batch in self.child.batches(context):
+            yield Batch(self._probe(batch.compact(), context, index, prefix))
 
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        return Batch(self._probe(batch.compact(), context))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
-        self._index = None
-
-    def _probe(self, input_table: BindingTable, context: ExecutionContext) -> BindingTable:
+    def _probe(self, input_table: BindingTable, context: ExecutionContext,
+               index, prefix: tuple[int, int]) -> BindingTable:
         subject_var = self.pattern.subject.var
         if not input_table.has(subject_var):
             raise ExecutionError(f"join variable ?{subject_var} not produced by child operator")
@@ -216,9 +202,9 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
                 out_vars.append(self.pattern.object.var)
             return BindingTable.empty(out_vars)
 
-        lo_row, hi_row = self._prefix
-        s_column = self._index.column("s")
-        o_column = self._index.column("o")
+        lo_row, hi_row = prefix
+        s_column = index.column("s")
+        o_column = index.column("o")
         segment_subjects = s_column.data[lo_row:hi_row]
 
         # one probe per input row (vectorized, but accounted per probe)
@@ -283,28 +269,19 @@ class HashJoinOp(PhysicalOperator):
         on = ", ".join(self.join_vars) if self.join_vars else "<auto>"
         return f"HashJoin[on {on}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         context.tracker.join_operations += 1
         # drain the left child as the build side, stream the right as probe
-        self._build = self.left.execute(context)
-        context.tracker.tuples_probed += self._build.num_rows
-        self.right.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.right.next_batch(context)
-        if batch is None:
-            return None
-        probe = batch.compact()
-        join_vars = self.join_vars
-        if join_vars is None:
-            join_vars = sorted(set(self._build.variables) & set(probe.variables))
-        context.tracker.tuples_probed += probe.num_rows
-        return Batch(join_tables(self._build, probe, join_vars))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.right.close(context)
-        self._build = None
+        build = self.left.execute(context)
+        context.tracker.tuples_probed += build.num_rows
+        for batch in self.right.batches(context):
+            probe = batch.compact()
+            join_vars = self.join_vars
+            if join_vars is None:
+                join_vars = sorted(set(build.variables) & set(probe.variables))
+            context.tracker.tuples_probed += probe.num_rows
+            yield Batch(join_tables(build, probe, join_vars))
 
 
 class FilterRangeOp(PhysicalOperator):
@@ -321,20 +298,12 @@ class FilterRangeOp(PhysicalOperator):
     def describe(self) -> str:
         return f"FilterRange[?{self.var} in {self.oid_range.describe()}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        values = batch.table.column(self.var)
-        context.tracker.tuples_scanned += batch.live_count()
-        return batch.mask_valid(self.oid_range.mask(values))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
+        for batch in self.child.batches(context):
+            values = batch.table.column(self.var)
+            context.tracker.tuples_scanned += batch.live_count()
+            yield batch.mask_valid(self.oid_range.mask(values))
 
 
 class FilterEqualOp(PhysicalOperator):
@@ -351,20 +320,12 @@ class FilterEqualOp(PhysicalOperator):
     def describe(self) -> str:
         return f"FilterEqual[?{self.var} == #{self.oid}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        values = batch.table.column(self.var)
-        context.tracker.tuples_scanned += batch.live_count()
-        return batch.mask_valid(kernels.eq_mask(values, self.oid))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
+        for batch in self.child.batches(context):
+            values = batch.table.column(self.var)
+            context.tracker.tuples_scanned += batch.live_count()
+            yield batch.mask_valid(kernels.eq_mask(values, self.oid))
 
 
 class FilterNotEqualOp(PhysicalOperator):
@@ -381,20 +342,12 @@ class FilterNotEqualOp(PhysicalOperator):
     def describe(self) -> str:
         return f"FilterNotEqual[?{self.var} != #{self.oid}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        values = batch.table.column(self.var)
-        context.tracker.tuples_scanned += batch.live_count()
-        return batch.mask_valid(kernels.neq_mask(values, self.oid))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
+        for batch in self.child.batches(context):
+            values = batch.table.column(self.var)
+            context.tracker.tuples_scanned += batch.live_count()
+            yield batch.mask_valid(kernels.neq_mask(values, self.oid))
 
 
 class ProjectOp(PhysicalOperator):
@@ -410,18 +363,10 @@ class ProjectOp(PhysicalOperator):
     def describe(self) -> str:
         return f"Project[{', '.join('?' + v for v in self.variables)}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        return Batch(batch.table.project(self.variables), batch.valid)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
+        for batch in self.child.batches(context):
+            yield Batch(batch.table.project(self.variables), batch.valid)
 
 
 class DistinctOp(PhysicalOperator):
@@ -437,25 +382,16 @@ class DistinctOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self._distinct = kernels.StreamingDistinct()
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        table = batch.compact()
-        if table.num_rows == 0 or not table.columns:
-            return Batch(table)
-        keep = self._distinct.keep_indices(
-            [table.column(name) for name in sorted(table.columns)])
-        return Batch(table.select_rows(keep))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
-        self._distinct = None
+        distinct = kernels.StreamingDistinct()
+        for batch in self.child.batches(context):
+            table = batch.compact()
+            if table.num_rows and table.columns:
+                keep = distinct.keep_indices(
+                    [table.column(name) for name in sorted(table.columns)])
+                table = table.select_rows(keep)
+            yield Batch(table)
 
 
 class OrderByOp(PhysicalOperator):
@@ -480,16 +416,10 @@ class OrderByOp(PhysicalOperator):
         rendered = ", ".join(f"?{name}{' desc' if desc else ''}" for name, desc in self.keys)
         return f"OrderBy[{rendered}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         table = self.child.execute(context)  # blocking: a sort needs all rows
-        self._emitter = BatchEmitter(self._sorted(table, context))
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        return self._emitter.next(context.batch_size)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self._emitter = None
+        yield from emit_batches(self._sorted(table, context), context.batch_size)
 
     def _sorted(self, table: BindingTable, context: ExecutionContext) -> BindingTable:
         watermark = context.dictionary.value_order_watermark
@@ -521,29 +451,19 @@ class LimitOp(PhysicalOperator):
     def describe(self) -> str:
         return f"Limit[{self.limit}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self._remaining = self.limit
-        self._emitted = False
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        # early termination: once the limit is reached the child is no longer
-        # pulled (it still gets closed through _close)
-        if self._remaining <= 0 and self._emitted:
-            return None
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        table = batch.compact()
-        if table.num_rows > self._remaining:
-            table = table.head(self._remaining)
-        self._remaining -= table.num_rows
-        self._emitted = True
-        return Batch(table)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
+        remaining = self.limit
+        for batch in self.child.batches(context):
+            table = batch.compact()
+            if table.num_rows > remaining:
+                table = table.head(remaining)
+            remaining -= table.num_rows
+            yield Batch(table)
+            if remaining <= 0:
+                # early termination: the child is no longer pulled; leaving
+                # the loop closes its stream
+                return
 
 
 class ExtendOp(PhysicalOperator):
@@ -560,20 +480,12 @@ class ExtendOp(PhysicalOperator):
     def describe(self) -> str:
         return f"Extend[?{self.alias} = {self.expression.describe()}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        table = batch.compact()  # evaluate expressions on live rows only
-        values = self.expression.evaluate(table, context.decoder)
-        return Batch(table.with_column(self.alias, values))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self.child.close(context)
+        for batch in self.child.batches(context):
+            table = batch.compact()  # evaluate expressions on live rows only
+            values = self.expression.evaluate(table, context.decoder)
+            yield Batch(table.with_column(self.alias, values))
 
 
 class AggregateOp(PhysicalOperator):
@@ -593,16 +505,10 @@ class AggregateOp(PhysicalOperator):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
         return f"Aggregate[by {groups}: {aggs}]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         table = self.child.execute(context)  # blocking: aggregation needs all rows
-        self._emitter = BatchEmitter(self._aggregate(table, context))
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        return self._emitter.next(context.batch_size)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self._emitter = None
+        yield from emit_batches(self._aggregate(table, context), context.batch_size)
 
     def _aggregate(self, table: BindingTable, context: ExecutionContext) -> BindingTable:
         evaluated = {spec.alias: spec.expression.evaluate(table, context.decoder)
@@ -636,15 +542,9 @@ class MaterializedOp(PhysicalOperator):
     def describe(self) -> str:
         return f"Materialized[{self.label}: {self.table.num_rows} rows]"
 
-    def _open(self, context: ExecutionContext) -> None:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        self._emitter = BatchEmitter(self.table)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        return self._emitter.next(context.batch_size)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self._emitter = None
+        yield from emit_batches(self.table, context.batch_size)
 
 
 # -- helpers --------------------------------------------------------------------------

@@ -9,16 +9,15 @@ RDFscan/RDFjoin scheme evaluates the whole star in one operator.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import PlanError
 from . import kernels
-from .bindings import Batch, BatchEmitter, BindingTable, concat_tables
+from ..obs import NULL_ACTIVE_QUERY
+from .bindings import Batch, BindingTable, concat_tables
 
 
 @dataclass(frozen=True)
@@ -181,159 +180,67 @@ class StarPattern:
         return f"star(?{self.subject_var}: {inner}){suffix}"
 
 
-_EXEC_LOCK_GUARD = threading.Lock()
-
-
 class PhysicalOperator:
     """Base class of every physical operator.
 
+    A plan is an immutable template: operators hold what the planner decided
+    (patterns, ranges, children, estimates) and nothing a run writes, so any
+    number of executions may share one plan object — cached plans do.
     Execution is batched (Volcano-style, but a column batch at a time):
-    :meth:`open` prepares the operator, :meth:`next_batch` yields
-    :class:`~repro.engine.bindings.Batch` objects until ``None``, and
-    :meth:`close` tears down.  Subclasses implement ``_open`` /
-    ``_next_batch`` / ``_close``; operators that predate the batch protocol
-    may instead implement the legacy ``_execute`` (full materialization) and
-    inherit a default ``_open``/``_next_batch`` that slices its result into
-    batches.  Every stream emits at least one (possibly empty) batch, so
-    downstream operators always learn their input schema.
+    every operator implements one generator, ``_batches(context)``, that
+    does its own setup first, then pulls from ``child.batches(context)``,
+    and yields :class:`~repro.engine.bindings.Batch` objects.  Emitters,
+    hash-build tables, distinct state and limit counters are its locals,
+    private to the run.  Every stream yields at least one (possibly empty)
+    batch, so downstream operators always learn their input schema.
 
-    The public :meth:`execute` drains the whole stream into one binding
-    table — the entry point :func:`~repro.engine.executor.execute_plan`
-    uses, and what nested blocking operators call on their children.  The
-    base class records each operator's *actual* output cardinality (rows,
-    never batches), so a plan that has run once shows estimated vs. actual
-    row counts in :meth:`explain` (the ``EXPLAIN ANALYZE`` of this engine).
-    The optimizer annotates :attr:`estimated_rows` at planning time.
+    What a run *observes* — per-operator rows (never batches), residual
+    counts, spans — lives on the run object in ``context.run`` (see
+    :class:`repro.obs.ActiveQuery`); pass it to :meth:`explain` for
+    estimated vs. actual rows, the ``EXPLAIN ANALYZE`` of this engine.  The
+    optimizer annotates :attr:`estimated_rows` at planning time.
     """
 
     estimated_rows: Optional[float] = None
     """Optimizer-estimated output rows (``None`` until a plan is annotated)."""
-    actual_rows: Optional[int] = None
-    """Output rows observed by the last execution (``None`` before any run)."""
 
-    # -- batched execution protocol ----------------------------------------------
+    def _batches(self, context) -> Iterator[Batch]:  # pragma: no cover - interface
+        raise NotImplementedError
 
-    def open(self, context) -> None:
-        """Prepare the operator for a new run (resets row accounting)."""
-        self._rows_emitted = 0
-        tracer = context.tracer
-        if tracer.enabled:
-            span = tracer.enter(self, self.describe())
-            try:
-                self._open(context)
-            finally:
-                tracer.exit(span)
-        else:
-            self._open(context)
+    def batches(self, context) -> Iterator[Batch]:
+        """This operator's batch stream for one run.
 
-    def next_batch(self, context) -> Optional[Batch]:
-        """The next output batch, or ``None`` when the stream is exhausted.
-
-        Cooperative cancellation rides this boundary: when the run's
-        :class:`~repro.obs.ActiveQuery` handle has ``cancel_requested``
-        set, the call raises :class:`~repro.errors.QueryCancelledError`
-        instead of producing — every operator level checks, so a cancel
-        lands within one batch regardless of plan depth.
+        The one wrapper around every operator's ``_batches``.  A bare run
+        (``context.run.enabled`` false) streams the batches untouched.  An
+        observed run times each pull in the run's trace if it has one,
+        checks for cancellation at every batch — every operator level does,
+        so a cancel lands within one batch regardless of plan depth —, and
+        adds the batch's live rows to the run's tally for this operator.
+        Closing the stream (early ``LIMIT`` stop, cancellation, an error)
+        closes ``_batches``, whose frame exit closes the child streams it
+        was pulling from.
         """
-        active = context.active_query
-        if active.cancel_requested:
-            active.raise_cancelled()
-        tracer = context.tracer
-        if tracer.enabled:
-            span = tracer.enter(self, self.describe())
-            batch = None
-            try:
-                batch = self._next_batch(context)
-            finally:
-                if batch is not None:
-                    tracer.exit(span, rows=batch.live_count(), batches=1,
-                                bytes=batch.payload_bytes())
-                else:
-                    tracer.exit(span)
-        else:
-            batch = self._next_batch(context)
-        if batch is not None:
-            self._rows_emitted += batch.live_count()
-            if active.enabled:
-                active.on_batch(self, batch.live_count())
-        return batch
-
-    def close(self, context) -> None:
-        """Release per-run state and publish the observed cardinality.
-
-        ``actual_rows`` is a most-recent-run convenience for interactive
-        ``explain(analyze=True)``; cached plans are shared across snapshots,
-        so concurrent executions race on it.  Per-run accounting that must
-        not be clobbered belongs on the execution's
-        :class:`~repro.obs.QueryTrace` (see ``context.tracer``), which is
-        private to each run.
-        """
-        tracer = context.tracer
-        if tracer.enabled:
-            span = tracer.enter(self, self.describe())
-            try:
-                self._close(context)
-            finally:
-                tracer.exit(span)
-        else:
-            self._close(context)
-        self.actual_rows = int(getattr(self, "_rows_emitted", 0))
-
-    def _open(self, context) -> None:
-        # legacy fallback: operators that only implement _execute() are
-        # materialized once and their result is sliced into batches
-        self._fallback_emitter = BatchEmitter(self._execute(context))
-
-    def _next_batch(self, context) -> Optional[Batch]:
-        emitter = getattr(self, "_fallback_emitter", None)
-        if emitter is None:
-            return None
-        return emitter.next(context.batch_size)
-
-    def _close(self, context) -> None:
-        self.__dict__.pop("_fallback_emitter", None)
+        run = context.run
+        inner = self._batches(context)
+        try:
+            if not run.enabled:
+                yield from inner
+                return
+            tally = run.tally(self)
+            for batch in (inner if run.trace is None else run.trace.timed(self, inner)):
+                if run.cancel_requested:
+                    run.raise_cancelled()
+                tally[0] += batch.live_count()
+                tally[1] += 1
+                yield batch
+        finally:
+            inner.close()
 
     def execute(self, context) -> BindingTable:
-        """Run the operator to completion and return all live rows.
-
-        Serialized per plan instance: cached plans may be shared between
-        concurrent read snapshots, and the batch protocol keeps per-run
-        state on the operators.
-        """
-        with self._execution_lock():
-            self.open(context)
-            tables: List[BindingTable] = []
-            batches = 0
-            rows = 0
-            try:
-                while True:
-                    batch = self.next_batch(context)
-                    if batch is None:
-                        break
-                    batches += 1
-                    rows += batch.live_count()
-                    tables.append(batch.compact())
-            finally:
-                self.close(context)
-        metrics = context.metrics
-        if metrics is not None:
-            metrics.counter(
-                "batches_emitted_total",
-                "Batches emitted by root plan operators.").inc(batches)
-            metrics.counter(
-                "rows_emitted_total",
-                "Rows emitted by root plan operators.").inc(rows)
-        return concat_tables(tables)
-
-    def _execution_lock(self) -> threading.Lock:
-        lock = self.__dict__.get("_exec_lock")
-        if lock is None:
-            with _EXEC_LOCK_GUARD:
-                lock = self.__dict__.setdefault("_exec_lock", threading.Lock())
-        return lock
-
-    def _execute(self, context) -> BindingTable:  # pragma: no cover - interface
-        raise NotImplementedError
+        """Run the operator to completion and return all live rows — what
+        :func:`~repro.engine.executor.execute_plan` calls on the root and
+        blocking operators on their children."""
+        return concat_tables([batch.compact() for batch in self.batches(context)])
 
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()
@@ -346,40 +253,28 @@ class PhysicalOperator:
 
     # -- plan inspection ---------------------------------------------------------
 
-    def cardinality_note(self) -> str:
-        """``est=… actual=…`` annotation used by :meth:`explain` (may be empty)."""
+    def explain(self, indent: int = 0, run=NULL_ACTIVE_QUERY) -> str:
+        """Indented plan tree, one operator per line.
+
+        Each line carries the operator's :meth:`describe` string and its
+        estimated row count.  Given the run object of an execution of this
+        plan (a result's ``run``), each line also shows what that run
+        observed: ``actual=`` rows, ``residual=`` subjects on star
+        operators and, if the run was traced, a ``time=`` token with the
+        operator's *self* wall time (child time excluded); a profiled run
+        adds ``pages=`` (self buffer-pool reads) and, with memory sampling
+        on, ``mem=``.
+        """
         parts = []
         if self.estimated_rows is not None:
             parts.append(f"est={self.estimated_rows:.0f}")
-        if self.actual_rows is not None:
-            parts.append(f"actual={self.actual_rows}")
-        return " ".join(parts)
-
-    def explain(self, indent: int = 0, trace=None) -> str:
-        """Indented plan tree, one operator per line.
-
-        Each line carries the operator's :meth:`describe` string plus, when
-        available, its estimated and last-observed actual row counts.  When
-        a :class:`~repro.obs.QueryTrace` from a run of this plan is passed,
-        each line also gets a ``time=`` token with the operator's *self*
-        wall time (child time excluded) — the ``EXPLAIN ANALYZE`` timing
-        column.  Spans from a :class:`~repro.obs.QueryProfile` additionally
-        contribute ``pages=`` (self buffer-pool reads) and, with memory
-        sampling on, ``mem=`` columns via their ``explain_tokens`` hook.
-        """
-        note = self.cardinality_note()
-        if trace is not None:
-            span = trace.span_for(self)
-            if span is not None:
-                timing = f"time={span.self_seconds * 1000.0:.3f}ms"
-                tokens = getattr(span, "explain_tokens", None)
-                if tokens is not None:
-                    timing = f"{timing} {tokens()}"
-                note = f"{note} {timing}" if note else timing
-        suffix = f"  ({note})" if note else ""
+        observed = run.explain_note(self)
+        if observed:
+            parts.append(observed)
+        suffix = f"  ({' '.join(parts)})" if parts else ""
         lines = [("  " * indent) + self.describe() + suffix]
         for child in self.children():
-            lines.append(child.explain(indent + 1, trace))
+            lines.append(child.explain(indent + 1, run))
         return "\n".join(lines)
 
     def count_operators(self) -> int:

@@ -23,7 +23,8 @@ foreign key into the other CS via its zone map).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,48 +32,38 @@ from ..columnar import NULL_OID
 from ..errors import ExecutionError
 from ..storage.clustered import CSBlock
 from ..storage.triple_table import TripleTable
-from .bindings import Batch, BatchEmitter, BindingTable, join_tables
+from .bindings import Batch, BindingTable, emit_batches, join_tables
 from .context import ExecutionContext
 from .kernels import expand_ranges
 from .mergescan import merge_property_pairs
 from .plan import OidRange, PhysicalOperator, StarPattern, StarProperty
 
 
-_RESIDUAL_BUCKETS = (0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 100000)
-
-
 class _StarOperator(PhysicalOperator):
     """What RDFscan and RDFjoin share: one star, evaluated over whichever
-    store the context offers, and the ``residual=`` plan annotation."""
+    store the context offers."""
 
     star: StarPattern
     use_zone_maps: bool
     force_index_path: bool
 
-    residual_subjects: Optional[int] = None
-    """Subjects of the last run's star that no CS block could answer alone
-    (irregular triples or pending writes on a star predicate) and so took
-    the residual scan; counted before candidate or subject-range narrowing,
-    hence the same at every batch size.  ``None`` on the index path."""
+    def _star_scan(self, context: ExecutionContext
+                   ) -> Callable[[Optional[np.ndarray]], BindingTable]:
+        """This run's evaluator of the star: given candidate subjects (or
+        ``None`` for all), its bindings.
 
-    def _open_star(self, context: ExecutionContext) -> None:
+        Over the clustered store it also tells the run how many subjects no
+        CS block could answer alone (irregular triples or pending writes on
+        a star predicate) and so take the residual scan — the ``residual=``
+        plan annotation; the index path has no such figure.
+        """
         context.tracker.operator_invocations += 1
-        self._clustered: Optional[_ClusteredStarScan] = None
         if context.has_clustered_store() and not self.force_index_path:
-            self._clustered = _ClusteredStarScan(context, self.star, self.use_zone_maps)
-            self.residual_subjects = int(self._clustered.residual_subjects.size)
-
-    def _scan_star(self, context: ExecutionContext,
-                   candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
-        if self._clustered is not None:
-            return self._clustered.scan(candidate_subjects)
-        return _scan_index_merge(context, self.star, candidate_subjects)
-
-    def cardinality_note(self) -> str:
-        note = super().cardinality_note()
-        if self.residual_subjects is None:
-            return note
-        return f"{note} residual={self.residual_subjects}".lstrip()
+            clustered = _ClusteredStarScan(context, self.star, self.use_zone_maps)
+            if context.run.enabled:
+                context.run.residuals[self] = int(clustered.residual_subjects.size)
+            return clustered.scan
+        return partial(_scan_index_merge, context, self.star)
 
 
 class RDFScanOp(_StarOperator):
@@ -93,15 +84,9 @@ class RDFScanOp(_StarOperator):
         suffix = f" ({', '.join(flags)})" if flags else ""
         return f"RDFscan[{self.star.describe()}]{suffix}"
 
-    def _open(self, context: ExecutionContext) -> None:
-        self._open_star(context)
-        self._emitter = BatchEmitter(self._scan_star(context))
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        return self._emitter.next(context.batch_size)
-
-    def _close(self, context: ExecutionContext) -> None:
-        self._emitter = self._clustered = None
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+        scan = self._star_scan(context)
+        yield from emit_batches(scan(None), context.batch_size)
 
 
 class RDFJoinOp(_StarOperator):
@@ -120,33 +105,24 @@ class RDFJoinOp(_StarOperator):
     def describe(self) -> str:
         return f"RDFjoin[{self.star.describe()}]"
 
-    def _open(self, context: ExecutionContext) -> None:
-        self._open_star(context)
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+        scan = self._star_scan(context)
         context.tracker.join_operations += 1
-        self.child.open(context)
-
-    def _next_batch(self, context: ExecutionContext) -> Optional[Batch]:
-        batch = self.child.next_batch(context)
-        if batch is None:
-            return None
-        input_table = batch.compact()
         subject_var = self.star.subject_var
-        if not input_table.has(subject_var):
-            raise ExecutionError(f"RDFjoin expects ?{subject_var} from its child operator")
-        candidates = np.unique(input_table.column(subject_var))
-        if candidates.size == 0:
-            star_table = BindingTable.empty(self.star.output_variables())
-        else:
-            star_table = self._scan_star(context, candidates)
-        context.tracker.tuples_probed += int(candidates.size)
-        join_vars = sorted(set(input_table.variables) & set(star_table.variables))
-        # star side builds, input side probes: the output follows the input
-        # row order, so results are identical for every batch size
-        return Batch(join_tables(star_table, input_table, join_vars or [subject_var]))
-
-    def _close(self, context: ExecutionContext) -> None:
-        self._clustered = None
-        self.child.close(context)
+        for batch in self.child.batches(context):
+            input_table = batch.compact()
+            if not input_table.has(subject_var):
+                raise ExecutionError(f"RDFjoin expects ?{subject_var} from its child operator")
+            candidates = np.unique(input_table.column(subject_var))
+            if candidates.size == 0:
+                star_table = BindingTable.empty(self.star.output_variables())
+            else:
+                star_table = scan(candidates)
+            context.tracker.tuples_probed += int(candidates.size)
+            join_vars = sorted(set(input_table.variables) & set(star_table.variables))
+            # star side builds, input side probes: the output follows the input
+            # row order, so results are identical for every batch size
+            yield Batch(join_tables(star_table, input_table, join_vars or [subject_var]))
 
 
 # -- clustered-store evaluation -----------------------------------------------------
@@ -183,11 +159,6 @@ class _ClusteredStarScan:
                 residual = np.union1d(residual, touched)
         self.residual_subjects = residual
         self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-        if context.metrics is not None:
-            context.metrics.histogram(
-                "rdfscan_residual_subjects",
-                "Subjects per clustered star scan routed to the residual scan.",
-                buckets=_RESIDUAL_BUCKETS).observe(residual.size)
 
     def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
         """The star's bindings: block by block, then the residual subjects."""

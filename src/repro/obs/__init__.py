@@ -24,7 +24,7 @@ from .queries import (
     NullActiveQuery,
 )
 from .slowlog import QueryObserver, SlowQueryEntry, SlowQueryLog
-from .trace import NULL_TRACER, NullTracer, QueryTrace, TraceSpan
+from .trace import QueryTrace, TraceSpan
 
 __all__ = [
     "ActiveQuery",
@@ -36,9 +36,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_ACTIVE_QUERY",
-    "NULL_TRACER",
     "NullActiveQuery",
-    "NullTracer",
     "ProfileSpan",
     "QueryObserver",
     "QueryProfile",

@@ -71,8 +71,7 @@ class EventLog:
         with self._lock:
             self._seq += 1
             record: Dict[str, object] = {"seq": self._seq, "ts": time.time(),
-                                         "type": type}
-            record.update(fields)
+                                         "type": type, **fields}
             if len(self._ring) == self.capacity:
                 self._dropped += 1
             self._ring.append(record)

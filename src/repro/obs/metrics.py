@@ -36,6 +36,7 @@ import sys
 import threading
 import time
 from bisect import bisect_left
+from functools import partial
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -77,12 +78,22 @@ class Metric:
 
     def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
         """Validate label kwargs against the declared names, in order."""
-        if len(labels) != len(self.labelnames) or any(
-                name not in labels for name in self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}")
-        return tuple(str(labels[name]) for name in self.labelnames)
+        names = self.labelnames
+        if len(labels) == len(names):
+            if not names:
+                return ()
+            try:
+                return tuple([str(labels[name]) for name in names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"metric {self.name!r} takes labels {names}, "
+            f"got {tuple(sorted(labels))}")
+
+    def bound(self, **labels: object) -> Callable[[float], None]:
+        """This metric's update (``inc`` / ``observe``) for one fixed label
+        set, validated once — for callers on a per-query path."""
+        return partial(self._update, self._key(labels))
 
     # -- collection interface (implemented per kind) --------------------------
 
@@ -115,7 +126,9 @@ class Counter(Metric):
             raise ValueError("counters only go up")
         if self._fn is not None:
             raise ValueError(f"counter {self.name!r} is callback-backed")
-        key = self._key(labels)
+        self._update(self._key(labels), amount)
+
+    def _update(self, key: Tuple[str, ...], amount: float = 1.0) -> None:
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -217,7 +230,9 @@ class Histogram(Metric):
         self._states: Dict[Tuple[str, ...], _HistogramState] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
+        self._update(self._key(labels), value)
+
+    def _update(self, key: Tuple[str, ...], value: float) -> None:
         value = float(value)
         slot = bisect_left(self.buckets, value)
         with self._lock:

@@ -2,15 +2,15 @@
 
 :class:`QueryProfile` is a :class:`~repro.obs.trace.QueryTrace` whose spans
 also account for *resources*, not just wall time.  It rides the exact same
-``open()`` / ``next_batch()`` / ``close()`` hooks — operators never learn
-whether they are being traced or profiled — and attributes, per operator:
+enter/exit hooks around each batch pull — operators never learn whether
+they are being traced or profiled — and attributes, per operator:
 
 * **buffer-pool activity** — page reads, page hits and lazily materialized
   column values, measured as deltas of the pool's monotonic counters taken
   at span entry/exit (so a parent's numbers include its children, exactly
   like cumulative wall time; ``self_page_reads`` subtracts child activity);
 * **batch payload** — bytes of live binding-table data emitted, recorded by
-  the operator protocol via the ``bytes=`` argument to :meth:`exit`;
+  :meth:`exit` from the batch each pull returned;
 * **peak allocations** (opt-in, ``memory=True``) — sampled with
   :mod:`tracemalloc` by resetting the peak at span entry and reading it at
   exit.  Nested spans reset the shared peak counter, so a parent's number
@@ -79,8 +79,8 @@ class ProfileSpan(TraceSpan):
         return max(0, self.lazy_values - sum(c.lazy_values for c in self.children))
 
     def explain_tokens(self) -> str:
-        """Extra ``pages=``/``mem=`` tokens for ``explain(analyze=True)``."""
-        tokens = [f"pages={self.self_page_reads}"]
+        """``time=`` plus ``pages=``/``mem=`` for ``explain(analyze=True)``."""
+        tokens = [super().explain_tokens(), f"pages={self.self_page_reads}"]
         if self.mem_peak:
             tokens.append(f"mem={format_bytes(self.mem_peak)}")
         return " ".join(tokens)
@@ -148,10 +148,10 @@ class QueryProfile(QueryTrace):
 
     # -- span protocol ---------------------------------------------------------
 
-    def enter(self, op: object, label: str) -> ProfileSpan:
+    def enter(self, op) -> ProfileSpan:
         existing = self._spans.get(id(op))
         reentered = existing is not None and existing in self._stack
-        span = super().enter(op, label)
+        span = super().enter(op)
         if not reentered:
             pool = self.pool
             if pool is not None:
@@ -163,9 +163,8 @@ class QueryProfile(QueryTrace):
                 tracemalloc.reset_peak()
         return span
 
-    def exit(self, span: ProfileSpan, rows: int = 0, batches: int = 0,
-             bytes: int = 0) -> None:
-        super().exit(span, rows=rows, batches=batches, bytes=bytes)
+    def exit(self, span: ProfileSpan, batch=None) -> None:
+        super().exit(span, batch)
         if span in self._stack:  # re-entered frame: outer frame accounts
             return
         marks = span._counters_at_enter

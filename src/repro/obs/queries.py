@@ -1,22 +1,25 @@
-"""Live query management: the active-query registry and cooperative
-cancellation.
+"""Live query management: the per-run object, the active-query registry and
+cooperative cancellation.
 
 Every query a store executes is registered here for its lifetime: the
 registry assigns a stable integer id and tracks what an operator of a
 multi-tenant server needs to see — who is running what, under which plan
 scheme, since when, how far along it is, and whether someone asked it to
-stop.  The bookkeeping rides the batched operator protocol: the engine
-attaches the :class:`ActiveQuery` handle to the execution context
-(``context.active_query``), and ``PhysicalOperator.next_batch`` calls
-:meth:`ActiveQuery.on_batch` once per emitted batch — the same seam the
-tracer uses, so a disabled run (:data:`NULL_ACTIVE_QUERY`) costs two
-attribute checks per operator call.
+stop.  The :class:`ActiveQuery` handle is also *the* per-run object: a
+physical plan is an immutable template, and everything one execution of it
+produces — per-operator row counts, residual-subject counts, prepare and
+execution time, an optional :class:`~repro.obs.QueryTrace` — lives on the
+handle the engine carries in the context's one observation slot
+(``context.run``).  ``PhysicalOperator.batches`` checks ``run.enabled``
+once per operator per run; a bare run (:data:`NULL_ACTIVE_QUERY`) then
+streams unobserved, an observed one adds each batch to the tally
+:meth:`ActiveQuery.tally` handed out, without a call per batch.
 
 Cancellation is *cooperative*: :meth:`ActiveQueryRegistry.cancel` merely
-sets a flag; the executing thread observes it at its next ``next_batch``
-boundary and raises :class:`~repro.errors.QueryCancelledError`, which
-unwinds through the operator tree's ``close()`` cascade (releasing per-plan
-state), through the engine, and out of the store's query funnel — MVCC
+sets a flag; the executing thread observes it at its next batch boundary
+and raises :class:`~repro.errors.QueryCancelledError`, which closes the
+operator tree's generators (releasing each run's hash tables and scans),
+unwinds through the engine, and out of the store's query scope — MVCC
 snapshot pins are released by the same context managers that would release
 them on success.  A query between batch boundaries (inside a numpy kernel)
 finishes that batch first; cancellation latency is therefore bounded by one
@@ -46,26 +49,26 @@ def _normalize(text: str) -> str:
 
 
 class ActiveQuery:
-    """One registered, currently-executing query.
+    """One registered execution of a plan: its identity and all its state.
 
     The executing thread is the only mutator of the per-batch fields;
     listing threads read them racily (a snapshot may be one batch stale),
     which is exactly the consistency a ``top`` view needs.  The
     ``cancel_requested`` flag is written by the cancelling thread and read
     by the executing thread — a plain attribute store/load, safe under the
-    GIL and checked once per ``next_batch``.
+    GIL and checked once per batch.
     """
 
     enabled = True
 
     __slots__ = ("query_id", "text", "frontend", "scheme", "source",
                  "started_at", "cancel_requested", "cancel_reason",
-                 "rows", "batches", "_started_perf", "_pool", "_buffers_mark",
-                 "_rows_by_op", "_est_by_op", "_est_total", "_root_key",
-                 "_current_op", "_progress_peak")
+                 "trace", "prepare_seconds", "total_seconds", "residuals",
+                 "_started_perf", "_pool", "_buffers_mark", "_tallies",
+                 "_est_by_op", "_plan", "_current_op", "_progress_peak")
 
     def __init__(self, query_id: int, text: str, frontend: str, scheme: str,
-                 source: str = "store", pool=None) -> None:
+                 source: str = "store", pool=None, trace=None) -> None:
         self.query_id = query_id
         self.text = _normalize(text)
         self.frontend = frontend
@@ -75,14 +78,21 @@ class ActiveQuery:
         self._started_perf = time.perf_counter()
         self.cancel_requested = False
         self.cancel_reason = ""
-        self.rows = 0
-        self.batches = 0
+        self.trace = trace
+        """The run's :class:`~repro.obs.QueryTrace` (or profile), if any."""
+        self.prepare_seconds = 0.0
+        """Parse plus plan time (about zero on a plan-cache hit)."""
+        self.total_seconds = 0.0
+        """Wall time of the plan's execution, set by the executor."""
+        self.residuals: Dict[object, int] = {}
+        """Per star operator, the subjects its clustered scan answers by the
+        residual scan in this run (counted before candidate or subject-range
+        narrowing, hence the same at every batch size)."""
         self._pool = pool
-        self._buffers_mark = pool.stats() if pool is not None else None
-        self._rows_by_op: Dict[int, int] = {}
-        self._est_by_op: Dict[int, float] = {}
-        self._est_total = 0.0
-        self._root_key: Optional[int] = None
+        self._buffers_mark = _buffer_counters(pool) if pool is not None else None
+        self._tallies: Dict[object, List[int]] = {}
+        self._est_by_op: Dict[object, float] = {}
+        self._plan = None
         self._current_op = None
         self._progress_peak = 0.0
 
@@ -91,31 +101,45 @@ class ActiveQuery:
     def attach_plan(self, plan) -> None:
         """Capture the plan's per-operator cardinality estimates.
 
-        Called once after planning (cached plans carry their annotations),
-        before execution starts; the estimate map is immutable afterwards,
-        so listing threads can iterate it without locking.
+        Called by the executor before the first batch is pulled (cached
+        plans carry their annotations); the estimate map is immutable
+        afterwards, so listing threads can iterate it without locking.
+        Operators are the keys, so the run keeps the plan alive.
         """
-        estimates: Dict[int, float] = {}
+        estimates: Dict[object, float] = {}
         stack = [plan]
         while stack:
             op = stack.pop()
             estimated = op.estimated_rows
             if estimated is not None and estimated > 0:
-                estimates[id(op)] = float(estimated)
+                estimates[op] = float(estimated)
             stack.extend(op.children())
         self._est_by_op = estimates
-        self._est_total = sum(estimates.values())
-        self._root_key = id(plan)
+        self._plan = plan
 
-    def on_batch(self, op, rows: int) -> None:
-        """Account one emitted batch to ``op`` (executing thread only)."""
-        key = id(op)
-        counts = self._rows_by_op
-        counts[key] = counts.get(key, 0) + rows
+    def tally(self, op) -> List[int]:
+        """This run's ``[rows, batches]`` tally for ``op``, handed to the
+        operator's batch stream as it starts; the stream adds each emitted
+        batch to it in place (executing thread only), so accounting a batch
+        costs no call."""
         self._current_op = op
-        if key == self._root_key:
-            self.rows += rows
-            self.batches += 1
+        return self._tallies.setdefault(op, [0, 0])
+
+    @property
+    def rows(self) -> int:
+        """Rows the plan's root has emitted so far."""
+        return self._tallies.get(self._plan, _NO_TALLY)[0]
+
+    @property
+    def batches(self) -> int:
+        """Batches the plan's root has emitted so far."""
+        return self._tallies.get(self._plan, _NO_TALLY)[1]
+
+    def executed(self, seconds: float) -> None:
+        """The executor's wall time for the plan; completes the trace."""
+        self.total_seconds = seconds
+        if self.trace is not None:
+            self.trace.finish(seconds)
 
     def raise_cancelled(self) -> None:
         """Raise the typed cancellation error (executing thread only)."""
@@ -125,6 +149,26 @@ class ActiveQuery:
             query_id=self.query_id)
 
     # -- introspection ---------------------------------------------------------
+
+    def actual(self, op) -> Optional[int]:
+        """Rows ``op`` emitted in this run (``None`` if it never ran)."""
+        tally = self._tallies.get(op)
+        return tally[0] if tally is not None else None
+
+    def explain_note(self, op) -> str:
+        """This run's ``actual=… residual=… time=… pages=…`` tokens for one
+        operator line of ``plan.explain(run=…)`` (empty if it never ran)."""
+        parts = []
+        rows = self.actual(op)
+        if rows is not None:
+            parts.append(f"actual={rows}")
+        residual = self.residuals.get(op)
+        if residual is not None:
+            parts.append(f"residual={residual}")
+        span = self.trace.span_for(op) if self.trace is not None else None
+        if span is not None:
+            parts.append(span.explain_tokens())
+        return " ".join(parts)
 
     def elapsed_seconds(self) -> float:
         return time.perf_counter() - self._started_perf
@@ -137,13 +181,14 @@ class ActiveQuery:
         non-decreasing across calls, clamped per operator so one
         underestimated scan cannot report 300%.
         """
-        total = self._est_total
+        estimates = self._est_by_op
+        total = sum(estimates.values())
         if not total:
             return None
-        counts = self._rows_by_op
+        tallies = self._tallies
         done = 0.0
-        for key, estimate in self._est_by_op.items():
-            emitted = counts.get(key, 0)
+        for op, estimate in estimates.items():
+            emitted = tallies.get(op, _NO_TALLY)[0]
             done += emitted if emitted < estimate else estimate
         fraction = done / total
         if fraction > 1.0:
@@ -153,7 +198,7 @@ class ActiveQuery:
         return self._progress_peak
 
     def current_operator(self) -> str:
-        """Describe-string of the operator that most recently emitted."""
+        """Describe-string of the operator that most recently started."""
         op = self._current_op
         return op.describe() if op is not None else ""
 
@@ -173,38 +218,44 @@ class ActiveQuery:
             "operator": self.current_operator(),
             "cancel_requested": self.cancel_requested,
         }
-        if self._pool is not None and self._buffers_mark is not None:
-            delta = self._pool.snapshot_delta(self._buffers_mark)
-            entry["buffers"] = {key: delta[key] for key in
-                                ("page_reads", "page_hits", "evictions",
-                                 "lazy_values_loaded")}
+        if self._buffers_mark is not None:
+            now = _buffer_counters(self._pool)
+            entry["buffers"] = {key: now[key] - self._buffers_mark[key]
+                                for key in now}
         return entry
 
 
-class NullActiveQuery:
-    """Disabled stand-in: hot paths skip all bookkeeping.
+_NO_TALLY = (0, 0)
 
-    ``enabled`` is False and ``cancel_requested`` never becomes True, so an
-    execution without a registered query pays two attribute checks per
-    operator call and nothing more.
+
+def _buffer_counters(pool) -> Dict[str, int]:
+    """The pool's monotonic counters, read without its lock: a listing
+    tolerates a value one access stale, and a run should not pay for the
+    pool's full ``stats()`` just to be listable."""
+    return {"page_reads": pool.tracker.page_reads,
+            "page_hits": pool.tracker.page_hits,
+            "evictions": pool.evictions,
+            "lazy_values_loaded": pool.lazy_values_loaded}
+
+
+class NullActiveQuery:
+    """The run of an unregistered execution: nothing is observed.
+
+    ``enabled`` is False: the engine checks it once per run and once per
+    operator per run, then streams batches untouched — no accounting, no
+    spans, no cancellation.  Stateless, hence shared.
     """
 
     enabled = False
-    cancel_requested = False
+    trace = None
 
-    def attach_plan(self, plan) -> None:  # pragma: no cover - never hot
-        pass
-
-    def on_batch(self, op, rows: int) -> None:  # pragma: no cover - never hot
-        pass
-
-    def raise_cancelled(self) -> None:  # pragma: no cover - flag never set
-        pass
+    def explain_note(self, op) -> str:
+        return ""
 
 
 NULL_ACTIVE_QUERY = NullActiveQuery()
-"""Shared default; ``context.active_query is NULL_ACTIVE_QUERY`` when the
-execution is not registered (bare-engine runs, internal DELETE WHERE)."""
+"""Shared default; ``context.run is NULL_ACTIVE_QUERY`` when the execution
+is not registered (bare-engine runs, internal DELETE WHERE)."""
 
 
 class ActiveQueryRegistry:
@@ -229,15 +280,15 @@ class ActiveQueryRegistry:
                           "Queries currently executing on this store.",
                           fn=self.active_count)
 
-    # -- lifecycle (called from the store's query funnels) ---------------------
+    # -- lifecycle (called from the store's query scope) -----------------------
 
     def begin(self, text: str, frontend: str, scheme: str,
-              source: str = "store", pool=None) -> ActiveQuery:
-        """Register a query that is about to execute; returns its handle."""
+              source: str = "store", pool=None, trace=None) -> ActiveQuery:
+        """Register a query that is about to execute; returns its run."""
         with self._lock:
             self._next_id += 1
             query = ActiveQuery(self._next_id, text, frontend, scheme,
-                                source=source, pool=pool)
+                                source=source, pool=pool, trace=trace)
             self._active[query.query_id] = query
         if self._events is not None:
             self._events.emit("query_start", id=query.query_id,
@@ -245,13 +296,14 @@ class ActiveQueryRegistry:
                               text=query.text[:200])
         return query
 
-    def finish(self, query: ActiveQuery, status: str = "finished",
-               rows: int = 0, seconds: float = 0.0,
+    def finish(self, query: ActiveQuery, seconds: float = 0.0,
+               status: str = "finished",
                error: Optional[BaseException] = None) -> None:
         """Deregister a query (idempotent); emits the lifecycle event.
 
         ``status`` is ``finished`` or ``cancelled``; pass ``error`` for
         failed runs (emits ``query_error`` instead of ``query_finish``).
+        The event's ``rows`` are the rows the plan's root had emitted.
         """
         with self._lock:
             if self._active.pop(query.query_id, None) is None:
@@ -266,7 +318,7 @@ class ActiveQueryRegistry:
         else:
             self._events.emit("query_finish", id=query.query_id,
                               frontend=query.frontend, status=status,
-                              rows=rows, seconds=seconds)
+                              rows=query.rows, seconds=seconds)
 
     # -- control & introspection (any thread) ----------------------------------
 

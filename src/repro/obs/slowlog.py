@@ -6,10 +6,10 @@ without any external infrastructure.  Entries carry whitespace-normalized
 query text (so logs stay single-line and cache-key-comparable), the plan
 scheme, latency, row count and a one-line trace digest when tracing was on.
 
-:class:`QueryObserver` is the single funnel the store's query paths call:
-it bumps the per-frontend/per-scheme counters, feeds the latency
-histogram, and threshold-gates the slow log.  Keeping it in one place
-means snapshots, sessions and the server all record identically.
+:class:`QueryObserver` is what the store's one query scope hands a finished
+run to: it bumps the per-frontend/per-scheme counters, feeds the latency
+histogram and the run's root and residual counts, and threshold-gates the
+slow log, so snapshots, sessions and the server all record identically.
 """
 
 from __future__ import annotations
@@ -124,6 +124,18 @@ class QueryObserver:
         self._errors = registry.counter(
             "query_errors_total", "Queries that raised, by front-end.",
             labelnames=("frontend",))
+        self._bound: dict = {}
+        """Per (frontend, scheme), the three metrics above bound to it."""
+        registry.counter(
+            "rows_emitted_total", "Rows emitted by root plan operators.",
+            fn=lambda: sum(rows for _labels, rows in self._rows.samples()))
+        self._emitted_batches = registry.counter(
+            "batches_emitted_total", "Batches emitted by root plan operators.").bound()
+        self._residual_subjects = registry.histogram(
+            "rdfscan_residual_subjects",
+            "Subjects per clustered star scan routed to the residual scan.",
+            buckets=(0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
+                     5000, 10000, 100000)).bound()
         self._profile_seconds = registry.histogram(
             "query_profile_seconds", "Wall time of profiled queries.")
         self._profile_pages = registry.histogram(
@@ -135,20 +147,33 @@ class QueryObserver:
             "Batch payload bytes flowing between operators per profiled query.",
             buckets=(1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26, 1 << 30))
 
-    def observe(self, frontend: str, scheme: str, seconds: float, rows: int,
-                text: str = "", trace=None) -> None:
-        self._queries.inc(frontend=frontend, scheme=scheme)
-        self._latency.observe(seconds, frontend=frontend, scheme=scheme)
-        self._rows.inc(rows, frontend=frontend)
+    def observe(self, run, seconds: float) -> None:
+        """Account one successfully finished run (an
+        :class:`~repro.obs.ActiveQuery`) that took ``seconds`` in all."""
+        frontend, scheme, rows = run.frontend, run.scheme, run.rows
+        bound = self._bound.get((frontend, scheme))
+        if bound is None:
+            bound = self._bound[frontend, scheme] = (
+                self._queries.bound(frontend=frontend, scheme=scheme),
+                self._latency.bound(frontend=frontend, scheme=scheme),
+                self._rows.bound(frontend=frontend))
+        count_query, observe_latency, count_rows = bound
+        count_query()
+        observe_latency(seconds)
+        count_rows(rows)
+        self._emitted_batches(run.batches)
+        for subjects in run.residuals.values():
+            self._residual_subjects(subjects)
+        trace = run.trace
         if trace is not None and getattr(trace, "is_profile", False):
             # duck-typed so this module never imports the profiler
             self._profile_seconds.observe(seconds)
             self._profile_pages.observe(trace.page_reads_total)
             self._profile_bytes.observe(trace.payload_bytes_total)
-        if self.slow_log is not None and text:
-            summary = trace.summary() if trace is not None and getattr(
-                trace, "root", None) is not None else ""
-            self.slow_log.record(text, frontend, scheme, seconds, rows, summary)
+        slow_log = self.slow_log
+        if slow_log is not None and seconds >= slow_log.threshold_seconds:
+            slow_log.record(run.text, frontend, scheme, seconds, rows,
+                            trace.summary() if trace is not None else "")
 
     def error(self, frontend: str) -> None:
         self._errors.inc(frontend=frontend)

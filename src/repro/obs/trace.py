@@ -1,24 +1,24 @@
-"""Per-query trace spans over the batched operator protocol.
+"""Per-query trace spans over the operators' batch streams.
 
-A :class:`QueryTrace` builds a span tree mirroring the physical plan: the
-engine calls :meth:`QueryTrace.enter` / :meth:`QueryTrace.exit` around each
-``open()`` / ``next_batch()`` / ``close()`` call, and the trace accumulates
-per-operator wall time (cumulative, with *self* time derived by subtracting
-child time), batch and row counts.  Spans are keyed by operator identity,
-so one span aggregates all calls into the same operator across the whole
-drain loop.
+A :class:`QueryTrace` builds a span tree mirroring the physical plan:
+``PhysicalOperator.batches`` pulls a traced run's batches through
+:meth:`QueryTrace.timed`, which wraps each pull from an operator in
+:meth:`QueryTrace.enter` / :meth:`QueryTrace.exit`, and the trace
+accumulates per-operator wall time (cumulative, with *self* time derived
+by subtracting child time), batch and row counts.  Spans are keyed
+by operator identity, so one span aggregates all pulls from the same
+operator across the whole run.
 
-The default tracer is :data:`NULL_TRACER`, a singleton whose ``enabled``
-flag is ``False`` — hot paths guard on ``if tracer.enabled:`` so a
-disabled run costs one attribute check per call, nothing more.
+A trace hangs off the run it belongs to (``ActiveQuery.trace``); a run
+without one pays nothing for tracing.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-__all__ = ["NULL_TRACER", "NullTracer", "QueryTrace", "TraceSpan"]
+__all__ = ["QueryTrace", "TraceSpan"]
 
 
 class TraceSpan:
@@ -44,6 +44,10 @@ class TraceSpan:
     def self_seconds(self) -> float:
         """Wall time spent in this operator minus time in its children."""
         return max(0.0, self.seconds - sum(c.seconds for c in self.children))
+
+    def explain_tokens(self) -> str:
+        """This operator's ``time=`` token for ``plan.explain(run=…)``."""
+        return f"time={self.self_seconds * 1000.0:.3f}ms"
 
     def as_dict(self) -> dict:
         return {
@@ -71,11 +75,9 @@ class TraceSpan:
 class QueryTrace:
     """A span tree for one query execution.
 
-    Not thread-safe by design: one trace belongs to one execution, and a
-    plan's drain loop is already serialized by the plan's execution lock.
+    Not thread-safe by design: one trace belongs to one run, and one run
+    executes on one thread.
     """
-
-    enabled = True
 
     span_class = TraceSpan
     """Span factory — :class:`~repro.obs.profile.QueryProfile` swaps in a
@@ -88,15 +90,15 @@ class QueryTrace:
         self.started_at = time.time()
         self.total_seconds = 0.0
 
-    # -- span protocol (called from PhysicalOperator) -------------------------
+    # -- span protocol (driven by PhysicalOperator.batches) --------------------
 
-    def enter(self, op: object, label: str) -> TraceSpan:
-        """Start timing a call into ``op``; returns the span to pass to exit."""
+    def enter(self, op) -> TraceSpan:
+        """Start timing a pull from ``op``; returns the span to pass to exit."""
         key = id(op)
         span = self._spans.get(key)
         if span is None:
             parent = self._stack[-1] if self._stack else None
-            span = self.span_class(label, parent)
+            span = self.span_class(op.describe(), parent)
             self._spans[key] = span
             if parent is None and self.root is None:
                 self.root = span
@@ -104,19 +106,33 @@ class QueryTrace:
         span._entered_at = time.perf_counter()
         return span
 
-    def exit(self, span: TraceSpan, rows: int = 0, batches: int = 0,
-             bytes: int = 0) -> None:
-        """Stop timing; only the outermost frame of a span accrues time
-        (operators recurse into themselves only via distinct objects, but a
-        guard keeps re-entrancy safe)."""
+    def exit(self, span: TraceSpan, batch=None) -> None:
+        """Stop timing and account the pulled ``batch`` (``None``: the
+        stream ended or raised); only the outermost frame of a span accrues
+        time (operators recurse into themselves only via distinct objects,
+        but a guard keeps re-entrancy safe)."""
         elapsed = time.perf_counter() - span._entered_at
         self._stack.pop()
         if span not in self._stack:  # guard against pathological re-entry
             span.seconds += elapsed
-        span.rows += rows
-        span.batches += batches
-        span.bytes += bytes
         span.calls += 1
+        if batch is not None:
+            span.rows += batch.live_count()
+            span.batches += 1
+            span.bytes += batch.payload_bytes()
+
+    def timed(self, op, stream) -> Iterator:
+        """``stream``'s batches, each pull from it timed in ``op``'s span."""
+        while True:
+            span = self.enter(op)
+            batch = None
+            try:
+                batch = next(stream, None)
+            finally:
+                self.exit(span, batch)
+            if batch is None:
+                return
+            yield batch
 
     # -- results ---------------------------------------------------------------
 
@@ -148,27 +164,3 @@ class QueryTrace:
         parts = [f"{s.label.split('[')[0].strip()}={s.self_seconds * 1000.0:.2f}ms"
                  for s in top]
         return " ".join(parts)
-
-
-class NullTracer:
-    """No-op stand-in: ``enabled`` is False, so instrumented paths skip it."""
-
-    enabled = False
-    root = None
-
-    def enter(self, op: object, label: str):  # pragma: no cover - never hot
-        return None
-
-    def exit(self, span, rows: int = 0, batches: int = 0,
-             bytes: int = 0) -> None:  # pragma: no cover
-        pass
-
-    def span_for(self, op: object):
-        return None
-
-    def finish(self, total_seconds: float) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
-"""Shared default tracer; ``context.tracer is NULL_TRACER`` when disabled."""

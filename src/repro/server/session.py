@@ -32,11 +32,10 @@ path.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..engine import ExecutionContext
-from ..errors import QueryCancelledError, StorageError
+from ..errors import StorageError
 from ..sparql import PlanCache, PlannerOptions, QueryResult, SparqlEngine
 from ..sql import SqlEngine, SqlResult
 
@@ -106,11 +105,12 @@ class ReadSnapshot:
                profile: bool = False) -> QueryResult:
         """Run a SPARQL query against the pinned state.
 
-        Snapshot queries record into the owning store's metrics,
-        slow-query log and active-query registry exactly like direct
-        :meth:`RDFStore.sparql` calls — both are resolved through the store
-        at call time, so they keep pointing at the live registries even
-        across an ``open(into=...)`` swap.  The query is therefore visible
+        Snapshot queries run inside the owning store's
+        :meth:`~repro.core.RDFStore.query_scope`, so they record into its
+        metrics, slow-query log and active-query registry exactly like
+        direct :meth:`RDFStore.sparql` calls — all resolved through the
+        store at call time, so they keep pointing at the live registries
+        even across an ``open(into=...)`` swap.  The query is therefore visible
         in ``store.active_queries()`` (``source="snapshot"``) and
         cancellable with ``store.cancel(id)`` while it runs.
 
@@ -119,59 +119,19 @@ class ReadSnapshot:
         ``trace`` field, same as the direct store call.
         """
         self._require_open()
-        observer = self._store._observer
-        registry = self._store.query_registry
-        tracer = self._store._make_tracer(False, profile)
         scheme = (options or PlannerOptions()).scheme
-        active = registry.begin(text, "sparql", scheme, source="snapshot",
-                                pool=self._store.pool)
-        started = time.perf_counter()
-        try:
-            result = self._engine.query(text, options, tracer=tracer,
-                                        active=active)
-        except QueryCancelledError:
-            registry.finish(active, status="cancelled",
-                            seconds=time.perf_counter() - started)
-            raise
-        except Exception as exc:
-            registry.finish(active, seconds=time.perf_counter() - started,
-                            error=exc)
-            observer.error("sparql")
-            raise
-        elapsed = time.perf_counter() - started
-        registry.finish(active, rows=len(result), seconds=elapsed)
-        observer.observe("sparql", scheme, elapsed, len(result), text=text,
-                         trace=tracer)
-        return result
+        with self._store.query_scope(text, "sparql", scheme, source="snapshot",
+                                     profile=profile) as run:
+            return self._engine.query(text, options, run=run)
 
     def sql(self, text: str, profile: bool = False) -> SqlResult:
         """Run a SQL query against the pinned state's emergent schema."""
         self._require_open()
         if self.catalog is None:
             raise StorageError("catalog not available; the store had no discovered schema")
-        observer = self._store._observer
-        registry = self._store.query_registry
-        tracer = self._store._make_tracer(False, profile)
-        active = registry.begin(text, "sql", "sql", source="snapshot",
-                                pool=self._store.pool)
-        started = time.perf_counter()
-        try:
-            result = SqlEngine(self.context, self.catalog).query(
-                text, tracer=tracer, active=active)
-        except QueryCancelledError:
-            registry.finish(active, status="cancelled",
-                            seconds=time.perf_counter() - started)
-            raise
-        except Exception as exc:
-            registry.finish(active, seconds=time.perf_counter() - started,
-                            error=exc)
-            observer.error("sql")
-            raise
-        elapsed = time.perf_counter() - started
-        registry.finish(active, rows=len(result), seconds=elapsed)
-        observer.observe("sql", "sql", elapsed, len(result), text=text,
-                        trace=tracer)
-        return result
+        with self._store.query_scope(text, "sql", "sql", source="snapshot",
+                                     profile=profile) as run:
+            return SqlEngine(self.context, self.catalog).query(text, run=run)
 
     def decode_rows(self, result) -> List[tuple]:
         """Decode a result's OIDs with the *pinned* dictionary.
@@ -246,7 +206,6 @@ class SnapshotRegistry:
             cost_model=store.config.cost_model,
             delta=frozen,
             batch_size=store.config.batch_size,
-            metrics=store.metrics_registry,
         )
         return ReadSnapshot(store, self, generation=generation,
                             delta_version=version, context=context,

@@ -1,10 +1,12 @@
 """SPARQL frontend: parser, CS-aware planner and a convenience engine."""
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..columnar import QueryCost
 from ..engine import BindingTable, ExecutionContext, PhysicalOperator, execute_plan
+from ..obs import NULL_ACTIVE_QUERY
 from .ast import (
     AggregateExpr,
     ArithmeticExpr,
@@ -59,20 +61,24 @@ class QueryResult:
     """Result of a SPARQL execution: bindings, cost and the plan used.
 
     ``plan`` may be shared between results when the plan cache is active
-    (repeating a query reuses the cached plan object), so its
-    ``actual_rows`` annotations always describe the *most recent* execution,
-    not necessarily the one that produced this result's bindings.  Per-run
-    accounting that must not be clobbered by concurrent executions lives in
-    ``trace`` instead: when the query ran with tracing enabled it holds the
-    run's private :class:`repro.obs.QueryTrace` (operator wall times, rows,
-    batches), otherwise ``None``.
+    (repeating a query reuses the cached plan object); a plan is an
+    immutable template and records nothing about any execution.  What this
+    execution observed is on ``run``, its :class:`repro.obs.ActiveQuery`
+    (the shared no-op run for a bare-engine execution): per-operator actual
+    rows, which ``plan.explain(run=result.run)`` renders, residual counts,
+    prepare and execution time.  ``trace`` is the run's
+    :class:`repro.obs.QueryTrace` when it was traced, otherwise ``None``.
     """
 
     bindings: BindingTable
     cost: QueryCost
     plan: PhysicalOperator
     columns: List[str]
-    trace: Optional[object] = None
+    run: object = NULL_ACTIVE_QUERY
+
+    @property
+    def trace(self) -> Optional[object]:
+        return self.run.trace
 
     def rows(self) -> List[tuple]:
         """OID/value rows in column order."""
@@ -141,37 +147,38 @@ class SparqlEngine:
         return query, plan
 
     def query(self, text: str, options: Optional[PlannerOptions] = None,
-              tracer=None, active=None) -> QueryResult:
+              run=NULL_ACTIVE_QUERY) -> QueryResult:
         """Parse, plan and execute a query.
 
         Args:
             text: the SPARQL query text.
             options: plan scheme / optimizer configuration (see
                 :class:`PlannerOptions`).
-            tracer: an optional :class:`repro.obs.QueryTrace`; when given,
-                the run records per-operator spans into it and the result's
-                ``trace`` field carries it back.
-            active: an optional :class:`repro.obs.ActiveQuery` registry
-                handle; when given, the run accounts per-operator rows into
-                it and honours its cooperative-cancellation flag.
+            run: the execution's :class:`repro.obs.ActiveQuery`; the run
+                accounts per-operator rows into it, honours its
+                cooperative-cancellation flag, records spans into its trace
+                if it has one, and the result carries it back.  The default
+                runs unobserved.
 
         Returns:
-            A :class:`QueryResult` with OID bindings, measured cost and the
-            executed plan (annotated with estimated and actual row counts).
+            A :class:`QueryResult` with OID bindings, measured cost, the
+            executed plan and the run.
 
         Raises:
             ParseError: when the text is not in the supported subset.
             PlanError: when the options name an unknown plan scheme.
             ExecutionError: when the plan requires a store that is not built.
-            QueryCancelledError: when ``active`` was cancelled mid-run.
+            QueryCancelledError: when ``run`` was cancelled mid-run.
         """
+        started = time.perf_counter()
         parsed, plan = self.prepare(text, options)
-        if active is not None:
-            active.attach_plan(plan)
-        context = self.context.with_observation(tracer=tracer, active=active)
+        context = self.context
+        if run.enabled:
+            run.prepare_seconds = time.perf_counter() - started
+            context = context.with_run(run)
         bindings, cost = execute_plan(plan, context)
         return QueryResult(bindings=bindings, cost=cost, plan=plan,
-                           columns=parsed.output_names(), trace=tracer)
+                           columns=parsed.output_names(), run=run)
 
     def query_parsed(self, query: SelectQuery,
                      options: Optional[PlannerOptions] = None) -> QueryResult:

@@ -288,15 +288,11 @@ class PlanCache:
     ``optimized`` schemes yields different physical plans.
 
     The cache stores ``(SelectQuery, PhysicalOperator)`` pairs — a hit skips
-    parsing *and* planning.  Plans carry no per-run result state — executions
-    are serialized per plan instance, and per-run row/time accounting lives
-    on each execution's private :class:`repro.obs.QueryTrace` — so
-    re-executing a cached plan, even from concurrent snapshots, is safe.
-    The only mutable annotation, ``plan.actual_rows``, is an interactive
-    ``EXPLAIN ANALYZE`` convenience reflecting the *most recent* run; do not
-    read it for a specific execution's row count (use the result's length
-    or its trace).  The owning store clears the cache whenever data is
-    loaded or the physical organization is rebuilt.
+    parsing *and* planning.  Plans are immutable templates: a run keeps its
+    state in its operators' generator frames and what it observes on its
+    own :class:`repro.obs.ActiveQuery`, so any number of snapshots may
+    execute one cached plan at the same time.  The owning store clears the
+    cache whenever data is loaded or the physical organization is rebuilt.
 
     :meth:`clear` resets the per-organization counters; the ``lifetime_*``
     counters survive clears, so monitoring sees cache effectiveness across

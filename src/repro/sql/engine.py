@@ -10,15 +10,15 @@ as SPARQL — which is the point of Figure 1 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
 from datetime import date
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..columnar import QueryCost
 from ..cs import Multiplicity
 from ..engine import (
     AggregateOp,
     AggregateSpec,
+    Batch,
     BinaryOp,
     BindingTable,
     ExecutionContext,
@@ -42,43 +42,16 @@ from ..engine import (
 from ..engine.operators import FilterNotEqualOp
 from ..errors import SchemaError
 from ..model import Literal
+from ..obs import NULL_ACTIVE_QUERY
 from ..model.terms import XSD_BOOLEAN, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
+from ..sparql import QueryResult
 from .catalog import Catalog, CatalogTable, ID_COLUMN
 from .parser import ColumnRef, SelectItem, SqlConstant, SqlQuery, parse_sql
 
 
-@dataclass
-class SqlResult:
-    """Result of a SQL execution over the emergent schema.
-
-    ``trace`` carries the run's private :class:`repro.obs.QueryTrace` when
-    the query executed with tracing enabled, otherwise ``None``.
-    """
-
-    columns: List[str]
-    bindings: BindingTable
-    cost: QueryCost
-    plan: PhysicalOperator
-    trace: Optional[object] = None
-
-    def rows(self) -> List[tuple]:
-        arrays = [self.bindings.column(name) for name in self.columns]
-        return [tuple(array[i].item() for array in arrays) for i in range(self.bindings.num_rows)]
-
-    def decoded_rows(self, context: ExecutionContext) -> List[tuple]:
-        out = []
-        for row in self.rows():
-            decoded = []
-            for value in row:
-                if isinstance(value, float):
-                    decoded.append(value)
-                else:
-                    decoded.append(context.decoder.python_value(int(value)))
-            out.append(tuple(decoded))
-        return out
-
-    def __len__(self) -> int:
-        return self.bindings.num_rows
+class SqlResult(QueryResult):
+    """Result of a SQL execution over the emergent schema: the shape of a
+    SPARQL result, with the SQL output names as ``columns``."""
 
 
 class SqlEngine:
@@ -92,17 +65,16 @@ class SqlEngine:
 
     # -- public API -----------------------------------------------------------------
 
-    def query(self, text: str, tracer=None, active=None) -> SqlResult:
+    def query(self, text: str, run=NULL_ACTIVE_QUERY) -> SqlResult:
         """Parse, plan and execute one SQL SELECT statement.
 
         Args:
             text: a SELECT over the catalog's emergent tables (joins over
                 discovered foreign keys, WHERE comparisons, GROUP BY,
                 ORDER BY, LIMIT).
-            tracer: an optional :class:`repro.obs.QueryTrace` recording
-                per-operator spans for this run.
-            active: an optional :class:`repro.obs.ActiveQuery` registry
-                handle carrying row accounting and the cancellation flag.
+            run: the execution's :class:`repro.obs.ActiveQuery` — row
+                accounting, the cancellation flag, an optional trace; the
+                default runs unobserved.
 
         Returns:
             A :class:`SqlResult` with the output columns, OID bindings,
@@ -112,16 +84,18 @@ class SqlEngine:
             ParseError: when the SQL text cannot be parsed.
             SchemaError: when the query references unknown tables, columns
                 or joins without a discovered foreign key.
-            QueryCancelledError: when ``active`` was cancelled mid-run.
+            QueryCancelledError: when ``run`` was cancelled mid-run.
         """
+        started = time.perf_counter()
         parsed = parse_sql(text)
         plan, columns = self._plan(parsed)
-        if active is not None:
-            active.attach_plan(plan)
-        context = self.context.with_observation(tracer=tracer, active=active)
+        context = self.context
+        if run.enabled:
+            run.prepare_seconds = time.perf_counter() - started
+            context = context.with_run(run)
         bindings, cost = execute_plan(plan, context)
         return SqlResult(columns=columns, bindings=bindings, cost=cost,
-                         plan=plan, trace=tracer)
+                         plan=plan, run=run)
 
     def explain(self, text: str) -> str:
         """Return the indented physical plan of a SQL statement (no run).
@@ -451,9 +425,10 @@ class _RenameOp(PhysicalOperator):
         rendered = ", ".join(f"{old}->{new}" for old, new in self.mapping.items())
         return f"Rename[{rendered}]"
 
-    def _execute(self, context: ExecutionContext) -> BindingTable:
+    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        return self.child.execute(context).rename(self.mapping)
+        for batch in self.child.batches(context):
+            yield Batch(batch.table.rename(self.mapping), batch.valid)
 
 
 # -- helpers --------------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.engine.operators import DistinctOp, FilterNotEqualOp
 from repro.errors import ExecutionError
 from repro.model import IRI, Literal, TermDictionary
 from repro.model.terms import XSD_INTEGER
+from repro.obs import ActiveQuery
 from repro.storage import ExhaustiveIndexStore
 
 EX = "http://example.org/"
@@ -290,7 +291,7 @@ class TestOperators:
 
 
 class TestBatchedExecution:
-    """The batch protocol: size sweeps, row accounting, legacy fallback."""
+    """Batch streams: size sweeps, per-run row accounting, early stop."""
 
     def _pipeline(self, ctx, p_name, p_age):
         scan = IndexScanOp(TriplePatternPlan(PatternTerm.variable("s"),
@@ -327,11 +328,13 @@ class TestBatchedExecution:
         would have read 6 either way, but a row-per-batch stream must not
         report the *batch* count."""
         ctx, p_name, p_age, _ages = _context()
-        ctx.batch_size = 2  # 6 rows -> 3 batches; actual_rows must still be 6
+        ctx.batch_size = 2  # 6 rows -> 3 batches; actual rows must still be 6
         plan = self._pipeline(ctx, p_name, p_age)
-        execute_plan(plan, ctx)
-        assert plan.actual_rows == 6
-        assert plan.children()[0].actual_rows == 6
+        run = ActiveQuery(1, "pipeline", "test", "default")
+        execute_plan(plan, ctx.with_run(run))
+        assert run.actual(plan) == 6
+        assert run.actual(plan.children()[0]) == 6
+        assert (run.rows, run.batches) == (6, 3)  # the root's own counts
 
     def test_streaming_batches_preserve_schema_on_empty_result(self):
         ctx, p_name, _p_age, _ages = _context()
@@ -344,29 +347,6 @@ class TestBatchedExecution:
         assert result.num_rows == 0
         assert set(result.variables) == {"s", "n"}
 
-    def test_legacy_execute_fallback_is_batched(self):
-        """Operators implementing only ``_execute`` still stream in batches."""
-
-        from repro.engine import PhysicalOperator
-
-        class LegacyOp(PhysicalOperator):
-            def _execute(self, context):
-                return BindingTable({"a": np.arange(5, dtype=np.int64)})
-
-        ctx, _p, _q, _ages = _context()
-        ctx.batch_size = 2
-        op = LegacyOp()
-        op.open(ctx)
-        sizes = []
-        while True:
-            batch = op.next_batch(ctx)
-            if batch is None:
-                break
-            sizes.append(batch.live_count())
-        op.close(ctx)
-        assert sizes == [2, 2, 1]
-        assert op.actual_rows == 5
-
     def test_limit_stops_pulling_from_child(self):
         ctx, _p, _q, _ages = _context()
         ctx.batch_size = 2
@@ -374,14 +354,15 @@ class TestBatchedExecution:
         class CountingOp(MaterializedOp):
             pulls = 0
 
-            def _next_batch(self, context):
-                type(self).pulls += 1
-                return super()._next_batch(context)
+            def _batches(self, context):
+                for batch in super()._batches(context):
+                    type(self).pulls += 1
+                    yield batch
 
         child = CountingOp(BindingTable({"a": np.arange(100, dtype=np.int64)}))
         limited, _ = execute_plan(LimitOp(child, 2), ctx)
         assert limited.num_rows == 2
-        assert CountingOp.pulls <= 2  # never drained all 50 batches
+        assert 1 <= CountingOp.pulls <= 2  # counted, and never all 50 batches
 
 
 class TestPlanPrimitives:

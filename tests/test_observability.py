@@ -10,7 +10,7 @@ Covered here:
   unlabeled metrics;
 * per-query traces — span tree identical in shape to the physical plan,
   ``explain(analyze=True)`` timing column, per-run accounting on shared
-  cached plans (the ``actual_rows`` hazard);
+  cached plans;
 * the slow-query log threshold and ring eviction;
 * store integration — ``metrics()`` / ``slow_queries()`` / ``last_trace()``,
   survival across ``open(into=)`` swaps and snapshot-pinned readers,
@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 import re
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -34,7 +33,6 @@ from repro import (
     MetricsRegistry,
     PlannerOptions,
     QueryServer,
-    QueryTrace,
     RDFStore,
     SlowQueryLog,
     StorageError,
@@ -46,6 +44,7 @@ from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 from _datasets import EX, book_triples
+from _timing import best_means
 
 STAR_QUERY = f"SELECT ?b ?a WHERE {{ ?b <{EX}has_author> ?a . ?b <{EX}isbn_no> ?i . }}"
 LOOKUP_QUERY = f"SELECT ?b WHERE {{ ?b <{EX}has_author> <{EX}author/1> . }}"
@@ -54,6 +53,12 @@ LOOKUP_QUERY = f"SELECT ?b WHERE {{ ?b <{EX}has_author> <{EX}author/1> . }}"
 def _config(**overrides) -> StoreConfig:
     return StoreConfig(discovery=DiscoveryConfig(
         generalization=GeneralizationConfig(min_support=3)), **overrides)
+
+
+def _operators(plan):
+    yield plan
+    for child in plan.children():
+        yield from _operators(child)
 
 
 @pytest.fixture()
@@ -295,20 +300,25 @@ class TestTraces:
         assert store.last_trace() is traced
 
     def test_shared_cached_plan_keeps_per_run_accounting(self, store):
-        """Satellite (a): a cached plan is shared; per-run numbers live in
-        the trace, while ``actual_rows`` is only the most recent run."""
-        engine = store.sparql_engine()
+        """A cached plan is shared; every number a run produces lives on
+        that run's own object and trace, none on the plan."""
         options = PlannerOptions()
         store.plan_cache.clear()
-        first = engine.query(LOOKUP_QUERY, options, tracer=QueryTrace())
-        second = engine.query(LOOKUP_QUERY, options, tracer=QueryTrace())
+        first = store.sparql(LOOKUP_QUERY, options, trace=True)
+        before = [dict(vars(op)) for op in _operators(first.plan)]
+        second = store.sparql(LOOKUP_QUERY, options, trace=True)
         assert store.plan_cache.stats()["hits"] >= 1
         assert second.plan is first.plan  # one shared physical plan
-        # each run's trace carries its own, non-accumulated accounting
-        assert first.trace.root.rows == len(first)
-        assert second.trace.root.rows == len(second)
+        # each run carries its own, non-accumulated accounting
+        assert first.run is not second.run
         assert first.trace.root is not second.trace.root
-        assert first.plan.actual_rows == len(second)
+        for result in (first, second):
+            assert result.trace is result.run.trace
+            assert result.trace.root.rows == len(result)
+            assert result.run.actual(result.plan) == len(result)
+            assert result.run.rows == len(result)
+        # and the second run wrote nothing onto the shared plan
+        assert [dict(vars(op)) for op in _operators(first.plan)] == before
 
     def test_render_is_indented_per_level(self, store):
         store.sparql(STAR_QUERY, trace=True)
@@ -381,6 +391,23 @@ class TestStoreMetrics:
         assert metrics['query_seconds_count{frontend="sql",scheme="sql"}'] == 1
         assert metrics["rows_emitted_total"] > 0
         assert metrics["batches_emitted_total"] > 0
+
+    def test_emitted_counters_count_the_root_once(self, store):
+        """``rows_emitted_total`` / ``batches_emitted_total`` grow by what
+        the plan's *root* emitted — once per query, however many blocking
+        operators (sort, aggregate, hash build) drained a child on the way."""
+        ordered = f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . }} ORDER BY ?y ?b"
+        grouped = (f"SELECT ?n (COUNT(?b) AS ?c) WHERE {{ ?b <{EX}has_author> ?a . "
+                   f"?a <{EX}name> ?n . }} GROUP BY ?n ORDER BY ?n")
+        for text, rows in ((ordered, 30), (grouped, 5)):
+            before = store.metrics()
+            result = store.sparql(text)
+            after = store.metrics()
+            assert len(result) == rows
+            batches = -(-rows // store.config.batch_size)
+            assert result.run.batches == batches
+            assert after["rows_emitted_total"] - before["rows_emitted_total"] == rows
+            assert after["batches_emitted_total"] - before["batches_emitted_total"] == batches
 
     def test_update_and_buffer_pool_metrics(self, store):
         store.sparql(STAR_QUERY)
@@ -490,20 +517,8 @@ class TestOverheadGuard:
         engine = store.sparql_engine()
         options = PlannerOptions()
         store.sparql(STAR_QUERY, options)  # warm plan cache + buffer pool
-        repeats = 30
-
-        def best_mean(fn) -> float:
-            best = None
-            for _ in range(7):
-                started = time.perf_counter()
-                for _ in range(repeats):
-                    fn()
-                mean = (time.perf_counter() - started) / repeats
-                best = mean if best is None else min(best, mean)
-            return best
-
-        bare = best_mean(lambda: engine.query(STAR_QUERY, options))
-        observed = best_mean(lambda: store.sparql(STAR_QUERY, options))
+        bare, observed = best_means(lambda: engine.query(STAR_QUERY, options),
+                                    lambda: store.sparql(STAR_QUERY, options))
         # 5% relative, with a 50µs absolute floor against timer jitter
         assert observed <= bare * 1.05 + 5e-5, \
             f"instrumented {observed * 1e6:.0f}us vs bare {bare * 1e6:.0f}us"

@@ -184,7 +184,10 @@ class TestJoinOrdering:
 
     def test_actual_rows_recorded_after_execution(self, book_store):
         result = book_store.sparql(f"SELECT ?b WHERE {{ ?b <{EX}isbn_no> ?i . }}")
-        assert result.plan.actual_rows == len(result)
+        assert result.run.actual(result.plan) == len(result)
+        assert f"actual={len(result)}" in result.plan.explain(run=result.run).splitlines()[0]
+        # the plan is a template: without a run it shows estimates only
+        assert "actual=" not in result.plan.explain()
 
     def test_explain_shows_estimates_and_actuals(self, book_store):
         query = f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . }}"

@@ -9,11 +9,11 @@ when disabled must stay within the repo's 5% observability budget.
 
 from __future__ import annotations
 
-import time
 
 import pytest
 
 from _datasets import EX, book_triples
+from _timing import best_means
 from repro import RDFStore, StoreConfig
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import StorageError
@@ -249,20 +249,8 @@ class TestProfilingOverheadGuard:
         engine = store.sparql_engine()
         options = PlannerOptions()
         store.sparql(STAR_QUERY, options)  # warm plan cache + buffer pool
-        repeats = 30
-
-        def best_mean(fn) -> float:
-            best = None
-            for _ in range(7):
-                started = time.perf_counter()
-                for _ in range(repeats):
-                    fn()
-                mean = (time.perf_counter() - started) / repeats
-                best = mean if best is None else min(best, mean)
-            return best
-
-        bare = best_mean(lambda: engine.query(STAR_QUERY, options))
-        observed = best_mean(lambda: store.sparql(STAR_QUERY, options))
+        bare, observed = best_means(lambda: engine.query(STAR_QUERY, options),
+                                    lambda: store.sparql(STAR_QUERY, options))
         # 5% relative, with a 50µs absolute floor against timer jitter
         assert observed <= bare * 1.05 + 5e-5, \
             f"profiling-off path {observed * 1e6:.0f}us vs bare {bare * 1e6:.0f}us"

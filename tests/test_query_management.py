@@ -22,6 +22,7 @@ Covered here:
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -49,6 +50,11 @@ from _datasets import EX, book_triples
 STAR_QUERY = f"SELECT ?b ?a WHERE {{ ?b <{EX}has_author> ?a . ?b <{EX}isbn_no> ?i . }}"
 CROSS_QUERY = (f"SELECT ?b ?a ?b2 WHERE {{ ?b <{EX}has_author> ?a . "
                f"?b2 <{EX}has_author> ?a . }}")
+
+
+def _untimed(line: str) -> str:
+    """An ``explain`` tree line without its run-to-run ``time=`` token."""
+    return re.sub(r" time=[0-9.]+ms", "", line)
 
 
 def _config(**overrides) -> StoreConfig:
@@ -79,14 +85,15 @@ class _Gate:
 @pytest.fixture()
 def project_gate(monkeypatch) -> _Gate:
     gate = _Gate()
-    original = ProjectOp._next_batch
+    original = ProjectOp._batches
 
     def gated(self, context):
-        gate.entered.set()
-        assert gate.release.wait(timeout=30), "gate never released"
-        return original(self, context)
+        for batch in original(self, context):
+            gate.entered.set()
+            assert gate.release.wait(timeout=30), "gate never released"
+            yield batch
 
-    monkeypatch.setattr(ProjectOp, "_next_batch", gated)
+    monkeypatch.setattr(ProjectOp, "_batches", gated)
     return gate
 
 
@@ -230,13 +237,13 @@ class TestActiveQueryRegistry:
         root = _FakeOp(100.0, [child])
         query = ActiveQuery(1, "q", "sparql", "optimized")
         query.attach_plan(root)
-        query.on_batch(child, 50)
+        query.tally(child)[0] += 50
         assert query.progress() == pytest.approx(0.25)
-        query.on_batch(root, 50)
+        query.tally(root)[0] += 50
         assert query.progress() == pytest.approx(0.5)
         # a wild underestimate cannot push the fraction past 1.0 ...
-        query.on_batch(child, 10_000)
-        query.on_batch(root, 10_000)
+        query.tally(child)[0] += 10_000
+        query.tally(root)[0] += 10_000
         assert query.progress() == 1.0
         # ... and the reported fraction never goes backwards
         peak = query.progress()
@@ -247,7 +254,9 @@ class TestActiveQueryRegistry:
                             source="snapshot")
         root = _FakeOp(10.0)
         query.attach_plan(root)
-        query.on_batch(root, 4)
+        tally = query.tally(root)
+        tally[0] += 4
+        tally[1] += 1
         entry = query.describe()
         assert entry["id"] == 7
         assert entry["text"] == "SELECT ?x WHERE { }"  # whitespace-normalized
@@ -264,8 +273,8 @@ class TestActiveQueryRegistry:
 
     def test_null_active_query_is_inert(self):
         assert NULL_ACTIVE_QUERY.enabled is False
-        assert NULL_ACTIVE_QUERY.cancel_requested is False
-        NULL_ACTIVE_QUERY.raise_cancelled()  # never raises
+        assert NULL_ACTIVE_QUERY.trace is None
+        assert NULL_ACTIVE_QUERY.explain_note(_FakeOp(10.0)) == ""
 
 
 # -- store integration --------------------------------------------------------
@@ -323,6 +332,49 @@ class TestStoreIntegration:
         assert finish["status"] == "cancelled" and finish["id"] == entry["id"]
         # a subsequent identical query runs normally on the shared cached plan
         assert len(store.sparql(STAR_QUERY)) > 0
+
+    def test_explain_analyze_runs_inside_the_lifecycle(self, store, project_gate):
+        """``explain(analyze=True)`` is a query like any other: listed while
+        it runs (``source="explain"``), cancellable, counted and logged."""
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(store.explain(STAR_QUERY, analyze=True))
+            except QueryCancelledError as exc:
+                outcome.append(("cancelled", exc.query_id))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        assert project_gate.entered.wait(timeout=10)
+        (entry,) = store.active_queries()
+        assert entry["source"] == "explain" and entry["frontend"] == "sparql"
+        assert store.cancel(entry["id"]) is True
+        project_gate.release.set()
+        thread.join(timeout=30)
+        assert outcome == [("cancelled", entry["id"])]
+        assert store.active_queries() == []
+        finish = store.events(type="query_finish", limit=1)[0]
+        assert finish["status"] == "cancelled" and finish["id"] == entry["id"]
+
+        text = store.explain(STAR_QUERY, analyze=True)
+        assert store.metrics()['queries_total{frontend="sparql",scheme="rdfscan"}'] == 1
+        assert store.events(type="query_start", limit=1)[0]["source"] == "explain"
+        header, buffers, *tree = text.splitlines()
+        # the header accounts for the call: the executor's wall time plus
+        # parse-and-plan time; everything below it is as it always was
+        assert re.fullmatch(
+            r"plan \[scheme=rdfscan zonemaps=no optimize=no\] wall=[0-9.]+ms sim=[0-9.]+ms "
+            r"reads=\d+ hits=\d+ scanned=\d+ joins=\d+ prepare=[0-9.]+ms", header), header
+        assert re.fullmatch(
+            r"buffers: cached_pages=\d+ resident_bytes=\d+ evictions=\d+ reads=\d+ "
+            r"hits=\d+ lazy_materialized=\d+/\d+ lazy_values_loaded=\d+", buffers), buffers
+        profiled = store.sparql(STAR_QUERY, profile=True)
+        assert ([_untimed(line) for line in tree]
+                == [_untimed(line) for line in
+                    profiled.plan.explain(run=profiled.run).splitlines()])
+        assert all(re.search(r"est=\d+ actual=\d+ .*time=[0-9.]+ms pages=\d+", line)
+                   for line in tree), tree
 
     def test_progress_is_monotonic_under_optimized_scheme(self, slow_store):
         options = PlannerOptions(scheme="optimized")

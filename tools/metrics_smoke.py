@@ -123,7 +123,7 @@ def parse_exposition(text: str) -> dict:
 
 def smoke_query_management() -> None:
     """Start a slow query, watch it in /queries, cancel it over HTTP."""
-    # batch_size=1 keeps every next_batch call tiny: the cross-join star
+    # batch_size=1 keeps every batch tiny: the cross-join star
     # (~books^2/authors rows) runs long enough to observe and cancel, and a
     # cancel lands within one (one-row) batch
     config = StoreConfig(
