@@ -165,7 +165,7 @@ def test_trace_overhead(table1_harness, bench_report):
     query = star_lookup_sparql()
     options = PlannerOptions(scheme=OPTIMIZED_SCHEME)
     store.sparql(query, options)  # warm: plan cached, columns resident
-    engine = store.sparql_engine()
+    engine = store.engine()
 
     repeats = 10 if smoke else 30
 
@@ -179,7 +179,7 @@ def test_trace_overhead(table1_harness, bench_report):
             best = mean if best is None else min(best, mean)
         return best
 
-    bare = best_mean_seconds(lambda: engine.query(query, options))
+    bare = best_mean_seconds(lambda: engine.query("sparql", query, options))
     registry = best_mean_seconds(lambda: store.sparql(query, options))
     traced = best_mean_seconds(lambda: store.sparql(query, options, trace=True))
     registry_overhead = registry / max(bare, 1e-12) - 1.0
@@ -210,12 +210,12 @@ def test_plan_cache_speedup(table1_harness, bench_report):
     options = PlannerOptions(scheme=OPTIMIZED_SCHEME)
     rounds = 100
 
-    cached_engine = store.sparql_engine()
+    cached_engine = store.engine()
     store.plan_cache.clear()
-    cached_engine.prepare(query, options)  # prime the cache
+    cached_engine.prepare("sparql", query, options)  # prime the cache
     started = time.perf_counter()
     for _ in range(rounds):
-        cached_engine.prepare(query, options)
+        cached_engine.prepare("sparql", query, options)
     cached_seconds = time.perf_counter() - started
     assert store.plan_cache.stats()["hits"] >= rounds
 

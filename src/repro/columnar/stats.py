@@ -5,14 +5,15 @@ counts, the co-occurrence statistics that make join selectivity between
 triple patterns of the same characteristic set exact (the paper's point:
 knowing that ``isbn_no`` and ``has_author`` co-occur on the same subjects
 makes their "join" hit ratio 1), and — built on top of all of these — the
-:class:`CardinalityEstimator` that the SPARQL planner consults to order
-joins and annotate physical plans with expected row counts.
+:class:`CardinalityEstimator` that the planner consults to order joins and
+annotate physical plans with expected row counts.
 
 The estimator deliberately lives at the columnar layer (below the engine)
 and treats plan objects duck-typed: a *star* is anything with
 ``predicate_oids()``, ``properties`` and ``subject_range``; a *property* is
-anything with ``predicate_oid``, ``object_term`` and ``oid_range``.  This
-keeps the layering acyclic: columnar ← engine ← sparql.
+anything with ``predicate_oid``, ``object_term``, ``oid_range`` and
+``required``.  This keeps the layering acyclic: columnar ← engine ←
+planner.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class ColumnStats:
         hi = self.max_value if high is None else min(high, self.max_value)
         if hi < lo:
             return 0.0
+        if hi == lo:
+            return self.estimate_equality_selectivity()  # SQL's ``column = value``
         return self.not_null_fraction() * (hi - lo + 1) / (span + 1)
 
 
@@ -450,7 +453,10 @@ class CardinalityEstimator:
         return self._star_estimate(star)[1]
 
     def _star_estimate(self, star) -> Tuple[float, float]:
-        predicates = list(star.predicate_oids())
+        # a CS qualifies by the properties the star *requires*; an optional
+        # (SQL nullable) column neither excludes a CS nor filters its rows
+        predicates = ([prop.predicate_oid for prop in star.properties if prop.required]
+                      or star.predicate_oids())
         tables = (self.schema.tables_with_properties(predicates)
                   if self.schema is not None else [])
         if tables:
@@ -502,7 +508,7 @@ class CardinalityEstimator:
             if fraction is not None:
                 return presence * fraction
             return presence * DEFAULT_RANGE_SELECTIVITY
-        return presence
+        return presence if prop.required else 1.0
 
     def _subject_range_fraction(self, cs, subject_range) -> float:
         if not _is_bounded(subject_range):

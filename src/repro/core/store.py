@@ -78,9 +78,10 @@ from ..obs import (
 from ..persist import SnapshotInfo, SnapshotReader, write_snapshot
 from ..rio import parse_rdf
 from ..server import ReadWriteLock, SnapshotRegistry, StoreSession
-from ..server.session import ReadSnapshot
-from ..sparql import PlanCache, PlannerOptions, QueryResult, SparqlEngine, parse_update
-from ..sql import Catalog, SqlEngine, SqlResult
+from ..server.session import ReadSnapshot, query_engine
+from ..planner import PlanCache, PlannerOptions, QueryEngine, QueryResult
+from ..sparql import parse_update
+from ..sql import Catalog
 from ..storage import (
     ClusteredStore,
     ClusteringPlan,
@@ -271,7 +272,7 @@ class RDFStore:
         self.journal = UpdateJournal()
         self.db_path: Optional[Path] = None
         self._context: Optional[ExecutionContext] = None
-        self._sparql_engine: Optional[SparqlEngine] = None
+        self._engine: Optional[QueryEngine] = None
         self._clustered = False
         self.generation = 0
         """Base-structure generation: bumped on every physical rebuild.
@@ -525,7 +526,7 @@ class RDFStore:
         """Build the exhaustive index store and (when clustered) the clustered store.
 
         Rebuilding changes plan validity, so the plan cache and the cached
-        SPARQL engine are dropped alongside the execution context.
+        query engine are dropped alongside the execution context.
         """
         schema = self.schema
         # a rebuild publishes a new immutable base state: bump the generation
@@ -548,7 +549,7 @@ class RDFStore:
                 zone_size=self.config.zone_size,
             )
         self._context = None
-        self._sparql_engine = None
+        self._engine = None
         self.plan_cache.clear()
 
     def _resolve_sort_key_names(self, sort_key_names: Dict[str, str]) -> Dict[int, int]:
@@ -569,7 +570,7 @@ class RDFStore:
         self.clustering_plan = None
         self._clustered = False
         self._context = None
-        self._sparql_engine = None
+        self._engine = None
         self.plan_cache.clear()
         if not keep_schema:
             self.schema = None
@@ -792,7 +793,7 @@ class RDFStore:
                 self.catalog.restore_reduced_schemas(reduced)
             self.delta.attach_schema(self.schema)
         self._context = None
-        self._sparql_engine = None
+        self._engine = None
 
     # -- concurrent access ---------------------------------------------------------------
 
@@ -1046,7 +1047,7 @@ class RDFStore:
             # the assembly store's cached context/engine reference its own
             # (now discarded) registry; rebuild lazily against the survivor
             new_state["_context"] = None
-            new_state["_sparql_engine"] = None
+            new_state["_engine"] = None
             with lock.write_locked():
                 into.__dict__.update(new_state)
                 # only now that the swap is published: drop the registry's
@@ -1121,17 +1122,19 @@ class RDFStore:
 
     # -- querying ----------------------------------------------------------------------
 
-    def sparql_engine(self) -> SparqlEngine:
-        """The store's SPARQL engine (cached, wired to the plan cache).
+    def engine(self) -> QueryEngine:
+        """The store's query engine (cached, wired to the plan cache), serving
+        SPARQL and — once a schema is discovered — SQL.
 
         Reusing one engine across queries lets the plan cache and the
         optimizer's statistics caches amortize; the engine is rebuilt
-        automatically whenever the execution context is invalidated.
+        automatically whenever the execution context is invalidated, which
+        every change of catalog also does.
         """
         context = self.context()
-        if self._sparql_engine is None or self._sparql_engine.context is not context:
-            self._sparql_engine = SparqlEngine(context, plan_cache=self.plan_cache)
-        return self._sparql_engine
+        if self._engine is None or self._engine.context is not context:
+            self._engine = query_engine(context, self.catalog, self.plan_cache)
+        return self._engine
 
     def sparql(self, text: str, options: Optional[PlannerOptions] = None,
                trace: bool = False, profile: bool = False) -> QueryResult:
@@ -1164,7 +1167,7 @@ class RDFStore:
         scheme = (options or PlannerOptions()).scheme
         with self.query_scope(text, "sparql", scheme, trace=trace,
                               profile=profile) as run:
-            return self.sparql_engine().query(text, options, run=run)
+            return self.engine().query("sparql", text, options, run)
 
     def query_scope(self, text: str, frontend: str, scheme: str,
                     source: str = "store", trace: bool = False,
@@ -1193,7 +1196,7 @@ class RDFStore:
             The root :class:`~repro.engine.PhysicalOperator` of the plan,
             annotated with estimated row counts.
         """
-        return self.sparql_engine().prepare(text, options)[1]
+        return self.engine().prepare("sparql", text, options)[1]
 
     def explain(self, text: str, options: Optional[PlannerOptions] = None,
                 analyze: bool = False) -> str:
@@ -1214,7 +1217,8 @@ class RDFStore:
             buffer-pool reads are attributed per operator, and a ``mem=``
             column appears when ``config.profile_memory`` is on).  With
             ``analyze=True`` the header carries the executor's cost and
-            ``prepare=``, the parse plus plan time, and a ``buffers:`` line
+            ``parse=`` and ``plan=`` (both zero when the plan came from the
+            cache), and a ``buffers:`` line
             reports the pool's memory accounting — cached pages, *this
             run's* evictions/reads/hits (the profile's
             :meth:`BufferPool.snapshot_delta`) and how much of a lazily
@@ -1228,9 +1232,10 @@ class RDFStore:
             return header + "\n" + self.sparql_plan(text, options).explain()
         with self.query_scope(text, "sparql", options.scheme, source="explain",
                               profile=True) as run:
-            result = self.sparql_engine().query(text, options, run=run)
+            result = self.engine().query("sparql", text, options, run)
         header += (
-            f" {result.cost.describe()} prepare={run.prepare_seconds * 1e3:.2f}ms"
+            f" {result.cost.describe()} parse={run.parse_seconds * 1e3:.2f}ms"
+            f" plan={run.plan_seconds * 1e3:.2f}ms"
             "\nbuffers: cached_pages={cached_pages} resident_bytes={resident_bytes}"
             " evictions={evictions} reads={page_reads} hits={page_hits}"
             " lazy_materialized={lazy_segments_materialized}/{lazy_segments_registered}"
@@ -1326,7 +1331,7 @@ class RDFStore:
         return self._last_trace
 
     def sql(self, text: str, trace: bool = False,
-            profile: bool = False) -> SqlResult:
+            profile: bool = False) -> QueryResult:
         """Run a SQL query against the emergent relational view.
 
         Args:
@@ -1339,7 +1344,8 @@ class RDFStore:
                 allocation peaks (see :meth:`sparql`).  Implies ``trace``.
 
         Returns:
-            A :class:`SqlResult` with rows, cost and the executed plan.
+            A :class:`QueryResult` with rows, cost and the executed plan; a
+            repeated text is served from the plan cache like SPARQL.
 
         Raises:
             ParseError: when the SQL text cannot be parsed.
@@ -1348,9 +1354,10 @@ class RDFStore:
                 :meth:`cancel`.
         """
         with self.query_scope(text, "sql", "sql", trace=trace, profile=profile) as run:
-            return SqlEngine(self.context(), self.require_catalog()).query(text, run=run)
+            self.require_catalog()
+            return self.engine().query("sql", text, run=run)
 
-    def decode_rows(self, result: QueryResult | SqlResult) -> List[tuple]:
+    def decode_rows(self, result: QueryResult) -> List[tuple]:
         """Decode a query result's OIDs back to Python values.
 
         Args:

@@ -351,22 +351,27 @@ class FilterNotEqualOp(PhysicalOperator):
 
 
 class ProjectOp(PhysicalOperator):
-    """Keep only the named columns."""
+    """Keep only the given columns, each under its output name."""
 
-    def __init__(self, child: PhysicalOperator, variables: Sequence[str]) -> None:
+    def __init__(self, child: PhysicalOperator, columns: Sequence[tuple[str, str]]) -> None:
         self.child = child
-        self.variables = list(variables)
+        self.columns = list(columns)
+        """``(variable, output name)`` pairs; SPARQL outputs a variable
+        under its own name, SQL under the select item's."""
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
     def describe(self) -> str:
-        return f"Project[{', '.join('?' + v for v in self.variables)}]"
+        rendered = (f"?{var}" if var == name else f"?{var} AS {name}" for var, name in self.columns)
+        return f"Project[{', '.join(rendered)}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         for batch in self.child.batches(context):
-            yield Batch(batch.table.project(self.variables), batch.valid)
+            table = batch.table
+            yield Batch(BindingTable({name: table.column(var) for var, name in self.columns}),
+                        batch.valid)
 
 
 class DistinctOp(PhysicalOperator):

@@ -181,8 +181,9 @@ class QueryProfile(QueryTrace):
 
     # -- results ---------------------------------------------------------------
 
-    def finish(self, total_seconds: float) -> None:
-        super().finish(total_seconds)
+    def finish(self, total_seconds: float, parse_seconds: float = 0.0,
+               plan_seconds: float = 0.0) -> None:
+        super().finish(total_seconds, parse_seconds, plan_seconds)
         if self.pool is not None and self._mark is not None:
             self.buffers = self.pool.snapshot_delta(self._mark)
         self._stop_tracemalloc()

@@ -7,7 +7,7 @@ multi-tenant server needs to see — who is running what, under which plan
 scheme, since when, how far along it is, and whether someone asked it to
 stop.  The :class:`ActiveQuery` handle is also *the* per-run object: a
 physical plan is an immutable template, and everything one execution of it
-produces — per-operator row counts, residual-subject counts, prepare and
+produces — per-operator row counts, residual-subject counts, parse, plan and
 execution time, an optional :class:`~repro.obs.QueryTrace` — lives on the
 handle the engine carries in the context's one observation slot
 (``context.run``).  ``PhysicalOperator.batches`` checks ``run.enabled``
@@ -63,7 +63,7 @@ class ActiveQuery:
 
     __slots__ = ("query_id", "text", "frontend", "scheme", "source",
                  "started_at", "cancel_requested", "cancel_reason",
-                 "trace", "prepare_seconds", "total_seconds", "residuals",
+                 "trace", "parse_seconds", "plan_seconds", "total_seconds", "residuals",
                  "_started_perf", "_pool", "_buffers_mark", "_tallies",
                  "_est_by_op", "_plan", "_current_op", "_progress_peak")
 
@@ -80,8 +80,11 @@ class ActiveQuery:
         self.cancel_reason = ""
         self.trace = trace
         """The run's :class:`~repro.obs.QueryTrace` (or profile), if any."""
-        self.prepare_seconds = 0.0
-        """Parse plus plan time (about zero on a plan-cache hit)."""
+        self.parse_seconds = 0.0
+        """Query text to AST; zero on a plan-cache hit."""
+        self.plan_seconds = 0.0
+        """AST to annotated physical plan (lowering, push-down, ordering,
+        estimates); zero on a plan-cache hit."""
         self.total_seconds = 0.0
         """Wall time of the plan's execution, set by the executor."""
         self.residuals: Dict[object, int] = {}
@@ -135,11 +138,16 @@ class ActiveQuery:
         """Batches the plan's root has emitted so far."""
         return self._tallies.get(self._plan, _NO_TALLY)[1]
 
+    @property
+    def prepare_seconds(self) -> float:
+        """Parse plus plan time (zero on a plan-cache hit)."""
+        return self.parse_seconds + self.plan_seconds
+
     def executed(self, seconds: float) -> None:
         """The executor's wall time for the plan; completes the trace."""
         self.total_seconds = seconds
         if self.trace is not None:
-            self.trace.finish(seconds)
+            self.trace.finish(seconds, self.parse_seconds, self.plan_seconds)
 
     def raise_cancelled(self) -> None:
         """Raise the typed cancellation error (executing thread only)."""

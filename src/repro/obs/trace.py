@@ -89,6 +89,9 @@ class QueryTrace:
         self._stack: List[TraceSpan] = []
         self.started_at = time.time()
         self.total_seconds = 0.0
+        self.parse_seconds = 0.0
+        self.plan_seconds = 0.0
+        """What came before the operators ran; both zero on a plan-cache hit."""
 
     # -- span protocol (driven by PhysicalOperator.batches) --------------------
 
@@ -139,13 +142,18 @@ class QueryTrace:
     def span_for(self, op: object) -> Optional[TraceSpan]:
         return self._spans.get(id(op))
 
-    def finish(self, total_seconds: float) -> None:
+    def finish(self, total_seconds: float, parse_seconds: float = 0.0,
+               plan_seconds: float = 0.0) -> None:
         self.total_seconds = total_seconds
+        self.parse_seconds = parse_seconds
+        self.plan_seconds = plan_seconds
 
     def as_dict(self) -> dict:
         return {
             "started_at": self.started_at,
             "total_seconds": self.total_seconds,
+            "parse_seconds": self.parse_seconds,
+            "plan_seconds": self.plan_seconds,
             "root": self.root.as_dict() if self.root is not None else None,
         }
 
@@ -161,6 +169,8 @@ class QueryTrace:
             return ""
         top = sorted(self._spans.values(), key=lambda s: s.self_seconds,
                      reverse=True)[:3]
-        parts = [f"{s.label.split('[')[0].strip()}={s.self_seconds * 1000.0:.2f}ms"
-                 for s in top]
+        parts = [f"parse={self.parse_seconds * 1000.0:.2f}ms",
+                 f"plan={self.plan_seconds * 1000.0:.2f}ms"]
+        parts.extend(f"{s.label.split('[')[0].strip()}={s.self_seconds * 1000.0:.2f}ms"
+                     for s in top)
         return " ".join(parts)

@@ -1,0 +1,188 @@
+"""The one query engine: prepare (cache → parse → lower → plan) and run.
+
+A front end contributes a parser and a lowering (:class:`Frontend`);
+everything after the :class:`~repro.planner.LogicalQuery` — planning, the
+plan cache, estimates, execution, the result — is shared.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+
+from ..columnar import QueryCost
+from ..engine import BindingTable, ExecutionContext, PhysicalOperator, execute_plan
+from ..obs import NULL_ACTIVE_QUERY
+from .logical import LogicalQuery
+from .optimizer import PlanCache
+from .planner import Planner, PlannerOptions
+
+
+class Frontend(NamedTuple):
+    """What a query language brings to the engine."""
+
+    name: str
+    """``sparql`` or ``sql``: the registry / metrics label and part of the
+    plan-cache key."""
+    parse: Callable[[str], object]
+    """Query text to the front end's AST; raises ``ParseError``."""
+    lower: Callable[[object, ExecutionContext], LogicalQuery]
+    """AST to logical form: name resolution and OID translation."""
+    options: PlannerOptions
+    """The plan scheme used when a caller names none."""
+
+
+@dataclass
+class QueryResult:
+    """Result of a query execution: bindings, cost and the plan used.
+
+    ``plan`` may be shared between results when the plan cache is active
+    (repeating a query reuses the cached plan object); a plan is an
+    immutable template and records nothing about any execution.  What this
+    execution observed is on ``run``, its :class:`repro.obs.ActiveQuery`
+    (the shared no-op run for a bare-engine execution): per-operator actual
+    rows, which ``plan.explain(run=result.run)`` renders, residual counts,
+    parse, plan and execution time.  ``trace`` is the run's
+    :class:`repro.obs.QueryTrace` when it was traced, otherwise ``None``.
+    """
+
+    bindings: BindingTable
+    cost: QueryCost
+    plan: PhysicalOperator
+    columns: List[str]
+    run: object = NULL_ACTIVE_QUERY
+
+    @property
+    def trace(self) -> Optional[object]:
+        return self.run.trace
+
+    def rows(self) -> List[tuple]:
+        """OID/value rows in column order."""
+        arrays = [self.bindings.column(name) for name in self.columns]
+        return [tuple(array[i].item() for array in arrays) for i in range(self.bindings.num_rows)]
+
+    def decoded_rows(self, context: ExecutionContext) -> List[tuple]:
+        """Rows with OIDs decoded back to Python values (floats stay floats)."""
+        out = []
+        for row in self.rows():
+            decoded = []
+            for value in row:
+                if isinstance(value, float):
+                    decoded.append(value)
+                else:
+                    decoded.append(context.decoder.python_value(int(value)))
+            out.append(tuple(decoded))
+        return out
+
+    def __len__(self) -> int:
+        return self.bindings.num_rows
+
+
+class QueryEngine:
+    """Prepare and execute queries of any registered front end against one
+    :class:`ExecutionContext`.
+
+    An optional :class:`PlanCache` makes repeated queries skip parsing,
+    lowering and planning.  :class:`~repro.core.RDFStore` holds one engine
+    per context, wired to its cache, and clears that cache when the data
+    changes.
+    """
+
+    def __init__(self, context: ExecutionContext, frontends: Iterable[Frontend],
+                 plan_cache: Optional[PlanCache] = None) -> None:
+        self.context = context
+        self.frontends = {frontend.name: frontend for frontend in frontends}
+        self.plan_cache = plan_cache
+
+    @cached_property
+    def planner(self) -> Planner:
+        """Built on the first cache miss: a snapshot pinned for one cached
+        query never plans."""
+        return Planner(self.context)
+
+    def prepare(self, frontend: str, text: str, options: Optional[PlannerOptions] = None,
+                run=NULL_ACTIVE_QUERY) -> Tuple[LogicalQuery, PhysicalOperator]:
+        """Parse, lower and plan a query without executing it.
+
+        Args:
+            frontend: name of a registered front end.
+            text: the query text.
+            options: plan scheme configuration; ``None`` selects the front
+                end's own.
+            run: the execution this is for, if any: on a cache miss it is
+                told the parse and the plan (lower + plan) time.
+
+        Returns:
+            The logical query and the physical plan root; both come from
+            the plan cache when one is attached and has them.
+
+        Raises:
+            ParseError: when the text is not in the front end's subset.
+            SchemaError: when SQL names an unknown table, column or join.
+            PlanError: when the options name an unknown plan scheme.
+        """
+        front = self.frontends[frontend]
+        options = options or front.options
+        key = None
+        if self.plan_cache is not None:
+            key = PlanCache.make_key(frontend, text, options)
+            cached = self.plan_cache.lookup(key)
+            if cached is not None:
+                return cached
+        started = time.perf_counter()
+        parsed = front.parse(text)
+        planning = time.perf_counter()
+        prepared = self.plan_parsed(frontend, parsed, options)
+        if run.enabled:
+            run.parse_seconds = planning - started
+            run.plan_seconds = time.perf_counter() - planning
+        if key is not None:
+            self.plan_cache.insert(key, prepared)
+        return prepared
+
+    def plan_parsed(self, frontend: str, parsed: object,
+                    options: PlannerOptions) -> Tuple[LogicalQuery, PhysicalOperator]:
+        """Lower and plan an already-parsed query (no cache involved)."""
+        logical = self.frontends[frontend].lower(parsed, self.context)
+        return logical, self.planner.plan(logical, options)
+
+    def query(self, frontend: str, text: str, options: Optional[PlannerOptions] = None,
+              run=NULL_ACTIVE_QUERY) -> QueryResult:
+        """Prepare and execute a query.
+
+        Args:
+            run: the execution's :class:`repro.obs.ActiveQuery`; the run
+                accounts per-operator rows into it, honours its
+                cooperative-cancellation flag, records spans into its trace
+                if it has one, and the result carries it back.  The default
+                runs unobserved.
+
+        Returns:
+            A :class:`QueryResult` with OID bindings, measured cost, the
+            executed plan and the run.
+
+        Raises:
+            What :meth:`prepare` raises, and
+            ExecutionError: when the plan requires a store that is not built.
+            QueryCancelledError: when ``run`` was cancelled mid-run.
+        """
+        return self._execute(self.prepare(frontend, text, options, run), run)
+
+    def query_parsed(self, frontend: str, parsed: object) -> QueryResult:
+        """Plan and execute an already-parsed query, bypassing the plan cache.
+
+        Used by the update subsystem (``DELETE WHERE`` evaluates its pattern
+        block as a SELECT) and by callers that build ASTs programmatically.
+        """
+        return self._execute(
+            self.plan_parsed(frontend, parsed, self.frontends[frontend].options),
+            NULL_ACTIVE_QUERY)
+
+    def _execute(self, prepared: Tuple[LogicalQuery, PhysicalOperator], run) -> QueryResult:
+        logical, plan = prepared
+        context = self.context.with_run(run) if run.enabled else self.context
+        bindings, cost = execute_plan(plan, context)
+        return QueryResult(bindings=bindings, cost=cost, plan=plan,
+                           columns=logical.output_names(), run=run)

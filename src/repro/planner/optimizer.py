@@ -1,7 +1,6 @@
 """Cost-based join ordering, plan annotation and the LRU plan cache.
 
-This module is the optimizer layer the seed left on the table: the planner
-groups triple patterns into stars, but enumerated them in query order.  The
+The heuristic planner orders stars by counting constraints.  The
 :class:`QueryOptimizer` replaces that with cardinality-driven ordering:
 
 * per-star cardinalities come from :class:`~repro.columnar.CardinalityEstimator`
@@ -17,10 +16,10 @@ groups triple patterns into stars, but enumerated them in query order.  The
   cardinalities.  (Hash-join build sides need no plan-time decision: the
   executor's ``hash_join`` builds on whichever input is actually smaller.)
 
-The :class:`PlanCache` keeps recently planned queries keyed on their
-normalized text plus planner options, so repeated queries skip parsing and
-planning entirely; the store invalidates it whenever data or physical
-organization changes.
+The :class:`PlanCache` keeps recently planned queries keyed on their front
+end, normalized text and planner options, so repeated queries — SPARQL or
+SQL — skip parsing and planning entirely; the store invalidates it whenever
+data or physical organization changes.
 """
 
 from __future__ import annotations
@@ -255,7 +254,7 @@ class QueryOptimizer:
                 return 1.0
             return child_estimates[0]
         if len(child_estimates) == 1:
-            return child_estimates[0]  # projection, distinct, ordering, rename…
+            return child_estimates[0]  # projection, distinct, ordering…
         if not child_estimates:
             return est.total_triples()
         return max(child_estimates)
@@ -279,27 +278,35 @@ class QueryOptimizer:
 
 
 class PlanCache:
-    """LRU cache of prepared (parsed + planned) queries.
+    """LRU cache of prepared (parsed, lowered and planned) queries.
 
-    Keys are built from the *normalized* query text (whitespace collapsed
-    outside quoted literals, so reformatting a query still hits while
-    ``"a b"`` and ``"a  b"`` stay distinct) plus the planner options, which
-    are part of plan identity: the same text planned under ``default`` and
-    ``optimized`` schemes yields different physical plans.
+    Keys are built from the front end, the *normalized* query text
+    (whitespace collapsed outside quoted literals, so reformatting a query
+    still hits while ``"a b"`` and ``"a  b"`` stay distinct) and the planner
+    options, which are part of plan identity: the same text planned under
+    ``default`` and ``optimized`` schemes yields different physical plans,
+    and the same string may be valid SPARQL and valid SQL.
 
-    The cache stores ``(SelectQuery, PhysicalOperator)`` pairs — a hit skips
-    parsing *and* planning.  Plans are immutable templates: a run keeps its
-    state in its operators' generator frames and what it observes on its
-    own :class:`repro.obs.ActiveQuery`, so any number of snapshots may
-    execute one cached plan at the same time.  The owning store clears the
-    cache whenever data is loaded or the physical organization is rebuilt.
+    The cache stores ``(LogicalQuery, PhysicalOperator)`` pairs — a hit
+    skips parsing, lowering *and* planning.  Plans are immutable templates:
+    a run keeps its state in its operators' generator frames and what it
+    observes on its own :class:`repro.obs.ActiveQuery`, so any number of
+    snapshots may execute one cached plan at the same time.
+
+    A plan is valid for one state of the data: it embeds constant OIDs and
+    zone-map push-downs, and a SQL plan also whether a write was pending
+    when it was made (columns are nullable under a pending delta).  That is
+    safe because the owning store clears the cache on every write
+    (``_after_write``), ``compact``, reload and rebuild (``_invalidate``,
+    ``build_indexes``), and the snapshot registry hands each (generation,
+    delta version) pair a cache of its own.
 
     :meth:`clear` resets the per-organization counters; the ``lifetime_*``
     counters survive clears, so monitoring sees cache effectiveness across
     the whole store lifetime rather than only since the last write.
     """
 
-    _QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+    _QUOTED = re.compile(r""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'""")
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 0:
@@ -325,12 +332,12 @@ class PlanCache:
         indistinguishable from the store that was saved."""
 
     @staticmethod
-    def make_key(text: str, options) -> tuple:
-        """Cache key: normalized query text plus planner options.
+    def make_key(frontend: str, text: str, options) -> tuple:
+        """Cache key: front end, normalized query text, planner options.
 
-        Whitespace is collapsed only *outside* quoted string literals —
-        whitespace inside a literal is data and must keep distinct queries
-        distinct.
+        Whitespace is collapsed only *outside* quoted string literals
+        (SPARQL's ``"…"``, SQL's ``'…'``) — whitespace inside a literal is
+        data and must keep distinct queries distinct.
         """
         parts = []
         last = 0
@@ -339,7 +346,7 @@ class PlanCache:
             parts.append(match.group(0))
             last = match.end()
         parts.append(" ".join(text[last:].split()))
-        return (" ".join(part for part in parts if part), options)
+        return (frontend, " ".join(part for part in parts if part), options)
 
     def lookup(self, key: tuple):
         """Return the cached entry (refreshing recency) or ``None``."""

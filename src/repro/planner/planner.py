@@ -1,0 +1,329 @@
+"""The one planner: lowers a :class:`LogicalQuery` to a physical plan.
+
+Both front ends end here.  Three plan schemes are supported; the first two
+reproduce the two halves of Table I, the third adds the cost-based layer:
+
+* ``default`` — every star property becomes an index scan against the
+  exhaustive permutation store; the properties of one star are combined
+  with nested-loop index joins (one join per additional property), stars
+  and loose patterns with hash joins;
+* ``rdfscan`` — each star is handed to a single RDFscan; stars connected
+  over a discovered foreign key become RDFjoins fed by the upstream star;
+  stars are ordered by a constraint-counting heuristic;
+* ``optimized`` — the RDFscan/RDFjoin physical algebra, but the star order
+  is chosen by the cost-based :class:`~repro.planner.QueryOptimizer` from
+  estimated cardinalities (CS statistics, column statistics, exact index
+  counts).
+
+Every finished plan is *annotated* with estimated row counts, so
+``explain()`` shows estimated vs. actual cardinalities after execution.
+
+With zone maps enabled and a clustered store present, the stars' range
+predicates are pushed *across* foreign keys using the CS blocks' zone maps,
+reproducing the paper's cross-table date restriction on RDF-H Q3 — for
+either front end.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional
+
+from ..errors import PlanError
+from ..engine import (
+    AggregateOp,
+    BindingTable,
+    DistinctOp,
+    ExecutionContext,
+    HashJoinOp,
+    IndexScanOp,
+    LimitOp,
+    MaterializedOp,
+    NestedLoopIndexJoinOp,
+    OrderByOp,
+    PatternTerm,
+    PhysicalOperator,
+    ProjectOp,
+    RDFJoinOp,
+    RDFScanOp,
+    StarPattern,
+    StarProperty,
+    TriplePatternPlan,
+    fk_range_from_zonemap,
+    subject_range_for_property_range,
+)
+from ..engine.operators import FilterNotEqualOp
+from .logical import LogicalQuery
+from .optimizer import QueryOptimizer
+
+DEFAULT_SCHEME = "default"
+RDFSCAN_SCHEME = "rdfscan"
+OPTIMIZED_SCHEME = "optimized"
+
+_SCHEMES = (DEFAULT_SCHEME, RDFSCAN_SCHEME, OPTIMIZED_SCHEME)
+
+
+@dataclass(frozen=True)
+class PlannerOptions:
+    """Plan-scheme configuration (one row of Table I, plus the optimizer).
+
+    Attributes:
+        scheme: ``default``, ``rdfscan`` or ``optimized`` (cost-based star
+            ordering).
+        use_zone_maps: enable zone-map pruning and cross-FK range push-down.
+    """
+
+    scheme: str = RDFSCAN_SCHEME
+    use_zone_maps: bool = False
+
+    def describe(self) -> str:
+        return f"scheme={self.scheme} zonemaps={'yes' if self.use_zone_maps else 'no'}"
+
+
+def _is_bounded(oid_range) -> bool:
+    return oid_range is not None and not oid_range.is_unbounded()
+
+
+class Planner:
+    """Translates :class:`LogicalQuery` forms into physical plans."""
+
+    def __init__(self, context: ExecutionContext) -> None:
+        self.context = context
+        self.optimizer = QueryOptimizer(context)
+        """Shared across the queries of this context, so the estimator's
+        lazily computed column statistics amortize."""
+
+    # -- public entry point -----------------------------------------------------
+
+    def plan(self, logical: LogicalQuery, options: PlannerOptions) -> PhysicalOperator:
+        """Lower a logical query to an executable physical plan.
+
+        Push-down, star order, star assembly, filters, solution modifiers,
+        annotation — in that order, whichever front end the query came from.
+
+        Returns:
+            The root :class:`PhysicalOperator`, annotated with estimated
+            row counts.
+
+        Raises:
+            PlanError: when the options name an unknown plan scheme.
+        """
+        if options.scheme not in _SCHEMES:
+            raise PlanError(f"unknown plan scheme {options.scheme!r}")
+        if logical.empty is not None:
+            root = MaterializedOp(BindingTable.empty(logical.modifier_variables()),
+                                  label=f"empty ({logical.empty})")
+        else:
+            root = self._join_patterns(logical, options)
+        for var, oid in logical.not_equal:
+            root = FilterNotEqualOp(root, var, oid)
+        root = self._apply_solution_modifiers(root, logical)
+        self.optimizer.annotate(root)
+        return root
+
+    def _join_patterns(self, logical: LogicalQuery, options: PlannerOptions) -> PhysicalOperator:
+        stars, scheme = logical.stars, options.scheme
+        if scheme == DEFAULT_SCHEME:
+            # The baseline's shape is the query's own: its constants and FILTER
+            # ranges decide the order before zone maps narrow anything.
+            ordered = self._order_baseline(stars)
+        if (options.use_zone_maps and self.context.has_clustered_store()
+                and not self.context.has_pending_delta()):
+            # Zone-map-derived subject/FK ranges describe the immutable base
+            # columns only; with pending writes they could exclude delta rows,
+            # so push-down pauses until the next compaction.
+            self._apply_zone_map_pushdown(stars)
+        if scheme == OPTIMIZED_SCHEME:
+            ordered = self.optimizer.order_stars(stars)
+        elif scheme == RDFSCAN_SCHEME:
+            ordered = self._order_stars(stars)
+
+        root: Optional[PhysicalOperator] = None
+        planned_vars: set[str] = set()
+        for star in ordered:
+            if scheme == DEFAULT_SCHEME:
+                root = self._hash_join(root, self._index_star(star), planned_vars,
+                                       star.output_variables())
+            elif root is None:
+                root = RDFScanOp(star, use_zone_maps=options.use_zone_maps)
+            elif star.subject_var in planned_vars:
+                root = RDFJoinOp(root, star, use_zone_maps=options.use_zone_maps)
+            else:
+                root = self._connect_star(root, star, planned_vars, options)
+            planned_vars.update(star.output_variables())
+        for pattern, object_range in logical.loose:
+            root = self._hash_join(root, IndexScanOp(pattern, object_range=object_range),
+                                   planned_vars, pattern.variables())
+            planned_vars.update(pattern.variables())
+        return root
+
+    @staticmethod
+    def _hash_join(root: Optional[PhysicalOperator], plan: PhysicalOperator,
+                   planned_vars: set[str], plan_vars: List[str]) -> PhysicalOperator:
+        """``plan`` hash-joined into the running plan on the variables they share."""
+        if root is None:
+            return plan
+        return HashJoinOp(root, plan, join_vars=sorted(planned_vars & set(plan_vars)) or None)
+
+    # -- RDFscan / RDFjoin schemes ------------------------------------------------------
+
+    def _connect_star(self, root: PhysicalOperator, star: StarPattern, planned_vars: set[str],
+                      options: PlannerOptions) -> PhysicalOperator:
+        """Join a star whose subject is not yet bound into the running plan.
+
+        The Fig. 4(b) case: when the star references an already-planned star
+        through one of its properties (``?s prop4 ?s2`` with ``?s2`` bound),
+        that property is scanned on its own, joined with the plan so far to
+        obtain candidate subjects, and the *rest* of the star is evaluated by
+        RDFjoin over those candidates.  Otherwise the whole star is RDFscanned
+        and hash-joined on the shared variables.
+        """
+        linking = next((prop for prop in star.properties
+                        if prop.object_term.is_variable and prop.object_term.var in planned_vars),
+                       None)
+        remaining = [prop for prop in star.properties if prop is not linking]
+        if linking is not None and remaining:
+            link_scan = IndexScanOp(_property_pattern(star, linking),
+                                    object_range=linking.oid_range,
+                                    subject_range=star.subject_range)
+            joined = HashJoinOp(root, link_scan, join_vars=[linking.object_term.var])
+            rest = StarPattern(subject_var=star.subject_var, properties=remaining,
+                               subject_range=star.subject_range)
+            return RDFJoinOp(joined, rest, use_zone_maps=options.use_zone_maps)
+        scan = RDFScanOp(star, use_zone_maps=options.use_zone_maps)
+        return self._hash_join(root, scan, planned_vars, star.output_variables())
+
+    def _order_stars(self, star_patterns: Dict[str, StarPattern]) -> List[StarPattern]:
+        """Plan constrained stars first, then stars reachable from planned ones."""
+
+        def constraint_score(star: StarPattern) -> int:
+            # constrained stars first; among equally constrained ones prefer the
+            # wider star so that narrow satellite stars become RDFjoins fed by it
+            score = len(star.properties)
+            for prop in star.properties:
+                if not prop.object_term.is_variable:
+                    score += 20
+                if _is_bounded(prop.oid_range):
+                    score += 20
+            if _is_bounded(star.subject_range):
+                score += 20
+            return score
+
+        remaining = dict(star_patterns)
+        ordered: List[StarPattern] = []
+        available_vars: set[str] = set()
+        while remaining:
+            # prefer a star whose subject is already bound (enables RDFjoin), then
+            # any star connected to the plan so far, then the most constrained one
+            def connectivity(star: StarPattern) -> int:
+                if star.subject_var in available_vars:
+                    return 0
+                if available_vars & set(star.output_variables()):
+                    return 1
+                return 2 if available_vars else 1
+
+            chosen = min(remaining.values(),
+                         key=lambda s: (connectivity(s), -constraint_score(s), s.subject_var))
+            ordered.append(chosen)
+            available_vars.update(chosen.output_variables())
+            del remaining[chosen.subject_var]
+        return ordered
+
+    def _apply_zone_map_pushdown(self, star_patterns: Dict[str, StarPattern]) -> None:
+        """Derive subject ranges from sorted columns and push them across FKs."""
+        store = self.context.clustered_store
+        block_of_star: Dict[str, object] = {}
+        for subject_var, star in star_patterns.items():
+            blocks = store.blocks_with_properties(star.predicate_oids())
+            if len(blocks) == 1:
+                block_of_star[subject_var] = blocks[0]
+
+        # pass 1: subject ranges from range predicates over sub-ordered columns
+        for subject_var, star in star_patterns.items():
+            block = block_of_star.get(subject_var)
+            if block is None:
+                continue
+            for prop in star.properties:
+                if not _is_bounded(prop.oid_range):
+                    continue
+                derived = subject_range_for_property_range(block, prop.predicate_oid, prop.oid_range)
+                if derived is not None:
+                    star.subject_range = derived if star.subject_range is None \
+                        else star.subject_range.intersect(derived)
+
+        # pass 2: push ranges across foreign keys, in both directions
+        for subject_var, star in star_patterns.items():
+            block = block_of_star.get(subject_var)
+            for prop in star.properties:
+                if not prop.object_term.is_variable:
+                    continue
+                target = star_patterns.get(prop.object_term.var)
+                if target is None or target is star:
+                    continue
+                # (a) the referenced star's subject range restricts this FK column
+                if _is_bounded(target.subject_range):
+                    prop.oid_range = target.subject_range if prop.oid_range is None \
+                        else prop.oid_range.intersect(target.subject_range)
+                # (b) a range predicate on this star, via zone maps, bounds the FK values
+                if block is not None:
+                    for other in star.properties:
+                        if other is prop or not _is_bounded(other.oid_range):
+                            continue
+                        fk_bounds = fk_range_from_zonemap(block, other.predicate_oid, other.oid_range,
+                                                          prop.predicate_oid)
+                        if fk_bounds is not None:
+                            target.subject_range = fk_bounds if target.subject_range is None \
+                                else target.subject_range.intersect(fk_bounds)
+
+    # -- default scheme --------------------------------------------------------------------
+
+    @staticmethod
+    def _order_baseline(star_patterns: Dict[str, StarPattern]) -> List[StarPattern]:
+        """Most selective property first within each star (constant, then
+        range, then unconstrained), most constrained star first; ties keep
+        query order."""
+
+        def rank(prop: StarProperty) -> int:
+            if not prop.object_term.is_variable:
+                return 0
+            return 1 if _is_bounded(prop.oid_range) else 2
+
+        for star in star_patterns.values():
+            star.properties.sort(key=rank)
+        return sorted(star_patterns.values(),
+                      key=lambda star: -sum((3, 2, 0)[rank(prop)] for prop in star.properties))
+
+    @staticmethod
+    def _index_star(star: StarPattern) -> PhysicalOperator:
+        """Index scan for the first property, nested-loop index joins for
+        every further one — the plan shape of Fig. 4 (left side)."""
+        first, *rest = star.properties
+        root: PhysicalOperator = IndexScanOp(_property_pattern(star, first),
+                                             object_range=first.oid_range,
+                                             subject_range=star.subject_range)
+        for prop in rest:
+            root = NestedLoopIndexJoinOp(root, _property_pattern(star, prop),
+                                         object_range=prop.oid_range)
+        return root
+
+    # -- solution modifiers ------------------------------------------------------------
+
+    @staticmethod
+    def _apply_solution_modifiers(root: PhysicalOperator, logical: LogicalQuery) -> PhysicalOperator:
+        if logical.aggregates:
+            root = AggregateOp(root, group_vars=logical.group_vars, aggregates=logical.aggregates)
+        elif logical.distinct:
+            root = DistinctOp(ProjectOp(root, [(var, var) for var, _name in logical.output]))
+        if logical.order_by:
+            root = OrderByOp(root, logical.order_by)
+        if logical.limit is not None:
+            root = LimitOp(root, logical.limit)
+        if logical.output:
+            root = ProjectOp(root, logical.output)
+        return root
+
+
+def _property_pattern(star: StarPattern, prop: StarProperty) -> TriplePatternPlan:
+    """One star property as a triple pattern: ``?subject <predicate> object``."""
+    return TriplePatternPlan(PatternTerm.variable(star.subject_var),
+                             PatternTerm.constant(prop.predicate_oid), prop.object_term)

@@ -26,8 +26,7 @@ from typing import List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import default_registry, render_prometheus
-from ..sparql import PlannerOptions, QueryResult
-from ..sql import SqlResult
+from ..planner import PlannerOptions, QueryResult
 from .session import ReadSnapshot, StoreSession
 
 
@@ -186,7 +185,7 @@ class QueryServer:
         """Queue one SPARQL query; resolve to its result."""
         return self._pool.submit(self.service.query, text, options, decode)
 
-    def submit_sql(self, text: str, decode: bool = False) -> "Future[SqlResult]":
+    def submit_sql(self, text: str, decode: bool = False) -> "Future[QueryResult]":
         """Queue one SQL query; resolve to its result."""
         return self._pool.submit(self.service.sql, text, decode)
 

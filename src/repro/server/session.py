@@ -11,10 +11,11 @@ bundles everything a query needs to run against exactly that state:
   clones dictionary/schema before compaction whenever snapshots are open;
 * a :class:`~repro.updates.FrozenDelta` view of the pending writes —
   an immutable copy the live delta's later mutations cannot touch;
-* a private :class:`~repro.engine.ExecutionContext` and SPARQL/SQL engines
-  wired to those references — cheap to create: a context holds no index of
-  its own (the literal order index that range predicates resolve through
-  belongs to the pinned dictionary and is shared with the live store).
+* a private :class:`~repro.engine.ExecutionContext` and one query engine
+  (SPARQL and SQL) wired to those references — cheap to create: a context
+  holds no index of its own (the literal order index that range predicates
+  resolve through belongs to the pinned dictionary and is shared with the
+  live store).
 
 Acquisition happens under the store's shared (read) lock and is cheap: the
 frozen delta is built once per delta version and cached by the
@@ -36,8 +37,18 @@ from typing import Dict, List, Optional, Tuple
 
 from ..engine import ExecutionContext
 from ..errors import StorageError
-from ..sparql import PlanCache, PlannerOptions, QueryResult, SparqlEngine
-from ..sql import SqlEngine, SqlResult
+from ..planner import PlanCache, PlannerOptions, QueryEngine, QueryResult
+from ..sparql import SPARQL_FRONTEND
+from ..sql import sql_frontend
+
+
+def query_engine(context: ExecutionContext, catalog, plan_cache: Optional[PlanCache]) -> QueryEngine:
+    """The engine over one context: SPARQL, and SQL once a schema (hence a
+    catalog) exists.  The live store and every snapshot build theirs here."""
+    frontends = [SPARQL_FRONTEND]
+    if catalog is not None:
+        frontends.append(sql_frontend(catalog))
+    return QueryEngine(context, frontends, plan_cache)
 
 
 class ReadSnapshot:
@@ -63,7 +74,7 @@ class ReadSnapshot:
         """The live delta object the pin was taken on — captured so release
         still reaches it if the store is later re-pointed in place
         (``RDFStore.open(into=...)`` swaps the store's delta object)."""
-        self._engine = SparqlEngine(context, plan_cache=plan_cache)
+        self._engine = query_engine(context, catalog, plan_cache)
         """The plan cache is shared by every snapshot of the *same* version
         pair (the registry rotates it when the version moves), so a serving
         window between writes amortizes parse + plan across readers.  The
@@ -122,16 +133,16 @@ class ReadSnapshot:
         scheme = (options or PlannerOptions()).scheme
         with self._store.query_scope(text, "sparql", scheme, source="snapshot",
                                      profile=profile) as run:
-            return self._engine.query(text, options, run=run)
+            return self._engine.query("sparql", text, options, run)
 
-    def sql(self, text: str, profile: bool = False) -> SqlResult:
+    def sql(self, text: str, profile: bool = False) -> QueryResult:
         """Run a SQL query against the pinned state's emergent schema."""
         self._require_open()
         if self.catalog is None:
             raise StorageError("catalog not available; the store had no discovered schema")
         with self._store.query_scope(text, "sql", "sql", source="snapshot",
                                      profile=profile) as run:
-            return SqlEngine(self.context, self.catalog).query(text, run=run)
+            return self._engine.query("sql", text, run=run)
 
     def decode_rows(self, result) -> List[tuple]:
         """Decode a result's OIDs with the *pinned* dictionary.

@@ -1,7 +1,8 @@
-"""SQL view over the emergent relational schema."""
+"""SQL front end: the relational catalog over the emergent schema, the
+parser, and the lowering of SQL to the shared logical form."""
 
 from .catalog import Catalog, CatalogColumn, CatalogTable, ID_COLUMN
-from .engine import SqlEngine, SqlResult
+from .engine import SqlEngine, SqlResult, sql_frontend
 from .parser import ColumnRef, SelectItem, SqlConstant, SqlJoin, SqlPredicate, SqlQuery, parse_sql
 
 __all__ = [
@@ -18,4 +19,5 @@ __all__ = [
     "SqlQuery",
     "SqlResult",
     "parse_sql",
+    "sql_frontend",
 ]

@@ -119,7 +119,7 @@ class UpdateApplier:
 
         query = SelectQuery(select_variables=list(variables),
                             patterns=list(operation.patterns))
-        bindings = self.store.sparql_engine().query_parsed(query)
+        bindings = self.store.engine().query_parsed("sparql", query)
         matches: Set[Tuple[int, int, int]] = set()
         for row in bindings.rows():
             binding = dict(zip(variables, (int(v) for v in row)))

@@ -8,6 +8,16 @@ private copies.
 
 from __future__ import annotations
 
+from repro import RDFStore, StoreConfig
+from repro.bench import (
+    DblpConfig,
+    TpchConfig,
+    generate_dblp,
+    generate_tpch,
+    sub_order_keys,
+    tpch_to_triples,
+)
+from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.model import IRI, Literal, Triple
 from repro.model.terms import RDF_TYPE, XSD_INTEGER
 
@@ -34,3 +44,38 @@ def book_triples(books: int = 30, authors: int = 5, with_irregular: bool = True)
         triples.append(Triple(page, IRI(f"{EX}url"), Literal("index.php")))
         triples.append(Triple(page, IRI(f"{EX}content"), Literal("content.php")))
     return triples
+
+
+# -- the canonical stores (session fixtures in ``conftest``; also built by the
+#    golden-plan generator, which runs outside pytest) ---------------------------------
+
+
+def small_graph_config() -> StoreConfig:
+    """Permissive discovery so small graphs keep their CSs."""
+    return StoreConfig(discovery=DiscoveryConfig(
+        generalization=GeneralizationConfig(min_support=3)))
+
+
+def build_book_store() -> RDFStore:
+    return RDFStore.build(book_triples(), config=small_graph_config())
+
+
+def build_dblp_store() -> RDFStore:
+    return RDFStore.build(generate_dblp(DblpConfig(papers=120, conferences=8, authors=40)),
+                          config=small_graph_config())
+
+
+def tiny_tpch():
+    """A tiny deterministic TPC-H data set (same rows for every caller)."""
+    return generate_tpch(TpchConfig(scale_factor=0.0004))
+
+
+def build_rdfh_store(tpch) -> RDFStore:
+    """Clustered RDF-H, sub-ordered like the paper."""
+    return RDFStore.build(list(tpch_to_triples(tpch)), sort_key_names=sub_order_keys(),
+                          cluster=True)
+
+
+def build_rdfh_parseorder_store(tpch) -> RDFStore:
+    """The same RDF-H data without subject clustering (ParseOrder baseline)."""
+    return RDFStore.build(list(tpch_to_triples(tpch)), cluster=False)

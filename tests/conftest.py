@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro import RDFStore, StoreConfig
-from repro.bench import (
-    DblpConfig,
-    TpchConfig,
-    generate_dblp,
-    generate_tpch,
-    sub_order_keys,
-    tpch_to_triples,
-)
-from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.model import Graph
 
-from _datasets import EX, book_triples  # noqa: F401 - re-exported for tests
+from _datasets import (  # noqa: F401 - EX / book_triples re-exported for tests
+    EX,
+    book_triples,
+    build_book_store,
+    build_dblp_store,
+    build_rdfh_parseorder_store,
+    build_rdfh_store,
+    tiny_tpch,
+)
 
 
 @pytest.fixture(scope="session")
@@ -27,35 +25,28 @@ def book_graph():
 @pytest.fixture(scope="session")
 def book_store():
     """A clustered store over the bibliographic graph."""
-    config = StoreConfig(discovery=DiscoveryConfig(
-        generalization=GeneralizationConfig(min_support=3)))
-    return RDFStore.build(book_triples(), config=config)
+    return build_book_store()
 
 
 @pytest.fixture(scope="session")
 def dblp_store():
     """A clustered store over the DBLP-like generator output."""
-    config = StoreConfig(discovery=DiscoveryConfig(
-        generalization=GeneralizationConfig(min_support=3)))
-    return RDFStore.build(generate_dblp(DblpConfig(papers=120, conferences=8, authors=40)),
-                          config=config)
+    return build_dblp_store()
 
 
 @pytest.fixture(scope="session")
 def tpch_tiny():
     """A tiny deterministic TPC-H data set (same rows for every test)."""
-    return generate_tpch(TpchConfig(scale_factor=0.0004))
+    return tiny_tpch()
 
 
 @pytest.fixture(scope="session")
 def rdfh_store(tpch_tiny):
     """A clustered RDF-H store at tiny scale, sub-ordered like the paper."""
-    triples = list(tpch_to_triples(tpch_tiny))
-    return RDFStore.build(triples, sort_key_names=sub_order_keys(), cluster=True)
+    return build_rdfh_store(tpch_tiny)
 
 
 @pytest.fixture(scope="session")
 def rdfh_parseorder_store(tpch_tiny):
     """The same RDF-H data without subject clustering (ParseOrder baseline)."""
-    triples = list(tpch_to_triples(tpch_tiny))
-    return RDFStore.build(triples, cluster=False)
+    return build_rdfh_parseorder_store(tpch_tiny)

@@ -238,9 +238,9 @@ class TestOperators:
         ctx, _p, _q, _ages = _context()
         table = BindingTable({"a": np.array([3, 1, 1]), "b": np.array([30, 10, 10])})
         child = MaterializedOp(table)
-        projected, _ = execute_plan(ProjectOp(child, ["a"]), ctx)
+        projected, _ = execute_plan(ProjectOp(child, [("a", "a")]), ctx)
         assert projected.variables == ["a"]
-        distinct, _ = execute_plan(DistinctOp(ProjectOp(child, ["a"])), ctx)
+        distinct, _ = execute_plan(DistinctOp(ProjectOp(child, [("a", "a")])), ctx)
         assert distinct.num_rows == 2
         ordered, _ = execute_plan(OrderByOp(child, [("a", True)]), ctx)
         assert ordered.column("a").tolist() == [3, 1, 1]

@@ -514,10 +514,10 @@ class TestOverheadGuard:
     def test_disabled_instrumentation_within_five_percent(self, store):
         """Store-level observability (metrics funnel, slow-log gate, timing)
         with tracing OFF must stay within 5% of the bare engine path."""
-        engine = store.sparql_engine()
+        engine = store.engine()
         options = PlannerOptions()
         store.sparql(STAR_QUERY, options)  # warm plan cache + buffer pool
-        bare, observed = best_means(lambda: engine.query(STAR_QUERY, options),
+        bare, observed = best_means(lambda: engine.query("sparql", STAR_QUERY, options),
                                     lambda: store.sparql(STAR_QUERY, options))
         # 5% relative, with a 50µs absolute floor against timer jitter
         assert observed <= bare * 1.05 + 5e-5, \

@@ -41,13 +41,9 @@ def dirty_store():
 
 
 def assert_schemes_equivalent(store, query: str, use_zone_maps: bool = False):
-    """All plan schemes (and forced optimize on/off) must agree on results."""
+    """All plan schemes must agree on results."""
     option_sets = [PlannerOptions(scheme=scheme, use_zone_maps=use_zone_maps)
                    for scheme in ALL_SCHEMES]
-    option_sets.append(PlannerOptions(scheme=DEFAULT_SCHEME, optimize=True,
-                                      use_zone_maps=use_zone_maps))
-    option_sets.append(PlannerOptions(scheme=OPTIMIZED_SCHEME, optimize=False,
-                                      use_zone_maps=use_zone_maps))
     results = [sorted(store.sparql(query, options).rows()) for options in option_sets]
     reference = results[0]
     assert reference, f"reference scheme returned no rows for {query!r}"
@@ -218,18 +214,22 @@ class TestPlanCache:
 
     def test_key_normalizes_whitespace(self):
         options = PlannerOptions()
-        key1 = PlanCache.make_key("SELECT ?s WHERE { ?s ?p ?o . }", options)
-        key2 = PlanCache.make_key("SELECT ?s\n  WHERE {\n ?s ?p ?o . }", options)
+        key1 = PlanCache.make_key("sparql", "SELECT ?s WHERE { ?s ?p ?o . }", options)
+        key2 = PlanCache.make_key("sparql", "SELECT ?s\n  WHERE {\n ?s ?p ?o . }", options)
         assert key1 == key2
-        other = PlanCache.make_key("SELECT ?s WHERE { ?s ?p ?o . }",
+        other = PlanCache.make_key("sparql", "SELECT ?s WHERE { ?s ?p ?o . }",
                                    PlannerOptions(scheme=DEFAULT_SCHEME))
         assert other != key1
+        assert PlanCache.make_key("sql", "SELECT ?s WHERE { ?s ?p ?o . }", options) != key1
 
     def test_key_preserves_whitespace_inside_literals(self):
         options = PlannerOptions()
-        single = PlanCache.make_key('SELECT ?s WHERE { ?s <p> "a b" . }', options)
-        double = PlanCache.make_key('SELECT ?s WHERE { ?s <p> "a  b" . }', options)
+        single = PlanCache.make_key("sparql", 'SELECT ?s WHERE { ?s <p> "a b" . }', options)
+        double = PlanCache.make_key("sparql", 'SELECT ?s WHERE { ?s <p> "a  b" . }', options)
         assert single != double  # whitespace inside a literal is data
+        single = PlanCache.make_key("sql", "SELECT id FROM T WHERE name = 'a b'", options)
+        double = PlanCache.make_key("sql", "SELECT id FROM T  WHERE name = 'a  b'", options)
+        assert single != double  # ... in SQL's quoting too
 
     def test_distinct_literals_not_conflated_by_cache(self):
         from repro import Literal, Triple

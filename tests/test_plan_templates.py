@@ -76,10 +76,10 @@ def _assert_untouched(plan, state) -> None:
 
 
 def _check_corpus_leaves_plans_untouched(store: RDFStore, queries) -> None:
-    engine = store.sparql_engine()
+    engine = store.engine()
     for text in queries:
         for options in SCHEMES:
-            _query, plan = engine.prepare(text, options)
+            _query, plan = engine.prepare("sparql", text, options)
             state = _state(plan)
             result = store.sparql(text, options)
             assert result.plan is plan  # the cached object itself ran
@@ -89,7 +89,7 @@ def _check_corpus_leaves_plans_untouched(store: RDFStore, queries) -> None:
             with pytest.raises(QueryCancelledError):
                 with store.query_scope(text, "sparql", options.scheme) as run:
                     store.cancel(run.query_id)
-                    engine.query(text, options, run=run)
+                    engine.query("sparql", text, options, run)
             _assert_untouched(plan, state)
     assert store.active_queries() == []
 
@@ -257,7 +257,7 @@ def _observed_context() -> ExecutionContext:
 def _pipeline(log, middle_cls=ProjectOp, variables=("a",)):
     leaf = _logging(MaterializedOp, log, "leaf")(
         BindingTable({"a": np.arange(100, dtype=np.int64)}))
-    middle = _logging(middle_cls, log, "middle")(leaf, list(variables))
+    middle = _logging(middle_cls, log, "middle")(leaf, [(name, name) for name in variables])
     return _logging(LimitOp, log, "top")(middle, 3)
 
 

@@ -246,10 +246,10 @@ class TestProfilingOverheadGuard:
         ``store.sparql()`` stays within 5% of the bare engine path (the same
         budget the tracing layer honors)."""
         store = RDFStore.build(book_triples(), config=_config())
-        engine = store.sparql_engine()
+        engine = store.engine()
         options = PlannerOptions()
         store.sparql(STAR_QUERY, options)  # warm plan cache + buffer pool
-        bare, observed = best_means(lambda: engine.query(STAR_QUERY, options),
+        bare, observed = best_means(lambda: engine.query("sparql", STAR_QUERY, options),
                                     lambda: store.sparql(STAR_QUERY, options))
         # 5% relative, with a 50µs absolute floor against timer jitter
         assert observed <= bare * 1.05 + 5e-5, \

@@ -362,10 +362,11 @@ class TestStoreIntegration:
         assert store.events(type="query_start", limit=1)[0]["source"] == "explain"
         header, buffers, *tree = text.splitlines()
         # the header accounts for the call: the executor's wall time plus
-        # parse-and-plan time; everything below it is as it always was
+        # parse and plan time; everything below it is as it always was
         assert re.fullmatch(
-            r"plan \[scheme=rdfscan zonemaps=no optimize=no\] wall=[0-9.]+ms sim=[0-9.]+ms "
-            r"reads=\d+ hits=\d+ scanned=\d+ joins=\d+ prepare=[0-9.]+ms", header), header
+            r"plan \[scheme=rdfscan zonemaps=no\] wall=[0-9.]+ms sim=[0-9.]+ms "
+            r"reads=\d+ hits=\d+ scanned=\d+ joins=\d+ parse=[0-9.]+ms plan=[0-9.]+ms",
+            header), header
         assert re.fullmatch(
             r"buffers: cached_pages=\d+ resident_bytes=\d+ evictions=\d+ reads=\d+ "
             r"hits=\d+ lazy_materialized=\d+/\d+ lazy_values_loaded=\d+", buffers), buffers

@@ -8,7 +8,7 @@ from repro.model import IRI, Literal
 from repro.model.terms import RDF_TYPE, XSD_DATE, XSD_INTEGER
 from repro.sparql import parse_sparql
 from repro.sparql.ast import Variable
-from repro.sparql.planner import DEFAULT_SCHEME, RDFSCAN_SCHEME
+from repro.sparql import DEFAULT_SCHEME, RDFSCAN_SCHEME
 from repro.engine import RDFJoinOp, RDFScanOp
 
 EX = "http://example.org/"
