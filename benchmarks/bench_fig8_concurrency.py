@@ -1,6 +1,6 @@
 """Figure 8 (this repo's extension): the concurrency subsystem.
 
-Two measurements:
+Three measurements:
 
 * **update-burst latency** — per-request cost across a burst of ``BURST``
   single-subject ``INSERT DATA`` requests with *no* intervening compaction.
@@ -18,6 +18,12 @@ Two measurements:
   for the one-text case also with 1 and 2 readers.  On CPython the readers
   share one GIL, so more threads do not mean more queries per second; the
   sweep records how much the hand-offs cost.
+* **served over direct** — what a per-request snapshot costs on top of a
+  direct ``store.sparql`` / ``store.sql``: the repo benchmark's ad-hoc texts
+  (every text new) and one cached aggregate, request by request, on its
+  RDF-H store.  Both read through one per-version record, so the blocking
+  check is a count — column statistics are computed once per column across
+  the whole window, whichever path asks — and the two ratios are advisory.
 
 Run in smoke mode (small store, short windows) with ``REPRO_BENCH_SMOKE=1``
 — CI does this on every push.  Results land in ``benchmarks/results/``.
@@ -27,15 +33,29 @@ from __future__ import annotations
 
 import gc
 import os
+import statistics
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro import RDFStore, StoreConfig
-from repro.bench import DblpConfig, generate_dblp
+from repro import PlannerOptions, RDFStore, StoreConfig, StoreService
+from repro.bench import (
+    DblpConfig,
+    TpchConfig,
+    generate_dblp,
+    generate_tpch,
+    sub_order_keys,
+    tpch_to_triples,
+)
 from repro.bench.dblp import CLASS_INPROCEEDINGS, DBLP, P_CREATOR, P_PART_OF, P_TITLE
+from repro.columnar import ColumnStats
 from repro.cs import DiscoveryConfig, GeneralizationConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from inputs import DEFAULT_SEED, AdhocStream, repeat_ops  # noqa: E402 - the repo benchmark's texts
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 
@@ -44,6 +64,9 @@ BURST = 1000
 CHUNK = 100
 READERS = 4 if SMOKE else 8
 WINDOW_SECONDS = 0.6 if SMOKE else 2.0
+RDFH_SF = 0.0004 if SMOKE else 0.002
+ADHOC_ROUNDS = 10 if SMOKE else 60
+AGGREGATE_RUNS = 10 if SMOKE else 40
 
 STAR_QUERY = (
     f"SELECT ?p ?t ?c WHERE {{ ?p <{P_TITLE}> ?t . ?p <{P_PART_OF}> ?c . "
@@ -222,5 +245,68 @@ def test_reader_throughput_vs_writer_load(report_lines, bench_report):
             f"reader throughput ({readers} thread{'s' if readers > 1 else ''}, one text): "
             f"{idle:,.0f} q/s idle -> {loaded:,.0f} q/s under the writer "
             f"(x{loaded / idle:.2f})")
+
+
+def _read(store: RDFStore, service: StoreService, op, served: bool) -> float:
+    """Seconds for one request, text in to decoded rows out: through a
+    per-request snapshot (what the service does) or directly."""
+    options = PlannerOptions(scheme=op.scheme) if op.scheme else None
+    started = time.perf_counter()
+    if served:
+        rows = (service.sql(op.text, decode=True) if op.frontend == "sql"
+                else service.query(op.text, options, decode=True))
+    else:
+        rows = store.decode_rows(store.sql(op.text) if op.frontend == "sql"
+                                 else store.sparql(op.text, options))
+    elapsed = time.perf_counter() - started
+    assert isinstance(rows, list)
+    return elapsed
+
+
+def test_served_reads_cost_what_direct_reads_cost(report_lines, bench_report, monkeypatch):
+    """Per-request snapshots against direct reads, on the repo benchmark's
+    store and texts.  Blocking: statistics are computed once per column
+    over the whole window.  Advisory: the two latency ratios."""
+    computed = []
+    original = ColumnStats.from_values.__func__
+    monkeypatch.setattr(ColumnStats, "from_values", classmethod(
+        lambda cls, values: computed.append(1) or original(cls, values)))
+    data = generate_tpch(TpchConfig(scale_factor=RDFH_SF, seed=DEFAULT_SEED))
+    store = RDFStore.build(list(tpch_to_triples(data)), sort_key_names=sub_order_keys())
+    service = StoreService(store)
+    columns = sum(1 + len(block.property_columns) for block in store.clustered_store.blocks)
+
+    stream = AdhocStream(data, DEFAULT_SEED + 3)
+    seconds = {True: [], False: []}
+    for round_number in range(2 * ADHOC_ROUNDS):
+        served = round_number % 2 == 1  # every text new, sides alternate by round
+        seconds[served].extend(_read(store, service, op, served) for op in stream.next_round())
+    adhoc = statistics.median(seconds[True]) / statistics.median(seconds[False])
+
+    aggregate = next(op for op in repeat_ops() if op.cls == "q1")
+    _read(store, service, aggregate, served=False)  # plan cached, numeric cache warm
+    runs = {True: [], False: []}
+    for _ in range(AGGREGATE_RUNS):
+        for served in (False, True):
+            runs[served].append(_read(store, service, aggregate, served))
+    cached = statistics.median(runs[True]) / statistics.median(runs[False])
+
+    assert 0 < len(computed) <= columns, (
+        f"{len(computed)} statistics passes over {columns} columns: a per-pin "
+        f"object is recomputing what the column owns")
+    bench_report.record("served_adhoc_over_direct_ratio", adhoc, unit="ratio",
+                        direction="lower_is_better",
+                        extra={"requests_per_side": len(seconds[True]),
+                               "direct_p50_ms": round(statistics.median(seconds[False]) * 1e3, 3),
+                               "statistics_passes": len(computed), "columns": columns})
+    bench_report.record("served_aggregate_over_direct_ratio", cached, unit="ratio",
+                        direction="lower_is_better",
+                        extra={"runs_per_side": AGGREGATE_RUNS, "query": aggregate.cls,
+                               "direct_p50_ms": round(statistics.median(runs[False]) * 1e3, 3)})
+    report_lines.append(
+        f"served / direct p50 (per-request snapshot vs store.sparql/sql, RDF-H SF {RDFH_SF}): "
+        f"ad-hoc mix x{adhoc:.2f} over {len(seconds[True])} new texts per side, "
+        f"cached {aggregate.cls} x{cached:.2f}; {len(computed)} statistics passes "
+        f"over {columns} columns")
     bench_report.write_text("fig8_concurrency.txt",
                             "\n".join(report_lines) + "\n")

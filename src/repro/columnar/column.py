@@ -57,9 +57,10 @@ class Column:
         self.sorted_ascending = bool(sorted_ascending)
         self.pool = pool
         self.stats = None
-        """Optional precomputed :class:`~repro.columnar.stats.ColumnStats`,
-        restored from a snapshot manifest so the optimizer can price plans
-        without materializing the column."""
+        """This column's :class:`~repro.columnar.stats.ColumnStats` once
+        :meth:`statistics` has computed them — or restored from a snapshot
+        manifest, so the optimizer can price plans without materializing
+        the column."""
         self._loader: Optional[Callable[[], np.ndarray]] = None
         self._length: Optional[int] = None
         self._notify_pool = False
@@ -278,6 +279,18 @@ class Column:
         return np.nonzero(self.data != NULL_OID)[0].astype(np.int64)
 
     # -- statistics ----------------------------------------------------------
+
+    def statistics(self):
+        """Summary :class:`~repro.columnar.stats.ColumnStats` of the column.
+
+        Computed on the first request and remembered here, on the object
+        they describe: every estimator, snapshot and save over this column
+        shares the one pass (metadata op, no accounting).
+        """
+        if self.stats is None:
+            from .stats import ColumnStats  # stats.py imports this module
+            self.stats = ColumnStats.from_values(self.data)
+        return self.stats
 
     def min_max(self, ignore_null: bool = True) -> tuple[int, int] | None:
         """Return ``(min, max)`` over the column, or ``None`` if empty."""

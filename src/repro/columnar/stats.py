@@ -222,7 +222,7 @@ class CardinalityEstimator:
        metadata, not query work);
     2. the clustered store's CS blocks — per-column
        :class:`ColumnStats` (distinct counts, min/max, null fractions),
-       computed lazily and cached;
+       which each :class:`~repro.columnar.Column` computes once and keeps;
     3. the emergent schema — per-CS subject counts and property fill
        factors (``presence``), which make star-pattern estimates *structure
        aware*: a star is only charged to the characteristic sets that
@@ -231,6 +231,11 @@ class CardinalityEstimator:
     Every argument is optional; missing sources degrade gracefully to the
     textbook default selectivities.  Plan objects are duck-typed (see the
     module docstring) so this class has no dependency on the engine layer.
+
+    The estimator caches nothing: whatever is a function of the base
+    structures alone is remembered by the structure it describes (column
+    statistics on the column, per-predicate counts on the index store), so
+    an estimator per store version costs nothing to make.
     """
 
     def __init__(self, schema=None, index_store=None, clustered_store=None,
@@ -240,15 +245,9 @@ class CardinalityEstimator:
         self.clustered_store = clustered_store
         self.delta = delta
         """Optional pending-write overlay (duck-typed
-        :class:`repro.updates.DeltaStore`).  Base statistics describe the
+        :class:`repro.updates.FrozenDelta`).  Base statistics describe the
         immutable structures; the estimator adds the delta's insert and
         tombstone counts on top so the optimizer prices merged scans."""
-        self._column_stats_cache: Dict[Tuple[int, int], Optional[ColumnStats]] = {}
-        self._subject_stats_cache: Dict[int, Optional[ColumnStats]] = {}
-        self._distinct_objects_cache: Dict[int, float] = {}
-        self._distinct_subjects_cache: Dict[int, float] = {}
-        self._predicate_counts: Optional[Dict[int, int]] = None
-        self._blocks_by_cs: Optional[Dict[int, object]] = None
 
     # -- base statistics ---------------------------------------------------------
 
@@ -295,9 +294,7 @@ class CardinalityEstimator:
     def predicate_count(self, predicate_oid: int) -> float:
         """Number of triples carrying the predicate."""
         if self.index_store is not None:
-            if self._predicate_counts is None:
-                self._predicate_counts = self.index_store.predicate_counts()
-            return float(self._predicate_counts.get(predicate_oid, 0))
+            return float(self.index_store.predicate_counts().get(predicate_oid, 0))
         if self.schema is not None:
             total = 0.0
             for cs in self.schema.tables.values():
@@ -309,42 +306,16 @@ class CardinalityEstimator:
 
     def distinct_objects(self, predicate_oid: int) -> float:
         """Estimated number of distinct object values of a predicate."""
-        cached = self._distinct_objects_cache.get(predicate_oid)
-        if cached is not None:
-            return cached
-        estimate: Optional[float] = None
         if self.clustered_store is not None:
-            total = 0.0
-            seen = False
-            for block in self.clustered_store.blocks:
-                if not block.has_property(predicate_oid):
-                    continue
-                stats = self._block_column_stats(block, predicate_oid)
-                if stats is not None:
-                    total += stats.distinct_count
-                    seen = True
-            if seen:
-                estimate = max(total, 1.0)
-        if estimate is None and self.index_store is not None and "pos" in self.index_store.tables:
-            table = self.index_store.tables["pos"]
-            lo, hi = table.prefix_row_range(predicate_oid)
-            if hi > lo:
-                segment = table.column("o").data[lo:hi]
-                # POS is object-sorted within the predicate: count value changes
-                estimate = float(1 + int(np.count_nonzero(segment[1:] != segment[:-1])))
-            else:
-                estimate = 0.0
-        if estimate is None:
-            estimate = max(self.predicate_count(predicate_oid), 1.0)
-        self._distinct_objects_cache[predicate_oid] = estimate
-        return estimate
+            counts = [block.column(predicate_oid).statistics().distinct_count
+                      for block in self.clustered_store.blocks
+                      if block.has_property(predicate_oid)]
+            if counts:
+                return max(float(sum(counts)), 1.0)
+        return self._distinct_in_index(predicate_oid, "o")
 
     def distinct_subjects(self, predicate_oid: int) -> float:
         """Estimated number of distinct subjects carrying a predicate."""
-        cached = self._distinct_subjects_cache.get(predicate_oid)
-        if cached is not None:
-            return cached
-        estimate: Optional[float] = None
         if self.schema is not None:
             total = 0.0
             for cs in self.schema.tables.values():
@@ -352,20 +323,17 @@ class CardinalityEstimator:
                 if spec is not None:
                     total += cs.support * spec.presence
             if total > 0:
-                estimate = total
-        if estimate is None and self.index_store is not None and "pso" in self.index_store.tables:
-            table = self.index_store.tables["pso"]
-            lo, hi = table.prefix_row_range(predicate_oid)
-            if hi > lo:
-                segment = table.column("s").data[lo:hi]
-                # PSO is subject-sorted within the predicate: count value changes
-                estimate = float(1 + int(np.count_nonzero(segment[1:] != segment[:-1])))
-            else:
-                estimate = 0.0
-        if estimate is None:
-            estimate = max(self.predicate_count(predicate_oid), 1.0)
-        self._distinct_subjects_cache[predicate_oid] = estimate
-        return estimate
+                return total
+        return self._distinct_in_index(predicate_oid, "s")
+
+    def _distinct_in_index(self, predicate_oid: int, component: str) -> float:
+        """Exact distinct S or O values of a predicate from the index store,
+        else the predicate's triple count as an upper bound."""
+        if self.index_store is not None:
+            exact = self.index_store.distinct_in_predicate(predicate_oid, component)
+            if exact is not None:
+                return float(exact)
+        return max(self.predicate_count(predicate_oid), 1.0)
 
     # -- per-pattern estimates -----------------------------------------------------
 
@@ -513,53 +481,24 @@ class CardinalityEstimator:
     def _subject_range_fraction(self, cs, subject_range) -> float:
         if not _is_bounded(subject_range):
             return 1.0
-        stats = self._subject_stats(cs.cs_id)
+        stats = self._column_stats(cs.cs_id)
         if stats is not None:
-            fraction = stats.estimate_range_selectivity(subject_range.low, subject_range.high)
-            return fraction
+            return stats.estimate_range_selectivity(subject_range.low, subject_range.high)
         return DEFAULT_RANGE_SELECTIVITY
 
-    # -- lazily cached column statistics ------------------------------------------------
-
-    def _block_for(self, cs_id: int):
-        if self.clustered_store is None:
-            return None
-        if self._blocks_by_cs is None:
-            self._blocks_by_cs = {block.cs_id: block
-                                  for block in self.clustered_store.blocks}
-        return self._blocks_by_cs.get(cs_id)
-
-    def _block_column_stats(self, block, predicate_oid: int) -> Optional[ColumnStats]:
-        key = (block.cs_id, predicate_oid)
-        if key not in self._column_stats_cache:
-            if block.has_property(predicate_oid):
-                column = block.column(predicate_oid)
-                # a column reopened from a snapshot carries its persisted
-                # stats; prefer them so planning never forces materialization
-                stats = getattr(column, "stats", None)
-                if stats is None:
-                    stats = ColumnStats.from_values(column.data)
-            else:
-                stats = None
-            self._column_stats_cache[key] = stats
-        return self._column_stats_cache[key]
-
-    def _column_stats(self, cs_id: int, predicate_oid: int) -> Optional[ColumnStats]:
-        block = self._block_for(cs_id)
+    def _column_stats(self, cs_id: int,
+                      predicate_oid: Optional[int] = None) -> Optional[ColumnStats]:
+        """Statistics of one CS block column — the subject column when no
+        predicate is named; ``None`` when the block or column does not exist."""
+        block = (self.clustered_store.find_block(cs_id)
+                 if self.clustered_store is not None else None)
         if block is None:
             return None
-        return self._block_column_stats(block, predicate_oid)
-
-    def _subject_stats(self, cs_id: int) -> Optional[ColumnStats]:
-        if cs_id not in self._subject_stats_cache:
-            block = self._block_for(cs_id)
-            stats = None
-            if block is not None:
-                stats = getattr(block.subject_column, "stats", None)
-                if stats is None:
-                    stats = ColumnStats.from_values(block.subject_column.data)
-            self._subject_stats_cache[cs_id] = stats
-        return self._subject_stats_cache[cs_id]
+        if predicate_oid is None:
+            return block.subject_column.statistics()
+        if not block.has_property(predicate_oid):
+            return None
+        return block.column(predicate_oid).statistics()
 
     # -- join estimates ------------------------------------------------------------------
 

@@ -77,8 +77,8 @@ from ..obs import (
 )
 from ..persist import SnapshotInfo, SnapshotReader, write_snapshot
 from ..rio import parse_rdf
-from ..server import ReadWriteLock, SnapshotRegistry, StoreSession
-from ..server.session import ReadSnapshot, query_engine
+from ..server import ReadSnapshot, ReadWriteLock, SnapshotRegistry, StoreSession
+from ..server.session import StoreVersion
 from ..planner import PlanCache, PlannerOptions, QueryEngine, QueryResult
 from ..sparql import parse_update
 from ..sql import Catalog
@@ -271,13 +271,13 @@ class RDFStore:
         self.delta = DeltaStore(schema=None, pool=self.pool)
         self.journal = UpdateJournal()
         self.db_path: Optional[Path] = None
-        self._context: Optional[ExecutionContext] = None
-        self._engine: Optional[QueryEngine] = None
         self._clustered = False
         self.generation = 0
-        """Base-structure generation: bumped on every physical rebuild.
-        Together with ``delta.version`` it identifies one immutable state —
-        the version pair an MVCC read snapshot pins."""
+        """Base-structure generation: bumped whenever a base object
+        (physical store, dictionary, schema) is replaced.  Together with
+        ``delta.version`` it identifies one immutable state — the version
+        pair whose read state the snapshot registry keeps and an MVCC read
+        snapshot pins.  The pair is the only invalidation of read state."""
         self.metrics_registry = MetricsRegistry()
         """This store's metrics (see :mod:`repro.obs`).  *Store-lifetime*,
         not generation-lifetime: it survives rebuilds, compactions and even
@@ -338,23 +338,17 @@ class RDFStore:
         registry.gauge("buffer_pool_resident_bytes",
                        "Bytes of column data currently cached.",
                        fn=lambda: self.pool.stats()["resident_bytes"])
-        # each total folds in the per-version snapshot caches (server reads)
-        # alongside the store's own cache, and survives clears/rotation
         registry.counter("plan_cache_hits_total",
                          "Plan-cache hits over the store lifetime (survives clears).",
-                         fn=lambda: (self.plan_cache.lifetime_hits
-                                     + self._snapshots.plan_cache_stats()["hits"]))
+                         fn=lambda: self.plan_cache.lifetime_hits)
         registry.counter("plan_cache_misses_total",
                          "Plan-cache misses over the store lifetime (survives clears).",
-                         fn=lambda: (self.plan_cache.lifetime_misses
-                                     + self._snapshots.plan_cache_stats()["misses"]))
+                         fn=lambda: self.plan_cache.lifetime_misses)
         registry.counter("plan_cache_evictions_total",
                          "Plan-cache LRU evictions over the store lifetime.",
-                         fn=lambda: (self.plan_cache.lifetime_evictions
-                                     + self._snapshots.plan_cache_stats()["evictions"]))
+                         fn=lambda: self.plan_cache.lifetime_evictions)
         registry.gauge("plan_cache_entries", "Plans currently cached.",
-                       fn=lambda: (len(self.plan_cache)
-                                   + self._snapshots.plan_cache_stats()["entries"]))
+                       fn=lambda: len(self.plan_cache))
         registry.gauge("plan_cache_generation",
                        "Plan-cache invalidation generation.",
                        fn=lambda: self.plan_cache.generation)
@@ -364,12 +358,12 @@ class RDFStore:
                        fn=lambda: self.delta.tombstone_count())
         registry.gauge("delta_deferred_reclaim_depth",
                        "Delta versions whose page reclamation waits on open pins.",
-                       fn=lambda: self.delta.deferred_reclaim_depth())
+                       fn=lambda: self._snapshots.deferred_reclaim_depth())
         registry.gauge("open_snapshots", "MVCC read snapshots currently pinned.",
                        fn=lambda: self._snapshots.active_count())
         registry.gauge("pinned_delta_versions",
                        "Distinct delta versions referenced by open snapshots.",
-                       fn=lambda: len(self.delta.pinned_versions()))
+                       fn=lambda: len(self._snapshots.pinned_delta_versions()))
         registry.gauge("store_generation", "Base-structure rebuild generation.",
                        fn=lambda: self.generation)
         registry.gauge("live_triples",
@@ -525,13 +519,9 @@ class RDFStore:
     def build_indexes(self) -> None:
         """Build the exhaustive index store and (when clustered) the clustered store.
 
-        Rebuilding changes plan validity, so the plan cache and the cached
-        query engine are dropped alongside the execution context.
+        Rebuilding changes plan validity, so the plan cache is cleared.
         """
         schema = self.schema
-        # a rebuild publishes a new immutable base state: bump the generation
-        # so the (generation, delta version) pair a snapshot pins is unique
-        self.generation += 1
         # rebuilding replaces every (possibly lazily loading) structure with
         # eager in-memory ones; drop the stale lazy-segment bookkeeping so
         # buffer_pool_stats() does not report dead segments as pending
@@ -548,9 +538,25 @@ class RDFStore:
                 zone_map_properties=zone_map_properties,
                 zone_size=self.config.zone_size,
             )
-        self._context = None
-        self._engine = None
         self.plan_cache.clear()
+        self._new_generation()
+
+    def build_if_unbuilt(self) -> None:
+        """The lazy first build of the physical stores, for a store queried
+        straight after ``load()`` / ``discover_schema()``.  Under the writer
+        lock, so concurrent first readers don't race."""
+        if self.index_store is None and self.clustered_store is None:
+            with self._rwlock.write_locked():
+                if self.index_store is None and self.clustered_store is None:
+                    self.build_indexes()
+
+    def _new_generation(self) -> None:
+        """Base objects have been replaced: publish the new immutable base
+        state — so the (generation, delta version) pair stays unique per
+        state — and retire the read state of the old one.  Always the last
+        step of a change, so no record built halfway carries the new key."""
+        self.generation += 1
+        self._snapshots.invalidate_cache()
 
     def _resolve_sort_key_names(self, sort_key_names: Dict[str, str]) -> Dict[int, int]:
         schema = self.require_schema()
@@ -569,8 +575,6 @@ class RDFStore:
         self.clustered_store = None
         self.clustering_plan = None
         self._clustered = False
-        self._context = None
-        self._engine = None
         self.plan_cache.clear()
         if not keep_schema:
             self.schema = None
@@ -579,6 +583,7 @@ class RDFStore:
             # delta would reference stale OIDs, so it is dropped
             self.delta.clear()
             self.delta.attach_schema(None)
+        self._new_generation()
 
     # -- accessors --------------------------------------------------------------------
 
@@ -645,24 +650,10 @@ class RDFStore:
                 - self.delta.tombstone_count())
 
     def context(self) -> ExecutionContext:
-        """The execution context shared by SPARQL and SQL engines."""
-        if self._context is None:
-            if self.index_store is None and self.clustered_store is None:
-                self.build_indexes()
-            self._context = ExecutionContext(
-                dictionary=self.dictionary,
-                pool=self.pool,
-                index_store=self.index_store,
-                clustered_store=self.clustered_store,
-                schema=self.schema,
-                cost_model=self.config.cost_model,
-                delta=self.delta,
-                batch_size=self.config.batch_size,
-            )
-        # batch_size is a live runtime knob: the context is cached, so pick
-        # up config changes here (snapshots still capture it at pin time)
-        self._context.batch_size = self.config.batch_size
-        return self._context
+        """The execution context of the store's current version, shared by
+        SPARQL and SQL.  A write makes a new one (it carries that version's
+        delta) over the same physical stores."""
+        return self._snapshots.current(self).context
 
     # -- cache control ------------------------------------------------------------------
 
@@ -682,12 +673,13 @@ class RDFStore:
         the irregular table) and the pending delta's columns, so cold/hot
         experiments stay honest after writes.
         """
+        version = self._snapshots.current(self)
         if self.index_store is not None:
             self.index_store.warm()
         if self.clustered_store is not None:
             self.clustered_store.warm()
-        if self.has_pending_updates():
-            self.delta.warm()
+        if version.delta is not None:
+            version.delta.warm()
 
     # -- writing -----------------------------------------------------------------------
 
@@ -792,8 +784,7 @@ class RDFStore:
             if reduced:
                 self.catalog.restore_reduced_schemas(reduced)
             self.delta.attach_schema(self.schema)
-        self._context = None
-        self._engine = None
+        self._new_generation()
 
     # -- concurrent access ---------------------------------------------------------------
 
@@ -809,12 +800,9 @@ class RDFStore:
         Returns:
             An open :class:`~repro.server.ReadSnapshot`.
         """
-        if self.index_store is None and self.clustered_store is None:
-            # one-time lazy build (the same one context() would do), done
-            # under the writer lock so concurrent first readers don't race
-            with self._rwlock.write_locked():
-                if self.index_store is None and self.clustered_store is None:
-                    self.build_indexes()
+        # any first build of the physical stores takes the writer lock, so it
+        # has to happen before the shared lock is held
+        self.build_if_unbuilt()
         with self._rwlock.read_locked():
             return self._snapshots.acquire(self)
 
@@ -832,17 +820,20 @@ class RDFStore:
         return self._snapshots.active_count()
 
     def _after_write(self) -> None:
-        """Invalidate plan-dependent caches after a write.
+        """Invalidate version-dependent state after a write.
 
         Plans embed zone-map push-downs and constant OIDs that are only
-        valid for one delta state, so the plan cache is cleared.  Literals
-        the request appended are folded into the dictionary's sorted tail
-        here, under the writer lock, so no reader has to.  The physical
-        stores, the execution context and the literal order index's head
-        survive — a write is never a rebuild.
+        valid for one delta state, so the plan cache is cleared, and the
+        superseded version's read state is retired (its delta index pages
+        leave the pool now, or when its last pin does).  Literals the
+        request appended are folded into the dictionary's sorted tail here,
+        under the writer lock, so no reader has to.  The physical stores,
+        column statistics and the literal order index's head survive — a
+        write is never a rebuild.
         """
         self.plan_cache.clear()
         self.dictionary.index_appended_literals()
+        self._snapshots.invalidate_cache()
 
     def compact(self) -> CompactionReport:
         """Fold the pending delta into base storage (the explicit heavy step).
@@ -1020,8 +1011,7 @@ class RDFStore:
             # attribute reads (stats, summaries) see old or new values, never
             # a missing attribute or an unheld lock object.  Snapshots pinned
             # before the swap stay valid (they hold direct references to the
-            # old structures and release against the delta they pinned) and
-            # keep counting in open_snapshot_count().
+            # old structures) and keep counting in open_snapshot_count().
             lock = into._rwlock
             registry = into._snapshots
             new_state = dict(store.__dict__)
@@ -1044,17 +1034,13 @@ class RDFStore:
             new_state["_compaction_seconds"] = into._compaction_seconds
             new_state["_checkpoint_seconds"] = into._checkpoint_seconds
             new_state["_undo_log_entries"] = into._undo_log_entries
-            # the assembly store's cached context/engine reference its own
-            # (now discarded) registry; rebuild lazily against the survivor
-            new_state["_context"] = None
-            new_state["_engine"] = None
             with lock.write_locked():
                 into.__dict__.update(new_state)
-                # only now that the swap is published: drop the registry's
-                # cached frozen view.  The new incarnation's (generation,
-                # version) pairs restart and could collide with the cached
-                # key; invalidating under the write lock closes the window
-                # in which a draining reader could re-cache the old state.
+                # only now that the swap is published: retire the registry's
+                # record.  The new incarnation's (generation, version) pairs
+                # restart and could collide with the cached key;
+                # invalidating under the write lock closes the window in
+                # which a draining reader could re-cache the old state.
                 registry.invalidate_cache()
             if replayed:
                 # emitted on the surviving event log, after the swap — the
@@ -1123,18 +1109,14 @@ class RDFStore:
     # -- querying ----------------------------------------------------------------------
 
     def engine(self) -> QueryEngine:
-        """The store's query engine (cached, wired to the plan cache), serving
-        SPARQL and — once a schema is discovered — SQL.
+        """The query engine of the store's current version (wired to the
+        plan cache), serving SPARQL and — once a schema is discovered — SQL.
 
-        Reusing one engine across queries lets the plan cache and the
-        optimizer's statistics caches amortize; the engine is rebuilt
-        automatically whenever the execution context is invalidated, which
-        every change of catalog also does.
+        An engine belongs to one version and costs nothing to make; what
+        amortizes across queries and versions — the plan cache, column
+        statistics — lives on the store and on the columns.
         """
-        context = self.context()
-        if self._engine is None or self._engine.context is not context:
-            self._engine = query_engine(context, self.catalog, self.plan_cache)
-        return self._engine
+        return self._snapshots.current(self).engine
 
     def sparql(self, text: str, options: Optional[PlannerOptions] = None,
                trace: bool = False, profile: bool = False) -> QueryResult:
@@ -1164,17 +1146,32 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel` (see :meth:`active_queries`).
         """
-        scheme = (options or PlannerOptions()).scheme
-        with self.query_scope(text, "sparql", scheme, trace=trace,
+        return self.run_query(self._snapshots.current(self), "sparql", text, options,
+                              trace=trace, profile=profile)
+
+    def run_query(self, version: StoreVersion, frontend: str, text: str,
+                  options: Optional[PlannerOptions] = None, source: str = "store",
+                  trace: bool = False, profile: bool = False) -> QueryResult:
+        """The one read path: run a query of either front end against one
+        version's read state, inside a :meth:`query_scope`.
+
+        Direct :meth:`sparql` / :meth:`sql` calls pass the current version,
+        an MVCC snapshot passes the version it pins, and
+        ``explain(analyze=True)`` is the same call with a profile.
+        """
+        scheme = "sql" if frontend == "sql" else (options or PlannerOptions()).scheme
+        with self.query_scope(text, frontend, scheme, source=source, trace=trace,
                               profile=profile) as run:
-            return self.engine().query("sparql", text, options, run)
+            if frontend not in version.engine.frontends:
+                raise StorageError("catalog not available; call discover_schema() first")
+            return version.engine.query(frontend, text, options, run)
 
     def query_scope(self, text: str, frontend: str, scheme: str,
                     source: str = "store", trace: bool = False,
                     profile: bool = False) -> "_QueryScope":
         """Register a query (listed and cancellable from here on) and return
-        the :class:`_QueryScope` its execution runs in.  Direct store calls,
-        MVCC snapshot reads and ``explain(analyze=True)`` all use this.
+        the :class:`_QueryScope` its execution runs in; :meth:`run_query` is
+        the caller for every query the store itself runs.
 
         Profiling wins over plain tracing: a :class:`~repro.obs.QueryProfile`
         *is* a :class:`~repro.obs.QueryTrace`, so every trace consumer (the
@@ -1230,9 +1227,9 @@ class RDFStore:
         header = f"plan [{options.describe()}]"
         if not analyze:
             return header + "\n" + self.sparql_plan(text, options).explain()
-        with self.query_scope(text, "sparql", options.scheme, source="explain",
-                              profile=True) as run:
-            result = self.engine().query("sparql", text, options, run)
+        result = self.run_query(self._snapshots.current(self), "sparql", text, options,
+                                source="explain", profile=True)
+        run = result.run
         header += (
             f" {result.cost.describe()} parse={run.parse_seconds * 1e3:.2f}ms"
             f" plan={run.plan_seconds * 1e3:.2f}ms"
@@ -1353,9 +1350,8 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel`.
         """
-        with self.query_scope(text, "sql", "sql", trace=trace, profile=profile) as run:
-            self.require_catalog()
-            return self.engine().query("sql", text, run=run)
+        return self.run_query(self._snapshots.current(self), "sql", text,
+                              trace=trace, profile=profile)
 
     def decode_rows(self, result: QueryResult) -> List[tuple]:
         """Decode a query result's OIDs back to Python values.

@@ -31,9 +31,10 @@ class ExecutionContext:
     schema: Optional[EmergentSchema] = None
     cost_model: CostModel = field(default_factory=CostModel)
     delta: Optional[object] = None
-    """Pending-write overlay (a :class:`repro.updates.DeltaStore`), duck-typed
-    so the engine layer stays import-free of the updates package.  Scans merge
-    ``base ∪ delta − tombstones`` whenever a non-empty delta is attached."""
+    """Pending-write overlay (the :class:`repro.updates.FrozenDelta` of one
+    delta version), duck-typed so the engine layer stays import-free of the
+    updates package.  Scans merge ``base ∪ delta − tombstones`` whenever a
+    non-empty delta is attached."""
     batch_size: int = 1024
     """Rows per batch flowing between operators (from
     :attr:`repro.core.StoreConfig.batch_size`).  Size 1 degenerates to

@@ -11,12 +11,14 @@ values are needed:
   cheap integer comparison (and feed zone maps);
 * **arithmetic / aggregation**: SUM(?price * ?discount) needs the numeric
   values behind the OIDs; :class:`ValueDecoder` materializes a float for
-  each OID, with caching.
+  each OID through the dictionary's numeric cache.
+
+Both bridges are stateless views of one dictionary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,34 +72,25 @@ class ValueEncoder:
 
 
 class ValueDecoder:
-    """Materializes numeric / python values behind OIDs, with caching."""
+    """Materializes numeric / python values behind OIDs.
+
+    Stateless, like the encoder: the numeric cache belongs to the dictionary
+    (:meth:`~repro.model.TermDictionary.numeric_value`).
+    """
 
     def __init__(self, dictionary: TermDictionary) -> None:
         self.dictionary = dictionary
-        self._numeric_cache: Dict[int, float] = {}
 
     def numeric(self, oid: int) -> float:
         """Numeric value of an OID (NaN for non-numeric or unknown terms)."""
-        cached = self._numeric_cache.get(oid)
-        if cached is not None:
-            return cached
-        value = float("nan")
-        if oid >= 0:
-            term = self.dictionary.decode(oid)
-            if isinstance(term, Literal):
-                python_value = term.to_python()
-                if isinstance(python_value, bool):
-                    value = 1.0 if python_value else 0.0
-                elif isinstance(python_value, (int, float)):
-                    value = float(python_value)
-        self._numeric_cache[oid] = value
-        return value
+        return self.dictionary.numeric_value(oid)
 
     def numeric_column(self, oids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`numeric` over an OID column."""
+        numeric = self.dictionary.numeric_value
         out = np.empty(len(oids), dtype=np.float64)
         for i, oid in enumerate(oids):
-            out[i] = self.numeric(int(oid))
+            out[i] = numeric(int(oid))
         return out
 
     def python_value(self, oid: int):

@@ -64,6 +64,10 @@ class TermDictionary:
         the head it keeps its keys.  One tuple so lock-free readers see both
         halves of a writer's replacement at once; a published list is never
         mutated."""
+        self._numeric: Dict[int, float] = {}
+        """OID -> numeric value, filled by :meth:`numeric_value`.  An OID
+        keeps its term until :meth:`remap` (which drops this), so every
+        context over the dictionary aggregates through one warm cache."""
 
     @property
     def value_order_watermark(self) -> int:
@@ -118,6 +122,23 @@ class TermDictionary:
         if 0 <= oid < len(self._oid_to_term):
             return self._oid_to_term[oid]
         raise DictionaryError(f"unknown OID {oid} (dictionary holds {len(self._oid_to_term)} terms)")
+
+    def numeric_value(self, oid: int) -> float:
+        """Numeric value behind an OID (NaN for non-numeric or unknown terms)."""
+        cached = self._numeric.get(oid)
+        if cached is not None:
+            return cached
+        value = float("nan")
+        if oid >= 0:
+            term = self.decode(oid)
+            if isinstance(term, Literal):
+                python_value = term.to_python()
+                if isinstance(python_value, bool):
+                    value = 1.0 if python_value else 0.0
+                elif isinstance(python_value, (int, float)):
+                    value = float(python_value)
+        self._numeric[oid] = value
+        return value
 
     def decode_triple(self, encoded: EncodedTriple) -> Triple:
         """Decode an encoded triple back to terms."""
@@ -217,6 +238,7 @@ class TermDictionary:
         new_terms: List[Term] = [old_terms[old] for old in new_to_old]  # type: ignore[index]
         self._oid_to_term = new_terms
         self._term_to_oid = {term: oid for oid, term in enumerate(new_terms)}
+        self._numeric = {}
         if any(old != new and isinstance(old_terms[old], Literal)
                for old, new in mapping.items()):
             # a moved literal voids "OID order is value order"; only

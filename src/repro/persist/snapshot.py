@@ -321,7 +321,7 @@ def _write_clustered_store(clustered, columns_dir: Path, zonemaps_dir: Path,
             columns[str(predicate_oid)] = {
                 "file": file_name,
                 "crc": crc,
-                "stats": ColumnStats.from_values(column.data).to_dict(),
+                "stats": column.statistics().to_dict(),
             }
         zone_maps: Dict[str, dict] = {}
         for predicate_oid, zone_map in block.zone_maps.items():
@@ -341,7 +341,7 @@ def _write_clustered_store(clustered, columns_dir: Path, zonemaps_dir: Path,
             "subject": {
                 "file": subject_file,
                 "crc": subject_crc,
-                "stats": ColumnStats.from_values(block.subject_column.data).to_dict(),
+                "stats": block.subject_column.statistics().to_dict(),
             },
             "columns": columns,
             "zone_maps": zone_maps,

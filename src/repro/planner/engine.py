@@ -85,21 +85,25 @@ class QueryEngine:
     :class:`ExecutionContext`.
 
     An optional :class:`PlanCache` makes repeated queries skip parsing,
-    lowering and planning.  :class:`~repro.core.RDFStore` holds one engine
-    per context, wired to its cache, and clears that cache when the data
-    changes.
+    lowering and planning.  :class:`~repro.core.RDFStore` has one engine per
+    store version, all wired to its one cache; ``version`` — the
+    (generation, delta version) pair the context describes — is part of
+    every key, so a snapshot pinned on an old version can neither take nor
+    leave a plan the current version would use.
     """
 
     def __init__(self, context: ExecutionContext, frontends: Iterable[Frontend],
-                 plan_cache: Optional[PlanCache] = None) -> None:
+                 plan_cache: Optional[PlanCache] = None,
+                 version: Tuple[int, ...] = ()) -> None:
         self.context = context
         self.frontends = {frontend.name: frontend for frontend in frontends}
         self.plan_cache = plan_cache
+        self.version = version
 
     @cached_property
     def planner(self) -> Planner:
-        """Built on the first cache miss: a snapshot pinned for one cached
-        query never plans."""
+        """Built on the first cache miss: a version that only ever serves
+        cached queries never plans."""
         return Planner(self.context)
 
     def prepare(self, frontend: str, text: str, options: Optional[PlannerOptions] = None,
@@ -127,7 +131,7 @@ class QueryEngine:
         options = options or front.options
         key = None
         if self.plan_cache is not None:
-            key = PlanCache.make_key(frontend, text, options)
+            key = self.version + PlanCache.make_key(frontend, text, options)
             cached = self.plan_cache.lookup(key)
             if cached is not None:
                 return cached

@@ -68,9 +68,9 @@ class _StarProfile:
 class QueryOptimizer:
     """Cardinality-driven join ordering and plan annotation.
 
-    One optimizer is created per planner (and therefore shared across the
-    queries of one store context), so the estimator's lazily computed column
-    statistics amortize across queries.
+    One optimizer is created per planner, so per store version; that costs
+    nothing, because the statistics its estimator reads are kept by the
+    columns and index stores they describe.
     """
 
     DP_STAR_LIMIT = 8
@@ -298,8 +298,9 @@ class PlanCache:
     when it was made (columns are nullable under a pending delta).  That is
     safe because the owning store clears the cache on every write
     (``_after_write``), ``compact``, reload and rebuild (``_invalidate``,
-    ``build_indexes``), and the snapshot registry hands each (generation,
-    delta version) pair a cache of its own.
+    ``build_indexes``), and every engine puts the (generation, delta version)
+    pair it reads in front of its keys — so a snapshot pinned on an older
+    version shares this cache without ever sharing a plan.
 
     :meth:`clear` resets the per-organization counters; the ``lifetime_*``
     counters survive clears, so monitoring sees cache effectiveness across

@@ -90,8 +90,6 @@ class Planner:
     def __init__(self, context: ExecutionContext) -> None:
         self.context = context
         self.optimizer = QueryOptimizer(context)
-        """Shared across the queries of this context, so the estimator's
-        lazily computed column statistics amortize."""
 
     # -- public entry point -----------------------------------------------------
 

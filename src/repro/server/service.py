@@ -27,7 +27,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..obs import default_registry, render_prometheus
 from ..planner import PlannerOptions, QueryResult
-from .session import ReadSnapshot, StoreSession
+from .session import ReadSnapshot, StoreSession, pinned_read
 
 
 class StoreService:
@@ -74,16 +74,12 @@ class StoreService:
         compaction can never skew the terms).
         """
         with self._observed("query"):
-            with self.store.snapshot() as snapshot:
-                result = snapshot.sparql(text, options)
-                return snapshot.decode_rows(result) if decode else result
+            return pinned_read(self.store, "sparql", text, options, decode)
 
     def sql(self, text: str, decode: bool = False):
         """Run one SQL query against the latest committed state."""
         with self._observed("sql"):
-            with self.store.snapshot() as snapshot:
-                result = snapshot.sql(text)
-                return snapshot.decode_rows(result) if decode else result
+            return pinned_read(self.store, "sql", text, decode=decode)
 
     def snapshot(self) -> ReadSnapshot:
         """Pin an explicit snapshot (caller must ``close()`` it)."""

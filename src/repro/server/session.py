@@ -1,27 +1,30 @@
-"""MVCC read snapshots and per-client store sessions.
+"""The per-version read state, the MVCC snapshots that pin it, and sessions.
 
-A :class:`ReadSnapshot` is the unit of snapshot isolation: it pins one
-*version pair* — the store's base generation (bumped whenever the physical
-structures are rebuilt) and the delta version (bumped by every write) — and
+There is one way to read a store.  A :class:`StoreVersion` is the read state
+of one *version pair* — the store's base generation (bumped whenever a base
+object is replaced) and the delta version (bumped by every write) — and
 bundles everything a query needs to run against exactly that state:
 
 * direct references to the base structures (dictionary, schema, catalog,
   exhaustive indexes, clustered store) — immutable by construction: rebuilds
   replace these objects instead of mutating them, and the store
   clones dictionary/schema before compaction whenever snapshots are open;
-* a :class:`~repro.updates.FrozenDelta` view of the pending writes —
-  an immutable copy the live delta's later mutations cannot touch;
-* a private :class:`~repro.engine.ExecutionContext` and one query engine
-  (SPARQL and SQL) wired to those references — cheap to create: a context
-  holds no index of its own (the literal order index that range predicates
-  resolve through belongs to the pinned dictionary and is shared with the
-  live store).
+* the version's :class:`~repro.updates.FrozenDelta` — the immutable read
+  half of the pending writes;
+* one :class:`~repro.engine.ExecutionContext` and one query engine (SPARQL
+  and SQL) wired to those references and to the store's one plan cache,
+  under keys scoped by the version pair.
 
-Acquisition happens under the store's shared (read) lock and is cheap: the
-frozen delta is built once per delta version and cached by the
-:class:`SnapshotRegistry`, so ten readers pinning the same version share one
-view.  Execution happens *without* any lock — a reader holding a snapshot
-never blocks the writer and never observes its progress.
+The :class:`SnapshotRegistry` builds the record once per version — a context
+and an engine cost microseconds, and whatever is expensive to derive lives
+on the objects it describes (statistics on columns, the literal index and
+numeric values on the dictionary, the delta index on the frozen delta) — and
+every reader of that version shares it.  A direct ``store.sparql`` reads
+through the current record; a :class:`ReadSnapshot` is the same record plus
+a *pin*, which is what makes it survive (and stay decodable across) later
+updates, compactions and checkpoints.  Pinning happens under the store's
+shared (read) lock; execution happens *without* any lock — a reader holding
+a snapshot never blocks the writer and never observes its progress.
 
 A :class:`StoreSession` is the per-client convenience handle
 (:meth:`repro.core.RDFStore.session`): queries auto-pin the latest snapshot
@@ -33,26 +36,50 @@ path.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine import ExecutionContext
 from ..errors import StorageError
-from ..planner import PlanCache, PlannerOptions, QueryEngine, QueryResult
+from ..planner import PlannerOptions, QueryEngine, QueryResult
 from ..sparql import SPARQL_FRONTEND
 from ..sql import sql_frontend
 
 
-def query_engine(context: ExecutionContext, catalog, plan_cache: Optional[PlanCache]) -> QueryEngine:
-    """The engine over one context: SPARQL, and SQL once a schema (hence a
-    catalog) exists.  The live store and every snapshot build theirs here."""
-    frontends = [SPARQL_FRONTEND]
-    if catalog is not None:
-        frontends.append(sql_frontend(catalog))
-    return QueryEngine(context, frontends, plan_cache)
+class StoreVersion:
+    """The read state of one (generation, delta version) pair of a store.
+
+    Built by the :class:`SnapshotRegistry` from the store's attributes at
+    one instant in which no writer is in flight, and never changed after:
+    a later write or rebuild makes a new record.
+    """
+
+    __slots__ = ("key", "delta", "context", "catalog", "engine", "base_triples")
+
+    def __init__(self, store, key: Tuple[int, int]) -> None:
+        self.key = key
+        self.delta = None if store.delta.is_empty() else store.delta.freeze()
+        self.context = ExecutionContext(
+            dictionary=store.dictionary,
+            pool=store.pool,
+            index_store=store.index_store,
+            clustered_store=store.clustered_store,
+            schema=store.schema,
+            cost_model=store.config.cost_model,
+            delta=self.delta,
+            batch_size=store.config.batch_size,
+        )
+        self.catalog = store.catalog
+        # SPARQL always; SQL once a schema (hence a catalog) exists
+        frontends = [SPARQL_FRONTEND]
+        if self.catalog is not None:
+            frontends.append(sql_frontend(self.catalog))
+        self.engine = QueryEngine(self.context, frontends, store.plan_cache, version=key)
+        self.base_triples = store.triple_count()
 
 
 class ReadSnapshot:
-    """One pinned, immutable view of a store: base generation + delta version.
+    """A pin on one :class:`StoreVersion`: base generation + delta version.
 
     Obtained from :meth:`repro.core.RDFStore.snapshot` (or a
     :class:`StoreSession`); release with :meth:`close` or use as a context
@@ -60,27 +87,13 @@ class ReadSnapshot:
     time, regardless of concurrent updates, compactions or checkpoints.
     """
 
-    def __init__(self, store, registry: "SnapshotRegistry", generation: int,
-                 delta_version: int, context: ExecutionContext, catalog,
-                 pinned_delta, base_triples: int, plan_cache) -> None:
+    def __init__(self, store, registry: "SnapshotRegistry", version: StoreVersion) -> None:
         self._store = store
         self._registry = registry
-        self.generation = generation
-        self.delta_version = delta_version
-        self.context = context
-        self.catalog = catalog
-        self._base_triples = base_triples
-        self._pinned_delta = pinned_delta
-        """The live delta object the pin was taken on — captured so release
-        still reaches it if the store is later re-pointed in place
-        (``RDFStore.open(into=...)`` swaps the store's delta object)."""
-        self._engine = query_engine(context, catalog, plan_cache)
-        """The plan cache is shared by every snapshot of the *same* version
-        pair (the registry rotates it when the version moves), so a serving
-        window between writes amortizes parse + plan across readers.  The
-        store's own cache cannot be shared: a pinned old-state snapshot
-        could repopulate it after a write cleared it, handing stale plans
-        to the new state."""
+        self._version = version
+        self.generation, self.delta_version = version.key
+        self.context = version.context
+        self.catalog = version.catalog
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -98,7 +111,7 @@ class ReadSnapshot:
         if self._closed:
             return
         self._closed = True
-        self._registry.release(self)
+        self._registry.release(self._version)
 
     def __enter__(self) -> "ReadSnapshot":
         return self
@@ -116,33 +129,32 @@ class ReadSnapshot:
                profile: bool = False) -> QueryResult:
         """Run a SPARQL query against the pinned state.
 
-        Snapshot queries run inside the owning store's
-        :meth:`~repro.core.RDFStore.query_scope`, so they record into its
-        metrics, slow-query log and active-query registry exactly like
-        direct :meth:`RDFStore.sparql` calls — all resolved through the
-        store at call time, so they keep pointing at the live registries
-        even across an ``open(into=...)`` swap.  The query is therefore visible
-        in ``store.active_queries()`` (``source="snapshot"``) and
-        cancellable with ``store.cancel(id)`` while it runs.
+        Snapshot queries run through the owning store's
+        :meth:`~repro.core.RDFStore.run_query`, the body a direct
+        :meth:`RDFStore.sparql` call runs through, so they record into its
+        metrics, slow-query log and active-query registry exactly alike —
+        all resolved through the store at call time, so they keep pointing
+        at the live registries even across an ``open(into=...)`` swap.  The
+        query is therefore visible in ``store.active_queries()``
+        (``source="snapshot"``) and cancellable with ``store.cancel(id)``
+        while it runs.
 
         With ``profile=True`` (or ``config.profile_queries``) the run
         carries a :class:`~repro.obs.QueryProfile` on the result's
         ``trace`` field, same as the direct store call.
         """
-        self._require_open()
-        scheme = (options or PlannerOptions()).scheme
-        with self._store.query_scope(text, "sparql", scheme, source="snapshot",
-                                     profile=profile) as run:
-            return self._engine.query("sparql", text, options, run)
+        return self.query("sparql", text, options, profile)
 
     def sql(self, text: str, profile: bool = False) -> QueryResult:
         """Run a SQL query against the pinned state's emergent schema."""
+        return self.query("sql", text, profile=profile)
+
+    def query(self, frontend: str, text: str, options: Optional[PlannerOptions] = None,
+              profile: bool = False) -> QueryResult:
+        """Run a query of either front end against the pinned state."""
         self._require_open()
-        if self.catalog is None:
-            raise StorageError("catalog not available; the store had no discovered schema")
-        with self._store.query_scope(text, "sql", "sql", source="snapshot",
-                                     profile=profile) as run:
-            return self._engine.query("sql", text, run=run)
+        return self._store.run_query(self._version, frontend, text, options,
+                                     source="snapshot", profile=profile)
 
     def decode_rows(self, result) -> List[tuple]:
         """Decode a result's OIDs with the *pinned* dictionary.
@@ -156,37 +168,70 @@ class ReadSnapshot:
     def live_triple_count(self) -> int:
         """Triples visible to this snapshot: base ∪ delta − tombstones.
 
-        Computed from the base count captured at pin time — never from the
-        live store, whose base may have compacted since.
+        Computed from the base count captured with the version — never from
+        the live store, whose base may have compacted since.
         """
         self._require_open()
-        delta = self.context.delta
+        delta = self._version.delta
         if delta is None:
-            return self._base_triples
-        return self._base_triples + delta.insert_count() - delta.tombstone_count()
+            return self._version.base_triples
+        return self._version.base_triples + delta.insert_count() - delta.tombstone_count()
 
 
 class SnapshotRegistry:
-    """Tracks open snapshots and caches one frozen delta per version.
+    """Owns the current :class:`StoreVersion` and counts pins on every version.
 
-    Owned by the store; :meth:`acquire` is called under the store's shared
-    lock (no writer in flight), :meth:`release` may be called from any
-    reader thread at any time.
+    Owned by the store.  The record is the only read-side state cached
+    anywhere, and its key is the only invalidation.  One rule reclaims a
+    delta version's index pages from the buffer pool, in one place
+    (:meth:`_replace_locked` / :meth:`release`): when the registry replaces
+    its record, the replaced version's pages are dropped at once if nothing
+    pins it, else at its last release.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._active: Dict[Tuple[int, int], int] = {}
-        self._frozen_key: Optional[Tuple[int, int]] = None
-        self._frozen_view = None
-        self._plan_cache: Optional[PlanCache] = None
-        """Shared by every snapshot of the cached version pair; rotated
-        together with the frozen view when the version moves on."""
-        self._retired_hits = 0
-        self._retired_misses = 0
-        self._retired_evictions = 0
-        """Lifetime counters folded in from rotated-out plan caches, so
-        :meth:`plan_cache_stats` stays monotonic across version changes."""
+        self._current: Optional[StoreVersion] = None
+        self._pins: Dict[StoreVersion, int] = {}
+        """Pin counts per record (by identity: after an ``open(into=)`` two
+        incarnations' version pairs may coincide)."""
+
+    def current(self, store) -> StoreVersion:
+        """The read state of the store's current version.
+
+        The fast path takes no lock: one reference read and one key
+        compare.  A miss builds the record under the registry lock; the
+        first-ever build of the physical stores happens before that, under
+        the store's writer lock.
+        """
+        version = self._current
+        if version is None or version.key != (store.generation, store.delta.version):
+            store.build_if_unbuilt()
+            with self._lock:
+                return self._current_locked(store)
+        # batch_size is a live runtime knob, not part of any version: the
+        # record picks it up whenever it is handed out
+        version.context.batch_size = store.config.batch_size
+        return version
+
+    def _current_locked(self, store) -> StoreVersion:
+        key = (store.generation, store.delta.version)
+        version = self._current
+        if version is None or version.key != key:
+            version = StoreVersion(store, key)
+            self._replace_locked(version)
+        version.context.batch_size = store.config.batch_size
+        return version
+
+    def _replace_locked(self, version: Optional[StoreVersion]) -> None:
+        replaced, self._current = self._current, version
+        if replaced is not None and replaced not in self._pins:
+            self._drop_pages(replaced)
+
+    @staticmethod
+    def _drop_pages(version: StoreVersion) -> None:
+        if version.delta is not None:
+            version.delta.drop_pages()
 
     def acquire(self, store) -> ReadSnapshot:
         """Pin the store's current state and hand out a snapshot.
@@ -195,87 +240,67 @@ class SnapshotRegistry:
         be in a committed state, and the base structures cannot be swapped
         mid-pin.
         """
-        delta = store.delta
-        generation = store.generation
-        key = (generation, delta.version)
         with self._lock:
-            if self._frozen_key != key:
-                self._frozen_view = delta.freeze() if not delta.is_empty() else None
-                self._retire_cache_locked()
-                self._plan_cache = PlanCache(capacity=store.config.plan_cache_size)
-                self._frozen_key = key
-            frozen = self._frozen_view
-            plan_cache = self._plan_cache
-            version = delta.pin_version()
-            self._active[key] = self._active.get(key, 0) + 1
-        context = ExecutionContext(
-            dictionary=store.dictionary,
-            pool=store.pool,
-            index_store=store.index_store,
-            clustered_store=store.clustered_store,
-            schema=store.schema,
-            cost_model=store.config.cost_model,
-            delta=frozen,
-            batch_size=store.config.batch_size,
-        )
-        return ReadSnapshot(store, self, generation=generation,
-                            delta_version=version, context=context,
-                            catalog=store.catalog, pinned_delta=delta,
-                            base_triples=store.triple_count(),
-                            plan_cache=plan_cache)
+            version = self._current_locked(store)
+            self._pins[version] = self._pins.get(version, 0) + 1
+        return ReadSnapshot(store, self, version)
 
-    def release(self, snapshot: ReadSnapshot) -> None:
-        key = (snapshot.generation, snapshot.delta_version)
+    def release(self, version: StoreVersion) -> None:
         with self._lock:
-            remaining = self._active.get(key, 0) - 1
-            if remaining > 0:
-                self._active[key] = remaining
-            else:
-                self._active.pop(key, None)
-                # the cached frozen view stays: while the key is still
-                # current the next acquisition re-uses it for free, and a
-                # superseded key is replaced on the next acquisition anyway
-        snapshot._pinned_delta.unpin_version(snapshot.delta_version)
+            remaining = self._pins[version] - 1
+            if remaining:
+                self._pins[version] = remaining
+                return
+            del self._pins[version]
+            if version is not self._current:
+                self._drop_pages(version)
+
+    def invalidate_cache(self) -> None:
+        """Retire the current record; the next read builds the next one.
+
+        The store calls this whenever it has moved on — after every write,
+        rebuild and compaction, so a superseded version's pages go now
+        rather than at the next read — and when it is re-pointed in place
+        (``RDFStore.open(into=...)``): the new incarnation's (generation,
+        version) pairs restart and could collide with the cached key.  Pin
+        accounting for snapshots already open is unaffected.
+        """
+        with self._lock:
+            self._replace_locked(None)
 
     def active_count(self) -> int:
         """Number of snapshots currently open across all versions."""
         with self._lock:
-            return sum(self._active.values())
+            return sum(self._pins.values())
 
-    def invalidate_cache(self) -> None:
-        """Drop the cached frozen view and plan cache.
+    def pinned_delta_versions(self) -> Set[int]:
+        """Delta versions currently referenced by open snapshots."""
+        with self._lock:
+            return {version.key[1] for version in self._pins}
 
-        Called when the store is re-pointed in place
-        (``RDFStore.open(into=...)``): the new incarnation's (generation,
-        version) pairs restart and could collide with the cached key, which
-        would hand a stale frozen view to a fresh pin.  Pin accounting for
-        snapshots opened before the swap is unaffected.
+    def deferred_reclaim_depth(self) -> int:
+        """Superseded delta versions whose pages wait on open pins.
+
+        A persistently nonzero depth under a read-heavy workload means
+        snapshot pins are outliving writes and superseded delta index pages
+        are accumulating in the buffer pool.
         """
         with self._lock:
-            self._frozen_key = None
-            self._frozen_view = None
-            self._retire_cache_locked()
+            return sum(1 for version in self._pins
+                       if version is not self._current and version.delta is not None)
 
-    def _retire_cache_locked(self) -> None:
-        cache = self._plan_cache
-        if cache is not None:
-            stats = cache.stats()
-            self._retired_hits += stats["lifetime_hits"]
-            self._retired_misses += stats["lifetime_misses"]
-            self._retired_evictions += stats["lifetime_evictions"]
-        self._plan_cache = None
 
-    def plan_cache_stats(self) -> Dict[str, int]:
-        """Monotonic hit/miss/eviction totals across every per-version
-        cache this registry has ever handed out, plus the live entry count."""
-        with self._lock:
-            live = self._plan_cache.stats() if self._plan_cache is not None else {}
-            return {
-                "hits": self._retired_hits + live.get("lifetime_hits", 0),
-                "misses": self._retired_misses + live.get("lifetime_misses", 0),
-                "evictions": self._retired_evictions + live.get("lifetime_evictions", 0),
-                "entries": live.get("size", 0),
-            }
+def pinned_read(store, frontend: str, text: str, options: Optional[PlannerOptions] = None,
+                decode: bool = False, sticky: Optional[ReadSnapshot] = None):
+    """Pin, run, decode under the same pin, release — one served read.
+
+    Runs against ``sticky`` (left open) when given, else against a snapshot
+    of the latest committed state held for just this call.  Decoding under
+    the pin is what keeps OIDs and terms matched while a writer compacts.
+    """
+    with (store.snapshot() if sticky is None else nullcontext(sticky)) as snapshot:
+        result = snapshot.query(frontend, text, options)
+        return snapshot.decode_rows(result) if decode else result
 
 
 class StoreSession:
@@ -326,21 +351,11 @@ class StoreSession:
         With ``decode=True`` returns decoded rows (decoded under the same
         snapshot, so OIDs and terms always match).
         """
-        if self._sticky is not None:
-            result = self._sticky.sparql(text, options)
-            return self._sticky.decode_rows(result) if decode else result
-        with self.store.snapshot() as snapshot:
-            result = snapshot.sparql(text, options)
-            return snapshot.decode_rows(result) if decode else result
+        return pinned_read(self.store, "sparql", text, options, decode, self._sticky)
 
     def sql(self, text: str, decode: bool = False):
         """Run a SQL query against the session's view."""
-        if self._sticky is not None:
-            result = self._sticky.sql(text)
-            return self._sticky.decode_rows(result) if decode else result
-        with self.store.snapshot() as snapshot:
-            result = snapshot.sql(text)
-            return snapshot.decode_rows(result) if decode else result
+        return pinned_read(self.store, "sql", text, None, decode, self._sticky)
 
     # -- writes --------------------------------------------------------------
 

@@ -250,11 +250,12 @@ class ClusteredStore:
             raise StorageError(f"no clustered block for CS {cs_id}")
         return self._by_cs[cs_id]
 
-    def block_of_subject(self, subject_oid: int) -> Optional[CSBlock]:
-        cs_id = self.schema.subject_to_cs.get(subject_oid)
-        if cs_id is None:
-            return None
+    def find_block(self, cs_id: Optional[int]) -> Optional[CSBlock]:
+        """The block of one characteristic set, or ``None`` when it has none."""
         return self._by_cs.get(cs_id)
+
+    def block_of_subject(self, subject_oid: int) -> Optional[CSBlock]:
+        return self.find_block(self.schema.subject_to_cs.get(subject_oid))
 
     def blocks_with_properties(self, predicate_oids: Iterable[int]) -> List[CSBlock]:
         """Blocks whose CS contains every one of the given predicates."""

@@ -42,6 +42,7 @@ class ExhaustiveIndexStore:
         self.name = name
         self.pool = pool
         self._predicate_counts_cache: Optional[Dict[int, int]] = None
+        self._distinct_cache: Dict[Tuple[int, str], int] = {}
         self.tables: Dict[str, TripleTable] = {}
         for order in orders:
             self.tables[order] = TripleTable(matrix, order=order, pool=pool, name=f"{name}.{order}")
@@ -64,6 +65,7 @@ class ExhaustiveIndexStore:
         store.name = name
         store.pool = pool
         store._predicate_counts_cache = None
+        store._distinct_cache = {}
         store.tables = dict(tables)
         return store
 
@@ -191,6 +193,25 @@ class ExhaustiveIndexStore:
         if self._predicate_counts_cache is None:
             self._predicate_counts_cache = self.table(self.best_order("p")).predicate_counts()
         return self._predicate_counts_cache
+
+    def distinct_in_predicate(self, predicate_oid: int, component: str) -> Optional[int]:
+        """Distinct subjects (``"s"``) or objects (``"o"``) among one
+        predicate's triples (metadata, remembered like the predicate counts).
+
+        ``None`` when the projection that sorts the component within the
+        predicate (PSO / POS) is not maintained.
+        """
+        table = self.tables.get("pso" if component == "s" else "pos")
+        if table is None:
+            return None
+        key = (predicate_oid, component)
+        if key not in self._distinct_cache:
+            lo, hi = table.prefix_row_range(predicate_oid)
+            segment = table.column(component).data[lo:hi]
+            # sorted within the predicate: count the value changes
+            self._distinct_cache[key] = int(hi > lo) + int(
+                np.count_nonzero(segment[1:] != segment[:-1]))
+        return self._distinct_cache[key]
 
     def set_predicate_counts(self, counts: Dict[int, int]) -> None:
         """Pre-seed the predicate-count cache (snapshot restore path)."""

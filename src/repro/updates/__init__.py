@@ -17,9 +17,10 @@ cluster.  This package makes the result *writable* without rebuilding:
   write-ahead log (:mod:`repro.persist.wal`) so acknowledged writes
   survive crashes and ``RDFStore.open`` can replay them;
 * :class:`UndoLog` / :class:`FrozenDelta` — the concurrency primitives:
-  per-request undo logs make request atomicity O(touched keys), and frozen
-  delta views give MVCC read snapshots an immutable state to query while
-  the live delta keeps mutating (see ``docs/concurrency.md``).
+  per-request undo logs make request atomicity O(touched keys), and the
+  frozen read half of each delta version is the immutable state every
+  query — direct or through an MVCC snapshot — reads while the write half
+  keeps mutating (see ``docs/updates.md`` and ``docs/concurrency.md``).
 
 Queries between writes and compactions stay correct because every access
 path in :mod:`repro.engine` merges ``base ∪ delta − tombstones`` (the

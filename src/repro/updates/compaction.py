@@ -75,17 +75,16 @@ def compact_store(store) -> CompactionReport:
     the matrix merge and the incremental schema bookkeeping.
     """
     report = CompactionReport()
-    delta = store.delta
-    if delta is None or delta.is_empty():
+    if store.delta.is_empty():
         # a no-op compaction (inserts and deletes cancelled out) still
         # settles the journal: the base state reflects every recorded
         # request, so a later save() must not re-seed dead texts
         _clear_journal(store)
         return report
 
-    delta_subjects = [int(s) for s in delta.delta_subjects()]
-    tombstone_subjects = {int(s) for s in delta.tombstone_matrix()[:, 0]} \
-        if delta.tombstone_count() else set()
+    delta = store.delta.freeze()
+    delta_subjects = [int(s) for s in np.unique(delta.matrix()[:, 0])]
+    tombstone_subjects = {int(s) for s in delta.tombstone_matrix()[:, 0]}
 
     merged, report.merged_inserts, report.applied_deletes = merge_matrices(store.matrix, delta)
 
@@ -105,7 +104,7 @@ def compact_store(store) -> CompactionReport:
         _refresh_coverage(schema, merged)
 
     store.matrix = merged
-    delta.clear()
+    store.delta.clear()
     # only now that the merge succeeded: the journal's texts are reflected
     # in the base matrix, so save() no longer needs to seed them into a
     # fresh WAL.  Clearing any earlier would lose acknowledged updates from

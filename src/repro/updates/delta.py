@@ -16,30 +16,30 @@ accumulate here:
 
 Deleting a triple that only exists in the delta simply removes the insert;
 re-inserting a tombstoned base triple removes the tombstone (resurrection).
-The delta index is rebuilt lazily after mutations — deltas are small by
-design, and :func:`repro.updates.compaction.compact_store` folds them into
-the base before they grow large.
 
-Two concurrency-facing mechanisms live here as well:
+The delta has a write half and a read half:
 
-* **per-request undo logs** — ``RDFStore.update`` brackets each request with
-  :meth:`DeltaStore.begin_request` / :meth:`DeltaStore.commit_request`.
-  Every mutation records its *inverse* in the active :class:`UndoLog`, so a
-  failed request is rolled back by replaying only the keys it touched —
-  O(touched), not O(pending) — which keeps a burst of N uncompacted updates
-  linear instead of quadratic;
-* **frozen views** — :meth:`DeltaStore.freeze` captures the current delta
-  state as an immutable :class:`FrozenDelta` that MVCC read snapshots query
-  while the live delta keeps mutating.  Frozen views share the (immutable)
-  per-version permutation index; versions still referenced by a pinned
-  snapshot keep their buffer-pool pages until the pin is released
-  (:meth:`DeltaStore.pin_version` / :meth:`DeltaStore.unpin_version`).
+* :class:`DeltaStore` is what the single writer mutates: the insert and
+  tombstone sets with O(1) membership, CS routing, and **per-request undo
+  logs** — ``RDFStore.update`` brackets each request with
+  :meth:`DeltaStore.begin_request` / :meth:`DeltaStore.commit_request`, every
+  mutation records its *inverse* in the active :class:`UndoLog`, and a failed
+  request is rolled back by replaying only the keys it touched — O(touched),
+  not O(pending) — which keeps a burst of N uncompacted updates linear
+  instead of quadratic;
+* :class:`FrozenDelta` is what every query reads: :meth:`DeltaStore.freeze`
+  hands out *the* immutable read half of the current version — the two sets
+  as arrays plus what scans derive from them (the permutation index,
+  per-predicate tombstones, touched subjects), each built once for the
+  version.  A mutation drops it; the next read builds the next one.  Deltas
+  are small by design, and :func:`repro.updates.compaction.compact_store`
+  folds them into the base before they grow large.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -126,23 +126,9 @@ class DeltaStore:
         self._subject_props: Dict[int, Set[int]] = {}
         self._subject_inserts: Dict[int, Set[TripleKey]] = {}
         self._routes: Dict[int, Optional[int]] = {}
-        self._index: Optional[ExhaustiveIndexStore] = None
-        self._tombstones_by_p: Optional[Dict[int, List[TripleKey]]] = None
-        self._touched_by_p: Optional[Dict[int, np.ndarray]] = None
-        """Per predicate, the sorted distinct subjects with a pending insert
-        or tombstone on it.  Derived once per delta version, like the index:
-        built on first use, dropped by :meth:`_dirty`, shared with frozen
-        views."""
+        self._frozen: Optional[FrozenDelta] = None
         self.version = 0
         self._undo: Optional[UndoLog] = None
-        self._pin_lock = threading.Lock()
-        """Guards the pin/deferred-drop bookkeeping: snapshots release their
-        pins from reader threads while the writer may be superseding the
-        version they pinned."""
-        self._pins: Dict[int, int] = {}
-        """Pin counts per delta version held by open read snapshots."""
-        self._deferred_drops: Set[int] = set()
-        """Superseded versions whose index pages are still pinned."""
 
     # -- mutation -----------------------------------------------------------------
 
@@ -254,98 +240,25 @@ class DeltaStore:
         self._dirty()
 
     def _dirty(self) -> None:
-        if self.pool is not None:
-            # the index is rebuilt under a new versioned segment name; evict
-            # the superseded generation's pages so they stop counting toward
-            # pool capacity and cold/hot accounting.  A version pinned by an
-            # open read snapshot is *not* evicted — its frozen view still
-            # scans those segments — only queued for reclaim at unpin time.
-            # The deferred set can also hold the *current* version: a frozen
-            # view may have built (and released) index pages the live store
-            # never did (see unpin_version).
-            with self._pin_lock:
-                stale_pages = (self._index is not None
-                               or self.version in self._deferred_drops)
-                if stale_pages:
-                    if self._pins.get(self.version):
-                        self._deferred_drops.add(self.version)
-                    else:
-                        self._deferred_drops.discard(self.version)
-                        self.pool.drop_segments(self._segment_prefix(self.version))
-        self._index = None
-        self._tombstones_by_p = None
-        self._touched_by_p = None
+        self._frozen = None
         self.version += 1
 
-    def _segment_prefix(self, version: int) -> str:
-        """Buffer-pool segment prefix of one version's permutation index.
-
-        The trailing separator keeps ``v1`` from also matching ``v10``."""
-        return f"{self.name}.v{version}."
-
-    # -- snapshot pinning ------------------------------------------------------------
-
-    def pin_version(self) -> int:
-        """Pin the current version (an open read snapshot references it).
-
-        While a version is pinned, superseding it does not evict its index
-        pages from the buffer pool — a frozen view may still be scanning
-        them.  Returns the pinned version for :meth:`unpin_version`.
-        """
-        with self._pin_lock:
-            self._pins[self.version] = self._pins.get(self.version, 0) + 1
-            return self.version
-
-    def unpin_version(self, version: int) -> None:
-        """Release one pin; reclaim the version's pages once unreferenced."""
-        with self._pin_lock:
-            remaining = self._pins.get(version, 0) - 1
-            if remaining > 0:
-                self._pins[version] = remaining
-                return
-            self._pins.pop(version, None)
-            if version == self.version:
-                # the version is still current: its pages must never be
-                # dropped here — the live index (if built) is in active use.
-                # When only a frozen view built pages (live _index is None),
-                # queue them so the next supersession's _dirty() reclaims
-                # them instead of leaking them in the pool.
-                if self._index is None:
-                    self._deferred_drops.add(version)
-                return
-            self._deferred_drops.discard(version)
-        if self.pool is not None:
-            # superseded and unreferenced — whether the drop was deferred at
-            # supersession time or the pages were built by a frozen view the
-            # live store never queued a drop for, sweep them now
-            self.pool.drop_segments(self._segment_prefix(version))
-
-    def pinned_versions(self) -> Set[int]:
-        """Versions currently referenced by open read snapshots."""
-        with self._pin_lock:
-            return set(self._pins)
-
-    def deferred_reclaim_depth(self) -> int:
-        """Versions whose page reclamation is queued behind open pins.
-
-        A persistently nonzero depth under a read-heavy workload means
-        snapshot pins are outliving writes and superseded delta index pages
-        are accumulating in the buffer pool.
-        """
-        with self._pin_lock:
-            return len(self._deferred_drops)
-
-    # -- frozen views (MVCC read epochs) -----------------------------------------------
-
     def freeze(self) -> "FrozenDelta":
-        """An immutable view of the current delta state.
+        """The read half of the current version.
 
-        The view copies the insert/tombstone bookkeeping (O(pending), done
-        once per read epoch, typically cached by the snapshot registry) and
-        *shares* the already-built permutation index — index objects are
-        immutable per version; mutations always build a new one.
+        Built on the first request after a mutation — O(pending), once per
+        version that is read — and handed to every later caller as is, so
+        all readers of one version share one index.  The store calls this
+        while no request is mutating (under its lock, or from the writer's
+        own thread); the name check keeps a reader that ignores that rule
+        from leaving its view behind for a later version.
         """
-        return FrozenDelta(self)
+        name = f"{self.name}.v{self.version}"
+        frozen = self._frozen
+        if frozen is None or frozen.name != name:
+            frozen = self._frozen = FrozenDelta(self.matrix(), self.tombstone_matrix(),
+                                                self.pool, name)
+        return frozen
 
     def _note_subject_insert(self, key: TripleKey) -> None:
         subject, predicate = key[0], key[1]
@@ -384,124 +297,11 @@ class DeltaStore:
 
     def matrix(self) -> np.ndarray:
         """The pending inserts as an ``(n, 3)`` S/P/O matrix (insert order)."""
-        if not self._inserts:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.asarray(list(self._inserts), dtype=np.int64)
+        return _as_triples(list(self._inserts))
 
     def tombstone_matrix(self) -> np.ndarray:
         """The tombstones as an ``(n, 3)`` S/P/O matrix (unordered)."""
-        if not self._tombstones:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.asarray(sorted(self._tombstones), dtype=np.int64)
-
-    def delta_subjects(self) -> np.ndarray:
-        """Distinct subject OIDs with at least one pending insert."""
-        if not self._subject_props:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(sorted(self._subject_props), dtype=np.int64)
-
-    def subjects_touching(self, predicates: Iterable[int]) -> np.ndarray:
-        """Sorted subjects with an insert *or* tombstone on any given predicate.
-
-        These are the subjects whose star-pattern answers can no longer be
-        read from the base CS block alone; the clustered scan routes them
-        through its residual scan.
-        """
-        touched = self._touched_subjects()
-        parts = [touched[p] for p in predicates if p in touched]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-
-    def _touched_subjects(self) -> Dict[int, np.ndarray]:
-        if self._touched_by_p is None:
-            grouped: Dict[int, Set[int]] = {}
-            for keys in (self._inserts, self._tombstones):
-                for s, p, _o in keys:
-                    grouped.setdefault(p, set()).add(s)
-            self._touched_by_p = {p: np.asarray(sorted(subjects), dtype=np.int64)
-                                  for p, subjects in grouped.items()}
-        return self._touched_by_p
-
-    # -- merge-scan access paths ----------------------------------------------------
-
-    def index(self) -> ExhaustiveIndexStore:
-        """A small exhaustive permutation index over the pending inserts.
-
-        Rebuilt lazily after mutations; the segment names carry the delta
-        version so buffer-pool accounting never confuses two generations of
-        delta pages.
-        """
-        if self._index is None:
-            self._index = ExhaustiveIndexStore(
-                self.matrix(), pool=self.pool, name=f"{self.name}.v{self.version}")
-        return self._index
-
-    def scan_pattern(self, s: Optional[int] = None, p: Optional[int] = None,
-                     o: Optional[int] = None, fetch: str = "spo") -> np.ndarray:
-        """Pattern scan over the pending inserts (same shape as the base API)."""
-        if not self._inserts:
-            return np.empty((0, len(fetch)), dtype=np.int64)
-        return self.index().scan_pattern(s=s, p=p, o=o, fetch=fetch)
-
-    def _grouped_tombstones(self) -> Dict[int, List[TripleKey]]:
-        if self._tombstones_by_p is None:
-            grouped: Dict[int, List[TripleKey]] = {}
-            for key in self._tombstones:
-                grouped.setdefault(key[1], []).append(key)
-            self._tombstones_by_p = grouped
-        return self._tombstones_by_p
-
-    def tombstone_mask(self, rows: np.ndarray,
-                       predicate: Optional[int] = None) -> np.ndarray:
-        """Boolean mask of tombstoned rows in an ``(n, 3)`` S/P/O array.
-
-        ``predicate`` narrows the tombstones consulted when every row is
-        known to carry that predicate.  Membership is tested with one
-        ``np.isin`` over packed ``(s, p, o)`` int64 keys — a single
-        ``DELETE WHERE`` can create thousands of tombstones, so the check
-        must stay ``O((n + T) log T)``, not ``O(n · T)``.
-        """
-        mask = np.zeros(rows.shape[0], dtype=bool)
-        if not self._tombstones or rows.size == 0:
-            return mask
-        if predicate is not None:
-            candidates = self._grouped_tombstones().get(int(predicate), [])
-        else:
-            candidates = list(self._tombstones)
-        if not candidates:
-            return mask
-        tombs = np.asarray(candidates, dtype=np.int64)
-        base_p = max(int(rows[:, 1].max()), int(tombs[:, 1].max())) + 1
-        base_o = max(int(rows[:, 2].max()), int(tombs[:, 2].max())) + 1
-        base_s = max(int(rows[:, 0].max()), int(tombs[:, 0].max())) + 1
-        if 0 < base_s * base_p * base_o <= _INT64_MAX:
-            row_keys = (rows[:, 0] * base_p + rows[:, 1]) * base_o + rows[:, 2]
-            tomb_keys = (tombs[:, 0] * base_p + tombs[:, 1]) * base_o + tombs[:, 2]
-            return np.isin(row_keys, tomb_keys)
-        for ts, tp, to in candidates:  # astronomically large OIDs: safe fallback
-            mask |= (rows[:, 0] == ts) & (rows[:, 1] == tp) & (rows[:, 2] == to)
-        return mask
-
-    def pair_tombstone_mask(self, predicate: int, subjects: np.ndarray,
-                            objects: np.ndarray) -> np.ndarray:
-        """Tombstone mask over aligned (subject, object) pairs of one predicate."""
-        mask = np.zeros(subjects.shape[0], dtype=bool)
-        if subjects.size == 0:
-            return mask
-        candidates = self._grouped_tombstones().get(int(predicate), [])
-        if not candidates:
-            return mask
-        tombs = np.asarray(candidates, dtype=np.int64)
-        base_s = max(int(subjects.max()), int(tombs[:, 0].max())) + 1
-        base_o = max(int(objects.max()), int(tombs[:, 2].max())) + 1
-        if 0 < base_s * base_o <= _INT64_MAX:
-            pair_keys = subjects * base_o + objects
-            tomb_keys = tombs[:, 0] * base_o + tombs[:, 2]
-            return np.isin(pair_keys, tomb_keys)
-        for ts, _tp, to in candidates:
-            mask |= (subjects == ts) & (objects == to)
-        return mask
+        return _as_triples(list(self._tombstones))
 
     # -- CS routing -----------------------------------------------------------------
 
@@ -539,18 +339,6 @@ class DeltaStore:
         return {cs_id: np.asarray(rows, dtype=np.int64)
                 for cs_id, rows in buckets.items()}
 
-    # -- buffer-pool integration ------------------------------------------------------
-
-    def attach_pool(self, pool) -> None:
-        self.pool = pool
-        if self._index is not None:
-            self._index.attach_pool(pool)
-
-    def warm(self) -> None:
-        """Pre-load the delta index pages (part of the store's hot state)."""
-        if self._inserts:
-            self.index().warm()
-
     # -- reporting ---------------------------------------------------------------------
 
     def summary(self) -> Dict[str, int]:
@@ -563,43 +351,153 @@ class DeltaStore:
         }
 
 
-class FrozenDelta(DeltaStore):
-    """An immutable point-in-time view of a :class:`DeltaStore`.
+class FrozenDelta:
+    """The read half of one delta version: what queries merge with the base.
 
-    MVCC read snapshots query one of these while the live delta keeps
-    mutating: the view owns shallow copies of the insert/tombstone
-    bookkeeping and shares the per-version permutation index (immutable —
-    mutations always create a new one under a new segment name).  Every read
-    method of :class:`DeltaStore` works unchanged; the mutating ones raise
-    :class:`~repro.errors.StorageError`.
+    Holds the pending inserts and tombstones as two ``(n, 3)`` arrays and
+    offers nothing that mutates.  What scans need beyond the arrays — the
+    six-permutation index over the inserts, the tombstones grouped by
+    predicate, the touched subjects per predicate — is derived on first use
+    and kept, so every context, snapshot and estimator of the version shares
+    it.  ``name`` (``<delta>.v<N>``) prefixes the index's buffer-pool
+    segments, keeping two versions' pages apart.
     """
 
-    def __init__(self, source: DeltaStore) -> None:
-        super().__init__(schema=source.schema, pool=source.pool, name=source.name)
-        self.version = source.version
-        self._inserts = dict(source._inserts)
-        self._tombstones = set(source._tombstones)
-        self._subject_props = {s: set(p) for s, p in source._subject_props.items()}
-        self._subject_inserts = {s: set(k) for s, k in source._subject_inserts.items()}
-        self._routes = dict(source._routes)
-        self._index = source._index
-        self._touched_by_p = source._touched_by_p
-        self._frozen = True
+    def __init__(self, inserts: np.ndarray, tombstones: np.ndarray,
+                 pool=None, name: str = "delta") -> None:
+        for array in (inserts, tombstones):
+            array.setflags(write=False)
+        self._inserts = inserts
+        self._tombstones = tombstones
+        self.pool = pool
+        self.name = name
+        self._index: Optional[ExhaustiveIndexStore] = None
+        self._tombstones_by_p: Optional[Dict[int, np.ndarray]] = None
+        self._touched_by_p: Optional[Dict[int, np.ndarray]] = None
 
-    def _immutable(self) -> StorageError:
-        return StorageError("a frozen delta view is immutable; write through the store")
+    # -- inspection ---------------------------------------------------------------
 
-    def insert(self, s: int, p: int, o: int, in_base: bool) -> bool:
-        raise self._immutable()
+    def is_empty(self) -> bool:
+        return not self._inserts.size and not self._tombstones.size
 
-    def delete(self, s: int, p: int, o: int, in_base: bool) -> bool:
-        raise self._immutable()
+    def insert_count(self) -> int:
+        return int(self._inserts.shape[0])
 
-    def clear(self) -> None:
-        raise self._immutable()
+    def tombstone_count(self) -> int:
+        return int(self._tombstones.shape[0])
 
-    def begin_request(self) -> UndoLog:
-        raise self._immutable()
+    def matrix(self) -> np.ndarray:
+        """The pending inserts as an ``(n, 3)`` S/P/O matrix (insert order)."""
+        return self._inserts
 
-    def attach_schema(self, schema) -> None:
-        raise self._immutable()
+    def tombstone_matrix(self) -> np.ndarray:
+        """The tombstones as an ``(n, 3)`` S/P/O matrix (unordered)."""
+        return self._tombstones
+
+    def subjects_touching(self, predicates: Iterable[int]) -> np.ndarray:
+        """Sorted subjects with an insert *or* tombstone on any given predicate.
+
+        These are the subjects whose star-pattern answers can no longer be
+        read from the base CS block alone; the clustered scan routes them
+        through its residual scan.
+        """
+        if self._touched_by_p is None:
+            pairs = np.concatenate([self._inserts[:, :2], self._tombstones[:, :2]])
+            self._touched_by_p = {p: np.unique(subjects) for p, subjects
+                                  in _split_by(pairs[:, 1], pairs[:, 0]).items()}
+        parts = [self._touched_by_p[p] for p in predicates if p in self._touched_by_p]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+
+    # -- merge-scan access paths ----------------------------------------------------
+
+    def index(self) -> ExhaustiveIndexStore:
+        """A small exhaustive permutation index over the pending inserts."""
+        if self._index is None:
+            self._index = ExhaustiveIndexStore(self._inserts, pool=self.pool,
+                                               name=self.name)
+        return self._index
+
+    def scan_pattern(self, s: Optional[int] = None, p: Optional[int] = None,
+                     o: Optional[int] = None, fetch: str = "spo") -> np.ndarray:
+        """Pattern scan over the pending inserts (same shape as the base API)."""
+        if not self._inserts.size:
+            return np.empty((0, len(fetch)), dtype=np.int64)
+        return self.index().scan_pattern(s=s, p=p, o=o, fetch=fetch)
+
+    def tombstone_mask(self, rows: np.ndarray,
+                       predicate: Optional[int] = None) -> np.ndarray:
+        """Boolean mask of tombstoned rows in an ``(n, 3)`` S/P/O array.
+
+        ``predicate`` narrows the tombstones consulted when every row is
+        known to carry that predicate.
+        """
+        if predicate is not None:
+            return self.pair_tombstone_mask(predicate, rows[:, 0], rows[:, 2])
+        return _isin_rows(rows.T, self._tombstones.T)
+
+    def pair_tombstone_mask(self, predicate: int, subjects: np.ndarray,
+                            objects: np.ndarray) -> np.ndarray:
+        """Tombstone mask over aligned (subject, object) pairs of one predicate."""
+        if self._tombstones_by_p is None:
+            self._tombstones_by_p = _split_by(self._tombstones[:, 1],
+                                              self._tombstones[:, ::2])
+        tombs = self._tombstones_by_p.get(int(predicate))
+        if tombs is None:
+            return np.zeros(subjects.shape[0], dtype=bool)
+        return _isin_rows((subjects, objects), tombs.T)
+
+    def is_tombstoned(self, s: int, p: int, o: int) -> bool:
+        return bool(self.pair_tombstone_mask(
+            p, np.asarray([s], dtype=np.int64), np.asarray([o], dtype=np.int64))[0])
+
+    # -- buffer-pool integration ------------------------------------------------------
+
+    def warm(self) -> None:
+        """Pre-load the delta index pages (part of the store's hot state)."""
+        if self._inserts.size:
+            self.index().warm()
+
+    def drop_pages(self) -> None:
+        """Evict this version's index pages, so a superseded version stops
+        counting toward pool capacity and cold/hot accounting.  *When* is
+        the snapshot registry's one rule (``docs/concurrency.md``)."""
+        if self._index is not None and self.pool is not None:
+            # the trailing separator keeps ``v1`` from also matching ``v10``
+            self.pool.drop_segments(f"{self.name}.")
+
+
+def _as_triples(keys: List[TripleKey]) -> np.ndarray:
+    return np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+
+
+def _split_by(keys: np.ndarray, values: np.ndarray) -> Dict[int, np.ndarray]:
+    """``values`` (rows aligned with ``keys``) grouped by key."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return {int(key): part for key, part
+            in zip(distinct, np.split(values[order], starts[1:]))}
+
+
+def _isin_rows(rows: Sequence[np.ndarray], members: Sequence[np.ndarray]) -> np.ndarray:
+    """Which rows occur among ``members``; both are parallel component columns.
+
+    Membership is one ``np.isin`` over packed int64 keys — a single ``DELETE
+    WHERE`` can create thousands of tombstones, so the check must stay
+    ``O((n + T) log T)``, not ``O(n · T)``.
+    """
+    mask = np.zeros(rows[0].shape[0], dtype=bool)
+    if not mask.size or not members[0].size:
+        return mask
+    bases = [max(int(row.max()), int(member.max())) + 1
+             for row, member in zip(rows, members)]
+    if 0 < math.prod(bases) <= _INT64_MAX:
+        row_keys, member_keys = rows[0], members[0]
+        for base, row, member in zip(bases[1:], rows[1:], members[1:]):
+            row_keys = row_keys * base + row
+            member_keys = member_keys * base + member
+        return np.isin(row_keys, member_keys)
+    for member in zip(*members):  # astronomically large OIDs: safe fallback
+        mask |= np.logical_and.reduce([row == value for row, value in zip(rows, member)])
+    return mask

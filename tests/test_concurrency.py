@@ -19,17 +19,25 @@ hammering update/query/compact/checkpoint.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from _datasets import EX, book_triples
+from _datasets import EX, book_triples, build_rdfh_store, tiny_tpch
 from repro import QueryServer, RDFStore, StoreConfig, StoreService
+from repro.bench import q6_sparql
+from repro.bench.rdfh import RDFH_VOC, customer_iri
+from repro.columnar import ColumnStats
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import PersistenceError, StorageError
 from repro.server import ReadWriteLock
 from repro.updates import DeltaStore, FrozenDelta
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"))
+from inputs import AdhocStream  # noqa: E402 - the repo benchmark's ad-hoc texts
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -209,31 +217,55 @@ class TestReadSnapshots:
             snap.sparql(AUTHOR_QUERY)
 
     def test_frozen_delta_is_immutable(self):
+        """The read half of a version has no mutators to call, is one object
+        per version, and is untouched by the writes that supersede it."""
         store = build_store()
         store.update(pair_update(1))
         frozen = store.delta.freeze()
-        assert isinstance(frozen, FrozenDelta)
-        assert frozen.insert_count() == store.delta.insert_count()
-        with pytest.raises(StorageError):
-            frozen.insert(1, 2, 3, in_base=False)
-        with pytest.raises(StorageError):
-            frozen.delete(1, 2, 3, in_base=True)
-        with pytest.raises(StorageError):
-            frozen.clear()
+        assert isinstance(frozen, FrozenDelta) and not isinstance(frozen, DeltaStore)
+        assert store.delta.freeze() is frozen
+        assert frozen.insert_count() == store.delta.insert_count() == 2
+        for mutator in ("insert", "delete", "clear", "begin_request",
+                        "abort_request", "attach_schema"):
+            assert not hasattr(frozen, mutator), mutator
+        rows = frozen.matrix().copy()
+        store.update(pair_update(2))
+        store.update(f'DELETE DATA {{ <{EX}book/1> <{EX}isbn_no> "isbn-0001" . }}')
+        assert store.delta.freeze() is not frozen
+        assert (frozen.matrix() == rows).all() and frozen.tombstone_count() == 0
+        assert store.delta.freeze().insert_count() == 4
+        assert store.delta.freeze().tombstone_count() == 1
 
     def test_snapshots_of_one_version_share_a_plan_cache(self):
-        """Concurrent readers at the same version amortize parse + plan; a
-        write rotates the cache so stale plans never cross versions."""
+        """Readers at the same version amortize parse + plan through the
+        store's one cache; keys are scoped by version, so stale plans never
+        cross a write."""
         store = build_store()
+        hits = lambda: store.plan_cache_stats()["lifetime_hits"]  # noqa: E731
+        misses = lambda: store.plan_cache_stats()["lifetime_misses"]  # noqa: E731
         with store.snapshot() as a, store.snapshot() as b:
+            assert a.context is b.context  # one record per version, two pins
             a.sparql(AUTHOR_QUERY)
-            b.sparql(AUTHOR_QUERY)  # same version: planned once, hit once
-            stats = b._engine.plan_cache.stats()
-            assert stats["hits"] >= 1
-        store.update(pair_update(1))
-        with store.snapshot() as c:
-            c.sparql(AUTHOR_QUERY)  # new version: fresh cache, no stale hit
-            assert c._engine.plan_cache.stats()["hits"] == 0
+            assert (hits(), misses()) == (0, 1)
+            plan = b.sparql(AUTHOR_QUERY).plan  # same version: planned once, hit once
+            assert (hits(), misses()) == (1, 1)
+            assert store.sparql(AUTHOR_QUERY).plan is plan  # the direct path, too
+            assert (hits(), misses()) == (2, 1)
+            before = sorted(a.decode_rows(a.sparql(AUTHOR_QUERY)))
+            store.update(f'DELETE WHERE {{ <{EX}book/3> ?p ?o . }}')
+            with store.snapshot() as c:
+                stale = hits()
+                after = c.sparql(AUTHOR_QUERY)  # first read after the write misses
+                assert hits() == stale and after.plan is not plan
+                assert c.sparql(AUTHOR_QUERY).plan is after.plan
+                assert hits() == stale + 1
+                # pinned before the write: still answers from its own state,
+                # re-planning once under its own key
+                again = a.sparql(AUTHOR_QUERY)
+                assert again.plan is not after.plan
+                assert sorted(a.decode_rows(again)) == before
+                assert len(after) == len(before) - 1
+                assert a.sparql(AUTHOR_QUERY).plan is again.plan
 
     def test_open_snapshot_count_tracks_pins(self):
         store = build_store()
@@ -247,70 +279,179 @@ class TestReadSnapshots:
         assert "open_snapshots" not in store.storage_summary()
 
 
+def _delta_pages(store: RDFStore, delta_version: int) -> int:
+    """Cached buffer-pool pages of one delta version's permutation index."""
+    return store.pool.segments_cached(f"delta.v{delta_version}.")
+
+
 class TestDeferredSegmentReclaim:
+    """The registry's one reclamation rule: a superseded version's delta
+    index pages leave the pool at once when nothing pins it, else at its
+    last release; the current version's pages are never dropped."""
+
     def test_compact_defers_reclaim_until_snapshot_release(self):
         """Regression: compacting (or further updates) while a read snapshot
         is open must not evict the pinned delta version's index pages; they
         are reclaimed when the last snapshot releases."""
         store = build_store()
         store.update(pair_update(1))
-        snap = store.snapshot()
-        prefix = store.delta._segment_prefix(snap.delta_version)
+        snap, second = store.snapshot(), store.snapshot()
+        version = snap.delta_version
         before = sorted(snap.decode_rows(snap.sparql(PAIR_COUNT_LEFT)))
-        assert store.pool.segments_cached(prefix) > 0  # the query touched them
+        assert _delta_pages(store, version) > 0  # the query touched them
         store.update(pair_update(2))     # supersedes the pinned version
         store.compact()                  # clears the delta entirely
-        assert store.pool.segments_cached(prefix) > 0, \
+        assert store.metrics()["delta_deferred_reclaim_depth"] == 1
+        assert store.metrics()["pinned_delta_versions"] == 1
+        assert _delta_pages(store, version) > 0, \
             "pinned delta segments were reclaimed under an open snapshot"
         assert sorted(snap.decode_rows(snap.sparql(PAIR_COUNT_LEFT))) == before
         snap.close()
-        assert store.pool.segments_cached(prefix) == 0, \
-            "superseded delta segments must be reclaimed at release"
+        assert _delta_pages(store, version) > 0, "one pin is still open"
+        second.close()
+        assert _delta_pages(store, version) == 0, \
+            "superseded delta segments must be reclaimed at the last release"
+        assert store.metrics()["delta_deferred_reclaim_depth"] == 0
 
     def test_unpinned_versions_are_reclaimed_immediately(self):
         store = build_store()
         store.update(pair_update(1))
         version = store.delta.version
         store.sparql(PAIR_COUNT_LEFT)  # builds the delta index
-        prefix = store.delta._segment_prefix(version)
-        assert store.pool.segments_cached(prefix) > 0
-        store.update(pair_update(2))   # no snapshot open: dropped eagerly
-        assert store.pool.segments_cached(prefix) == 0
+        assert _delta_pages(store, version) > 0
+        store.update(pair_update(2))   # no snapshot open, no read in between
+        assert _delta_pages(store, version) == 0
 
     def test_unpin_never_evicts_the_live_current_index(self):
-        """Regression: a release of the current version must not drop pages
-        the live store's own index is actively using — even when an earlier
-        snapshot-only build queued that version for deferred reclaim."""
+        """A release of the still-current version must not drop its pages:
+        direct reads and later snapshots use the same index."""
         store = build_store()
         store.update(pair_update(1))
         version = store.delta.version
-        prefix = store.delta._segment_prefix(version)
         with store.snapshot() as snap:
-            snap.sparql(PAIR_COUNT_LEFT)   # frozen view builds the index
-        # close queued the version (live index was unbuilt); now the live
-        # store builds and uses the same version's index
+            snap.sparql(PAIR_COUNT_LEFT)   # builds the version's one index
+            index = snap.context.delta.index()
+        assert _delta_pages(store, version) > 0
         store.sparql(PAIR_COUNT_LEFT)
-        assert store.pool.segments_cached(prefix) > 0
+        assert store.context().delta.index() is index
         with store.snapshot() as again:
             again.sparql(PAIR_COUNT_LEFT)
-        assert store.pool.segments_cached(prefix) > 0, \
-            "unpin evicted the live, current delta index"
+        assert _delta_pages(store, version) > 0, \
+            "unpin evicted the current delta index"
         store.update(pair_update(2))       # supersession reclaims them
-        assert store.pool.segments_cached(prefix) == 0
+        assert _delta_pages(store, version) == 0
 
     def test_snapshot_built_index_pages_do_not_leak(self):
-        """Regression: when only the *frozen view* built the delta index
-        (the live store never queried), releasing the snapshot before the
-        version is superseded must not strand its pages in the pool."""
+        """Pages built through a snapshot of the still-current version (no
+        direct read ever ran) are dropped when the version is superseded."""
         store = build_store()
-        store.update(pair_update(1))   # live index stays unbuilt
+        store.update(pair_update(1))
         snap = store.snapshot()
-        prefix = store.delta._segment_prefix(snap.delta_version)
-        snap.sparql(PAIR_COUNT_LEFT)   # frozen view builds the index
-        assert store.pool.segments_cached(prefix) > 0
+        snap.sparql(PAIR_COUNT_LEFT)
+        assert _delta_pages(store, snap.delta_version) > 0
         snap.close()                   # version still current at release
-        store.update(pair_update(2))   # supersede: queued pages must drop
-        assert store.pool.segments_cached(prefix) == 0
+        assert _delta_pages(store, snap.delta_version) > 0
+        store.update(pair_update(2))
+        assert _delta_pages(store, snap.delta_version) == 0
+
+    def test_versions_read_inside_one_request_leave_no_pages(self):
+        """``INSERT DATA ... ; DELETE WHERE ...`` reads its own uncommitted
+        versions; none of them may strand pages in the pool."""
+        store = build_store()
+        store.update(pair_update(1))
+        store.sparql(PAIR_COUNT_LEFT)
+        first = store.delta.version
+        store.update(pair_update(2) + f" ; DELETE WHERE {{ <{EX}item/1> ?p ?o . }}"
+                     + f" ; DELETE WHERE {{ ?s <{PAIR_RIGHT}> ?v . }}")
+        assert store.delta.version > first + 2
+        assert store.pool.segments_cached("delta.v") == 0
+        assert _count(store, PAIR_COUNT_LEFT) == 1 and _count(store, PAIR_COUNT_RIGHT) == 0
+        assert store.pool.segments_cached("delta.v") \
+            == _delta_pages(store, store.delta.version) > 0
+
+    def test_one_index_per_delta_version(self, monkeypatch):
+        """Snapshot and direct reads of one version share one delta index
+        (the live delta and its frozen copy each built one at parent)."""
+        from repro.updates import delta as delta_module
+
+        built = []
+
+        class CountingIndexStore(delta_module.ExhaustiveIndexStore):
+            def __init__(self, *args, name="hsp", **kwargs):
+                built.append(name)
+                super().__init__(*args, name=name, **kwargs)
+
+        monkeypatch.setattr(delta_module, "ExhaustiveIndexStore", CountingIndexStore)
+        store = build_store()
+        store.update(pair_update(1))
+        name = f"delta.v{store.delta.version}"
+        for read in (store.session().sparql, store.sparql, store.session().sparql):
+            assert int(read(PAIR_COUNT_LEFT).rows()[0][0]) == 1
+        assert built == [name]
+
+
+# -- read-side state has one owner -----------------------------------------------------
+
+
+class TestReadStateHasOneOwner:
+    """Served reads cost what direct reads cost because nothing derived from
+    the base structures hangs on a per-pin object.  Counted, not timed."""
+
+    @pytest.fixture()
+    def stats_calls(self, monkeypatch):
+        calls = []
+        original = ColumnStats.from_values.__func__
+
+        def counting(cls, values):
+            calls.append(len(values))
+            return original(cls, values)
+
+        monkeypatch.setattr(ColumnStats, "from_values", classmethod(counting))
+        return calls
+
+    def test_served_reads_compute_column_statistics_once(self, stats_calls, tmp_path):
+        data = tiny_tpch()
+        store = build_rdfh_store(data)
+        service = StoreService(store)
+        stream = AdhocStream(data, seed=7)  # six classes a round, every text new
+        columns = sum(1 + len(block.property_columns)
+                      for block in store.clustered_store.blocks)
+
+        def serve_rounds(rounds: int) -> int:
+            return sum(len(service.sql(op.text) if op.frontend == "sql"
+                           else service.query(op.text))
+                       for _ in range(rounds) for op in stream.next_round())
+
+        assert serve_rounds(20) > 100
+        touched = len(stats_calls)
+        assert 0 < touched <= columns, "a column's statistics were computed twice"
+        # same base generation: a write changes nothing a column knows
+        store.update(f'INSERT DATA {{ {customer_iri(9001).n3()} <{RDFH_VOC}c_name> "new" . }}')
+        serve_rounds(2)
+        assert len(stats_calls) == touched
+        # save() asks the columns too: the first fills in the untouched ones
+        store.save(tmp_path / "db")
+        assert len(stats_calls) == columns
+        store.save(tmp_path / "db")
+        assert len(stats_calls) == columns
+
+    def test_fresh_snapshots_share_the_numeric_cache(self):
+        store = build_rdfh_store(tiny_tpch())
+        computed = []
+
+        class Recording(dict):
+            def __setitem__(self, oid, value):
+                computed.append(oid)
+                super().__setitem__(oid, value)
+
+        store.dictionary._numeric = Recording()
+        answers = []
+        for _ in range(10):
+            with store.snapshot() as snap:
+                answers.append(snap.sparql(q6_sparql()).rows())
+        assert computed and len(computed) == len(set(computed)), \
+            "a fresh snapshot aggregated through a cold cache"
+        assert answers[0][0][0] > 0 and all(answer == answers[0] for answer in answers)
 
 
 # -- the lock ------------------------------------------------------------------------

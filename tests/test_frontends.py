@@ -2,12 +2,17 @@
 
 * **Front-end differential** — a corpus of SQL texts, each paired with its
   SPARQL text where SPARQL can say the same thing (it has no NULLs), run on
-  book / DBLP / dirty / RDF-H stores clean, with a pending delta and after
-  ``compact()``.  The reference is a row-at-a-time evaluation of the lowered
-  logical query: every star answered by ``_oracles.star_over_union``, the
-  rest (join, filter, group, order, limit, project) in plain Python.  The
-  store's batch size comes from ``REPRO_BATCH_SIZE``, so CI runs the corpus
-  at both of its sizes.
+  book / DBLP / dirty / RDF-H stores clean, with a pending delta, after
+  ``compact()`` and after ``open()``.  The reference is a row-at-a-time
+  evaluation of the lowered logical query: every star answered by
+  ``_oracles.star_over_union``, the rest (join, filter, group, order, limit,
+  project) in plain Python.  The store's batch size comes from
+  ``REPRO_BATCH_SIZE``, so CI runs the corpus at both of its sizes.
+* **Read-path differential** — the same corpus in the same states through
+  every way to read a store (``store.sparql/sql``, an explicit
+  ``ReadSnapshot``, ``StoreSession`` auto and sticky, ``StoreService``):
+  one more dimension of the loop above; and a snapshot pinned before a
+  ``compact()`` keeps answering, and decoding, from its own state.
 * **SPARQL plan shapes do not move** — ``explain()`` of the batch-differential
   corpus under every scheme and zone-map setting against the golden file
   generated before the planners were merged (``_plan_golden``).
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 import pytest
@@ -37,7 +43,7 @@ from _datasets import (
 )
 from _oracles import star_over_union
 from _plan_golden import GOLDEN_PATH, render
-from repro import ParseError, PlannerOptions, RDFStore
+from repro import ParseError, PlannerOptions, RDFStore, StoreService
 from repro.bench import DirtyConfig, generate_dirty, q3_sql, q6_sparql, q6_sql
 from repro.bench.dblp import DBLP, VOC as DBLP_VOC
 from repro.bench.dirty import VOC as CRAWL_VOC
@@ -152,36 +158,84 @@ class Case:
     """The ORDER BY is total, so rows compare in sequence (needed with LIMIT)."""
 
 
+ReadPath = Callable[..., List[tuple]]
+"""``read(frontend, text, options=None)`` -> decoded rows."""
+
+
+@contextmanager
+def read_paths(store: RDFStore) -> Iterator[Dict[str, ReadPath]]:
+    """Every way to read a store, by name; all must answer alike."""
+    service, auto = StoreService(store), store.session()
+    pinned_by_others = store.open_snapshot_count()
+
+    def decoding(sparql, sql) -> ReadPath:
+        return lambda frontend, text, options=None: (
+            sql(text, decode=True) if frontend == "sql" else sparql(text, options, decode=True))
+
+    with store.snapshot() as snapshot, store.session() as sticky:
+        sticky.begin()
+        yield {
+            "store": lambda frontend, text, options=None: store.decode_rows(
+                store.sql(text) if frontend == "sql" else store.sparql(text, options)),
+            "snapshot": lambda frontend, text, options=None: snapshot.decode_rows(
+                snapshot.query(frontend, text, options)),
+            "auto session": decoding(auto.sparql, auto.sql),
+            "sticky session": decoding(sticky.sparql, sticky.sql),
+            "service": decoding(service.query, service.sql),
+        }
+    assert store.open_snapshot_count() == pinned_by_others
+
+
 def check_corpus(store: RDFStore, cases: List[Case], state: str) -> None:
     context = store.context()
     sql = sql_frontend(store.require_catalog())
-    for case in cases:
-        where = f"{state}: {case.sql}"
-        expected = _canonical(oracle_rows(store, sql.lower(sql.parse(case.sql), context)),
-                              case.ordered)
-        assert expected, f"vacuous case, {where}"
-        got = _canonical(store.decode_rows(store.sql(case.sql)), case.ordered)
-        assert got == expected, f"SQL disagrees with the oracle, {where}"
-        if case.sparql is None:
-            continue
-        logical = SPARQL_FRONTEND.lower(SPARQL_FRONTEND.parse(case.sparql), context)
-        assert _canonical(oracle_rows(store, logical), case.ordered) == expected, \
-            f"the two lowerings mean different things, {where}"
-        for options in (PlannerOptions(), PlannerOptions(use_zone_maps=True),
-                        PlannerOptions(scheme="optimized"), PlannerOptions(scheme="default")):
-            got = _canonical(store.decode_rows(store.sparql(case.sparql, options)), case.ordered)
-            assert got == expected, f"SPARQL [{options.describe()}] disagrees, {where}"
+    with read_paths(store) as paths:
+        for case in cases:
+            where = f"{state}: {case.sql}"
+            expected = _canonical(oracle_rows(store, sql.lower(sql.parse(case.sql), context)),
+                                  case.ordered)
+            assert expected, f"vacuous case, {where}"
+            for path, read in paths.items():
+                got = _canonical(read("sql", case.sql), case.ordered)
+                assert got == expected, f"SQL via {path} disagrees with the oracle, {where}"
+            if case.sparql is None:
+                continue
+            logical = SPARQL_FRONTEND.lower(SPARQL_FRONTEND.parse(case.sparql), context)
+            assert _canonical(oracle_rows(store, logical), case.ordered) == expected, \
+                f"the two lowerings mean different things, {where}"
+            # scheme and read path are independent: every scheme through the
+            # store, every path under the scheme a caller gets by default
+            for options in (PlannerOptions(), PlannerOptions(use_zone_maps=True),
+                            PlannerOptions(scheme="optimized"), PlannerOptions(scheme="default")):
+                for path in (paths if options == PlannerOptions() else ["store"]):
+                    got = _canonical(paths[path]("sparql", case.sparql, options), case.ordered)
+                    assert got == expected, \
+                        f"SPARQL [{options.describe()}] via {path} disagrees, {where}"
 
 
-def check_clean_pending_compacted(store: RDFStore, cases: List[Case], updates: List[str]) -> None:
+def _snapshot_rows(snapshot, cases: List[Case]) -> List[List[tuple]]:
+    return [_canonical(snapshot.decode_rows(snapshot.sql(case.sql)), case.ordered)
+            for case in cases]
+
+
+def check_clean_pending_compacted(store: RDFStore, cases: List[Case], updates: List[str],
+                                  db_path) -> None:
     check_corpus(store, cases, "clean")
     for text in updates:
         store.update(text)
     assert store.has_pending_updates()
     check_corpus(store, cases, "pending delta")
-    store.compact()
-    assert not store.has_pending_updates()
-    check_corpus(store, cases, "compacted")
+    with store.snapshot() as pinned:
+        before = _snapshot_rows(pinned, cases)
+        store.compact()
+        assert not store.has_pending_updates()
+        check_corpus(store, cases, "compacted")
+        # compaction re-mapped literal OIDs: the pinned snapshot still reads
+        # its own version and decodes through its own dictionary
+        assert pinned.context.dictionary is not store.dictionary
+        assert _snapshot_rows(pinned, cases) == before
+    store.save(db_path)
+    check_corpus(RDFStore.open(db_path), cases, "reopened")
 
 
 BOOK = f"PREFIX ex: <{EX}> PREFIX xsd: <{XSD}>"
@@ -348,22 +402,23 @@ def _rdfh_updates() -> List[str]:
     ]
 
 
-def test_frontend_differential_book():
-    check_clean_pending_compacted(build_book_store(), BOOK_CASES, BOOK_UPDATES)
+def test_frontend_differential_book(tmp_path):
+    check_clean_pending_compacted(build_book_store(), BOOK_CASES, BOOK_UPDATES, tmp_path / "db")
 
 
-def test_frontend_differential_dblp():
-    check_clean_pending_compacted(build_dblp_store(), DBLP_CASES, DBLP_UPDATES)
+def test_frontend_differential_dblp(tmp_path):
+    check_clean_pending_compacted(build_dblp_store(), DBLP_CASES, DBLP_UPDATES, tmp_path / "db")
 
 
-def test_frontend_differential_dirty():
+def test_frontend_differential_dirty(tmp_path):
     dataset = generate_dirty(DirtyConfig(classes=3, subjects_per_class=40, chaotic_subjects=10))
     store = RDFStore.build(dataset.triples, config=small_graph_config())
-    check_clean_pending_compacted(store, DIRTY_CASES, DIRTY_UPDATES)
+    check_clean_pending_compacted(store, DIRTY_CASES, DIRTY_UPDATES, tmp_path / "db")
 
 
-def test_frontend_differential_rdfh():
-    check_clean_pending_compacted(build_rdfh_store(tiny_tpch()), RDFH_CASES, _rdfh_updates())
+def test_frontend_differential_rdfh(tmp_path):
+    check_clean_pending_compacted(build_rdfh_store(tiny_tpch()), RDFH_CASES, _rdfh_updates(),
+                                  tmp_path / "db")
 
 
 # -- (b) SPARQL plan shapes do not move -------------------------------------------------
@@ -454,10 +509,15 @@ def test_pinned_snapshot_plans_against_its_own_version(fresh_book_store):
         before = pinned.sql(BOOK_SQL)
         store.update(_insert_book(2))
         with store.snapshot() as current:
-            assert len(current.sql(BOOK_SQL)) == len(before) + 1
-            assert current.sql(BOOK_SQL).plan is not before.plan
-        again = pinned.sql(BOOK_SQL)
-        assert again.plan is before.plan and len(again) == len(before)
+            after = current.sql(BOOK_SQL)
+            assert len(after) == len(before) + 1 and after.plan is not before.plan
+            # the write cleared the one plan cache, so the pinned version
+            # re-plans the text once -- under its own key, never taking the
+            # current version's plan -- and both hit from then on
+            again = pinned.sql(BOOK_SQL)
+            assert again.plan is not after.plan and len(again) == len(before)
+            assert pinned.sql(BOOK_SQL).plan is again.plan
+            assert current.sql(BOOK_SQL).plan is after.plan
 
 
 def test_same_text_as_sparql_and_sql_does_not_collide(fresh_book_store):

@@ -505,6 +505,10 @@ class TestMetricsEndpoint:
             text = server.metrics_text()
         assert 'repro_server_requests_total{kind="update"} 1' in text
         assert "repro_updates_total 1" in text
+        # process-level gauges (on the global registry) let a scrape stand alone
+        for gauge in ("repro_process_resident_memory_bytes", "repro_process_uptime_seconds"):
+            value = re.search(rf"^{gauge} (\S+)$", text, re.MULTILINE)
+            assert value and float(value.group(1)) > 0, gauge
 
 
 # -- overhead guard -----------------------------------------------------------

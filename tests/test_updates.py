@@ -378,7 +378,13 @@ class TestWriteDiscipline:
         store.update(f"DELETE DATA {{ <{EX}book/0> <{EX}isbn_no> \"isbn-0000\" . }}")
         assert store.clustered_store is clustered_before
         assert store.index_store is index_before
-        assert store.context() is context_before
+        # a write makes a new context (it carries that version's delta) over
+        # the same physical stores and dictionary
+        context = store.context()
+        assert context is not context_before and context is store.context()
+        assert context.clustered_store is clustered_before
+        assert context.index_store is index_before
+        assert context.dictionary is context_before.dictionary
         store.compact()
         assert store.clustered_store is not clustered_before
         assert store.index_store is not index_before
@@ -468,16 +474,17 @@ class TestWriteDiscipline:
         store.update(insert_book(1))
         store.reset_cold()
         store.warm()
-        segment = store.delta.index().tables["pso"].column("s").segment_id
+        segment = store.context().delta.index().tables["pso"].column("s").segment_id
         assert store.pool.contains(segment, 0)
 
     def test_superseded_delta_pages_are_evicted(self, store):
         store.update(insert_book(1))
         store.warm()
-        old_segment = store.delta.index().tables["pso"].column("s").segment_id
+        old_segment = store.context().delta.index().tables["pso"].column("s").segment_id
         store.update(insert_book(2))
-        store.delta.index()  # rebuild under the new version
         assert not store.pool.contains(old_segment, 0)
+        store.warm()  # the new version's index lives under a new segment name
+        assert store.context().delta.index().tables["pso"].column("s").segment_id != old_segment
 
     def test_storage_summary_reports_pending(self, store):
         store.update(insert_book(1))

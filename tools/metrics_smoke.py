@@ -8,8 +8,12 @@ the server, then scrapes ``GET /metrics`` over real HTTP and verifies:
   1. every sample line parses as Prometheus text format 0.0.4,
   2. the core metric families are present (query latency histogram,
      plan cache, buffer pool, WAL, lock wait, snapshot pins,
-     active-query registry), and
-  3. the counters the workload must have bumped are nonzero.
+     active-query registry, the process gauges that let a scrape stand
+     alone),
+  3. the counters the workload must have bumped are nonzero, and
+  4. the one plan cache counts served reads monotonically across a write:
+     after an ``INSERT DATA`` the first send of a text misses, the second
+     hits, and neither total ever decreases.
 
 It then exercises the live query-management surface end to end: starts a
 deliberately slow cross-join query on a batch-size-1 store, polls
@@ -66,6 +70,8 @@ def book_nt(books: int = 30, authors: int = 5) -> str:
 
 
 SPARQL = f"SELECT ?b ?a WHERE {{ ?b <{EX}has_author> ?a . }}"
+ADHOC = f'SELECT ?b WHERE {{ ?b <{EX}isbn_no> "isbn-0007" . ?b <{EX}in_year> ?y . }}'
+SECOND_UPDATE = f'INSERT DATA {{ <{EX}book/901> <{EX}isbn_no> "isbn-0901" . }}'
 UPDATE = (f"INSERT DATA {{ <{EX}book/900> <{RDF_TYPE}> <{EX}Book> . "
           f"<{EX}book/900> <{EX}has_author> <{EX}author/0> . "
           f'<{EX}book/900> <{EX}in_year> "2013"^^<{XSD_INT}> . '
@@ -91,6 +97,8 @@ MUST_BE_PRESENT = [
     "repro_active_queries",
     "repro_queries_cancelled_total",
     "repro_event_log_entries",
+    "repro_process_resident_memory_bytes",
+    "repro_process_uptime_seconds",
 ]
 
 MUST_BE_NONZERO = {
@@ -119,6 +127,34 @@ def parse_exposition(text: str) -> dict:
         lhs, value = line.rsplit(" ", 1)
         samples[lhs] = float(value)
     return samples
+
+
+def scrape(url: str) -> dict:
+    """``GET /metrics`` over HTTP, parsed."""
+    with urllib.request.urlopen(f"{url}/metrics", timeout=10) as resp:
+        assert resp.status == 200, resp.status
+        ctype = resp.headers["Content-Type"]
+        assert ctype.startswith("text/plain"), ctype
+        return parse_exposition(resp.read().decode("utf-8"))
+
+
+def smoke_plan_cache_across_a_write(server: QueryServer, url: str) -> None:
+    """One ad-hoc text, twice, through the served path around a write."""
+    def cache() -> tuple:
+        samples = scrape(url)
+        return (samples["repro_plan_cache_hits_total"],
+                samples["repro_plan_cache_misses_total"])
+
+    server.submit_query(ADHOC).result()
+    server.submit_query(ADHOC).result()
+    hits, misses = cache()
+    server.submit_update(SECOND_UPDATE).result()
+    assert cache() == (hits, misses), \
+        f"a write moved the plan-cache totals: {(hits, misses)} -> {cache()}"
+    server.submit_query(ADHOC).result()
+    assert cache() == (hits, misses + 1), "first send after a write must miss"
+    server.submit_query(ADHOC).result()
+    assert cache() == (hits + 1, misses + 1), "second send after a write must hit"
 
 
 def smoke_query_management() -> None:
@@ -191,19 +227,15 @@ def main() -> int:
             server.submit_update(UPDATE).result()
 
             url = f"http://127.0.0.1:{port}"
-            with urllib.request.urlopen(f"{url}/metrics", timeout=10) as resp:
-                assert resp.status == 200, resp.status
-                ctype = resp.headers["Content-Type"]
-                assert ctype.startswith("text/plain"), ctype
-                body = resp.read().decode("utf-8")
+            samples = scrape(url)
             with urllib.request.urlopen(f"{url}/stats", timeout=10) as resp:
                 stats = json.load(resp)
             assert stats["pending_inserts"] >= 4, stats
             assert "active_queries" in stats and "slow_queries" in stats, stats
             with urllib.request.urlopen(f"{url}/queries", timeout=10) as resp:
                 assert json.load(resp)["queries"] == []  # workload has drained
+            smoke_plan_cache_across_a_write(server, url)
 
-        samples = parse_exposition(body)
         print(f"scraped {len(samples)} samples from /metrics on port {port}")
 
         for family in MUST_BE_PRESENT:
@@ -219,9 +251,11 @@ def main() -> int:
         hits = sum(v for lhs, v in samples.items()
                    if lhs.startswith("repro_plan_cache_hits_total"))
         assert hits >= 1, f"repeated query produced no plan-cache hit ({hits})"
+        for gauge in ("repro_process_resident_memory_bytes", "repro_process_uptime_seconds"):
+            assert samples[gauge] > 0, f"{gauge} = {samples[gauge]}"
 
     print("metrics smoke OK: exposition parses, core families present, "
-          "workload counters nonzero")
+          "workload counters nonzero, plan-cache totals monotonic across a write")
     smoke_query_management()
     return 0
 
