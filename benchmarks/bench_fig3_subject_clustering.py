@@ -18,6 +18,13 @@ def _cold_run(store, query, options):
     return store.sparql(query, options)
 
 
+def _subject_bounds(block):
+    """Smallest and largest subject OID of a non-empty block (the subject
+    column is sorted); ``(0, -1)`` for an empty one."""
+    subjects = block.subject_column.data
+    return (int(subjects[0]), int(subjects[-1])) if len(subjects) else (0, -1)
+
+
 def test_parse_order_locality(benchmark, table1_harness, bench_report):
     store = table1_harness.store("ParseOrder")
     options = PlannerOptions(scheme=RDFSCAN_SCHEME)
@@ -49,7 +56,7 @@ def test_clustered_locality(benchmark, table1_harness, bench_report):
     lines = ["Figure 3 reproduction — subject clustering and locality", ""]
     lines.append(f"CS blocks: {len(store.blocks)}")
     for block in store.blocks:
-        low, high = block.subject_bounds()
+        low, high = _subject_bounds(block)
         lines.append(f"  block {block.label}: {len(block)} subjects, aligned columns="
                      f"{len(block.property_columns)}, subject OIDs [{low}, {high}]")
     lines.append(f"irregular triples (basic PSO store): {len(store.irregular)}")
@@ -67,6 +74,6 @@ def test_clustered_locality(benchmark, table1_harness, bench_report):
     assert store.regular_fraction() > 0.95
 
     # the blocks partition the subject OID space into disjoint ranges
-    ranges = sorted(block.subject_bounds() for block in store.blocks if len(block))
+    ranges = sorted(_subject_bounds(block) for block in store.blocks if len(block))
     for (prev_low, prev_high), (low, high) in zip(ranges, ranges[1:]):
         assert prev_high < low

@@ -3,12 +3,7 @@
 from .bufferpool import BufferPool, DEFAULT_PAGE_SIZE
 from .column import Column, NULL_OID
 from .cost import CostModel, CostTracker, QueryCost
-from .stats import (
-    CardinalityEstimator,
-    ColumnStats,
-    EquiWidthHistogram,
-    PredicateCooccurrence,
-)
+from .stats import CardinalityEstimator, ColumnStats
 from .zonemap import DEFAULT_ZONE_SIZE, Zone, ZoneMap
 
 __all__ = [
@@ -20,9 +15,7 @@ __all__ = [
     "CostTracker",
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_ZONE_SIZE",
-    "EquiWidthHistogram",
     "NULL_OID",
-    "PredicateCooccurrence",
     "QueryCost",
     "Zone",
     "ZoneMap",

@@ -1,10 +1,8 @@
 """Column and predicate statistics plus the cardinality estimator.
 
-Used by the cost-based query optimizer: per-column histograms, distinct
-counts, the co-occurrence statistics that make join selectivity between
-triple patterns of the same characteristic set exact (the paper's point:
-knowing that ``isbn_no`` and ``has_author`` co-occur on the same subjects
-makes their "join" hit ratio 1), and — built on top of all of these — the
+Used by the cost-based query optimizer: per-column summaries
+(:class:`ColumnStats`: distinct counts, min/max, null fractions) and — built
+on top of them, the index store's exact counts and the emergent schema — the
 :class:`CardinalityEstimator` that the planner consults to order joins and
 annotate physical plans with expected row counts.
 
@@ -100,112 +98,6 @@ class ColumnStats:
         return self.not_null_fraction() * (hi - lo + 1) / (span + 1)
 
 
-class EquiWidthHistogram:
-    """Equi-width histogram over non-NULL integer values."""
-
-    def __init__(self, values: Sequence[int] | np.ndarray, bucket_count: int = 64) -> None:
-        data = np.asarray(values, dtype=np.int64)
-        data = data[data != NULL_OID]
-        self.total = int(data.size)
-        if self.total == 0:
-            self.edges = np.array([0, 1], dtype=np.float64)
-            self.counts = np.array([0], dtype=np.int64)
-            return
-        low, high = float(data.min()), float(data.max())
-        if high <= low:
-            high = low + 1.0
-        bucket_count = max(1, min(bucket_count, self.total))
-        self.counts, self.edges = np.histogram(data, bins=bucket_count, range=(low, high))
-
-    def estimate_range_count(self, low: Optional[float], high: Optional[float]) -> float:
-        """Estimate how many values fall in ``[low, high]``."""
-        if self.total == 0:
-            return 0.0
-        lo = self.edges[0] if low is None else low
-        hi = self.edges[-1] if high is None else high
-        if hi < lo:
-            return 0.0
-        estimate = 0.0
-        for count, left, right in zip(self.counts, self.edges[:-1], self.edges[1:]):
-            if right < lo or left > hi:
-                continue
-            width = right - left
-            if width <= 0:
-                estimate += float(count)
-                continue
-            overlap = min(right, hi) - max(left, lo)
-            estimate += float(count) * max(0.0, overlap) / width
-        return min(float(self.total), estimate)
-
-    def estimate_range_selectivity(self, low: Optional[float], high: Optional[float]) -> float:
-        """Estimate the fraction of values in ``[low, high]``."""
-        if self.total == 0:
-            return 0.0
-        return self.estimate_range_count(low, high) / self.total
-
-
-@dataclass
-class PredicateCooccurrence:
-    """Co-occurrence counts between predicates over subjects.
-
-    ``support[p]`` is the number of subjects having predicate ``p``;
-    ``joint[(p, q)]`` the number of subjects having both.  The conditional
-    probability ``P(q | p)`` is the join hit ratio between the star patterns
-    ``?s p ?x`` and ``?s q ?y`` — exactly the statistic the paper says a
-    structure-unaware optimizer lacks.
-    """
-
-    support: Dict[int, int]
-    joint: Dict[tuple[int, int], int]
-    subject_count: int
-
-    @classmethod
-    def from_subject_property_sets(cls, property_sets: Dict[int, frozenset[int]]) -> "PredicateCooccurrence":
-        support: Dict[int, int] = {}
-        joint: Dict[tuple[int, int], int] = {}
-        for props in property_sets.values():
-            ordered = sorted(props)
-            for i, p in enumerate(ordered):
-                support[p] = support.get(p, 0) + 1
-                for q in ordered[i + 1:]:
-                    key = (p, q)
-                    joint[key] = joint.get(key, 0) + 1
-        return cls(support=support, joint=joint, subject_count=len(property_sets))
-
-    def joint_count(self, p: int, q: int) -> int:
-        """Number of subjects having both ``p`` and ``q``."""
-        if p == q:
-            return self.support.get(p, 0)
-        key = (p, q) if p < q else (q, p)
-        return self.joint.get(key, 0)
-
-    def conditional(self, p: int, q: int) -> float:
-        """``P(subject has q | subject has p)``; 0 when ``p`` unseen."""
-        denom = self.support.get(p, 0)
-        if denom == 0:
-            return 0.0
-        return self.joint_count(p, q) / denom
-
-    def star_cardinality(self, predicates: Sequence[int]) -> float:
-        """Estimate the number of subjects having *all* given predicates.
-
-        Uses the chain of pairwise conditionals relative to the most
-        selective predicate — the characteristic-set style estimator of
-        Neumann & Moerkotte, simplified to pairwise statistics.
-        """
-        preds = [p for p in predicates if p in self.support]
-        if len(preds) < len(list(predicates)):
-            return 0.0
-        if not preds:
-            return float(self.subject_count)
-        preds.sort(key=lambda p: self.support[p])
-        estimate = float(self.support[preds[0]])
-        anchor = preds[0]
-        for q in preds[1:]:
-            estimate *= self.conditional(anchor, q)
-        return estimate
-
-
 #: Fallback equality selectivity when no statistics cover a predicate.
 DEFAULT_EQUALITY_SELECTIVITY = 0.1
 #: Fallback range selectivity when no statistics cover a predicate.
@@ -228,9 +120,11 @@ class CardinalityEstimator:
        aware*: a star is only charged to the characteristic sets that
        actually contain all its properties.
 
-    Every argument is optional; missing sources degrade gracefully to the
-    textbook default selectivities.  Plan objects are duck-typed (see the
-    module docstring) so this class has no dependency on the engine layer.
+    Source 1 is always there (a store has its index store before it answers
+    anything); every other argument is optional, and missing sources degrade
+    gracefully to the textbook default selectivities.  Plan objects are
+    duck-typed (see the module docstring) so this class has no dependency on
+    the engine layer.
 
     The estimator caches nothing: whatever is a function of the base
     structures alone is remembered by the structure it describes (column
@@ -238,10 +132,10 @@ class CardinalityEstimator:
     an estimator per store version costs nothing to make.
     """
 
-    def __init__(self, schema=None, index_store=None, clustered_store=None,
+    def __init__(self, index_store, schema=None, clustered_store=None,
                  delta=None) -> None:
-        self.schema = schema
         self.index_store = index_store
+        self.schema = schema
         self.clustered_store = clustered_store
         self.delta = delta
         """Optional pending-write overlay (duck-typed
@@ -252,19 +146,11 @@ class CardinalityEstimator:
     # -- base statistics ---------------------------------------------------------
 
     def total_triples(self) -> float:
-        """Total live triple count (0 when no source is attached)."""
-        base = 0.0
-        if self.index_store is not None:
-            base = float(len(self.index_store))
-        elif self.schema is not None:
-            base = float(self.schema.coverage.total_triples)
-        return max(0.0, base + self._delta_size())
-
-    def _delta_size(self) -> float:
-        """Net pending-write triple count (inserts minus tombstones)."""
-        if self.delta is None or self.delta.is_empty():
-            return 0.0
-        return float(self.delta.insert_count() - self.delta.tombstone_count())
+        """Total live triple count: the base plus the net pending writes."""
+        pending = 0
+        if self.delta is not None:
+            pending = self.delta.insert_count() - self.delta.tombstone_count()
+        return max(0.0, float(len(self.index_store) + pending))
 
     def _delta_pattern_adjustment(self, s: Optional[int], p: Optional[int],
                                   o: Optional[int]) -> float:
@@ -293,16 +179,7 @@ class CardinalityEstimator:
 
     def predicate_count(self, predicate_oid: int) -> float:
         """Number of triples carrying the predicate."""
-        if self.index_store is not None:
-            return float(self.index_store.predicate_counts().get(predicate_oid, 0))
-        if self.schema is not None:
-            total = 0.0
-            for cs in self.schema.tables.values():
-                spec = cs.properties.get(predicate_oid)
-                if spec is not None:
-                    total += cs.support * spec.presence * max(spec.mean_multiplicity, 1.0)
-            return total
-        return 0.0
+        return float(self.index_store.predicate_counts().get(predicate_oid, 0))
 
     def distinct_objects(self, predicate_oid: int) -> float:
         """Estimated number of distinct object values of a predicate."""
@@ -312,7 +189,7 @@ class CardinalityEstimator:
                       if block.has_property(predicate_oid)]
             if counts:
                 return max(float(sum(counts)), 1.0)
-        return self._distinct_in_index(predicate_oid, "o")
+        return float(self.index_store.distinct_in_predicate(predicate_oid, "o"))
 
     def distinct_subjects(self, predicate_oid: int) -> float:
         """Estimated number of distinct subjects carrying a predicate."""
@@ -324,16 +201,7 @@ class CardinalityEstimator:
                     total += cs.support * spec.presence
             if total > 0:
                 return total
-        return self._distinct_in_index(predicate_oid, "s")
-
-    def _distinct_in_index(self, predicate_oid: int, component: str) -> float:
-        """Exact distinct S or O values of a predicate from the index store,
-        else the predicate's triple count as an upper bound."""
-        if self.index_store is not None:
-            exact = self.index_store.distinct_in_predicate(predicate_oid, component)
-            if exact is not None:
-                return float(exact)
-        return max(self.predicate_count(predicate_oid), 1.0)
+        return float(self.index_store.distinct_in_predicate(predicate_oid, "s"))
 
     # -- per-pattern estimates -----------------------------------------------------
 
@@ -342,73 +210,41 @@ class CardinalityEstimator:
                             subject_range=None) -> float:
         """Estimated triples matching one pattern, with optional OID ranges.
 
-        With the exhaustive index store attached the bound-slot count is
-        exact (binary search) and attached ranges are resolved exactly
-        against the value-sorted POS/PSO projections; otherwise the estimate
-        falls back to schema predicate counts scaled by default
-        selectivities.
+        The bound-slot count is exact (binary search on the index store) and
+        a range attached to a predicate-only pattern is resolved exactly
+        against the value-sorted POS/PSO projections; any other range scales
+        the count by the default range selectivity.
         """
         # the pending-delta contribution is pattern-exact but range-agnostic;
         # it is added after the base refinements so an exact base range count
         # cannot overwrite it (merged scans must never be priced at zero)
         delta_adjustment = self._delta_pattern_adjustment(s, p, o)
-        if self.index_store is not None:
-            base = float(self.index_store.count_pattern(s=s, p=p, o=o))
-            if base == 0.0 and delta_adjustment <= 0.0:
-                return 0.0
-            if p is not None and s is None and o is None and _is_bounded(object_range):
-                exact = self._range_count(p, object_range, "o")
-                if exact is not None:
-                    base = exact
-                    object_range = None
-            if p is not None and s is None and o is None and _is_bounded(subject_range):
-                fraction = self._range_fraction(p, subject_range, "s")
-                if fraction is not None:
-                    base *= fraction
-                    subject_range = None
-            if _is_bounded(object_range):
-                base *= DEFAULT_RANGE_SELECTIVITY
-            if _is_bounded(subject_range):
-                base *= DEFAULT_RANGE_SELECTIVITY
-            return max(0.0, base + delta_adjustment)
-        if p is not None:
-            base = self.predicate_count(p)
-        else:
-            base = self.total_triples()
-            delta_adjustment = 0.0  # total_triples() already counts the delta
-        if s is not None:
-            base /= max(self.total_subjects(), 1.0)
-        if o is not None:
-            base *= DEFAULT_EQUALITY_SELECTIVITY
+        base = float(self.index_store.count_pattern(s=s, p=p, o=o))
+        if base == 0.0 and delta_adjustment <= 0.0:
+            return 0.0
+        if p is not None and s is None and o is None and _is_bounded(object_range):
+            base = self._range_count(p, object_range, "o")
+            object_range = None
+        if p is not None and s is None and o is None and _is_bounded(subject_range):
+            base *= self._range_fraction(p, subject_range, "s")
+            subject_range = None
         if _is_bounded(object_range):
             base *= DEFAULT_RANGE_SELECTIVITY
         if _is_bounded(subject_range):
             base *= DEFAULT_RANGE_SELECTIVITY
         return max(0.0, base + delta_adjustment)
 
-    def _range_count(self, predicate_oid: int, oid_range, component: str) -> Optional[float]:
+    def _range_count(self, predicate_oid: int, oid_range, component: str) -> float:
         """Exact rows of predicate whose S/O component falls in the range."""
-        order = "pos" if component == "o" else "pso"
-        if self.index_store is None or order not in self.index_store.tables:
-            return None
-        table = self.index_store.tables[order]
-        lo, hi = table.prefix_row_range(predicate_oid)
-        if hi <= lo:
-            return 0.0
-        segment = table.column(component).data[lo:hi]
-        start = 0 if oid_range.low is None else int(np.searchsorted(segment, oid_range.low, side="left"))
-        stop = segment.size if oid_range.high is None else int(
-            np.searchsorted(segment, oid_range.high, side="right"))
-        return float(max(0, stop - start))
+        table = self.index_store.within_predicate(component)
+        start, stop = table.narrowed_row_range(predicate_oid, oid_range)
+        return float(stop - start)
 
-    def _range_fraction(self, predicate_oid: int, oid_range, component: str) -> Optional[float]:
-        count = self._range_count(predicate_oid, oid_range, component)
-        if count is None:
-            return None
+    def _range_fraction(self, predicate_oid: int, oid_range, component: str) -> float:
         total = self.predicate_count(predicate_oid)
         if total <= 0:
             return 0.0
-        return count / total
+        return self._range_count(predicate_oid, oid_range, component) / total
 
     # -- star-pattern estimates ------------------------------------------------------
 
@@ -472,10 +308,7 @@ class CardinalityEstimator:
         if _is_bounded(prop.oid_range):
             if stats is not None:
                 return stats.estimate_range_selectivity(prop.oid_range.low, prop.oid_range.high)
-            fraction = self._range_fraction(prop.predicate_oid, prop.oid_range, "o")
-            if fraction is not None:
-                return presence * fraction
-            return presence * DEFAULT_RANGE_SELECTIVITY
+            return presence * self._range_fraction(prop.predicate_oid, prop.oid_range, "o")
         return presence if prop.required else 1.0
 
     def _subject_range_fraction(self, cs, subject_range) -> float:

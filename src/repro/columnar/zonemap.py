@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .column import NULL_OID, Column
+from .column import NULL_OID
 
 DEFAULT_ZONE_SIZE = 1024
 """Rows per zone; chosen equal to the default page size so a pruned zone is a pruned page."""
@@ -77,11 +77,6 @@ class ZoneMap:
             else:
                 zones.append(Zone(start, end, int(valid.min()), int(valid.max())))
         return cls(zones, zone_size, total)
-
-    @classmethod
-    def build_for_column(cls, column: Column, zone_size: int = DEFAULT_ZONE_SIZE) -> "ZoneMap":
-        """Build a zone map directly over a :class:`Column` (metadata op, not accounted)."""
-        return cls.build(column.data, zone_size=zone_size)
 
     # -- persistence ---------------------------------------------------------
 

@@ -108,9 +108,9 @@ class StoreConfig:
         discovery: characteristic-set discovery thresholds.
         buffer_pool_pages: capacity of the simulated buffer pool.
         page_size: simulated page size in values.
-        zone_size: rows per zone in the clustered store's zone maps.
-        build_exhaustive_indexes: build the six-permutation index store.
-        build_zone_maps: build per-column zone maps when clustering.
+        zone_size: rows per zone in the clustered store's zone maps (every
+            aligned column gets one; whether a plan *uses* them is
+            :attr:`PlannerOptions.use_zone_maps`).
         cost_model: counters-to-seconds conversion, also used by the
             cost-based optimizer to price candidate plans.
         plan_cache_size: entries kept in the LRU plan cache (0 disables
@@ -145,8 +145,6 @@ class StoreConfig:
     buffer_pool_pages: int = 1 << 20
     page_size: int = 1024
     zone_size: int = 1024
-    build_exhaustive_indexes: bool = True
-    build_zone_maps: bool = True
     cost_model: CostModel = field(default_factory=CostModel)
     plan_cache_size: int = 128
     batch_size: int = field(
@@ -526,28 +524,21 @@ class RDFStore:
         # eager in-memory ones; drop the stale lazy-segment bookkeeping so
         # buffer_pool_stats() does not report dead segments as pending
         self.pool.reset_lazy_registry()
-        if self.config.build_exhaustive_indexes:
-            self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
+        self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
         if schema is not None and self._clustered:
-            zone_map_properties = None
-            if self.config.build_zone_maps:
-                zone_map_properties = {cs_id: list(table.properties)
-                                       for cs_id, table in schema.tables.items()}
             self.clustered_store = ClusteredStore.build(
-                self.matrix, schema, pool=self.pool,
-                zone_map_properties=zone_map_properties,
-                zone_size=self.config.zone_size,
-            )
+                self.matrix, schema, pool=self.pool, zone_size=self.config.zone_size)
         self.plan_cache.clear()
         self._new_generation()
 
     def build_if_unbuilt(self) -> None:
         """The lazy first build of the physical stores, for a store queried
-        straight after ``load()`` / ``discover_schema()``.  Under the writer
-        lock, so concurrent first readers don't race."""
-        if self.index_store is None and self.clustered_store is None:
+        straight after ``load()`` / ``discover_schema()`` — or opened from a
+        database saved in that state.  Under the writer lock, so concurrent
+        first readers don't race."""
+        if self.index_store is None:
             with self._rwlock.write_locked():
-                if self.index_store is None and self.clustered_store is None:
+                if self.index_store is None:
                     self.build_indexes()
 
     def _new_generation(self) -> None:
@@ -674,8 +665,7 @@ class RDFStore:
         experiments stay honest after writes.
         """
         version = self._snapshots.current(self)
-        if self.index_store is not None:
-            self.index_store.warm()
+        self.index_store.warm()
         if self.clustered_store is not None:
             self.clustered_store.warm()
         if version.delta is not None:
@@ -721,6 +711,7 @@ class RDFStore:
         request = parse_update(text)
         started = time.perf_counter()
         with self._rwlock.write_locked():
+            self.build_if_unbuilt()  # base membership is an index-store probe
             undo = self.delta.begin_request()
             try:
                 result = UpdateApplier(self).apply(request)
@@ -1100,8 +1091,6 @@ class RDFStore:
             buffer_pool_pages=int(saved["buffer_pool_pages"]),
             page_size=int(saved["page_size"]),
             zone_size=int(saved["zone_size"]),
-            build_exhaustive_indexes=bool(saved["build_exhaustive_indexes"]),
-            build_zone_maps=bool(saved["build_zone_maps"]),
             plan_cache_size=int(saved["plan_cache_size"]),
             cost_model=cost_model,
         )

@@ -54,7 +54,7 @@ def detect_characteristic_sets(
     ----------
     subject_properties:
         Mapping subject OID -> frozenset of predicate OIDs (one entry per
-        distinct subject; see ``TripleTable.subject_property_sets``).
+        distinct subject; see :func:`detection_from_triples`).
     property_multiplicities:
         Optional mapping subject OID -> {predicate OID -> object count},
         used later for multiplicity classification.  When omitted, every

@@ -27,6 +27,9 @@ class ExecutionContext:
     dictionary: TermDictionary
     pool: BufferPool
     index_store: Optional[ExhaustiveIndexStore] = None
+    """The six projections.  Always set on a context a store hands out (the
+    first read builds them); ``None`` only in hand-made contexts for
+    operators that read no storage."""
     clustered_store: Optional[ClusteredStore] = None
     schema: Optional[EmergentSchema] = None
     cost_model: CostModel = field(default_factory=CostModel)
@@ -67,11 +70,6 @@ class ExecutionContext:
     @property
     def tracker(self) -> CostTracker:
         return self.pool.tracker
-
-    def require_index_store(self) -> ExhaustiveIndexStore:
-        if self.index_store is None:
-            raise ExecutionError("this plan requires the exhaustive index store, which is not loaded")
-        return self.index_store
 
     def require_clustered_store(self) -> ClusteredStore:
         if self.clustered_store is None:

@@ -13,7 +13,6 @@ reference in isolation:
   probe-major with build rows in input order (streaming joins rely on this
   order being independent of how the probe side is batched);
 * :func:`range_mask` / :func:`eq_mask` / :func:`neq_mask` — filter masks;
-* :func:`subtract_rows_mask` — tombstone subtraction by row identity;
 * :class:`StreamingDistinct` — cross-batch DISTINCT keeping first
   occurrences in stream order (duplicates may straddle batch boundaries);
 * :func:`group_rows` / :func:`grouped_aggregate` — vectorized GROUP BY with
@@ -168,18 +167,6 @@ def sorted_member_mask(keys: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     mask = np.zeros(keys.size, dtype=bool)
     mask[in_bounds] = sorted_set[idx[in_bounds]] == keys[in_bounds]
     return mask
-
-
-def subtract_rows_mask(row_arrays: Sequence[np.ndarray],
-                       tombstone_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Tombstone subtraction: True for rows present in the tombstone set."""
-    if not row_arrays or len(row_arrays[0]) == 0:
-        return np.zeros(0, dtype=bool)
-    if not tombstone_arrays or len(tombstone_arrays[0]) == 0:
-        return np.zeros(len(row_arrays[0]), dtype=bool)
-    keys = pack_rows(row_arrays)
-    dead = np.unique(pack_rows(tombstone_arrays))
-    return sorted_member_mask(keys, dead)
 
 
 # -- DISTINCT --------------------------------------------------------------------------

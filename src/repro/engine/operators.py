@@ -50,7 +50,7 @@ class IndexScanOp(PhysicalOperator):
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
-        store = context.require_index_store()
+        store = context.index_store
         s, p, o = self.pattern.subject, self.pattern.predicate, self.pattern.object
 
         # Fast paths: predicate bound plus a range on the object (POS prefix) or
@@ -58,23 +58,23 @@ class IndexScanOp(PhysicalOperator):
         # picks whichever touches fewer rows; the other range is applied as a
         # post-filter in _bind().
         object_path = (not p.is_variable and o.is_variable and self.object_range is not None
-                       and not self.object_range.is_unbounded() and "pos" in store.tables)
+                       and not self.object_range.is_unbounded())
         subject_path = (not p.is_variable and s.is_variable and self.subject_range is not None
-                        and not self.subject_range.is_unbounded() and "pso" in store.tables)
+                        and not self.subject_range.is_unbounded())
         if object_path and subject_path:
-            object_rows = self._range_row_count(store.table("pos"), p.oid, self.object_range, "o")
-            subject_rows = self._range_row_count(store.table("pso"), p.oid, self.subject_range, "s")
-            if subject_rows < object_rows:
+            object_lo, object_hi = store.within_predicate("o").narrowed_row_range(
+                p.oid, self.object_range)
+            subject_lo, subject_hi = store.within_predicate("s").narrowed_row_range(
+                p.oid, self.subject_range)
+            if subject_hi - subject_lo < object_hi - object_lo:
                 object_path = False
             else:
                 subject_path = False
-        if object_path:
-            rows = self._range_scan(store.table("pos"), p.oid, self.object_range, fetch="spo")
-            rows = self._filter_constant_slots(rows)
-        elif subject_path:
-            rows = self._range_scan(store.table("pso"), p.oid, self.subject_range,
-                                    fetch="spo", range_component="s")
-            rows = self._filter_constant_slots(rows)
+        if object_path or subject_path:
+            table = store.within_predicate("o" if object_path else "s")
+            lo, hi = table.narrowed_row_range(
+                p.oid, self.object_range if object_path else self.subject_range)
+            rows = self._filter_constant_slots(table.fetch_rows(lo, hi, fetch="spo"))
         else:
             rows = store.scan_pattern(
                 s=None if s.is_variable else s.oid,
@@ -102,33 +102,6 @@ class IndexScanOp(PhysicalOperator):
         if not self.pattern.object.is_variable:
             mask &= rows[:, 2] == self.pattern.object.oid
         return rows[mask]
-
-    def _range_row_count(self, table, predicate_oid: int, oid_range: OidRange,
-                         range_component: str) -> int:
-        """Rows the range scan would touch (binary searches only, no page reads)."""
-        lo_row, hi_row = table.prefix_row_range(predicate_oid)
-        if hi_row <= lo_row:
-            return 0
-        segment = table.column(range_component).data[lo_row:hi_row]
-        start = 0 if oid_range.low is None else int(np.searchsorted(segment, oid_range.low, side="left"))
-        stop = len(segment) if oid_range.high is None else int(
-            np.searchsorted(segment, oid_range.high, side="right"))
-        return max(0, stop - start)
-
-    def _range_scan(self, table, predicate_oid: int, oid_range: OidRange,
-                    fetch: str, range_component: str = "o") -> np.ndarray:
-        lo_row, hi_row = table.prefix_row_range(predicate_oid)
-        if hi_row <= lo_row:
-            return np.empty((0, 3), dtype=np.int64)
-        component_column = table.column(range_component)
-        segment = component_column.data[lo_row:hi_row]
-        start = lo_row
-        stop = hi_row
-        if oid_range.low is not None:
-            start = lo_row + int(np.searchsorted(segment, oid_range.low, side="left"))
-        if oid_range.high is not None:
-            stop = lo_row + int(np.searchsorted(segment, oid_range.high, side="right"))
-        return table.fetch_rows(start, stop, fetch=fetch)
 
     def _bind(self, rows: np.ndarray, context: ExecutionContext) -> BindingTable:
         columns = {}
@@ -182,9 +155,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         context.tracker.join_operations += 1
-        store = context.require_index_store()
-        index = store.table("pso") if "pso" in store.tables \
-            else store.table(store.best_order("sp"))
+        index = context.index_store.within_predicate("s")
         prefix = index.prefix_row_range(self.pattern.predicate.oid)
         for batch in self.child.batches(context):
             yield Batch(self._probe(batch.compact(), context, index, prefix))

@@ -425,7 +425,7 @@ def _scan_index_merge(context: ExecutionContext, star: StarPattern,
     storage: a single operator, no repeated index probes, but it reads every
     property's full predicate range (minus pushed-down object ranges).
     """
-    store = context.require_index_store()
+    store = context.index_store
     output_vars = star.output_variables()
 
     property_data: List[Tuple[StarProperty, np.ndarray, np.ndarray]] = []
@@ -474,16 +474,10 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty,
     """Fetch the (subject, object) pairs of one property, sorted by subject."""
     if not prop.object_term.is_variable:
         rows = store.scan_pattern(p=prop.predicate_oid, o=prop.object_term.oid, fetch="so")
-    elif prop.oid_range is not None and not prop.oid_range.is_unbounded() and "pos" in store.tables:
-        table = store.table("pos")
-        lo_row, hi_row = table.prefix_row_range(prop.predicate_oid)
-        segment = table.column("o").data[lo_row:hi_row]
-        start, stop = lo_row, hi_row
-        if prop.oid_range.low is not None:
-            start = lo_row + int(np.searchsorted(segment, prop.oid_range.low, side="left"))
-        if prop.oid_range.high is not None:
-            stop = lo_row + int(np.searchsorted(segment, prop.oid_range.high, side="right"))
-        rows = table.fetch_rows(start, stop, fetch="so")
+    elif prop.oid_range is not None and not prop.oid_range.is_unbounded():
+        table = store.within_predicate("o")
+        rows = table.fetch_rows(*table.narrowed_row_range(prop.predicate_oid, prop.oid_range),
+                                fetch="so")
     else:
         rows = store.scan_pattern(p=prop.predicate_oid, fetch="so")
     return _finish_pairs(context.active_delta(), prop, rows[:, 0], rows[:, 1], subject_range)

@@ -54,7 +54,7 @@ from ..cs import EmergentSchema
 from ..errors import PersistenceError
 from ..model import TermDictionary
 from ..rio import parse_term
-from ..storage import ClusteredStore, ExhaustiveIndexStore, TripleTable
+from ..storage import ORDERS, ClusteredStore, ExhaustiveIndexStore, TripleTable
 from ..storage.clustered import CSBlock
 from .io import (
     fsync_dir,
@@ -364,8 +364,6 @@ def _config_to_dict(config) -> dict:
         "buffer_pool_pages": config.buffer_pool_pages,
         "page_size": config.page_size,
         "zone_size": config.zone_size,
-        "build_exhaustive_indexes": config.build_exhaustive_indexes,
-        "build_zone_maps": config.build_zone_maps,
         "plan_cache_size": config.plan_cache_size,
         "cost_model": dataclasses.asdict(config.cost_model),
     }
@@ -449,17 +447,16 @@ class SnapshotReader:
         entry = self.manifest.get("index")
         if entry is None:
             return None
-        name = entry.get("name", "hsp")
-        tables: Dict[str, TripleTable] = {}
-        for order, table_entry in entry["orders"].items():
-            tables[order] = TripleTable.lazy(
-                loader=self._array_loader(COLUMNS_DIR, table_entry),
-                length=int(table_entry["rows"]),
-                order=order,
-                pool=pool,
-                name=f"{name}.{order}",
-            )
-        store = ExhaustiveIndexStore.from_tables(tables, pool=pool, name=name)
+        orders = entry["orders"]
+        if set(orders) != set(ORDERS):
+            raise PersistenceError(
+                f"manifest index lists projections {sorted(orders)}, expected all of {ORDERS}")
+        store = ExhaustiveIndexStore(
+            pool=pool, name=entry.get("name", "hsp"),
+            loaders={order: self._array_loader(COLUMNS_DIR, table_entry)
+                     for order, table_entry in orders.items()},
+            length=self.matrix_rows(),
+        )
         store.set_predicate_counts({int(p): c
                                     for p, c in entry["predicate_counts"].items()})
         return store
@@ -476,7 +473,7 @@ class SnapshotReader:
         for block_entry in entry["blocks"]:
             blocks.append(self._build_block(block_entry, name, pool))
         irregular_entry = entry["irregular"]
-        irregular = TripleTable.lazy(
+        irregular = TripleTable(
             loader=self._array_loader(COLUMNS_DIR, irregular_entry),
             length=int(irregular_entry["rows"]),
             order="pso",
@@ -490,7 +487,7 @@ class SnapshotReader:
         cs_id = int(entry["cs_id"])
         rows = int(entry["rows"])
         subject_entry = entry["subject"]
-        subject_column = Column.lazy(
+        subject_column = Column(
             segment_id=f"{name}.cs{cs_id}.subject",
             loader=self._array_loader(COLUMNS_DIR, subject_entry),
             length=rows,
@@ -501,7 +498,7 @@ class SnapshotReader:
         property_columns: Dict[int, Column] = {}
         for predicate_text, column_entry in entry["columns"].items():
             predicate_oid = int(predicate_text)
-            column = Column.lazy(
+            column = Column(
                 segment_id=f"{name}.cs{cs_id}.p{predicate_oid}",
                 loader=self._array_loader(COLUMNS_DIR, column_entry),
                 length=rows,

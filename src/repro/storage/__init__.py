@@ -3,29 +3,25 @@
 from .clustered import CSBlock, ClusteredStore
 from .loader import (
     ClusteringPlan,
-    LoadedDataset,
     apply_oid_mapping,
-    build_triple_table,
     cluster_subjects,
     encode_graph,
     plan_subject_clustering,
     value_order_literals,
 )
-from .permutation_index import ExhaustiveIndexStore
-from .triple_table import ORDERS, TripleTable, deduplicate_triples
+from .permutation_index import ACCESS_PATHS, ExhaustiveIndexStore
+from .triple_table import ORDERS, TripleTable
 
 __all__ = [
+    "ACCESS_PATHS",
     "CSBlock",
     "ClusteredStore",
     "ClusteringPlan",
     "ExhaustiveIndexStore",
-    "LoadedDataset",
     "ORDERS",
     "TripleTable",
     "apply_oid_mapping",
-    "build_triple_table",
     "cluster_subjects",
-    "deduplicate_triples",
     "encode_graph",
     "plan_subject_clustering",
     "value_order_literals",

@@ -23,7 +23,6 @@ import numpy as np
 from ..columnar import BufferPool, Column, NULL_OID, ZoneMap
 from ..cs import EmergentSchema, Multiplicity
 from ..errors import StorageError
-from ..model import EncodedTriple
 from .triple_table import TripleTable
 
 
@@ -43,13 +42,6 @@ class CSBlock:
 
     def __len__(self) -> int:
         return len(self.subject_column)
-
-    def subject_bounds(self) -> Tuple[int, int]:
-        """Smallest and largest subject OID in the block (inclusive)."""
-        bounds = self.subject_column.min_max()
-        if bounds is None:
-            return (0, -1)
-        return bounds
 
     def has_property(self, predicate_oid: int) -> bool:
         return predicate_oid in self.property_columns
@@ -115,16 +107,13 @@ class ClusteredStore:
         triple_matrix: np.ndarray,
         schema: EmergentSchema,
         pool: Optional[BufferPool] = None,
-        zone_map_properties: Optional[Dict[int, Iterable[int]]] = None,
         zone_size: int = 1024,
         name: str = "clustered",
     ) -> "ClusteredStore":
         """Build the clustered store from an encoded triple matrix and schema.
 
-        ``zone_map_properties`` optionally maps a CS id to the predicate OIDs
-        that should receive zone maps (including the implicit subject column
-        when the predicate OID is ``-1``... the subject column always gets a
-        zone map since it is sorted).
+        Every aligned property column gets a zone map of ``zone_size`` rows
+        per zone; whether a plan uses them is the planner's choice.
         """
         matrix = np.asarray(triple_matrix, dtype=np.int64).reshape(-1, 3)
         blocks: List[CSBlock] = []
@@ -151,9 +140,7 @@ class ClusteredStore:
         for cs_id in sorted(cs_rows):
             table = schema.tables[cs_id]
             rows = cs_rows[cs_id]
-            block, spilled = cls._build_block(
-                matrix, rows, table, pool, zone_map_properties, zone_size, name,
-            )
+            block, spilled = cls._build_block(matrix, rows, table, pool, zone_size, name)
             blocks.append(block)
             if spilled.size:
                 irregular_rows.append(spilled)
@@ -171,7 +158,6 @@ class ClusteredStore:
         row_indexes: List[int],
         table,
         pool: Optional[BufferPool],
-        zone_map_properties: Optional[Dict[int, Iterable[int]]],
         zone_size: int,
         name: str,
     ) -> Tuple[CSBlock, np.ndarray]:
@@ -219,13 +205,8 @@ class ClusteredStore:
             )
             for p, values in data.items()
         }
-        zone_maps: Dict[int, ZoneMap] = {}
-        wanted_zone_props = set()
-        if zone_map_properties and table.cs_id in zone_map_properties:
-            wanted_zone_props = set(zone_map_properties[table.cs_id])
-        for p in wanted_zone_props:
-            if p in property_columns:
-                zone_maps[p] = ZoneMap.build(property_columns[p].data, zone_size=zone_size)
+        zone_maps = {p: ZoneMap.build(column.data, zone_size=zone_size)
+                     for p, column in property_columns.items()}
 
         sorted_properties = frozenset(
             p for p, values in data.items() if _is_sorted_ignoring_nulls(values)
@@ -270,15 +251,6 @@ class ClusteredStore:
             return False
         spec = table.properties.get(predicate_oid)
         return spec is not None and spec.multiplicity is Multiplicity.MANY
-
-    def attach_pool(self, pool: Optional[BufferPool]) -> None:
-        """Attach a buffer pool to every column of every block."""
-        self.pool = pool
-        for block in self.blocks:
-            block.subject_column.attach_pool(pool)
-            for column in block.property_columns.values():
-                column.attach_pool(pool)
-        self.irregular.attach_pool(pool)
 
     def warm(self) -> None:
         """Pre-load every page of the clustered store (hot state)."""
@@ -331,8 +303,3 @@ class ClusteredStore:
         if total == 0:
             return 0.0
         return (total - len(self.irregular)) / total
-
-    def iter_encoded(self) -> Iterable[EncodedTriple]:
-        """Iterate every stored triple as :class:`EncodedTriple`."""
-        for s, p, o in self.reconstruct_triples():
-            yield EncodedTriple(int(s), int(p), int(o))

@@ -18,18 +18,13 @@ The loading pipeline mirrors the paper's architecture:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..columnar import BufferPool
 from ..cs import EmergentSchema
-from ..errors import StorageError
 from ..model import Graph, TermDictionary, Triple
 from ..model.terms import term_sort_key
-from .clustered import ClusteredStore
-from .permutation_index import ExhaustiveIndexStore
-from .triple_table import TripleTable
 
 
 def encode_graph(graph: Graph | Iterable[Triple],
@@ -187,49 +182,3 @@ def _rewrite_schema_subjects(schema: EmergentSchema, mapping: Dict[int, int]) ->
             new_subject_to_cs[subject] = table.cs_id
     schema.subject_to_cs = new_subject_to_cs
     schema.irregular_subjects = sorted(mapping.get(s, s) for s in schema.irregular_subjects)
-
-
-# -- dataset bundle ------------------------------------------------------------------
-
-
-@dataclass
-class LoadedDataset:
-    """Everything the engine needs about one loaded data set."""
-
-    dictionary: TermDictionary
-    matrix: np.ndarray
-    pool: BufferPool
-    schema: Optional[EmergentSchema] = None
-    index_store: Optional[ExhaustiveIndexStore] = None
-    clustered_store: Optional[ClusteredStore] = None
-    clustering_plan: Optional[ClusteringPlan] = None
-
-    def triple_count(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def require_index_store(self) -> ExhaustiveIndexStore:
-        if self.index_store is None:
-            raise StorageError("dataset has no exhaustive index store")
-        return self.index_store
-
-    def require_clustered_store(self) -> ClusteredStore:
-        if self.clustered_store is None:
-            raise StorageError("dataset has no clustered store")
-        return self.clustered_store
-
-    def warm(self) -> None:
-        """Pre-load every store's pages (hot state)."""
-        if self.index_store is not None:
-            self.index_store.warm()
-        if self.clustered_store is not None:
-            self.clustered_store.warm()
-
-    def reset_cold(self) -> None:
-        """Drop all cached pages (cold state)."""
-        self.pool.reset_cold()
-
-
-def build_triple_table(matrix: np.ndarray, pool: Optional[BufferPool] = None,
-                       order: str = "pso", name: str = "triples") -> TripleTable:
-    """Convenience wrapper building a single ordered triple table."""
-    return TripleTable(matrix, order=order, pool=pool, name=name)

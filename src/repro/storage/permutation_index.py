@@ -16,7 +16,7 @@ whose sort-order prefix covers the bound components of a pattern).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,67 +25,60 @@ from ..errors import StorageError
 from ..model import EncodedTriple
 from .triple_table import ORDERS, TripleTable
 
+ACCESS_PATHS = {
+    "": "spo", "s": "spo", "sp": "spo", "spo": "spo",
+    "p": "pso", "o": "osp", "so": "sop", "po": "pos",
+}
+"""The access-path decision: bound components of a triple pattern (a subset
+of ``"spo"``, in that order) -> the projection whose sort-order prefix they
+are.  Ranges inside one predicate are the other decision:
+:meth:`ExhaustiveIndexStore.within_predicate`."""
+
 
 class ExhaustiveIndexStore:
-    """Six ordered triple projections sharing a buffer pool."""
+    """Six ordered triple projections sharing a buffer pool.
+
+    Built by sorting ``triples`` six ways — or, given ``loaders`` (one per
+    order, each producing that projection's sorted ``(length, 3)`` matrix),
+    as six lazily loading tables: the snapshot reader's form, which must
+    not re-sort anything at open time.
+    """
 
     def __init__(
         self,
-        triples: Iterable[EncodedTriple] | np.ndarray,
+        triples: Optional[np.ndarray] = None,
         pool: Optional[BufferPool] = None,
-        orders: Tuple[str, ...] = ORDERS,
         name: str = "hsp",
+        *,
+        loaders: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
+        length: Optional[int] = None,
     ) -> None:
-        matrix = triples if isinstance(triples, np.ndarray) else np.asarray(
-            [(t.s, t.p, t.o) for t in triples], dtype=np.int64
-        ).reshape(-1, 3)
         self.name = name
         self.pool = pool
         self._predicate_counts_cache: Optional[Dict[int, int]] = None
         self._distinct_cache: Dict[Tuple[int, str], int] = {}
-        self.tables: Dict[str, TripleTable] = {}
-        for order in orders:
-            self.tables[order] = TripleTable(matrix, order=order, pool=pool, name=f"{name}.{order}")
-
-    @classmethod
-    def from_tables(
-        cls,
-        tables: Dict[str, TripleTable],
-        pool: Optional[BufferPool] = None,
-        name: str = "hsp",
-    ) -> "ExhaustiveIndexStore":
-        """Wrap prebuilt (typically lazily loading) projections into a store.
-
-        Used by the snapshot reader: the six sorted projections already live
-        on disk, so the store must not re-sort anything at open time.
-        """
-        if not tables:
-            raise StorageError("an index store needs at least one projection")
-        store = cls.__new__(cls)
-        store.name = name
-        store.pool = pool
-        store._predicate_counts_cache = None
-        store._distinct_cache = {}
-        store.tables = dict(tables)
-        return store
+        self.tables: Dict[str, TripleTable] = {
+            order: TripleTable(triples, order=order, pool=pool, name=f"{name}.{order}",
+                               loader=loaders and loaders[order], length=length)
+            for order in ORDERS
+        }
 
     # -- basics --------------------------------------------------------------
 
     def __len__(self) -> int:
-        first = next(iter(self.tables.values()))
-        return len(first)
+        return len(self.tables["spo"])
 
     def table(self, order: str) -> TripleTable:
         """Return the projection sorted in ``order``."""
         if order not in self.tables:
-            raise StorageError(f"store does not maintain order {order!r}")
+            raise StorageError(f"unknown triple order {order!r}; expected one of {ORDERS}")
         return self.tables[order]
 
-    def attach_pool(self, pool: Optional[BufferPool]) -> None:
-        """Attach a buffer pool to every projection."""
-        self.pool = pool
-        for table in self.tables.values():
-            table.attach_pool(pool)
+    def within_predicate(self, component: str) -> TripleTable:
+        """The projection that sorts subjects (``"s"``: PSO) or objects
+        (``"o"``: POS) inside each predicate — where a per-subject probe or a
+        :meth:`~TripleTable.narrowed_row_range` on that component runs."""
+        return self.tables["pso" if component == "s" else "pos"]
 
     def warm(self) -> None:
         """Load every projection's pages into the buffer pool (hot state)."""
@@ -95,30 +88,24 @@ class ExhaustiveIndexStore:
     # -- access-path selection -------------------------------------------------
 
     def best_order(self, bound: str) -> str:
-        """Pick the maintained order whose prefix covers the bound components.
+        """The order whose prefix covers the bound components.
 
-        ``bound`` is a subset of ``"spo"`` naming the bound components of a
-        triple pattern (e.g. ``"p"`` for ``?s <p> ?o``, ``"po"`` for
-        ``?s <p> "x"``).  Prefers orders that additionally sort the next
-        unbound component usefully (longer matching prefix first).
+        ``bound`` is a subset of ``"spo"``, in that order, naming the bound
+        components of a triple pattern (e.g. ``"p"`` for ``?s <p> ?o``,
+        ``"po"`` for ``?s <p> "x"``): a lookup in :data:`ACCESS_PATHS`.
         """
-        bound_set = set(bound)
-        best: Optional[str] = None
-        best_prefix = -1
-        for order in self.tables:
-            prefix = 0
-            for component in order:
-                if component in bound_set:
-                    prefix += 1
-                else:
-                    break
-            if prefix == len(bound_set) and prefix > best_prefix:
-                best = order
-                best_prefix = prefix
-        if best is None:
-            # fall back to any maintained order; pattern needs a full scan
-            best = next(iter(self.tables))
-        return best
+        if bound not in ACCESS_PATHS:
+            raise StorageError(f"bound components {bound!r} are not a subset of 'spo' in that order")
+        return ACCESS_PATHS[bound]
+
+    def _access_path(self, s: Optional[int], p: Optional[int],
+                     o: Optional[int]) -> Tuple[TripleTable, List[int]]:
+        """The projection serving a pattern and the pattern's bound values
+        in that projection's sort order — always a prefix of it."""
+        bound_map = {"s": s, "p": p, "o": o}
+        bound = "".join(c for c in "spo" if bound_map[c] is not None)
+        table = self.tables[ACCESS_PATHS[bound]]
+        return table, [bound_map[c] for c in table.order[:len(bound)]]
 
     def scan_pattern(
         self,
@@ -132,56 +119,18 @@ class ExhaustiveIndexStore:
         Returns an ``(n, len(fetch))`` array of the requested components for
         every matching triple.
         """
-        bound_map = {"s": s, "p": p, "o": o}
-        bound = "".join(c for c in "spo" if bound_map[c] is not None)
-        order = self.best_order(bound)
-        table = self.tables[order]
-        prefix_values = [bound_map[c] for c in order if bound_map[c] is not None]
-        # ensure the bound components really are a prefix of the chosen order
-        usable = 0
-        for component in order:
-            if bound_map[component] is not None:
-                usable += 1
-            else:
-                break
-        if usable == len(prefix_values):
-            return table.scan_prefix(*prefix_values, fetch=fetch)
-        # no covering prefix: scan everything and filter
-        rows = table.fetch_rows(0, len(table), fetch="spo")
-        mask = np.ones(rows.shape[0], dtype=bool)
-        for idx, component in enumerate("spo"):
-            value = bound_map[component]
-            if value is not None:
-                mask &= rows[:, idx] == value
-        selected = rows[mask]
-        columns = {"s": 0, "p": 1, "o": 2}
-        return selected[:, [columns[c] for c in fetch]]
+        table, prefix = self._access_path(s, p, o)
+        return table.scan_prefix(*prefix, fetch=fetch)
 
     def count_pattern(self, s: Optional[int] = None, p: Optional[int] = None, o: Optional[int] = None) -> int:
         """Number of triples matching the pattern (uses binary search only)."""
-        bound_map = {"s": s, "p": p, "o": o}
-        bound = "".join(c for c in "spo" if bound_map[c] is not None)
-        order = self.best_order(bound)
-        table = self.tables[order]
-        prefix_values = []
-        for component in order:
-            if bound_map[component] is not None:
-                prefix_values.append(bound_map[component])
-            else:
-                break
-        if len(prefix_values) == len(bound):
-            lo, hi = table.prefix_row_range(*prefix_values)
-            return hi - lo
-        return int(self.scan_pattern(s=s, p=p, o=o, fetch="s").shape[0])
+        table, prefix = self._access_path(s, p, o)
+        lo, hi = table.prefix_row_range(*prefix)
+        return hi - lo
 
     def contains(self, triple: EncodedTriple) -> bool:
         """Exact membership check through the SPO projection."""
-        order = self.best_order("spo")
-        return self.tables[order].contains(triple)
-
-    def object_lookup(self, subject: int, predicate: int) -> np.ndarray:
-        """All object OIDs for (subject, predicate) — a PSO/SPO point probe."""
-        return self.scan_pattern(s=subject, p=predicate, fetch="o")[:, 0]
+        return self.tables[ACCESS_PATHS["spo"]].contains(triple)
 
     def predicate_counts(self) -> Dict[int, int]:
         """Triple counts per predicate (metadata, no accounting).
@@ -191,21 +140,15 @@ class ExhaustiveIndexStore:
         force a lazy projection to materialize.
         """
         if self._predicate_counts_cache is None:
-            self._predicate_counts_cache = self.table(self.best_order("p")).predicate_counts()
+            self._predicate_counts_cache = self.tables[ACCESS_PATHS["p"]].predicate_counts()
         return self._predicate_counts_cache
 
-    def distinct_in_predicate(self, predicate_oid: int, component: str) -> Optional[int]:
+    def distinct_in_predicate(self, predicate_oid: int, component: str) -> int:
         """Distinct subjects (``"s"``) or objects (``"o"``) among one
-        predicate's triples (metadata, remembered like the predicate counts).
-
-        ``None`` when the projection that sorts the component within the
-        predicate (PSO / POS) is not maintained.
-        """
-        table = self.tables.get("pso" if component == "s" else "pos")
-        if table is None:
-            return None
+        predicate's triples (metadata, remembered like the predicate counts)."""
         key = (predicate_oid, component)
         if key not in self._distinct_cache:
+            table = self.within_predicate(component)
             lo, hi = table.prefix_row_range(predicate_oid)
             segment = table.column(component).data[lo:hi]
             # sorted within the predicate: count the value changes

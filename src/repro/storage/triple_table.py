@@ -10,7 +10,7 @@ the access path that exhaustive-indexing RDF stores rely on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,100 +25,76 @@ _COMPONENT_INDEX = {"s": 0, "p": 1, "o": 2}
 
 
 class TripleTable:
-    """Encoded triples stored column-wise, sorted by a component order."""
+    """Encoded triples stored column-wise, sorted by a component order.
+
+    The table *is* its three :class:`~repro.columnar.Column`s; the
+    ``(n, 3)`` form exists only in :meth:`raw` and while loading.  A table
+    given a ``loader`` instead of ``triples`` is *lazy*: the loader must
+    produce a ``(length, 3)`` matrix **already sorted** in ``order`` (the
+    snapshot writer persists the sorted form, so no sort happens at load).
+    The first touch of any component reads it once, fills all three
+    columns and is reported to the buffer pool once under the table's
+    segment name.
+    """
 
     def __init__(
         self,
-        triples: Iterable[EncodedTriple] | np.ndarray,
+        triples: Optional[np.ndarray] = None,
         order: str = "pso",
         pool: Optional[BufferPool] = None,
         name: str = "triples",
+        *,
+        loader: Optional[Callable[[], np.ndarray]] = None,
+        length: Optional[int] = None,
     ) -> None:
         if order not in ORDERS:
             raise StorageError(f"unknown triple order {order!r}; expected one of {ORDERS}")
         self.order = order
         self.name = name
         self.pool = pool
-        matrix = _as_matrix(triples)
-        matrix = _sort_matrix(matrix, order)
-        self._matrix_data: Optional[np.ndarray] = matrix
-        self._matrix_loader: Optional[Callable[[], np.ndarray]] = None
-        self._row_count = int(matrix.shape[0])
-        self._columns: Dict[str, Column] = {}
-        for component in "spo":
-            sorted_flag = order[0] == component
-            self._columns[component] = Column(
-                segment_id=f"{name}.{order}.{component}",
-                values=matrix[:, _COMPONENT_INDEX[component]],
-                sorted_ascending=sorted_flag,
-                pool=pool,
+        self._loader = loader
+        if loader is None:
+            matrix = np.asarray(triples, dtype=np.int64)
+            if matrix.ndim != 2 or matrix.shape[1] != 3:
+                raise StorageError("triple matrix must have shape (n, 3)")
+            # np.lexsort sorts by the *last* key first, so feed components reversed.
+            permutation = np.lexsort([matrix[:, _COMPONENT_INDEX[c]] for c in reversed(order)])
+            values = {c: matrix[:, i][permutation] for c, i in _COMPONENT_INDEX.items()}
+            length = matrix.shape[0]
+        else:
+            values = dict.fromkeys("spo")
+            if pool is not None:
+                pool.register_lazy_segment(f"{name}.{order}", length * 3)
+        self._columns: Dict[str, Column] = {
+            component: Column(
+                f"{name}.{order}.{component}", values[component],
+                sorted_ascending=order[0] == component, pool=pool,
+                loader=loader and (lambda c=component: self._load(c)),
+                length=length,
+                notify_pool=False,  # the shared matrix file is accounted once, in _load
             )
+            for component in "spo"
+        }
 
-    @classmethod
-    def lazy(
-        cls,
-        loader: Callable[[], np.ndarray],
-        length: int,
-        order: str = "pso",
-        pool: Optional[BufferPool] = None,
-        name: str = "triples",
-    ) -> "TripleTable":
-        """Create a table whose sorted matrix loads from disk on first access.
-
-        The loader must produce an ``(length, 3)`` matrix **already sorted**
-        in ``order`` (the snapshot writer persists the sorted form, so no
-        sort happens at load).  All three component columns share the one
-        matrix; materializing any of them materializes the table, which is
-        reported to the buffer pool once under the table's segment name.
-        """
-        if order not in ORDERS:
-            raise StorageError(f"unknown triple order {order!r}; expected one of {ORDERS}")
-        table = cls.__new__(cls)
-        table.order = order
-        table.name = name
-        table.pool = pool
-        table._matrix_data = None
-        table._matrix_loader = loader
-        table._row_count = int(length)
-        table._columns = {}
-        if pool is not None:
-            pool.register_lazy_segment(f"{name}.{order}", int(length) * 3)
-        for component in "spo":
-            index = _COMPONENT_INDEX[component]
-            table._columns[component] = Column.lazy(
-                segment_id=f"{name}.{order}.{component}",
-                loader=(lambda t=table, i=index: t._matrix[:, i]),
-                length=int(length),
-                sorted_ascending=order[0] == component,
-                pool=pool,
-                notify_pool=False,  # the shared matrix is accounted once, below
-            )
-        return table
-
-    @property
-    def _matrix(self) -> np.ndarray:
-        """The sorted ``(n, 3)`` matrix, materialized from disk on demand."""
-        if self._matrix_data is None:
-            loaded = np.asarray(self._matrix_loader(), dtype=np.int64).reshape(-1, 3)
-            if loaded.shape[0] != self._row_count:
-                raise StorageError(
-                    f"table {self.name!r} loader produced {loaded.shape[0]} rows, "
-                    f"expected {self._row_count}")
-            self._matrix_data = loaded
-            if self.pool is not None:
-                self.pool.note_materialized(f"{self.name}.{self.order}",
-                                            int(loaded.size))
-        return self._matrix_data
-
-    @property
-    def is_materialized(self) -> bool:
-        """Whether the sorted matrix is resident (always true when eager)."""
-        return self._matrix_data is not None
+    def _load(self, component: str) -> np.ndarray:
+        """First touch of a lazy table: read the sorted matrix once, fill the
+        other two columns and hand ``component``'s values to its own."""
+        matrix = np.asarray(self._loader(), dtype=np.int64).reshape(-1, 3)
+        if matrix.shape[0] != len(self):
+            raise StorageError(
+                f"table {self.name!r} loader produced {matrix.shape[0]} rows, "
+                f"expected {len(self)}")
+        for other, index in _COMPONENT_INDEX.items():
+            if other != component:
+                self._columns[other].data = matrix[:, index].copy()
+        if self.pool is not None:
+            self.pool.note_materialized(f"{self.name}.{self.order}", int(matrix.size))
+        return matrix[:, _COMPONENT_INDEX[component]].copy()
 
     # -- basics --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._row_count
+        return len(self._columns["s"])
 
     def column(self, component: str) -> Column:
         """Return the column for component ``'s'``, ``'p'`` or ``'o'``."""
@@ -126,20 +102,9 @@ class TripleTable:
             raise StorageError(f"unknown component {component!r}")
         return self._columns[component]
 
-    def attach_pool(self, pool: Optional[BufferPool]) -> None:
-        """Attach a buffer pool to all three columns."""
-        self.pool = pool
-        for col in self._columns.values():
-            col.attach_pool(pool)
-
     def raw(self) -> np.ndarray:
-        """Return the underlying ``(n, 3)`` S/P/O matrix (no accounting)."""
-        return self._matrix
-
-    def iter_triples(self) -> Iterable[EncodedTriple]:
-        """Iterate over encoded triples in table order (no accounting)."""
-        for s, p, o in self._matrix:
-            yield EncodedTriple(int(s), int(p), int(o))
+        """The table as a new ``(n, 3)`` S/P/O matrix in sort order (no accounting)."""
+        return np.column_stack([self._columns[c].data for c in "spo"])
 
     def warm(self) -> None:
         """Pre-load all pages of the table into the buffer pool."""
@@ -154,8 +119,7 @@ class TripleTable:
         """Row range matching a prefix of the sort order (binary searches)."""
         lo, hi = 0, len(self)
         for depth, value in enumerate(values):
-            component = self.order[depth]
-            data = self._matrix[lo:hi, _COMPONENT_INDEX[component]]
+            data = self._columns[self.order[depth]].data[lo:hi]
             lo_off = int(np.searchsorted(data, value, side="left"))
             hi_off = int(np.searchsorted(data, value, side="right"))
             lo, hi = lo + lo_off, lo + hi_off
@@ -168,6 +132,22 @@ class TripleTable:
     def prefix_row_range(self, *values: int) -> Tuple[int, int]:
         """Public wrapper over the prefix binary search (no page reads yet)."""
         return self._prefix_range(*values)
+
+    def narrowed_row_range(self, value: int, oid_range) -> Tuple[int, int]:
+        """Row range of one first-component value, narrowed by an inclusive
+        OID range (anything with ``low`` / ``high``, ``None`` = open) on the
+        next sort component — subjects within a predicate on PSO, objects on
+        POS.  Binary searches only, no page reads."""
+        lo, hi = self._prefix_range(value)
+        if hi <= lo:
+            return lo, lo
+        segment = self._columns[self.order[1]].data[lo:hi]
+        start, stop = lo, hi
+        if oid_range.low is not None:
+            start = lo + int(np.searchsorted(segment, oid_range.low, side="left"))
+        if oid_range.high is not None:
+            stop = lo + int(np.searchsorted(segment, oid_range.high, side="right"))
+        return start, max(start, stop)
 
     def scan_prefix(self, *values: int, fetch: str = "spo") -> np.ndarray:
         """Scan rows matching a prefix of the sort order.
@@ -189,11 +169,6 @@ class TripleTable:
             parts.append(self._columns[component].slice(lo, hi))
         return np.column_stack(parts)
 
-    def lookup(self, *values: int) -> int:
-        """Number of rows matching a full or partial prefix (point probe)."""
-        lo, hi = self._prefix_range(*values)
-        return hi - lo
-
     def contains(self, triple: EncodedTriple) -> bool:
         """Exact triple membership test (three binary searches)."""
         ordered = triple.reordered(self.order)
@@ -204,82 +179,5 @@ class TripleTable:
 
     def predicate_counts(self) -> Dict[int, int]:
         """Triple count per predicate OID (metadata op, no accounting)."""
-        pred = self._matrix[:, _COMPONENT_INDEX["p"]]
-        values, counts = np.unique(pred, return_counts=True)
+        values, counts = np.unique(self._columns["p"].data, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
-
-    def distinct_subjects(self) -> np.ndarray:
-        """Distinct subject OIDs (metadata op, no accounting)."""
-        return np.unique(self._matrix[:, _COMPONENT_INDEX["s"]])
-
-    def subject_property_sets(self) -> Dict[int, frozenset[int]]:
-        """Map each subject OID to the frozenset of its predicate OIDs.
-
-        This is the raw input of characteristic-set detection.
-        """
-        subj = self._matrix[:, _COMPONENT_INDEX["s"]]
-        pred = self._matrix[:, _COMPONENT_INDEX["p"]]
-        order = np.lexsort((pred, subj))
-        result: Dict[int, frozenset[int]] = {}
-        current_subject: Optional[int] = None
-        current_props: List[int] = []
-        for idx in order:
-            s = int(subj[idx])
-            p = int(pred[idx])
-            if s != current_subject:
-                if current_subject is not None:
-                    result[current_subject] = frozenset(current_props)
-                current_subject = s
-                current_props = [p]
-            else:
-                if not current_props or current_props[-1] != p:
-                    current_props.append(p)
-        if current_subject is not None:
-            result[current_subject] = frozenset(current_props)
-        return result
-
-    def subject_property_multiplicities(self) -> Dict[int, Dict[int, int]]:
-        """Map subject OID -> {predicate OID -> number of objects}."""
-        subj = self._matrix[:, _COMPONENT_INDEX["s"]]
-        pred = self._matrix[:, _COMPONENT_INDEX["p"]]
-        result: Dict[int, Dict[int, int]] = {}
-        for s, p in zip(subj, pred):
-            props = result.setdefault(int(s), {})
-            props[int(p)] = props.get(int(p), 0) + 1
-        return result
-
-
-# -- helpers ------------------------------------------------------------------
-
-
-def _as_matrix(triples: Iterable[EncodedTriple] | np.ndarray) -> np.ndarray:
-    if isinstance(triples, np.ndarray):
-        matrix = np.asarray(triples, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != 3:
-            raise StorageError("triple matrix must have shape (n, 3)")
-        return matrix.copy()
-    rows = [(t.s, t.p, t.o) for t in triples]
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
-
-
-def _sort_matrix(matrix: np.ndarray, order: str) -> np.ndarray:
-    if matrix.shape[0] == 0:
-        return matrix
-    # np.lexsort sorts by the *last* key first, so feed components reversed.
-    keys = tuple(matrix[:, _COMPONENT_INDEX[c]] for c in reversed(order))
-    permutation = np.lexsort(keys)
-    return matrix[permutation]
-
-
-def deduplicate_triples(triples: Sequence[EncodedTriple]) -> List[EncodedTriple]:
-    """Return triples with exact duplicates removed, preserving first-seen order."""
-    seen: set[Tuple[int, int, int]] = set()
-    unique: List[EncodedTriple] = []
-    for t in triples:
-        key = (t.s, t.p, t.o)
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
-    return unique

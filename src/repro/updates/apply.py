@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..errors import StorageError
 from ..model import EncodedTriple, Triple
 from ..sparql.ast import (
@@ -51,8 +49,6 @@ class UpdateApplier:
 
     def __init__(self, store) -> None:
         self.store = store
-        self._base_keys: Optional[np.ndarray] = None
-        self._base_bases: Optional[Tuple[int, int]] = None
 
     def apply(self, request: UpdateRequest) -> UpdateResult:
         result = UpdateResult()
@@ -154,35 +150,7 @@ class UpdateApplier:
         return EncodedTriple(s, p, o)
 
     def _base_contains(self, encoded: EncodedTriple) -> bool:
-        store = self.store
-        if store.index_store is not None:
-            return store.index_store.contains(encoded)
-        matrix = store.matrix
-        if matrix.size == 0:
-            return False
-        # no exhaustive indexes: build a sorted packed-key view of the base
-        # once per request so bulk updates probe in O(log N) instead of
-        # scanning the whole matrix per triple
-        if self._base_bases is None:
-            base_s = int(matrix[:, 0].max()) + 1
-            base_p = int(matrix[:, 1].max()) + 1
-            base_o = int(matrix[:, 2].max()) + 1
-            if base_s * base_p * base_o <= (1 << 63) - 1:
-                self._base_bases = (base_p, base_o)
-                self._base_keys = np.sort(
-                    (matrix[:, 0] * base_p + matrix[:, 1]) * base_o + matrix[:, 2])
-            else:  # astronomically large OIDs: packing would overflow int64
-                self._base_bases = (0, 0)
-        if self._base_keys is None:
-            return bool(np.any((matrix[:, 0] == encoded.s)
-                               & (matrix[:, 1] == encoded.p)
-                               & (matrix[:, 2] == encoded.o)))
-        base_p, base_o = self._base_bases
-        if encoded.p >= base_p or encoded.o >= base_o:
-            return False  # a component the base has never seen
-        key = (encoded.s * base_p + encoded.p) * base_o + encoded.o
-        position = int(np.searchsorted(self._base_keys, key))
-        return position < self._base_keys.size and int(self._base_keys[position]) == key
+        return self.store.index_store.contains(encoded)
 
     def _is_live(self, encoded: EncodedTriple) -> bool:
         """Whether the triple is visible right now (base ∪ delta − tombstones)."""

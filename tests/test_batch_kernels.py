@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import Batch, BindingTable, hash_join, kernels
 from repro.engine.expressions import AggregateSpec, NumericVar
+from repro.updates import FrozenDelta
 
 oid_st = st.integers(0, 12)
 column_st = st.lists(oid_st, max_size=30)
@@ -129,18 +130,29 @@ def test_eq_neq_masks(values, oid):
     dead=st.lists(st.tuples(oid_st, oid_st, oid_st), max_size=10),
 )
 def test_subtract_rows_mask_matches_set_membership(rows, dead):
-    row_cols = [_arr(r[i] for r in rows) for i in range(3)]
-    dead_cols = [_arr(r[i] for r in dead) for i in range(3)]
-    mask = kernels.subtract_rows_mask(row_cols, dead_cols)
+    """The one tombstone subtraction (``FrozenDelta``'s masks, whole-row and
+    per-predicate) against set membership."""
+    row_matrix = _arr(rows).reshape(-1, 3)
+    delta = FrozenDelta(np.empty((0, 3), dtype=np.int64), _arr(dead).reshape(-1, 3))
     dead_set = set(dead)
-    assert mask.tolist() == [row in dead_set for row in rows]
+    assert delta.tombstone_mask(row_matrix).tolist() == [row in dead_set for row in rows]
+    for predicate in {row[1] for row in rows}:
+        of_predicate = row_matrix[row_matrix[:, 1] == predicate]
+        expected = [tuple(row) in dead_set for row in of_predicate.tolist()]
+        assert delta.tombstone_mask(of_predicate, predicate=predicate).tolist() == expected
+        assert delta.pair_tombstone_mask(
+            predicate, of_predicate[:, 0], of_predicate[:, 2]).tolist() == expected
 
 
 def test_subtract_rows_mask_empty_sides():
-    cols = [_arr([1, 2]), _arr([3, 4])]
-    empty = [_arr(()), _arr(())]
-    assert kernels.subtract_rows_mask(empty, cols).size == 0
-    assert kernels.subtract_rows_mask(cols, empty).tolist() == [False, False]
+    rows = _arr([(1, 7, 3), (2, 7, 4)])
+    empty = np.empty((0, 3), dtype=np.int64)
+    dead = FrozenDelta(empty.copy(), rows.copy())
+    assert dead.tombstone_mask(empty).size == 0
+    assert dead.pair_tombstone_mask(7, empty[:, 0], empty[:, 2]).size == 0
+    clean = FrozenDelta(empty.copy(), empty.copy())
+    assert clean.tombstone_mask(rows).tolist() == [False, False]
+    assert clean.pair_tombstone_mask(7, rows[:, 0], rows[:, 2]).tolist() == [False, False]
 
 
 # -- DISTINCT --------------------------------------------------------------------------

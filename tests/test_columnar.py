@@ -9,14 +9,16 @@ from repro.columnar import (
     Column,
     ColumnStats,
     CostModel,
+    CardinalityEstimator,
     CostTracker,
-    EquiWidthHistogram,
     NULL_OID,
-    PredicateCooccurrence,
     QueryCost,
     ZoneMap,
 )
+from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
+from repro.engine import OidRange, PatternTerm, StarPattern, StarProperty
 from repro.errors import StorageError
+from repro.storage import ExhaustiveIndexStore, TripleTable
 
 
 class TestBufferPool:
@@ -75,36 +77,35 @@ class TestColumn:
 
     def test_get_and_slice(self):
         col = Column("c", [10, 20, 30, 40])
-        assert col.get(2) == 30
+        assert list(col.gather([2])) == [30]
         assert list(col.slice(1, 3)) == [20, 30]
+        assert list(col.slice(3, 99)) == [40]  # clipped to the column
         with pytest.raises(StorageError):
-            col.get(10)
+            col.gather([10])
 
     def test_select_equal_sorted_uses_binary_search(self):
+        """Equality on a sorted column is a prefix range: binary searches
+        (probes, no pages), then a slice of only the matching rows."""
         pool = BufferPool(page_size=2)
-        col = Column("c", [1, 1, 2, 3, 3, 3], sorted_ascending=True, pool=pool)
-        assert list(col.select_equal(3)) == [3, 4, 5]
+        rows = [(s, 7, o) for o, s in enumerate([1, 1, 2, 3, 3, 3])]
+        table = TripleTable(np.asarray(rows), order="spo", pool=pool)
+        lo, hi = table.prefix_row_range(3)
+        assert (lo, hi) == (3, 6)
+        assert pool.tracker.tuples_probed == 2 and pool.tracker.page_reads == 0
+        assert table.fetch_rows(lo, hi, fetch="s")[:, 0].tolist() == [3, 3, 3]
         # only the matching pages are touched, not the whole column
         assert pool.tracker.page_reads <= 2
 
-    def test_select_equal_unsorted(self):
-        col = Column("c", [5, 1, 5, 2])
-        assert list(col.select_equal(5)) == [0, 2]
-
     def test_select_range_sorted(self):
-        col = Column("c", [1, 2, 3, 4, 5], sorted_ascending=True)
-        assert list(col.select_range(2, 4)) == [1, 2, 3]
-        assert list(col.select_range(2, 4, low_inclusive=False, high_inclusive=False)) == [2]
-
-    def test_select_range_unsorted(self):
-        col = Column("c", [5, 1, 4, 2])
-        assert sorted(col.select_range(2, 4)) == [2, 3]
-        assert list(col.select_range(None, None)) == [0, 1, 2, 3]
-
-    def test_select_in(self):
-        col = Column("c", [5, 1, 4, 2])
-        assert sorted(col.select_in([1, 4, 99])) == [1, 2]
-        assert list(col.select_in([])) == []
+        """A range on the component sorted inside one predicate is two more
+        binary searches (inclusive bounds, ``None`` = open)."""
+        table = TripleTable(np.asarray([(s, 7, 0) for s in (1, 2, 3, 4, 5)]), order="pso")
+        subjects = table.column("s").data
+        for low, high, expected in ((2, 4, [2, 3, 4]), (3, 3, [3]), (None, 2, [1, 2]),
+                                    (4, None, [4, 5]), (4, 2, []), (None, None, [1, 2, 3, 4, 5])):
+            lo, hi = table.narrowed_row_range(7, OidRange(low, high))
+            assert subjects[lo:hi].tolist() == expected
+        assert table.narrowed_row_range(8, OidRange(2, 4)) == (5, 5)  # absent predicate
 
     def test_gather_accounts_pages(self):
         pool = BufferPool(page_size=2)
@@ -118,12 +119,14 @@ class TestColumn:
     def test_null_handling(self):
         col = Column("c", [1, NULL_OID, 3, NULL_OID])
         assert col.null_count() == 2
-        assert list(col.not_null_positions()) == [0, 2]
-        assert col.min_max() == (1, 3)
-        assert col.distinct_count() == 2
+        stats = col.statistics()
+        assert (stats.min_value, stats.max_value, stats.distinct_count) == (1, 3, 2)
+        assert col.statistics() is stats  # computed once, kept on the column
 
     def test_min_max_empty(self):
-        assert Column("c", []).min_max() is None
+        stats = Column("c", []).statistics()
+        assert stats.min_value is None and stats.max_value is None
+        assert stats.estimate_range_selectivity(0, 10) == 0.0
 
 
 class TestZoneMap:
@@ -217,33 +220,45 @@ class TestStats:
         assert stats.estimate_equality_selectivity() == 0.0
 
     def test_histogram_estimates(self):
-        hist = EquiWidthHistogram(list(range(1000)), bucket_count=10)
-        estimate = hist.estimate_range_count(0, 499)
-        assert estimate == pytest.approx(500, rel=0.05)
-        assert hist.estimate_range_selectivity(0, 999) == pytest.approx(1.0, rel=0.01)
-        assert hist.estimate_range_count(5000, 6000) == 0.0
+        """Range selectivity comes from the column's own summary (uniform
+        between min and max): the one range model the optimizer uses."""
+        stats = ColumnStats.from_values(list(range(1000)))
+        assert stats.estimate_range_selectivity(0, 499) == pytest.approx(0.5, rel=0.05)
+        assert stats.estimate_range_selectivity(0, 999) == pytest.approx(1.0, rel=0.01)
+        assert stats.estimate_range_selectivity(5000, 6000) == 0.0
 
     def test_histogram_empty(self):
-        hist = EquiWidthHistogram([])
-        assert hist.estimate_range_selectivity(0, 10) == 0.0
+        assert ColumnStats.from_values([]).estimate_range_selectivity(0, 10) == 0.0
+
+    @staticmethod
+    def _star_estimator(rows):
+        """A schema-aware estimator over raw rows, and a star builder."""
+        matrix = np.asarray(rows, dtype=np.int64)
+        schema = discover_schema(matrix, dictionary=None, config=DiscoveryConfig(
+            generalization=GeneralizationConfig(min_support=1)))
+        estimator = CardinalityEstimator(ExhaustiveIndexStore(matrix), schema=schema)
+
+        def subjects(*predicates):
+            return estimator.star_subject_cardinality(StarPattern(subject_var="s", properties=[
+                StarProperty(p, PatternTerm.variable(f"o{p}")) for p in predicates]))
+        return subjects
 
     def test_cooccurrence_conditional(self):
-        sets = {
-            1: frozenset({10, 11}),
-            2: frozenset({10, 11}),
-            3: frozenset({10}),
-        }
-        stats = PredicateCooccurrence.from_subject_property_sets(sets)
-        assert stats.support[10] == 3
-        assert stats.joint_count(10, 11) == 2
-        assert stats.conditional(10, 11) == pytest.approx(2 / 3)
-        assert stats.conditional(11, 10) == pytest.approx(1.0)
+        """Co-occurrence is what the characteristic sets record: the star
+        estimate over both predicates, relative to one of them, is the
+        join hit ratio ``P(q | p)`` — exact, not ``sel_p * sel_q``."""
+        subjects = self._star_estimator(
+            [(1, 10, 5), (1, 11, 6), (2, 10, 5), (2, 11, 6), (3, 10, 7)])
+        assert subjects(10) == 3
+        assert subjects(10, 11) == 2
+        assert subjects(10, 11) / subjects(10) == pytest.approx(2 / 3)
+        assert subjects(10, 11) / subjects(11) == pytest.approx(1.0)
 
     def test_cooccurrence_star_cardinality(self):
-        sets = {i: frozenset({1, 2}) for i in range(10)}
-        sets.update({100 + i: frozenset({1}) for i in range(10)})
-        stats = PredicateCooccurrence.from_subject_property_sets(sets)
+        rows = [(s, p, 500 + s) for s in range(10) for p in (1, 2)]
+        rows += [(100 + s, 1, 700 + s) for s in range(10)]
+        subjects = self._star_estimator(rows)
         # all subjects with 2 also have 1 -> the star {1,2} has exactly 10 answers
-        assert stats.star_cardinality([1, 2]) == pytest.approx(10.0)
-        assert stats.star_cardinality([1, 2, 999]) == 0.0
-        assert stats.star_cardinality([]) == len(sets)
+        assert subjects(1, 2) == pytest.approx(10.0)
+        assert subjects(1, 2, 999) == 0.0
+        assert subjects(1) == 20

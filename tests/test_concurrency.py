@@ -187,11 +187,8 @@ class TestReadSnapshots:
             assert _count(fresh, PAIR_COUNT_LEFT) == left + 1
 
     def test_live_triple_count_is_pinned(self):
-        """The snapshot's count uses the base size captured at pin time —
-        even on stores without the exhaustive indexes."""
-        config = _config()
-        config.build_exhaustive_indexes = False
-        store = RDFStore.build(book_triples(), config=config)
+        """The snapshot's count uses the base size captured at pin time."""
+        store = RDFStore.build(book_triples(), config=_config())
         base = store.triple_count()
         with store.snapshot() as snap:
             assert snap.live_triple_count() == base

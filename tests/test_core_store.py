@@ -95,9 +95,20 @@ class TestStoreBehaviour:
         assert book_store.decode_rows(result) == [("isbn-0001",)]
 
     def test_config_disables_zone_maps(self):
-        config = StoreConfig(build_zone_maps=False)
-        store = RDFStore.build(NT_SAMPLE, config=config)
-        assert all(not block.zone_maps for block in store.clustered_store.blocks)
+        """Every aligned column gets its zone map; the switch that is left is
+        per query, ``PlannerOptions.use_zone_maps``."""
+        store = RDFStore.build(NT_SAMPLE)
+        for block in store.clustered_store.blocks:
+            assert set(block.zone_maps) == set(block.property_columns)
+        query = (f'SELECT ?b WHERE {{ ?b <{EX}year> ?y . ?b <{EX}title> ?t . '
+                 f'FILTER(?y >= "1995"^^<{XSD_INTEGER}>) }}')
+        plans, rows = {}, {}
+        for use in (False, True):
+            options = PlannerOptions(scheme="rdfscan", use_zone_maps=use)
+            plans[use] = store.explain(query, options)
+            rows[use] = sorted(store.decode_rows(store.sparql(query, options)))
+        assert "(zonemaps)" in plans[True] and "(zonemaps)" not in plans[False]
+        assert rows[True] == rows[False] and len(rows[True]) == 7
 
     def test_dblp_store_fixture_summary(self, dblp_store):
         summary = dblp_store.storage_summary()

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.columnar import BufferPool
+from repro.columnar import BufferPool, CardinalityEstimator
 from repro.engine import (
     AggregateOp,
     AggregateSpec,
@@ -24,12 +25,14 @@ from repro.engine import (
     OrderByOp,
     PatternTerm,
     ProjectOp,
+    StarProperty,
     TriplePatternPlan,
     cross_join,
     execute_plan,
     hash_join,
 )
 from repro.engine.operators import DistinctOp, FilterNotEqualOp
+from repro.engine.rdfscan import _property_pairs
 from repro.errors import ExecutionError
 from repro.model import IRI, Literal, TermDictionary
 from repro.model.terms import XSD_INTEGER
@@ -178,6 +181,52 @@ def _context():
     store = ExhaustiveIndexStore(matrix, pool=pool)
     ctx = ExecutionContext(dictionary=dictionary, pool=pool, index_store=store)
     return ctx, p_name, p_age, ages
+
+
+@st.composite
+def _range_probe_case(draw):
+    """A random matrix, a predicate (4 is never present) and an OID range:
+    closed, half-open, empty (low > high) or unbounded."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3), st.integers(0, 9)),
+                         max_size=40, unique=True))
+    bound = st.one_of(st.none(), st.integers(-1, 10))
+    return (np.asarray(rows, dtype=np.int64).reshape(-1, 3), draw(st.integers(0, 4)),
+            OidRange(draw(bound), draw(bound)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_range_probe_case())
+def test_range_probe_matches_a_mask(case):
+    """The one range probe selects exactly the rows a boolean mask selects —
+    subjects within a predicate on PSO, objects on POS — and its three callers
+    (index scan, index-merge pairs, estimator) agree with it."""
+    matrix, predicate, oid_range = case
+    pool = BufferPool(page_size=4)
+    store = ExhaustiveIndexStore(matrix, pool=pool)
+    ctx = ExecutionContext(dictionary=TermDictionary(), pool=pool, index_store=store)
+    pattern = TriplePatternPlan(PatternTerm.variable("s"), PatternTerm.constant(predicate),
+                                PatternTerm.variable("o"))
+    for order, component, keyword in (("pso", "s", "subject_range"), ("pos", "o", "object_range")):
+        table = store.table(order)
+        raw = table.raw()
+        values = raw[:, "spo".index(component)]
+        mask = raw[:, 1] == predicate
+        if oid_range.low is not None:
+            mask &= values >= oid_range.low
+        if oid_range.high is not None:
+            mask &= values <= oid_range.high
+        lo, hi = table.narrowed_row_range(predicate, oid_range)
+        assert lo <= hi
+        assert np.arange(lo, hi).tolist() == np.nonzero(mask)[0].tolist()
+        pairs = sorted(map(tuple, raw[mask][:, [0, 2]].tolist()))
+
+        assert CardinalityEstimator(store)._range_count(predicate, oid_range, component) == len(pairs)
+        scanned, _ = execute_plan(IndexScanOp(pattern, **{keyword: oid_range}), ctx)
+        assert sorted(zip(scanned.column("s").tolist(), scanned.column("o").tolist())) == pairs
+        if component == "o":
+            prop = StarProperty(predicate, PatternTerm.variable("o"), oid_range=oid_range)
+            subjects, objects = _property_pairs(ctx, store, prop, None)
+            assert sorted(zip(subjects.tolist(), objects.tolist())) == pairs
 
 
 class TestOperators:

@@ -3,6 +3,7 @@ equivalence across plan schemes, plan annotation and the plan cache."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -20,6 +21,7 @@ from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.engine import PatternTerm, StarPattern, StarProperty
 from repro.errors import PlanError
 from repro.sparql import PlanCache, QueryOptimizer
+from repro.storage import ExhaustiveIndexStore
 
 EX = "http://example.org/"
 DBLP_VOC = "http://example.org/dblp/schema/"
@@ -143,8 +145,24 @@ class TestCardinalityEstimator:
         assert CardinalityEstimator.join_cardinality(10, 20, 10, 5) == pytest.approx(20.0)
         assert CardinalityEstimator.join_cardinality(0, 20, 1, 1) == 0.0
 
-    def test_degrades_without_any_source(self):
-        empty = CardinalityEstimator()
+    def test_degrades_without_any_source(self, book_store):
+        """Only the index store is required: without schema, clustered store
+        and delta a star falls back to its most selective exact pattern."""
+        bare = CardinalityEstimator(book_store.index_store)
+        d = book_store.dictionary
+        author = d.lookup_term(IRI(f"{EX}has_author"))
+        isbn = d.lookup_term(IRI(f"{EX}isbn_no"))
+        star = StarPattern(subject_var="b", properties=[
+            StarProperty(predicate_oid=author, object_term=PatternTerm.variable("a")),
+            StarProperty(predicate_oid=isbn, object_term=PatternTerm.variable("i")),
+        ])
+        counts = book_store.index_store.predicate_counts()
+        assert bare.star_cardinality(star) == min(counts[author], counts[isbn])
+        assert bare.total_subjects() == bare.total_triples() == book_store.triple_count()
+        assert bare.distinct_subjects(isbn) == counts[isbn]  # one ISBN per book
+        assert bare.pattern_cardinality(p=10 ** 9) == 0.0
+
+        empty = CardinalityEstimator(ExhaustiveIndexStore(np.empty((0, 3), dtype=np.int64)))
         assert empty.pattern_cardinality(p=42) == 0.0
         assert empty.total_triples() == 0.0
 

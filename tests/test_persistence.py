@@ -27,9 +27,11 @@ from repro import (
     StoreConfig,
 )
 from repro.bench.queries import q6_sparql, star_lookup_sparql
+from repro.bench.rdfh import P_L_QUANTITY, P_L_RETURNFLAG
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.persist import SnapshotReader, WriteAheadLog, write_snapshot
 from repro.persist.snapshot import GENERATION_PREFIX, MANIFEST_FILE, wal_path
+from repro.storage import ACCESS_PATHS
 from repro.sparql import (
     DEFAULT_SCHEME,
     OPTIMIZED_SCHEME,
@@ -246,17 +248,32 @@ class TestLazyLoading:
         assert 0 < stats["lazy_segments_materialized"] < stats["lazy_segments_registered"]
         assert stats["lazy_values_loaded"] > 0
 
-    def test_materialization_is_not_charged_as_page_reads(self, store, tmp_path):
+    def test_materialization_is_not_charged_as_page_reads(self, rdfh_store, tmp_path):
         """Cold-run accounting must match a freshly built store: loading a
-        column from disk is bookkept separately from simulated page misses."""
-        query = f"SELECT ?b ?a WHERE {{ ?b <{EX}has_author> ?a . ?b <{EX}isbn_no> ?i . }}"
-        store.save(tmp_path / "db")
-        store.reset_cold()
-        fresh_cost = store.sparql(query).cost.counters["page_reads"]
+        column from disk is bookkept separately from simulated page misses,
+        and the access path does not depend on how the store came to be — the
+        same projection per bound set, hence the same counters and the same
+        row sequence (no ``ORDER BY`` below) under every scheme."""
+        write_snapshot(rdfh_store, tmp_path / "db")
         reopened = RDFStore.open(tmp_path / "db")
-        reopened.reset_cold()
-        reopened_cost = reopened.sparql(query).cost.counters["page_reads"]
-        assert reopened_cost == fresh_cost
+        for bound in ACCESS_PATHS:
+            assert (reopened.index_store.best_order(bound)
+                    == rdfh_store.index_store.best_order(bound)), bound
+        queries = [
+            f"SELECT ?s ?o WHERE {{ ?s <{P_L_QUANTITY}> ?o . }}",
+            star_lookup_sparql(),
+            f'SELECT ?l WHERE {{ ?l <{P_L_RETURNFLAG}> "R" . }}',
+        ]
+        for text in queries:
+            for scheme in (DEFAULT_SCHEME, RDFSCAN_SCHEME, OPTIMIZED_SCHEME):
+                options = PlannerOptions(scheme=scheme)
+                rdfh_store.reset_cold()
+                fresh = rdfh_store.sparql(text, options)
+                reopened.reset_cold()
+                again = reopened.sparql(text, options)
+                assert again.cost.counters == fresh.cost.counters, (scheme, text)
+                assert reopened.decode_rows(again) == rdfh_store.decode_rows(fresh), \
+                    (scheme, text)
 
     def test_explain_analyze_surfaces_buffer_stats(self, store, tmp_path):
         store.save(tmp_path / "db")
@@ -571,6 +588,37 @@ class TestFormatValidation:
         assert not (tmp_path / "db" / (MANIFEST_FILE + ".tmp")).exists()
         reader = SnapshotReader(tmp_path / "db")
         assert reader.manifest["triples"] == store.triple_count()
+
+
+    def test_manifests_from_before_the_knobs_went_still_open(self, store, tmp_path):
+        """``"index": null`` (saved before the first build, or by a store that
+        had the exhaustive indexes switched off) opens and builds on first
+        use; the two retired config keys are ignored and no longer written."""
+        # (a) saved straight after load(): no schema, no stores at all
+        bare = RDFStore(_config())
+        bare.load(book_triples())
+        bare.save(tmp_path / "bare")
+        manifest = json.loads((tmp_path / "bare" / MANIFEST_FILE).read_text())
+        assert manifest["index"] is None and manifest["clustered_store"] is None
+        assert not {"build_exhaustive_indexes", "build_zone_maps"} & set(manifest["config"])
+        bare.update(insert_book(1))  # replayed at open, before any read
+        reopened = RDFStore.open(tmp_path / "bare")
+        assert reopened.has_pending_updates()
+        assert reopened.context().index_store is not None
+        assert_stores_equivalent(bare, reopened, sql_queries=[])
+
+        # (b) hand-edited the way a parent store with the knob off wrote it:
+        # a clustered store but no index, and the two keys still there
+        store.save(tmp_path / "db")
+        manifest_path = tmp_path / "db" / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["index"] = None
+        manifest["config"].update(build_exhaustive_indexes=False, build_zone_maps=True)
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = RDFStore.open(tmp_path / "db")
+        assert reopened.is_clustered and reopened.index_store is None
+        assert reopened.context().index_store is not None  # built on first read
+        assert_stores_equivalent(store, reopened)
 
 
 # -- typed pending-updates errors ---------------------------------------------

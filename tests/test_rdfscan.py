@@ -70,9 +70,7 @@ def _library_context(with_dirty: bool = True, zone_size: int = 8):
     matrix, _plan = cluster_subjects(matrix, dictionary, schema, sort_keys)
     pool = BufferPool(page_size=8)
     index_store = ExhaustiveIndexStore(matrix, pool=pool)
-    zone_props = {cs_id: list(t.properties) for cs_id, t in schema.tables.items()}
-    clustered = ClusteredStore.build(matrix, schema, pool=pool,
-                                     zone_map_properties=zone_props, zone_size=zone_size)
+    clustered = ClusteredStore.build(matrix, schema, pool=pool, zone_size=zone_size)
     ctx = ExecutionContext(dictionary=dictionary, pool=pool, index_store=index_store,
                            clustered_store=clustered, schema=schema)
     return ctx

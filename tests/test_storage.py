@@ -1,22 +1,28 @@
 """Tests for triple tables, the exhaustive index store, clustering and the
 clustered store."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import RDFStore
+from repro.bench.queries import star_lookup_sparql
 from repro.columnar import BufferPool, NULL_OID
 from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
+from repro.cs.detect import detection_from_triples
 from repro.errors import StorageError
 from repro.model import EncodedTriple, Graph, IRI, Literal, TermDictionary, Triple
 from repro.model.terms import XSD_INTEGER
+from repro.persist import write_snapshot
 from repro.storage import (
+    ACCESS_PATHS,
     ClusteredStore,
     ExhaustiveIndexStore,
     ORDERS,
     TripleTable,
     cluster_subjects,
-    deduplicate_triples,
     encode_graph,
     plan_subject_clustering,
     value_order_literals,
@@ -58,7 +64,8 @@ class TestTripleTable:
 
     def test_lookup_and_contains(self):
         table = TripleTable(SAMPLE, order="spo")
-        assert table.lookup(0) == 2
+        lo, hi = table.prefix_row_range(0)
+        assert hi - lo == 2
         assert table.contains(EncodedTriple(0, 10, 20))
         assert not table.contains(EncodedTriple(0, 10, 999))
 
@@ -67,19 +74,19 @@ class TestTripleTable:
         assert table.predicate_counts() == {10: 3, 11: 2, 12: 1}
 
     def test_subject_property_sets(self):
-        table = TripleTable(SAMPLE)
-        sets = table.subject_property_sets()
-        assert sets[0] == frozenset({10, 11})
-        assert sets[2] == frozenset({10, 12})
+        """The raw input of characteristic-set detection, computed where
+        detection computes it, over a table's rows."""
+        detection = detection_from_triples(TripleTable(SAMPLE).raw())
+        assert detection.subject_properties[0] == frozenset({10, 11})
+        assert detection.subject_properties[2] == frozenset({10, 12})
 
     def test_subject_property_multiplicities(self):
         rows = _encoded([(0, 10, 1), (0, 10, 2), (0, 11, 3)])
-        table = TripleTable(rows)
-        mults = table.subject_property_multiplicities()
-        assert mults[0] == {10: 2, 11: 1}
+        detection = detection_from_triples(TripleTable(rows).raw())
+        assert detection.property_multiplicities[0] == {10: 2, 11: 1}
 
     def test_empty_table(self):
-        table = TripleTable([])
+        table = TripleTable(np.empty((0, 3), dtype=np.int64))
         assert len(table) == 0
         assert table.scan_prefix(5).shape == (0, 3)
 
@@ -89,9 +96,13 @@ class TestTripleTable:
         table.scan_prefix(10, fetch="so")
         assert pool.tracker.page_reads > 0
 
+
     def test_deduplicate(self):
-        rows = _encoded([(0, 1, 2), (0, 1, 2), (3, 4, 5)])
-        assert len(deduplicate_triples(rows)) == 2
+        """RDF graphs are sets: exact duplicates are dropped where triples are
+        encoded, so no table ever holds one twice."""
+        s, p, o = (IRI(EX + name) for name in "spo")
+        _dictionary, matrix = encode_graph([Triple(s, p, o), Triple(s, p, o), Triple(o, p, s)])
+        assert len(TripleTable(matrix)) == 2
 
 
 class TestExhaustiveIndexStore:
@@ -104,9 +115,15 @@ class TestExhaustiveIndexStore:
         assert len(store) == len(SAMPLE)
 
     def test_best_order_selection(self, store):
-        assert store.best_order("p") in ("pso", "pos")
-        assert store.best_order("sp") in ("spo", "sop")
-        assert store.best_order("spo") in ORDERS
+        # the one access-path table: every bound set names the order whose
+        # prefix it is, the same on every store however it came to be
+        assert ACCESS_PATHS == {"": "spo", "s": "spo", "p": "pso", "o": "osp",
+                                "sp": "spo", "so": "sop", "po": "pos", "spo": "spo"}
+        for bound, order in ACCESS_PATHS.items():
+            assert store.best_order(bound) == order
+            assert set(order[:len(bound)]) == set(bound)
+        with pytest.raises(StorageError):
+            store.best_order("ps")
 
     def test_scan_pattern_matches_naive(self, store):
         expected = {(t.s, t.o) for t in SAMPLE if t.p == 10}
@@ -128,11 +145,44 @@ class TestExhaustiveIndexStore:
 
     def test_contains_and_object_lookup(self, store):
         assert store.contains(EncodedTriple(2, 12, 23))
-        assert store.object_lookup(2, 12).tolist() == [23]
+        assert not store.contains(EncodedTriple(2, 12, 99))
+        assert store.scan_pattern(s=2, p=12, fetch="o")[:, 0].tolist() == [23]
 
     def test_unknown_order_rejected(self, store):
         with pytest.raises(StorageError):
             store.table("abc")
+
+
+def test_no_resident_twin(rdfh_store, tmp_path):
+    """A triple table is its three columns: no ``(n, 3)`` copy stays beside
+    them, built or reopened, and ``raw()`` still is the sorted input."""
+    rng = np.random.default_rng(7)
+    n = 50_000
+    matrix = np.column_stack([rng.integers(0, n // 8, n), rng.integers(0, 40, n),
+                              rng.integers(0, n, n)]).astype(np.int64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = ExhaustiveIndexStore(matrix)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 6.5 * matrix.nbytes, f"{retained / matrix.nbytes:.1f}x the matrix"
+    for order, table in store.tables.items():
+        keys = [matrix[:, "spo".index(c)] for c in reversed(order)]
+        assert np.array_equal(table.raw(), matrix[np.lexsort(keys)])
+
+    write_snapshot(rdfh_store, tmp_path / "db")
+    reopened = RDFStore.open(tmp_path / "db")
+    reopened.sparql(star_lookup_sparql())
+    for owner in (rdfh_store, reopened):
+        tables = [*owner.index_store.tables.values(), owner.clustered_store.irregular]
+        for table in tables:
+            for component in "spo":
+                data = table.column(component).data
+                assert data.flags.c_contiguous and data.base is None, table.name
+            assert not any(isinstance(value, np.ndarray) and value.ndim == 2
+                           for value in vars(table).values()), table.name
 
 
 def _book_like_store(dirty: bool = True):
@@ -227,12 +277,12 @@ class TestClusteredStore:
     def test_zone_maps_built_on_request(self):
         dictionary, matrix, schema = _book_like_store(dirty=False)
         new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
-        zone_props = {cs_id: list(t.properties) for cs_id, t in schema.tables.items()}
-        store = ClusteredStore.build(new_matrix, schema, zone_map_properties=zone_props, zone_size=4)
-        block = store.blocks[0]
-        assert block.zone_maps
-        for zone_map in block.zone_maps.values():
-            assert len(zone_map) >= 1
+        store = ClusteredStore.build(new_matrix, schema, zone_size=4)
+        for block in store.blocks:
+            # every aligned column gets its zone map
+            assert set(block.zone_maps) == set(block.property_columns)
+            for zone_map in block.zone_maps.values():
+                assert len(zone_map) >= 1
 
     def test_unknown_block_raises(self):
         dictionary, matrix, schema = _book_like_store()
