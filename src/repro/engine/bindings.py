@@ -151,16 +151,13 @@ class BindingTable:
     def iter_rows(self) -> Iterator[Dict[str, object]]:
         """Iterate rows as dictionaries (materializes Python objects)."""
         names = self.variables
-        for i in range(self.num_rows):
-            yield {name: self.columns[name][i].item() for name in names}
+        for row in zip(*(self.columns[name].tolist() for name in names)):
+            yield dict(zip(names, row))
 
     def to_set(self, names: Sequence[str] | None = None) -> set[tuple]:
         """Return rows as a set of tuples (for order-insensitive comparison)."""
         names = list(names) if names else self.variables
-        if self.num_rows == 0:
-            return set()
-        arrays = [self.column(name) for name in names]
-        return {tuple(array[i].item() for array in arrays) for i in range(self.num_rows)}
+        return set(zip(*(self.column(name).tolist() for name in names)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BindingTable(vars={self.variables}, rows={self.num_rows})"

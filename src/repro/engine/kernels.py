@@ -18,16 +18,19 @@ reference in isolation:
 * :func:`group_rows` / :func:`grouped_aggregate` — vectorized GROUP BY with
   exactly the per-group semantics of ``AggregateSpec.compute``.
 
-Row identity is computed by :func:`pack_rows`: parallel columns are packed
-into one fixed-width structured key per row, so sorting/searching whole rows
-costs one NumPy operation instead of a Python tuple per row.  Float columns
-participate bitwise after normalizing ``-0.0`` to ``+0.0``; OID columns
+Row identity has two forms.  :func:`row_keys` folds parallel columns into
+one integer code per row by iterated dense re-coding — joins and GROUP BY
+sort and search those at native integer speed; the codes mean something only
+within the call that made them.  :func:`pack_rows` packs the columns into one
+fixed-width structured key per row, slower to sort but comparable between
+calls, which the cross-batch DISTINCT needs.  GROUP BY and DISTINCT compare
+float columns bitwise after normalizing ``-0.0`` to ``+0.0``; OID columns
 (the common case) are exact.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,13 +77,35 @@ def merge_join_indices(sorted_keys: np.ndarray,
     return expand_ranges(lo, hi)
 
 
-def _paired_codes(build: np.ndarray, probe: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Dense codes for two columns such that equal values get equal codes."""
-    combined = np.concatenate([np.asarray(build), np.asarray(probe)])
-    uniques, codes = np.unique(combined, return_inverse=True)
-    codes = codes.reshape(-1).astype(np.int64, copy=False)
-    return codes[:len(build)], codes[len(build):], int(uniques.size)
+_CODE_LIMIT = 1 << 62
+"""Combined row codes are re-coded densely before they could pass this."""
+
+
+def _dense_codes(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Dense ``int64`` codes (equal values, equal codes) and how many there are."""
+    uniques, codes = np.unique(values, return_inverse=True)
+    return codes.reshape(-1).astype(np.int64, copy=False), int(uniques.size)
+
+
+def row_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One sortable scalar per row, equal exactly where whole rows are equal.
+
+    A single column is its own key.  More columns are combined by iterated
+    dense re-coding — ``key * width + code``, the running key re-coded
+    whenever the next product could leave ``int64`` — so arbitrarily many
+    columns cannot overflow, and sorting or searching whole rows is one
+    integer operation instead of a comparison of records.
+    """
+    if len(columns) == 1:
+        return np.asarray(columns[0])
+    key, bound = _dense_codes(columns[0])
+    for column in columns[1:]:
+        codes, width = _dense_codes(column)
+        if bound * width >= _CODE_LIMIT:
+            key, bound = _dense_codes(key)  # now both are at most the row count
+        key = key * width + codes
+        bound *= width
+    return key
 
 
 def hash_join_indices(build_arrays: Sequence[np.ndarray],
@@ -89,8 +114,7 @@ def hash_join_indices(build_arrays: Sequence[np.ndarray],
     """Matching ``(build_row, probe_row)`` pairs of a multi-column equi-join.
 
     Output is probe-major; within one probe row the matching build rows keep
-    their input order.  Combined keys are built by iterated dense re-coding,
-    so arbitrarily many join columns cannot overflow ``int64``.
+    their input order.  Both sides are keyed together by :func:`row_keys`.
     """
     if len(build_arrays) != len(probe_arrays) or not build_arrays:
         raise ValueError("hash_join_indices needs matching non-empty column lists")
@@ -98,11 +122,9 @@ def hash_join_indices(build_arrays: Sequence[np.ndarray],
     n_probe = len(probe_arrays[0])
     if n_build == 0 or n_probe == 0:
         return _empty_pair()
-    build_key, probe_key, _ = _paired_codes(build_arrays[0], probe_arrays[0])
-    for build_col, probe_col in zip(build_arrays[1:], probe_arrays[1:]):
-        extra_b, extra_p, width = _paired_codes(build_col, probe_col)
-        build_key, probe_key, _ = _paired_codes(build_key * width + extra_b,
-                                                probe_key * width + extra_p)
+    keys = row_keys([np.concatenate([np.asarray(build), np.asarray(probe)])
+                     for build, probe in zip(build_arrays, probe_arrays)])
+    build_key, probe_key = keys[:n_build], keys[n_build:]
     order = np.argsort(build_key, kind="stable")
     probe_rows, positions = merge_join_indices(build_key[order], probe_key)
     return order[positions], probe_rows
@@ -137,22 +159,26 @@ def neq_mask(values: np.ndarray, oid: int) -> np.ndarray:
 # -- row identity ----------------------------------------------------------------------
 
 
+def _key_column(values: np.ndarray) -> np.ndarray:
+    """A column as ``int64`` row-identity keys: OIDs as they are, floats
+    bitwise after normalizing ``-0.0`` to ``+0.0``."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return (values.astype(np.float64) + 0.0).view(np.int64)
+    return values.astype(np.int64, copy=False)
+
+
 def pack_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Pack parallel columns into one fixed-width structured key per row.
 
-    Equal rows get equal keys; the key dtype is sortable, so ``np.unique``
-    and :func:`sorted_member_mask` work on whole rows at NumPy speed.  Float
-    columns are compared bitwise after normalizing ``-0.0`` to ``+0.0``.
+    Equal rows get equal keys; the key dtype is sortable and — unlike
+    :func:`row_keys` — comparable between calls, so :func:`sorted_member_mask`
+    can look one batch's rows up among an earlier batch's.  Float columns
+    are compared bitwise after normalizing ``-0.0`` to ``+0.0``.
     """
     if not arrays:
         raise ValueError("pack_rows needs at least one column")
-    cols: List[np.ndarray] = []
-    for values in arrays:
-        values = np.asarray(values)
-        if values.dtype.kind == "f":
-            cols.append((values.astype(np.float64) + 0.0).view(np.int64))
-        else:
-            cols.append(values.astype(np.int64, copy=False))
+    cols = [_key_column(values) for values in arrays]
     stacked = np.ascontiguousarray(np.column_stack(cols))
     dtype = np.dtype([(f"c{i}", np.int64) for i in range(len(cols))])
     return stacked.view(dtype).reshape(-1)
@@ -218,10 +244,13 @@ def group_rows(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(representatives, group_ids)``: the row index of each group's
     first occurrence (groups ordered by first appearance, matching the
     insertion order a per-row dict would produce) and each row's group id.
+    Rows are identified as :func:`pack_rows` identifies them, but grouped on
+    one integer code per row (:func:`row_keys`), which sorts at native speed
+    where a packed record goes through the generic comparator.
     """
     if not arrays or len(arrays[0]) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    keys = pack_rows(arrays)
+        return _empty_pair()
+    keys = row_keys([_key_column(values) for values in arrays])
     _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
     order = np.argsort(first_idx, kind="stable")

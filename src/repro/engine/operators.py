@@ -540,7 +540,7 @@ def _value_ranks(values: np.ndarray, context: ExecutionContext) -> np.ndarray:
     dictionary = context.dictionary
     watermark = dictionary.value_order_watermark
     keys = values.astype(np.float64)
-    tail = sorted({int(v) for v in values if v >= watermark},
+    tail = sorted(np.unique(values[values >= watermark]).tolist(),
                   key=lambda oid: term_sort_key(dictionary.decode(oid)))
     counts: dict = {}
     denominator = float(len(tail) + 1)

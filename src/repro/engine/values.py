@@ -9,9 +9,13 @@ values are needed:
   interval; :class:`ValueEncoder` computes that interval by binary search
   over the value-ordered literal OID sequence, so the predicate can run as a
   cheap integer comparison (and feed zone maps);
-* **arithmetic / aggregation**: SUM(?price * ?discount) needs the numeric
-  values behind the OIDs; :class:`ValueDecoder` materializes a float for
-  each OID through the dictionary's numeric cache.
+* **arithmetic / aggregation and the final result**: SUM(?price * ?discount)
+  needs the numeric values behind the OIDs, and a result the Python values;
+  :class:`ValueDecoder` leaves OID space one *column* at a time, as one
+  gather from the dictionary's value bridge
+  (:meth:`~repro.model.TermDictionary.numeric_column`).  A negative OID
+  (``NULL_OID``) decodes to NaN / ``None``; an OID the dictionary does not
+  hold raises :class:`~repro.errors.DictionaryError`.
 
 Both bridges are stateless views of one dictionary.
 """
@@ -72,40 +76,22 @@ class ValueEncoder:
 
 
 class ValueDecoder:
-    """Materializes numeric / python values behind OIDs.
+    """Materializes numeric / python values behind OID columns.
 
-    Stateless, like the encoder: the numeric cache belongs to the dictionary
-    (:meth:`~repro.model.TermDictionary.numeric_value`).
+    Stateless, like the encoder: the value arrays belong to the dictionary,
+    so every context over it decodes through one warm bridge.
     """
 
     def __init__(self, dictionary: TermDictionary) -> None:
         self.dictionary = dictionary
 
-    def numeric(self, oid: int) -> float:
-        """Numeric value of an OID (NaN for non-numeric or unknown terms)."""
-        return self.dictionary.numeric_value(oid)
-
     def numeric_column(self, oids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`numeric` over an OID column."""
-        numeric = self.dictionary.numeric_value
-        out = np.empty(len(oids), dtype=np.float64)
-        for i, oid in enumerate(oids):
-            out[i] = numeric(int(oid))
-        return out
+        """``float64`` values of an OID column (NaN for NULL and for
+        non-numeric terms)."""
+        return self.dictionary.numeric_column(oids)
 
-    def python_value(self, oid: int):
-        """Decoded Python value of an OID (IRI string, literal value, ...).
-
-        ``NULL_OID`` (any negative OID) decodes to ``None`` — the SQL view
-        produces NULL bindings for absent 0..1 columns.
-        """
-        if oid < 0:
-            return None
-        term = self.dictionary.decode(int(oid))
-        if isinstance(term, Literal):
-            return term.to_python()
-        return str(term)
-
-    def term(self, oid: int) -> Term:
-        """The decoded term itself."""
-        return self.dictionary.decode(int(oid))
+    def python_column(self, oids: np.ndarray) -> list:
+        """Decoded Python values of an OID column: ``Literal.to_python()``
+        for a literal, the string of an IRI or blank node, ``None`` for
+        NULL (the SQL view binds absent 0..1 columns to ``NULL_OID``)."""
+        return self.dictionary.python_column(oids)

@@ -20,13 +20,19 @@ reproduction:
   sorted and stores no keys — plus a small value-sorted *tail* of the
   literals appended since.  Lookups bisect with a key function that decodes
   only the O(log n) probed terms.
+* **The value bridge.**  The engine runs on OIDs and leaves OID space in two
+  places only: arithmetic / aggregation needs the number behind an OID, the
+  final result the Python value.  The dictionary answers both one *column*
+  at a time (:meth:`TermDictionary.numeric_column`,
+  :meth:`TermDictionary.python_column`) from two OID-indexed arrays whose
+  slots are computed the first time a column touches them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +46,38 @@ _HEAD_BUILDS = default_registry().counter(
     "Full passes over a dictionary to build its literal order index "
     "(store build, compaction and open only; never per update, snapshot or query).")
 
+_MATERIALIZED = default_registry().counter(
+    "dictionary_values_materialized_total",
+    "Value-bridge slots computed: one per distinct OID the first time a query "
+    "aggregates over or decodes it (a cold bridge, after build, compact() or "
+    "open(), warming); nothing on the warm path.")
+
 _NO_OIDS = np.empty(0, dtype=np.int64)
+_NAN = float("nan")
+
+
+class _ValueBridge(NamedTuple):
+    """Three equally long OID-indexed arrays (marks first: growth copies
+    them in this order)."""
+
+    filled: np.ndarray   # bool: the slot's two values have been stored
+    numeric: np.ndarray  # float64
+    python: np.ndarray   # object
+
+    @classmethod
+    def of_capacity(cls, capacity: int) -> "_ValueBridge":
+        return cls(np.zeros(capacity, dtype=bool), np.empty(capacity, dtype=np.float64),
+                   np.empty(capacity, dtype=object))
+
+    def grown_for(self, size: int) -> "_ValueBridge":
+        """A copy with room for ``size`` terms and an eighth to spare, so a
+        run of appends pays for one copy, not one per query that reads a
+        fresh term.  Marks are copied before values (see
+        :meth:`TermDictionary.numeric_column`)."""
+        grown = self.of_capacity(size + (size >> 3) + 8)
+        for fresh, published in zip(grown, self):
+            fresh[:len(published)] = published
+        return grown
 
 
 class TermDictionary:
@@ -64,10 +101,12 @@ class TermDictionary:
         the head it keeps its keys.  One tuple so lock-free readers see both
         halves of a writer's replacement at once; a published list is never
         mutated."""
-        self._numeric: Dict[int, float] = {}
-        """OID -> numeric value, filled by :meth:`numeric_value`.  An OID
-        keeps its term until :meth:`remap` (which drops this), so every
-        context over the dictionary aggregates through one warm cache."""
+        self._bridge = _ValueBridge.of_capacity(0)
+        """The value bridge (see :meth:`numeric_column`).  An OID keeps its
+        term until :meth:`remap` (which drops this), so every context over
+        the dictionary aggregates and decodes through one warm bridge.  One
+        tuple so a lock-free reader takes all three arrays of one
+        generation at once."""
 
     @property
     def value_order_watermark(self) -> int:
@@ -123,22 +162,95 @@ class TermDictionary:
             return self._oid_to_term[oid]
         raise DictionaryError(f"unknown OID {oid} (dictionary holds {len(self._oid_to_term)} terms)")
 
-    def numeric_value(self, oid: int) -> float:
-        """Numeric value behind an OID (NaN for non-numeric or unknown terms)."""
-        cached = self._numeric.get(oid)
-        if cached is not None:
-            return cached
-        value = float("nan")
-        if oid >= 0:
-            term = self.decode(oid)
+    # -- the value bridge ------------------------------------------------------
+
+    def numeric_column(self, oids: np.ndarray) -> np.ndarray:
+        """The number behind each OID of a column, as one ``float64`` gather.
+
+        A numeric literal gives its value, a boolean literal 1.0 / 0.0;
+        every other term, a negative OID (``NULL_OID``: an absent 0..1
+        binding) and a literal whose integer value exceeds the ``float64``
+        range give NaN.
+
+        The bridge is two OID-indexed arrays, this one and the ``object``
+        array behind :meth:`python_column`, plus one ``bool`` mark per
+        slot.  A slot is computed for the *distinct* OIDs a column touches,
+        the first time one is touched — one ``to_python()`` per term, ever —
+        so building, cloning, compacting and opening a dictionary compute
+        nothing, and the cost follows what queries read.  :meth:`remap`
+        drops the arrays (an OID may then name another term); terms
+        appended by updates extend them, keeping the filled slots.
+
+        Readers run lock-free beside each other and beside the appending
+        writer, on this discipline: a published array is only ever written
+        slot by slot with the one value its term has, a slot's values are
+        stored before its mark, and growth copies the marks before the
+        values.  A reader can therefore at worst recompute a slot another
+        thread is filling — storing the same value — and never finds a mark
+        over an empty slot.
+
+        Raises
+        ------
+        DictionaryError
+            If an OID is past the end of the dictionary.
+        """
+        return self._bridge_column(oids, "numeric", _NAN)
+
+    def python_column(self, oids: np.ndarray) -> list:
+        """The decoded Python value of each OID of a column.
+
+        ``Literal.to_python()`` for a literal, ``str(term)`` for an IRI or
+        a blank node, ``None`` for a negative OID.  Same bridge, same fill
+        and same errors as :meth:`numeric_column`.
+        """
+        return self._bridge_column(oids, "python", None).tolist()
+
+    def _bridge_column(self, oids: np.ndarray, which: str, null) -> np.ndarray:
+        oids = np.asarray(oids, dtype=np.int64)
+        live = oids >= 0
+        if live.all():
+            return getattr(self._warm_bridge(oids), which)[oids]
+        oids = oids[live]
+        values = getattr(self._warm_bridge(oids), which)
+        out = np.full(len(live), null, dtype=values.dtype)
+        out[live] = values[oids]
+        return out
+
+    def _warm_bridge(self, oids: np.ndarray) -> _ValueBridge:
+        """The bridge, with the slot of every (non-negative) OID filled."""
+        bridge = self._bridge
+        if not oids.size:
+            return bridge
+        size = len(self._oid_to_term)
+        highest = int(oids.max())
+        if highest >= size:
+            self.decode(int(oids[oids >= size][0]))  # raises, naming the OID
+        if highest >= len(bridge.filled):
+            bridge = self._bridge = bridge.grown_for(size)
+        marks = bridge.filled[oids]
+        if not marks.all():
+            cold = np.unique(oids[~marks])
+            self._fill_bridge(bridge, cold)
+            bridge.filled[cold] = True  # after the values: a marked slot is never empty
+            _MATERIALIZED.inc(cold.size)
+        return bridge
+
+    def _fill_bridge(self, bridge: _ValueBridge, oids: np.ndarray) -> None:
+        numeric, python, terms = bridge.numeric, bridge.python, self._oid_to_term
+        for oid in oids.tolist():
+            term = terms[oid]
+            number = _NAN
             if isinstance(term, Literal):
-                python_value = term.to_python()
-                if isinstance(python_value, bool):
-                    value = 1.0 if python_value else 0.0
-                elif isinstance(python_value, (int, float)):
-                    value = float(python_value)
-        self._numeric[oid] = value
-        return value
+                value = term.to_python()
+                if isinstance(value, (int, float)):  # bool is an int: 1.0 / 0.0
+                    try:
+                        number = float(value)
+                    except OverflowError:  # an integer beyond float64
+                        pass
+            else:
+                value = str(term)
+            numeric[oid] = number
+            python[oid] = value
 
     def decode_triple(self, encoded: EncodedTriple) -> Triple:
         """Decode an encoded triple back to terms."""
@@ -238,7 +350,7 @@ class TermDictionary:
         new_terms: List[Term] = [old_terms[old] for old in new_to_old]  # type: ignore[index]
         self._oid_to_term = new_terms
         self._term_to_oid = {term: oid for oid, term in enumerate(new_terms)}
-        self._numeric = {}
+        self._bridge = _ValueBridge.of_capacity(0)  # replaced, not cleared: a reader may hold it
         if any(old != new and isinstance(old_terms[old], Literal)
                for old, new in mapping.items()):
             # a moved literal voids "OID order is value order"; only
@@ -340,3 +452,4 @@ class TermDictionary:
         tail = self._tail_through(len(self._oid_to_term))
         return (in_range(self._literal_head, self._literal_key),
                 [oid for _key, oid in in_range(tail, itemgetter(0))])
+

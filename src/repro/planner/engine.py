@@ -60,21 +60,27 @@ class QueryResult:
 
     def rows(self) -> List[tuple]:
         """OID/value rows in column order."""
-        arrays = [self.bindings.column(name) for name in self.columns]
-        return [tuple(array[i].item() for array in arrays) for i in range(self.bindings.num_rows)]
+        return self._zipped(
+            [self.bindings.column(name).tolist() for name in self.columns])
 
     def decoded_rows(self, context: ExecutionContext) -> List[tuple]:
-        """Rows with OIDs decoded back to Python values (floats stay floats)."""
-        out = []
-        for row in self.rows():
-            decoded = []
-            for value in row:
-                if isinstance(value, float):
-                    decoded.append(value)
-                else:
-                    decoded.append(context.decoder.python_value(int(value)))
-            out.append(tuple(decoded))
-        return out
+        """Rows with OIDs decoded back to Python values (floats stay floats).
+
+        Decoded one column at a time: a computed ``float64`` column is
+        already in value space, an OID column is one gather from the
+        dictionary's value bridge.
+        """
+        columns = []
+        for name in self.columns:
+            values = self.bindings.column(name)
+            columns.append(values.tolist() if values.dtype.kind == "f"
+                           else context.decoder.python_column(values))
+        return self._zipped(columns)
+
+    def _zipped(self, columns: List[list]) -> List[tuple]:
+        if not columns:  # no output column: still one (empty) row per binding
+            return [()] * self.bindings.num_rows
+        return list(zip(*columns))
 
     def __len__(self) -> int:
         return self.bindings.num_rows

@@ -118,7 +118,7 @@ class UpdateApplier:
         bindings = self.store.engine().query_parsed("sparql", query)
         matches: Set[Tuple[int, int, int]] = set()
         for row in bindings.rows():
-            binding = dict(zip(variables, (int(v) for v in row)))
+            binding = dict(zip(variables, row))
             for pattern in operation.patterns:
                 resolved = self._resolve_pattern(pattern, binding)
                 if resolved is not None:

@@ -1,14 +1,18 @@
 """Reference implementations the engine no longer ships, kept as test oracles.
 
-Both were the production code until the literal order index moved into
-``TermDictionary`` and the residual star scan became set-at-a-time:
+All were the production code — until the literal order index moved into
+``TermDictionary``, the residual star scan became set-at-a-time and the
+engine started leaving OID space one column at a time:
 
 * :func:`sorted_literal_oids` / :func:`oracle_literal_range` — the full
   Python sort of every literal plus bisect over a materialised key list
   that ``ValueEncoder`` used to rebuild after every update;
 * :func:`star_over_union` — the per-subject loop that answered a star for
   residual subjects from block + irregular + delta data, one subject and
-  one cartesian product at a time.
+  one cartesian product at a time;
+* :class:`PerCellDecoder` — ``ValueDecoder.numeric`` / ``python_value`` and
+  the ``.item()``-per-cell ``QueryResult.rows`` / ``decoded_rows``: one
+  dictionary probe, one ``isinstance`` and one ``to_python()`` per cell.
 
 A plain importable module for the same reason as ``_datasets``.
 """
@@ -25,6 +29,59 @@ from repro.engine.bindings import BindingTable
 from repro.engine.plan import OidRange, StarPattern, StarProperty
 from repro.model import Literal, TermDictionary
 from repro.model.terms import term_sort_key
+
+
+# -- the per-cell value bridge -----------------------------------------------------------
+
+
+class PerCellDecoder:
+    """The value bridge one cell at a time, remembering nothing."""
+
+    def __init__(self, dictionary: TermDictionary) -> None:
+        self.dictionary = dictionary
+
+    def numeric(self, oid: int) -> float:
+        """Numeric value of an OID (NaN for non-numeric or NULL terms)."""
+        if oid >= 0:
+            term = self.dictionary.decode(oid)
+            if isinstance(term, Literal):
+                python_value = term.to_python()
+                if isinstance(python_value, bool):
+                    return 1.0 if python_value else 0.0
+                if isinstance(python_value, (int, float)):
+                    return float(python_value)
+        return float("nan")
+
+    def numeric_column(self, oids) -> np.ndarray:
+        out = np.empty(len(oids), dtype=np.float64)
+        for i, oid in enumerate(oids):
+            out[i] = self.numeric(int(oid))
+        return out
+
+    def python_value(self, oid: int):
+        """Decoded Python value of an OID; any negative OID is NULL."""
+        if oid < 0:
+            return None
+        term = self.dictionary.decode(int(oid))
+        if isinstance(term, Literal):
+            return term.to_python()
+        return str(term)
+
+    def python_column(self, oids) -> list:
+        return [self.python_value(int(oid)) for oid in oids]
+
+    @staticmethod
+    def rows(result) -> List[tuple]:
+        """``QueryResult.rows()``: OID/value rows in column order."""
+        arrays = [result.bindings.column(name) for name in result.columns]
+        return [tuple(array[i].item() for array in arrays)
+                for i in range(result.bindings.num_rows)]
+
+    def decoded_rows(self, result) -> List[tuple]:
+        """``QueryResult.decoded_rows()``: floats stay, OIDs decode."""
+        return [tuple(value if isinstance(value, float) else self.python_value(int(value))
+                      for value in row)
+                for row in self.rows(result)]
 
 
 # -- literal ranges --------------------------------------------------------------------

@@ -10,6 +10,8 @@ the other hypothesis suites.
 from __future__ import annotations
 
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,15 +69,17 @@ def test_merge_join_indices_matches_reference(sorted_keys, probe):
 @given(
     build=st.lists(st.tuples(oid_st, oid_st), max_size=20),
     probe=st.lists(st.tuples(oid_st, oid_st), max_size=20),
+    code_limit=st.sampled_from([kernels._CODE_LIMIT, 1]),
 )
-def test_hash_join_indices_matches_reference(build, probe):
+def test_hash_join_indices_matches_reference(build, probe, code_limit):
     build_cols = [_arr(r[0] for r in build), _arr(r[1] for r in build)]
     probe_cols = [_arr(r[0] for r in probe), _arr(r[1] for r in probe)]
     if not build or not probe:
         b_idx, p_idx = kernels.hash_join_indices(build_cols, probe_cols)
         assert b_idx.size == 0 and p_idx.size == 0
         return
-    b_idx, p_idx = kernels.hash_join_indices(build_cols, probe_cols)
+    with mock.patch.object(kernels, "_CODE_LIMIT", code_limit):  # 1: always re-code
+        b_idx, p_idx = kernels.hash_join_indices(build_cols, probe_cols)
     # probe-major, build rows in input order: exactly a nested loop over
     # probe rows then build rows
     expected = [(i, j) for j, pr in enumerate(probe)
@@ -207,22 +211,50 @@ float_st = st.one_of(
     st.just(float("nan")), st.just(float("inf")), st.just(float("-inf")))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(rows=st.lists(st.tuples(oid_st, float_st), max_size=25),
-       func=st.sampled_from(["count", "sum", "avg", "min", "max"]))
-def test_grouped_aggregate_matches_aggregate_spec_compute(rows, func):
-    keys = _arr(r[0] for r in rows)
-    values = _arr((r[1] for r in rows), dtype=np.float64)
-    representatives, group_ids = kernels.group_rows([keys])
+key_float_st = st.sampled_from(
+    [-0.0, 0.0, 1.5, -1.5, float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def grouped_rows_st(draw):
+    """1-3 key columns, OID or float, and one value per row."""
+    kinds = draw(st.lists(st.sampled_from(["oid", "float"]), min_size=1, max_size=3))
+    cells = [oid_st if kind == "oid" else key_float_st for kind in kinds]
+    return kinds, draw(st.lists(st.tuples(*cells, float_st), max_size=25))
+
+
+def _row_identity(key: tuple) -> tuple:
+    """``pack_rows``' identity: floats bitwise once ``-0.0`` is ``+0.0``."""
+    return tuple(cell if isinstance(cell, int) else struct.pack("d", cell + 0.0)
+                 for cell in key)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grouped=grouped_rows_st(),
+       func=st.sampled_from(["count", "sum", "avg", "min", "max"]),
+       code_limit=st.sampled_from([kernels._CODE_LIMIT, 1]))
+def test_grouped_aggregate_matches_aggregate_spec_compute(grouped, func, code_limit):
+    kinds, rows = grouped
+    keys = [_arr((r[i] for r in rows), dtype=np.int64 if kind == "oid" else np.float64)
+            for i, kind in enumerate(kinds)]
+    values = _arr((r[-1] for r in rows), dtype=np.float64)
+    # limit 1 re-codes the combined key before every further column, the way
+    # a product of column widths past int64 would
+    with mock.patch.object(kernels, "_CODE_LIMIT", code_limit):
+        representatives, group_ids = kernels.group_rows(keys)
     out = kernels.grouped_aggregate(func, group_ids, representatives.size, values)
 
     # reference: per-group dict in first-appearance order, AggregateSpec.compute
     spec = AggregateSpec(func=func, expression=NumericVar("x"), alias="x")
     groups: dict = {}
-    for key, value in rows:
-        groups.setdefault(key, []).append(value)
-    expected_keys = list(groups)
-    assert keys[representatives].tolist() == expected_keys
+    first_rows: dict = {}
+    for position, row in enumerate(rows):
+        identity = _row_identity(row[:-1])
+        groups.setdefault(identity, []).append(row[-1])
+        first_rows.setdefault(identity, position)
+    assert representatives.tolist() == list(first_rows.values())
+    order = list(groups)
+    assert group_ids.tolist() == [order.index(_row_identity(row[:-1])) for row in rows]
     expected = [spec.compute(np.asarray(vals, dtype=np.float64))
                 for vals in groups.values()]
     assert len(out) == len(expected)

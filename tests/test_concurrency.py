@@ -33,6 +33,7 @@ from repro.bench.rdfh import RDFH_VOC, customer_iri
 from repro.columnar import ColumnStats
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import PersistenceError, StorageError
+from repro.model import Literal
 from repro.server import ReadWriteLock
 from repro.updates import DeltaStore, FrozenDelta
 
@@ -432,23 +433,32 @@ class TestReadStateHasOneOwner:
         store.save(tmp_path / "db")
         assert len(stats_calls) == columns
 
-    def test_fresh_snapshots_share_the_numeric_cache(self):
+    def test_fresh_snapshots_share_the_numeric_cache(self, monkeypatch):
         store = build_rdfh_store(tiny_tpch())
-        computed = []
+        conversions = []
+        original = Literal.to_python
 
-        class Recording(dict):
-            def __setitem__(self, oid, value):
-                computed.append(oid)
-                super().__setitem__(oid, value)
+        def counting(literal):
+            conversions.append(literal)
+            return original(literal)
 
-        store.dictionary._numeric = Recording()
-        answers = []
-        for _ in range(10):
+        monkeypatch.setattr(Literal, "to_python", counting)
+
+        def materialized() -> float:
+            return store.metrics()["dictionary_values_materialized_total"]
+
+        def aggregate():
             with store.snapshot() as snap:
-                answers.append(snap.sparql(q6_sparql()).rows())
-        assert computed and len(computed) == len(set(computed)), \
-            "a fresh snapshot aggregated through a cold cache"
-        assert answers[0][0][0] > 0 and all(answer == answers[0] for answer in answers)
+                return snap.sparql(q6_sparql()).rows()
+
+        cold = materialized()
+        first = aggregate()
+        warm, converted = materialized(), len(conversions)
+        assert warm > cold, "q6 aggregated without touching a value"
+        answers = [aggregate() for _ in range(9)]
+        assert materialized() == warm and len(conversions) == converted, \
+            "a fresh snapshot aggregated through a cold bridge"
+        assert first[0][0] > 0 and all(answer == first for answer in answers)
 
 
 # -- the lock ------------------------------------------------------------------------

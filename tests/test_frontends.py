@@ -41,7 +41,7 @@ from _datasets import (
     small_graph_config,
     tiny_tpch,
 )
-from _oracles import star_over_union
+from _oracles import PerCellDecoder, star_over_union
 from _plan_golden import GOLDEN_PATH, render
 from repro import ParseError, PlannerOptions, RDFStore, StoreService
 from repro.bench import DirtyConfig, generate_dirty, q3_sql, q6_sparql, q6_sql
@@ -96,7 +96,7 @@ def oracle_rows(store: RDFStore, logical: LogicalQuery) -> List[tuple]:
     """Decoded result rows of a logical query, one row at a time."""
     assert logical.empty is None and not logical.loose
     context = store.context()
-    decoder = context.decoder
+    decoder = PerCellDecoder(context.dictionary)
     rows: List[Dict[str, object]] = [{}]
     for star in logical.stars.values():
         table = star_over_union(store.clustered_store, star, _star_subjects(store, star),

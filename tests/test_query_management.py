@@ -69,8 +69,13 @@ def store() -> RDFStore:
 
 @pytest.fixture()
 def slow_store() -> RDFStore:
-    """Row-at-a-time cross-join workload: runs long, cancels within one row."""
-    return RDFStore.build(book_triples(books=200, authors=4),
+    """Row-at-a-time cross-join workload: runs long, cancels within one row.
+
+    1 200 probe rows, ~100 ms: every user cancels it mid-flight, and must
+    first *see* it running from another thread or over HTTP, so it has to
+    outlast a slow first poll (at 200 books the query was a 30 ms window
+    that a full-suite process sometimes missed)."""
+    return RDFStore.build(book_triples(books=1200, authors=4),
                           config=_config(batch_size=1))
 
 

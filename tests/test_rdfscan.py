@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import PerCellDecoder
 from repro import RDFStore, StoreConfig
 from repro.columnar import BufferPool
 from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
@@ -141,7 +142,7 @@ class TestRDFScanEquivalence:
         ctx = _library_context(with_dirty=True)
         star = _star(ctx)
         result, _ = execute_plan(RDFScanOp(star), ctx)
-        decoded_subjects = {ctx.decoder.python_value(int(v)) for v in result.column("b")}
+        decoded_subjects = set(PerCellDecoder(ctx.dictionary).python_column(result.column("b")))
         assert f"{EX}thing" in decoded_subjects
         # book/0 has two authors: both bindings must be present
         book0 = ctx.dictionary.lookup_term(IRI(f"{EX}book/0"))
