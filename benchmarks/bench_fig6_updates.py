@@ -3,15 +3,15 @@
 Measures the three costs the update subsystem introduces on a DBLP-like
 store:
 
-* **insert throughput** — ``INSERT DATA`` batches routed into the delta
-  store (triples/second, no rebuild);
+* **insert throughput** — ``INSERT DATA`` batches into the delta store
+  (triples/second, no rebuild);
 * **post-update query latency** — star-query latency while the MergeScan
   layer folds ``base ∪ delta − tombstones`` into every access path,
   compared against the pre-update latency;
-* **first read after an update** — every update clears the plan cache and
-  may append literals, so the next read re-plans and re-resolves its range
-  predicates; it must cost what the same uncached read costs on a clean
-  store (pending/clean ratio);
+* **first read after an update** — every update moves the store version
+  every plan-cache key starts with and may append literals, so the next
+  read re-plans and re-resolves its range predicates; it must cost what
+  the same uncached read costs on a clean store (pending/clean ratio);
 * **pending-size sweep** — steady-state latency of the star and a range
   query with 0/50/500/2000 pending triples, as pending/clean ratios: reads
   over a delta should stay near clean-read cost;

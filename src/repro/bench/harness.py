@@ -64,10 +64,6 @@ class BenchmarkMeasurement:
     join_operations: int
     result_rows: int
 
-    def config_label(self) -> str:
-        zone = "Yes" if self.zone_maps else "No"
-        return f"{SCHEME_LABELS[self.scheme]:>16} | {self.ordering:>10} | ZM {zone:>3}"
-
 
 @dataclass
 class TableOneResult:

@@ -121,12 +121,6 @@ class BufferPool:
         with self._lock:
             self._lazy_registered[segment_id] = int(num_values)
 
-    def unregister_lazy_segment(self, segment_id: str) -> None:
-        """Forget one lazy segment (its structure was replaced or dropped)."""
-        with self._lock:
-            self._lazy_registered.pop(segment_id, None)
-            self._lazy_materialized.pop(segment_id, None)
-
     def reset_lazy_registry(self) -> None:
         """Forget every lazy segment.
 

@@ -39,6 +39,16 @@ concurrent updates, compactions and checkpoints, and each update request's
 atomicity comes from a per-request undo log whose cost is proportional to
 the keys the request touched, never to the number of pending writes
 (see ``docs/concurrency.md`` and :mod:`repro.server`).
+
+Each fact about a store version has one owner here.  Every transition that
+changes what readers see — ``update``, ``load``, ``discover_schema``,
+``cluster``, ``compact``, clone-on-write — ends in :meth:`RDFStore._publish`,
+which moves the ``(generation, delta.version)`` pair; read state and cached
+plans are keyed by the pair and nothing else is invalidated, cleared or
+counted.  A schema becomes the store's — and its SQL catalog, with the
+reduced schemas registered on the previous one — in
+:meth:`RDFStore._install_schema` only, and the on-disk manifest is read in
+:mod:`repro.persist` only.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..columnar import BufferPool, CostModel
+from ..columnar import BufferPool, Column, CostModel
 from ..cs import DiscoveryConfig, EmergentSchema, discover_schema
 from ..engine import ExecutionContext
 from ..errors import (
@@ -254,9 +264,6 @@ class RDFStore:
     def __init__(self, config: Optional[StoreConfig] = None) -> None:
         self.config = config or StoreConfig()
         self.dictionary = TermDictionary()
-        self._matrix_data: Optional[np.ndarray] = None
-        self._matrix_loader = None
-        self._matrix_rows: Optional[int] = None
         self.matrix = np.empty((0, 3), dtype=np.int64)
         self.pool = BufferPool(capacity_pages=self.config.buffer_pool_pages,
                                page_size=self.config.page_size)
@@ -266,7 +273,7 @@ class RDFStore:
         self.clustering_plan: Optional[ClusteringPlan] = None
         self.catalog: Optional[Catalog] = None
         self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
-        self.delta = DeltaStore(schema=None, pool=self.pool)
+        self.delta = DeltaStore(pool=self.pool)
         self.journal = UpdateJournal()
         self.db_path: Optional[Path] = None
         self._clustered = False
@@ -274,8 +281,9 @@ class RDFStore:
         """Base-structure generation: bumped whenever a base object
         (physical store, dictionary, schema) is replaced.  Together with
         ``delta.version`` it identifies one immutable state — the version
-        pair whose read state the snapshot registry keeps and an MVCC read
-        snapshot pins.  The pair is the only invalidation of read state."""
+        pair whose read state the snapshot registry keeps, an MVCC read
+        snapshot pins and every plan-cache key starts with.  The pair is the
+        only invalidation there is: nothing is cleared when it moves."""
         self.metrics_registry = MetricsRegistry()
         """This store's metrics (see :mod:`repro.obs`).  *Store-lifetime*,
         not generation-lifetime: it survives rebuilds, compactions and even
@@ -337,19 +345,16 @@ class RDFStore:
                        "Bytes of column data currently cached.",
                        fn=lambda: self.pool.stats()["resident_bytes"])
         registry.counter("plan_cache_hits_total",
-                         "Plan-cache hits over the store lifetime (survives clears).",
+                         "Plan-cache hits over the store lifetime.",
                          fn=lambda: self.plan_cache.lifetime_hits)
         registry.counter("plan_cache_misses_total",
-                         "Plan-cache misses over the store lifetime (survives clears).",
+                         "Plan-cache misses over the store lifetime.",
                          fn=lambda: self.plan_cache.lifetime_misses)
         registry.counter("plan_cache_evictions_total",
                          "Plan-cache LRU evictions over the store lifetime.",
                          fn=lambda: self.plan_cache.lifetime_evictions)
         registry.gauge("plan_cache_entries", "Plans currently cached.",
                        fn=lambda: len(self.plan_cache))
-        registry.gauge("plan_cache_generation",
-                       "Plan-cache invalidation generation.",
-                       fn=lambda: self.plan_cache.generation)
         registry.gauge("delta_inserts", "Pending (uncompacted) inserted triples.",
                        fn=lambda: self.delta.insert_count())
         registry.gauge("delta_tombstones", "Pending (uncompacted) delete tombstones.",
@@ -419,8 +424,9 @@ class RDFStore:
     def load(self, source: Graph | Iterable[Triple] | str, syntax: str = "ntriples") -> int:
         """Load decoded triples (or RDF text) and encode them in parse order.
 
-        Loading invalidates every derived structure (schema, indexes,
-        clustered store, plan cache); duplicate triples are dropped.
+        Loading drops every derived structure (schema, catalog and its
+        reduced schemas, indexes, clustered store); duplicate triples are
+        dropped.
 
         Args:
             source: a :class:`Graph`, an iterable of :class:`Triple`, or RDF
@@ -449,12 +455,15 @@ class RDFStore:
             self._preserve_pinned_state()
             self.dictionary, self.matrix = encode_graph(triples, self.dictionary)
             self.matrix = value_order_literals(self.matrix, self.dictionary)
-            self._invalidate()
+            # a full reload re-encodes (and value-reorders) OIDs: the tables a
+            # schema — or a registered reduced schema — names are gone
+            self._install_schema(None)
             # loading changes triple *content*, so any attached on-disk database
             # no longer describes this store; detach rather than let the WAL
             # collect records that would replay against the wrong base
             self._detach_database()
-            return int(self.matrix.shape[0])
+            self._drop_physical_stores()
+            return self.triple_count()
 
     def discover_schema(self, config: Optional[DiscoveryConfig] = None) -> EmergentSchema:
         """Run characteristic-set discovery over the loaded triples.
@@ -469,13 +478,14 @@ class RDFStore:
             StorageError: when no triples have been loaded yet.
         """
         with self._rwlock.write_locked():
-            if self.matrix.shape[0] == 0:
+            if self.triple_count() == 0:
                 raise StorageError("no triples loaded; call load() first")
-            self.schema = discover_schema(self.matrix, self.dictionary,
-                                          config or self.config.discovery)
-            self.catalog = Catalog(self.schema, self.dictionary)
-            self.delta.attach_schema(self.schema)
-            self._invalidate(keep_schema=True)
+            # re-discovery renumbers the tables, so the reduced schemas
+            # registered over the old ones are not carried across
+            self._install_schema(
+                discover_schema(self.matrix, self.dictionary,
+                                config or self.config.discovery), reduced={})
+            self._drop_physical_stores()
             return self.schema
 
     def cluster(self, sort_keys: Optional[Dict[int, int]] = None,
@@ -515,10 +525,7 @@ class RDFStore:
             return self.clustering_plan
 
     def build_indexes(self) -> None:
-        """Build the exhaustive index store and (when clustered) the clustered store.
-
-        Rebuilding changes plan validity, so the plan cache is cleared.
-        """
+        """Build the exhaustive index store and (when clustered) the clustered store."""
         schema = self.schema
         # rebuilding replaces every (possibly lazily loading) structure with
         # eager in-memory ones; drop the stale lazy-segment bookkeeping so
@@ -528,8 +535,7 @@ class RDFStore:
         if schema is not None and self._clustered:
             self.clustered_store = ClusteredStore.build(
                 self.matrix, schema, pool=self.pool, zone_size=self.config.zone_size)
-        self.plan_cache.clear()
-        self._new_generation()
+        self._publish()
 
     def build_if_unbuilt(self) -> None:
         """The lazy first build of the physical stores, for a store queried
@@ -541,13 +547,41 @@ class RDFStore:
                 if self.index_store is None:
                     self.build_indexes()
 
-    def _new_generation(self) -> None:
-        """Base objects have been replaced: publish the new immutable base
-        state — so the (generation, delta version) pair stays unique per
-        state — and retire the read state of the old one.  Always the last
-        step of a change, so no record built halfway carries the new key."""
-        self.generation += 1
+    def _publish(self, new_base: bool = True) -> None:
+        """The one tail of every transition: move the version pair and retire
+        the read state of the version it leaves (its delta index pages go
+        now, or when its last pin does).
+
+        ``new_base`` says a base object (physical store, dictionary, schema,
+        catalog) was replaced, which bumps the generation so the
+        (generation, delta version) pair stays unique per state; a write
+        has already moved ``delta.version``.  Always the last step of a
+        change, so no record built halfway carries the new key — and the
+        only thing a change has to do for readers and cached plans, which
+        all carry the pair.
+        """
+        if new_base:
+            self.generation += 1
         self._snapshots.invalidate_cache()
+
+    def _install_schema(self, schema: Optional[EmergentSchema],
+                        reduced: Optional[Dict[str, List[str]]] = None) -> None:
+        """The one place ``(schema, dictionary)`` becomes the store's schema
+        and SQL catalog.
+
+        ``reduced`` are the reduced schemas to register on the new catalog
+        — by default those of the catalog it replaces, so what a user
+        registered survives every transition that keeps the tables it names
+        (clone-on-write, compaction).  Re-discovery and reload pass none;
+        ``open`` passes the manifest's.
+        """
+        if reduced is None:
+            reduced = self.catalog.reduced_schemas_state() if self.catalog is not None else {}
+        catalog = None
+        if schema is not None:
+            catalog = Catalog(schema, self.dictionary)
+            catalog.restore_reduced_schemas(reduced)
+        self.schema, self.catalog = schema, catalog
 
     def _resolve_sort_key_names(self, sort_key_names: Dict[str, str]) -> Dict[int, int]:
         schema = self.require_schema()
@@ -561,20 +595,14 @@ class RDFStore:
                     resolved[table.cs_id] = predicate_oid
         return resolved
 
-    def _invalidate(self, keep_schema: bool = False) -> None:
+    def _drop_physical_stores(self) -> None:
+        """The triples or the schema changed under the physical stores: drop
+        them (``cluster()``, ``build_indexes()`` or the first read rebuilds)."""
         self.index_store = None
         self.clustered_store = None
         self.clustering_plan = None
         self._clustered = False
-        self.plan_cache.clear()
-        if not keep_schema:
-            self.schema = None
-            self.catalog = None
-            # a full reload re-encodes (and value-reorders) OIDs: any pending
-            # delta would reference stale OIDs, so it is dropped
-            self.delta.clear()
-            self.delta.attach_schema(None)
-        self._new_generation()
+        self._publish()
 
     # -- accessors --------------------------------------------------------------------
 
@@ -596,44 +624,22 @@ class RDFStore:
     def matrix(self) -> np.ndarray:
         """The base ``(n, 3)`` triple matrix.
 
-        On a store reopened from disk the matrix stays on disk until an
-        operation actually needs it (compaction, re-clustering,
-        re-discovery) — queries read the clustered store and projections,
-        never this array.
+        Kept as one flat :class:`~repro.columnar.Column` (``base.matrix``):
+        on a store reopened from disk it is lazy like every other column and
+        stays on disk until an operation actually needs it (compaction,
+        re-clustering, re-discovery) — queries read the clustered store and
+        projections, never this array.
         """
-        if self._matrix_data is None:
-            loaded = np.asarray(self._matrix_loader(), dtype=np.int64).reshape(-1, 3)
-            if self._matrix_rows is not None and loaded.shape[0] != self._matrix_rows:
-                raise StorageError(
-                    f"base matrix loader produced {loaded.shape[0]} rows, "
-                    f"expected {self._matrix_rows}")
-            self._matrix_data = loaded
-            self._matrix_loader = None
-            if self._matrix_rows is not None:
-                self.pool.note_materialized("base.matrix", int(loaded.size))
-        return self._matrix_data
+        return self._matrix.data.reshape(-1, 3)
 
     @matrix.setter
     def matrix(self, value: np.ndarray) -> None:
-        replacing_lazy = getattr(self, "_matrix_loader", None) is not None
-        self._matrix_data = value
-        self._matrix_loader = None
-        self._matrix_rows = None
-        if replacing_lazy:
-            self.pool.unregister_lazy_segment("base.matrix")
-
-    def _set_lazy_matrix(self, loader, rows: int) -> None:
-        """Defer the base matrix behind ``loader`` (snapshot restore path)."""
-        self._matrix_data = None
-        self._matrix_loader = loader
-        self._matrix_rows = int(rows)
-        self.pool.register_lazy_segment("base.matrix", rows * 3)
+        self._matrix = Column("base.matrix", np.asarray(value).reshape(-1))
 
     def triple_count(self) -> int:
-        """Triples in the base store (excluding pending writes)."""
-        if self._matrix_data is None and self._matrix_rows is not None:
-            return self._matrix_rows
-        return int(self.matrix.shape[0])
+        """Triples in the base store (excluding pending writes); answered
+        from the column's length, so a lazy matrix stays on disk."""
+        return len(self._matrix) // 3
 
     def live_triple_count(self) -> int:
         """Triples currently visible to queries: base ∪ delta − tombstones."""
@@ -673,10 +679,6 @@ class RDFStore:
 
     # -- writing -----------------------------------------------------------------------
 
-    def require_delta(self) -> DeltaStore:
-        """The store's delta overlay (always present, possibly empty)."""
-        return self.delta
-
     def has_pending_updates(self) -> bool:
         """Whether uncompacted inserts or deletes are pending."""
         return not self.delta.is_empty()
@@ -690,8 +692,7 @@ class RDFStore:
         untouched, yet every subsequent SPARQL/SQL query sees
         ``base ∪ delta − tombstones``.  A request is atomic: if any
         statement fails, the statements already applied are rolled back.
-        Every call invalidates the plan cache.  Call :meth:`compact` to
-        fold the delta into base storage.
+        Call :meth:`compact` to fold the delta into base storage.
 
         Args:
             text: the update request text.
@@ -735,10 +736,13 @@ class RDFStore:
             else:
                 self.delta.commit_request(undo)
             finally:
-                # even a rolled-back request may have run queries (DELETE WHERE)
-                # and appended dictionary terms; drop cached plans and index
-                # the new literals either way
-                self._after_write()
+                # even a rolled-back request may have appended dictionary
+                # terms: fold the new literals into the dictionary's sorted
+                # tail here, under the writer lock, so no reader has to.  The
+                # physical stores, column statistics and the literal order
+                # index's head survive — a write is never a rebuild
+                self.dictionary.index_appended_literals()
+                self._publish(new_base=False)
             self._update_seconds.observe(time.perf_counter() - started)
             self._undo_log_entries.observe(len(undo))
             registry = self.metrics_registry
@@ -767,15 +771,8 @@ class RDFStore:
         if self._snapshots.active_count() == 0:
             return
         self.dictionary = self.dictionary.clone()
-        if self.schema is not None:
-            reduced = (self.catalog.reduced_schemas_state()
-                       if self.catalog is not None else {})
-            self.schema = copy.deepcopy(self.schema)
-            self.catalog = Catalog(self.schema, self.dictionary)
-            if reduced:
-                self.catalog.restore_reduced_schemas(reduced)
-            self.delta.attach_schema(self.schema)
-        self._new_generation()
+        self._install_schema(copy.deepcopy(self.schema))
+        self._publish()
 
     # -- concurrent access ---------------------------------------------------------------
 
@@ -810,22 +807,6 @@ class RDFStore:
         """Number of read snapshots currently pinned on this store."""
         return self._snapshots.active_count()
 
-    def _after_write(self) -> None:
-        """Invalidate version-dependent state after a write.
-
-        Plans embed zone-map push-downs and constant OIDs that are only
-        valid for one delta state, so the plan cache is cleared, and the
-        superseded version's read state is retired (its delta index pages
-        leave the pool now, or when its last pin does).  Literals the
-        request appended are folded into the dictionary's sorted tail here,
-        under the writer lock, so no reader has to.  The physical stores,
-        column statistics and the literal order index's head survive — a
-        write is never a rebuild.
-        """
-        self.plan_cache.clear()
-        self.dictionary.index_appended_literals()
-        self._snapshots.invalidate_cache()
-
     def compact(self) -> CompactionReport:
         """Fold the pending delta into base storage (the explicit heavy step).
 
@@ -833,9 +814,9 @@ class RDFStore:
         incrementally maintains the emergent schema (new subjects join a
         property-set-matching CS or the leftover bucket, emptied subjects
         leave, per-column statistics and coverage refresh), restores the
-        value-ordered literal OID invariant, rebuilds the physical stores
-        and the SQL catalog, and resets the plan cache and cardinality
-        statistics.  Characteristic-set discovery and subject clustering
+        value-ordered literal OID invariant and rebuilds the physical stores
+        and the SQL catalog (registered reduced schemas carry over).
+        Characteristic-set discovery and subject clustering
         are *not* re-run — call :meth:`discover_schema` / :meth:`cluster`
         explicitly when the data has drifted far enough.
 
@@ -856,10 +837,15 @@ class RDFStore:
             # when open snapshots still reference the current objects
             self._preserve_pinned_state()
             report = compact_store(self)
+            # only now that the merge succeeded: the journal's texts are
+            # reflected in the base matrix, so save() no longer needs to seed
+            # them into a fresh WAL — also after a no-op compaction (inserts
+            # and deletes cancelled out).  Clearing any earlier would lose
+            # acknowledged updates from the next snapshot if the merge failed
+            self.journal.clear()
             if report.merged_inserts or report.applied_deletes:
                 self.matrix = value_order_literals(self.matrix, self.dictionary)
-                if self.schema is not None:
-                    self.catalog = Catalog(self.schema, self.dictionary)
+                self._install_schema(self.schema)
                 self.build_indexes()
                 self.metrics_registry.counter(
                     "compactions_total", "Delta-into-base compactions applied.").inc()
@@ -912,8 +898,8 @@ class RDFStore:
         Restores the dictionary (with its value-order watermark), the
         emergent schema, SQL catalog and registered reduced schemas, the
         clustered store and permutation indexes, per-column statistics,
-        zone maps, predicate counts and the plan-cache generation — so the
-        optimizer prices and orders plans exactly as the saved store did.
+        zone maps and predicate counts — so the optimizer prices and orders
+        plans exactly as the saved store did.
         Characteristic-set discovery and subject clustering are **not**
         re-run, and column data stays on disk until a scan first touches it
         (lazy loading; observe it via :meth:`buffer_pool_stats`).
@@ -949,27 +935,23 @@ class RDFStore:
                 "(or checkpoint()) on it first")
         reader = SnapshotReader(path)
         if config is None:
-            config = cls._config_from_manifest(reader.config_dict())
+            config = StoreConfig(**reader.config())
         # always assemble on a fresh instance: with into=, the served store's
         # state is swapped in only after every read succeeded, so a corrupt
         # snapshot raises without destroying the store that was serving
         store = cls.__new__(cls)
         RDFStore.__init__(store, config)
-        store.dictionary = reader.read_dictionary()
-        store._set_lazy_matrix(reader.matrix_loader(), reader.matrix_rows())
-        store.schema = reader.read_schema()
-        if store.schema is not None:
-            store.catalog = Catalog(store.schema, store.dictionary)
-            store.catalog.restore_reduced_schemas(reader.manifest.get("reduced_schemas", {}))
-            store.delta.attach_schema(store.schema)
-        store.index_store = reader.build_index_store(store.pool)
-        store.clustered_store = reader.build_clustered_store(store.pool, store.schema)
-        store._clustered = bool(reader.manifest["clustered"])
-        wal = reader.wal()
-        store.journal.attach_wal(wal)
+        parts = reader.read(store.pool)
+        store.dictionary = parts.dictionary
+        store._matrix = parts.matrix
+        store._install_schema(parts.schema, parts.reduced_schemas)
+        store.index_store = parts.index_store
+        store.clustered_store = parts.clustered_store
+        store._clustered = parts.clustered
+        store.journal.attach_wal(parts.wal)
         with store.journal.replaying():
             replayed = 0
-            for text in wal.replay_texts():
+            for text in parts.wal.replay_texts():
                 try:
                     store.update(text)
                 except ReproError as exc:
@@ -979,13 +961,6 @@ class RDFStore:
                     raise PersistenceError(
                         f"WAL record {replayed} failed to replay: {exc}") from exc
                 replayed += 1
-        # restore the plan-cache generation *after* replay (each replayed
-        # update bumps it).  The manifest's generation already accounts for
-        # the records that were pending at save time; records appended after
-        # the save each bumped the original store by one more.
-        seeded = int(reader.manifest.get("wal_seeded_records", 0))
-        store.plan_cache.generation = (int(reader.manifest["plan_cache_generation"])
-                                       + max(0, replayed - seeded))
         if replayed:
             default_registry().counter(
                 "wal_replayed_records_total",
@@ -1083,17 +1058,6 @@ class RDFStore:
         self.db_path = None
         self.journal.attach_wal(None)
         self.journal.clear()
-
-    @staticmethod
-    def _config_from_manifest(saved: Dict[str, object]) -> StoreConfig:
-        cost_model = CostModel(**saved.get("cost_model", {}))
-        return StoreConfig(
-            buffer_pool_pages=int(saved["buffer_pool_pages"]),
-            page_size=int(saved["page_size"]),
-            zone_size=int(saved["zone_size"]),
-            plan_cache_size=int(saved["plan_cache_size"]),
-            cost_model=cost_model,
-        )
 
     # -- querying ----------------------------------------------------------------------
 
@@ -1229,8 +1193,8 @@ class RDFStore:
         return header + "\n" + result.plan.explain(run=run)
 
     def plan_cache_stats(self) -> Dict[str, int]:
-        """Plan-cache counters: size, capacity, hits, misses, evictions,
-        and the invalidation generation."""
+        """Plan-cache counters: ``size``, ``capacity`` and the store-lifetime
+        ``lifetime_hits`` / ``lifetime_misses`` / ``lifetime_evictions``."""
         return self.plan_cache.stats()
 
     def buffer_pool_stats(self) -> Dict[str, int]:

@@ -4,9 +4,8 @@ primary contribution)."""
 from .builder import (
     DiscoveryConfig,
     DiscoveryReport,
-    compute_coverage,
     discover_schema,
-    discover_schema_from_property_sets,
+    measure_coverage,
 )
 from .detect import (
     DetectionResult,
@@ -61,19 +60,18 @@ __all__ = [
     "TypingConfig",
     "analyze_property_objects",
     "assign_property_kinds",
-    "compute_coverage",
     "coverage_at_threshold",
     "detect_characteristic_sets",
     "detection_from_triples",
     "discover_relationships",
     "discover_schema",
-    "discover_schema_from_property_sets",
     "expand_over_foreign_keys",
     "finetune_schema",
     "generalize",
     "jaccard",
     "label_schema",
     "literal_kind",
+    "measure_coverage",
     "sanitize_identifier",
     "summarize_by_keywords",
     "summarize_by_support",

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..model import TermDictionary
-from .detect import DetectionResult, detect_characteristic_sets, detection_from_triples
+from .detect import DetectionResult, detection_from_triples
 from .finetune import FinetuneConfig, finetune_schema
 from .generalize import GeneralizationConfig, GeneralizationResult, generalize
 from .labeling import LabelingConfig, label_schema
@@ -117,7 +117,7 @@ def discover_schema(
     if config.label_tables and dictionary is not None:
         label_schema(schema, dictionary, matrix, config.labeling)
 
-    schema.coverage = compute_coverage(schema, detection)
+    schema.coverage = measure_coverage(schema, matrix)
 
     if return_report:
         report = DiscoveryReport(
@@ -128,25 +128,6 @@ def discover_schema(
             finetune_report=finetune_report,
         )
         return schema, report
-    return schema
-
-
-def discover_schema_from_property_sets(
-    subject_properties: Dict[int, frozenset[int]],
-    config: DiscoveryConfig | None = None,
-) -> EmergentSchema:
-    """Discovery from pre-computed property sets only (no typing / FK info).
-
-    Useful for unit tests and for trickle-load scenarios where only the
-    subject -> property-set index is maintained incrementally.
-    """
-    config = config or DiscoveryConfig()
-    detection = detect_characteristic_sets(subject_properties)
-    generalization = generalize(detection, config.generalization)
-    relationships = RelationshipResult(foreign_keys=[], incoming_references={})
-    schema = _assemble_schema(generalization, kinds={}, relationships=relationships)
-    finetune_schema(schema, relationships, {}, config.finetune)
-    schema.coverage = compute_coverage(schema, detection)
     return schema
 
 
@@ -189,25 +170,41 @@ def _assemble_schema(
     return schema
 
 
-def compute_coverage(schema: EmergentSchema, detection: DetectionResult) -> SchemaCoverage:
-    """Count how many subjects and triples the regular schema captures.
+def measure_coverage(schema: EmergentSchema, matrix: np.ndarray) -> SchemaCoverage:
+    """Count how many subjects and triples of ``matrix`` the regular schema
+    captures; discovery and every compaction call it.
 
     A triple is covered when its subject belongs to a table *and* its
     predicate is one of that table's properties; everything else lives in
-    the irregular triple store.
+    the irregular triple store.  One vectorized pass, O(n log m): each row's
+    subject is resolved to its CS through a sorted lookup, and (CS,
+    predicate) membership is tested with a single ``np.isin`` over packed
+    keys — not one full-matrix scan per table.
     """
-    coverage = SchemaCoverage(
-        total_triples=detection.total_triples,
-        total_subjects=detection.total_subjects(),
-    )
-    for subject, props in detection.subject_properties.items():
-        cs_id = schema.subject_to_cs.get(subject)
-        if cs_id is None:
-            continue
-        coverage.covered_subjects += 1
-        table = schema.tables[cs_id]
-        mults = detection.property_multiplicities.get(subject, {})
-        for prop in props:
-            if table.has_property(prop):
-                coverage.covered_triples += mults.get(prop, 1)
+    subjects = np.unique(matrix[:, 0])
+    coverage = SchemaCoverage(total_triples=int(matrix.shape[0]),
+                              total_subjects=int(subjects.size))
+    if not matrix.size or not schema.subject_to_cs:
+        return coverage
+    covered_arr = np.asarray(sorted(schema.subject_to_cs), dtype=np.int64)
+    cs_of_covered = np.asarray([schema.subject_to_cs[int(s)] for s in covered_arr],
+                               dtype=np.int64)
+    coverage.covered_subjects = int(np.isin(subjects, covered_arr,
+                                            assume_unique=True).sum())
+    positions = np.searchsorted(covered_arr, matrix[:, 0])
+    positions = np.clip(positions, 0, covered_arr.size - 1)
+    row_covered = covered_arr[positions] == matrix[:, 0]
+    if not row_covered.any():
+        return coverage
+    row_cs = cs_of_covered[positions[row_covered]]
+    row_pred = matrix[row_covered, 1]
+    base = int(max(row_pred.max(),
+                   max((max(cs.property_oids(), default=0)
+                        for cs in schema.tables.values()), default=0))) + 1
+    table_keys = np.asarray(
+        [cs.cs_id * base + p for cs in schema.tables.values()
+         for p in cs.property_oids()],
+        dtype=np.int64)
+    coverage.covered_triples = int(np.isin(row_cs * base + row_pred,
+                                           table_keys).sum())
     return coverage

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 
 class Multiplicity(Enum):
@@ -56,9 +56,6 @@ class PropertySpec:
 
     def is_foreign_key(self) -> bool:
         return self.fk_target_cs is not None
-
-    def is_nullable(self) -> bool:
-        return self.multiplicity is not Multiplicity.EXACTLY_ONE
 
 
 @dataclass
@@ -154,10 +151,6 @@ class EmergentSchema:
         """Tables ordered by total support, largest first."""
         return sorted(self.tables.values(), key=lambda cs: (-cs.total_support(), cs.cs_id))
 
-    def tables_with_property(self, predicate_oid: int) -> List[CharacteristicSet]:
-        """All tables that contain a given property."""
-        return [cs for cs in self.tables.values() if cs.has_property(predicate_oid)]
-
     def tables_with_properties(self, predicate_oids: Iterable[int]) -> List[CharacteristicSet]:
         """All tables containing *every* one of the given properties.
 
@@ -169,15 +162,6 @@ class EmergentSchema:
 
     def foreign_keys_from(self, cs_id: int) -> List[ForeignKey]:
         return [fk for fk in self.foreign_keys if fk.source_cs == cs_id]
-
-    def foreign_keys_to(self, cs_id: int) -> List[ForeignKey]:
-        return [fk for fk in self.foreign_keys if fk.target_cs == cs_id]
-
-    def find_foreign_key(self, source_cs: int, predicate_oid: int) -> Optional[ForeignKey]:
-        for fk in self.foreign_keys:
-            if fk.source_cs == source_cs and fk.predicate_oid == predicate_oid:
-                return fk
-        return None
 
     # -- mutation helpers used by the discovery pipeline -----------------------
 
@@ -194,11 +178,6 @@ class EmergentSchema:
         self.foreign_keys = [fk for fk in self.foreign_keys
                              if fk.source_cs != cs_id and fk.target_cs != cs_id]
         return table
-
-    def next_cs_id(self) -> int:
-        if not self.tables:
-            return 0
-        return max(self.tables) + 1
 
     # -- reporting --------------------------------------------------------------
 
@@ -240,15 +219,3 @@ def classify_multiplicity(presence: float, mean_multiplicity: float,
     if presence >= 0.999:
         return Multiplicity.EXACTLY_ONE
     return Multiplicity.ZERO_OR_ONE
-
-
-def merge_subject_lists(lists: Sequence[List[int]]) -> List[int]:
-    """Concatenate subject lists preserving order and removing duplicates."""
-    seen: set[int] = set()
-    merged: List[int] = []
-    for lst in lists:
-        for subject in lst:
-            if subject not in seen:
-                seen.add(subject)
-                merged.append(subject)
-    return merged

@@ -40,10 +40,6 @@ class BindingTable:
     def empty(cls, names: Iterable[str] = ()) -> "BindingTable":
         return cls({name: np.empty(0, dtype=np.int64) for name in names})
 
-    @classmethod
-    def single_column(cls, name: str, values: np.ndarray | Sequence[int]) -> "BindingTable":
-        return cls({name: np.asarray(values)})
-
     def copy(self) -> "BindingTable":
         return BindingTable({name: values.copy() for name, values in self.columns.items()})
 

@@ -168,12 +168,6 @@ class StarPattern:
                 names.append(prop.object_term.var)
         return names
 
-    def property_for(self, predicate_oid: int) -> Optional[StarProperty]:
-        for prop in self.properties:
-            if prop.predicate_oid == predicate_oid:
-                return prop
-        return None
-
     def describe(self) -> str:
         inner = "; ".join(prop.describe() for prop in self.properties)
         suffix = f" subj{self.subject_range.describe()}" if self.subject_range else ""

@@ -45,7 +45,6 @@ class _StarOperator(PhysicalOperator):
 
     star: StarPattern
     use_zone_maps: bool
-    force_index_path: bool
 
     def _star_scan(self, context: ExecutionContext
                    ) -> Callable[[Optional[np.ndarray]], BindingTable]:
@@ -58,7 +57,7 @@ class _StarOperator(PhysicalOperator):
         plan annotation; the index path has no such figure.
         """
         context.tracker.operator_invocations += 1
-        if context.has_clustered_store() and not self.force_index_path:
+        if context.has_clustered_store():
             clustered = _ClusteredStarScan(context, self.star, self.use_zone_maps)
             if context.run.enabled:
                 context.run.residuals[self] = int(clustered.residual_subjects.size)
@@ -69,19 +68,12 @@ class _StarOperator(PhysicalOperator):
 class RDFScanOp(_StarOperator):
     """Evaluate a full star pattern in one operator."""
 
-    def __init__(self, star: StarPattern, use_zone_maps: bool = False,
-                 force_index_path: bool = False) -> None:
+    def __init__(self, star: StarPattern, use_zone_maps: bool = False) -> None:
         self.star = star
         self.use_zone_maps = use_zone_maps
-        self.force_index_path = force_index_path
 
     def describe(self) -> str:
-        flags = []
-        if self.use_zone_maps:
-            flags.append("zonemaps")
-        if self.force_index_path:
-            flags.append("index-path")
-        suffix = f" ({', '.join(flags)})" if flags else ""
+        suffix = " (zonemaps)" if self.use_zone_maps else ""
         return f"RDFscan[{self.star.describe()}]{suffix}"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
@@ -93,11 +85,10 @@ class RDFJoinOp(_StarOperator):
     """Evaluate a star pattern for candidate subjects supplied by a child."""
 
     def __init__(self, child: PhysicalOperator, star: StarPattern,
-                 use_zone_maps: bool = False, force_index_path: bool = False) -> None:
+                 use_zone_maps: bool = False) -> None:
         self.child = child
         self.star = star
         self.use_zone_maps = use_zone_maps
-        self.force_index_path = force_index_path
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)

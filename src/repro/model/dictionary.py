@@ -143,11 +143,6 @@ class TermDictionary:
             self.encode_term(triple.object),
         )
 
-    def encode_triples(self, triples: Iterable[Triple]) -> Iterator[EncodedTriple]:
-        """Encode a stream of triples lazily."""
-        for triple in triples:
-            yield self.encode_triple(triple)
-
     # -- decoding ------------------------------------------------------------
 
     def decode(self, oid: int) -> Term:

@@ -370,10 +370,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.values())
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
-
     def collect(self) -> Dict[str, float]:
         """Flatten every sample into ``{"name{label=\"v\"}": value}``.
 

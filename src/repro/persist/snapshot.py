@@ -44,11 +44,11 @@ import uuid
 from datetime import datetime, timezone
 from json import dumps as json_dumps, loads as json_loads
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from ..columnar import BufferPool, Column, ZoneMap
+from ..columnar import BufferPool, Column, CostModel, ZoneMap
 from ..columnar.stats import ColumnStats
 from ..cs import EmergentSchema
 from ..errors import PersistenceError
@@ -197,13 +197,11 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         "epoch": epoch,
         "generation": generation,
         "wal_file": WAL_FILE,
-        "config": _config_to_dict(store.config),
+        "config": config_to_dict(store.config),
         "triples": int(matrix.shape[0]),
         "terms": len(store.dictionary),
         "value_order_watermark": store.dictionary.value_order_watermark,
         "clustered": bool(store.is_clustered),
-        "plan_cache_generation": int(store.plan_cache.generation),
-        "wal_seeded_records": len(pending_texts),
         "dictionary": {"file": DICTIONARY_FILE, "crc": dict_crc,
                        "terms": len(store.dictionary)},
         "matrix": {"file": MATRIX_FILE, "crc": matrix_crc,
@@ -359,26 +357,54 @@ def _write_clustered_store(clustered, columns_dir: Path, zonemaps_dir: Path,
     }
 
 
-def _config_to_dict(config) -> dict:
-    return {
-        "buffer_pool_pages": config.buffer_pool_pages,
-        "page_size": config.page_size,
-        "zone_size": config.zone_size,
-        "plan_cache_size": config.plan_cache_size,
-        "cost_model": dataclasses.asdict(config.cost_model),
-    }
+_CONFIG_FIELDS = ("buffer_pool_pages", "page_size", "zone_size", "plan_cache_size")
+"""The integer :class:`~repro.core.StoreConfig` fields a manifest carries;
+runtime knobs (batch size, logs, profiling) and discovery thresholds are
+not part of a database."""
+
+
+def config_to_dict(config) -> dict:
+    """A store configuration as the manifest's ``config`` entry."""
+    saved = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    saved["cost_model"] = dataclasses.asdict(config.cost_model)
+    return saved
+
+
+def config_from_dict(saved: dict) -> dict:
+    """The inverse of :func:`config_to_dict`: ``StoreConfig`` keyword
+    arguments (this package cannot import :mod:`repro.core`)."""
+    fields: Dict[str, object] = {name: int(saved[name]) for name in _CONFIG_FIELDS}
+    fields["cost_model"] = CostModel(**saved.get("cost_model", {}))
+    return fields
 
 
 # -- reading ------------------------------------------------------------------
 
 
+class SnapshotParts(NamedTuple):
+    """What one database directory decodes to (see :meth:`SnapshotReader.read`)."""
+
+    dictionary: TermDictionary
+    matrix: Column
+    """The base triple matrix as one flat lazy column of ``3 * rows`` values
+    (``base.matrix``), still on disk."""
+    schema: Optional[EmergentSchema]
+    reduced_schemas: Dict[str, List[str]]
+    """The user-registered reduced schemas of the schema's catalog."""
+    index_store: Optional[ExhaustiveIndexStore]
+    clustered_store: Optional[ClusteredStore]
+    clustered: bool
+    wal: WriteAheadLog
+
+
 class SnapshotReader:
     """Decode one database directory into live (lazily loading) structures.
 
-    The reader is deliberately store-agnostic: it returns plain components
-    (dictionary, matrix, schema, stores, WAL) and ``RDFStore.open``
-    assembles them.  That keeps this package importable from the storage
-    layer without a cycle through :mod:`repro.core`.
+    The reader is the only code that knows the manifest's layout; it is
+    deliberately store-agnostic: :meth:`config` and :meth:`read` return
+    plain components and ``RDFStore.open`` assembles them.  That keeps this
+    package importable from the storage layer without a cycle through
+    :mod:`repro.core`.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -403,9 +429,30 @@ class SnapshotReader:
 
     # -- components -----------------------------------------------------------
 
-    def config_dict(self) -> dict:
-        """The saved store configuration (flat fields + cost model)."""
-        return dict(self.manifest["config"])
+    def config(self) -> dict:
+        """The saved store configuration, as ``StoreConfig`` keyword arguments."""
+        return config_from_dict(self.manifest["config"])
+
+    def read(self, pool: Optional[BufferPool]) -> SnapshotParts:
+        """Every component of the database, wired to ``pool``.
+
+        Metadata-sized I/O only: the dictionary, the schema and the zone
+        maps are read (and CRC-checked) now, every column stays on disk
+        behind a lazy loader.
+        """
+        dictionary = self.read_dictionary()
+        matrix = self.matrix_column(pool)
+        schema = self.read_schema()
+        return SnapshotParts(
+            dictionary=dictionary,
+            matrix=matrix,
+            schema=schema,
+            reduced_schemas=self.manifest.get("reduced_schemas", {}),
+            index_store=self.build_index_store(pool),
+            clustered_store=self.build_clustered_store(pool, schema),
+            clustered=bool(self.manifest["clustered"]),
+            wal=self.wal(),
+        )
 
     def read_dictionary(self) -> TermDictionary:
         entry = self.manifest["dictionary"]
@@ -420,21 +467,18 @@ class SnapshotReader:
         return TermDictionary.restore(
             terms, value_order_watermark=int(self.manifest["value_order_watermark"]))
 
-    def matrix_rows(self) -> int:
-        """Row count of the base matrix (manifest metadata, no I/O)."""
-        return int(self.manifest["matrix"]["rows"])
-
-    def matrix_loader(self):
-        """A deferred loader for the base matrix.
+    def matrix_column(self, pool: Optional[BufferPool]) -> Column:
+        """The base matrix, deferred: a flat column of ``3 * rows`` values.
 
         Queries never touch the base matrix — they go through the clustered
-        store and the projections — so the store materializes it lazily,
-        only when compaction / re-clustering / re-discovery needs it.
+        store and the projections — so it materializes only when compaction
+        / re-clustering / re-discovery first asks for it.
         """
         entry = self.manifest["matrix"]
         path = self.base / entry["file"]
         expect_crc = entry["crc"]
-        return lambda: read_array(path, expect_crc=expect_crc).reshape(-1, 3)
+        return Column("base.matrix", pool=pool, length=3 * int(entry["rows"]),
+                      loader=lambda: read_array(path, expect_crc=expect_crc).reshape(-1))
 
     def read_schema(self) -> Optional[EmergentSchema]:
         entry = self.manifest.get("schema")
@@ -455,7 +499,7 @@ class SnapshotReader:
             pool=pool, name=entry.get("name", "hsp"),
             loaders={order: self._array_loader(COLUMNS_DIR, table_entry)
                      for order, table_entry in orders.items()},
-            length=self.matrix_rows(),
+            length=int(self.manifest["matrix"]["rows"]),
         )
         store.set_predicate_counts({int(p): c
                                     for p, c in entry["predicate_counts"].items()})

@@ -18,8 +18,8 @@ The heuristic planner orders stars by counting constraints.  The
 
 The :class:`PlanCache` keeps recently planned queries keyed on their front
 end, normalized text and planner options, so repeated queries — SPARQL or
-SQL — skip parsing and planning entirely; the store invalidates it whenever
-data or physical organization changes.
+SQL — skip parsing and planning entirely; every engine scopes its keys by the
+store version it reads, so a changed store simply stops asking for old plans.
 """
 
 from __future__ import annotations
@@ -296,15 +296,11 @@ class PlanCache:
     A plan is valid for one state of the data: it embeds constant OIDs and
     zone-map push-downs, and a SQL plan also whether a write was pending
     when it was made (columns are nullable under a pending delta).  That is
-    safe because the owning store clears the cache on every write
-    (``_after_write``), ``compact``, reload and rebuild (``_invalidate``,
-    ``build_indexes``), and every engine puts the (generation, delta version)
-    pair it reads in front of its keys — so a snapshot pinned on an older
-    version shares this cache without ever sharing a plan.
-
-    :meth:`clear` resets the per-organization counters; the ``lifetime_*``
-    counters survive clears, so monitoring sees cache effectiveness across
-    the whole store lifetime rather than only since the last write.
+    safe because every engine puts the (generation, delta version) pair it
+    reads in front of its keys: the pair is the only invalidation.  Nothing
+    clears the cache when the store changes — a superseded version's plans
+    are never asked for again and leave by LRU, while a snapshot pinned on
+    an older version keeps hitting its own.
     """
 
     _QUOTED = re.compile(r""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'""")
@@ -314,23 +310,12 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 0")
         self.capacity = capacity
         self._lock = threading.RLock()
-        """Concurrent readers share one cache while the writer clears it on
-        every update; all entry/counter access is serialized."""
+        """Concurrent readers of every version share one cache; all
+        entry/counter access is serialized."""
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.lifetime_hits = 0
         self.lifetime_misses = 0
         self.lifetime_evictions = 0
-        self.generation = 0
-        """Monotonic invalidation counter: bumped on every :meth:`clear`.
-
-        Cached plans are only valid for one physical organization of the
-        store, so the generation identifies *which* organization the cache
-        currently serves.  Snapshots persist it and ``RDFStore.open``
-        restores it, making an opened store's optimizer state
-        indistinguishable from the store that was saved."""
 
     @staticmethod
     def make_key(frontend: str, text: str, options) -> tuple:
@@ -354,11 +339,9 @@ class PlanCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
                 self.lifetime_misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
             self.lifetime_hits += 1
             return entry
 
@@ -371,33 +354,24 @@ class PlanCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
                 self.lifetime_evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry, reset the hit/miss counters, bump the generation."""
+        """Drop every entry (the ``lifetime_*`` counters keep counting).  For
+        measurements that want a cold cache; the store never calls it."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.generation += 1
 
     def stats(self) -> Dict[str, int]:
-        """Counters for monitoring: size, capacity, hits, misses, evictions
-        (since the last clear) plus their clear-surviving ``lifetime_*``
-        variants and the invalidation generation."""
+        """Counters for monitoring: size, capacity and the hits, misses and
+        evictions since the cache was made."""
         with self._lock:
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
                 "lifetime_hits": self.lifetime_hits,
                 "lifetime_misses": self.lifetime_misses,
                 "lifetime_evictions": self.lifetime_evictions,
-                "generation": self.generation,
             }
 
     def __len__(self) -> int:

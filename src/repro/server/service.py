@@ -189,11 +189,6 @@ class QueryServer:
         """Queue one SPARQL Update; resolve to its :class:`UpdateResult`."""
         return self._pool.submit(self.service.update, text)
 
-    def map_queries(self, texts: List[str],
-                    options: Optional[PlannerOptions] = None) -> List[Future]:
-        """Queue a batch of queries; one future per text, submission order."""
-        return [self.submit_query(text, options) for text in texts]
-
     # -- observability -----------------------------------------------------------
 
     def metrics_text(self) -> str:

@@ -13,7 +13,9 @@ bundles everything a query needs to run against exactly that state:
   half of the pending writes;
 * one :class:`~repro.engine.ExecutionContext` and one query engine (SPARQL
   and SQL) wired to those references and to the store's one plan cache,
-  under keys scoped by the version pair.
+  under keys scoped by the version pair — the only invalidation there is:
+  nothing clears the cache, so a pinned version keeps hitting its own
+  plans whatever the store does afterwards.
 
 The :class:`SnapshotRegistry` builds the record once per version — a context
 and an engine cost microseconds, and whatever is expensive to derive lives
@@ -258,9 +260,10 @@ class SnapshotRegistry:
     def invalidate_cache(self) -> None:
         """Retire the current record; the next read builds the next one.
 
-        The store calls this whenever it has moved on — after every write,
-        rebuild and compaction, so a superseded version's pages go now
-        rather than at the next read — and when it is re-pointed in place
+        The store calls this whenever it has moved on — from
+        ``RDFStore._publish``, the tail of every write, rebuild and
+        compaction, so a superseded version's pages go now rather than at
+        the next read — and when it is re-pointed in place
         (``RDFStore.open(into=...)``): the new incarnation's (generation,
         version) pairs restart and could collide with the cached key.  Pin
         accounting for snapshots already open is unaffected.

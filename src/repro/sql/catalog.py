@@ -134,11 +134,6 @@ class Catalog:
             raise SchemaError(f"unknown table {name!r}; known tables: {sorted(self.tables)}")
         return self.tables[key]
 
-    def table_for_cs(self, cs_id: int) -> CatalogTable:
-        if cs_id not in self._cs_to_table:
-            raise SchemaError(f"no catalog table for CS {cs_id}")
-        return self.tables[self._cs_to_table[cs_id].lower()]
-
     def table_names(self, reduced_schema: Optional[str] = None) -> List[str]:
         if reduced_schema is None:
             return sorted(table.name for table in self.tables.values())

@@ -118,11 +118,6 @@ class SqlQuery:
     def has_aggregates(self) -> bool:
         return any(item.aggregate for item in self.select_items)
 
-    def table_aliases(self) -> List[str]:
-        aliases = [self.base_alias]
-        aliases.extend(join.alias for join in self.joins)
-        return aliases
-
 
 class _Token:
     __slots__ = ("kind", "text")

@@ -3,9 +3,8 @@
 The paper's emergent-schema store is built bulk-first: load, discover,
 cluster.  This package makes the result *writable* without rebuilding:
 
-* :class:`DeltaStore` — dictionary-encoded inserted triples (routed to an
-  existing characteristic set by property-set match, else to the leftover
-  bucket) plus a tombstone set for deleted base triples;
+* :class:`DeltaStore` — dictionary-encoded inserted triples plus a
+  tombstone set for deleted base triples;
 * :class:`UpdateApplier` — executes parsed ``INSERT DATA`` / ``DELETE DATA``
   / ``DELETE WHERE`` requests against a store;
 * :func:`compact_store` — merges the delta into the base storage,

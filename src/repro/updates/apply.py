@@ -66,7 +66,7 @@ class UpdateApplier:
     # -- statements -----------------------------------------------------------------
 
     def _insert_data(self, operation: InsertDataOp) -> UpdateResult:
-        delta = self.store.require_delta()
+        delta = self.store.delta
         result = UpdateResult(statements=1)
         for triple in operation.triples:
             encoded = self.store.dictionary.encode_triple(triple)
@@ -76,7 +76,7 @@ class UpdateApplier:
         return result
 
     def _delete_data(self, operation: DeleteDataOp) -> UpdateResult:
-        delta = self.store.require_delta()
+        delta = self.store.delta
         result = UpdateResult(statements=1)
         for triple in operation.triples:
             encoded = self._lookup_triple(triple)
@@ -91,7 +91,7 @@ class UpdateApplier:
         result = UpdateResult(statements=1)
         for s, p, o in self._matching_triples(operation):
             encoded = EncodedTriple(s, p, o)
-            if self.store.require_delta().delete(
+            if self.store.delta.delete(
                     encoded.s, encoded.p, encoded.o,
                     in_base=self._base_contains(encoded)):
                 result.deleted += 1
@@ -154,7 +154,7 @@ class UpdateApplier:
 
     def _is_live(self, encoded: EncodedTriple) -> bool:
         """Whether the triple is visible right now (base ∪ delta − tombstones)."""
-        delta = self.store.require_delta()
+        delta = self.store.delta
         if delta.contains_insert(*encoded):
             return True
         if delta.is_tombstoned(*encoded):

@@ -19,12 +19,12 @@ the paper's emergent schema is meant to absorb change:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..cs import measure_coverage
 from ..cs.schema_model import classify_multiplicity
-from .delta import match_characteristic_set
 
 
 @dataclass
@@ -70,16 +70,13 @@ def merge_matrices(base: np.ndarray, delta) -> tuple[np.ndarray, int, int]:
 def compact_store(store) -> CompactionReport:
     """Merge the store's delta into its base matrix and maintain the schema.
 
-    The caller (:meth:`repro.core.RDFStore.compact`) rebuilds the physical
-    stores and refreshes catalog/statistics afterwards; this function owns
-    the matrix merge and the incremental schema bookkeeping.
+    The caller (:meth:`repro.core.RDFStore.compact`) settles the journal,
+    rebuilds the physical stores and re-installs the catalog afterwards;
+    this function owns the matrix merge and the incremental schema
+    bookkeeping.
     """
     report = CompactionReport()
     if store.delta.is_empty():
-        # a no-op compaction (inserts and deletes cancelled out) still
-        # settles the journal: the base state reflects every recorded
-        # request, so a later save() must not re-seed dead texts
-        _clear_journal(store)
         return report
 
     delta = store.delta.freeze()
@@ -101,22 +98,11 @@ def compact_store(store) -> CompactionReport:
         affected_cs |= {schema.subject_to_cs[s] for s in delta_subjects
                         if s in schema.subject_to_cs}
         _refresh_table_statistics(schema, merged, affected_cs)
-        _refresh_coverage(schema, merged)
+        schema.coverage = measure_coverage(schema, merged)
 
     store.matrix = merged
     store.delta.clear()
-    # only now that the merge succeeded: the journal's texts are reflected
-    # in the base matrix, so save() no longer needs to seed them into a
-    # fresh WAL.  Clearing any earlier would lose acknowledged updates from
-    # the next snapshot if compaction failed midway.
-    _clear_journal(store)
     return report
-
-
-def _clear_journal(store) -> None:
-    journal = getattr(store, "journal", None)
-    if journal is not None:
-        journal.clear()
 
 
 # -- schema maintenance ------------------------------------------------------------
@@ -150,6 +136,31 @@ def _remove_emptied_subjects(schema, tombstone_subjects: Set[int],
                                      if s not in irregular_gone]
         report.subjects_removed += len(irregular_gone)
     return affected
+
+
+def match_characteristic_set(schema, props: Set[int]) -> Optional[int]:
+    """The one CS-admission rule: which table a subject with property set
+    ``props`` joins.
+
+    Exact property-set match wins; otherwise the tightest superset CS
+    (fewest extra properties, ties broken by support then id); ``None``
+    (the leftover bucket) when nothing fits.
+    """
+    if not props:
+        return None
+    exact: Optional[int] = None
+    best: Optional[Tuple[int, int, int]] = None
+    for cs in schema.tables.values():
+        cs_props = cs.property_oids()
+        if cs_props == props:
+            exact = cs.cs_id if exact is None else min(exact, cs.cs_id)
+        elif props <= cs_props:
+            candidate = (len(cs_props - props), -cs.total_support(), cs.cs_id)
+            if best is None or candidate < best:
+                best = candidate
+    if exact is not None:
+        return exact
+    return None if best is None else best[2]
 
 
 def _assign_new_subjects(schema, merged: np.ndarray, delta_subjects: List[int],
@@ -214,43 +225,3 @@ def _refresh_table_statistics(schema, merged: np.ndarray, cs_ids: Set[int]) -> N
             spec.presence = subject_count / table.support if table.support else 0.0
             spec.mean_multiplicity = triple_count / subject_count if subject_count else 1.0
             spec.multiplicity = classify_multiplicity(spec.presence, spec.mean_multiplicity)
-
-
-def _refresh_coverage(schema, merged: np.ndarray) -> None:
-    """Recount schema coverage over the merged matrix in O(n log m).
-
-    One vectorized pass: each row's subject is resolved to its CS through a
-    sorted lookup, and (CS, predicate) membership is tested with a single
-    ``np.isin`` over packed keys — not one full-matrix scan per table,
-    which would make every compaction O(tables × triples).
-    """
-    coverage = schema.coverage
-    coverage.total_triples = int(merged.shape[0])
-    subjects = np.unique(merged[:, 0]) if merged.size else np.empty(0, dtype=np.int64)
-    coverage.total_subjects = int(subjects.size)
-    if not merged.size or not schema.subject_to_cs:
-        coverage.covered_subjects = 0
-        coverage.covered_triples = 0
-        return
-    covered_arr = np.asarray(sorted(schema.subject_to_cs), dtype=np.int64)
-    cs_of_covered = np.asarray([schema.subject_to_cs[int(s)] for s in covered_arr],
-                               dtype=np.int64)
-    coverage.covered_subjects = int(np.isin(subjects, covered_arr,
-                                            assume_unique=True).sum())
-    positions = np.searchsorted(covered_arr, merged[:, 0])
-    positions = np.clip(positions, 0, covered_arr.size - 1)
-    row_covered = covered_arr[positions] == merged[:, 0]
-    if not row_covered.any():
-        coverage.covered_triples = 0
-        return
-    row_cs = cs_of_covered[positions[row_covered]]
-    row_pred = merged[row_covered, 1]
-    base = int(max(row_pred.max(),
-                   max((max(cs.property_oids(), default=0)
-                        for cs in schema.tables.values()), default=0))) + 1
-    table_keys = np.asarray(
-        [cs.cs_id * base + p for cs in schema.tables.values()
-         for p in cs.property_oids()],
-        dtype=np.int64)
-    coverage.covered_triples = int(np.isin(row_cs * base + row_pred,
-                                           table_keys).sum())

@@ -1,4 +1,4 @@
-"""The delta store: pending inserts, tombstones and CS routing.
+"""The delta store: pending inserts, tombstones and the undo log.
 
 Writes never touch the immutable base structures (clustered CS blocks, the
 irregular triple table, the six permutation indexes).  Instead they
@@ -7,12 +7,11 @@ accumulate here:
 * **inserts** — dictionary-encoded triples not present in the base store,
   kept in first-write order and exposed through a small exhaustive
   permutation index so every engine access path can merge them in;
-* **tombstones** — base triples marked deleted; scans filter them out;
-* **routing** — each inserted subject is assigned to the characteristic set
-  whose property set matches its own (exact match first, then the smallest
-  superset), or to the leftover bucket when nothing matches.  Routing is
-  metadata: query correctness never depends on it, but compaction uses it to
-  admit new subjects into CS blocks and the store surfaces it in summaries.
+* **tombstones** — base triples marked deleted; scans filter them out.
+
+Which characteristic set a new subject joins is decided at compaction, from
+the merged triples (:func:`repro.updates.compaction.match_characteristic_set`);
+the delta knows nothing of the schema.
 
 Deleting a triple that only exists in the delta simply removes the insert;
 re-inserting a tombstoned base triple removes the tombstone (resurrection).
@@ -20,7 +19,7 @@ re-inserting a tombstoned base triple removes the tombstone (resurrection).
 The delta has a write half and a read half:
 
 * :class:`DeltaStore` is what the single writer mutates: the insert and
-  tombstone sets with O(1) membership, CS routing, and **per-request undo
+  tombstone sets with O(1) membership and **per-request undo
   logs** — ``RDFStore.update`` brackets each request with
   :meth:`DeltaStore.begin_request` / :meth:`DeltaStore.commit_request`, every
   mutation records its *inverse* in the active :class:`UndoLog`, and a failed
@@ -48,40 +47,11 @@ from ..storage import ExhaustiveIndexStore
 
 TripleKey = Tuple[int, int, int]
 
-#: Routing key for inserts whose subject matches no characteristic set.
-LEFTOVER = None
-
 _INT64_MAX = (1 << 63) - 1
 """Packed-key membership tests use per-component bases (``max+1`` of each
 column over both operands); packing applies whenever the bases' product fits
 in an int64, which holds for any realistic dictionary since the predicate
 component is tiny."""
-
-
-def match_characteristic_set(schema, props: Set[int]) -> Optional[int]:
-    """The single CS-routing rule shared by insert routing and compaction.
-
-    Exact property-set match wins; otherwise the tightest superset CS
-    (fewest extra properties, ties broken by support then id); ``None``
-    (the leftover bucket) when nothing fits.
-    """
-    if schema is None or not props:
-        return LEFTOVER
-    exact: Optional[int] = None
-    best: Optional[Tuple[int, int, int]] = None
-    for cs in schema.tables.values():
-        cs_props = cs.property_oids()
-        if cs_props == props:
-            exact = cs.cs_id if exact is None else min(exact, cs.cs_id)
-        elif props <= cs_props:
-            candidate = (len(cs_props - props), -cs.total_support(), cs.cs_id)
-            if best is None or candidate < best:
-                best = candidate
-    if exact is not None:
-        return exact
-    if best is not None:
-        return best[2]
-    return LEFTOVER
 
 
 class UndoLog:
@@ -115,17 +85,14 @@ class UndoLog:
 
 
 class DeltaStore:
-    """Pending writes over an immutable base store, in OID space."""
+    """Pending writes over an immutable base store, in OID space: the insert
+    set, the tombstone set and the undo log of the request in flight."""
 
-    def __init__(self, schema=None, pool=None, name: str = "delta") -> None:
-        self.schema = schema
+    def __init__(self, pool=None, name: str = "delta") -> None:
         self.pool = pool
         self.name = name
         self._inserts: Dict[TripleKey, None] = {}  # ordered set
         self._tombstones: Set[TripleKey] = set()
-        self._subject_props: Dict[int, Set[int]] = {}
-        self._subject_inserts: Dict[int, Set[TripleKey]] = {}
-        self._routes: Dict[int, Optional[int]] = {}
         self._frozen: Optional[FrozenDelta] = None
         self.version = 0
         self._undo: Optional[UndoLog] = None
@@ -148,7 +115,6 @@ class DeltaStore:
         if in_base or key in self._inserts:
             return False
         self._inserts[key] = None
-        self._note_subject_insert(key)
         self._record_undo(UndoLog.INSERTED, key)
         self._dirty()
         return True
@@ -162,7 +128,6 @@ class DeltaStore:
         key = (int(s), int(p), int(o))
         if key in self._inserts:
             del self._inserts[key]
-            self._drop_subject_insert(key)
             self._record_undo(UndoLog.INSERT_REMOVED, key)
             self._dirty()
             return True
@@ -208,10 +173,8 @@ class DeltaStore:
         for op, key in reversed(undo.ops):
             if op == UndoLog.INSERTED:
                 self._inserts.pop(key, None)
-                self._drop_subject_insert(key)
             elif op == UndoLog.INSERT_REMOVED:
                 self._inserts[key] = None
-                self._note_subject_insert(key)
             elif op == UndoLog.TOMBSTONED:
                 self._tombstones.discard(key)
             elif op == UndoLog.TOMBSTONE_REMOVED:
@@ -225,18 +188,10 @@ class DeltaStore:
         if self._undo is not None:
             self._undo.record(op, key)
 
-    def attach_schema(self, schema) -> None:
-        """Attach (or replace) the schema used for CS routing."""
-        self.schema = schema
-        self._routes.clear()
-
     def clear(self) -> None:
         """Drop all pending writes (after compaction or a full reload)."""
         self._inserts.clear()
         self._tombstones.clear()
-        self._subject_props.clear()
-        self._subject_inserts.clear()
-        self._routes.clear()
         self._dirty()
 
     def _dirty(self) -> None:
@@ -259,24 +214,6 @@ class DeltaStore:
             frozen = self._frozen = FrozenDelta(self.matrix(), self.tombstone_matrix(),
                                                 self.pool, name)
         return frozen
-
-    def _note_subject_insert(self, key: TripleKey) -> None:
-        subject, predicate = key[0], key[1]
-        self._subject_props.setdefault(subject, set()).add(predicate)
-        self._subject_inserts.setdefault(subject, set()).add(key)
-        self._routes.pop(subject, None)
-
-    def _drop_subject_insert(self, key: TripleKey) -> None:
-        """Forget one insert, recomputing only that subject's property set."""
-        subject = key[0]
-        remaining = self._subject_inserts.get(subject, set())
-        remaining.discard(key)
-        if remaining:
-            self._subject_props[subject] = {p for (_s, p, _o) in remaining}
-        else:
-            self._subject_inserts.pop(subject, None)
-            self._subject_props.pop(subject, None)
-        self._routes.pop(subject, None)
 
     # -- inspection ---------------------------------------------------------------
 
@@ -303,51 +240,12 @@ class DeltaStore:
         """The tombstones as an ``(n, 3)`` S/P/O matrix (unordered)."""
         return _as_triples(list(self._tombstones))
 
-    # -- CS routing -----------------------------------------------------------------
-
-    def route_of(self, subject: int, base_properties: Optional[Set[int]] = None) -> Optional[int]:
-        """The CS id this inserted subject is routed to (``None`` = leftover).
-
-        The routed CS is the one whose property set equals the subject's
-        combined (base + delta) property set; failing that, the smallest
-        superset CS (ties broken by support).  Subjects already assigned to
-        a CS in the schema keep that assignment.
-        """
-        subject = int(subject)
-        if self.schema is not None:
-            assigned = self.schema.subject_to_cs.get(subject)
-            if assigned is not None:
-                return assigned
-        if subject in self._routes and base_properties is None:
-            return self._routes[subject]
-        props = set(self._subject_props.get(subject, set()))
-        if base_properties:
-            props |= set(base_properties)
-        route = self._match_cs(props)
-        if base_properties is None:
-            self._routes[subject] = route
-        return route
-
-    def _match_cs(self, props: Set[int]) -> Optional[int]:
-        return match_characteristic_set(self.schema, props)
-
-    def routed_inserts(self) -> Dict[Optional[int], np.ndarray]:
-        """Pending inserts bucketed by routed CS (``None`` = leftover)."""
-        buckets: Dict[Optional[int], List[TripleKey]] = {}
-        for key in self._inserts:
-            buckets.setdefault(self.route_of(key[0]), []).append(key)
-        return {cs_id: np.asarray(rows, dtype=np.int64)
-                for cs_id, rows in buckets.items()}
-
     # -- reporting ---------------------------------------------------------------------
 
     def summary(self) -> Dict[str, int]:
-        routed = self.routed_inserts()
         return {
             "pending_inserts": self.insert_count(),
             "pending_deletes": self.tombstone_count(),
-            "routed_cs_buckets": sum(1 for cs_id in routed if cs_id is not None),
-            "leftover_inserts": int(routed.get(LEFTOVER, np.empty((0, 3))).shape[0]),
         }
 
 

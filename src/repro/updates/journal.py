@@ -19,8 +19,9 @@ The :class:`UpdateJournal` keeps the two copies of that record stream:
   survives a crash.
 
 ``RDFStore.update`` records here after a successful apply;
-:func:`repro.updates.compaction.compact_store` clears the in-memory list
-once the delta is folded into the base (the on-disk WAL keeps its records
+``RDFStore.compact`` clears the in-memory list once
+:func:`repro.updates.compaction.compact_store` has folded the delta into
+the base (the on-disk WAL keeps its records
 until a checkpoint truncates it: replaying them against the *old* on-disk
 snapshot still reproduces a query-equivalent state).  During WAL replay the
 journal is put into replaying mode so re-applied requests are remembered in

@@ -224,7 +224,7 @@ class TestReadSnapshots:
         assert store.delta.freeze() is frozen
         assert frozen.insert_count() == store.delta.insert_count() == 2
         for mutator in ("insert", "delete", "clear", "begin_request",
-                        "abort_request", "attach_schema"):
+                        "abort_request"):
             assert not hasattr(frozen, mutator), mutator
         rows = frozen.matrix().copy()
         store.update(pair_update(2))

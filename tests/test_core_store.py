@@ -1,12 +1,19 @@
 """End-to-end tests of the RDFStore facade."""
 
+from contextlib import nullcontext
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
+
 import pytest
 
+from _datasets import book_triples, small_graph_config
 from repro import PlannerOptions, RDFStore, StoreConfig
 from repro.cs import DiscoveryConfig, GeneralizationConfig
-from repro.errors import StorageError
+from repro.cs.summarize import SchemaSummary
+from repro.errors import SchemaError, StorageError
 from repro.model import IRI, Literal, Triple
-from repro.model.terms import XSD_INTEGER
+from repro.model.terms import RDF_TYPE, XSD_INTEGER
+from repro.rio import serialize_ntriples
 
 EX = "http://example.org/"
 
@@ -163,3 +170,138 @@ class TestRdfhStore:
         from repro.bench import q1_sparql
         result = rdfh_store.sparql(q1_sparql())
         assert 1 <= len(result) <= 6  # at most |returnflag| x |linestatus| groups
+
+
+# -- the transition matrix ---------------------------------------------------------
+#
+# Every way a store changes what readers see, each with no snapshot open and
+# with one pinned across it.  The (generation, delta version) pair is the only
+# invalidation: it moves exactly when an answer could differ, a cached plan
+# lives and dies with the pair in its key, and nothing is cleared.
+
+BOOKS_BY_YEAR = f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . ?b <{EX}isbn_no> ?i . }}"
+
+
+def _book(n: int) -> list:
+    book = IRI(f"{EX}book/x{n}")
+    return [Triple(book, IRI(RDF_TYPE), IRI(f"{EX}Book")),
+            Triple(book, IRI(f"{EX}has_author"), IRI(f"{EX}author/1")),
+            Triple(book, IRI(f"{EX}in_year"), Literal("2001", datatype=XSD_INTEGER)),
+            Triple(book, IRI(f"{EX}isbn_no"), Literal(f"isbn-x{n}"))]
+
+
+def _insert(triples) -> str:
+    return f"INSERT DATA {{ {serialize_ntriples(triples)} }}"
+
+
+def _register_core(store: RDFStore) -> list:
+    cs_ids = [table.cs_id for table in store.schema.tables_by_support()][:1]
+    return store.catalog.register_summary(
+        "core", SchemaSummary(table_ids=cs_ids, foreign_keys=[]))
+
+
+def _rows(reader, text: str) -> list:
+    return sorted(reader.decode_rows(reader.sparql(text)))
+
+
+def _update(t) -> None:
+    t.store.update(_insert(_book(2)))
+    t.live += _book(2)
+
+
+def _noop_update(t) -> None:
+    assert not t.store.update(_insert(t.live[:1])).changed
+
+
+def _rolled_back_update(t) -> None:
+    def disk_full(text):
+        raise OSError("injected failure at journal.record")
+
+    t.monkeypatch.setattr(t.store.journal, "record", disk_full)
+    with pytest.raises(OSError, match="injected"):
+        t.store.update(_insert(_book(2)))
+    t.monkeypatch.undo()
+    assert t.store.delta.insert_count() == len(t.live) - len(book_triples())
+
+
+def _load(t) -> None:
+    t.live[:] = book_triples(books=20)
+    t.store.load(t.live)
+
+
+def _open_into(t) -> None:
+    t.live[:] = book_triples(books=20)
+    other = RDFStore.build(t.live, config=small_graph_config())
+    assert _register_core(other) == t.core
+    other.save(t.path / "other")
+    assert RDFStore.open(t.path / "other", into=t.store) is t.store
+
+
+class _Transition(NamedTuple):
+    name: str
+    run: Callable
+    pending: bool = False
+    """Whether it starts from a store with an uncompacted write."""
+    moves_pair: bool = True
+    keeps_reduced: bool = True
+
+
+TRANSITIONS = [
+    _Transition("update", _update),
+    _Transition("update-noop", _noop_update, moves_pair=False),
+    _Transition("update-rolled-back", _rolled_back_update, pending=True),
+    _Transition("compact", lambda t: t.store.compact(), pending=True),
+    _Transition("checkpoint", lambda t: t.store.checkpoint(), pending=True),
+    _Transition("cluster-other-sort-key",
+                lambda t: t.store.cluster(sort_key_names={"Book": f"{EX}isbn_no"})),
+    _Transition("discover_schema", lambda t: t.store.discover_schema(), keeps_reduced=False),
+    _Transition("load", _load, keeps_reduced=False),
+    _Transition("save", lambda t: t.store.save(t.path / "again"), pending=True,
+                moves_pair=False),
+    _Transition("open-into", _open_into),
+]
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+@pytest.mark.parametrize("transition", TRANSITIONS, ids=lambda transition: transition.name)
+def test_transition_matrix(transition, pinned, tmp_path, monkeypatch):
+    store = RDFStore.build(book_triples(), config=small_graph_config(),
+                           sort_key_names={"Book": f"{EX}in_year"})
+    t = SimpleNamespace(store=store, path=tmp_path, monkeypatch=monkeypatch,
+                        live=list(book_triples()), core=_register_core(store))
+    store.save(tmp_path / "db")  # attached: writes reach a WAL, checkpoint has a target
+    if transition.pending:
+        store.update(_insert(_book(1)))
+        t.live += _book(1)
+    with (store.snapshot() if pinned else nullcontext()) as snapshot:
+        plan = store.sparql(BOOKS_BY_YEAR).plan
+        if pinned:
+            pinned_rows = _rows(snapshot, BOOKS_BY_YEAR)
+            assert snapshot.sparql(BOOKS_BY_YEAR).plan is plan  # one version, one plan
+        pair = (store.generation, store.delta.version)
+        hits = store.plan_cache_stats()["lifetime_hits"]
+
+        transition.run(t)
+
+        assert ((store.generation, store.delta.version) != pair) == transition.moves_pair
+        after = store.sparql(BOOKS_BY_YEAR)
+        if transition.moves_pair:
+            assert after.plan is not plan  # a miss: its key starts with the new pair
+        else:
+            assert after.plan is plan
+            assert store.plan_cache_stats()["lifetime_hits"] == hits + 1
+        oracle = RDFStore.build(t.live, config=small_graph_config())
+        assert sorted(store.decode_rows(after)) == _rows(oracle, BOOKS_BY_YEAR)
+        assert len(after) == sum(1 for triple in t.live
+                                 if triple.predicate == IRI(f"{EX}isbn_no"))
+        if pinned:
+            # the pinned version answers as before and still hits its own plan:
+            # whatever happened since cleared nothing
+            again = snapshot.sparql(BOOKS_BY_YEAR)
+            assert again.plan is plan
+            assert sorted(snapshot.decode_rows(again)) == pinned_rows
+        if transition.keeps_reduced:
+            assert store.catalog.table_names("core") == t.core
+        elif store.catalog is not None:
+            with pytest.raises(SchemaError, match="unknown reduced schema"):
+                store.catalog.table_names("core")

@@ -17,7 +17,6 @@ from repro.cs import (
     detect_characteristic_sets,
     detection_from_triples,
     discover_schema,
-    discover_schema_from_property_sets,
     generalize,
     jaccard,
     summarize_by_keywords,
@@ -228,8 +227,9 @@ class TestFullDiscovery:
         assert len(split.tables) >= len(base.tables)
 
     def test_discover_from_property_sets_only(self):
-        sets = {i: frozenset({1, 2, 3}) for i in range(10)}
-        schema = discover_schema_from_property_sets(sets)
+        # a bare matrix, no dictionary: no typing, FK or labeling information
+        matrix = np.asarray([(s, p, 100 + s) for s in range(10) for p in (1, 2, 3)])
+        schema = discover_schema(matrix)
         assert len(schema.tables) == 1
         assert schema.coverage.subject_coverage() == 1.0
 

@@ -221,9 +221,11 @@ class TestPlanCache:
         cache.insert(("c",), 3)  # evicts ("b",), the least recently used
         assert cache.lookup(("b",)) is None
         assert cache.lookup(("a",)) == 1
-        assert cache.stats()["evictions"] == 1
-        cache.clear()
-        assert len(cache) == 0 and cache.stats()["hits"] == 0
+        assert cache.stats()["lifetime_evictions"] == 1
+        cache.clear()  # drops the entries, not the counters
+        assert len(cache) == 0 and cache.lookup(("a",)) is None
+        assert cache.stats() == {"size": 0, "capacity": 2, "lifetime_hits": 2,
+                                 "lifetime_misses": 2, "lifetime_evictions": 1}
 
     def test_zero_capacity_disables_caching(self):
         cache = PlanCache(capacity=0)
@@ -267,9 +269,9 @@ class TestPlanCache:
         store = RDFStore.build(_book_triples(), config=_small_config())
         query = f"SELECT ?b WHERE {{ ?b <{EX}isbn_no> ?i . }}"
         first = store.sparql(query)
-        assert store.plan_cache_stats()["misses"] == 1
+        assert store.plan_cache_stats()["lifetime_misses"] == 1
         second = store.sparql("  " + query.replace("WHERE", "\nWHERE"))
-        assert store.plan_cache_stats()["hits"] == 1
+        assert store.plan_cache_stats()["lifetime_hits"] == 1
         assert first.plan is second.plan  # parse + plan were skipped entirely
         assert sorted(first.rows()) == sorted(second.rows())
 
@@ -279,25 +281,22 @@ class TestPlanCache:
         store.sparql(query, PlannerOptions(scheme=DEFAULT_SCHEME))
         store.sparql(query, PlannerOptions(scheme=OPTIMIZED_SCHEME))
         stats = store.plan_cache_stats()
-        assert stats["size"] == 2 and stats["hits"] == 0
+        assert stats["size"] == 2 and stats["lifetime_hits"] == 0
 
     def test_invalidation_on_reload_and_recluster(self):
         store = RDFStore.build(_book_triples(), config=_small_config())
         query = f"SELECT ?b WHERE {{ ?b <{EX}isbn_no> ?i . }}"
-        store.sparql(query)
-        store.sparql(query)
-        assert store.plan_cache_stats()["hits"] == 1
-        generation_before = store.plan_cache_stats()["generation"]
-        store.cluster()  # physical rebuild drops every cached plan
-        stats = store.plan_cache_stats()
-        assert stats["generation"] > generation_before  # clear() bumped it
-        assert stats == {"size": 0, "capacity": 128, "hits": 0,
-                         "misses": 0, "evictions": 0,
-                         "lifetime_hits": 1, "lifetime_misses": 1,
-                         "lifetime_evictions": 0,
-                         "generation": stats["generation"]}
+        plan = store.sparql(query).plan
+        assert store.sparql(query).plan is plan
+        generation_before = store.generation
+        store.cluster()  # a physical rebuild moves the version pair, clears nothing
+        assert store.generation > generation_before
+        assert store.plan_cache_stats() == {
+            "size": 1, "capacity": 128, "lifetime_hits": 1,
+            "lifetime_misses": 1, "lifetime_evictions": 0}
         result = store.sparql(query)  # replans against the new context
-        assert store.plan_cache_stats()["misses"] == 1
+        assert result.plan is not plan
+        assert store.plan_cache_stats()["lifetime_misses"] == 2
         assert len(result) == 30
 
     def test_cache_disabled_by_config(self):

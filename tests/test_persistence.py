@@ -15,6 +15,7 @@ Three properties are exercised:
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro import (
     PendingUpdatesError,
     PersistenceError,
     RDFStore,
+    SchemaError,
     StorageError,
     StoreConfig,
 )
@@ -147,7 +149,6 @@ class TestSnapshotRoundTrip:
         must be byte-identical to the saved store's."""
         store.save(tmp_path / "db")
         reopened = RDFStore.open(tmp_path / "db")
-        assert reopened.plan_cache.generation == store.plan_cache.generation
         for text in QUERIES:
             original = store.explain(text, PlannerOptions(scheme=OPTIMIZED_SCHEME))
             restored = reopened.explain(text, PlannerOptions(scheme=OPTIMIZED_SCHEME))
@@ -203,6 +204,44 @@ class TestSnapshotRoundTrip:
         assert (reopened.require_catalog().table_names("core")
                 == catalog.table_names("core"))
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["unpinned", "pinned"])
+    def test_reduced_schemas_survive_maintenance(self, store, tmp_path, pinned):
+        """What a user registered survives every transition that keeps the
+        tables it names — compaction and checkpoint, with or without a
+        snapshot pinned across them (clone-on-write) — and is what
+        ``save()`` → ``open()`` restores; re-discovery and reload, after
+        which those tables are gone, drop it."""
+        from repro.cs.summarize import SchemaSummary
+
+        def register() -> list:
+            cs_ids = [table.cs_id for table in store.schema.tables_by_support()][:1]
+            return store.require_catalog().register_summary(
+                "core", SchemaSummary(table_ids=cs_ids, foreign_keys=[]))
+
+        registered = register()
+        assert registered
+        with store.snapshot() if pinned else nullcontext():
+            catalog = store.catalog
+            store.update(insert_book(1))
+            store.compact()
+            assert store.catalog is not catalog  # compaction installed a new one
+            assert store.catalog.table_names("core") == registered
+            store.save(tmp_path / "db")
+            store.update(insert_book(2))
+            store.checkpoint()
+            assert store.catalog.table_names("core") == registered
+        reopened = RDFStore.open(tmp_path / "db")
+        assert reopened.catalog.table_names("core") == registered
+        store.discover_schema()
+        with pytest.raises(SchemaError, match="unknown reduced schema"):
+            store.catalog.table_names("core")
+        register()
+        store.load(book_triples())
+        assert store.catalog is None
+        store.discover_schema()
+        with pytest.raises(SchemaError, match="unknown reduced schema"):
+            store.catalog.table_names("core")
+
     def test_open_into_reuses_instance(self, store, tmp_path):
         store.save(tmp_path / "db")
         target = RDFStore(_config())
@@ -231,9 +270,9 @@ class TestLazyLoading:
         assert all(not block.subject_column.is_materialized
                    for block in reopened.clustered_store.blocks)
         # the base matrix is lazy too, yet its row count is known
-        assert reopened._matrix_data is None
+        assert not reopened._matrix.is_materialized
         assert reopened.triple_count() == store.triple_count()
-        assert reopened._matrix_data is None  # counting did not materialize
+        assert not reopened._matrix.is_materialized  # counting did not materialize
         # queries never need it; compaction does, and it loads on demand
         reopened.update(insert_book(1))
         reopened.compact()
@@ -316,8 +355,6 @@ class TestWriteAheadLog:
         store.update(f"DELETE WHERE {{ ?b <{EX}in_year> \"1993\"^^<{XSD_INT}> . }}")
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.has_pending_updates()
-        # generation parity holds even with post-save records to replay
-        assert reopened.plan_cache.generation == store.plan_cache.generation
         assert_stores_equivalent(store, reopened)
 
     def test_save_with_pending_updates_seeds_the_wal(self, store, tmp_path):
@@ -326,7 +363,6 @@ class TestWriteAheadLog:
         assert info.pending_updates_logged == 1
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.has_pending_updates()
-        assert reopened.plan_cache.generation == store.plan_cache.generation
         assert_stores_equivalent(store, reopened)
 
     def test_failed_compaction_keeps_the_journal(self, store, tmp_path, monkeypatch):
@@ -593,7 +629,9 @@ class TestFormatValidation:
     def test_manifests_from_before_the_knobs_went_still_open(self, store, tmp_path):
         """``"index": null`` (saved before the first build, or by a store that
         had the exhaustive indexes switched off) opens and builds on first
-        use; the two retired config keys are ignored and no longer written."""
+        use; the retired keys — two config knobs, the plan cache's own
+        generation and the WAL seed count that restored it — are ignored and
+        no longer written."""
         # (a) saved straight after load(): no schema, no stores at all
         bare = RDFStore(_config())
         bare.load(book_triples())
@@ -612,8 +650,10 @@ class TestFormatValidation:
         store.save(tmp_path / "db")
         manifest_path = tmp_path / "db" / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
+        assert not {"plan_cache_generation", "wal_seeded_records"} & set(manifest)
         manifest["index"] = None
         manifest["config"].update(build_exhaustive_indexes=False, build_zone_maps=True)
+        manifest.update(plan_cache_generation=7, wal_seeded_records=0)
         manifest_path.write_text(json.dumps(manifest))
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.is_clustered and reopened.index_store is None

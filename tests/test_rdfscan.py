@@ -1,5 +1,7 @@
 """Tests for RDFscan / RDFjoin and their equivalence with the Default plans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,7 +117,9 @@ class TestRDFScanEquivalence:
     def test_index_path_matches_clustered_path(self):
         ctx = _library_context()
         clustered_result, _ = execute_plan(RDFScanOp(_star(ctx)), ctx)
-        index_result, _ = execute_plan(RDFScanOp(_star(ctx), force_index_path=True), ctx)
+        # the ParseOrder configuration: the same context without a clustered store
+        index_ctx = dataclasses.replace(ctx, clustered_store=None)
+        index_result, _ = execute_plan(RDFScanOp(_star(ctx)), index_ctx)
         assert clustered_result.to_set(["b", "a", "y", "n"]) == index_result.to_set(["b", "a", "y", "n"])
 
     def test_range_constraint_consistency(self):
@@ -193,7 +197,8 @@ class TestRDFJoin:
         subjects = np.asarray(sorted(set(all_books.column("b").tolist()))[:7], dtype=np.int64)
         child = MaterializedOp(BindingTable({"b": subjects}))
         clustered, _ = execute_plan(RDFJoinOp(child, _star(ctx)), ctx)
-        via_index, _ = execute_plan(RDFJoinOp(child, _star(ctx), force_index_path=True), ctx)
+        via_index, _ = execute_plan(RDFJoinOp(child, _star(ctx)),
+                                    dataclasses.replace(ctx, clustered_store=None))
         assert clustered.to_set(["b", "a", "y", "n"]) == via_index.to_set(["b", "a", "y", "n"])
 
 
