@@ -267,7 +267,7 @@ class CardinalityEstimator:
             subjects = 0.0
             rows = 0.0
             for cs in tables:
-                cs_rows = float(max(cs.support, len(cs.subjects)))
+                cs_rows = float(cs.support)
                 selectivity = 1.0
                 fan_out = 1.0
                 for prop in star.properties:

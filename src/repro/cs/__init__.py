@@ -23,6 +23,7 @@ from .schema_model import (
     CharacteristicSet,
     EmergentSchema,
     ForeignKey,
+    Membership,
     Multiplicity,
     PropertyKind,
     PropertySpec,
@@ -50,6 +51,7 @@ __all__ = [
     "GeneralizationResult",
     "GeneralizedCS",
     "LabelingConfig",
+    "Membership",
     "Multiplicity",
     "PropertyKind",
     "PropertySpec",

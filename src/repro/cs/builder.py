@@ -32,6 +32,7 @@ from .relationships import RelationshipConfig, RelationshipResult, discover_rela
 from .schema_model import (
     CharacteristicSet,
     EmergentSchema,
+    Membership,
     PropertySpec,
     SchemaCoverage,
 )
@@ -156,17 +157,16 @@ def _assemble_schema(
                 fk_target_cs=fk.target_cs if fk else None,
                 fk_confidence=fk.confidence if fk else 0.0,
             )
-        table = CharacteristicSet(
+        schema.tables[gcs.gcs_id] = CharacteristicSet(
             cs_id=gcs.gcs_id,
             properties=properties,
-            subjects=list(gcs.subjects),
             support=gcs.support,
             merged_from=[],
         )
-        schema.add_table(table)
+    schema.membership = Membership.of_tables(
+        {gcs.gcs_id: gcs.subjects for gcs in generalization.generalized})
     schema.foreign_keys = [fk for fk in relationships.foreign_keys
                            if fk.source_cs in schema.tables and fk.target_cs in schema.tables]
-    schema.irregular_subjects = list(generalization.irregular_subjects)
     return schema
 
 
@@ -177,26 +177,19 @@ def measure_coverage(schema: EmergentSchema, matrix: np.ndarray) -> SchemaCovera
     A triple is covered when its subject belongs to a table *and* its
     predicate is one of that table's properties; everything else lives in
     the irregular triple store.  One vectorized pass, O(n log m): each row's
-    subject is resolved to its CS through a sorted lookup, and (CS,
+    subject is resolved to its CS by the schema's membership, and (CS,
     predicate) membership is tested with a single ``np.isin`` over packed
     keys — not one full-matrix scan per table.
     """
     subjects = np.unique(matrix[:, 0])
     coverage = SchemaCoverage(total_triples=int(matrix.shape[0]),
                               total_subjects=int(subjects.size))
-    if not matrix.size or not schema.subject_to_cs:
+    coverage.covered_subjects = int((schema.membership.cs_of(subjects) >= 0).sum())
+    if not coverage.covered_subjects:
         return coverage
-    covered_arr = np.asarray(sorted(schema.subject_to_cs), dtype=np.int64)
-    cs_of_covered = np.asarray([schema.subject_to_cs[int(s)] for s in covered_arr],
-                               dtype=np.int64)
-    coverage.covered_subjects = int(np.isin(subjects, covered_arr,
-                                            assume_unique=True).sum())
-    positions = np.searchsorted(covered_arr, matrix[:, 0])
-    positions = np.clip(positions, 0, covered_arr.size - 1)
-    row_covered = covered_arr[positions] == matrix[:, 0]
-    if not row_covered.any():
-        return coverage
-    row_cs = cs_of_covered[positions[row_covered]]
+    row_cs = schema.membership.cs_of(matrix[:, 0])
+    row_covered = row_cs >= 0
+    row_cs = row_cs[row_covered]
     row_pred = matrix[row_covered, 1]
     base = int(max(row_pred.max(),
                    max((max(cs.property_oids(), default=0)

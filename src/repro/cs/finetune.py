@@ -65,19 +65,14 @@ def apply_indirect_support(schema: EmergentSchema, relationships: RelationshipRe
 def prune_low_support_tables(schema: EmergentSchema, config: FinetuneConfig | None = None) -> List[int]:
     """Drop tables whose *total* support is below the configured minimum.
 
-    Returns the ids of the dropped tables; their subjects are appended to the
-    schema's irregular subject list.
+    Returns the ids of the dropped tables; their subjects become irregular.
     """
     config = config or FinetuneConfig()
     dropped: List[int] = []
     for cs_id in list(schema.tables):
-        table = schema.tables[cs_id]
-        if table.total_support() < config.min_total_support:
+        if schema.tables[cs_id].total_support() < config.min_total_support:
             schema.remove_table(cs_id)
-            schema.irregular_subjects.extend(table.subjects)
             dropped.append(cs_id)
-    if dropped:
-        schema.irregular_subjects = sorted(set(schema.irregular_subjects))
     return dropped
 
 
@@ -93,10 +88,9 @@ def merge_one_to_one_tables(
     holding the linking property); the linking property itself is dropped.
     Returns the list of ``(kept_cs, absorbed_cs)`` pairs.
 
-    Merged member subjects keep their own CS membership for the *target*
-    subjects — they are no longer listed as table members (their data is now
-    reachable via the source row), which mirrors how a blank-node satellite
-    disappears as a standalone table.
+    The *target*'s subjects stop being table members — they are irregular
+    from then on (their data is reachable via the source row) — which
+    mirrors how a blank-node satellite disappears as a standalone table.
     """
     config = config or FinetuneConfig()
     if not config.merge_one_to_one:

@@ -71,7 +71,7 @@ class GeneralizationResult:
 
     generalized: List[GeneralizedCS]
     subject_to_gcs: Dict[int, int]
-    irregular_subjects: List[int]
+    """Subjects absent from it are irregular."""
 
     def coverage(self, total_subjects: int) -> float:
         if total_subjects == 0:
@@ -113,27 +113,20 @@ def generalize(detection: DetectionResult,
         _merge_or_add_core(cores, ranked[0], config.core_merge_similarity)
         small = ranked[1:]
 
-    irregular: List[int] = []
-    for exact in small:
+    for exact in small:  # one that attaches to no core stays irregular
         best = _best_core(cores, exact.properties)
         if best is not None and jaccard(best.properties, exact.properties) >= config.attach_similarity:
             best.absorb(exact)
-        else:
-            irregular.extend(exact.subjects)
 
     if config.max_tables is not None and len(cores) > config.max_tables:
         cores.sort(key=lambda c: -len(c.subjects))
-        kept, dropped = cores[:config.max_tables], cores[config.max_tables:]
-        for core in dropped:
-            irregular.extend(core.subjects)
-        cores = kept
+        cores = cores[:config.max_tables]
 
     generalized: List[GeneralizedCS] = []
     subject_to_gcs: Dict[int, int] = {}
     for gcs_id, core in enumerate(cores):
         gcs = _finalize_core(gcs_id, core, detection, config)
         if not gcs.properties:
-            irregular.extend(core.subjects)
             continue
         generalized.append(gcs)
         for subject in gcs.subjects:
@@ -149,7 +142,6 @@ def generalize(detection: DetectionResult,
     return GeneralizationResult(
         generalized=generalized,
         subject_to_gcs=subject_to_gcs,
-        irregular_subjects=sorted(set(irregular)),
     )
 
 

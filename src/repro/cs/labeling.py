@@ -118,19 +118,14 @@ def _dominant_types(schema: EmergentSchema, triple_matrix: np.ndarray,
     """For each table, the most frequent rdf:type object OID among members."""
     if type_predicate_oid is None or triple_matrix is None or triple_matrix.shape[0] == 0:
         return {}
-    mask = triple_matrix[:, 1] == type_predicate_oid
-    typed = triple_matrix[mask]
-    counters: Dict[int, Counter] = {}
-    sample_counts: Dict[int, int] = {}
-    for s, _p, o in typed:
-        cs_id = schema.subject_to_cs.get(int(s))
-        if cs_id is None:
-            continue
-        if sample_counts.get(cs_id, 0) >= config.type_sample_limit:
-            continue
-        sample_counts[cs_id] = sample_counts.get(cs_id, 0) + 1
-        counters.setdefault(cs_id, Counter())[int(o)] += 1
-    return {cs_id: counter.most_common(1)[0][0] for cs_id, counter in counters.items() if counter}
+    typed = triple_matrix[triple_matrix[:, 1] == type_predicate_oid]
+    typed_cs = schema.membership.cs_of(typed[:, 0])
+    dominant: Dict[int, int] = {}
+    for cs_id in schema.tables:
+        sample = typed[typed_cs == cs_id, 2][:config.type_sample_limit]
+        if sample.size:
+            dominant[cs_id] = Counter(sample.tolist()).most_common(1)[0][0]
+    return dominant
 
 
 def _unique(name: str, used: set[str]) -> str:

@@ -3,18 +3,21 @@ foreign keys and the schema that groups them.
 
 A *characteristic set* (CS) is the set of properties that co-occur on a
 subject.  After detection and refinement, each surviving CS becomes a
-relational-style table: a list of member subjects plus, for each property, a
-column specification (multiplicity, inferred type, optional foreign key
-target).  The :class:`EmergentSchema` bundles the tables, the foreign-key
-graph and coverage accounting, and is what the storage layer, the SQL view
-and the optimizer all consume.
+relational-style table: for each property a column specification
+(multiplicity, inferred type, optional foreign key target).  Which subject
+belongs to which table is recorded once, in the schema's
+:class:`Membership`.  The :class:`EmergentSchema` bundles the tables, the
+membership, the foreign-key graph and coverage accounting, and is what the
+storage layer, the SQL view and the optimizer all consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
+
+import numpy as np
 
 
 class Multiplicity(Enum):
@@ -64,7 +67,6 @@ class CharacteristicSet:
 
     cs_id: int
     properties: Dict[int, PropertySpec]
-    subjects: List[int] = field(default_factory=list)
     support: int = 0
     """Number of member subjects (direct support)."""
     indirect_support: int = 0
@@ -128,21 +130,126 @@ class SchemaCoverage:
         return self.covered_subjects / self.total_subjects
 
 
+def _lookup_sorted(keys: np.ndarray, values: np.ndarray, queries: np.ndarray, missing):
+    """``values[i]`` where ``keys[i] == query`` (``keys`` ascending), else ``missing``."""
+    if not keys.size:
+        return np.where(False, queries, missing)
+    positions = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    return np.where(keys[positions] == queries, values[positions], missing)
+
+
+class Membership:
+    """Who belongs to which table — the only record of it.
+
+    Two aligned read-only ``int64`` arrays: ``subjects`` (strictly
+    ascending) and ``cs_ids``.  A subject that is not listed has no table:
+    it is *irregular*.  A membership is an immutable value; the four editing
+    functions return a new one, and whoever maintains a schema replaces the
+    one it holds.
+    """
+
+    __slots__ = ("subjects", "cs_ids")
+
+    def __init__(self, subjects=(), cs_ids=()) -> None:
+        subjects = np.array(subjects, dtype=np.int64).reshape(-1)
+        cs_ids = np.array(cs_ids, dtype=np.int64).reshape(-1)
+        if subjects.shape != cs_ids.shape:
+            raise ValueError(f"membership pairs {subjects.size} subjects with "
+                             f"{cs_ids.size} table ids")
+        if not (subjects[1:] > subjects[:-1]).all():
+            raise ValueError("membership subjects must be strictly ascending "
+                             "(a subject belongs to one table)")
+        subjects.setflags(write=False)
+        cs_ids.setflags(write=False)
+        self.subjects = subjects
+        self.cs_ids = cs_ids
+
+    @classmethod
+    def _sorted(cls, subjects: np.ndarray, cs_ids: np.ndarray) -> "Membership":
+        order = np.argsort(subjects, kind="stable")
+        return cls(subjects[order], cs_ids[order])
+
+    @classmethod
+    def of_tables(cls, members: Mapping[int, Iterable[int]]) -> "Membership":
+        """From each table's member subjects, given in any order."""
+        per_table = [np.asarray(subjects, dtype=np.int64).reshape(-1)
+                     for subjects in members.values()]
+        if not per_table:
+            return cls()
+        return cls._sorted(np.concatenate(per_table),
+                           np.repeat(np.asarray(list(members), dtype=np.int64),
+                                     [subjects.size for subjects in per_table]))
+
+    def __len__(self) -> int:
+        return int(self.subjects.size)
+
+    def __deepcopy__(self, memo) -> "Membership":
+        return self  # immutable: a copied schema shares it
+
+    # -- the two questions --------------------------------------------------------
+
+    def cs_of(self, oids) -> np.ndarray:
+        """Table id per OID, ``-1`` where the OID belongs to no table."""
+        return _lookup_sorted(self.subjects, self.cs_ids,
+                              np.asarray(oids, dtype=np.int64), -1)
+
+    def members(self, cs_id: int) -> np.ndarray:
+        """The member subjects of one table, ascending."""
+        return self.subjects[self.cs_ids == cs_id]
+
+    # -- the four edits (each returns a new membership) -----------------------------
+
+    def assigned(self, subjects, cs_id: int) -> "Membership":
+        """With ``subjects`` belonging to table ``cs_id`` (and to no other)."""
+        subjects = np.unique(np.asarray(subjects, dtype=np.int64))
+        rest = self.without(subjects)
+        return self._sorted(np.concatenate([rest.subjects, subjects]),
+                            np.concatenate([rest.cs_ids,
+                                            np.full(subjects.size, cs_id, dtype=np.int64)]))
+
+    def without(self, subjects) -> "Membership":
+        """With ``subjects`` belonging to no table."""
+        keep = ~np.isin(self.subjects, np.asarray(subjects, dtype=np.int64))
+        return Membership(self.subjects[keep], self.cs_ids[keep])
+
+    def without_table(self, cs_id: int) -> "Membership":
+        """With every member of table ``cs_id`` belonging to no table."""
+        keep = self.cs_ids != cs_id
+        return Membership(self.subjects[keep], self.cs_ids[keep])
+
+    def remapped(self, mapping: Mapping[int, int]) -> "Membership":
+        """With subject OIDs rewritten ``old -> new``; unmapped ones stay."""
+        if not mapping:
+            return self
+        old = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+        new = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+        order = np.argsort(old)
+        return self._sorted(_lookup_sorted(old[order], new[order], self.subjects,
+                                           self.subjects),
+                            self.cs_ids)
+
+
 @dataclass
 class EmergentSchema:
-    """The full discovered schema: tables, relationships and coverage."""
+    """The full discovered schema: tables, membership, relationships and
+    coverage.
+
+    A subject is *irregular* exactly when ``membership.cs_of`` answers
+    ``-1``; there are ``coverage.total_subjects - coverage.covered_subjects``
+    of them.
+    """
 
     tables: Dict[int, CharacteristicSet] = field(default_factory=dict)
     foreign_keys: List[ForeignKey] = field(default_factory=list)
-    subject_to_cs: Dict[int, int] = field(default_factory=dict)
+    membership: Membership = field(default_factory=Membership)
     coverage: SchemaCoverage = field(default_factory=SchemaCoverage)
-    irregular_subjects: List[int] = field(default_factory=list)
 
     # -- lookups ---------------------------------------------------------------
 
     def cs_of_subject(self, subject_oid: int) -> Optional[int]:
         """CS id a subject belongs to, or ``None`` if irregular."""
-        return self.subject_to_cs.get(subject_oid)
+        cs_id = int(self.membership.cs_of(subject_oid))
+        return None if cs_id < 0 else cs_id
 
     def table(self, cs_id: int) -> CharacteristicSet:
         return self.tables[cs_id]
@@ -163,18 +270,12 @@ class EmergentSchema:
     def foreign_keys_from(self, cs_id: int) -> List[ForeignKey]:
         return [fk for fk in self.foreign_keys if fk.source_cs == cs_id]
 
-    # -- mutation helpers used by the discovery pipeline -----------------------
-
-    def add_table(self, table: CharacteristicSet) -> None:
-        self.tables[table.cs_id] = table
-        for subject in table.subjects:
-            self.subject_to_cs[subject] = table.cs_id
+    # -- mutation helper used by the discovery pipeline ------------------------
 
     def remove_table(self, cs_id: int) -> CharacteristicSet:
+        """Drop a table; its members become irregular."""
         table = self.tables.pop(cs_id)
-        for subject in table.subjects:
-            if self.subject_to_cs.get(subject) == cs_id:
-                del self.subject_to_cs[subject]
+        self.membership = self.membership.without_table(cs_id)
         self.foreign_keys = [fk for fk in self.foreign_keys
                              if fk.source_cs != cs_id and fk.target_cs != cs_id]
         return table

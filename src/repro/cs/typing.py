@@ -280,5 +280,4 @@ def split_type_variants(
     return GeneralizationResult(
         generalized=new_sets,
         subject_to_gcs=subject_to_gcs,
-        irregular_subjects=list(generalization.irregular_subjects),
     )

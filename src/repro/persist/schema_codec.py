@@ -1,21 +1,25 @@
-"""JSON codec for the emergent schema.
+"""Codec for the emergent schema.
 
 The schema is the one structure that is genuinely expensive to recreate —
 it is the output of characteristic-set discovery — so the snapshot persists
-it in full: every table with its property specs and member subjects, the
-foreign-key graph, coverage accounting and the irregular-subject list.
-``subject_to_cs`` is not stored; it is exactly the inverse of the tables'
-subject lists and is rebuilt on decode.
+it in full, in two parts.  The JSON payload holds every table with its
+property specs, the foreign-key graph and coverage accounting: O(tables).
+Who belongs to which table is one ``(2, n)`` int64 array — the membership's
+subjects over their table ids — which the snapshot writes as a checksummed
+array file next to the JSON.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..cs import EmergentSchema
 from ..cs.schema_model import (
     CharacteristicSet,
     ForeignKey,
+    Membership,
     Multiplicity,
     PropertyKind,
     PropertySpec,
@@ -24,8 +28,13 @@ from ..cs.schema_model import (
 from ..errors import PersistenceError
 
 
+def membership_to_array(schema: EmergentSchema) -> np.ndarray:
+    """The schema's membership as one ``(2, n)`` array: subjects over table ids."""
+    return np.vstack([schema.membership.subjects, schema.membership.cs_ids])
+
+
 def schema_to_dict(schema: EmergentSchema) -> dict:
-    """Serialize an :class:`EmergentSchema` to a JSON-ready dictionary."""
+    """Serialize everything but the membership to a JSON-ready dictionary."""
     return {
         "tables": [_table_to_dict(table) for table in schema.tables.values()],
         "foreign_keys": [
@@ -43,19 +52,29 @@ def schema_to_dict(schema: EmergentSchema) -> dict:
             "total_subjects": schema.coverage.total_subjects,
             "covered_subjects": schema.coverage.covered_subjects,
         },
-        "irregular_subjects": list(schema.irregular_subjects),
     }
 
 
-def schema_from_dict(payload: dict) -> EmergentSchema:
-    """Rebuild a schema persisted by :func:`schema_to_dict`."""
+def schema_from_dict(payload: dict, membership: Optional[np.ndarray]) -> EmergentSchema:
+    """Rebuild a schema from its JSON payload and its membership array.
+
+    ``membership`` is ``None`` for a format v1 database, which has no
+    membership file: its table payloads list their ``subjects`` instead
+    (its list of irregular subjects is implied, so ignored).
+    """
     try:
         schema = EmergentSchema()
         for table_payload in payload["tables"]:
             table = _table_from_dict(table_payload)
             schema.tables[table.cs_id] = table
-            for subject in table.subjects:
-                schema.subject_to_cs[subject] = table.cs_id
+        if membership is None:
+            schema.membership = Membership.of_tables(
+                {int(table_payload["cs_id"]): table_payload["subjects"]
+                 for table_payload in payload["tables"]})
+        else:
+            schema.membership = Membership(*np.asarray(membership).reshape(2, -1))
+            if not np.isin(schema.membership.cs_ids, list(schema.tables)).all():
+                raise ValueError("membership names a table the schema does not have")
         schema.foreign_keys = [
             ForeignKey(
                 source_cs=int(fk["source_cs"]),
@@ -72,7 +91,6 @@ def schema_from_dict(payload: dict) -> EmergentSchema:
             total_subjects=int(coverage["total_subjects"]),
             covered_subjects=int(coverage["covered_subjects"]),
         )
-        schema.irregular_subjects = [int(s) for s in payload["irregular_subjects"]]
         return schema
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed schema payload: {exc}") from exc
@@ -89,7 +107,6 @@ def _table_to_dict(table: CharacteristicSet) -> dict:
         "indirect_support": table.indirect_support,
         "merged_from": list(table.merged_from),
         "type_signature": list(table.type_signature),
-        "subjects": [int(s) for s in table.subjects],
         "properties": [_spec_to_dict(spec) for spec in table.properties.values()],
     }
 
@@ -102,7 +119,6 @@ def _table_from_dict(payload: dict) -> CharacteristicSet:
     return CharacteristicSet(
         cs_id=int(payload["cs_id"]),
         properties=properties,
-        subjects=[int(s) for s in payload["subjects"]],
         support=int(payload["support"]),
         indirect_support=int(payload["indirect_support"]),
         label=str(payload["label"]),

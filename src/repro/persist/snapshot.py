@@ -9,6 +9,7 @@ A *database directory* holds a manifest pointing at the current snapshot
       gen-<epoch>/
         dictionary.nt        -- one Term.n3() line per OID, in OID order
         schema.json          -- emergent schema (tables, FKs, coverage)
+        membership.bin       -- (2, n) array: regular subjects / their table ids
         matrix.bin           -- base (n, 3) triple matrix, storage order
         wal.log              -- write-ahead log (see repro.persist.wal)
         columns/             -- one checksummed array file per column
@@ -65,14 +66,17 @@ from .io import (
     write_json_atomic,
     write_text,
 )
-from .schema_codec import schema_from_dict, schema_to_dict
+from .schema_codec import membership_to_array, schema_from_dict, schema_to_dict
 from .wal import WriteAheadLog
 
 FORMAT_NAME = "repro-db"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+"""What this build writes.  It also reads v1, which differs only in where the
+schema keeps table members (see :func:`.schema_codec.schema_from_dict`)."""
 MANIFEST_FILE = "MANIFEST.json"
 DICTIONARY_FILE = "dictionary.nt"
 SCHEMA_FILE = "schema.json"
+MEMBERSHIP_FILE = "membership.bin"
 MATRIX_FILE = "matrix.bin"
 WAL_FILE = "wal.log"
 COLUMNS_DIR = "columns"
@@ -172,7 +176,11 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         schema_text = json_dumps(schema_to_dict(store.schema), indent=2, sort_keys=True)
         schema_crc = write_text(gen_dir / SCHEMA_FILE, schema_text)
         _note(gen_dir / SCHEMA_FILE)
-        schema_entry = {"file": SCHEMA_FILE, "crc": schema_crc}
+        membership_crc = write_array(gen_dir / MEMBERSHIP_FILE,
+                                     membership_to_array(store.schema))
+        _note(gen_dir / MEMBERSHIP_FILE)
+        schema_entry = {"file": SCHEMA_FILE, "crc": schema_crc,
+                        "membership": {"file": MEMBERSHIP_FILE, "crc": membership_crc}}
 
     index_entry = _write_index_store(store.index_store, columns_dir, _note)
     clustered_entry = _write_clustered_store(store.clustered_store, columns_dir,
@@ -417,10 +425,10 @@ class SnapshotReader:
         if self.manifest.get("format") != FORMAT_NAME:
             raise PersistenceError(f"{manifest_path} is not a {FORMAT_NAME} manifest")
         version = self.manifest.get("format_version")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise PersistenceError(
                 f"database format v{version} is not supported by this build "
-                f"(expected v{FORMAT_VERSION})")
+                f"(expected v{FORMAT_VERSION} or v1)")
         self.base = generation_dir(self.root, self.manifest)
         if not self.base.is_dir():
             raise PersistenceError(
@@ -485,7 +493,11 @@ class SnapshotReader:
         if entry is None:
             return None
         text = read_text(self.base / entry["file"], expect_crc=entry["crc"])
-        return schema_from_dict(json_loads(text))
+        membership = None  # what a format v1 schema entry leaves it at
+        if "membership" in entry:
+            membership = read_array(self.base / entry["membership"]["file"],
+                                    expect_crc=entry["membership"]["crc"])
+        return schema_from_dict(json_loads(text), membership)
 
     def build_index_store(self, pool: Optional[BufferPool]) -> Optional[ExhaustiveIndexStore]:
         entry = self.manifest.get("index")

@@ -116,78 +116,57 @@ class ClusteredStore:
         per zone; whether a plan uses them is the planner's choice.
         """
         matrix = np.asarray(triple_matrix, dtype=np.int64).reshape(-1, 3)
+        # group the rows by their subject's table (-1, no table, sorts first);
+        # the stable sort keeps matrix row order inside each group
+        row_cs = schema.membership.cs_of(matrix[:, 0])
+        by_cs = np.argsort(row_cs, kind="stable")
+        grouped_cs = row_cs[by_cs]
+        in_block = np.zeros(matrix.shape[0], dtype=bool)
         blocks: List[CSBlock] = []
-        irregular_rows: List[np.ndarray] = []
-
-        subject_cs = schema.subject_to_cs
-        cs_rows: Dict[int, List[int]] = {cs_id: [] for cs_id in schema.tables}
-        irregular_mask = np.zeros(matrix.shape[0], dtype=bool)
-
-        for row_idx in range(matrix.shape[0]):
-            s = int(matrix[row_idx, 0])
-            p = int(matrix[row_idx, 1])
-            cs_id = subject_cs.get(s)
-            if cs_id is None:
-                irregular_mask[row_idx] = True
-                continue
-            table = schema.tables[cs_id]
-            spec = table.properties.get(p)
-            if spec is None or spec.multiplicity is Multiplicity.MANY:
-                irregular_mask[row_idx] = True
-                continue
-            cs_rows[cs_id].append(row_idx)
-
-        for cs_id in sorted(cs_rows):
-            table = schema.tables[cs_id]
-            rows = cs_rows[cs_id]
-            block, spilled = cls._build_block(matrix, rows, table, pool, zone_size, name)
+        for cs_id in sorted(schema.tables):
+            lo, hi = np.searchsorted(grouped_cs, (cs_id, cs_id + 1))
+            block, stored = cls._build_block(
+                matrix, by_cs[lo:hi], schema.tables[cs_id],
+                schema.membership.members(cs_id), pool, zone_size, name)
             blocks.append(block)
-            if spilled.size:
-                irregular_rows.append(spilled)
-
-        irregular_matrix = matrix[irregular_mask]
-        if irregular_rows:
-            irregular_matrix = np.vstack([irregular_matrix] + irregular_rows) if irregular_matrix.size \
-                else np.vstack(irregular_rows)
-        irregular = TripleTable(irregular_matrix, order="pso", pool=pool, name=f"{name}.irregular")
+            in_block[stored] = True
+        irregular = TripleTable(matrix[~in_block], order="pso", pool=pool,
+                                name=f"{name}.irregular")
         return cls(blocks=blocks, irregular=irregular, schema=schema, pool=pool)
 
     @staticmethod
     def _build_block(
         matrix: np.ndarray,
-        row_indexes: List[int],
+        rows: np.ndarray,
         table,
+        subjects: np.ndarray,
         pool: Optional[BufferPool],
         zone_size: int,
         name: str,
     ) -> Tuple[CSBlock, np.ndarray]:
-        """Build one CS block; returns the block and any spilled (extra) rows."""
-        subjects = np.asarray(sorted(table.subjects), dtype=np.int64)
-        position_of = {int(s): i for i, s in enumerate(subjects)}
-        width = len(subjects)
+        """Build one CS block from its members' rows (matrix row indexes in
+        row order); returns the block and the rows its columns hold.
 
+        The first value of a (property, subject) cell in row order fills the
+        column.  Every other row — a later value of a nominally
+        single-valued property, a ``MANY`` property, a property the table
+        does not have — is left to the irregular table.
+        """
+        width = subjects.size
         column_props = [p for p, spec in table.properties.items()
                         if spec.multiplicity is not Multiplicity.MANY]
-        data: Dict[int, np.ndarray] = {
-            p: np.full(width, NULL_OID, dtype=np.int64) for p in column_props
-        }
-        spilled: List[Tuple[int, int, int]] = []
-
-        for row_idx in row_indexes:
-            s, p, o = (int(v) for v in matrix[row_idx])
-            position = position_of.get(s)
-            if position is None:
-                spilled.append((s, p, o))
-                continue
-            column = data.get(p)
-            if column is None:
-                spilled.append((s, p, o))
-                continue
-            if column[position] == NULL_OID:
-                column[position] = o
-            else:
-                # second value of a nominally single-valued property: spill
-                spilled.append((s, p, o))
+        rows = rows[np.isin(matrix[rows, 1], column_props)]
+        positions = np.searchsorted(subjects, matrix[rows, 0])
+        # one key per cell, ordered by (property, position); ``first`` is each
+        # cell's first row in row order
+        cells, first = np.unique(matrix[rows, 1] * width + positions, return_index=True)
+        stored = rows[first]
+        data: Dict[int, np.ndarray] = {}
+        for p in column_props:
+            lo, hi = np.searchsorted(cells, (p * width, (p + 1) * width))
+            values = np.full(width, NULL_OID, dtype=np.int64)
+            values[cells[lo:hi] - p * width] = matrix[stored[lo:hi], 2]
+            data[p] = values
 
         label = table.label or f"cs{table.cs_id}"
         subject_column = Column(
@@ -220,9 +199,7 @@ class ClusteredStore:
             zone_maps=zone_maps,
             sorted_properties=sorted_properties,
         )
-        spilled_matrix = np.asarray(spilled, dtype=np.int64).reshape(-1, 3) if spilled \
-            else np.empty((0, 3), dtype=np.int64)
-        return block, spilled_matrix
+        return block, stored
 
     # -- access -------------------------------------------------------------------
 
@@ -234,9 +211,6 @@ class ClusteredStore:
     def find_block(self, cs_id: Optional[int]) -> Optional[CSBlock]:
         """The block of one characteristic set, or ``None`` when it has none."""
         return self._by_cs.get(cs_id)
-
-    def block_of_subject(self, subject_oid: int) -> Optional[CSBlock]:
-        return self.find_block(self.schema.subject_to_cs.get(subject_oid))
 
     def blocks_with_properties(self, predicate_oids: Iterable[int]) -> List[CSBlock]:
         """Blocks whose CS contains every one of the given predicates."""

@@ -102,11 +102,8 @@ def plan_subject_clustering(
     lacking the key keep their relative position at the end of the block.
     """
     sort_keys = sort_keys or {}
-    member_subjects: List[int] = []
-    for table in schema.tables.values():
-        member_subjects.extend(table.subjects)
-    member_subjects = sorted(set(member_subjects))
-    if not member_subjects:
+    available = schema.membership.subjects.tolist()  # sorted ascending
+    if not available:
         return ClusteringPlan(mapping={}, cs_order=[], sort_keys=dict(sort_keys))
 
     # value of the sort-key property per subject, when requested
@@ -114,14 +111,10 @@ def plan_subject_clustering(
 
     cs_order = [table.cs_id for table in schema.tables_by_support()]
     cs_rank = {cs_id: rank for rank, cs_id in enumerate(cs_order)}
-
-    def order_key(subject: int) -> tuple:
-        cs_id = schema.subject_to_cs[subject]
-        return (cs_rank[cs_id], key_values.get(subject, _MISSING_KEY), subject)
-
-    desired = sorted(member_subjects, key=order_key)
-    available = member_subjects  # already sorted ascending
-    mapping = {old: new for old, new in zip(desired, available)}
+    desired = sorted(zip((cs_rank[cs_id] for cs_id in schema.membership.cs_ids.tolist()),
+                         (key_values.get(subject, _MISSING_KEY) for subject in available),
+                         available))
+    mapping = {old: new for (_rank, _key, old), new in zip(desired, available)}
     return ClusteringPlan(mapping=mapping, cs_order=cs_order, sort_keys=dict(sort_keys))
 
 
@@ -140,11 +133,7 @@ def _subject_key_values(
         return {}
     wanted: Dict[int, int] = {}
     for cs_id, predicate in sort_keys.items():
-        table = schema.tables.get(cs_id)
-        if table is None:
-            continue
-        for subject in table.subjects:
-            wanted[subject] = predicate
+        wanted.update(dict.fromkeys(schema.membership.members(cs_id).tolist(), predicate))
     values: Dict[int, tuple] = {}
     for s, p, o in matrix:
         s_int, p_int = int(s), int(p)
@@ -170,15 +159,5 @@ def cluster_subjects(
         return matrix.copy(), plan
     dictionary.remap(plan.mapping)
     new_matrix = apply_oid_mapping(matrix, plan.mapping)
-    _rewrite_schema_subjects(schema, plan.mapping)
+    schema.membership = schema.membership.remapped(plan.mapping)
     return new_matrix, plan
-
-
-def _rewrite_schema_subjects(schema: EmergentSchema, mapping: Dict[int, int]) -> None:
-    new_subject_to_cs: Dict[int, int] = {}
-    for table in schema.tables.values():
-        table.subjects = sorted(mapping.get(s, s) for s in table.subjects)
-        for subject in table.subjects:
-            new_subject_to_cs[subject] = table.cs_id
-    schema.subject_to_cs = new_subject_to_cs
-    schema.irregular_subjects = sorted(mapping.get(s, s) for s in schema.irregular_subjects)

@@ -178,6 +178,15 @@ class TripleTable:
     # -- statistics ----------------------------------------------------------
 
     def predicate_counts(self) -> Dict[int, int]:
-        """Triple count per predicate OID (metadata op, no accounting)."""
-        values, counts = np.unique(self._columns["p"].data, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
+        """Triple count per predicate OID (metadata op, no accounting).
+
+        Run lengths of the predicate column, so the table must be sorted on
+        ``p`` first (PSO / POS).
+        """
+        if self.order[0] != "p":
+            raise StorageError(
+                f"predicate counts need a predicate-first table, not {self.order!r}")
+        predicates = self._columns["p"].data
+        starts = np.flatnonzero(np.diff(predicates, prepend=predicates[:1] - 1))
+        counts = np.diff(starts, append=len(predicates))
+        return dict(zip(predicates[starts].tolist(), counts.tolist()))

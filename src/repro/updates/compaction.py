@@ -80,23 +80,23 @@ def compact_store(store) -> CompactionReport:
         return report
 
     delta = store.delta.freeze()
-    delta_subjects = [int(s) for s in np.unique(delta.matrix()[:, 0])]
-    tombstone_subjects = {int(s) for s in delta.tombstone_matrix()[:, 0]}
+    delta_subjects = np.unique(delta.matrix()[:, 0])
+    tombstone_subjects = np.unique(delta.tombstone_matrix()[:, 0])
 
     merged, report.merged_inserts, report.applied_deletes = merge_matrices(store.matrix, delta)
 
     schema = store.schema
     if schema is not None:
-        merged_subject_set: Set[int] = set(int(s) for s in np.unique(merged[:, 0])) \
-            if merged.size else set()
-        affected_cs = _remove_emptied_subjects(schema, tombstone_subjects,
-                                               merged_subject_set, report)
-        affected_cs |= _assign_new_subjects(schema, merged, delta_subjects, report)
-        # statistics drift wherever members gained or lost triples
-        affected_cs |= {schema.subject_to_cs[s] for s in tombstone_subjects
-                        if s in schema.subject_to_cs}
-        affected_cs |= {schema.subject_to_cs[s] for s in delta_subjects
-                        if s in schema.subject_to_cs}
+        # statistics drift wherever members gained or lost triples, so a
+        # touched subject's table before *and* after the maintenance counts
+        touched = np.union1d(delta_subjects, tombstone_subjects)
+        before = schema.membership.cs_of(touched)
+        gone = tombstone_subjects[~np.isin(tombstone_subjects, merged[:, 0])]
+        schema.membership = schema.membership.without(gone)
+        report.subjects_removed = int(gone.size)
+        _assign_new_subjects(schema, store.matrix, merged, delta_subjects, report)
+        after = schema.membership.cs_of(touched)
+        affected_cs = set(np.concatenate([before, after]).tolist()) - {-1}
         _refresh_table_statistics(schema, merged, affected_cs)
         schema.coverage = measure_coverage(schema, merged)
 
@@ -106,36 +106,6 @@ def compact_store(store) -> CompactionReport:
 
 
 # -- schema maintenance ------------------------------------------------------------
-
-
-def _remove_emptied_subjects(schema, tombstone_subjects: Set[int],
-                             merged_subjects: Set[int], report: CompactionReport) -> Set[int]:
-    affected: Set[int] = set()
-    gone = {s for s in tombstone_subjects if s not in merged_subjects}
-    if not gone:
-        return affected
-    # batch the removals per table: one filter pass each, not one per subject
-    by_table: Dict[int, Set[int]] = {}
-    irregular_gone: Set[int] = set()
-    for subject in gone:
-        cs_id = schema.subject_to_cs.get(subject)
-        if cs_id is not None:
-            by_table.setdefault(cs_id, set()).add(subject)
-        elif subject in schema.irregular_subjects:
-            irregular_gone.add(subject)
-    for cs_id, removed in by_table.items():
-        table = schema.tables[cs_id]
-        table.subjects = [s for s in table.subjects if s not in removed]
-        table.support = len(table.subjects)
-        for subject in removed:
-            del schema.subject_to_cs[subject]
-        affected.add(cs_id)
-        report.subjects_removed += len(removed)
-    if irregular_gone:
-        schema.irregular_subjects = [s for s in schema.irregular_subjects
-                                     if s not in irregular_gone]
-        report.subjects_removed += len(irregular_gone)
-    return affected
 
 
 def match_characteristic_set(schema, props: Set[int]) -> Optional[int]:
@@ -163,46 +133,33 @@ def match_characteristic_set(schema, props: Set[int]) -> Optional[int]:
     return None if best is None else best[2]
 
 
-def _assign_new_subjects(schema, merged: np.ndarray, delta_subjects: List[int],
-                         report: CompactionReport) -> Set[int]:
-    """Route delta subjects that have no CS yet: exact/subset match or leftover."""
-    affected: Set[int] = set()
-    candidates = [s for s in delta_subjects if s not in schema.subject_to_cs]
-    if not candidates:
-        return affected
+def _assign_new_subjects(schema, base: np.ndarray, merged: np.ndarray,
+                         delta_subjects: np.ndarray, report: CompactionReport) -> None:
+    """Route delta subjects that have no table: exact/subset match, else they
+    stay irregular — new to the leftover bucket when ``base`` never had them."""
+    candidates = delta_subjects[schema.membership.cs_of(delta_subjects) < 0]
+    if not candidates.size:
+        return
     property_sets = _property_sets_of(merged, candidates)
-    irregular = set(schema.irregular_subjects)
-    additions: Dict[int, Set[int]] = {}
-    for subject in candidates:
+    in_base = np.isin(candidates, base[:, 0])
+    additions: Dict[int, List[int]] = {}
+    for subject, was_in_base in zip(candidates.tolist(), in_base.tolist()):
         props = property_sets.get(subject)
         if not props:  # inserted then fully deleted again before compaction
             continue
         cs_id = match_characteristic_set(schema, props)
-        if cs_id is None:
-            if subject not in irregular:
-                irregular.add(subject)
-                report.subjects_leftover += 1
-            continue
-        additions.setdefault(cs_id, set()).add(subject)
-        schema.subject_to_cs[subject] = cs_id
-        irregular.discard(subject)
-        report.subjects_assigned += 1
-        report.assignments[cs_id] = report.assignments.get(cs_id, 0) + 1
-    # batch per table: one merge-and-sort each, not one per subject
+        if cs_id is not None:
+            additions.setdefault(cs_id, []).append(subject)
+        elif not was_in_base:
+            report.subjects_leftover += 1
     for cs_id, subjects in additions.items():
-        table = schema.tables[cs_id]
-        table.subjects = sorted(set(table.subjects) | subjects)
-        table.support = len(table.subjects)
-        affected.add(cs_id)
-    schema.irregular_subjects = sorted(irregular)
-    return affected
+        schema.membership = schema.membership.assigned(subjects, cs_id)
+        report.subjects_assigned += len(subjects)
+        report.assignments[cs_id] = len(subjects)
 
 
-def _property_sets_of(matrix: np.ndarray, subjects: List[int]) -> Dict[int, Set[int]]:
-    if matrix.size == 0 or not subjects:
-        return {}
-    wanted = np.asarray(sorted(set(subjects)), dtype=np.int64)
-    rows = matrix[np.isin(matrix[:, 0], wanted)]
+def _property_sets_of(matrix: np.ndarray, subjects: np.ndarray) -> Dict[int, Set[int]]:
+    rows = matrix[np.isin(matrix[:, 0], subjects)]
     out: Dict[int, Set[int]] = {}
     for s, p in zip(rows[:, 0], rows[:, 1]):
         out.setdefault(int(s), set()).add(int(p))
@@ -210,12 +167,14 @@ def _property_sets_of(matrix: np.ndarray, subjects: List[int]) -> Dict[int, Set[
 
 
 def _refresh_table_statistics(schema, merged: np.ndarray, cs_ids: Set[int]) -> None:
-    """Recompute presence / mean multiplicity / multiplicity class per column."""
+    """Recompute support and, per column, presence / mean multiplicity /
+    multiplicity class."""
     for cs_id in cs_ids:
-        table = schema.tables.get(cs_id)
-        if table is None or not table.subjects:
+        table = schema.tables[cs_id]
+        members = schema.membership.members(cs_id)
+        table.support = int(members.size)
+        if not table.support:
             continue
-        members = np.asarray(table.subjects, dtype=np.int64)
         rows = merged[np.isin(merged[:, 0], members)] if merged.size else merged
         predicates = rows[:, 1] if rows.size else np.empty(0, dtype=np.int64)
         for predicate_oid, spec in table.properties.items():

@@ -46,6 +46,22 @@ def book_triples(books: int = 30, authors: int = 5, with_irregular: bool = True)
     return triples
 
 
+def person_address_triples(people: int = 40):
+    """Persons each linked 1-1 to an address of their own: under
+    ``small_graph_config()`` fine-tuning merges the pair into one table and
+    every address subject is left without one."""
+    triples = []
+    for i in range(people):
+        person, address = IRI(f"{EX}person/{i}"), IRI(f"{EX}addr/{i}")
+        triples.append(Triple(person, IRI(f"{EX}name"), Literal(f"Name {i}")))
+        triples.append(Triple(person, IRI(f"{EX}age"),
+                              Literal(str(20 + i), datatype=XSD_INTEGER)))
+        triples.append(Triple(person, IRI(f"{EX}address"), address))
+        triples.append(Triple(address, IRI(f"{EX}street"), Literal(f"Street {i}")))
+        triples.append(Triple(address, IRI(f"{EX}city"), Literal(f"City {i % 5}")))
+    return triples
+
+
 # -- the canonical stores (session fixtures in ``conftest``; also built by the
 #    golden-plan generator, which runs outside pytest) ---------------------------------
 

@@ -1,8 +1,9 @@
 """Reference implementations the engine no longer ships, kept as test oracles.
 
 All were the production code — until the literal order index moved into
-``TermDictionary``, the residual star scan became set-at-a-time and the
-engine started leaving OID space one column at a time:
+``TermDictionary``, the residual star scan became set-at-a-time, the
+engine started leaving OID space one column at a time and the clustered
+store started routing rows through the schema's membership arrays:
 
 * :func:`sorted_literal_oids` / :func:`oracle_literal_range` — the full
   Python sort of every literal plus bisect over a materialised key list
@@ -12,7 +13,9 @@ engine started leaving OID space one column at a time:
   one cartesian product at a time;
 * :class:`PerCellDecoder` — ``ValueDecoder.numeric`` / ``python_value`` and
   the ``.item()``-per-cell ``QueryResult.rows`` / ``decoded_rows``: one
-  dictionary probe, one ``isinstance`` and one ``to_python()`` per cell.
+  dictionary probe, one ``isinstance`` and one ``to_python()`` per cell;
+* :func:`per_row_clustered_build` — ``ClusteredStore.build`` as a dict probe
+  per triple plus a per-row fill loop behind a ``position_of`` dict.
 
 A plain importable module for the same reason as ``_datasets``.
 """
@@ -20,15 +23,18 @@ A plain importable module for the same reason as ``_datasets``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.columnar import NULL_OID
+from repro.columnar import NULL_OID, Column, ZoneMap
+from repro.cs import Multiplicity
 from repro.engine.bindings import BindingTable
 from repro.engine.plan import OidRange, StarPattern, StarProperty
 from repro.model import Literal, TermDictionary
 from repro.model.terms import term_sort_key
+from repro.storage import ClusteredStore, TripleTable
+from repro.storage.clustered import CSBlock, _is_sorted_ignoring_nulls
 
 
 # -- the per-cell value bridge -----------------------------------------------------------
@@ -130,7 +136,7 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
         subject = int(subject)
         if star.subject_range is not None and not star.subject_range.contains(subject):
             continue
-        block = store.block_of_subject(subject)
+        block = store.find_block(store.schema.cs_of_subject(subject))
         per_property: List[List[int]] = []
         satisfiable = True
         for prop in star.properties:
@@ -207,3 +213,98 @@ def _expand_product(rows: Dict[str, List[int]], star: StarPattern, subject: int,
     for combo in combos:
         for name in rows:
             rows[name].append(combo.get(name, NULL_OID))
+
+
+# -- the per-row clustered build -------------------------------------------------------
+
+
+def per_row_clustered_build(matrix: np.ndarray, schema, zone_size: int = 1024,
+                            name: str = "clustered") -> ClusteredStore:
+    """``ClusteredStore.build`` one triple at a time.
+
+    Membership is a plain ``subject -> cs_id`` dict here, probed per row;
+    each routed row is then placed through a ``position_of`` dict.
+    """
+    matrix = np.asarray(matrix, dtype=np.int64).reshape(-1, 3)
+    blocks: List[CSBlock] = []
+    irregular_rows: List[np.ndarray] = []
+
+    subject_cs = dict(zip(schema.membership.subjects.tolist(),
+                          schema.membership.cs_ids.tolist()))
+    cs_rows: Dict[int, List[int]] = {cs_id: [] for cs_id in schema.tables}
+    irregular_mask = np.zeros(matrix.shape[0], dtype=bool)
+
+    for row_idx in range(matrix.shape[0]):
+        s = int(matrix[row_idx, 0])
+        p = int(matrix[row_idx, 1])
+        cs_id = subject_cs.get(s)
+        if cs_id is None:
+            irregular_mask[row_idx] = True
+            continue
+        table = schema.tables[cs_id]
+        spec = table.properties.get(p)
+        if spec is None or spec.multiplicity is Multiplicity.MANY:
+            irregular_mask[row_idx] = True
+            continue
+        cs_rows[cs_id].append(row_idx)
+
+    for cs_id in sorted(cs_rows):
+        members = sorted(s for s, cs in subject_cs.items() if cs == cs_id)
+        block, spilled = _per_row_block(matrix, cs_rows[cs_id], schema.tables[cs_id],
+                                        members, zone_size, name)
+        blocks.append(block)
+        if spilled.size:
+            irregular_rows.append(spilled)
+
+    irregular_matrix = np.vstack([matrix[irregular_mask]] + irregular_rows)
+    irregular = TripleTable(irregular_matrix, order="pso", name=f"{name}.irregular")
+    return ClusteredStore(blocks=blocks, irregular=irregular, schema=schema)
+
+
+def _per_row_block(matrix: np.ndarray, row_indexes: List[int], table, members: List[int],
+                   zone_size: int, name: str) -> Tuple[CSBlock, np.ndarray]:
+    """Build one CS block; returns the block and any spilled (extra) rows."""
+    subjects = np.asarray(members, dtype=np.int64)
+    position_of = {int(s): i for i, s in enumerate(subjects)}
+    width = len(subjects)
+
+    column_props = [p for p, spec in table.properties.items()
+                    if spec.multiplicity is not Multiplicity.MANY]
+    data: Dict[int, np.ndarray] = {
+        p: np.full(width, NULL_OID, dtype=np.int64) for p in column_props
+    }
+    spilled: List[Tuple[int, int, int]] = []
+
+    for row_idx in row_indexes:
+        s, p, o = (int(v) for v in matrix[row_idx])
+        position = position_of.get(s)
+        if position is None:
+            spilled.append((s, p, o))
+            continue
+        column = data.get(p)
+        if column is None:
+            spilled.append((s, p, o))
+            continue
+        if column[position] == NULL_OID:
+            column[position] = o
+        else:
+            # second value of a nominally single-valued property: spill
+            spilled.append((s, p, o))
+
+    property_columns = {
+        p: Column(segment_id=f"{name}.cs{table.cs_id}.p{p}", values=values,
+                  sorted_ascending=False)
+        for p, values in data.items()
+    }
+    block = CSBlock(
+        cs_id=table.cs_id,
+        label=table.label or f"cs{table.cs_id}",
+        subject_column=Column(segment_id=f"{name}.cs{table.cs_id}.subject",
+                              values=subjects, sorted_ascending=True),
+        property_columns=property_columns,
+        zone_maps={p: ZoneMap.build(column.data, zone_size=zone_size)
+                   for p, column in property_columns.items()},
+        sorted_properties=frozenset(
+            p for p, values in data.items() if _is_sorted_ignoring_nulls(values)),
+    )
+    return block, np.asarray(spilled, dtype=np.int64).reshape(-1, 3)

@@ -96,7 +96,7 @@ class TestGeneralization:
         result = generalize(detect_characteristic_sets(sets),
                             GeneralizationConfig(min_support=3, attach_similarity=0.5))
         assert 100 in result.subject_to_gcs
-        assert 101 in result.irregular_subjects
+        assert 101 not in result.subject_to_gcs  # irregular
 
     def test_rare_property_dropped_below_minority_threshold(self):
         sets = {i: frozenset({1, 2}) for i in range(50)}
@@ -126,11 +126,10 @@ class TestGeneralization:
     def test_partition_invariants_property(self, sets):
         """Every subject is either in exactly one generalized CS or irregular."""
         result = generalize(detect_characteristic_sets(sets), GeneralizationConfig(min_support=2))
-        covered = set(result.subject_to_gcs)
-        irregular = set(result.irregular_subjects)
-        assert covered | irregular == set(sets)
-        assert not (covered & irregular)
+        covered = set(result.subject_to_gcs)  # every other subject is irregular
+        assert covered <= set(sets)
         member_lists = [set(g.subjects) for g in result.generalized]
+        assert set().union(*member_lists) == covered
         for i, members in enumerate(member_lists):
             for other in member_lists[i + 1:]:
                 assert not (members & other)
@@ -193,9 +192,11 @@ class TestFullDiscovery:
 
     def test_subject_to_cs_consistency(self):
         schema, _dictionary, _matrix = _dblp_schema()
+        assert len(schema.membership) == sum(t.support for t in schema.tables.values())
         for cs_id, table in schema.tables.items():
-            for subject in table.subjects:
-                assert schema.subject_to_cs[subject] == cs_id
+            members = schema.membership.members(cs_id)
+            assert members.size == table.support
+            assert all(schema.cs_of_subject(subject) == cs_id for subject in members.tolist())
 
     def test_figure2_example_structure(self):
         dictionary, matrix = encode_graph(figure2_example())

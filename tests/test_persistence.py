@@ -15,6 +15,7 @@ Three properties are exercised:
 from __future__ import annotations
 
 import json
+import zlib
 from contextlib import nullcontext
 
 import pytest
@@ -28,11 +29,19 @@ from repro import (
     StorageError,
     StoreConfig,
 )
-from repro.bench.queries import q6_sparql, star_lookup_sparql
+from repro.bench import TpchConfig, generate_tpch
+from repro.bench.queries import q3_sparql, q6_sparql, star_lookup_sparql
 from repro.bench.rdfh import P_L_QUANTITY, P_L_RETURNFLAG
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.persist import SnapshotReader, WriteAheadLog, write_snapshot
-from repro.persist.snapshot import GENERATION_PREFIX, MANIFEST_FILE, wal_path
+from repro.persist.io import read_array, write_array
+from repro.persist.snapshot import (
+    GENERATION_PREFIX,
+    MANIFEST_FILE,
+    MEMBERSHIP_FILE,
+    SCHEMA_FILE,
+    wal_path,
+)
 from repro.storage import ACCESS_PATHS
 from repro.sparql import (
     DEFAULT_SCHEME,
@@ -41,7 +50,7 @@ from repro.sparql import (
     PlannerOptions,
 )
 
-from _datasets import EX, book_triples
+from _datasets import EX, book_triples, build_rdfh_store
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -659,6 +668,76 @@ class TestFormatValidation:
         assert reopened.is_clustered and reopened.index_store is None
         assert reopened.context().index_store is not None  # built on first read
         assert_stores_equivalent(store, reopened)
+
+    def test_format_v1_databases_still_open(self, rdfh_store, tmp_path):
+        """Format v1 listed each table's ``subjects`` (and the irregular ones)
+        inside ``schema.json`` and had no membership file; only v2 is
+        written, both are read."""
+        write_snapshot(rdfh_store, tmp_path / "db")
+        manifest_path = tmp_path / "db" / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format_version"] == 2
+        generation = tmp_path / "db" / manifest["generation"]
+        current = RDFStore.open(tmp_path / "db")
+
+        # rewrite the generation by hand into the v1 layout
+        subjects, cs_ids = read_array(generation / MEMBERSHIP_FILE)
+        payload = json.loads((generation / SCHEMA_FILE).read_text())
+        for table in payload["tables"]:
+            table["subjects"] = subjects[cs_ids == table["cs_id"]].tolist()
+        payload["irregular_subjects"] = [10 ** 9]  # never read: irregularity is derived
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        (generation / SCHEMA_FILE).write_text(text)
+        (generation / MEMBERSHIP_FILE).unlink()
+        manifest["schema"] = {"file": SCHEMA_FILE, "crc": zlib.crc32(text.encode("utf-8"))}
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+
+        legacy = RDFStore.open(tmp_path / "db")
+        assert legacy.schema.membership.subjects.tolist() == subjects.tolist()
+        assert legacy.schema.membership.cs_ids.tolist() == cs_ids.tolist()
+        assert_stores_equivalent(current, legacy, queries=[q3_sparql(), q6_sparql()],
+                                 sql_queries=[])
+        assert_stores_equivalent(rdfh_store, legacy, queries=[q3_sparql(), q6_sparql()],
+                                 sql_queries=[])
+        legacy.save(tmp_path / "resaved")
+        resaved = json.loads((tmp_path / "resaved" / MANIFEST_FILE).read_text())
+        assert resaved["format_version"] == 2 and "membership" in resaved["schema"]
+
+    @pytest.mark.parametrize("damage, complaint", [
+        ("truncated", "data bytes"), ("unsorted", "ascending"), ("unknown_table", "table")])
+    def test_damaged_membership_file_is_refused(self, store, tmp_path, damage, complaint):
+        store.save(tmp_path / "db")
+        manifest_path = tmp_path / "db" / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        path = tmp_path / "db" / manifest["generation"] / MEMBERSHIP_FILE
+        pairs = read_array(path)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            if damage == "unsorted":
+                pairs[0, :2] = pairs[0, 1::-1]
+            else:
+                pairs[1, -1] = 99
+            manifest["schema"]["membership"]["crc"] = write_array(path, pairs)
+            manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match=complaint):
+            RDFStore.open(tmp_path / "db")
+
+    def test_schema_json_does_not_grow_with_subjects(self, rdfh_store, tmp_path):
+        """``schema.json`` is O(tables); who belongs where is the array file."""
+        sizes = []
+        larger = build_rdfh_store(generate_tpch(TpchConfig(scale_factor=0.0008)))
+        for name, rdfh in (("small", rdfh_store), ("large", larger)):
+            info = write_snapshot(rdfh, tmp_path / name)
+            generation = tmp_path / name / info.generation
+            members = len(rdfh.schema.membership)
+            assert (generation / MEMBERSHIP_FILE).stat().st_size == 32 + 2 * 8 * members
+            sizes.append(((generation / SCHEMA_FILE).stat().st_size, members))
+        (small_bytes, small_members), (large_bytes, large_members) = sizes
+        assert large_members > 2 * small_members
+        # same tables and specs; only the digits of support / coverage differ
+        assert abs(large_bytes - small_bytes) <= 32 and large_bytes < 10_000
 
 
 # -- typed pending-updates errors ---------------------------------------------

@@ -7,10 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _datasets import person_address_triples, small_graph_config
+from _oracles import per_row_clustered_build
 from repro import RDFStore
+from repro.bench import DirtyConfig, generate_dirty
 from repro.bench.queries import star_lookup_sparql
 from repro.columnar import BufferPool, NULL_OID
-from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
+from repro.cs import (
+    CharacteristicSet,
+    DiscoveryConfig,
+    EmergentSchema,
+    GeneralizationConfig,
+    Membership,
+    Multiplicity,
+    PropertySpec,
+    discover_schema,
+)
 from repro.cs.detect import detection_from_triples
 from repro.errors import StorageError
 from repro.model import EncodedTriple, Graph, IRI, Literal, TermDictionary, Triple
@@ -72,6 +84,11 @@ class TestTripleTable:
     def test_predicate_counts(self):
         table = TripleTable(SAMPLE)
         assert table.predicate_counts() == {10: 3, 11: 2, 12: 1}
+        assert TripleTable(SAMPLE, order="pos").predicate_counts() == {10: 3, 11: 2, 12: 1}
+        assert TripleTable(np.empty((0, 3), dtype=np.int64)).predicate_counts() == {}
+        # run lengths need the predicate column sorted: refused, not re-sorted
+        with pytest.raises(StorageError, match="predicate-first"):
+            TripleTable(SAMPLE, order="spo").predicate_counts()
 
     def test_subject_property_sets(self):
         """The raw input of characteristic-set detection, computed where
@@ -217,10 +234,11 @@ class TestSubjectClustering:
         new_matrix, plan = cluster_subjects(matrix, dictionary, schema)
         # after clustering, each CS's subject OIDs form a contiguous run within
         # the sorted list of all member subject OIDs
-        all_members = sorted(s for t in schema.tables.values() for s in t.subjects)
+        all_members = sorted(s for cs_id in schema.tables
+                             for s in schema.membership.members(cs_id).tolist())
         position = {s: i for i, s in enumerate(all_members)}
-        for table in schema.tables.values():
-            positions = sorted(position[s] for s in table.subjects)
+        for cs_id in schema.tables:
+            positions = sorted(position[s] for s in schema.membership.members(cs_id).tolist())
             assert positions == list(range(positions[0], positions[0] + len(positions)))
 
     def test_cluster_preserves_triples(self):
@@ -260,7 +278,7 @@ class TestClusteredStore:
         new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
         store = ClusteredStore.build(new_matrix, schema)
         weird = dictionary.lookup_term(IRI(f"{EX}weird"))
-        assert store.block_of_subject(weird) is None
+        assert schema.cs_of_subject(weird) is None
         assert len(store.irregular) >= 1
         assert 0 < store.regular_fraction() < 1
 
@@ -298,6 +316,82 @@ class TestClusteredStore:
         subjects = block.subject_column.data
         positions = block.positions_of_subjects(np.asarray([subjects[0], subjects[-1], 10**9]))
         assert list(positions) == [0, len(block) - 1]
+
+
+# -- the array build against the per-row reference -------------------------------------
+
+
+def assert_same_clustered_store(built: ClusteredStore, reference: ClusteredStore) -> None:
+    assert [block.cs_id for block in built.blocks] == [block.cs_id for block in reference.blocks]
+    for block, expected in zip(built.blocks, reference.blocks):
+        assert block.label == expected.label
+        assert block.subject_column.data.tolist() == expected.subject_column.data.tolist()
+        assert list(block.property_columns) == list(expected.property_columns)
+        for predicate, column in block.property_columns.items():
+            assert column.data.tolist() == expected.property_columns[predicate].data.tolist()
+            assert (block.zone_maps[predicate].to_array().tolist()
+                    == expected.zone_maps[predicate].to_array().tolist())
+        assert block.sorted_properties == expected.sorted_properties
+    # the irregular table lexsorts on construction: same rows means same table
+    assert built.irregular.raw().tolist() == reference.irregular.raw().tolist()
+
+
+def _dirty_store() -> RDFStore:
+    return RDFStore.build(generate_dirty(DirtyConfig(classes=4, subjects_per_class=60)).triples,
+                          config=small_graph_config())
+
+
+def _person_address_store() -> RDFStore:
+    return RDFStore.build(person_address_triples(), config=small_graph_config())
+
+
+class TestClusteredBuildDifferential:
+    @pytest.mark.parametrize("fixture", ["book_store", "dblp_store", "rdfh_store"])
+    def test_canonical_stores(self, fixture, request):
+        store = request.getfixturevalue(fixture)
+        built = ClusteredStore.build(store.matrix, store.schema, zone_size=64)
+        assert_same_clustered_store(
+            built, per_row_clustered_build(store.matrix, store.schema, zone_size=64))
+        assert len(built.irregular) == len(store.clustered_store.irregular)
+
+    @pytest.mark.parametrize("build", [_dirty_store, _person_address_store])
+    def test_stores_with_a_large_irregular_part(self, build):
+        store = build()
+        assert len(store.clustered_store.irregular) > 100
+        assert_same_clustered_store(ClusteredStore.build(store.matrix, store.schema),
+                                    per_row_clustered_build(store.matrix, store.schema))
+
+    def test_first_value_in_row_order_wins_and_the_rest_spill(self):
+        """Two and three values for a ``1..1`` property, rows not sorted by
+        anything: the first in matrix row order fills the cell."""
+        schema = EmergentSchema(
+            tables={0: CharacteristicSet(cs_id=0, support=3, properties={
+                10: PropertySpec(10, Multiplicity.EXACTLY_ONE),
+                11: PropertySpec(11, Multiplicity.ZERO_OR_ONE),
+                12: PropertySpec(12, Multiplicity.MANY),
+            })},
+            membership=Membership([3, 5, 9], [0, 0, 0]))
+        matrix = np.asarray([
+            (9, 10, 103),   # first of three values for (9, p10): stays
+            (5, 12, 300),   # MANY: irregular
+            (3, 10, 202),   # first of two for (3, p10): stays
+            (9, 10, 101),   # second for (9, p10) though smaller: spills
+            (7, 10, 500),   # subject without a table
+            (3, 11, 250),
+            (9, 10, 102),   # third: spills
+            (5, 13, 400),   # property the table does not have
+            (3, 10, 201),   # second for (3, p10): spills
+            (5, 10, 150),
+        ], dtype=np.int64)
+        built = ClusteredStore.build(matrix, schema)
+        block = built.block(0)
+        assert block.subject_column.data.tolist() == [3, 5, 9]
+        assert block.column(10).data.tolist() == [202, 150, 103]
+        assert block.column(11).data.tolist() == [250, NULL_OID, NULL_OID]
+        assert not block.has_property(12)
+        assert sorted(map(tuple, built.irregular.raw().tolist())) == sorted([
+            (5, 12, 300), (9, 10, 101), (7, 10, 500), (9, 10, 102), (5, 13, 400), (3, 10, 201)])
+        assert_same_clustered_store(built, per_row_clustered_build(matrix, schema))
 
 
 # -- property-based equivalence --------------------------------------------------------
@@ -338,3 +432,7 @@ def test_clustered_store_never_loses_triples(rows):
                              config=DiscoveryConfig(generalization=GeneralizationConfig(min_support=2)))
     store = ClusteredStore.build(matrix, schema)
     assert sorted(map(tuple, store.reconstruct_triples().tolist())) == sorted(map(tuple, matrix.tolist()))
+    # ... and whatever the row order, it is the per-row builder's store
+    shuffled = matrix[np.random.default_rng(len(rows)).permutation(len(rows))]
+    assert_same_clustered_store(ClusteredStore.build(shuffled, schema),
+                                per_row_clustered_build(shuffled, schema))

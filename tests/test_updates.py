@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from _datasets import EX, book_triples
+from _datasets import EX, book_triples, person_address_triples, small_graph_config
 from repro import RDFStore, StoreConfig
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import ParseError, StorageError
@@ -160,7 +160,7 @@ class TestOracleEquivalence:
         new_oid = store.dictionary.lookup_term(IRI(f"{EX}book/new1"))
         report = store.compact()
         assert report.subjects_assigned == 1 and report.subjects_leftover == 0
-        assert new_oid in store.schema.subject_to_cs
+        assert store.schema.cs_of_subject(new_oid) is not None
         assert not store.has_pending_updates()
         assert_oracle_equivalent(store)
 
@@ -177,9 +177,34 @@ class TestOracleEquivalence:
         new_oid = store.dictionary.lookup_term(IRI(f"{EX}gadget/1"))
         report = store.compact()
         assert report.subjects_leftover == 1  # no CS holds weight + color
-        assert new_oid in store.schema.irregular_subjects
+        assert store.schema.cs_of_subject(new_oid) is None  # irregular
         for options in SCHEMES:
             assert decoded(store, novel, options) == [(f"{EX}gadget/1", 12)]
+
+    def test_subjects_absorbed_by_a_one_to_one_merge_are_irregular(self):
+        # fine-tuning folds the 40 addresses into the persons' table, so the
+        # address subjects have no table of their own: compaction must see
+        # them as the irregular subjects they are, like webpage/1 of the
+        # book fixture
+        store = RDFStore.build(person_address_triples(), config=small_graph_config())
+        [table] = store.schema.tables.values()
+        assert table.merged_from == [1] and table.support == 40
+        coverage = store.schema.coverage
+        assert coverage.total_subjects - coverage.covered_subjects == 40
+        for i in (3, 4):
+            address = store.dictionary.lookup_term(IRI(f"{EX}addr/{i}"))
+            assert store.schema.cs_of_subject(address) is None
+        store.update(f'DELETE DATA {{ <{EX}addr/3> <{EX}street> "Street 3" ; '
+                     f'<{EX}city> "City 3" . }}')
+        report = store.compact()
+        assert report.applied_deletes == 2 and report.subjects_removed == 1
+        # addr/4 was irregular before it gained a triple: not new to the bucket
+        store.update(f'INSERT DATA {{ <{EX}addr/4> <{EX}zip> "z" . }}')
+        report = store.compact()
+        assert report.merged_inserts == 1
+        assert report.subjects_leftover == 0 and report.subjects_assigned == 0
+        assert_oracle_equivalent(store, queries=[
+            f"SELECT ?s ?c WHERE {{ ?s <{EX}street> ?t . ?s <{EX}city> ?c . }}"], sql_queries=())
 
     def test_insert_property_on_existing_subject(self, store):
         # a second isbn for book/1: the delta carries a multi-value the CS
@@ -193,8 +218,8 @@ class TestOracleEquivalence:
         assert_oracle_equivalent(store)
         # compaction refreshed the column statistics of the affected CS
         isbn_oid = store.dictionary.lookup_term(IRI(f"{EX}isbn_no"))
-        book_cs = store.schema.tables[store.schema.subject_to_cs[
-            store.dictionary.lookup_term(IRI(f"{EX}book/1"))]]
+        book_cs = store.schema.tables[store.schema.cs_of_subject(
+            store.dictionary.lookup_term(IRI(f"{EX}book/1")))]
         assert book_cs.properties[isbn_oid].mean_multiplicity > 1.0
 
     def test_delete_from_base(self, store):
@@ -244,13 +269,13 @@ class TestOracleEquivalence:
 
     def test_delete_whole_subject(self, store):
         subject_oid = store.dictionary.lookup_term(IRI(f"{EX}book/5"))
-        assert subject_oid in store.schema.subject_to_cs
+        assert store.schema.cs_of_subject(subject_oid) is not None
         result = store.update(f"DELETE WHERE {{ <{EX}book/5> ?p ?o . }}")
         assert result.deleted == 4
         assert_oracle_equivalent(store)
         report = store.compact()
         assert report.subjects_removed == 1
-        assert subject_oid not in store.schema.subject_to_cs
+        assert store.schema.cs_of_subject(subject_oid) is None
         assert_oracle_equivalent(store)
 
     def test_repeated_variable_pattern(self, store):
