@@ -22,7 +22,7 @@ from .terms import (
     literal_from_python,
     term_sort_key,
 )
-from .triples import EncodedTriple, Triple, triples_to_nt
+from .triples import EncodedTriple, Triple
 
 __all__ = [
     "BNode",
@@ -47,5 +47,4 @@ __all__ = [
     "XSD_STRING",
     "literal_from_python",
     "term_sort_key",
-    "triples_to_nt",
 ]

@@ -10,6 +10,7 @@ decoded representation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import total_ordering
@@ -212,13 +213,8 @@ class Literal(Term):
 # -- helpers -----------------------------------------------------------------
 
 
-_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_MUST_ESCAPE_RE = re.compile('[\x00-\x1f"\\\\\x7f\x85\u2028\u2029]')
 
 
 def escape_literal(text: str) -> str:
@@ -227,56 +223,10 @@ def escape_literal(text: str) -> str:
     Control characters (and the Unicode line/paragraph separators, which some
     line splitters treat as newlines) are emitted as ``\\uXXXX`` escapes so
     the serialized form always stays on one physical line.
+    :func:`repro.model.syntax.unescape` is the inverse.
     """
-    out = []
-    for ch in text:
-        escaped = _ESCAPES.get(ch)
-        if escaped is not None:
-            out.append(escaped)
-        elif ord(ch) < 0x20 or ch in ("\x7f", "\x85", " ", " "):
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def unescape_literal(text: str) -> str:
-    """Reverse :func:`escape_literal` plus ``\\uXXXX`` escapes."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "\\" or i + 1 >= n:
-            out.append(ch)
-            i += 1
-            continue
-        nxt = text[i + 1]
-        if nxt == "n":
-            out.append("\n")
-            i += 2
-        elif nxt == "r":
-            out.append("\r")
-            i += 2
-        elif nxt == "t":
-            out.append("\t")
-            i += 2
-        elif nxt == '"':
-            out.append('"')
-            i += 2
-        elif nxt == "\\":
-            out.append("\\")
-            i += 2
-        elif nxt == "u" and i + 6 <= n:
-            out.append(chr(int(text[i + 2:i + 6], 16)))
-            i += 6
-        elif nxt == "U" and i + 10 <= n:
-            out.append(chr(int(text[i + 2:i + 10], 16)))
-            i += 10
-        else:
-            out.append(nxt)
-            i += 2
-    return "".join(out)
+    return _MUST_ESCAPE_RE.sub(
+        lambda m: _ESCAPES.get(m.group()) or f"\\u{ord(m.group()):04X}", text)
 
 
 def term_sort_key(term: Term) -> tuple:

@@ -10,7 +10,7 @@ engine operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .terms import IRI, BNode, Literal, Term
 
@@ -60,7 +60,3 @@ class EncodedTriple(NamedTuple):
         mapping = {"s": self.s, "p": self.p, "o": self.o}
         return tuple(mapping[c] for c in order)  # type: ignore[return-value]
 
-
-def triples_to_nt(triples: Iterable[Triple]) -> str:
-    """Serialize an iterable of triples to an N-Triples document string."""
-    return "".join(t.n3() + "\n" for t in triples)

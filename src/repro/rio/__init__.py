@@ -5,7 +5,7 @@ from typing import Iterator, Union
 
 from ..errors import ParseError
 from ..model import Graph, Triple
-from .ntriples import parse_ntriples, parse_term, serialize_ntriples, write_ntriples
+from .ntriples import parse_ntriples, parse_term, serialize_ntriples
 from .turtle import parse_turtle
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "parse_rdf",
     "load_graph",
     "serialize_ntriples",
-    "write_ntriples",
 ]
 
 

@@ -2,18 +2,34 @@
 
 N-Triples is the line-oriented RDF exchange syntax: one triple per line,
 IRIs in angle brackets, literals in double quotes with optional ``@lang`` or
-``^^<datatype>`` suffix, blank nodes as ``_:label``.  The parser here is a
-hand-written scanner that accepts the common subset produced by real tools
-(including comment lines and blank lines) and reports positions on error.
+``^^<datatype>`` suffix, blank nodes as ``_:label``.  A line is one match of
+a pattern composed from :mod:`repro.model.syntax`'s term grammar; a line
+that does not match goes to :func:`_reject`, which only finds where.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO, Union
+import re
+from functools import lru_cache
+from typing import Iterable, Iterator, NoReturn, TextIO, Union
 
 from ..errors import ParseError
-from ..model import BNode, IRI, Literal, Triple
-from ..model.terms import unescape_literal
+from ..model import Triple
+from ..model.syntax import (
+    ABSOLUTE_IRIREF,
+    BNODE_LABEL,
+    IRI_BODY,
+    LANGTAG,
+    STRING_BODY,
+    TERM,
+    make_term,
+)
+
+_WS = r"[ \t]*"
+_TAIL = r"[^\S\r\n]*(?:#[^\r\n]*)?[\r\n]*"  # after the '.': blanks, a comment, the line end
+_LINE_RE = re.compile(rf"\s*(?:{ABSOLUTE_IRIREF}|_:({BNODE_LABEL})){_WS}{ABSOLUTE_IRIREF}{_WS}{TERM}"
+                      rf"{_WS}\.{_TAIL}\Z")
+_TERM_RE = re.compile(rf"\s*{TERM}\s*\Z")
 
 
 def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple]:
@@ -25,142 +41,26 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
     Raises
     ------
     ParseError
-        On malformed input, with the 1-based line number.
+        On malformed input, with the 1-based line number and the column of
+        the first character the grammar cannot accept.
     """
-    if isinstance(source, str):
-        # split strictly on '\n': literals may legally contain other Unicode
-        # line-boundary characters, which str.splitlines() would break on
-        lines: Iterable[str] = source.split("\n")
-    else:
-        lines = source
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield _parse_line(line, lineno)
-
-
-def _parse_line(line: str, lineno: int) -> Triple:
-    scanner = _Scanner(line, lineno)
-    subject = scanner.read_subject()
-    scanner.skip_ws(required=True)
-    predicate = scanner.read_iri()
-    scanner.skip_ws(required=True)
-    obj = scanner.read_object()
-    scanner.skip_ws(required=False)
-    scanner.expect(".")
-    scanner.skip_ws(required=False)
-    if not scanner.at_end():
-        raise ParseError("trailing characters after '.'", line=lineno, column=scanner.pos + 1)
-    return Triple(subject, predicate, obj)
-
-
-class _Scanner:
-    """Character scanner over one N-Triples line."""
-
-    def __init__(self, line: str, lineno: int) -> None:
-        self.line = line
-        self.lineno = lineno
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.line)
-
-    def peek(self) -> str:
-        if self.at_end():
-            return ""
-        return self.line[self.pos]
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.lineno, column=self.pos + 1)
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def skip_ws(self, required: bool) -> None:
-        start = self.pos
-        while not self.at_end() and self.line[self.pos] in " \t":
-            self.pos += 1
-        if required and self.pos == start:
-            raise self.error("expected whitespace")
-
-    def read_subject(self):
-        ch = self.peek()
-        if ch == "<":
-            return self.read_iri()
-        if ch == "_":
-            return self.read_bnode()
-        raise self.error("subject must be an IRI or blank node")
-
-    def read_object(self):
-        ch = self.peek()
-        if ch == "<":
-            return self.read_iri()
-        if ch == "_":
-            return self.read_bnode()
-        if ch == '"':
-            return self.read_literal()
-        raise self.error("object must be an IRI, blank node or literal")
-
-    def read_iri(self) -> IRI:
-        self.expect("<")
-        end = self.line.find(">", self.pos)
-        if end < 0:
-            raise self.error("unterminated IRI (missing '>')")
-        value = self.line[self.pos:end]
-        self.pos = end + 1
-        if not value:
-            raise self.error("empty IRI")
-        return IRI(value)
-
-    def read_bnode(self) -> BNode:
-        if not self.line.startswith("_:", self.pos):
-            raise self.error("blank node must start with '_:'")
-        self.pos += 2
-        start = self.pos
-        while not self.at_end() and not self.line[self.pos].isspace():
-            self.pos += 1
-        label = self.line[start:self.pos]
-        if not label:
-            raise self.error("empty blank node label")
-        return BNode(label)
-
-    def read_literal(self) -> Literal:
-        self.expect('"')
-        chars = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated literal")
-            ch = self.line[self.pos]
-            if ch == "\\":
-                if self.pos + 1 >= len(self.line):
-                    raise self.error("dangling escape in literal")
-                chars.append(self.line[self.pos:self.pos + 2])
-                self.pos += 2
+    # split strictly on '\n': literals may legally contain other Unicode
+    # line-boundary characters, which str.splitlines() would break on
+    lines = source.split("\n") if isinstance(source, str) else source
+    match = _LINE_RE.match
+    term = lru_cache(maxsize=None)(make_term)  # subjects, predicates and many objects repeat
+    for lineno, line in enumerate(lines, start=1):
+        found = match(line)
+        if found is None:
+            if line.lstrip()[:1] in ("", "#"):
                 continue
-            if ch == '"':
-                self.pos += 1
-                break
-            chars.append(ch)
-            self.pos += 1
-        lexical = unescape_literal("".join(chars))
-        # optional language tag or datatype
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while not self.at_end() and (self.line[self.pos].isalnum() or self.line[self.pos] == "-"):
-                self.pos += 1
-            language = self.line[start:self.pos]
-            if not language:
-                raise self.error("empty language tag")
-            return Literal(lexical, language=language)
-        if self.line.startswith("^^", self.pos):
-            self.pos += 2
-            datatype = self.read_iri()
-            return Literal(lexical, datatype=datatype.value)
-        return Literal(lexical)
+            _reject(line, lineno, _LINE_PREFIX_RE)
+        s_iri, s_label, p_iri, *obj = found.groups()
+        try:
+            triple = Triple(term(s_iri, s_label, None), term(p_iri, None, None), term(*obj))
+        except ParseError as error:  # a \u escape that is no Unicode scalar value
+            raise ParseError(error.message, line=lineno) from None
+        yield triple
 
 
 def parse_term(text: str, lineno: int = 1):
@@ -175,12 +75,52 @@ def parse_term(text: str, lineno: int = 1):
     ParseError
         On malformed input or trailing characters.
     """
-    scanner = _Scanner(text.strip(), lineno)
-    term = scanner.read_object()  # objects admit all three term kinds
-    if not scanner.at_end():
-        raise ParseError("trailing characters after term",
-                         line=lineno, column=scanner.pos + 1)
-    return term
+    found = _TERM_RE.match(text)
+    if found is None:
+        _reject(text, lineno, _TERM_PREFIX_RE)
+    try:
+        return make_term(*found.groups())
+    except ParseError as error:
+        raise ParseError(error.message, line=lineno) from None
+
+
+# -- where text stops being N-Triples ----------------------------------------------
+
+
+def _longest(*steps: str) -> str:
+    """A pattern for ``steps`` in sequence in which only the first must match:
+    its match ends where the sequence could not go on."""
+    pattern = ""
+    for step in reversed(steps[1:]):
+        pattern = f"(?:{step}{pattern})?"
+    return steps[0] + pattern
+
+
+_HAT = r"\^"  # (an f-string expression may not hold a backslash before Python 3.12)
+
+
+def _term_prefix(then: str, forms: str) -> str:
+    """:func:`_longest` for one term (of the ``forms`` named by their first
+    character) followed by ``then``."""
+    iri = ("<", "(?!>)" + IRI_BODY, ">", then)
+    suffix = f"(?:{_longest('@', LANGTAG, then)}|{_longest(_HAT, _HAT, *iri)}|{then})"
+    by_first = {"<": _longest(*iri), "_": _longest("_", ":", BNODE_LABEL, then),
+                '"': _longest('"', STRING_BODY, '"', suffix)}
+    return "(?:" + "|".join(by_first[first] for first in forms) + ")?"
+
+
+_LINE_PREFIX_RE = re.compile(r"\s*" + _term_prefix(_WS + _term_prefix(_WS + _term_prefix(
+    _longest(_WS, r"\.", _TAIL), '<_"'), "<"), "<_"))
+_TERM_PREFIX_RE = re.compile(r"\s*" + _term_prefix(r"\s*", '<_"'))
+
+
+def _reject(text: str, lineno: int, prefix: "re.Pattern[str]") -> NoReturn:
+    """Raise the :class:`ParseError` of text its pattern does not match, at the
+    first character the grammar cannot accept.  Never returns: the pattern is
+    the parser, this only finds where it stopped."""
+    end = prefix.match(text).end()
+    found = repr(text[end]) if end < len(text) else "end of line"
+    raise ParseError(f"unexpected {found}", line=lineno, column=end + 1)
 
 
 # -- serialization -----------------------------------------------------------
@@ -189,12 +129,3 @@ def parse_term(text: str, lineno: int = 1):
 def serialize_ntriples(triples: Iterable[Triple]) -> str:
     """Serialize triples to an N-Triples document string."""
     return "".join(t.n3() + "\n" for t in triples)
-
-
-def write_ntriples(triples: Iterable[Triple], sink: TextIO) -> int:
-    """Write triples to an open text file; return the number written."""
-    count = 0
-    for triple in triples:
-        sink.write(triple.n3() + "\n")
-        count += 1
-    return count

@@ -3,272 +3,34 @@
 Turtle is the human-friendly RDF syntax.  This parser supports the subset
 that covers hand-written test fixtures and generated data:
 
-* ``@prefix`` / ``@base`` directives and prefixed names (``ex:book1``),
+* ``@prefix`` / ``@base`` directives (and SPARQL-style ``PREFIX`` / ``BASE``)
+  and prefixed names (``ex:book1``),
 * the ``a`` keyword for ``rdf:type``,
 * predicate lists with ``;`` and object lists with ``,``,
 * plain, language-tagged, typed, integer, decimal and boolean literals,
 * blank node labels (``_:b1``) — but not anonymous ``[...]`` nodes,
 * ``#`` comments.
 
-Anything outside this subset raises :class:`~repro.errors.ParseError`.
+Anything outside this subset raises :class:`~repro.errors.ParseError`.  The
+tokens, the terms and the ``subject predicateObjectList`` production are
+:class:`repro.model.syntax.TokenStream`'s, shared with SPARQL; a document is
+directives and ``.``-terminated statements over them.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List
 
-from ..errors import ParseError
-from ..model import BNode, IRI, Literal, Triple
-from ..model.terms import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, unescape_literal
+from ..model import Triple
+from ..model.syntax import TokenStream
 
 
 def parse_turtle(text: str) -> Iterator[Triple]:
     """Parse a Turtle document (subset) and yield triples."""
-    parser = _TurtleParser(text)
-    return iter(parser.parse())
-
-
-class _TurtleParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.prefixes: dict[str, str] = {}
-        self.base = ""
-
-    # -- low level -----------------------------------------------------------
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.line)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return "" if self.at_end() else self.text[self.pos]
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while not self.at_end():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#":
-                while not self.at_end() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}, found {self.peek()!r}")
-        self.advance()
-
-    def match_keyword(self, keyword: str) -> bool:
-        if self.text.startswith(keyword, self.pos):
-            end = self.pos + len(keyword)
-            if end >= len(self.text) or not (self.text[end].isalnum() or self.text[end] == "_"):
-                for _ in keyword:
-                    self.advance()
-                return True
-        return False
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse(self) -> List[Triple]:
-        triples: List[Triple] = []
-        self.skip_ws()
-        while not self.at_end():
-            if self.match_keyword("@prefix") or self.match_keyword("PREFIX"):
-                self._parse_prefix()
-            elif self.match_keyword("@base") or self.match_keyword("BASE"):
-                self._parse_base()
-            else:
-                triples.extend(self._parse_statement())
-            self.skip_ws()
-        return triples
-
-    def _parse_prefix(self) -> None:
-        self.skip_ws()
-        prefix = self._read_until(":")
-        self.expect(":")
-        self.skip_ws()
-        iri = self._read_iri_ref()
-        self.skip_ws()
-        if self.peek() == ".":
-            self.advance()
-        self.prefixes[prefix] = iri
-
-    def _parse_base(self) -> None:
-        self.skip_ws()
-        self.base = self._read_iri_ref()
-        self.skip_ws()
-        if self.peek() == ".":
-            self.advance()
-
-    def _parse_statement(self) -> List[Triple]:
-        triples: List[Triple] = []
-        subject = self._parse_term(position="subject")
-        self.skip_ws()
-        while True:
-            predicate = self._parse_predicate()
-            self.skip_ws()
-            while True:
-                obj = self._parse_term(position="object")
-                triples.append(Triple(subject, predicate, obj))  # type: ignore[arg-type]
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.advance()
-                    self.skip_ws()
-                    continue
-                break
-            if self.peek() == ";":
-                self.advance()
-                self.skip_ws()
-                if self.peek() in ".;":
-                    # tolerate trailing ';' before '.'
-                    continue
-                continue
-            break
-        self.skip_ws()
-        self.expect(".")
-        return triples
-
-    def _parse_predicate(self) -> IRI:
-        if self.peek() == "a" and (self.pos + 1 >= len(self.text) or self.text[self.pos + 1] in " \t\r\n<"):
-            self.advance()
-            return IRI(RDF_TYPE)
-        term = self._parse_term(position="predicate")
-        if not isinstance(term, IRI):
-            raise self.error("predicate must be an IRI")
-        return term
-
-    def _parse_term(self, position: str):
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "<":
-            return IRI(self._read_iri_ref())
-        if ch == "_":
-            return self._read_bnode()
-        if ch == '"':
-            if position != "object":
-                raise self.error(f"literal not allowed in {position} position")
-            return self._read_literal()
-        if ch.isdigit() or ch in "+-":
-            if position != "object":
-                raise self.error(f"numeric literal not allowed in {position} position")
-            return self._read_number()
-        if self.match_keyword("true"):
-            return Literal("true", datatype=XSD_BOOLEAN)
-        if self.match_keyword("false"):
-            return Literal("false", datatype=XSD_BOOLEAN)
-        return self._read_prefixed_name()
-
-    # -- token readers -------------------------------------------------------
-
-    def _read_until(self, stop: str) -> str:
-        out = []
-        while not self.at_end() and self.peek() != stop and not self.peek().isspace():
-            out.append(self.advance())
-        return "".join(out)
-
-    def _read_iri_ref(self) -> str:
-        self.expect("<")
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated IRI")
-            ch = self.advance()
-            if ch == ">":
-                break
-            out.append(ch)
-        value = "".join(out)
-        if value.startswith(("http://", "https://", "urn:", "mailto:", "file:")):
-            return value
-        return self.base + value
-
-    def _read_bnode(self) -> BNode:
-        if not self.text.startswith("_:", self.pos):
-            raise self.error("blank node must start with '_:'")
-        self.advance()
-        self.advance()
-        out = []
-        while not self.at_end() and (self.peek().isalnum() or self.peek() in "_-"):
-            out.append(self.advance())
-        if not out:
-            raise self.error("empty blank node label")
-        return BNode("".join(out))
-
-    def _read_literal(self) -> Literal:
-        self.expect('"')
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated literal")
-            ch = self.advance()
-            if ch == "\\":
-                out.append(ch)
-                out.append(self.advance())
-                continue
-            if ch == '"':
-                break
-            out.append(ch)
-        lexical = unescape_literal("".join(out))
-        if self.peek() == "@":
-            self.advance()
-            lang = []
-            while not self.at_end() and (self.peek().isalnum() or self.peek() == "-"):
-                lang.append(self.advance())
-            return Literal(lexical, language="".join(lang))
-        if self.text.startswith("^^", self.pos):
-            self.advance()
-            self.advance()
-            if self.peek() == "<":
-                return Literal(lexical, datatype=self._read_iri_ref())
-            datatype_iri = self._read_prefixed_name()
-            return Literal(lexical, datatype=datatype_iri.value)
-        return Literal(lexical)
-
-    def _read_number(self) -> Literal:
-        out = []
-        if self.peek() in "+-":
-            out.append(self.advance())
-        is_decimal = False
-        while not self.at_end() and (self.peek().isdigit() or self.peek() == "."):
-            if self.peek() == ".":
-                # a '.' not followed by a digit terminates the statement
-                nxt = self.text[self.pos + 1] if self.pos + 1 < len(self.text) else ""
-                if not nxt.isdigit():
-                    break
-                is_decimal = True
-            out.append(self.advance())
-        lexical = "".join(out)
-        if not lexical or lexical in "+-":
-            raise self.error("malformed numeric literal")
-        datatype = XSD_DECIMAL if is_decimal else XSD_INTEGER
-        return Literal(lexical, datatype=datatype)
-
-    def _read_prefixed_name(self) -> IRI:
-        out = []
-        while not self.at_end() and (self.peek().isalnum() or self.peek() in "_-.:"):
-            if self.peek() == "." and self._dot_terminates():
-                break
-            out.append(self.advance())
-        token = "".join(out)
-        if ":" not in token:
-            raise self.error(f"expected a prefixed name, found {token!r}")
-        prefix, _, local = token.partition(":")
-        if prefix not in self.prefixes:
-            raise self.error(f"undefined prefix {prefix!r}")
-        return IRI(self.prefixes[prefix] + local)
-
-    def _dot_terminates(self) -> bool:
-        """A '.' ends the statement when followed by whitespace or EOF."""
-        nxt = self.text[self.pos + 1] if self.pos + 1 < len(self.text) else ""
-        return nxt == "" or nxt.isspace()
+    stream = TokenStream(text)
+    triples: List[Triple] = []
+    while stream.peek() is not None:
+        if not stream.read_directive():
+            triples.extend(stream.read_triples(Triple))
+            stream.expect(".")
+    return iter(triples)

@@ -25,12 +25,10 @@ Terms: ``<iri>``, ``prefix:local``, ``?var``, ``"literal"`` (with optional
 
 from __future__ import annotations
 
-import re
-from typing import List, Optional
+from typing import List
 
-from ..errors import ParseError
-from ..model import IRI, Literal, Triple
-from ..model.terms import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, unescape_literal
+from ..model import Triple
+from ..model.syntax import TokenStream
 from .ast import (
     AggregateExpr,
     ArithmeticExpr,
@@ -44,60 +42,6 @@ from .ast import (
     UpdateRequest,
     Variable,
 )
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>\#[^\n]*)
-  | (?P<IRI><[^<>\s]*>)
-  | (?P<STRING>"(?:[^"\\]|\\.)*")
-  | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<NUMBER>[+-]?\d+(?:\.\d+)?)
-  | (?P<PNAME>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_.-]*)
-  | (?P<KEYWORD>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<DTSEP>\^\^)
-  | (?P<LANG>@[A-Za-z-]+)
-  | (?P<OP><=|>=|!=|&&|\|\||[=<>])
-  | (?P<PUNCT>[{}().;,*/+-])
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {
-    "select", "where", "filter", "prefix", "distinct", "group", "by",
-    "order", "asc", "desc", "limit", "as", "a", "true", "false",
-    "sum", "count", "avg", "min", "max", "optional", "base",
-    "insert", "delete", "data",
-}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "position")
-
-    def __init__(self, kind: str, text: str, position: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.position = position
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.text!r})"
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            line = text.count("\n", 0, position) + 1
-            raise ParseError(f"unexpected character {text[position]!r}", line=line)
-        kind = match.lastgroup or ""
-        value = match.group()
-        position = match.end()
-        if kind in ("WS", "COMMENT"):
-            continue
-        tokens.append(_Token(kind, value, match.start()))
-    return tokens
 
 
 def parse_sparql(text: str) -> SelectQuery:
@@ -119,31 +63,9 @@ def parse_update(text: str) -> UpdateRequest:
     return _Parser(text).parse_update_request()
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.prefixes: dict[str, str] = {}
-
-    # -- token helpers ----------------------------------------------------------
-
-    def _error(self, message: str) -> ParseError:
-        position = self.tokens[self.index].position if self.index < len(self.tokens) else len(self.text)
-        line = self.text.count("\n", 0, position) + 1
-        return ParseError(message, line=line)
-
-    def peek(self) -> Optional[_Token]:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise self._error("unexpected end of query")
-        self.index += 1
-        return token
+class _Parser(TokenStream):
+    """The query and update grammar over :class:`TokenStream`'s tokens, terms
+    and ``subject predicateObjectList`` production."""
 
     def accept_keyword(self, word: str) -> bool:
         token = self.peek()
@@ -154,18 +76,7 @@ class _Parser:
 
     def expect_keyword(self, word: str) -> None:
         if not self.accept_keyword(word):
-            raise self._error(f"expected keyword {word.upper()}")
-
-    def accept_punct(self, char: str) -> bool:
-        token = self.peek()
-        if token is not None and token.kind in ("PUNCT", "OP") and token.text == char:
-            self.index += 1
-            return True
-        return False
-
-    def expect_punct(self, char: str) -> None:
-        if not self.accept_punct(char):
-            raise self._error(f"expected {char!r}")
+            raise self.error(f"expected keyword {word.upper()}")
 
     # -- grammar ------------------------------------------------------------------
 
@@ -176,35 +87,19 @@ class _Parser:
         query.distinct = self.accept_keyword("distinct")
         self._parse_selection(query)
         self.expect_keyword("where")
-        self.expect_punct("{")
+        self.expect("{")
         self._parse_group(query)
-        self.expect_punct("}")
+        self.expect("}")
         self._parse_modifiers(query)
         if self.peek() is not None:
-            raise self._error(f"unexpected trailing token {self.peek().text!r}")
+            raise self.error(f"unexpected trailing token {self.peek().text!r}")
         if not query.select_variables and not query.aggregates:
             query.select_variables = query.all_variables()
         return query
 
     def _parse_prologue(self) -> None:
-        while True:
-            if self.accept_keyword("prefix"):
-                name_token = self.next()
-                if name_token.kind != "PNAME" or not name_token.text.endswith(":"):
-                    # allow "PREFIX ex :" style (prefix and colon separated)
-                    raise self._error("PREFIX expects 'name:' followed by an IRI")
-                prefix = name_token.text[:-1]
-                iri_token = self.next()
-                if iri_token.kind != "IRI":
-                    raise self._error("PREFIX expects an IRI in angle brackets")
-                self.prefixes[prefix] = iri_token.text[1:-1]
-            elif self.accept_keyword("base"):
-                iri_token = self.next()
-                if iri_token.kind != "IRI":
-                    raise self._error("BASE expects an IRI in angle brackets")
-                self.prefixes[""] = iri_token.text[1:-1]
-            else:
-                return
+        while self.read_directive():
+            pass
 
     # -- updates ---------------------------------------------------------------
 
@@ -213,19 +108,19 @@ class _Parser:
         self._parse_prologue()
         while True:
             request.operations.append(self._parse_update_statement())
-            if self.accept_punct(";"):
+            if self.accept(";"):
                 before_prologue = self.index
                 self._parse_prologue()
                 if self.peek() is None:
                     if self.index != before_prologue:
                         # a prologue with no statement after it signals a
                         # truncated request — fail loudly, don't drop it
-                        raise self._error("expected an update statement after the prologue")
+                        raise self.error("expected an update statement after the prologue")
                     break  # trailing ';' after the last statement
                 continue
             break
         if self.peek() is not None:
-            raise self._error(f"unexpected trailing token {self.peek().text!r}")
+            raise self.error(f"unexpected trailing token {self.peek().text!r}")
         return request
 
     def _parse_update_statement(self):
@@ -237,27 +132,27 @@ class _Parser:
                 return DeleteDataOp(self._parse_ground_block("DELETE DATA"))
             self.expect_keyword("where")
             return DeleteWhereOp(tuple(self._parse_pattern_block(allow_filters=False)))
-        raise self._error("expected INSERT DATA, DELETE DATA or DELETE WHERE")
+        raise self.error("expected INSERT DATA, DELETE DATA or DELETE WHERE")
 
     def _parse_pattern_block(self, allow_filters: bool) -> List[TriplePattern]:
         """Parse a ``{ ... }`` block of triple patterns (used by updates)."""
         collector = SelectQuery()
-        self.expect_punct("{")
+        self.expect("{")
         while True:
             token = self.peek()
             if token is None:
-                raise self._error("unterminated block (missing '}')")
+                raise self.error("unterminated block (missing '}')")
             if token.kind == "PUNCT" and token.text == "}":
                 break
             if token.kind == "KEYWORD" and token.text.lower() == "filter":
                 if not allow_filters:
-                    raise self._error("FILTER is not supported in this update form")
+                    raise self.error("FILTER is not supported in this update form")
                 self.next()
                 self._parse_filter(collector)
-                self.accept_punct(".")
+                self.accept(".")
                 continue
             self._parse_triple_block(collector)
-        self.expect_punct("}")
+        self.expect("}")
         return collector.patterns
 
     def _parse_ground_block(self, form: str) -> tuple:
@@ -265,12 +160,12 @@ class _Parser:
         triples = []
         for pattern in patterns:
             if pattern.variables():
-                raise self._error(f"{form} requires ground triples (no variables)")
+                raise self.error(f"{form} requires ground triples (no variables)")
             triples.append(Triple(pattern.subject, pattern.predicate, pattern.object))
         return tuple(triples)
 
     def _parse_selection(self, query: SelectQuery) -> None:
-        if self.accept_punct("*"):
+        if self.accept("*"):
             return
         saw_item = False
         while True:
@@ -287,23 +182,21 @@ class _Parser:
                 continue
             break
         if not saw_item:
-            raise self._error("SELECT needs at least one variable, aggregate or '*'")
+            raise self.error("SELECT needs at least one variable, aggregate or '*'")
 
     def _parse_aggregate(self) -> AggregateExpr:
-        self.expect_punct("(")
+        self.expect("(")
         func_token = self.next()
         if func_token.kind != "KEYWORD" or func_token.text.lower() not in ("sum", "count", "avg", "min", "max"):
-            raise self._error("expected an aggregate function (SUM/COUNT/AVG/MIN/MAX)")
+            raise self.error("expected an aggregate function (SUM/COUNT/AVG/MIN/MAX)")
         func = func_token.text.lower()
-        self.expect_punct("(")
+        self.expect("(")
         expression = self._parse_arithmetic()
-        self.expect_punct(")")
+        self.expect(")")
         self.expect_keyword("as")
-        alias_token = self.next()
-        if alias_token.kind != "VAR":
-            raise self._error("expected ?alias after AS")
-        self.expect_punct(")")
-        return AggregateExpr(func=func, expression=ArithmeticExpr(expression), alias=alias_token.text[1:])
+        alias = self.next("VAR").text[1:]
+        self.expect(")")
+        return AggregateExpr(func=func, expression=ArithmeticExpr(expression), alias=alias)
 
     def _parse_arithmetic(self):
         node = self._parse_term_arith()
@@ -319,52 +212,38 @@ class _Parser:
     def _parse_term_arith(self):
         token = self.peek()
         if token is None:
-            raise self._error("unexpected end of arithmetic expression")
+            raise self.error("unexpected end of arithmetic expression")
         if token.kind == "PUNCT" and token.text == "(":
             self.next()
             inner = self._parse_arithmetic()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
         if token.kind == "VAR":
             return self.next().text[1:]
         if token.kind == "NUMBER":
             return float(self.next().text)
-        raise self._error(f"unexpected token {token.text!r} in arithmetic expression")
+        raise self.error(f"unexpected token {token.text!r} in arithmetic expression")
 
     def _parse_group(self, query: SelectQuery) -> None:
         while True:
             token = self.peek()
             if token is None:
-                raise self._error("unterminated WHERE group (missing '}')")
+                raise self.error("unterminated WHERE group (missing '}')")
             if token.kind == "PUNCT" and token.text == "}":
                 return
             if token.kind == "KEYWORD" and token.text.lower() == "filter":
                 self.next()
                 self._parse_filter(query)
-                self.accept_punct(".")
+                self.accept(".")
                 continue
             self._parse_triple_block(query)
 
     def _parse_triple_block(self, query: SelectQuery) -> None:
-        subject = self._parse_term(position="subject")
-        while True:
-            predicate = self._parse_term(position="predicate")
-            while True:
-                obj = self._parse_term(position="object")
-                query.patterns.append(TriplePattern(subject, predicate, obj))
-                if self.accept_punct(","):
-                    continue
-                break
-            if self.accept_punct(";"):
-                token = self.peek()
-                if token is not None and token.kind == "PUNCT" and token.text in (".", "}"):
-                    break
-                continue
-            break
-        self.accept_punct(".")
+        query.patterns.extend(self.read_triples(TriplePattern))
+        self.accept(".")
 
     def _parse_filter(self, query: SelectQuery) -> None:
-        self.expect_punct("(")
+        self.expect("(")
         while True:
             query.filters.append(self._parse_comparison())
             token = self.peek()
@@ -372,12 +251,12 @@ class _Parser:
                 self.next()
                 continue
             break
-        self.expect_punct(")")
+        self.expect(")")
 
     def _parse_comparison(self) -> Comparison:
         left = self.peek()
         if left is None:
-            raise self._error("unexpected end of FILTER")
+            raise self.error("unexpected end of FILTER")
         if left.kind == "VAR":
             variable = self.next().text[1:]
             op = self._parse_comparison_op()
@@ -385,15 +264,12 @@ class _Parser:
             return Comparison(variable=variable, op=op, value=value)
         value = self._parse_constant()
         op = self._parse_comparison_op()
-        var_token = self.next()
-        if var_token.kind != "VAR":
-            raise self._error("FILTER comparison needs a variable on one side")
-        return Comparison(variable=var_token.text[1:], op=_flip_op(op), value=value)
+        return Comparison(variable=self.next("VAR").text[1:], op=_flip_op(op), value=value)
 
     def _parse_comparison_op(self) -> str:
         token = self.next()
         if token.kind != "OP" or token.text not in ("=", "!=", "<", "<=", ">", ">="):
-            raise self._error(f"expected a comparison operator, found {token.text!r}")
+            raise self.error(f"expected a comparison operator, found {token.text!r}")
         return token.text
 
     def _parse_modifiers(self, query: SelectQuery) -> None:
@@ -410,77 +286,30 @@ class _Parser:
                         break
                     if token.kind == "KEYWORD" and token.text.lower() in ("asc", "desc"):
                         descending = self.next().text.lower() == "desc"
-                        self.expect_punct("(")
-                        var_token = self.next()
-                        if var_token.kind != "VAR":
-                            raise self._error("ORDER BY expects a variable")
-                        self.expect_punct(")")
-                        query.order_by.append(OrderCondition(var_token.text[1:], descending))
+                        self.expect("(")
+                        query.order_by.append(OrderCondition(self.next("VAR").text[1:], descending))
+                        self.expect(")")
                     elif token.kind == "VAR":
                         query.order_by.append(OrderCondition(self.next().text[1:], False))
                     else:
                         break
             elif self.accept_keyword("limit"):
-                token = self.next()
-                if token.kind != "NUMBER":
-                    raise self._error("LIMIT expects a number")
-                query.limit = int(float(token.text))
+                query.limit = int(float(self.next("NUMBER").text))
             else:
                 return
 
     # -- terms ---------------------------------------------------------------------
 
-    def _parse_term(self, position: str):
-        token = self.next()
+    def term_of(self, token, position: str):
         if token.kind == "VAR":
             return Variable(token.text[1:])
-        if token.kind == "IRI":
-            return IRI(token.text[1:-1])
-        if token.kind == "PNAME":
-            prefix, _, local = token.text.partition(":")
-            if prefix not in self.prefixes:
-                raise self._error(f"undefined prefix {prefix!r}")
-            return IRI(self.prefixes[prefix] + local)
-        if token.kind == "KEYWORD" and token.text == "a" and position == "predicate":
-            return IRI(RDF_TYPE)
-        if position != "object" and token.kind in ("STRING", "NUMBER"):
-            raise self._error(f"literal not allowed in {position} position")
-        if token.kind == "STRING":
-            return self._finish_literal(token)
-        if token.kind == "NUMBER":
-            datatype = XSD_DECIMAL if "." in token.text else XSD_INTEGER
-            return Literal(token.text, datatype=datatype)
-        if token.kind == "KEYWORD" and token.text.lower() in ("true", "false"):
-            return Literal(token.text.lower(), datatype=XSD_BOOLEAN)
-        raise self._error(f"unexpected token {token.text!r} in {position} position")
+        return super().term_of(token, position)
 
     def _parse_constant(self):
         token = self.peek()
-        if token is None:
-            raise self._error("expected a constant")
-        if token.kind in ("STRING", "NUMBER", "IRI", "PNAME") or (
-                token.kind == "KEYWORD" and token.text.lower() in ("true", "false")):
-            return self._parse_term(position="object")
-        raise self._error(f"expected a constant, found {token.text!r}")
-
-    def _finish_literal(self, token: _Token) -> Literal:
-        lexical = unescape_literal(token.text[1:-1])
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "LANG":
-            self.next()
-            return Literal(lexical, language=nxt.text[1:])
-        if nxt is not None and nxt.kind == "DTSEP":
-            self.next()
-            dt_token = self.next()
-            if dt_token.kind == "IRI":
-                return Literal(lexical, datatype=dt_token.text[1:-1])
-            if dt_token.kind == "PNAME":
-                prefix, _, local = dt_token.text.partition(":")
-                if prefix not in self.prefixes:
-                    raise self._error(f"undefined prefix {prefix!r}")
-                return Literal(lexical, datatype=self.prefixes[prefix] + local)
-            raise self._error("expected a datatype IRI after '^^'")
-        return Literal(lexical)
+        if token is None or token.kind == "VAR":
+            raise self.error("expected a constant")
+        return self.read_term("object")
 
 
 def _flip_op(op: str) -> str:

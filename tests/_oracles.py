@@ -15,7 +15,10 @@ store started routing rows through the schema's membership arrays:
   the ``.item()``-per-cell ``QueryResult.rows`` / ``decoded_rows``: one
   dictionary probe, one ``isinstance`` and one ``to_python()`` per cell;
 * :func:`per_row_clustered_build` — ``ClusteredStore.build`` as a dict probe
-  per triple plus a per-row fill loop behind a ``position_of`` dict.
+  per triple plus a per-row fill loop behind a ``position_of`` dict;
+* :func:`scan_ntriples_line` — the hand-written character scanner that read
+  an N-Triples line (and, one term at a time, the dictionary file) before
+  the readers were composed from ``repro.model.syntax``'s one term grammar.
 
 A plain importable module for the same reason as ``_datasets``.
 """
@@ -31,7 +34,8 @@ from repro.columnar import NULL_OID, Column, ZoneMap
 from repro.cs import Multiplicity
 from repro.engine.bindings import BindingTable
 from repro.engine.plan import OidRange, StarPattern, StarProperty
-from repro.model import Literal, TermDictionary
+from repro.errors import ParseError
+from repro.model import BNode, IRI, Literal, TermDictionary, Triple
 from repro.model.terms import term_sort_key
 from repro.storage import ClusteredStore, TripleTable
 from repro.storage.clustered import CSBlock, _is_sorted_ignoring_nulls
@@ -308,3 +312,169 @@ def _per_row_block(matrix: np.ndarray, row_indexes: List[int], table, members: L
             p for p, values in data.items() if _is_sorted_ignoring_nulls(values)),
     )
     return block, np.asarray(spilled, dtype=np.int64).reshape(-1, 3)
+
+
+# -- the character-at-a-time N-Triples scanner --------------------------------------------
+
+
+def scan_ntriples_line(line: str, lineno: int = 1) -> Triple:
+    """One stripped, non-comment N-Triples line, a character at a time."""
+    scanner = _Scanner(line, lineno)
+    subject = scanner.read_subject()
+    scanner.skip_ws(required=True)
+    predicate = scanner.read_iri()
+    scanner.skip_ws(required=True)
+    obj = scanner.read_object()
+    scanner.skip_ws(required=False)
+    scanner.expect(".")
+    scanner.skip_ws(required=False)
+    if not scanner.at_end():
+        raise ParseError("trailing characters after '.'", line=lineno, column=scanner.pos + 1)
+    return Triple(subject, predicate, obj)
+
+
+class _Scanner:
+    """Character scanner over one N-Triples line."""
+
+    def __init__(self, line: str, lineno: int) -> None:
+        self.line = line
+        self.lineno = lineno
+        self.pos = 0
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.line)
+
+    def peek(self) -> str:
+        if self.at_end():
+            return ""
+        return self.line[self.pos]
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, line=self.lineno, column=self.pos + 1)
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            raise self.error(f"expected {char!r}, found {self.peek()!r}")
+        self.pos += 1
+
+    def skip_ws(self, required: bool) -> None:
+        start = self.pos
+        while not self.at_end() and self.line[self.pos] in " \t":
+            self.pos += 1
+        if required and self.pos == start:
+            raise self.error("expected whitespace")
+
+    def read_subject(self):
+        ch = self.peek()
+        if ch == "<":
+            return self.read_iri()
+        if ch == "_":
+            return self.read_bnode()
+        raise self.error("subject must be an IRI or blank node")
+
+    def read_object(self):
+        ch = self.peek()
+        if ch == "<":
+            return self.read_iri()
+        if ch == "_":
+            return self.read_bnode()
+        if ch == '"':
+            return self.read_literal()
+        raise self.error("object must be an IRI, blank node or literal")
+
+    def read_iri(self) -> IRI:
+        self.expect("<")
+        end = self.line.find(">", self.pos)
+        if end < 0:
+            raise self.error("unterminated IRI (missing '>')")
+        value = self.line[self.pos:end]
+        self.pos = end + 1
+        if not value:
+            raise self.error("empty IRI")
+        return IRI(value)
+
+    def read_bnode(self) -> BNode:
+        if not self.line.startswith("_:", self.pos):
+            raise self.error("blank node must start with '_:'")
+        self.pos += 2
+        start = self.pos
+        while not self.at_end() and not self.line[self.pos].isspace():
+            self.pos += 1
+        label = self.line[start:self.pos]
+        if not label:
+            raise self.error("empty blank node label")
+        return BNode(label)
+
+    def read_literal(self) -> Literal:
+        self.expect('"')
+        chars = []
+        while True:
+            if self.at_end():
+                raise self.error("unterminated literal")
+            ch = self.line[self.pos]
+            if ch == "\\":
+                if self.pos + 1 >= len(self.line):
+                    raise self.error("dangling escape in literal")
+                chars.append(self.line[self.pos:self.pos + 2])
+                self.pos += 2
+                continue
+            if ch == '"':
+                self.pos += 1
+                break
+            chars.append(ch)
+            self.pos += 1
+        lexical = _scanner_unescape("".join(chars))
+        # optional language tag or datatype
+        if self.peek() == "@":
+            self.pos += 1
+            start = self.pos
+            while not self.at_end() and (self.line[self.pos].isalnum() or self.line[self.pos] == "-"):
+                self.pos += 1
+            language = self.line[start:self.pos]
+            if not language:
+                raise self.error("empty language tag")
+            return Literal(lexical, language=language)
+        if self.line.startswith("^^", self.pos):
+            self.pos += 2
+            datatype = self.read_iri()
+            return Literal(lexical, datatype=datatype.value)
+        return Literal(lexical)
+
+
+def _scanner_unescape(text: str) -> str:
+    """The scanner's per-character unescape (unknown escapes drop the backslash)."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch != "\\" or i + 1 >= n:
+            out.append(ch)
+            i += 1
+            continue
+        nxt = text[i + 1]
+        if nxt == "n":
+            out.append("\n")
+            i += 2
+        elif nxt == "r":
+            out.append("\r")
+            i += 2
+        elif nxt == "t":
+            out.append("\t")
+            i += 2
+        elif nxt == '"':
+            out.append('"')
+            i += 2
+        elif nxt == "\\":
+            out.append("\\")
+            i += 2
+        elif nxt == "u" and i + 6 <= n:
+            out.append(chr(int(text[i + 2:i + 6], 16)))
+            i += 6
+        elif nxt == "U" and i + 10 <= n:
+            out.append(chr(int(text[i + 2:i + 10], 16)))
+            i += 10
+        else:
+            out.append(nxt)
+            i += 2
+    return "".join(out)

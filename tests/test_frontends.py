@@ -53,6 +53,7 @@ from repro.engine import BinaryOp, NumericConst, NumericVar, ProjectOp, StarPatt
 from repro.engine.plan import PatternTerm
 from repro.model import IRI
 from repro.planner import LogicalQuery
+from repro.rio import parse_turtle, serialize_ntriples
 from repro.sparql import SPARQL_FRONTEND
 from repro.sql import SqlEngine, sql_frontend
 
@@ -527,6 +528,22 @@ def test_same_text_as_sparql_and_sql_does_not_collide(fresh_book_store):
     store.sql(BOOK_SQL)
     with pytest.raises(ParseError):  # cached SQL must not answer a SPARQL request
         store.sparql(BOOK_SQL, ZONE_MAPS)
+
+
+def test_abbreviated_statement_means_the_same_as_data_and_as_query():
+    """``ex:o.`` — no blank before the full stop — is the IRI ``…/o`` followed by
+    the end of the statement to the Turtle reader and to the SPARQL reader alike
+    (SPARQL used to read the IRI ``…/o.`` and silently match nothing)."""
+    turtle = (f"@prefix ex: <{EX}> .\n"
+              + "".join(f"ex:book{i} ex:has_author ex:author{i % 2}; ex:in_year {1990 + i}.\n"
+                        for i in range(6)))
+    query = f"PREFIX ex: <{EX}> SELECT ?b WHERE {{ ?b ex:has_author ex:author1. ?b ex:in_year 1993. }}"
+    from_turtle = RDFStore.build(list(parse_turtle(turtle)), config=small_graph_config())
+    from_ntriples = RDFStore.build(serialize_ntriples(parse_turtle(turtle)), config=small_graph_config())
+    for store in (from_turtle, from_ntriples):
+        assert store.decode_rows(store.sparql(query)) == [(f"{EX}book3",)]
+        store.update(f"PREFIX ex: <{EX}> INSERT DATA {{ ex:book9 ex:has_author ex:author1; ex:in_year 1993. }}")
+        assert sorted(store.decode_rows(store.sparql(query))) == [(f"{EX}book3",), (f"{EX}book9",)]
 
 
 # -- estimates and progress for SQL ------------------------------------------------------

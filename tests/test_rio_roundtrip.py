@@ -17,12 +17,52 @@ from repro.model.terms import (
     XSD_DATE,
     XSD_INTEGER,
     escape_literal,
-    unescape_literal,
 )
+from repro.model.syntax import unescape
 from repro.rio import parse_ntriples, parse_turtle, serialize_ntriples
 
 S = IRI("http://example.org/s")
 P = IRI("http://example.org/p")
+
+
+ESCAPE_LEXICALS = [
+    'line1\nline2',
+    'tab\there',
+    'quote "inside" quote',
+    'back\\slash',
+    'carriage\rreturn',
+    'mixed \\n literal backslash-n',
+    'trailing backslash \\',
+    '\x01control\x1f',
+    'del\x7fchar',
+]
+UNICODE_LEXICALS = [
+    "déjà vu",
+    "日本語のテキスト",
+    "emoji \U0001F600 and astral \U0001D11E",
+    "combining e\u0301 accent",
+    "rtl שלום",
+]
+TYPED_AND_TAGGED = [
+    Triple(S, P, Literal("42", datatype=XSD_INTEGER)),
+    Triple(S, P, Literal("1994-01-31", datatype=XSD_DATE)),
+    Triple(S, P, Literal("hello", language="en-GB")),
+    Triple(BNode("b1"), P, BNode("b2")),
+]
+
+
+def annotations(lexical):
+    return (Literal(lexical), Literal(lexical, language="und"),
+            Literal(lexical, datatype="http://example.org/dt"))
+
+
+def corpus_triples():
+    """Every triple this module round-trips (also read by the reference
+    scanner in ``test_syntax.py``)."""
+    literals = [annotated for lexical in ESCAPE_LEXICALS + UNICODE_LEXICALS + ["ab\x85c\u2028d\u2029"]
+                for annotated in annotations(lexical)]
+    return ([Triple(S, P, literal) for literal in literals] + TYPED_AND_TAGGED
+            + [Triple(IRI("http://example.org/café/ünïcode"), P, Literal("x"))])
 
 
 def roundtrip(triples):
@@ -30,17 +70,7 @@ def roundtrip(triples):
 
 
 class TestNTriplesEscapes:
-    @pytest.mark.parametrize("lexical", [
-        'line1\nline2',
-        'tab\there',
-        'quote "inside" quote',
-        'back\\slash',
-        'carriage\rreturn',
-        'mixed \\n literal backslash-n',
-        'trailing backslash \\',
-        '\x01control\x1f',
-        'del\x7fchar',
-    ])
+    @pytest.mark.parametrize("lexical", ESCAPE_LEXICALS)
     def test_escape_roundtrip(self, lexical):
         triple = Triple(S, P, Literal(lexical))
         (parsed,) = roundtrip([triple])
@@ -55,25 +85,18 @@ class TestNTriplesEscapes:
         assert parsed.object.lexical == tricky
 
     def test_unescape_u_and_U_forms(self):
-        assert unescape_literal("snow\\u2603man") == "snow☃man"
-        assert unescape_literal("clef\\U0001D11Eclef") == "clef\U0001D11Eclef"
+        assert unescape("snow\\u2603man") == "snow☃man"
+        assert unescape("clef\\U0001D11Eclef") == "clef\U0001D11Eclef"
 
     def test_escape_unescape_inverse(self):
         text = 'all of it: "quotes", \\, \n, \t, ☃, \U0001F600'
-        assert unescape_literal(escape_literal(text)) == text
+        assert unescape(escape_literal(text)) == text
 
 
 class TestNTriplesUnicode:
-    @pytest.mark.parametrize("lexical", [
-        "déjà vu",
-        "日本語のテキスト",
-        "emoji \U0001F600 and astral \U0001D11E",
-        "combining é accent",
-        "rtl שלום",
-    ])
+    @pytest.mark.parametrize("lexical", UNICODE_LEXICALS)
     def test_unicode_literal_roundtrip(self, lexical):
-        for annotated in (Literal(lexical), Literal(lexical, language="und"),
-                          Literal(lexical, datatype="http://example.org/dt")):
+        for annotated in annotations(lexical):
             (parsed,) = roundtrip([Triple(S, P, annotated)])
             assert parsed.object == annotated
 
@@ -83,13 +106,7 @@ class TestNTriplesUnicode:
         assert parsed.subject == subject
 
     def test_typed_and_tagged_roundtrip(self):
-        triples = [
-            Triple(S, P, Literal("42", datatype=XSD_INTEGER)),
-            Triple(S, P, Literal("1994-01-31", datatype=XSD_DATE)),
-            Triple(S, P, Literal("hello", language="en-GB")),
-            Triple(BNode("b1"), P, BNode("b2")),
-        ]
-        assert roundtrip(triples) == triples
+        assert roundtrip(TYPED_AND_TAGGED) == TYPED_AND_TAGGED
 
 
 class TestTurtlePrefixedNames:

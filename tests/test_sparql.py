@@ -71,6 +71,12 @@ class TestParser:
         assert Literal("2001-01-01", datatype=XSD_DATE) in objects
         assert any(isinstance(o, Literal) and o.lexical == "5" for o in objects)
 
+    def test_full_stop_after_a_name_or_number_ends_the_statement(self):
+        # the '.' used to be read into the local name, so the query matched nothing
+        q = parse_sparql(f"PREFIX ex: <{EX}> SELECT ?s WHERE {{ ?s ex:p ex:o. ?s ex:v1.2 5. }}")
+        assert [p.object for p in q.patterns] == [IRI(EX + "o"), Literal("5", datatype=XSD_INTEGER)]
+        assert q.patterns[1].predicate == IRI(EX + "v1.2")
+
     @pytest.mark.parametrize("bad", [
         "SELECT WHERE { ?s ?p ?o . }",
         "SELECT ?s { ?s ?p ?o . }",
@@ -79,6 +85,10 @@ class TestParser:
         'SELECT ?s WHERE { "lit" <http://x> ?o . }',
         "SELECT ?s WHERE { ?s pre:fix ?o . }",
         "SELECT ?s WHERE { ?s <http://x> ?o . } LIMIT abc",
+        "SELECT ?s WHERE { ?s <http://x> <> . }",
+        'SELECT ?s WHERE { ?s <http://x> "\\uZZZZ" . }',
+        'SELECT ?s WHERE { ?s <http://x> "\\UFFFFFFFF" . }',
+        'SELECT ?s WHERE { ?s <http://x> "dangling \\',
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):

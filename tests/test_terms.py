@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.model import BNode, IRI, Literal, literal_from_python, term_sort_key
+from repro.model.syntax import unescape
 from repro.model.terms import (
     XSD_BOOLEAN,
     XSD_DATE,
@@ -14,7 +15,6 @@ from repro.model.terms import (
     XSD_INTEGER,
     XSD_STRING,
     escape_literal,
-    unescape_literal,
 )
 
 
@@ -119,14 +119,14 @@ class TestEscaping:
 
     def test_unescape_round_trip(self):
         original = 'tab\tnewline\nquote"backslash\\'
-        assert unescape_literal(escape_literal(original)) == original
+        assert unescape(escape_literal(original)) == original
 
     def test_unescape_unicode(self):
-        assert unescape_literal("\\u00e9") == "é"
+        assert unescape("\\u00e9") == "é"
 
     @given(st.text(max_size=200))
     def test_escape_unescape_round_trip_property(self, text):
-        assert unescape_literal(escape_literal(text)) == text
+        assert unescape(escape_literal(text)) == text
 
 
 class TestTermSortKey:
