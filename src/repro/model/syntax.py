@@ -4,8 +4,8 @@ Every reader of term text composes the fragments below — an N-Triples line
 and the dictionary file's term (:mod:`repro.rio.ntriples`), Turtle
 (:mod:`repro.rio.turtle`) and SPARQL / SPARQL Update
 (:mod:`repro.sparql.parser`) — so a term form is added here, once: its
-fragment, its token in :data:`TOKEN_RE`, its case in :func:`make_term` /
-:meth:`TokenStream.term_of`.
+fragment, its place in :func:`_term_grammar` and its token in
+:data:`TOKEN_RE`, its case in :func:`make_term` / :meth:`TokenStream.term_of`.
 
 The fragments follow the W3C productions (N-Triples §3, Turtle §6.5)
 restricted to the supported subset: no ``\\u`` escapes inside IRIs, no
@@ -29,8 +29,10 @@ from .terms import BNode, IRI, Literal, RDF_TYPE, Term, XSD_BOOLEAN, XSD_DECIMAL
 IRI_BODY = r"[^\x00-\x20<>\\]*"
 """IRIREF between its angle brackets (the printable ``"{}|^``` W3C excludes
 stay in: crawled data has them and every reader always took them)."""
-ESCAPE = r'\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})'
-"""ECHAR | UCHAR."""
+_HEX4 = "[0-9A-Fa-f]{4}"
+ESCAPE = (r'\\(?:[tbnrf"\'\\]'
+          rf"|u(?![Dd][89A-Fa-f]){_HEX4}|U(?:0000(?![Dd][89A-Fa-f])|000[1-9A-Fa-f]|0010){_HEX4})")
+"""ECHAR | UCHAR naming a Unicode scalar value (no surrogate, none past U+10FFFF)."""
 STRING_BODY = rf'[^"\\\n\r]*(?:{ESCAPE}[^"\\\n\r]*)*'
 """STRING_LITERAL_QUOTE between its quotes."""
 BNODE_LABEL = r"\w[\w-]*(?:\.+[\w-]+)*"
@@ -40,11 +42,52 @@ LANGTAG = r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
 PNAME = r"(?:[^\W\d_][\w-]*)?:(?:[\w:][\w:-]*(?:\.+[\w:-]+)*)?"
 """PNAME_NS | PNAME_LN — a trailing ``.`` is the statement's, not the name's."""
 
-ABSOLUTE_IRIREF = rf"<(?!>)({IRI_BODY})>"
-"""IRIREF where nothing resolves a relative one (N-Triples): never ``<>``."""
-TERM = (rf'(?:{ABSOLUTE_IRIREF}|_:({BNODE_LABEL})'
-        rf'|"({STRING_BODY})"(?:@({LANGTAG})|\^\^{ABSOLUTE_IRIREF})?)')
-"""One N-Triples term; its five groups are :func:`make_term`'s arguments."""
+# -- grammars ---------------------------------------------------------------------
+# A grammar is a pattern fragment, a tuple of grammars in sequence, or a list of
+# alternatives that differ in their first character ("" is the empty one).  It is
+# stated once and compiled twice: pattern() reads, prefix_pattern() locates.
+
+
+def _term_grammar(iri_body: str, label: str, langtag: str) -> list:
+    """``<iri> | _:label | "string"(@langtag | ^^<iri>)?`` — five groups,
+    :func:`make_term`'s arguments."""
+    iriref = ("<", f"({iri_body})", ">")
+    return [iriref, ("_", ":", f"({label})"),
+            ('"', f"({STRING_BODY})", '"', [("@", f"({langtag})"), (r"\^", r"\^", *iriref), ""])]
+
+
+TERM = _term_grammar("(?!>)" + IRI_BODY, BNODE_LABEL, LANGTAG)
+"""One N-Triples term.  Nothing resolves a relative IRI there: never ``<>``."""
+ABSOLUTE_IRIREF, BLANK_NODE, _ = TERM
+WRITTEN_TERM = _term_grammar(".+", ".+", ".+")
+"""All of one :meth:`Term.n3`, whatever the term.  ``n3()`` escapes the string
+and nothing else, so an IRI, a label and a language tag are what stands
+between the delimiters: this reads the store's own dictionary file back, not
+RDF text from outside."""
+
+
+def pattern(grammar) -> str:
+    """The pattern of all of ``grammar``: the reader."""
+    if isinstance(grammar, str):
+        return grammar
+    if isinstance(grammar, list):
+        return "(?:" + "|".join(pattern(choice) for choice in grammar) + ")"
+    return "".join(pattern(step) for step in grammar)
+
+
+def prefix_pattern(grammar, then: str = "") -> str:
+    """The pattern of ``grammar`` (and on into ``then``) with only the first
+    step of a sequence required.  Where that step can match nothing it always
+    matches, and its match ends at the first character :func:`pattern` of the
+    same grammar cannot accept."""
+    if isinstance(grammar, str):
+        return grammar + then
+    if isinstance(grammar, list):
+        return "(?:" + "|".join(prefix_pattern(choice, then) for choice in grammar) + ")"
+    for step in reversed(grammar[1:]):
+        then = f"(?:{prefix_pattern(step, then)})?"
+    return prefix_pattern(grammar[0], then)
+
 
 TOKEN_RE = re.compile(
     rf"""
@@ -76,12 +119,9 @@ _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'":
 
 def _unescape_one(match: "re.Match[str]") -> str:
     escape = match.group()
-    if len(escape) == 2:
-        return _ECHARS[escape[1]]
-    code = int(escape[2:], 16) if len(escape) > 2 else -1
-    if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-        raise ParseError(f"invalid escape sequence {escape!r} at offset {match.start()}")
-    return chr(code)
+    if len(escape) == 1:  # a backslash that starts no ESCAPE
+        raise ParseError(f"invalid escape sequence at offset {match.start()}")
+    return _ECHARS[escape[1]] if len(escape) == 2 else chr(int(escape[2:], 16))
 
 
 def unescape(text: str) -> str:

@@ -10,7 +10,6 @@ decoded representation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import total_ordering
@@ -213,8 +212,13 @@ class Literal(Term):
 # -- helpers -----------------------------------------------------------------
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_MUST_ESCAPE_RE = re.compile('[\x00-\x1f"\\\\\x7f\x85\u2028\u2029]')
+_ESCAPES = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+}
 
 
 def escape_literal(text: str) -> str:
@@ -223,10 +227,17 @@ def escape_literal(text: str) -> str:
     Control characters (and the Unicode line/paragraph separators, which some
     line splitters treat as newlines) are emitted as ``\\uXXXX`` escapes so
     the serialized form always stays on one physical line.
-    :func:`repro.model.syntax.unescape` is the inverse.
     """
-    return _MUST_ESCAPE_RE.sub(
-        lambda m: _ESCAPES.get(m.group()) or f"\\u{ord(m.group()):04X}", text)
+    out = []
+    for ch in text:
+        escaped = _ESCAPES.get(ch)
+        if escaped is not None:
+            out.append(escaped)
+        elif ord(ch) < 0x20 or ch in ("\x7f", "\x85", " ", " "):
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
 def term_sort_key(term: Term) -> tuple:

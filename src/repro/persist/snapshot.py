@@ -136,6 +136,12 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
     store untouched, which is what tests snapshotting shared fixtures rely
     on.
     """
+    # dictionary: one n3 line per OID, which parse_term reads back whatever the
+    # term -- unless a line break (n3() escapes the string only) splits it
+    term_lines = "".join(term.n3() + "\n" for term in store.dictionary.terms())
+    if term_lines.count("\n") != len(store.dictionary):
+        broken = next(term for term in store.dictionary.terms() if "\n" in term.n3())
+        raise PersistenceError(f"cannot save {broken!r}: a line break outside a literal's string")
     root = Path(path)
     _prepare_directory(root)
     previous_generation = None
@@ -160,8 +166,6 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         files += 1
         data_bytes += file_path.stat().st_size
 
-    # dictionary: one n3 line per OID
-    term_lines = "".join(term.n3() + "\n" for term in store.dictionary.terms())
     dict_crc = write_text(gen_dir / DICTIONARY_FILE, term_lines)
     _note(gen_dir / DICTIONARY_FILE)
 

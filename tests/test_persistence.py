@@ -181,6 +181,42 @@ class TestSnapshotRoundTrip:
         query = f"SELECT ?b ?n WHERE {{ ?b <{EX}note> ?n . }}"
         assert decoded(reopened, query) == decoded(original, query)
 
+    def test_terms_no_reader_of_rdf_text_takes_round_trip(self, tmp_path):
+        """The dictionary file is ``n3()`` and its exact inverse: terms the API
+        built (or the lenient scanner before ``repro.model.syntax`` read from
+        crawled N-Triples) that no reader of RDF text accepts any more."""
+        from repro.model import BNode, IRI, Literal, Triple
+        odd = [
+            IRI("http://x/a b"), IRI("http://x/a<b>c\\d\re"), BNode("a/b"), BNode("-a "),
+            Literal("x", language="en_US"), Literal("x", language="é--1"),
+            Literal('q"\n', datatype="http://x/d t>"),
+        ]
+        triples = book_triples() + [Triple(IRI(f"{EX}book/{i}"), IRI(f"{EX}odd"), term)
+                                    for i, term in enumerate(odd)]
+        triples += [Triple(term, IRI(f"{EX}odd"), Literal("subject")) for term in odd[:4]]
+        original = RDFStore.build(triples, config=_config())
+        original.save(tmp_path / "db")
+        # the format the parent commit wrote: one raw n3() per line
+        dictionary_file = next((tmp_path / "db").glob(f"{GENERATION_PREFIX}*/dictionary.nt"))
+        lines = dictionary_file.read_bytes().decode("utf-8").split("\n")
+        assert {"<http://x/a b>", "_:a/b", '"x"@en_US'} <= set(lines)
+        reopened = RDFStore.open(tmp_path / "db")
+        assert list(reopened.dictionary.terms()) == list(original.dictionary.terms())
+        query = f"SELECT ?b ?o WHERE {{ ?b <{EX}odd> ?o . }}"
+        assert decoded(reopened, query) == decoded(original, query)
+
+    def test_a_term_the_dictionary_file_cannot_hold_is_refused_at_save(self, store, tmp_path):
+        from repro.model import IRI, Literal, Triple
+        store.save(tmp_path / "db")
+        broken = RDFStore.build(book_triples() + [
+            Triple(IRI(f"{EX}line\nbreak"), IRI(f"{EX}note"), Literal("fine\nhere"))], config=_config())
+        with pytest.raises(PersistenceError, match="line break"):
+            broken.save(tmp_path / "db")
+        with pytest.raises(PersistenceError, match="line break"):
+            broken.save(tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+        assert RDFStore.open(tmp_path / "db").triple_count() == store.triple_count()
+
     def test_dblp_round_trip(self, dblp_store, tmp_path):
         # write_snapshot (not save) keeps the shared session fixture detached
         write_snapshot(dblp_store, tmp_path / "db")

@@ -25,6 +25,7 @@ from repro.errors import ParseError
 from repro.model import BNode, IRI, Literal, Triple
 from repro.model.terms import XSD_BOOLEAN, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from repro.rio import parse_ntriples, parse_term, parse_turtle, serialize_ntriples
+from repro.rio.ntriples import _LINE_PREFIX_RE
 from repro.sparql import parse_sparql, parse_update
 from test_rio_roundtrip import corpus_triples
 
@@ -66,6 +67,8 @@ def test_reader_equals_the_reference_scanner_on_generated_data(triples):
     text = serialize_ntriples(triples)
     assert list(parse_ntriples(text)) == triples
     assert [scanned(line) for line in text.split("\n") if line] == triples
+    # the locator is the same grammar: it runs to the end of every line the reader takes
+    assert all(_LINE_PREFIX_RE.match(line).end() == len(line) for line in text.split("\n"))
     assert [parse_term(term.n3()) for triple in triples for term in triple] == \
         [term for triple in triples for term in triple]
 
@@ -143,6 +146,10 @@ def test_escapes_the_scanner_misread():
     (f"<{EX}a", f" b> {P} {S} ."),        # the blank inside an IRI
     (f'{S} {P} "a', '\\qb" .'),            # the backslash of an unknown escape
     (f'{S} {P} "x"@', " ."),              # where a language tag had to start
+    (f'{S} {P} "ab', '\\uD800" .'),         # the backslash of an escape that names a surrogate ...
+    (f'{S} {P} "', '\\UFFFFFFFF" .'),       # ... or nothing in Unicode
+    (f'{S} {P} "x"^', f"<{XSD_INTEGER}> ."),
+    ("_", f"x {P} {S} ."),
     (f"{S} {P} {S}", ""),                 # the missing '.'
     (f"{S} {P} {S} . ", "extra"),
     ("", "broken line"),
@@ -186,6 +193,30 @@ def test_every_reader_reads_back_what_n3_writes(term):
     if not isinstance(term, Literal):  # and as a subject
         assert [t.subject for t in parse_ntriples(f"{text} {P} {text} .")] == [term]
         assert [t.subject for t in parse_turtle(f"{text} {P} {text} .")] == [term]
+
+
+ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds(IRI, ONE_LINE), st.builds(BNode, ONE_LINE),
+    st.builds(lambda lexical, language: Literal(lexical, language=language), LEXICALS, ONE_LINE),
+    st.builds(lambda lexical, datatype: Literal(lexical, datatype=datatype), LEXICALS, ONE_LINE)))
+def test_parse_term_is_the_inverse_of_n3_whatever_the_term(term):
+    # the dictionary file holds what the API built, not only what a reader of RDF text accepts
+    assert parse_term(term.n3()) == term
+
+
+def test_parse_term_decisions():
+    # read now, refused by the scanner: the term's own characters after its first delimiter
+    assert parse_term("<a>b>") == IRI("a>b")
+    assert parse_term('"x"@en_US') == Literal("x", language="en_US")
+    assert parse_term("_:a b") == BNode("a b")
+    # refused now, read by the scanner (which stripped them): blanks around the term
+    for text in (" <a>", "<a> ", '"x"\n'):
+        with pytest.raises(ParseError):
+            parse_term(text)
 
 
 def test_abbreviated_forms_read_alike_in_turtle_and_sparql():
