@@ -424,9 +424,10 @@ class RDFStore:
     def load(self, source: Graph | Iterable[Triple] | str, syntax: str = "ntriples") -> int:
         """Load decoded triples (or RDF text) and encode them in parse order.
 
-        Loading drops every derived structure (schema, catalog and its
-        reduced schemas, indexes, clustered store); duplicate triples are
-        dropped.
+        Loading replaces the data: the triples are encoded into a fresh
+        dictionary (no term of what was loaded before lives on) and every
+        derived structure is dropped (schema, catalog and its reduced
+        schemas, indexes, clustered store); duplicate triples are dropped.
 
         Args:
             source: a :class:`Graph`, an iterable of :class:`Triple`, or RDF
@@ -450,11 +451,12 @@ class RDFStore:
                 triples: Iterable[Triple] = parse_rdf(source, syntax=syntax)
             else:
                 triples = source
-            # loading appends to and re-orders the dictionary in place; open
-            # read snapshots keep the pre-load dictionary via clone-on-write
-            self._preserve_pinned_state()
-            self.dictionary, self.matrix = encode_graph(triples, self.dictionary)
-            self.matrix = value_order_literals(self.matrix, self.dictionary)
+            # a load replaces the data, so it encodes into a dictionary of its
+            # own: no term of the replaced triples lives on, a source that
+            # fails half way leaves the store as it was, and open read
+            # snapshots keep the old dictionary, which nothing touches again
+            dictionary, matrix = encode_graph(triples)
+            self.dictionary, self.matrix = dictionary, value_order_literals(matrix, dictionary)
             # a full reload re-encodes (and value-reorders) OIDs: the tables a
             # schema — or a registered reduced schema — names are gone
             self._install_schema(None)
@@ -761,9 +763,10 @@ class RDFStore:
         """Clone-on-write before an in-place mutation of shared state.
 
         Updates only *append* to the dictionary (existing OIDs stay stable),
-        so snapshots survive them without copies.  Compaction, clustering and
-        reloading are different: they re-map OIDs inside the dictionary and
-        mutate schema tables in place.  When read snapshots are pinned, the
+        so snapshots survive them without copies.  Compaction and clustering
+        are different: they re-map OIDs inside the dictionary and mutate
+        schema tables in place (a reload encodes into a dictionary of its
+        own and needs nothing).  When read snapshots are pinned, the
         live store therefore switches to fresh clones and leaves the original
         objects — which every open snapshot references directly — untouched.
         A no-op when no snapshot is open (the common, single-threaded case).

@@ -32,9 +32,9 @@ from .relationships import RelationshipConfig, RelationshipResult, discover_rela
 from .schema_model import (
     CharacteristicSet,
     EmergentSchema,
-    Membership,
     PropertySpec,
     SchemaCoverage,
+    rows_in_table_columns,
 )
 from .typing import (
     PropertyObservation,
@@ -97,14 +97,14 @@ def discover_schema(
     config = config or DiscoveryConfig()
     matrix = np.asarray(triple_matrix, dtype=np.int64).reshape(-1, 3)
 
-    detection = detection_from_triples(map(tuple, matrix))
+    detection = detection_from_triples(matrix)
     generalization = generalize(detection, config.generalization)
 
     if config.typing.split_variants and dictionary is not None:
         generalization = split_type_variants(generalization, matrix, dictionary, config.typing)
 
     if dictionary is not None:
-        observations = analyze_property_objects(matrix, dictionary, generalization.subject_to_gcs)
+        observations = analyze_property_objects(matrix, dictionary, generalization.membership)
         kinds = assign_property_kinds(generalization, observations, config.typing)
     else:
         observations = {}
@@ -163,8 +163,7 @@ def _assemble_schema(
             support=gcs.support,
             merged_from=[],
         )
-    schema.membership = Membership.of_tables(
-        {gcs.gcs_id: gcs.subjects for gcs in generalization.generalized})
+    schema.membership = generalization.membership
     schema.foreign_keys = [fk for fk in relationships.foreign_keys
                            if fk.source_cs in schema.tables and fk.target_cs in schema.tables]
     return schema
@@ -176,28 +175,15 @@ def measure_coverage(schema: EmergentSchema, matrix: np.ndarray) -> SchemaCovera
 
     A triple is covered when its subject belongs to a table *and* its
     predicate is one of that table's properties; everything else lives in
-    the irregular triple store.  One vectorized pass, O(n log m): each row's
-    subject is resolved to its CS by the schema's membership, and (CS,
-    predicate) membership is tested with a single ``np.isin`` over packed
-    keys — not one full-matrix scan per table.
+    the irregular triple store.  One vectorized pass, O(n log m)
+    (:func:`~repro.cs.schema_model.rows_in_table_columns`) — not one
+    full-matrix scan per table.
     """
     subjects = np.unique(matrix[:, 0])
     coverage = SchemaCoverage(total_triples=int(matrix.shape[0]),
                               total_subjects=int(subjects.size))
     coverage.covered_subjects = int((schema.membership.cs_of(subjects) >= 0).sum())
-    if not coverage.covered_subjects:
-        return coverage
-    row_cs = schema.membership.cs_of(matrix[:, 0])
-    row_covered = row_cs >= 0
-    row_cs = row_cs[row_covered]
-    row_pred = matrix[row_covered, 1]
-    base = int(max(row_pred.max(),
-                   max((max(cs.property_oids(), default=0)
-                        for cs in schema.tables.values()), default=0))) + 1
-    table_keys = np.asarray(
-        [cs.cs_id * base + p for cs in schema.tables.values()
-         for p in cs.property_oids()],
-        dtype=np.int64)
-    coverage.covered_triples = int(np.isin(row_cs * base + row_pred,
-                                           table_keys).sum())
+    coverage.covered_triples = int(rows_in_table_columns(
+        matrix, schema.membership,
+        {cs.cs_id: cs.property_oids() for cs in schema.tables.values()}).sum())
     return coverage

@@ -26,7 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .detect import DetectionResult, ExactCS
+from .schema_model import Membership
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,15 @@ class GeneralizedCS:
 
     gcs_id: int
     properties: frozenset[int]
-    subjects: List[int] = field(default_factory=list)
+    subjects: np.ndarray
+    """The member subject OIDs, ascending."""
     merged_exact: List[frozenset[int]] = field(default_factory=list)
     property_presence: Dict[int, float] = field(default_factory=dict)
     property_mean_multiplicity: Dict[int, float] = field(default_factory=dict)
 
     @property
     def support(self) -> int:
-        return len(self.subjects)
+        return int(self.subjects.size)
 
 
 @dataclass
@@ -70,14 +74,14 @@ class GeneralizationResult:
     """Output of the generalization pass."""
 
     generalized: List[GeneralizedCS]
-    subject_to_gcs: Dict[int, int]
-    """Subjects absent from it are irregular."""
+    membership: Membership
+    """Which generalized CS each subject joined (by ``gcs_id``); subjects
+    absent from it are irregular."""
 
     def coverage(self, total_subjects: int) -> float:
         if total_subjects == 0:
             return 0.0
-        covered = sum(g.support for g in self.generalized)
-        return covered / total_subjects
+        return len(self.membership) / total_subjects
 
 
 def jaccard(a: frozenset[int], b: frozenset[int]) -> float:
@@ -99,50 +103,31 @@ def generalize(detection: DetectionResult,
                     int(config.min_support_fraction * total_subjects))
     threshold = max(threshold, 1)
 
-    ranked = detection.sets_by_support()
+    ranked = detection.exact_sets  # largest support first
     cores: List[_Core] = []
-    small: List[ExactCS] = []
-    for exact in ranked:
+    small: List[int] = []
+    for index, exact in enumerate(ranked):
         if exact.support >= threshold:
-            _merge_or_add_core(cores, exact, config.core_merge_similarity)
+            _merge_or_add_core(cores, index, exact, config.core_merge_similarity)
         else:
-            small.append(exact)
+            small.append(index)
 
     if not cores and ranked:
         # degenerate input: nothing reaches the threshold; promote the largest
-        _merge_or_add_core(cores, ranked[0], config.core_merge_similarity)
-        small = ranked[1:]
+        cores.append(_Core(0, ranked[0]))
+        small = small[1:]
 
-    for exact in small:  # one that attaches to no core stays irregular
+    for index in small:  # one that attaches to no core stays irregular
+        exact = ranked[index]
         best = _best_core(cores, exact.properties)
         if best is not None and jaccard(best.properties, exact.properties) >= config.attach_similarity:
-            best.absorb(exact)
+            best.absorb(index, exact)
 
     if config.max_tables is not None and len(cores) > config.max_tables:
-        cores.sort(key=lambda c: -len(c.subjects))
+        cores.sort(key=lambda c: -c.support)
         cores = cores[:config.max_tables]
 
-    generalized: List[GeneralizedCS] = []
-    subject_to_gcs: Dict[int, int] = {}
-    for gcs_id, core in enumerate(cores):
-        gcs = _finalize_core(gcs_id, core, detection, config)
-        if not gcs.properties:
-            continue
-        generalized.append(gcs)
-        for subject in gcs.subjects:
-            subject_to_gcs[subject] = gcs.gcs_id
-
-    # re-number consecutively in case empty cores were dropped
-    for new_id, gcs in enumerate(generalized):
-        if gcs.gcs_id != new_id:
-            for subject in gcs.subjects:
-                subject_to_gcs[subject] = new_id
-            gcs.gcs_id = new_id
-
-    return GeneralizationResult(
-        generalized=generalized,
-        subject_to_gcs=subject_to_gcs,
-    )
+    return _finalize_cores(cores, detection, config)
 
 
 # -- internals -----------------------------------------------------------------
@@ -151,23 +136,26 @@ def generalize(detection: DetectionResult,
 class _Core:
     """Mutable accumulator for one generalized CS under construction."""
 
-    def __init__(self, exact: ExactCS) -> None:
+    def __init__(self, index: int, exact: ExactCS) -> None:
         self.properties: frozenset[int] = exact.properties
-        self.subjects: List[int] = list(exact.subjects)
+        self.exact: List[int] = [index]
+        """Positions in ``DetectionResult.exact_sets`` of the merged sets."""
+        self.support = exact.support
         self.merged_exact: List[frozenset[int]] = [exact.properties]
 
-    def absorb(self, exact: ExactCS) -> None:
+    def absorb(self, index: int, exact: ExactCS) -> None:
         self.properties = self.properties | exact.properties
-        self.subjects.extend(exact.subjects)
+        self.exact.append(index)
+        self.support += exact.support
         self.merged_exact.append(exact.properties)
 
 
-def _merge_or_add_core(cores: List[_Core], exact: ExactCS, similarity: float) -> None:
+def _merge_or_add_core(cores: List[_Core], index: int, exact: ExactCS, similarity: float) -> None:
     best = _best_core(cores, exact.properties)
     if best is not None and jaccard(best.properties, exact.properties) >= similarity:
-        best.absorb(exact)
+        best.absorb(index, exact)
     else:
-        cores.append(_Core(exact))
+        cores.append(_Core(index, exact))
 
 
 def _best_core(cores: List[_Core], properties: frozenset[int]) -> Optional[_Core]:
@@ -181,35 +169,60 @@ def _best_core(cores: List[_Core], properties: frozenset[int]) -> Optional[_Core
     return best
 
 
-def _finalize_core(gcs_id: int, core: _Core, detection: DetectionResult,
-                   config: GeneralizationConfig) -> GeneralizedCS:
-    """Compute presence/multiplicity statistics and drop rare properties."""
-    subject_count = len(core.subjects)
-    presence_counts: Dict[int, int] = {}
-    value_counts: Dict[int, int] = {}
-    for subject in core.subjects:
-        props = detection.subject_properties.get(subject, frozenset())
-        mults = detection.property_multiplicities.get(subject, {})
-        for prop in props:
-            if prop not in core.properties:
-                continue
-            presence_counts[prop] = presence_counts.get(prop, 0) + 1
-            value_counts[prop] = value_counts.get(prop, 0) + mults.get(prop, 1)
+def _finalize_cores(cores: List[_Core], detection: DetectionResult,
+                    config: GeneralizationConfig) -> GeneralizationResult:
+    """Per core, its members and presence / multiplicity statistics; rare
+    properties are dropped, and with them a core that keeps none.
 
-    kept: Dict[int, float] = {}
-    mean_multiplicity: Dict[int, float] = {}
-    for prop in core.properties:
-        count = presence_counts.get(prop, 0)
-        presence = count / subject_count if subject_count else 0.0
-        if presence >= config.minority_presence or presence >= 0.999:
-            kept[prop] = presence
-            mean_multiplicity[prop] = (value_counts.get(prop, 0) / count) if count else 0.0
+    Merging happened between exact sets; the statistics are counted over the
+    detection's ``(subject, predicate)`` pairs in one pass for all cores: a
+    pair is one subject having the property (presence) with ``pair_count``
+    values (multiplicity).
+    """
+    core_of_exact = np.full(len(detection.exact_sets), -1, dtype=np.int64)
+    for core_index, core in enumerate(cores):
+        core_of_exact[core.exact] = core_index
+    core_of_subject = core_of_exact[detection.exact_index]  # -1: in no core
+    core_of_pair = core_of_subject[detection.pair_subject]
+    in_core = core_of_pair >= 0
+    # one cell per (core, property) that some member has, cores ascending
+    width = int(detection.pair_predicate.max(initial=0)) + 1
+    cells, cell_of_pair = np.unique(
+        core_of_pair[in_core] * width + detection.pair_predicate[in_core], return_inverse=True)
+    cell_core, cell_predicate = (part.tolist() for part in np.divmod(cells, width))
+    having = np.bincount(cell_of_pair, minlength=cells.size).tolist()
+    values = np.bincount(cell_of_pair, weights=detection.pair_count[in_core],  # exact below 2**53
+                         minlength=cells.size).astype(np.int64).tolist()
+    by_core = np.argsort(core_of_subject, kind="stable")  # subjects stay ascending per core
+    members = np.split(detection.subjects[by_core],
+                       np.searchsorted(core_of_subject[by_core], np.arange(len(cores) + 1)))[1:]
 
-    return GeneralizedCS(
-        gcs_id=gcs_id,
-        properties=frozenset(kept),
-        subjects=sorted(core.subjects),
-        merged_exact=core.merged_exact,
-        property_presence=kept,
-        property_mean_multiplicity=mean_multiplicity,
+    generalized: List[GeneralizedCS] = []
+    gcs_of_core = np.full(len(cores) + 1, -1, dtype=np.int64)  # the spare slot answers for -1
+    cell = 0
+    for core_index, core in enumerate(cores):
+        kept: Dict[int, float] = {}
+        mean_multiplicity: Dict[int, float] = {}
+        while cell < len(cell_core) and cell_core[cell] == core_index:
+            presence = having[cell] / core.support
+            if presence >= config.minority_presence or presence >= 0.999:
+                kept[cell_predicate[cell]] = presence
+                mean_multiplicity[cell_predicate[cell]] = values[cell] / having[cell]
+            cell += 1
+        if not kept:
+            continue
+        gcs_of_core[core_index] = len(generalized)
+        generalized.append(GeneralizedCS(
+            gcs_id=len(generalized),
+            properties=frozenset(kept),
+            subjects=members[core_index],
+            merged_exact=core.merged_exact,
+            property_presence=kept,
+            property_mean_multiplicity=mean_multiplicity,
+        ))
+    gcs_of_subject = gcs_of_core[core_of_subject]
+    covered = gcs_of_subject >= 0
+    return GeneralizationResult(
+        generalized=generalized,
+        membership=Membership(detection.subjects[covered], gcs_of_subject[covered]),
     )

@@ -217,16 +217,32 @@ class Membership:
         keep = self.cs_ids != cs_id
         return Membership(self.subjects[keep], self.cs_ids[keep])
 
-    def remapped(self, mapping: Mapping[int, int]) -> "Membership":
-        """With subject OIDs rewritten ``old -> new``; unmapped ones stay."""
-        if not mapping:
+    def remapped(self, old, new) -> "Membership":
+        """With subject OID ``old[i]`` rewritten to ``new[i]`` (aligned
+        arrays); subjects not in ``old`` stay."""
+        old = np.asarray(old, dtype=np.int64)
+        new = np.asarray(new, dtype=np.int64)
+        if not old.size:
             return self
-        old = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
-        new = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
         order = np.argsort(old)
         return self._sorted(_lookup_sorted(old[order], new[order], self.subjects,
                                            self.subjects),
                             self.cs_ids)
+
+
+def rows_in_table_columns(matrix: np.ndarray, membership: Membership,
+                          properties_of: Mapping[int, Iterable[int]]) -> np.ndarray:
+    """Mask of the ``(n, 3)`` matrix's rows whose subject belongs to a table
+    *and* whose predicate is one of that table's properties
+    (``properties_of``: table id -> predicate OIDs): one ``cs_of`` and one
+    ``np.isin`` over packed ``(table, predicate)`` keys."""
+    base = int(max(matrix[:, 1].max(initial=0),
+                   max((max(properties, default=0) for properties in properties_of.values()),
+                       default=0))) + 1
+    columns = np.asarray([cs_id * base + p for cs_id, properties in properties_of.items()
+                          for p in properties], dtype=np.int64)
+    # a subject without a table packs to a negative key, which is no column's
+    return np.isin(membership.cs_of(matrix[:, 0]) * base + matrix[:, 1], columns)
 
 
 @dataclass

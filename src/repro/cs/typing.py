@@ -21,11 +21,11 @@ benefit of faster, type-homogeneous processing).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ..model import IRI, Literal, TermDictionary
+from ..model import Literal, TermDictionary
 from ..model.terms import (
     XSD_BOOLEAN,
     XSD_DATE,
@@ -34,8 +34,9 @@ from ..model.terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
 )
+from .detect import group_equal_runs, run_starts
 from .generalize import GeneralizationResult, GeneralizedCS
-from .schema_model import PropertyKind
+from .schema_model import Membership, PropertyKind, rows_in_table_columns
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,18 @@ class TypingConfig:
 
 @dataclass
 class PropertyObservation:
-    """Accumulated evidence about one (CS, property) pair's objects."""
+    """Accumulated evidence about one (CS, property) pair's objects.
+
+    Both count dicts list their keys in the order the triple matrix first
+    shows them, and a tie between the largest counts goes to the earlier key
+    (``max`` keeps the first maximum it meets): of two equally frequent
+    kinds, or target CSs, the one seen first in matrix order wins.
+    """
 
     kind_counts: Dict[PropertyKind, int] = field(default_factory=dict)
     target_cs_counts: Dict[int, int] = field(default_factory=dict)
     irregular_target_count: int = 0
     total: int = 0
-
-    def record_kind(self, kind: PropertyKind) -> None:
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        self.total += 1
-
-    def record_target(self, target_gcs: Optional[int]) -> None:
-        if target_gcs is None:
-            self.irregular_target_count += 1
-        else:
-            self.target_cs_counts[target_gcs] = self.target_cs_counts.get(target_gcs, 0) + 1
 
     def dominant_kind(self, threshold: float) -> PropertyKind:
         if self.total == 0:
@@ -144,37 +141,64 @@ def term_kind(dictionary: TermDictionary, oid: int) -> PropertyKind:
     return PropertyKind.IRI
 
 
+KINDS = list(PropertyKind)
+"""A kind's *code* is its position here: what a kind-code column holds."""
+_CODE_OF = {kind: code for code, kind in enumerate(KINDS)}
+_IRI, _MIXED = _CODE_OF[PropertyKind.IRI], _CODE_OF[PropertyKind.MIXED]
+
+
+def object_kind_codes(dictionary: TermDictionary, objects: np.ndarray) -> np.ndarray:
+    """The kind code of every entry of an object-OID column; each *distinct*
+    object is classified once (:func:`term_kind`)."""
+    distinct, inverse = np.unique(objects, return_inverse=True)
+    codes = np.asarray([_CODE_OF[term_kind(dictionary, oid)] for oid in distinct.tolist()],
+                       dtype=np.int64)
+    return codes[inverse]
+
+
+def _count_first_seen(*columns: np.ndarray):
+    """The distinct rows of the aligned columns in order of first appearance,
+    each followed by its number of occurrences, as tuples of ints."""
+    order = np.lexsort(columns[::-1])
+    ordered = [column[order] for column in columns]
+    starts = run_starts(*ordered)
+    by_first = np.argsort(order[starts])  # the sort is stable: a run starts at its earliest row
+    return zip(*(column[starts][by_first].tolist() for column in ordered),
+               np.diff(starts, append=len(order))[by_first].tolist())
+
+
 def analyze_property_objects(
     triple_matrix: np.ndarray,
     dictionary: TermDictionary,
-    subject_to_gcs: Mapping[int, int],
+    membership: Membership,
 ) -> Dict[Tuple[int, int], PropertyObservation]:
-    """Scan all triples once, collecting per-(CS, property) object evidence.
+    """Collect per-(CS, property) object evidence in one pass over the matrix.
 
     ``triple_matrix`` is the ``(n, 3)`` encoded S/P/O matrix.  Only triples
-    whose subject belongs to a generalized CS contribute; for IRI objects
-    the referenced subject's CS membership (or irregularity) is recorded for
-    foreign-key discovery.
+    whose subject belongs to a generalized CS (``membership``) contribute;
+    for IRI objects the referenced subject's CS membership (or irregularity)
+    is recorded for foreign-key discovery.  The pass is a kind-code column
+    over the contributing rows and two grouped counts — of ``(CS, property,
+    kind)`` and of ``(CS, property, target CS)`` — whose cells arrive in the
+    order the matrix first shows them (see :class:`PropertyObservation`).
     """
+    row_cs = membership.cs_of(triple_matrix[:, 0])
+    rows = np.flatnonzero(row_cs >= 0)
+    cs, predicate, obj = row_cs[rows], triple_matrix[rows, 1], triple_matrix[rows, 2]
+    kind = object_kind_codes(dictionary, obj)
     observations: Dict[Tuple[int, int], PropertyObservation] = {}
-    kind_cache: Dict[int, PropertyKind] = {}
-    for s, p, o in triple_matrix:
-        gcs = subject_to_gcs.get(int(s))
-        if gcs is None:
-            continue
-        key = (gcs, int(p))
-        obs = observations.get(key)
-        if obs is None:
-            obs = PropertyObservation()
-            observations[key] = obs
-        oid = int(o)
-        kind = kind_cache.get(oid)
-        if kind is None:
-            kind = term_kind(dictionary, oid)
-            kind_cache[oid] = kind
-        obs.record_kind(kind)
-        if kind is PropertyKind.IRI:
-            obs.record_target(subject_to_gcs.get(oid))
+    for cs_id, prop, kind_code, count in _count_first_seen(cs, predicate, kind):
+        obs = observations.setdefault((cs_id, prop), PropertyObservation())
+        obs.kind_counts[KINDS[kind_code]] = count
+        obs.total += count
+    to_iri = kind == _IRI
+    target = membership.cs_of(obj[to_iri])
+    for cs_id, prop, target_cs, count in _count_first_seen(cs[to_iri], predicate[to_iri], target):
+        obs = observations[(cs_id, prop)]
+        if target_cs >= 0:
+            obs.target_cs_counts[target_cs] = count
+        else:  # the referenced term belongs to no table
+            obs.irregular_target_count = count
     return observations
 
 
@@ -199,38 +223,37 @@ def assign_property_kinds(
 # -- typed variants ------------------------------------------------------------
 
 
-def compute_subject_signatures(
+def subject_signatures(
     triple_matrix: np.ndarray,
     dictionary: TermDictionary,
-    subjects: List[int],
-    properties: frozenset[int],
-) -> Dict[int, Tuple[Tuple[int, str], ...]]:
-    """Per-subject type signature over the CS's properties.
+    generalization: GeneralizationResult,
+) -> np.ndarray:
+    """Per member subject (aligned with ``generalization.membership``), the
+    number of its type signature: equal numbers, equal signatures.
 
-    The signature is a sorted tuple of ``(property, kind value)`` pairs for
-    the properties the subject actually has; subjects with identical
-    signatures can share a fully type-homogeneous variant.
+    The signature is the subject's ``(property, kind)`` pairs over the
+    properties of its CS, a property whose objects disagree counting as
+    ``MIXED``; subjects with identical signatures can share a fully
+    type-homogeneous variant.  One pass for all CSs: the kind-code column
+    of the members' rows, reduced per ``(subject, property)``, then per
+    subject.
     """
-    wanted = set(subjects)
-    per_subject: Dict[int, Dict[int, PropertyKind]] = {s: {} for s in subjects}
-    kind_cache: Dict[int, PropertyKind] = {}
-    for s, p, o in triple_matrix:
-        s_int, p_int, o_int = int(s), int(p), int(o)
-        if s_int not in wanted or p_int not in properties:
-            continue
-        kind = kind_cache.get(o_int)
-        if kind is None:
-            kind = term_kind(dictionary, o_int)
-            kind_cache[o_int] = kind
-        existing = per_subject[s_int].get(p_int)
-        if existing is None:
-            per_subject[s_int][p_int] = kind
-        elif existing is not kind:
-            per_subject[s_int][p_int] = PropertyKind.MIXED
-    signatures: Dict[int, Tuple[Tuple[int, str], ...]] = {}
-    for subject, kinds in per_subject.items():
-        signatures[subject] = tuple(sorted((p, k.value) for p, k in kinds.items()))
-    return signatures
+    membership = generalization.membership
+    rows = np.flatnonzero(rows_in_table_columns(
+        triple_matrix, membership,
+        {gcs.gcs_id: gcs.properties for gcs in generalization.generalized}))
+    rows = rows[np.lexsort((triple_matrix[rows, 1], triple_matrix[rows, 0]))]
+    subject, predicate = triple_matrix[rows, 0], triple_matrix[rows, 1]
+    kind = object_kind_codes(dictionary, triple_matrix[rows, 2])
+    pairs = run_starts(subject, predicate)
+    signature = np.zeros(len(membership), dtype=np.int64)  # 0: no typed property at all
+    if pairs.size:
+        lowest, highest = np.minimum.reduceat(kind, pairs), np.maximum.reduceat(kind, pairs)
+        pair_kind = np.where(lowest == highest, lowest, _MIXED)
+        holders = run_starts(subject[pairs])
+        group, _first = group_equal_runs(predicate[pairs] * len(KINDS) + pair_kind, holders)
+        signature[np.searchsorted(membership.subjects, subject[pairs][holders])] = group + 1
+    return signature
 
 
 def split_type_variants(
@@ -241,43 +264,40 @@ def split_type_variants(
 ) -> GeneralizationResult:
     """Split each generalized CS into typed variants (optional pass).
 
-    Subjects whose signature group is smaller than ``min_variant_support``
-    stay with the largest variant of their CS, so the pass never creates
-    tiny fragments.
+    The largest signature group of a CS (of equally large ones, the one
+    holding the lowest subject OID) is its main variant; every other group
+    of at least ``min_variant_support`` subjects becomes a variant of its
+    own, in that order, and the subjects of smaller groups stay with the
+    main variant, so the pass never creates tiny fragments.
     """
     config = config or TypingConfig()
-    new_sets: List[GeneralizedCS] = []
-    subject_to_gcs: Dict[int, int] = {}
+    membership = generalization.membership
+    signature = subject_signatures(triple_matrix, dictionary, generalization)
+    variant_of_member = np.empty(len(membership), dtype=np.int64)
+    origin: List[GeneralizedCS] = []  # per new variant, the CS it was split from
     for gcs in generalization.generalized:
-        signatures = compute_subject_signatures(triple_matrix, dictionary, gcs.subjects, gcs.properties)
-        groups: Dict[Tuple, List[int]] = {}
-        for subject in gcs.subjects:
-            groups.setdefault(signatures.get(subject, ()), []).append(subject)
-        ordered = sorted(groups.items(), key=lambda item: -len(item[1]))
-        if not ordered:
+        members = np.flatnonzero(membership.cs_ids == gcs.gcs_id)
+        if not members.size:
             continue
-        main_signature, main_subjects = ordered[0]
-        main_subjects = list(main_subjects)
-        variant_groups: List[Tuple[Tuple, List[int]]] = []
-        for signature, members in ordered[1:]:
-            if len(members) >= config.min_variant_support:
-                variant_groups.append((signature, members))
-            else:
-                main_subjects.extend(members)
-        variant_groups.insert(0, (main_signature, sorted(main_subjects)))
-        for signature, members in variant_groups:
-            new_id = len(new_sets)
-            new_sets.append(GeneralizedCS(
-                gcs_id=new_id,
-                properties=gcs.properties,
-                subjects=sorted(members),
-                merged_exact=gcs.merged_exact,
-                property_presence=dict(gcs.property_presence),
-                property_mean_multiplicity=dict(gcs.property_mean_multiplicity),
-            ))
-            for subject in members:
-                subject_to_gcs[subject] = new_id
+        _groups, first, group, sizes = np.unique(
+            signature[members], return_index=True, return_inverse=True, return_counts=True)
+        ordered = sorted(range(len(sizes)), key=lambda g: (-sizes[g], first[g]))
+        variant_of_group = np.full(len(sizes), len(origin), dtype=np.int64)  # the main variant
+        origin.append(gcs)
+        for g in ordered[1:]:
+            if sizes[g] >= config.min_variant_support:
+                variant_of_group[g] = len(origin)
+                origin.append(gcs)
+        variant_of_member[members] = variant_of_group[group]
+    split = Membership(membership.subjects, variant_of_member)
     return GeneralizationResult(
-        generalized=new_sets,
-        subject_to_gcs=subject_to_gcs,
+        generalized=[GeneralizedCS(
+            gcs_id=new_id,
+            properties=gcs.properties,
+            subjects=split.members(new_id),
+            merged_exact=gcs.merged_exact,
+            property_presence=dict(gcs.property_presence),
+            property_mean_multiplicity=dict(gcs.property_mean_multiplicity),
+        ) for new_id, gcs in enumerate(origin)],
+        membership=split,
     )

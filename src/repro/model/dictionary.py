@@ -30,6 +30,7 @@ reproduction:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -142,6 +143,41 @@ class TermDictionary:
             self.encode_term(triple.predicate),
             self.encode_term(triple.object),
         )
+
+    def encode_triples(self, triples: Iterable[Triple]) -> np.ndarray:
+        """The ``(n, 3)`` OID matrix of ``triples``, in the order given.
+
+        The bulk form of :meth:`encode_triple`: same OIDs, assigned in the
+        same order of first appearance, appended to one flat buffer with no
+        object made per triple.  A reader that hands out one subject object
+        for a run of lines (:func:`repro.rio.parse_ntriples`) pays for one
+        probe per run.
+        """
+        term_to_oid, terms = self._term_to_oid, self._oid_to_term
+        get = term_to_oid.get
+        flat = array("q")
+        extend = flat.extend
+        last_subject, s = None, -1
+        for triple in triples:
+            term = triple.subject
+            if term is not last_subject:
+                last_subject = term
+                s = get(term)
+                if s is None:
+                    s = term_to_oid[term] = len(terms)
+                    terms.append(term)
+            term = triple.predicate
+            p = get(term)
+            if p is None:
+                p = term_to_oid[term] = len(terms)
+                terms.append(term)
+            term = triple.object
+            o = get(term)
+            if o is None:
+                o = term_to_oid[term] = len(terms)
+                terms.append(term)
+            extend((s, p, o))
+        return np.array(flat, dtype=np.int64).reshape(-1, 3)
 
     # -- decoding ------------------------------------------------------------
 
@@ -322,52 +358,69 @@ class TermDictionary:
 
     # -- re-mapping ----------------------------------------------------------
 
-    def remap(self, mapping: Dict[int, int]) -> None:
-        """Permute OIDs according to ``mapping`` (old OID -> new OID).
+    def remap(self, old, new) -> None:
+        """Permute OIDs: the term at ``old[i]`` moves to ``new[i]``.
 
-        The mapping must be a bijection over the full OID range.  OIDs absent
-        from the mapping keep their value; the result must still be a
-        permutation, otherwise :class:`DictionaryError` is raised.
+        ``old`` and ``new`` are aligned integer sequences; an OID absent
+        from ``old`` keeps its term.  The result must be a permutation of
+        the full OID range, otherwise :class:`DictionaryError` is raised
+        and the dictionary is left as it was.
 
         This is how subject clustering re-labels subject OIDs: after CS
         detection, subjects of the same CS receive a contiguous OID range.
+        Only the terms that move are touched (one list store and one
+        ``term -> OID`` store each); the two tables are replaced, never
+        edited, so whoever holds the old ones keeps a consistent pair.
         """
         size = len(self._oid_to_term)
-        new_to_old: List[int | None] = [None] * size
-        for old in range(size):
-            new = mapping.get(old, old)
-            if not 0 <= new < size:
-                raise DictionaryError(f"remap target {new} out of range 0..{size - 1}")
-            if new_to_old[new] is not None:
-                raise DictionaryError(f"remap is not a bijection: new OID {new} assigned twice")
-            new_to_old[new] = old
-        old_terms = self._oid_to_term
-        new_terms: List[Term] = [old_terms[old] for old in new_to_old]  # type: ignore[index]
+        old = np.asarray(old, dtype=np.int64).reshape(-1)
+        new = np.asarray(new, dtype=np.int64).reshape(-1)
+        if old.shape != new.shape:
+            raise DictionaryError(f"remap pairs {old.size} OIDs with {new.size} targets")
+        for name, oids in (("source", old), ("target", new)):
+            outside = oids[(oids < 0) | (oids >= size)]
+            if outside.size:
+                raise DictionaryError(
+                    f"remap {name} {int(outside[0])} out of range 0..{size - 1}")
+        identity = np.arange(size, dtype=np.int64)
+        target = identity.copy()
+        target[old] = new
+        twice = np.flatnonzero(np.bincount(target, minlength=size) > 1)
+        if twice.size:
+            raise DictionaryError(
+                f"remap is not a bijection: new OID {int(twice[0])} assigned twice")
+        moved = np.flatnonzero(target != identity)
+        terms = self._oid_to_term
+        moved_terms = [terms[oid] for oid in moved.tolist()]
+        new_terms = list(terms)
+        term_to_oid = dict(self._term_to_oid)
+        for oid, term in zip(target[moved].tolist(), moved_terms):
+            new_terms[oid] = term
+            term_to_oid[term] = oid
         self._oid_to_term = new_terms
-        self._term_to_oid = {term: oid for oid, term in enumerate(new_terms)}
+        self._term_to_oid = term_to_oid
         self._bridge = _ValueBridge.of_capacity(0)  # replaced, not cleared: a reader may hold it
-        if any(old != new and isinstance(old_terms[old], Literal)
-               for old, new in mapping.items()):
+        if any(isinstance(term, Literal) for term in moved_terms):
             # a moved literal voids "OID order is value order"; only
             # reassign_value_ordered_literals re-establishes it
             self._set_value_order(0)
 
-    def reassign_value_ordered_literals(self) -> Dict[int, int]:
+    def reassign_value_ordered_literals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Reassign literal OIDs so that OID order matches value order.
 
         Only literal OIDs are permuted (they trade positions among
         themselves); IRI and BNode OIDs are untouched.  Returns the applied
-        mapping (old OID -> new OID) so that stored triples can be rewritten
-        by the caller.
+        permutation as aligned ``(old, new)`` OID arrays (see :meth:`remap`)
+        so that stored triples can be rewritten by the caller.
         """
         literal_oids = [oid for oid, term in enumerate(self._oid_to_term) if isinstance(term, Literal)]
         ranked = sorted(literal_oids, key=lambda oid: term_sort_key(self._oid_to_term[oid]))
-        mapping = {old: new for old, new in zip(ranked, literal_oids)}
-        identity = all(old == new for old, new in mapping.items())
-        if not identity:
-            self.remap(mapping)
+        old = np.asarray(ranked, dtype=np.int64)
+        new = np.asarray(literal_oids, dtype=np.int64)
+        if not np.array_equal(old, new):
+            self.remap(old, new)
         self._set_value_order(len(self._oid_to_term), literal_oids)
-        return mapping
+        return old, new
 
     # -- the literal order index ------------------------------------------------
 

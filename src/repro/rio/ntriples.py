@@ -49,6 +49,12 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
     # line-boundary characters, which str.splitlines() would break on
     lines = source.split("\n") if isinstance(source, str) else source
     match = _LINE_RE.match
+    # N-Triples as written comes in subject runs over few predicates: the
+    # subject of the previous line and every predicate seen are handed out
+    # again instead of being rebuilt.  O(distinct predicates) is held; an
+    # object is never kept.
+    subject_key = subject = None
+    predicates: dict = {}
     for lineno, line in enumerate(lines, start=1):
         found = match(line)
         if found is None:
@@ -56,7 +62,12 @@ def parse_ntriples(source: Union[str, TextIO, Iterable[str]]) -> Iterator[Triple
                 continue
             _reject(line, lineno)
         s_iri, s_label, p_iri, *obj = found.groups()
-        yield Triple(make_term(s_iri, s_label, None), make_term(p_iri, None, None), make_term(*obj))
+        if (s_iri, s_label) != subject_key:
+            subject_key, subject = (s_iri, s_label), make_term(s_iri, s_label, None)
+        predicate = predicates.get(p_iri)
+        if predicate is None:
+            predicate = predicates[p_iri] = make_term(p_iri, None, None)
+        yield Triple(subject, predicate, make_term(*obj))
 
 
 def _reject(line: str, lineno: int) -> NoReturn:

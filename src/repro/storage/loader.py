@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..cs import EmergentSchema
+from ..cs import EmergentSchema, Membership
+from ..cs.detect import run_starts
 from ..model import Graph, TermDictionary, Triple
 from ..model.terms import term_sort_key
 
@@ -32,40 +33,33 @@ def encode_graph(graph: Graph | Iterable[Triple],
     """Dictionary-encode decoded triples in parse order.
 
     Returns the dictionary and an ``(n, 3)`` encoded S/P/O matrix.  Exact
-    duplicate triples are dropped (RDF graphs are sets).
+    duplicate triples are dropped (RDF graphs are sets): one stable sort
+    brings equal rows together, and the first of each run — the earliest
+    occurrence — is kept, in parse order.
     """
-    dictionary = dictionary or TermDictionary()
-    seen: set[Tuple[int, int, int]] = set()
-    rows: List[Tuple[int, int, int]] = []
-    for triple in graph:
-        encoded = dictionary.encode_triple(triple)
-        key = (encoded.s, encoded.p, encoded.o)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(key)
-    matrix = np.asarray(rows, dtype=np.int64).reshape(-1, 3) if rows else np.empty((0, 3), dtype=np.int64)
+    if dictionary is None:
+        dictionary = TermDictionary()
+    matrix = dictionary.encode_triples(graph)
+    order = np.lexsort((matrix[:, 2], matrix[:, 1], matrix[:, 0]))
+    firsts = order[run_starts(*matrix[order].T)]
+    if len(firsts) < len(order):
+        matrix = matrix[np.sort(firsts)]
     return dictionary, matrix
 
 
-def apply_oid_mapping(matrix: np.ndarray, mapping: Dict[int, int]) -> np.ndarray:
-    """Rewrite every OID in the matrix according to ``mapping`` (old -> new)."""
-    if not mapping or matrix.size == 0:
+def apply_oid_mapping(matrix: np.ndarray, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Rewrite every OID in the matrix: ``old[i]`` becomes ``new[i]`` (aligned
+    arrays, see :meth:`TermDictionary.remap`); an OID not in ``old`` stays."""
+    if not old.size or not matrix.size:
         return matrix.copy()
-    max_oid = int(matrix.max())
-    lookup = np.arange(max(max_oid + 1, max(mapping) + 1), dtype=np.int64)
-    for old, new in mapping.items():
-        if old < lookup.shape[0]:
-            lookup[old] = new
+    lookup = np.arange(max(int(matrix.max()), int(old.max())) + 1, dtype=np.int64)
+    lookup[old] = new
     return lookup[matrix]
 
 
 def value_order_literals(matrix: np.ndarray, dictionary: TermDictionary) -> np.ndarray:
     """Permute literal OIDs into value order; returns the rewritten matrix."""
-    mapping = dictionary.reassign_value_ordered_literals()
-    if not mapping:
-        return matrix.copy()
-    return apply_oid_mapping(matrix, mapping)
+    return apply_oid_mapping(matrix, *dictionary.reassign_value_ordered_literals())
 
 
 # -- subject clustering -----------------------------------------------------------
@@ -73,14 +67,18 @@ def value_order_literals(matrix: np.ndarray, dictionary: TermDictionary) -> np.n
 
 @dataclass
 class ClusteringPlan:
-    """The subject-OID permutation chosen by :func:`plan_subject_clustering`."""
+    """The subject-OID permutation chosen by :func:`plan_subject_clustering`:
+    the subject with OID ``old[i]`` receives OID ``new[i]`` (aligned arrays;
+    ``new`` is the member subjects ascending, ``old`` the same OIDs in
+    clustered order)."""
 
-    mapping: Dict[int, int]
+    old: np.ndarray
+    new: np.ndarray
     cs_order: List[int]
-    sort_keys: Dict[int, Optional[int]] = field(default_factory=dict)
+    sort_keys: Dict[int, int] = field(default_factory=dict)
 
     def is_identity(self) -> bool:
-        return all(old == new for old, new in self.mapping.items())
+        return bool((self.old == self.new).all())
 
 
 def plan_subject_clustering(
@@ -94,53 +92,58 @@ def plan_subject_clustering(
     The permutation only shuffles the OIDs of subjects that belong to some
     CS *among themselves*: the set of OID values is unchanged, but after the
     permutation the numeric order of those OIDs follows (CS, sort key, old
-    OID).  Because the reassigned values are the sorted original values, all
-    other terms keep their OIDs and the mapping is a bijection.
+    OID) — one ``lexsort`` over the membership arrays.  Because the
+    reassigned values are the sorted original values, all other terms keep
+    their OIDs and the mapping is a bijection.
 
     ``sort_keys`` optionally maps a CS id to the predicate OID whose value
-    should sub-order the members (e.g. LINEITEM on ``shipdate``).  Members
-    lacking the key keep their relative position at the end of the block.
+    should sub-order the members (e.g. LINEITEM on ``shipdate``).  A member
+    with several values of the key is ordered by the one that comes first in
+    ``matrix``; members lacking the key keep their relative position at the
+    end of the block.
     """
     sort_keys = sort_keys or {}
-    available = schema.membership.subjects.tolist()  # sorted ascending
-    if not available:
-        return ClusteringPlan(mapping={}, cs_order=[], sort_keys=dict(sort_keys))
-
-    # value of the sort-key property per subject, when requested
-    key_values = _subject_key_values(matrix, schema, sort_keys, dictionary)
-
+    membership = schema.membership
+    members = membership.subjects  # ascending
     cs_order = [table.cs_id for table in schema.tables_by_support()]
-    cs_rank = {cs_id: rank for rank, cs_id in enumerate(cs_order)}
-    desired = sorted(zip((cs_rank[cs_id] for cs_id in schema.membership.cs_ids.tolist()),
-                         (key_values.get(subject, _MISSING_KEY) for subject in available),
-                         available))
-    mapping = {old: new for (_rank, _key, old), new in zip(desired, available)}
-    return ClusteringPlan(mapping=mapping, cs_order=cs_order, sort_keys=dict(sort_keys))
+    table_rank = _per_member(membership, {cs_id: rank for rank, cs_id in enumerate(cs_order)})
+    key_rank = _member_key_ranks(matrix, dictionary, membership, sort_keys)
+    order = np.lexsort((members, key_rank, table_rank))
+    return ClusteringPlan(old=members[order], new=members, cs_order=cs_order,
+                          sort_keys=dict(sort_keys))
+
+
+def _per_member(membership: Membership, of_table: Dict[int, int]) -> np.ndarray:
+    """Per member subject, its table's entry in ``of_table`` (``-1`` without one)."""
+    size = max(int(membership.cs_ids.max(initial=-1)), max(of_table, default=-1)) + 1
+    lookup = np.full(size, -1, dtype=np.int64)
+    lookup[list(of_table)] = list(of_table.values())
+    return lookup[membership.cs_ids]
+
+
+def _member_key_ranks(matrix: np.ndarray, dictionary: TermDictionary,
+                      membership: Membership, sort_keys: Dict[int, int]) -> np.ndarray:
+    """Per member subject, the rank of its sort-key value among the distinct
+    key values (by :func:`term_sort_key`, equal values sharing a rank); a
+    member whose table has no key, or that lacks the property, ranks last."""
+    members = membership.subjects
+    key_object = np.full(members.size, -1, dtype=np.int64)
+    if sort_keys and members.size:
+        key_predicate = _per_member(membership, sort_keys)
+        position = np.minimum(np.searchsorted(members, matrix[:, 0]), members.size - 1)
+        rows = np.flatnonzero((members[position] == matrix[:, 0])
+                              & (key_predicate[position] == matrix[:, 1]))
+        holders, first = np.unique(position[rows], return_index=True)
+        key_object[holders] = matrix[rows[first], 2]  # the first in matrix order
+    distinct, code = np.unique(key_object, return_inverse=True)
+    keys = [term_sort_key(dictionary.decode(oid)) if oid >= 0 else _MISSING_KEY
+            for oid in distinct.tolist()]
+    rank = {key: position for position, key in enumerate(sorted(set(keys)))}
+    return np.asarray([rank[key] for key in keys], dtype=np.int64)[code]
 
 
 _MISSING_KEY: tuple = (9, "", "")
 """Sort key ranking after every real value (see ``term_sort_key`` ranks 0-3)."""
-
-
-def _subject_key_values(
-    matrix: np.ndarray,
-    schema: EmergentSchema,
-    sort_keys: Dict[int, int],
-    dictionary: TermDictionary,
-) -> Dict[int, tuple]:
-    """For each member subject of a CS with a sort key, the key's value rank."""
-    if not sort_keys:
-        return {}
-    wanted: Dict[int, int] = {}
-    for cs_id, predicate in sort_keys.items():
-        wanted.update(dict.fromkeys(schema.membership.members(cs_id).tolist(), predicate))
-    values: Dict[int, tuple] = {}
-    for s, p, o in matrix:
-        s_int, p_int = int(s), int(p)
-        if wanted.get(s_int) != p_int or s_int in values:
-            continue
-        values[s_int] = term_sort_key(dictionary.decode(int(o)))
-    return values
 
 
 def cluster_subjects(
@@ -155,9 +158,9 @@ def cluster_subjects(
     Returns the rewritten matrix and the applied plan.
     """
     plan = plan_subject_clustering(matrix, dictionary, schema, sort_keys)
-    if not plan.mapping or plan.is_identity():
+    if plan.is_identity():
         return matrix.copy(), plan
-    dictionary.remap(plan.mapping)
-    new_matrix = apply_oid_mapping(matrix, plan.mapping)
-    schema.membership = schema.membership.remapped(plan.mapping)
+    dictionary.remap(plan.old, plan.new)
+    new_matrix = apply_oid_mapping(matrix, plan.old, plan.new)
+    schema.membership = schema.membership.remapped(plan.old, plan.new)
     return new_matrix, plan

@@ -18,7 +18,15 @@ store started routing rows through the schema's membership arrays:
   per triple plus a per-row fill loop behind a ``position_of`` dict;
 * :func:`scan_ntriples_line` — the hand-written character scanner that read
   an N-Triples line (and, one term at a time, the dictionary file) before
-  the readers were composed from ``repro.model.syntax``'s one term grammar.
+  the readers were composed from ``repro.model.syntax``'s one term grammar;
+* :func:`per_triple_encode`, :func:`per_row_detection`,
+  :func:`per_row_generalize`, :func:`per_row_observations`,
+  :func:`per_row_split_variants`, :func:`per_row_clustering_plan` and
+  :func:`per_row_remap` — the build one triple at a time, over dicts and sets
+  of tuples (``encode_graph``, ``cs.detect`` / ``generalize`` / ``typing``,
+  ``plan_subject_clustering``, ``TermDictionary.remap``), before each stage
+  became an array pass over the OID matrix; :func:`per_row_discover_schema`
+  and :func:`per_row_cluster` run them as the pipeline did.
 
 A plain importable module for the same reason as ``_datasets``.
 """
@@ -26,12 +34,29 @@ A plain importable module for the same reason as ``_datasets``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.columnar import NULL_OID, Column, ZoneMap
-from repro.cs import Multiplicity
+from repro.cs import (
+    DiscoveryConfig,
+    GeneralizationConfig,
+    Membership,
+    Multiplicity,
+    PropertyKind,
+    assign_property_kinds,
+    discover_relationships,
+    finetune_schema,
+    jaccard,
+    label_schema,
+    measure_coverage,
+)
+from repro.cs.builder import _assemble_schema
+from repro.cs.generalize import GeneralizationResult, GeneralizedCS
+from repro.cs.typing import PropertyObservation, TypingConfig, term_kind
 from repro.engine.bindings import BindingTable
 from repro.engine.plan import OidRange, StarPattern, StarProperty
 from repro.errors import ParseError
@@ -312,6 +337,287 @@ def _per_row_block(matrix: np.ndarray, row_indexes: List[int], table, members: L
             p for p, values in data.items() if _is_sorted_ignoring_nulls(values)),
     )
     return block, np.asarray(spilled, dtype=np.int64).reshape(-1, 3)
+
+
+# -- the build, one triple at a time ------------------------------------------------------
+
+
+def per_triple_encode(triples, dictionary: Optional[TermDictionary] = None):
+    """``encode_graph``: one ``EncodedTriple``, one tuple and one set probe per triple."""
+    dictionary = dictionary or TermDictionary()
+    seen: set = set()
+    rows: List[Tuple[int, int, int]] = []
+    for triple in triples:
+        encoded = dictionary.encode_triple(triple)
+        key = (encoded.s, encoded.p, encoded.o)
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append(key)
+    return dictionary, np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def per_row_remap(dictionary: TermDictionary, mapping: Dict[int, int]) -> List:
+    """The term list ``TermDictionary.remap`` must leave behind (OID order):
+    every OID probed in the mapping, the bijection checked slot by slot."""
+    size = len(dictionary)
+    new_to_old: List[Optional[int]] = [None] * size
+    for old in range(size):
+        new = mapping.get(old, old)
+        assert 0 <= new < size and new_to_old[new] is None, "not a permutation"
+        new_to_old[new] = old
+    return [dictionary.decode(old) for old in new_to_old]
+
+
+def per_row_detection(matrix) -> SimpleNamespace:
+    """``detection_from_triples``: two dict updates per triple, then one
+    frozenset per subject grouped through a dict.  ``exact_sets`` is a list of
+    ``(properties, sorted subjects)``, largest support first."""
+    subject_properties: Dict[int, set] = defaultdict(set)
+    multiplicities: Dict[int, Dict[int, int]] = defaultdict(dict)
+    total = 0
+    for s, p, _o in map(tuple, np.asarray(matrix, dtype=np.int64).reshape(-1, 3)):
+        total += 1
+        subject_properties[int(s)].add(int(p))
+        props = multiplicities[int(s)]
+        props[int(p)] = props.get(int(p), 0) + 1
+    frozen = {s: frozenset(props) for s, props in subject_properties.items()}
+    groups: Dict[frozenset, List[int]] = defaultdict(list)
+    for subject, properties in frozen.items():
+        groups[properties].append(subject)
+    exact_sets = [(props, sorted(members)) for props, members in groups.items()]
+    exact_sets.sort(key=lambda cs: (-len(cs[1]), sorted(cs[0])))
+    return SimpleNamespace(exact_sets=exact_sets, subject_properties=frozen,
+                           property_multiplicities={s: dict(m) for s, m in multiplicities.items()},
+                           total_triples=total)
+
+
+class _Core:
+    def __init__(self, exact) -> None:
+        self.properties, members = exact
+        self.subjects = list(members)
+        self.merged_exact = [self.properties]
+
+    def absorb(self, exact) -> None:
+        self.properties = self.properties | exact[0]
+        self.subjects.extend(exact[1])
+        self.merged_exact.append(exact[0])
+
+
+def _best_core(cores: List[_Core], properties):
+    best, best_score = None, -1.0
+    for core in cores:
+        score = jaccard(core.properties, properties)
+        if score > best_score:
+            best, best_score = core, score
+    return best
+
+
+def _merge_or_add_core(cores: List[_Core], exact, similarity: float) -> None:
+    best = _best_core(cores, exact[0])
+    if best is not None and jaccard(best.properties, exact[0]) >= similarity:
+        best.absorb(exact)
+    else:
+        cores.append(_Core(exact))
+
+
+def per_row_generalize(detection: SimpleNamespace,
+                       config: Optional[GeneralizationConfig] = None):
+    """``generalize`` with presence / multiplicity counted one subject and one
+    property at a time.  Returns ``(generalized, subject_to_gcs)``: the
+    :class:`GeneralizedCS` list (members as arrays) and the subject dict."""
+    config = config or GeneralizationConfig()
+    threshold = max(config.min_support,
+                    int(config.min_support_fraction * len(detection.subject_properties)), 1)
+    ranked = detection.exact_sets
+    cores: List[_Core] = []
+    small = []
+    for exact in ranked:
+        if len(exact[1]) >= threshold:
+            _merge_or_add_core(cores, exact, config.core_merge_similarity)
+        else:
+            small.append(exact)
+    if not cores and ranked:
+        _merge_or_add_core(cores, ranked[0], config.core_merge_similarity)
+        small = ranked[1:]
+    for exact in small:
+        best = _best_core(cores, exact[0])
+        if best is not None and jaccard(best.properties, exact[0]) >= config.attach_similarity:
+            best.absorb(exact)
+    if config.max_tables is not None and len(cores) > config.max_tables:
+        cores.sort(key=lambda c: -len(c.subjects))
+        cores = cores[:config.max_tables]
+
+    generalized: List[GeneralizedCS] = []
+    subject_to_gcs: Dict[int, int] = {}
+    for core in cores:
+        presence_counts: Dict[int, int] = {}
+        value_counts: Dict[int, int] = {}
+        for subject in core.subjects:
+            mults = detection.property_multiplicities.get(subject, {})
+            for prop in detection.subject_properties.get(subject, frozenset()):
+                if prop in core.properties:
+                    presence_counts[prop] = presence_counts.get(prop, 0) + 1
+                    value_counts[prop] = value_counts.get(prop, 0) + mults.get(prop, 1)
+        kept: Dict[int, float] = {}
+        mean_multiplicity: Dict[int, float] = {}
+        for prop in core.properties:
+            count = presence_counts.get(prop, 0)
+            presence = count / len(core.subjects) if core.subjects else 0.0
+            if presence >= config.minority_presence or presence >= 0.999:
+                kept[prop] = presence
+                mean_multiplicity[prop] = (value_counts.get(prop, 0) / count) if count else 0.0
+        if not kept:
+            continue
+        gcs_id = len(generalized)
+        generalized.append(GeneralizedCS(
+            gcs_id=gcs_id, properties=frozenset(kept),
+            subjects=np.asarray(sorted(core.subjects), dtype=np.int64),
+            merged_exact=core.merged_exact, property_presence=kept,
+            property_mean_multiplicity=mean_multiplicity))
+        subject_to_gcs.update(dict.fromkeys(core.subjects, gcs_id))
+    return generalized, subject_to_gcs
+
+
+def per_row_observations(matrix, dictionary: TermDictionary,
+                         subject_to_gcs: Dict[int, int]) -> Dict[Tuple[int, int], PropertyObservation]:
+    """``analyze_property_objects``: one dict probe and one count per triple,
+    the count dicts filling in the order the rows arrive."""
+    observations: Dict[Tuple[int, int], PropertyObservation] = {}
+    kind_cache: Dict[int, PropertyKind] = {}
+    for s, p, o in matrix:
+        gcs = subject_to_gcs.get(int(s))
+        if gcs is None:
+            continue
+        obs = observations.setdefault((gcs, int(p)), PropertyObservation())
+        oid = int(o)
+        kind = kind_cache.get(oid)
+        if kind is None:
+            kind = kind_cache[oid] = term_kind(dictionary, oid)
+        obs.kind_counts[kind] = obs.kind_counts.get(kind, 0) + 1
+        obs.total += 1
+        if kind is PropertyKind.IRI:
+            target = subject_to_gcs.get(oid)
+            if target is None:
+                obs.irregular_target_count += 1
+            else:
+                obs.target_cs_counts[target] = obs.target_cs_counts.get(target, 0) + 1
+    return observations
+
+
+def _per_row_signatures(matrix, dictionary, subjects: List[int], properties) -> Dict[int, tuple]:
+    wanted = set(subjects)
+    per_subject: Dict[int, Dict[int, PropertyKind]] = {s: {} for s in subjects}
+    for s, p, o in matrix:
+        s_int, p_int, o_int = int(s), int(p), int(o)
+        if s_int not in wanted or p_int not in properties:
+            continue
+        kind = term_kind(dictionary, o_int)
+        existing = per_subject[s_int].get(p_int)
+        if existing is None:
+            per_subject[s_int][p_int] = kind
+        elif existing is not kind:
+            per_subject[s_int][p_int] = PropertyKind.MIXED
+    return {subject: tuple(sorted((p, k.value) for p, k in kinds.items()))
+            for subject, kinds in per_subject.items()}
+
+
+def per_row_split_variants(generalized: List[GeneralizedCS], matrix, dictionary,
+                           config: Optional[TypingConfig] = None):
+    """``split_type_variants`` with one full scan of the matrix *per table*."""
+    config = config or TypingConfig()
+    new_sets: List[GeneralizedCS] = []
+    subject_to_gcs: Dict[int, int] = {}
+    for gcs in generalized:
+        members = gcs.subjects.tolist()
+        signatures = _per_row_signatures(matrix, dictionary, members, gcs.properties)
+        groups: Dict[tuple, List[int]] = {}
+        for subject in members:
+            groups.setdefault(signatures.get(subject, ()), []).append(subject)
+        ordered = sorted(groups.items(), key=lambda item: -len(item[1]))
+        if not ordered:
+            continue
+        main_subjects = list(ordered[0][1])
+        variant_groups: List[List[int]] = []
+        for _signature, group in ordered[1:]:
+            if len(group) >= config.min_variant_support:
+                variant_groups.append(group)
+            else:
+                main_subjects.extend(group)
+        for group in [main_subjects] + variant_groups:
+            new_id = len(new_sets)
+            new_sets.append(GeneralizedCS(
+                gcs_id=new_id, properties=gcs.properties,
+                subjects=np.asarray(sorted(group), dtype=np.int64),
+                merged_exact=gcs.merged_exact,
+                property_presence=dict(gcs.property_presence),
+                property_mean_multiplicity=dict(gcs.property_mean_multiplicity)))
+            subject_to_gcs.update(dict.fromkeys(group, new_id))
+    return new_sets, subject_to_gcs
+
+
+def per_row_discover_schema(matrix, dictionary: Optional[TermDictionary] = None,
+                            config: Optional[DiscoveryConfig] = None):
+    """``discover_schema`` over the per-row stages; what follows the evidence
+    (kinds, foreign keys, assembly, fine-tuning, labels, coverage) never
+    looked at a triple and is the shipped code."""
+    config = config or DiscoveryConfig()
+    matrix = np.asarray(matrix, dtype=np.int64).reshape(-1, 3)
+    generalized, subject_to_gcs = per_row_generalize(per_row_detection(matrix),
+                                                     config.generalization)
+    if config.typing.split_variants and dictionary is not None:
+        generalized, subject_to_gcs = per_row_split_variants(generalized, matrix, dictionary,
+                                                             config.typing)
+    generalization = GeneralizationResult(
+        generalized, Membership.of_tables({g.gcs_id: g.subjects for g in generalized}))
+    observations = ({} if dictionary is None
+                    else per_row_observations(matrix, dictionary, subject_to_gcs))
+    kinds = assign_property_kinds(generalization, observations, config.typing)
+    relationships = discover_relationships(observations, config.relationships)
+    schema = _assemble_schema(generalization, kinds, relationships)
+    finetune_schema(schema, relationships, observations, config.finetune)
+    if config.label_tables and dictionary is not None:
+        label_schema(schema, dictionary, matrix, config.labeling)
+    schema.coverage = measure_coverage(schema, matrix)
+    return schema
+
+
+_MISSING_KEY = (9, "", "")
+
+
+def per_row_clustering_plan(matrix, dictionary: TermDictionary, schema,
+                            sort_keys: Optional[Dict[int, int]] = None) -> Dict[int, int]:
+    """``plan_subject_clustering`` as ``old OID -> new OID``: a dict probe
+    and a decoded sort key per triple, then a Python sort of key tuples."""
+    sort_keys = sort_keys or {}
+    available = schema.membership.subjects.tolist()
+    wanted: Dict[int, int] = {}
+    for cs_id, predicate in sort_keys.items():
+        wanted.update(dict.fromkeys(schema.membership.members(cs_id).tolist(), predicate))
+    values: Dict[int, tuple] = {}
+    for s, p, o in matrix:
+        s_int = int(s)
+        if wanted.get(s_int) == int(p) and s_int not in values:
+            values[s_int] = term_sort_key(dictionary.decode(int(o)))
+    cs_rank = {table.cs_id: rank for rank, table in enumerate(schema.tables_by_support())}
+    desired = sorted(zip((cs_rank[cs_id] for cs_id in schema.membership.cs_ids.tolist()),
+                         (values.get(subject, _MISSING_KEY) for subject in available),
+                         available))
+    return {old: new for (_rank, _key, old), new in zip(desired, available)}
+
+
+def per_row_cluster(matrix, dictionary: TermDictionary, schema,
+                    sort_keys: Optional[Dict[int, int]] = None):
+    """``cluster_subjects`` through :func:`per_row_clustering_plan`: returns
+    the clustered matrix, the term list in new OID order and the remapped
+    ``subject -> cs_id`` dict; changes none of its arguments."""
+    mapping = per_row_clustering_plan(matrix, dictionary, schema, sort_keys)
+    clustered = np.asarray([[mapping.get(s, s), p, mapping.get(o, o)]
+                            for s, p, o in np.asarray(matrix).tolist()],
+                           dtype=np.int64).reshape(-1, 3)
+    members = {mapping.get(s, s): cs for s, cs in zip(schema.membership.subjects.tolist(),
+                                                       schema.membership.cs_ids.tolist())}
+    return clustered, per_row_remap(dictionary, mapping), members
 
 
 # -- the character-at-a-time N-Triples scanner --------------------------------------------

@@ -57,6 +57,43 @@ class TestBuildPipeline:
         store = RDFStore()
         assert store.load(triples) == 1
 
+    def test_a_second_load_keeps_no_term_of_the_replaced_data(self, tmp_path):
+        """A load replaces the triples, so it replaces the dictionary too: the
+        term count is the loaded data's, in memory and after a round trip."""
+        first = [Triple(IRI(f"{EX}old{i}"), IRI(EX + "p"), Literal(f"old value {i}"))
+                 for i in range(5)]
+        second = [Triple(IRI(f"{EX}new{i}"), IRI(EX + "q"), Literal(f"new value {i}"))
+                  for i in range(3)]
+        store = RDFStore()
+        store.load(first)
+        assert len(store.dictionary) == 11
+        with store.snapshot() as pinned:  # reads the data as of before the reload
+            old_dictionary = store.dictionary
+            assert store.load(second) == 3
+            assert store.dictionary is not old_dictionary
+            assert len(old_dictionary) == 11, "the pinned dictionary was written to"
+            query = "SELECT ?o WHERE { ?s ?p ?o . }"
+            assert sorted(row[0] for row in pinned.decode_rows(pinned.sparql(query))) == [
+                f"old value {i}" for i in range(5)]
+        assert len(store.dictionary) == 7
+        assert store.storage_summary()["terms"] == 7
+        assert store.dictionary.lookup_term(IRI(EX + "old0")) is None
+        store.save(tmp_path / "db")
+        reopened = RDFStore.open(tmp_path / "db")
+        assert len(reopened.dictionary) == 7 and reopened.triple_count() == 3
+        (dictionary_file,) = (tmp_path / "db").glob("*/dictionary.nt")
+        assert len(dictionary_file.read_text(encoding="utf-8").splitlines()) == 7
+
+    def test_a_load_that_fails_leaves_the_store_as_it_was(self):
+        from repro.errors import ParseError
+
+        store = RDFStore()
+        store.load(NT_SAMPLE)
+        terms = len(store.dictionary)
+        with pytest.raises(ParseError):
+            store.load(NT_SAMPLE + f"\n<{EX}s> <{EX}p> oops .")
+        assert store.triple_count() == 36 and len(store.dictionary) == terms
+
     def test_sort_key_names_resolution(self):
         store = RDFStore()
         store.load(NT_SAMPLE)

@@ -40,7 +40,7 @@ class TestDetection:
         }
         result = detect_characteristic_sets(sets)
         assert len(result.exact_sets) == 2
-        largest = result.sets_by_support()[0]
+        largest = result.exact_sets[0]  # largest support first
         assert largest.properties == frozenset({10, 11})
         assert largest.support == 2
 
@@ -48,8 +48,13 @@ class TestDetection:
         triples = [(1, 10, 100), (1, 10, 101), (1, 11, 102), (2, 10, 103)]
         result = detection_from_triples(triples)
         assert result.total_triples == 4
-        assert result.property_multiplicities[1][10] == 2
-        assert result.subject_properties[1] == frozenset({10, 11})
+        assert result.subjects.tolist() == [1, 2]
+        # the (subject, predicate) pairs in SPO order, each with its count
+        assert result.subjects[result.pair_subject].tolist() == [1, 1, 2]
+        assert result.pair_predicate.tolist() == [10, 11, 10]
+        assert result.pair_count.tolist() == [2, 1, 1]
+        assert [result.exact_sets[i].properties for i in result.exact_index] == [
+            frozenset({10, 11}), frozenset({10})]
 
     def test_support_histogram_and_coverage(self):
         sets = {i: frozenset({1}) for i in range(8)}
@@ -95,8 +100,7 @@ class TestGeneralization:
         sets[101] = frozenset({50, 51, 52})  # alien: irregular
         result = generalize(detect_characteristic_sets(sets),
                             GeneralizationConfig(min_support=3, attach_similarity=0.5))
-        assert 100 in result.subject_to_gcs
-        assert 101 not in result.subject_to_gcs  # irregular
+        assert result.membership.cs_of([100, 101]).tolist() == [0, -1]  # -1: irregular
 
     def test_rare_property_dropped_below_minority_threshold(self):
         sets = {i: frozenset({1, 2}) for i in range(50)}
@@ -126,9 +130,9 @@ class TestGeneralization:
     def test_partition_invariants_property(self, sets):
         """Every subject is either in exactly one generalized CS or irregular."""
         result = generalize(detect_characteristic_sets(sets), GeneralizationConfig(min_support=2))
-        covered = set(result.subject_to_gcs)  # every other subject is irregular
+        covered = set(result.membership.subjects.tolist())  # every other subject is irregular
         assert covered <= set(sets)
-        member_lists = [set(g.subjects) for g in result.generalized]
+        member_lists = [set(g.subjects.tolist()) for g in result.generalized]
         assert set().union(*member_lists) == covered
         for i, members in enumerate(member_lists):
             for other in member_lists[i + 1:]:

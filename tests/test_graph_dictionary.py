@@ -144,7 +144,7 @@ class TestTermDictionary:
         d = TermDictionary()
         a = d.encode_term(IRI(EX + "a"))
         b = d.encode_term(IRI(EX + "b"))
-        d.remap({a: b, b: a})
+        d.remap([a, b], [b, a])
         assert d.decode(a) == IRI(EX + "b")
         assert d.decode(b) == IRI(EX + "a")
         assert d.lookup_term(IRI(EX + "a")) == b
@@ -154,13 +154,13 @@ class TestTermDictionary:
         d.encode_term(IRI(EX + "a"))
         d.encode_term(IRI(EX + "b"))
         with pytest.raises(DictionaryError):
-            d.remap({0: 1})  # both 0 and 1 would map to 1
+            d.remap([0], [1])  # both 0 and 1 would map to 1
 
     def test_remap_rejects_out_of_range(self):
         d = TermDictionary()
         d.encode_term(IRI(EX + "a"))
         with pytest.raises(DictionaryError):
-            d.remap({0: 5})
+            d.remap([0], [5])
 
     def test_value_ordered_literals(self):
         d = TermDictionary()

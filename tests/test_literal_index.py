@@ -83,7 +83,7 @@ def test_a_remap_that_moves_a_literal_drops_the_value_order():
     one = dictionary.encode_term(Literal("1", datatype=XSD_INTEGER))
     dictionary.reassign_value_ordered_literals()
     assert dictionary.value_order_watermark == 2
-    dictionary.remap({one: two, two: one})  # OID order is no longer value order
+    dictionary.remap([one, two], [two, one])  # OID order is no longer value order
     assert dictionary.value_order_watermark == 0
     _assert_ranges_match(dictionary, [(Literal("2", datatype=XSD_INTEGER), None, True, True)])
 

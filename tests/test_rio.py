@@ -64,6 +64,42 @@ class TestNTriplesParsing:
         assert excinfo.value.line == 2
 
 
+class TestNTriplesTermReuse:
+    """``parse_ntriples`` hands out one object per subject run and per
+    distinct predicate; it keeps nothing else."""
+
+    def test_holds_one_term_per_distinct_predicate_and_no_object(self):
+        lines = [f'<{EX}s{i}> <{EX}p{i % 5}> "the same object" .' for i in range(400)]
+        parser = parse_ntriples(iter(lines))  # an iterator: the input is not a local either
+        triples = [next(parser) for _ in lines]
+        held = {name: len(value) for name, value in parser.gi_frame.f_locals.items()
+                if hasattr(value, "__len__") and not isinstance(value, str)}
+        assert held["predicates"] == 5
+        assert max(held.values()) <= 5, held  # a subject per line, an object per line: none kept
+        assert len({id(t.predicate) for t in triples}) == 5
+        assert len({id(t.object) for t in triples}) == 400  # equal objects, never interned
+
+    def test_reuse_never_changes_a_value(self):
+        from _oracles import scan_ntriples_line
+
+        lines = [
+            f'<{EX}a> <{EX}p> <{EX}b> .',
+            f'<{EX}a> <{EX}q> "1" .',            # the subject run continues
+            f'<{EX}b> <{EX}p> <{EX}a> .',        # the previous object is now the subject
+            f'<{EX}a> <{EX}p> <{EX}c> .',        # interleaved: back to the first subject
+            f'_:a <{EX}p> "x" .',                # a blank node whose label is an IRI's tail
+            f'_:a <{EX}q> _:a .',
+            f'<a> <{EX}p> "x" .',                # an IRI spelt like that label
+            f'_:{EX[-4:-1]} <{EX}p> <{EX}p> .',  # a predicate IRI as object
+            f'<{EX}p> <{EX}p> <{EX}p> .',        # ... and as subject
+        ]
+        parsed = list(parse_ntriples("\n".join(lines)))
+        assert parsed == [scan_ntriples_line(line) for line in lines]
+        assert [type(t.subject) for t in parsed] == [IRI, IRI, IRI, IRI, BNode, BNode, IRI, BNode, IRI]
+        assert parsed[0].subject is parsed[1].subject and parsed[4].subject is parsed[5].subject
+        assert parsed[0].predicate is parsed[2].predicate is parsed[8].predicate
+
+
 class TestNTriplesSerialization:
     def test_round_trip(self):
         triples = [

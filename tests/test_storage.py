@@ -94,13 +94,18 @@ class TestTripleTable:
         """The raw input of characteristic-set detection, computed where
         detection computes it, over a table's rows."""
         detection = detection_from_triples(TripleTable(SAMPLE).raw())
-        assert detection.subject_properties[0] == frozenset({10, 11})
-        assert detection.subject_properties[2] == frozenset({10, 12})
+        properties = {subject: detection.exact_sets[index].properties
+                      for subject, index in zip(detection.subjects.tolist(),
+                                                detection.exact_index.tolist())}
+        assert properties[0] == frozenset({10, 11})
+        assert properties[2] == frozenset({10, 12})
 
     def test_subject_property_multiplicities(self):
         rows = _encoded([(0, 10, 1), (0, 10, 2), (0, 11, 3)])
         detection = detection_from_triples(TripleTable(rows).raw())
-        assert detection.property_multiplicities[0] == {10: 2, 11: 1}
+        assert detection.subjects[detection.pair_subject].tolist() == [0, 0]
+        assert dict(zip(detection.pair_predicate.tolist(),
+                        detection.pair_count.tolist())) == {10: 2, 11: 1}
 
     def test_empty_table(self):
         table = TripleTable(np.empty((0, 3), dtype=np.int64))
@@ -227,7 +232,7 @@ class TestSubjectClustering:
     def test_plan_is_bijection_over_member_subjects(self):
         dictionary, matrix, schema = _book_like_store()
         plan = plan_subject_clustering(matrix, dictionary, schema)
-        assert sorted(plan.mapping.keys()) == sorted(plan.mapping.values())
+        assert sorted(plan.old.tolist()) == plan.new.tolist() == schema.membership.subjects.tolist()
 
     def test_cluster_groups_subjects_contiguously(self):
         dictionary, matrix, schema = _book_like_store()

@@ -186,7 +186,7 @@ def test_appends_extend_the_bridge_and_a_remap_drops_it():
     assert decoder.python_column(np.asarray(oids + fresh[-1:])) == [3, 1, 2, f"{EX}new/63"]
     assert _materialized() == before + 4
 
-    dictionary.remap({oids[0]: oids[1], oids[1]: oids[0]})
+    dictionary.remap(oids[:2], oids[1::-1])
     assert held.python[oids[0]] == 3, "remap cleared arrays a reader may hold"
     assert decoder.python_column(np.asarray(oids)) == [1, 3, 2]
     assert _materialized() == before + 7
