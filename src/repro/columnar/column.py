@@ -47,11 +47,6 @@ class Column:
         to :attr:`data`.  Every read path goes through the :attr:`data`
         property, so lazy columns behave identically to eager ones after
         the first touch.
-    notify_pool:
-        Whether a lazy column registers itself with the pool's lazy-segment
-        accounting (pass ``False`` when a containing structure accounts for
-        the load itself, e.g. a triple table whose three columns share one
-        matrix file).
     """
 
     def __init__(
@@ -63,7 +58,6 @@ class Column:
         *,
         loader: Optional[Callable[[], np.ndarray]] = None,
         length: Optional[int] = None,
-        notify_pool: bool = True,
     ) -> None:
         self.segment_id = segment_id
         self.sorted_ascending = bool(sorted_ascending)
@@ -75,11 +69,10 @@ class Column:
         the column."""
         self._loader = loader
         self._length = length
-        self._notify_pool = notify_pool
         self._data: Optional[np.ndarray] = None
         if loader is None:
             self._set_data(values)
-        elif pool is not None and notify_pool:
+        elif pool is not None:
             pool.register_lazy_segment(segment_id, length)
 
     # -- materialization ------------------------------------------------------
@@ -116,7 +109,7 @@ class Column:
                 f"column {self.segment_id!r} loader produced {loaded.shape[0]} values, "
                 f"expected {self._length}")
         self._set_data(loaded)
-        if self.pool is not None and self._notify_pool:
+        if self.pool is not None:
             self.pool.note_materialized(self.segment_id, int(self._data.shape[0]))
 
     @property

@@ -268,7 +268,9 @@ class RDFStore:
         self.pool = BufferPool(capacity_pages=self.config.buffer_pool_pages,
                                page_size=self.config.page_size)
         self.schema: Optional[EmergentSchema] = None
-        self.index_store: Optional[ExhaustiveIndexStore] = None
+        self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
+        """The six projections of the current matrix.  One exists whenever a
+        matrix does: it costs nothing until a pattern first reads an order."""
         self.clustered_store: Optional[ClusteredStore] = None
         self.clustering_plan: Optional[ClusteringPlan] = None
         self.catalog: Optional[Catalog] = None
@@ -527,10 +529,12 @@ class RDFStore:
             return self.clustering_plan
 
     def build_indexes(self) -> None:
-        """Build the exhaustive index store and (when clustered) the clustered store."""
+        """Put the physical stores over the current matrix: a new exhaustive
+        index store (each projection sorts at its first read) and, when
+        clustered, the clustered store's blocks (built now)."""
         schema = self.schema
         # rebuilding replaces every (possibly lazily loading) structure with
-        # eager in-memory ones; drop the stale lazy-segment bookkeeping so
+        # in-memory ones; drop the stale lazy-segment bookkeeping so
         # buffer_pool_stats() does not report dead segments as pending
         self.pool.reset_lazy_registry()
         self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
@@ -538,16 +542,6 @@ class RDFStore:
             self.clustered_store = ClusteredStore.build(
                 self.matrix, schema, pool=self.pool, zone_size=self.config.zone_size)
         self._publish()
-
-    def build_if_unbuilt(self) -> None:
-        """The lazy first build of the physical stores, for a store queried
-        straight after ``load()`` / ``discover_schema()`` — or opened from a
-        database saved in that state.  Under the writer lock, so concurrent
-        first readers don't race."""
-        if self.index_store is None:
-            with self._rwlock.write_locked():
-                if self.index_store is None:
-                    self.build_indexes()
 
     def _publish(self, new_base: bool = True) -> None:
         """The one tail of every transition: move the version pair and retire
@@ -598,13 +592,13 @@ class RDFStore:
         return resolved
 
     def _drop_physical_stores(self) -> None:
-        """The triples or the schema changed under the physical stores: drop
-        them (``cluster()``, ``build_indexes()`` or the first read rebuilds)."""
-        self.index_store = None
+        """The triples or the schema changed under the physical stores: the
+        clustering goes (until ``cluster()``), the index store is the new
+        matrix's."""
         self.clustered_store = None
         self.clustering_plan = None
         self._clustered = False
-        self._publish()
+        self.build_indexes()
 
     # -- accessors --------------------------------------------------------------------
 
@@ -714,7 +708,6 @@ class RDFStore:
         request = parse_update(text)
         started = time.perf_counter()
         with self._rwlock.write_locked():
-            self.build_if_unbuilt()  # base membership is an index-store probe
             undo = self.delta.begin_request()
             try:
                 result = UpdateApplier(self).apply(request)
@@ -791,9 +784,6 @@ class RDFStore:
         Returns:
             An open :class:`~repro.server.ReadSnapshot`.
         """
-        # any first build of the physical stores takes the writer lock, so it
-        # has to happen before the shared lock is held
-        self.build_if_unbuilt()
         with self._rwlock.read_locked():
             return self._snapshots.acquire(self)
 
@@ -864,9 +854,10 @@ class RDFStore:
     def save(self, path: Path | str) -> SnapshotInfo:
         """Serialize the store into an on-disk database directory.
 
-        Writes the dictionary, schema, base matrix, every clustered column
-        and permutation projection (each as a checksummed binary file),
-        per-column statistics, zone maps and a manifest — then creates a
+        Writes the dictionary, schema, base matrix and every clustered
+        column (each as a checksummed binary file), per-column statistics,
+        zone maps, predicate counts and a manifest — no permutation
+        projection: those are sorts of the matrix — then creates a
         fresh write-ahead log for the new snapshot generation.  Pending
         (uncompacted) updates are **not lost**: their request texts seed the
         new WAL and are replayed by :meth:`open`.
@@ -900,12 +891,14 @@ class RDFStore:
 
         Restores the dictionary (with its value-order watermark), the
         emergent schema, SQL catalog and registered reduced schemas, the
-        clustered store and permutation indexes, per-column statistics,
-        zone maps and predicate counts — so the optimizer prices and orders
-        plans exactly as the saved store did.
+        clustered store, per-column statistics, zone maps and predicate
+        counts — so the optimizer prices and orders plans exactly as the
+        saved store did.
         Characteristic-set discovery and subject clustering are **not**
-        re-run, and column data stays on disk until a scan first touches it
-        (lazy loading; observe it via :meth:`buffer_pool_stats`).
+        re-run, column data stays on disk until a scan first touches it
+        (lazy loading; observe it via :meth:`buffer_pool_stats`), and a
+        permutation projection is sorted from the matrix file when a pattern
+        first reads it, as on a built store.
 
         Any intact write-ahead-log records are replayed in order, restoring
         the delta overlay of updates applied (or still pending) after the
@@ -1339,6 +1332,7 @@ class RDFStore:
             summary["foreign_keys"] = len(self.schema.foreign_keys)
             summary["triple_coverage"] = self.schema.coverage.triple_coverage()
             summary["subject_coverage"] = self.schema.coverage.subject_coverage()
+        summary["projections_materialized"] = self.index_store.materialized_orders()
         if self.clustered_store is not None:
             summary["regular_fraction"] = self.clustered_store.regular_fraction()
             summary["irregular_triples"] = len(self.clustered_store.irregular)

@@ -27,9 +27,9 @@ class ExecutionContext:
     dictionary: TermDictionary
     pool: BufferPool
     index_store: Optional[ExhaustiveIndexStore] = None
-    """The six projections.  Always set on a context a store hands out (the
-    first read builds them); ``None`` only in hand-made contexts for
-    operators that read no storage."""
+    """The six projections.  Always set on a context a store hands out (a
+    store has one whenever it has a matrix); ``None`` only in hand-made
+    contexts for operators that read no storage."""
     clustered_store: Optional[ClusteredStore] = None
     schema: Optional[EmergentSchema] = None
     cost_model: CostModel = field(default_factory=CostModel)

@@ -5,13 +5,14 @@ free there; this package supplies it for the reproduction.  Three pieces:
 
 * **snapshots** (:mod:`repro.persist.snapshot`) — a versioned directory
   format serializing the dictionary, emergent schema, base triple matrix,
-  clustered column matrices, permutation projections, per-column statistics
-  and zone maps, all under a checksummed manifest;
+  clustered column matrices, per-column statistics, predicate counts and
+  zone maps, all under a checksummed manifest (no permutation projection:
+  those are sorts of the matrix, made when first read);
 * **write-ahead log** (:mod:`repro.persist.wal`) — framed, CRC-protected
   records of the ``RDFStore.update()`` requests applied since the snapshot,
   replayed at open so acknowledged writes survive crashes;
-* **lazy loading** — reopened columns and projections register with the
-  buffer pool and materialize from their array files on first scan, so
+* **lazy loading** — reopened columns register with the buffer pool and
+  materialize from their array files on first scan, so
   ``RDFStore.open()`` is metadata-speed regardless of database size.
 
 Entry points live on the store: ``RDFStore.save(path)``,

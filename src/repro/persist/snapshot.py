@@ -13,7 +13,6 @@ A *database directory* holds a manifest pointing at the current snapshot
         matrix.bin           -- base (n, 3) triple matrix, storage order
         wal.log              -- write-ahead log (see repro.persist.wal)
         columns/             -- one checksummed array file per column
-          hsp.<order>.bin    -- the six sorted permutation projections
           clustered.cs<I>.subject.bin
           clustered.cs<I>.p<P>.bin
           clustered.irregular.bin
@@ -29,12 +28,14 @@ generation or the new one openable, never a torn mixture.  Every array
 file additionally embeds a CRC that is verified when the file is read —
 eagerly at open for small metadata, lazily at first scan for columns.
 
-The reader rebuilds every structure **without recomputation**: the
-dictionary is re-enumerated (not re-encoded), the schema is decoded (not
-re-discovered), projections and clustered columns are registered as lazy
-loaders (not re-sorted or re-clustered), and per-column statistics, zone
-maps and predicate counts come straight from the manifest so the
-cost-based optimizer prices plans exactly as it did before the save.
+Nothing that is a sort of the matrix is stored: the six permutation
+projections are made from ``matrix.bin`` when a query first reads one, on a
+reopened store exactly as on a built one.  Everything else the reader
+rebuilds **without recomputation**: the dictionary is re-enumerated (not
+re-encoded), the schema is decoded (not re-discovered), clustered columns
+are registered as lazy loaders (not re-clustered), and per-column
+statistics, zone maps and predicate counts come straight from the manifest
+so the cost-based optimizer prices plans exactly as it did before the save.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..cs import EmergentSchema
 from ..errors import PersistenceError
 from ..model import TermDictionary
 from ..rio import parse_term
-from ..storage import ORDERS, ClusteredStore, ExhaustiveIndexStore, TripleTable
+from ..storage import ClusteredStore, ExhaustiveIndexStore, TripleTable
 from ..storage.clustered import CSBlock
 from .io import (
     fsync_dir,
@@ -70,9 +71,10 @@ from .schema_codec import membership_to_array, schema_from_dict, schema_to_dict
 from .wal import WriteAheadLog
 
 FORMAT_NAME = "repro-db"
-FORMAT_VERSION = 2
-"""What this build writes.  It also reads v1, which differs only in where the
-schema keeps table members (see :func:`.schema_codec.schema_from_dict`)."""
+FORMAT_VERSION = 3
+"""What this build writes.  It also reads v2, which stored the six sorted
+projections as ``columns/hsp.<order>.bin`` (ignored), and v1, which besides
+kept table members in the schema (:func:`.schema_codec.schema_from_dict`)."""
 MANIFEST_FILE = "MANIFEST.json"
 DICTIONARY_FILE = "dictionary.nt"
 SCHEMA_FILE = "schema.json"
@@ -186,7 +188,6 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         schema_entry = {"file": SCHEMA_FILE, "crc": schema_crc,
                         "membership": {"file": MEMBERSHIP_FILE, "crc": membership_crc}}
 
-    index_entry = _write_index_store(store.index_store, columns_dir, _note)
     clustered_entry = _write_clustered_store(store.clustered_store, columns_dir,
                                              zonemaps_dir, _note)
 
@@ -221,7 +222,11 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         "schema": schema_entry,
         "reduced_schemas": (store.catalog.reduced_schemas_state()
                             if store.catalog is not None else {}),
-        "index": index_entry,
+        "index": {
+            "name": store.index_store.name,
+            "predicate_counts": {str(p): int(c) for p, c
+                                 in store.index_store.predicate_counts().items()},
+        },
         "clustered_store": clustered_entry,
     }
     write_json_atomic(root / MANIFEST_FILE, manifest)  # the publish point
@@ -295,23 +300,6 @@ def _remove_superseded_generations(root: Path, keep: set) -> None:
                 and entry.name not in keep:
             shutil.rmtree(entry, ignore_errors=True)
     fsync_dir(root)
-
-
-def _write_index_store(index_store, columns_dir: Path, note) -> Optional[dict]:
-    if index_store is None:
-        return None
-    orders: Dict[str, dict] = {}
-    for order, table in index_store.tables.items():
-        file_name = f"hsp.{order}.bin"
-        crc = write_array(columns_dir / file_name, table.raw())
-        note(columns_dir / file_name)
-        orders[order] = {"file": file_name, "rows": len(table), "crc": crc}
-    return {
-        "name": index_store.name,
-        "orders": orders,
-        "predicate_counts": {str(p): int(c)
-                             for p, c in index_store.predicate_counts().items()},
-    }
 
 
 def _write_clustered_store(clustered, columns_dir: Path, zonemaps_dir: Path,
@@ -403,7 +391,7 @@ class SnapshotParts(NamedTuple):
     schema: Optional[EmergentSchema]
     reduced_schemas: Dict[str, List[str]]
     """The user-registered reduced schemas of the schema's catalog."""
-    index_store: Optional[ExhaustiveIndexStore]
+    index_store: ExhaustiveIndexStore
     clustered_store: Optional[ClusteredStore]
     clustered: bool
     wal: WriteAheadLog
@@ -429,10 +417,10 @@ class SnapshotReader:
         if self.manifest.get("format") != FORMAT_NAME:
             raise PersistenceError(f"{manifest_path} is not a {FORMAT_NAME} manifest")
         version = self.manifest.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if version not in (1, 2, FORMAT_VERSION):
             raise PersistenceError(
                 f"database format v{version} is not supported by this build "
-                f"(expected v{FORMAT_VERSION} or v1)")
+                f"(expected v{FORMAT_VERSION}, v2 or v1)")
         self.base = generation_dir(self.root, self.manifest)
         if not self.base.is_dir():
             raise PersistenceError(
@@ -460,7 +448,7 @@ class SnapshotReader:
             matrix=matrix,
             schema=schema,
             reduced_schemas=self.manifest.get("reduced_schemas", {}),
-            index_store=self.build_index_store(pool),
+            index_store=self.build_index_store(pool, matrix),
             clustered_store=self.build_clustered_store(pool, schema),
             clustered=bool(self.manifest["clustered"]),
             wal=self.wal(),
@@ -482,15 +470,14 @@ class SnapshotReader:
     def matrix_column(self, pool: Optional[BufferPool]) -> Column:
         """The base matrix, deferred: a flat column of ``3 * rows`` values.
 
-        Queries never touch the base matrix — they go through the clustered
-        store and the projections — so it materializes only when compaction
-        / re-clustering / re-discovery first asks for it.
+        Queries never hold it — they go through the clustered store and the
+        projections sorted from its file — so it materializes only when
+        compaction / re-clustering / re-discovery first asks for it.
         """
         entry = self.manifest["matrix"]
-        path = self.base / entry["file"]
-        expect_crc = entry["crc"]
+        read = self._array_loader("", entry)
         return Column("base.matrix", pool=pool, length=3 * int(entry["rows"]),
-                      loader=lambda: read_array(path, expect_crc=expect_crc).reshape(-1))
+                      loader=lambda: read().reshape(-1))
 
     def read_schema(self) -> Optional[EmergentSchema]:
         entry = self.manifest.get("schema")
@@ -503,22 +490,21 @@ class SnapshotReader:
                                     expect_crc=entry["membership"]["crc"])
         return schema_from_dict(json_loads(text), membership)
 
-    def build_index_store(self, pool: Optional[BufferPool]) -> Optional[ExhaustiveIndexStore]:
-        entry = self.manifest.get("index")
-        if entry is None:
-            return None
-        orders = entry["orders"]
-        if set(orders) != set(ORDERS):
-            raise PersistenceError(
-                f"manifest index lists projections {sorted(orders)}, expected all of {ORDERS}")
+    def build_index_store(self, pool: Optional[BufferPool],
+                          matrix: Column) -> ExhaustiveIndexStore:
+        """The six projections over ``matrix.bin``: the first read of one
+        reads the file (CRC-checked) and sorts it, leaving ``matrix`` (the
+        store's base-matrix column) on disk — or sorts that column's data
+        once something else holds it resident (two saves later the file is
+        gone).  Projection entries of a v1 / v2 manifest are ignored."""
+        entry = self.manifest.get("index") or {}
+        matrix_entry = self.manifest["matrix"]
+        read = self._array_loader("", matrix_entry)
         store = ExhaustiveIndexStore(
-            pool=pool, name=entry.get("name", "hsp"),
-            loaders={order: self._array_loader(COLUMNS_DIR, table_entry)
-                     for order, table_entry in orders.items()},
-            length=int(self.manifest["matrix"]["rows"]),
-        )
-        store.set_predicate_counts({int(p): c
-                                    for p, c in entry["predicate_counts"].items()})
+            lambda: matrix.data.reshape(-1, 3) if matrix.is_materialized else read(),
+            pool=pool, name=entry.get("name", "hsp"), length=int(matrix_entry["rows"]))
+        if "predicate_counts" in entry:
+            store.set_predicate_counts(entry["predicate_counts"])
         return store
 
     def build_clustered_store(self, pool: Optional[BufferPool],
@@ -534,7 +520,8 @@ class SnapshotReader:
             blocks.append(self._build_block(block_entry, name, pool))
         irregular_entry = entry["irregular"]
         irregular = TripleTable(
-            loader=self._array_loader(COLUMNS_DIR, irregular_entry),
+            self._accounted(self._array_loader(COLUMNS_DIR, irregular_entry), pool,
+                            f"{name}.irregular.pso", 3 * int(irregular_entry["rows"])),
             length=int(irregular_entry["rows"]),
             order="pso",
             pool=pool,
@@ -587,6 +574,20 @@ class SnapshotReader:
         path = self.base / subdir / entry["file"]
         expect_crc = entry["crc"]
         return lambda: read_array(path, expect_crc=expect_crc)
+
+    @staticmethod
+    def _accounted(load, pool: Optional[BufferPool], segment_id: str, num_values: int):
+        """``load`` as a lazy segment of the pool, the way a lazy
+        :class:`Column` is one: registered now, noted when first read."""
+        if pool is None:
+            return load
+        pool.register_lazy_segment(segment_id, num_values)
+
+        def read() -> np.ndarray:
+            values = load()
+            pool.note_materialized(segment_id, int(values.size))
+            return values
+        return read
 
     # -- the WAL --------------------------------------------------------------
 

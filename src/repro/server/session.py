@@ -202,13 +202,10 @@ class SnapshotRegistry:
         """The read state of the store's current version.
 
         The fast path takes no lock: one reference read and one key
-        compare.  A miss builds the record under the registry lock; the
-        first-ever build of the physical stores happens before that, under
-        the store's writer lock.
+        compare.  A miss builds the record under the registry lock.
         """
         version = self._current
         if version is None or version.key != (store.generation, store.delta.version):
-            store.build_if_unbuilt()
             with self._lock:
                 return self._current_locked(store)
         # batch_size is a live runtime knob, not part of any version: the

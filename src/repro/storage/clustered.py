@@ -1,10 +1,17 @@
 """CS-clustered storage: the paper's self-organizing physical design.
 
 After schema discovery, the triples of every characteristic set are stored
-*CS-wise*: the member subjects form one contiguous stretch of subject OIDs
-and each property of the CS is one aligned column over that stretch (missing
-0..1 values are SQL NULLs).  A whole star pattern over one CS then reads a
-few aligned column ranges instead of performing one self-join per property.
+*CS-wise*: the member subjects are one ascending subject column and each
+property of the CS is one column aligned with it (missing 0..1 values are
+SQL NULLs).  A whole star pattern over one CS then reads a few aligned
+column ranges instead of performing one self-join per property.
+
+The subject column is ascending, not dense: clustering
+(:func:`repro.storage.loader.plan_subject_clustering`) permutes the member
+subjects' OIDs *among themselves*, so other terms' OIDs may lie between a
+block's, and a subject's row is a binary search
+(:meth:`CSBlock.positions_of_subjects`), not a subtraction.  Dense
+intervals — the paper's layout — are ROADMAP item 3.
 
 Triples that do not fit — subjects outside every CS, properties not in the
 subject's CS, multi-valued (``0..n``) properties, and second/third values of
@@ -213,18 +220,12 @@ class ClusteredStore:
         return self._by_cs.get(cs_id)
 
     def blocks_with_properties(self, predicate_oids: Iterable[int]) -> List[CSBlock]:
-        """Blocks whose CS contains every one of the given predicates."""
+        """Blocks holding a column for every one of the given predicates.  A
+        ``MANY`` property has no column (its triples are in the irregular
+        table), so a star naming one gets no block."""
         wanted = list(predicate_oids)
         return [block for block in self.blocks
-                if all(block.has_property(p) or self._cs_has_many(block.cs_id, p) for p in wanted)
-                and all(block.has_property(p) for p in wanted)]
-
-    def _cs_has_many(self, cs_id: int, predicate_oid: int) -> bool:
-        table = self.schema.tables.get(cs_id)
-        if table is None:
-            return False
-        spec = table.properties.get(predicate_oid)
-        return spec is not None and spec.multiplicity is Multiplicity.MANY
+                if all(block.has_property(p) for p in wanted)]
 
     def warm(self) -> None:
         """Pre-load every page of the clustered store (hot state)."""

@@ -8,11 +8,14 @@ The loading pipeline mirrors the paper's architecture:
    (``value_order_literals``) — this is what lets range predicates run on
    OIDs directly;
 4. discover the emergent schema (:mod:`repro.cs`);
-5. *subject clustering*: re-assign subject OIDs so that the members of each
-   characteristic set occupy one contiguous stretch, optionally sub-ordered
-   on a chosen property's value (``cluster_subjects``);
-6. build physical stores: the exhaustive-permutation baseline and/or the
-   CS-clustered store.
+5. *subject clustering*: permute the member subjects' OIDs among themselves
+   so that each characteristic set's members take consecutive *member* OIDs,
+   optionally sub-ordered on a chosen property's value
+   (``cluster_subjects``).  The set of OID values is unchanged, so a table's
+   OIDs ascend but are no dense interval (see ``plan_subject_clustering``;
+   dense intervals are ROADMAP item 3);
+6. build physical stores: the exhaustive-permutation baseline (each
+   projection sorted when first read) and/or the CS-clustered store.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ whose sort-order prefix covers the bound components of a pattern).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..columnar import BufferPool
 from ..errors import StorageError
 from ..model import EncodedTriple
-from .triple_table import ORDERS, TripleTable
+from .triple_table import ORDERS, Rows, TripleTable, rows_matrix
 
 ACCESS_PATHS = {
     "": "spo", "s": "spo", "sp": "spo", "spo": "spo",
@@ -38,28 +38,27 @@ are.  Ranges inside one predicate are the other decision:
 class ExhaustiveIndexStore:
     """Six ordered triple projections sharing a buffer pool.
 
-    Built by sorting ``triples`` six ways — or, given ``loaders`` (one per
-    order, each producing that projection's sorted ``(length, 3)`` matrix),
-    as six lazily loading tables: the snapshot reader's form, which must
-    not re-sort anything at open time.
+    All six, always: each is a :class:`TripleTable` over the same ``rows``
+    that sorts itself the first time a pattern reads it, so constructing the
+    store costs nothing and an order no query asks for is never made.
     """
 
     def __init__(
         self,
-        triples: Optional[np.ndarray] = None,
+        rows: Rows,
         pool: Optional[BufferPool] = None,
         name: str = "hsp",
         *,
-        loaders: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
         length: Optional[int] = None,
     ) -> None:
         self.name = name
         self.pool = pool
+        self._rows = rows
         self._predicate_counts_cache: Optional[Dict[int, int]] = None
         self._distinct_cache: Dict[Tuple[int, str], int] = {}
         self.tables: Dict[str, TripleTable] = {
-            order: TripleTable(triples, order=order, pool=pool, name=f"{name}.{order}",
-                               loader=loaders and loaders[order], length=length)
+            order: TripleTable(rows, order=order, pool=pool, name=f"{name}.{order}",
+                               length=length)
             for order in ORDERS
         }
 
@@ -84,6 +83,10 @@ class ExhaustiveIndexStore:
         """Load every projection's pages into the buffer pool (hot state)."""
         for table in self.tables.values():
             table.warm()
+
+    def materialized_orders(self) -> List[str]:
+        """The orders some read has sorted so far, alphabetically."""
+        return sorted(order for order, table in self.tables.items() if table.is_materialized)
 
     # -- access-path selection -------------------------------------------------
 
@@ -135,12 +138,15 @@ class ExhaustiveIndexStore:
     def predicate_counts(self) -> Dict[int, int]:
         """Triple counts per predicate (metadata, no accounting).
 
-        Cached: the counts are immutable for the store's lifetime, and a
-        snapshot reader can pre-seed the cache so optimizer statistics never
-        force a lazy projection to materialize.
+        Counted over the rows' predicate column, so no projection is sorted
+        for them, and cached: the counts are immutable for the store's
+        lifetime, and a snapshot reader pre-seeds the cache so optimizer
+        statistics read no file either.
         """
         if self._predicate_counts_cache is None:
-            self._predicate_counts_cache = self.tables[ACCESS_PATHS["p"]].predicate_counts()
+            counts = np.bincount(rows_matrix(self._rows)[:, 1])
+            present = np.flatnonzero(counts)
+            self._predicate_counts_cache = dict(zip(present.tolist(), counts[present].tolist()))
         return self._predicate_counts_cache
 
     def distinct_in_predicate(self, predicate_oid: int, component: str) -> int:

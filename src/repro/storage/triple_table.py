@@ -10,41 +10,58 @@ the access path that exhaustive-indexing RDF stores rely on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import threading
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..columnar import BufferPool, Column
 from ..errors import StorageError
 from ..model import EncodedTriple
+from ..obs import default_registry
 
 ORDERS = ("spo", "sop", "pso", "pos", "osp", "ops")
 """The six permutations of subject, predicate, object."""
 
 _COMPONENT_INDEX = {"s": 0, "p": 1, "o": 2}
 
+Rows = Union[np.ndarray, Callable[[], np.ndarray]]
+"""What a table is made from: an ``(n, 3)`` S/P/O matrix in any row order, or
+a callable producing one."""
+
+_SORTS = default_registry().counter(
+    "projection_sorts_total",
+    "Triple tables sorted into their columns: one per table, at its first read "
+    "(a projection nothing reads is never sorted).",
+    labelnames=("order",))
+
+
+def rows_matrix(rows: Rows) -> np.ndarray:
+    """The matrix itself, shape-checked."""
+    matrix = np.asarray(rows() if callable(rows) else rows, dtype=np.int64)
+    if matrix.ndim != 2 or matrix.shape[1] != 3:
+        raise StorageError("triple matrix must have shape (n, 3)")
+    return matrix
+
 
 class TripleTable:
     """Encoded triples stored column-wise, sorted by a component order.
 
-    The table *is* its three :class:`~repro.columnar.Column`s; the
-    ``(n, 3)`` form exists only in :meth:`raw` and while loading.  A table
-    given a ``loader`` instead of ``triples`` is *lazy*: the loader must
-    produce a ``(length, 3)`` matrix **already sorted** in ``order`` (the
-    snapshot writer persists the sorted form, so no sort happens at load).
-    The first touch of any component reads it once, fills all three
-    columns and is reported to the buffer pool once under the table's
-    segment name.
+    A table is made from its :data:`Rows` (``length`` says how many a
+    callable will produce) and *is* its three
+    :class:`~repro.columnar.Column`s, which the first read of anything but
+    the length sorts out of the rows: once, under the table's own mutex, so
+    a table nothing reads costs nothing.  The ``(n, 3)`` form exists only in
+    :meth:`raw` and during that sort.
     """
 
     def __init__(
         self,
-        triples: Optional[np.ndarray] = None,
+        rows: Rows,
         order: str = "pso",
         pool: Optional[BufferPool] = None,
         name: str = "triples",
         *,
-        loader: Optional[Callable[[], np.ndarray]] = None,
         length: Optional[int] = None,
     ) -> None:
         if order not in ORDERS:
@@ -52,74 +69,77 @@ class TripleTable:
         self.order = order
         self.name = name
         self.pool = pool
-        self._loader = loader
-        if loader is None:
-            matrix = np.asarray(triples, dtype=np.int64)
-            if matrix.ndim != 2 or matrix.shape[1] != 3:
-                raise StorageError("triple matrix must have shape (n, 3)")
-            # np.lexsort sorts by the *last* key first, so feed components reversed.
-            permutation = np.lexsort([matrix[:, _COMPONENT_INDEX[c]] for c in reversed(order)])
-            values = {c: matrix[:, i][permutation] for c, i in _COMPONENT_INDEX.items()}
-            length = matrix.shape[0]
-        else:
-            values = dict.fromkeys("spo")
-            if pool is not None:
-                pool.register_lazy_segment(f"{name}.{order}", length * 3)
-        self._columns: Dict[str, Column] = {
-            component: Column(
-                f"{name}.{order}.{component}", values[component],
-                sorted_ascending=order[0] == component, pool=pool,
-                loader=loader and (lambda c=component: self._load(c)),
-                length=length,
-                notify_pool=False,  # the shared matrix file is accounted once, in _load
-            )
-            for component in "spo"
-        }
+        self._rows = rows
+        self._length = len(rows) if length is None else int(length)
+        self._columns: Optional[Dict[str, Column]] = None
+        self._mutex = threading.Lock()
 
-    def _load(self, component: str) -> np.ndarray:
-        """First touch of a lazy table: read the sorted matrix once, fill the
-        other two columns and hand ``component``'s values to its own."""
-        matrix = np.asarray(self._loader(), dtype=np.int64).reshape(-1, 3)
-        if matrix.shape[0] != len(self):
+    @property
+    def is_materialized(self) -> bool:
+        """Whether the table has been sorted into its columns yet."""
+        return self._columns is not None
+
+    def _sorted(self) -> Dict[str, Column]:
+        """The three columns, sorted out of the rows by the first caller."""
+        if self._columns is None:
+            with self._mutex:
+                if self._columns is None:
+                    self._columns = self._sort()
+                    self._rows = None  # the columns are the table now
+        return self._columns
+
+    def _segment_id(self, component: str) -> str:
+        return f"{self.name}.{self.order}.{component}"
+
+    def _sort(self) -> Dict[str, Column]:
+        matrix = rows_matrix(self._rows)
+        if matrix.shape[0] != self._length:
             raise StorageError(
-                f"table {self.name!r} loader produced {matrix.shape[0]} rows, "
-                f"expected {len(self)}")
-        for other, index in _COMPONENT_INDEX.items():
-            if other != component:
-                self._columns[other].data = matrix[:, index].copy()
-        if self.pool is not None:
-            self.pool.note_materialized(f"{self.name}.{self.order}", int(matrix.size))
-        return matrix[:, _COMPONENT_INDEX[component]].copy()
+                f"table {self.name!r} was given {matrix.shape[0]} rows, "
+                f"expected {self._length}")
+        # np.lexsort sorts by the *last* key first, so feed components reversed.
+        permutation = np.lexsort([matrix[:, _COMPONENT_INDEX[c]] for c in reversed(self.order)])
+        columns = {
+            component: Column(
+                self._segment_id(component), matrix[:, index][permutation],
+                sorted_ascending=self.order[0] == component, pool=self.pool)
+            for component, index in _COMPONENT_INDEX.items()
+        }
+        _SORTS.inc(order=self.order)
+        return columns
 
     # -- basics --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._columns["s"])
+        return self._length
 
     def column(self, component: str) -> Column:
         """Return the column for component ``'s'``, ``'p'`` or ``'o'``."""
-        if component not in self._columns:
+        if component not in _COMPONENT_INDEX:
             raise StorageError(f"unknown component {component!r}")
-        return self._columns[component]
+        return self._sorted()[component]
 
     def raw(self) -> np.ndarray:
         """The table as a new ``(n, 3)`` S/P/O matrix in sort order (no accounting)."""
-        return np.column_stack([self._columns[c].data for c in "spo"])
+        columns = self._sorted()
+        return np.column_stack([columns[c].data for c in "spo"])
 
     def warm(self) -> None:
-        """Pre-load all pages of the table into the buffer pool."""
+        """Pre-load all pages of the table into the buffer pool (segment
+        names and the length are known without sorting anything)."""
         if self.pool is None:
             return
-        for col in self._columns.values():
-            self.pool.warm(col.segment_id, len(col))
+        for component in "spo":
+            self.pool.warm(self._segment_id(component), self._length)
 
     # -- access paths ---------------------------------------------------------
 
     def _prefix_range(self, *values: int) -> Tuple[int, int]:
         """Row range matching a prefix of the sort order (binary searches)."""
         lo, hi = 0, len(self)
+        columns = self._sorted()
         for depth, value in enumerate(values):
-            data = self._columns[self.order[depth]].data[lo:hi]
+            data = columns[self.order[depth]].data[lo:hi]
             lo_off = int(np.searchsorted(data, value, side="left"))
             hi_off = int(np.searchsorted(data, value, side="right"))
             lo, hi = lo + lo_off, lo + hi_off
@@ -141,7 +161,7 @@ class TripleTable:
         lo, hi = self._prefix_range(value)
         if hi <= lo:
             return lo, lo
-        segment = self._columns[self.order[1]].data[lo:hi]
+        segment = self.column(self.order[1]).data[lo:hi]
         start, stop = lo, hi
         if oid_range.low is not None:
             start = lo + int(np.searchsorted(segment, oid_range.low, side="left"))
@@ -164,29 +184,11 @@ class TripleTable:
         """Materialize components for the positional row range ``[lo, hi)``."""
         if hi <= lo:
             return np.empty((0, len(fetch)), dtype=np.int64)
-        parts = []
-        for component in fetch:
-            parts.append(self._columns[component].slice(lo, hi))
-        return np.column_stack(parts)
+        columns = self._sorted()
+        return np.column_stack([columns[component].slice(lo, hi) for component in fetch])
 
     def contains(self, triple: EncodedTriple) -> bool:
         """Exact triple membership test (three binary searches)."""
         ordered = triple.reordered(self.order)
         lo, hi = self._prefix_range(*ordered)
         return hi > lo
-
-    # -- statistics ----------------------------------------------------------
-
-    def predicate_counts(self) -> Dict[int, int]:
-        """Triple count per predicate OID (metadata op, no accounting).
-
-        Run lengths of the predicate column, so the table must be sorted on
-        ``p`` first (PSO / POS).
-        """
-        if self.order[0] != "p":
-            raise StorageError(
-                f"predicate counts need a predicate-first table, not {self.order!r}")
-        predicates = self._columns["p"].data
-        starts = np.flatnonzero(np.diff(predicates, prepend=predicates[:1] - 1))
-        counts = np.diff(starts, append=len(predicates))
-        return dict(zip(predicates[starts].tolist(), counts.tolist()))

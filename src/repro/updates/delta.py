@@ -254,7 +254,8 @@ class FrozenDelta:
 
     Holds the pending inserts and tombstones as two ``(n, 3)`` arrays and
     offers nothing that mutates.  What scans need beyond the arrays — the
-    six-permutation index over the inserts, the tombstones grouped by
+    six-permutation index over the inserts (each order sorted when a scan
+    first reads it), the tombstones grouped by
     predicate, the touched subjects per predicate — is derived on first use
     and kept, so every context, snapshot and estimator of the version shares
     it.  ``name`` (``<delta>.v<N>``) prefixes the index's buffer-pool

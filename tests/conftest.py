@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.model import Graph
+from repro.obs import default_registry
+from repro.storage import ORDERS
 
 from _datasets import (  # noqa: F401 - EX / book_triples re-exported for tests
     EX,
@@ -15,6 +17,17 @@ from _datasets import (  # noqa: F401 - EX / book_triples re-exported for tests
     build_rdfh_store,
     tiny_tpch,
 )
+
+
+@pytest.fixture()
+def projection_sorts():
+    """A reader of ``projection_sorts_total``: per order, how many triple
+    tables this process has sorted so far."""
+    def read() -> dict:
+        samples = default_registry().collect()
+        return {order: samples.get(f'projection_sorts_total{{order="{order}"}}', 0)
+                for order in ORDERS}
+    return read
 
 
 @pytest.fixture(scope="session")

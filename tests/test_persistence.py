@@ -18,6 +18,7 @@ import json
 import zlib
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -42,7 +43,7 @@ from repro.persist.snapshot import (
     SCHEMA_FILE,
     wal_path,
 )
-from repro.storage import ACCESS_PATHS
+from repro.storage import ACCESS_PATHS, ORDERS
 from repro.sparql import (
     DEFAULT_SCHEME,
     OPTIMIZED_SCHEME,
@@ -332,32 +333,70 @@ class TestLazyLoading:
         assert 0 < stats["lazy_segments_materialized"] < stats["lazy_segments_registered"]
         assert stats["lazy_values_loaded"] > 0
 
-    def test_materialization_is_not_charged_as_page_reads(self, rdfh_store, tmp_path):
+    def test_materialization_is_not_charged_as_page_reads(self, tpch_tiny, tmp_path,
+                                                          projection_sorts):
         """Cold-run accounting must match a freshly built store: loading a
         column from disk is bookkept separately from simulated page misses,
         and the access path does not depend on how the store came to be — the
-        same projection per bound set, hence the same counters and the same
-        row sequence (no ``ORDER BY`` below) under every scheme."""
-        write_snapshot(rdfh_store, tmp_path / "db")
+        same projection per bound set, sorted on the same first read, hence
+        the same counters and the same row sequence (no ``ORDER BY`` below)
+        under every scheme."""
+        built = build_rdfh_store(tpch_tiny)
+        write_snapshot(built, tmp_path / "db")
         reopened = RDFStore.open(tmp_path / "db")
+        assert built.index_store.materialized_orders() == []  # a save sorts nothing
+        assert reopened.index_store.materialized_orders() == []
         for bound in ACCESS_PATHS:
             assert (reopened.index_store.best_order(bound)
-                    == rdfh_store.index_store.best_order(bound)), bound
+                    == built.index_store.best_order(bound)), bound
         queries = [
             f"SELECT ?s ?o WHERE {{ ?s <{P_L_QUANTITY}> ?o . }}",
             star_lookup_sparql(),
             f'SELECT ?l WHERE {{ ?l <{P_L_RETURNFLAG}> "R" . }}',
         ]
+        sorts_before = projection_sorts()
         for text in queries:
             for scheme in (DEFAULT_SCHEME, RDFSCAN_SCHEME, OPTIMIZED_SCHEME):
                 options = PlannerOptions(scheme=scheme)
-                rdfh_store.reset_cold()
-                fresh = rdfh_store.sparql(text, options)
+                built.reset_cold()
+                fresh = built.sparql(text, options)
                 reopened.reset_cold()
                 again = reopened.sparql(text, options)
                 assert again.cost.counters == fresh.cost.counters, (scheme, text)
-                assert reopened.decode_rows(again) == rdfh_store.decode_rows(fresh), \
+                assert reopened.decode_rows(again) == built.decode_rows(fresh), \
                     (scheme, text)
+                assert (reopened.storage_summary()["projections_materialized"]
+                        == built.storage_summary()["projections_materialized"]), (scheme, text)
+        # one sort per order per store, and the reopened store's came from
+        # matrix.bin without materializing (or registering against) its own
+        # base-matrix column: projections are no lazy segment of the pool
+        made = built.storage_summary()["projections_materialized"]
+        assert made and "ops" not in made
+        sorts = projection_sorts()
+        irregular = reopened.clustered_store.irregular  # a PSO table too; the save sorted built's
+        assert {order: sorts[order] - sorts_before[order] for order in ORDERS} == {
+            order: 2 * (order in made) + (order == irregular.order and irregular.is_materialized)
+            for order in ORDERS}
+        assert not reopened._matrix.is_materialized
+        stats = reopened.buffer_pool_stats()
+        assert stats["lazy_values_pending"] >= 3 * reopened.triple_count()
+        assert stats["lazy_values_loaded"] < 3 * reopened.triple_count()
+        assert built.buffer_pool_stats()["lazy_segments_registered"] == 0
+
+    def test_save_sorts_nothing_and_stores_no_projection(self, store, tmp_path,
+                                                         projection_sorts):
+        store.sparql(QUERIES[1], PlannerOptions(scheme=DEFAULT_SCHEME))
+        store.update(insert_book(1))  # base membership is an SPO probe
+        store.clustered_store.irregular.raw()  # a table of its own, written in its PSO order
+        before = store.storage_summary()["projections_materialized"]
+        sorts = projection_sorts()
+        assert before == ["pos", "spo"]
+        info = store.save(tmp_path / "db")  # with a pending delta too
+        assert store.storage_summary()["projections_materialized"] == before
+        assert projection_sorts() == sorts
+        assert not list((tmp_path / "db").rglob("hsp.*"))
+        columns = {path.name for path in (tmp_path / "db" / info.generation / "columns").iterdir()}
+        assert columns and all(name.startswith("clustered.") for name in columns)
 
     def test_explain_analyze_surfaces_buffer_stats(self, store, tmp_path):
         store.save(tmp_path / "db")
@@ -565,6 +604,20 @@ class TestCrashRecovery:
         reopened = RDFStore.open(tmp_path / "db")
         assert_stores_equivalent(store, reopened)
 
+    def test_a_store_outlives_the_generation_it_was_opened_from(self, store, tmp_path):
+        """Two saves remove the generation a store was opened from; a
+        projection it first reads after that sorts the matrix the saves left
+        resident, not a file that is gone."""
+        store.save(tmp_path / "db")
+        reopened = RDFStore.open(tmp_path / "db")
+        opened_from = next((tmp_path / "db").glob("gen-*"))
+        reopened.checkpoint()
+        reopened.checkpoint()  # nothing pending either time: no rebuild in between
+        assert not opened_from.exists()
+        assert reopened.index_store.materialized_orders() == []
+        assert_stores_equivalent(store, reopened)
+        assert reopened.index_store.materialized_orders() != []
+
     def test_concurrent_wal_appends_never_destroy_each_other(self, store, tmp_path):
         """Two handles on one database degrade to interleaved appends — an
         acknowledged record is never truncated away by a stale handle."""
@@ -632,6 +685,26 @@ class TestCrashRecovery:
 # -- corruption and format validation ----------------------------------------
 
 
+def _rewrite_as_v2(root, store):
+    """Turn the live generation of a database this tree wrote into what
+    format v2 wrote: the six sorted projections as files, listed in the
+    manifest.  Returns the generation directory."""
+    manifest_path = root / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    generation = root / manifest["generation"]
+    matrix = read_array(generation / "matrix.bin")
+    orders = {}
+    for order in ORDERS:
+        keys = [matrix[:, "spo".index(c)] for c in reversed(order)]
+        crc = write_array(generation / "columns" / f"hsp.{order}.bin", matrix[np.lexsort(keys)])
+        orders[order] = {"file": f"hsp.{order}.bin", "rows": len(matrix), "crc": crc}
+    manifest["index"]["orders"] = orders
+    manifest["format_version"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    return generation
+
+
+
 class TestFormatValidation:
     def test_corrupt_column_file_detected_on_first_scan(self, store, tmp_path):
         store.save(tmp_path / "db")
@@ -672,22 +745,29 @@ class TestFormatValidation:
 
 
     def test_manifests_from_before_the_knobs_went_still_open(self, store, tmp_path):
-        """``"index": null`` (saved before the first build, or by a store that
-        had the exhaustive indexes switched off) opens and builds on first
-        use; the retired keys — two config knobs, the plan cache's own
+        """``"index": null`` (what a store saved before its first build, or
+        one that had the exhaustive indexes switched off, used to write)
+        opens with an index store like any other — there is no unbuilt
+        store; the retired keys — two config knobs, the plan cache's own
         generation and the WAL seed count that restored it — are ignored and
         no longer written."""
-        # (a) saved straight after load(): no schema, no stores at all
+        # (a) saved straight after load(): no schema, no clustered store
         bare = RDFStore(_config())
         bare.load(book_triples())
+        assert bare.index_store is not None and len(bare.index_store) == bare.triple_count()
         bare.save(tmp_path / "bare")
-        manifest = json.loads((tmp_path / "bare" / MANIFEST_FILE).read_text())
-        assert manifest["index"] is None and manifest["clustered_store"] is None
+        manifest_path = tmp_path / "bare" / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        assert set(manifest["index"]) == {"name", "predicate_counts"}
+        assert manifest["clustered_store"] is None
         assert not {"build_exhaustive_indexes", "build_zone_maps"} & set(manifest["config"])
+        manifest["index"] = None  # as the parent wrote it
+        manifest_path.write_text(json.dumps(manifest))
         bare.update(insert_book(1))  # replayed at open, before any read
         reopened = RDFStore.open(tmp_path / "bare")
         assert reopened.has_pending_updates()
-        assert reopened.context().index_store is not None
+        assert reopened.index_store is not None
+        assert reopened.index_store.predicate_counts() == bare.index_store.predicate_counts()
         assert_stores_equivalent(bare, reopened, sql_queries=[])
 
         # (b) hand-edited the way a parent store with the knob off wrote it:
@@ -701,20 +781,45 @@ class TestFormatValidation:
         manifest.update(plan_cache_generation=7, wal_seeded_records=0)
         manifest_path.write_text(json.dumps(manifest))
         reopened = RDFStore.open(tmp_path / "db")
-        assert reopened.is_clustered and reopened.index_store is None
-        assert reopened.context().index_store is not None  # built on first read
+        assert reopened.is_clustered and reopened.index_store is not None
+        assert reopened.context().index_store is reopened.index_store
         assert_stores_equivalent(store, reopened)
+
+    def test_format_v2_databases_still_open(self, store, tmp_path):
+        """Format v2 stored the six sorted projections as ``hsp.<order>.bin``
+        and listed them under ``index.orders``; v3 stores nothing that is a
+        sort of the matrix.  A v2 directory opens (the entries are ignored,
+        projections are sorted from ``matrix.bin``), answers, and its files
+        leave with the generation, at the second save after it."""
+        info = store.save(tmp_path / "db")
+        legacy_generation = _rewrite_as_v2(tmp_path / "db", store)
+        assert len(list(legacy_generation.glob("columns/hsp.*.bin"))) == 6
+
+        legacy = RDFStore.open(tmp_path / "db")
+        assert legacy.index_store.materialized_orders() == []
+        assert_stores_equivalent(store, legacy)
+        legacy.update(insert_book(1))
+        legacy.checkpoint()   # first save after it: the v2 generation is kept one cycle
+        assert len(list((tmp_path / "db").glob("gen-*/columns/hsp.*"))) == 6
+        legacy.update(insert_book(2))
+        legacy.checkpoint()   # second save: it goes, and the projection files with it
+        assert not legacy_generation.exists()
+        assert not list((tmp_path / "db").rglob("hsp.*"))
+        manifest = json.loads((tmp_path / "db" / MANIFEST_FILE).read_text())
+        assert manifest["format_version"] == 3 and "orders" not in manifest["index"]
+        assert info.generation != manifest["generation"]
+        assert_stores_equivalent(legacy, RDFStore.open(tmp_path / "db"))
 
     def test_format_v1_databases_still_open(self, rdfh_store, tmp_path):
         """Format v1 listed each table's ``subjects`` (and the irregular ones)
-        inside ``schema.json`` and had no membership file; only v2 is
-        written, both are read."""
+        inside ``schema.json``, had no membership file and, like v2, stored
+        the projections; only v3 is written, all three are read."""
         write_snapshot(rdfh_store, tmp_path / "db")
         manifest_path = tmp_path / "db" / MANIFEST_FILE
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["format_version"] == 2
-        generation = tmp_path / "db" / manifest["generation"]
+        assert json.loads(manifest_path.read_text())["format_version"] == 3
         current = RDFStore.open(tmp_path / "db")
+        generation = _rewrite_as_v2(tmp_path / "db", rdfh_store)
+        manifest = json.loads(manifest_path.read_text())
 
         # rewrite the generation by hand into the v1 layout
         subjects, cs_ids = read_array(generation / MEMBERSHIP_FILE)
@@ -738,7 +843,8 @@ class TestFormatValidation:
                                  sql_queries=[])
         legacy.save(tmp_path / "resaved")
         resaved = json.loads((tmp_path / "resaved" / MANIFEST_FILE).read_text())
-        assert resaved["format_version"] == 2 and "membership" in resaved["schema"]
+        assert resaved["format_version"] == 3 and "membership" in resaved["schema"]
+        assert not list((tmp_path / "resaved").rglob("hsp.*"))
 
     @pytest.mark.parametrize("damage, complaint", [
         ("truncated", "data bytes"), ("unsorted", "ascending"), ("unknown_table", "table")])

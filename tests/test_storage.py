@@ -1,15 +1,33 @@
 """Tests for triple tables, the exhaustive index store, clustering and the
 clustered store."""
 
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _datasets import person_address_triples, small_graph_config
+from _datasets import (
+    build_rdfh_parseorder_store,
+    build_rdfh_store,
+    person_address_triples,
+    small_graph_config,
+)
 from _oracles import per_row_clustered_build
 from repro import RDFStore
+from repro.bench import q1_sparql, q3_sparql, q6_sparql, star_fk_hop_sparql
+from repro.sparql import (
+    DEFAULT_SCHEME,
+    OPTIMIZED_SCHEME,
+    RDFSCAN_SCHEME,
+    PlannerOptions,
+    parse_sparql,
+)
+from repro.sparql.ast import Variable
 from repro.bench import DirtyConfig, generate_dirty
 from repro.bench.queries import star_lookup_sparql
 from repro.columnar import BufferPool, NULL_OID
@@ -80,15 +98,6 @@ class TestTripleTable:
         assert hi - lo == 2
         assert table.contains(EncodedTriple(0, 10, 20))
         assert not table.contains(EncodedTriple(0, 10, 999))
-
-    def test_predicate_counts(self):
-        table = TripleTable(SAMPLE)
-        assert table.predicate_counts() == {10: 3, 11: 2, 12: 1}
-        assert TripleTable(SAMPLE, order="pos").predicate_counts() == {10: 3, 11: 2, 12: 1}
-        assert TripleTable(np.empty((0, 3), dtype=np.int64)).predicate_counts() == {}
-        # run lengths need the predicate column sorted: refused, not re-sorted
-        with pytest.raises(StorageError, match="predicate-first"):
-            TripleTable(SAMPLE, order="spo").predicate_counts()
 
     def test_subject_property_sets(self):
         """The raw input of characteristic-set detection, computed where
@@ -165,6 +174,12 @@ class TestExhaustiveIndexStore:
         assert store.count_pattern(p=10, o=20) == 2
         assert store.count_pattern() == len(SAMPLE)
 
+    def test_predicate_counts_sort_nothing(self, store):
+        """Counts are metadata of the rows: no projection is made for them."""
+        assert store.predicate_counts() == {10: 3, 11: 2, 12: 1}
+        assert ExhaustiveIndexStore(np.empty((0, 3), dtype=np.int64)).predicate_counts() == {}
+        assert store.materialized_orders() == []
+
     def test_contains_and_object_lookup(self, store):
         assert store.contains(EncodedTriple(2, 12, 23))
         assert not store.contains(EncodedTriple(2, 12, 99))
@@ -173,6 +188,138 @@ class TestExhaustiveIndexStore:
     def test_unknown_order_rejected(self, store):
         with pytest.raises(StorageError):
             store.table("abc")
+
+
+class TestSortedOnFirstRead:
+    """A table is made from its rows and sorts itself when first read."""
+
+    MATRIX = np.asarray([[t.s, t.p, t.o] for t in SAMPLE])
+
+    def test_nothing_is_sorted_until_read(self, projection_sorts):
+        before = projection_sorts()
+        store = ExhaustiveIndexStore(self.MATRIX, pool=BufferPool(page_size=2))
+        assert len(store) == 6 and store.materialized_orders() == []
+        store.warm()  # lengths and segment names only
+        assert store.pool.cached_page_count() == 6 * 3 * 3
+        assert store.materialized_orders() == []
+        store.scan_pattern(p=10)
+        store.count_pattern(s=1)
+        assert store.materialized_orders() == ["pso", "spo"]
+        after = projection_sorts()
+        assert {order: after[order] - before[order] for order in ORDERS} == {
+            "spo": 1, "sop": 0, "pso": 1, "pos": 0, "osp": 0, "ops": 0}
+
+    def test_rows_may_be_a_callable(self):
+        calls = []
+
+        def rows():
+            calls.append(1)
+            return self.MATRIX[::-1]
+
+        table = TripleTable(rows, order="osp", length=6)
+        assert len(table) == 6 and not calls and not table.is_materialized
+        assert table.raw().tolist() == TripleTable(self.MATRIX, order="osp").raw().tolist()
+        table.column("s"), table.scan_prefix(21)
+        assert calls == [1]
+
+    def test_row_count_and_shape_are_checked_at_the_sort(self):
+        short = TripleTable(lambda: self.MATRIX[:4], order="pso", length=6, name="t")
+        with pytest.raises(StorageError, match="'t' was given 4 rows, expected 6"):
+            short.scan_prefix(10)
+        assert not short.is_materialized  # a failed guard leaves nothing behind
+        with pytest.raises(StorageError, match=r"shape \(n, 3\)"):
+            TripleTable(np.zeros((3, 2), dtype=np.int64)).raw()
+
+    def test_eight_threads_first_touching_one_table_sort_once(self, projection_sorts):
+        rng = np.random.default_rng(11)
+        matrix = rng.integers(0, 5_000, (60_000, 3)).astype(np.int64)
+        table = TripleTable(matrix, order="ops")
+        before = projection_sorts()["ops"]
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def touch():
+            barrier.wait()
+            seen.append(tuple(table.column(c).data for c in "spo"))
+
+        threads = [threading.Thread(target=touch) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert projection_sorts()["ops"] - before == 1
+        assert len(seen) == 8
+        for columns in seen[1:]:
+            assert all(a is b for a, b in zip(columns, seen[0]))  # one set of arrays
+        expected = matrix[np.lexsort((matrix[:, 0], matrix[:, 1], matrix[:, 2]))]
+        assert np.array_equal(np.column_stack(seen[0]), expected)
+
+    def test_a_replaced_index_store_is_freed_by_reference_counting(self, tmp_path):
+        """No cycle runs through a table: with the cyclic collector off, a
+        materialised projection dies at the ``build_indexes()`` that replaces
+        its store — built, compacted or reopened alike."""
+        store = RDFStore.build(person_address_triples(), config=small_graph_config())
+        query = f"SELECT ?s ?o WHERE {{ ?s <{next(iter(_predicates(store)))}> ?o . }}"
+        gc.collect()
+        gc.disable()
+        try:
+            for step in ("built", "compacted", "reopened"):
+                store.sparql(query, PlannerOptions(scheme=DEFAULT_SCHEME))
+                assert store.index_store.materialized_orders() == ["pso"], step
+                table = weakref.ref(store.index_store.table("pso"))
+                column = weakref.ref(table().column("o"))
+                if step == "built":
+                    store.update(f"INSERT DATA {{ <{EX}new> <{EX}p> <{EX}o> . }}")
+                    store.compact()
+                elif step == "compacted":
+                    store.save(tmp_path / "db")
+                    store = RDFStore.open(tmp_path / "db")
+                    continue  # the old store object went with its last reference
+                else:
+                    store.build_indexes()
+                assert table() is None and column() is None, step
+        finally:
+            gc.enable()
+
+
+def test_which_projections_the_rdfh_corpus_reads(tpch_tiny):
+    """The traffic pin.  On a clustered store the star schemes answer from
+    the CS blocks and reach for PSO (a per-subject probe) or SPO at most; the
+    ``default`` scheme on ParseOrder sorts exactly what its patterns name in
+    ``ACCESS_PATHS`` plus POS for a FILTER range inside a predicate — and
+    nothing ever reads OPS, OSP or SOP, which therefore are never made."""
+    corpus = [q6_sparql(), q3_sparql(), q1_sparql(), star_fk_hop_sparql()]
+    clustered = build_rdfh_store(tpch_tiny)
+    for scheme in (RDFSCAN_SCHEME, OPTIMIZED_SCHEME):
+        for text in corpus:
+            clustered.sparql(text, PlannerOptions(scheme=scheme))
+    assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo"}
+    for text in corpus:  # zone maps bring subject ranges: POS or PSO, whichever is narrower
+        clustered.sparql(text, PlannerOptions(scheme=OPTIMIZED_SCHEME, use_zone_maps=True))
+    assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo", "pos"}
+
+    for text in corpus:
+        parse_order = build_rdfh_parseorder_store(tpch_tiny)
+        parse_order.sparql(text, PlannerOptions(scheme=DEFAULT_SCHEME))
+        query = parse_sparql(text)
+        named = {ACCESS_PATHS["".join(
+                    c for c, node in zip("spo", (p.subject, p.predicate, p.object))
+                    if not isinstance(node, Variable))]
+                 for p in query.patterns}
+        ranged = {parse_order.index_store.within_predicate("o").order} if query.filters else set()
+        assert set(parse_order.index_store.materialized_orders()) == named | ranged, text
+        assert "ops" not in named | ranged
+
+
+def _predicates(store):
+    for oid in sorted(store.index_store.predicate_counts()):
+        yield store.dictionary.decode(oid).value
 
 
 def test_no_resident_twin(rdfh_store, tmp_path):
@@ -296,6 +443,29 @@ class TestClusteredStore:
         name = dictionary.lookup_term(IRI(EX + "name"))
         assert len(store.blocks_with_properties([author, year])) == 1
         assert len(store.blocks_with_properties([author, name])) == 0
+
+    def test_a_star_naming_a_many_property_gets_no_block(self):
+        """A ``MANY`` property has no column, so no block serves a star that
+        names it: the star is answered from the irregular table, where every
+        value of such a property lives."""
+        triples = []
+        for i in range(12):
+            s = IRI(f"{EX}doc{i}")
+            triples.append(Triple(s, IRI(EX + "title"), Literal(f"Title {i}")))
+            triples.append(Triple(s, IRI(EX + "tag"), Literal(f"tag{i % 3}")))
+            triples.append(Triple(s, IRI(EX + "tag"), Literal(f"tag{3 + i % 4}")))
+        store = RDFStore.build(triples, config=small_graph_config())
+        title, tag = (store.dictionary.lookup_term(IRI(EX + name)) for name in ("title", "tag"))
+        (table,) = store.schema.tables.values()
+        assert table.properties[tag].multiplicity is Multiplicity.MANY
+        clustered = store.clustered_store
+        assert [block.cs_id for block in clustered.blocks_with_properties([title])] == [table.cs_id]
+        assert clustered.blocks_with_properties([title, tag]) == []
+        assert clustered.blocks_with_properties([tag]) == []
+        assert len(clustered.irregular.scan_prefix(tag)) == 24
+        rows = store.decode_rows(store.sparql(
+            f"SELECT ?d ?t WHERE {{ ?d <{EX}title> ?n . ?d <{EX}tag> ?t . }}"))
+        assert len(rows) == 24 and len(set(rows)) == 24
 
     def test_zone_maps_built_on_request(self):
         dictionary, matrix, schema = _book_like_store(dirty=False)

@@ -57,6 +57,7 @@ from repro.obs import format_bytes  # noqa: E402
 from repro.persist import MANIFEST_FILE, SnapshotReader  # noqa: E402
 from repro.persist.snapshot import wal_path  # noqa: E402
 from repro.rio import load_graph  # noqa: E402
+from repro.storage import ORDERS  # noqa: E402
 
 
 def cmd_save(args: argparse.Namespace) -> int:
@@ -143,10 +144,12 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"terms:      {manifest['terms']} "
           f"(value-order watermark {manifest['value_order_watermark']})")
     print(f"clustered:  {manifest['clustered']}")
-    index = manifest.get("index")
-    if index:
-        print(f"index:      {len(index['orders'])} permutations "
-              f"({', '.join(sorted(index['orders']))})")
+    # a database stores no projection (format v1 / v2 files are ignored):
+    # an opened store starts with none and sorts one when a pattern reads it
+    ignored = len((manifest.get("index") or {}).get("orders", ()))
+    print(f"index:      {len(ORDERS)} projections sorted from {manifest['matrix']['file']} "
+          f"at first read; projections_materialized=[] at open"
+          + (f" ({ignored} stored projection files ignored)" if ignored else ""))
     clustered = manifest.get("clustered_store")
     if clustered:
         columns = sum(len(b["columns"]) for b in clustered["blocks"])
@@ -187,6 +190,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"database:      {args.database}")
     print(f"triples:       {summary['triples']} ({summary['terms']} terms, "
           f"clustered={summary['clustered']})")
+    print(f"projections:   projections_materialized={summary['projections_materialized']} "
+          f"(sorted so far, of {len(ORDERS)})")
     pool = store.buffer_pool_stats()
     print(f"buffer pool:   {pool['cached_pages']} pages resident "
           f"({pool['resident_bytes'] / 1024:.0f} KiB), "
