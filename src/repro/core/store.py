@@ -837,16 +837,22 @@ class RDFStore:
             # acknowledged updates from the next snapshot if the merge failed
             self.journal.clear()
             if report.merged_inserts or report.applied_deletes:
+                ordering = time.perf_counter()
                 self.matrix = value_order_literals(self.matrix, self.dictionary)
+                indexing = time.perf_counter()
                 self._install_schema(self.schema)
                 self.build_indexes()
+                finished = time.perf_counter()
                 self.metrics_registry.counter(
                     "compactions_total", "Delta-into-base compactions applied.").inc()
-                self._compaction_seconds.observe(time.perf_counter() - started)
+                self._compaction_seconds.observe(finished - started)
                 self.event_log.emit("compaction",
                                     merged_inserts=report.merged_inserts,
                                     applied_deletes=report.applied_deletes,
-                                    seconds=time.perf_counter() - started)
+                                    seconds=finished - started,
+                                    value_order_s=indexing - ordering,
+                                    statistics_s=report.statistics_s,
+                                    index_s=finished - indexing)
             return report
 
     # -- persistence --------------------------------------------------------------------
@@ -1040,13 +1046,17 @@ class RDFStore:
                 raise PersistenceError(
                     "store is not attached to a database; pass a path or call save() first")
             compaction = self.compact()
+            writing = time.perf_counter()
             snapshot = self.save(target)
+            finished = time.perf_counter()
             self.metrics_registry.counter(
                 "checkpoints_total", "Checkpoints (compact + snapshot + WAL reset).").inc()
-            self._checkpoint_seconds.observe(time.perf_counter() - started)
+            self._checkpoint_seconds.observe(finished - started)
             self.event_log.emit("checkpoint", path=str(target),
                                 triples=snapshot.triples,
-                                seconds=time.perf_counter() - started)
+                                seconds=finished - started,
+                                compact_s=writing - started,
+                                write_s=finished - writing)
             return CheckpointReport(compaction=compaction, snapshot=snapshot)
 
     def _detach_database(self) -> None:

@@ -169,7 +169,8 @@ def _assemble_schema(
     return schema
 
 
-def measure_coverage(schema: EmergentSchema, matrix: np.ndarray) -> SchemaCoverage:
+def measure_coverage(schema: EmergentSchema, matrix: np.ndarray,
+                     row_tables: Optional[np.ndarray] = None) -> SchemaCoverage:
     """Count how many subjects and triples of ``matrix`` the regular schema
     captures; discovery and every compaction call it.
 
@@ -177,13 +178,17 @@ def measure_coverage(schema: EmergentSchema, matrix: np.ndarray) -> SchemaCovera
     predicate is one of that table's properties; everything else lives in
     the irregular triple store.  One vectorized pass, O(n log m)
     (:func:`~repro.cs.schema_model.rows_in_table_columns`) — not one
-    full-matrix scan per table.
+    full-matrix scan per table.  ``row_tables`` is each row's table,
+    ``schema.membership.cs_of(matrix[:, 0])``: compaction passes the one it
+    already has, other callers leave it to be computed here.
     """
+    if row_tables is None:
+        row_tables = schema.membership.cs_of(matrix[:, 0])
     subjects = np.unique(matrix[:, 0])
     coverage = SchemaCoverage(total_triples=int(matrix.shape[0]),
                               total_subjects=int(subjects.size))
     coverage.covered_subjects = int((schema.membership.cs_of(subjects) >= 0).sum())
     coverage.covered_triples = int(rows_in_table_columns(
-        matrix, schema.membership,
+        matrix, row_tables,
         {cs.cs_id: cs.property_oids() for cs in schema.tables.values()}).sum())
     return coverage

@@ -230,19 +230,21 @@ class Membership:
                             self.cs_ids)
 
 
-def rows_in_table_columns(matrix: np.ndarray, membership: Membership,
+def rows_in_table_columns(matrix: np.ndarray, row_tables: np.ndarray,
                           properties_of: Mapping[int, Iterable[int]]) -> np.ndarray:
     """Mask of the ``(n, 3)`` matrix's rows whose subject belongs to a table
-    *and* whose predicate is one of that table's properties
-    (``properties_of``: table id -> predicate OIDs): one ``cs_of`` and one
-    ``np.isin`` over packed ``(table, predicate)`` keys."""
+    *and* whose predicate is one of that table's properties.
+
+    ``row_tables`` is each row's table (``Membership.cs_of`` of the subject
+    column, ``-1`` without one), ``properties_of`` maps a table id to its
+    predicate OIDs: one ``np.isin`` over packed ``(table, predicate)`` keys."""
     base = int(max(matrix[:, 1].max(initial=0),
                    max((max(properties, default=0) for properties in properties_of.values()),
                        default=0))) + 1
     columns = np.asarray([cs_id * base + p for cs_id, properties in properties_of.items()
                           for p in properties], dtype=np.int64)
     # a subject without a table packs to a negative key, which is no column's
-    return np.isin(membership.cs_of(matrix[:, 0]) * base + matrix[:, 1], columns)
+    return np.isin(row_tables * base + matrix[:, 1], columns)
 
 
 @dataclass

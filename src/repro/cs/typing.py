@@ -240,7 +240,7 @@ def subject_signatures(
     """
     membership = generalization.membership
     rows = np.flatnonzero(rows_in_table_columns(
-        triple_matrix, membership,
+        triple_matrix, membership.cs_of(triple_matrix[:, 0]),
         {gcs.gcs_id: gcs.properties for gcs in generalization.generalized}))
     rows = rows[np.lexsort((triple_matrix[rows, 1], triple_matrix[rows, 0]))]
     subject, predicate = triple_matrix[rows, 0], triple_matrix[rows, 1]

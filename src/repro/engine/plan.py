@@ -10,6 +10,7 @@ RDFscan/RDFjoin scheme evaluates the whole star in one operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -65,6 +66,12 @@ class OidRange:
     high: Optional[int] = None
     extra_oids: frozenset = frozenset()
 
+    @cached_property
+    def _sorted_extras(self) -> np.ndarray:
+        """``extra_oids`` as an ascending ``int64`` array, made once, at the
+        first :meth:`mask` (a range the planner only intersects never needs it)."""
+        return np.fromiter(sorted(self.extra_oids), dtype=np.int64, count=len(self.extra_oids))
+
     def is_unbounded(self) -> bool:
         return self.low is None and self.high is None and not self.extra_oids
 
@@ -102,8 +109,7 @@ class OidRange:
 
     def mask(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains` over a NumPy OID array."""
-        extras = np.asarray(sorted(self.extra_oids), dtype=np.int64) if self.extra_oids else None
-        return kernels.range_mask(values, self.low, self.high, extras)
+        return kernels.range_mask(values, self.low, self.high, self._sorted_extras)
 
     def describe(self) -> str:
         text = f"[{self.low if self.low is not None else '-inf'}, {self.high if self.high is not None else '+inf'}]"

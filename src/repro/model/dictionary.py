@@ -44,8 +44,8 @@ from .triples import EncodedTriple, Triple
 
 _HEAD_BUILDS = default_registry().counter(
     "literal_index_full_builds_total",
-    "Full passes over a dictionary to build its literal order index "
-    "(store build, compaction and open only; never per update, snapshot or query).")
+    "Times a dictionary's literal order index was set anew: store build, "
+    "compaction and open only; never per update, snapshot or query.")
 
 _MATERIALIZED = default_registry().counter(
     "dictionary_values_materialized_total",
@@ -411,22 +411,40 @@ class TermDictionary:
         Only literal OIDs are permuted (they trade positions among
         themselves); IRI and BNode OIDs are untouched.  Returns the applied
         permutation as aligned ``(old, new)`` OID arrays (see :meth:`remap`)
-        so that stored triples can be rewritten by the caller.
+        so that stored triples can be rewritten by the caller; ``old`` equals
+        ``new`` when nothing moved, and then no remap ran.
+
+        A merge, not a sort: the head is in value order already and the tail
+        is kept sorted, so each tail literal is bisected into the head —
+        O(tail · log head) key computations.  On a tie the head literal comes
+        first (every tail OID is larger), so the result is the one stable
+        sort by key over all literals would give.  A dictionary that was
+        never value-ordered has an empty head: its literals are all tail,
+        sorted once and merged into nothing.
         """
-        literal_oids = [oid for oid, term in enumerate(self._oid_to_term) if isinstance(term, Literal)]
-        ranked = sorted(literal_oids, key=lambda oid: term_sort_key(self._oid_to_term[oid]))
-        old = np.asarray(ranked, dtype=np.int64)
-        new = np.asarray(literal_oids, dtype=np.int64)
+        head = self._literal_head
+        tail = self._tail_through(len(self._oid_to_term))
+        places, lo = [], 0
+        for key, _oid in tail:
+            if lo == head.size:
+                break  # past the head: the rest of the tail goes at its end
+            lo = bisect_right(head, key, lo, key=self._literal_key)
+            places.append(lo)
+        places += [head.size] * (len(tail) - len(places))
+        tail_oids = np.fromiter(map(itemgetter(1), tail), dtype=np.int64, count=len(tail))
+        old = np.insert(head, places, tail_oids)
+        new = np.concatenate([head, np.sort(tail_oids)])
         if not np.array_equal(old, new):
             self.remap(old, new)
-        self._set_value_order(len(self._oid_to_term), literal_oids)
+        self._set_value_order(len(self._oid_to_term), new)
         return old, new
 
     # -- the literal order index ------------------------------------------------
 
     def _set_value_order(self, watermark: int,
-                         literal_oids: Optional[List[int]] = None) -> None:
-        """Move the watermark and rebuild the head for it (the one full pass)."""
+                         literal_oids: Optional[np.ndarray] = None) -> None:
+        """Move the watermark and set the head for it; without
+        ``literal_oids`` the head is rebuilt (the one full pass)."""
         if literal_oids is None:
             terms = self._oid_to_term
             literal_oids = [oid for oid in range(watermark) if isinstance(terms[oid], Literal)]
@@ -442,8 +460,8 @@ class TermDictionary:
     def _tail_through(self, size: int) -> List[Tuple[tuple, int]]:
         """The value-sorted tail covering OIDs ``[watermark, size)``.
 
-        Only ``_oid_to_term[covered:size]`` is inspected; each new literal
-        is bisected into a copy of the existing tail.  Pure: the result is
+        Only ``_oid_to_term[covered:size]`` is inspected; the new literals
+        are sorted into a copy of the existing tail.  Pure: the result is
         stored by the writer (:meth:`index_appended_literals`) and merely
         used by a reader that finds terms appended since.
         """
@@ -453,11 +471,14 @@ class TermDictionary:
                  if isinstance(terms[oid], Literal)]
         if not fresh:
             return tail
+        # stable sorts and inserts by key alone, so ties stay in OID order: a
+        # fresh OID exceeds every OID in the tail
+        fresh.sort(key=itemgetter(0))
+        if not tail:
+            return fresh
         tail = list(tail)
         for entry in fresh:
-            # a fresh OID exceeds every OID in the tail, so ties on the key
-            # stay in OID order, as one stable sort by key would leave them
-            insort(tail, entry)
+            insort(tail, entry, key=itemgetter(0))
         return tail
 
     def index_appended_literals(self) -> None:

@@ -10,6 +10,7 @@ decoded representation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import total_ordering
@@ -212,13 +213,23 @@ class Literal(Term):
 # -- helpers -----------------------------------------------------------------
 
 
-_ESCAPES = {
+_ESCAPE_OF = {
+    **{chr(code): f"\\u{code:04X}" for code in [*range(0x20), 0x7F, 0x85, 0x2028, 0x2029]},
     "\\": "\\\\",
     '"': '\\"',
     "\n": "\\n",
     "\r": "\\r",
     "\t": "\\t",
 }
+"""Every character :func:`escape_literal` rewrites, with its escape: ``\\uXXXX``
+for control characters and the Unicode line / paragraph separators, save the
+five with a short escape."""
+
+_ESCAPED = re.compile("[" + re.escape("".join(_ESCAPE_OF)) + "]")
+
+
+def _escape_match(match: "re.Match[str]") -> str:
+    return _ESCAPE_OF[match.group()]
 
 
 def escape_literal(text: str) -> str:
@@ -226,18 +237,12 @@ def escape_literal(text: str) -> str:
 
     Control characters (and the Unicode line/paragraph separators, which some
     line splitters treat as newlines) are emitted as ``\\uXXXX`` escapes so
-    the serialized form always stays on one physical line.
+    the serialized form always stays on one physical line.  One compiled
+    character class finds them; text without one is returned as it is.
     """
-    out = []
-    for ch in text:
-        escaped = _ESCAPES.get(ch)
-        if escaped is not None:
-            out.append(escaped)
-        elif ord(ch) < 0x20 or ch in ("\x7f", "\x85", " ", " "):
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    if _ESCAPED.search(text) is None:
+        return text
+    return _ESCAPED.sub(_escape_match, text)
 
 
 def term_sort_key(term: Term) -> tuple:

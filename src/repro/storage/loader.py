@@ -61,8 +61,12 @@ def apply_oid_mapping(matrix: np.ndarray, old: np.ndarray, new: np.ndarray) -> n
 
 
 def value_order_literals(matrix: np.ndarray, dictionary: TermDictionary) -> np.ndarray:
-    """Permute literal OIDs into value order; returns the rewritten matrix."""
-    return apply_oid_mapping(matrix, *dictionary.reassign_value_ordered_literals())
+    """Permute literal OIDs into value order; returns the rewritten matrix
+    (``matrix`` itself when no literal moved)."""
+    old, new = dictionary.reassign_value_ordered_literals()
+    if np.array_equal(old, new):
+        return matrix
+    return apply_oid_mapping(matrix, old, new)
 
 
 # -- subject clustering -----------------------------------------------------------

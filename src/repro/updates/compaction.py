@@ -11,19 +11,22 @@ the paper's emergent schema is meant to absorb change:
 * new subjects matching nothing fall into the irregular (leftover) bucket;
 * subjects whose last triple was deleted leave their CS;
 * affected tables get their per-property presence / multiplicity statistics
-  refreshed, and schema coverage is recomputed;
+  refreshed, and schema coverage is recomputed — one array pass over the
+  merged matrix for both, whatever the number of tables;
 * literal OIDs appended by updates are folded back into value order, so
   pushed-down range predicates regain their exact OID-interval translation.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..cs import measure_coverage
+from ..cs.detect import run_starts
 from ..cs.schema_model import classify_multiplicity
 
 
@@ -41,6 +44,8 @@ class CompactionReport:
     """Subjects dropped from their CS because every triple was deleted."""
     assignments: Dict[int, int] = field(default_factory=dict)
     """CS id -> number of subjects admitted into that table."""
+    statistics_s: float = 0.0
+    """Seconds spent refreshing table statistics and coverage."""
 
     def describe(self) -> str:
         return (f"compaction: +{self.merged_inserts} triples, "
@@ -97,8 +102,11 @@ def compact_store(store) -> CompactionReport:
         _assign_new_subjects(schema, store.matrix, merged, delta_subjects, report)
         after = schema.membership.cs_of(touched)
         affected_cs = set(np.concatenate([before, after]).tolist()) - {-1}
-        _refresh_table_statistics(schema, merged, affected_cs)
-        schema.coverage = measure_coverage(schema, merged)
+        started = time.perf_counter()
+        row_tables = schema.membership.cs_of(merged[:, 0])
+        _refresh_table_statistics(schema, merged, row_tables, affected_cs)
+        schema.coverage = measure_coverage(schema, merged, row_tables)
+        report.statistics_s = time.perf_counter() - started
 
     store.matrix = merged
     store.delta.clear()
@@ -159,28 +167,46 @@ def _assign_new_subjects(schema, base: np.ndarray, merged: np.ndarray,
 
 
 def _property_sets_of(matrix: np.ndarray, subjects: np.ndarray) -> Dict[int, Set[int]]:
+    """Each of ``subjects``' property set in ``matrix`` (a subject without a
+    triple is absent): one lexsort of their rows by ``(s, p)``, one set per
+    subject from the distinct pairs."""
     rows = matrix[np.isin(matrix[:, 0], subjects)]
-    out: Dict[int, Set[int]] = {}
-    for s, p in zip(rows[:, 0], rows[:, 1]):
-        out.setdefault(int(s), set()).add(int(p))
-    return out
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    pairs = rows[run_starts(rows[:, 0], rows[:, 1])]
+    holders = run_starts(pairs[:, 0])
+    return {subject: set(predicates.tolist()) for subject, predicates
+            in zip(pairs[holders, 0].tolist(), np.split(pairs[:, 1], holders[1:]))}
 
 
-def _refresh_table_statistics(schema, merged: np.ndarray, cs_ids: Set[int]) -> None:
+def _refresh_table_statistics(schema, merged: np.ndarray, row_tables: np.ndarray,
+                              cs_ids: Set[int]) -> None:
     """Recompute support and, per column, presence / mean multiplicity /
-    multiplicity class."""
+    multiplicity class of the tables ``cs_ids``.
+
+    ``row_tables`` is each merged row's table.  One lexsort of the affected
+    tables' rows by ``(table, predicate, subject)``: a ``(table, predicate)``
+    run holds a column's triples, its ``(table, predicate, subject)`` runs
+    the subjects that have the property.
+    """
+    rows = np.flatnonzero(np.isin(row_tables, np.fromiter(cs_ids, dtype=np.int64)))
+    owner, predicate, subject = row_tables[rows], merged[rows, 1], merged[rows, 0]
+    order = np.lexsort((subject, predicate, owner))
+    owner, predicate, subject = owner[order], predicate[order], subject[order]
+    columns = run_starts(owner, predicate)
+    bounds = np.append(columns, order.size)
+    triples = np.diff(bounds)
+    holders = np.diff(np.searchsorted(run_starts(owner, predicate, subject), bounds))
+    counts = dict(zip(zip(owner[columns].tolist(), predicate[columns].tolist()),
+                      zip(triples.tolist(), holders.tolist())))
+    tables, sizes = np.unique(schema.membership.cs_ids, return_counts=True)
+    support = dict(zip(tables.tolist(), sizes.tolist()))
     for cs_id in cs_ids:
         table = schema.tables[cs_id]
-        members = schema.membership.members(cs_id)
-        table.support = int(members.size)
+        table.support = support.get(cs_id, 0)
         if not table.support:
             continue
-        rows = merged[np.isin(merged[:, 0], members)] if merged.size else merged
-        predicates = rows[:, 1] if rows.size else np.empty(0, dtype=np.int64)
         for predicate_oid, spec in table.properties.items():
-            prop_rows = rows[predicates == predicate_oid] if rows.size else rows
-            triple_count = int(prop_rows.shape[0])
-            subject_count = int(np.unique(prop_rows[:, 0]).size) if triple_count else 0
-            spec.presence = subject_count / table.support if table.support else 0.0
+            triple_count, subject_count = counts.get((cs_id, predicate_oid), (0, 0))
+            spec.presence = subject_count / table.support
             spec.mean_multiplicity = triple_count / subject_count if subject_count else 1.0
             spec.multiplicity = classify_multiplicity(spec.presence, spec.mean_multiplicity)

@@ -26,7 +26,13 @@ store started routing rows through the schema's membership arrays:
   of tuples (``encode_graph``, ``cs.detect`` / ``generalize`` / ``typing``,
   ``plan_subject_clustering``, ``TermDictionary.remap``), before each stage
   became an array pass over the OID matrix; :func:`per_row_discover_schema`
-  and :func:`per_row_cluster` run them as the pipeline did.
+  and :func:`per_row_cluster` run them as the pipeline did;
+* :func:`full_sort_value_order`, :func:`per_table_statistics`,
+  :func:`per_table_coverage`, :func:`per_row_property_sets` and
+  :func:`per_character_escape` — what a checkpoint redid over the whole
+  store, whatever the delta: one Python sort of every literal, one
+  full-matrix mask per table and per property, a per-row set fill and a
+  character-at-a-time escape of every literal written to ``dictionary.nt``.
 
 A plain importable module for the same reason as ``_datasets``.
 """
@@ -36,12 +42,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.columnar import NULL_OID, Column, ZoneMap
 from repro.cs import (
+    SchemaCoverage,
     DiscoveryConfig,
     GeneralizationConfig,
     Membership,
@@ -56,6 +63,7 @@ from repro.cs import (
 )
 from repro.cs.builder import _assemble_schema
 from repro.cs.generalize import GeneralizationResult, GeneralizedCS
+from repro.cs.schema_model import classify_multiplicity
 from repro.cs.typing import PropertyObservation, TypingConfig, term_kind
 from repro.engine.bindings import BindingTable
 from repro.engine.plan import OidRange, StarPattern, StarProperty
@@ -783,4 +791,81 @@ def _scanner_unescape(text: str) -> str:
         else:
             out.append(nxt)
             i += 2
+    return "".join(out)
+
+
+# -- the checkpoint over the whole store ----------------------------------------------------
+
+
+def full_sort_value_order(dictionary: TermDictionary) -> Tuple[np.ndarray, np.ndarray]:
+    """``TermDictionary.reassign_value_ordered_literals`` as one stable Python
+    sort of every literal by ``term_sort_key``, whatever the watermark."""
+    terms = list(dictionary.terms())
+    literal_oids = [oid for oid, term in enumerate(terms) if isinstance(term, Literal)]
+    ranked = sorted(literal_oids, key=lambda oid: term_sort_key(terms[oid]))
+    old = np.asarray(ranked, dtype=np.int64)
+    new = np.asarray(literal_oids, dtype=np.int64)
+    if not np.array_equal(old, new):
+        dictionary.remap(old, new)
+    dictionary._set_value_order(len(terms), new)
+    return old, new
+
+
+def per_table_statistics(schema, merged: np.ndarray, row_tables, cs_ids: Set[int]) -> None:
+    """Compaction's statistics refresh one table at a time: a full-matrix
+    ``np.isin`` over the table's members, then one mask per property
+    (``row_tables`` is ignored; the shipped signature carries it)."""
+    for cs_id in cs_ids:
+        table = schema.tables[cs_id]
+        members = schema.membership.members(cs_id)
+        table.support = int(members.size)
+        if not table.support:
+            continue
+        rows = merged[np.isin(merged[:, 0], members)]
+        for predicate_oid, spec in table.properties.items():
+            prop_rows = rows[rows[:, 1] == predicate_oid]
+            triple_count = int(prop_rows.shape[0])
+            subject_count = int(np.unique(prop_rows[:, 0]).size)
+            spec.presence = subject_count / table.support
+            spec.mean_multiplicity = triple_count / subject_count if subject_count else 1.0
+            spec.multiplicity = classify_multiplicity(spec.presence, spec.mean_multiplicity)
+
+
+def per_table_coverage(schema, matrix: np.ndarray, row_tables=None) -> SchemaCoverage:
+    """``measure_coverage`` with one member mask and one property mask per table."""
+    subjects = np.unique(matrix[:, 0])
+    coverage = SchemaCoverage(total_triples=int(matrix.shape[0]),
+                              total_subjects=int(subjects.size))
+    coverage.covered_subjects = int((schema.membership.cs_of(subjects) >= 0).sum())
+    covered = np.zeros(matrix.shape[0], dtype=bool)
+    for cs in schema.tables.values():
+        covered |= (np.isin(matrix[:, 0], schema.membership.members(cs.cs_id))
+                    & np.isin(matrix[:, 1], list(cs.property_oids())))
+    coverage.covered_triples = int(covered.sum())
+    return coverage
+
+
+def per_row_property_sets(matrix: np.ndarray, subjects: np.ndarray) -> Dict[int, Set[int]]:
+    """Each subject's property set, one row at a time."""
+    rows = matrix[np.isin(matrix[:, 0], subjects)]
+    out: Dict[int, Set[int]] = {}
+    for s, p in zip(rows[:, 0], rows[:, 1]):
+        out.setdefault(int(s), set()).add(int(p))
+    return out
+
+
+_LOOP_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def per_character_escape(text: str) -> str:
+    """``escape_literal`` one character at a time."""
+    out = []
+    for ch in text:
+        escaped = _LOOP_ESCAPES.get(ch)
+        if escaped is not None:
+            out.append(escaped)
+        elif ord(ch) < 0x20 or ch in ("\x7f", "\x85", "\u2028", "\u2029"):
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
     return "".join(out)

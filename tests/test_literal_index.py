@@ -7,15 +7,17 @@ since.  ``ValueEncoder.literal_range`` is checked here against the full
 Python sort it used to redo after every update (``_oracles``), and the
 ``literal_index_full_builds_total`` counter pins down *when* a full pass
 over the dictionary may happen: build, compaction and open — never an
-update, a snapshot or a query.
+update, a snapshot or a query.  Compaction's value ordering merges the
+sorted tail into the head; it is checked against the one full sort it
+replaced.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _datasets import EX, book_triples
-from _oracles import oracle_literal_range
+from _oracles import full_sort_value_order, oracle_literal_range
 from repro import RDFStore, default_registry
 from repro.engine.values import ValueEncoder
 from repro.model import IRI, Literal, TermDictionary
@@ -32,6 +34,7 @@ _literals = st.one_of(
     st.integers(-6, 6).map(lambda i: Literal(str(i), datatype=XSD_DOUBLE)),
     st.integers(1, 28).map(lambda d: Literal(f"1995-03-{d:02d}", datatype=XSD_DATE)),
     st.text(alphabet="abc", max_size=3).map(Literal),
+    st.text(alphabet="ab", max_size=2).map(lambda text: Literal(text, language="en")),
 )
 _terms = st.one_of(_literals, st.integers(0, 15).map(lambda i: IRI(f"{EX}iri/{i}")))
 _bounds = st.tuples(st.none() | _literals, st.none() | _literals,
@@ -86,6 +89,64 @@ def test_a_remap_that_moves_a_literal_drops_the_value_order():
     dictionary.remap([one, two], [two, one])  # OID order is no longer value order
     assert dictionary.value_order_watermark == 0
     _assert_ranges_match(dictionary, [(Literal("2", datatype=XSD_INTEGER), None, True, True)])
+
+
+_TIES = [Literal("1", datatype=XSD_INTEGER), Literal("a"), Literal("a", language="en")]
+_TIED = [Literal("1", datatype=XSD_DOUBLE), Literal("a", language="en"), Literal("a"),
+         Literal("1", datatype=XSD_INTEGER)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(loaded=st.lists(_terms, max_size=40), value_order=st.booleans(),
+       appended=st.lists(_terms, max_size=25), folded=st.integers(0, 25))
+@example(loaded=_TIES, value_order=True, appended=_TIED, folded=1)  # ties with the head
+@example(loaded=_TIES, value_order=True, appended=[IRI(f"{EX}iri/0")], folded=0)  # empty tail
+@example(loaded=_TIES, value_order=False, appended=_TIED, folded=0)  # watermark 0
+def test_the_value_order_merge_equals_the_full_sort(loaded, value_order, appended, folded):
+    dictionary = TermDictionary()
+    for term in loaded:
+        dictionary.encode_term(term)
+    if value_order:  # else: watermark 0, the head is empty
+        dictionary.reassign_value_ordered_literals()
+    for position, term in enumerate(appended):
+        if position == folded:
+            dictionary.index_appended_literals()
+        dictionary.encode_term(term)
+    tail_is_empty = not any(isinstance(term, Literal) for term
+                            in list(dictionary.terms())[dictionary.value_order_watermark:])
+    expected = dictionary.clone()
+    expected_old, expected_new = full_sort_value_order(expected)
+
+    remaps = []
+    remap = dictionary.remap
+    dictionary.remap = lambda old, new: (remaps.append(len(old)), remap(old, new))
+    old, new = dictionary.reassign_value_ordered_literals()
+
+    assert old.tolist() == expected_old.tolist()
+    assert new.tolist() == expected_new.tolist()
+    assert list(dictionary.terms()) == list(expected.terms())
+    assert dictionary.value_order_watermark == expected.value_order_watermark == len(dictionary)
+    assert bool(remaps) == (old.tolist() != new.tolist())
+    if tail_is_empty:
+        assert not remaps
+    _assert_ranges_match(dictionary, STORE_BOUNDS)
+
+
+def test_a_delete_only_compaction_moves_no_oid(monkeypatch):
+    store = _build()
+    store.update(_insert_book(1))
+    store.compact()
+    terms = list(store.dictionary.terms())
+    matrix_rows = {tuple(row) for row in store.matrix.tolist()}
+
+    def moved(*_args):
+        raise AssertionError("an identity value order rewrote the matrix")
+    monkeypatch.setattr("repro.storage.loader.apply_oid_mapping", moved)
+    store.update(f'DELETE DATA {{ <{EX}book/0> <{EX}isbn_no> "isbn-0000" . }}')
+    report = store.compact()
+    assert report.applied_deletes == 1
+    assert list(store.dictionary.terms()) == terms
+    assert {tuple(row) for row in store.matrix.tolist()} < matrix_rows
 
 
 # -- store level: who may build the index, and when ------------------------------------

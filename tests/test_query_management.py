@@ -428,8 +428,13 @@ class TestStoreIntegration:
         store.checkpoint()
         (compaction,) = store.events(type="compaction")
         assert compaction["merged_inserts"] == 1
+        phases = [compaction[phase] for phase in ("statistics_s", "value_order_s", "index_s")]
+        assert all(seconds >= 0 for seconds in phases) and sum(phases) <= compaction["seconds"]
         (checkpoint,) = store.events(type="checkpoint")
         assert checkpoint["triples"] == store.triple_count()
+        assert checkpoint["compact_s"] >= compaction["seconds"]
+        assert checkpoint["compact_s"] + checkpoint["write_s"] == pytest.approx(
+            checkpoint["seconds"])
 
     def test_wal_replay_event_on_open(self, store, tmp_path):
         store.save(tmp_path / "db")

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import pytest
 
+from _oracles import per_character_escape
+from repro import RDFStore
 from repro.errors import ParseError
-from repro.model import BNode, IRI, Literal, Triple
+from repro.model import BNode, IRI, Literal, Triple, terms
 from repro.model.terms import (
     XSD_DATE,
     XSD_INTEGER,
     escape_literal,
 )
 from repro.model.syntax import unescape
+from repro.persist.snapshot import DICTIONARY_FILE
 from repro.rio import parse_ntriples, parse_turtle, serialize_ntriples
 
 S = IRI("http://example.org/s")
@@ -107,6 +110,23 @@ class TestNTriplesUnicode:
 
     def test_typed_and_tagged_roundtrip(self):
         assert roundtrip(TYPED_AND_TAGGED) == TYPED_AND_TAGGED
+
+
+def test_dictionary_file_bytes_equal_the_per_character_escape(tmp_path, monkeypatch):
+    """``dictionary.nt`` written with the compiled escape is byte for byte
+    what the character-at-a-time loop wrote (every code point below U+2100
+    and the line / paragraph separators ride along in one literal)."""
+    sweep = "".join(map(chr, [*range(0x2100), 0x2028, 0x2029, 0xFEFF]))
+    triples = corpus_triples() + [Triple(S, P, literal) for literal in annotations(sweep)]
+    for lexical in ESCAPE_LEXICALS + UNICODE_LEXICALS + [sweep]:
+        assert escape_literal(lexical) == per_character_escape(lexical)
+    store = RDFStore.build(triples, cluster=False)
+    store.save(tmp_path / "compiled")
+    monkeypatch.setattr(terms, "escape_literal", per_character_escape)
+    store.save(tmp_path / "loop")
+    (compiled,) = (tmp_path / "compiled").rglob(DICTIONARY_FILE)
+    (loop,) = (tmp_path / "loop").rglob(DICTIONARY_FILE)
+    assert compiled.read_bytes() == loop.read_bytes()
 
 
 class TestTurtlePrefixedNames:

@@ -12,8 +12,21 @@ from __future__ import annotations
 
 import pytest
 
-from _datasets import EX, book_triples, person_address_triples, small_graph_config
+import repro.updates.compaction as compaction
+from _datasets import (
+    EX,
+    book_triples,
+    person_address_triples,
+    small_graph_config,
+    tiny_tpch,
+)
+from _oracles import (
+    per_row_property_sets,
+    per_table_coverage,
+    per_table_statistics,
+)
 from repro import RDFStore, StoreConfig
+from repro.bench import DblpConfig, DirtyConfig, generate_dblp, generate_dirty, tpch_to_triples
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import ParseError, StorageError
 from repro.model import EncodedTriple, IRI, Literal, Triple
@@ -535,6 +548,78 @@ class TestWriteDiscipline:
         store.compact()
         store.load(book_triples())  # fine once the delta is folded in
 
+
+# -- compaction's statistics against the per-table oracle ------------------------------------
+
+STATISTICS_DATA = {
+    "book": (book_triples, _config),
+    "dblp": (lambda: generate_dblp(DblpConfig(papers=120, conferences=8, authors=40)),
+             small_graph_config),
+    "dirty": (lambda: generate_dirty(DirtyConfig(classes=4, subjects_per_class=40,
+                                                 properties_per_class=5,
+                                                 chaotic_subjects=12, seed=7)).triples,
+              StoreConfig),
+    "rdfh": (lambda: list(tpch_to_triples(tiny_tpch())), StoreConfig),
+}
+
+
+def _update_streams(triples: list) -> tuple:
+    """An insert stream (copies of existing subjects, whole and without one
+    property, an extra value for an existing subject, a subject with a new
+    predicate) and a delete stream (single triples and whole subjects)."""
+    by_subject: dict = {}
+    for triple in triples:
+        if isinstance(triple.subject, IRI) and not triple.object.n3().startswith("_:"):
+            by_subject.setdefault(triple.subject, []).append(triple)
+    subjects = sorted(by_subject, key=str)[::max(1, len(by_subject) // 12)][:12]
+    inserts = []
+    for n, subject in enumerate(subjects):
+        rows = by_subject[subject]
+        copy = IRI(f"{subject.value}/copy")
+        kept = rows if n % 2 else [t for t in rows if t.predicate != rows[-1].predicate]
+        inserts += [Triple(copy, t.predicate, t.object) for t in kept]
+        if n % 3 == 0:
+            inserts.append(Triple(subject, rows[0].predicate, Literal(f"extra-{n}")))
+    inserts.append(Triple(IRI(f"{EX}novel"), IRI(f"{EX}novel_property"), Literal("novel")))
+    deletes = [by_subject[subject][0] for subject in subjects[::2]]
+    deletes += [t for subject in subjects[1:4:2] for t in by_subject[subject]]
+    return inserts, deletes
+
+
+def _write(store: RDFStore, verb: str, triples: list) -> None:
+    body = " ".join(f"{t.subject.n3()} {t.predicate.n3()} {t.object.n3()} ." for t in triples)
+    store.update(f"{verb} DATA {{ {body} }}")
+
+
+def _schema_statistics(store: RDFStore) -> tuple:
+    schema = store.schema
+    return ({cs_id: (table.support,
+                     {p: (spec.presence, spec.mean_multiplicity, spec.multiplicity)
+                      for p, spec in table.properties.items()})
+             for cs_id, table in schema.tables.items()},
+            schema.coverage,
+            schema.membership.subjects.tolist(), schema.membership.cs_ids.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(STATISTICS_DATA))
+def test_one_pass_statistics_equal_the_per_table_oracle(name, monkeypatch):
+    triples, config = STATISTICS_DATA[name]
+    data = triples()
+    inserts, deletes = _update_streams(data)
+    store = RDFStore.build(data, config=config())
+    oracle = RDFStore.build(data, config=config())
+    for verb, stream in (("INSERT", inserts), ("DELETE", deletes)):
+        _write(store, verb, stream)
+        _write(oracle, verb, stream)
+        report = store.compact()
+        with monkeypatch.context() as patched:
+            patched.setattr(compaction, "_refresh_table_statistics", per_table_statistics)
+            patched.setattr(compaction, "measure_coverage", per_table_coverage)
+            patched.setattr(compaction, "_property_sets_of", per_row_property_sets)
+            expected = oracle.compact()
+        assert report.describe() == expected.describe()
+        assert _schema_statistics(store) == _schema_statistics(oracle), verb
+    assert report.subjects_removed and store.schema.coverage.covered_triples
 
 class TestStoreConfigValidation:
     @pytest.mark.parametrize("kwargs,fragment", [

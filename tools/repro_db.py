@@ -131,7 +131,26 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     store = RDFStore.open(args.database)
     report = store.checkpoint()
     print(report.describe())
+    for line in _render_maintenance(store):
+        print(line)
     return 0
+
+
+_MAINTENANCE_SPLITS = {
+    "compaction": ("value_order_s", "statistics_s", "index_s"),
+    "checkpoint": ("compact_s", "write_s"),
+}
+
+
+def _render_maintenance(store: RDFStore) -> list[str]:
+    """Where the newest compaction and checkpoint of this process went: one
+    line per event type that has been emitted, seconds split by phase."""
+    lines = []
+    for kind, phases in _MAINTENANCE_SPLITS.items():
+        for event in store.events(type=kind, limit=1):
+            split = ", ".join(f"{phase}={event[phase] * 1000:.1f}ms" for phase in phases)
+            lines.append(f"last {kind + ':':<12}{event['seconds'] * 1000:.1f}ms ({split})")
+    return lines
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -210,6 +229,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
           f"(threshold {store.config.slow_query_seconds * 1000:.0f}ms)")
     for entry in slow[:5]:
         print(f"  {entry.seconds * 1000:8.1f}ms  [{entry.frontend}] {entry.text[:70]}")
+    for line in _render_maintenance(store):
+        print(line)
     print(f"metrics:       {len(metrics)} samples "
           f"(use --prometheus for the exposition text)")
     for key in sorted(metrics):
