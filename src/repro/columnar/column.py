@@ -137,7 +137,8 @@ class Column:
     def _touch_positions(self, positions: np.ndarray) -> None:
         if self.pool is None or positions.size == 0:
             return
-        pages = np.unique(positions // self.pool.page_size)
+        # ascending distinct pages, as np.unique gives them, without a sort
+        pages = np.flatnonzero(np.bincount(positions // self.pool.page_size))
         self.pool.access_pages(self.segment_id, pages.tolist())
         self.pool.tracker.tuples_probed += int(positions.size)
 

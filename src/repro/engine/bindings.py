@@ -302,3 +302,30 @@ def emit_batches(table: BindingTable, batch_size: int) -> Iterator[Batch]:
         yield Batch(table.slice(0, 0))
     for start in range(0, total, batch_size):
         yield Batch(table.slice(start, min(total, start + batch_size)))
+
+
+def coalesce_batches(batches: Iterable[Batch], batch_size: int) -> Iterator[BindingTable]:
+    """The live rows of a batch stream, in stream order, regrouped into
+    tables of at least ``batch_size`` rows (the last may hold fewer).
+
+    The inverse of :func:`emit_batches`, for an operator whose work per
+    input batch has a fixed part — RDFjoin evaluates its star once per
+    table — behind a selective child that passes on under-full batches.
+    At most ``ceil(rows / batch_size)`` tables come out of ``rows`` live
+    rows; a stream with no live row still gives one schema-complete empty
+    table.
+    """
+    pending: List[BindingTable] = []
+    rows = 0
+    emitted = False
+    last: Optional[BindingTable] = None
+    for batch in batches:
+        last = batch.compact()
+        if last.num_rows:
+            pending.append(last)
+            rows += last.num_rows
+        if rows >= batch_size:
+            yield concat_tables(pending)
+            pending, rows, emitted = [], 0, True
+    if last is not None and (pending or not emitted):
+        yield concat_tables(pending or [last])

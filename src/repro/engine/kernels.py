@@ -9,6 +9,8 @@ reference in isolation:
 * :func:`expand_ranges` — run-length expansion of ``[lo, hi)`` index ranges,
   the core of merge joins and nested-loop index probe fan-out;
 * :func:`merge_join_indices` — probe keys against a sorted key column;
+* :func:`unique_keys` — ``np.unique`` over integer keys, with first rows
+  and ranks on request;
 * :func:`hash_join_indices` — multi-column equi-join match pairs, ordered
   probe-major with build rows in input order (streaming joins rely on this
   order being independent of how the probe side is batched);
@@ -26,6 +28,12 @@ fixed-width structured key per row, slower to sort but comparable between
 calls, which the cross-batch DISTINCT needs.  GROUP BY and DISTINCT compare
 float columns bitwise after normalizing ``-0.0`` to ``+0.0``; OID columns
 (the common case) are exact.
+
+Integer keys are looked up in a direct-address table over their ``[min,
+max]`` instead of sorted whenever that span is at most
+:data:`TABLE_SPAN_FACTOR` times the rows involved; :func:`_table_bounds`
+makes that choice for :func:`unique_keys` and :func:`hash_join_indices`,
+and so for :func:`row_keys` and :func:`group_rows`.
 """
 
 from __future__ import annotations
@@ -77,13 +85,68 @@ def merge_join_indices(sorted_keys: np.ndarray,
     return expand_ranges(lo, hi)
 
 
+TABLE_SPAN_FACTOR = 6
+"""Integer keys are looked up in a direct-address table over their ``[min,
+max]`` when that span is at most this many times the rows involved — NumPy's
+own ``isin(kind="table")`` rule, so a table costs O(rows) memory by
+construction — and sorted otherwise."""
+
+
+def _table_bounds(keys: np.ndarray, rows: int) -> Optional[Tuple[int, int]]:
+    """``(low, high)`` of a direct-address table over signed integer
+    ``keys`` (OIDs, row codes), or ``None`` when the caller should sort
+    instead: other keys, or a span beyond :data:`TABLE_SPAN_FACTOR` ×
+    ``rows``.  The one place that choice is made."""
+    if keys.size == 0 or keys.dtype.kind != "i":
+        return None
+    low, high = int(keys.min()), int(keys.max())
+    if high - low >= TABLE_SPAN_FACTOR * rows:
+        return None
+    return low, high
+
+
+def unique_keys(values: np.ndarray, return_index: bool = False,
+                return_inverse: bool = False):
+    """What ``np.unique(values, return_index=, return_inverse=)`` returns —
+    the sorted distinct values, then each one's first row, then each row's
+    rank among them — from a direct-address table when :func:`_table_bounds`
+    allows one, otherwise by sorting."""
+    values = np.asarray(values).reshape(-1)
+    bounds = _table_bounds(values, values.size)
+    if bounds is None:
+        if return_index or return_inverse or values.dtype.kind != "i":
+            return np.unique(values, return_index=return_index,
+                             return_inverse=return_inverse)
+        # NumPy hashes plain integer keys, which is slower than this sort
+        ordered = np.sort(values)
+        first_of_run = np.ones(ordered.size, dtype=bool)
+        first_of_run[1:] = ordered[1:] != ordered[:-1]
+        return ordered[first_of_run]
+    low, high = bounds
+    slots = values - low
+    present = np.zeros(high - low + 1, dtype=bool)
+    present[slots] = True
+    uniques = (np.flatnonzero(present) + low).astype(values.dtype, copy=False)
+    if not (return_index or return_inverse):
+        return uniques
+    inverse = (np.cumsum(present) - 1)[slots]
+    out: Tuple[np.ndarray, ...] = (uniques,)
+    if return_index:
+        first = np.full(uniques.size, values.size, dtype=np.int64)
+        np.minimum.at(first, inverse, np.arange(values.size, dtype=np.int64))
+        out += (first,)
+    if return_inverse:
+        out += (inverse,)
+    return out
+
+
 _CODE_LIMIT = 1 << 62
 """Combined row codes are re-coded densely before they could pass this."""
 
 
 def _dense_codes(values: np.ndarray) -> Tuple[np.ndarray, int]:
     """Dense ``int64`` codes (equal values, equal codes) and how many there are."""
-    uniques, codes = np.unique(values, return_inverse=True)
+    uniques, codes = unique_keys(values, return_inverse=True)
     return codes.reshape(-1).astype(np.int64, copy=False), int(uniques.size)
 
 
@@ -115,6 +178,9 @@ def hash_join_indices(build_arrays: Sequence[np.ndarray],
 
     Output is probe-major; within one probe row the matching build rows keep
     their input order.  Both sides are keyed together by :func:`row_keys`.
+    A probe key finds its build rows in a direct-address table of per-key
+    counts and starts when :func:`_table_bounds` allows one, and by binary
+    search over the sorted build keys otherwise.
     """
     if len(build_arrays) != len(probe_arrays) or not build_arrays:
         raise ValueError("hash_join_indices needs matching non-empty column lists")
@@ -126,7 +192,17 @@ def hash_join_indices(build_arrays: Sequence[np.ndarray],
                      for build, probe in zip(build_arrays, probe_arrays)])
     build_key, probe_key = keys[:n_build], keys[n_build:]
     order = np.argsort(build_key, kind="stable")
-    probe_rows, positions = merge_join_indices(build_key[order], probe_key)
+    bounds = _table_bounds(build_key, n_build + n_probe)
+    if bounds is None:
+        probe_rows, positions = merge_join_indices(build_key[order], probe_key)
+        return order[positions], probe_rows
+    low, high = bounds
+    counts = np.bincount(build_key - low, minlength=high - low + 1)
+    starts = np.cumsum(counts) - counts
+    hit = (probe_key >= low) & (probe_key <= high)
+    slots = np.where(hit, probe_key - low, 0)
+    lo = starts[slots]
+    probe_rows, positions = expand_ranges(lo, np.where(hit, lo + counts[slots], lo))
     return order[positions], probe_rows
 
 
@@ -251,7 +327,7 @@ def group_rows(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     if not arrays or len(arrays[0]) == 0:
         return _empty_pair()
     keys = row_keys([_key_column(values) for values in arrays])
-    _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first_idx, inverse = unique_keys(keys, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
     order = np.argsort(first_idx, kind="stable")
     rank = np.empty(order.size, dtype=np.int64)

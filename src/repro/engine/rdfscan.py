@@ -11,7 +11,12 @@ locality.
 
 ``RDFjoin`` is the variant that receives a stream of candidate subjects from
 another operator (the paper relates it to the "Pivot Index Scan"): it
-fetches the star's properties only for those subjects.
+fetches the star's properties only for those subjects.  It coalesces its
+child's under-full batches up to the batch size first, so a selective child
+does not make it evaluate the star once per fragment; over the clustered
+store it then probes the candidates' own row positions — a positional fetch
+from the aligned columns, MonetDB's *leftfetchjoin* — rather than scanning
+the row range that covers them.
 
 Both operators understand zone maps: when a property carries a range
 constraint and its column has a zone map, only the zones whose ``[min,max]``
@@ -28,13 +33,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar import NULL_OID
+from ..columnar import NULL_OID, Column
 from ..errors import ExecutionError
 from ..storage.clustered import CSBlock
 from ..storage.triple_table import TripleTable
-from .bindings import Batch, BindingTable, emit_batches, join_tables
+from .bindings import Batch, BindingTable, coalesce_batches, emit_batches, join_tables
 from .context import ExecutionContext
-from .kernels import expand_ranges
+from .kernels import expand_ranges, unique_keys
 from .mergescan import merge_property_pairs
 from .plan import OidRange, PhysicalOperator, StarPattern, StarProperty
 
@@ -100,11 +105,10 @@ class RDFJoinOp(_StarOperator):
         scan = self._star_scan(context)
         context.tracker.join_operations += 1
         subject_var = self.star.subject_var
-        for batch in self.child.batches(context):
-            input_table = batch.compact()
+        for input_table in coalesce_batches(self.child.batches(context), context.batch_size):
             if not input_table.has(subject_var):
                 raise ExecutionError(f"RDFjoin expects ?{subject_var} from its child operator")
-            candidates = np.unique(input_table.column(subject_var))
+            candidates = unique_keys(input_table.column(subject_var))
             if candidates.size == 0:
                 star_table = BindingTable.empty(self.star.output_variables())
             else:
@@ -147,12 +151,15 @@ class _ClusteredStarScan:
         if delta is not None:
             touched = delta.subjects_touching(predicates)
             if touched.size:
-                residual = np.union1d(residual, touched)
+                residual = unique_keys(np.concatenate([residual, touched]))
         self.residual_subjects = residual
         self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
-        """The star's bindings: block by block, then the residual subjects."""
+        """The star's bindings: block by block, then the residual subjects.
+
+        ``candidate_subjects``, when given, is sorted and duplicate-free.
+        """
         results: List[BindingTable] = []
         for block in self.blocks:
             table = _scan_block(self.context, block, self.star, self.use_zone_maps,
@@ -184,7 +191,7 @@ class _ClusteredStarScan:
         star = self.star
         subjects = self.residual_subjects
         if candidate_subjects is not None:
-            subjects = np.intersect1d(subjects, candidate_subjects)
+            subjects = np.intersect1d(subjects, candidate_subjects, assume_unique=True)
         if star.subject_range is not None and not star.subject_range.is_unbounded():
             subjects = subjects[star.subject_range.mask(subjects)]
         if subjects.size == 0:
@@ -249,14 +256,12 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
     if star.subject_range is not None and not star.subject_range.is_unbounded():
         row_ranges = _intersect_ranges(row_ranges, [_subject_rows_for_range(block, star.subject_range)])
 
-    # candidate subjects (RDFjoin): narrow to the smallest covering row range
+    # candidate subjects (RDFjoin): their own rows, ascending
     candidate_positions: Optional[np.ndarray] = None
     if candidate_subjects is not None:
         candidate_positions = block.positions_of_subjects(candidate_subjects)
         if candidate_positions.size == 0:
             return BindingTable.empty(star.output_variables())
-        lo, hi = int(candidate_positions.min()), int(candidate_positions.max()) + 1
-        row_ranges = _intersect_ranges(row_ranges, [(lo, hi)])
 
     # the clustering sub-order: a range predicate on a sorted column is a
     # binary search over the block, independent of zone maps
@@ -290,35 +295,30 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
             if not row_ranges:
                 return BindingTable.empty(star.output_variables())
 
-    # evaluate constraints range-by-range, reading only constrained columns first
-    surviving_positions: List[np.ndarray] = []
+    # evaluate constraints, reading only constrained columns first: range by
+    # range for a scan, at the candidates' positions inside the ranges for
+    # RDFjoin (a positional fetch, MonetDB's leftfetchjoin)
     constrained = [p for p in star.properties
                    if not p.object_term.is_variable
                    or (p.oid_range is not None and not p.oid_range.is_unbounded())
                    or p.required]
-    for start, stop in row_ranges:
-        if stop <= start:
-            continue
-        mask = np.ones(stop - start, dtype=bool)
-        for prop in constrained:
-            column = block.column(prop.predicate_oid)
-            values = column.slice(start, stop)
-            if prop.required:
-                mask &= values != NULL_OID
-            if not prop.object_term.is_variable:
-                mask &= values == prop.object_term.oid
-            if prop.oid_range is not None and not prop.oid_range.is_unbounded():
-                mask &= prop.oid_range.mask(values)
-        positions = np.nonzero(mask)[0] + start
-        if positions.size:
-            surviving_positions.append(positions)
-
-    if not surviving_positions:
-        return BindingTable.empty(star.output_variables())
-    positions = np.concatenate(surviving_positions)
-
-    if candidate_positions is not None:
-        positions = np.intersect1d(positions, candidate_positions, assume_unique=False)
+    if candidate_positions is None:
+        surviving_positions: List[np.ndarray] = []
+        for start, stop in row_ranges:
+            if stop <= start:
+                continue
+            mask = _constraint_mask(block, constrained, stop - start,
+                                    lambda column: column.slice(start, stop))
+            positions = np.nonzero(mask)[0] + start
+            if positions.size:
+                surviving_positions.append(positions)
+        if not surviving_positions:
+            return BindingTable.empty(star.output_variables())
+        positions = np.concatenate(surviving_positions)
+    else:
+        positions = _positions_within(candidate_positions, row_ranges)
+        positions = positions[_constraint_mask(block, constrained, positions.size,
+                                               lambda column: column.gather(positions))]
         if positions.size == 0:
             return BindingTable.empty(star.output_variables())
 
@@ -326,7 +326,7 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
 
     # residual subjects are answered elsewhere; drop them here to avoid duplicates
     if exclude_subjects.size:
-        keep = ~np.isin(subjects, exclude_subjects)
+        keep = ~np.isin(subjects, exclude_subjects, assume_unique=True)
         positions = positions[keep]
         subjects = subjects[keep]
         if positions.size == 0:
@@ -365,6 +365,31 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
     return BindingTable(columns)
 
 
+def _constraint_mask(block: CSBlock, constrained: List[StarProperty], rows: int,
+                     read: Callable[[Column], np.ndarray]) -> np.ndarray:
+    """Which of ``rows`` rows satisfy every constrained property, the rows'
+    values of a column being what ``read`` fetches from it."""
+    mask = np.ones(rows, dtype=bool)
+    for prop in constrained:
+        values = read(block.column(prop.predicate_oid))
+        if prop.required:
+            mask &= values != NULL_OID
+        if not prop.object_term.is_variable:
+            mask &= values == prop.object_term.oid
+        if prop.oid_range is not None and not prop.oid_range.is_unbounded():
+            mask &= prop.oid_range.mask(values)
+    return mask
+
+
+def _positions_within(positions: np.ndarray, row_ranges: List[Tuple[int, int]]) -> np.ndarray:
+    """The ascending ``positions`` inside any of the sorted, disjoint
+    half-open ``row_ranges``."""
+    bounds = np.asarray(row_ranges, dtype=np.int64).reshape(-1, 2)
+    _, kept = expand_ranges(np.searchsorted(positions, bounds[:, 0]),
+                            np.searchsorted(positions, bounds[:, 1]))
+    return positions[kept]
+
+
 def _subject_rows_for_range(block: CSBlock, subject_range: OidRange) -> Tuple[int, int]:
     subjects = block.subject_column.data
     lo = 0 if subject_range.low is None else int(np.searchsorted(subjects, subject_range.low, side="left"))
@@ -401,7 +426,7 @@ def _irregular_star_subjects(irregular: TripleTable, predicates: List[int]) -> n
             parts.append(rows[:, 0])
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return unique_keys(np.concatenate(parts))
 
 
 # -- parse-order (index merge) evaluation ----------------------------------------------
@@ -440,7 +465,7 @@ def _scan_index_merge(context: ExecutionContext, star: StarPattern,
         # with at least one of the properties is a row, so seed from the
         # union and left-merge every property — anchoring on one property
         # would drop the subjects that lack it
-        union = np.unique(np.concatenate([s for _p, s, _o in property_data])) \
+        union = unique_keys(np.concatenate([s for _p, s, _o in property_data])) \
             if property_data else np.empty(0, dtype=np.int64)
         table = BindingTable({star.subject_var: union})
         remaining = property_data

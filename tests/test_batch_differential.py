@@ -15,6 +15,7 @@ comparisons.
 
 from __future__ import annotations
 
+import math
 import re
 
 from contextlib import contextmanager
@@ -25,6 +26,7 @@ from _datasets import EX, book_triples
 from repro import RDFStore, StoreConfig
 from repro.bench import q1_sparql, q3_sparql, q6_sparql, star_fk_hop_sparql
 from repro.cs import DiscoveryConfig, GeneralizationConfig
+from repro.engine import HashJoinOp, IndexScanOp, RDFJoinOp
 from repro.sparql import (
     DEFAULT_SCHEME,
     OPTIMIZED_SCHEME,
@@ -135,6 +137,25 @@ def test_rdfh_corpus_all_schemes_all_batch_sizes(rdfh_store):
 def test_rdfh_parseorder_corpus_batch_sizes(rdfh_parseorder_store):
     # the un-clustered baseline exercises the index-merge scan path
     assert_batch_sizes_agree(rdfh_parseorder_store, RDFH_QUERIES[:2])
+
+
+def test_rdfjoin_coalesces_a_selective_childs_batches(rdfh_store):
+    """A HashJoin over an IndexScan passes on one under-full batch per probe
+    batch; RDFjoin regroups them and evaluates its star at most once per
+    ``batch_size`` input rows — counted from the run's per-operator batch
+    tally, not timed."""
+    size = 1024
+    with batch_size(rdfh_store, size):
+        result = rdfh_store.sparql(star_fk_hop_sparql())
+    rdfjoin = result.plan
+    while not isinstance(rdfjoin, RDFJoinOp):
+        (rdfjoin,) = rdfjoin.children()
+    hash_join = rdfjoin.child
+    assert isinstance(hash_join, HashJoinOp) and isinstance(hash_join.right, IndexScanOp)
+    input_rows, input_batches = result.run.tally(hash_join)
+    assert input_batches > math.ceil(input_rows / size), "the child must fragment its output"
+    _rows, star_scans = result.run.tally(rdfjoin)
+    assert star_scans <= math.ceil(input_rows / size)
 
 
 def test_row_order_is_batch_size_invariant(book_store):

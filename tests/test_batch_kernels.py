@@ -19,16 +19,32 @@ import pytest
 pytest.importorskip("hypothesis")  # optional test dep: skip cleanly, like rdflib
 from hypothesis import given, settings, strategies as st
 
+from repro.columnar import NULL_OID
 from repro.engine import Batch, BindingTable, hash_join, kernels
 from repro.engine.expressions import AggregateSpec, NumericVar
 from repro.updates import FrozenDelta
 
-oid_st = st.integers(0, 12)
+# keys near 0 (NULL_OID included) fit a direct-address table; a key near
+# 10**12 beside them spans too wide and takes the sort path, while keys all
+# near 10**12 make a table far from zero
+oid_st = st.one_of(st.integers(NULL_OID, 12), st.integers(10**12, 10**12 + 12))
 column_st = st.lists(oid_st, max_size=30)
 
 
 def _arr(values, dtype=np.int64):
     return np.asarray(list(values), dtype=dtype)
+
+
+def _assert_unique_like_numpy(values: np.ndarray) -> None:
+    """``unique_keys`` and ``_dense_codes``, on either path, answer exactly
+    what ``np.unique(return_index=, return_inverse=)`` answers."""
+    expected, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    got = kernels.unique_keys(values, return_index=True, return_inverse=True)
+    assert [part.tolist() for part in got] == [expected.tolist(), first.tolist(),
+                                               inverse.reshape(-1).tolist()]
+    assert kernels.unique_keys(values).tolist() == expected.tolist()
+    codes, count = kernels._dense_codes(values)
+    assert (codes.tolist(), count) == (inverse.reshape(-1).tolist(), expected.size)
 
 
 # -- expand_ranges ---------------------------------------------------------------------
@@ -65,15 +81,20 @@ def test_merge_join_indices_matches_reference(sorted_keys, probe):
 # -- hash join -------------------------------------------------------------------------
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     build=st.lists(st.tuples(oid_st, oid_st), max_size=20),
     probe=st.lists(st.tuples(oid_st, oid_st), max_size=20),
+    width=st.sampled_from([1, 2]),
     code_limit=st.sampled_from([kernels._CODE_LIMIT, 1]),
 )
-def test_hash_join_indices_matches_reference(build, probe, code_limit):
-    build_cols = [_arr(r[0] for r in build), _arr(r[1] for r in build)]
-    probe_cols = [_arr(r[0] for r in probe), _arr(r[1] for r in probe)]
+def test_hash_join_indices_matches_reference(build, probe, width, code_limit):
+    build = [row[:width] for row in build]
+    probe = [row[:width] for row in probe]
+    build_cols = [_arr(r[i] for r in build) for i in range(width)]
+    probe_cols = [_arr(r[i] for r in probe) for i in range(width)]
+    for build_col, probe_col in zip(build_cols, probe_cols):
+        _assert_unique_like_numpy(np.concatenate([build_col, probe_col]))
     if not build or not probe:
         b_idx, p_idx = kernels.hash_join_indices(build_cols, probe_cols)
         assert b_idx.size == 0 and p_idx.size == 0
@@ -242,6 +263,9 @@ def test_grouped_aggregate_matches_aggregate_spec_compute(grouped, func, code_li
     # a product of column widths past int64 would
     with mock.patch.object(kernels, "_CODE_LIMIT", code_limit):
         representatives, group_ids = kernels.group_rows(keys)
+        key_columns = [kernels._key_column(column) for column in keys]
+        for column in key_columns + [kernels.row_keys(key_columns)]:
+            _assert_unique_like_numpy(column)
     out = kernels.grouped_aggregate(func, group_ids, representatives.size, values)
 
     # reference: per-group dict in first-appearance order, AggregateSpec.compute

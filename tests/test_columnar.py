@@ -116,6 +116,21 @@ class TestColumn:
         with pytest.raises(StorageError):
             col.gather([42])
 
+    def test_gather_touches_each_distinct_page_once_lowest_first(self):
+        """Unsorted, duplicated positions across page boundaries: every page
+        they fall on is touched once, in ascending page order — the reads,
+        hits and LRU order of the sorted ``np.unique`` page set."""
+        pool = BufferPool(capacity_pages=3, page_size=4)
+        col = Column("c", list(range(20)), pool=pool)
+        pool.access_page("c", 1)  # already cached: the gather hits it
+        positions = [17, 3, 5, 17, 0, 4, 13, 3, 16]  # pages 4 0 1 4 0 1 3 0 4
+        assert col.gather(positions).tolist() == positions
+        # pages 0, 1, 3, 4 in that order: read, hit, read, read (evicting 0)
+        assert (pool.tracker.page_reads, pool.tracker.page_hits) == (4, 1)
+        assert pool.evictions == 1
+        assert list(pool._pages) == [("c", 1), ("c", 3), ("c", 4)]
+        assert pool.tracker.tuples_probed == len(positions)
+
     def test_null_handling(self):
         col = Column("c", [1, NULL_OID, 3, NULL_OID])
         assert col.null_count() == 2
