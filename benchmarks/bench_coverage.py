@@ -20,7 +20,7 @@ def dirty_encoded():
     dataset = generate_dirty(DirtyConfig(classes=6, subjects_per_class=150, dropout=0.15,
                                          noise_triples=0.08, chaotic_subjects=60))
     dictionary, matrix = encode_graph(dataset.triples)
-    matrix = value_order_literals(matrix, dictionary)
+    dictionary, matrix = value_order_literals(matrix, dictionary)
     return dataset, dictionary, matrix
 
 

@@ -14,7 +14,7 @@ from repro.storage import encode_graph, value_order_literals
 
 def _encode(triples):
     dictionary, matrix = encode_graph(triples)
-    return dictionary, value_order_literals(matrix, dictionary)
+    return value_order_literals(matrix, dictionary)
 
 
 def test_schema_discovery_dblp(benchmark, bench_report):

@@ -11,8 +11,9 @@ Three measurements:
 * **reader throughput vs writer load** — N snapshot-pinning reader threads
   hammering a star query for a fixed window, once against an idle store and
   once while a writer thread applies updates and compactions.  Readers never
-  block on the writer during execution (only snapshot *acquisition*
-  serializes with an in-flight update), so throughput should degrade
+  wait on the writer: the writer publishes a committed version record at
+  the end of each transition, and a pin takes only the snapshot registry's
+  mutex to count on the published one.  So throughput should degrade
   gracefully, not collapse.  Measured with all readers sending one text
   (one cached plan, executed re-entrantly), with one text per reader, and
   for the one-text case also with 1 and 2 readers.  On CPython the readers

@@ -32,34 +32,37 @@ attached store is written ahead to a crash-tolerant log, and
 :meth:`RDFStore.checkpoint` compacts + snapshots + truncates that log
 (see ``docs/persistence.md``).
 
-Finally, the store is safe under concurrent access: writers serialize on a
-single-writer lock, readers pin MVCC snapshots (:meth:`RDFStore.snapshot`,
-:meth:`RDFStore.session`) that stay consistent — and decodable — across
-concurrent updates, compactions and checkpoints, and each update request's
+Finally, the store is safe under concurrent access: writers serialize on
+one writer mutex, and readers — direct calls and MVCC snapshots
+(:meth:`RDFStore.snapshot`, :meth:`RDFStore.session`) alike — read only
+committed, immutable versions that stay consistent and decodable across
+concurrent updates, compactions and checkpoints.  Each update request's
 atomicity comes from a per-request undo log whose cost is proportional to
 the keys the request touched, never to the number of pending writes
 (see ``docs/concurrency.md`` and :mod:`repro.server`).
 
 Each fact about a store version has one owner here.  Every transition that
 changes what readers see — ``update``, ``load``, ``discover_schema``,
-``cluster``, ``compact``, clone-on-write — ends in :meth:`RDFStore._publish`,
-which moves the ``(generation, delta.version)`` pair; read state and cached
-plans are keyed by the pair and nothing else is invalidated, cleared or
-counted.  A schema becomes the store's — and its SQL catalog, with the
-reduced schemas registered on the previous one — in
-:meth:`RDFStore._install_schema` only, and the on-disk manifest is read in
-:mod:`repro.persist` only.
+``cluster``, ``compact``, ``open`` — replaces base objects instead of
+editing them and ends in :meth:`RDFStore._publish`, which moves the
+``(generation, delta.version)`` pair and publishes the committed version
+record every read runs against; cached plans are keyed by the pair and
+nothing is invalidated, cleared or counted.  A schema becomes the store's —
+and its SQL catalog, with the reduced schemas registered on the previous
+one — in :meth:`RDFStore._install_schema` only, and the on-disk manifest is
+read in :mod:`repro.persist` only.
 """
 
 from __future__ import annotations
 
-import copy
 import os
+import threading
 import time
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -87,7 +90,7 @@ from ..obs import (
 )
 from ..persist import SnapshotInfo, SnapshotReader, write_snapshot
 from ..rio import parse_rdf
-from ..server import ReadSnapshot, ReadWriteLock, SnapshotRegistry, StoreSession
+from ..server import ReadSnapshot, SnapshotRegistry, StoreSession
 from ..server.session import StoreVersion
 from ..planner import PlanCache, PlannerOptions, QueryEngine, QueryResult
 from ..sparql import parse_update
@@ -307,8 +310,14 @@ class RDFStore:
         cooperative-cancellation flags.  Store-lifetime — ids never reset
         under a running ``top`` view."""
         self._last_trace: Optional[QueryTrace] = None
-        self._rwlock = ReadWriteLock(metrics=self.metrics_registry)
-        self._snapshots = SnapshotRegistry()
+        self._writer = threading.RLock()
+        """The writer mutex: one transition at a time.  Reentrant, since
+        ``checkpoint`` → ``compact`` → ``save`` nest, and so does WAL
+        replay's ``update`` inside ``open``.  No reader ever takes it."""
+        self._lock_wait_seconds = self.metrics_registry.histogram(
+            "lock_wait_seconds", "Time spent waiting to acquire the store's writer mutex.",
+            labelnames=("side",))
+        self._snapshots = SnapshotRegistry(StoreVersion(self))
         self._update_seconds = self.metrics_registry.histogram(
             "update_seconds", "Wall time of SPARQL Update requests.")
         self._compaction_seconds = self.metrics_registry.histogram(
@@ -445,7 +454,7 @@ class RDFStore:
                 reloading re-encodes OIDs and would silently drop
                 acknowledged writes; call :meth:`compact` first.
         """
-        with self._rwlock.write_locked():
+        with self._writing():
             if self.has_pending_updates():
                 raise PendingUpdatesError(
                     "cannot load with pending updates; call compact() first")
@@ -458,7 +467,7 @@ class RDFStore:
             # fails half way leaves the store as it was, and open read
             # snapshots keep the old dictionary, which nothing touches again
             dictionary, matrix = encode_graph(triples)
-            self.dictionary, self.matrix = dictionary, value_order_literals(matrix, dictionary)
+            self.dictionary, self.matrix = value_order_literals(matrix, dictionary)
             # a full reload re-encodes (and value-reorders) OIDs: the tables a
             # schema — or a registered reduced schema — names are gone
             self._install_schema(None)
@@ -481,7 +490,7 @@ class RDFStore:
         Raises:
             StorageError: when no triples have been loaded yet.
         """
-        with self._rwlock.write_locked():
+        with self._writing():
             if self.triple_count() == 0:
                 raise StorageError("no triples loaded; call load() first")
             # re-discovery renumbers the tables, so the reduced schemas
@@ -511,19 +520,18 @@ class RDFStore:
                 (clustering remaps subject OIDs, which would invalidate the
                 delta — call :meth:`compact` first).
         """
-        with self._rwlock.write_locked():
+        with self._writing():
             if self.has_pending_updates():
                 raise PendingUpdatesError(
                     "cannot re-cluster with pending updates; call compact() first")
-            # clustering re-maps subject OIDs in the shared dictionary; open
-            # read snapshots keep the pre-clustering dictionary
-            self._preserve_pinned_state()
-            schema = self.require_schema()
             resolved = dict(sort_keys or {})
             if sort_key_names:
                 resolved.update(self._resolve_sort_key_names(sort_key_names))
-            self.matrix, self.clustering_plan = cluster_subjects(
-                self.matrix, self.dictionary, schema, resolved)
+            # a new dictionary, matrix and schema: the published version
+            # keeps decoding through the pre-clustering ones
+            self.dictionary, self.matrix, schema, self.clustering_plan = cluster_subjects(
+                self.matrix, self.dictionary, self.require_schema(), resolved)
+            self._install_schema(schema)
             self._clustered = True
             self.build_indexes()
             return self.clustering_plan
@@ -532,33 +540,46 @@ class RDFStore:
         """Put the physical stores over the current matrix: a new exhaustive
         index store (each projection sorts at its first read) and, when
         clustered, the clustered store's blocks (built now)."""
-        schema = self.schema
-        # rebuilding replaces every (possibly lazily loading) structure with
-        # in-memory ones; drop the stale lazy-segment bookkeeping so
-        # buffer_pool_stats() does not report dead segments as pending
-        self.pool.reset_lazy_registry()
-        self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
-        if schema is not None and self._clustered:
-            self.clustered_store = ClusteredStore.build(
-                self.matrix, schema, pool=self.pool, zone_size=self.config.zone_size)
-        self._publish()
+        with self._writing():
+            schema = self.schema
+            # rebuilding replaces every (possibly lazily loading) structure with
+            # in-memory ones; drop the stale lazy-segment bookkeeping so
+            # buffer_pool_stats() does not report dead segments as pending
+            self.pool.reset_lazy_registry()
+            self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
+            if schema is not None and self._clustered:
+                self.clustered_store = ClusteredStore.build(
+                    self.matrix, schema, pool=self.pool, zone_size=self.config.zone_size)
+            self._publish()
+
+    @contextmanager
+    def _writing(self) -> Iterator[None]:
+        """Hold the writer mutex for the ``with`` block (every transition
+        does), observing the wait in ``lock_wait_seconds{side="write"}``."""
+        started = time.perf_counter()
+        with self._writer:
+            self._lock_wait_seconds.observe(time.perf_counter() - started, side="write")
+            yield
 
     def _publish(self, new_base: bool = True) -> None:
-        """The one tail of every transition: move the version pair and retire
-        the read state of the version it leaves (its delta index pages go
-        now, or when its last pin does).
+        """The one tail of every transition: move the version pair and
+        publish the committed record of the version it reaches.  The record
+        it replaces loses its delta index pages now, or when its last pin
+        does.
 
         ``new_base`` says a base object (physical store, dictionary, schema,
         catalog) was replaced, which bumps the generation so the
         (generation, delta version) pair stays unique per state; a write
-        has already moved ``delta.version``.  Always the last step of a
-        change, so no record built halfway carries the new key — and the
-        only thing a change has to do for readers and cached plans, which
-        all carry the pair.
+        has already moved ``delta.version``, and one that did not (a no-op
+        request) keeps the published record and its pages.  Always the last
+        step of a change, under the writer mutex: a reader sees the state
+        before it or after it, never one in between.
         """
         if new_base:
             self.generation += 1
-        self._snapshots.invalidate_cache()
+        elif self._snapshots.current.key == (self.generation, self.delta.version):
+            return
+        self._snapshots.publish(StoreVersion(self))
 
     def _install_schema(self, schema: Optional[EmergentSchema],
                         reduced: Optional[Dict[str, List[str]]] = None) -> None:
@@ -568,7 +589,7 @@ class RDFStore:
         ``reduced`` are the reduced schemas to register on the new catalog
         — by default those of the catalog it replaces, so what a user
         registered survives every transition that keeps the tables it names
-        (clone-on-write, compaction).  Re-discovery and reload pass none;
+        (clustering, compaction).  Re-discovery and reload pass none;
         ``open`` passes the manifest's.
         """
         if reduced is None:
@@ -643,10 +664,18 @@ class RDFStore:
                 - self.delta.tombstone_count())
 
     def context(self) -> ExecutionContext:
-        """The execution context of the store's current version, shared by
+        """The execution context of the store's published version, shared by
         SPARQL and SQL.  A write makes a new one (it carries that version's
         delta) over the same physical stores."""
-        return self._snapshots.current(self).context
+        return self._published().context
+
+    def _published(self) -> StoreVersion:
+        """The committed record every read runs against: one attribute read.
+        ``batch_size`` is a live runtime knob, not part of any version, so
+        the record picks it up as it is handed out."""
+        version = self._snapshots.current
+        version.context.batch_size = self.config.batch_size
+        return version
 
     # -- cache control ------------------------------------------------------------------
 
@@ -666,10 +695,10 @@ class RDFStore:
         the irregular table) and the pending delta's columns, so cold/hot
         experiments stay honest after writes.
         """
-        version = self._snapshots.current(self)
-        self.index_store.warm()
-        if self.clustered_store is not None:
-            self.clustered_store.warm()
+        version = self._snapshots.current
+        version.context.index_store.warm()
+        if version.context.clustered_store is not None:
+            version.context.clustered_store.warm()
         if version.delta is not None:
             version.delta.warm()
 
@@ -702,12 +731,12 @@ class RDFStore:
         Raises:
             ParseError: when the text is not in the supported update subset.
         """
-        # parsing is pure — do it before taking the writer lock so a burst of
-        # updates keeps the exclusive sections (which block new snapshot
-        # pins) as short as possible, and unparsable requests never serialize
+        # parsing is pure — do it before taking the writer mutex so a burst of
+        # updates keeps the exclusive sections as short as possible, and
+        # unparsable requests never serialize
         request = parse_update(text)
         started = time.perf_counter()
-        with self._rwlock.write_locked():
+        with self._writing():
             undo = self.delta.begin_request()
             try:
                 result = UpdateApplier(self).apply(request)
@@ -733,9 +762,10 @@ class RDFStore:
             finally:
                 # even a rolled-back request may have appended dictionary
                 # terms: fold the new literals into the dictionary's sorted
-                # tail here, under the writer lock, so no reader has to.  The
+                # tail here, under the writer mutex, so no reader has to.  The
                 # physical stores, column statistics and the literal order
-                # index's head survive — a write is never a rebuild
+                # index's head survive — a write is never a rebuild.  Readers
+                # saw the record published before the request until now
                 self.dictionary.index_appended_literals()
                 self._publish(new_base=False)
             self._update_seconds.observe(time.perf_counter() - started)
@@ -752,23 +782,22 @@ class RDFStore:
                                     deleted=result.deleted)
             return result
 
-    def _preserve_pinned_state(self) -> None:
-        """Clone-on-write before an in-place mutation of shared state.
-
-        Updates only *append* to the dictionary (existing OIDs stay stable),
-        so snapshots survive them without copies.  Compaction and clustering
-        are different: they re-map OIDs inside the dictionary and mutate
-        schema tables in place (a reload encodes into a dictionary of its
-        own and needs nothing).  When read snapshots are pinned, the
-        live store therefore switches to fresh clones and leaves the original
-        objects — which every open snapshot references directly — untouched.
-        A no-op when no snapshot is open (the common, single-threaded case).
-        """
-        if self._snapshots.active_count() == 0:
+    @contextmanager
+    def pending_version(self) -> Iterator[StoreVersion]:
+        """The record a write's own reads run against (``DELETE WHERE``
+        after an earlier statement of the same request): the published one
+        while the request has changed nothing, else one of the pending state
+        built for the writer alone.  That one is never published, and its
+        delta index pages go when the ``with`` block ends."""
+        published = self._snapshots.current
+        if published.key == (self.generation, self.delta.version):
+            yield published
             return
-        self.dictionary = self.dictionary.clone()
-        self._install_schema(copy.deepcopy(self.schema))
-        self._publish()
+        version = StoreVersion(self)
+        try:
+            yield version
+        finally:
+            version.drop_pages()
 
     # -- concurrent access ---------------------------------------------------------------
 
@@ -776,16 +805,16 @@ class RDFStore:
         """Pin an MVCC read snapshot of the current committed state.
 
         The snapshot is a cheap versioned handle — base generation plus
-        delta version — over immutable structures; queries through it never
-        block on, and never observe, concurrent updates, compactions or
+        delta version — over immutable structures.  Pinning takes the
+        snapshot registry's mutex only, so it never waits on a writer, and
+        queries through it never observe concurrent updates, compactions or
         checkpoints.  Release it with ``close()`` (or use it as a context
         manager) so superseded delta index pages can be reclaimed.
 
         Returns:
             An open :class:`~repro.server.ReadSnapshot`.
         """
-        with self._rwlock.read_locked():
-            return self._snapshots.acquire(self)
+        return self._snapshots.acquire(self)
 
     def session(self) -> StoreSession:
         """A per-client handle: snapshot reads, single-writer writes.
@@ -814,45 +843,44 @@ class RDFStore:
         explicitly when the data has drifted far enough.
 
         Open read snapshots are unaffected: they keep answering (and
-        decoding) from the pre-compaction state.  When snapshots are
-        pinned, the dictionary and schema are cloned before being mutated
-        (copy-on-write), and the pinned delta versions' index pages stay in
-        the buffer pool until the last snapshot is released.
+        decoding) from the pre-compaction state, since compaction makes a
+        new matrix, dictionary and schema instead of editing the ones they
+        hold, and the pinned delta versions' index pages stay in the buffer
+        pool until the last snapshot is released.
 
         Returns:
             A :class:`~repro.updates.CompactionReport`; a no-op report when
             nothing was pending.
         """
         started = time.perf_counter()
-        with self._rwlock.write_locked():
-            # compaction re-maps literal OIDs (value-order restore) and
-            # mutates schema tables in place; clone both for the live store
-            # when open snapshots still reference the current objects
-            self._preserve_pinned_state()
-            report = compact_store(self)
+        with self._writing():
+            if not self.has_pending_updates():
+                self.journal.clear()  # its texts' inserts and deletes cancelled out
+                return CompactionReport()
+            matrix, schema, report = compact_store(self.matrix, self.delta.freeze(),
+                                                   self.schema)
+            ordering = time.perf_counter()
+            self.dictionary, self.matrix = value_order_literals(matrix, self.dictionary)
+            indexing = time.perf_counter()
+            self.delta.clear()
             # only now that the merge succeeded: the journal's texts are
             # reflected in the base matrix, so save() no longer needs to seed
-            # them into a fresh WAL — also after a no-op compaction (inserts
-            # and deletes cancelled out).  Clearing any earlier would lose
+            # them into a fresh WAL.  Clearing any earlier would lose
             # acknowledged updates from the next snapshot if the merge failed
             self.journal.clear()
-            if report.merged_inserts or report.applied_deletes:
-                ordering = time.perf_counter()
-                self.matrix = value_order_literals(self.matrix, self.dictionary)
-                indexing = time.perf_counter()
-                self._install_schema(self.schema)
-                self.build_indexes()
-                finished = time.perf_counter()
-                self.metrics_registry.counter(
-                    "compactions_total", "Delta-into-base compactions applied.").inc()
-                self._compaction_seconds.observe(finished - started)
-                self.event_log.emit("compaction",
-                                    merged_inserts=report.merged_inserts,
-                                    applied_deletes=report.applied_deletes,
-                                    seconds=finished - started,
-                                    value_order_s=indexing - ordering,
-                                    statistics_s=report.statistics_s,
-                                    index_s=finished - indexing)
+            self._install_schema(schema)
+            self.build_indexes()
+            finished = time.perf_counter()
+            self.metrics_registry.counter(
+                "compactions_total", "Delta-into-base compactions applied.").inc()
+            self._compaction_seconds.observe(finished - started)
+            self.event_log.emit("compaction",
+                                merged_inserts=report.merged_inserts,
+                                applied_deletes=report.applied_deletes,
+                                seconds=finished - started,
+                                value_order_s=indexing - ordering,
+                                statistics_s=report.statistics_s,
+                                index_s=finished - indexing)
             return report
 
     # -- persistence --------------------------------------------------------------------
@@ -885,7 +913,7 @@ class RDFStore:
             PersistenceError: when the target exists but is not a repro
                 database directory.
         """
-        with self._rwlock.write_locked():
+        with self._writing():
             info = write_snapshot(self, path, attach=True)
             self.db_path = Path(path)
             return info
@@ -950,6 +978,7 @@ class RDFStore:
         store.index_store = parts.index_store
         store.clustered_store = parts.clustered_store
         store._clustered = parts.clustered
+        store._publish()
         store.journal.attach_wal(parts.wal)
         with store.journal.replaying():
             replayed = 0
@@ -971,19 +1000,20 @@ class RDFStore:
         if replayed and into is None:
             store.event_log.emit("wal_replay", path=str(path), records=replayed)
         if into is not None:
-            # swap under the served store's writer lock: snapshot acquisition
-            # takes the read side, so no pin can interleave with the swap.
-            # The lock and snapshot registry survive it — they are what other
-            # threads synchronize and count on — and the attribute set is
-            # replaced without an intermediate cleared state, so lock-free
-            # attribute reads (stats, summaries) see old or new values, never
-            # a missing attribute or an unheld lock object.  Snapshots pinned
-            # before the swap stay valid (they hold direct references to the
-            # old structures) and keep counting in open_snapshot_count().
-            lock = into._rwlock
+            # swap under the served store's writer mutex, so no transition
+            # interleaves with it.  The mutex and snapshot registry survive
+            # it — they are what other threads synchronize and count on — and
+            # the attribute set is replaced without an intermediate cleared
+            # state, so lock-free attribute reads (stats, summaries) see old
+            # or new values, never a missing attribute.  Readers keep the old
+            # incarnation's published record until the new one's is
+            # published.  Snapshots pinned before the swap stay valid (they
+            # hold direct references to the old structures) and keep
+            # counting in open_snapshot_count().
             registry = into._snapshots
             new_state = dict(store.__dict__)
-            new_state["_rwlock"] = lock
+            new_state["_writer"] = into._writer
+            new_state["_lock_wait_seconds"] = into._lock_wait_seconds
             new_state["_snapshots"] = registry
             # observability state is store-lifetime, like the lock: counters
             # must keep accumulating (and scrapers keep their registry
@@ -1002,14 +1032,9 @@ class RDFStore:
             new_state["_compaction_seconds"] = into._compaction_seconds
             new_state["_checkpoint_seconds"] = into._checkpoint_seconds
             new_state["_undo_log_entries"] = into._undo_log_entries
-            with lock.write_locked():
+            with into._writing():
                 into.__dict__.update(new_state)
-                # only now that the swap is published: retire the registry's
-                # record.  The new incarnation's (generation, version) pairs
-                # restart and could collide with the cached key;
-                # invalidating under the write lock closes the window in
-                # which a draining reader could re-cache the old state.
-                registry.invalidate_cache()
+                registry.publish(store._snapshots.current)
             if replayed:
                 # emitted on the surviving event log, after the swap — the
                 # assembly store's log is discarded with its registry
@@ -1040,7 +1065,7 @@ class RDFStore:
                 attached to a database.
         """
         started = time.perf_counter()
-        with self._rwlock.write_locked():
+        with self._writing():
             target = Path(path) if path is not None else self.db_path
             if target is None:
                 raise PersistenceError(
@@ -1075,7 +1100,7 @@ class RDFStore:
         amortizes across queries and versions — the plan cache, column
         statistics — lives on the store and on the columns.
         """
-        return self._snapshots.current(self).engine
+        return self._published().engine
 
     def sparql(self, text: str, options: Optional[PlannerOptions] = None,
                trace: bool = False, profile: bool = False) -> QueryResult:
@@ -1105,7 +1130,7 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel` (see :meth:`active_queries`).
         """
-        return self.run_query(self._snapshots.current(self), "sparql", text, options,
+        return self.run_query(self._published(), "sparql", text, options,
                               trace=trace, profile=profile)
 
     def run_query(self, version: StoreVersion, frontend: str, text: str,
@@ -1186,7 +1211,7 @@ class RDFStore:
         header = f"plan [{options.describe()}]"
         if not analyze:
             return header + "\n" + self.sparql_plan(text, options).explain()
-        result = self.run_query(self._snapshots.current(self), "sparql", text, options,
+        result = self.run_query(self._published(), "sparql", text, options,
                                 source="explain", profile=True)
         run = result.run
         header += (
@@ -1309,7 +1334,7 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel`.
         """
-        return self.run_query(self._snapshots.current(self), "sql", text,
+        return self.run_query(self._published(), "sql", text,
                               trace=trace, profile=profile)
 
     def decode_rows(self, result: QueryResult) -> List[tuple]:

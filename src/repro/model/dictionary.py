@@ -8,7 +8,8 @@ reproduction:
   parse-order OIDs given to subjects cause non-locality; subject clustering
   later *re-assigns* subject OIDs grouped by characteristic set.  The
   dictionary therefore supports bulk re-mapping of OIDs
-  (:meth:`TermDictionary.remap`).
+  (:meth:`TermDictionary.remap`), which returns a new dictionary: an OID
+  never changes its term in a dictionary someone holds, only appends grow it.
 * **Value-ordered literal OIDs.**  The paper proposes ordering literal object
   OIDs "in a way that is meaningful to SPARQL value comparison semantics" so
   range predicates can be evaluated on OIDs directly.
@@ -85,8 +86,8 @@ class TermDictionary:
     """Bidirectional mapping between RDF terms and dense integer OIDs.
 
     OIDs are assigned in order of first appearance (parse order), starting
-    at 0.  The mapping is stable until :meth:`remap` or
-    :meth:`reassign_value_ordered_literals` is called.
+    at 0.  The mapping never changes: :meth:`remap` and
+    :meth:`reassign_value_ordered_literals` return a new dictionary.
     """
 
     def __init__(self) -> None:
@@ -95,7 +96,8 @@ class TermDictionary:
         self._value_order_watermark = 0
         self._literal_head: np.ndarray = _NO_OIDS
         """Literal OIDs below the watermark, ascending — which is value
-        order.  Immutable once published (clones share it)."""
+        order.  Immutable once published (a remapped dictionary that moved no
+        literal shares it)."""
         self._literal_tail: Tuple[int, List[Tuple[tuple, int]]] = (0, [])
         """``(covered, entries)``: one ``(sort key, OID)`` entry, sorted, per
         literal with watermark <= OID < covered.  The tail is small, so unlike
@@ -104,8 +106,9 @@ class TermDictionary:
         mutated."""
         self._bridge = _ValueBridge.of_capacity(0)
         """The value bridge (see :meth:`numeric_column`).  An OID keeps its
-        term until :meth:`remap` (which drops this), so every context over
-        the dictionary aggregates and decodes through one warm bridge.  One
+        term for the dictionary's lifetime (:meth:`remap` makes a new one,
+        with a cold bridge), so every context over the dictionary aggregates
+        and decodes through one warm bridge.  One
         tuple so a lock-free reader takes all three arrays of one
         generation at once."""
 
@@ -207,10 +210,11 @@ class TermDictionary:
         array behind :meth:`python_column`, plus one ``bool`` mark per
         slot.  A slot is computed for the *distinct* OIDs a column touches,
         the first time one is touched — one ``to_python()`` per term, ever —
-        so building, cloning, compacting and opening a dictionary compute
-        nothing, and the cost follows what queries read.  :meth:`remap`
-        drops the arrays (an OID may then name another term); terms
-        appended by updates extend them, keeping the filled slots.
+        so building, compacting and opening a dictionary compute nothing,
+        and the cost follows what queries read.  The dictionary
+        :meth:`remap` returns starts with empty arrays (an OID may name
+        another term there); terms appended by updates extend them, keeping
+        the filled slots.
 
         Readers run lock-free beside each other and beside the appending
         writer, on this discipline: a published array is only ever written
@@ -307,23 +311,6 @@ class TermDictionary:
         for oid, term in enumerate(self._oid_to_term):
             yield term, oid
 
-    # -- copying -------------------------------------------------------------
-
-    def clone(self) -> "TermDictionary":
-        """An independent copy sharing the (immutable) term objects.
-
-        Used by the store's copy-on-write path: before compaction or
-        re-clustering re-maps OIDs in place, the live store switches to a
-        clone so MVCC read snapshots keep decoding through the original.
-        """
-        twin = TermDictionary()
-        twin._term_to_oid = dict(self._term_to_oid)
-        twin._oid_to_term = list(self._oid_to_term)
-        twin._value_order_watermark = self._value_order_watermark
-        twin._literal_head = self._literal_head
-        twin._literal_tail = self._literal_tail
-        return twin
-
     # -- persistence ---------------------------------------------------------
 
     @classmethod
@@ -358,19 +345,19 @@ class TermDictionary:
 
     # -- re-mapping ----------------------------------------------------------
 
-    def remap(self, old, new) -> None:
-        """Permute OIDs: the term at ``old[i]`` moves to ``new[i]``.
+    def remap(self, old, new) -> "TermDictionary":
+        """This dictionary with OIDs permuted: the term at ``old[i]`` moves
+        to ``new[i]``.
 
         ``old`` and ``new`` are aligned integer sequences; an OID absent
         from ``old`` keeps its term.  The result must be a permutation of
-        the full OID range, otherwise :class:`DictionaryError` is raised
-        and the dictionary is left as it was.
+        the full OID range, otherwise :class:`DictionaryError` is raised.
 
         This is how subject clustering re-labels subject OIDs: after CS
         detection, subjects of the same CS receive a contiguous OID range.
-        Only the terms that move are touched (one list store and one
-        ``term -> OID`` store each); the two tables are replaced, never
-        edited, so whoever holds the old ones keeps a consistent pair.
+        The receiver is left as it was — whoever holds it keeps decoding
+        through it — and the returned dictionary has two tables of its own,
+        copies in which only the terms that move are stored again.
         """
         size = len(self._oid_to_term)
         old = np.asarray(old, dtype=np.int64).reshape(-1)
@@ -392,27 +379,33 @@ class TermDictionary:
         moved = np.flatnonzero(target != identity)
         terms = self._oid_to_term
         moved_terms = [terms[oid] for oid in moved.tolist()]
-        new_terms = list(terms)
-        term_to_oid = dict(self._term_to_oid)
+        remapped = TermDictionary()
+        remapped._oid_to_term = list(terms)
+        remapped._term_to_oid = dict(self._term_to_oid)
         for oid, term in zip(target[moved].tolist(), moved_terms):
-            new_terms[oid] = term
-            term_to_oid[term] = oid
-        self._oid_to_term = new_terms
-        self._term_to_oid = term_to_oid
-        self._bridge = _ValueBridge.of_capacity(0)  # replaced, not cleared: a reader may hold it
-        if any(isinstance(term, Literal) for term in moved_terms):
-            # a moved literal voids "OID order is value order"; only
-            # reassign_value_ordered_literals re-establishes it
-            self._set_value_order(0)
+            remapped._oid_to_term[oid] = term
+            remapped._term_to_oid[term] = oid
+        # the literal order index carries over unless a literal moved: that
+        # voids "OID order is value order" (watermark 0, as built) until
+        # reassign_value_ordered_literals re-establishes it
+        if not any(isinstance(term, Literal) for term in moved_terms):
+            remapped._value_order_watermark = self._value_order_watermark
+            remapped._literal_head = self._literal_head
+            remapped._literal_tail = self._literal_tail
+        return remapped
 
-    def reassign_value_ordered_literals(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Reassign literal OIDs so that OID order matches value order.
+    def reassign_value_ordered_literals(self) -> Tuple["TermDictionary", np.ndarray, np.ndarray]:
+        """This dictionary with literal OIDs reassigned so that OID order
+        matches value order.
 
         Only literal OIDs are permuted (they trade positions among
-        themselves); IRI and BNode OIDs are untouched.  Returns the applied
-        permutation as aligned ``(old, new)`` OID arrays (see :meth:`remap`)
-        so that stored triples can be rewritten by the caller; ``old`` equals
-        ``new`` when nothing moved, and then no remap ran.
+        themselves); IRI and BNode OIDs are untouched.  Returns the new
+        dictionary and the applied permutation as aligned ``(old, new)`` OID
+        arrays (see :meth:`remap`) so that stored triples can be rewritten
+        by the caller.  ``old`` equals ``new`` when nothing moved; then no
+        remap ran, and the new dictionary shares this one's tables and value
+        bridge — an OID names the same term in both, and a term appended
+        through either is appended to both.
 
         A merge, not a sort: the head is in value order already and the tail
         is kept sorted, so each tail literal is bisected into the head —
@@ -434,10 +427,14 @@ class TermDictionary:
         tail_oids = np.fromiter(map(itemgetter(1), tail), dtype=np.int64, count=len(tail))
         old = np.insert(head, places, tail_oids)
         new = np.concatenate([head, np.sort(tail_oids)])
-        if not np.array_equal(old, new):
-            self.remap(old, new)
-        self._set_value_order(len(self._oid_to_term), new)
-        return old, new
+        if np.array_equal(old, new):
+            ordered = TermDictionary()
+            ordered._oid_to_term, ordered._term_to_oid = self._oid_to_term, self._term_to_oid
+            ordered._bridge = self._bridge
+        else:
+            ordered = self.remap(old, new)
+        ordered._set_value_order(len(ordered), new)
+        return ordered, old, new
 
     # -- the literal order index ------------------------------------------------
 
@@ -484,7 +481,7 @@ class TermDictionary:
     def index_appended_literals(self) -> None:
         """Fold literals appended since the last call into the sorted tail.
 
-        The write side calls this under the store's writer lock after each
+        The write side calls this under the store's writer mutex after each
         update, so readers normally find nothing left to fold.
         """
         size = len(self._oid_to_term)

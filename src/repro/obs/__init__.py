@@ -2,7 +2,7 @@
 structured event log, and the live active-query registry.
 
 Depends only on the stdlib and :mod:`repro.errors` so every layer —
-engine, buffer pool, WAL, locks, server — can record into it without
+engine, buffer pool, WAL, server — can record into it without
 cycles.  See ``docs/observability.md`` for the metric inventory and usage.
 """
 

@@ -1,31 +1,29 @@
-"""Concurrent access to a store: locks, MVCC snapshots, a threaded front end.
+"""Concurrent access to a store: MVCC snapshots, sessions, a threaded front end.
 
 The base structures of the emergent-schema store are immutable by design
-(writes accumulate in a delta overlay), which makes them naturally readable
+(writes accumulate in a delta overlay, and every other transition replaces
+base objects instead of editing them), which makes them naturally readable
 from many threads.  This package adds the remaining pieces:
 
-* :class:`ReadWriteLock` — the single-writer / multi-reader discipline; the
-  shared side is held only while *pinning* a snapshot, never during query
-  execution;
 * :class:`ReadSnapshot` / :class:`SnapshotRegistry` — MVCC read snapshots:
-  a cheap versioned handle (base generation + delta version) over immutable
-  state, so readers never block on or observe half-applied updates;
+  a pin on the committed version record the writer published, so readers
+  never wait on a writer and never observe half-applied updates;
 * :class:`StoreSession` — per-client handles with sticky (repeatable-read)
   or auto-refreshing snapshots;
 * :class:`StoreService` / :class:`QueryServer` — a thread-safe facade and a
   small threaded executor, the in-process equivalent of a query endpoint.
 
-See ``docs/concurrency.md`` for the full design.
+Writers serialize on the store's writer mutex (see
+:class:`repro.core.RDFStore`).  See ``docs/concurrency.md`` for the full
+design.
 """
 
-from .locks import ReadWriteLock
 from .service import QueryServer, StoreService
 from .session import ReadSnapshot, SnapshotRegistry, StoreSession
 
 __all__ = [
     "QueryServer",
     "ReadSnapshot",
-    "ReadWriteLock",
     "SnapshotRegistry",
     "StoreService",
     "StoreSession",

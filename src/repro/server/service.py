@@ -1,8 +1,8 @@
 """The thread-safe front end: a service facade and a threaded query server.
 
 :class:`StoreService` is the object to share between threads: every read
-pins an MVCC snapshot (so it sees a committed state and holds no lock while
-executing) and every write goes through the store's single-writer lock.
+pins an MVCC snapshot (so it sees a committed state and never waits on a
+writer) and every write goes through the store's writer mutex.
 :class:`QueryServer` puts a small thread pool in front of a service, turning
 it into the in-process equivalent of a SPARQL endpoint: ``submit_*`` returns
 a :class:`concurrent.futures.Future` immediately, and any number of client
@@ -10,7 +10,7 @@ threads can submit concurrently.
 
 Neither class owns the store: building, compacting and persisting remain
 the owner's business (the service merely forwards ``compact`` /
-``checkpoint`` through the writer lock so maintenance can run while the
+``checkpoint`` through the writer mutex so maintenance can run while the
 server keeps answering from pinned snapshots).
 """
 
@@ -160,7 +160,7 @@ class QueryServer:
     """A small threaded executor serving queries and updates over one store.
 
     ``workers`` threads execute submitted requests concurrently; reads run
-    against pinned snapshots, writes serialize on the store's writer lock.
+    against pinned snapshots, writes serialize on the store's writer mutex.
     Use as a context manager, or call :meth:`shutdown` explicitly.
     """
 

@@ -1,14 +1,14 @@
 """The per-version read state, the MVCC snapshots that pin it, and sessions.
 
 There is one way to read a store.  A :class:`StoreVersion` is the read state
-of one *version pair* — the store's base generation (bumped whenever a base
-object is replaced) and the delta version (bumped by every write) — and
-bundles everything a query needs to run against exactly that state:
+of one committed *version pair* — the store's base generation (bumped
+whenever a base object is replaced) and the delta version (bumped by every
+write) — and bundles everything a query needs to run against exactly that
+state:
 
 * direct references to the base structures (dictionary, schema, catalog,
-  exhaustive indexes, clustered store) — immutable by construction: rebuilds
-  replace these objects instead of mutating them, and the store
-  clones dictionary/schema before compaction whenever snapshots are open;
+  exhaustive indexes, clustered store) — immutable by construction: every
+  transition replaces these objects instead of editing them;
 * the version's :class:`~repro.updates.FrozenDelta` — the immutable read
   half of the pending writes;
 * one :class:`~repro.engine.ExecutionContext` and one query engine (SPARQL
@@ -17,16 +17,17 @@ bundles everything a query needs to run against exactly that state:
   nothing clears the cache, so a pinned version keeps hitting its own
   plans whatever the store does afterwards.
 
-The :class:`SnapshotRegistry` builds the record once per version — a context
-and an engine cost microseconds, and whatever is expensive to derive lives
-on the objects it describes (statistics on columns, the literal index and
-numeric values on the dictionary, the delta index on the frozen delta) — and
-every reader of that version shares it.  A direct ``store.sparql`` reads
-through the current record; a :class:`ReadSnapshot` is the same record plus
-a *pin*, which is what makes it survive (and stay decodable across) later
-updates, compactions and checkpoints.  Pinning happens under the store's
-shared (read) lock; execution happens *without* any lock — a reader holding
-a snapshot never blocks the writer and never observes its progress.
+The writer builds the record once per committed version, as the last step
+of every transition, and the :class:`SnapshotRegistry` *publishes* it with
+one assignment — a context and an engine cost microseconds, and whatever is
+expensive to derive lives on the objects it describes (statistics on
+columns, the literal index and numeric values on the dictionary, the delta
+index on the frozen delta).  Every reader of that version shares it.  A
+direct ``store.sparql`` reads the published record, one attribute read; a
+:class:`ReadSnapshot` is the same record plus a *pin*, which is what makes
+it survive (and stay decodable across) later updates, compactions and
+checkpoints.  Pinning takes the registry's mutex only, never the writer's:
+no reader waits on a writer, and none observes a request in flight.
 
 A :class:`StoreSession` is the per-client convenience handle
 (:meth:`repro.core.RDFStore.session`): queries auto-pin the latest snapshot
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..engine import ExecutionContext
 from ..errors import StorageError
@@ -51,15 +52,15 @@ from ..sql import sql_frontend
 class StoreVersion:
     """The read state of one (generation, delta version) pair of a store.
 
-    Built by the :class:`SnapshotRegistry` from the store's attributes at
-    one instant in which no writer is in flight, and never changed after:
-    a later write or rebuild makes a new record.
+    Built by the writer from the store's attributes — at publish, or for a
+    request's own reads of its pending state — and never changed after: a
+    later write or rebuild makes a new record.
     """
 
     __slots__ = ("key", "delta", "context", "catalog", "engine", "base_triples")
 
-    def __init__(self, store, key: Tuple[int, int]) -> None:
-        self.key = key
+    def __init__(self, store) -> None:
+        self.key = key = (store.generation, store.delta.version)
         self.delta = None if store.delta.is_empty() else store.delta.freeze()
         self.context = ExecutionContext(
             dictionary=store.dictionary,
@@ -78,6 +79,11 @@ class StoreVersion:
             frontends.append(sql_frontend(self.catalog))
         self.engine = QueryEngine(self.context, frontends, store.plan_cache, version=key)
         self.base_triples = store.triple_count()
+
+    def drop_pages(self) -> None:
+        """Evict this version's delta index pages from the buffer pool."""
+        if self.delta is not None:
+            self.delta.drop_pages()
 
 
 class ReadSnapshot:
@@ -181,67 +187,39 @@ class ReadSnapshot:
 
 
 class SnapshotRegistry:
-    """Owns the current :class:`StoreVersion` and counts pins on every version.
+    """Holds the published :class:`StoreVersion` and counts pins on every
+    version.
 
-    Owned by the store.  The record is the only read-side state cached
-    anywhere, and its key is the only invalidation.  One rule reclaims a
-    delta version's index pages from the buffer pool, in one place
-    (:meth:`_replace_locked` / :meth:`release`): when the registry replaces
-    its record, the replaced version's pages are dropped at once if nothing
-    pins it, else at its last release.
+    Owned by the store.  ``current`` is the committed record every read
+    runs against: the writer replaces it with :meth:`publish` and nothing
+    else changes it.  One rule reclaims a delta version's index pages from
+    the buffer pool, in one place (:meth:`publish` / :meth:`release`): a
+    replaced version's pages are dropped at once if nothing pins it, else
+    at its last release.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, version: StoreVersion) -> None:
         self._lock = threading.Lock()
-        self._current: Optional[StoreVersion] = None
+        self.current = version
         self._pins: Dict[StoreVersion, int] = {}
         """Pin counts per record (by identity: after an ``open(into=)`` two
         incarnations' version pairs may coincide)."""
 
-    def current(self, store) -> StoreVersion:
-        """The read state of the store's current version.
-
-        The fast path takes no lock: one reference read and one key
-        compare.  A miss builds the record under the registry lock.
-        """
-        version = self._current
-        if version is None or version.key != (store.generation, store.delta.version):
-            with self._lock:
-                return self._current_locked(store)
-        # batch_size is a live runtime knob, not part of any version: the
-        # record picks it up whenever it is handed out
-        version.context.batch_size = store.config.batch_size
-        return version
-
-    def _current_locked(self, store) -> StoreVersion:
-        key = (store.generation, store.delta.version)
-        version = self._current
-        if version is None or version.key != key:
-            version = StoreVersion(store, key)
-            self._replace_locked(version)
-        version.context.batch_size = store.config.batch_size
-        return version
-
-    def _replace_locked(self, version: Optional[StoreVersion]) -> None:
-        replaced, self._current = self._current, version
-        if replaced is not None and replaced not in self._pins:
-            self._drop_pages(replaced)
-
-    @staticmethod
-    def _drop_pages(version: StoreVersion) -> None:
-        if version.delta is not None:
-            version.delta.drop_pages()
+    def publish(self, version: StoreVersion) -> None:
+        """Make ``version`` the committed record: one assignment, under the
+        mutex a pin takes, so a pin counts on the record it hands out."""
+        with self._lock:
+            replaced, self.current = self.current, version
+            if replaced not in self._pins:
+                replaced.drop_pages()
 
     def acquire(self, store) -> ReadSnapshot:
-        """Pin the store's current state and hand out a snapshot.
-
-        Caller must hold the store's read lock: the delta is guaranteed to
-        be in a committed state, and the base structures cannot be swapped
-        mid-pin.
-        """
+        """Pin the published record and hand out a snapshot."""
         with self._lock:
-            version = self._current_locked(store)
+            version = self.current
             self._pins[version] = self._pins.get(version, 0) + 1
+        # batch_size is a live runtime knob, not part of any version
+        version.context.batch_size = store.config.batch_size
         return ReadSnapshot(store, self, version)
 
     def release(self, version: StoreVersion) -> None:
@@ -251,22 +229,8 @@ class SnapshotRegistry:
                 self._pins[version] = remaining
                 return
             del self._pins[version]
-            if version is not self._current:
-                self._drop_pages(version)
-
-    def invalidate_cache(self) -> None:
-        """Retire the current record; the next read builds the next one.
-
-        The store calls this whenever it has moved on — from
-        ``RDFStore._publish``, the tail of every write, rebuild and
-        compaction, so a superseded version's pages go now rather than at
-        the next read — and when it is re-pointed in place
-        (``RDFStore.open(into=...)``): the new incarnation's (generation,
-        version) pairs restart and could collide with the cached key.  Pin
-        accounting for snapshots already open is unaffected.
-        """
-        with self._lock:
-            self._replace_locked(None)
+            if version is not self.current:
+                version.drop_pages()
 
     def active_count(self) -> int:
         """Number of snapshots currently open across all versions."""
@@ -287,7 +251,7 @@ class SnapshotRegistry:
         """
         with self._lock:
             return sum(1 for version in self._pins
-                       if version is not self._current and version.delta is not None)
+                       if version is not self.current and version.delta is not None)
 
 
 def pinned_read(store, frontend: str, text: str, options: Optional[PlannerOptions] = None,
@@ -309,7 +273,7 @@ class StoreSession:
     Reads auto-pin the latest snapshot per call (each query sees the newest
     committed state, never a torn one); between :meth:`begin` and
     :meth:`end` they run against one sticky snapshot instead (repeatable
-    reads).  Writes always go through the store's single-writer lock.
+    reads).  Writes always go through the store's writer mutex.
     """
 
     def __init__(self, store) -> None:

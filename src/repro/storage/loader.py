@@ -20,7 +20,7 @@ The loading pipeline mirrors the paper's architecture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -60,13 +60,15 @@ def apply_oid_mapping(matrix: np.ndarray, old: np.ndarray, new: np.ndarray) -> n
     return lookup[matrix]
 
 
-def value_order_literals(matrix: np.ndarray, dictionary: TermDictionary) -> np.ndarray:
-    """Permute literal OIDs into value order; returns the rewritten matrix
-    (``matrix`` itself when no literal moved)."""
-    old, new = dictionary.reassign_value_ordered_literals()
+def value_order_literals(matrix: np.ndarray,
+                         dictionary: TermDictionary) -> Tuple[TermDictionary, np.ndarray]:
+    """Permute literal OIDs into value order; returns the new dictionary and
+    the rewritten matrix (``matrix`` itself when no literal moved).  Neither
+    argument is edited."""
+    ordered, old, new = dictionary.reassign_value_ordered_literals()
     if np.array_equal(old, new):
-        return matrix
-    return apply_oid_mapping(matrix, old, new)
+        return ordered, matrix
+    return ordered, apply_oid_mapping(matrix, old, new)
 
 
 # -- subject clustering -----------------------------------------------------------
@@ -158,16 +160,18 @@ def cluster_subjects(
     dictionary: TermDictionary,
     schema: EmergentSchema,
     sort_keys: Optional[Dict[int, int]] = None,
-) -> Tuple[np.ndarray, ClusteringPlan]:
-    """Apply subject clustering: permute subject OIDs in both the dictionary
-    and the triple matrix, and rewrite the schema's subject references.
+) -> Tuple[TermDictionary, np.ndarray, EmergentSchema, ClusteringPlan]:
+    """Apply subject clustering: permute subject OIDs in the dictionary, the
+    triple matrix and the schema's membership.
 
-    Returns the rewritten matrix and the applied plan.
+    Returns the new dictionary, the rewritten matrix, the new schema and the
+    applied plan; no argument is edited.  The schema is a shallow copy with
+    the remapped membership — its tables name no subject.
     """
     plan = plan_subject_clustering(matrix, dictionary, schema, sort_keys)
     if plan.is_identity():
-        return matrix.copy(), plan
-    dictionary.remap(plan.old, plan.new)
-    new_matrix = apply_oid_mapping(matrix, plan.old, plan.new)
-    schema.membership = schema.membership.remapped(plan.old, plan.new)
-    return new_matrix, plan
+        return dictionary, matrix.copy(), schema, plan
+    return (dictionary.remap(plan.old, plan.new),
+            apply_oid_mapping(matrix, plan.old, plan.new),
+            replace(schema, membership=schema.membership.remapped(plan.old, plan.new)),
+            plan)

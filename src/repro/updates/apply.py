@@ -4,9 +4,10 @@ The applier is deliberately thin: it encodes terms, decides base membership,
 and feeds the :class:`~repro.updates.delta.DeltaStore`, which owns the
 insert/tombstone/resurrection rules.  ``DELETE WHERE`` evaluates its pattern
 block as an ordinary (delta-aware) SELECT first, then deletes every
-instantiation of the template — the engine's MergeScan layer guarantees the
-pre-deletion snapshot already reflects earlier statements of the same
-request.
+instantiation of the template — against a version record of the request's
+pending state (``RDFStore.pending_version``), so the pre-deletion state
+already reflects earlier statements of the same request while readers still
+see the last committed version.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class UpdateApplier:
 
         query = SelectQuery(select_variables=list(variables),
                             patterns=list(operation.patterns))
-        bindings = self.store.engine().query_parsed("sparql", query)
+        with self.store.pending_version() as version:
+            bindings = version.engine.query_parsed("sparql", query)
         matches: Set[Tuple[int, int, int]] = set()
         for row in bindings.rows():
             binding = dict(zip(variables, row))

@@ -19,13 +19,14 @@ the paper's emergent schema is meant to absorb change:
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cs import measure_coverage
+from ..cs import EmergentSchema, measure_coverage
 from ..cs.detect import run_starts
 from ..cs.schema_model import classify_multiplicity
 
@@ -72,26 +73,26 @@ def merge_matrices(base: np.ndarray, delta) -> tuple[np.ndarray, int, int]:
     return merged, int(inserts.shape[0]), applied_deletes
 
 
-def compact_store(store) -> CompactionReport:
-    """Merge the store's delta into its base matrix and maintain the schema.
+def compact_store(matrix: np.ndarray, delta, schema: Optional[EmergentSchema]
+                  ) -> Tuple[np.ndarray, Optional[EmergentSchema], CompactionReport]:
+    """Merge one delta version (a :class:`~repro.updates.FrozenDelta`) into a
+    base matrix and maintain the schema.
 
-    The caller (:meth:`repro.core.RDFStore.compact`) settles the journal,
-    rebuilds the physical stores and re-installs the catalog afterwards;
-    this function owns the matrix merge and the incremental schema
-    bookkeeping.
+    Returns the merged matrix, the maintained schema and the report.  Nothing
+    is edited: the schema is maintained in a deep copy (O(tables); it shares
+    the immutable membership), so whoever holds ``schema`` keeps its tables'
+    statistics and coverage.  The caller (:meth:`repro.core.RDFStore.compact`)
+    value-orders the literals, settles delta and journal and rebuilds the
+    physical stores and the catalog.
     """
     report = CompactionReport()
-    if store.delta.is_empty():
-        return report
-
-    delta = store.delta.freeze()
     delta_subjects = np.unique(delta.matrix()[:, 0])
     tombstone_subjects = np.unique(delta.tombstone_matrix()[:, 0])
 
-    merged, report.merged_inserts, report.applied_deletes = merge_matrices(store.matrix, delta)
+    merged, report.merged_inserts, report.applied_deletes = merge_matrices(matrix, delta)
 
-    schema = store.schema
     if schema is not None:
+        schema = copy.deepcopy(schema)
         # statistics drift wherever members gained or lost triples, so a
         # touched subject's table before *and* after the maintenance counts
         touched = np.union1d(delta_subjects, tombstone_subjects)
@@ -99,7 +100,7 @@ def compact_store(store) -> CompactionReport:
         gone = tombstone_subjects[~np.isin(tombstone_subjects, merged[:, 0])]
         schema.membership = schema.membership.without(gone)
         report.subjects_removed = int(gone.size)
-        _assign_new_subjects(schema, store.matrix, merged, delta_subjects, report)
+        _assign_new_subjects(schema, matrix, merged, delta_subjects, report)
         after = schema.membership.cs_of(touched)
         affected_cs = set(np.concatenate([before, after]).tolist()) - {-1}
         started = time.perf_counter()
@@ -107,10 +108,7 @@ def compact_store(store) -> CompactionReport:
         _refresh_table_statistics(schema, merged, row_tables, affected_cs)
         schema.coverage = measure_coverage(schema, merged, row_tables)
         report.statistics_s = time.perf_counter() - started
-
-    store.matrix = merged
-    store.delta.clear()
-    return report
+    return merged, schema, report
 
 
 # -- schema maintenance ------------------------------------------------------------

@@ -30,7 +30,8 @@ The delta has a write half and a read half:
   hands out *the* immutable read half of the current version — the two sets
   as arrays plus what scans derive from them (the permutation index,
   per-predicate tombstones, touched subjects), each built once for the
-  version.  A mutation drops it; the next read builds the next one.  Deltas
+  version.  A mutation drops it; the writer builds the next one when it
+  publishes the version.  Deltas
   are small by design, and :func:`repro.updates.compaction.compact_store`
   folds them into the base before they grow large.
 """
@@ -145,7 +146,7 @@ class DeltaStore:
 
         Every mutation until :meth:`commit_request` / :meth:`abort_request`
         records its inverse in the returned log.  Requests cannot nest — the
-        store's single-writer lock guarantees one request at a time, and a
+        store's writer mutex guarantees one request at a time, and a
         second ``begin_request`` is a programming error, not a race.
         """
         if self._undo is not None:
@@ -201,12 +202,13 @@ class DeltaStore:
     def freeze(self) -> "FrozenDelta":
         """The read half of the current version.
 
-        Built on the first request after a mutation — O(pending), once per
-        version that is read — and handed to every later caller as is, so
-        all readers of one version share one index.  The store calls this
-        while no request is mutating (under its lock, or from the writer's
-        own thread); the name check keeps a reader that ignores that rule
-        from leaving its view behind for a later version.
+        Built on the first call after a mutation — O(pending), once per
+        version: the store's publish, or a request's own read of its
+        pending state — and handed to every later caller as is, so all
+        readers of one version share one index.  Only the writer calls
+        this, under the store's writer mutex; the name check keeps a caller
+        that ignores that rule from leaving its view behind for a later
+        version.
         """
         name = f"{self.name}.v{self.version}"
         frozen = self._frozen

@@ -38,7 +38,7 @@ from typing import Iterator, List
 class UpdateJournal:
     """Texts of the update requests applied since the last compaction.
 
-    Recording always happens under the store's single-writer lock; the
+    Recording always happens under the store's writer mutex; the
     journal's own lock additionally keeps :meth:`texts` / :meth:`__len__`
     coherent for monitoring threads that inspect a live store.
     """

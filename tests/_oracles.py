@@ -797,18 +797,19 @@ def _scanner_unescape(text: str) -> str:
 # -- the checkpoint over the whole store ----------------------------------------------------
 
 
-def full_sort_value_order(dictionary: TermDictionary) -> Tuple[np.ndarray, np.ndarray]:
+def full_sort_value_order(
+        dictionary: TermDictionary) -> Tuple[TermDictionary, np.ndarray, np.ndarray]:
     """``TermDictionary.reassign_value_ordered_literals`` as one stable Python
-    sort of every literal by ``term_sort_key``, whatever the watermark."""
+    sort of every literal by ``term_sort_key``, whatever the watermark: the
+    dictionary restored from the reordered term list, and ``(old, new)``."""
     terms = list(dictionary.terms())
     literal_oids = [oid for oid, term in enumerate(terms) if isinstance(term, Literal)]
     ranked = sorted(literal_oids, key=lambda oid: term_sort_key(terms[oid]))
-    old = np.asarray(ranked, dtype=np.int64)
-    new = np.asarray(literal_oids, dtype=np.int64)
-    if not np.array_equal(old, new):
-        dictionary.remap(old, new)
-    dictionary._set_value_order(len(terms), new)
-    return old, new
+    ordered = list(terms)
+    for old_oid, new_oid in zip(ranked, literal_oids):
+        ordered[new_oid] = terms[old_oid]
+    return (TermDictionary.restore(ordered, len(terms)),
+            np.asarray(ranked, dtype=np.int64), np.asarray(literal_oids, dtype=np.int64))
 
 
 def per_table_statistics(schema, merged: np.ndarray, row_tables, cs_ids: Set[int]) -> None:

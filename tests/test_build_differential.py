@@ -103,9 +103,9 @@ def assert_same_build(triples, config: DiscoveryConfig, key_pick: int = 0) -> No
     assert matrix.dtype == np.int64 and matrix.tolist() == twin_matrix.tolist()
 
     # value order: the permutation is applied as the slot-by-slot remap applied it
-    parse_order = dictionary.clone()
-    matrix = value_order_literals(matrix, dictionary)
-    old, new = twin.reassign_value_ordered_literals()
+    parse_order = dictionary
+    dictionary, matrix = value_order_literals(matrix, dictionary)
+    twin, old, new = twin.reassign_value_ordered_literals()
     assert list(dictionary.terms()) == list(twin.terms()) == per_row_remap(
         parse_order, dict(zip(old.tolist(), new.tolist())))
     assert all(dictionary.lookup_term(term) == oid for term, oid in dictionary.items())
@@ -138,8 +138,8 @@ def assert_same_build(triples, config: DiscoveryConfig, key_pick: int = 0) -> No
         plan = plan_subject_clustering(matrix, dictionary, schema, sort_keys)
         assert dict(zip(plan.old.tolist(), plan.new.tolist())) == \
             per_row_clustering_plan(matrix, dictionary, schema, sort_keys)
-        live_dictionary, live_schema = dictionary.clone(), dataclasses.replace(schema)
-        clustered, applied = cluster_subjects(matrix, live_dictionary, live_schema, sort_keys)
+        live_dictionary, clustered, live_schema, applied = cluster_subjects(
+            matrix, dictionary, schema, sort_keys)
         expected_matrix, expected_terms, expected_members = per_row_cluster(
             matrix, dictionary, schema, sort_keys)
         assert applied.old.tolist() == plan.old.tolist()

@@ -1,4 +1,5 @@
-"""Concurrency tests: undo logs, MVCC snapshots, locks, and stress runs.
+"""Concurrency tests: undo logs, MVCC snapshots, published versions, and
+stress runs.
 
 The invariants under test:
 
@@ -8,6 +9,8 @@ The invariants under test:
 * **snapshot isolation** — a pinned :class:`ReadSnapshot` answers (and
   decodes) identically across concurrent updates, compactions and
   checkpoints; readers never observe a half-applied request ("torn read");
+* **readers never wait** — a snapshot pin and a direct read answer from the
+  last committed version at once, while a writer is inside a request;
 * **deferred reclaim** — compacting while a snapshot is open must not evict
   the pinned delta version's index pages until the snapshot is released;
 * **final-state equivalence** — after a concurrent run, the store equals a
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -34,8 +36,7 @@ from repro.columnar import ColumnStats
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import PersistenceError, StorageError
 from repro.model import Literal
-from repro.server import ReadWriteLock
-from repro.updates import DeltaStore, FrozenDelta
+from repro.updates import DeltaStore, FrozenDelta, UpdateApplier
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"))
 from inputs import AdhocStream  # noqa: E402 - the repo benchmark's ad-hoc texts
@@ -78,6 +79,17 @@ PAIR_COUNT_RIGHT = f"SELECT (COUNT(?s) AS ?c) WHERE {{ ?s <{PAIR_RIGHT}> ?v . }}
 def _count(snapshot, query: str) -> int:
     rows = snapshot.sparql(query).rows()
     return int(rows[0][0]) if rows else 0
+
+
+PAIR_COUNTS = "SELECT ?p (COUNT(?s) AS ?c) WHERE { ?s ?p ?v . } GROUP BY ?p"
+
+
+def _pair_counts(reader) -> tuple:
+    """Lefts and rights from one query, hence one version.  A direct read
+    decodes through the version current at decode time; that is safe here,
+    since the decoded OIDs are predicates, IRIs no compaction moves."""
+    counts = dict(reader.decode_rows(reader.sparql(PAIR_COUNTS)))
+    return counts.get(PAIR_LEFT, 0), counts.get(PAIR_RIGHT, 0)
 
 
 # -- undo log -----------------------------------------------------------------------
@@ -172,7 +184,7 @@ class TestReadSnapshots:
         report = store.compact()
         assert report.merged_inserts == 1
         assert sorted(snap.decode_rows(snap.sparql(year_query))) == before
-        assert store.dictionary is not snap.context.dictionary  # copy-on-write
+        assert store.dictionary is not snap.context.dictionary  # replaced, not edited
         snap.close()
 
     def test_snapshot_survives_checkpoint(self, tmp_path):
@@ -352,6 +364,21 @@ class TestDeferredSegmentReclaim:
         store.update(pair_update(2))
         assert _delta_pages(store, snap.delta_version) == 0
 
+    def test_a_noop_update_keeps_the_live_versions_pages(self):
+        """A request that changes nothing leaves the version pair alone, so
+        the published record — and its delta index pages — stay."""
+        store = build_store()
+        store.update(pair_update(1))
+        _count(store, PAIR_COUNT_LEFT)
+        _count(store, PAIR_COUNT_LEFT)
+        cached = store.pool.segments_cached("delta.v")
+        assert cached > 0
+        assert not store.update(pair_update(1)).changed  # both triples are there
+        assert store.pool.segments_cached("delta.v") == cached
+        reads = store.pool.tracker.page_reads
+        assert _count(store, PAIR_COUNT_LEFT) == 1
+        assert store.pool.tracker.page_reads == reads
+
     def test_versions_read_inside_one_request_leave_no_pages(self):
         """``INSERT DATA ... ; DELETE WHERE ...`` reads its own uncommitted
         versions; none of them may strand pages in the pool."""
@@ -386,6 +413,57 @@ class TestDeferredSegmentReclaim:
         for read in (store.session().sparql, store.sparql, store.session().sparql):
             assert int(read(PAIR_COUNT_LEFT).rows()[0][0]) == 1
         assert built == [name]
+
+
+# -- readers beside a writer inside a request --------------------------------------------
+
+ISBNS_OF_BOOK_1 = f"SELECT ?i WHERE {{ <{EX}book/1> <{EX}isbn_no> ?i . }}"
+REPLACE_ISBN = (f'INSERT DATA {{ <{EX}book/1> <{EX}isbn_no> "isbn-new" . }} ; '
+                f'DELETE DATA {{ <{EX}book/1> <{EX}isbn_no> "isbn-0001" . }}')
+
+
+def _isbns(reader) -> list:
+    return sorted(value for (value,) in reader.decode_rows(reader.sparql(ISBNS_OF_BOOK_1)))
+
+
+def _pinned_isbns(store) -> list:
+    with store.snapshot() as snapshot:
+        return _isbns(snapshot)
+
+
+class TestReadersBesideAGatedWriter:
+    """A writer held between the two statements of one request: a reader on
+    another thread answers at once, and from the last committed version."""
+
+    @pytest.mark.parametrize("read", [_pinned_isbns, _isbns], ids=["snapshot", "direct"])
+    def test_a_read_neither_waits_nor_sees_the_request(self, read, monkeypatch):
+        store = build_store()
+        inside, gate = threading.Event(), threading.Event()
+        delete_data = UpdateApplier._delete_data
+
+        def gated(applier, operation):
+            inside.set()
+            gate.wait(timeout=30)
+            return delete_data(applier, operation)
+
+        monkeypatch.setattr(UpdateApplier, "_delete_data", gated)
+        answers: list = []
+        writer = threading.Thread(target=store.update, args=(REPLACE_ISBN,))
+        reader = threading.Thread(target=lambda: answers.append(read(store)))
+        writer.start()
+        try:
+            assert inside.wait(timeout=30)  # the INSERT DATA statement is applied
+            reader.start()
+            reader.join(timeout=10)
+            waited = reader.is_alive()
+        finally:
+            gate.set()
+            writer.join(timeout=30)
+            reader.join(timeout=30)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert not waited, "the read waited for the writer"
+        assert answers == [["isbn-0001"]]  # neither [new, 0001] nor [new]
+        assert read(store) == ["isbn-new"]
 
 
 # -- read-side state has one owner -----------------------------------------------------
@@ -461,94 +539,13 @@ class TestReadStateHasOneOwner:
         assert first[0][0] > 0 and all(answer == first for answer in answers)
 
 
-# -- the lock ------------------------------------------------------------------------
-
-
-class TestReadWriteLock:
-    def test_write_is_reentrant(self):
-        lock = ReadWriteLock()
-        with lock.write_locked():
-            with lock.write_locked():
-                assert lock.owns_write()
-        assert not lock.owns_write()
-
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        observed = []
-        lock.acquire_write()
-        blocked = threading.Event()
-
-        def reader():
-            blocked.set()
-            with lock.read_locked():
-                observed.append("read")
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        blocked.wait(timeout=5)
-        time.sleep(0.05)
-        assert observed == []  # reader is waiting
-        lock.release_write()
-        thread.join(timeout=5)
-        assert observed == ["read"]
-
-    def test_readers_share(self):
-        lock = ReadWriteLock()
-        inside = threading.Barrier(2, timeout=5)
-
-        def reader():
-            with lock.read_locked():
-                inside.wait()  # both readers inside simultaneously
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert lock.active_readers == 0
-
-    def test_write_lock_passes_through_read(self):
-        lock = ReadWriteLock()
-        with lock.write_locked():
-            with lock.read_locked():  # must not deadlock
-                assert lock.owns_write()
-
-    def test_phase_fairness_neither_side_starves(self):
-        """A writer re-acquiring back-to-back must not starve readers, and a
-        stream of overlapping readers must not starve the writer."""
-        lock = ReadWriteLock()
-        stop = threading.Event()
-        progress = {"reads": 0, "writes": 0}
-
-        def reader():
-            while not stop.is_set():
-                with lock.read_locked():
-                    progress["reads"] += 1
-
-        def writer():
-            while not stop.is_set():
-                with lock.write_locked():
-                    progress["writes"] += 1
-
-        threads = ([threading.Thread(target=reader) for _ in range(4)]
-                   + [threading.Thread(target=writer)])
-        for t in threads:
-            t.start()
-        time.sleep(0.5)
-        stop.set()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert progress["reads"] > 50, progress
-        assert progress["writes"] > 50, progress
-
-
 # -- stress: N readers + 1 writer ----------------------------------------------------
 
 
 def _run_stress(store: RDFStore, writer, readers: int = READERS,
                 duration: float = 2.0):
-    """Run ``writer`` against ``readers`` snapshot-pinning reader threads.
+    """Run ``writer`` against ``readers`` reader threads, each alternating
+    snapshot-pinned reads and direct ones.
 
     Returns the list of reader-observed errors (must be empty).
     """
@@ -566,6 +563,9 @@ def _run_stress(store: RDFStore, writer, readers: int = READERS,
                     # repeatable read inside one snapshot
                     if _count(snap, PAIR_COUNT_LEFT) != left:
                         errors.append("snapshot result changed between reads")
+                left, right = _pair_counts(store)
+                if left != right:
+                    errors.append(f"torn direct read: {left} lefts vs {right} rights")
         except Exception as exc:  # pragma: no cover - only on failure
             errors.append(repr(exc))
 

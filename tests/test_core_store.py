@@ -1,5 +1,6 @@
 """End-to-end tests of the RDFStore facade."""
 
+import dataclasses
 from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -214,7 +215,9 @@ class TestRdfhStore:
 # Every way a store changes what readers see, each with no snapshot open and
 # with one pinned across it.  The (generation, delta version) pair is the only
 # invalidation: it moves exactly when an answer could differ, a cached plan
-# lives and dies with the pair in its key, and nothing is cleared.
+# lives and dies with the pair in its key, and nothing is cleared.  A
+# transition replaces base objects and never edits them, so a context taken
+# before it — pinned or not — still describes the state it was taken from.
 
 BOOKS_BY_YEAR = f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . ?b <{EX}isbn_no> ?i . }}"
 
@@ -235,6 +238,15 @@ def _register_core(store: RDFStore) -> list:
     cs_ids = [table.cs_id for table in store.schema.tables_by_support()][:1]
     return store.catalog.register_summary(
         "core", SchemaSummary(table_ids=cs_ids, foreign_keys=[]))
+
+
+def _base_facts(context) -> tuple:
+    """What a context's dictionary decodes and its schema's table supports
+    and coverage."""
+    schema = context.schema
+    return (list(context.dictionary.terms()),
+            {cs_id: table.support for cs_id, table in schema.tables.items()},
+            dataclasses.astuple(schema.coverage))
 
 
 def _rows(reader, text: str) -> list:
@@ -317,8 +329,14 @@ def test_transition_matrix(transition, pinned, tmp_path, monkeypatch):
             assert snapshot.sparql(BOOKS_BY_YEAR).plan is plan  # one version, one plan
         pair = (store.generation, store.delta.version)
         hits = store.plan_cache_stats()["lifetime_hits"]
+        context = store.context()
+        facts = _base_facts(context)
 
         transition.run(t)
+
+        terms, supports, coverage = facts
+        assert [context.dictionary.decode(oid) for oid in range(len(terms))] == terms
+        assert _base_facts(context)[1:] == (supports, coverage)
 
         assert ((store.generation, store.delta.version) != pair) == transition.moves_pair
         after = store.sparql(BOOKS_BY_YEAR)

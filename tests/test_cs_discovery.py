@@ -142,7 +142,7 @@ class TestGeneralization:
 def _dblp_schema(return_report=False, **kwargs):
     triples = generate_dblp(DblpConfig(papers=150, conferences=10, authors=50))
     dictionary, matrix = encode_graph(triples)
-    matrix = value_order_literals(matrix, dictionary)
+    dictionary, matrix = value_order_literals(matrix, dictionary)
     config = DiscoveryConfig(generalization=GeneralizationConfig(min_support=3), **kwargs)
     out = discover_schema(matrix, dictionary, config, return_report=return_report)
     if return_report:

@@ -144,10 +144,11 @@ class TestTermDictionary:
         d = TermDictionary()
         a = d.encode_term(IRI(EX + "a"))
         b = d.encode_term(IRI(EX + "b"))
-        d.remap([a, b], [b, a])
-        assert d.decode(a) == IRI(EX + "b")
-        assert d.decode(b) == IRI(EX + "a")
-        assert d.lookup_term(IRI(EX + "a")) == b
+        swapped = d.remap([a, b], [b, a])
+        assert swapped.decode(a) == IRI(EX + "b")
+        assert swapped.decode(b) == IRI(EX + "a")
+        assert swapped.lookup_term(IRI(EX + "a")) == b
+        assert d.decode(a) == IRI(EX + "a")  # the receiver is left as it was
 
     def test_remap_rejects_non_bijection(self):
         d = TermDictionary()
@@ -167,7 +168,7 @@ class TestTermDictionary:
         d.encode_term(IRI(EX + "s"))
         big = d.encode_term(Literal("30", datatype="http://www.w3.org/2001/XMLSchema#integer"))
         small = d.encode_term(Literal("2", datatype="http://www.w3.org/2001/XMLSchema#integer"))
-        d.reassign_value_ordered_literals()
+        d, _old, _new = d.reassign_value_ordered_literals()
         new_small = d.lookup_term(Literal("2", datatype="http://www.w3.org/2001/XMLSchema#integer"))
         new_big = d.lookup_term(Literal("30", datatype="http://www.w3.org/2001/XMLSchema#integer"))
         assert new_small < new_big
@@ -210,7 +211,7 @@ def test_value_ordering_is_permutation_property(terms):
     for t in terms:
         d.encode_term(t)
     size_before = len(d)
-    d.reassign_value_ordered_literals()
+    d, _old, _new = d.reassign_value_ordered_literals()
     assert len(d) == size_before
     # every term still resolves, and OIDs are still a dense range
     oids = sorted(oid for _t, oid in d.items())

@@ -58,7 +58,7 @@ def test_literal_range_matches_the_full_sort(loaded, value_order, appended, fold
     for term in loaded:
         dictionary.encode_term(term)
     if value_order:  # else: watermark 0, every literal lives in the tail
-        dictionary.reassign_value_ordered_literals()
+        dictionary, _old, _new = dictionary.reassign_value_ordered_literals()
     for position, term in enumerate(appended):
         if position == folded:
             # the write side folds what it appended; a reader folds the rest
@@ -66,13 +66,11 @@ def test_literal_range_matches_the_full_sort(loaded, value_order, appended, fold
         dictionary.encode_term(term)
     _assert_ranges_match(dictionary, bounds)
 
-    twin = dictionary.clone()
-    _assert_ranges_match(twin, bounds)
-
-    # compaction moves the watermark over the tail; the clone keeps its own view
-    twin.reassign_value_ordered_literals()
-    assert twin.value_order_watermark == len(twin)
-    _assert_ranges_match(twin, bounds)
+    # compaction moves the watermark over the tail in a new dictionary; the
+    # receiver keeps its own view
+    ordered, _old, _new = dictionary.reassign_value_ordered_literals()
+    assert ordered.value_order_watermark == len(ordered)
+    _assert_ranges_match(ordered, bounds)
     _assert_ranges_match(dictionary, bounds)
 
     restored = TermDictionary.restore(list(dictionary.terms()),
@@ -84,11 +82,12 @@ def test_a_remap_that_moves_a_literal_drops_the_value_order():
     dictionary = TermDictionary()
     two = dictionary.encode_term(Literal("2", datatype=XSD_INTEGER))
     one = dictionary.encode_term(Literal("1", datatype=XSD_INTEGER))
-    dictionary.reassign_value_ordered_literals()
+    dictionary, _old, _new = dictionary.reassign_value_ordered_literals()
     assert dictionary.value_order_watermark == 2
-    dictionary.remap([one, two], [two, one])  # OID order is no longer value order
-    assert dictionary.value_order_watermark == 0
-    _assert_ranges_match(dictionary, [(Literal("2", datatype=XSD_INTEGER), None, True, True)])
+    remapped = dictionary.remap([one, two], [two, one])  # OID order is no longer value order
+    assert remapped.value_order_watermark == 0
+    assert dictionary.value_order_watermark == 2
+    _assert_ranges_match(remapped, [(Literal("2", datatype=XSD_INTEGER), None, True, True)])
 
 
 _TIES = [Literal("1", datatype=XSD_INTEGER), Literal("a"), Literal("a", language="en")]
@@ -107,29 +106,32 @@ def test_the_value_order_merge_equals_the_full_sort(loaded, value_order, appende
     for term in loaded:
         dictionary.encode_term(term)
     if value_order:  # else: watermark 0, the head is empty
-        dictionary.reassign_value_ordered_literals()
+        dictionary, _old, _new = dictionary.reassign_value_ordered_literals()
     for position, term in enumerate(appended):
         if position == folded:
             dictionary.index_appended_literals()
         dictionary.encode_term(term)
     tail_is_empty = not any(isinstance(term, Literal) for term
                             in list(dictionary.terms())[dictionary.value_order_watermark:])
-    expected = dictionary.clone()
-    expected_old, expected_new = full_sort_value_order(expected)
+    terms, watermark = list(dictionary.terms()), dictionary.value_order_watermark
+    expected, expected_old, expected_new = full_sort_value_order(dictionary)
 
     remaps = []
     remap = dictionary.remap
-    dictionary.remap = lambda old, new: (remaps.append(len(old)), remap(old, new))
-    old, new = dictionary.reassign_value_ordered_literals()
+    dictionary.remap = lambda old, new: remaps.append(len(old)) or remap(old, new)
+    ordered, old, new = dictionary.reassign_value_ordered_literals()
 
     assert old.tolist() == expected_old.tolist()
     assert new.tolist() == expected_new.tolist()
-    assert list(dictionary.terms()) == list(expected.terms())
-    assert dictionary.value_order_watermark == expected.value_order_watermark == len(dictionary)
+    assert list(ordered.terms()) == list(expected.terms())
+    assert ordered.value_order_watermark == expected.value_order_watermark == len(ordered)
     assert bool(remaps) == (old.tolist() != new.tolist())
     if tail_is_empty:
         assert not remaps
-    _assert_ranges_match(dictionary, STORE_BOUNDS)
+    _assert_ranges_match(ordered, STORE_BOUNDS)
+    # the receiver is left as it was
+    assert list(dictionary.terms()) == terms
+    assert dictionary.value_order_watermark == watermark
 
 
 def test_a_delete_only_compaction_moves_no_oid(monkeypatch):
@@ -197,7 +199,7 @@ def test_index_is_built_once_by_compact_clone_and_open(tmp_path):
     _assert_ranges_match(store.dictionary, STORE_BOUNDS)
 
     built = _full_builds()
-    with store.snapshot() as pinned:  # forces the copy-on-write clone in compact()
+    with store.snapshot() as pinned:
         store.compact()
         assert _full_builds() == built + 1
         assert store.dictionary is not pinned.context.dictionary

@@ -254,7 +254,7 @@ class TestSnapshotRoundTrip:
     def test_reduced_schemas_survive_maintenance(self, store, tmp_path, pinned):
         """What a user registered survives every transition that keeps the
         tables it names — compaction and checkpoint, with or without a
-        snapshot pinned across them (clone-on-write) — and is what
+        snapshot pinned across them — and is what
         ``save()`` → ``open()`` restores; re-discovery and reload, after
         which those tables are gone, drop it."""
         from repro.cs.summarize import SchemaSummary

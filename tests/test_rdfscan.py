@@ -64,13 +64,13 @@ def _library_context(with_dirty: bool = True, zone_size: int = 8):
         triples.append(Triple(IRI(f"{EX}thing"), IRI(EX + "isbn_no"), Literal("isbn-x")))
 
     dictionary, matrix = encode_graph(triples)
-    matrix = value_order_literals(matrix, dictionary)
+    dictionary, matrix = value_order_literals(matrix, dictionary)
     schema = discover_schema(matrix, dictionary,
                              DiscoveryConfig(generalization=GeneralizationConfig(min_support=3)))
     year_oid = dictionary.lookup_term(IRI(EX + "in_year"))
     book_cs = next((cs_id for cs_id, t in schema.tables.items() if t.has_property(year_oid)), None)
     sort_keys = {book_cs: year_oid} if book_cs is not None else None
-    matrix, _plan = cluster_subjects(matrix, dictionary, schema, sort_keys)
+    dictionary, matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema, sort_keys)
     pool = BufferPool(page_size=8)
     index_store = ExhaustiveIndexStore(matrix, pool=pool)
     clustered = ClusteredStore.build(matrix, schema, pool=pool, zone_size=zone_size)
@@ -274,7 +274,7 @@ def test_rdfscan_equals_merge_evaluation_property(data):
     dictionary, matrix = encode_graph(triples)
     schema = discover_schema(matrix, dictionary,
                              DiscoveryConfig(generalization=GeneralizationConfig(min_support=2)))
-    matrix, _plan = cluster_subjects(matrix, dictionary, schema)
+    dictionary, matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
     pool = BufferPool(page_size=4)
     ctx = ExecutionContext(
         dictionary=dictionary, pool=pool,

@@ -369,7 +369,7 @@ def _book_like_store(dirty: bool = True):
         triples.append(Triple(IRI(f"{EX}b0"), IRI(EX + "author"), IRI(f"{EX}a2")))  # second author
         triples.append(Triple(IRI(f"{EX}weird"), IRI(EX + "foo"), Literal("bar")))
     dictionary, matrix = encode_graph(triples)
-    matrix = value_order_literals(matrix, dictionary)
+    dictionary, matrix = value_order_literals(matrix, dictionary)
     config = DiscoveryConfig(generalization=GeneralizationConfig(min_support=3))
     schema = discover_schema(matrix, dictionary, config)
     return dictionary, matrix, schema
@@ -383,7 +383,7 @@ class TestSubjectClustering:
 
     def test_cluster_groups_subjects_contiguously(self):
         dictionary, matrix, schema = _book_like_store()
-        new_matrix, plan = cluster_subjects(matrix, dictionary, schema)
+        _dictionary, _matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
         # after clustering, each CS's subject OIDs form a contiguous run within
         # the sorted list of all member subject OIDs
         all_members = sorted(s for cs_id in schema.tables
@@ -397,7 +397,7 @@ class TestSubjectClustering:
         dictionary, matrix, schema = _book_like_store()
         before = {tuple(dictionary.decode_triple(EncodedTriple(*row)).n3() for _ in [0])[0]
                   for row in matrix.tolist()}
-        new_matrix, _plan = cluster_subjects(matrix, dictionary, schema)
+        dictionary, new_matrix, _schema, _plan = cluster_subjects(matrix, dictionary, schema)
         after = {dictionary.decode_triple(EncodedTriple(*row)).n3() for row in new_matrix.tolist()}
         assert before == after
 
@@ -406,7 +406,8 @@ class TestSubjectClustering:
         year_oid = dictionary.lookup_term(IRI(EX + "year"))
         book_cs = next(cs_id for cs_id, t in schema.tables.items()
                        if any(p == year_oid for p in t.properties))
-        new_matrix, _plan = cluster_subjects(matrix, dictionary, schema, {book_cs: year_oid})
+        _dictionary, new_matrix, schema, _plan = cluster_subjects(
+            matrix, dictionary, schema, {book_cs: year_oid})
         store = ClusteredStore.build(new_matrix, schema)
         block = store.block(book_cs)
         years = block.column(year_oid).data
@@ -418,7 +419,7 @@ class TestSubjectClustering:
 class TestClusteredStore:
     def test_reconstruction_equals_input(self):
         dictionary, matrix, schema = _book_like_store()
-        new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
+        dictionary, new_matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
         store = ClusteredStore.build(new_matrix, schema)
         original = sorted(map(tuple, new_matrix.tolist()))
         rebuilt = sorted(map(tuple, store.reconstruct_triples().tolist()))
@@ -427,7 +428,7 @@ class TestClusteredStore:
 
     def test_irregular_subjects_stay_in_triple_store(self):
         dictionary, matrix, schema = _book_like_store()
-        new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
+        dictionary, new_matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
         store = ClusteredStore.build(new_matrix, schema)
         weird = dictionary.lookup_term(IRI(f"{EX}weird"))
         assert schema.cs_of_subject(weird) is None
@@ -436,7 +437,7 @@ class TestClusteredStore:
 
     def test_blocks_with_properties(self):
         dictionary, matrix, schema = _book_like_store()
-        new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
+        dictionary, new_matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
         store = ClusteredStore.build(new_matrix, schema)
         author = dictionary.lookup_term(IRI(EX + "author"))
         year = dictionary.lookup_term(IRI(EX + "year"))
@@ -469,7 +470,7 @@ class TestClusteredStore:
 
     def test_zone_maps_built_on_request(self):
         dictionary, matrix, schema = _book_like_store(dirty=False)
-        new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
+        dictionary, new_matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
         store = ClusteredStore.build(new_matrix, schema, zone_size=4)
         for block in store.blocks:
             # every aligned column gets its zone map
@@ -485,7 +486,7 @@ class TestClusteredStore:
 
     def test_positions_of_subjects(self):
         dictionary, matrix, schema = _book_like_store(dirty=False)
-        new_matrix, _ = cluster_subjects(matrix, dictionary, schema)
+        dictionary, new_matrix, schema, _plan = cluster_subjects(matrix, dictionary, schema)
         store = ClusteredStore.build(new_matrix, schema)
         block = store.blocks[0]
         subjects = block.subject_column.data

@@ -134,7 +134,8 @@ def test_columns_and_rows_match_the_per_cell_decoder(loaded, value_order, append
     for oids in known:  # the first pass fills, the second reads warm slots
         _assert_columns_match(dictionary, oids)
         _assert_columns_match(dictionary, oids)
-    _assert_columns_match(dictionary.clone(), known[0])  # a clone starts cold
+    # a dictionary of the same terms starts cold
+    _assert_columns_match(TermDictionary.restore(list(dictionary.terms())), known[0])
     _assert_columns_match(dictionary, np.empty(0, dtype=np.int64))
 
     # a result: OID columns of one length beside a computed float column
@@ -186,9 +187,11 @@ def test_appends_extend_the_bridge_and_a_remap_drops_it():
     assert decoder.python_column(np.asarray(oids + fresh[-1:])) == [3, 1, 2, f"{EX}new/63"]
     assert _materialized() == before + 4
 
-    dictionary.remap(oids[:2], oids[1::-1])
+    remapped = dictionary.remap(oids[:2], oids[1::-1])
     assert held.python[oids[0]] == 3, "remap cleared arrays a reader may hold"
-    assert decoder.python_column(np.asarray(oids)) == [1, 3, 2]
+    assert decoder.python_column(np.asarray(oids)) == [3, 1, 2], "remap edited its receiver"
+    assert _materialized() == before + 4
+    assert ValueDecoder(remapped).python_column(np.asarray(oids)) == [1, 3, 2]
     assert _materialized() == before + 7
 
 
@@ -259,7 +262,7 @@ def test_a_pinned_snapshot_decodes_its_old_oids_across_update_and_compact():
         before = pinned.sparql(text)
         expected = PerCellDecoder(pinned.context.dictionary).decoded_rows(before)
         store.update(f'INSERT DATA {{ {customer_iri(1).n3()} {NAME} "A brand-new name" . }}')
-        store.compact()  # copy-on-write: the live store re-maps a clone
+        store.compact()  # the live store re-maps into a new dictionary
         assert store.dictionary is not pinned.context.dictionary
         _assert_same_rows(pinned.decode_rows(before), expected)
         _assert_same_rows(pinned.decode_rows(pinned.sparql(text)), expected)

@@ -90,7 +90,6 @@ MUST_BE_PRESENT = [
     "repro_plan_cache_misses_total",
     "repro_buffer_pool_page_hits_total",
     "repro_wal_appends_total",
-    "repro_lock_wait_seconds_bucket",
     "repro_open_snapshots",
     "repro_pinned_delta_versions",
     "repro_server_requests_total",
@@ -110,6 +109,8 @@ MUST_BE_NONZERO = {
     "repro_updates_total": 1.0,
     "repro_triples_inserted_total": 4.0,
     "repro_wal_appends_total": 1.0,
+    # the writer mutex is the only lock: no reader observes a wait
+    'repro_lock_wait_seconds_bucket{side="write"': 1.0,
     "repro_buffer_pool_page_hits_total": 1.0,
     "repro_query_seconds_count": 3.0,
 }
