@@ -466,6 +466,101 @@ class TestReadersBesideAGatedWriter:
         assert read(store) == ["isbn-new"]
 
 
+# -- the writer mutex ---------------------------------------------------------------------
+
+
+def _run_with_timeout(target, timeout: float = 30) -> None:
+    """Run ``target`` on a thread and fail, rather than hang, if it deadlocks."""
+    errors: list = []
+
+    def body():
+        try:
+            target()
+        except BaseException as exc:  # surfaced on the test thread below
+            errors.append(exc)
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "deadlocked on the writer mutex"
+    if errors:
+        raise errors[0]
+
+
+class TestWriterMutex:
+    """One transition at a time: writers queue on one reentrant mutex, whose
+    waits are observed; readers never take it."""
+
+    def test_write_is_reentrant(self):
+        """A transition may nest others on its own thread, as ``checkpoint``
+        nests ``compact`` and ``save`` (and ``build`` nests index builds)."""
+        stores: list = []
+
+        def nested():
+            stores.append(build_store())
+            with stores[0]._writing():
+                stores[0].update(pair_update(1))
+                stores[0].compact()
+
+        _run_with_timeout(nested)
+        assert _pair_counts(stores[0]) == (1, 1)
+
+    def test_writers_take_turns(self, monkeypatch):
+        """A second writer waits until the first request commits, and the
+        wait shows in ``lock_wait_seconds{side="write"}``."""
+        store = build_store()
+        inside, gate = threading.Event(), threading.Event()
+        delete_data = UpdateApplier._delete_data
+
+        def gated(applier, operation):
+            inside.set()
+            gate.wait(timeout=30)
+            return delete_data(applier, operation)
+
+        monkeypatch.setattr(UpdateApplier, "_delete_data", gated)
+        first = threading.Thread(target=store.update, args=(REPLACE_ISBN,))
+        second = threading.Thread(target=store.update, args=(pair_update(1),))
+        first.start()
+        try:
+            assert inside.wait(timeout=30)
+            second.start()
+            second.join(timeout=0.5)
+            queued = second.is_alive()
+            pending = _pair_counts(store)
+        finally:
+            gate.set()
+            first.join(timeout=30)
+            second.join(timeout=30)
+        assert not first.is_alive() and not second.is_alive()
+        assert queued, "the second writer ran inside the first one's request"
+        assert pending == (0, 0)
+        assert _pair_counts(store) == (1, 1) and _isbns(store) == ["isbn-new"]
+        assert store.metrics_registry.get("lock_wait_seconds").max(side="write") >= 0.1
+
+    def test_reads_pass_a_held_writer_mutex(self):
+        """Any transition, not only an update request, leaves reads free."""
+        store = build_store()
+        store.update(pair_update(1))
+        held, done = threading.Event(), threading.Event()
+
+        def hold():
+            with store._writing():
+                held.set()
+                done.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=30)
+            _run_with_timeout(lambda: (_pinned_isbns(store), _pair_counts(store)), timeout=10)
+            with store.snapshot() as snapshot:
+                assert _pair_counts(snapshot) == (1, 1)
+        finally:
+            done.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+
+
 # -- read-side state has one owner -----------------------------------------------------
 
 
