@@ -571,13 +571,16 @@ class RDFStore:
         catalog) was replaced, which bumps the generation so the
         (generation, delta version) pair stays unique per state; a write
         has already moved ``delta.version``, and one that did not (a no-op
-        request) keeps the published record and its pages.  Always the last
-        step of a change, under the writer mutex: a reader sees the state
-        before it or after it, never one in between.
+        request) keeps the published record and its pages.  A write during
+        WAL replay publishes nothing: no reader can see the store
+        :meth:`open` is assembling, and it publishes once after the replay.
+        Always the last step of a change, under the writer mutex: a reader
+        sees the state before it or after it, never one in between.
         """
         if new_base:
             self.generation += 1
-        elif self._snapshots.current.key == (self.generation, self.delta.version):
+        elif (self.journal.is_replaying
+              or self._snapshots.current.key == (self.generation, self.delta.version)):
             return
         self._snapshots.publish(StoreVersion(self))
 
@@ -992,6 +995,7 @@ class RDFStore:
                     raise PersistenceError(
                         f"WAL record {replayed} failed to replay: {exc}") from exc
                 replayed += 1
+        store._publish(new_base=False)
         if replayed:
             default_registry().counter(
                 "wal_replayed_records_total",
@@ -1340,6 +1344,10 @@ class RDFStore:
     def decode_rows(self, result: QueryResult) -> List[tuple]:
         """Decode a query result's OIDs back to Python values.
 
+        Decodes through the version the query ran against, so a result
+        decodes the same after a later ``compact()`` or ``cluster()``
+        re-mapped the store's OIDs.
+
         Args:
             result: the value returned by :meth:`sparql` or :meth:`sql`.
 
@@ -1347,7 +1355,7 @@ class RDFStore:
             One tuple per result row, with IRIs/literals decoded to Python
             strings, numbers, dates — computed aggregates stay floats.
         """
-        return result.decoded_rows(self.context())
+        return result.decoded_rows(result.context)
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -46,6 +46,9 @@ class QueryResult:
     rows, which ``plan.explain(run=result.run)`` renders, residual counts,
     parse, plan and execution time.  ``trace`` is the run's
     :class:`repro.obs.QueryTrace` when it was traced, otherwise ``None``.
+    ``context`` is the execution context the query ran against: its
+    dictionary is the one that decodes the bindings' OIDs, whatever the
+    store has published since.
     """
 
     bindings: BindingTable
@@ -53,6 +56,7 @@ class QueryResult:
     plan: PhysicalOperator
     columns: List[str]
     run: object = NULL_ACTIVE_QUERY
+    context: Optional[ExecutionContext] = None
 
     @property
     def trace(self) -> Optional[object]:
@@ -195,4 +199,5 @@ class QueryEngine:
         context = self.context.with_run(run) if run.enabled else self.context
         bindings, cost = execute_plan(plan, context)
         return QueryResult(bindings=bindings, cost=cost, plan=plan,
-                           columns=logical.output_names(), run=run)
+                           columns=logical.output_names(), run=run,
+                           context=self.context)

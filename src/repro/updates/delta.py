@@ -30,8 +30,8 @@ The delta has a write half and a read half:
   hands out *the* immutable read half of the current version — the two sets
   as arrays plus what scans derive from them (the permutation index,
   per-predicate tombstones, touched subjects), each built once for the
-  version.  A mutation drops it; the writer builds the next one when it
-  publishes the version.  Deltas
+  version.  The writer builds the next one when it publishes the version,
+  by folding the mutations since into the previous one's arrays.  Deltas
   are small by design, and :func:`repro.updates.compaction.compact_store`
   folds them into the base before they grow large.
 """
@@ -95,6 +95,9 @@ class DeltaStore:
         self._inserts: Dict[TripleKey, None] = {}  # ordered set
         self._tombstones: Set[TripleKey] = set()
         self._frozen: Optional[FrozenDelta] = None
+        self._changes: List[Tuple[str, TripleKey]] = []
+        """The mutations since ``_frozen`` was built, as ``(op, key)`` with
+        the :class:`UndoLog` op names: what :meth:`freeze` folds into it."""
         self.version = 0
         self._undo: Optional[UndoLog] = None
 
@@ -110,14 +113,12 @@ class DeltaStore:
         key = (int(s), int(p), int(o))
         if key in self._tombstones:
             self._tombstones.discard(key)
-            self._record_undo(UndoLog.TOMBSTONE_REMOVED, key)
-            self._dirty()
+            self._changed(UndoLog.TOMBSTONE_REMOVED, key)
             return True
         if in_base or key in self._inserts:
             return False
         self._inserts[key] = None
-        self._record_undo(UndoLog.INSERTED, key)
-        self._dirty()
+        self._changed(UndoLog.INSERTED, key)
         return True
 
     def delete(self, s: int, p: int, o: int, in_base: bool) -> bool:
@@ -129,14 +130,12 @@ class DeltaStore:
         key = (int(s), int(p), int(o))
         if key in self._inserts:
             del self._inserts[key]
-            self._record_undo(UndoLog.INSERT_REMOVED, key)
-            self._dirty()
+            self._changed(UndoLog.INSERT_REMOVED, key)
             return True
         if key in self._tombstones or not in_base:
             return False
         self._tombstones.add(key)
-        self._record_undo(UndoLog.TOMBSTONED, key)
-        self._dirty()
+        self._changed(UndoLog.TOMBSTONED, key)
         return True
 
     # -- request atomicity (per-request undo log) -----------------------------------
@@ -182,39 +181,45 @@ class DeltaStore:
                 self._tombstones.add(key)
             else:  # pragma: no cover - the four ops above are exhaustive
                 raise StorageError(f"unknown undo operation {op!r}")
+            self._changes.append((_INVERSE[op], key))
         if undo.ops:
-            self._dirty()
+            self.version += 1
 
-    def _record_undo(self, op: str, key: TripleKey) -> None:
+    def _changed(self, op: str, key: TripleKey) -> None:
+        """Account one mutation: in the request's undo log, in the changes
+        the next :meth:`freeze` folds, and as a new version."""
         if self._undo is not None:
             self._undo.record(op, key)
+        self._changes.append((op, key))
+        self.version += 1
 
     def clear(self) -> None:
         """Drop all pending writes (after compaction or a full reload)."""
         self._inserts.clear()
         self._tombstones.clear()
-        self._dirty()
-
-    def _dirty(self) -> None:
         self._frozen = None
+        self._changes = []
         self.version += 1
 
     def freeze(self) -> "FrozenDelta":
         """The read half of the current version.
 
-        Built on the first call after a mutation — O(pending), once per
-        version: the store's publish, or a request's own read of its
-        pending state — and handed to every later caller as is, so all
-        readers of one version share one index.  Only the writer calls
-        this, under the store's writer mutex; the name check keeps a caller
-        that ignores that rule from leaving its view behind for a later
-        version.
+        Built on the first call after a mutation — the store's publish, or
+        a request's own read of its pending state — from the previous
+        frozen version's arrays and the mutations since: O(keys touched)
+        Python and one masked array copy, so a burst of updates that each
+        publish stays linear.  Every later caller of the version gets it as
+        is, so all readers of one version share one index.  Only the writer
+        calls this, under the store's writer mutex.
         """
         name = f"{self.name}.v{self.version}"
         frozen = self._frozen
         if frozen is None or frozen.name != name:
-            frozen = self._frozen = FrozenDelta(self.matrix(), self.tombstone_matrix(),
-                                                self.pool, name)
+            previous = ((_NO_TRIPLES, _NO_TRIPLES) if frozen is None
+                        else (frozen.matrix(), frozen.tombstone_matrix()))
+            inserts, tombstones = _fold_changes(*previous, self._changes)
+            frozen = self._frozen = FrozenDelta(inserts, tombstones, self.pool, name)
+            self._changes = []
         return frozen
 
     # -- inspection ---------------------------------------------------------------
@@ -371,6 +376,47 @@ class FrozenDelta:
 
 def _as_triples(keys: List[TripleKey]) -> np.ndarray:
     return np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+
+
+_NO_TRIPLES = _as_triples([])
+_NO_TRIPLES.setflags(write=False)
+
+_INVERSE = {UndoLog.INSERTED: UndoLog.INSERT_REMOVED,
+            UndoLog.INSERT_REMOVED: UndoLog.INSERTED,
+            UndoLog.TOMBSTONED: UndoLog.TOMBSTONE_REMOVED,
+            UndoLog.TOMBSTONE_REMOVED: UndoLog.TOMBSTONED}
+
+_SIDE = {UndoLog.INSERTED: (0, True), UndoLog.INSERT_REMOVED: (0, False),
+         UndoLog.TOMBSTONED: (1, True), UndoLog.TOMBSTONE_REMOVED: (1, False)}
+"""Which array an op changes (inserts 0, tombstones 1) and whether it adds."""
+
+
+def _fold_changes(inserts: np.ndarray, tombstones: np.ndarray,
+                  changes: List[Tuple[str, TripleKey]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The next version's arrays: ``inserts`` and ``tombstones`` with
+    ``changes`` applied in order.
+
+    A key removed at any point leaves its old row; a key whose last change
+    adds it is appended, in the order of those last adds — so the inserts
+    come out in the order the writer's insert set iterates (a re-added
+    insert lands at its end)."""
+    added: Tuple[Dict[TripleKey, None], ...] = ({}, {})
+    removed: Tuple[Set[TripleKey], ...] = (set(), set())
+    for op, key in changes:
+        side, adds = _SIDE[op]
+        added[side].pop(key, None)
+        if adds:
+            added[side][key] = None
+        else:
+            removed[side].add(key)
+    folded = []
+    for rows, side_added, side_removed in zip((inserts, tombstones), added, removed):
+        if side_removed:
+            rows = rows[~_isin_rows(rows.T, _as_triples(list(side_removed)).T)]
+        if side_added:
+            rows = np.concatenate([rows, _as_triples(list(side_added))])
+        folded.append(rows)
+    return folded[0], folded[1]
 
 
 def _split_by(keys: np.ndarray, values: np.ndarray) -> Dict[int, np.ndarray]:

@@ -85,9 +85,7 @@ PAIR_COUNTS = "SELECT ?p (COUNT(?s) AS ?c) WHERE { ?s ?p ?v . } GROUP BY ?p"
 
 
 def _pair_counts(reader) -> tuple:
-    """Lefts and rights from one query, hence one version.  A direct read
-    decodes through the version current at decode time; that is safe here,
-    since the decoded OIDs are predicates, IRIs no compaction moves."""
+    """Lefts and rights from one query, hence one version."""
     counts = dict(reader.decode_rows(reader.sparql(PAIR_COUNTS)))
     return counts.get(PAIR_LEFT, 0), counts.get(PAIR_RIGHT, 0)
 

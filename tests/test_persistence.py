@@ -43,6 +43,7 @@ from repro.persist.snapshot import (
     SCHEMA_FILE,
     wal_path,
 )
+from repro.server import SnapshotRegistry
 from repro.storage import ACCESS_PATHS, ORDERS
 from repro.sparql import (
     DEFAULT_SCHEME,
@@ -439,6 +440,26 @@ class TestWriteAheadLog:
         store.update(f"DELETE WHERE {{ ?b <{EX}in_year> \"1993\"^^<{XSD_INT}> . }}")
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.has_pending_updates()
+        assert_stores_equivalent(store, reopened)
+
+    def test_replay_publishes_one_version(self, store, tmp_path, monkeypatch):
+        """No reader sees a store open() is still assembling, so its
+        replayed records publish one version between them, not one each."""
+        store.save(tmp_path / "db")
+        for i in range(1, 6):
+            store.update(insert_book(i))
+        store.update(f"DELETE WHERE {{ <{EX}book/2> ?p ?o . }}")
+        published = []
+        publish = SnapshotRegistry.publish
+
+        def counting_publish(registry, version):
+            published.append(version.key)
+            publish(registry, version)
+
+        monkeypatch.setattr(SnapshotRegistry, "publish", counting_publish)
+        reopened = RDFStore.open(tmp_path / "db")
+        assert len(published) == 2  # the base on open, then the replayed delta
+        assert published[-1] == (reopened.generation, reopened.delta.version)
         assert_stores_equivalent(store, reopened)
 
     def test_save_with_pending_updates_seeds_the_wal(self, store, tmp_path):

@@ -201,6 +201,35 @@ def test_undo_log_abort_is_exact_inverse(pending, request_ops):
     assert after == before
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(requests=st.lists(st.tuples(
+    st.lists(st.tuples(st.sampled_from(["insert", "delete"]),
+                       st.integers(0, 6), st.integers(0, 2), st.integers(0, 6),
+                       st.booleans()),
+             max_size=8),
+    st.sampled_from(["commit", "abort", "commit+freeze", "abort+freeze"])),
+    max_size=12))
+def test_freeze_folds_changes_into_the_previous_version(requests):
+    """Each frozen version equals the writer's sets, however the mutations
+    since the previous freeze were split into committed and aborted
+    requests: inserts in insert order, tombstones as a set."""
+    delta = DeltaStore()
+    for ops, outcome in requests:
+        undo = delta.begin_request()
+        for op, s, p, o, in_base in ops:
+            (delta.insert if op == "insert" else delta.delete)(s, p, o, in_base=in_base)
+        if outcome.startswith("commit"):
+            delta.commit_request(undo)
+        else:
+            delta.abort_request(undo)
+        if outcome.endswith("freeze"):
+            frozen = delta.freeze()
+            assert [tuple(row) for row in frozen.matrix().tolist()] == list(delta._inserts)
+            assert {tuple(row) for row in frozen.tombstone_matrix().tolist()} \
+                == delta._tombstones
+            assert frozen.tombstone_count() == len(delta._tombstones)
+
+
 def test_interleavings_match_rdflib():
     """Cross-implementation differential check (skipped without rdflib)."""
     rdflib = pytest.importorskip("rdflib")

@@ -276,6 +276,20 @@ def test_a_pinned_snapshot_decodes_its_old_oids_across_update_and_compact():
         assert sorted(store.decode_rows(live)) == sorted(expected)
 
 
+def test_a_direct_result_decodes_with_its_own_version_after_compact():
+    """A direct read and its decode may straddle a compaction: the result
+    keeps the context it ran against, and that context's dictionary."""
+    store = build_rdfh_store(tiny_tpch())
+    store.update(f'INSERT DATA {{ {customer_iri(1).n3()} {NAME} "A brand-new name" . }}')
+    before = store.sparql(NAMES_OF_ONE)
+    expected = PerCellDecoder(store.dictionary).decoded_rows(before)
+    store.compact()  # value-orders the new literal: the live store re-maps its OID
+    assert before.context.dictionary is not store.dictionary
+    assert PerCellDecoder(store.dictionary).decoded_rows(before) != expected, \
+        "the compaction moved no OID the result holds"
+    _assert_same_rows(store.decode_rows(before), expected)
+
+
 # -- readers over a cold bridge beside an appending writer ------------------------------
 
 
