@@ -46,8 +46,9 @@ changes what readers see — ``update``, ``load``, ``discover_schema``,
 ``cluster``, ``compact``, ``open`` — replaces base objects instead of
 editing them and ends in :meth:`RDFStore._publish`, which moves the
 ``(generation, delta.version)`` pair and publishes the committed version
-record every read runs against; cached plans are keyed by the pair and
-nothing is invalidated, cleared or counted.  A schema becomes the store's —
+record every read runs against; cached plans are keyed by the generation
+and whether writes are pending, and nothing is invalidated, cleared or
+counted.  A schema becomes the store's —
 and its SQL catalog, with the reduced schemas registered on the previous
 one — in :meth:`RDFStore._install_schema` only, and the on-disk manifest is
 read in :mod:`repro.persist` only.
@@ -286,9 +287,9 @@ class RDFStore:
         """Base-structure generation: bumped whenever a base object
         (physical store, dictionary, schema) is replaced.  Together with
         ``delta.version`` it identifies one immutable state — the version
-        pair whose read state the snapshot registry keeps, an MVCC read
-        snapshot pins and every plan-cache key starts with.  The pair is the
-        only invalidation there is: nothing is cleared when it moves."""
+        pair whose read state the snapshot registry keeps and an MVCC read
+        snapshot pins.  Every plan-cache key starts with the generation (and
+        whether writes are pending): nothing is cleared when it moves."""
         self.metrics_registry = MetricsRegistry()
         """This store's metrics (see :mod:`repro.obs`).  *Store-lifetime*,
         not generation-lifetime: it survives rebuilds, compactions and even

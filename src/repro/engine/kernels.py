@@ -210,17 +210,18 @@ def hash_join_indices(build_arrays: Sequence[np.ndarray],
 
 
 def range_mask(values: np.ndarray, low: Optional[int] = None, high: Optional[int] = None,
-               extras: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inclusive ``[low, high]`` interval mask, with an explicit extra OID set
-    (the value-space tail of :class:`~repro.engine.plan.OidRange`)."""
+               tail: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inclusive ``[low, high]`` interval mask, or membership in ``tail``, a
+    sorted OID array (the tail literals an
+    :class:`~repro.engine.plan.OidRange` matches, resolved at run time)."""
     values = np.asarray(values)
     mask = np.ones(len(values), dtype=bool)
     if low is not None:
         mask &= values >= low
     if high is not None:
         mask &= values <= high
-    if extras is not None and len(extras):
-        mask |= np.isin(values, np.asarray(extras))
+    if tail is not None and len(tail):
+        mask |= sorted_member_mask(values, tail)
     return mask
 
 

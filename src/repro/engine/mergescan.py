@@ -63,22 +63,20 @@ def merge_property_pairs(delta, subjects: np.ndarray, objects: np.ndarray,
             np.concatenate([objects, extra[:, 1]]))
 
 
-def merged_subject_objects(delta, predicate: int, subjects: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Delta ``(input_row, object)`` matches for a vector of probe subjects.
+def merged_subject_matches(delta, predicate: Optional[int], subjects: np.ndarray,
+                           fetch: str = "o") -> tuple[np.ndarray, np.ndarray]:
+    """Delta matches of ``?s <predicate> ?o`` (``?s ?p ?o`` when ``predicate``
+    is ``None``) for a vector of probe subjects.
 
-    Returns parallel arrays: the index into ``subjects`` of each match and
-    the matching object OID — the delta half of a nested-loop index probe.
+    Returns the index into ``subjects`` of each match and an ``(n,
+    len(fetch))`` array of its ``fetch`` components — the delta half of a
+    nested-loop index probe.  Both access paths (PSO inside the predicate,
+    SPO) sort by subject, so the matches are one binary search per subject.
     """
-    pairs = delta.scan_pattern(p=predicate, fetch="so")
-    if pairs.size == 0 or subjects.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    delta_subjects, delta_objects = pairs[:, 0], pairs[:, 1]
-    order = np.argsort(delta_subjects, kind="stable")
-    delta_subjects, delta_objects = delta_subjects[order], delta_objects[order]
-    lo = np.searchsorted(delta_subjects, subjects, side="left")
-    hi = np.searchsorted(delta_subjects, subjects, side="right")
+    rows = delta.scan_pattern(p=predicate, fetch="s" + fetch)
+    if rows.size == 0 or subjects.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, len(fetch)), dtype=np.int64)
+    lo = np.searchsorted(rows[:, 0], subjects, side="left")
+    hi = np.searchsorted(rows[:, 0], subjects, side="right")
     input_rows, positions = expand_ranges(lo, hi)
-    if input_rows.size == 0:
-        return input_rows, np.empty(0, dtype=np.int64)
-    return input_rows, delta_objects[positions]
+    return input_rows, rows[positions, 1:]

@@ -19,8 +19,8 @@ from . import kernels
 from .bindings import Batch, BindingTable, emit_batches, join_tables
 from .context import ExecutionContext
 from .expressions import AggregateSpec, Expression
-from .mergescan import merge_pattern_rows, merged_subject_objects
-from .plan import OidRange, PatternTerm, PhysicalOperator, TriplePatternPlan
+from .mergescan import merge_pattern_rows, merged_subject_matches
+from .plan import NO_OIDS, OidRange, PatternTerm, PhysicalOperator, TriplePatternPlan
 
 
 class IndexScanOp(PhysicalOperator):
@@ -120,9 +120,10 @@ class IndexScanOp(PhysicalOperator):
             else:
                 columns[term.var] = values
         table = BindingTable(columns)
-        table = _apply_range(table, self.pattern.object, self.object_range)
-        table = _apply_range(table, self.pattern.subject, self.subject_range)
-        return table
+        table = _apply_range(table, self.pattern.object, self.object_range,
+                             _tail(self.object_range, context))
+        # subjects are never literals: a subject range has no tail to match
+        return _apply_range(table, self.pattern.subject, self.subject_range)
 
 
 class NestedLoopIndexJoinOp(PhysicalOperator):
@@ -130,18 +131,20 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
 
     This is the per-property join of the Default scheme: given the subjects
     produced so far, each additional property is fetched by probing the PSO
-    (or SPO) index once per subject — "hitting the index all over the
-    place".  The probes are vectorized but the *page accounting* reflects
-    the scattered positions touched, which is what makes this operator slow
-    in the cold, parse-order configuration.
+    index once per subject — "hitting the index all over the place".  The
+    probes are vectorized but the *page accounting* reflects the scattered
+    positions touched, which is what makes this operator slow in the cold,
+    parse-order configuration.
+
+    A variable predicate (``?s ?p ?o`` with ``?s`` bound by the plan so far,
+    as in ``DELETE WHERE { ?s <p> <o> . ?s ?p ?o }``) probes SPO by subject
+    prefix instead, so its cost follows the bound subjects, not the store.
     """
 
     def __init__(self, child: PhysicalOperator, pattern: TriplePatternPlan,
                  object_range: Optional[OidRange] = None) -> None:
         if not pattern.subject.is_variable:
             raise ExecutionError("NestedLoopIndexJoin expects a variable subject")
-        if pattern.predicate.is_variable:
-            raise ExecutionError("NestedLoopIndexJoin expects a constant predicate")
         self.child = child
         self.pattern = pattern
         self.object_range = object_range
@@ -155,27 +158,31 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         context.tracker.join_operations += 1
-        index = context.index_store.within_predicate("s")
-        prefix = index.prefix_row_range(self.pattern.predicate.oid)
+        predicate = self.pattern.predicate
+        if predicate.is_variable:
+            index = context.index_store.table("spo")
+            prefix = (0, len(index))
+        else:
+            index = context.index_store.within_predicate("s")
+            prefix = index.prefix_row_range(predicate.oid)
+        tail = _tail(self.object_range, context)
         for batch in self.child.batches(context):
-            yield Batch(self._probe(batch.compact(), context, index, prefix))
+            yield Batch(self._probe(batch.compact(), context, index, prefix, tail))
 
     def _probe(self, input_table: BindingTable, context: ExecutionContext,
-               index, prefix: tuple[int, int]) -> BindingTable:
-        subject_var = self.pattern.subject.var
+               index, prefix: tuple[int, int], tail: np.ndarray) -> BindingTable:
+        pattern = self.pattern
+        subject_var = pattern.subject.var
         if not input_table.has(subject_var):
             raise ExecutionError(f"join variable ?{subject_var} not produced by child operator")
 
         subjects = input_table.column(subject_var)
         if subjects.size == 0:
-            out_vars = list(input_table.variables)
-            if self.pattern.object.is_variable and self.pattern.object.var not in out_vars:
-                out_vars.append(self.pattern.object.var)
-            return BindingTable.empty(out_vars)
+            return BindingTable.empty(
+                list(dict.fromkeys([*input_table.variables, *pattern.variables()])))
 
         lo_row, hi_row = prefix
         s_column = index.column("s")
-        o_column = index.column("o")
         segment_subjects = s_column.data[lo_row:hi_row]
 
         # one probe per input row (vectorized, but accounted per probe)
@@ -186,42 +193,50 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         input_rows_arr, offsets = kernels.expand_ranges(left_positions, right_positions)
         matched = offsets + lo_row
 
-        # page accounting: the probes hit the s and o columns at scattered positions
-        objects = o_column.gather(matched) if matched.size else np.empty(0, dtype=np.int64)
+        # the slots the probe binds, one column each: (predicate,) object
+        fetch = "po" if pattern.predicate.is_variable else "o"
         if matched.size:
+            # page accounting: the probes hit the columns at scattered positions
+            found = np.column_stack([index.column(c).gather(matched) for c in fetch])
             s_column.gather(matched)
+        else:
+            found = np.empty((0, len(fetch)), dtype=np.int64)
 
         delta = context.active_delta()
         if delta is not None:
-            # drop tombstoned base pairs, then probe the delta for every subject
+            # drop tombstoned base matches, then probe the delta for every subject
             if input_rows_arr.size:
                 base_subjects = subjects[input_rows_arr]
-                keep = ~delta.pair_tombstone_mask(self.pattern.predicate.oid,
-                                                  base_subjects, objects)
-                input_rows_arr, objects = input_rows_arr[keep], objects[keep]
-            delta_rows, delta_objects = merged_subject_objects(
-                delta, self.pattern.predicate.oid, subjects)
+                if pattern.predicate.is_variable:
+                    dead = delta.tombstone_mask(np.column_stack([base_subjects, found]))
+                else:
+                    dead = delta.pair_tombstone_mask(pattern.predicate.oid,
+                                                     base_subjects, found[:, 0])
+                input_rows_arr, found = input_rows_arr[~dead], found[~dead]
+            delta_rows, delta_found = merged_subject_matches(
+                delta, None if pattern.predicate.is_variable else pattern.predicate.oid,
+                subjects, fetch)
             if delta_rows.size:
                 input_rows_arr = np.concatenate([input_rows_arr, delta_rows])
-                objects = np.concatenate([objects, delta_objects])
+                found = np.concatenate([found, delta_found])
                 # keep the output order independent of the batch size: group
                 # base and delta matches per input row, in input-row order
                 order = np.argsort(input_rows_arr, kind="stable")
-                input_rows_arr, objects = input_rows_arr[order], objects[order]
+                input_rows_arr, found = input_rows_arr[order], found[order]
 
         result = input_table.select_rows(input_rows_arr)
-        obj_term = self.pattern.object
-        if obj_term.is_variable:
-            if result.has(obj_term.var):
-                mask = result.column(obj_term.var) == objects
-                result = result.filter_mask(mask)
+        terms = (pattern.predicate, pattern.object) if len(fetch) == 2 else (pattern.object,)
+        keep = np.ones(result.num_rows, dtype=bool)
+        for term, values in zip(terms, found.T):
+            if not term.is_variable:
+                keep &= values == term.oid
+            elif result.has(term.var):
+                keep &= result.column(term.var) == values
             else:
-                result = result.with_column(obj_term.var, objects)
-                result = _apply_range(result, obj_term, self.object_range)
-        else:
-            mask = objects == obj_term.oid
-            result = result.filter_mask(mask)
-        return result
+                result = result.with_column(term.var, values)
+        if not keep.all():
+            result = result.filter_mask(keep)
+        return _apply_range(result, pattern.object, self.object_range, tail)
 
 
 class HashJoinOp(PhysicalOperator):
@@ -271,10 +286,11 @@ class FilterRangeOp(PhysicalOperator):
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
+        tail = _tail(self.oid_range, context)
         for batch in self.child.batches(context):
             values = batch.table.column(self.var)
             context.tracker.tuples_scanned += batch.live_count()
-            yield batch.mask_valid(self.oid_range.mask(values))
+            yield batch.mask_valid(self.oid_range.mask(values, tail))
 
 
 class FilterEqualOp(PhysicalOperator):
@@ -559,18 +575,24 @@ def _value_ranks(values: np.ndarray, context: ExecutionContext) -> np.ndarray:
 def _tail_anchor(context: ExecutionContext, literal) -> Optional[float]:
     """The value-ordered OID a tail literal should sort just after."""
     below = context.encoder.literal_range(None, literal, True, True)
-    if below is not None and not below.is_empty_interval():
+    if not below.is_empty_interval():
         return float(below.high)  # largest value-ordered literal OID <= value
     above = context.encoder.literal_range(literal, None, True, True)
-    if above is not None and not above.is_empty_interval():
+    if not above.is_empty_interval():
         return float(above.low) - 1.0  # just below the smallest clean literal
     return None  # no value-ordered literals at all: keep raw-OID order
 
 
-def _apply_range(table: BindingTable, term: PatternTerm, oid_range: Optional[OidRange]) -> BindingTable:
+def _tail(oid_range: Optional[OidRange], context: ExecutionContext) -> np.ndarray:
+    """A run's resolution of a range's tail literals (see :meth:`OidRange.tail_oids`)."""
+    return NO_OIDS if oid_range is None else oid_range.tail_oids(context.dictionary)
+
+
+def _apply_range(table: BindingTable, term: PatternTerm, oid_range: Optional[OidRange],
+                 tail: np.ndarray = NO_OIDS) -> BindingTable:
     if oid_range is None or oid_range.is_unbounded() or not term.is_variable:
         return table
     if not table.has(term.var):
         return table
     values = table.column(term.var)
-    return table.filter_mask(oid_range.mask(values))
+    return table.filter_mask(oid_range.mask(values, tail))

@@ -10,12 +10,12 @@ RDFscan/RDFjoin scheme evaluates the whole star in one operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import PlanError
+from ..model import ValueBounds
 from . import kernels
 from ..obs import NULL_ACTIVE_QUERY
 from .bindings import Batch, BindingTable, concat_tables
@@ -48,74 +48,77 @@ class PatternTerm:
         return f"?{self.var}" if self.is_variable else f"#{self.oid}"
 
 
+NO_OIDS = np.empty(0, dtype=np.int64)
+NO_OIDS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class OidRange:
-    """An inclusive OID interval used for pushed-down range predicates.
+    """An inclusive OID interval used for pushed-down range predicates, and
+    the literal value range it stands for.
 
-    ``extra_oids`` carries literal OIDs that satisfy the predicate in *value*
-    space but fall outside the interval in *OID* space: literals appended by
-    updates after the last value-ordering pass live at the end of the
-    dictionary regardless of their value, so a value range maps to one
-    contiguous interval over the value-ordered region plus this explicit set
-    for the tail.  Base columns only ever hold value-ordered OIDs, so the
-    interval alone stays exact for them; merged delta rows are checked
-    against the full predicate via :meth:`contains` / :meth:`mask`.
+    Literal OIDs below the dictionary's value-order watermark (its *head*)
+    are in value order, so a value range over them is the one interval
+    ``[low, high]`` — exact for every base column, and fixed for a base
+    generation: only a compaction, a clustering or a reload moves a head
+    OID, and each of them starts a new generation.  Literals a write
+    appends since (the *tail*) sit above the watermark in arrival order;
+    ``value`` keeps the range's bounds so a run matches them by value: an
+    operator resolves :meth:`tail_oids` once per run and hands the array to
+    :meth:`mask`.  A plan therefore holds no OID a later write could add,
+    and survives writes.
+
+    A pure OID interval (a zone-map push-down, a block's subject run) has no
+    ``value``; it bounds base OIDs, which all lie below the watermark.
     """
 
     low: Optional[int] = None
     high: Optional[int] = None
-    extra_oids: frozenset = frozenset()
-
-    @cached_property
-    def _sorted_extras(self) -> np.ndarray:
-        """``extra_oids`` as an ascending ``int64`` array, made once, at the
-        first :meth:`mask` (a range the planner only intersects never needs it)."""
-        return np.fromiter(sorted(self.extra_oids), dtype=np.int64, count=len(self.extra_oids))
+    value: Optional[ValueBounds] = None
 
     def is_unbounded(self) -> bool:
-        return self.low is None and self.high is None and not self.extra_oids
+        return self.low is None and self.high is None and self.value is None
 
     def is_empty_interval(self) -> bool:
         """Whether the ``[low, high]`` interval itself matches nothing.
 
-        The conventional empty sentinel is ``OidRange(1, 0)``; extras may
-        still match even when the interval is empty.
+        The conventional empty sentinel is ``OidRange(1, 0)``: no head
+        literal is in range, though a tail literal may be.
         """
         return self.low is not None and self.high is not None and self.high < self.low
 
-    def _interval_contains(self, value: int) -> bool:
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
-
     def intersect(self, other: "OidRange") -> "OidRange":
+        """Both parts tightened: the intervals intersect, and so do the value
+        bounds — a tail literal must satisfy both predicates.  A pure OID
+        interval admits no tail literal, so the result keeps a value part
+        only when both sides have one (or one side is unbounded)."""
+        if other.is_unbounded():
+            return self
+        if self.is_unbounded():
+            return other
         low = self.low if other.low is None else (other.low if self.low is None else max(self.low, other.low))
         high = self.high if other.high is None else (other.high if self.high is None else min(self.high, other.high))
+        value = (None if self.value is None or other.value is None
+                 else self.value.intersect(other.value))
+        return OidRange(low, high, value)
 
-        def in_interval(oid: int) -> bool:
-            return (low is None or oid >= low) and (high is None or oid <= high)
+    def tail_oids(self, dictionary) -> np.ndarray:
+        """The tail literals in range right now, sorted: what one run passes
+        to every :meth:`mask` it makes (nothing without a value part)."""
+        if self.value is None:
+            return NO_OIDS
+        return dictionary.literal_tail_range(self.value)
 
-        extras = frozenset(
-            oid for oid in (self.extra_oids | other.extra_oids)
-            if self.contains(oid) and other.contains(oid) and not in_interval(oid))
-        return OidRange(low, high, extras)
+    def mask(self, values: np.ndarray, tail: np.ndarray = NO_OIDS) -> np.ndarray:
+        """Which OIDs are in range: in ``[low, high]`` or in ``tail`` (the
+        run's :meth:`tail_oids`)."""
+        return kernels.range_mask(values, self.low, self.high, tail)
 
-    def contains(self, value: int) -> bool:
-        if self._interval_contains(value):
-            return True
-        return value in self.extra_oids
-
-    def mask(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains` over a NumPy OID array."""
-        return kernels.range_mask(values, self.low, self.high, self._sorted_extras)
+    def contains(self, value: int, tail: np.ndarray = NO_OIDS) -> bool:
+        return bool(self.mask(np.asarray([value], dtype=np.int64), tail)[0])
 
     def describe(self) -> str:
-        text = f"[{self.low if self.low is not None else '-inf'}, {self.high if self.high is not None else '+inf'}]"
-        if self.extra_oids:
-            text += f"+{len(self.extra_oids)}oids"
-        return text
+        return f"[{self.low if self.low is not None else '-inf'}, {self.high if self.high is not None else '+inf'}]"
 
 
 @dataclass(frozen=True)

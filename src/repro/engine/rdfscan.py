@@ -41,7 +41,7 @@ from .bindings import Batch, BindingTable, coalesce_batches, emit_batches, join_
 from .context import ExecutionContext
 from .kernels import expand_ranges, unique_keys
 from .mergescan import merge_property_pairs
-from .plan import OidRange, PhysicalOperator, StarPattern, StarProperty
+from .plan import NO_OIDS, OidRange, PhysicalOperator, StarPattern, StarProperty
 
 
 class _StarOperator(PhysicalOperator):
@@ -67,7 +67,7 @@ class _StarOperator(PhysicalOperator):
             if context.run.enabled:
                 context.run.residuals[self] = int(clustered.residual_subjects.size)
             return clustered.scan
-        return partial(_scan_index_merge, context, self.star)
+        return partial(_scan_index_merge, context, self.star, _property_tails(context, self.star))
 
 
 class RDFScanOp(_StarOperator):
@@ -120,6 +120,13 @@ class RDFJoinOp(_StarOperator):
             yield Batch(join_tables(star_table, input_table, join_vars or [subject_var]))
 
 
+def _property_tails(context: ExecutionContext, star: StarPattern) -> List[np.ndarray]:
+    """Per star property, the tail literals its range matches: resolved
+    once per operator run (see :meth:`OidRange.tail_oids`)."""
+    return [NO_OIDS if prop.oid_range is None else prop.oid_range.tail_oids(context.dictionary)
+            for prop in star.properties]
+
+
 # -- clustered-store evaluation -----------------------------------------------------
 
 
@@ -127,9 +134,9 @@ class _ClusteredStarScan:
     """One operator run's evaluation of a star over the clustered store.
 
     What does not depend on the candidate subjects is derived once per run —
-    the CS blocks holding the star, its residual subject set and, on first
-    need, the residual subjects' property pairs — so an RDFjoin pays it once,
-    not once per input batch.
+    the CS blocks holding the star, the tail literals its ranges match, its
+    residual subject set and, on first need, the residual subjects' property
+    pairs — so an RDFjoin pays it once, not once per input batch.
     """
 
     def __init__(self, context: ExecutionContext, star: StarPattern,
@@ -141,6 +148,7 @@ class _ClusteredStarScan:
         self.delta = delta = context.active_delta()
         predicates = star.predicate_oids()
         self.blocks = store.blocks_with_properties(predicates)
+        self.tails = _property_tails(context, star)
         # Subjects touched by irregular triples (spilled multi-values, dirty
         # data, subjects of no CS at all) or, MergeScan, by pending inserts or
         # tombstones on a star predicate cannot be answered from their base
@@ -162,7 +170,7 @@ class _ClusteredStarScan:
         """
         results: List[BindingTable] = []
         for block in self.blocks:
-            table = _scan_block(self.context, block, self.star, self.use_zone_maps,
+            table = _scan_block(self.context, block, self.star, self.tails, self.use_zone_maps,
                                 candidate_subjects, exclude_subjects=self.residual_subjects)
             if table.num_rows:
                 results.append(table)
@@ -193,6 +201,7 @@ class _ClusteredStarScan:
         if candidate_subjects is not None:
             subjects = np.intersect1d(subjects, candidate_subjects, assume_unique=True)
         if star.subject_range is not None and not star.subject_range.is_unbounded():
+            # subjects are never literals: a subject range has no tail to match
             subjects = subjects[star.subject_range.mask(subjects)]
         if subjects.size == 0:
             return BindingTable.empty(star.output_variables())
@@ -225,7 +234,7 @@ class _ClusteredStarScan:
                 if positions.size:
                     block_rows.append((block, positions, block.subject_column.gather(positions)))
         pairs = []
-        for prop in self.star.properties:
+        for prop, tail in zip(self.star.properties, self.tails):
             predicate = prop.predicate_oid
             parts = [(members, block.column(predicate).gather(positions))
                      for block, positions, members in block_rows
@@ -238,13 +247,14 @@ class _ClusteredStarScan:
             present = base_objects != NULL_OID
             if not prop.object_term.is_variable:
                 present &= base_objects == prop.object_term.oid
-            pairs.append(_finish_pairs(self.delta, prop, base_subjects[present],
+            pairs.append(_finish_pairs(self.delta, prop, tail, base_subjects[present],
                                        base_objects[present]))
         return pairs
 
 
 def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
-                use_zone_maps: bool, candidate_subjects: Optional[np.ndarray],
+                tails: List[np.ndarray], use_zone_maps: bool,
+                candidate_subjects: Optional[np.ndarray],
                 exclude_subjects: np.ndarray) -> BindingTable:
     n = len(block)
     if n == 0:
@@ -298,7 +308,7 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
     # evaluate constraints, reading only constrained columns first: range by
     # range for a scan, at the candidates' positions inside the ranges for
     # RDFjoin (a positional fetch, MonetDB's leftfetchjoin)
-    constrained = [p for p in star.properties
+    constrained = [(p, tail) for p, tail in zip(star.properties, tails)
                    if not p.object_term.is_variable
                    or (p.oid_range is not None and not p.oid_range.is_unbounded())
                    or p.required]
@@ -365,19 +375,20 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
     return BindingTable(columns)
 
 
-def _constraint_mask(block: CSBlock, constrained: List[StarProperty], rows: int,
-                     read: Callable[[Column], np.ndarray]) -> np.ndarray:
-    """Which of ``rows`` rows satisfy every constrained property, the rows'
-    values of a column being what ``read`` fetches from it."""
+def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.ndarray]],
+                     rows: int, read: Callable[[Column], np.ndarray]) -> np.ndarray:
+    """Which of ``rows`` rows satisfy every constrained property (each with
+    its range's tail literals), the rows' values of a column being what
+    ``read`` fetches from it."""
     mask = np.ones(rows, dtype=bool)
-    for prop in constrained:
+    for prop, tail in constrained:
         values = read(block.column(prop.predicate_oid))
         if prop.required:
             mask &= values != NULL_OID
         if not prop.object_term.is_variable:
             mask &= values == prop.object_term.oid
         if prop.oid_range is not None and not prop.oid_range.is_unbounded():
-            mask &= prop.oid_range.mask(values)
+            mask &= prop.oid_range.mask(values, tail)
     return mask
 
 
@@ -432,7 +443,7 @@ def _irregular_star_subjects(irregular: TripleTable, predicates: List[int]) -> n
 # -- parse-order (index merge) evaluation ----------------------------------------------
 
 
-def _scan_index_merge(context: ExecutionContext, star: StarPattern,
+def _scan_index_merge(context: ExecutionContext, star: StarPattern, tails: List[np.ndarray],
                       candidate_subjects: Optional[np.ndarray]) -> BindingTable:
     """Evaluate a star over the PSO/POS projections with one merge pass.
 
@@ -445,8 +456,8 @@ def _scan_index_merge(context: ExecutionContext, star: StarPattern,
     output_vars = star.output_variables()
 
     property_data: List[Tuple[StarProperty, np.ndarray, np.ndarray]] = []
-    for prop in star.properties:
-        subjects, objects = _property_pairs(context, store, prop, star.subject_range)
+    for prop, tail in zip(star.properties, tails):
+        subjects, objects = _property_pairs(context, store, prop, tail, star.subject_range)
         if prop.required and subjects.size == 0:
             return BindingTable.empty(output_vars)
         property_data.append((prop, subjects, objects))
@@ -485,7 +496,7 @@ def _scan_index_merge(context: ExecutionContext, star: StarPattern,
     return table.project(output_vars)
 
 
-def _property_pairs(context: ExecutionContext, store, prop: StarProperty,
+def _property_pairs(context: ExecutionContext, store, prop: StarProperty, tail: np.ndarray,
                     subject_range: Optional[OidRange]) -> Tuple[np.ndarray, np.ndarray]:
     """Fetch the (subject, object) pairs of one property, sorted by subject."""
     if not prop.object_term.is_variable:
@@ -496,12 +507,15 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty,
                                 fetch="so")
     else:
         rows = store.scan_pattern(p=prop.predicate_oid, fetch="so")
-    return _finish_pairs(context.active_delta(), prop, rows[:, 0], rows[:, 1], subject_range)
+    return _finish_pairs(context.active_delta(), prop, tail, rows[:, 0], rows[:, 1],
+                         subject_range)
 
 
-def _finish_pairs(delta, prop: StarProperty, subjects: np.ndarray, objects: np.ndarray,
-                  subject_range: Optional[OidRange] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge one property's base pairs with the delta, constrain and subject-sort them.
+def _finish_pairs(delta, prop: StarProperty, tail: np.ndarray, subjects: np.ndarray,
+                  objects: np.ndarray, subject_range: Optional[OidRange] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge one property's base pairs with the delta, constrain (``tail``:
+    the tail literals the property's range matches) and subject-sort them.
 
     The sort is stable, so within a subject base values stay ahead of delta
     values, each in scan order.
@@ -511,10 +525,10 @@ def _finish_pairs(delta, prop: StarProperty, subjects: np.ndarray, objects: np.n
         subjects, objects = merge_property_pairs(delta, subjects, objects,
                                                  prop.predicate_oid, constant)
     if prop.oid_range is not None and not prop.oid_range.is_unbounded():
-        mask = prop.oid_range.mask(objects)
+        mask = prop.oid_range.mask(objects, tail)
         subjects, objects = subjects[mask], objects[mask]
     if subject_range is not None and not subject_range.is_unbounded():
-        mask = subject_range.mask(subjects)
+        mask = subject_range.mask(subjects)  # subjects are never literals: no tail
         subjects, objects = subjects[mask], objects[mask]
     order = np.argsort(subjects, kind="stable")
     return subjects[order], objects[order]

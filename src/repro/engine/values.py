@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..model import Literal, Term, TermDictionary
+from ..model import Literal, Term, TermDictionary, ValueBounds
 from .plan import OidRange
 
 
@@ -52,27 +52,24 @@ class ValueEncoder:
         high: Optional[Literal],
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Optional[OidRange]:
+    ) -> OidRange:
         """Translate a literal value range to an :class:`OidRange`.
 
         Literal OIDs below the dictionary's value-order watermark form one
         contiguous OID interval per value range (exact for every base
         column).  Literals appended by updates after the last value-ordering
-        pass are out of OID order, so the ones whose *value* falls in range
-        are carried individually in :attr:`OidRange.extra_oids`; merged
-        delta scans check them explicitly.  Returns ``None`` when no stored
-        literal satisfies the range at all.
+        pass are out of OID order; the range keeps its value bounds, and a
+        run resolves which of them match (:meth:`OidRange.tail_oids`).  No
+        head literal in range gives the empty interval ``[1, 0]`` with the
+        bounds — never "unsatisfiable", since a later write may insert a
+        matching literal.
         """
-        clean, extras = self.dictionary.literal_value_range(
-            low, high, low_inclusive, high_inclusive)
-        if not clean.size and not extras:
-            return None
-        extra_oids = frozenset(extras)
-        if clean.size:
-            # clean OIDs are value-ordered, so the value slice is one OID run
-            return OidRange(int(clean[0]), int(clean[-1]), extra_oids)
-        # nothing in the value-ordered region: an empty interval plus extras
-        return OidRange(1, 0, extra_oids)
+        bounds = ValueBounds.of(low, high, low_inclusive, high_inclusive)
+        head = self.dictionary.literal_value_range(bounds)
+        if head.size:
+            # head OIDs are value-ordered, so the value slice is one OID run
+            return OidRange(int(head[0]), int(head[-1]), bounds)
+        return OidRange(1, 0, bounds)
 
 
 class ValueDecoder:

@@ -1,6 +1,6 @@
 """RDF data model: terms, triples, graphs and dictionary encoding."""
 
-from .dictionary import TermDictionary
+from .dictionary import TermDictionary, ValueBounds
 from .graph import Graph
 from .terms import (
     BNode,
@@ -37,6 +37,7 @@ __all__ = [
     "Term",
     "TermDictionary",
     "Triple",
+    "ValueBounds",
     "XSD",
     "XSD_BOOLEAN",
     "XSD_DATE",

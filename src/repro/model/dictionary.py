@@ -15,12 +15,15 @@ reproduction:
   range predicates can be evaluated on OIDs directly.
   :meth:`TermDictionary.reassign_value_ordered_literals` implements that.
 * **The literal order index.**  The dictionary owns the one index that maps
-  a value range to literal OIDs (:meth:`TermDictionary.literal_value_range`):
-  a *head* — the literal OIDs below the value-order watermark, ascending,
-  which by the invariant above already *is* value order, so it is never
-  sorted and stores no keys — plus a small value-sorted *tail* of the
-  literals appended since.  Lookups bisect with a key function that decodes
-  only the O(log n) probed terms.
+  a value range (:class:`ValueBounds`) to literal OIDs: a *head* — the
+  literal OIDs below the value-order watermark, ascending, which by the
+  invariant above already *is* value order, so it is never sorted and stores
+  no keys — plus a small value-sorted *tail* of the literals appended since.
+  A plan asks the head for its OID interval
+  (:meth:`TermDictionary.literal_value_range`), which no write moves; a run
+  asks the tail for its matches (:meth:`TermDictionary.literal_tail_range`),
+  which every write may extend.  Lookups bisect with a key function that
+  decodes only the O(log n) probed terms.
 * **The value bridge.**  The engine runs on OIDs and leaves OID space in two
   places only: arithmetic / aggregation needs the number behind an OID, the
   final result the Python value.  The dictionary answers both one *column*
@@ -56,6 +59,52 @@ _MATERIALIZED = default_registry().counter(
 
 _NO_OIDS = np.empty(0, dtype=np.int64)
 _NAN = float("nan")
+
+
+class ValueBounds(NamedTuple):
+    """A literal value range as ``term_sort_key`` bounds; ``None`` leaves a
+    side open."""
+
+    low: Optional[tuple] = None
+    high: Optional[tuple] = None
+    low_inclusive: bool = True
+    high_inclusive: bool = True
+
+    @classmethod
+    def of(cls, low: Optional[Literal], high: Optional[Literal],
+           low_inclusive: bool = True, high_inclusive: bool = True) -> "ValueBounds":
+        return cls(None if low is None else term_sort_key(low),
+                   None if high is None else term_sort_key(high),
+                   low_inclusive, high_inclusive)
+
+    def intersect(self, other: "ValueBounds") -> "ValueBounds":
+        """The values both ranges admit: the higher low and the lower high
+        bound, exclusive where either side excludes a shared key."""
+        low, low_inclusive = _tighter(self.low, self.low_inclusive,
+                                      other.low, other.low_inclusive, higher=True)
+        high, high_inclusive = _tighter(self.high, self.high_inclusive,
+                                        other.high, other.high_inclusive, higher=False)
+        return ValueBounds(low, high, low_inclusive, high_inclusive)
+
+    def select(self, entries, key) -> list:
+        """The run of ``entries`` (sorted by ``key``) inside the bounds."""
+        lo, hi = 0, len(entries)
+        if self.low is not None:
+            lo = (bisect_left if self.low_inclusive else bisect_right)(
+                entries, self.low, key=key)
+        if self.high is not None:
+            hi = (bisect_right if self.high_inclusive else bisect_left)(
+                entries, self.high, lo, key=key)
+        return entries[lo:hi]
+
+
+def _tighter(key, inclusive, other_key, other_inclusive, higher: bool):
+    """The tighter of two bounds on one side of a range."""
+    if key is None:
+        return other_key, other_inclusive
+    if other_key is None or key == other_key:
+        return key, inclusive and (other_key is None or other_inclusive)
+    return (key, inclusive) if (key > other_key) == higher else (other_key, other_inclusive)
 
 
 class _ValueBridge(NamedTuple):
@@ -488,34 +537,22 @@ class TermDictionary:
         if self._literal_tail[0] < size:
             self._literal_tail = (size, self._tail_through(size))
 
-    def literal_value_range(
-        self,
-        low: Optional[Literal],
-        high: Optional[Literal],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Literal OIDs whose value lies between ``low`` and ``high``.
+    def literal_value_range(self, bounds: ValueBounds) -> np.ndarray:
+        """The head literals whose value lies within ``bounds``: a view of
+        ascending OIDs, so its first and last element bound one OID interval.
+        Fixed for the dictionary's lifetime, since appends only grow the
+        tail — what a plan may keep."""
+        return bounds.select(self._literal_head, self._literal_key)
 
-        Returns ``(head_run, tail_oids)``: the in-range slice of the
-        value-ordered head — a view of ascending OIDs, so its first and last
-        element bound one OID interval — and the in-range literals of the
-        tail, which sit outside that interval in OID space.  ``None`` leaves
-        a side unbounded.
-        """
-        low_key = None if low is None else term_sort_key(low)
-        high_key = None if high is None else term_sort_key(high)
-
-        def in_range(entries, key):
-            lo, hi = 0, len(entries)
-            if low_key is not None:
-                lo = (bisect_left if low_inclusive else bisect_right)(entries, low_key, key=key)
-            if high_key is not None:
-                hi = (bisect_right if high_inclusive else bisect_left)(
-                    entries, high_key, lo, key=key)
-            return entries[lo:hi]
-
-        tail = self._tail_through(len(self._oid_to_term))
-        return (in_range(self._literal_head, self._literal_key),
-                [oid for _key, oid in in_range(tail, itemgetter(0))])
+    def literal_tail_range(self, bounds: ValueBounds) -> np.ndarray:
+        """The tail literals whose value lies within ``bounds``, as a sorted
+        ``int64`` array: the part of a value range outside its head interval,
+        which every write may extend — what a run resolves, once.  Costs a
+        bisect of an empty list while nothing was appended since the last
+        value-ordering pass."""
+        entries = bounds.select(self._tail_through(len(self._oid_to_term)), itemgetter(0))
+        if not entries:
+            return _NO_OIDS
+        return np.sort(np.fromiter(map(itemgetter(1), entries), dtype=np.int64,
+                                   count=len(entries)))
 

@@ -3,7 +3,7 @@ planner and cost-based optimizer behind it, the plan cache and the engine
 that prepares and runs queries (see ``docs/architecture.md`` §5)."""
 
 from .engine import Frontend, QueryEngine, QueryResult
-from .logical import LogicalQuery, numeric_expression
+from .logical import LogicalQuery, numeric_expression, unique_names
 from .optimizer import PlanCache, QueryOptimizer
 from .planner import (
     DEFAULT_SCHEME,
@@ -26,4 +26,5 @@ __all__ = [
     "QueryResult",
     "RDFSCAN_SCHEME",
     "numeric_expression",
+    "unique_names",
 ]

@@ -48,7 +48,9 @@ class QueryResult:
     :class:`repro.obs.QueryTrace` when it was traced, otherwise ``None``.
     ``context`` is the execution context the query ran against: its
     dictionary is the one that decodes the bindings' OIDs, whatever the
-    store has published since.
+    store has published since.  ``columns`` are the output names as the
+    query wrote them, ``keys`` the binding name of each (they differ only
+    where two select items share an output name).
     """
 
     bindings: BindingTable
@@ -57,6 +59,11 @@ class QueryResult:
     columns: List[str]
     run: object = NULL_ACTIVE_QUERY
     context: Optional[ExecutionContext] = None
+    keys: Optional[List[str]] = None
+
+    def __post_init__(self) -> None:
+        if self.keys is None:
+            self.keys = list(self.columns)
 
     @property
     def trace(self) -> Optional[object]:
@@ -65,7 +72,7 @@ class QueryResult:
     def rows(self) -> List[tuple]:
         """OID/value rows in column order."""
         return self._zipped(
-            [self.bindings.column(name).tolist() for name in self.columns])
+            [self.bindings.column(key).tolist() for key in self.keys])
 
     def decoded_rows(self, context: ExecutionContext) -> List[tuple]:
         """Rows with OIDs decoded back to Python values (floats stay floats).
@@ -75,8 +82,8 @@ class QueryResult:
         dictionary's value bridge.
         """
         columns = []
-        for name in self.columns:
-            values = self.bindings.column(name)
+        for key in self.keys:
+            values = self.bindings.column(key)
             columns.append(values.tolist() if values.dtype.kind == "f"
                            else context.decoder.python_column(values))
         return self._zipped(columns)
@@ -96,10 +103,14 @@ class QueryEngine:
 
     An optional :class:`PlanCache` makes repeated queries skip parsing,
     lowering and planning.  :class:`~repro.core.RDFStore` has one engine per
-    store version, all wired to its one cache; ``version`` — the
-    (generation, delta version) pair the context describes — is part of
-    every key, so a snapshot pinned on an old version can neither take nor
-    leave a plan the current version would use.
+    store version, all wired to its one cache; ``version`` — what a plan
+    reads of the context's state: its base generation and whether writes
+    are pending — is part of every key, so every version of one generation
+    with pending writes shares its plans, and a pinned snapshot of an older
+    generation can neither take nor leave a plan the current one would use.
+    A hit is re-checked against the context's dictionary: a plan lowered
+    while one of its constants was absent is re-planned once a write has
+    added it (:attr:`LogicalQuery.absent_terms`).
     """
 
     def __init__(self, context: ExecutionContext, frontends: Iterable[Frontend],
@@ -142,7 +153,7 @@ class QueryEngine:
         key = None
         if self.plan_cache is not None:
             key = self.version + PlanCache.make_key(frontend, text, options)
-            cached = self.plan_cache.lookup(key)
+            cached = self.plan_cache.lookup(key, self._still_valid)
             if cached is not None:
                 return cached
         started = time.perf_counter()
@@ -155,6 +166,11 @@ class QueryEngine:
         if key is not None:
             self.plan_cache.insert(key, prepared)
         return prepared
+
+    def _still_valid(self, prepared: Tuple[LogicalQuery, PhysicalOperator]) -> bool:
+        """Whether no constant the plan's lowering found absent exists now."""
+        lookup = self.context.dictionary.lookup_term
+        return all(lookup(term) is None for term in prepared[0].absent_terms)
 
     def plan_parsed(self, frontend: str, parsed: object,
                     options: PlannerOptions) -> Tuple[LogicalQuery, PhysicalOperator]:
@@ -200,4 +216,4 @@ class QueryEngine:
         bindings, cost = execute_plan(plan, context)
         return QueryResult(bindings=bindings, cost=cost, plan=plan,
                            columns=logical.output_names(), run=run,
-                           context=self.context)
+                           context=self.context, keys=logical.output_keys())

@@ -23,6 +23,7 @@ from ..engine import (
     StarPattern,
     TriplePatternPlan,
 )
+from ..model import Term
 
 
 @dataclass
@@ -52,10 +53,23 @@ class LogicalQuery:
     """Why the pattern block is statically empty (a constant absent from the
     data, an unsatisfiable filter), or ``None``.  The modifiers still apply:
     ``COUNT`` over nothing is one row."""
+    absent_terms: List[Term] = field(default_factory=list)
+    """Every constant the lowering looked up and did not find (a pattern
+    constant, a SPARQL ``=`` / ``!=`` operand, a SQL ``!=`` operand).  The
+    plan is valid while none of them exists: within one base generation the
+    dictionary only grows, so :meth:`QueryEngine.prepare
+    <repro.planner.QueryEngine.prepare>` re-plans a cached query once one
+    of them appears."""
 
     def output_names(self) -> List[str]:
         """The result column names in SELECT order."""
         return [name for _var, name in self.output]
+
+    def output_keys(self) -> List[str]:
+        """The binding name of each result column: its output name, made
+        unique with a ``#<position>`` suffix where select items share one
+        (``SELECT a AS x, b AS x``), so every item keeps its own column."""
+        return unique_names(self.output_names())
 
     def modifier_variables(self) -> List[str]:
         """Every variable the filters and modifiers read, so a plan for an
@@ -67,6 +81,17 @@ class LogicalQuery:
         names.extend(var for var, _descending in self.order_by)
         names.extend(var for var, _name in self.output)
         return list(dict.fromkeys(names))
+
+
+def unique_names(names: List[str]) -> List[str]:
+    """``names`` with each repeat suffixed by its 1-based position."""
+    seen: set = set()
+    keys = []
+    for position, name in enumerate(names, start=1):
+        key = name if name not in seen else f"{name}#{position}"
+        seen.add(key)
+        keys.append(key)
+    return keys
 
 
 def numeric_expression(node: object, variable_of: Callable[[object], str]) -> Expression:

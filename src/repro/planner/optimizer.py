@@ -18,8 +18,10 @@ The heuristic planner orders stars by counting constraints.  The
 
 The :class:`PlanCache` keeps recently planned queries keyed on their front
 end, normalized text and planner options, so repeated queries — SPARQL or
-SQL — skip parsing and planning entirely; every engine scopes its keys by the
-store version it reads, so a changed store simply stops asking for old plans.
+SQL — skip parsing and planning entirely; every engine scopes its keys by
+what a plan reads of the store — its base generation and whether writes are
+pending — so writes keep hitting and a new generation stops asking for old
+plans.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..columnar import CardinalityEstimator
 from ..columnar.stats import (
@@ -230,14 +232,16 @@ class QueryOptimizer:
             return est.join_cardinality(child, star_rows, child, star_subjects)
         if isinstance(plan, NestedLoopIndexJoinOp):
             child = child_estimates[0]
-            o = plan.pattern.object
+            p, o = plan.pattern.predicate, plan.pattern.object
             pattern_rows = est.pattern_cardinality(
-                p=plan.pattern.predicate.oid,
+                p=None if p.is_variable else p.oid,
                 o=None if o.is_variable else o.oid,
                 object_range=plan.object_range,
             )
-            subjects = max(est.distinct_subjects(plan.pattern.predicate.oid), 1.0)
-            return child * pattern_rows / subjects
+            # a variable predicate probes every triple of a subject
+            subjects = (est.total_subjects() if p.is_variable
+                        else est.distinct_subjects(p.oid))
+            return child * pattern_rows / max(subjects, 1.0)
         if isinstance(plan, HashJoinOp):
             left, right = child_estimates
             return est.join_cardinality(left, right, max(left, 1.0), max(right, 1.0))
@@ -293,14 +297,26 @@ class PlanCache:
     observes on its own :class:`repro.obs.ActiveQuery`, so any number of
     snapshots may execute one cached plan at the same time.
 
-    A plan is valid for one state of the data: it embeds constant OIDs and
-    zone-map push-downs, and a SQL plan also whether a write was pending
-    when it was made (columns are nullable under a pending delta).  That is
-    safe because every engine puts the (generation, delta version) pair it
-    reads in front of its keys: the pair is the only invalidation.  Nothing
-    clears the cache when the store changes — a superseded version's plans
-    are never asked for again and leave by LRU, while a snapshot pinned on
-    an older version keeps hitting its own.
+    A plan is valid for a whole base generation, not for one write.  It
+    embeds constant OIDs, head OID intervals and zone-map push-downs, all
+    fixed until compaction, clustering or a reload starts a new generation;
+    it reads the pending delta and the literal tail only at run time; and it
+    depends on whether a write is pending (zone-map push-down pauses, SQL
+    columns become nullable).  Every engine therefore puts ``(generation,
+    pending)`` in front of its keys: the first write after a clean state
+    and every new generation miss once, and every later write hits.  What
+    the key cannot see is a constant that was absent at plan time and a
+    write has since added: the lookup's ``valid`` check (the engine's
+    re-check of :attr:`LogicalQuery.absent_terms
+    <repro.planner.LogicalQuery.absent_terms>`) turns such a hit into a miss.
+    Within a generation the dictionary only grows, so this is sound for
+    newer readers and for snapshots pinned on older versions alike.
+    Nothing clears the cache when the store changes — a superseded
+    generation's plans are never asked for again and leave by LRU.
+
+    A surviving plan keeps the estimates it was made with: the ``est=`` of
+    ``explain()`` may describe an earlier delta than the run's.  Estimates
+    order stars; they never change an answer.
     """
 
     _QUOTED = re.compile(r""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'""")
@@ -334,11 +350,14 @@ class PlanCache:
         parts.append(" ".join(text[last:].split()))
         return (frontend, " ".join(part for part in parts if part), options)
 
-    def lookup(self, key: tuple):
-        """Return the cached entry (refreshing recency) or ``None``."""
+    def lookup(self, key: tuple, valid: Optional[Callable[[object], bool]] = None):
+        """Return the cached entry (refreshing recency) or ``None``.
+
+        An entry ``valid`` rejects counts as a miss; the caller's
+        :meth:`insert` then replaces it."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or (valid is not None and not valid(entry)):
                 self.lifetime_misses += 1
                 return None
             self._entries.move_to_end(key)

@@ -9,7 +9,9 @@ reproduce the two halves of Table I, the third adds the cost-based layer:
   and loose patterns with hash joins;
 * ``rdfscan`` — each star is handed to a single RDFscan; stars connected
   over a discovered foreign key become RDFjoins fed by the upstream star;
-  stars are ordered by a constraint-counting heuristic;
+  stars are ordered by a constraint-counting heuristic; a loose pattern
+  whose subject is already bound (``?s ?p ?o``) is a nested-loop probe of
+  SPO per subject;
 * ``optimized`` — the RDFscan/RDFjoin physical algebra, but the star order
   is chosen by the cost-based :class:`~repro.planner.QueryOptimizer` from
   estimated cardinalities (CS statistics, column statistics, exact index
@@ -150,8 +152,13 @@ class Planner:
                 root = self._connect_star(root, star, planned_vars, options)
             planned_vars.update(star.output_variables())
         for pattern, object_range in logical.loose:
-            root = self._hash_join(root, IndexScanOp(pattern, object_range=object_range),
-                                   planned_vars, pattern.variables())
+            if (scheme != DEFAULT_SCHEME and pattern.subject.is_variable
+                    and pattern.subject.var in planned_vars):
+                # ?s ?p ?o with ?s bound: probe SPO per subject, not scan it all
+                root = NestedLoopIndexJoinOp(root, pattern, object_range=object_range)
+            else:
+                root = self._hash_join(root, IndexScanOp(pattern, object_range=object_range),
+                                       planned_vars, pattern.variables())
             planned_vars.update(pattern.variables())
         return root
 
@@ -233,7 +240,9 @@ class Planner:
         block_of_star: Dict[str, object] = {}
         for subject_var, star in star_patterns.items():
             blocks = store.blocks_with_properties(star.predicate_oids())
-            if len(blocks) == 1:
+            # ranges derived from a block's rows are exact only when the block
+            # holds every answer: no irregular triple carries a star predicate
+            if len(blocks) == 1 and not _has_irregular(store, star):
                 block_of_star[subject_var] = blocks[0]
 
         # pass 1: subject ranges from range predicates over sub-ordered columns
@@ -317,8 +326,17 @@ class Planner:
         if logical.limit is not None:
             root = LimitOp(root, logical.limit)
         if logical.output:
-            root = ProjectOp(root, logical.output)
+            root = ProjectOp(root, [(var, key) for (var, _name), key
+                                    in zip(logical.output, logical.output_keys())])
         return root
+
+
+def _has_irregular(store, star: StarPattern) -> bool:
+    """Whether an irregular triple carries one of the star's predicates
+    (binary searches of the irregular table, no page read)."""
+    irregular = store.irregular
+    return bool(len(irregular)) and any(
+        hi > lo for lo, hi in map(irregular.prefix_row_range, star.predicate_oids()))
 
 
 def _property_pattern(star: StarPattern, prop: StarProperty) -> TriplePatternPlan:

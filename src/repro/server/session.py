@@ -13,9 +13,12 @@ state:
   half of the pending writes;
 * one :class:`~repro.engine.ExecutionContext` and one query engine (SPARQL
   and SQL) wired to those references and to the store's one plan cache,
-  under keys scoped by the version pair — the only invalidation there is:
-  nothing clears the cache, so a pinned version keeps hitting its own
-  plans whatever the store does afterwards.
+  under keys scoped by what a plan reads — the base generation and whether
+  writes are pending, not the delta version: a plan reads the delta and
+  the literal tail at run time, so every version of a generation with
+  pending writes shares its plans, before and after each write.  Nothing
+  clears the cache; a hit whose lowering missed a constant a write has
+  since added is re-planned (see :class:`~repro.planner.PlanCache`).
 
 The writer builds the record once per committed version, as the last step
 of every transition, and the :class:`SnapshotRegistry` *publishes* it with
@@ -77,7 +80,10 @@ class StoreVersion:
         frontends = [SPARQL_FRONTEND]
         if self.catalog is not None:
             frontends.append(sql_frontend(self.catalog))
-        self.engine = QueryEngine(self.context, frontends, store.plan_cache, version=key)
+        # plans key on what they read: the base generation, and whether the
+        # pending delta is empty; the delta itself is read at run time
+        self.engine = QueryEngine(self.context, frontends, store.plan_cache,
+                                  version=(store.generation, self.delta is not None))
         self.base_triples = store.triple_count()
 
     def drop_pages(self) -> None:

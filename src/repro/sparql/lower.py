@@ -3,13 +3,15 @@
 Patterns sharing a subject variable are grouped into star patterns; FILTER
 comparisons over literals are translated to OID ranges (the loader assigns
 value-ordered literal OIDs) and attached to the star properties and
-subjects they restrict.  No operator is built here.
+subjects they restrict.  Every constant the dictionary does not hold is
+recorded on the logical query, so a cached plan knows when a write made it
+stale.  No operator is built here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..engine import (
     AggregateSpec,
@@ -20,7 +22,7 @@ from ..engine import (
     StarProperty,
     TriplePatternPlan,
 )
-from ..model import Literal
+from ..model import Literal, Term
 from ..planner import LogicalQuery, numeric_expression
 from .ast import Comparison, SelectQuery, Variable
 
@@ -54,18 +56,24 @@ def lower_select(query: SelectQuery, context: ExecutionContext) -> LogicalQuery:
     if not query.patterns:
         logical.empty = "no patterns"
         return logical
-    constraints = _translate_filters(query, context)
+
+    def oid_of(term: Term) -> Optional[int]:
+        oid = context.encoder.term_oid(term)
+        if oid is None:
+            logical.absent_terms.append(term)
+        return oid
+
+    constraints = _translate_filters(query, context, oid_of)
     if any(constraint.unsatisfiable for constraint in constraints.values()):
         logical.empty = "unsatisfiable filter"
         return logical
-    encoder = context.encoder
     for pattern in query.patterns:
         subject, predicate = pattern.subject, pattern.predicate
         in_star = isinstance(subject, Variable) and not isinstance(predicate, Variable)
-        predicate_oid = encoder.term_oid(predicate) if in_star else None
-        obj = _pattern_term(pattern.object, context)
-        loose_terms = () if in_star else (_pattern_term(subject, context),
-                                          _pattern_term(predicate, context))
+        predicate_oid = oid_of(predicate) if in_star else None
+        obj = _pattern_term(pattern.object, oid_of)
+        loose_terms = () if in_star else (_pattern_term(subject, oid_of),
+                                          _pattern_term(predicate, oid_of))
         if obj is None or None in loose_terms or (in_star and predicate_oid is None):
             logical.empty = "unknown term"  # a constant the data never mentions
             return logical
@@ -91,27 +99,31 @@ def lower_select(query: SelectQuery, context: ExecutionContext) -> LogicalQuery:
     return logical
 
 
-def _pattern_term(node, context: ExecutionContext) -> Optional[PatternTerm]:
+_OidOf = Callable[[Term], Optional[int]]
+"""A term's OID, ``None`` (and recorded as absent) when the data lacks it."""
+
+
+def _pattern_term(node, oid_of: _OidOf) -> Optional[PatternTerm]:
     if isinstance(node, Variable):
         return PatternTerm.variable(node.name)
-    oid = context.encoder.term_oid(node)
+    oid = oid_of(node)
     return None if oid is None else PatternTerm.constant(oid)
 
 
-def _translate_filters(query: SelectQuery, context: ExecutionContext) -> Dict[str, _VarConstraint]:
+def _translate_filters(query: SelectQuery, context: ExecutionContext,
+                       oid_of: _OidOf) -> Dict[str, _VarConstraint]:
     constraints: Dict[str, _VarConstraint] = {}
     for comparison in query.filters:
         _push_comparison(constraints.setdefault(comparison.variable, _VarConstraint()),
-                         comparison, context)
+                         comparison, context, oid_of)
     return constraints
 
 
 def _push_comparison(constraint: _VarConstraint, comparison: Comparison,
-                     context: ExecutionContext) -> None:
+                     context: ExecutionContext, oid_of: _OidOf) -> None:
     value = comparison.value
-    encoder = context.encoder
     if comparison.op in ("=", "!="):
-        oid = encoder.term_oid(value)
+        oid = oid_of(value)
         if comparison.op == "=":
             if oid is None:
                 constraint.unsatisfiable = True
@@ -133,8 +145,5 @@ def _push_comparison(constraint: _VarConstraint, comparison: Comparison,
     else:
         high = value
         high_inclusive = comparison.op == "<="
-    bounds = encoder.literal_range(low, high, low_inclusive, high_inclusive)
-    if bounds is None:
-        constraint.unsatisfiable = True
-    else:
-        constraint.oid_range = constraint.oid_range.intersect(bounds)
+    bounds = context.encoder.literal_range(low, high, low_inclusive, high_inclusive)
+    constraint.oid_range = constraint.oid_range.intersect(bounds)

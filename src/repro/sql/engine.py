@@ -34,6 +34,7 @@ from ..planner import (
     QueryEngine,
     QueryResult,
     numeric_expression,
+    unique_names,
 )
 from .catalog import Catalog, CatalogTable, ID_COLUMN
 from .parser import ColumnRef, SqlConstant, SqlQuery, parse_sql
@@ -104,6 +105,9 @@ class _Lowering:
         self.join_keys = [(self._column_key(join.left), self._column_key(join.right))
                           for join in query.joins]
         self.var_names = self._assign_variables()
+        self.item_keys = unique_names([item.output_name() for item in query.select_items])
+        """One binding name per select item: what an aggregate item is
+        computed as (the planner names every output column the same way)."""
 
     def logical_query(self) -> LogicalQuery:
         query = self.query
@@ -111,23 +115,26 @@ class _Lowering:
                                output=self._output_columns())
         for predicate in query.predicates:
             if predicate.op == "!=":
-                oid = self.context.encoder.term_oid(_constant_to_literal(predicate.constant))
-                if oid is not None:
+                literal = _constant_to_literal(predicate.constant)
+                oid = self.context.encoder.term_oid(literal)
+                if oid is None:
+                    logical.absent_terms.append(literal)
+                else:
                     logical.not_equal.append((self._var_of(predicate.column), oid))
         logical.group_vars = [self._var_of(ref) for ref in query.group_by]
         logical.aggregates = [
             AggregateSpec(func=item.aggregate,
                           expression=numeric_expression(item.expression, self._var_of),
-                          alias=item.output_name())
-            for item in query.select_items if item.aggregate]
+                          alias=key)
+            for item, key in zip(query.select_items, self.item_keys) if item.aggregate]
         # an ORDER BY key names a select item (its alias, or the column it
-        # outputs) or any column of the FROM tables
-        items = {item.output_name(): item for item in query.select_items}
+        # outputs; the first one of that name) or any column of the FROM tables
+        items = {}
+        for item, key in zip(query.select_items, self.item_keys):
+            items.setdefault(item.output_name(), (item, key))
         for order in query.order_by:
-            item = items.get(order.column.column)
-            if item is not None and item.aggregate:
-                key = item.output_name()
-            else:
+            item, key = items.get(order.column.column, (None, None))
+            if item is None or not item.aggregate:
                 key = self._var_of(item.column if item is not None else order.column)
             logical.order_by.append((key, order.descending))
         return logical
@@ -257,8 +264,7 @@ class _Lowering:
             else:
                 bounds = encoder.literal_range(None, literal, True, op == "<=")
             var = self._var_of(predicate.column)
-            # no literal in range: the empty interval
-            ranges[var] = ranges.get(var, OidRange()).intersect(bounds or OidRange(low=1, high=0))
+            ranges[var] = ranges.get(var, OidRange()).intersect(bounds)
         return ranges
 
     def _output_columns(self) -> List[Tuple[str, str]]:
@@ -268,8 +274,8 @@ class _Lowering:
             return [(var, var) for alias, table in self.tables.items()
                     for var in (self.var_names[(alias, column.name.lower())]
                                 for column in table.columns)]
-        return [(item.output_name() if item.aggregate else self._var_of(item.column),
-                 item.output_name()) for item in query.select_items]
+        return [(key if item.aggregate else self._var_of(item.column), item.output_name())
+                for item, key in zip(query.select_items, self.item_keys)]
 
 
 # -- helpers --------------------------------------------------------------------------------

@@ -7,7 +7,8 @@ store started routing rows through the schema's membership arrays:
 
 * :func:`sorted_literal_oids` / :func:`oracle_literal_range` — the full
   Python sort of every literal plus bisect over a materialised key list
-  that ``ValueEncoder`` used to rebuild after every update;
+  that ``ValueEncoder`` used to rebuild after every update, and
+  :func:`in_literal_range`, a range decided from the decoded term;
 * :func:`star_over_union` — the per-subject loop that answered a star for
   residual subjects from block + irregular + delta data, one subject and
   one cartesian product at a time;
@@ -138,8 +139,10 @@ def sorted_literal_oids(dictionary: TermDictionary) -> List[int]:
 
 def oracle_literal_range(dictionary: TermDictionary, low: Optional[Literal],
                          high: Optional[Literal], low_inclusive: bool = True,
-                         high_inclusive: bool = True) -> Optional[OidRange]:
-    """What ``ValueEncoder.literal_range`` must return, by brute force."""
+                         high_inclusive: bool = True) -> Tuple[int, int, List[int]]:
+    """What ``ValueEncoder.literal_range`` must resolve to, by brute force:
+    its head interval (``(1, 0)`` when no head literal is in range) and the
+    ascending tail literals in range, which a run resolves."""
     oids = sorted_literal_oids(dictionary)
     keys = [term_sort_key(dictionary.decode(oid)) for oid in oids]
     lo_idx, hi_idx = 0, len(keys)
@@ -149,23 +152,40 @@ def oracle_literal_range(dictionary: TermDictionary, low: Optional[Literal],
     if high is not None:
         key = term_sort_key(high)
         hi_idx = bisect_right(keys, key) if high_inclusive else bisect_left(keys, key)
-    if hi_idx <= lo_idx:
-        return None
     watermark = dictionary.value_order_watermark
-    in_range = oids[lo_idx:hi_idx]
+    in_range = oids[lo_idx:max(lo_idx, hi_idx)]
     clean = [oid for oid in in_range if oid < watermark]
-    extras = frozenset(oid for oid in in_range if oid >= watermark)
-    if clean:
-        return OidRange(clean[0], clean[-1], extras)
-    return OidRange(1, 0, extras)
+    tail = sorted(oid for oid in in_range if oid >= watermark)
+    return (clean[0], clean[-1], tail) if clean else (1, 0, tail)
+
+
+def in_literal_range(dictionary: TermDictionary, oid: int, oid_range: OidRange) -> bool:
+    """Whether an OID satisfies a range, decided from its term: in the head
+    interval, or a tail literal whose value is within the range's bounds."""
+    if oid_range.contains(oid):
+        return True
+    bounds = oid_range.value
+    if bounds is None or oid < dictionary.value_order_watermark:
+        return False
+    term = dictionary.decode(oid)
+    if not isinstance(term, Literal):
+        return False
+    key = term_sort_key(term)
+    if bounds.low is not None and (key < bounds.low or (key == bounds.low
+                                                         and not bounds.low_inclusive)):
+        return False
+    return bounds.high is None or key < bounds.high or (key == bounds.high
+                                                        and bounds.high_inclusive)
 
 
 # -- the residual star scan ------------------------------------------------------------
 
 
 def star_over_union(store, star: StarPattern, subjects: np.ndarray,
-                    candidate_subjects: Optional[np.ndarray], delta=None) -> BindingTable:
-    """Answer the star for specific subjects, one subject at a time."""
+                    candidate_subjects: Optional[np.ndarray], delta=None,
+                    dictionary: Optional[TermDictionary] = None) -> BindingTable:
+    """Answer the star for specific subjects, one subject at a time
+    (``dictionary`` decides which tail literals a range matches)."""
     if candidate_subjects is not None:
         subjects = np.intersect1d(subjects, candidate_subjects)
     rows: Dict[str, List[int]] = {name: [] for name in star.output_variables()}
@@ -179,7 +199,7 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
         for prop in star.properties:
             values = _property_values_for_subject(store, block, subject,
                                                   prop.predicate_oid, delta)
-            values = [v for v in values if _value_matches(v, prop)]
+            values = [v for v in values if _value_matches(v, prop, dictionary)]
             if not values:
                 if prop.required:
                     satisfiable = False
@@ -214,12 +234,14 @@ def _property_values_for_subject(store, block, subject: int, predicate: int,
     return values
 
 
-def _value_matches(value: int, prop: StarProperty) -> bool:
+def _value_matches(value: int, prop: StarProperty,
+                   dictionary: Optional[TermDictionary]) -> bool:
     if not prop.object_term.is_variable and value != prop.object_term.oid:
         return False
     if prop.oid_range is not None and not prop.oid_range.is_unbounded():
-        if not prop.oid_range.contains(value):
-            return False
+        if dictionary is None:
+            return prop.oid_range.contains(value)
+        return in_literal_range(dictionary, value, prop.oid_range)
     return True
 
 

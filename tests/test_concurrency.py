@@ -245,9 +245,11 @@ class TestReadSnapshots:
         assert store.delta.freeze().tombstone_count() == 1
 
     def test_snapshots_of_one_version_share_a_plan_cache(self):
-        """Readers at the same version amortize parse + plan through the
-        store's one cache; keys are scoped by version, so stale plans never
-        cross a write."""
+        """Readers amortize parse + plan through the store's one cache, keyed
+        by what a plan reads: the base generation and whether writes are
+        pending.  The first write after a clean state misses once; every
+        later write keeps the plan, and snapshots pinned on any of those
+        versions share it, each answering its own state."""
         store = build_store()
         hits = lambda: store.plan_cache_stats()["lifetime_hits"]  # noqa: E731
         misses = lambda: store.plan_cache_stats()["lifetime_misses"]  # noqa: E731
@@ -263,17 +265,24 @@ class TestReadSnapshots:
             store.update(f'DELETE WHERE {{ <{EX}book/3> ?p ?o . }}')
             with store.snapshot() as c:
                 stale = hits()
-                after = c.sparql(AUTHOR_QUERY)  # first read after the write misses
+                after = c.sparql(AUTHOR_QUERY)  # the first write after a clean state
                 assert hits() == stale and after.plan is not plan
                 assert c.sparql(AUTHOR_QUERY).plan is after.plan
                 assert hits() == stale + 1
-                # pinned before the write: still answers from its own state,
-                # re-planning once under its own key
+                # pinned before the write: its clean state's plan still stands
                 again = a.sparql(AUTHOR_QUERY)
-                assert again.plan is not after.plan
+                assert again.plan is plan
                 assert sorted(a.decode_rows(again)) == before
                 assert len(after) == len(before) - 1
-                assert a.sparql(AUTHOR_QUERY).plan is again.plan
+                # a later write plans nothing: both pending versions share one plan
+                store.update(f'DELETE WHERE {{ <{EX}book/4> ?p ?o . }}')
+                before_misses = misses()
+                with store.snapshot() as d:
+                    latest = d.sparql(AUTHOR_QUERY)
+                    assert latest.plan is after.plan and len(latest) == len(after) - 1
+                older = c.sparql(AUTHOR_QUERY)
+                assert older.plan is after.plan and len(older) == len(after)
+                assert misses() == before_misses
 
     def test_open_snapshot_count_tracks_pins(self):
         store = build_store()

@@ -32,6 +32,7 @@ from repro.engine import (
     hash_join,
 )
 from repro.engine.operators import DistinctOp, FilterNotEqualOp
+from repro.engine.plan import NO_OIDS
 from repro.engine.rdfscan import _property_pairs
 from repro.errors import ExecutionError
 from repro.model import IRI, Literal, TermDictionary
@@ -225,7 +226,7 @@ def test_range_probe_matches_a_mask(case):
         assert sorted(zip(scanned.column("s").tolist(), scanned.column("o").tolist())) == pairs
         if component == "o":
             prop = StarProperty(predicate, PatternTerm.variable("o"), oid_range=oid_range)
-            subjects, objects = _property_pairs(ctx, store, prop, None)
+            subjects, objects = _property_pairs(ctx, store, prop, NO_OIDS, None)
             assert sorted(zip(subjects.tolist(), objects.tolist())) == pairs
 
 

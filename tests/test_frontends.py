@@ -101,7 +101,8 @@ def oracle_rows(store: RDFStore, logical: LogicalQuery) -> List[tuple]:
     rows: List[Dict[str, object]] = [{}]
     for star in logical.stars.values():
         table = star_over_union(store.clustered_store, star, _star_subjects(store, star),
-                                None, delta=context.active_delta())
+                                None, delta=context.active_delta(),
+                                dictionary=context.dictionary)
         names = list(star.output_variables())
         shared = sorted(set(rows[0]) & set(names)) if rows else []
         index = defaultdict(list)
@@ -512,13 +513,20 @@ def test_pinned_snapshot_plans_against_its_own_version(fresh_book_store):
         store.update(_insert_book(2))
         with store.snapshot() as current:
             after = current.sql(BOOK_SQL)
+            # the first write after a clean state misses once (SQL columns
+            # are nullable under pending writes); the clean version's plan
+            # survives it under its own key
             assert len(after) == len(before) + 1 and after.plan is not before.plan
-            # a write clears nothing: the pinned version's plan survives it
-            # under its own key, the current version planned its own, and
-            # neither ever takes the other's
             again = pinned.sql(BOOK_SQL)
             assert again.plan is before.plan and len(again) == len(before)
-            assert current.sql(BOOK_SQL).plan is after.plan
+            # a later write keeps the plan: every pending version of the
+            # generation shares it, and each answers its own state
+            store.update(_insert_book(3))
+            with store.snapshot() as latest:
+                newest = latest.sql(BOOK_SQL)
+                assert newest.plan is after.plan and len(newest) == len(after) + 1
+            older = current.sql(BOOK_SQL)
+            assert older.plan is after.plan and len(older) == len(after)
 
 
 def test_same_text_as_sparql_and_sql_does_not_collide(fresh_book_store):

@@ -3,8 +3,9 @@
 ``TermDictionary`` owns the index that turns a value range into literal
 OIDs: a *head* (literal OIDs below the value-order watermark, which are in
 value order already) and a small value-sorted *tail* of literals appended
-since.  ``ValueEncoder.literal_range`` is checked here against the full
-Python sort it used to redo after every update (``_oracles``), and the
+since.  ``ValueEncoder.literal_range`` — its head interval and the tail
+literals a run resolves — is checked here against the full Python sort it
+used to redo after every update (``_oracles``), and the
 ``literal_index_full_builds_total`` counter pins down *when* a full pass
 over the dictionary may happen: build, compaction and open — never an
 update, a snapshot or a query.  Compaction's value ordering merges the
@@ -46,7 +47,8 @@ def _assert_ranges_match(dictionary: TermDictionary, bounds) -> None:
     for low, high, low_inclusive, high_inclusive in bounds:
         got = encoder.literal_range(low, high, low_inclusive, high_inclusive)
         expected = oracle_literal_range(dictionary, low, high, low_inclusive, high_inclusive)
-        assert got == expected, (low, high, low_inclusive, high_inclusive)
+        resolved = (got.low, got.high, got.tail_oids(dictionary).tolist())
+        assert resolved == expected, (low, high, low_inclusive, high_inclusive)
 
 
 @settings(max_examples=150, deadline=None)

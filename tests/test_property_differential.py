@@ -1,13 +1,19 @@
 """Property-based differential tests (hypothesis).
 
 Random interleavings of ``INSERT DATA`` / ``DELETE DATA`` / ``DELETE WHERE``
-(plus mid-sequence compactions) run against a store, while a plain Python
-set-of-triples model tracks the expected visible graph.  After the sequence:
+(a subject's triples, and the star-then-probe shape ``{ ?s <p> <o> . ?s ?p
+?o }``, plus mid-sequence compactions) run against a store, while a plain
+Python set-of-triples model tracks the expected visible graph.  After the
+sequence:
 
 * the store's reconstructed visible triple set equals the model exactly;
 * every query, under **every plan scheme**, returns what a store freshly
   rebuilt from the model returns (the rebuild oracle) — both *pre*- and
   *post*-compaction;
+* after *every* step, texts whose cached plans survive writes — a FILTER
+  range later inserts extend through tail literals, constants absent at
+  first — answer through the plan cache exactly what the set model and an
+  uncached plan of the same text answer;
 * a per-request undo log abort restores the delta store bit-identically;
 * when ``rdflib`` is installed, pattern-query results also match rdflib's
   answers over the same graph (cross-implementation differential check).
@@ -18,6 +24,8 @@ and the CI seeded-shuffle job covers order dependence separately.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 pytest.importorskip("hypothesis")  # optional test dep: skip cleanly, like rdflib
@@ -27,12 +35,15 @@ from _datasets import EX, book_triples
 from repro import RDFStore, StoreConfig
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.model import EncodedTriple, IRI, Literal, Triple
+from repro.planner import QueryEngine
 from repro.sparql import (
     DEFAULT_SCHEME,
     OPTIMIZED_SCHEME,
     RDFSCAN_SCHEME,
+    SPARQL_FRONTEND,
     PlannerOptions,
 )
+from repro.sql import sql_frontend
 from repro.updates import DeltaStore
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
@@ -54,8 +65,8 @@ QUERIES = [
 # -- the operation universe (small on purpose: collisions are the point) -------------
 
 SUBJECTS = [f"{EX}book/{i}" for i in range(8)] + [f"{EX}book/new{i}" for i in range(4)]
-AUTHORS = [f"{EX}author/{i}" for i in range(5)]
-YEARS = list(range(1995, 2005))
+AUTHORS = [f"{EX}author/{i}" for i in range(5)] + [f"{EX}author/new"]
+YEARS = list(range(1998, 2008))  # the base stops at 2004: later years are tail literals
 ISBNS = [f"isbn-p{i:02d}" for i in range(6)]
 
 
@@ -95,6 +106,7 @@ op_st = st.one_of(
     st.tuples(st.just("insert"), triple_st),
     st.tuples(st.just("delete"), triple_st),
     st.tuples(st.just("delete_where"), st.sampled_from(SUBJECTS)),
+    st.tuples(st.just("delete_star"), st.sampled_from(AUTHORS)),
     st.tuples(st.just("compact"), st.none()),
 )
 
@@ -112,8 +124,9 @@ def _sorted_decoded(store: RDFStore, text: str, options=None) -> list:
     return sorted(tuple(str(v) for v in row) for row in rows)
 
 
-def apply_ops(store: RDFStore, model: set, ops) -> None:
-    """Apply one generated op sequence to the store and the set model."""
+def apply_ops(store: RDFStore, model: set, ops, after_each=lambda: None) -> None:
+    """Apply one generated op sequence to the store and the set model,
+    calling ``after_each`` after every op."""
     for op, payload in ops:
         if op == "insert":
             store.update(f"INSERT DATA {{ {_data_block(payload)} }}")
@@ -125,8 +138,15 @@ def apply_ops(store: RDFStore, model: set, ops) -> None:
             store.update(f"DELETE WHERE {{ <{payload}> ?p ?o . }}")
             for triple in [t for t in model if t.subject == IRI(payload)]:
                 model.discard(triple)
+        elif op == "delete_star":
+            # every triple of every book by the author: a star, then a probe
+            store.update(f"DELETE WHERE {{ ?s <{EX}has_author> <{payload}> . ?s ?p ?o . }}")
+            books = {t.subject for t in model
+                     if t.predicate == IRI(f"{EX}has_author") and t.object == IRI(payload)}
+            model.difference_update([t for t in model if t.subject in books])
         else:  # compact mid-sequence: visible state must not change
             store.compact()
+        after_each()
 
 
 def assert_matches_oracle(store: RDFStore, model: set) -> None:
@@ -172,6 +192,65 @@ def test_snapshot_pinned_mid_sequence_stays_stable(batch_size, ops):
                           for row in snap.decode_rows(snap.sparql(text)))]
             assert got == [expected], text
     assert_matches_oracle(store, model)
+
+
+def _isbn_is(value: str):
+    return lambda t: t.predicate == IRI(f"{EX}isbn_no") and t.object == Literal(value)
+
+
+SURVIVING = [
+    # a FILTER range that inserts extend through tail literals (years > 2004)
+    ("sparql", f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . FILTER(?y >= 2003) }}",
+     lambda t: t.predicate == IRI(f"{EX}in_year") and t.object.to_python() >= 2003,
+     lambda t: (t.subject, t.object)),
+    # SPARQL = / != constants and a pattern constant, all absent at first
+    ("sparql", f'SELECT ?b WHERE {{ ?b <{EX}isbn_no> ?i . FILTER(?i = "isbn-p01") }}',
+     _isbn_is("isbn-p01"), lambda t: (t.subject,)),
+    ("sparql", f'SELECT ?b ?i WHERE {{ ?b <{EX}isbn_no> ?i . FILTER(?i != "isbn-p02") }}',
+     lambda t: t.predicate == IRI(f"{EX}isbn_no") and t.object != Literal("isbn-p02"),
+     lambda t: (t.subject, t.object)),
+    ("sparql", f"SELECT ?b WHERE {{ ?b <{EX}has_author> <{EX}author/new> . }}",
+     lambda t: t.predicate == IRI(f"{EX}has_author") and t.object == IRI(f"{EX}author/new"),
+     lambda t: (t.subject,)),
+    # a SQL equality on a value inserted later
+    ("sql", "SELECT id FROM Book WHERE isbn_no = 'isbn-p03'",
+     _isbn_is("isbn-p03"), lambda t: (t.subject,)),
+]
+"""``(front end, text, which model triples answer it, the row of one)``."""
+
+
+def _model_rows(model: set, matches, row) -> list:
+    return sorted(tuple(str(term.to_python() if isinstance(term, Literal) else term)
+                        for term in row(t)) for t in model if matches(t))
+
+
+def _stringified(rows) -> list:
+    return sorted(tuple(str(value) for value in row) for row in rows)
+
+
+@pytest.mark.parametrize("read", ["direct", "snapshot"])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(ops=st.lists(op_st, max_size=10))
+def test_surviving_plans_answer_every_version(batch_size, read, ops):
+    """After every write, a cached plan — made before it, in the same base
+    generation — answers what the set model and a fresh plan answer."""
+    store = RDFStore.build(book_triples(), config=_config(batch_size))
+    model = set(book_triples())
+
+    def check() -> None:
+        context = store.context()
+        uncached = QueryEngine(context, [SPARQL_FRONTEND, sql_frontend(store.require_catalog())])
+        with store.snapshot() if read == "snapshot" else nullcontext(store) as reader:
+            for frontend, text, matches, row in SURVIVING:
+                expected = _model_rows(model, matches, row)
+                cached = getattr(reader, frontend)(text)  # sparql() / sql(): the cached path
+                assert _stringified(reader.decode_rows(cached)) == expected, text
+                fresh = uncached.query(frontend, text)
+                assert _stringified(fresh.decoded_rows(context)) == expected, text
+
+    check()
+    apply_ops(store, model, ops, after_each=check)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

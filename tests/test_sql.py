@@ -147,6 +147,21 @@ class TestSqlExecution:
         assert result.bindings.num_rows == 5
         assert len(result.columns) == len(book_store.require_catalog().table("Person").columns)
 
+    def test_select_items_sharing_an_output_name_keep_their_own_columns(self, book_store):
+        expected = book_store.decode_rows(book_store.sql(
+            "SELECT isbn_no, has_author FROM Book ORDER BY isbn_no"))
+        assert len({isbn for isbn, _author in expected}) == 30
+        for text, columns in (
+                ("SELECT isbn_no AS x, has_author AS x FROM Book ORDER BY isbn_no", ["x", "x"]),
+                ("SELECT isbn_no AS has_author, has_author FROM Book ORDER BY isbn_no",
+                 ["has_author", "has_author"])):
+            result = book_store.sql(text)
+            assert result.columns == columns
+            assert book_store.decode_rows(result) == expected, text
+        counted = book_store.decode_rows(book_store.sql(
+            "SELECT COUNT(isbn_no) AS n, SUM(in_year) AS n FROM Book"))
+        assert counted == [(30.0, float(2 * sum(range(1990, 2005))))]
+
     def test_unknown_column_raises(self, book_store):
         with pytest.raises(SchemaError):
             book_store.sql("SELECT nope FROM Book")
