@@ -114,8 +114,9 @@ class OidRange:
         run's :meth:`tail_oids`)."""
         return kernels.range_mask(values, self.low, self.high, tail)
 
-    def contains(self, value: int, tail: np.ndarray = NO_OIDS) -> bool:
-        return bool(self.mask(np.asarray([value], dtype=np.int64), tail)[0])
+    def contains(self, value: int) -> bool:
+        """Whether ``value`` is in the ``[low, high]`` interval."""
+        return bool(self.mask(np.asarray([value], dtype=np.int64))[0])
 
     def describe(self) -> str:
         return f"[{self.low if self.low is not None else '-inf'}, {self.high if self.high is not None else '+inf'}]"
