@@ -2,8 +2,7 @@
 
 Generates RDF-H (TPC-H mapped 1:1 to RDF), builds both a parse-order and a
 clustered store, and runs Q3 and Q6 under every plan scheme, printing the
-cold/hot wall-clock and simulated costs — a miniature, scriptable version of
-Table I.
+cold/hot simulated costs — a miniature, scriptable version of Table I.
 
 Run with::
 
@@ -44,10 +43,7 @@ def main() -> None:
     print(f"  plan:\n{result.plan.explain(run=result.run)}")
 
     print("\n=== Table I grid ===")
-    grid = harness.run()
-    print(format_table_one(grid))
-    print()
-    print(format_table_one(grid, metric="wall_seconds"))
+    print(format_table_one(harness.run()))
 
 
 if __name__ == "__main__":

@@ -3,15 +3,11 @@
 from .dblp import DblpConfig, figure2_example, generate_dblp
 from .dirty import DirtyConfig, DirtyDataset, generate_dirty
 from .harness import (
-    BENCH_SCHEMA_VERSION,
     BenchmarkMeasurement,
-    BenchReporter,
     TableOneConfig,
     TableOneHarness,
     TableOneResult,
-    collect_environment,
     format_table_one,
-    git_revision,
 )
 from .queries import (
     q1_sparql,
@@ -32,8 +28,6 @@ from .tpch import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchReporter",
     "BenchmarkMeasurement",
     "DblpConfig",
     "DirtyConfig",
@@ -43,14 +37,12 @@ __all__ = [
     "TableOneResult",
     "TpchConfig",
     "TpchData",
-    "collect_environment",
     "figure2_example",
     "format_table_one",
     "generate_dblp",
     "generate_dirty",
     "generate_rdfh_triples",
     "generate_tpch",
-    "git_revision",
     "iter_reference_q3",
     "iter_reference_q6",
     "q1_sparql",

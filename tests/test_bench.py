@@ -1,4 +1,5 @@
-"""Tests for the benchmark substrate: generators, query texts and the harness."""
+"""Tests for the benchmark substrate: generators and query texts (the Table I
+harness is exercised by ``test_paper_claims.py``)."""
 
 from datetime import date
 
@@ -7,10 +8,7 @@ import pytest
 from repro.bench import (
     DblpConfig,
     DirtyConfig,
-    TableOneConfig,
-    TableOneHarness,
     TpchConfig,
-    format_table_one,
     generate_dblp,
     generate_dirty,
     generate_rdfh_triples,
@@ -26,7 +24,6 @@ from repro.bench import (
 )
 from repro.bench.rdfh import CLASS_LINEITEM, CLASS_ORDER, expected_subject_counts
 from repro.bench.tpch import ORDER_DATE_END, ORDER_DATE_START, iter_lineitems_by_order
-from repro.errors import BenchmarkError
 from repro.sparql import parse_sparql
 
 
@@ -130,49 +127,3 @@ class TestOtherGenerators:
         assert dataset.regular_triple_count <= dataset.total_triples()
         assert len(dataset.class_of_subject) == 90
 
-
-class TestHarness:
-    @pytest.fixture(scope="class")
-    def harness(self):
-        return TableOneHarness(TableOneConfig(scale_factor=0.0004))
-
-    def test_stores_built_lazily_and_cached(self, harness):
-        store = harness.store("Clustered")
-        assert store is harness.store("Clustered")
-        assert harness.store("ParseOrder").is_clustered is False
-        with pytest.raises(BenchmarkError):
-            harness.store("Nope")
-
-    def test_unknown_query_rejected(self, harness):
-        with pytest.raises(BenchmarkError):
-            harness.query_text("Q99")
-
-    def test_run_cell_and_grid(self, harness):
-        cell = harness.run_cell("Q6", "rdfscan", "Clustered", True, "cold")
-        assert cell.result_rows == 1
-        assert cell.simulated_seconds > 0
-        result = harness.run(queries=["Q6"])
-        assert len(result.measurements) == len(TableOneHarness.CONFIGURATIONS) * 2
-        table = format_table_one(result)
-        assert "Q6 Cold" in table and "RDFscan" in table
-
-    def test_expected_orderings_hold(self, harness):
-        """The qualitative claims of Table I hold on the simulated cost metric."""
-        result = harness.run(queries=["Q6"])
-
-        def sim(scheme, ordering, zone_maps):
-            cell = result.cell("Q6", scheme, ordering, zone_maps, "cold")
-            return cell.simulated_seconds
-
-        # clustering helps both schemes; RDFscan beats Default on the clustered store
-        assert sim("default", "Clustered", False) <= sim("default", "ParseOrder", False)
-        assert sim("rdfscan", "Clustered", False) <= sim("rdfscan", "ParseOrder", False)
-        assert sim("rdfscan", "Clustered", False) <= sim("default", "Clustered", False)
-        # hot runs never read pages
-        for m in result.measurements:
-            if m.cache_state == "hot":
-                assert m.page_reads == 0
-
-    def test_speedup_metric(self, harness):
-        result = harness.run(queries=["Q6"])
-        assert result.speedup("Q6") >= 1.0

@@ -37,6 +37,7 @@ from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import PersistenceError, StorageError
 from repro.model import Literal
 from repro.updates import DeltaStore, FrozenDelta, UpdateApplier
+from repro.updates import delta as delta_module
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"))
 from inputs import AdhocStream  # noqa: E402 - the repo benchmark's ad-hoc texts
@@ -45,6 +46,7 @@ XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
 READERS = 8
 WRITER_REQUESTS = 60
+BURST = 300
 
 PAIR_LEFT = f"{EX}left"
 PAIR_RIGHT = f"{EX}right"
@@ -128,6 +130,25 @@ class TestUndoLog:
         assert delta.insert_count() == 1000
         assert delta.contains_insert(3, 1, 2)
         assert not delta.contains_insert(5000, 1, 2)
+
+    def test_publish_cost_is_per_request_not_per_pending(self, monkeypatch):
+        """Every update publishes a frozen version, so a burst stays linear
+        only if each freeze turns the keys the request touched — not the
+        whole pending delta — from tuples into arrays.  Counted, not timed."""
+        converted = []
+        original = delta_module._as_triples
+
+        def counting(keys):
+            converted.append(len(keys))
+            return original(keys)
+
+        store = build_store()
+        monkeypatch.setattr(delta_module, "_as_triples", counting)
+        for i in range(BURST):
+            store.update(pair_update(i))
+        touched = store.delta.insert_count()
+        assert touched == 2 * BURST
+        assert sum(converted) <= touched  # re-listing the delta would be ~touched² / 4
 
     def test_rollback_restores_tombstones_and_resurrections(self):
         delta = DeltaStore()
