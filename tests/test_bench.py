@@ -1,5 +1,5 @@
-"""Tests for the benchmark substrate: generators and query texts (the Table I
-harness is exercised by ``test_paper_claims.py``)."""
+"""Tests for the benchmark substrate: generators, query texts and the Table I
+harness's mechanics (the paper's Table I claims are in ``test_paper_claims.py``)."""
 
 from datetime import date
 
@@ -8,7 +8,10 @@ import pytest
 from repro.bench import (
     DblpConfig,
     DirtyConfig,
+    TableOneConfig,
+    TableOneHarness,
     TpchConfig,
+    format_table_one,
     generate_dblp,
     generate_dirty,
     generate_rdfh_triples,
@@ -24,7 +27,8 @@ from repro.bench import (
 )
 from repro.bench.rdfh import CLASS_LINEITEM, CLASS_ORDER, expected_subject_counts
 from repro.bench.tpch import ORDER_DATE_END, ORDER_DATE_START, iter_lineitems_by_order
-from repro.sparql import parse_sparql
+from repro.errors import BenchmarkError
+from repro.sparql import DEFAULT_SCHEME, RDFSCAN_SCHEME, parse_sparql
 
 
 class TestTpchGenerator:
@@ -127,3 +131,47 @@ class TestOtherGenerators:
         assert dataset.regular_triple_count <= dataset.total_triples()
         assert len(dataset.class_of_subject) == 90
 
+
+class TestHarness:
+    @pytest.fixture(scope="class")
+    def harness(self):
+        return TableOneHarness(TableOneConfig(scale_factor=0.0004))
+
+    @pytest.fixture(scope="class")
+    def q6_grid(self, harness):
+        return harness.run(queries=["q6"])
+
+    def test_stores_built_lazily_and_cached(self, harness):
+        store = harness.store("Clustered")
+        assert store is harness.store("Clustered")
+        assert harness.store("ParseOrder").is_clustered is False
+        with pytest.raises(BenchmarkError):
+            harness.store("Nope")
+
+    def test_unknown_query_rejected(self, harness):
+        with pytest.raises(BenchmarkError):
+            harness.query_text("Q99")
+        with pytest.raises(BenchmarkError):
+            harness.run_cell("Q6", RDFSCAN_SCHEME, "Clustered", True, "warm")
+
+    def test_run_cell_and_grid(self, harness, q6_grid):
+        cell = harness.run_cell("Q6", RDFSCAN_SCHEME, "Clustered", True, "cold")
+        assert cell.result_rows == 1
+        assert cell.simulated_seconds > 0
+        assert len(q6_grid.measurements) == len(TableOneHarness.CONFIGURATIONS) * 2
+        assert {m.query for m in q6_grid.measurements} == {"Q6"}
+        assert q6_grid.cell("Q3", RDFSCAN_SCHEME, "Clustered", True, "cold") is None
+        table = format_table_one(q6_grid)
+        assert "Q6 Cold" in table and "Q3 Cold" not in table and "RDFscan" in table
+
+    def test_cells_are_deterministic(self, harness, q6_grid):
+        for scheme, ordering, zone_maps in TableOneHarness.CONFIGURATIONS:
+            assert (harness.run_cell("Q6", scheme, ordering, zone_maps, "cold")
+                    == q6_grid.cell("Q6", scheme, ordering, zone_maps, "cold"))
+
+    def test_speedup_metric(self, q6_grid):
+        baseline = q6_grid.cell("Q6", DEFAULT_SCHEME, "ParseOrder", False, "cold")
+        best = q6_grid.cell("Q6", RDFSCAN_SCHEME, "Clustered", True, "cold")
+        assert q6_grid.speedup("Q6") == baseline.simulated_seconds / best.simulated_seconds
+        with pytest.raises(BenchmarkError):
+            q6_grid.speedup("Q3")
