@@ -133,10 +133,13 @@ class CardinalityEstimator:
     """
 
     def __init__(self, index_store, schema=None, clustered_store=None,
-                 delta=None) -> None:
+                 delta=None, dictionary=None) -> None:
         self.index_store = index_store
         self.schema = schema
         self.clustered_store = clustered_store
+        self.dictionary = dictionary
+        """Optional term dictionary: where a range's tail literals are
+        resolved, so an exact range count sees those base columns hold."""
         self.delta = delta
         """Optional pending-write overlay (duck-typed
         :class:`repro.updates.FrozenDelta`).  Base statistics describe the
@@ -235,10 +238,13 @@ class CardinalityEstimator:
         return max(0.0, base + delta_adjustment)
 
     def _range_count(self, predicate_oid: int, oid_range, component: str) -> float:
-        """Exact rows of predicate whose S/O component falls in the range."""
+        """Rows of predicate whose S/O component falls in the range's OID
+        intervals: exact for head literals, the tail's hull for tail ones."""
+        tail = (oid_range.tail_oids(self.dictionary) if self.dictionary is not None
+                else np.empty(0, dtype=np.int64))
         table = self.index_store.within_predicate(component)
-        start, stop = table.narrowed_row_range(predicate_oid, oid_range)
-        return float(stop - start)
+        ranges = table.narrowed_row_ranges(predicate_oid, oid_range.intervals(tail))
+        return float(sum(stop - start for start, stop in ranges))
 
     def _range_fraction(self, predicate_oid: int, oid_range, component: str) -> float:
         total = self.predicate_count(predicate_oid)

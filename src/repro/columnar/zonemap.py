@@ -20,7 +20,7 @@ The paper uses zone maps twice:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,23 +101,26 @@ class ZoneMap:
 
     # -- pruning -------------------------------------------------------------
 
-    def candidate_zones(self, low: Optional[int], high: Optional[int]) -> List[Zone]:
-        """Zones whose value interval intersects the predicate interval."""
-        return [zone for zone in self.zones if zone.overlaps(low, high)]
-
-    def candidate_row_ranges(self, low: Optional[int], high: Optional[int]) -> List[tuple[int, int]]:
-        """Candidate row ranges ``[start, end)``, adjacent zones coalesced."""
+    def candidate_row_ranges(self, intervals: Sequence[Tuple[Optional[int], Optional[int]]]
+                             ) -> List[tuple[int, int]]:
+        """Candidate row ranges ``[start, end)``: the zones whose value
+        interval intersects any of the predicate's ``intervals`` (inclusive
+        ``(low, high)`` pairs, ``None`` open), adjacent zones coalesced —
+        each zone at most once."""
         ranges: List[tuple[int, int]] = []
-        for zone in self.candidate_zones(low, high):
-            if ranges and ranges[-1][1] == zone.start_row:
-                ranges[-1] = (ranges[-1][0], zone.end_row)
-            else:
-                ranges.append((zone.start_row, zone.end_row))
+        for zone in self.zones:
+            for low, high in intervals:
+                if zone.overlaps(low, high):
+                    if ranges and ranges[-1][1] == zone.start_row:
+                        ranges[-1] = (ranges[-1][0], zone.end_row)
+                    else:
+                        ranges.append((zone.start_row, zone.end_row))
+                    break
         return ranges
 
     def candidate_row_count(self, low: Optional[int], high: Optional[int]) -> int:
         """Total number of rows in candidate zones."""
-        return sum(end - start for start, end in self.candidate_row_ranges(low, high))
+        return sum(end - start for start, end in self.candidate_row_ranges([(low, high)]))
 
     def selectivity(self, low: Optional[int], high: Optional[int]) -> float:
         """Fraction of rows that survive zone pruning (1.0 when no pruning)."""

@@ -89,7 +89,7 @@ from ..obs import (
     SlowQueryLog,
     default_registry,
 )
-from ..persist import SnapshotInfo, SnapshotReader, write_snapshot
+from ..persist import DictionaryFile, SnapshotInfo, SnapshotReader, write_snapshot
 from ..rio import parse_rdf
 from ..server import ReadSnapshot, SnapshotRegistry, StoreSession
 from ..server.session import StoreVersion
@@ -282,6 +282,10 @@ class RDFStore:
         self.delta = DeltaStore(pool=self.pool)
         self.journal = UpdateJournal()
         self.db_path: Optional[Path] = None
+        self.dictionary_file: Optional[DictionaryFile] = None
+        """The dictionary file the last save or open wrote or read, and for
+        which dictionary: while no OID moves, the next save copies it and
+        appends the terms added since."""
         self._clustered = False
         self.generation = 0
         """Base-structure generation: bumped whenever a base object
@@ -394,6 +398,10 @@ class RDFStore:
         registry.gauge("event_log_entries",
                        "Events currently buffered by the structured event log.",
                        fn=lambda: len(self.event_log))
+        registry.gauge("dictionary_tail_terms",
+                       "Terms above the dictionary's value-order watermark: appended "
+                       "since the last load() or cluster(), which compaction keeps.",
+                       fn=lambda: len(self.dictionary) - self.dictionary.value_order_watermark)
 
     # -- construction pipeline ----------------------------------------------------
 
@@ -528,10 +536,13 @@ class RDFStore:
             resolved = dict(sort_keys or {})
             if sort_key_names:
                 resolved.update(self._resolve_sort_key_names(sort_key_names))
-            # a new dictionary, matrix and schema: the published version
-            # keeps decoding through the pre-clustering ones
+            # clustering renumbers anyway, so it is where the literal tail that
+            # compactions left behind is merged into value order (nothing to
+            # merge on a fresh load).  A new dictionary, matrix and schema:
+            # the published version keeps decoding through the old ones
+            dictionary, matrix = value_order_literals(self.matrix, self.dictionary)
             self.dictionary, self.matrix, schema, self.clustering_plan = cluster_subjects(
-                self.matrix, self.dictionary, self.require_schema(), resolved)
+                matrix, dictionary, self.require_schema(), resolved)
             self._install_schema(schema)
             self._clustered = True
             self.build_indexes()
@@ -542,16 +553,20 @@ class RDFStore:
         index store (each projection sorts at its first read) and, when
         clustered, the clustered store's blocks (built now)."""
         with self._writing():
-            schema = self.schema
-            # rebuilding replaces every (possibly lazily loading) structure with
-            # in-memory ones; drop the stale lazy-segment bookkeeping so
-            # buffer_pool_stats() does not report dead segments as pending
-            self.pool.reset_lazy_registry()
-            self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
-            if schema is not None and self._clustered:
-                self.clustered_store = ClusteredStore.build(
-                    self.matrix, schema, pool=self.pool, zone_size=self.config.zone_size)
-            self._publish()
+            self._install_physical_stores(ExhaustiveIndexStore(self.matrix, pool=self.pool))
+
+    def _install_physical_stores(self, index_store: ExhaustiveIndexStore) -> None:
+        """Make ``index_store`` (over the current matrix) the store's, build
+        the clustered store when clustered, and publish."""
+        # rebuilding replaces every (possibly lazily loading) structure with
+        # in-memory ones; drop the stale lazy-segment bookkeeping so
+        # buffer_pool_stats() does not report dead segments as pending
+        self.pool.reset_lazy_registry()
+        self.index_store = index_store
+        if self.schema is not None and self._clustered:
+            self.clustered_store = ClusteredStore.build(
+                self.matrix, self.schema, pool=self.pool, zone_size=self.config.zone_size)
+        self._publish()
 
     @contextmanager
     def _writing(self) -> Iterator[None]:
@@ -839,18 +854,21 @@ class RDFStore:
         Merges ``base − tombstones + inserts`` into a new base matrix,
         incrementally maintains the emergent schema (new subjects join a
         property-set-matching CS or the leftover bucket, emptied subjects
-        leave, per-column statistics and coverage refresh), restores the
-        value-ordered literal OID invariant and rebuilds the physical stores
-        and the SQL catalog (registered reduced schemas carry over).
-        Characteristic-set discovery and subject clustering
-        are *not* re-run — call :meth:`discover_schema` / :meth:`cluster`
-        explicitly when the data has drifted far enough.
+        leave, per-column statistics and coverage refresh) and rebuilds the
+        clustered store and the SQL catalog (registered reduced schemas
+        carry over).  No OID moves: the dictionary stays the store's, with
+        its literal tail, its watermark and its warm value bridge, so every
+        projection a read has sorted is merged with the sorted delta instead
+        of being sorted again.  Characteristic-set discovery, subject
+        clustering and the value order over all literals are *not* redone —
+        call :meth:`discover_schema` / :meth:`cluster` explicitly when the
+        data has drifted far enough.
 
-        Open read snapshots are unaffected: they keep answering (and
-        decoding) from the pre-compaction state, since compaction makes a
-        new matrix, dictionary and schema instead of editing the ones they
-        hold, and the pinned delta versions' index pages stay in the buffer
-        pool until the last snapshot is released.
+        Open read snapshots are unaffected: they keep answering from the
+        pre-compaction state, since compaction makes a new matrix, schema
+        and physical stores instead of editing the ones they hold, and the
+        pinned delta versions' index pages stay in the buffer pool until the
+        last snapshot is released.
 
         Returns:
             A :class:`~repro.updates.CompactionReport`; a no-op report when
@@ -861,11 +879,11 @@ class RDFStore:
             if not self.has_pending_updates():
                 self.journal.clear()  # its texts' inserts and deletes cancelled out
                 return CompactionReport()
-            matrix, schema, report = compact_store(self.matrix, self.delta.freeze(),
-                                                   self.schema)
-            ordering = time.perf_counter()
-            self.dictionary, self.matrix = value_order_literals(matrix, self.dictionary)
+            delta = self.delta.freeze()
+            previous = self.index_store
+            matrix, schema, report = compact_store(self.matrix, delta, self.schema)
             indexing = time.perf_counter()
+            self.matrix = matrix
             self.delta.clear()
             # only now that the merge succeeded: the journal's texts are
             # reflected in the base matrix, so save() no longer needs to seed
@@ -873,7 +891,9 @@ class RDFStore:
             # acknowledged updates from the next snapshot if the merge failed
             self.journal.clear()
             self._install_schema(schema)
-            self.build_indexes()
+            merged = previous.materialized_orders()
+            self._install_physical_stores(
+                previous.merged(self.matrix, delta.matrix(), delta.tombstone_matrix()))
             finished = time.perf_counter()
             self.metrics_registry.counter(
                 "compactions_total", "Delta-into-base compactions applied.").inc()
@@ -882,9 +902,9 @@ class RDFStore:
                                 merged_inserts=report.merged_inserts,
                                 applied_deletes=report.applied_deletes,
                                 seconds=finished - started,
-                                value_order_s=indexing - ordering,
                                 statistics_s=report.statistics_s,
-                                index_s=finished - indexing)
+                                index_s=finished - indexing,
+                                projections_merged=len(merged))
             return report
 
     # -- persistence --------------------------------------------------------------------
@@ -976,7 +996,7 @@ class RDFStore:
         store = cls.__new__(cls)
         RDFStore.__init__(store, config)
         parts = reader.read(store.pool)
-        store.dictionary = parts.dictionary
+        store.dictionary, store.dictionary_file = parts.dictionary, parts.dictionary_file
         store._matrix = parts.matrix
         store._install_schema(parts.schema, parts.reduced_schemas)
         store.index_store = parts.index_store

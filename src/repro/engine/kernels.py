@@ -221,7 +221,10 @@ def range_mask(values: np.ndarray, low: Optional[int] = None, high: Optional[int
     if high is not None:
         mask &= values <= high
     if tail is not None and len(tail):
-        mask |= sorted_member_mask(values, tail)
+        # tail OIDs lie above every head OID, so only values from the first
+        # tail OID up can be one: most are not
+        above = np.flatnonzero(values >= tail[0])
+        mask[above] |= sorted_member_mask(values[above], tail)
     return mask
 
 

@@ -54,27 +54,23 @@ class IndexScanOp(PhysicalOperator):
         s, p, o = self.pattern.subject, self.pattern.predicate, self.pattern.object
 
         # Fast paths: predicate bound plus a range on the object (POS prefix) or
-        # on the subject (PSO prefix).  When both ranges are available the scan
-        # picks whichever touches fewer rows; the other range is applied as a
-        # post-filter in _bind().
-        object_path = (not p.is_variable and o.is_variable and self.object_range is not None
-                       and not self.object_range.is_unbounded())
-        subject_path = (not p.is_variable and s.is_variable and self.subject_range is not None
-                        and not self.subject_range.is_unbounded())
-        if object_path and subject_path:
-            object_lo, object_hi = store.within_predicate("o").narrowed_row_range(
-                p.oid, self.object_range)
-            subject_lo, subject_hi = store.within_predicate("s").narrowed_row_range(
-                p.oid, self.subject_range)
-            if subject_hi - subject_lo < object_hi - object_lo:
-                object_path = False
-            else:
-                subject_path = False
-        if object_path or subject_path:
-            table = store.within_predicate("o" if object_path else "s")
-            lo, hi = table.narrowed_row_range(
-                p.oid, self.object_range if object_path else self.subject_range)
-            rows = self._filter_constant_slots(table.fetch_rows(lo, hi, fetch="spo"))
+        # on the subject (PSO prefix), narrowed by binary search.
+        tail = _tail(self.object_range, context)
+        paths = []  # (rows touched, projection, its row ranges)
+        if not p.is_variable and o.is_variable and _is_bounded(self.object_range):
+            table = store.within_predicate("o")
+            ranges = table.narrowed_row_ranges(p.oid, self.object_range.intervals(tail))
+            paths.append((sum(hi - lo for lo, hi in ranges), table, ranges))
+        if not p.is_variable and s.is_variable and _is_bounded(self.subject_range):
+            # subjects are never literals: a subject range has no tail
+            table = store.within_predicate("s")
+            ranges = table.narrowed_row_ranges(p.oid, self.subject_range.intervals())
+            paths.append((sum(hi - lo for lo, hi in ranges), table, ranges))
+        if paths:
+            # with both ranges, scan whichever touches fewer rows (the object
+            # range on a tie); _bind() applies the other as a post-filter
+            _touched, table, ranges = min(paths, key=lambda path: path[0])
+            rows = self._filter_constant_slots(table.fetch_ranges(ranges, fetch="spo"))
         else:
             rows = store.scan_pattern(
                 s=None if s.is_variable else s.oid,
@@ -90,7 +86,7 @@ class IndexScanOp(PhysicalOperator):
                 p=None if p.is_variable else p.oid,
                 o=None if o.is_variable else o.oid,
             )
-        yield from emit_batches(self._bind(rows, context), context.batch_size)
+        yield from emit_batches(self._bind(rows, tail), context.batch_size)
 
     def _filter_constant_slots(self, rows: np.ndarray) -> np.ndarray:
         """Re-apply constant S/O slots that a fast-path range scan did not cover."""
@@ -103,7 +99,7 @@ class IndexScanOp(PhysicalOperator):
             mask &= rows[:, 2] == self.pattern.object.oid
         return rows[mask]
 
-    def _bind(self, rows: np.ndarray, context: ExecutionContext) -> BindingTable:
+    def _bind(self, rows: np.ndarray, tail: np.ndarray) -> BindingTable:
         columns = {}
         slots = {"s": 0, "p": 1, "o": 2}
         for component, term in (("s", self.pattern.subject), ("p", self.pattern.predicate),
@@ -120,8 +116,7 @@ class IndexScanOp(PhysicalOperator):
             else:
                 columns[term.var] = values
         table = BindingTable(columns)
-        table = _apply_range(table, self.pattern.object, self.object_range,
-                             _tail(self.object_range, context))
+        table = _apply_range(table, self.pattern.object, self.object_range, tail)
         # subjects are never literals: a subject range has no tail to match
         return _apply_range(table, self.pattern.subject, self.subject_range)
 
@@ -588,9 +583,13 @@ def _tail(oid_range: Optional[OidRange], context: ExecutionContext) -> np.ndarra
     return NO_OIDS if oid_range is None else oid_range.tail_oids(context.dictionary)
 
 
+def _is_bounded(oid_range: Optional[OidRange]) -> bool:
+    return oid_range is not None and not oid_range.is_unbounded()
+
+
 def _apply_range(table: BindingTable, term: PatternTerm, oid_range: Optional[OidRange],
                  tail: np.ndarray = NO_OIDS) -> BindingTable:
-    if oid_range is None or oid_range.is_unbounded() or not term.is_variable:
+    if not _is_bounded(oid_range) or not term.is_variable:
         return table
     if not table.has(term.var):
         return table

@@ -10,7 +10,7 @@ RDFscan/RDFjoin scheme evaluates the whole star in one operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,17 +59,23 @@ class OidRange:
 
     Literal OIDs below the dictionary's value-order watermark (its *head*)
     are in value order, so a value range over them is the one interval
-    ``[low, high]`` — exact for every base column, and fixed for a base
-    generation: only a compaction, a clustering or a reload moves a head
-    OID, and each of them starts a new generation.  Literals a write
-    appends since (the *tail*) sit above the watermark in arrival order;
-    ``value`` keeps the range's bounds so a run matches them by value: an
-    operator resolves :meth:`tail_oids` once per run and hands the array to
-    :meth:`mask`.  A plan therefore holds no OID a later write could add,
-    and survives writes.
+    ``[low, high]``, fixed for a base generation: only a clustering or a
+    reload moves a head OID, and each of them starts a new generation.
+    Literals appended since (the *tail*) sit above the watermark in arrival
+    order — in the pending delta, and in base columns once a compaction,
+    which moves no OID, folded the delta in.  ``value`` keeps the range's
+    bounds so a run matches them by value: an operator resolves
+    :meth:`tail_oids` once per run and hands the array to :meth:`mask`.  A
+    plan therefore holds no OID a later write could add, and survives
+    writes.
+
+    A reader that narrows by OID before its exact mask (a sorted column's
+    binary search, zone maps, a projection's range probe, push-down)
+    narrows by :meth:`intervals`: the head interval plus the hull of the
+    run's tail OIDs, which lies above every head OID.
 
     A pure OID interval (a zone-map push-down, a block's subject run) has no
-    ``value``; it bounds base OIDs, which all lie below the watermark.
+    ``value`` and no tail: it bounds subjects or other non-literal OIDs.
     """
 
     low: Optional[int] = None
@@ -108,6 +114,18 @@ class OidRange:
         if self.value is None:
             return NO_OIDS
         return dictionary.literal_tail_range(self.value)
+
+    def intervals(self, tail: np.ndarray = NO_OIDS) -> List[Tuple[Optional[int], Optional[int]]]:
+        """The inclusive OID intervals a reader narrows by before its exact
+        :meth:`mask` (``None`` leaves a side open): ``[low, high]`` unless
+        empty, then ``[tail[0], tail[-1]]`` when the run's :meth:`tail_oids`
+        is not.  Ascending and disjoint: only a range with a ``value`` part
+        has a tail, its interval bounds head literals, and every tail OID
+        lies above every head OID."""
+        spans = [] if self.is_empty_interval() else [(self.low, self.high)]
+        if len(tail):
+            spans.append((int(tail[0]), int(tail[-1])))
+        return spans
 
     def mask(self, values: np.ndarray, tail: np.ndarray = NO_OIDS) -> np.ndarray:
         """Which OIDs are in range: in ``[low, high]`` or in ``tail`` (the

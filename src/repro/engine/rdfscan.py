@@ -275,33 +275,23 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
 
     # the clustering sub-order: a range predicate on a sorted column is a
     # binary search over the block, independent of zone maps
-    for prop in star.properties:
-        if prop.oid_range is None or prop.oid_range.is_unbounded():
-            continue
+    ranged = [(prop, prop.oid_range.intervals(tail)) for prop, tail in zip(star.properties, tails)
+              if prop.oid_range is not None and not prop.oid_range.is_unbounded()]
+    for prop, intervals in ranged:
         if prop.predicate_oid not in block.sorted_properties:
             continue
-        column_data = block.column(prop.predicate_oid).data
-        # the non-NULL values form the sorted prefix; trailing NULLs are excluded
-        prefix_length = int(np.count_nonzero(column_data != NULL_OID))
-        sorted_prefix = column_data[:prefix_length]
-        lo = 0 if prop.oid_range.low is None else int(
-            np.searchsorted(sorted_prefix, prop.oid_range.low, side="left"))
-        hi = prefix_length if prop.oid_range.high is None else int(
-            np.searchsorted(sorted_prefix, prop.oid_range.high, side="right"))
-        row_ranges = _intersect_ranges(row_ranges, [(lo, max(lo, hi))])
+        row_ranges = _intersect_ranges(
+            row_ranges, _sorted_prefix_rows(block.column(prop.predicate_oid).data, intervals))
         if not row_ranges:
             return BindingTable.empty(star.output_variables())
 
     # zone-map pruning on constrained properties
     if use_zone_maps:
-        for prop in star.properties:
-            if prop.oid_range is None or prop.oid_range.is_unbounded():
-                continue
+        for prop, intervals in ranged:
             zone_map = block.zone_map(prop.predicate_oid)
             if zone_map is None:
                 continue
-            candidate = zone_map.candidate_row_ranges(prop.oid_range.low, prop.oid_range.high)
-            row_ranges = _intersect_ranges(row_ranges, candidate)
+            row_ranges = _intersect_ranges(row_ranges, zone_map.candidate_row_ranges(intervals))
             if not row_ranges:
                 return BindingTable.empty(star.output_variables())
 
@@ -390,6 +380,21 @@ def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.nd
         if prop.oid_range is not None and not prop.oid_range.is_unbounded():
             mask &= prop.oid_range.mask(values, tail)
     return mask
+
+
+def _sorted_prefix_rows(values: np.ndarray, intervals) -> List[Tuple[int, int]]:
+    """Row ranges of a column sorted over its non-NULL prefix (trailing NULLs
+    excluded) whose values lie in the ascending, disjoint inclusive OID
+    ``intervals``: binary searches only."""
+    prefix_length = int(np.count_nonzero(values != NULL_OID))
+    prefix = values[:prefix_length]
+    rows = []
+    for low, high in intervals:
+        lo = 0 if low is None else int(np.searchsorted(prefix, low, side="left"))
+        hi = prefix_length if high is None else int(np.searchsorted(prefix, high, side="right"))
+        if hi > lo:
+            rows.append((lo, hi))
+    return rows
 
 
 def _positions_within(positions: np.ndarray, row_ranges: List[Tuple[int, int]]) -> np.ndarray:
@@ -503,8 +508,9 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty, tail: 
         rows = store.scan_pattern(p=prop.predicate_oid, o=prop.object_term.oid, fetch="so")
     elif prop.oid_range is not None and not prop.oid_range.is_unbounded():
         table = store.within_predicate("o")
-        rows = table.fetch_rows(*table.narrowed_row_range(prop.predicate_oid, prop.oid_range),
-                                fetch="so")
+        rows = table.fetch_ranges(
+            table.narrowed_row_ranges(prop.predicate_oid, prop.oid_range.intervals(tail)),
+            fetch="so")
     else:
         rows = store.scan_pattern(p=prop.predicate_oid, fetch="so")
     return _finish_pairs(context.active_delta(), prop, tail, rows[:, 0], rows[:, 1],
@@ -580,15 +586,17 @@ def _match_property(context: ExecutionContext, table: BindingTable, subject_var:
 # -- zone-map push-down helpers ----------------------------------------------------------
 
 
-def subject_range_for_property_range(block: CSBlock, predicate_oid: int,
-                                     oid_range: OidRange) -> Optional[OidRange]:
+def subject_range_for_property_range(block: CSBlock, predicate_oid: int, oid_range: OidRange,
+                                     tail: np.ndarray = NO_OIDS) -> Optional[OidRange]:
     """Subject-OID bounds of the block rows whose property value is in range.
 
     Only meaningful when the block is sub-ordered on the property (which the
     clustering step arranges for the chosen sort key): the property column is
-    then non-decreasing over its non-NULL prefix and the matching rows are
-    contiguous, so the corresponding subject OIDs form one interval.
-    Returns ``None`` when the column is not sorted that way.
+    then non-decreasing over its non-NULL prefix, so the rows in each of the
+    range's :meth:`~OidRange.intervals` (``tail``: the tail literals it
+    matches) are contiguous and the subjects of all of them lie between the
+    first one's and the last one's.  Returns ``None`` when the column is not
+    sorted that way.
     """
     if not block.has_property(predicate_oid):
         return None
@@ -600,31 +608,30 @@ def subject_range_for_property_range(block: CSBlock, predicate_oid: int,
     if not bool(np.all(prefix[:-1] <= prefix[1:])):
         return None
     valid_positions = np.nonzero(valid)[0]
-    lo_idx = 0 if oid_range.low is None else int(np.searchsorted(prefix, oid_range.low, side="left"))
-    hi_idx = prefix.size if oid_range.high is None else int(
-        np.searchsorted(prefix, oid_range.high, side="right"))
-    if hi_idx <= lo_idx:
+    rows = _sorted_prefix_rows(prefix, oid_range.intervals(tail))
+    if not rows:
         return OidRange(low=1, high=0)  # empty range: no subject can match
     subjects = block.subject_column.data
-    low_subject = int(subjects[valid_positions[lo_idx]])
-    high_subject = int(subjects[valid_positions[hi_idx - 1]])
+    low_subject = int(subjects[valid_positions[rows[0][0]]])
+    high_subject = int(subjects[valid_positions[rows[-1][1] - 1]])
     return OidRange(low=low_subject, high=high_subject)
 
 
 def fk_range_from_zonemap(block: CSBlock, constrained_predicate: int, oid_range: OidRange,
-                          fk_predicate: int) -> Optional[OidRange]:
+                          fk_predicate: int, tail: np.ndarray = NO_OIDS) -> Optional[OidRange]:
     """Bounds of a foreign-key column over the rows surviving a zone-map prune.
 
-    Given a range constraint on one property (e.g. LINEITEM ``shipdate``),
-    use its zone map to find the candidate row ranges and return the min/max
-    of the foreign-key column (e.g. the referenced ORDERS subject OIDs) over
-    those rows — the restriction that can be pushed into the other CS.
+    Given a range constraint on one property (e.g. LINEITEM ``shipdate``;
+    ``tail``: the tail literals it matches), use its zone map to find the
+    candidate row ranges and return the min/max of the foreign-key column
+    (e.g. the referenced ORDERS subject OIDs) over those rows — the
+    restriction that can be pushed into the other CS.
     """
     zone_map = block.zone_map(constrained_predicate)
     if zone_map is None or not block.has_property(fk_predicate):
         return None
     fk_zone_map = block.zone_map(fk_predicate)
-    ranges = zone_map.candidate_row_ranges(oid_range.low, oid_range.high)
+    ranges = zone_map.candidate_row_ranges(oid_range.intervals(tail))
     if not ranges:
         return OidRange(low=1, high=0)
     low: Optional[int] = None

@@ -18,8 +18,10 @@ reproduction:
   a value range (:class:`ValueBounds`) to literal OIDs: a *head* — the
   literal OIDs below the value-order watermark, ascending, which by the
   invariant above already *is* value order, so it is never sorted and stores
-  no keys — plus a small value-sorted *tail* of the literals appended since.
-  A plan asks the head for its OID interval
+  no keys — plus a value-sorted *tail* of the literals appended since.  A
+  write appends to the tail and a compaction leaves it where it is (no OID
+  moves); only a new value-ordering pass, at load and clustering, folds it
+  into the head.  A plan asks the head for its OID interval
   (:meth:`TermDictionary.literal_value_range`), which no write moves; a run
   asks the tail for its matches (:meth:`TermDictionary.literal_tail_range`),
   which every write may extend.  Lookups bisect with a key function that
@@ -49,12 +51,12 @@ from .triples import EncodedTriple, Triple
 _HEAD_BUILDS = default_registry().counter(
     "literal_index_full_builds_total",
     "Times a dictionary's literal order index was set anew: store build, "
-    "compaction and open only; never per update, snapshot or query.")
+    "clustering and open only; never per update, compaction, snapshot or query.")
 
 _MATERIALIZED = default_registry().counter(
     "dictionary_values_materialized_total",
     "Value-bridge slots computed: one per distinct OID the first time a query "
-    "aggregates over or decodes it (a cold bridge, after build, compact() or "
+    "aggregates over or decodes it (a cold bridge, after build, cluster() or "
     "open(), warming); nothing on the warm path.")
 
 _NO_OIDS = np.empty(0, dtype=np.int64)
@@ -167,9 +169,10 @@ class TermDictionary:
 
         Literal OIDs ``< watermark`` are value-ordered among themselves;
         literals appended later (by the write path) sit at the end of the OID
-        space in arrival order and must be range-checked individually until
-        the next :meth:`reassign_value_ordered_literals` (run at load time
-        and by ``RDFStore.compact``).
+        space in arrival order — in the pending delta and, once compacted,
+        in base columns too — and must be range-checked individually until
+        the next :meth:`reassign_value_ordered_literals` (run by
+        ``RDFStore.load`` and ``RDFStore.cluster``).
         """
         return self._value_order_watermark
 
@@ -390,6 +393,7 @@ class TermDictionary:
                 f"value-order watermark {value_order_watermark} out of range for "
                 f"{len(dictionary._oid_to_term)} terms")
         dictionary._set_value_order(int(value_order_watermark))
+        dictionary.index_appended_literals()  # a checkpoint keeps its tail
         return dictionary
 
     # -- re-mapping ----------------------------------------------------------

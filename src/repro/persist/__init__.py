@@ -25,6 +25,7 @@ from .snapshot import (
     FORMAT_NAME,
     FORMAT_VERSION,
     MANIFEST_FILE,
+    DictionaryFile,
     SnapshotInfo,
     SnapshotReader,
     write_snapshot,
@@ -32,6 +33,7 @@ from .snapshot import (
 from .wal import WriteAheadLog
 
 __all__ = [
+    "DictionaryFile",
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_FILE",

@@ -124,6 +124,28 @@ def write_text(path: Path, text: str) -> int:
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
+def copy_append_text(source: Path, path: Path, text: str, source_crc: int) -> Optional[int]:
+    """Write ``path`` as the lines of ``source`` followed by ``text`` (UTF-8,
+    fsynced) and return the CRC-32 of the whole: ``source_crc`` extended over
+    the appended bytes.  Returns ``None`` and writes nothing when ``source``
+    is unreadable, does not end a line, or no longer has ``source_crc`` — the
+    caller then writes the whole file."""
+    try:
+        head = Path(source).read_bytes()
+    except OSError:
+        return None
+    source_crc &= 0xFFFFFFFF
+    if (head and not head.endswith(b"\n")) or zlib.crc32(head) & 0xFFFFFFFF != source_crc:
+        return None
+    tail = text.encode("utf-8")
+    with open(path, "wb") as sink:
+        sink.write(head)
+        sink.write(tail)
+        sink.flush()
+        os.fsync(sink.fileno())
+    return zlib.crc32(tail, source_crc) & 0xFFFFFFFF
+
+
 def fsync_dir(path: Path) -> None:
     """Flush a directory's entries to stable storage (best-effort on
     platforms whose filesystems do not support directory fsync)."""

@@ -7,7 +7,9 @@ A *database directory* holds a manifest pointing at the current snapshot
       MANIFEST.json          -- format version, config, checksums, metadata,
                              -- and the name of the live generation
       gen-<epoch>/
-        dictionary.nt        -- one Term.n3() line per OID, in OID order
+        dictionary.nt        -- one Term.n3() line per OID, in OID order; the
+                             -- previous generation's file plus appended lines
+                             -- while no OID moved
         schema.json          -- emergent schema (tables, FKs, coverage)
         membership.bin       -- (2, n) array: regular subjects / their table ids
         matrix.bin           -- base (n, 3) triple matrix, storage order
@@ -45,8 +47,9 @@ import shutil
 import uuid
 from datetime import datetime, timezone
 from json import dumps as json_dumps, loads as json_loads
+from itertools import islice
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,11 +57,12 @@ from ..columnar import BufferPool, Column, CostModel, ZoneMap
 from ..columnar.stats import ColumnStats
 from ..cs import EmergentSchema
 from ..errors import PersistenceError
-from ..model import TermDictionary
+from ..model import Term, TermDictionary
 from ..rio import parse_term
 from ..storage import ClusteredStore, ExhaustiveIndexStore, TripleTable
 from ..storage.clustered import CSBlock
 from .io import (
+    copy_append_text,
     fsync_dir,
     read_array,
     read_json,
@@ -138,12 +142,12 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
     store untouched, which is what tests snapshotting shared fixtures rely
     on.
     """
-    # dictionary: one n3 line per OID, which parse_term reads back whatever the
-    # term -- unless a line break (n3() escapes the string only) splits it
-    term_lines = "".join(term.n3() + "\n" for term in store.dictionary.terms())
-    if term_lines.count("\n") != len(store.dictionary):
-        broken = next(term for term in store.dictionary.terms() if "\n" in term.n3())
-        raise PersistenceError(f"cannot save {broken!r}: a line break outside a literal's string")
+    dictionary = store.dictionary
+    terms = len(dictionary)
+    known = store.dictionary_file
+    if known is not None and known.dictionary is not dictionary:
+        known = None  # a remapped or reloaded dictionary: every line may differ
+    appended = _term_lines(islice(dictionary.terms(), known.terms if known else 0, terms))
     root = Path(path)
     _prepare_directory(root)
     previous_generation = None
@@ -168,7 +172,16 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         files += 1
         data_bytes += file_path.stat().st_size
 
-    dict_crc = write_text(gen_dir / DICTIONARY_FILE, term_lines)
+    # the file the last save or open of this dictionary wrote or read holds
+    # its first lines already: OIDs never move in a dictionary, so only the
+    # terms appended since are serialized
+    dict_crc = None
+    if known is not None:
+        dict_crc = copy_append_text(known.path, gen_dir / DICTIONARY_FILE, appended, known.crc)
+    if dict_crc is None:
+        if known is not None:
+            appended = _term_lines(islice(dictionary.terms(), terms))
+        dict_crc = write_text(gen_dir / DICTIONARY_FILE, appended)
     _note(gen_dir / DICTIONARY_FILE)
 
     # base matrix
@@ -212,11 +225,10 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
         "wal_file": WAL_FILE,
         "config": config_to_dict(store.config),
         "triples": int(matrix.shape[0]),
-        "terms": len(store.dictionary),
-        "value_order_watermark": store.dictionary.value_order_watermark,
+        "terms": terms,
+        "value_order_watermark": dictionary.value_order_watermark,
         "clustered": bool(store.is_clustered),
-        "dictionary": {"file": DICTIONARY_FILE, "crc": dict_crc,
-                       "terms": len(store.dictionary)},
+        "dictionary": {"file": DICTIONARY_FILE, "crc": dict_crc, "terms": terms},
         "matrix": {"file": MATRIX_FILE, "crc": matrix_crc,
                    "rows": int(matrix.shape[0])},
         "schema": schema_entry,
@@ -237,17 +249,31 @@ def write_snapshot(store, path: Path | str, attach: bool = False) -> SnapshotInf
 
     if attach:
         store.journal.attach_wal(wal)
+        store.dictionary_file = DictionaryFile(dictionary, terms,
+                                               gen_dir / DICTIONARY_FILE, dict_crc)
 
     return SnapshotInfo(
         path=str(root),
         epoch=epoch,
         generation=generation,
         triples=int(matrix.shape[0]),
-        terms=len(store.dictionary),
+        terms=terms,
         files=files,
         data_bytes=data_bytes,
         pending_updates_logged=len(pending_texts),
     )
+
+
+def _term_lines(terms: Iterable[Term]) -> str:
+    """One ``n3()`` line per term, which ``parse_term`` reads back whatever
+    the term — unless a line break (``n3()`` escapes the string only) would
+    split it, which is refused before anything is written."""
+    terms = list(terms)
+    lines = "".join(term.n3() + "\n" for term in terms)
+    if lines.count("\n") != len(terms):
+        broken = next(term for term in terms if "\n" in term.n3())
+        raise PersistenceError(f"cannot save {broken!r}: a line break outside a literal's string")
+    return lines
 
 
 def _prepare_directory(root: Path) -> None:
@@ -381,10 +407,22 @@ def config_from_dict(saved: dict) -> dict:
 # -- reading ------------------------------------------------------------------
 
 
+class DictionaryFile(NamedTuple):
+    """A dictionary file and the dictionary whose first ``terms`` lines it
+    holds: what the last save or open of a store wrote or read.  The next
+    save of that same dictionary copies the file and appends the rest."""
+
+    dictionary: TermDictionary
+    terms: int
+    path: Path
+    crc: int
+
+
 class SnapshotParts(NamedTuple):
     """What one database directory decodes to (see :meth:`SnapshotReader.read`)."""
 
     dictionary: TermDictionary
+    dictionary_file: DictionaryFile
     matrix: Column
     """The base triple matrix as one flat lazy column of ``3 * rows`` values
     (``base.matrix``), still on disk."""
@@ -441,10 +479,13 @@ class SnapshotReader:
         behind a lazy loader.
         """
         dictionary = self.read_dictionary()
+        entry = self.manifest["dictionary"]
         matrix = self.matrix_column(pool)
         schema = self.read_schema()
         return SnapshotParts(
             dictionary=dictionary,
+            dictionary_file=DictionaryFile(dictionary, len(dictionary),
+                                           self.base / entry["file"], int(entry["crc"])),
             matrix=matrix,
             schema=schema,
             reduced_schemas=self.manifest.get("reduced_schemas", {}),

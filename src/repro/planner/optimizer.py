@@ -85,6 +85,7 @@ class QueryOptimizer:
             index_store=context.index_store,
             clustered_store=context.clustered_store,
             delta=context.delta,
+            dictionary=context.dictionary,
         )
         self.cost_model = context.cost_model
 

@@ -245,6 +245,10 @@ class Planner:
             if len(blocks) == 1 and not _has_irregular(store, star):
                 block_of_star[subject_var] = blocks[0]
 
+        # push-down runs with no pending write only, so the tail literals a
+        # range matches in the base columns are those it matches now
+        dictionary = self.context.dictionary
+
         # pass 1: subject ranges from range predicates over sub-ordered columns
         for subject_var, star in star_patterns.items():
             block = block_of_star.get(subject_var)
@@ -253,7 +257,8 @@ class Planner:
             for prop in star.properties:
                 if not _is_bounded(prop.oid_range):
                     continue
-                derived = subject_range_for_property_range(block, prop.predicate_oid, prop.oid_range)
+                derived = subject_range_for_property_range(
+                    block, prop.predicate_oid, prop.oid_range, prop.oid_range.tail_oids(dictionary))
                 if derived is not None:
                     star.subject_range = derived if star.subject_range is None \
                         else star.subject_range.intersect(derived)
@@ -276,8 +281,9 @@ class Planner:
                     for other in star.properties:
                         if other is prop or not _is_bounded(other.oid_range):
                             continue
-                        fk_bounds = fk_range_from_zonemap(block, other.predicate_oid, other.oid_range,
-                                                          prop.predicate_oid)
+                        fk_bounds = fk_range_from_zonemap(
+                            block, other.predicate_oid, other.oid_range, prop.predicate_oid,
+                            other.oid_range.tail_oids(dictionary))
                         if fk_bounds is not None:
                             target.subject_range = fk_bounds if target.subject_range is None \
                                 else target.subject_range.intersect(fk_bounds)

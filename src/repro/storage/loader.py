@@ -4,9 +4,10 @@ The loading pipeline mirrors the paper's architecture:
 
 1. parse / generate decoded triples;
 2. dictionary-encode them in parse order (``encode_graph``);
-3. optionally reassign literal OIDs so OID order equals value order
+3. reassign literal OIDs so OID order equals value order
    (``value_order_literals``) — this is what lets range predicates run on
-   OIDs directly;
+   OIDs directly; clustering runs it again for the literals updates have
+   appended since, which compaction leaves where they are;
 4. discover the emergent schema (:mod:`repro.cs`);
 5. *subject clustering*: permute the member subjects' OIDs among themselves
    so that each characteristic set's members take consecutive *member* OIDs,
@@ -63,8 +64,11 @@ def apply_oid_mapping(matrix: np.ndarray, old: np.ndarray, new: np.ndarray) -> n
 def value_order_literals(matrix: np.ndarray,
                          dictionary: TermDictionary) -> Tuple[TermDictionary, np.ndarray]:
     """Permute literal OIDs into value order; returns the new dictionary and
-    the rewritten matrix (``matrix`` itself when no literal moved).  Neither
-    argument is edited."""
+    the rewritten matrix (``matrix`` itself when no literal moved; both
+    arguments when every term is value-ordered already).  Neither argument
+    is edited."""
+    if dictionary.value_order_watermark == len(dictionary):
+        return dictionary, matrix
     ordered, old, new = dictionary.reassign_value_ordered_literals()
     if np.array_equal(old, new):
         return ordered, matrix

@@ -76,7 +76,7 @@ class ExhaustiveIndexStore:
     def within_predicate(self, component: str) -> TripleTable:
         """The projection that sorts subjects (``"s"``: PSO) or objects
         (``"o"``: POS) inside each predicate — where a per-subject probe or a
-        :meth:`~TripleTable.narrowed_row_range` on that component runs."""
+        :meth:`~TripleTable.narrowed_row_ranges` on that component runs."""
         return self.tables["pso" if component == "s" else "pos"]
 
     def warm(self) -> None:
@@ -87,6 +87,18 @@ class ExhaustiveIndexStore:
     def materialized_orders(self) -> List[str]:
         """The orders some read has sorted so far, alphabetically."""
         return sorted(order for order, table in self.tables.items() if table.is_materialized)
+
+    def merged(self, rows: np.ndarray, inserts: np.ndarray,
+               tombstones: np.ndarray) -> "ExhaustiveIndexStore":
+        """The store of ``rows`` — this store's rows minus ``tombstones``
+        plus ``inserts`` — in which every projection sorted here is merged
+        (:meth:`TripleTable.merged`) and every other one stays lazy."""
+        store = ExhaustiveIndexStore(rows, pool=self.pool, name=self.name)
+        for order, table in self.tables.items():
+            if table.is_materialized:
+                store.tables[order] = table.merged(rows, inserts, tombstones,
+                                                   length=len(rows))
+        return store
 
     # -- access-path selection -------------------------------------------------
 

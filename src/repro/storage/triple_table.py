@@ -11,7 +11,7 @@ the access path that exhaustive-indexing RDF stores rely on.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,16 @@ _SORTS = default_registry().counter(
     labelnames=("order",))
 
 
+_ROW_KEY = np.dtype([("first", np.int64), ("second", np.int64), ("third", np.int64)])
+
+
+def _row_keys(components) -> np.ndarray:
+    """One structured key per row of three aligned columns: keys compare
+    like the rows do lexicographically, so ``searchsorted`` works on them."""
+    return np.ascontiguousarray(np.column_stack(components), dtype=np.int64).view(
+        _ROW_KEY).reshape(-1)
+
+
 def rows_matrix(rows: Rows) -> np.ndarray:
     """The matrix itself, shape-checked."""
     matrix = np.asarray(rows() if callable(rows) else rows, dtype=np.int64)
@@ -51,8 +61,9 @@ class TripleTable:
     callable will produce) and *is* its three
     :class:`~repro.columnar.Column`s, which the first read of anything but
     the length sorts out of the rows: once, under the table's own mutex, so
-    a table nothing reads costs nothing.  The ``(n, 3)`` form exists only in
-    :meth:`raw` and during that sort.
+    a table nothing reads costs nothing — unless :meth:`merged` made it from
+    a sorted predecessor, whose columns it then starts with.  The ``(n, 3)``
+    form exists only in :meth:`raw` and during that sort.
     """
 
     def __init__(
@@ -108,6 +119,51 @@ class TripleTable:
         _SORTS.inc(order=self.order)
         return columns
 
+    def merged(self, rows: Rows, inserts: np.ndarray, tombstones: np.ndarray,
+               *, length: int) -> "TripleTable":
+        """The table over ``rows``, which are this table's rows minus
+        ``tombstones`` plus ``inserts`` (``(n, 3)`` S/P/O arrays: each
+        tombstone is one of this table's rows, no insert is).
+
+        A sorted table hands the new one its columns merged: the tombstoned
+        rows dropped by position and the lexsorted inserts put in place by
+        binary search, which is the sort of ``rows`` (a triple set has no
+        ties) for a few copies of the columns.  An unsorted table's successor
+        sorts at its first read, like any table.
+        """
+        table = TripleTable(rows, order=self.order, pool=self.pool, name=self.name,
+                            length=length)
+        columns = self._columns
+        if columns is not None:
+            table._columns = self._merge_columns(columns, inserts, tombstones, length)
+            table._rows = None
+        return table
+
+    def _merge_columns(self, columns: Dict[str, Column], inserts: np.ndarray,
+                       tombstones: np.ndarray, length: int) -> Dict[str, Column]:
+        data = {component: columns[component].data for component in "spo"}
+        keys = _row_keys([data[component] for component in self.order])
+        if tombstones.size:
+            dropped = _row_keys([tombstones[:, _COMPONENT_INDEX[c]] for c in self.order])
+            at = np.minimum(np.searchsorted(keys, dropped), max(keys.size - 1, 0))
+            keep = np.ones(keys.size, dtype=bool)
+            keep[at[keys[at] == dropped]] = False
+            keys = keys[keep]
+            data = {component: values[keep] for component, values in data.items()}
+        if inserts.size:
+            added = inserts[np.lexsort([inserts[:, _COMPONENT_INDEX[c]]
+                                        for c in reversed(self.order)])]
+            at = np.searchsorted(keys, _row_keys([added[:, _COMPONENT_INDEX[c]]
+                                                  for c in self.order]))
+            data = {component: np.insert(values, at, added[:, _COMPONENT_INDEX[component]])
+                    for component, values in data.items()}
+        if len(data["s"]) != length:
+            raise StorageError(
+                f"table {self.name!r} merged to {len(data['s'])} rows, expected {length}")
+        return {component: Column(self._segment_id(component), values,
+                                  sorted_ascending=self.order[0] == component, pool=self.pool)
+                for component, values in data.items()}
+
     # -- basics --------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -153,21 +209,25 @@ class TripleTable:
         """Public wrapper over the prefix binary search (no page reads yet)."""
         return self._prefix_range(*values)
 
-    def narrowed_row_range(self, value: int, oid_range) -> Tuple[int, int]:
-        """Row range of one first-component value, narrowed by an inclusive
-        OID range (anything with ``low`` / ``high``, ``None`` = open) on the
-        next sort component — subjects within a predicate on PSO, objects on
-        POS.  Binary searches only, no page reads."""
+    def narrowed_row_ranges(self, value: int,
+                            intervals: Sequence[Tuple[Optional[int], Optional[int]]]
+                            ) -> List[Tuple[int, int]]:
+        """Row ranges of one first-component value, narrowed by inclusive
+        OID intervals (ascending and disjoint, ``None`` = open) on the next
+        sort component — subjects within a predicate on PSO, objects on POS:
+        one non-empty ``[start, stop)`` per interval that matches a row, in
+        row order.  Binary searches only, no page reads."""
         lo, hi = self._prefix_range(value)
         if hi <= lo:
-            return lo, lo
+            return []
         segment = self.column(self.order[1]).data[lo:hi]
-        start, stop = lo, hi
-        if oid_range.low is not None:
-            start = lo + int(np.searchsorted(segment, oid_range.low, side="left"))
-        if oid_range.high is not None:
-            stop = lo + int(np.searchsorted(segment, oid_range.high, side="right"))
-        return start, max(start, stop)
+        ranges = []
+        for low, high in intervals:
+            start = lo if low is None else lo + int(np.searchsorted(segment, low, side="left"))
+            stop = hi if high is None else lo + int(np.searchsorted(segment, high, side="right"))
+            if stop > start:
+                ranges.append((start, stop))
+        return ranges
 
     def scan_prefix(self, *values: int, fetch: str = "spo") -> np.ndarray:
         """Scan rows matching a prefix of the sort order.
@@ -186,6 +246,13 @@ class TripleTable:
             return np.empty((0, len(fetch)), dtype=np.int64)
         columns = self._sorted()
         return np.column_stack([columns[component].slice(lo, hi) for component in fetch])
+
+    def fetch_ranges(self, ranges: Sequence[Tuple[int, int]], fetch: str = "spo") -> np.ndarray:
+        """:meth:`fetch_rows` over several disjoint row ranges, in order."""
+        if len(ranges) == 1:
+            return self.fetch_rows(*ranges[0], fetch=fetch)
+        return np.concatenate([self.fetch_rows(lo, hi, fetch=fetch) for lo, hi in ranges]
+                              or [np.empty((0, len(fetch)), dtype=np.int64)])
 
     def contains(self, triple: EncodedTriple) -> bool:
         """Exact triple membership test (three binary searches)."""

@@ -98,14 +98,16 @@ class TestColumn:
 
     def test_select_range_sorted(self):
         """A range on the component sorted inside one predicate is two more
-        binary searches (inclusive bounds, ``None`` = open)."""
+        binary searches per interval (inclusive bounds, ``None`` = open)."""
         table = TripleTable(np.asarray([(s, 7, 0) for s in (1, 2, 3, 4, 5)]), order="pso")
         subjects = table.column("s").data
         for low, high, expected in ((2, 4, [2, 3, 4]), (3, 3, [3]), (None, 2, [1, 2]),
                                     (4, None, [4, 5]), (4, 2, []), (None, None, [1, 2, 3, 4, 5])):
-            lo, hi = table.narrowed_row_range(7, OidRange(low, high))
-            assert subjects[lo:hi].tolist() == expected
-        assert table.narrowed_row_range(8, OidRange(2, 4)) == (5, 5)  # absent predicate
+            ranges = table.narrowed_row_ranges(7, OidRange(low, high).intervals())
+            assert [s for lo, hi in ranges for s in subjects[lo:hi].tolist()] == expected
+        # a head interval and a tail hull: two row ranges, in row order
+        assert table.narrowed_row_ranges(7, [(1, 2), (4, 4)]) == [(0, 2), (3, 4)]
+        assert table.narrowed_row_ranges(8, [(2, 4)]) == []  # absent predicate
 
     def test_gather_accounts_pages(self):
         pool = BufferPool(page_size=2)
@@ -148,13 +150,13 @@ class TestZoneMap:
     def test_build_and_prune(self):
         zone_map = ZoneMap.build(list(range(100)), zone_size=10)
         assert len(zone_map) == 10
-        ranges = zone_map.candidate_row_ranges(25, 34)
+        ranges = zone_map.candidate_row_ranges([(25, 34)])
         assert ranges == [(20, 40)]
         assert zone_map.candidate_row_count(25, 34) == 20
 
     def test_adjacent_ranges_coalesce(self):
         zone_map = ZoneMap.build(list(range(40)), zone_size=10)
-        assert zone_map.candidate_row_ranges(5, 25) == [(0, 30)]
+        assert zone_map.candidate_row_ranges([(5, 25)]) == [(0, 30)]
 
     def test_unbounded_predicate_keeps_everything(self):
         zone_map = ZoneMap.build(list(range(40)), zone_size=10)
@@ -162,12 +164,12 @@ class TestZoneMap:
 
     def test_no_match(self):
         zone_map = ZoneMap.build([1, 2, 3, 4], zone_size=2)
-        assert zone_map.candidate_row_ranges(100, 200) == []
+        assert zone_map.candidate_row_ranges([(100, 200)]) == []
         assert zone_map.selectivity(100, 200) == 0.0
 
     def test_null_only_zone_never_matches(self):
         zone_map = ZoneMap.build([NULL_OID, NULL_OID, 5, 6], zone_size=2)
-        assert zone_map.candidate_row_ranges(0, 100) == [(2, 4)]
+        assert zone_map.candidate_row_ranges([(0, 100)]) == [(2, 4)]
 
     def test_value_bounds_for_rows(self):
         zone_map = ZoneMap.build([10, 20, 30, 40, 50, 60], zone_size=2)
@@ -182,7 +184,7 @@ class TestZoneMap:
         low, high = min(a, b), max(a, b)
         zone_map = ZoneMap.build(values, zone_size=16)
         kept = set()
-        for start, stop in zone_map.candidate_row_ranges(low, high):
+        for start, stop in zone_map.candidate_row_ranges([(low, high)]):
             kept.update(range(start, stop))
         matching = {i for i, v in enumerate(values) if low <= v <= high}
         assert matching <= kept

@@ -190,18 +190,22 @@ class TestReadSnapshots:
         assert len(after) == len(before) - 1
 
     def test_snapshot_survives_compaction_and_decodes_pinned_terms(self):
-        """Compaction re-maps literal OIDs; a pinned snapshot must keep
-        decoding through the dictionary it was pinned with."""
+        """Compaction moves no OID and clustering re-maps literal OIDs; a
+        pinned snapshot must keep decoding through the dictionary it was
+        pinned with across both."""
         store = build_store()
         year_query = f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . }}"
-        # "0 first" sorts before every existing literal, so the value-order
-        # restore at compaction re-maps a large prefix of literal OIDs
+        # "1000" sorts before every existing year, so the value order that
+        # clustering restores re-maps a large prefix of literal OIDs
         store.update(f'INSERT DATA {{ <{EX}book/new> <{EX}in_year> '
                      f'"1000"^^<{XSD_INT}> . }}')
         snap = store.snapshot()
         before = sorted(snap.decode_rows(snap.sparql(year_query)))
         report = store.compact()
         assert report.merged_inserts == 1
+        assert sorted(snap.decode_rows(snap.sparql(year_query))) == before
+        assert store.dictionary is snap.context.dictionary  # kept: no OID moved
+        store.cluster()
         assert sorted(snap.decode_rows(snap.sparql(year_query))) == before
         assert store.dictionary is not snap.context.dictionary  # replaced, not edited
         snap.close()

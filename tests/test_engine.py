@@ -216,9 +216,8 @@ def test_range_probe_matches_a_mask(case):
             mask &= values >= oid_range.low
         if oid_range.high is not None:
             mask &= values <= oid_range.high
-        lo, hi = table.narrowed_row_range(predicate, oid_range)
-        assert lo <= hi
-        assert np.arange(lo, hi).tolist() == np.nonzero(mask)[0].tolist()
+        ranges = table.narrowed_row_ranges(predicate, oid_range.intervals())
+        assert [row for lo, hi in ranges for row in range(lo, hi)] == np.nonzero(mask)[0].tolist()
         pairs = sorted(map(tuple, raw[mask][:, [0, 2]].tolist()))
 
         assert CardinalityEstimator(store)._range_count(predicate, oid_range, component) == len(pairs)

@@ -7,10 +7,10 @@ since.  ``ValueEncoder.literal_range`` — its head interval and the tail
 literals a run resolves — is checked here against the full Python sort it
 used to redo after every update (``_oracles``), and the
 ``literal_index_full_builds_total`` counter pins down *when* a full pass
-over the dictionary may happen: build, compaction and open — never an
-update, a snapshot or a query.  Compaction's value ordering merges the
-sorted tail into the head; it is checked against the one full sort it
-replaced.
+over the dictionary may happen: build, clustering and open — never an
+update, a compaction (it moves no OID, so the tail outlives it), a snapshot
+or a query.  Clustering's value ordering merges the sorted tail into the
+head; it is checked against the one full sort it replaced.
 """
 
 from __future__ import annotations
@@ -192,31 +192,42 @@ def test_updates_and_range_queries_never_rebuild_the_index():
     _assert_ranges_match(store.dictionary, STORE_BOUNDS)
 
 
-def test_index_is_built_once_by_compact_clone_and_open(tmp_path):
+def test_compact_builds_no_index_and_open_builds_it_once(tmp_path):
+    """Compaction keeps the dictionary object, its watermark and its tail;
+    open restores the tail a checkpoint kept; clustering folds it in."""
     store = _build()
     for n in range(5):
         store.update(_insert_book(n))
-    watermark = store.dictionary.value_order_watermark
-    assert watermark < len(store.dictionary)
-    _assert_ranges_match(store.dictionary, STORE_BOUNDS)
+    dictionary, watermark = store.dictionary, store.dictionary.value_order_watermark
+    assert watermark < len(dictionary)
+    _assert_ranges_match(dictionary, STORE_BOUNDS)
 
     built = _full_builds()
     with store.snapshot() as pinned:
         store.compact()
-        assert _full_builds() == built + 1
-        assert store.dictionary is not pinned.context.dictionary
-        assert pinned.context.dictionary.value_order_watermark == watermark
-        _assert_ranges_match(pinned.context.dictionary, STORE_BOUNDS)
-    assert store.dictionary.value_order_watermark == len(store.dictionary)
+        assert _full_builds() == built
+        assert store.dictionary is dictionary is pinned.context.dictionary
+        assert dictionary.value_order_watermark == watermark
     _assert_ranges_match(store.dictionary, STORE_BOUNDS)
+    # the tail literals now live in base columns
+    assert len(store.decode_rows(store.sparql(RANGE_QUERY))) == 5
+    assert _full_builds() == built
 
     store.update(_insert_book(7))  # leave a WAL record: open() replays an update
     store.save(tmp_path / "db")
     built = _full_builds()
     reopened = RDFStore.open(tmp_path / "db")
     assert _full_builds() == built + 1
+    assert reopened.dictionary.value_order_watermark == watermark  # the tail stays one
     assert len(reopened.decode_rows(reopened.sparql(RANGE_QUERY))) == 6
     assert _full_builds() == built + 1  # neither replay nor the first query rebuilt it
+    _assert_ranges_match(reopened.dictionary, STORE_BOUNDS)
+
+    reopened.compact()
+    reopened.cluster()  # value order over every literal again, in one pass
+    assert _full_builds() == built + 2
+    assert reopened.dictionary.value_order_watermark == len(reopened.dictionary)
+    assert len(reopened.decode_rows(reopened.sparql(RANGE_QUERY))) == 6
     _assert_ranges_match(reopened.dictionary, STORE_BOUNDS)
 
 

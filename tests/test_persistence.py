@@ -15,6 +15,7 @@ Three properties are exercised:
 from __future__ import annotations
 
 import json
+import shutil
 import zlib
 from contextlib import nullcontext
 
@@ -35,6 +36,7 @@ from repro.bench.queries import q3_sparql, q6_sparql, star_lookup_sparql
 from repro.bench.rdfh import P_L_QUANTITY, P_L_RETURNFLAG
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.persist import SnapshotReader, WriteAheadLog, write_snapshot
+from repro.persist import snapshot as snapshot_module
 from repro.persist.io import read_array, write_array
 from repro.persist.snapshot import (
     GENERATION_PREFIX,
@@ -53,6 +55,7 @@ from repro.sparql import (
 )
 
 from _datasets import EX, book_triples, build_rdfh_store
+from test_updates import live_triples
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -972,3 +975,86 @@ class TestCheckpoint:
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.has_pending_updates()
         assert_stores_equivalent(store, reopened)
+
+
+# -- crash points of a checkpoint ----------------------------------------------
+
+
+_CHECKPOINT_IO = ("write_array", "write_text", "write_json_atomic", "fsync_dir",
+                  "copy_append_text")
+"""Every durable step a checkpoint's save takes: each array and text file,
+the manifest's atomic replace, each directory fsync, and the copy of the
+previous generation's dictionary file with the new terms appended."""
+
+CRASH_QUERIES = [
+    f"SELECT ?b ?y WHERE {{ ?b <{EX}in_year> ?y . FILTER(?y >= 2002) }}",
+    f"SELECT ?b ?a ?i WHERE {{ ?b <{EX}has_author> ?a . ?b <{EX}isbn_no> ?i . }}",
+    f"SELECT ?b ?n WHERE {{ ?b <{EX}has_author> ?a . ?a <{EX}name> ?n . "
+    f"?b <{EX}in_year> ?y . FILTER(?y > 2003) }}",
+]
+
+
+def _failing_io(monkeypatch, fail_at: int) -> dict:
+    """Make the ``fail_at``-th checkpoint I/O call (1-based; 0: none) raise
+    ``OSError`` — a crash at that point; returns the per-step call counts."""
+    counts = dict.fromkeys(_CHECKPOINT_IO, 0)
+
+    def failing(name, real):
+        def step(*args, **kwargs):
+            counts[name] += 1
+            if sum(counts.values()) == fail_at:
+                raise OSError(f"injected failure in {name} (call {fail_at})")
+            return real(*args, **kwargs)
+        return step
+
+    for name in _CHECKPOINT_IO:
+        monkeypatch.setattr(snapshot_module, name, failing(name, getattr(snapshot_module, name)))
+    return counts
+
+
+def _answers(store: RDFStore) -> list:
+    return [decoded(store, text) for text in CRASH_QUERIES]
+
+
+def test_a_checkpoint_that_fails_at_any_step_reopens_to_every_acknowledged_update(
+        tmp_path, monkeypatch):
+    """Crash-point sweep: for every k, the k-th durable step of a checkpoint
+    fails.  The database must open, holding the acknowledged updates — the
+    old generation replays its WAL, or the new one published them."""
+    seed = tmp_path / "seed"
+    store = RDFStore.build(book_triples(), config=_config())
+    store.save(seed)
+    store.update(insert_book(1, year=2005))
+    store.checkpoint()  # leaves a literal tail: the next checkpoint appends
+    updates = [insert_book(2, year=2006, author=3),
+               f'DELETE DATA {{ <{EX}book/7> <{EX}isbn_no> "isbn-0007" . }}',
+               insert_book(3, year=2004)]
+
+    def crash_at(k: int):
+        db = tmp_path / f"crash{k}"
+        shutil.copytree(seed, db)
+        live = RDFStore.open(db)
+        for text in updates:
+            live.update(text)
+        with monkeypatch.context() as patch:
+            counts = _failing_io(patch, k)
+            if k:
+                with pytest.raises(OSError, match="injected"):
+                    live.checkpoint()
+            else:
+                live.checkpoint()
+        return db, live, counts
+
+    db, live, counts = crash_at(0)
+    steps = sum(counts.values())
+    assert counts["copy_append_text"] == 1 and steps > 20, counts
+    oracle = RDFStore.build(live_triples(live), config=_config())
+    expected, expected_count = _answers(oracle), oracle.live_triple_count()
+    assert expected_count == live.live_triple_count()
+    assert _answers(RDFStore.open(db)) == expected
+    for k in range(1, steps + 1):
+        db, _live, counts = crash_at(k)
+        reopened = RDFStore.open(db)
+        assert reopened.live_triple_count() == expected_count, (k, counts)
+        assert _answers(reopened) == expected, (k, counts)
+

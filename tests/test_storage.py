@@ -262,16 +262,19 @@ class TestSortedOnFirstRead:
 
     def test_a_replaced_index_store_is_freed_by_reference_counting(self, tmp_path):
         """No cycle runs through a table: with the cyclic collector off, a
-        materialised projection dies at the ``build_indexes()`` that replaces
-        its store — built, compacted or reopened alike."""
+        materialised projection dies at the ``compact()`` that merges it into
+        its successor or the ``build_indexes()`` that replaces its store —
+        built, compacted or reopened alike."""
         store = RDFStore.build(person_address_triples(), config=small_graph_config())
         query = f"SELECT ?s ?o WHERE {{ ?s <{next(iter(_predicates(store)))}> ?o . }}"
+        # the insert probes SPO, and compaction merges what was sorted
+        resident = {"built": ["pso"], "compacted": ["pso", "spo"], "reopened": ["pso"]}
         gc.collect()
         gc.disable()
         try:
             for step in ("built", "compacted", "reopened"):
                 store.sparql(query, PlannerOptions(scheme=DEFAULT_SCHEME))
-                assert store.index_store.materialized_orders() == ["pso"], step
+                assert store.index_store.materialized_orders() == resident[step], step
                 table = weakref.ref(store.index_store.table("pso"))
                 column = weakref.ref(table().column("o"))
                 if step == "built":

@@ -13,7 +13,9 @@ the server, then scrapes ``GET /metrics`` over real HTTP and verifies:
   3. the counters the workload must have bumped are nonzero, and
   4. the one plan cache counts served reads monotonically across a write:
      after an ``INSERT DATA`` the first send of a text misses, the second
-     hits, and neither total ever decreases.
+     hits, and neither total ever decreases, and
+  5. the dictionary's literal tail outlives a checkpoint (compaction moves
+     no OID) and is folded into value order by ``cluster()``.
 
 It then exercises the live query-management surface end to end: starts a
 deliberately slow cross-join query on a batch-size-1 store, polls
@@ -96,6 +98,7 @@ MUST_BE_PRESENT = [
     "repro_active_queries",
     "repro_queries_cancelled_total",
     "repro_event_log_entries",
+    "repro_dictionary_tail_terms",
     "repro_process_resident_memory_bytes",
     "repro_process_uptime_seconds",
 ]
@@ -159,6 +162,17 @@ def smoke_plan_cache_across_a_write(server: QueryServer, url: str) -> None:
     assert cache() == (hits + 1, misses), "first send after a further write must hit"
     server.submit_query(ADHOC).result()
     assert cache() == (hits + 2, misses), "second send after a further write must hit"
+
+
+def smoke_dictionary_tail(store: RDFStore, url: str) -> None:
+    """The writes so far appended literals: a checkpoint keeps them above
+    the value-order watermark, and clustering folds them in."""
+    store.checkpoint()
+    tail = scrape(url)["repro_dictionary_tail_terms"]
+    assert tail > 0, f"a checkpoint after inserting literals left a tail of {tail}"
+    store.cluster()
+    tail = scrape(url)["repro_dictionary_tail_terms"]
+    assert tail == 0, f"cluster() left a tail of {tail}"
 
 
 def smoke_query_management() -> None:
@@ -239,6 +253,7 @@ def main() -> int:
             with urllib.request.urlopen(f"{url}/queries", timeout=10) as resp:
                 assert json.load(resp)["queries"] == []  # workload has drained
             smoke_plan_cache_across_a_write(server, url)
+            smoke_dictionary_tail(store, url)
 
         print(f"scraped {len(samples)} samples from /metrics on port {port}")
 
@@ -259,7 +274,8 @@ def main() -> int:
             assert samples[gauge] > 0, f"{gauge} = {samples[gauge]}"
 
     print("metrics smoke OK: exposition parses, core families present, "
-          "workload counters nonzero, plan-cache totals monotonic across a write")
+          "workload counters nonzero, plan-cache totals monotonic across a write, "
+          "literal tail kept by a checkpoint and folded by cluster()")
     smoke_query_management()
     return 0
 

@@ -137,18 +137,21 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 _MAINTENANCE_SPLITS = {
-    "compaction": ("value_order_s", "statistics_s", "index_s"),
+    "compaction": ("statistics_s", "index_s"),
     "checkpoint": ("compact_s", "write_s"),
 }
 
 
 def _render_maintenance(store: RDFStore) -> list[str]:
     """Where the newest compaction and checkpoint of this process went: one
-    line per event type that has been emitted, seconds split by phase."""
+    line per event type that has been emitted, seconds split by phase (and
+    how many sorted projections a compaction merged)."""
     lines = []
     for kind, phases in _MAINTENANCE_SPLITS.items():
         for event in store.events(type=kind, limit=1):
             split = ", ".join(f"{phase}={event[phase] * 1000:.1f}ms" for phase in phases)
+            if "projections_merged" in event:
+                split += f", projections_merged={event['projections_merged']}"
             lines.append(f"last {kind + ':':<12}{event['seconds'] * 1000:.1f}ms ({split})")
     return lines
 
