@@ -185,15 +185,19 @@ def join_tables(build: BindingTable, probe: BindingTable,
     """
     if not join_vars:
         return cross_join(probe, build)
-    build_idx, probe_idx = kernels.hash_join_indices(
+    return joined_rows(build, probe, *kernels.hash_join_indices(
         [build.column(name) for name in join_vars],
-        [probe.column(name) for name in join_vars])
-    build_sel = build.select_rows(build_idx)
-    probe_sel = probe.select_rows(probe_idx)
-    columns = dict(build_sel.columns)
-    for name, values in probe_sel.columns.items():
+        [probe.column(name) for name in join_vars]))
+
+
+def joined_rows(build: BindingTable, probe: BindingTable,
+                build_rows: np.ndarray, probe_rows: np.ndarray) -> BindingTable:
+    """The join output of matching ``(build_row, probe_row)`` pairs: the
+    build side's columns, then the probe side's others."""
+    columns = {name: values[build_rows] for name, values in build.columns.items()}
+    for name, values in probe.columns.items():
         if name not in columns:
-            columns[name] = values
+            columns[name] = values[probe_rows]
     return BindingTable(columns)
 
 

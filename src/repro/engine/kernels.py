@@ -11,9 +11,10 @@ reference in isolation:
 * :func:`merge_join_indices` — probe keys against a sorted key column;
 * :func:`unique_keys` — ``np.unique`` over integer keys, with first rows
   and ranks on request;
-* :func:`hash_join_indices` — multi-column equi-join match pairs, ordered
-  probe-major with build rows in input order (streaming joins rely on this
-  order being independent of how the probe side is batched);
+* :class:`JoinIndex` / :func:`hash_join_indices` — multi-column equi-join
+  match pairs from a build side keyed once, ordered probe-major with build
+  rows in input order (streaming joins probe it batch by batch and rely on
+  this order being independent of how the probe side is batched);
 * :func:`range_mask` / :func:`eq_mask` / :func:`neq_mask` — filter masks;
 * :class:`StreamingDistinct` — cross-batch DISTINCT keeping first
   occurrences in stream order (duplicates may straddle batch boundaries);
@@ -21,9 +22,10 @@ reference in isolation:
   exactly the per-group semantics of ``AggregateSpec.compute``.
 
 Row identity has two forms.  :func:`row_keys` folds parallel columns into
-one integer code per row by iterated dense re-coding — joins and GROUP BY
-sort and search those at native integer speed; the codes mean something only
-within the call that made them.  :func:`pack_rows` packs the columns into one
+one integer code per row by iterated dense re-coding — GROUP BY sorts
+those at native integer speed, and a :class:`JoinIndex` keeps the code books
+so probe rows are coded like its build rows; the codes mean something only
+within the call (or the index) that made them.  :func:`pack_rows` packs the columns into one
 fixed-width structured key per row, slower to sort but comparable between
 calls, which the cross-batch DISTINCT needs.  GROUP BY and DISTINCT compare
 float columns bitwise after normalizing ``-0.0`` to ``+0.0``; OID columns
@@ -32,8 +34,8 @@ float columns bitwise after normalizing ``-0.0`` to ``+0.0``; OID columns
 Integer keys are looked up in a direct-address table over their ``[min,
 max]`` instead of sorted whenever that span is at most
 :data:`TABLE_SPAN_FACTOR` times the rows involved; :func:`_table_bounds`
-makes that choice for :func:`unique_keys` and :func:`hash_join_indices`,
-and so for :func:`row_keys` and :func:`group_rows`.
+makes that choice for :func:`unique_keys` and :class:`JoinIndex`, and so
+for :func:`row_keys` and :func:`group_rows`.
 """
 
 from __future__ import annotations
@@ -144,66 +146,116 @@ _CODE_LIMIT = 1 << 62
 """Combined row codes are re-coded densely before they could pass this."""
 
 
-def _dense_codes(values: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dense ``int64`` codes (equal values, equal codes) and how many there are."""
-    uniques, codes = unique_keys(values, return_inverse=True)
-    return codes.reshape(-1).astype(np.int64, copy=False), int(uniques.size)
+def _coded_rows(columns: Sequence[np.ndarray]):
+    """Parallel columns (two or more) combined into one dense-coded key per
+    row — ``key * width + code``, each column coded by its sorted distinct
+    values, the running key re-coded whenever the next product could leave
+    ``int64`` — and the code books that made it: column 0's distinct values,
+    then per later column its distinct values and the re-code of the running
+    key before it (or ``None``)."""
+    first, key = unique_keys(columns[0], return_inverse=True)
+    bound = first.size
+    steps = []
+    for column in columns[1:]:
+        uniques, codes = unique_keys(column, return_inverse=True)
+        recode = None
+        if bound * uniques.size >= _CODE_LIMIT:
+            recode, key = unique_keys(key, return_inverse=True)
+            bound = recode.size  # now both are at most the row count
+        key = key * uniques.size + codes
+        bound *= uniques.size
+        steps.append((uniques, recode))
+    return key.astype(np.int64, copy=False), first, steps
 
 
 def row_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
     """One sortable scalar per row, equal exactly where whole rows are equal.
 
-    A single column is its own key.  More columns are combined by iterated
-    dense re-coding — ``key * width + code``, the running key re-coded
-    whenever the next product could leave ``int64`` — so arbitrarily many
-    columns cannot overflow, and sorting or searching whole rows is one
-    integer operation instead of a comparison of records.
+    A single column is its own key; more are combined by
+    :func:`_coded_rows`, so arbitrarily many columns cannot overflow, and
+    sorting or searching whole rows is one integer operation instead of a
+    comparison of records.
     """
     if len(columns) == 1:
         return np.asarray(columns[0])
-    key, bound = _dense_codes(columns[0])
-    for column in columns[1:]:
-        codes, width = _dense_codes(column)
-        if bound * width >= _CODE_LIMIT:
-            key, bound = _dense_codes(key)  # now both are at most the row count
-        key = key * width + codes
-        bound *= width
-    return key
+    return _coded_rows(columns)[0]
+
+
+def _codes_in(uniques: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's index in the sorted distinct ``uniques``; ``-1`` where
+    it is not one of them."""
+    codes = np.searchsorted(uniques, values)
+    found = codes < uniques.size
+    found[found] = uniques[codes[found]] == values[found]
+    return np.where(found, codes, -1)
+
+
+class JoinIndex:
+    """The build side of a multi-column equi-join, keyed once: a streaming
+    join probes it batch by batch.
+
+    :meth:`probe` returns matching ``(build_row, probe_row)`` pairs,
+    probe-major, the build rows of one probe row in input order — so a
+    probe side split into batches gets the pairs of the whole.  One column
+    is its own key; more are combined by :func:`_coded_rows`, whose code
+    books code the probe rows (a value absent from the build matches
+    nothing).  A probe key finds its build rows in a direct-address table
+    of per-key counts and starts when :func:`_table_bounds` allows one over
+    the build rows plus ``probe_rows`` (the first probe batch's), and by
+    binary search over the sorted build keys otherwise.
+    """
+
+    def __init__(self, build_arrays: Sequence[np.ndarray], probe_rows: int) -> None:
+        self._first: Optional[np.ndarray] = None
+        if len(build_arrays) == 1:
+            key = np.asarray(build_arrays[0])
+        else:
+            key, self._first, self._steps = _coded_rows(build_arrays)
+        self._order = np.argsort(key, kind="stable")
+        self._bounds = _table_bounds(key, key.size + probe_rows)
+        if self._bounds is None:
+            self._sorted_keys = key[self._order]
+        else:
+            low, high = self._bounds
+            self._counts = np.bincount(key - low, minlength=high - low + 1)
+            self._starts = np.cumsum(self._counts) - self._counts
+
+    def _probe_key(self, probe_arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """The probe rows' keys in the build's code space (``-1``: no match)."""
+        if self._first is None:
+            return np.asarray(probe_arrays[0])
+        key = _codes_in(self._first, np.asarray(probe_arrays[0]))
+        for (uniques, recode), column in zip(self._steps, probe_arrays[1:]):
+            codes = _codes_in(uniques, np.asarray(column))
+            if recode is not None:
+                key = _codes_in(recode, key)
+            key = np.where((key < 0) | (codes < 0), -1, key * uniques.size + codes)
+        return key
+
+    def probe(self, probe_arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """Matching ``(build_row, probe_row)`` pairs of one probe batch."""
+        if self._order.size == 0 or len(probe_arrays[0]) == 0:
+            return _empty_pair()
+        probe_key = self._probe_key(probe_arrays)
+        if self._bounds is None:
+            probe_rows, positions = merge_join_indices(self._sorted_keys, probe_key)
+            return self._order[positions], probe_rows
+        low, high = self._bounds
+        hit = (probe_key >= low) & (probe_key <= high)
+        slots = np.where(hit, probe_key - low, 0)
+        lo = self._starts[slots]
+        probe_rows, positions = expand_ranges(lo, np.where(hit, lo + self._counts[slots], lo))
+        return self._order[positions], probe_rows
 
 
 def hash_join_indices(build_arrays: Sequence[np.ndarray],
                       probe_arrays: Sequence[np.ndarray]
                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Matching ``(build_row, probe_row)`` pairs of a multi-column equi-join.
-
-    Output is probe-major; within one probe row the matching build rows keep
-    their input order.  Both sides are keyed together by :func:`row_keys`.
-    A probe key finds its build rows in a direct-address table of per-key
-    counts and starts when :func:`_table_bounds` allows one, and by binary
-    search over the sorted build keys otherwise.
-    """
+    """Matching ``(build_row, probe_row)`` pairs of a multi-column equi-join
+    in one call: a :class:`JoinIndex` probed once."""
     if len(build_arrays) != len(probe_arrays) or not build_arrays:
         raise ValueError("hash_join_indices needs matching non-empty column lists")
-    n_build = len(build_arrays[0])
-    n_probe = len(probe_arrays[0])
-    if n_build == 0 or n_probe == 0:
-        return _empty_pair()
-    keys = row_keys([np.concatenate([np.asarray(build), np.asarray(probe)])
-                     for build, probe in zip(build_arrays, probe_arrays)])
-    build_key, probe_key = keys[:n_build], keys[n_build:]
-    order = np.argsort(build_key, kind="stable")
-    bounds = _table_bounds(build_key, n_build + n_probe)
-    if bounds is None:
-        probe_rows, positions = merge_join_indices(build_key[order], probe_key)
-        return order[positions], probe_rows
-    low, high = bounds
-    counts = np.bincount(build_key - low, minlength=high - low + 1)
-    starts = np.cumsum(counts) - counts
-    hit = (probe_key >= low) & (probe_key <= high)
-    slots = np.where(hit, probe_key - low, 0)
-    lo = starts[slots]
-    probe_rows, positions = expand_ranges(lo, np.where(hit, lo + counts[slots], lo))
-    return order[positions], probe_rows
+    return JoinIndex(build_arrays, len(probe_arrays[0])).probe(probe_arrays)
 
 
 # -- filter masks ----------------------------------------------------------------------

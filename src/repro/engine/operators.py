@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from . import kernels
-from .bindings import Batch, BindingTable, emit_batches, join_tables
+from .bindings import Batch, BindingTable, cross_join, emit_batches, joined_rows
 from .context import ExecutionContext
 from .expressions import AggregateSpec, Expression
 from .mergescan import merge_pattern_rows, merged_subject_matches
@@ -253,16 +253,25 @@ class HashJoinOp(PhysicalOperator):
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         context.tracker.operator_invocations += 1
         context.tracker.join_operations += 1
-        # drain the left child as the build side, stream the right as probe
+        # drain the left child as the build side, stream the right as probe;
+        # the build side is keyed once, at the first probe batch
         build = self.left.execute(context)
         context.tracker.tuples_probed += build.num_rows
+        join_vars = self.join_vars
+        index: Optional[kernels.JoinIndex] = None
         for batch in self.right.batches(context):
             probe = batch.compact()
-            join_vars = self.join_vars
             if join_vars is None:
                 join_vars = sorted(set(build.variables) & set(probe.variables))
             context.tracker.tuples_probed += probe.num_rows
-            yield Batch(join_tables(build, probe, join_vars))
+            if not join_vars:
+                yield Batch(cross_join(probe, build))
+                continue
+            if index is None:
+                index = kernels.JoinIndex([build.column(name) for name in join_vars],
+                                          probe.num_rows)
+            matches = index.probe([probe.column(name) for name in join_vars])
+            yield Batch(joined_rows(build, probe, *matches))
 
 
 class FilterRangeOp(PhysicalOperator):

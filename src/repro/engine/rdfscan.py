@@ -16,7 +16,8 @@ child's under-full batches up to the batch size first, so a selective child
 does not make it evaluate the star once per fragment; over the clustered
 store it then probes the candidates' own row positions — a positional fetch
 from the aligned columns, MonetDB's *leftfetchjoin* — rather than scanning
-the row range that covers them.
+the row range that covers them, and joins the star rows back onto its input
+by each candidate's code (its rank among the candidates), not by a hash join.
 
 Both operators understand zone maps: when a property carries a range
 constraint and its column has a zone map, only the zones whose ``[min,max]``
@@ -29,7 +30,7 @@ foreign key into the other CS via its zone map).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from ..columnar import NULL_OID, Column
 from ..errors import ExecutionError
 from ..storage.clustered import CSBlock
 from ..storage.triple_table import TripleTable
-from .bindings import Batch, BindingTable, coalesce_batches, emit_batches, join_tables
+from .bindings import Batch, BindingTable, coalesce_batches, emit_batches, joined_rows
 from .context import ExecutionContext
 from .kernels import expand_ranges, unique_keys
 from .mergescan import merge_property_pairs
@@ -108,16 +109,42 @@ class RDFJoinOp(_StarOperator):
         for input_table in coalesce_batches(self.child.batches(context), context.batch_size):
             if not input_table.has(subject_var):
                 raise ExecutionError(f"RDFjoin expects ?{subject_var} from its child operator")
-            candidates = unique_keys(input_table.column(subject_var))
+            candidates, input_codes = unique_keys(input_table.column(subject_var),
+                                                  return_inverse=True)
             if candidates.size == 0:
                 star_table = BindingTable.empty(self.star.output_variables())
             else:
                 star_table = scan(candidates)
             context.tracker.tuples_probed += int(candidates.size)
-            join_vars = sorted(set(input_table.variables) & set(star_table.variables))
-            # star side builds, input side probes: the output follows the input
-            # row order, so results are identical for every batch size
-            yield Batch(join_tables(star_table, input_table, join_vars or [subject_var]))
+            yield Batch(_join_back(star_table, input_table, subject_var,
+                                   candidates, input_codes))
+
+
+def _join_back(star_table: BindingTable, input_table: BindingTable, subject_var: str,
+               candidates: np.ndarray, input_codes: np.ndarray) -> BindingTable:
+    """The star's rows joined back onto RDFjoin's input by candidate code.
+
+    ``input_codes`` gives each input row its candidate's index among the
+    sorted ``candidates``; a star row's is found by ``searchsorted``.  The
+    codes are dense in ``[0, k)``, so ``bincount`` / ``cumsum`` give each
+    candidate its run of the star rows in code order and every input row
+    takes its candidate's run: no key search, no span check.  Other shared
+    variables filter the pairs by equality.  The output is what a hash join
+    with the star as build side gives — input-major, star rows in scan order
+    within one input row — so it is identical for every batch size.
+    """
+    star_codes = np.searchsorted(candidates, star_table.column(subject_var))
+    counts = np.bincount(star_codes, minlength=candidates.size)
+    starts = np.cumsum(counts) - counts
+    lo = starts[input_codes]
+    input_rows, positions = expand_ranges(lo, lo + counts[input_codes])
+    star_rows = np.argsort(star_codes, kind="stable")[positions]
+    shared = set(input_table.variables) & set(star_table.variables) - {subject_var}
+    if shared:
+        keep = np.logical_and.reduce([star_table.column(name)[star_rows]
+                                      == input_table.column(name)[input_rows] for name in shared])
+        star_rows, input_rows = star_rows[keep], input_rows[keep]
+    return joined_rows(star_table, input_table, star_rows, input_rows)
 
 
 def _property_tails(context: ExecutionContext, star: StarPattern) -> List[np.ndarray]:
@@ -297,89 +324,93 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
 
     # evaluate constraints, reading only constrained columns first: range by
     # range for a scan, at the candidates' positions inside the ranges for
-    # RDFjoin (a positional fetch, MonetDB's leftfetchjoin)
+    # RDFjoin (a positional fetch, MonetDB's leftfetchjoin).  An output
+    # column read here keeps its surviving rows' values (a take by local
+    # position), so no column is read twice
     constrained = [(p, tail) for p, tail in zip(star.properties, tails)
                    if not p.object_term.is_variable
                    or (p.oid_range is not None and not p.oid_range.is_unbounded())
                    or p.required]
+    outputs = {p.predicate_oid for p in star.properties if p.object_term.is_variable}
     if candidate_positions is None:
-        surviving_positions: List[np.ndarray] = []
-        for start, stop in row_ranges:
-            if stop <= start:
-                continue
-            mask = _constraint_mask(block, constrained, stop - start,
-                                    lambda column: column.slice(start, stop))
-            positions = np.nonzero(mask)[0] + start
-            if positions.size:
-                surviving_positions.append(positions)
-        if not surviving_positions:
-            return BindingTable.empty(star.output_variables())
-        positions = np.concatenate(surviving_positions)
+        reads = [(start, _constraint_mask(block, constrained, outputs, stop - start,
+                                          lambda column: column.slice(start, stop)))
+                 for start, stop in row_ranges if stop > start]
     else:
-        positions = _positions_within(candidate_positions, row_ranges)
-        positions = positions[_constraint_mask(block, constrained, positions.size,
-                                               lambda column: column.gather(positions))]
-        if positions.size == 0:
-            return BindingTable.empty(star.output_variables())
-
+        within = _positions_within(candidate_positions, row_ranges)
+        reads = [(0, _constraint_mask(block, constrained, outputs, within.size,
+                                      lambda column: column.gather(within)))]
+    surviving: List[np.ndarray] = []
+    kept: Dict[int, List[np.ndarray]] = {}
+    for start, (mask, values) in reads:
+        local = np.flatnonzero(mask)
+        surviving.append(local + start)
+        for predicate, column_values in values.items():
+            kept.setdefault(predicate, []).append(column_values[local])
+    positions = np.concatenate(surviving) if surviving else np.empty(0, dtype=np.int64)
+    if candidate_positions is not None:
+        positions = within[positions]
+    if positions.size == 0:
+        return BindingTable.empty(star.output_variables())
+    read = {predicate: np.concatenate(parts) for predicate, parts in kept.items()}
     subjects = block.subject_column.gather(positions)
+    columns: Dict[str, np.ndarray] = {star.subject_var: subjects}
+
+    def take(keep: np.ndarray) -> int:
+        """Keep the ``keep`` rows of everything aligned with ``positions``;
+        how many are left."""
+        nonlocal positions
+        positions = positions[keep]
+        for aligned in (columns, read):
+            for name in aligned:
+                aligned[name] = aligned[name][keep]
+        return positions.size
 
     # residual subjects are answered elsewhere; drop them here to avoid duplicates
-    if exclude_subjects.size:
-        keep = ~np.isin(subjects, exclude_subjects, assume_unique=True)
-        positions = positions[keep]
-        subjects = subjects[keep]
-        if positions.size == 0:
-            return BindingTable.empty(star.output_variables())
+    if exclude_subjects.size and not take(~np.isin(subjects, exclude_subjects,
+                                                   assume_unique=True)):
+        return BindingTable.empty(star.output_variables())
 
-    columns: Dict[str, np.ndarray] = {star.subject_var: subjects}
     for prop in star.properties:
         term = prop.object_term
         if not term.is_variable:
             continue
-        if term.var in columns:
-            # repeated variable (e.g. ``?x <p> ?x`` or two properties sharing
-            # an object variable): every occurrence must bind the same OID
+        values = read.get(prop.predicate_oid)
+        if values is None:
             values = block.column(prop.predicate_oid).gather(positions)
-            keep = values == columns[term.var]
-            if not prop.required:
-                keep |= values == NULL_OID
-            if not keep.all():
-                positions = positions[keep]
-                for name in columns:
-                    columns[name] = columns[name][keep]
-            if positions.size == 0:
-                return BindingTable.empty(star.output_variables())
+        if term.var not in columns:
+            columns[term.var] = values  # a required one's NULLs are masked above
             continue
-        column = block.column(prop.predicate_oid)
-        values = column.gather(positions)
-        if prop.required:
-            # required but unconstrained variables must still be non-NULL
-            keep = values != NULL_OID
-            if not keep.all():
-                positions = positions[keep]
-                for name in columns:
-                    columns[name] = columns[name][keep]
-                values = values[keep]
-        columns[term.var] = values
+        # repeated variable (e.g. ``?x <p> ?x`` or two properties sharing an
+        # object variable): every occurrence must bind the same OID
+        keep = values == columns[term.var]
+        if not prop.required:
+            keep |= values == NULL_OID
+        if not keep.all() and not take(keep):
+            return BindingTable.empty(star.output_variables())
     return BindingTable(columns)
 
 
 def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.ndarray]],
-                     rows: int, read: Callable[[Column], np.ndarray]) -> np.ndarray:
+                     outputs: Set[int], rows: int, read: Callable[[Column], np.ndarray]
+                     ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """Which of ``rows`` rows satisfy every constrained property (each with
     its range's tail literals), the rows' values of a column being what
-    ``read`` fetches from it."""
+    ``read`` fetches from it — and those values of the ``outputs``
+    predicates' columns it read."""
     mask = np.ones(rows, dtype=bool)
+    values_read: Dict[int, np.ndarray] = {}
     for prop, tail in constrained:
         values = read(block.column(prop.predicate_oid))
+        if prop.predicate_oid in outputs:
+            values_read[prop.predicate_oid] = values
         if prop.required:
             mask &= values != NULL_OID
         if not prop.object_term.is_variable:
             mask &= values == prop.object_term.oid
         if prop.oid_range is not None and not prop.oid_range.is_unbounded():
             mask &= prop.oid_range.mask(values, tail)
-    return mask
+    return mask, values_read
 
 
 def _sorted_prefix_rows(values: np.ndarray, intervals) -> List[Tuple[int, int]]:

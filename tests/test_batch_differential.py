@@ -15,6 +15,7 @@ comparisons.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -26,7 +27,21 @@ from _datasets import EX, book_triples
 from repro import RDFStore, StoreConfig
 from repro.bench import q1_sparql, q3_sparql, q6_sparql, star_fk_hop_sparql
 from repro.cs import DiscoveryConfig, GeneralizationConfig
-from repro.engine import HashJoinOp, IndexScanOp, RDFJoinOp
+from repro.engine import (
+    BindingTable,
+    HashJoinOp,
+    IndexScanOp,
+    MaterializedOp,
+    PatternTerm,
+    RDFJoinOp,
+    RDFScanOp,
+    StarPattern,
+    StarProperty,
+    TriplePatternPlan,
+    execute_plan,
+    kernels,
+)
+from repro.model import IRI
 from repro.sparql import (
     DEFAULT_SCHEME,
     OPTIMIZED_SCHEME,
@@ -156,6 +171,78 @@ def test_rdfjoin_coalesces_a_selective_childs_batches(rdfh_store):
     assert input_batches > math.ceil(input_rows / size), "the child must fragment its output"
     _rows, star_scans = result.run.tally(rdfjoin)
     assert star_scans <= math.ceil(input_rows / size)
+
+
+def _oid(store: RDFStore, name: str) -> int:
+    return store.dictionary.lookup_term(IRI(EX + name))
+
+
+def _rows(table: BindingTable, names) -> list:
+    return list(zip(*(table.column(name).tolist() for name in names)))
+
+
+def test_hash_join_keys_its_build_side_once_per_run(book_store, monkeypatch):
+    """A HashJoin whose probe side yields many batches keys its build side
+    once per run, not once per probe batch — counted as calls of the one
+    table-or-sort decision a keying makes, not timed."""
+    author = PatternTerm.constant(_oid(book_store, "has_author"))
+    build = IndexScanOp(TriplePatternPlan(PatternTerm.variable("b"), author,
+                                          PatternTerm.variable("a")))
+    probe = IndexScanOp(TriplePatternPlan(PatternTerm.variable("b2"), author,
+                                          PatternTerm.variable("a")))
+    context = dataclasses.replace(book_store.context(), batch_size=3)
+    build_rows = execute_plan(build, context)[0].num_rows
+    probe_rows = execute_plan(probe, context)[0].num_rows
+    assert math.ceil(probe_rows / context.batch_size) >= 3
+    one_shot, _cost = execute_plan(HashJoinOp(build, probe, ["a"]),
+                                   dataclasses.replace(context, batch_size=1024))
+
+    keyed = []
+    table_bounds = kernels._table_bounds
+
+    def counted(keys, rows):
+        keyed.append(keys.size)
+        return table_bounds(keys, rows)
+
+    monkeypatch.setattr(kernels, "_table_bounds", counted)
+    result, _cost = execute_plan(HashJoinOp(build, probe, ["a"]), context)
+    assert keyed == [build_rows]
+    names = ["b", "a", "b2"]
+    assert _rows(result, names) == _rows(one_shot, names)
+
+
+def test_rdfjoin_on_a_shared_object_variable_agrees_across_batch_sizes():
+    """An RDFjoin whose star shares ``?a`` with its input joins back on both
+    the subject and ``?a``: a candidate's star rows whose ``?a`` differs are
+    dropped.  Block subjects and a residual subject with two authors, input
+    rows repeated and out of order; every batch size gives the batch-size-1
+    rows, in the input's order."""
+    store = RDFStore.build(book_triples(), config=_config())
+    store.update(UPDATES[5])  # book/7 gains author/4: a residual subject
+    star = StarPattern("b", [
+        StarProperty(_oid(store, "has_author"), PatternTerm.variable("a")),
+        StarProperty(_oid(store, "in_year"), PatternTerm.variable("y")),
+    ])
+    books = [7, 3, 12, 7, 0, 3, 29, 7, 18, 5]
+    authors = [4, 3, 2, 2, 1, 4, 4, 0, 3, 0]  # book/i's author is i % 5
+    child = MaterializedOp(BindingTable({
+        "b": [_oid(store, f"book/{i}") for i in books],
+        "a": [_oid(store, f"author/{i}") for i in authors],
+        "extra": list(range(len(books))),
+    }))
+    names = ["b", "a", "y", "extra"]
+    base = store.context()
+    for context in (base, dataclasses.replace(base, clustered_store=None)):
+        star_rows = _rows(execute_plan(RDFScanOp(star), context)[0], ["b", "a", "y"])
+        expected = [row + (extra,) for extra, (b, a) in enumerate(zip(*(
+            child.table.column(name).tolist() for name in ("b", "a"))))
+            for row in star_rows if row[:2] == (b, a)]
+        assert len(expected) == 7  # book/7 twice (author/4 and /2), 3, 12, 29, 18, 5
+        for size in BATCH_SIZES:
+            result, _cost = execute_plan(RDFJoinOp(child, star),
+                                         dataclasses.replace(context, batch_size=size))
+            assert result.variables == names
+            assert _rows(result, names) == expected, size
 
 
 def test_row_order_is_batch_size_invariant(book_store):

@@ -36,15 +36,15 @@ def _arr(values, dtype=np.int64):
 
 
 def _assert_unique_like_numpy(values: np.ndarray) -> None:
-    """``unique_keys`` and ``_dense_codes``, on either path, answer exactly
+    """``unique_keys`` and ``_coded_rows``, on either path, answer exactly
     what ``np.unique(return_index=, return_inverse=)`` answers."""
     expected, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     got = kernels.unique_keys(values, return_index=True, return_inverse=True)
     assert [part.tolist() for part in got] == [expected.tolist(), first.tolist(),
                                                inverse.reshape(-1).tolist()]
     assert kernels.unique_keys(values).tolist() == expected.tolist()
-    codes, count = kernels._dense_codes(values)
-    assert (codes.tolist(), count) == (inverse.reshape(-1).tolist(), expected.size)
+    codes, uniques, _steps = kernels._coded_rows([values])
+    assert (codes.tolist(), uniques.tolist()) == (inverse.reshape(-1).tolist(), expected.tolist())
 
 
 # -- expand_ranges ---------------------------------------------------------------------
@@ -106,6 +106,61 @@ def test_hash_join_indices_matches_reference(build, probe, width, code_limit):
     expected = [(i, j) for j, pr in enumerate(probe)
                 for i, br in enumerate(build) if br == pr]
     assert list(zip(b_idx.tolist(), p_idx.tolist())) == expected
+
+
+def _probe_in_batches(index: kernels.JoinIndex, probe_cols, cuts):
+    """One join index probed batch by batch over ``probe_cols`` split at
+    ``cuts``, its pairs shifted to whole-probe row numbers."""
+    bounds = [0, *sorted(set(cuts)), len(probe_cols[0])]
+    build_rows, probe_rows = [], []
+    for start, stop in zip(bounds, bounds[1:]):
+        b_idx, p_idx = index.probe([col[start:stop] for col in probe_cols])
+        build_rows += b_idx.tolist()
+        probe_rows += (p_idx + start).tolist()
+    return build_rows, probe_rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    build=st.lists(st.tuples(oid_st, oid_st), max_size=20),
+    probe=st.lists(st.tuples(oid_st, oid_st), min_size=1, max_size=20),
+    cuts=st.lists(st.integers(1, 19), max_size=4),
+    width=st.sampled_from([1, 2]),
+    code_limit=st.sampled_from([kernels._CODE_LIMIT, 1]),
+)
+def test_join_index_probed_by_batch_equals_one_call(build, probe, cuts, width, code_limit):
+    """A build side keyed once (at the first batch's size, which may pick the
+    other path than the whole probe side would) and probed batch by batch
+    gives exactly the pairs of one ``hash_join_indices`` call."""
+    cuts = [cut for cut in cuts if cut < len(probe)]
+    build_cols = [_arr(r[i] for r in build) for i in range(width)]
+    probe_cols = [_arr(r[i] for r in probe) for i in range(width)]
+    first_batch = min(cuts, default=len(probe))
+    with mock.patch.object(kernels, "_CODE_LIMIT", code_limit):  # 1: always re-code
+        b_idx, p_idx = kernels.hash_join_indices(build_cols, probe_cols)
+        index = kernels.JoinIndex(build_cols, first_batch)
+        batched = _probe_in_batches(index, probe_cols, cuts)
+    assert batched == (b_idx.tolist(), p_idx.tolist())
+
+
+@pytest.mark.parametrize("width, distinct, spread, table", [
+    (1, 40, 1, True),       # OIDs within the span rule
+    (1, 40, 10**9, False),  # OIDs spread too wide
+    (2, 5, 10**9, True),    # 5 × 5 combined codes over 60 build rows
+    (2, 40, 1, False),      # 40 × 40 combined codes over 60 build rows
+])
+def test_join_index_takes_the_table_and_the_sort_path(width, distinct, spread, table):
+    """Keys within ``TABLE_SPAN_FACTOR`` × rows of each other take the
+    direct-address table, others the sort; both probe batch by batch like a
+    nested loop."""
+    rng = np.random.default_rng(7)
+    build_cols = [rng.integers(0, distinct, 60) * spread for _ in range(width)]
+    probe_cols = [rng.integers(0, distinct + 2, 50) * spread for _ in range(width)]
+    index = kernels.JoinIndex(build_cols, 10)
+    assert (index._bounds is not None) == table
+    expected = [(i, j) for j in range(50) for i in range(60)
+                if all(b[i] == p[j] for b, p in zip(build_cols, probe_cols))]
+    assert expected and list(zip(*_probe_in_batches(index, probe_cols, [10, 25, 26]))) == expected
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -413,7 +413,8 @@ class TestStoreMetrics:
             assert after["batches_emitted_total"] - before["batches_emitted_total"] == batches
 
     def test_update_and_buffer_pool_metrics(self, store):
-        store.sparql(STAR_QUERY)
+        store.sparql(STAR_QUERY)  # cold: a scan reads each page once
+        store.sparql(STAR_QUERY)  # warm: the same pages are hits
         store.update(f'INSERT DATA {{ <{EX}x> <{EX}p> "v" . }}')
         metrics = store.metrics()
         assert metrics["updates_total"] == 1

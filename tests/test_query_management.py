@@ -69,12 +69,11 @@ def store() -> RDFStore:
 
 @pytest.fixture()
 def slow_store() -> RDFStore:
-    """Row-at-a-time cross-join workload: runs long, cancels within one row.
+    """Row-at-a-time cross-join workload: many batches, cancels within one.
 
-    1 200 probe rows, ~100 ms: every user cancels it mid-flight, and must
-    first *see* it running from another thread or over HTTP, so it has to
-    outlast a slow first poll (at 200 books the query was a 30 ms window
-    that a full-suite process sometimes missed)."""
+    A user that must *see* the query running holds it with
+    :func:`project_gate` or :func:`project_turnstile`: its length alone does
+    not promise that a cancel arrives before it finishes."""
     return RDFStore.build(book_triples(books=1200, authors=4),
                           config=_config(batch_size=1))
 
@@ -100,6 +99,30 @@ def project_gate(monkeypatch) -> _Gate:
 
     monkeypatch.setattr(ProjectOp, "_batches", gated)
     return gate
+
+
+class _Turnstile:
+    """Step-by-step mid-query hold: every ProjectOp batch signals its
+    arrival and waits for one pass."""
+
+    def __init__(self):
+        self.arrived = threading.Semaphore(0)
+        self.passes = threading.Semaphore(0)
+
+
+@pytest.fixture()
+def project_turnstile(monkeypatch) -> _Turnstile:
+    turnstile = _Turnstile()
+    original = ProjectOp._batches
+
+    def stepped(self, context):
+        for batch in original(self, context):
+            turnstile.arrived.release()
+            assert turnstile.passes.acquire(timeout=30), "turnstile never passed"
+            yield batch
+
+    monkeypatch.setattr(ProjectOp, "_batches", stepped)
+    return turnstile
 
 
 # -- event log ----------------------------------------------------------------
@@ -382,9 +405,9 @@ class TestStoreIntegration:
         assert all(re.search(r"est=\d+ actual=\d+ .*time=[0-9.]+ms pages=\d+", line)
                    for line in tree), tree
 
-    def test_progress_is_monotonic_under_optimized_scheme(self, slow_store):
+    def test_progress_is_monotonic_under_optimized_scheme(self, slow_store,
+                                                          project_turnstile):
         options = PlannerOptions(scheme="optimized")
-        done = threading.Event()
         samples = []
 
         def run():
@@ -392,22 +415,22 @@ class TestStoreIntegration:
                 slow_store.sparql(CROSS_QUERY, options)
             except QueryCancelledError:
                 pass
-            finally:
-                done.set()
 
         thread = threading.Thread(target=run)
         thread.start()
-        deadline = time.time() + 30
         qid = None
-        while not done.is_set() and time.time() < deadline:
+        # sample between output batches: the query is held at each one
+        for _step in range(5):
+            assert project_turnstile.arrived.acquire(timeout=10), "query never produced a batch"
             active = slow_store.active_queries()
             if active:
                 qid = active[0]["id"]
                 if active[0]["progress"] is not None:
                     samples.append(active[0]["progress"])
-                if len(samples) >= 5 and samples[-1] > 0:
-                    slow_store.cancel(qid)  # seen enough; stop the burn
-            time.sleep(0.002)
+            project_turnstile.passes.release()
+        if qid is not None:
+            slow_store.cancel(qid)  # seen enough; stop the burn
+        project_turnstile.passes.release()  # the next batch sees the cancel
         thread.join(timeout=30)
         assert qid is not None, "query never became visible"
         assert samples, "no progress samples observed"
@@ -484,8 +507,9 @@ class TestStoreIntegration:
 
 
 class TestCancellationRaces:
-    def test_cancel_under_concurrent_readers_and_writer(self, slow_store):
-        """Cancel queries mid-flight under 8 snapshot readers + a writer."""
+    def test_cancel_under_concurrent_readers_and_writer(self, slow_store, project_gate):
+        """Cancel queries mid-flight under 8 snapshot readers + a writer; the
+        gate holds every query until all 8 are cancelled."""
         with QueryServer(slow_store, workers=8) as server:
             futures = [server.submit_query(CROSS_QUERY) for _ in range(8)]
             stop_writer = threading.Event()
@@ -508,10 +532,13 @@ class TestCancellationRaces:
                         if entry["id"] not in cancelled:
                             if slow_store.cancel(entry["id"]):
                                 cancelled.add(entry["id"])
+                    if len(cancelled) == len(futures):
+                        project_gate.release.set()
                     if all(f.done() for f in futures):
                         break
                     time.sleep(0.002)
             finally:
+                project_gate.release.set()
                 stop_writer.set()
                 writer.join(timeout=30)
             outcomes = []
@@ -576,7 +603,7 @@ def _http_json(url: str):
 
 
 class TestHttpQueryManagement:
-    def test_queries_listing_and_cancel_roundtrip(self, slow_store):
+    def test_queries_listing_and_cancel_roundtrip(self, slow_store, project_gate):
         with QueryServer(slow_store, workers=2) as server:
             port = server.start_metrics_endpoint()
             base = f"http://127.0.0.1:{port}"
@@ -595,6 +622,7 @@ class TestHttpQueryManagement:
                 f"{base}/queries/cancel?id={entry['id']}&reason=http")
             assert status == 200 and payload == {"cancelled": True,
                                                  "id": entry["id"]}
+            project_gate.release.set()  # the query held until the cancel was sent
             with pytest.raises(QueryCancelledError):
                 future.result(timeout=60)
             (cancel,) = slow_store.events(type="query_cancel")

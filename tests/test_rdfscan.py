@@ -165,6 +165,20 @@ class TestRDFScanEquivalence:
         _res, cost_zoned = execute_plan(RDFScanOp(star_zoned, use_zone_maps=True), ctx)
         assert cost_zoned.counters["tuples_scanned"] <= cost_plain.counters["tuples_scanned"]
 
+    def test_cold_scan_reads_each_column_page_once(self):
+        """A cold single-range RDFscan over a fresh store reads every page of
+        the subject column and of each star column once — the constraint
+        read of a column it outputs is its output read — and hits none."""
+        ctx = _library_context(with_dirty=False)
+        star = _star(ctx)
+        (block,) = ctx.clustered_store.blocks_with_properties(star.predicate_oids())
+        ctx.pool.reset_cold()
+        result, cost = execute_plan(RDFScanOp(star), ctx)
+        assert result.num_rows == len(block)
+        columns = 1 + len(star.properties)  # the subject column and the star's
+        assert cost.counters["page_hits"] == 0
+        assert cost.counters["page_reads"] == columns * ctx.pool.pages_for(len(block))
+
     def test_empty_result_for_impossible_range(self):
         ctx = _library_context()
         star = _star(ctx, OidRange(low=1, high=0))
