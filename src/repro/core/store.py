@@ -79,7 +79,6 @@ from ..errors import (
 )
 from ..model import Graph, IRI, TermDictionary, Triple
 from ..obs import (
-    ActiveQuery,
     ActiveQueryRegistry,
     EventLog,
     MetricsRegistry,
@@ -136,23 +135,12 @@ class StoreConfig:
             1024.  A runtime tuning knob, not part of the on-disk layout.
         slow_query_seconds: queries at or above this wall time land in the
             store's slow-query log (see :meth:`RDFStore.slow_queries`).
-        slow_query_log_size: ring-buffer capacity of the slow-query log
-            (oldest entries are evicted first).
-        event_log_size: in-memory capacity of the structured event log
-            (see :meth:`RDFStore.events`; oldest events evicted first).
-        event_log_path: optional file the event log also appends to, one
-            JSON line per event (``None`` keeps events in memory only).
-        event_log_max_bytes: rotation threshold of the event-log file —
-            crossing it renames the file to ``<path>.1`` and starts fresh,
-            bounding disk use at roughly twice this value.
-        profile_queries: profile every query as if it were run with
-            ``profile=True`` — per-operator CPU self time, rows, payload
-            bytes and buffer-pool page attribution on each result's
-            ``trace`` (see :mod:`repro.obs.profile`).  A runtime tuning
-            knob, not part of the on-disk layout.
+        event_log_path: optional file the structured event log (see
+            :meth:`RDFStore.events`) also appends to, one JSON line per
+            event (``None`` keeps events in memory only).
         profile_memory: also sample per-operator allocation peaks with
-            ``tracemalloc`` when profiling (an order of magnitude of
-            overhead — strictly a debugging switch).
+            ``tracemalloc`` when a query is profiled (an order of magnitude
+            of overhead — strictly a debugging switch).
     """
 
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
@@ -164,11 +152,7 @@ class StoreConfig:
     batch_size: int = field(
         default_factory=lambda: int(os.environ.get("REPRO_BATCH_SIZE", "1024")))
     slow_query_seconds: float = 0.25
-    slow_query_log_size: int = 128
-    event_log_size: int = 1024
     event_log_path: Optional[Path | str] = None
-    event_log_max_bytes: int = 1 << 20
-    profile_queries: bool = False
     profile_memory: bool = False
 
     def __post_init__(self) -> None:
@@ -194,21 +178,6 @@ class StoreConfig:
             raise StorageError(
                 f"slow_query_seconds must be a non-negative number, "
                 f"got {self.slow_query_seconds!r}")
-        if not isinstance(self.slow_query_log_size, int) or self.slow_query_log_size < 1:
-            raise StorageError(
-                f"slow_query_log_size must be a positive integer, "
-                f"got {self.slow_query_log_size!r}")
-        if not isinstance(self.event_log_size, int) or self.event_log_size < 1:
-            raise StorageError(
-                f"event_log_size must be a positive integer, "
-                f"got {self.event_log_size!r}")
-        if not isinstance(self.event_log_max_bytes, int) or self.event_log_max_bytes < 1:
-            raise StorageError(
-                f"event_log_max_bytes must be a positive integer, "
-                f"got {self.event_log_max_bytes!r}")
-        if not isinstance(self.profile_queries, bool):
-            raise StorageError(
-                f"profile_queries must be a bool, got {self.profile_queries!r}")
         if not isinstance(self.profile_memory, bool):
             raise StorageError(
                 f"profile_memory must be a bool, got {self.profile_memory!r}")
@@ -225,41 +194,6 @@ class CheckpointReport:
         return (f"checkpoint: {self.compaction.describe()}; snapshot at "
                 f"{self.snapshot.path} ({self.snapshot.triples} triples, "
                 f"{self.snapshot.files} files, {self.snapshot.data_bytes} bytes)")
-
-
-class _QueryScope:
-    """The one query lifecycle: a context manager around one execution.
-
-    Entering yields the registered run; leaving deregisters it with the
-    time since it was registered and its outcome — ``cancelled`` (an operator
-    action, so it does not count as a query error), an error (event plus
-    ``query_errors_total``), or success (metrics, slow-query log and, for
-    a traced run, :meth:`RDFStore.last_trace`).  The store's registries are
-    resolved on leaving: the live ones even across an ``open(into=)`` swap.
-    """
-
-    __slots__ = ("store", "run")
-
-    def __init__(self, store: "RDFStore", run: ActiveQuery) -> None:
-        self.store = store
-        self.run = run
-
-    def __enter__(self) -> ActiveQuery:
-        return self.run
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        store, run = self.store, self.run
-        elapsed = run.elapsed_seconds()
-        if exc is None:
-            store.query_registry.finish(run, elapsed)
-            store._observer.observe(run, elapsed)
-            if run.trace is not None:
-                store._last_trace = run.trace
-        elif isinstance(exc, QueryCancelledError):
-            store.query_registry.finish(run, elapsed, status="cancelled")
-        else:
-            store.query_registry.finish(run, elapsed, error=exc)
-            store._observer.error(run.frontend)
 
 
 class RDFStore:
@@ -286,7 +220,6 @@ class RDFStore:
         """The dictionary file the last save or open wrote or read, and for
         which dictionary: while no OID moves, the next save copies it and
         appends the terms added since."""
-        self._clustered = False
         self.generation = 0
         """Base-structure generation: bumped whenever a base object
         (physical store, dictionary, schema) is replaced.  Together with
@@ -296,16 +229,11 @@ class RDFStore:
         whether writes are pending): nothing is cleared when it moves."""
         self.metrics_registry = MetricsRegistry()
         """This store's metrics (see :mod:`repro.obs`).  *Store-lifetime*,
-        not generation-lifetime: it survives rebuilds, compactions and even
-        ``open(into=)`` state swaps, so counters never reset underneath a
-        scraper."""
-        self.slow_query_log = SlowQueryLog(
-            threshold_seconds=self.config.slow_query_seconds,
-            capacity=self.config.slow_query_log_size)
+        not generation-lifetime: it survives rebuilds and compactions, so
+        counters never reset underneath a scraper."""
+        self.slow_query_log = SlowQueryLog(threshold_seconds=self.config.slow_query_seconds)
         self._observer = QueryObserver(self.metrics_registry, self.slow_query_log)
-        self.event_log = EventLog(capacity=self.config.event_log_size,
-                                  path=self.config.event_log_path,
-                                  max_bytes=self.config.event_log_max_bytes)
+        self.event_log = EventLog(path=self.config.event_log_path)
         """Structured lifecycle events (query start/finish/cancel, updates,
         compactions, checkpoints, WAL replay).  Store-lifetime, like the
         metrics registry."""
@@ -339,8 +267,7 @@ class RDFStore:
 
         Callback-backed metrics read the live values at scrape time — no
         double bookkeeping, and the closures read ``self``'s *current*
-        attributes, so they keep tracking the store across rebuilds and
-        ``open(into=)`` swaps.
+        attributes, so they keep tracking the store across rebuilds.
         """
         registry = self.metrics_registry
         registry.counter("buffer_pool_page_hits_total",
@@ -544,8 +471,8 @@ class RDFStore:
             self.dictionary, self.matrix, schema, self.clustering_plan = cluster_subjects(
                 matrix, dictionary, self.require_schema(), resolved)
             self._install_schema(schema)
-            self._clustered = True
-            self.build_indexes()
+            self._install_physical_stores(
+                ExhaustiveIndexStore(self.matrix, pool=self.pool), clustered=True)
             return self.clustering_plan
 
     def build_indexes(self) -> None:
@@ -553,19 +480,23 @@ class RDFStore:
         index store (each projection sorts at its first read) and, when
         clustered, the clustered store's blocks (built now)."""
         with self._writing():
-            self._install_physical_stores(ExhaustiveIndexStore(self.matrix, pool=self.pool))
+            self._install_physical_stores(ExhaustiveIndexStore(self.matrix, pool=self.pool),
+                                          clustered=self.clustered_store is not None)
 
-    def _install_physical_stores(self, index_store: ExhaustiveIndexStore) -> None:
+    def _install_physical_stores(self, index_store: ExhaustiveIndexStore,
+                                 clustered: bool) -> None:
         """Make ``index_store`` (over the current matrix) the store's, build
-        the clustered store when clustered, and publish."""
+        the clustered store over the current schema when ``clustered``, and
+        publish."""
         # rebuilding replaces every (possibly lazily loading) structure with
         # in-memory ones; drop the stale lazy-segment bookkeeping so
         # buffer_pool_stats() does not report dead segments as pending
         self.pool.reset_lazy_registry()
         self.index_store = index_store
-        if self.schema is not None and self._clustered:
+        if clustered:
             self.clustered_store = ClusteredStore.build(
-                self.matrix, self.schema, pool=self.pool, zone_size=self.config.zone_size)
+                self.matrix, self.require_schema(), pool=self.pool,
+                zone_size=self.config.zone_size)
         self._publish()
 
     @contextmanager
@@ -637,7 +568,6 @@ class RDFStore:
         matrix's."""
         self.clustered_store = None
         self.clustering_plan = None
-        self._clustered = False
         self.build_indexes()
 
     # -- accessors --------------------------------------------------------------------
@@ -654,7 +584,7 @@ class RDFStore:
 
     @property
     def is_clustered(self) -> bool:
-        return self._clustered
+        return self.clustered_store is not None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -893,7 +823,8 @@ class RDFStore:
             self._install_schema(schema)
             merged = previous.materialized_orders()
             self._install_physical_stores(
-                previous.merged(self.matrix, delta.matrix(), delta.tombstone_matrix()))
+                previous.merged(self.matrix, delta.matrix(), delta.tombstone_matrix()),
+                clustered=self.clustered_store is not None)
             finished = time.perf_counter()
             self.metrics_registry.counter(
                 "compactions_total", "Delta-into-base compactions applied.").inc()
@@ -943,8 +874,7 @@ class RDFStore:
             return info
 
     @classmethod
-    def open(cls, path: Path | str, config: Optional[StoreConfig] = None,
-             into: Optional["RDFStore"] = None) -> "RDFStore":
+    def open(cls, path: Path | str, config: Optional[StoreConfig] = None) -> "RDFStore":
         """Reopen a saved database without rebuilding anything.
 
         Restores the dictionary (with its value-order watermark), the
@@ -969,39 +899,23 @@ class RDFStore:
                 configuration persisted in the manifest (discovery
                 thresholds fall back to defaults — they only matter for
                 explicit re-discovery).
-            into: an existing store to reopen in place (its state is
-                replaced wholesale).  Mostly useful to re-point a served
-                store at a new snapshot without rewiring references.
 
         Returns:
-            The opened store (``into`` when given, else a new instance).
+            A new store over the database, attached to it.
 
         Raises:
             PersistenceError: when the directory is missing, corrupt,
                 version-incompatible, or its WAL belongs to a different
                 snapshot generation.
-            PendingUpdatesError: when ``into`` still holds uncompacted
-                writes — replacing its state would silently drop them.
         """
-        if into is not None and into.has_pending_updates():
-            raise PendingUpdatesError(
-                "cannot reopen into a store with pending updates; call compact() "
-                "(or checkpoint()) on it first")
         reader = SnapshotReader(path)
-        if config is None:
-            config = StoreConfig(**reader.config())
-        # always assemble on a fresh instance: with into=, the served store's
-        # state is swapped in only after every read succeeded, so a corrupt
-        # snapshot raises without destroying the store that was serving
-        store = cls.__new__(cls)
-        RDFStore.__init__(store, config)
+        store = cls(config if config is not None else StoreConfig(**reader.config()))
         parts = reader.read(store.pool)
         store.dictionary, store.dictionary_file = parts.dictionary, parts.dictionary_file
         store._matrix = parts.matrix
         store._install_schema(parts.schema, parts.reduced_schemas)
         store.index_store = parts.index_store
         store.clustered_store = parts.clustered_store
-        store._clustered = parts.clustered
         store._publish()
         store.journal.attach_wal(parts.wal)
         with store.journal.replaying():
@@ -1021,51 +935,8 @@ class RDFStore:
             default_registry().counter(
                 "wal_replayed_records_total",
                 "WAL records re-applied while opening databases.").inc(replayed)
-        store.db_path = Path(path)
-        if replayed and into is None:
             store.event_log.emit("wal_replay", path=str(path), records=replayed)
-        if into is not None:
-            # swap under the served store's writer mutex, so no transition
-            # interleaves with it.  The mutex and snapshot registry survive
-            # it — they are what other threads synchronize and count on — and
-            # the attribute set is replaced without an intermediate cleared
-            # state, so lock-free attribute reads (stats, summaries) see old
-            # or new values, never a missing attribute.  Readers keep the old
-            # incarnation's published record until the new one's is
-            # published.  Snapshots pinned before the swap stay valid (they
-            # hold direct references to the old structures) and keep
-            # counting in open_snapshot_count().
-            registry = into._snapshots
-            new_state = dict(store.__dict__)
-            new_state["_writer"] = into._writer
-            new_state["_lock_wait_seconds"] = into._lock_wait_seconds
-            new_state["_snapshots"] = registry
-            # observability state is store-lifetime, like the lock: counters
-            # must keep accumulating (and scrapers keep their registry
-            # reference) across the swap.  The callback gauges registered at
-            # the served store's construction read `self.<attr>` at scrape
-            # time, so they pick up the swapped-in pool/delta/plan cache
-            # automatically.  The assembly store's registry (and the
-            # observations WAL replay recorded into it) is discarded with it.
-            new_state["metrics_registry"] = into.metrics_registry
-            new_state["slow_query_log"] = into.slow_query_log
-            new_state["_observer"] = into._observer
-            new_state["event_log"] = into.event_log
-            new_state["query_registry"] = into.query_registry
-            new_state["_last_trace"] = into._last_trace
-            new_state["_update_seconds"] = into._update_seconds
-            new_state["_compaction_seconds"] = into._compaction_seconds
-            new_state["_checkpoint_seconds"] = into._checkpoint_seconds
-            new_state["_undo_log_entries"] = into._undo_log_entries
-            with into._writing():
-                into.__dict__.update(new_state)
-                registry.publish(store._snapshots.current)
-            if replayed:
-                # emitted on the surviving event log, after the swap — the
-                # assembly store's log is discarded with its registry
-                into.event_log.emit("wal_replay", path=str(path),
-                                    records=replayed)
-            return into
+        store.db_path = Path(path)
         return store
 
     def checkpoint(self, path: Optional[Path | str] = None) -> "CheckpointReport":
@@ -1138,8 +1009,8 @@ class RDFStore:
             trace: when ``True``, record a per-operator
                 :class:`~repro.obs.QueryTrace` for this run — returned on
                 the result's ``trace`` field and via :meth:`last_trace`.
-            profile: when ``True`` (or ``config.profile_queries`` is set),
-                record a :class:`~repro.obs.QueryProfile` instead — a trace
+            profile: when ``True``, record a
+                :class:`~repro.obs.QueryProfile` instead — a trace
                 whose spans also attribute buffer-pool page reads/hits,
                 payload bytes and (with ``config.profile_memory``) peak
                 allocations per operator.  Implies ``trace``.
@@ -1161,39 +1032,49 @@ class RDFStore:
     def run_query(self, version: StoreVersion, frontend: str, text: str,
                   options: Optional[PlannerOptions] = None, source: str = "store",
                   trace: bool = False, profile: bool = False) -> QueryResult:
-        """The one read path: run a query of either front end against one
-        version's read state, inside a :meth:`query_scope`.
+        """The one read path and the one query lifecycle: run a query of
+        either front end against one version's read state.
 
         Direct :meth:`sparql` / :meth:`sql` calls pass the current version,
         an MVCC snapshot passes the version it pins, and
         ``explain(analyze=True)`` is the same call with a profile.
-        """
-        scheme = "sql" if frontend == "sql" else (options or PlannerOptions()).scheme
-        with self.query_scope(text, frontend, scheme, source=source, trace=trace,
-                              profile=profile) as run:
-            if frontend not in version.engine.frontends:
-                raise StorageError("catalog not available; call discover_schema() first")
-            return version.engine.query(frontend, text, options, run)
 
-    def query_scope(self, text: str, frontend: str, scheme: str,
-                    source: str = "store", trace: bool = False,
-                    profile: bool = False) -> "_QueryScope":
-        """Register a query (listed and cancellable from here on) and return
-        the :class:`_QueryScope` its execution runs in; :meth:`run_query` is
-        the caller for every query the store itself runs.
-
+        The run is registered (listed and cancellable) before it executes
+        and leaves the registry with the time since then and its outcome:
+        ``cancelled`` (an operator action, so it does not count as a query
+        error), an error (event plus ``query_errors_total``), or success
+        (metrics, slow-query log and, for a traced run, :meth:`last_trace`).
         Profiling wins over plain tracing: a :class:`~repro.obs.QueryProfile`
         *is* a :class:`~repro.obs.QueryTrace`, so every trace consumer (the
         result's ``trace`` field, :meth:`last_trace`, the slow-query digest)
         keeps working and merely sees richer spans.
         """
+        scheme = "sql" if frontend == "sql" else (options or PlannerOptions()).scheme
         tracer = None
-        if profile or self.config.profile_queries:
+        if profile:
             tracer = QueryProfile(pool=self.pool, memory=self.config.profile_memory)
         elif trace:
             tracer = QueryTrace()
-        return _QueryScope(self, self.query_registry.begin(
-            text, frontend, scheme, source=source, pool=self.pool, trace=tracer))
+        registry = self.query_registry
+        run = registry.begin(text, frontend, scheme, source=source, pool=self.pool,
+                             trace=tracer)
+        try:
+            if frontend not in version.engine.frontends:
+                raise StorageError("catalog not available; call discover_schema() first")
+            result = version.engine.query(frontend, text, options, run)
+        except QueryCancelledError:
+            registry.finish(run, run.elapsed_seconds(), status="cancelled")
+            raise
+        except BaseException as exc:
+            registry.finish(run, run.elapsed_seconds(), error=exc)
+            self._observer.error(frontend)
+            raise
+        elapsed = run.elapsed_seconds()
+        registry.finish(run, elapsed)
+        self._observer.observe(run, elapsed)
+        if tracer is not None:
+            self._last_trace = tracer
+        return result
 
     def sparql_plan(self, text: str, options: Optional[PlannerOptions] = None):
         """Parse and plan (but do not run) a SPARQL query.
@@ -1279,7 +1160,7 @@ class RDFStore:
         """Newest-first :class:`~repro.obs.SlowQueryEntry` list.
 
         Queries whose wall time reached ``config.slow_query_seconds`` land
-        here (ring buffer of ``config.slow_query_log_size`` entries).
+        here (a ring buffer of the newest 128 entries).
         """
         return self.slow_query_log.entries()
 
@@ -1319,7 +1200,8 @@ class RDFStore:
 
     def events(self, type: Optional[str] = None,
                limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """Newest-first structured lifecycle events (see ``config.event_log_*``).
+        """Newest-first structured lifecycle events (a ring of the newest
+        1024; ``config.event_log_path`` also appends them to a file).
 
         Query starts/finishes/cancellations/errors, committed updates,
         compactions, checkpoints and WAL replays; each record carries a

@@ -48,10 +48,9 @@ class StorageError(ReproError):
 class PendingUpdatesError(StorageError):
     """Raised when an operation would silently drop uncompacted writes.
 
-    ``RDFStore.load()`` and ``RDFStore.cluster()`` re-encode OIDs, and
-    ``RDFStore.open(..., into=store)`` replaces a store's state wholesale;
-    doing any of these while the delta overlay holds acknowledged writes
-    would lose them.  Call ``compact()`` (or ``checkpoint()``) first.
+    ``RDFStore.load()`` and ``RDFStore.cluster()`` re-encode OIDs; doing
+    either while the delta overlay holds acknowledged writes would lose
+    them.  Call ``compact()`` (or ``checkpoint()``) first.
     """
 
 

@@ -321,8 +321,7 @@ class MetricsRegistry:
     """A thread-safe, get-or-create namespace of metrics.
 
     One registry exists per :class:`~repro.core.RDFStore` (store-lifetime:
-    it survives physical rebuilds, compactions and even
-    ``RDFStore.open(into=)`` state swaps) plus the process-global
+    it survives physical rebuilds and compactions) plus the process-global
     :func:`default_registry`.  Asking for an existing name returns the
     existing object; asking with a conflicting kind or label set raises.
     """

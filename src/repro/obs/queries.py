@@ -19,7 +19,7 @@ Cancellation is *cooperative*: :meth:`ActiveQueryRegistry.cancel` merely
 sets a flag; the executing thread observes it at its next batch boundary
 and raises :class:`~repro.errors.QueryCancelledError`, which closes the
 operator tree's generators (releasing each run's hash tables and scans),
-unwinds through the engine, and out of the store's query scope — MVCC
+unwinds through the engine, and out of ``RDFStore.run_query`` — MVCC
 snapshot pins are released by the same context managers that would release
 them on success.  A query between batch boundaries (inside a numpy kernel)
 finishes that batch first; cancellation latency is therefore bounded by one
@@ -269,9 +269,9 @@ is not registered (bare-engine runs, internal DELETE WHERE)."""
 class ActiveQueryRegistry:
     """Tracks every in-flight query of one store; store-lifetime.
 
-    Like the metrics registry, it survives rebuilds, compactions and
-    ``RDFStore.open(into=)`` swaps, so query ids stay unique for the life
-    of the serving process and a ``top`` view never observes an id reset.
+    Like the metrics registry, it survives rebuilds and compactions, so
+    query ids stay unique for the life of the store and a ``top`` view
+    never observes an id reset.
     """
 
     def __init__(self, events=None, metrics=None) -> None:
@@ -288,7 +288,7 @@ class ActiveQueryRegistry:
                           "Queries currently executing on this store.",
                           fn=self.active_count)
 
-    # -- lifecycle (called from the store's query scope) -----------------------
+    # -- lifecycle (called from RDFStore.run_query) ----------------------------
 
     def begin(self, text: str, frontend: str, scheme: str,
               source: str = "store", pool=None, trace=None) -> ActiveQuery:

@@ -6,7 +6,7 @@ without any external infrastructure.  Entries carry whitespace-normalized
 query text (so logs stay single-line and cache-key-comparable), the plan
 scheme, latency, row count and a one-line trace digest when tracing was on.
 
-:class:`QueryObserver` is what the store's one query scope hands a finished
+:class:`QueryObserver` is what ``RDFStore.run_query`` hands a finished
 run to: it bumps the per-frontend/per-scheme counters, feeds the latency
 histogram and the run's root and residual counts, and threshold-gates the
 slow log, so snapshots, sessions and the server all record identically.
@@ -18,7 +18,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from .metrics import MetricsRegistry
 
@@ -108,8 +108,7 @@ class QueryObserver:
     lookups and lock-guarded adds — no registry traffic on the hot path.
     """
 
-    def __init__(self, registry: MetricsRegistry,
-                 slow_log: Optional[SlowQueryLog] = None) -> None:
+    def __init__(self, registry: MetricsRegistry, slow_log: SlowQueryLog) -> None:
         self.registry = registry
         self.slow_log = slow_log
         self._queries = registry.counter(
@@ -171,7 +170,7 @@ class QueryObserver:
             self._profile_pages.observe(trace.page_reads_total)
             self._profile_bytes.observe(trace.payload_bytes_total)
         slow_log = self.slow_log
-        if slow_log is not None and seconds >= slow_log.threshold_seconds:
+        if seconds >= slow_log.threshold_seconds:
             slow_log.record(run.text, frontend, scheme, seconds, rows,
                             trace.summary() if trace is not None else "")
 

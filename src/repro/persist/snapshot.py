@@ -431,7 +431,6 @@ class SnapshotParts(NamedTuple):
     """The user-registered reduced schemas of the schema's catalog."""
     index_store: ExhaustiveIndexStore
     clustered_store: Optional[ClusteredStore]
-    clustered: bool
     wal: WriteAheadLog
 
 
@@ -491,7 +490,6 @@ class SnapshotReader:
             reduced_schemas=self.manifest.get("reduced_schemas", {}),
             index_store=self.build_index_store(pool, matrix),
             clustered_store=self.build_clustered_store(pool, schema),
-            clustered=bool(self.manifest["clustered"]),
             wal=self.wal(),
         )
 

@@ -146,16 +146,14 @@ class ReadSnapshot:
         Snapshot queries run through the owning store's
         :meth:`~repro.core.RDFStore.run_query`, the body a direct
         :meth:`RDFStore.sparql` call runs through, so they record into its
-        metrics, slow-query log and active-query registry exactly alike —
-        all resolved through the store at call time, so they keep pointing
-        at the live registries even across an ``open(into=...)`` swap.  The
-        query is therefore visible in ``store.active_queries()``
+        metrics, slow-query log and active-query registry exactly alike.
+        The query is therefore visible in ``store.active_queries()``
         (``source="snapshot"``) and cancellable with ``store.cancel(id)``
         while it runs.
 
-        With ``profile=True`` (or ``config.profile_queries``) the run
-        carries a :class:`~repro.obs.QueryProfile` on the result's
-        ``trace`` field, same as the direct store call.
+        With ``profile=True`` the run carries a
+        :class:`~repro.obs.QueryProfile` on the result's ``trace`` field,
+        same as the direct store call.
         """
         return self.query("sparql", text, options, profile)
 
@@ -208,8 +206,7 @@ class SnapshotRegistry:
         self._lock = threading.Lock()
         self.current = version
         self._pins: Dict[StoreVersion, int] = {}
-        """Pin counts per record (by identity: after an ``open(into=)`` two
-        incarnations' version pairs may coincide)."""
+        """Pin counts per record, by identity."""
 
     def publish(self, version: StoreVersion) -> None:
         """Make ``version`` the committed record: one assignment, under the

@@ -278,14 +278,6 @@ def _load(t) -> None:
     t.store.load(t.live)
 
 
-def _open_into(t) -> None:
-    t.live[:] = book_triples(books=20)
-    other = RDFStore.build(t.live, config=small_graph_config())
-    assert _register_core(other) == t.core
-    other.save(t.path / "other")
-    assert RDFStore.open(t.path / "other", into=t.store) is t.store
-
-
 class _Transition(NamedTuple):
     name: str
     run: Callable
@@ -311,7 +303,6 @@ TRANSITIONS = [
     _Transition("load", _load, keeps_reduced=False),
     _Transition("save", lambda t: t.store.save(t.path / "again"), pending=True,
                 moves_pair=False, replans=False),
-    _Transition("open-into", _open_into),
 ]
 
 

@@ -292,13 +292,6 @@ class TestSnapshotRoundTrip:
         with pytest.raises(SchemaError, match="unknown reduced schema"):
             store.catalog.table_names("core")
 
-    def test_open_into_reuses_instance(self, store, tmp_path):
-        store.save(tmp_path / "db")
-        target = RDFStore(_config())
-        result = RDFStore.open(tmp_path / "db", into=target)
-        assert result is target
-        assert decoded(target, QUERIES[0]) == decoded(store, QUERIES[0])
-
     def test_unclustered_store_round_trip(self, tmp_path):
         original = RDFStore.build(book_triples(), config=_config(), cluster=False)
         original.save(tmp_path / "db")
@@ -654,19 +647,6 @@ class TestCrashRecovery:
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.delta.insert_count() == 12  # all three books, 4 triples each
 
-    def test_failed_open_into_leaves_the_target_intact(self, store, tmp_path):
-        store.save(tmp_path / "db")
-        corrupt_dir = tmp_path / "corrupt"
-        store.save(corrupt_dir)
-        victim = next(corrupt_dir.glob("gen-*/dictionary.nt"))
-        victim.write_bytes(b"\xff not a dictionary \xff")
-        served = RDFStore.open(tmp_path / "db")
-        before = decoded(served, QUERIES[0])
-        with pytest.raises(PersistenceError):
-            RDFStore.open(corrupt_dir, into=served)
-        # the served store keeps serving, untouched
-        assert decoded(served, QUERIES[0]) == before
-
     def test_append_after_failed_append_is_not_hidden_by_torn_bytes(self, store, tmp_path):
         """A partial record left by a *failed* append must not swallow the
         next acknowledged record: append() truncates to the last intact
@@ -741,6 +721,13 @@ class TestFormatValidation:
             for text in QUERIES:
                 for options in SCHEMES:
                     reopened.sparql(text, options)
+
+    def test_corrupt_dictionary_file_is_refused_at_open(self, store, tmp_path):
+        store.save(tmp_path / "db")
+        victim = next((tmp_path / "db").glob("gen-*/dictionary.nt"))
+        victim.write_bytes(b"\xff not a dictionary \xff")
+        with pytest.raises(PersistenceError):
+            RDFStore.open(tmp_path / "db")
 
     def test_unsupported_format_version(self, store, tmp_path):
         store.save(tmp_path / "db")
@@ -919,14 +906,6 @@ class TestPendingUpdatesErrors:
         store.update(insert_book(1))
         with pytest.raises(PendingUpdatesError, match="compact"):
             store.cluster()
-
-    def test_open_into_reuses_typed_error(self, store, tmp_path):
-        store.save(tmp_path / "db")
-        dirty = RDFStore.build(book_triples(), config=_config())
-        dirty.update(insert_book(1))
-        with pytest.raises(PendingUpdatesError, match="pending"):
-            RDFStore.open(tmp_path / "db", into=dirty)
-        assert dirty.has_pending_updates()  # untouched
 
     def test_typed_error_is_a_storage_error(self):
         assert issubclass(PendingUpdatesError, StorageError)

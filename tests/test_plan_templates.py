@@ -86,10 +86,11 @@ def _check_corpus_leaves_plans_untouched(store: RDFStore, queries) -> None:
             _assert_untouched(plan, state)
             assert store.sparql(text, options, profile=True).plan is plan
             _assert_untouched(plan, state)
+            run = store.query_registry.begin(text, "sparql", options.scheme)
+            store.cancel(run.query_id)
             with pytest.raises(QueryCancelledError):
-                with store.query_scope(text, "sparql", options.scheme) as run:
-                    store.cancel(run.query_id)
-                    engine.query("sparql", text, options, run)
+                engine.query("sparql", text, options, run)
+            store.query_registry.finish(run, run.elapsed_seconds(), status="cancelled")
             _assert_untouched(plan, state)
     assert store.active_queries() == []
 

@@ -4,8 +4,7 @@ Profiling must be a pure observer: identical results whether a query runs
 bare, traced or profiled, over every corpus and plan scheme.  Its numbers
 must *reconcile* — per-operator self page reads sum to the root's cumulative
 count, which equals the buffer pool's own delta over the run.  Its cost when
-disabled is pinned by the counted overhead guard of ``test_observability.py``,
-which runs with ``profile_queries=False`` spelled out as one of its two ids.
+disabled is pinned by the counted overhead guard of ``test_observability.py``.
 """
 
 from __future__ import annotations
@@ -145,12 +144,6 @@ class TestReconciliation:
 
 
 class TestSwitches:
-    def test_profile_queries_config_profiles_every_run(self):
-        store = RDFStore.build(book_triples(),
-                               config=_config(profile_queries=True))
-        store.sparql(STAR_QUERY)
-        assert isinstance(store.last_trace(), QueryProfile)
-
     def test_default_runs_are_not_profiled(self):
         store = RDFStore.build(book_triples(), config=_config())
         store.sparql(STAR_QUERY)
@@ -176,8 +169,6 @@ class TestSwitches:
 
     def test_config_validates_profile_flags(self):
         with pytest.raises(StorageError):
-            StoreConfig(profile_queries="yes")
-        with pytest.raises(StorageError):
             StoreConfig(profile_memory=1.5)
 
 
@@ -186,9 +177,8 @@ class TestSwitches:
 
 class TestMemorySampling:
     def test_memory_peaks_recorded_and_rendered(self):
-        store = RDFStore.build(book_triples(), config=_config(
-            profile_queries=True, profile_memory=True))
-        store.sparql(STAR_QUERY)
+        store = RDFStore.build(book_triples(), config=_config(profile_memory=True))
+        store.sparql(STAR_QUERY, profile=True)
         profile = store.last_trace()
         assert profile.mem_peak > 0
         rendered = profile.render()
@@ -206,9 +196,8 @@ class TestMemorySampling:
 
 class TestObserverIntegration:
     def test_profiled_runs_feed_profile_histograms(self):
-        store = RDFStore.build(book_triples(),
-                               config=_config(profile_queries=True))
-        store.sparql(STAR_QUERY)
+        store = RDFStore.build(book_triples(), config=_config())
+        store.sparql(STAR_QUERY, profile=True)
         histogram = store.metrics_registry.get("query_profile_seconds")
         assert histogram is not None and histogram.count() == 1
         pages = store.metrics_registry.get("query_profile_page_reads")

@@ -10,7 +10,7 @@ Covered here:
 * store integration — queries visible in ``active_queries()`` mid-run,
   cooperative cancellation raising :class:`QueryCancelledError` within one
   batch, lifecycle events for queries/updates/compactions/checkpoints/WAL
-  replay, registry and event log surviving ``open(into=)`` swaps;
+  replay;
 * cancellation races — cancel under 8 concurrent snapshot readers plus a
   writer, cancel of an already-finished id (no-op), cancel during LIMIT
   early termination — all asserting registry cleanup and no leaked
@@ -39,7 +39,6 @@ from repro import (
     QueryCancelledError,
     QueryServer,
     RDFStore,
-    StorageError,
     StoreConfig,
 )
 from repro.engine.operators import ProjectOp
@@ -196,12 +195,6 @@ class TestEventLog:
             EventLog(capacity=0)
         with pytest.raises(ValueError):
             EventLog(max_bytes=0)
-
-    def test_store_config_validation(self):
-        with pytest.raises(StorageError):
-            _config(event_log_size=0)
-        with pytest.raises(StorageError):
-            _config(event_log_max_bytes=0)
 
 
 # -- registry unit semantics --------------------------------------------------
@@ -470,20 +463,6 @@ class TestStoreIntegration:
         assert replay["records"] == 1
         # replayed updates do not masquerade as fresh update events
         assert reopened.events(type="update") == []
-
-    def test_registry_and_event_log_survive_open_into_swap(self, store, tmp_path):
-        store.sparql(STAR_QUERY)
-        registry = store.query_registry
-        event_log = store.event_log
-        first_id = store.events(type="query_start", limit=1)[0]["id"]
-        store.save(tmp_path / "db")
-        RDFStore.open(tmp_path / "db", into=store)
-        assert store.query_registry is registry
-        assert store.event_log is event_log
-        store.sparql(STAR_QUERY)
-        second_id = store.events(type="query_start", limit=1)[0]["id"]
-        assert second_id == first_id + 1  # ids keep counting across the swap
-        assert store.cancel(second_id) is False  # already finished: no-op
 
     def test_event_log_file_sink_through_store(self, tmp_path):
         path = tmp_path / "events.jsonl"
