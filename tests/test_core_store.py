@@ -289,6 +289,9 @@ class _Transition(NamedTuple):
     or the first write after a clean state.  A write on top of pending
     writes keeps every plan."""
     keeps_reduced: bool = True
+    keeps_clustering: bool = True
+    """Whether the store is still clustered after it: only a transition
+    that replaces the triples or the schema drops the clustering."""
 
 
 TRANSITIONS = [
@@ -299,8 +302,10 @@ TRANSITIONS = [
     _Transition("checkpoint", lambda t: t.store.checkpoint(), pending=True),
     _Transition("cluster-other-sort-key",
                 lambda t: t.store.cluster(sort_key_names={"Book": f"{EX}isbn_no"})),
-    _Transition("discover_schema", lambda t: t.store.discover_schema(), keeps_reduced=False),
-    _Transition("load", _load, keeps_reduced=False),
+    _Transition("build_indexes", lambda t: t.store.build_indexes(), pending=True),
+    _Transition("discover_schema", lambda t: t.store.discover_schema(), keeps_reduced=False,
+                keeps_clustering=False),
+    _Transition("load", _load, keeps_reduced=False, keeps_clustering=False),
     _Transition("save", lambda t: t.store.save(t.path / "again"), pending=True,
                 moves_pair=False, replans=False),
 ]
@@ -356,6 +361,7 @@ def test_transition_matrix(transition, pinned, tmp_path, monkeypatch):
             again = snapshot.sparql(BOOKS_BY_YEAR)
             assert again.plan is plan
             assert sorted(snapshot.decode_rows(again)) == pinned_rows
+        assert store.is_clustered == transition.keeps_clustering
         if transition.keeps_reduced:
             assert store.catalog.table_names("core") == t.core
         elif store.catalog is not None:

@@ -125,6 +125,28 @@ def insert_book(n: int, year: int = 2001, author: int = 1) -> str:
 
 
 class TestSnapshotRoundTrip:
+    @pytest.mark.parametrize("clustered", [True, False], ids=["clustered", "unclustered"])
+    def test_clustering_is_what_the_saved_store_holds(self, clustered, tmp_path):
+        """A store stays clustered or not through a write and a checkpoint,
+        and reopens the same: the saved clustered store decides, not the
+        manifest's ``clustered`` flag, which is still written so format v3
+        is unchanged."""
+        store = RDFStore.build(book_triples(), config=_config(), cluster=clustered)
+        store.save(tmp_path / "db")
+        store.update(insert_book(1))
+        store.checkpoint()
+        assert store.is_clustered == clustered
+        manifest_path = tmp_path / "db" / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["clustered"] is clustered
+        assert (manifest["clustered_store"] is not None) == clustered
+        reopened = RDFStore.open(tmp_path / "db")
+        assert reopened.is_clustered == clustered
+        assert_stores_equivalent(store, reopened)
+        manifest["clustered"] = not clustered
+        manifest_path.write_text(json.dumps(manifest))
+        assert RDFStore.open(tmp_path / "db").is_clustered == clustered
+
     def test_book_corpus_identical_across_schemes(self, store, tmp_path):
         store.save(tmp_path / "db")
         reopened = RDFStore.open(tmp_path / "db")

@@ -326,6 +326,80 @@ class TestStoreIntegration:
         assert "NoSuchTable" in error["error"] or "error" in error["error"].lower()
         assert store.active_queries() == []
 
+    @pytest.mark.parametrize("outcome", ["finished", "traced", "profiled", "sql",
+                                         "error", "sql-without-catalog", "cancelled"])
+    def test_run_query_outcomes(self, outcome, store, monkeypatch):
+        """Each way a run ends, as ``run_query`` accounts it: the registry's
+        closing event, the completed / error / cancel counters, and
+        ``last_trace`` (only a traced success replaces it)."""
+        earlier = store.sparql(STAR_QUERY, trace=True).trace
+        store.event_log.clear()
+        before = store.metrics()
+        if outcome == "sql-without-catalog":
+            store = RDFStore(config=_config())
+            store.load(book_triples())
+            earlier, before = None, store.metrics()
+        if outcome == "cancelled":
+            begin = store.query_registry.begin
+
+            def begin_cancelled(*args, **kwargs):
+                run = begin(*args, **kwargs)
+                store.cancel(run.query_id, reason="before the first batch")
+                return run
+
+            monkeypatch.setattr(store.query_registry, "begin", begin_cancelled)
+        runs = {
+            "finished": lambda: store.sparql(STAR_QUERY),
+            "traced": lambda: store.sparql(STAR_QUERY, trace=True),
+            "profiled": lambda: store.sparql(STAR_QUERY, profile=True),
+            "sql": lambda: store.sql("SELECT isbn_no FROM Book"),
+            "error": lambda: store.sparql("THIS IS NOT SPARQL"),
+            "sql-without-catalog": lambda: store.sql("SELECT isbn_no FROM Book"),
+            "cancelled": lambda: store.sparql(STAR_QUERY),
+        }
+        raised = None
+        try:
+            result = runs[outcome]()
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            raised, result = exc, None
+        after = store.metrics()
+
+        def grew(prefix: str) -> float:
+            return sum(value - before.get(key, 0) for key, value in after.items()
+                       if key.startswith(prefix))
+
+        frontend = "sql" if outcome.startswith("sql") else "sparql"
+        (start,) = store.events(type="query_start")
+        assert start["frontend"] == frontend
+        assert store.active_queries() == []
+        if outcome in ("error", "sql-without-catalog"):
+            assert raised is not None and not isinstance(raised, QueryCancelledError)
+            (error,) = store.events(type="query_error")
+            assert error["id"] == start["id"] and error["frontend"] == frontend
+            assert store.events(type="query_finish") == []
+            assert grew(f'query_errors_total{{frontend="{frontend}"}}') == 1
+            assert grew("queries_total") == 0
+        elif outcome == "cancelled":
+            assert isinstance(raised, QueryCancelledError)
+            assert raised.query_id == start["id"]
+            (finish,) = store.events(type="query_finish")
+            assert finish["status"] == "cancelled"
+            assert grew("queries_cancelled_total") == 1
+            assert grew("query_errors_total") == 0  # an operator action, not an error
+            assert grew("queries_total") == 0
+        else:
+            assert raised is None
+            (finish,) = store.events(type="query_finish")
+            assert finish["id"] == start["id"] and finish["status"] == "finished"
+            assert finish["rows"] == len(result)
+            assert grew(f'queries_total{{frontend="{frontend}"') == 1
+            assert grew("query_errors_total") == 0
+        if outcome in ("traced", "profiled"):
+            assert store.last_trace() is result.trace is not earlier
+            assert getattr(result.trace, "is_profile", False) == (outcome == "profiled")
+        else:
+            assert store.last_trace() is earlier
+
     def test_query_visible_and_cancellable_mid_run(self, store, project_gate):
         outcome = []
 
