@@ -55,43 +55,51 @@ class DblpConfig:
 
 
 def generate_dblp(config: DblpConfig | None = None) -> List[Triple]:
-    """Generate the DBLP-like triple set."""
+    """Generate the DBLP-like triple set.
+
+    Each predicate and class IRI is built once and shared by every triple
+    naming it (see :func:`repro.bench.rdfh.tpch_to_triples`).
+    """
     config = config or DblpConfig()
     rng = random.Random(config.seed)
     triples: List[Triple] = []
     type_pred = IRI(RDF_TYPE)
+    person, conference_class, proceedings, inproceedings = map(
+        IRI, (CLASS_PERSON, CLASS_CONFERENCE, CLASS_PROCEEDINGS, CLASS_INPROCEEDINGS))
+    name, title, issued, creator, part_of, see_also, homepage, content = map(
+        IRI, (P_NAME, P_TITLE, P_ISSUED, P_CREATOR, P_PART_OF, P_SEE_ALSO, P_HOMEPAGE, P_CONTENT))
 
     authors = [IRI(f"{DBLP}author/{i}") for i in range(config.authors)]
     for i, author in enumerate(authors):
-        triples.append(Triple(author, type_pred, IRI(CLASS_PERSON)))
-        triples.append(Triple(author, IRI(P_NAME), Literal(f"Author {i}")))
+        triples.append(Triple(author, type_pred, person))
+        triples.append(Triple(author, name, Literal(f"Author {i}")))
 
     conferences = [IRI(f"{DBLP}conf/{i}") for i in range(config.conferences)]
     for i, conference in enumerate(conferences):
-        cls = CLASS_CONFERENCE if i % 2 == 0 else CLASS_PROCEEDINGS
-        triples.append(Triple(conference, type_pred, IRI(cls)))
-        triples.append(Triple(conference, IRI(P_TITLE), Literal(f"conference{i}")))
-        triples.append(Triple(conference, IRI(P_ISSUED), Literal(str(2000 + i % 14),
-                                                                 datatype="http://www.w3.org/2001/XMLSchema#integer")))
+        cls = conference_class if i % 2 == 0 else proceedings
+        triples.append(Triple(conference, type_pred, cls))
+        triples.append(Triple(conference, title, Literal(f"conference{i}")))
+        triples.append(Triple(conference, issued, Literal(str(2000 + i % 14),
+                                                          datatype="http://www.w3.org/2001/XMLSchema#integer")))
 
     for i in range(config.papers):
         paper = IRI(f"{DBLP}inproc/{i}")
-        triples.append(Triple(paper, type_pred, IRI(CLASS_INPROCEEDINGS)))
-        triples.append(Triple(paper, IRI(P_CREATOR), rng.choice(authors)))
+        triples.append(Triple(paper, type_pred, inproceedings))
+        triples.append(Triple(paper, creator, rng.choice(authors)))
         if rng.random() < config.multi_author_fraction:
-            triples.append(Triple(paper, IRI(P_CREATOR), rng.choice(authors)))
+            triples.append(Triple(paper, creator, rng.choice(authors)))
         if rng.random() >= config.missing_title_fraction:
-            triples.append(Triple(paper, IRI(P_TITLE), Literal(f"Paper title {i}")))
-        triples.append(Triple(paper, IRI(P_PART_OF), rng.choice(conferences)))
+            triples.append(Triple(paper, title, Literal(f"Paper title {i}")))
+        triples.append(Triple(paper, part_of, rng.choice(conferences)))
         if rng.random() < config.irregularity:
-            triples.append(Triple(paper, IRI(P_SEE_ALSO), IRI(f"{DBLP}webpage/{i}")))
+            triples.append(Triple(paper, see_also, IRI(f"{DBLP}webpage/{i}")))
 
     webpage_count = int(config.papers * config.irregularity)
     for i in range(webpage_count):
         page = IRI(f"{DBLP}webpage/{i}")
-        triples.append(Triple(page, IRI(P_HOMEPAGE), Literal("index.php")))
+        triples.append(Triple(page, homepage, Literal("index.php")))
         if rng.random() < 0.5:
-            triples.append(Triple(page, IRI(P_CONTENT), Literal("content.php")))
+            triples.append(Triple(page, content, Literal("content.php")))
 
     return triples
 

@@ -58,7 +58,11 @@ class DirtyDataset:
 
 
 def generate_dirty(config: DirtyConfig | None = None) -> DirtyDataset:
-    """Generate a dirty data set with known regular backbone."""
+    """Generate a dirty data set with known regular backbone.
+
+    Each predicate and class IRI is built once and shared by every triple
+    naming it (see :func:`repro.bench.rdfh.tpch_to_triples`).
+    """
     config = config or DirtyConfig()
     rng = random.Random(config.seed)
     triples: List[Triple] = []
@@ -68,11 +72,13 @@ def generate_dirty(config: DirtyConfig | None = None) -> DirtyDataset:
 
     properties: Dict[int, List[str]] = {}
     mixed: Dict[str, bool] = {}
+    predicate_of: Dict[str, IRI] = {}
     for cls in range(config.classes):
         names = [f"{VOC}c{cls}_p{i}" for i in range(config.properties_per_class)]
         properties[cls] = names
         for name in names:
             mixed[name] = rng.random() < config.mixed_type_fraction
+            predicate_of[name] = IRI(name)
 
     for cls in range(config.classes):
         class_iri = IRI(f"{VOC}Class{cls}")
@@ -85,16 +91,18 @@ def generate_dirty(config: DirtyConfig | None = None) -> DirtyDataset:
                 # the first two properties are mandatory, the rest can drop out
                 if position >= 2 and rng.random() < config.dropout:
                     continue
-                triples.append(Triple(subject, IRI(prop), _object_for(prop, index, mixed, rng)))
+                triples.append(Triple(subject, predicate_of[prop],
+                                      _object_for(prop, index, mixed, rng)))
                 regular_triples += 1
 
     regular_subject_count = config.classes * config.subjects_per_class
 
     noise_count = int(regular_triples * config.noise_triples)
     all_regular_subjects = [s for s in class_of_subject]
+    noise_predicates = [IRI(f"{VOC}noise_{k}") for k in range(51)]
     for i in range(noise_count):
         subject = IRI(rng.choice(all_regular_subjects))
-        predicate = IRI(f"{VOC}noise_{rng.randint(0, 50)}")
+        predicate = noise_predicates[rng.randint(0, 50)]
         triples.append(Triple(subject, predicate, Literal(f"noise-{i}")))
 
     for i in range(config.chaotic_subjects):
@@ -102,7 +110,7 @@ def generate_dirty(config: DirtyConfig | None = None) -> DirtyDataset:
         for _ in range(rng.randint(1, 4)):
             cls = rng.randrange(config.classes)
             prop = rng.choice(properties[cls])
-            triples.append(Triple(subject, IRI(prop), Literal(f"chaos-{i}")))
+            triples.append(Triple(subject, predicate_of[prop], Literal(f"chaos-{i}")))
 
     return DirtyDataset(
         triples=triples,

@@ -58,36 +58,52 @@ def lineitem_iri(orderkey: int, linenumber: int) -> IRI:
 
 
 def tpch_to_triples(data: TpchData) -> Iterator[Triple]:
-    """Map generated TPC-H rows to RDF-H triples (one pass, streaming)."""
-    type_pred = IRI(P_TYPE)
+    """Map generated TPC-H rows to RDF-H triples (one pass, streaming).
+
+    Each predicate and class IRI is built once per call and shared by every
+    triple naming it, as :func:`repro.rio.parse_ntriples` shares a
+    document's predicates: a held list of triples then pays for its
+    subjects and objects, not for one predicate object per triple.
+    """
+    type_pred, customer_class, order_class, lineitem_class = map(
+        IRI, (P_TYPE, CLASS_CUSTOMER, CLASS_ORDER, CLASS_LINEITEM))
+    c_name, c_mktsegment, c_nation, c_acctbal = map(
+        IRI, (P_C_NAME, P_C_MKTSEGMENT, P_C_NATION, P_C_ACCTBAL))
     for customer in data.customers:
         subject = customer_iri(customer.custkey)
-        yield Triple(subject, type_pred, IRI(CLASS_CUSTOMER))
-        yield Triple(subject, IRI(P_C_NAME), Literal(customer.name))
-        yield Triple(subject, IRI(P_C_MKTSEGMENT), Literal(customer.mktsegment))
-        yield Triple(subject, IRI(P_C_NATION), Literal(customer.nation))
-        yield Triple(subject, IRI(P_C_ACCTBAL), literal_from_python(customer.acctbal))
+        yield Triple(subject, type_pred, customer_class)
+        yield Triple(subject, c_name, Literal(customer.name))
+        yield Triple(subject, c_mktsegment, Literal(customer.mktsegment))
+        yield Triple(subject, c_nation, Literal(customer.nation))
+        yield Triple(subject, c_acctbal, literal_from_python(customer.acctbal))
+    o_custkey, o_orderdate, o_orderstatus, o_orderpriority, o_shippriority, o_totalprice = map(
+        IRI, (P_O_CUSTKEY, P_O_ORDERDATE, P_O_ORDERSTATUS, P_O_ORDERPRIORITY,
+              P_O_SHIPPRIORITY, P_O_TOTALPRICE))
     for order in data.orders:
         subject = order_iri(order.orderkey)
-        yield Triple(subject, type_pred, IRI(CLASS_ORDER))
-        yield Triple(subject, IRI(P_O_CUSTKEY), customer_iri(order.custkey))
-        yield Triple(subject, IRI(P_O_ORDERDATE), Literal(order.orderdate.isoformat(), datatype=XSD_DATE))
-        yield Triple(subject, IRI(P_O_ORDERSTATUS), Literal(order.orderstatus))
-        yield Triple(subject, IRI(P_O_ORDERPRIORITY), Literal(order.orderpriority))
-        yield Triple(subject, IRI(P_O_SHIPPRIORITY), literal_from_python(order.shippriority))
-        yield Triple(subject, IRI(P_O_TOTALPRICE), literal_from_python(order.totalprice))
+        yield Triple(subject, type_pred, order_class)
+        yield Triple(subject, o_custkey, customer_iri(order.custkey))
+        yield Triple(subject, o_orderdate, Literal(order.orderdate.isoformat(), datatype=XSD_DATE))
+        yield Triple(subject, o_orderstatus, Literal(order.orderstatus))
+        yield Triple(subject, o_orderpriority, Literal(order.orderpriority))
+        yield Triple(subject, o_shippriority, literal_from_python(order.shippriority))
+        yield Triple(subject, o_totalprice, literal_from_python(order.totalprice))
+    (l_orderkey, l_linenumber, l_quantity, l_extendedprice, l_discount, l_tax, l_shipdate,
+     l_returnflag, l_linestatus) = map(
+        IRI, (P_L_ORDERKEY, P_L_LINENUMBER, P_L_QUANTITY, P_L_EXTENDEDPRICE, P_L_DISCOUNT,
+              P_L_TAX, P_L_SHIPDATE, P_L_RETURNFLAG, P_L_LINESTATUS))
     for line in data.lineitems:
         subject = lineitem_iri(line.orderkey, line.linenumber)
-        yield Triple(subject, type_pred, IRI(CLASS_LINEITEM))
-        yield Triple(subject, IRI(P_L_ORDERKEY), order_iri(line.orderkey))
-        yield Triple(subject, IRI(P_L_LINENUMBER), literal_from_python(line.linenumber))
-        yield Triple(subject, IRI(P_L_QUANTITY), literal_from_python(line.quantity))
-        yield Triple(subject, IRI(P_L_EXTENDEDPRICE), literal_from_python(line.extendedprice))
-        yield Triple(subject, IRI(P_L_DISCOUNT), literal_from_python(line.discount))
-        yield Triple(subject, IRI(P_L_TAX), literal_from_python(line.tax))
-        yield Triple(subject, IRI(P_L_SHIPDATE), Literal(line.shipdate.isoformat(), datatype=XSD_DATE))
-        yield Triple(subject, IRI(P_L_RETURNFLAG), Literal(line.returnflag))
-        yield Triple(subject, IRI(P_L_LINESTATUS), Literal(line.linestatus))
+        yield Triple(subject, type_pred, lineitem_class)
+        yield Triple(subject, l_orderkey, order_iri(line.orderkey))
+        yield Triple(subject, l_linenumber, literal_from_python(line.linenumber))
+        yield Triple(subject, l_quantity, literal_from_python(line.quantity))
+        yield Triple(subject, l_extendedprice, literal_from_python(line.extendedprice))
+        yield Triple(subject, l_discount, literal_from_python(line.discount))
+        yield Triple(subject, l_tax, literal_from_python(line.tax))
+        yield Triple(subject, l_shipdate, Literal(line.shipdate.isoformat(), datatype=XSD_DATE))
+        yield Triple(subject, l_returnflag, Literal(line.returnflag))
+        yield Triple(subject, l_linestatus, Literal(line.linestatus))
 
 
 def generate_rdfh_triples(scale_factor: float = 0.01, seed: int = 20130408) -> List[Triple]:

@@ -447,7 +447,7 @@ def _subject_rows_for_range(block: CSBlock, subject_range: OidRange) -> Tuple[in
 
 def _intersect_ranges(left: List[Tuple[int, int]],
                       right: List[Tuple[int, int]] | Tuple[int, int]) -> List[Tuple[int, int]]:
-    if isinstance(right, tuple):
+    if type(right) is tuple:  # one (start, stop) pair; a Term is a tuple subclass
         right = [right]
     out: List[Tuple[int, int]] = []
     for a_start, a_stop in left:

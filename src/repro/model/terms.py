@@ -1,19 +1,18 @@
 """RDF term model: IRIs, literals and blank nodes.
 
-The term classes are small immutable value objects.  They deliberately keep
-the surface close to the RDF 1.1 abstract syntax: a *term* is an IRI, a
-literal (with optional datatype IRI or language tag) or a blank node.  The
-library encodes terms to integer OIDs for storage (see
-:mod:`repro.model.dictionary`); these classes are the user-facing,
-decoded representation.
+The term classes are small immutable value objects, kind-tagged tuples (see
+:class:`Term`).  They deliberately keep the surface close to the RDF 1.1
+abstract syntax: a *term* is an IRI, a literal (with optional datatype IRI or
+language tag) or a blank node.  The library encodes terms to integer OIDs
+for storage (see :mod:`repro.model.dictionary`); these classes are the
+user-facing, decoded representation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date, datetime
-from functools import total_ordering
+from operator import itemgetter
 from typing import Union
 
 # Well known namespaces -----------------------------------------------------
@@ -33,8 +32,22 @@ RDF_TYPE = RDF_NS + "type"
 RDFS_LABEL = RDFS_NS + "label"
 
 
-class Term:
-    """Abstract base class for RDF terms."""
+class Term(tuple):
+    """Abstract base class for RDF terms.
+
+    A term is a kind-tagged tuple: :class:`IRI` is ``(0, value)``,
+    :class:`BNode` ``(1, label)`` and :class:`Literal` ``(2, lexical,
+    datatype, language)``.  Hashing and equality are the tuple's own, run in
+    C, so the term → OID probe every loaded triple pays three times (and
+    every ``Graph``, ``set(triples)`` and parser cache lookup) calls no
+    Python code.  The tag keeps ``IRI("a")``, ``BNode("a")`` and
+    ``Literal("a")`` apart.  The tuple is the representation; a term's
+    fields are read by the attribute names each class defines.
+
+    Order is :func:`term_sort_key`'s, all four comparisons derived from its
+    ``<``: two terms the key ties (``"a"@en`` and ``"a"@fr``) are neither
+    ``<`` nor ``>`` each other, and both ``<=`` and ``>=``.
+    """
 
     __slots__ = ()
 
@@ -54,17 +67,43 @@ class Term:
     def is_bnode(self) -> bool:
         return isinstance(self, BNode)
 
+    def __getnewargs__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild a term from its constructor's
+        # arguments, not from the tagged tuple
+        return self[1:]
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, Term):
+            return term_sort_key(self) < term_sort_key(other)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if isinstance(other, Term):
+            return not term_sort_key(other) < term_sort_key(self)
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if isinstance(other, Term):
+            return term_sort_key(other) < term_sort_key(self)
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if isinstance(other, Term):
+            return not term_sort_key(self) < term_sort_key(other)
+        return NotImplemented
+
+
 class IRI(Term):
     """An IRI reference, e.g. ``IRI("http://example.org/book/1")``."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    value = property(itemgetter(1), doc="The IRI string.")
+
+    def __new__(cls, value: str) -> "IRI":
+        if not value:
             raise ValueError("IRI value must be a non-empty string")
+        return tuple.__new__(cls, (0, value))
 
     def n3(self) -> str:
         return f"<{self.value}>"
@@ -91,54 +130,49 @@ class IRI(Term):
                 return value[: idx + 1]
         return value
 
+    def __repr__(self) -> str:
+        return f"IRI(value={self.value!r})"
+
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.value
 
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, IRI):
-            return self.value < other.value
-        if isinstance(other, Term):
-            return term_sort_key(self) < term_sort_key(other)
-        return NotImplemented
 
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
 class BNode(Term):
     """A blank node with a document-scoped label."""
 
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    label = property(itemgetter(1), doc="The label, without ``_:``.")
+
+    def __new__(cls, label: str) -> "BNode":
+        if not label:
             raise ValueError("BNode label must be a non-empty string")
+        return tuple.__new__(cls, (1, label))
 
     def n3(self) -> str:
         return f"_:{self.label}"
 
+    def __repr__(self) -> str:
+        return f"BNode(label={self.label!r})"
+
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"_:{self.label}"
 
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, BNode):
-            return self.label < other.label
-        if isinstance(other, Term):
-            return term_sort_key(self) < term_sort_key(other)
-        return NotImplemented
 
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
 class Literal(Term):
     """An RDF literal: lexical form plus optional datatype or language tag."""
 
-    lexical: str
-    datatype: str | None = None
-    language: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.language is not None and self.datatype is not None:
+    lexical = property(itemgetter(1), doc="The lexical form.")
+    datatype = property(itemgetter(2), doc="The datatype IRI string, or ``None``.")
+    language = property(itemgetter(3), doc="The language tag, or ``None``.")
+
+    def __new__(cls, lexical: str, datatype: str | None = None,
+                language: str | None = None) -> "Literal":
+        if language is not None and datatype is not None:
             raise ValueError("a literal cannot carry both a language tag and a datatype")
+        return tuple.__new__(cls, (2, lexical, datatype, language))
 
     def n3(self) -> str:
         escaped = escape_literal(self.lexical)
@@ -181,15 +215,12 @@ class Literal(Term):
             return text
         return text
 
+    def __repr__(self) -> str:
+        return (f"Literal(lexical={self.lexical!r}, datatype={self.datatype!r}, "
+                f"language={self.language!r})")
+
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.lexical
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, Literal):
-            return self.sort_key() < other.sort_key()
-        if isinstance(other, Term):
-            return term_sort_key(self) < term_sort_key(other)
-        return NotImplemented
 
     def sort_key(self) -> tuple:
         """Return a key ordering literals by value within their value class.

@@ -9,40 +9,44 @@ engine operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import NamedTuple
 
 from .terms import IRI, BNode, Literal, Term
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(tuple):
     """A decoded RDF triple ``(subject, predicate, object)``.
 
     The subject must be an IRI or blank node, the predicate an IRI, and the
-    object any term — mirroring the RDF abstract syntax.
+    object any term — mirroring the RDF abstract syntax.  Like a term it is
+    a tuple, hashed and compared in C; unpacking gives its three terms.
     """
 
-    subject: Term
-    predicate: IRI
-    object: Term
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.subject, (IRI, BNode)):
-            raise TypeError(f"triple subject must be an IRI or BNode, got {type(self.subject).__name__}")
-        if not isinstance(self.predicate, IRI):
-            raise TypeError(f"triple predicate must be an IRI, got {type(self.predicate).__name__}")
-        if not isinstance(self.object, (IRI, BNode, Literal)):
-            raise TypeError(f"triple object must be a term, got {type(self.object).__name__}")
+    subject = property(itemgetter(0), doc="The subject, an IRI or BNode.")
+    predicate = property(itemgetter(1), doc="The predicate IRI.")
+    object = property(itemgetter(2), doc="The object term.")
+
+    def __new__(cls, subject: Term, predicate: IRI, object: Term) -> "Triple":
+        if not isinstance(subject, (IRI, BNode)):
+            raise TypeError(f"triple subject must be an IRI or BNode, got {type(subject).__name__}")
+        if not isinstance(predicate, IRI):
+            raise TypeError(f"triple predicate must be an IRI, got {type(predicate).__name__}")
+        if not isinstance(object, (IRI, BNode, Literal)):
+            raise TypeError(f"triple object must be a term, got {type(object).__name__}")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def n3(self) -> str:
         """Return the N-Triples line (without trailing newline)."""
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
-    def __iter__(self) -> Iterator[Term]:
-        yield self.subject
-        yield self.predicate
-        yield self.object
+    def __repr__(self) -> str:
+        return f"Triple(subject={self.subject!r}, predicate={self.predicate!r}, object={self.object!r})"
 
 
 class EncodedTriple(NamedTuple):

@@ -101,7 +101,7 @@ def numeric_expression(node: object, variable_of: Callable[[object], str]) -> Ex
     and their own variable leaves (a SPARQL variable name, a SQL column
     reference); ``variable_of`` names the engine variable of a leaf.
     """
-    if isinstance(node, tuple):
+    if type(node) is tuple:  # an (op, left, right) node; a Term is a tuple subclass
         op, left, right = node
         return BinaryOp(op, numeric_expression(left, variable_of),
                         numeric_expression(right, variable_of))

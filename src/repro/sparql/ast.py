@@ -80,7 +80,7 @@ class ArithmeticExpr:
         def walk(node: object) -> None:
             if isinstance(node, str):
                 out.append(node)
-            elif isinstance(node, tuple):
+            elif type(node) is tuple:  # an (op, left, right) node; a Term is a tuple subclass
                 _op, left, right = node
                 walk(left)
                 walk(right)

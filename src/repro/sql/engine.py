@@ -301,7 +301,7 @@ def _expression_columns(node: object) -> List[ColumnRef]:
     def walk(item: object) -> None:
         if isinstance(item, ColumnRef):
             out.append(item)
-        elif isinstance(item, tuple):
+        elif type(item) is tuple:  # an (op, left, right) node; a Term is a tuple subclass
             _op, left, right = item
             walk(left)
             walk(right)

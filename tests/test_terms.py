@@ -1,12 +1,19 @@
 """Unit tests for the RDF term model."""
 
+import copy
+import pickle
 from datetime import date, datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.model import BNode, IRI, Literal, literal_from_python, term_sort_key
+from repro.bench import DblpConfig, DirtyConfig, generate_dblp, generate_dirty
+from repro.model import BNode, IRI, Literal, TermDictionary, Triple, literal_from_python, term_sort_key
 from repro.model.syntax import unescape
+from repro.rio import parse_ntriples, serialize_ntriples
+
+from test_observability import python_calls
 from repro.model.terms import (
     XSD_BOOLEAN,
     XSD_DATE,
@@ -159,3 +166,181 @@ class TestLiteralFromPython:
 
     def test_string_stays_plain(self):
         assert literal_from_python("hello").datatype is None
+
+
+# -- the tagged-tuple contract ----------------------------------------------------
+
+# a small alphabet, so that equal texts and sort-key ties are drawn often
+_TEXT = st.text(alphabet="ab1é\n", min_size=1, max_size=3)
+_DATATYPES = st.sampled_from([XSD_STRING, XSD_INTEGER, XSD_DECIMAL, XSD_BOOLEAN, XSD_DATE,
+                              "http://example.org/datatype"])
+
+iris = st.builds(IRI, _TEXT)
+bnodes = st.builds(BNode, _TEXT)
+literals = st.one_of(
+    st.builds(Literal, st.text(alphabet="ab1", max_size=3)),
+    st.builds(Literal, _TEXT, language=st.sampled_from(["en", "fr", "de-CH"])),
+    st.builds(Literal, _TEXT, datatype=_DATATYPES),
+    st.builds(lambda n: Literal(str(n), datatype=XSD_INTEGER), st.integers(-3, 3)),
+    st.builds(lambda d: Literal(d.isoformat(), datatype=XSD_DATE),
+              st.dates(date(1999, 12, 30), date(2000, 1, 2))),
+)
+terms = st.one_of(iris, bnodes, literals)
+triples = st.builds(Triple, st.one_of(iris, bnodes), iris, terms)
+
+
+@st.composite
+def term_pairs(draw):
+    """Two terms; half the time, when the first is a literal, the second is
+    one of its lexical twins, which ``term_sort_key`` often ties with it."""
+    first = draw(terms)
+    if isinstance(first, Literal) and draw(st.booleans()):
+        lexical = st.just(first.lexical)
+        return first, draw(st.one_of(
+            st.builds(Literal, lexical),
+            st.builds(Literal, lexical, language=st.sampled_from(["en", "fr"])),
+            st.builds(Literal, lexical, datatype=_DATATYPES)))
+    return first, draw(terms)
+
+
+class TestTaggedTupleContract:
+    """Terms and triples are tuples, hashed and compared in C: the value
+    semantics callers rely on, pinned."""
+
+    def test_kinds_sharing_one_text_are_pairwise_unequal(self):
+        iri, bnode, literal = IRI("a"), BNode("a"), Literal("a")
+        assert iri != bnode and bnode != literal and iri != literal
+        assert len({hash(iri), hash(bnode), hash(literal)}) == 3
+        kind_of = {iri: "iri", bnode: "bnode", literal: "literal"}
+        assert len(kind_of) == 3
+        assert [kind_of[IRI("a")], kind_of[BNode("a")], kind_of[Literal("a")]] == [
+            "iri", "bnode", "literal"]
+
+    def test_a_plain_literal_is_not_its_xsd_string_twin(self):
+        plain, typed = Literal("a"), Literal("a", datatype=XSD_STRING)
+        assert plain != typed and len({plain, typed}) == 2
+        dictionary = TermDictionary()
+        assert dictionary.encode_term(plain) != dictionary.encode_term(typed)
+
+    @given(term_pairs())
+    def test_the_four_comparisons_agree_with_term_sort_key(self, pair):
+        a, b = pair
+        key_a, key_b = term_sort_key(a), term_sort_key(b)
+        assert (a < b) == (key_a < key_b)
+        assert (a > b) == (key_b < key_a)
+        assert (a <= b) == (not key_b < key_a)
+        assert (a >= b) == (not key_a < key_b)
+        assert (a < b) == (b > a) and (a <= b) == (b >= a)
+
+    @pytest.mark.parametrize("a, b", [
+        (Literal("a", language="en"), Literal("a", language="fr")),
+        (Literal("a"), Literal("a", datatype=XSD_STRING)),
+    ])
+    def test_terms_the_key_ties_are_neither_above_nor_below_each_other(self, a, b):
+        assert term_sort_key(a) == term_sort_key(b) and a != b
+        assert not a < b and not a > b and not b < a and not b > a
+        assert a <= b and a >= b and b <= a and b >= a
+
+    @given(st.one_of(terms, triples))
+    def test_copy_deepcopy_and_pickle_round_trip(self, value):
+        twins = [copy.copy(value), copy.deepcopy(value)]
+        twins += [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == value and type(twin) is type(value)
+            assert hash(twin) == hash(value)
+
+    def test_keyword_construction(self):
+        assert IRI(value="http://a") == IRI("http://a")
+        assert BNode(label="b") == BNode("b")
+        assert Literal(lexical="5", datatype=XSD_INTEGER) == Literal("5", XSD_INTEGER)
+        assert Literal("x", language="en").language == "en"
+        triple = Triple(subject=IRI("http://s"), predicate=IRI("http://p"), object=Literal("o"))
+        assert (triple.subject, triple.predicate, triple.object) == (
+            IRI("http://s"), IRI("http://p"), Literal("o"))
+
+    def test_repr_names_every_field(self):
+        assert repr(IRI("http://a")) == "IRI(value='http://a')"
+        assert repr(BNode("b")) == "BNode(label='b')"
+        assert repr(Literal("x", language="en")) == "Literal(lexical='x', datatype=None, language='en')"
+        assert repr(Triple(IRI("http://s"), IRI("http://p"), Literal("5", XSD_INTEGER))) == (
+            "Triple(subject=IRI(value='http://s'), predicate=IRI(value='http://p'), "
+            f"object=Literal(lexical='5', datatype='{XSD_INTEGER}', language=None))")
+        assert str(IRI("http://a")) == "http://a" and str(BNode("b")) == "_:b"
+        assert str(Literal("x", language="en")) == f"{Literal('x')}" == "x"
+
+    @given(st.one_of(terms, triples))
+    def test_repr_evaluates_back_to_an_equal_value(self, value):
+        names = {"IRI": IRI, "BNode": BNode, "Literal": Literal, "Triple": Triple}
+        assert eval(repr(value), names) == value
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: IRI(""), ValueError),
+        (lambda: BNode(""), ValueError),
+        (lambda: Literal("x", datatype=XSD_INTEGER, language="en"), ValueError),
+        (lambda: IRI(), TypeError),
+        (lambda: IRI("http://a", "http://b"), TypeError),
+        (lambda: Literal(), TypeError),
+        (lambda: Literal("x", colour="red"), TypeError),
+        (lambda: Triple(Literal("x"), IRI("http://p"), Literal("o")), TypeError),
+        (lambda: Triple(IRI("http://s"), BNode("p"), Literal("o")), TypeError),
+        (lambda: Triple(IRI("http://s"), IRI("http://p"), "o"), TypeError),
+        (lambda: Triple(IRI("http://s"), IRI("http://p")), TypeError),
+        # a bare tuple that looks like a tagged term is not a term
+        (lambda: Triple((0, "http://s"), IRI("http://p"), Literal("o")), TypeError),
+    ])
+    def test_every_constructor_error_is_raised(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize("term, field", [
+        (IRI("http://a"), "value"), (BNode("b"), "label"), (Literal("x"), "datatype"),
+    ])
+    def test_fields_are_read_only(self, term, field):
+        with pytest.raises(AttributeError):
+            setattr(term, field, "y")
+
+    @given(st.lists(terms, min_size=1, max_size=6))
+    def test_a_term_in_an_object_array_slot_stays_a_scalar(self, drawn):
+        column = np.empty(len(drawn), dtype=object)
+        for position, term in enumerate(drawn):
+            column[position] = term
+        assert column.shape == (len(drawn),)
+        assert all(type(cell) is type(term) and cell == term
+                   for cell, term in zip(column.tolist(), drawn))
+        assert column[np.arange(len(drawn))[::-1]].tolist() == drawn[::-1]
+
+
+class TestBuildCallGuard:
+    """What the build's first two stages run in Python is counted, not timed
+    (``sys.setprofile``, as ``TestOverheadGuard`` counts a query's)."""
+
+    ENCODE_CEILING = 2
+    """Python calls ``TermDictionary.encode_triples`` makes, the counting
+    lambda included, whatever the number of triples: 2.  Every term probe
+    hashes and compares a tuple in C; a Python-level ``__hash__`` or
+    ``__eq__`` on a term would add calls per triple."""
+    PARSE_PER_LINE_CEILING = 5.1
+    """Python calls ``parse_ntriples`` makes per line of the DBLP + dirty
+    text below: 5.09 — the generator step, ``make_term`` and ``__new__`` for
+    the object, ``__new__`` for the triple, ``unescape`` for a literal, and
+    two more per subject run."""
+
+    def test_encode_triples_makes_a_constant_number_of_python_calls(self):
+        calls = {}
+        for papers in (40, 400):
+            drawn = generate_dblp(DblpConfig(papers=papers, seed=papers))
+            dictionary = TermDictionary()
+            calls[len(drawn)] = python_calls(lambda: dictionary.encode_triples(drawn))
+            assert len(dictionary) > papers
+        assert len(set(calls.values())) == 1, calls
+        assert max(calls.values()) <= self.ENCODE_CEILING, calls
+
+    def test_parse_ntriples_stays_under_its_per_line_ceiling(self):
+        data = generate_dblp(DblpConfig(papers=200)) + generate_dirty(
+            DirtyConfig(subjects_per_class=20)).triples
+        text = serialize_ntriples(data)
+        parsed = []
+        per_line = python_calls(lambda: parsed.extend(parse_ntriples(text))) / len(data)
+        assert parsed == data
+        assert per_line <= self.PARSE_PER_LINE_CEILING, per_line
