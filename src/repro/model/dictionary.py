@@ -213,24 +213,23 @@ class TermDictionary:
         flat = array("q")
         extend = flat.extend
         last_subject, s = None, -1
-        for triple in triples:
-            term = triple.subject
-            if term is not last_subject:
-                last_subject = term
-                s = get(term)
+        # a Triple is a tuple: unpacking reads its terms faster than the
+        # three attribute descriptors
+        for subject, predicate, obj in triples:
+            if subject is not last_subject:
+                last_subject = subject
+                s = get(subject)
                 if s is None:
-                    s = term_to_oid[term] = len(terms)
-                    terms.append(term)
-            term = triple.predicate
-            p = get(term)
+                    s = term_to_oid[subject] = len(terms)
+                    terms.append(subject)
+            p = get(predicate)
             if p is None:
-                p = term_to_oid[term] = len(terms)
-                terms.append(term)
-            term = triple.object
-            o = get(term)
+                p = term_to_oid[predicate] = len(terms)
+                terms.append(predicate)
+            o = get(obj)
             if o is None:
-                o = term_to_oid[term] = len(terms)
-                terms.append(term)
+                o = term_to_oid[obj] = len(terms)
+                terms.append(obj)
             extend((s, p, o))
         return np.array(flat, dtype=np.int64).reshape(-1, 3)
 
