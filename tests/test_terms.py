@@ -11,9 +11,6 @@ from hypothesis import given, strategies as st
 from repro.bench import DblpConfig, DirtyConfig, generate_dblp, generate_dirty
 from repro.model import BNode, IRI, Literal, TermDictionary, Triple, literal_from_python, term_sort_key
 from repro.model.syntax import unescape
-from repro.rio import parse_ntriples, serialize_ntriples
-
-from test_observability import python_calls
 from repro.model.terms import (
     XSD_BOOLEAN,
     XSD_DATE,
@@ -23,6 +20,9 @@ from repro.model.terms import (
     XSD_STRING,
     escape_literal,
 )
+from repro.rio import parse_ntriples, serialize_ntriples
+
+from test_observability import python_calls
 
 
 class TestIRI:
