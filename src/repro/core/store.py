@@ -83,7 +83,6 @@ from ..obs import (
     EventLog,
     MetricsRegistry,
     QueryObserver,
-    QueryProfile,
     QueryTrace,
     SlowQueryLog,
     default_registry,
@@ -207,7 +206,7 @@ class RDFStore:
                                page_size=self.config.page_size)
         self.schema: Optional[EmergentSchema] = None
         self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
-        """The six projections of the current matrix.  One exists whenever a
+        """The triple projections of the current matrix.  One exists whenever a
         matrix does: it costs nothing until a pattern first reads an order."""
         self.clustered_store: Optional[ClusteredStore] = None
         self.clustering_plan: Optional[ClusteringPlan] = None
@@ -999,21 +998,19 @@ class RDFStore:
         return self._published().engine
 
     def sparql(self, text: str, options: Optional[PlannerOptions] = None,
-               trace: bool = False, profile: bool = False) -> QueryResult:
+               profile: bool = False) -> QueryResult:
         """Run a SPARQL query.
 
         Args:
             text: query text in the supported SELECT subset.
             options: plan scheme configuration (``default``, ``rdfscan`` or
                 ``optimized``); defaults to RDFscan/RDFjoin.
-            trace: when ``True``, record a per-operator
-                :class:`~repro.obs.QueryTrace` for this run — returned on
-                the result's ``trace`` field and via :meth:`last_trace`.
-            profile: when ``True``, record a
-                :class:`~repro.obs.QueryProfile` instead — a trace
-                whose spans also attribute buffer-pool page reads/hits,
-                payload bytes and (with ``config.profile_memory``) peak
-                allocations per operator.  Implies ``trace``.
+            profile: when ``True``, record a per-operator
+                :class:`~repro.obs.QueryTrace` for this run — wall time,
+                rows, buffer-pool page reads/hits, payload bytes and (with
+                ``config.profile_memory``) peak allocations per operator —
+                returned on the result's ``trace`` field and via
+                :meth:`last_trace`.
 
         Returns:
             A :class:`QueryResult` with OID bindings, measured cost, the
@@ -1027,34 +1024,27 @@ class RDFStore:
                 :meth:`cancel` (see :meth:`active_queries`).
         """
         return self.run_query(self._published(), "sparql", text, options,
-                              trace=trace, profile=profile)
+                              profile=profile)
 
     def run_query(self, version: StoreVersion, frontend: str, text: str,
                   options: Optional[PlannerOptions] = None, source: str = "store",
-                  trace: bool = False, profile: bool = False) -> QueryResult:
+                  profile: bool = False) -> QueryResult:
         """The one read path and the one query lifecycle: run a query of
         either front end against one version's read state.
 
         Direct :meth:`sparql` / :meth:`sql` calls pass the current version,
         an MVCC snapshot passes the version it pins, and
-        ``explain(analyze=True)`` is the same call with a profile.
+        ``explain(analyze=True)`` is the same call with ``profile=True``.
 
         The run is registered (listed and cancellable) before it executes
         and leaves the registry with the time since then and its outcome:
         ``cancelled`` (an operator action, so it does not count as a query
         error), an error (event plus ``query_errors_total``), or success
-        (metrics, slow-query log and, for a traced run, :meth:`last_trace`).
-        Profiling wins over plain tracing: a :class:`~repro.obs.QueryProfile`
-        *is* a :class:`~repro.obs.QueryTrace`, so every trace consumer (the
-        result's ``trace`` field, :meth:`last_trace`, the slow-query digest)
-        keeps working and merely sees richer spans.
+        (metrics, slow-query log and, for a profiled run, :meth:`last_trace`).
         """
         scheme = "sql" if frontend == "sql" else (options or PlannerOptions()).scheme
-        tracer = None
-        if profile:
-            tracer = QueryProfile(pool=self.pool, memory=self.config.profile_memory)
-        elif trace:
-            tracer = QueryTrace()
+        tracer = (QueryTrace(pool=self.pool, memory=self.config.profile_memory)
+                  if profile else None)
         registry = self.query_registry
         run = registry.begin(text, frontend, scheme, source=source, pool=self.pool,
                              trace=tracer)
@@ -1107,7 +1097,7 @@ class RDFStore:
             ``parse=`` and ``plan=`` (both zero when the plan came from the
             cache), and a ``buffers:`` line
             reports the pool's memory accounting — cached pages, *this
-            run's* evictions/reads/hits (the profile's
+            run's* evictions/reads/hits (the trace's
             :meth:`BufferPool.snapshot_delta`) and how much of a lazily
             opened database the run materialized.  The analyze run is a
             query like any other (``source="explain"``): listed,
@@ -1211,25 +1201,21 @@ class RDFStore:
         return self.event_log.events(type=type, limit=limit)
 
     def last_trace(self) -> Optional[QueryTrace]:
-        """The most recent traced run's :class:`~repro.obs.QueryTrace`.
+        """The most recent profiled run's :class:`~repro.obs.QueryTrace`.
 
-        Populated by ``sparql(..., trace=True)``, ``sql(..., trace=True)``
+        Populated by ``sparql(..., profile=True)``, ``sql(..., profile=True)``
         and ``explain(..., analyze=True)``; ``None`` until one of those ran.
         """
         return self._last_trace
 
-    def sql(self, text: str, trace: bool = False,
-            profile: bool = False) -> QueryResult:
+    def sql(self, text: str, profile: bool = False) -> QueryResult:
         """Run a SQL query against the emergent relational view.
 
         Args:
             text: a SELECT statement over the discovered tables.
-            trace: when ``True``, record a per-operator
-                :class:`~repro.obs.QueryTrace` for this run — returned on
-                the result's ``trace`` field and via :meth:`last_trace`.
-            profile: record a :class:`~repro.obs.QueryProfile` instead —
-                per-operator page reads/hits, payload bytes and optional
-                allocation peaks (see :meth:`sparql`).  Implies ``trace``.
+            profile: when ``True``, record a per-operator
+                :class:`~repro.obs.QueryTrace` for this run (see
+                :meth:`sparql`).
 
         Returns:
             A :class:`QueryResult` with rows, cost and the executed plan; a
@@ -1241,8 +1227,7 @@ class RDFStore:
             QueryCancelledError: when the query was cancelled mid-run via
                 :meth:`cancel`.
         """
-        return self.run_query(self._published(), "sql", text,
-                              trace=trace, profile=profile)
+        return self.run_query(self._published(), "sql", text, profile=profile)
 
     def decode_rows(self, result: QueryResult) -> List[tuple]:
         """Decode a query result's OIDs back to Python values.

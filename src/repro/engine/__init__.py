@@ -12,14 +12,11 @@ from .bindings import (
     join_tables,
 )
 from .context import ExecutionContext
-from .executor import execute_plan, explain_plan
+from .executor import execute_plan
 from .expressions import AggregateSpec, BinaryOp, Expression, NumericConst, NumericVar
 from .operators import (
     AggregateOp,
     DistinctOp,
-    ExtendOp,
-    FilterEqualOp,
-    FilterRangeOp,
     HashJoinOp,
     IndexScanOp,
     LimitOp,
@@ -53,9 +50,6 @@ __all__ = [
     "DistinctOp",
     "ExecutionContext",
     "Expression",
-    "ExtendOp",
-    "FilterEqualOp",
-    "FilterRangeOp",
     "HashJoinOp",
     "IndexScanOp",
     "LimitOp",
@@ -79,7 +73,6 @@ __all__ = [
     "cross_join",
     "emit_batches",
     "execute_plan",
-    "explain_plan",
     "fk_range_from_zonemap",
     "hash_join",
     "join_tables",

@@ -27,7 +27,7 @@ class ExecutionContext:
     dictionary: TermDictionary
     pool: BufferPool
     index_store: Optional[ExhaustiveIndexStore] = None
-    """The six projections.  Always set on a context a store hands out (a
+    """The triple projections.  Always set on a context a store hands out (a
     store has one whenever it has a matrix); ``None`` only in hand-made
     contexts for operators that read no storage."""
     clustered_store: Optional[ClusteredStore] = None

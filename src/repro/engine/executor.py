@@ -30,8 +30,3 @@ def execute_plan(plan: PhysicalOperator, context: ExecutionContext) -> Tuple[Bin
     counters = context.tracker.diff(baseline)
     simulated = context.cost_model.simulated_seconds(counters)
     return result, QueryCost(wall_seconds=elapsed, counters=counters, simulated_seconds=simulated)
-
-
-def explain_plan(plan: PhysicalOperator) -> str:
-    """Return the indented operator tree of a plan."""
-    return plan.explain()

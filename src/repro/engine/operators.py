@@ -18,7 +18,7 @@ from ..errors import ExecutionError
 from . import kernels
 from .bindings import Batch, BindingTable, cross_join, emit_batches, joined_rows
 from .context import ExecutionContext
-from .expressions import AggregateSpec, Expression
+from .expressions import AggregateSpec
 from .mergescan import merge_pattern_rows, merged_subject_matches
 from .plan import NO_OIDS, OidRange, PatternTerm, PhysicalOperator, TriplePatternPlan
 
@@ -274,51 +274,6 @@ class HashJoinOp(PhysicalOperator):
             yield Batch(joined_rows(build, probe, *matches))
 
 
-class FilterRangeOp(PhysicalOperator):
-    """Keep rows whose OID column falls inside an inclusive OID range."""
-
-    def __init__(self, child: PhysicalOperator, var: str, oid_range: OidRange) -> None:
-        self.child = child
-        self.var = var
-        self.oid_range = oid_range
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"FilterRange[?{self.var} in {self.oid_range.describe()}]"
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
-        tail = _tail(self.oid_range, context)
-        for batch in self.child.batches(context):
-            values = batch.table.column(self.var)
-            context.tracker.tuples_scanned += batch.live_count()
-            yield batch.mask_valid(self.oid_range.mask(values, tail))
-
-
-class FilterEqualOp(PhysicalOperator):
-    """Keep rows where an OID column equals a constant OID."""
-
-    def __init__(self, child: PhysicalOperator, var: str, oid: int) -> None:
-        self.child = child
-        self.var = var
-        self.oid = int(oid)
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"FilterEqual[?{self.var} == #{self.oid}]"
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
-        for batch in self.child.batches(context):
-            values = batch.table.column(self.var)
-            context.tracker.tuples_scanned += batch.live_count()
-            yield batch.mask_valid(kernels.eq_mask(values, self.oid))
-
-
 class FilterNotEqualOp(PhysicalOperator):
     """Keep rows where an OID column differs from a constant OID."""
 
@@ -460,28 +415,6 @@ class LimitOp(PhysicalOperator):
                 # early termination: the child is no longer pulled; leaving
                 # the loop closes its stream
                 return
-
-
-class ExtendOp(PhysicalOperator):
-    """Add a computed numeric column from an expression."""
-
-    def __init__(self, child: PhysicalOperator, alias: str, expression: Expression) -> None:
-        self.child = child
-        self.alias = alias
-        self.expression = expression
-
-    def children(self) -> Sequence[PhysicalOperator]:
-        return (self.child,)
-
-    def describe(self) -> str:
-        return f"Extend[?{self.alias} = {self.expression.describe()}]"
-
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
-        for batch in self.child.batches(context):
-            table = batch.compact()  # evaluate expressions on live rows only
-            values = self.expression.evaluate(table, context.decoder)
-            yield Batch(table.with_column(self.alias, values))
 
 
 class AggregateOp(PhysicalOperator):

@@ -16,7 +16,6 @@ from .metrics import (
     default_registry,
     render_prometheus,
 )
-from .profile import ProfileSpan, QueryProfile, format_bytes
 from .queries import (
     NULL_ACTIVE_QUERY,
     ActiveQuery,
@@ -24,7 +23,7 @@ from .queries import (
     NullActiveQuery,
 )
 from .slowlog import QueryObserver, SlowQueryEntry, SlowQueryLog
-from .trace import QueryTrace, TraceSpan
+from .trace import QueryTrace, TraceSpan, format_bytes
 
 __all__ = [
     "ActiveQuery",
@@ -37,9 +36,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_ACTIVE_QUERY",
     "NullActiveQuery",
-    "ProfileSpan",
     "QueryObserver",
-    "QueryProfile",
     "QueryTrace",
     "SlowQueryEntry",
     "SlowQueryLog",

@@ -79,7 +79,7 @@ class ActiveQuery:
         self.cancel_requested = False
         self.cancel_reason = ""
         self.trace = trace
-        """The run's :class:`~repro.obs.QueryTrace` (or profile), if any."""
+        """The run's :class:`~repro.obs.QueryTrace`, if any."""
         self.parse_seconds = 0.0
         """Query text to AST; zero on a plan-cache hit."""
         self.plan_seconds = 0.0
@@ -147,7 +147,8 @@ class ActiveQuery:
         """The executor's wall time for the plan; completes the trace."""
         self.total_seconds = seconds
         if self.trace is not None:
-            self.trace.finish(seconds, self.parse_seconds, self.plan_seconds)
+            self.trace.finish(seconds, self.parse_seconds, self.plan_seconds,
+                              self._buffers_mark)
 
     def raise_cancelled(self) -> None:
         """Raise the typed cancellation error (executing thread only)."""

@@ -164,8 +164,7 @@ class QueryObserver:
         for subjects in run.residuals.values():
             self._residual_subjects(subjects)
         trace = run.trace
-        if trace is not None and getattr(trace, "is_profile", False):
-            # duck-typed so this module never imports the profiler
+        if trace is not None:
             self._profile_seconds.observe(seconds)
             self._profile_pages.observe(trace.page_reads_total)
             self._profile_bytes.observe(trace.payload_bytes_total)

@@ -1,13 +1,38 @@
-"""Per-query trace spans over the operators' batch streams.
+"""Per-query trace: a span tree over the operators' batch streams, with
+time, rows, pages and payload attributed to each operator.
 
 A :class:`QueryTrace` builds a span tree mirroring the physical plan:
 ``PhysicalOperator.batches`` pulls a traced run's batches through
 :meth:`QueryTrace.timed`, which wraps each pull from an operator in
-:meth:`QueryTrace.enter` / :meth:`QueryTrace.exit`, and the trace
-accumulates per-operator wall time (cumulative, with *self* time derived
-by subtracting child time), batch and row counts.  Spans are keyed
-by operator identity, so one span aggregates all pulls from the same
-operator across the whole run.
+:meth:`QueryTrace.enter` / :meth:`QueryTrace.exit`.  Spans are keyed by
+operator identity, so one span aggregates all pulls from the same operator
+across the whole run, and accounts, per operator:
+
+* **wall time** — cumulative (a parent's includes its children's), with
+  *self* time derived by subtracting child time;
+* **rows, batches and payload bytes** of the batches each pull returned;
+* **buffer-pool activity** — page reads, page hits and lazily materialized
+  column values, as deltas of the pool's monotonic counters between span
+  entry and exit (cumulative like wall time; ``self_page_reads`` subtracts
+  child activity);
+* **peak allocations** (opt-in, ``memory=True``) — sampled with
+  :mod:`tracemalloc` by resetting the peak at span entry and reading it at
+  exit.  Nested spans reset the shared peak counter, so a parent's number
+  reflects its own frames between child calls — an approximation, far
+  cheaper than snapshotting allocation traces per batch, and good enough
+  to point at the operator that allocates.
+
+Only the outermost frame of a span accrues time, pages and allocations, so
+an operator re-entered through itself is not counted twice.
+
+The trace's query-level ``buffers`` dict is the pool's
+:meth:`~repro.columnar.BufferPool.snapshot_delta` since the mark its run
+took when it was registered (planning included), so the per-operator
+totals reconcile against it:
+``sum(self_page_reads) == root.page_reads <= buffers["page_reads"]``.
+Under concurrent queries the pool counters are shared, so cross-query
+attribution is best-effort — the same caveat as ``BUFFERS`` accounting in
+any multi-user database.
 
 A trace hangs off the run it belongs to (``ActiveQuery.trace``); a run
 without one pays nothing for tracing.
@@ -16,16 +41,31 @@ without one pays nothing for tracing.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from typing import Dict, Iterator, List, Optional
 
-__all__ = ["QueryTrace", "TraceSpan"]
+__all__ = ["QueryTrace", "TraceSpan", "format_bytes"]
+
+
+def format_bytes(count: float) -> str:
+    """``2048 -> '2.0KB'`` — compact byte counts for explain/render lines."""
+    value = float(count)
+    for unit in ("B", "KB", "MB", "GB", "TB"):
+        if abs(value) < 1024.0 or unit == "TB":
+            if unit == "B":
+                return f"{int(value)}B"
+            return f"{value:.1f}{unit}"
+        value /= 1024.0
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 class TraceSpan:
-    """Aggregated timings for one physical operator within one execution."""
+    """Aggregated time and resources of one physical operator within one
+    execution."""
 
     __slots__ = ("label", "parent", "children", "seconds", "rows", "batches",
-                 "bytes", "calls", "_entered_at")
+                 "bytes", "calls", "page_reads", "page_hits", "lazy_values",
+                 "mem_peak", "_entered_at", "_counters_at_enter")
 
     def __init__(self, label: str, parent: Optional["TraceSpan"] = None) -> None:
         self.label = label
@@ -36,7 +76,12 @@ class TraceSpan:
         self.batches = 0
         self.bytes = 0           # payload bytes of emitted batches
         self.calls = 0
+        self.page_reads = 0      # cumulative, includes children (like seconds)
+        self.page_hits = 0
+        self.lazy_values = 0
+        self.mem_peak = 0        # peak tracemalloc bytes seen in own frames
         self._entered_at = 0.0
+        self._counters_at_enter: Optional[tuple] = None
         if parent is not None:
             parent.children.append(self)
 
@@ -45,9 +90,26 @@ class TraceSpan:
         """Wall time spent in this operator minus time in its children."""
         return max(0.0, self.seconds - sum(c.seconds for c in self.children))
 
+    @property
+    def self_page_reads(self) -> int:
+        """Page reads charged to this operator minus its children's."""
+        return max(0, self.page_reads - sum(c.page_reads for c in self.children))
+
+    @property
+    def self_page_hits(self) -> int:
+        return max(0, self.page_hits - sum(c.page_hits for c in self.children))
+
+    @property
+    def self_lazy_values(self) -> int:
+        return max(0, self.lazy_values - sum(c.lazy_values for c in self.children))
+
     def explain_tokens(self) -> str:
-        """This operator's ``time=`` token for ``plan.explain(run=…)``."""
-        return f"time={self.self_seconds * 1000.0:.3f}ms"
+        """``time=`` and ``pages=`` (plus ``mem=`` when sampled) for this
+        operator's line of ``plan.explain(run=…)``."""
+        tokens = f"time={self.self_seconds * 1000.0:.3f}ms pages={self.self_page_reads}"
+        if self.mem_peak:
+            tokens += f" mem={format_bytes(self.mem_peak)}"
+        return tokens
 
     def as_dict(self) -> dict:
         return {
@@ -58,6 +120,11 @@ class TraceSpan:
             "batches": self.batches,
             "bytes": self.bytes,
             "calls": self.calls,
+            "page_reads": self.page_reads,
+            "self_page_reads": self.self_page_reads,
+            "page_hits": self.page_hits,
+            "lazy_values": self.lazy_values,
+            "mem_peak": self.mem_peak,
             "children": [c.as_dict() for c in self.children],
         }
 
@@ -65,7 +132,13 @@ class TraceSpan:
         line = (f"{'  ' * indent}{self.label} "
                 f"time={self.self_seconds * 1000.0:.3f}ms "
                 f"total={self.seconds * 1000.0:.3f}ms "
-                f"rows={self.rows} batches={self.batches}")
+                f"rows={self.rows} batches={self.batches} "
+                f"pages={self.self_page_reads} hits={self.self_page_hits} "
+                f"bytes={format_bytes(self.bytes)}")
+        if self.lazy_values:
+            line += f" lazy={self.self_lazy_values}"
+        if self.mem_peak:
+            line += f" mem={format_bytes(self.mem_peak)}"
         lines = [line]
         for child in self.children:
             lines.extend(child.render(indent + 1))
@@ -75,15 +148,21 @@ class TraceSpan:
 class QueryTrace:
     """A span tree for one query execution.
 
+    Args:
+        pool: the store's :class:`~repro.columnar.BufferPool`; ``None``
+            traces time, rows and bytes only (no page attribution).
+        memory: sample per-operator allocation peaks with ``tracemalloc``
+            (starts tracing if nothing else did, and stops it again at
+            :meth:`finish`).  Roughly an order of magnitude of overhead —
+            strictly opt-in.
+
     Not thread-safe by design: one trace belongs to one run, and one run
     executes on one thread.
     """
 
-    span_class = TraceSpan
-    """Span factory — :class:`~repro.obs.profile.QueryProfile` swaps in a
-    resource-accounting subclass without touching the protocol."""
-
-    def __init__(self) -> None:
+    def __init__(self, pool=None, memory: bool = False) -> None:
+        self.pool = pool
+        self.memory = bool(memory)
         self.root: Optional[TraceSpan] = None
         self._spans: Dict[int, TraceSpan] = {}
         self._stack: List[TraceSpan] = []
@@ -92,6 +171,13 @@ class QueryTrace:
         self.parse_seconds = 0.0
         self.plan_seconds = 0.0
         """What came before the operators ran; both zero on a plan-cache hit."""
+        self.buffers: Dict[str, int] = {}
+        """The pool's :meth:`~repro.columnar.BufferPool.snapshot_delta` over
+        the run; populated by :meth:`finish`."""
+        self._owns_tracemalloc = False
+        if self.memory and not tracemalloc.is_tracing():
+            tracemalloc.start()
+            self._owns_tracemalloc = True
 
     # -- span protocol (driven by PhysicalOperator.batches) --------------------
 
@@ -101,28 +187,49 @@ class QueryTrace:
         span = self._spans.get(key)
         if span is None:
             parent = self._stack[-1] if self._stack else None
-            span = self.span_class(op.describe(), parent)
-            self._spans[key] = span
+            span = self._spans[key] = TraceSpan(op.describe(), parent)
             if parent is None and self.root is None:
                 self.root = span
+        elif span in self._stack:  # a re-entered frame: the outer one accounts
+            self._stack.append(span)
+            return span
         self._stack.append(span)
+        pool = self.pool
+        if pool is not None:
+            tracker = pool.tracker
+            span._counters_at_enter = (tracker.page_reads, tracker.page_hits,
+                                       pool.lazy_values_loaded)
+        if self.memory:
+            tracemalloc.reset_peak()
         span._entered_at = time.perf_counter()
         return span
 
     def exit(self, span: TraceSpan, batch=None) -> None:
         """Stop timing and account the pulled ``batch`` (``None``: the
         stream ended or raised); only the outermost frame of a span accrues
-        time (operators recurse into themselves only via distinct objects,
-        but a guard keeps re-entrancy safe)."""
+        time, pages and allocations."""
         elapsed = time.perf_counter() - span._entered_at
         self._stack.pop()
-        if span not in self._stack:  # guard against pathological re-entry
-            span.seconds += elapsed
         span.calls += 1
         if batch is not None:
             span.rows += batch.live_count()
             span.batches += 1
             span.bytes += batch.payload_bytes()
+        if span in self._stack:
+            return
+        span.seconds += elapsed
+        marks = span._counters_at_enter
+        if marks is not None:
+            pool = self.pool
+            tracker = pool.tracker
+            span.page_reads += tracker.page_reads - marks[0]
+            span.page_hits += tracker.page_hits - marks[1]
+            span.lazy_values += pool.lazy_values_loaded - marks[2]
+            span._counters_at_enter = None
+        if self.memory:
+            peak = tracemalloc.get_traced_memory()[1]
+            if peak > span.mem_peak:
+                span.mem_peak = peak
 
     def timed(self, op, stream) -> Iterator:
         """``stream``'s batches, each pull from it timed in ``op``'s span."""
@@ -142,11 +249,49 @@ class QueryTrace:
     def span_for(self, op: object) -> Optional[TraceSpan]:
         return self._spans.get(id(op))
 
+    def spans(self) -> List[TraceSpan]:
+        """Every operator span, unordered (use ``root`` for the tree)."""
+        return list(self._spans.values())
+
     def finish(self, total_seconds: float, parse_seconds: float = 0.0,
-               plan_seconds: float = 0.0) -> None:
+               plan_seconds: float = 0.0,
+               buffers_mark: Optional[Dict[str, int]] = None) -> None:
+        """Close the trace: record the run's phases and, given the pool
+        counters its run marked when it began, the run's ``buffers``."""
         self.total_seconds = total_seconds
         self.parse_seconds = parse_seconds
         self.plan_seconds = plan_seconds
+        if self.pool is not None and buffers_mark is not None:
+            self.buffers = self.pool.snapshot_delta(buffers_mark)
+        self._stop_tracemalloc()
+
+    def _stop_tracemalloc(self) -> None:
+        if self._owns_tracemalloc:
+            self._owns_tracemalloc = False
+            if tracemalloc.is_tracing():
+                tracemalloc.stop()
+
+    def __del__(self) -> None:  # a failed query must not leak tracing
+        self._stop_tracemalloc()
+
+    @property
+    def page_reads_total(self) -> int:
+        """Pages read during execution (the root span's cumulative count)."""
+        return self.root.page_reads if self.root is not None else 0
+
+    @property
+    def page_hits_total(self) -> int:
+        return self.root.page_hits if self.root is not None else 0
+
+    @property
+    def payload_bytes_total(self) -> int:
+        """Payload bytes summed over every operator's emitted batches."""
+        return sum(span.bytes for span in self._spans.values())
+
+    @property
+    def mem_peak(self) -> int:
+        """Largest per-operator allocation peak seen (0 without ``memory``)."""
+        return max((span.mem_peak for span in self._spans.values()), default=0)
 
     def as_dict(self) -> dict:
         return {
@@ -155,6 +300,8 @@ class QueryTrace:
             "parse_seconds": self.parse_seconds,
             "plan_seconds": self.plan_seconds,
             "root": self.root.as_dict() if self.root is not None else None,
+            "buffers": dict(self.buffers),
+            "payload_bytes": self.payload_bytes_total,
         }
 
     def render(self) -> str:
@@ -164,7 +311,8 @@ class QueryTrace:
         return "\n".join(self.root.render())
 
     def summary(self) -> str:
-        """One-line digest for the slow-query log."""
+        """One-line digest for the slow-query log: the phases, the top
+        self-time operators and the I/O totals."""
         if self.root is None:
             return ""
         top = sorted(self._spans.values(), key=lambda s: s.self_seconds,
@@ -173,4 +321,7 @@ class QueryTrace:
                  f"plan={self.plan_seconds * 1000.0:.2f}ms"]
         parts.extend(f"{s.label.split('[')[0].strip()}={s.self_seconds * 1000.0:.2f}ms"
                      for s in top)
+        parts.append(f"pages={self.page_reads_total} hits={self.page_hits_total}")
+        if self.mem_peak:
+            parts.append(f"mem={format_bytes(self.mem_peak)}")
         return " ".join(parts)

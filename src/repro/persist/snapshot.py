@@ -30,7 +30,7 @@ generation or the new one openable, never a torn mixture.  Every array
 file additionally embeds a CRC that is verified when the file is read —
 eagerly at open for small metadata, lazily at first scan for columns.
 
-Nothing that is a sort of the matrix is stored: the six permutation
+Nothing that is a sort of the matrix is stored: the permutation
 projections are made from ``matrix.bin`` when a query first reads one, on a
 reopened store exactly as on a built one.  Everything else the reader
 rebuilds **without recomputation**: the dictionary is re-enumerated (not
@@ -531,7 +531,7 @@ class SnapshotReader:
 
     def build_index_store(self, pool: Optional[BufferPool],
                           matrix: Column) -> ExhaustiveIndexStore:
-        """The six projections over ``matrix.bin``: the first read of one
+        """The projections over ``matrix.bin``: the first read of one
         reads the file (CRC-checked) and sorts it, leaving ``matrix`` (the
         store's base-matrix column) on disk — or sorts that column's data
         once something else holds it resident (two saves later the file is

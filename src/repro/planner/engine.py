@@ -45,7 +45,7 @@ class QueryResult:
     (the shared no-op run for a bare-engine execution): per-operator actual
     rows, which ``plan.explain(run=result.run)`` renders, residual counts,
     parse, plan and execution time.  ``trace`` is the run's
-    :class:`repro.obs.QueryTrace` when it was traced, otherwise ``None``.
+    :class:`repro.obs.QueryTrace` when it was profiled, otherwise ``None``.
     ``context`` is the execution context the query ran against: its
     dictionary is the one that decodes the bindings' OIDs, whatever the
     store has published since.  ``columns`` are the output names as the

@@ -33,10 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..columnar import CardinalityEstimator
-from ..columnar.stats import (
-    DEFAULT_EQUALITY_SELECTIVITY,
-    DEFAULT_RANGE_SELECTIVITY,
-)
 from ..engine import (
     AggregateOp,
     ExecutionContext,
@@ -50,7 +46,7 @@ from ..engine import (
     RDFScanOp,
     StarPattern,
 )
-from ..engine.operators import FilterEqualOp, FilterNotEqualOp, FilterRangeOp
+from ..engine.operators import FilterNotEqualOp
 
 _NOT_EQUAL_SELECTIVITY = 0.9
 
@@ -246,12 +242,8 @@ class QueryOptimizer:
         if isinstance(plan, HashJoinOp):
             left, right = child_estimates
             return est.join_cardinality(left, right, max(left, 1.0), max(right, 1.0))
-        if isinstance(plan, FilterEqualOp):
-            return child_estimates[0] * DEFAULT_EQUALITY_SELECTIVITY
         if isinstance(plan, FilterNotEqualOp):
             return child_estimates[0] * _NOT_EQUAL_SELECTIVITY
-        if isinstance(plan, FilterRangeOp):
-            return child_estimates[0] * DEFAULT_RANGE_SELECTIVITY
         if isinstance(plan, LimitOp):
             return min(child_estimates[0], float(plan.limit))
         if isinstance(plan, AggregateOp):
@@ -263,23 +255,6 @@ class QueryOptimizer:
         if not child_estimates:
             return est.total_triples()
         return max(child_estimates)
-
-    def plan_cost_seconds(self, plan: PhysicalOperator) -> float:
-        """Rough expected cost of an annotated plan in simulated seconds."""
-        children = plan.children()
-        total = sum(self.plan_cost_seconds(child) for child in children)
-        rows = plan.estimated_rows or 0.0
-        if isinstance(plan, (HashJoinOp, RDFJoinOp)):
-            inputs = [child.estimated_rows or 0.0 for child in children]
-            left = inputs[0] if inputs else 0.0
-            right = inputs[1] if len(inputs) > 1 else rows
-            total += self.cost_model.estimate_hash_join_seconds(left, right, rows)
-        elif isinstance(plan, NestedLoopIndexJoinOp):
-            child_rows = children[0].estimated_rows or 0.0
-            total += self.cost_model.estimate_probe_seconds(child_rows, rows)
-        else:
-            total += self.cost_model.estimate_scan_seconds(rows)
-        return total
 
 
 class PlanCache:

@@ -152,7 +152,7 @@ class ReadSnapshot:
         while it runs.
 
         With ``profile=True`` the run carries a
-        :class:`~repro.obs.QueryProfile` on the result's ``trace`` field,
+        :class:`~repro.obs.QueryTrace` on the result's ``trace`` field,
         same as the direct store call.
         """
         return self.query("sparql", text, options, profile)

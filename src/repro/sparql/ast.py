@@ -119,9 +119,6 @@ class SelectQuery:
     limit: Optional[int] = None
     distinct: bool = False
 
-    def has_aggregates(self) -> bool:
-        return bool(self.aggregates)
-
     def all_variables(self) -> List[str]:
         seen: List[str] = []
         for pattern in self.patterns:

@@ -115,9 +115,6 @@ class SqlQuery:
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
 
-    def has_aggregates(self) -> bool:
-        return any(item.aggregate for item in self.select_items)
-
 
 class _Token:
     __slots__ = ("kind", "text")

@@ -1,17 +1,19 @@
 """Exhaustive-permutation index store (the MonetDB+HSP / RDF-3X baseline).
 
 State-of-the-art triple stores such as RDF-3X and the MonetDB+HSP prototype
-the paper measures keep the triple set in *all six* component orders, so any
+the paper measures keep the triple set in all six component orders, so any
 triple pattern with any combination of bound components has a matching
 clustered access path.  The paper's critique is that this "abundance of
 access paths does not create any of the access locality that a relational
 clustered index offers": answering a star pattern still requires one index
 lookup join per additional property, each hopping all over the PSO index.
 
-:class:`ExhaustiveIndexStore` reproduces that baseline faithfully: six
-:class:`~repro.storage.triple_table.TripleTable` instances sharing one
-buffer pool, plus the access-path selection logic (pick the permutation
-whose sort-order prefix covers the bound components of a pattern).
+:class:`ExhaustiveIndexStore` reproduces that baseline with the four
+orders whose prefixes cover every bound set (:data:`ORDERS`; the two others
+would add no access path): :class:`~repro.storage.triple_table.TripleTable`
+instances sharing one buffer pool, plus the access-path selection logic
+(pick the permutation whose sort-order prefix covers the bound components
+of a pattern).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .triple_table import ORDERS, Rows, TripleTable, rows_matrix
 
 ACCESS_PATHS = {
     "": "spo", "s": "spo", "sp": "spo", "spo": "spo",
-    "p": "pso", "o": "osp", "so": "sop", "po": "pos",
+    "p": "pso", "o": "osp", "so": "osp", "po": "pos",
 }
 """The access-path decision: bound components of a triple pattern (a subset
 of ``"spo"``, in that order) -> the projection whose sort-order prefix they
@@ -36,9 +38,9 @@ are.  Ranges inside one predicate are the other decision:
 
 
 class ExhaustiveIndexStore:
-    """Six ordered triple projections sharing a buffer pool.
+    """The ordered triple projections of :data:`ORDERS`, sharing a buffer pool.
 
-    All six, always: each is a :class:`TripleTable` over the same ``rows``
+    All four, always: each is a :class:`TripleTable` over the same ``rows``
     that sorts itself the first time a pattern reads it, so constructing the
     store costs nothing and an order no query asks for is never made.
     """

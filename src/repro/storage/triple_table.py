@@ -1,8 +1,8 @@
 """The basic triple table: three parallel columns in a chosen sort order.
 
 MonetDB's RDF prototype keeps triples as BATs sorted in PSO order.  The
-:class:`TripleTable` generalizes this to any of the six permutations of
-(S, P, O): the triples are sorted by the permutation's components and each
+:class:`TripleTable` generalizes this to any permutation of
+(S, P, O) in :data:`ORDERS`: the triples are sorted by the permutation's components and each
 component is stored as a :class:`~repro.columnar.Column`.  Range scans on a
 prefix of the sort order are binary searches followed by sequential reads —
 the access path that exhaustive-indexing RDF stores rely on.
@@ -20,8 +20,11 @@ from ..errors import StorageError
 from ..model import EncodedTriple
 from ..obs import default_registry
 
-ORDERS = ("spo", "sop", "pso", "pos", "osp", "ops")
-"""The six permutations of subject, predicate, object."""
+ORDERS = ("spo", "pso", "pos", "osp")
+"""The permutations of subject, predicate, object a store keeps: each bound
+set of a triple pattern is a prefix of one of them (``ACCESS_PATHS``).  SOP
+and OPS add no prefix these lack — ``(o, s)`` is OSP's and ``(p, o)`` is
+POS's — so no read ever asked for them."""
 
 _COMPONENT_INDEX = {"s": 0, "p": 1, "o": 2}
 

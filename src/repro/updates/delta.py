@@ -1,7 +1,7 @@
 """The delta store: pending inserts, tombstones and the undo log.
 
 Writes never touch the immutable base structures (clustered CS blocks, the
-irregular triple table, the six permutation indexes).  Instead they
+irregular triple table, the permutation indexes).  Instead they
 accumulate here:
 
 * **inserts** — dictionary-encoded triples not present in the base store,
@@ -261,7 +261,7 @@ class FrozenDelta:
 
     Holds the pending inserts and tombstones as two ``(n, 3)`` arrays and
     offers nothing that mutates.  What scans need beyond the arrays — the
-    six-permutation index over the inserts (each order sorted when a scan
+    permutation index over the inserts (each order sorted when a scan
     first reads it), the tombstones grouped by
     predicate, the touched subjects per predicate — is derived on first use
     and kept, so every context, snapshot and estimator of the version shares

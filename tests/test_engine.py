@@ -11,9 +11,6 @@ from repro.engine import (
     BinaryOp,
     BindingTable,
     ExecutionContext,
-    ExtendOp,
-    FilterEqualOp,
-    FilterRangeOp,
     HashJoinOp,
     IndexScanOp,
     LimitOp,
@@ -275,13 +272,11 @@ class TestOperators:
     def test_filters(self):
         ctx, _p_name, p_age, ages = _context()
         child = MaterializedOp(BindingTable({"a": np.array(sorted(ages.values()))}))
-        low, high = sorted(ages.values())[1], sorted(ages.values())[4]
-        ranged, _ = execute_plan(FilterRangeOp(child, "a", OidRange(low, high)), ctx)
-        assert ranged.num_rows == 4
-        equal, _ = execute_plan(FilterEqualOp(child, "a", low), ctx)
-        assert equal.num_rows == 1
-        not_equal, _ = execute_plan(FilterNotEqualOp(child, "a", low), ctx)
+        low = sorted(ages.values())[1]
+        not_equal, cost = execute_plan(FilterNotEqualOp(child, "a", low), ctx)
         assert not_equal.num_rows == 5
+        assert low not in not_equal.column("a").tolist()
+        assert cost.counters["tuples_scanned"] == 6
 
     def test_project_distinct_order_limit(self):
         ctx, _p, _q, _ages = _context()
@@ -299,17 +294,15 @@ class TestOperators:
     def test_extend_and_aggregate(self):
         ctx, _p, _q, _ages = _context()
         table = BindingTable({"g": np.array([1, 1, 2]), "x": np.array([1.0, 2.0, 5.0])})
-        child = ExtendOp(MaterializedOp(table), "double", BinaryOp("*", NumericVar("x"), NumericConst(2)))
-        extended, _ = execute_plan(child, ctx)
-        assert extended.column("double").tolist() == [2.0, 4.0, 10.0]
+        double = BinaryOp("*", NumericVar("x"), NumericConst(2))
         agg = AggregateOp(MaterializedOp(table), ["g"],
-                          [AggregateSpec("sum", NumericVar("x"), "total"),
+                          [AggregateSpec("sum", double, "total"),
                            AggregateSpec("count", NumericVar("x"), "n")])
         result, _ = execute_plan(agg, ctx)
         rows = {int(g): (t, n) for g, t, n in zip(result.column("g"), result.column("total"),
                                                   result.column("n"))}
-        assert rows[1] == (3.0, 2.0)
-        assert rows[2] == (5.0, 1.0)
+        assert rows[1] == (6.0, 2.0)
+        assert rows[2] == (10.0, 1.0)
 
     def test_aggregate_without_groups(self):
         ctx, _p, _q, _ages = _context()

@@ -271,7 +271,7 @@ class TestExposition:
 
 class TestTraces:
     def test_span_tree_mirrors_plan_shape(self, store):
-        result = store.sparql(STAR_QUERY, trace=True)
+        result = store.sparql(STAR_QUERY, profile=True)
         trace = store.last_trace()
         assert trace is result.trace and trace.root is not None
         assert trace.total_seconds > 0
@@ -296,7 +296,7 @@ class TestTraces:
 
     def test_last_trace_retains_most_recent_traced_run(self, store):
         assert store.last_trace() is None
-        store.sparql(STAR_QUERY, trace=True)
+        store.sparql(STAR_QUERY, profile=True)
         traced = store.last_trace()
         store.sparql(STAR_QUERY)  # untraced runs don't clobber it
         assert store.last_trace() is traced
@@ -306,10 +306,10 @@ class TestTraces:
         that run's own object and trace, none on the plan."""
         options = PlannerOptions()
         store.plan_cache.clear()
-        first = store.sparql(LOOKUP_QUERY, options, trace=True)
+        first = store.sparql(LOOKUP_QUERY, options, profile=True)
         before = [dict(vars(op)) for op in _operators(first.plan)]
         hits = store.plan_cache.stats()["lifetime_hits"]
-        second = store.sparql(LOOKUP_QUERY, options, trace=True)
+        second = store.sparql(LOOKUP_QUERY, options, profile=True)
         assert store.plan_cache.stats()["lifetime_hits"] == hits + 1
         assert second.plan is first.plan  # one shared physical plan
         # each run carries its own, non-accumulated accounting
@@ -324,7 +324,7 @@ class TestTraces:
         assert [dict(vars(op)) for op in _operators(first.plan)] == before
 
     def test_render_is_indented_per_level(self, store):
-        store.sparql(STAR_QUERY, trace=True)
+        store.sparql(STAR_QUERY, profile=True)
         rendering = store.last_trace().render()
         lines = rendering.splitlines()
         assert len(lines) >= 2
@@ -368,7 +368,7 @@ class TestSlowQueryLog:
     def test_slow_entry_keeps_trace_summary(self):
         store = RDFStore.build(book_triples(), config=_config(
             slow_query_seconds=0.0))
-        store.sparql(STAR_QUERY, trace=True)
+        store.sparql(STAR_QUERY, profile=True)
         entry = store.slow_queries()[0]
         assert "ms" in entry.trace_summary
 

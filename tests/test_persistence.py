@@ -720,7 +720,7 @@ def _rewrite_as_v2(root, store):
     generation = root / manifest["generation"]
     matrix = read_array(generation / "matrix.bin")
     orders = {}
-    for order in ORDERS:
+    for order in ("spo", "sop", "pso", "pos", "osp", "ops"):
         keys = [matrix[:, "spo".index(c)] for c in reversed(order)]
         crc = write_array(generation / "columns" / f"hsp.{order}.bin", matrix[np.lexsort(keys)])
         orders[order] = {"file": f"hsp.{order}.bin", "rows": len(matrix), "crc": crc}

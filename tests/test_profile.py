@@ -1,7 +1,7 @@
-"""The per-query resource profiler.
+"""The per-query trace's resource attribution (``profile=True``).
 
 Profiling must be a pure observer: identical results whether a query runs
-bare, traced or profiled, over every corpus and plan scheme.  Its numbers
+bare or profiled, over every corpus and plan scheme.  Its numbers
 must *reconcile* — per-operator self page reads sum to the root's cumulative
 count, which equals the buffer pool's own delta over the run.  Its cost when
 disabled is pinned by the counted overhead guard of ``test_observability.py``.
@@ -16,7 +16,7 @@ from _datasets import EX, book_triples
 from repro import RDFStore, StoreConfig
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import StorageError
-from repro.obs import ProfileSpan, QueryProfile, QueryTrace, format_bytes
+from repro.obs import QueryTrace, TraceSpan, format_bytes
 from repro.sparql import (
     DEFAULT_SCHEME,
     OPTIMIZED_SCHEME,
@@ -80,22 +80,6 @@ class TestDifferential:
                 profiled = _sorted_rows(dblp_store, text, options, profile=True)
                 assert profiled == plain, (options.describe(), text)
 
-    def test_profile_span_tree_matches_trace_span_tree(self, book_store):
-        """Same operators, same nesting, same row counts as a plain trace."""
-        def _walk(span):
-            yield span
-            for child in span.children:
-                yield from _walk(child)
-
-        for options in SCHEMES:
-            book_store.sparql(STAR_QUERY, options, trace=True)
-            traced = [(s.label, s.rows) for s in _walk(book_store.last_trace().root)]
-            book_store.sparql(STAR_QUERY, options, profile=True)
-            profile = book_store.last_trace()
-            assert isinstance(profile, QueryProfile)
-            profiled = [(s.label, s.rows) for s in _walk(profile.root)]
-            assert profiled == traced, options.describe()
-
 
 # -- attribution reconciles ----------------------------------------------------
 
@@ -109,10 +93,10 @@ class TestReconciliation:
                      profile=True)
         external = store.pool.snapshot_delta(mark)
         profile = store.last_trace()
-        assert isinstance(profile, QueryProfile)
+        assert isinstance(profile, QueryTrace)
 
         spans = profile.spans()
-        assert spans and all(isinstance(span, ProfileSpan) for span in spans)
+        assert spans and all(isinstance(span, TraceSpan) for span in spans)
         total_self = sum(span.self_page_reads for span in spans)
         # Σ per-operator self time == root cumulative == the pool's own delta
         assert total_self == profile.page_reads_total
@@ -120,6 +104,19 @@ class TestReconciliation:
         assert profile.buffers["page_reads"] == external["page_reads"]
         assert profile.page_reads_total > 0  # the cold run really read pages
         assert profile.buffers["page_hits"] == external["page_hits"]
+
+    def test_run_and_trace_share_one_buffer_mark(self):
+        """The trace's ``buffers`` is the pool delta since the mark its run
+        took at registration: the run's listing, the trace and the pool
+        agree on a cold run's page reads."""
+        store = RDFStore.build(book_triples(), config=_config())
+        store.reset_cold()
+        mark = store.pool.stats()
+        result = store.sparql(STAR_QUERY, PlannerOptions(scheme=RDFSCAN_SCHEME),
+                              profile=True)
+        external = store.pool.snapshot_delta(mark)["page_reads"]
+        listed = result.run.describe()["buffers"]["page_reads"]
+        assert listed == result.trace.buffers["page_reads"] == external > 0
 
     def test_hot_run_reads_no_pages(self, book_store):
         book_store.sparql(STAR_QUERY)  # warm
@@ -150,17 +147,12 @@ class TestSwitches:
         # an untraced run leaves no trace behind at all
         assert store.last_trace() is None
 
-    def test_trace_flag_still_yields_plain_trace(self, book_store):
-        book_store.sparql(STAR_QUERY, trace=True)
-        trace = book_store.last_trace()
-        assert isinstance(trace, QueryTrace)
-        assert not isinstance(trace, QueryProfile)
-
     def test_sql_frontend_profiles(self, book_store):
         catalog = book_store.require_catalog()
         table = next(iter(catalog.tables.values())).name
-        book_store.sql(f"SELECT * FROM {table}", profile=True)
-        assert isinstance(book_store.last_trace(), QueryProfile)
+        result = book_store.sql(f"SELECT * FROM {table}", profile=True)
+        assert book_store.last_trace() is result.trace
+        assert result.trace.root is not None
 
     def test_snapshot_reads_honor_profile_flag(self, book_store):
         with book_store.snapshot() as snap:
@@ -212,6 +204,42 @@ class TestObserverIntegration:
     def test_summary_digest_mentions_pages(self, book_store):
         book_store.sparql(STAR_QUERY, profile=True)
         assert "pages=" in book_store.last_trace().summary()
+
+
+# -- rendering -----------------------------------------------------------------
+
+
+class TestSpanDict:
+    def test_as_dict_visits_each_span_once(self, monkeypatch):
+        """A chain of 12 spans is 12 ``as_dict`` calls, not 2**12 - 1."""
+        class Op:
+            def __init__(self, depth):
+                self.depth = depth
+
+            def describe(self):
+                return f"op{self.depth}"
+
+        trace = QueryTrace()
+        ops = [Op(depth) for depth in range(12)]  # alive: spans key on id(op)
+        frames = [trace.enter(op) for op in ops]
+        for span in reversed(frames):
+            trace.exit(span)
+        calls = []
+        span_class = type(trace.root)
+        as_dict = span_class.as_dict
+
+        def counted(self):
+            calls.append(self.label)
+            return as_dict(self)
+
+        monkeypatch.setattr(span_class, "as_dict", counted)
+        tree = trace.as_dict()["root"]
+        assert len(calls) == 12
+        depth = 0
+        while tree["children"]:
+            (tree,) = tree["children"]
+            depth += 1
+        assert depth == 11 and tree["label"] == "op11"
 
 
 # -- formatting ----------------------------------------------------------------

@@ -326,13 +326,13 @@ class TestStoreIntegration:
         assert "NoSuchTable" in error["error"] or "error" in error["error"].lower()
         assert store.active_queries() == []
 
-    @pytest.mark.parametrize("outcome", ["finished", "traced", "profiled", "sql",
+    @pytest.mark.parametrize("outcome", ["finished", "profiled", "sql", "sql-profiled",
                                          "error", "sql-without-catalog", "cancelled"])
     def test_run_query_outcomes(self, outcome, store, monkeypatch):
         """Each way a run ends, as ``run_query`` accounts it: the registry's
         closing event, the completed / error / cancel counters, and
-        ``last_trace`` (only a traced success replaces it)."""
-        earlier = store.sparql(STAR_QUERY, trace=True).trace
+        ``last_trace`` (only a profiled success replaces it)."""
+        earlier = store.sparql(STAR_QUERY, profile=True).trace
         store.event_log.clear()
         before = store.metrics()
         if outcome == "sql-without-catalog":
@@ -350,9 +350,9 @@ class TestStoreIntegration:
             monkeypatch.setattr(store.query_registry, "begin", begin_cancelled)
         runs = {
             "finished": lambda: store.sparql(STAR_QUERY),
-            "traced": lambda: store.sparql(STAR_QUERY, trace=True),
             "profiled": lambda: store.sparql(STAR_QUERY, profile=True),
             "sql": lambda: store.sql("SELECT isbn_no FROM Book"),
+            "sql-profiled": lambda: store.sql("SELECT isbn_no FROM Book", profile=True),
             "error": lambda: store.sparql("THIS IS NOT SPARQL"),
             "sql-without-catalog": lambda: store.sql("SELECT isbn_no FROM Book"),
             "cancelled": lambda: store.sparql(STAR_QUERY),
@@ -394,9 +394,9 @@ class TestStoreIntegration:
             assert finish["rows"] == len(result)
             assert grew(f'queries_total{{frontend="{frontend}"') == 1
             assert grew("query_errors_total") == 0
-        if outcome in ("traced", "profiled"):
+        if outcome in ("profiled", "sql-profiled"):
             assert store.last_trace() is result.trace is not earlier
-            assert getattr(result.trace, "is_profile", False) == (outcome == "profiled")
+            assert result.trace.buffers  # finished with the run's pool delta
         else:
             assert store.last_trace() is earlier
 

@@ -149,7 +149,7 @@ class TestExhaustiveIndexStore:
         # the one access-path table: every bound set names the order whose
         # prefix it is, the same on every store however it came to be
         assert ACCESS_PATHS == {"": "spo", "s": "spo", "p": "pso", "o": "osp",
-                                "sp": "spo", "so": "sop", "po": "pos", "spo": "spo"}
+                                "sp": "spo", "so": "osp", "po": "pos", "spo": "spo"}
         for bound, order in ACCESS_PATHS.items():
             assert store.best_order(bound) == order
             assert set(order[:len(bound)]) == set(bound)
@@ -168,6 +168,13 @@ class TestExhaustiveIndexStore:
     def test_scan_pattern_object_only(self, store):
         rows = store.scan_pattern(o=21, fetch="s")
         assert sorted(rows[:, 0].tolist()) == [0, 1]
+
+    def test_scan_pattern_subject_and_object_reads_osp(self, store):
+        """``(s, o)`` bound is the ``(o, s)`` prefix of OSP: no SOP needed."""
+        expected = sorted(t.p for t in SAMPLE if t.s == 0 and t.o == 20)
+        assert store.scan_pattern(s=0, o=20, fetch="p")[:, 0].tolist() == expected
+        assert store.count_pattern(s=1, o=21) == 1
+        assert store.materialized_orders() == ["osp"]
 
     def test_count_pattern(self, store):
         assert store.count_pattern(p=10) == 3
@@ -200,14 +207,14 @@ class TestSortedOnFirstRead:
         store = ExhaustiveIndexStore(self.MATRIX, pool=BufferPool(page_size=2))
         assert len(store) == 6 and store.materialized_orders() == []
         store.warm()  # lengths and segment names only
-        assert store.pool.cached_page_count() == 6 * 3 * 3
+        assert store.pool.cached_page_count() == 4 * 3 * 3
         assert store.materialized_orders() == []
         store.scan_pattern(p=10)
         store.count_pattern(s=1)
         assert store.materialized_orders() == ["pso", "spo"]
         after = projection_sorts()
         assert {order: after[order] - before[order] for order in ORDERS} == {
-            "spo": 1, "sop": 0, "pso": 1, "pos": 0, "osp": 0, "ops": 0}
+            "spo": 1, "pso": 1, "pos": 0, "osp": 0}
 
     def test_rows_may_be_a_callable(self):
         calls = []
@@ -233,8 +240,8 @@ class TestSortedOnFirstRead:
     def test_eight_threads_first_touching_one_table_sort_once(self, projection_sorts):
         rng = np.random.default_rng(11)
         matrix = rng.integers(0, 5_000, (60_000, 3)).astype(np.int64)
-        table = TripleTable(matrix, order="ops")
-        before = projection_sorts()["ops"]
+        table = TripleTable(matrix, order="osp")
+        before = projection_sorts()["osp"]
         barrier = threading.Barrier(8)
         seen = []
 
@@ -253,11 +260,11 @@ class TestSortedOnFirstRead:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert projection_sorts()["ops"] - before == 1
+        assert projection_sorts()["osp"] - before == 1
         assert len(seen) == 8
         for columns in seen[1:]:
             assert all(a is b for a, b in zip(columns, seen[0]))  # one set of arrays
-        expected = matrix[np.lexsort((matrix[:, 0], matrix[:, 1], matrix[:, 2]))]
+        expected = matrix[np.lexsort((matrix[:, 1], matrix[:, 0], matrix[:, 2]))]
         assert np.array_equal(np.column_stack(seen[0]), expected)
 
     def test_a_replaced_index_store_is_freed_by_reference_counting(self, tmp_path):
