@@ -37,7 +37,7 @@ def main() -> None:
         print(" ", line)
 
     print("\n=== Q3 top orders (fully optimized plan) ===")
-    result = clustered.sparql(q3_sparql(), PlannerOptions(scheme="rdfscan", use_zone_maps=True))
+    result = clustered.sparql(q3_sparql(), PlannerOptions(scheme="rdfscan"))
     for order, orderdate, _priority, revenue in clustered.decode_rows(result):
         print(f"  {order}  {orderdate}  revenue={revenue:,.2f}")
     print(f"  plan:\n{result.plan.explain(run=result.run)}")

@@ -104,12 +104,6 @@ class CostModel:
         """Expected cost of materializing ``rows`` tuples with one scan."""
         return self.operator_overhead_seconds + max(rows, 0.0) * self.tuple_scan_seconds
 
-    def estimate_probe_seconds(self, probes: float, matched_rows: float) -> float:
-        """Expected cost of an index-probe join: probes plus materialization."""
-        return (self.join_overhead_seconds
-                + max(probes, 0.0) * self.tuple_probe_seconds
-                + max(matched_rows, 0.0) * self.tuple_scan_seconds)
-
     def estimate_hash_join_seconds(self, left_rows: float, right_rows: float,
                                    output_rows: float) -> float:
         """Expected cost of hashing both inputs and emitting the output."""

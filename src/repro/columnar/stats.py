@@ -213,10 +213,11 @@ class CardinalityEstimator:
                             subject_range=None) -> float:
         """Estimated triples matching one pattern, with optional OID ranges.
 
-        The bound-slot count is exact (binary search on the index store) and
-        a range attached to a predicate-only pattern is resolved exactly
-        against the value-sorted POS/PSO projections; any other range scales
-        the count by the default range selectivity.
+        The bound-slot count is exact (binary search on the index store).  A
+        predicate-only pattern's range is resolved exactly against the
+        projection its index scan narrows: PSO for a subject range, else POS
+        for an object range.  Any other range scales the count by the
+        default range selectivity.
         """
         # the pending-delta contribution is pattern-exact but range-agnostic;
         # it is added after the base refinements so an exact base range count
@@ -225,12 +226,13 @@ class CardinalityEstimator:
         base = float(self.index_store.count_pattern(s=s, p=p, o=o))
         if base == 0.0 and delta_adjustment <= 0.0:
             return 0.0
-        if p is not None and s is None and o is None and _is_bounded(object_range):
-            base = self._range_count(p, object_range, "o")
-            object_range = None
-        if p is not None and s is None and o is None and _is_bounded(subject_range):
-            base *= self._range_fraction(p, subject_range, "s")
-            subject_range = None
+        if p is not None and s is None and o is None:
+            if _is_bounded(subject_range):
+                base *= self._range_fraction(p, subject_range, "s")
+                subject_range = None
+            elif _is_bounded(object_range):
+                base = self._range_count(p, object_range, "o")
+                object_range = None
         if _is_bounded(object_range):
             base *= DEFAULT_RANGE_SELECTIVITY
         if _is_bounded(subject_range):

@@ -121,8 +121,9 @@ class StoreConfig:
         buffer_pool_pages: capacity of the simulated buffer pool.
         page_size: simulated page size in values.
         zone_size: rows per zone in the clustered store's zone maps (every
-            aligned column gets one; whether a plan *uses* them is
-            :attr:`PlannerOptions.use_zone_maps`).
+            aligned column gets one, and a star scan prunes a ranged column
+            by it; :attr:`PlannerOptions.use_zone_maps` switches only the
+            planner's cross-FK push-down).
         cost_model: counters-to-seconds conversion, also used by the
             cost-based optimizer to price candidate plans.
         plan_cache_size: entries kept in the LRU plan cache (0 disables

@@ -26,11 +26,11 @@ from .plan import NO_OIDS, OidRange, PatternTerm, PhysicalOperator, TriplePatter
 class IndexScanOp(PhysicalOperator):
     """Scan one triple pattern against the exhaustive index store.
 
-    Constant slots are pushed into the permutation prefix; an optional OID
-    range on the object (from a FILTER) and/or on the subject (from a
-    zone-map-derived restriction) is applied with binary search when the
-    chosen permutation sorts that component right after the bound prefix,
-    and as a post-filter otherwise.
+    Constant slots are pushed into the permutation prefix.  With the
+    predicate bound, an OID range on the subject (from a zone-map-derived
+    restriction) narrows PSO by binary search and one on the object (from a
+    FILTER) is then a post-filter; an object range alone narrows POS.  Any
+    other range is a post-filter.
     """
 
     def __init__(self, pattern: TriplePatternPlan,
@@ -53,23 +53,18 @@ class IndexScanOp(PhysicalOperator):
         store = context.index_store
         s, p, o = self.pattern.subject, self.pattern.predicate, self.pattern.object
 
-        # Fast paths: predicate bound plus a range on the object (POS prefix) or
-        # on the subject (PSO prefix), narrowed by binary search.
+        # Fast paths: predicate bound plus a range on the subject (PSO prefix)
+        # or, failing that, on the object (POS prefix), narrowed by binary
+        # search; _bind() applies the object range as a post-filter either way.
         tail = _tail(self.object_range, context)
-        paths = []  # (rows touched, projection, its row ranges)
-        if not p.is_variable and o.is_variable and _is_bounded(self.object_range):
-            table = store.within_predicate("o")
-            ranges = table.narrowed_row_ranges(p.oid, self.object_range.intervals(tail))
-            paths.append((sum(hi - lo for lo, hi in ranges), table, ranges))
+        table = None
         if not p.is_variable and s.is_variable and _is_bounded(self.subject_range):
             # subjects are never literals: a subject range has no tail
-            table = store.within_predicate("s")
-            ranges = table.narrowed_row_ranges(p.oid, self.subject_range.intervals())
-            paths.append((sum(hi - lo for lo, hi in ranges), table, ranges))
-        if paths:
-            # with both ranges, scan whichever touches fewer rows (the object
-            # range on a tie); _bind() applies the other as a post-filter
-            _touched, table, ranges = min(paths, key=lambda path: path[0])
+            table, intervals = store.within_predicate("s"), self.subject_range.intervals()
+        elif not p.is_variable and o.is_variable and _is_bounded(self.object_range):
+            table, intervals = store.within_predicate("o"), self.object_range.intervals(tail)
+        if table is not None:
+            ranges = table.narrowed_row_ranges(p.oid, intervals)
             rows = self._filter_constant_slots(table.fetch_ranges(ranges, fetch="spo"))
         else:
             rows = store.scan_pattern(

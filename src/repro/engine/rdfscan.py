@@ -50,7 +50,6 @@ class _StarOperator(PhysicalOperator):
     store the context offers."""
 
     star: StarPattern
-    use_zone_maps: bool
 
     def _star_scan(self, context: ExecutionContext
                    ) -> Callable[[Optional[np.ndarray]], BindingTable]:
@@ -64,7 +63,7 @@ class _StarOperator(PhysicalOperator):
         """
         context.tracker.operator_invocations += 1
         if context.has_clustered_store():
-            clustered = _ClusteredStarScan(context, self.star, self.use_zone_maps)
+            clustered = _ClusteredStarScan(context, self.star)
             if context.run.enabled:
                 context.run.residuals[self] = int(clustered.residual_subjects.size)
             return clustered.scan
@@ -74,13 +73,11 @@ class _StarOperator(PhysicalOperator):
 class RDFScanOp(_StarOperator):
     """Evaluate a full star pattern in one operator."""
 
-    def __init__(self, star: StarPattern, use_zone_maps: bool = False) -> None:
+    def __init__(self, star: StarPattern) -> None:
         self.star = star
-        self.use_zone_maps = use_zone_maps
 
     def describe(self) -> str:
-        suffix = " (zonemaps)" if self.use_zone_maps else ""
-        return f"RDFscan[{self.star.describe()}]{suffix}"
+        return f"RDFscan[{self.star.describe()}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         scan = self._star_scan(context)
@@ -90,11 +87,9 @@ class RDFScanOp(_StarOperator):
 class RDFJoinOp(_StarOperator):
     """Evaluate a star pattern for candidate subjects supplied by a child."""
 
-    def __init__(self, child: PhysicalOperator, star: StarPattern,
-                 use_zone_maps: bool = False) -> None:
+    def __init__(self, child: PhysicalOperator, star: StarPattern) -> None:
         self.child = child
         self.star = star
-        self.use_zone_maps = use_zone_maps
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -166,11 +161,9 @@ class _ClusteredStarScan:
     pairs — so an RDFjoin pays it once, not once per input batch.
     """
 
-    def __init__(self, context: ExecutionContext, star: StarPattern,
-                 use_zone_maps: bool) -> None:
+    def __init__(self, context: ExecutionContext, star: StarPattern) -> None:
         self.context = context
         self.star = star
-        self.use_zone_maps = use_zone_maps
         self.store = store = context.require_clustered_store()
         self.delta = delta = context.active_delta()
         predicates = star.predicate_oids()
@@ -197,8 +190,8 @@ class _ClusteredStarScan:
         """
         results: List[BindingTable] = []
         for block in self.blocks:
-            table = _scan_block(self.context, block, self.star, self.tails, self.use_zone_maps,
-                                candidate_subjects, exclude_subjects=self.residual_subjects)
+            table = _scan_block(self.context, block, self.star, self.tails, candidate_subjects,
+                                exclude_subjects=self.residual_subjects)
             if table.num_rows:
                 results.append(table)
         if self.residual_subjects.size:
@@ -280,8 +273,7 @@ class _ClusteredStarScan:
 
 
 def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
-                tails: List[np.ndarray], use_zone_maps: bool,
-                candidate_subjects: Optional[np.ndarray],
+                tails: List[np.ndarray], candidate_subjects: Optional[np.ndarray],
                 exclude_subjects: np.ndarray) -> BindingTable:
     n = len(block)
     if n == 0:
@@ -312,15 +304,15 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
         if not row_ranges:
             return BindingTable.empty(star.output_variables())
 
-    # zone-map pruning on constrained properties
-    if use_zone_maps:
-        for prop, intervals in ranged:
-            zone_map = block.zone_map(prop.predicate_oid)
-            if zone_map is None:
-                continue
-            row_ranges = _intersect_ranges(row_ranges, zone_map.candidate_row_ranges(intervals))
-            if not row_ranges:
-                return BindingTable.empty(star.output_variables())
+    # zone-map pruning: a ranged property reads only the zones its column's
+    # zone map says can hold a value in range
+    for prop, intervals in ranged:
+        zone_map = block.zone_map(prop.predicate_oid)
+        if zone_map is None:
+            continue
+        row_ranges = _intersect_ranges(row_ranges, zone_map.candidate_row_ranges(intervals))
+        if not row_ranges:
+            return BindingTable.empty(star.output_variables())
 
     # evaluate constraints, reading only constrained columns first: range by
     # range for a scan, at the candidates' positions inside the ranges for
@@ -622,30 +614,21 @@ def subject_range_for_property_range(block: CSBlock, predicate_oid: int, oid_ran
     """Subject-OID bounds of the block rows whose property value is in range.
 
     Only meaningful when the block is sub-ordered on the property (which the
-    clustering step arranges for the chosen sort key): the property column is
-    then non-decreasing over its non-NULL prefix, so the rows in each of the
+    clustering step arranges for the chosen sort key and records in
+    :attr:`CSBlock.sorted_properties`): the property column is then
+    non-decreasing over its non-NULL prefix, so the rows in each of the
     range's :meth:`~OidRange.intervals` (``tail``: the tail literals it
-    matches) are contiguous and the subjects of all of them lie between the
-    first one's and the last one's.  Returns ``None`` when the column is not
-    sorted that way.
+    matches) are contiguous, found by binary search, and the subjects of all
+    of them lie between the first one's and the last one's.  Returns
+    ``None`` when the column is not sorted that way.
     """
-    if not block.has_property(predicate_oid):
+    if predicate_oid not in block.sorted_properties:
         return None
-    values = block.column(predicate_oid).data
-    valid = values != NULL_OID
-    prefix = values[valid]
-    if prefix.size == 0:
-        return None
-    if not bool(np.all(prefix[:-1] <= prefix[1:])):
-        return None
-    valid_positions = np.nonzero(valid)[0]
-    rows = _sorted_prefix_rows(prefix, oid_range.intervals(tail))
+    rows = _sorted_prefix_rows(block.column(predicate_oid).data, oid_range.intervals(tail))
     if not rows:
         return OidRange(low=1, high=0)  # empty range: no subject can match
     subjects = block.subject_column.data
-    low_subject = int(subjects[valid_positions[rows[0][0]]])
-    high_subject = int(subjects[valid_positions[rows[-1][1] - 1]])
-    return OidRange(low=low_subject, high=high_subject)
+    return OidRange(low=int(subjects[rows[0][0]]), high=int(subjects[rows[-1][1] - 1]))
 
 
 def fk_range_from_zonemap(block: CSBlock, constrained_predicate: int, oid_range: OidRange,

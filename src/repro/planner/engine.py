@@ -30,8 +30,6 @@ class Frontend(NamedTuple):
     """Query text to the front end's AST; raises ``ParseError``."""
     lower: Callable[[object, ExecutionContext], LogicalQuery]
     """AST to logical form: name resolution and OID translation."""
-    options: PlannerOptions
-    """The plan scheme used when a caller names none."""
 
 
 @dataclass
@@ -134,8 +132,8 @@ class QueryEngine:
         Args:
             frontend: name of a registered front end.
             text: the query text.
-            options: plan scheme configuration; ``None`` selects the front
-                end's own.
+            options: plan scheme configuration; ``None`` selects
+                ``PlannerOptions()``, the same for every front end.
             run: the execution this is for, if any: on a cache miss it is
                 told the parse and the plan (lower + plan) time.
 
@@ -149,7 +147,7 @@ class QueryEngine:
             PlanError: when the options name an unknown plan scheme.
         """
         front = self.frontends[frontend]
-        options = options or front.options
+        options = options or PlannerOptions()
         key = None
         if self.plan_cache is not None:
             key = self.version + PlanCache.make_key(frontend, text, options)
@@ -206,9 +204,8 @@ class QueryEngine:
         Used by the update subsystem (``DELETE WHERE`` evaluates its pattern
         block as a SELECT) and by callers that build ASTs programmatically.
         """
-        return self._execute(
-            self.plan_parsed(frontend, parsed, self.frontends[frontend].options),
-            NULL_ACTIVE_QUERY)
+        return self._execute(self.plan_parsed(frontend, parsed, PlannerOptions()),
+                             NULL_ACTIVE_QUERY)
 
     def _execute(self, prepared: Tuple[LogicalQuery, PhysicalOperator], run) -> QueryResult:
         logical, plan = prepared

@@ -47,6 +47,7 @@ from ..engine import (
     StarPattern,
 )
 from ..engine.operators import FilterNotEqualOp
+from ..model.syntax import IRI_BODY
 
 _NOT_EQUAL_SELECTIVITY = 0.9
 
@@ -295,7 +296,7 @@ class PlanCache:
     order stars; they never change an answer.
     """
 
-    _QUOTED = re.compile(r""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'""")
+    _VERBATIM = re.compile(rf""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'|<{IRI_BODY}>|#[^\n]*\n?""")
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 0:
@@ -314,12 +315,14 @@ class PlanCache:
         """Cache key: front end, normalized query text, planner options.
 
         Whitespace is collapsed only *outside* quoted string literals
-        (SPARQL's ``"…"``, SQL's ``'…'``) — whitespace inside a literal is
-        data and must keep distinct queries distinct.
+        (SPARQL's ``"…"``, SQL's ``'…'``), IRIREFs and ``#`` comments, which
+        are kept verbatim: whitespace inside a literal is data, and the line
+        break that ends a comment decides what the comment swallows, so
+        either must keep distinct queries distinct.
         """
         parts = []
         last = 0
-        for match in PlanCache._QUOTED.finditer(text):
+        for match in PlanCache._VERBATIM.finditer(text):
             parts.append(" ".join(text[last:match.start()].split()))
             parts.append(match.group(0))
             last = match.end()

@@ -20,10 +20,11 @@ reproduce the two halves of Table I, the third adds the cost-based layer:
 Every finished plan is *annotated* with estimated row counts, so
 ``explain()`` shows estimated vs. actual cardinalities after execution.
 
-With zone maps enabled and a clustered store present, the stars' range
-predicates are pushed *across* foreign keys using the CS blocks' zone maps,
-reproducing the paper's cross-table date restriction on RDF-H Q3 — for
-either front end.
+With a clustered store present, the stars' range predicates are pushed
+*across* foreign keys using the CS blocks' zone maps, reproducing the
+paper's cross-table date restriction on RDF-H Q3 — for either front end,
+unless :attr:`PlannerOptions.use_zone_maps` turns it off (Table I's
+ablation).
 """
 
 from __future__ import annotations
@@ -72,11 +73,15 @@ class PlannerOptions:
     Attributes:
         scheme: ``default``, ``rdfscan`` or ``optimized`` (cost-based star
             ordering).
-        use_zone_maps: enable zone-map pruning and cross-FK range push-down.
+        use_zone_maps: push range predicates across foreign keys through the
+            CS blocks' zone maps (the cross-table restriction of RDF-H Q3).
+            On by default; off is Table I's ablation.  It does not switch
+            zone maps themselves: a star operator prunes by a ranged
+            column's zone map whenever its block has one.
     """
 
     scheme: str = RDFSCAN_SCHEME
-    use_zone_maps: bool = False
+    use_zone_maps: bool = True
 
     def describe(self) -> str:
         return f"scheme={self.scheme} zonemaps={'yes' if self.use_zone_maps else 'no'}"
@@ -123,10 +128,12 @@ class Planner:
 
     def _join_patterns(self, logical: LogicalQuery, options: PlannerOptions) -> PhysicalOperator:
         stars, scheme = logical.stars, options.scheme
+        # The two heuristic schemes order by the query's own constants and
+        # FILTER ranges, before zone maps derive any range.
         if scheme == DEFAULT_SCHEME:
-            # The baseline's shape is the query's own: its constants and FILTER
-            # ranges decide the order before zone maps narrow anything.
             ordered = self._order_baseline(stars)
+        elif scheme == RDFSCAN_SCHEME:
+            ordered = self._order_stars(stars)
         if (options.use_zone_maps and self.context.has_clustered_store()
                 and not self.context.has_pending_delta()):
             # Zone-map-derived subject/FK ranges describe the immutable base
@@ -135,8 +142,6 @@ class Planner:
             self._apply_zone_map_pushdown(stars)
         if scheme == OPTIMIZED_SCHEME:
             ordered = self.optimizer.order_stars(stars)
-        elif scheme == RDFSCAN_SCHEME:
-            ordered = self._order_stars(stars)
 
         root: Optional[PhysicalOperator] = None
         planned_vars: set[str] = set()
@@ -145,11 +150,11 @@ class Planner:
                 root = self._hash_join(root, self._index_star(star), planned_vars,
                                        star.output_variables())
             elif root is None:
-                root = RDFScanOp(star, use_zone_maps=options.use_zone_maps)
+                root = RDFScanOp(star)
             elif star.subject_var in planned_vars:
-                root = RDFJoinOp(root, star, use_zone_maps=options.use_zone_maps)
+                root = RDFJoinOp(root, star)
             else:
-                root = self._connect_star(root, star, planned_vars, options)
+                root = self._connect_star(root, star, planned_vars)
             planned_vars.update(star.output_variables())
         for pattern, object_range in logical.loose:
             if (scheme != DEFAULT_SCHEME and pattern.subject.is_variable
@@ -172,8 +177,8 @@ class Planner:
 
     # -- RDFscan / RDFjoin schemes ------------------------------------------------------
 
-    def _connect_star(self, root: PhysicalOperator, star: StarPattern, planned_vars: set[str],
-                      options: PlannerOptions) -> PhysicalOperator:
+    def _connect_star(self, root: PhysicalOperator, star: StarPattern,
+                      planned_vars: set[str]) -> PhysicalOperator:
         """Join a star whose subject is not yet bound into the running plan.
 
         The Fig. 4(b) case: when the star references an already-planned star
@@ -194,8 +199,8 @@ class Planner:
             joined = HashJoinOp(root, link_scan, join_vars=[linking.object_term.var])
             rest = StarPattern(subject_var=star.subject_var, properties=remaining,
                                subject_range=star.subject_range)
-            return RDFJoinOp(joined, rest, use_zone_maps=options.use_zone_maps)
-        scan = RDFScanOp(star, use_zone_maps=options.use_zone_maps)
+            return RDFJoinOp(joined, rest)
+        scan = RDFScanOp(star)
         return self._hash_join(root, scan, planned_vars, star.output_variables())
 
     def _order_stars(self, star_patterns: Dict[str, StarPattern]) -> List[StarPattern]:

@@ -59,9 +59,8 @@ __all__ = [
     "parse_update",
 ]
 
-SPARQL_FRONTEND = Frontend("sparql", parse_sparql, lower_select, PlannerOptions())
-"""Stateless, so every engine shares it.  Without options a SPARQL query
-plans under the RDFscan/RDFjoin scheme, zone maps off."""
+SPARQL_FRONTEND = Frontend("sparql", parse_sparql, lower_select)
+"""Stateless, so every engine shares it."""
 
 
 class SparqlEngine:

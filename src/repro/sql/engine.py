@@ -27,10 +27,8 @@ from ..model import Literal
 from ..model.terms import XSD_BOOLEAN, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from ..obs import NULL_ACTIVE_QUERY
 from ..planner import (
-    RDFSCAN_SCHEME,
     Frontend,
     LogicalQuery,
-    PlannerOptions,
     QueryEngine,
     QueryResult,
     numeric_expression,
@@ -44,15 +42,10 @@ SqlResult = QueryResult
 names as ``columns``."""
 
 
-SQL_OPTIONS = PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=True)
-"""SQL always plans under the RDFscan/RDFjoin scheme with zone maps on."""
-
-
 def sql_frontend(catalog: Catalog) -> Frontend:
     """The SQL front end over one catalog."""
     return Frontend("sql", parse_sql,
-                    lambda query, context: _Lowering(query, context, catalog).logical_query(),
-                    SQL_OPTIONS)
+                    lambda query, context: _Lowering(query, context, catalog).logical_query())
 
 
 class SqlEngine:

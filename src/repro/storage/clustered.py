@@ -120,7 +120,9 @@ class ClusteredStore:
         """Build the clustered store from an encoded triple matrix and schema.
 
         Every aligned property column gets a zone map of ``zone_size`` rows
-        per zone; whether a plan uses them is the planner's choice.
+        per zone, and a star scan with a range on that column prunes by it.
+        ``PlannerOptions.use_zone_maps`` switches only the planner's cross-FK
+        push-down.
         """
         matrix = np.asarray(triple_matrix, dtype=np.int64).reshape(-1, 3)
         # group the rows by their subject's table (-1, no table, sorts first);

@@ -33,13 +33,17 @@ store started routing rows through the schema's membership arrays:
   :func:`per_character_escape` — what a checkpoint redid over the whole
   store, whatever the delta: one Python sort of every literal, one
   full-matrix mask per table and per property, a per-row set fill and a
-  character-at-a-time escape of every literal written to ``dictionary.nt``.
+  character-at-a-time escape of every literal written to ``dictionary.nt``;
+* :func:`without_zone_maps` — a context whose clustered blocks carry no zone
+  map, which is what the star operators read before they pruned by zone
+  map whenever a block has one.
 
 A plain importable module for the same reason as ``_datasets``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from types import SimpleNamespace
@@ -176,6 +180,19 @@ def in_literal_range(dictionary: TermDictionary, oid: int, oid_range: OidRange) 
         return False
     return bounds.high is None or key < bounds.high or (key == bounds.high
                                                         and bounds.high_inclusive)
+
+
+# -- zone-map pruning ------------------------------------------------------------------
+
+
+def without_zone_maps(context):
+    """``context`` over the same blocks with ``zone_maps={}``: a star scan
+    there prunes by nothing but sorted columns and subject ranges, so it
+    must answer what the zoned scan answers, reading no fewer pages."""
+    store = context.clustered_store
+    blocks = [dataclasses.replace(block, zone_maps={}) for block in store.blocks]
+    return dataclasses.replace(context, clustered_store=ClusteredStore(
+        blocks, store.irregular, store.schema, store.pool))
 
 
 # -- the residual star scan ------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 ``render`` produces the ``explain()`` tree (operators, pushed ranges,
 ``est=``) of every query of the ``test_batch_differential`` corpus under
-the three plan schemes, zone maps off and on.  ``golden_sparql_plans.txt``
-is that text as generated at commit 572736c, the last one with a planner
-per front end; ``tests/test_frontends.py`` holds the shared planner to it
-byte for byte.  Regenerate (only when a plan change is intended) with::
+the three plan schemes, zone-map push-down off and on.
+``golden_sparql_plans.txt`` is that text as generated at commit 572736c,
+the last one with a planner per front end, and regenerated once since:
+when zone-map pruning stopped being a star-operator switch (the
+`` (zonemaps)`` suffix went) and an index scan with both a subject and an
+object range started narrowing by the subject range alone (the ``est=`` of
+those scans and of the operators above them moved).
+``tests/test_frontends.py`` holds the shared planner to it byte for byte.
+Regenerate (only when a plan change is intended) with::
 
     PYTHONPATH=src:tests python tests/_plan_golden.py
 """

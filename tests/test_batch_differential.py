@@ -55,7 +55,7 @@ SCHEMES = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
     PlannerOptions(scheme=OPTIMIZED_SCHEME),
-    PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=True),
+    PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
 ]
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"

@@ -207,7 +207,7 @@ def check_corpus(store: RDFStore, cases: List[Case], state: str) -> None:
                 f"the two lowerings mean different things, {where}"
             # scheme and read path are independent: every scheme through the
             # store, every path under the scheme a caller gets by default
-            for options in (PlannerOptions(), PlannerOptions(use_zone_maps=True),
+            for options in (PlannerOptions(), PlannerOptions(use_zone_maps=False),
                             PlannerOptions(scheme="optimized"), PlannerOptions(scheme="default")):
                 for path in (paths if options == PlannerOptions() else ["store"]):
                     got = _canonical(paths[path]("sparql", case.sparql, options), case.ordered)

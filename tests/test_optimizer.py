@@ -265,6 +265,30 @@ class TestPlanCache:
         assert r1 == [(f"{EX}s1",)]
         assert r2 == [(f"{EX}s2",)]
 
+    def test_comments_not_conflated_by_cache(self):
+        """The line break that ends a ``#`` comment decides what the comment
+        swallows: two texts that differ only there are two queries."""
+        from repro import Triple
+        a, b = IRI(f"{EX}a"), IRI(f"{EX}b")
+        triples = [Triple(a, IRI("http://ex/p"), IRI(f"{EX}o")),
+                   Triple(b, IRI("http://ex/p"), IRI(f"{EX}o")),
+                   Triple(a, IRI("http://ex/q"), IRI(f"{EX}x"))]
+        both = "SELECT ?s WHERE { ?s <http://ex/p> ?o . # c\n ?s <http://ex/q> ?x . }"
+        swallowed = "SELECT ?s WHERE { ?s <http://ex/p> ?o . # c ?s <http://ex/q> ?x .\n }"
+        options = PlannerOptions()
+        assert (PlanCache.make_key("sparql", both, options)
+                != PlanCache.make_key("sparql", swallowed, options))
+
+        def answers(store, text):
+            return sorted(store.decode_rows(store.sparql(text)))
+
+        fresh = {text: answers(RDFStore.build(triples), text) for text in (both, swallowed)}
+        assert fresh == {both: [(f"{EX}a",)], swallowed: [(f"{EX}a",), (f"{EX}b",)]}
+        for order in ((both, swallowed), (swallowed, both)):
+            store = RDFStore.build(triples)
+            for text in order:
+                assert answers(store, text) == fresh[text], order
+
     def test_store_cache_hits_and_plan_identity(self):
         store = RDFStore.build(_book_triples(), config=_small_config())
         query = f"SELECT ?b WHERE {{ ?b <{EX}isbn_no> ?i . }}"

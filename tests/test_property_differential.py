@@ -52,7 +52,7 @@ SCHEMES = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
     PlannerOptions(scheme=OPTIMIZED_SCHEME),
-    PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=True),
+    PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
 ]
 
 QUERIES = [

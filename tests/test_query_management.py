@@ -459,7 +459,7 @@ class TestStoreIntegration:
         # the header accounts for the call: the executor's wall time plus
         # parse and plan time; everything below it is as it always was
         assert re.fullmatch(
-            r"plan \[scheme=rdfscan zonemaps=no\] wall=[0-9.]+ms sim=[0-9.]+ms "
+            r"plan \[scheme=rdfscan zonemaps=yes\] wall=[0-9.]+ms sim=[0-9.]+ms "
             r"reads=\d+ hits=\d+ scanned=\d+ joins=\d+ parse=[0-9.]+ms plan=[0-9.]+ms",
             header), header
         assert re.fullmatch(

@@ -4,11 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import PerCellDecoder
+from _oracles import PerCellDecoder, without_zone_maps
 from repro import RDFStore, StoreConfig
-from repro.columnar import BufferPool
+from repro.columnar import NULL_OID, BufferPool, Column, ZoneMap
 from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
 from repro.engine import (
     ExecutionContext,
@@ -36,6 +36,7 @@ from repro.storage import (
     encode_graph,
     value_order_literals,
 )
+from repro.storage.clustered import CSBlock, _is_sorted_ignoring_nulls
 
 EX = "http://example.org/"
 
@@ -127,8 +128,8 @@ class TestRDFScanEquivalence:
         year_range = ctx.encoder.literal_range(Literal("1994", datatype=XSD_INTEGER),
                                                Literal("1998", datatype=XSD_INTEGER))
         default_result, _ = execute_plan(_default_plan(ctx, year_range), ctx)
-        for use_zm in (False, True):
-            scan_result, _ = execute_plan(RDFScanOp(_star(ctx, year_range), use_zone_maps=use_zm), ctx)
+        for context in (without_zone_maps(ctx), ctx):
+            scan_result, _ = execute_plan(RDFScanOp(_star(ctx, year_range)), context)
             assert scan_result.to_set(["b", "a", "y", "n"]) == default_result.to_set(["b", "a", "y", "n"])
 
     def test_constant_object_constraint(self):
@@ -157,13 +158,13 @@ class TestRDFScanEquivalence:
         ctx = _library_context(with_dirty=False, zone_size=4)
         year_range = ctx.encoder.literal_range(Literal("1990", datatype=XSD_INTEGER),
                                                Literal("1991", datatype=XSD_INTEGER))
-        star_plain = _star(ctx, year_range)
-        star_zoned = _star(ctx, year_range)
         ctx.pool.reset_cold()
-        _res, cost_plain = execute_plan(RDFScanOp(star_plain), ctx)
+        plain, cost_plain = execute_plan(RDFScanOp(_star(ctx, year_range)), without_zone_maps(ctx))
         ctx.pool.reset_cold()
-        _res, cost_zoned = execute_plan(RDFScanOp(star_zoned, use_zone_maps=True), ctx)
+        zoned, cost_zoned = execute_plan(RDFScanOp(_star(ctx, year_range)), ctx)
+        assert zoned.to_set(["b", "a", "y", "n"]) == plain.to_set(["b", "a", "y", "n"])
         assert cost_zoned.counters["tuples_scanned"] <= cost_plain.counters["tuples_scanned"]
+        assert cost_zoned.counters["page_reads"] <= cost_plain.counters["page_reads"]
 
     def test_cold_scan_reads_each_column_page_once(self):
         """A cold single-range RDFscan over a fresh store reads every page of
@@ -257,6 +258,75 @@ class TestZoneMapPushdownHelpers:
         result, _ = execute_plan(RDFScanOp(star), ctx)
         for author in result.column("a"):
             assert fk_range.contains(int(author))
+
+
+HEAD_OIDS, TAIL_OIDS = 100, 130
+"""Drawn values: head OIDs in ``[0, 100)``, tail literals in ``[100, 130)``
+(every tail OID lies above every head OID, as :meth:`OidRange.intervals`
+assumes)."""
+
+SORTED, UNSORTED, FK = 1, 2, 3
+
+
+@st.composite
+def pushdown_cases(draw):
+    """A block with a sorted column (NULL tail), an unsorted column and an FK
+    column, plus a range with or without tail literals."""
+    n = draw(st.integers(3, 40))
+    subjects = 1000 + np.cumsum(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    value = st.integers(0, TAIL_OIDS - 1)
+    nulls = draw(st.integers(0, n - 1))
+    ordered = sorted(draw(st.lists(value, min_size=n - nulls, max_size=n - nulls)))
+    data = {
+        SORTED: np.asarray(ordered + [NULL_OID] * nulls, dtype=np.int64),
+        UNSORTED: np.asarray(draw(st.lists(st.one_of(value, st.just(NULL_OID)),
+                                           min_size=n, max_size=n)), dtype=np.int64),
+        FK: np.asarray(draw(st.lists(st.one_of(st.integers(0, 999), st.just(NULL_OID)),
+                                     min_size=n, max_size=n)), dtype=np.int64),
+    }
+    assume(not _is_sorted_ignoring_nulls(data[UNSORTED]))
+    columns = {p: Column(f"t.p{p}", values) for p, values in data.items()}
+    block = CSBlock(
+        cs_id=0, label="t", subject_column=Column("t.subject", subjects, sorted_ascending=True),
+        property_columns=columns,
+        zone_maps={p: ZoneMap.build(values, zone_size=draw(st.integers(1, 8)))
+                   for p, values in data.items()},
+        sorted_properties=frozenset(p for p, values in data.items()
+                                    if _is_sorted_ignoring_nulls(values)))
+    head = st.integers(0, HEAD_OIDS - 1)
+    tail = np.asarray(sorted(draw(st.sets(st.integers(HEAD_OIDS, TAIL_OIDS - 1), max_size=6))),
+                      dtype=np.int64)
+    # a range with tail literals is a literal range, bounded by head OIDs on
+    # both sides (high < low when no head literal is in range); only a range
+    # without a tail leaves a side open
+    bound = head if tail.size else st.one_of(st.none(), head)
+    return block, OidRange(draw(bound), draw(bound)), tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(pushdown_cases())
+def test_pushdown_helpers_contain_every_match(case):
+    """The push-down helpers against a scan of the block: a derived subject
+    or FK range holds every subject or FK value of a row whose value is in
+    range; an unsorted column derives no subject range."""
+    block, oid_range, tail = case
+    subjects = block.subject_column.data
+    fk_values = block.column(FK).data
+    assert SORTED in block.sorted_properties and UNSORTED not in block.sorted_properties
+    assert subject_range_for_property_range(block, UNSORTED, oid_range, tail) is None
+    for predicate in (SORTED, UNSORTED):
+        values = block.column(predicate).data
+        matching = (values != NULL_OID) & oid_range.mask(values, tail)
+        if predicate == SORTED:
+            derived = subject_range_for_property_range(block, SORTED, oid_range, tail)
+            assert derived is not None
+            assert derived.mask(subjects[matching]).all()
+        fk_range = fk_range_from_zonemap(block, predicate, oid_range, FK, tail)
+        referenced = fk_values[matching & (fk_values != NULL_OID)]
+        if fk_range is None:
+            assert referenced.size == 0
+        else:
+            assert fk_range.mask(referenced).all()
 
 
 # -- property-based equivalence over random regular/dirty data --------------------------

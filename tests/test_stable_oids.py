@@ -63,8 +63,8 @@ OPTIONS = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
     PlannerOptions(scheme=OPTIMIZED_SCHEME),
-    PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=True),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME, use_zone_maps=True),
+    PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
+    PlannerOptions(scheme=OPTIMIZED_SCHEME, use_zone_maps=False),
 ]
 
 

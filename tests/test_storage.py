@@ -310,7 +310,7 @@ def test_which_projections_the_rdfh_corpus_reads(tpch_tiny):
         for text in corpus:
             clustered.sparql(text, PlannerOptions(scheme=scheme))
     assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo"}
-    for text in corpus:  # zone maps bring subject ranges: POS or PSO, whichever is narrower
+    for text in corpus:  # push-down brings subject ranges: PSO, or POS for an object range alone
         clustered.sparql(text, PlannerOptions(scheme=OPTIMIZED_SCHEME, use_zone_maps=True))
     assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo", "pos"}
 
