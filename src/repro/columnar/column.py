@@ -65,8 +65,8 @@ class Column:
         self.stats = None
         """This column's :class:`~repro.columnar.stats.ColumnStats` once
         :meth:`statistics` has computed them — or restored from a snapshot
-        manifest, so the optimizer can price plans without materializing
-        the column."""
+        manifest, so the estimator can annotate plans without
+        materializing the column."""
         self._loader = loader
         self._length = length
         self._data: Optional[np.ndarray] = None

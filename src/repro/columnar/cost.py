@@ -72,13 +72,8 @@ class CostTracker:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Converts :class:`CostTracker` counters into simulated seconds.
-
-    The same constants double as the *planning-time* cost model: the
-    ``estimate_*`` methods price prospective operators from estimated row
-    counts, so the join-order optimizer compares plan alternatives in the
-    same currency the executor reports after the fact.
-    """
+    """Converts :class:`CostTracker` counters into simulated seconds (the
+    currency of Table I)."""
 
     page_read_seconds: float = 2.0e-4
     page_hit_seconds: float = 5.0e-7
@@ -97,19 +92,6 @@ class CostModel:
             + counters.get("join_operations", 0) * self.join_overhead_seconds
             + counters.get("operator_invocations", 0) * self.operator_overhead_seconds
         )
-
-    # -- planning-time estimates (expected seconds from estimated rows) ----------
-
-    def estimate_scan_seconds(self, rows: float) -> float:
-        """Expected cost of materializing ``rows`` tuples with one scan."""
-        return self.operator_overhead_seconds + max(rows, 0.0) * self.tuple_scan_seconds
-
-    def estimate_hash_join_seconds(self, left_rows: float, right_rows: float,
-                                   output_rows: float) -> float:
-        """Expected cost of hashing both inputs and emitting the output."""
-        return (self.join_overhead_seconds
-                + (max(left_rows, 0.0) + max(right_rows, 0.0)) * self.tuple_probe_seconds
-                + max(output_rows, 0.0) * self.tuple_scan_seconds)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Column and predicate statistics plus the cardinality estimator.
 
-Used by the cost-based query optimizer: per-column summaries
-(:class:`ColumnStats`: distinct counts, min/max, null fractions) and — built
-on top of them, the index store's exact counts and the emergent schema — the
-:class:`CardinalityEstimator` that the planner consults to order joins and
-annotate physical plans with expected row counts.
+Per-column summaries (:class:`ColumnStats`: distinct counts, min/max, null
+fractions) and — built on top of them, the index store's exact counts and
+the emergent schema — the :class:`CardinalityEstimator` that annotates
+physical plans with expected row counts (``explain()``'s ``est=`` and query
+progress).
 
 The estimator deliberately lives at the columnar layer (below the engine)
 and treats plan objects duck-typed: a *star* is anything with
@@ -144,7 +144,7 @@ class CardinalityEstimator:
         """Optional pending-write overlay (duck-typed
         :class:`repro.updates.FrozenDelta`).  Base statistics describe the
         immutable structures; the estimator adds the delta's insert and
-        tombstone counts on top so the optimizer prices merged scans."""
+        tombstone counts on top so estimates cover merged scans."""
 
     # -- base statistics ---------------------------------------------------------
 
@@ -183,16 +183,6 @@ class CardinalityEstimator:
     def predicate_count(self, predicate_oid: int) -> float:
         """Number of triples carrying the predicate."""
         return float(self.index_store.predicate_counts().get(predicate_oid, 0))
-
-    def distinct_objects(self, predicate_oid: int) -> float:
-        """Estimated number of distinct object values of a predicate."""
-        if self.clustered_store is not None:
-            counts = [block.column(predicate_oid).statistics().distinct_count
-                      for block in self.clustered_store.blocks
-                      if block.has_property(predicate_oid)]
-            if counts:
-                return max(float(sum(counts)), 1.0)
-        return float(self.index_store.distinct_in_predicate(predicate_oid, "o"))
 
     def distinct_subjects(self, predicate_oid: int) -> float:
         """Estimated number of distinct subjects carrying a predicate."""

@@ -7,8 +7,8 @@ A store is built in the order the paper's architecture prescribes:
 2. :meth:`RDFStore.discover_schema` — run characteristic-set discovery;
 3. :meth:`RDFStore.cluster` — re-assign subject OIDs by CS (subject
    clustering), build the clustered store with optional zone maps;
-4. query — :meth:`RDFStore.sparql` (Default, RDFscan/RDFjoin or cost-based
-   ``optimized`` scheme) and :meth:`RDFStore.sql` over the emergent
+4. query — :meth:`RDFStore.sparql` (Default or RDFscan/RDFjoin scheme)
+   and :meth:`RDFStore.sql` over the emergent
    relational view.
 
 ``RDFStore.build(...)`` runs the whole pipeline in one call.  The store also
@@ -124,8 +124,8 @@ class StoreConfig:
             aligned column gets one, and a star scan prunes a ranged column
             by it; :attr:`PlannerOptions.use_zone_maps` switches only the
             planner's cross-FK push-down).
-        cost_model: counters-to-seconds conversion, also used by the
-            cost-based optimizer to price candidate plans.
+        cost_model: counters-to-seconds conversion (the simulated time
+            of Table I); no plan is chosen by it.
         plan_cache_size: entries kept in the LRU plan cache (0 disables
             caching).
         batch_size: rows per batch flowing between physical operators.
@@ -880,8 +880,8 @@ class RDFStore:
         Restores the dictionary (with its value-order watermark), the
         emergent schema, SQL catalog and registered reduced schemas, the
         clustered store, per-column statistics, zone maps and predicate
-        counts — so the optimizer prices and orders plans exactly as the
-        saved store did.
+        counts — so plans and their estimates come out exactly as on the
+        saved store.
         Characteristic-set discovery and subject clustering are **not**
         re-run, column data stays on disk until a scan first touches it
         (lazy loading; observe it via :meth:`buffer_pool_stats`), and a
@@ -1004,8 +1004,8 @@ class RDFStore:
 
         Args:
             text: query text in the supported SELECT subset.
-            options: plan scheme configuration (``default``, ``rdfscan`` or
-                ``optimized``); defaults to RDFscan/RDFjoin.
+            options: plan scheme configuration (``default`` or ``rdfscan``,
+                also spelt ``optimized``); defaults to RDFscan/RDFjoin.
             profile: when ``True``, record a per-operator
                 :class:`~repro.obs.QueryTrace` for this run — wall time,
                 rows, buffer-pool page reads/hits, payload bytes and (with

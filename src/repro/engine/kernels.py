@@ -330,14 +330,6 @@ def sorted_member_mask(keys: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
 # -- DISTINCT --------------------------------------------------------------------------
 
 
-def first_occurrence_indices(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Ascending row indices of the first occurrence of each distinct row."""
-    if not arrays or len(arrays[0]) == 0:
-        return np.empty(0, dtype=np.int64)
-    _, idx = np.unique(pack_rows(arrays), return_index=True)
-    return np.sort(idx)
-
-
 class StreamingDistinct:
     """Cross-batch DISTINCT state.
 

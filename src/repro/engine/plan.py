@@ -220,7 +220,7 @@ class PhysicalOperator:
     counts, spans — lives on the run object in ``context.run`` (see
     :class:`repro.obs.ActiveQuery`); pass it to :meth:`explain` for
     estimated vs. actual rows, the ``EXPLAIN ANALYZE`` of this engine.  The
-    optimizer annotates :attr:`estimated_rows` at planning time.
+    planner annotates :attr:`estimated_rows` at planning time.
     """
 
     estimated_rows: Optional[float] = None

@@ -182,6 +182,7 @@ class _ClusteredStarScan:
                 residual = unique_keys(np.concatenate([residual, touched]))
         self.residual_subjects = residual
         self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        self._optional_rows: Optional[np.ndarray] = None
 
     def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
         """The star's bindings: block by block, then the residual subjects.
@@ -227,6 +228,15 @@ class _ClusteredStarScan:
             return BindingTable.empty(star.output_variables())
         if self._residual_pairs is None:
             self._residual_pairs = self._gather_residual_pairs()
+        if not any(prop.required for prop in star.properties):
+            # every property optional (SQL columns under a pending write): a
+            # subject without a single value makes a row only as long as the
+            # compacted store would keep it in one of the star's blocks
+            if self._optional_rows is None:
+                self._optional_rows = self._optional_row_subjects()
+            subjects = np.intersect1d(subjects, self._optional_rows, assume_unique=True)
+            if subjects.size == 0:
+                return BindingTable.empty(star.output_variables())
         table = BindingTable({star.subject_var: subjects})
         for prop, pairs in zip(star.properties, self._residual_pairs):
             table, values = _match_property(self.context, table, star.subject_var, prop, *pairs)
@@ -240,6 +250,21 @@ class _ClusteredStarScan:
             else:
                 table = table.with_column(var, values)
         return table
+
+    def _optional_row_subjects(self) -> np.ndarray:
+        """The residual subjects an all-optional star has rows for: those with
+        a value of a star property, and the members of the star's blocks with
+        a triple left (compaction drops a subject that has none)."""
+        valued = unique_keys(np.concatenate(
+            [NO_OIDS] + [subjects for subjects, _objects in self._residual_pairs]))
+        rest = np.setdiff1d(self.residual_subjects, valued, assume_unique=True)
+        if rest.size == 0 or self.delta is None:
+            # with no pending write a residual subject has an irregular value
+            return valued
+        members = unique_keys(np.concatenate(
+            [NO_OIDS] + [block.subject_column.gather(block.positions_of_subjects(rest))
+                         for block in self.blocks]))
+        return np.union1d(valued, members[_has_triples(self.context, self.delta, members)])
 
     def _gather_residual_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per star property, the residual subjects' ``(subject, object)``
@@ -452,6 +477,18 @@ def _intersect_ranges(left: List[Tuple[int, int]],
 
 
 # -- residual / irregular evaluation ---------------------------------------------------
+
+
+def _has_triples(context: ExecutionContext, delta, subjects: np.ndarray) -> np.ndarray:
+    """Which ``subjects`` have a triple in ``base ∪ delta − tombstones``: their
+    base rows on SPO, less their tombstones, plus their inserts."""
+    def count(sorted_subjects: np.ndarray) -> np.ndarray:
+        return (np.searchsorted(sorted_subjects, subjects, side="right")
+                - np.searchsorted(sorted_subjects, subjects, side="left"))
+
+    base = context.index_store.table("spo").column("s").data
+    return (count(base) - count(np.sort(delta.tombstone_matrix()[:, 0]))
+            + count(np.sort(delta.matrix()[:, 0]))) > 0
 
 
 def _irregular_star_subjects(irregular: TripleTable, predicates: List[int]) -> np.ndarray:

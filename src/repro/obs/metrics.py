@@ -8,7 +8,7 @@ import cycles.
 Three primitive kinds, all label-aware:
 
 * :class:`Counter` — monotonically increasing totals
-  (``queries_total{scheme="optimized"}``);
+  (``queries_total{scheme="rdfscan"}``);
 * :class:`Gauge` — point-in-time values, either set explicitly or read
   lazily from a callback at collection time (``fn=``), which is how the
   buffer pool's and plan cache's existing ``stats()`` dictionaries are

@@ -25,7 +25,7 @@ them on success.  A query between batch boundaries (inside a numpy kernel)
 finishes that batch first; cancellation latency is therefore bounded by one
 batch, never by the whole query.
 
-Progress is estimated from the optimizer's own cardinality annotations:
+Progress is estimated from the planner's cardinality annotations:
 each operator's live row count is compared against its ``estimated_rows``,
 and the completion fraction is the estimate-weighted sum, clamped per
 operator and kept monotonically non-decreasing (an estimate may be wrong;
@@ -138,11 +138,6 @@ class ActiveQuery:
         """Batches the plan's root has emitted so far."""
         return self._tallies.get(self._plan, _NO_TALLY)[1]
 
-    @property
-    def prepare_seconds(self) -> float:
-        """Parse plus plan time (zero on a plan-cache hit)."""
-        return self.parse_seconds + self.plan_seconds
-
     def executed(self, seconds: float) -> None:
         """The executor's wall time for the plan; completes the trace."""
         self.total_seconds = seconds
@@ -185,8 +180,8 @@ class ActiveQuery:
     def progress(self) -> Optional[float]:
         """Estimated completion fraction in ``[0, 1]``, or ``None``.
 
-        ``None`` when the plan carried no cardinality estimates (e.g. an
-        un-annotated scheme before the optimizer ran).  Monotonically
+        ``None`` when the plan's estimates sum to zero (every scheme
+        annotates them; an empty plan estimates nothing).  Monotonically
         non-decreasing across calls, clamped per operator so one
         underestimated scan cannot report 300%.
         """

@@ -37,7 +37,7 @@ rebuilds **without recomputation**: the dictionary is re-enumerated (not
 re-encoded), the schema is decoded (not re-discovered), clustered columns
 are registered as lazy loaders (not re-clustered), and per-column
 statistics, zone maps and predicate counts come straight from the manifest
-so the cost-based optimizer prices plans exactly as it did before the save.
+so plans are annotated with the same estimates as before the save.
 """
 
 from __future__ import annotations

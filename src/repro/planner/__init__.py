@@ -1,5 +1,5 @@
 """The shared back half of both front ends: the logical star query, the
-planner and cost-based optimizer behind it, the plan cache and the engine
+planner and its plan annotation, the plan cache and the engine
 that prepares and runs queries (see ``docs/architecture.md`` §5)."""
 
 from .engine import Frontend, QueryEngine, QueryResult

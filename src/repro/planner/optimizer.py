@@ -1,20 +1,13 @@
-"""Cost-based join ordering, plan annotation and the LRU plan cache.
+"""Plan annotation and the LRU plan cache.
 
-The heuristic planner orders stars by counting constraints.  The
-:class:`QueryOptimizer` replaces that with cardinality-driven ordering:
-
-* per-star cardinalities come from :class:`~repro.columnar.CardinalityEstimator`
-  (CS subject counts, property fill factors, column statistics, exact index
-  counts);
-* star join orders are enumerated with a Selinger-style dynamic program over
-  left-deep orders (greedy beyond :data:`QueryOptimizer.DP_STAR_LIMIT` stars);
-  each candidate join is priced through the store's
-  :class:`~repro.columnar.CostModel` from its estimated input/output
-  cardinalities;
-* finished plans are *annotated*: every physical operator receives an
-  ``estimated_rows`` value so ``EXPLAIN`` can show estimated vs. actual
-  cardinalities.  (Hash-join build sides need no plan-time decision: the
-  executor's ``hash_join`` builds on whichever input is actually smaller.)
+The planner orders stars by rule (``Planner._order_stars``); estimates never
+choose a plan.  The :class:`QueryOptimizer` *annotates* finished plans: every
+physical operator receives an ``estimated_rows`` value from the
+:class:`~repro.columnar.CardinalityEstimator` (CS subject counts, property
+fill factors, column statistics, exact index counts), so ``EXPLAIN`` can show
+estimated vs. actual cardinalities and a running query can report progress.
+(Hash-join build sides need no plan-time decision either: the executor's
+``hash_join`` builds on whichever input is actually smaller.)
 
 The :class:`PlanCache` keeps recently planned queries keyed on their front
 end, normalized text and planner options, so repeated queries — SPARQL or
@@ -29,8 +22,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from ..columnar import CardinalityEstimator
 from ..engine import (
@@ -44,7 +36,6 @@ from ..engine import (
     PhysicalOperator,
     RDFJoinOp,
     RDFScanOp,
-    StarPattern,
 )
 from ..engine.operators import FilterNotEqualOp
 from ..model.syntax import IRI_BODY
@@ -52,31 +43,15 @@ from ..model.syntax import IRI_BODY
 _NOT_EQUAL_SELECTIVITY = 0.9
 
 
-@dataclass
-class _StarProfile:
-    """Pre-computed estimation facts about one star pattern."""
-
-    index: int
-    star: StarPattern
-    rows: float
-    subjects: float
-    variables: FrozenSet[str]
-    distincts: Dict[str, float] = field(default_factory=dict)
-
-
 class QueryOptimizer:
-    """Cardinality-driven join ordering and plan annotation.
+    """Plan annotation: estimated row counts on every operator.
 
     One optimizer is created per planner, so per store version; that costs
     nothing, because the statistics its estimator reads are kept by the
     columns and index stores they describe.
     """
 
-    DP_STAR_LIMIT = 8
-    """Largest star count enumerated exhaustively; larger queries go greedy."""
-
     def __init__(self, context: ExecutionContext) -> None:
-        self.context = context
         self.estimator = CardinalityEstimator(
             schema=context.schema,
             index_store=context.index_store,
@@ -84,114 +59,6 @@ class QueryOptimizer:
             delta=context.delta,
             dictionary=context.dictionary,
         )
-        self.cost_model = context.cost_model
-
-    # -- star join ordering ------------------------------------------------------
-
-    def order_stars(self, star_patterns: Dict[str, StarPattern]) -> List[StarPattern]:
-        """Return the stars in estimated-cheapest join order.
-
-        Orders are left-deep; each extension is priced as one hash join
-        through the cost model from the estimated input and output
-        cardinalities, and order cost is the sum of those join costs (a
-        seconds-weighted ``C_out``).  Cross products are allowed (they stay
-        correct — the executor falls back to a cross join when no variable
-        is shared) but their multiplicative blow-up prices them out of
-        contention naturally.
-        """
-        stars = [star_patterns[name] for name in sorted(star_patterns)]
-        if len(stars) <= 1:
-            return stars
-        profiles = [self._profile(i, star) for i, star in enumerate(stars)]
-        if len(stars) <= self.DP_STAR_LIMIT:
-            order = self._dp_order(profiles)
-        else:
-            order = self._greedy_order(profiles)
-        return [stars[i] for i in order]
-
-    def star_cardinality(self, star: StarPattern) -> float:
-        """Estimated result rows of one star (delegates to the estimator)."""
-        return self.estimator.star_cardinality(star)
-
-    def pattern_cardinality(self, predicate_oid: int, object_oid: Optional[int] = None,
-                            object_range=None, subject_range=None) -> float:
-        """Estimated rows of one ``?s <p> o`` pattern (for property ordering)."""
-        return self.estimator.pattern_cardinality(
-            p=predicate_oid, o=object_oid,
-            object_range=object_range, subject_range=subject_range)
-
-    def _profile(self, index: int, star: StarPattern) -> _StarProfile:
-        rows = max(self.estimator.star_cardinality(star), 0.0)
-        subjects = max(self.estimator.star_subject_cardinality(star), 0.0)
-        variables = frozenset(star.output_variables())
-        distincts: Dict[str, float] = {star.subject_var: max(subjects, 1.0)}
-        for prop in star.properties:
-            term = prop.object_term
-            if term.is_variable and term.var not in distincts:
-                distinct = self.estimator.distinct_objects(prop.predicate_oid)
-                distincts[term.var] = max(min(max(rows, 1.0), distinct), 1.0)
-        return _StarProfile(index=index, star=star, rows=rows, subjects=subjects,
-                            variables=variables, distincts=distincts)
-
-    @staticmethod
-    def _joined_rows(rows: float, bound_vars: FrozenSet[str], profile: _StarProfile) -> float:
-        """Estimated rows after joining ``profile`` into a plan of ``rows``."""
-        result = rows * max(profile.rows, 0.0)
-        for var in bound_vars & profile.variables:
-            result /= profile.distincts.get(var, 1.0)
-        return max(result, 0.0)
-
-    def _extension_cost(self, rows: float, new_rows: float, profile: _StarProfile) -> float:
-        """Price of joining one more star into the running plan, in seconds."""
-        return self.cost_model.estimate_hash_join_seconds(rows, profile.rows, new_rows)
-
-    def _dp_order(self, profiles: List[_StarProfile]) -> List[int]:
-        """Selinger-style DP over left-deep orders, minimizing summed join cost."""
-        n = len(profiles)
-        # state: frozenset of profile indices -> (cost, rows, bound_vars, order)
-        best: Dict[FrozenSet[int], Tuple[float, float, FrozenSet[str], Tuple[int, ...]]] = {}
-        for p in profiles:
-            best[frozenset((p.index,))] = (self.cost_model.estimate_scan_seconds(p.rows),
-                                           p.rows, p.variables, (p.index,))
-        for _size in range(1, n):
-            current = [(key, value) for key, value in best.items() if len(key) == _size]
-            for key, (cost, rows, bound_vars, order) in current:
-                for p in profiles:
-                    if p.index in key:
-                        continue
-                    new_rows = self._joined_rows(rows, bound_vars, p)
-                    new_cost = cost + self._extension_cost(rows, new_rows, p)
-                    new_key = key | {p.index}
-                    candidate = (new_cost, new_rows, bound_vars | p.variables,
-                                 order + (p.index,))
-                    existing = best.get(new_key)
-                    if existing is None or (candidate[0], candidate[3]) < (existing[0], existing[3]):
-                        best[new_key] = candidate
-        return list(best[frozenset(range(n))][3])
-
-    def _greedy_order(self, profiles: List[_StarProfile]) -> List[int]:
-        """Greedy fallback for wide queries: smallest star first, then the
-        connected star whose join is estimated cheapest."""
-        remaining = {p.index: p for p in profiles}
-        first = min(remaining.values(), key=lambda p: (p.rows, p.index))
-        order = [first.index]
-        rows = first.rows
-        bound_vars = frozenset(first.variables)
-        del remaining[first.index]
-        while remaining:
-            connected = [p for p in remaining.values() if bound_vars & p.variables]
-            candidates = connected or list(remaining.values())
-
-            def extension_key(p: _StarProfile):
-                new_rows = self._joined_rows(rows, bound_vars, p)
-                return (self._extension_cost(rows, new_rows, p), p.index)
-
-            choice = min(candidates, key=extension_key)
-            rows = self._joined_rows(rows, bound_vars, choice)
-            bound_vars = bound_vars | choice.variables
-            order.append(choice.index)
-            del remaining[choice.index]
-        return order
 
     # -- plan annotation -----------------------------------------------------------
 
@@ -265,7 +132,7 @@ class PlanCache:
     (whitespace collapsed outside quoted literals, so reformatting a query
     still hits while ``"a b"`` and ``"a  b"`` stay distinct) and the planner
     options, which are part of plan identity: the same text planned under
-    ``default`` and ``optimized`` schemes yields different physical plans,
+    ``default`` and ``rdfscan`` schemes yields different physical plans,
     and the same string may be valid SPARQL and valid SQL.
 
     The cache stores ``(LogicalQuery, PhysicalOperator)`` pairs — a hit
@@ -293,7 +160,7 @@ class PlanCache:
 
     A surviving plan keeps the estimates it was made with: the ``est=`` of
     ``explain()`` may describe an earlier delta than the run's.  Estimates
-    order stars; they never change an answer.
+    only annotate a plan; they never choose one or change an answer.
     """
 
     _VERBATIM = re.compile(rf""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'|<{IRI_BODY}>|#[^\n]*\n?""")

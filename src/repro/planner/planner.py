@@ -1,7 +1,7 @@
 """The one planner: lowers a :class:`LogicalQuery` to a physical plan.
 
-Both front ends end here.  Three plan schemes are supported; the first two
-reproduce the two halves of Table I, the third adds the cost-based layer:
+Both front ends end here.  Two plan schemes reproduce the two halves of
+Table I:
 
 * ``default`` — every star property becomes an index scan against the
   exhaustive permutation store; the properties of one star are combined
@@ -9,16 +9,15 @@ reproduce the two halves of Table I, the third adds the cost-based layer:
   and loose patterns with hash joins;
 * ``rdfscan`` — each star is handed to a single RDFscan; stars connected
   over a discovered foreign key become RDFjoins fed by the upstream star;
-  stars are ordered by a constraint-counting heuristic; a loose pattern
-  whose subject is already bound (``?s ?p ?o``) is a nested-loop probe of
-  SPO per subject;
-* ``optimized`` — the RDFscan/RDFjoin physical algebra, but the star order
-  is chosen by the cost-based :class:`~repro.planner.QueryOptimizer` from
-  estimated cardinalities (CS statistics, column statistics, exact index
-  counts).
+  stars are ordered by one rule, :meth:`Planner._order_stars`; a loose
+  pattern whose subject is already bound (``?s ?p ?o``) is a nested-loop
+  probe of SPO per subject.
 
-Every finished plan is *annotated* with estimated row counts, so
-``explain()`` shows estimated vs. actual cardinalities after execution.
+``optimized`` is accepted as a third name and plans exactly like
+``rdfscan``: the benchmark harness still names it.  Estimates never choose
+a plan; every finished plan is *annotated* with estimated row counts by the
+:class:`~repro.planner.QueryOptimizer`, so ``explain()`` shows estimated
+vs. actual cardinalities after execution.
 
 With a clustered store present, the stars' range predicates are pushed
 *across* foreign keys using the CS blocks' zone maps, reproducing the
@@ -68,11 +67,11 @@ _SCHEMES = (DEFAULT_SCHEME, RDFSCAN_SCHEME, OPTIMIZED_SCHEME)
 
 @dataclass(frozen=True)
 class PlannerOptions:
-    """Plan-scheme configuration (one row of Table I, plus the optimizer).
+    """Plan-scheme configuration (one row of Table I).
 
     Attributes:
-        scheme: ``default``, ``rdfscan`` or ``optimized`` (cost-based star
-            ordering).
+        scheme: ``default``, ``rdfscan`` or ``optimized`` (the same plans as
+            ``rdfscan``).
         use_zone_maps: push range predicates across foreign keys through the
             CS blocks' zone maps (the cross-table restriction of RDF-H Q3).
             On by default; off is Table I's ablation.  It does not switch
@@ -128,11 +127,11 @@ class Planner:
 
     def _join_patterns(self, logical: LogicalQuery, options: PlannerOptions) -> PhysicalOperator:
         stars, scheme = logical.stars, options.scheme
-        # The two heuristic schemes order by the query's own constants and
-        # FILTER ranges, before zone maps derive any range.
+        # Stars are ordered by the query's own constants and FILTER ranges,
+        # before zone maps derive any range.
         if scheme == DEFAULT_SCHEME:
             ordered = self._order_baseline(stars)
-        elif scheme == RDFSCAN_SCHEME:
+        else:
             ordered = self._order_stars(stars)
         if (options.use_zone_maps and self.context.has_clustered_store()
                 and not self.context.has_pending_delta()):
@@ -140,8 +139,6 @@ class Planner:
             # columns only; with pending writes they could exclude delta rows,
             # so push-down pauses until the next compaction.
             self._apply_zone_map_pushdown(stars)
-        if scheme == OPTIMIZED_SCHEME:
-            ordered = self.optimizer.order_stars(stars)
 
         root: Optional[PhysicalOperator] = None
         planned_vars: set[str] = set()
@@ -204,7 +201,8 @@ class Planner:
         return self._hash_join(root, scan, planned_vars, star.output_variables())
 
     def _order_stars(self, star_patterns: Dict[str, StarPattern]) -> List[StarPattern]:
-        """Plan constrained stars first, then stars reachable from planned ones."""
+        """The star order of the RDFscan plans: constrained stars first, then
+        stars reachable from planned ones (see ``docs/optimizer.md`` §2)."""
 
         def constraint_score(star: StarPattern) -> int:
             # constrained stars first; among equally constrained ones prefer the

@@ -11,7 +11,9 @@ store started routing rows through the schema's membership arrays:
   :func:`in_literal_range`, a range decided from the decoded term;
 * :func:`star_over_union` — the per-subject loop that answered a star for
   residual subjects from block + irregular + delta data, one subject and
-  one cartesian product at a time;
+  one cartesian product at a time (a subject without one value of an
+  all-optional star is a row only while the compacted store would keep it
+  in the star's blocks);
 * :class:`PerCellDecoder` — ``ValueDecoder.numeric`` / ``python_value`` and
   the ``.item()``-per-cell ``QueryResult.rows`` / ``decoded_rows``: one
   dictionary probe, one ``isinstance`` and one ``to_python()`` per cell;
@@ -225,9 +227,28 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
             per_property.append(values)
         if not satisfiable:
             continue
+        if (all(values == [NULL_OID] for values in per_property)
+                and not _member_with_a_triple(store, star, block, subject, delta)):
+            continue
         _expand_product(rows, star, subject, per_property)
     return BindingTable({name: np.asarray(values, dtype=np.int64)
                          for name, values in rows.items()})
+
+
+def _member_with_a_triple(store, star: StarPattern, block, subject: int, delta) -> bool:
+    """Whether a subject without one value of the star still is a row: it
+    sits in a block holding every star predicate and has a triple left in
+    base ∪ delta − tombstones (compaction drops a subject that has none)."""
+    if block is None or not all(block.has_property(p) for p in star.predicate_oids()):
+        return False
+    if not block.positions_of_subjects(np.asarray([subject], dtype=np.int64)).size:
+        return False
+    base = [tuple(int(v) for v in row) for row in store.reconstruct_triples()
+            if int(row[0]) == subject]
+    if delta is None:
+        return bool(base)
+    return (any(not delta.is_tombstoned(*triple) for triple in base)
+            or delta.scan_pattern(s=subject).size > 0)
 
 
 def _property_values_for_subject(store, block, subject: int, predicate: int,

@@ -4,11 +4,13 @@
 ``est=``) of every query of the ``test_batch_differential`` corpus under
 the three plan schemes, zone-map push-down off and on.
 ``golden_sparql_plans.txt`` is that text as generated at commit 572736c,
-the last one with a planner per front end, and regenerated once since:
+the last one with a planner per front end, and regenerated twice since:
 when zone-map pruning stopped being a star-operator switch (the
 `` (zonemaps)`` suffix went) and an index scan with both a subject and an
 object range started narrowing by the subject range alone (the ``est=`` of
-those scans and of the operators above them moved).
+those scans and of the operators above them moved); and when the
+cost-based star order went, so every ``optimized`` section is the
+``rdfscan`` section of its query.
 ``tests/test_frontends.py`` holds the shared planner to it byte for byte.
 Regenerate (only when a plan change is intended) with::
 

@@ -269,17 +269,6 @@ def test_streaming_distinct_empty_batches_are_noops():
     assert state.keep_indices([_arr([6, 7])]).tolist() == [1]
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(rows=st.lists(st.tuples(oid_st, oid_st), min_size=1, max_size=25))
-def test_first_occurrence_indices_matches_binding_table_distinct(rows):
-    table = BindingTable({"a": _arr(r[0] for r in rows), "b": _arr(r[1] for r in rows)})
-    idx = kernels.first_occurrence_indices([table.column("a"), table.column("b")])
-    kept = table.select_rows(idx)
-    expected = table.distinct()
-    assert kept.to_set() == expected.to_set()
-    assert kept.num_rows == expected.num_rows
-
-
 # -- grouped aggregation ---------------------------------------------------------------
 
 float_st = st.one_of(

@@ -15,10 +15,13 @@
   ``compact()`` keeps answering, and decoding, from its own state.
 * **SPARQL plan shapes do not move** — ``explain()`` of the batch-differential
   corpus under every scheme and zone-map setting against the golden file
-  generated before the planners were merged (``_plan_golden``).
+  generated before the planners were merged (``_plan_golden``); and the
+  RDFscan plans have one star order: ``optimized`` plans this corpus
+  exactly like ``rdfscan``, clean, pending and compacted.
 * **SQL through the shared path** — the cross-product join order the SQL
   planner used to pick, cross-foreign-key push-down for SQL Q3, the plan
-  cache serving SQL, estimates and progress for SQL.
+  cache serving SQL, the NULL rows of a pending write checked against the
+  compacted store, estimates and progress for SQL.
 """
 
 from __future__ import annotations
@@ -436,6 +439,30 @@ def test_sparql_plan_shapes_match_the_golden_file(book_store, dblp_store, rdfh_s
     assert got == golden
 
 
+@pytest.mark.parametrize("build, cases, updates", [
+    (build_book_store, BOOK_CASES, BOOK_UPDATES),
+    (build_dblp_store, DBLP_CASES, DBLP_UPDATES),
+    (lambda: build_rdfh_store(tiny_tpch()), RDFH_CASES, _rdfh_updates()),
+], ids=["book", "dblp", "rdfh"])
+def test_the_rdfscan_plans_have_one_star_order(build, cases, updates):
+    """``optimized`` is only another name for ``rdfscan``: every SPARQL text
+    of the corpus plans alike under both, clean, pending and compacted."""
+    store = build()
+    texts = [case.sparql for case in cases if case.sparql is not None]
+
+    def check(state: str) -> None:
+        for text in texts:
+            assert (store.sparql_plan(text, PlannerOptions(scheme="optimized")).explain()
+                    == store.sparql_plan(text, PlannerOptions()).explain()), f"{state}: {text}"
+
+    check("clean")
+    for text in updates:
+        store.update(text)
+    check("pending delta")
+    store.compact()
+    check("compacted")
+
+
 # -- SQL through the shared planner -----------------------------------------------------
 
 ZONE_MAPS = PlannerOptions(scheme="rdfscan", use_zone_maps=True)
@@ -552,6 +579,25 @@ def test_abbreviated_statement_means_the_same_as_data_and_as_query():
         assert store.decode_rows(store.sparql(query)) == [(f"{EX}book3",)]
         store.update(f"PREFIX ex: <{EX}> INSERT DATA {{ ex:book9 ex:has_author ex:author1; ex:in_year 1993. }}")
         assert sorted(store.decode_rows(store.sparql(query))) == [(f"{EX}book3",), (f"{EX}book9",)]
+
+
+@pytest.mark.parametrize("deleted, kept", [
+    (f"<{EX}book/3> ?p ?o .", False),
+    (f"<{EX}book/3> <{EX}isbn_no> ?i . <{EX}book/3> <{EX}in_year> ?y .", True),
+], ids=["every triple", "the selected columns"])
+def test_pending_sql_rows_of_a_subject_whose_values_were_deleted(deleted, kept):
+    """Under a pending write every SQL column is optional, so a subject with
+    none of the selected values left is a row of NULLs — but only while it
+    keeps some triple, as after compaction, which drops an emptied subject."""
+    store = build_book_store()
+    query = "SELECT id, isbn_no, in_year FROM Book"
+    store.update(f"DELETE WHERE {{ {deleted} }}")
+    pending = sorted(store.decode_rows(store.sql(query)))
+    store.compact()
+    compacted = sorted(store.decode_rows(store.sql(query)))
+    assert pending == compacted
+    assert ((f"{EX}book/3", None, None) in compacted) == kept
+    assert len(compacted) == (30 if kept else 29)
 
 
 # -- estimates and progress for SQL ------------------------------------------------------

@@ -1,34 +1,76 @@
 #!/usr/bin/env python3
-"""Check that relative links in the repo's Markdown files resolve.
+"""Check that the repo's Markdown files point at things that exist.
 
-Scans every tracked ``*.md`` file for inline links and verifies that
-relative targets exist on disk (external ``http(s)``/``mailto`` links and
-pure in-page anchors are skipped). Exits non-zero listing every broken
-link — used by CI's docs job and runnable locally:
+Two kinds of reference are checked in every ``*.md`` file:
+
+* inline links — relative targets must exist on disk (external
+  ``http(s)``/``mailto`` links and pure in-page anchors are skipped);
+* backticked code references ``path.py:name`` (``name`` may be dotted, as
+  in ``core/store.py:RDFStore.open``) — the file must exist under the repo
+  root, ``src/repro`` or ``benchmarks/e2e``, and define the last dotted part
+  of ``name`` as a ``def``, a ``class`` or an assignment.  References by
+  line number (``planner/planner.py:130``) are not checked.
+
+The process records (``CHANGES.md``, ``ISSUE.md``, ``REVIEW.md``) describe
+code as it was and are skipped.  Exits non-zero listing every broken
+reference — used by CI's docs job and runnable locally:
 
     python tools/check_doc_links.py
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+CODE_REF_PATTERN = re.compile(r"`([\w./-]+\.py):([A-Za-z_][\w.]*)`")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 SKIP_DIRS = {".git", ".github", "node_modules", "__pycache__", ".pytest_cache"}
+SKIP_FILES = {"CHANGES.md", "ISSUE.md", "REVIEW.md"}
+CODE_ROOTS = (".", "src/repro", "benchmarks/e2e")
 
 
 def markdown_files(root: Path):
     for path in sorted(root.rglob("*.md")):
-        if not SKIP_DIRS.intersection(part for part in path.parts):
+        if not SKIP_DIRS.intersection(part for part in path.parts) and path.name not in SKIP_FILES:
             yield path
 
 
+def defined_names(path: Path) -> frozenset:
+    """Every name a module defines: functions, classes and assignment
+    targets (``x = …``, ``x: T = …``, ``self.x = …``), at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names.add(leaf.id)
+                    elif isinstance(leaf, ast.Attribute):
+                        names.add(leaf.attr)
+    return frozenset(names)
+
+
+def code_reference_resolves(root: Path, file: str, name: str) -> bool:
+    for base in CODE_ROOTS:
+        path = root / base / file
+        if path.is_file() and name.rsplit(".", 1)[-1] in defined_names(path):
+            return True
+    return False
+
+
 def check_file(path: Path, root: Path) -> list:
+    """The broken references of one Markdown file, as written in it; code
+    references are looked up in the tree at ``root``."""
     broken = []
-    for match in LINK_PATTERN.finditer(path.read_text(encoding="utf-8")):
+    text = path.read_text(encoding="utf-8")
+    for match in LINK_PATTERN.finditer(text):
         target = match.group(1)
         if target.startswith(SKIP_PREFIXES):
             continue
@@ -37,7 +79,10 @@ def check_file(path: Path, root: Path) -> list:
             continue
         resolved = (path.parent / target).resolve()
         if not resolved.exists():
-            broken.append((path.relative_to(root), match.group(1)))
+            broken.append(match.group(1))
+    for match in CODE_REF_PATTERN.finditer(text):
+        if not code_reference_resolves(root, match.group(1), match.group(2)):
+            broken.append(f"{match.group(1)}:{match.group(2)}")
     return broken
 
 
@@ -47,13 +92,13 @@ def main() -> int:
     checked = 0
     for path in markdown_files(root):
         checked += 1
-        broken.extend(check_file(path, root))
+        broken.extend((path.relative_to(root), target) for target in check_file(path, root))
     if broken:
-        print(f"broken links in {checked} markdown files:")
+        print(f"broken references in {checked} markdown files:")
         for source, target in broken:
             print(f"  {source}: {target}")
         return 1
-    print(f"ok: all relative links resolve across {checked} markdown files")
+    print(f"ok: all relative links and code references resolve across {checked} markdown files")
     return 0
 
 
