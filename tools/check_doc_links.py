@@ -11,9 +11,9 @@ Two kinds of reference are checked in every ``*.md`` file:
   of ``name`` as a ``def``, a ``class`` or an assignment.  References by
   line number (``planner/planner.py:130``) are not checked.
 
-The process records (``CHANGES.md``, ``ISSUE.md``, ``REVIEW.md``) describe
-code as it was and are skipped.  Exits non-zero listing every broken
-reference — used by CI's docs job and runnable locally:
+The files named in ``tools/doc_links_skip.txt`` (the change log and the
+other records that describe code as it was) are skipped.  Exits non-zero
+listing every broken reference — used by CI's docs job and runnable locally:
 
     python tools/check_doc_links.py
 """
@@ -29,7 +29,9 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_REF_PATTERN = re.compile(r"`([\w./-]+\.py):([A-Za-z_][\w.]*)`")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 SKIP_DIRS = {".git", ".github", "node_modules", "__pycache__", ".pytest_cache"}
-SKIP_FILES = {"CHANGES.md", "ISSUE.md", "REVIEW.md"}
+SKIP_LIST = Path(__file__).resolve().parent / "doc_links_skip.txt"
+SKIP_FILES = frozenset(line.strip() for line in SKIP_LIST.read_text(encoding="utf-8").splitlines()
+                       if line.strip() and not line.lstrip().startswith("#"))
 CODE_ROOTS = (".", "src/repro", "benchmarks/e2e")
 
 
