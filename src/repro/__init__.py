@@ -49,7 +49,7 @@ from .sparql import (
     PlannerOptions,
 )
 from .persist import SnapshotInfo, WriteAheadLog
-from .server import QueryServer, ReadSnapshot, StoreService, StoreSession
+from .server import QueryServer, ReadSnapshot
 from .updates import CompactionReport, DeltaStore, UpdateJournal, UpdateResult
 
 __version__ = "0.1.0"
@@ -91,8 +91,6 @@ __all__ = [
     "SnapshotInfo",
     "StorageError",
     "StoreConfig",
-    "StoreService",
-    "StoreSession",
     "Triple",
     "UpdateJournal",
     "UpdateResult",

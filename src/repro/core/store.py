@@ -34,7 +34,7 @@ attached store is written ahead to a crash-tolerant log, and
 
 Finally, the store is safe under concurrent access: writers serialize on
 one writer mutex, and readers — direct calls and MVCC snapshots
-(:meth:`RDFStore.snapshot`, :meth:`RDFStore.session`) alike — read only
+(:meth:`RDFStore.snapshot`) alike — read only
 committed, immutable versions that stay consistent and decodable across
 concurrent updates, compactions and checkpoints.  Each update request's
 atomicity comes from a per-request undo log whose cost is proportional to
@@ -67,7 +67,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from ..columnar import BufferPool, Column, CostModel
+from ..columnar import BufferPool, Column
 from ..cs import DiscoveryConfig, EmergentSchema, discover_schema
 from ..engine import ExecutionContext
 from ..errors import (
@@ -89,7 +89,7 @@ from ..obs import (
 )
 from ..persist import DictionaryFile, SnapshotInfo, SnapshotReader, write_snapshot
 from ..rio import parse_rdf
-from ..server import ReadSnapshot, SnapshotRegistry, StoreSession
+from ..server import ReadSnapshot, SnapshotRegistry
 from ..server.session import StoreVersion
 from ..planner import PlanCache, PlannerOptions, QueryEngine, QueryResult
 from ..sparql import parse_update
@@ -118,16 +118,11 @@ class StoreConfig:
 
     Attributes:
         discovery: characteristic-set discovery thresholds.
-        buffer_pool_pages: capacity of the simulated buffer pool.
         page_size: simulated page size in values.
         zone_size: rows per zone in the clustered store's zone maps (every
             aligned column gets one, and a star scan prunes a ranged column
             by it; :attr:`PlannerOptions.use_zone_maps` switches only the
             planner's cross-FK push-down).
-        cost_model: counters-to-seconds conversion (the simulated time
-            of Table I); no plan is chosen by it.
-        plan_cache_size: entries kept in the LRU plan cache (0 disables
-            caching).
         batch_size: rows per batch flowing between physical operators.
             Size 1 degenerates to row-at-a-time execution (kept as a
             differential-testing oracle); the default comes from the
@@ -144,11 +139,8 @@ class StoreConfig:
     """
 
     discovery: DiscoveryConfig = field(default_factory=DiscoveryConfig)
-    buffer_pool_pages: int = 1 << 20
     page_size: int = 1024
     zone_size: int = 1024
-    cost_model: CostModel = field(default_factory=CostModel)
-    plan_cache_size: int = 128
     batch_size: int = field(
         default_factory=lambda: int(os.environ.get("REPRO_BATCH_SIZE", "1024")))
     slow_query_seconds: float = 0.25
@@ -158,19 +150,12 @@ class StoreConfig:
     def __post_init__(self) -> None:
         """Validate eagerly so misconfiguration fails at construction, not
         deep inside ``build()``."""
-        if not isinstance(self.buffer_pool_pages, int) or self.buffer_pool_pages < 1:
-            raise StorageError(
-                f"buffer_pool_pages must be a positive integer, got {self.buffer_pool_pages!r}")
         if not isinstance(self.page_size, int) or self.page_size < 1:
             raise StorageError(
                 f"page_size must be a positive integer, got {self.page_size!r}")
         if not isinstance(self.zone_size, int) or self.zone_size < 1:
             raise StorageError(
                 f"zone_size must be a positive integer, got {self.zone_size!r}")
-        if not isinstance(self.plan_cache_size, int) or self.plan_cache_size < 0:
-            raise StorageError(
-                f"plan_cache_size must be a non-negative integer (0 disables caching), "
-                f"got {self.plan_cache_size!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise StorageError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}")
@@ -203,8 +188,7 @@ class RDFStore:
         self.config = config or StoreConfig()
         self.dictionary = TermDictionary()
         self.matrix = np.empty((0, 3), dtype=np.int64)
-        self.pool = BufferPool(capacity_pages=self.config.buffer_pool_pages,
-                               page_size=self.config.page_size)
+        self.pool = BufferPool(page_size=self.config.page_size)
         self.schema: Optional[EmergentSchema] = None
         self.index_store = ExhaustiveIndexStore(self.matrix, pool=self.pool)
         """The triple projections of the current matrix.  One exists whenever a
@@ -212,7 +196,7 @@ class RDFStore:
         self.clustered_store: Optional[ClusteredStore] = None
         self.clustering_plan: Optional[ClusteringPlan] = None
         self.catalog: Optional[Catalog] = None
-        self.plan_cache = PlanCache(capacity=self.config.plan_cache_size)
+        self.plan_cache = PlanCache()
         self.delta = DeltaStore(pool=self.pool)
         self.journal = UpdateJournal()
         self.db_path: Optional[Path] = None
@@ -765,15 +749,6 @@ class RDFStore:
         """
         return self._snapshots.acquire(self)
 
-    def session(self) -> StoreSession:
-        """A per-client handle: snapshot reads, single-writer writes.
-
-        Each read auto-pins the latest snapshot, or a sticky one between
-        ``begin()``/``end()`` (repeatable reads).  See
-        :class:`~repro.server.StoreSession` and ``docs/concurrency.md``.
-        """
-        return StoreSession(self)
-
     def open_snapshot_count(self) -> int:
         """Number of read snapshots currently pinned on this store."""
         return self._snapshots.active_count()
@@ -1165,7 +1140,7 @@ class RDFStore:
         ``None`` when the plan carries no cardinality estimates), this
         run's buffer-pool delta, and whether cancellation was requested.
         Covers direct :meth:`sparql`/:meth:`sql` calls and queries running
-        through MVCC read snapshots / server sessions alike.
+        through MVCC read snapshots and the query server alike.
         """
         return self.query_registry.active()
 

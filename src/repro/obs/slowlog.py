@@ -9,7 +9,7 @@ scheme, latency, row count and a one-line trace digest when tracing was on.
 :class:`QueryObserver` is what ``RDFStore.run_query`` hands a finished
 run to: it bumps the per-frontend/per-scheme counters, feeds the latency
 histogram and the run's root and residual counts, and threshold-gates the
-slow log, so snapshots, sessions and the server all record identically.
+slow log, so direct reads, snapshots and the server all record identically.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
-from ..columnar import BufferPool, Column, CostModel, ZoneMap
+from ..columnar import BufferPool, Column, ZoneMap
 from ..columnar.stats import ColumnStats
 from ..cs import EmergentSchema
 from ..errors import PersistenceError
@@ -383,7 +383,7 @@ def _write_clustered_store(clustered, columns_dir: Path, zonemaps_dir: Path,
     }
 
 
-_CONFIG_FIELDS = ("buffer_pool_pages", "page_size", "zone_size", "plan_cache_size")
+_CONFIG_FIELDS = ("page_size", "zone_size")
 """The integer :class:`~repro.core.StoreConfig` fields a manifest carries;
 runtime knobs (batch size, logs, profiling) and discovery thresholds are
 not part of a database."""
@@ -391,17 +391,14 @@ not part of a database."""
 
 def config_to_dict(config) -> dict:
     """A store configuration as the manifest's ``config`` entry."""
-    saved = {name: getattr(config, name) for name in _CONFIG_FIELDS}
-    saved["cost_model"] = dataclasses.asdict(config.cost_model)
-    return saved
+    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
 
 
 def config_from_dict(saved: dict) -> dict:
     """The inverse of :func:`config_to_dict`: ``StoreConfig`` keyword
-    arguments (this package cannot import :mod:`repro.core`)."""
-    fields: Dict[str, object] = {name: int(saved[name]) for name in _CONFIG_FIELDS}
-    fields["cost_model"] = CostModel(**saved.get("cost_model", {}))
-    return fields
+    arguments (this package cannot import :mod:`repro.core`).  Keys of
+    retired knobs an older manifest still carries are ignored."""
+    return {name: int(saved[name]) for name in _CONFIG_FIELDS}
 
 
 # -- reading ------------------------------------------------------------------

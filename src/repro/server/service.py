@@ -1,17 +1,16 @@
-"""The thread-safe front end: a service facade and a threaded query server.
+"""The threaded query server: a store behind a thread pool and an HTTP endpoint.
 
-:class:`StoreService` is the object to share between threads: every read
-pins an MVCC snapshot (so it sees a committed state and never waits on a
-writer) and every write goes through the store's writer mutex.
-:class:`QueryServer` puts a small thread pool in front of a service, turning
-it into the in-process equivalent of a SPARQL endpoint: ``submit_*`` returns
-a :class:`concurrent.futures.Future` immediately, and any number of client
-threads can submit concurrently.
+The store is the object to share between threads: reads run lock-free on
+the committed version record the writer published, and every transition
+takes the writer mutex.  :class:`QueryServer` puts a small thread pool in
+front of one store, turning it into the in-process equivalent of a SPARQL
+endpoint: ``submit_*`` returns a :class:`concurrent.futures.Future`
+immediately, any number of client threads can submit concurrently, and
+every read pins a snapshot and decodes under that pin.
 
-Neither class owns the store: building, compacting and persisting remain
-the owner's business (the service merely forwards ``compact`` /
-``checkpoint`` through the writer mutex so maintenance can run while the
-server keeps answering from pinned snapshots).
+The server does not own the store: building, compacting and persisting
+remain the owner's business, and maintenance can run while the server keeps
+answering from pinned snapshots.
 """
 
 from __future__ import annotations
@@ -21,38 +20,62 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional
+from typing import Optional
 
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import default_registry, render_prometheus
 from ..planner import PlannerOptions, QueryResult
-from .session import ReadSnapshot, StoreSession, pinned_read
 
 
-class StoreService:
-    """Thread-safe query/update facade over one :class:`~repro.core.RDFStore`.
+class QueryServer:
+    """A small threaded executor serving queries and updates over one store.
 
-    Safe to share between any number of threads; see ``docs/concurrency.md``
-    for the locking discipline.  Every request bumps the store's
-    ``server_requests_total{kind=…}`` / ``server_errors_total{kind=…}``
-    counters and the ``server_inflight_requests`` gauge.
+    ``workers`` threads execute submitted requests concurrently; reads run
+    against pinned snapshots, writes serialize on the store's writer mutex.
+    Every request bumps the store's ``server_requests_total{kind=…}`` /
+    ``server_errors_total{kind=…}`` counters and the
+    ``server_inflight_requests`` gauge.  Use as a context manager, or call
+    :meth:`shutdown` explicitly.
     """
 
-    def __init__(self, store) -> None:
+    def __init__(self, store, workers: int = 4) -> None:
+        if workers < 1:
+            raise ValueError("a query server needs at least one worker thread")
         self.store = store
+        self.workers = workers
         registry = store.metrics_registry
         self._requests = registry.counter(
-            "server_requests_total", "Requests accepted by the service facade.",
+            "server_requests_total", "Requests accepted by the query server.",
             labelnames=("kind",))
         self._errors = registry.counter(
             "server_errors_total", "Requests that raised, by kind.",
             labelnames=("kind",))
         self._inflight = registry.gauge(
             "server_inflight_requests", "Requests currently executing.")
+        self._pool = ThreadPoolExecutor(max_workers=workers,
+                                        thread_name_prefix="repro-query")
+        self._http: Optional[ThreadingHTTPServer] = None
+        self._http_thread: Optional[threading.Thread] = None
+
+    # -- submission --------------------------------------------------------------
+
+    def submit_query(self, text: str, options: Optional[PlannerOptions] = None,
+                     decode: bool = False) -> "Future[QueryResult]":
+        """Queue one SPARQL query; resolve to its result, or to its decoded
+        rows with ``decode=True``."""
+        return self._pool.submit(self._read, "query", "sparql", text, options, decode)
+
+    def submit_sql(self, text: str, decode: bool = False) -> "Future[QueryResult]":
+        """Queue one SQL query; resolve to its result (or decoded rows)."""
+        return self._pool.submit(self._read, "sql", "sql", text, None, decode)
+
+    def submit_update(self, text: str) -> Future:
+        """Queue one SPARQL Update; resolve to its :class:`UpdateResult`."""
+        return self._pool.submit(self._update, text)
 
     @contextmanager
-    def _observed(self, kind: str):
+    def _counted(self, kind: str):
         self._requests.inc(kind=kind)
         self._inflight.add(1)
         try:
@@ -63,68 +86,23 @@ class StoreService:
         finally:
             self._inflight.add(-1)
 
-    # -- reads (snapshot-isolated, lock-free execution) ------------------------
+    def _read(self, kind: str, frontend: str, text: str,
+              options: Optional[PlannerOptions], decode: bool):
+        """Pin, run, decode under the same pin, release: one served read.
+        Decoding under the pin keeps OIDs and terms matched while a writer
+        rebuilds."""
+        with self._counted(kind), self.store.snapshot() as snapshot:
+            result = snapshot.query(frontend, text, options)
+            return snapshot.decode_rows(result) if decode else result
 
-    def query(self, text: str, options: Optional[PlannerOptions] = None,
-              decode: bool = False):
-        """Run one SPARQL query against the latest committed state.
-
-        Returns a :class:`~repro.sparql.QueryResult`, or decoded rows with
-        ``decode=True`` (decoded under the same snapshot, so a concurrent
-        compaction can never skew the terms).
-        """
-        with self._observed("query"):
-            return pinned_read(self.store, "sparql", text, options, decode)
-
-    def sql(self, text: str, decode: bool = False):
-        """Run one SQL query against the latest committed state."""
-        with self._observed("sql"):
-            return pinned_read(self.store, "sql", text, decode=decode)
-
-    def snapshot(self) -> ReadSnapshot:
-        """Pin an explicit snapshot (caller must ``close()`` it)."""
-        return self.store.snapshot()
-
-    def session(self) -> StoreSession:
-        """A per-client session handle (sticky snapshots, serialized writes)."""
-        return self.store.session()
-
-    # -- writes (single-writer) ------------------------------------------------
-
-    def update(self, text: str):
-        """Execute one SPARQL Update request (serialized with other writers)."""
-        with self._observed("update"):
+    def _update(self, text: str):
+        with self._counted("update"):
             return self.store.update(text)
 
-    def compact(self):
-        """Fold pending writes into base storage; open snapshots keep their view."""
-        with self._observed("compact"):
-            return self.store.compact()
-
-    def checkpoint(self, path=None):
-        """Compact + snapshot + truncate the WAL; open snapshots keep their view."""
-        with self._observed("checkpoint"):
-            return self.store.checkpoint(path)
-
-    # -- query management --------------------------------------------------------
-
-    def active_queries(self) -> List[dict]:
-        """Every query currently executing on the store (see
-        :meth:`repro.core.RDFStore.active_queries`)."""
-        return self.store.active_queries()
-
-    def cancel(self, query_id: int, reason: str = "") -> bool:
-        """Request cooperative cancellation of a running query.
-
-        Returns ``True`` when the id was active; ``False`` is a safe
-        no-op for unknown or already-finished ids.
-        """
-        return self.store.cancel(query_id, reason=reason)
-
-    # -- introspection ----------------------------------------------------------
+    # -- observability -----------------------------------------------------------
 
     def stats(self) -> dict:
-        """Service-level counters: open snapshots, pending writes, versions,
+        """What ``/stats`` serves: open snapshots, pending writes, versions,
         active queries, per-frontend/scheme latency summaries (count, sum,
         exact max, mean, bucket-estimated percentiles), and the most recent
         slow-query entries."""
@@ -155,49 +133,13 @@ class StoreService:
             out[label_key or "all"] = histogram.summary(**labels)
         return out
 
-
-class QueryServer:
-    """A small threaded executor serving queries and updates over one store.
-
-    ``workers`` threads execute submitted requests concurrently; reads run
-    against pinned snapshots, writes serialize on the store's writer mutex.
-    Use as a context manager, or call :meth:`shutdown` explicitly.
-    """
-
-    def __init__(self, store, workers: int = 4) -> None:
-        if workers < 1:
-            raise ValueError("a query server needs at least one worker thread")
-        self.service = StoreService(store)
-        self.workers = workers
-        self._pool = ThreadPoolExecutor(max_workers=workers,
-                                        thread_name_prefix="repro-query")
-        self._http: Optional[ThreadingHTTPServer] = None
-        self._http_thread: Optional[threading.Thread] = None
-
-    # -- submission --------------------------------------------------------------
-
-    def submit_query(self, text: str, options: Optional[PlannerOptions] = None,
-                     decode: bool = False) -> "Future[QueryResult]":
-        """Queue one SPARQL query; resolve to its result."""
-        return self._pool.submit(self.service.query, text, options, decode)
-
-    def submit_sql(self, text: str, decode: bool = False) -> "Future[QueryResult]":
-        """Queue one SQL query; resolve to its result."""
-        return self._pool.submit(self.service.sql, text, decode)
-
-    def submit_update(self, text: str) -> Future:
-        """Queue one SPARQL Update; resolve to its :class:`UpdateResult`."""
-        return self._pool.submit(self.service.update, text)
-
-    # -- observability -----------------------------------------------------------
-
     def metrics_text(self) -> str:
         """The served store's metrics in Prometheus text format.
 
         Merges the store's registry with the process-global one (WAL
         counters); this is the body the ``/metrics`` endpoint serves.
         """
-        return render_prometheus(self.service.store.metrics_registry,
+        return render_prometheus(self.store.metrics_registry,
                                  default_registry())
 
     def start_metrics_endpoint(self, host: str = "127.0.0.1",
@@ -207,7 +149,7 @@ class QueryServer:
         Routes (all ``GET``):
 
         * ``/metrics`` — Prometheus text exposition;
-        * ``/stats`` — service-level JSON (versions, pending writes, active
+        * ``/stats`` — server-level JSON (versions, pending writes, active
           query count, recent slow queries);
         * ``/queries`` — JSON list of in-flight queries with progress;
         * ``/queries/cancel?id=N`` — request cooperative cancellation
@@ -246,10 +188,10 @@ class QueryServer:
                     self._send(200, "text/plain; version=0.0.4; charset=utf-8",
                                server.metrics_text().encode("utf-8"))
                 elif route == "/stats":
-                    self._send_json(200, server.service.stats())
+                    self._send_json(200, server.stats())
                 elif route == "/queries":
                     self._send_json(200,
-                                    {"queries": server.service.active_queries()})
+                                    {"queries": server.store.active_queries()})
                 elif route == "/queries/cancel":
                     params = parse_qs(parts.query)
                     raw = params.get("id", [""])[0]
@@ -259,7 +201,7 @@ class QueryServer:
                         self._send_json(400, {"error": f"bad query id: {raw!r}"})
                         return
                     reason = params.get("reason", [""])[0]
-                    if server.service.cancel(query_id, reason=reason):
+                    if server.store.cancel(query_id, reason=reason):
                         self._send_json(200, {"cancelled": True, "id": query_id})
                     else:
                         self._send_json(404, {"cancelled": False, "id": query_id,

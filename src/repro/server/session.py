@@ -1,4 +1,4 @@
-"""The per-version read state, the MVCC snapshots that pin it, and sessions.
+"""The per-version read state and the MVCC snapshots that pin it.
 
 There is one way to read a store.  A :class:`StoreVersion` is the read state
 of one committed *version pair* — the store's base generation (bumped
@@ -30,19 +30,14 @@ direct ``store.sparql`` reads the published record, one attribute read; a
 :class:`ReadSnapshot` is the same record plus a *pin*, which is what makes
 it survive (and stay decodable across) later updates, compactions and
 checkpoints.  Pinning takes the registry's mutex only, never the writer's:
-no reader waits on a writer, and none observes a request in flight.
-
-A :class:`StoreSession` is the per-client convenience handle
-(:meth:`repro.core.RDFStore.session`): queries auto-pin the latest snapshot
-per call, or run against one sticky snapshot between :meth:`StoreSession.begin`
-and :meth:`StoreSession.end`; writes go through the store's single-writer
-path.
+no reader waits on a writer, and none observes a request in flight.  A
+held snapshot is a client's repeatable read: every query through it sees
+the state it pinned, whatever the writer does meanwhile.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Set
 
 from ..engine import ExecutionContext
@@ -71,7 +66,6 @@ class StoreVersion:
             index_store=store.index_store,
             clustered_store=store.clustered_store,
             schema=store.schema,
-            cost_model=store.config.cost_model,
             delta=self.delta,
             batch_size=store.config.batch_size,
         )
@@ -95,9 +89,8 @@ class StoreVersion:
 class ReadSnapshot:
     """A pin on one :class:`StoreVersion`: base generation + delta version.
 
-    Obtained from :meth:`repro.core.RDFStore.snapshot` (or a
-    :class:`StoreSession`); release with :meth:`close` or use as a context
-    manager.  All queries through the snapshot see exactly the state at pin
+    Obtained from :meth:`repro.core.RDFStore.snapshot`; release with
+    :meth:`close` or use as a context manager.  All queries through the snapshot see exactly the state at pin
     time, regardless of concurrent updates, compactions or checkpoints.
     """
 
@@ -256,81 +249,3 @@ class SnapshotRegistry:
             return sum(1 for version in self._pins
                        if version is not self.current and version.delta is not None)
 
-
-def pinned_read(store, frontend: str, text: str, options: Optional[PlannerOptions] = None,
-                decode: bool = False, sticky: Optional[ReadSnapshot] = None):
-    """Pin, run, decode under the same pin, release — one served read.
-
-    Runs against ``sticky`` (left open) when given, else against a snapshot
-    of the latest committed state held for just this call.  Decoding under
-    the pin is what keeps OIDs and terms matched while a writer compacts.
-    """
-    with (store.snapshot() if sticky is None else nullcontext(sticky)) as snapshot:
-        result = snapshot.query(frontend, text, options)
-        return snapshot.decode_rows(result) if decode else result
-
-
-class StoreSession:
-    """A per-client handle over one store: snapshot reads, serialized writes.
-
-    Reads auto-pin the latest snapshot per call (each query sees the newest
-    committed state, never a torn one); between :meth:`begin` and
-    :meth:`end` they run against one sticky snapshot instead (repeatable
-    reads).  Writes always go through the store's writer mutex.
-    """
-
-    def __init__(self, store) -> None:
-        self.store = store
-        self._sticky: Optional[ReadSnapshot] = None
-
-    # -- snapshot control ----------------------------------------------------
-
-    def begin(self) -> ReadSnapshot:
-        """Pin a sticky snapshot: subsequent reads all see this state."""
-        if self._sticky is not None:
-            raise StorageError("session already holds a snapshot; call end() first")
-        self._sticky = self.store.snapshot()
-        return self._sticky
-
-    def end(self) -> None:
-        """Release the sticky snapshot (idempotent)."""
-        if self._sticky is not None:
-            self._sticky.close()
-            self._sticky = None
-
-    @property
-    def snapshot(self) -> Optional[ReadSnapshot]:
-        """The sticky snapshot, when one is pinned."""
-        return self._sticky
-
-    def __enter__(self) -> "StoreSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.end()
-
-    # -- reads ---------------------------------------------------------------
-
-    def sparql(self, text: str, options: Optional[PlannerOptions] = None,
-               decode: bool = False):
-        """Run a SPARQL query against the session's view.
-
-        With ``decode=True`` returns decoded rows (decoded under the same
-        snapshot, so OIDs and terms always match).
-        """
-        return pinned_read(self.store, "sparql", text, options, decode, self._sticky)
-
-    def sql(self, text: str, decode: bool = False):
-        """Run a SQL query against the session's view."""
-        return pinned_read(self.store, "sql", text, None, decode, self._sticky)
-
-    # -- writes --------------------------------------------------------------
-
-    def update(self, text: str):
-        """Execute a SPARQL Update through the store's single-writer path.
-
-        A sticky snapshot, if any, deliberately does *not* see the write —
-        that is what repeatable reads mean; call :meth:`end` + :meth:`begin`
-        to move the session's view forward.
-        """
-        return self.store.update(text)

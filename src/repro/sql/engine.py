@@ -173,9 +173,6 @@ class _Lowering:
             alias, column = self._column_key(ref)
             referenced[alias].add(column)
 
-        if query.select_star:
-            for alias, table in self.tables.items():
-                referenced[alias].update(name.lower() for name in table.column_names())
         for item in query.select_items:
             if item.column is not None:
                 note(item.column)
@@ -193,6 +190,11 @@ class _Lowering:
             if any(item.column.column == si.output_name() for si in query.select_items):
                 continue  # ordering by a select item's output name
             note(item.column)
+        # a star is its property set (``type`` alone is every table's), so a
+        # table named by no column but its id reads them all, as SELECT * does
+        for alias, table in self.tables.items():
+            if query.select_star or referenced[alias] <= {ID_COLUMN}:
+                referenced[alias].update(name.lower() for name in table.column_names())
         return referenced
 
     def _assign_variables(self) -> Dict[Tuple[str, str], str]:
@@ -221,8 +223,7 @@ class _Lowering:
             subject_var = self.var_names[(alias, ID_COLUMN)]
             star = stars[subject_var] = StarPattern(subject_var=subject_var,
                                                     subject_range=constraints.get(subject_var))
-            columns = self.referenced[alias] - {ID_COLUMN} or {self._anchor_column(table)}
-            for column_name in sorted(columns):
+            for column_name in sorted(self.referenced[alias] - {ID_COLUMN}):
                 column = table.column(column_name)
                 var = self.var_names[(alias, column_name)]
                 oid_range = constraints.get(var)
@@ -234,13 +235,6 @@ class _Lowering:
                     predicate_oid=column.predicate_oid, object_term=PatternTerm.variable(var),
                     oid_range=oid_range, required=required))
         return stars
-
-    def _anchor_column(self, table: CatalogTable) -> str:
-        """Column used to enumerate a table's rows when none is referenced."""
-        columns = [column for column in table.columns if column.predicate_oid is not None]
-        if not columns:
-            raise SchemaError(f"table {table.name!r} has no usable columns")
-        return next((column for column in columns if not column.nullable), columns[0]).name.lower()
 
     def _predicate_ranges(self) -> Dict[str, OidRange]:
         encoder = self.context.encoder

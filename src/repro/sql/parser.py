@@ -319,7 +319,10 @@ class _SqlParser:
             literal = self.next()
             if literal.kind != "STRING":
                 raise self._error("DATE expects a quoted 'yyyy-mm-dd' value")
-            return SqlConstant(date.fromisoformat(literal.text[1:-1]), "date")
+            try:
+                return SqlConstant(date.fromisoformat(literal.text[1:-1]), "date")
+            except ValueError as exc:
+                raise self._error(f"bad DATE {literal.text}: {exc}") from None
         if token.kind == "IDENT" and token.text.lower() in ("true", "false"):
             return SqlConstant(token.text.lower() == "true", "boolean")
         raise self._error(f"expected a constant, found {token.text!r}")

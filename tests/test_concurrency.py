@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from _datasets import EX, book_triples, build_rdfh_store, tiny_tpch
-from repro import QueryServer, RDFStore, StoreConfig, StoreService
+from repro import QueryServer, RDFStore, StoreConfig
 from repro.bench import q6_sparql
 from repro.bench.rdfh import RDFH_VOC, customer_iri
 from repro.columnar import ColumnStats
@@ -442,7 +442,12 @@ class TestDeferredSegmentReclaim:
         store = build_store()
         store.update(pair_update(1))
         name = f"delta.v{store.delta.version}"
-        for read in (store.session().sparql, store.sparql, store.session().sparql):
+
+        def pinned(text):
+            with store.snapshot() as snap:
+                return snap.sparql(text)
+
+        for read in (pinned, store.sparql, pinned):
             assert int(read(PAIR_COUNT_LEFT).rows()[0][0]) == 1
         assert built == [name]
 
@@ -615,23 +620,23 @@ class TestReadStateHasOneOwner:
     def test_served_reads_compute_column_statistics_once(self, stats_calls, tmp_path):
         data = tiny_tpch()
         store = build_rdfh_store(data)
-        service = StoreService(store)
         stream = AdhocStream(data, seed=7)  # six classes a round, every text new
         columns = sum(1 + len(block.property_columns)
                       for block in store.clustered_store.blocks)
+        with QueryServer(store, workers=1) as server:
 
-        def serve_rounds(rounds: int) -> int:
-            return sum(len(service.sql(op.text) if op.frontend == "sql"
-                           else service.query(op.text))
-                       for _ in range(rounds) for op in stream.next_round())
+            def serve_rounds(rounds: int) -> int:
+                return sum(len((server.submit_sql(op.text) if op.frontend == "sql"
+                                else server.submit_query(op.text)).result())
+                           for _ in range(rounds) for op in stream.next_round())
 
-        assert serve_rounds(20) > 100
-        touched = len(stats_calls)
-        assert 0 < touched <= columns, "a column's statistics were computed twice"
-        # same base generation: a write changes nothing a column knows
-        store.update(f'INSERT DATA {{ {customer_iri(9001).n3()} <{RDFH_VOC}c_name> "new" . }}')
-        serve_rounds(2)
-        assert len(stats_calls) == touched
+            assert serve_rounds(20) > 100
+            touched = len(stats_calls)
+            assert 0 < touched <= columns, "a column's statistics were computed twice"
+            # same base generation: a write changes nothing a column knows
+            store.update(f'INSERT DATA {{ {customer_iri(9001).n3()} <{RDFH_VOC}c_name> "new" . }}')
+            serve_rounds(2)
+            assert len(stats_calls) == touched
         # save() asks the columns too: the first fills in the untouched ones
         store.save(tmp_path / "db")
         assert len(stats_calls) == columns
@@ -769,11 +774,11 @@ class TestStress:
         with store.snapshot() as snap:
             assert _count(snap, PAIR_COUNT_LEFT) == WRITER_REQUESTS // 2
 
-    def test_service_decodes_under_concurrent_compaction(self):
+    def test_server_decodes_under_concurrent_compaction(self):
         """decode=True must decode under the same snapshot the query ran on,
-        even while the writer compacts (which re-maps literal OIDs)."""
+        even while the writer compacts."""
         store = build_store()
-        service = StoreService(store)
+        server = QueryServer(store, workers=READERS)
         errors: list = []
         stop = threading.Event()
         query = f"SELECT ?v WHERE {{ ?s <{PAIR_LEFT}> ?v . }}"
@@ -781,7 +786,7 @@ class TestStress:
         def read_loop():
             try:
                 while not stop.is_set():
-                    rows = service.query(query, decode=True)
+                    rows = server.submit_query(query, decode=True).result()
                     for (value,) in rows:
                         if not (isinstance(value, str) and value.startswith("L")):
                             errors.append(f"mis-decoded value {value!r}")
@@ -793,44 +798,25 @@ class TestStress:
             thread.start()
         try:
             for i in range(30):
-                service.update(pair_update(i))
+                store.update(pair_update(i))
                 if i % 5 == 4:
-                    service.compact()
+                    store.compact()
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=30)
+            server.shutdown()
         assert errors == []
-        assert service.stats()["open_snapshots"] == 0
+        assert server.stats()["open_snapshots"] == store.open_snapshot_count() == 0
 
 
-class TestSessions:
-    def test_sticky_session_repeatable_reads(self):
+class TestHeldSnapshots:
+    def test_a_held_snapshot_is_a_repeatable_read(self):
         store = build_store()
-        with store.session() as session:
-            session.begin()
-            first = session.sparql(AUTHOR_QUERY, decode=True)
-            session.update(pair_update(1))
-            assert session.sparql(AUTHOR_QUERY, decode=True) == first
-            session.end()
-            session.begin()
-            assert session.snapshot is not None
-        # context-manager exit released the sticky snapshot
+        with store.snapshot() as snap:
+            first = snap.decode_rows(snap.sparql(AUTHOR_QUERY))
+            store.update(pair_update(1))
+            assert snap.decode_rows(snap.sparql(AUTHOR_QUERY)) == first
+            # the store reads the write; the held snapshot does not
+            assert _count(store, PAIR_COUNT_LEFT) == _count(snap, PAIR_COUNT_LEFT) + 1
         assert store.open_snapshot_count() == 0
-
-    def test_auto_session_sees_latest(self):
-        store = build_store()
-        session = store.session()
-        rows = session.sparql(PAIR_COUNT_LEFT).rows()
-        before = int(rows[0][0]) if rows else 0
-        session.update(pair_update(9))
-        after = int(session.sparql(PAIR_COUNT_LEFT).rows()[0][0])
-        assert after == before + 1
-
-    def test_double_begin_rejected(self):
-        store = build_store()
-        session = store.session()
-        session.begin()
-        with pytest.raises(StorageError):
-            session.begin()
-        session.end()

@@ -1,5 +1,6 @@
 """The docs checker (``tools/check_doc_links.py``) reports a stale code
-reference and only that."""
+reference, or a name a Python example calls that the code does not define,
+and only that."""
 
 from __future__ import annotations
 
@@ -23,3 +24,15 @@ def test_only_the_stale_code_reference_is_reported(tmp_path):
                      "the search was `planner/optimizer.py:QueryOptimizer.order_stars`.\n")
     assert _checker().check_file(notes, ROOT) == [
         "planner/optimizer.py:QueryOptimizer.order_stars"]
+
+
+def test_only_the_missing_name_in_a_python_block_is_reported(tmp_path):
+    notes = tmp_path / "notes.md"
+    notes.write_text("```python\n"
+                     "with store.snapshot() as snap:\n"
+                     "    rows = snap.decode_rows(snap.sparql(query))\n"
+                     "server.submit_query(query).result()\n"
+                     "store.ask(query)  # no such method\n"
+                     "```\n"
+                     "Prose may say store.ask; only code blocks are checked.\n")
+    assert _checker().check_file(notes, ROOT) == ["store.ask"]

@@ -10,8 +10,8 @@
   ``REPRO_BATCH_SIZE``, so CI runs the corpus at both of its sizes.
 * **Read-path differential** — the same corpus in the same states through
   every way to read a store (``store.sparql/sql``, an explicit
-  ``ReadSnapshot``, ``StoreSession`` auto and sticky, ``StoreService``):
-  one more dimension of the loop above; and a snapshot pinned before a
+  ``ReadSnapshot``, a ``QueryServer`` decoding under its own pins): one
+  more dimension of the loop above; and a snapshot pinned before a
   ``compact()`` keeps answering, and decoding, from its own state.
 * **SPARQL plan shapes do not move** — ``explain()`` of the batch-differential
   corpus under every scheme and zone-map setting against the golden file
@@ -46,7 +46,7 @@ from _datasets import (
 )
 from _oracles import PerCellDecoder, star_over_union
 from _plan_golden import GOLDEN_PATH, render
-from repro import ParseError, PlannerOptions, RDFStore, StoreService
+from repro import ParseError, PlannerOptions, QueryServer, RDFStore
 from repro.bench import DirtyConfig, generate_dirty, q3_sql, q6_sparql, q6_sql
 from repro.bench.dblp import DBLP, VOC as DBLP_VOC
 from repro.bench.dirty import VOC as CRAWL_VOC
@@ -170,23 +170,17 @@ ReadPath = Callable[..., List[tuple]]
 @contextmanager
 def read_paths(store: RDFStore) -> Iterator[Dict[str, ReadPath]]:
     """Every way to read a store, by name; all must answer alike."""
-    service, auto = StoreService(store), store.session()
     pinned_by_others = store.open_snapshot_count()
 
-    def decoding(sparql, sql) -> ReadPath:
-        return lambda frontend, text, options=None: (
-            sql(text, decode=True) if frontend == "sql" else sparql(text, options, decode=True))
-
-    with store.snapshot() as snapshot, store.session() as sticky:
-        sticky.begin()
+    with store.snapshot() as snapshot, QueryServer(store, workers=1) as server:
         yield {
             "store": lambda frontend, text, options=None: store.decode_rows(
                 store.sql(text) if frontend == "sql" else store.sparql(text, options)),
             "snapshot": lambda frontend, text, options=None: snapshot.decode_rows(
                 snapshot.query(frontend, text, options)),
-            "auto session": decoding(auto.sparql, auto.sql),
-            "sticky session": decoding(sticky.sparql, sticky.sql),
-            "service": decoding(service.query, service.sql),
+            "server": lambda frontend, text, options=None: (
+                server.submit_sql(text, decode=True) if frontend == "sql"
+                else server.submit_query(text, options, decode=True)).result(),
         }
     assert store.open_snapshot_count() == pinned_by_others
 
@@ -272,6 +266,11 @@ BOOK_CASES = [
          f"{BOOK} SELECT ?p ?t ?n WHERE {{ ?p a ?t . ?p ex:name ?n . }}"),
     # the delta punches a hole into ``has_author``: a NULL, which SPARQL cannot say
     Case("SELECT isbn_no, has_author FROM Book"),
+    # a table named by its id alone has the rows SELECT * has; no SPARQL pair,
+    # since a star of ``type`` alone would also match the Persons
+    Case("SELECT id FROM Book"),
+    Case("SELECT COUNT(id) FROM Book"),
+    Case("SELECT p.id FROM Book b JOIN Person p ON b.has_author = p.id"),
 ]
 
 BOOK_UPDATES = [
@@ -598,6 +597,33 @@ def test_pending_sql_rows_of_a_subject_whose_values_were_deleted(deleted, kept):
     assert pending == compacted
     assert ((f"{EX}book/3", None, None) in compacted) == kept
     assert len(compacted) == (30 if kept else 29)
+
+
+def test_a_table_named_by_its_id_alone_has_the_rows_of_select_star():
+    """A star is its property set, and ``type`` is a column of every table:
+    the oracle of a query naming a table by its id alone is the same query
+    naming every column of that table, as SELECT * does, projected to the
+    id — clean, pending and compacted."""
+    store = build_book_store()
+    join = "FROM Book b JOIN Person p ON b.has_author = p.id"
+
+    def ids(query: str) -> List[tuple]:
+        return sorted(row[:1] for row in store.decode_rows(store.sql(query)))
+
+    def check(state: str) -> None:
+        books = ids("SELECT * FROM Book")
+        assert ids("SELECT id FROM Book") == books, state
+        assert store.decode_rows(store.sql("SELECT COUNT(id) FROM Book")) \
+            == [(float(len(books)),)], state
+        assert ids(f"SELECT p.id {join}") == ids(f"SELECT p.id, p.type, p.name {join}"), state
+
+    check("clean")
+    assert len(store.decode_rows(store.sql("SELECT id FROM Book"))) == 30
+    for text in BOOK_UPDATES:
+        store.update(text)
+    check("pending delta")
+    store.compact()
+    check("compacted")
 
 
 # -- estimates and progress for SQL ------------------------------------------------------

@@ -305,15 +305,6 @@ class TestPlanCache:
         assert store.plan_cache_stats()["lifetime_misses"] == 2
         assert len(result) == 30
 
-    def test_cache_disabled_by_config(self):
-        config = _small_config()
-        config.plan_cache_size = 0
-        store = RDFStore.build(_book_triples(), config=config)
-        query = f"SELECT ?b WHERE {{ ?b <{EX}isbn_no> ?i . }}"
-        first = store.sparql(query)
-        second = store.sparql(query)
-        assert first.plan is not second.plan
-
 
 def _book_triples():
     """The shared book graph, without the irregular web-page subjects."""

@@ -781,7 +781,7 @@ class TestFormatValidation:
         """``"index": null`` (what a store saved before its first build, or
         one that had the exhaustive indexes switched off, used to write)
         opens with an index store like any other — there is no unbuilt
-        store; the retired keys — two config knobs, the plan cache's own
+        store; the retired keys — five config knobs, the plan cache's own
         generation and the WAL seed count that restored it — are ignored and
         no longer written."""
         # (a) saved straight after load(): no schema, no clustered store
@@ -793,7 +793,7 @@ class TestFormatValidation:
         manifest = json.loads(manifest_path.read_text())
         assert set(manifest["index"]) == {"name", "predicate_counts"}
         assert manifest["clustered_store"] is None
-        assert not {"build_exhaustive_indexes", "build_zone_maps"} & set(manifest["config"])
+        assert set(manifest["config"]) == {"page_size", "zone_size"}
         manifest["index"] = None  # as the parent wrote it
         manifest_path.write_text(json.dumps(manifest))
         bare.update(insert_book(1))  # replayed at open, before any read
@@ -804,17 +804,21 @@ class TestFormatValidation:
         assert_stores_equivalent(bare, reopened, sql_queries=[])
 
         # (b) hand-edited the way a parent store with the knob off wrote it:
-        # a clustered store but no index, and the two keys still there
+        # a clustered store but no index, and the retired keys still there
         store.save(tmp_path / "db")
         manifest_path = tmp_path / "db" / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
         assert not {"plan_cache_generation", "wal_seeded_records"} & set(manifest)
         manifest["index"] = None
-        manifest["config"].update(build_exhaustive_indexes=False, build_zone_maps=True)
+        manifest["config"].update(build_exhaustive_indexes=False, build_zone_maps=True,
+                                  buffer_pool_pages=16, plan_cache_size=0,
+                                  cost_model={"page_read_seconds": 1.0})
         manifest.update(plan_cache_generation=7, wal_seeded_records=0)
         manifest_path.write_text(json.dumps(manifest))
         reopened = RDFStore.open(tmp_path / "db")
         assert reopened.is_clustered and reopened.index_store is not None
+        assert reopened.plan_cache.capacity == store.plan_cache.capacity > 0
+        assert reopened.pool.capacity_pages == store.pool.capacity_pages > 16
         assert reopened.context().index_store is reopened.index_store
         assert_stores_equivalent(store, reopened)
 

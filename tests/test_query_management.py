@@ -717,7 +717,8 @@ class TestHttpQueryManagement:
             assert entry["frontend"] == "sparql"
             assert entry["seconds"] >= 0
 
-    def test_service_facade_cancel_and_listing(self, store):
+    def test_served_store_cancel_and_listing(self, store):
         with QueryServer(store, workers=1) as server:
-            assert server.service.active_queries() == []
-            assert server.service.cancel(12345) is False
+            assert server.store is store
+            assert server.store.active_queries() == []
+            assert server.store.cancel(12345) is False

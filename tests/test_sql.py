@@ -51,6 +51,8 @@ class TestSqlParser:
         "SELECT a FROM t JOIN u ON a < b",
         "SELECT a FROM t LIMIT x",
         "UPDATE t SET a = 1",
+        "SELECT b.isbn_no FROM Book b WHERE b.isbn_no = DATE 'x'",
+        "SELECT * FROM t WHERE d < DATE '1999-13-45'",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):

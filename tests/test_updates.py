@@ -626,9 +626,7 @@ def test_one_pass_statistics_equal_the_per_table_oracle(name, monkeypatch):
 
 class TestStoreConfigValidation:
     @pytest.mark.parametrize("kwargs,fragment", [
-        (dict(plan_cache_size=-1), "plan_cache_size"),
         (dict(page_size=0), "page_size"),
-        (dict(buffer_pool_pages=0), "buffer_pool_pages"),
         (dict(zone_size=-5), "zone_size"),
         (dict(page_size="big"), "page_size"),
     ])
@@ -636,6 +634,11 @@ class TestStoreConfigValidation:
         with pytest.raises(StorageError, match=fragment):
             StoreConfig(**kwargs)
 
+    @pytest.mark.parametrize("knob", ["buffer_pool_pages", "plan_cache_size", "cost_model"])
+    def test_retired_knobs_are_refused(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            StoreConfig(**{knob: 0})
+
     def test_valid_config_passes(self):
-        config = StoreConfig(plan_cache_size=0, page_size=64, zone_size=32)
-        assert config.plan_cache_size == 0
+        config = StoreConfig(page_size=64, zone_size=32)
+        assert (config.page_size, config.zone_size) == (64, 32)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the repo's Markdown files point at things that exist.
 
-Two kinds of reference are checked in every ``*.md`` file:
+Three kinds of reference are checked in every ``*.md`` file:
 
 * inline links — relative targets must exist on disk (external
   ``http(s)``/``mailto`` links and pure in-page anchors are skipped);
@@ -9,7 +9,11 @@ Two kinds of reference are checked in every ``*.md`` file:
   in ``core/store.py:RDFStore.open``) — the file must exist under the repo
   root, ``src/repro`` or ``benchmarks/e2e``, and define the last dotted part
   of ``name`` as a ``def``, a ``class`` or an assignment.  References by
-  line number (``planner/planner.py:130``) are not checked.
+  line number (``planner/planner.py:130``) are not checked;
+* attribute uses in ```` ```python ```` blocks — each ``store.<name>``,
+  ``server.<name>`` and ``snap.<name>`` must name something
+  ``core/store.py``, ``server/service.py`` and ``server/session.py``
+  (under ``src/repro``) define, by the same rule.
 
 The files named in ``tools/doc_links_skip.txt`` (the change log and the
 other records that describe code as it was) are skipped.  Exits non-zero
@@ -21,6 +25,7 @@ listing every broken reference — used by CI's docs job and runnable locally:
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -33,6 +38,11 @@ SKIP_LIST = Path(__file__).resolve().parent / "doc_links_skip.txt"
 SKIP_FILES = frozenset(line.strip() for line in SKIP_LIST.read_text(encoding="utf-8").splitlines()
                        if line.strip() and not line.lstrip().startswith("#"))
 CODE_ROOTS = (".", "src/repro", "benchmarks/e2e")
+PYTHON_BLOCK_PATTERN = re.compile(r"^[ \t]*```python[^\n]*\n(.*?)^[ \t]*```", re.M | re.S)
+RECEIVER_PATTERN = re.compile(r"(?<![\w.])(store|server|snap)\.([A-Za-z_]\w*)")
+RECEIVER_MODULES = {"store": "src/repro/core/store.py",
+                    "server": "src/repro/server/service.py",
+                    "snap": "src/repro/server/session.py"}
 
 
 def markdown_files(root: Path):
@@ -41,6 +51,7 @@ def markdown_files(root: Path):
             yield path
 
 
+@functools.lru_cache(maxsize=None)
 def defined_names(path: Path) -> frozenset:
     """Every name a module defines: functions, classes and assignment
     targets (``x = …``, ``x: T = …``, ``self.x = …``), at any depth."""
@@ -85,6 +96,11 @@ def check_file(path: Path, root: Path) -> list:
     for match in CODE_REF_PATTERN.finditer(text):
         if not code_reference_resolves(root, match.group(1), match.group(2)):
             broken.append(f"{match.group(1)}:{match.group(2)}")
+    for block in PYTHON_BLOCK_PATTERN.finditer(text):
+        for match in RECEIVER_PATTERN.finditer(block.group(1)):
+            receiver, name = match.groups()
+            if name not in defined_names(root / RECEIVER_MODULES[receiver]):
+                broken.append(match.group(0))
     return broken
 
 
