@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..model import Literal, Term, TermDictionary, ValueBounds
+from ..model import Literal, TermDictionary, ValueBounds
 from .plan import OidRange
 
 
@@ -41,10 +41,6 @@ class ValueEncoder:
 
     def __init__(self, dictionary: TermDictionary) -> None:
         self.dictionary = dictionary
-
-    def term_oid(self, term: Term) -> Optional[int]:
-        """OID of an exact term, or ``None`` if it does not occur in the data."""
-        return self.dictionary.lookup_term(term)
 
     def literal_range(
         self,

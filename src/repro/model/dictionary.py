@@ -17,15 +17,15 @@ reproduction:
 * **The literal order index.**  The dictionary owns the one index that maps
   a value range (:class:`ValueBounds`) to literal OIDs: a *head* — the
   literal OIDs below the value-order watermark, ascending, which by the
-  invariant above already *is* value order, so it is never sorted and stores
-  no keys — plus a value-sorted *tail* of the literals appended since.  A
+  invariant above already *is* value order, so it is never sorted — plus a
+  value-sorted *tail* of the literals appended since.  A
   write appends to the tail and a compaction leaves it where it is (no OID
   moves); only a new value-ordering pass, at load and clustering, folds it
   into the head.  A plan asks the head for its OID interval
   (:meth:`TermDictionary.literal_value_range`), which no write moves; a run
   asks the tail for its matches (:meth:`TermDictionary.literal_tail_range`),
-  which every write may extend.  Lookups bisect with a key function that
-  decodes only the O(log n) probed terms.
+  which every write may extend.  Both bisect sort keys: the tail keeps one
+  per entry, the head a list of them made by its first range lookup.
 * **The value bridge.**  The engine runs on OIDs and leaves OID space in two
   places only: arithmetic / aggregation needs the number behind an OID, the
   final result the Python value.  The dictionary answers both one *column*
@@ -75,9 +75,18 @@ class ValueBounds(NamedTuple):
     @classmethod
     def of(cls, low: Optional[Literal], high: Optional[Literal],
            low_inclusive: bool = True, high_inclusive: bool = True) -> "ValueBounds":
-        return cls(None if low is None else term_sort_key(low),
-                   None if high is None else term_sort_key(high),
-                   low_inclusive, high_inclusive)
+        """The bounds of a comparison with ``low`` / ``high``.  A side left
+        open stops at the other bound's value class (``Literal.sort_key``'s
+        rank: boolean, numeric, date, other): SPARQL compares values of one
+        class only, and a comparison across classes is an error, which
+        filters the row out — ``?v > 3`` holds for no string and no date."""
+        low_key = None if low is None else term_sort_key(low)
+        high_key = None if high is None else term_sort_key(high)
+        if low_key is None and high_key is not None:
+            low_key, low_inclusive = high_key[:2], True  # below every key of the class
+        elif high_key is None and low_key is not None:
+            high_key, high_inclusive = (low_key[0], low_key[1] + 1), False  # the next class
+        return cls(low_key, high_key, low_inclusive, high_inclusive)
 
     def intersect(self, other: "ValueBounds") -> "ValueBounds":
         """The values both ranges admit: the higher low and the lower high
@@ -88,8 +97,9 @@ class ValueBounds(NamedTuple):
                                         other.high, other.high_inclusive, higher=False)
         return ValueBounds(low, high, low_inclusive, high_inclusive)
 
-    def select(self, entries, key) -> list:
-        """The run of ``entries`` (sorted by ``key``) inside the bounds."""
+    def span(self, entries, key=None) -> slice:
+        """The run of ``entries`` (sorted, by ``key`` when given) inside the
+        bounds."""
         lo, hi = 0, len(entries)
         if self.low is not None:
             lo = (bisect_left if self.low_inclusive else bisect_right)(
@@ -97,7 +107,7 @@ class ValueBounds(NamedTuple):
         if self.high is not None:
             hi = (bisect_right if self.high_inclusive else bisect_left)(
                 entries, self.high, lo, key=key)
-        return entries[lo:hi]
+        return slice(lo, hi)
 
 
 def _tighter(key, inclusive, other_key, other_inclusive, higher: bool):
@@ -149,6 +159,11 @@ class TermDictionary:
         """Literal OIDs below the watermark, ascending — which is value
         order.  Immutable once published (a remapped dictionary that moved no
         literal shares it)."""
+        self._head_keys: Optional[List[tuple]] = None
+        """The head's sort keys, in head order: kept from the value-ordering
+        pass that sorted them, else made by the first value range asked of
+        the head (:meth:`literal_value_range`); shared wherever the head
+        is."""
         self._literal_tail: Tuple[int, List[Tuple[tuple, int]]] = (0, [])
         """``(covered, entries)``: one ``(sort key, OID)`` entry, sorted, per
         literal with watermark <= OID < covered.  The tail is small, so unlike
@@ -443,6 +458,7 @@ class TermDictionary:
         if not any(isinstance(term, Literal) for term in moved_terms):
             remapped._value_order_watermark = self._value_order_watermark
             remapped._literal_head = self._literal_head
+            remapped._head_keys = self._head_keys
             remapped._literal_tail = self._literal_tail
         return remapped
 
@@ -485,20 +501,26 @@ class TermDictionary:
             ordered._bridge = self._bridge
         else:
             ordered = self.remap(old, new)
-        ordered._set_value_order(len(ordered), new)
+        if not head.size:
+            keys = [key for key, _oid in tail]  # this pass sorted the whole new head
+        else:
+            keys = None if tail else self._head_keys
+        ordered._set_value_order(len(ordered), new, keys)
         return ordered, old, new
 
     # -- the literal order index ------------------------------------------------
 
-    def _set_value_order(self, watermark: int,
-                         literal_oids: Optional[np.ndarray] = None) -> None:
-        """Move the watermark and set the head for it; without
-        ``literal_oids`` the head is rebuilt (the one full pass)."""
+    def _set_value_order(self, watermark: int, literal_oids: Optional[np.ndarray] = None,
+                         keys: Optional[List[tuple]] = None) -> None:
+        """Move the watermark and set the head for it (and its sort keys,
+        when known); without ``literal_oids`` the head is rebuilt (the one
+        full pass)."""
         if literal_oids is None:
             terms = self._oid_to_term
             literal_oids = [oid for oid in range(watermark) if isinstance(terms[oid], Literal)]
         self._value_order_watermark = watermark
         self._literal_head = np.asarray(literal_oids, dtype=np.int64)
+        self._head_keys = keys
         self._literal_tail = (watermark, [])
         if watermark:
             _HEAD_BUILDS.inc()
@@ -544,8 +566,14 @@ class TermDictionary:
         """The head literals whose value lies within ``bounds``: a view of
         ascending OIDs, so its first and last element bound one OID interval.
         Fixed for the dictionary's lifetime, since appends only grow the
-        tail — what a plan may keep."""
-        return bounds.select(self._literal_head, self._literal_key)
+        tail — what a plan may keep.  Bisects the head's sort keys, made once
+        per head, so a range decodes no term."""
+        keys = self._head_keys
+        if keys is None:  # racing readers make equal lists; either may stay
+            terms = self._oid_to_term
+            keys = self._head_keys = [term_sort_key(terms[oid])
+                                      for oid in self._literal_head.tolist()]
+        return self._literal_head[bounds.span(keys)]
 
     def literal_tail_range(self, bounds: ValueBounds) -> np.ndarray:
         """The tail literals whose value lies within ``bounds``, as a sorted
@@ -553,7 +581,8 @@ class TermDictionary:
         which every write may extend — what a run resolves, once.  Costs a
         bisect of an empty list while nothing was appended since the last
         value-ordering pass."""
-        entries = bounds.select(self._tail_through(len(self._oid_to_term)), itemgetter(0))
+        tail = self._tail_through(len(self._oid_to_term))
+        entries = tail[bounds.span(tail, itemgetter(0))]
         if not entries:
             return _NO_OIDS
         return np.sort(np.fromiter(map(itemgetter(1), entries), dtype=np.int64,

@@ -144,6 +144,17 @@ def make_term(iri: Optional[str], label: Optional[str], string: Optional[str],
     return Literal(unescape(string), datatype, language)
 
 
+def resolve_iri(base: str, iriref: str) -> str:
+    """The IRI an IRIREF token (``<…>``) names under a base IRI."""
+    body = iriref[1:-1]
+    return base + body if base and not _SCHEME_RE.match(body) else body
+
+
+def number_literal(text: str) -> Literal:
+    """The literal a NUMBER token stands for: an integer, or a decimal."""
+    return Literal(text, datatype=XSD_DECIMAL if "." in text else XSD_INTEGER)
+
+
 # -- token streams ------------------------------------------------------------------
 
 
@@ -234,9 +245,9 @@ class TokenStream:
             prefix, _, local = pname.text.partition(":")
             if local:
                 raise self.error("a prefix declaration expects 'name:' followed by an IRI", pname)
-            self.prefixes[prefix] = self._resolve(self.next("IRIREF"))
+            self.prefixes[prefix] = resolve_iri(self.base, self.next("IRIREF").text)
         else:
-            self.base = self._resolve(self.next("IRIREF"))
+            self.base = resolve_iri(self.base, self.next("IRIREF").text)
         if turtle_style:
             self.expect(".")
         return True
@@ -262,18 +273,14 @@ class TokenStream:
             if kind == "STRING":
                 return self._literal(unescape(text[1:-1]))
             if kind == "NUMBER":
-                return Literal(text, datatype=XSD_DECIMAL if "." in text else XSD_INTEGER)
+                return number_literal(text)
             if kind == "KEYWORD" and text in ("true", "false"):
                 return Literal(text, datatype=XSD_BOOLEAN)
         raise ParseError(f"unexpected {text!r} in {position} position")
 
-    def _resolve(self, iriref: Token) -> str:
-        body = iriref.text[1:-1]
-        return self.base + body if self.base and not _SCHEME_RE.match(body) else body
-
     def _iri_of(self, token: Token) -> str:
         if token.kind == "IRIREF":
-            iri = self._resolve(token)
+            iri = resolve_iri(self.base, token.text)
         else:
             prefix, _, local = token.text.partition(":")
             if prefix not in self.prefixes:

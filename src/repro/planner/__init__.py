@@ -3,7 +3,7 @@ planner and its plan annotation, the plan cache and the engine
 that prepares and runs queries (see ``docs/architecture.md`` §5)."""
 
 from .engine import Frontend, QueryEngine, QueryResult
-from .logical import LogicalQuery, numeric_expression, unique_names
+from .logical import LogicalQuery, Param, numeric_expression, range_filter, unique_names
 from .optimizer import PlanCache, QueryOptimizer
 from .planner import (
     DEFAULT_SCHEME,
@@ -18,6 +18,7 @@ __all__ = [
     "Frontend",
     "LogicalQuery",
     "OPTIMIZED_SCHEME",
+    "Param",
     "PlanCache",
     "Planner",
     "PlannerOptions",
@@ -26,5 +27,6 @@ __all__ = [
     "QueryResult",
     "RDFSCAN_SCHEME",
     "numeric_expression",
+    "range_filter",
     "unique_names",
 ]

@@ -1,8 +1,9 @@
-"""The one query engine: prepare (cache → parse → lower → plan) and run.
+"""The one query engine: prepare (cache → parse → lower → bind → plan) and run.
 
 A front end contributes a parser and a lowering (:class:`Frontend`);
-everything after the :class:`~repro.planner.LogicalQuery` — planning, the
-plan cache, estimates, execution, the result — is shared.
+everything after the :class:`~repro.planner.LogicalQuery` template —
+binding, planning, the plan cache, estimates, execution, the result — is
+shared.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..columnar import QueryCost
 from ..engine import BindingTable, ExecutionContext, PhysicalOperator, execute_plan
+from ..errors import ParseError
 from ..obs import NULL_ACTIVE_QUERY
 from .logical import LogicalQuery
-from .optimizer import PlanCache
+from .optimizer import PlanCache, PlanTemplate
 from .planner import Planner, PlannerOptions
 
 
@@ -26,10 +28,17 @@ class Frontend(NamedTuple):
     name: str
     """``sparql`` or ``sql``: the registry / metrics label and part of the
     plan-cache key."""
-    parse: Callable[[str], object]
-    """Query text to the front end's AST; raises ``ParseError``."""
-    lower: Callable[[object, ExecutionContext], LogicalQuery]
-    """AST to logical form: name resolution and OID translation."""
+    parse: Callable[..., object]
+    """Query text (and optionally the plan cache's lifted slots,
+    :meth:`PlanCache.slots`) to the front end's AST, whose slotted
+    constants are :class:`~repro.planner.Param` s; raises ``ParseError``."""
+    template: Callable[[object, ExecutionContext], LogicalQuery]
+    """AST to its :class:`LogicalQuery` template: name resolution, no
+    constant looked up."""
+
+    def lower(self, parsed: object, context: ExecutionContext) -> LogicalQuery:
+        """AST to the logical form the planner reads: template, then bind."""
+        return self.template(parsed, context).bind((), context)[0]
 
 
 @dataclass
@@ -99,16 +108,17 @@ class QueryEngine:
     """Prepare and execute queries of any registered front end against one
     :class:`ExecutionContext`.
 
-    An optional :class:`PlanCache` makes repeated queries skip parsing,
-    lowering and planning.  :class:`~repro.core.RDFStore` has one engine per
-    store version, all wired to its one cache; ``version`` — what a plan
-    reads of the context's state: its base generation and whether writes
-    are pending — is part of every key, so every version of one generation
-    with pending writes shares its plans, and a pinned snapshot of an older
-    generation can neither take nor leave a plan the current one would use.
-    A hit is re-checked against the context's dictionary: a plan lowered
-    while one of its constants was absent is re-planned once a write has
-    added it (:attr:`LogicalQuery.absent_terms`).
+    An optional :class:`PlanCache` makes a query of a known shape skip
+    parsing and lowering: its constants are bound into the cached template
+    and the bound query planned, and a repeat of constants bound before
+    skips that too.  :class:`~repro.core.RDFStore` has one engine
+    per store version, all wired to its one cache; ``version`` — what a
+    plan reads of the context's state: its base generation and whether
+    writes are pending — is part of every key, so every version of one
+    generation with pending writes shares its templates, and a pinned
+    snapshot of an older generation can neither take nor leave one the
+    current version would use.  A binding that found a constant absent is
+    never reused: a write may add the constant.
     """
 
     def __init__(self, context: ExecutionContext, frontends: Iterable[Frontend],
@@ -121,25 +131,26 @@ class QueryEngine:
 
     @cached_property
     def planner(self) -> Planner:
-        """Built on the first cache miss: a version that only ever serves
-        cached queries never plans."""
+        """Built by the first query that needs a plan: a version that only
+        ever repeats cached bindings never plans."""
         return Planner(self.context)
 
     def prepare(self, frontend: str, text: str, options: Optional[PlannerOptions] = None,
                 run=NULL_ACTIVE_QUERY) -> Tuple[LogicalQuery, PhysicalOperator]:
-        """Parse, lower and plan a query without executing it.
+        """Parse, lower, bind and plan a query without executing it.
 
         Args:
             frontend: name of a registered front end.
             text: the query text.
             options: plan scheme configuration; ``None`` selects
                 ``PlannerOptions()``, the same for every front end.
-            run: the execution this is for, if any: on a cache miss it is
-                told the parse and the plan (lower + plan) time.
+            run: the execution this is for, if any: it is told the parse
+                time and the plan (lower + bind + plan) time, both zero when
+                the text's constants were bound and planned before.
 
         Returns:
-            The logical query and the physical plan root; both come from
-            the plan cache when one is attached and has them.
+            The bound logical query and the physical plan root: planned
+            afresh, unless the cache holds the plan of these constants.
 
         Raises:
             ParseError: when the text is not in the front end's subset.
@@ -148,33 +159,54 @@ class QueryEngine:
         """
         front = self.frontends[frontend]
         options = options or PlannerOptions()
-        key = None
-        if self.plan_cache is not None:
-            key = self.version + PlanCache.make_key(frontend, text, options)
-            cached = self.plan_cache.lookup(key, self._still_valid)
-            if cached is not None:
-                return cached
+        cache = self.plan_cache
+        values, slots = (), None
+        if cache is not None:
+            shape, values = PlanCache.make_key(frontend, text, options)
+            shape = self.version + shape
+            # the shape's first template names its structural slots; a
+            # template of other values at them is filed under those values
+            first = cache.peek(shape)
+            key = shape
+            if first is not None and first.sub_key(values) != first.sub:
+                key = shape + first.sub_key(values)
+            found = cache.lookup(key + (values,), key)
+            if type(found) is tuple:
+                return found  # these constants were bound and planned before
+            if found is not None:
+                if found.binding is not None and found.binding[0] == values:
+                    return found.binding[1]
+                started = time.perf_counter()
+                try:
+                    prepared, complete = self._bind(found.query, values, options)
+                except ParseError:
+                    pass  # a value its slot cannot hold: the parser says why
+                else:
+                    if run.enabled:
+                        run.plan_seconds = time.perf_counter() - started
+                    if complete:  # kept while there is room, and by its hits
+                        cache.insert(key + (values,), prepared, recent=False)
+                    return prepared
+            slots = PlanCache.slots(text)
         started = time.perf_counter()
-        parsed = front.parse(text)
+        parsed = front.parse(text, slots)
         planning = time.perf_counter()
-        prepared = self.plan_parsed(frontend, parsed, options)
+        template = PlanTemplate(front.template(parsed, self.context), values)
+        prepared, complete = self._bind(template.query, values, options)
         if run.enabled:
             run.parse_seconds = planning - started
             run.plan_seconds = time.perf_counter() - planning
-        if key is not None:
-            self.plan_cache.insert(key, prepared)
+        if cache is not None:
+            template.binding = (values, prepared) if complete else None
+            cache.insert(shape if first is None else shape + template.sub, template)
         return prepared
 
-    def _still_valid(self, prepared: Tuple[LogicalQuery, PhysicalOperator]) -> bool:
-        """Whether no constant the plan's lowering found absent exists now."""
-        lookup = self.context.dictionary.lookup_term
-        return all(lookup(term) is None for term in prepared[0].absent_terms)
-
-    def plan_parsed(self, frontend: str, parsed: object,
-                    options: PlannerOptions) -> Tuple[LogicalQuery, PhysicalOperator]:
-        """Lower and plan an already-parsed query (no cache involved)."""
-        logical = self.frontends[frontend].lower(parsed, self.context)
-        return logical, self.planner.plan(logical, options)
+    def _bind(self, template: LogicalQuery, values: Tuple[str, ...], options: PlannerOptions
+              ) -> Tuple[Tuple[LogicalQuery, PhysicalOperator], bool]:
+        """Bind ``values`` into the template and plan the bound query; also
+        whether every constant was present (:meth:`LogicalQuery.bind`)."""
+        logical, complete = template.bind(values, self.context)
+        return (logical, self.planner.plan(logical, options)), complete
 
     def query(self, frontend: str, text: str, options: Optional[PlannerOptions] = None,
               run=NULL_ACTIVE_QUERY) -> QueryResult:
@@ -204,7 +236,8 @@ class QueryEngine:
         Used by the update subsystem (``DELETE WHERE`` evaluates its pattern
         block as a SELECT) and by callers that build ASTs programmatically.
         """
-        return self._execute(self.plan_parsed(frontend, parsed, PlannerOptions()),
+        logical = self.frontends[frontend].lower(parsed, self.context)
+        return self._execute((logical, self.planner.plan(logical, PlannerOptions())),
                              NULL_ACTIVE_QUERY)
 
     def _execute(self, prepared: Tuple[LogicalQuery, PhysicalOperator], run) -> QueryResult:

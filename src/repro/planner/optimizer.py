@@ -9,12 +9,13 @@ estimated vs. actual cardinalities and a running query can report progress.
 (Hash-join build sides need no plan-time decision either: the executor's
 ``hash_join`` builds on whichever input is actually smaller.)
 
-The :class:`PlanCache` keeps recently planned queries keyed on their front
-end, normalized text and planner options, so repeated queries — SPARQL or
-SQL — skip parsing and planning entirely; every engine scopes its keys by
-what a plan reads of the store — its base generation and whether writes are
-pending — so writes keep hitting and a new generation stops asking for old
-plans.
+The :class:`PlanCache` keeps recently prepared query templates keyed on
+their front end, *shape* (the normalized text with its constants lifted
+out) and planner options, so a query of a known shape — SPARQL or SQL —
+binds its constants into the template instead of being parsed and lowered
+again; every engine scopes its keys by what a plan reads of the store — its
+base generation and whether writes are pending — so writes keep hitting and
+a new generation stops asking for old templates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
 from ..columnar import CardinalityEstimator
 from ..engine import (
@@ -38,7 +39,8 @@ from ..engine import (
     RDFScanOp,
 )
 from ..engine.operators import FilterNotEqualOp
-from ..model.syntax import IRI_BODY
+from ..model.syntax import IRI_BODY, STRING_BODY
+from .logical import LogicalQuery
 
 _NOT_EQUAL_SELECTIVITY = 0.9
 
@@ -125,45 +127,81 @@ class QueryOptimizer:
         return max(child_estimates)
 
 
-class PlanCache:
-    """LRU cache of prepared (parsed, lowered and planned) queries.
+class PlanTemplate:
+    """A plan-cache entry: one lowered query template.
 
-    Keys are built from the front end, the *normalized* query text
-    (whitespace collapsed outside quoted literals, so reformatting a query
-    still hits while ``"a b"`` and ``"a  b"`` stay distinct) and the planner
-    options, which are part of plan identity: the same text planned under
-    ``default`` and ``rdfscan`` schemes yields different physical plans,
-    and the same string may be valid SPARQL and valid SQL.
-
-    The cache stores ``(LogicalQuery, PhysicalOperator)`` pairs — a hit
-    skips parsing, lowering *and* planning.  Plans are immutable templates:
-    a run keeps its state in its operators' generator frames and what it
-    observes on its own :class:`repro.obs.ActiveQuery`, so any number of
-    snapshots may execute one cached plan at the same time.
-
-    A plan is valid for a whole base generation, not for one write.  It
-    embeds constant OIDs, head OID intervals and zone-map push-downs, all
-    fixed until compaction, clustering or a reload starts a new generation;
-    it reads the pending delta and the literal tail only at run time; and it
-    depends on whether a write is pending (zone-map push-down pauses, SQL
-    columns become nullable).  Every engine therefore puts ``(generation,
-    pending)`` in front of its keys: the first write after a clean state
-    and every new generation miss once, and every later write hits.  What
-    the key cannot see is a constant that was absent at plan time and a
-    write has since added: the lookup's ``valid`` check (the engine's
-    re-check of :attr:`LogicalQuery.absent_terms
-    <repro.planner.LogicalQuery.absent_terms>`) turns such a hit into a miss.
-    Within a generation the dictionary only grows, so this is sound for
-    newer readers and for snapshots pinned on older versions alike.
-    Nothing clears the cache when the store changes — a superseded
-    generation's plans are never asked for again and leave by LRU.
-
-    A surviving plan keeps the estimates it was made with: the ``est=`` of
-    ``explain()`` may describe an earlier delta than the run's.  Estimates
-    only annotate a plan; they never choose one or change an answer.
+    ``structural`` are the lifted slots the template does not bind — a
+    predicate IRI, a ``PREFIX`` IRI, a ``LIMIT`` count, a number in an
+    arithmetic expression: their values shaped the template, so they are
+    part of its key (``sub``).  ``binding`` is ``(values, (logical, plan))``
+    of the text that made the template, when it found every constant
+    present.
     """
 
-    _VERBATIM = re.compile(rf""""(?:[^"\\]|\\.)*"|'(?:[^']|'')*'|<{IRI_BODY}>|#[^\n]*\n?""")
+    __slots__ = ("query", "structural", "sub", "binding")
+
+    def __init__(self, query: LogicalQuery, values: Tuple[str, ...]) -> None:
+        self.query = query
+        bound = query.slots()
+        self.structural = tuple(slot for slot in range(len(values)) if slot not in bound)
+        self.sub = self.sub_key(values)
+        self.binding = None
+
+    def sub_key(self, values: Tuple[str, ...]) -> tuple:
+        """The structural slots and ``values``' texts at them."""
+        return self.structural, tuple(values[slot] for slot in self.structural)
+
+
+class PlanCache:
+    """LRU cache of query templates (parsed and lowered queries).
+
+    A text is keyed by its *shape* (:meth:`make_key`): the front end, the
+    normalized text with each IRIREF, quoted literal and bare number lifted
+    out into a slot, the slot count and the planner options, which are part
+    of plan identity — the same text planned under ``default`` and
+    ``rdfscan`` yields different physical plans, and the same string may be
+    valid SPARQL and valid SQL.  The entry under a shape is the
+    :class:`PlanTemplate` the shape's first text made; a text whose values
+    at that template's structural slots differ finds its own template under
+    the shape plus those values.  A hit binds the text's values into the
+    template (:meth:`LogicalQuery.bind <repro.planner.LogicalQuery.bind>`)
+    and plans the bound query — no parsing, no name resolution.  The plan
+    of a binding is kept too, under the template's key plus the values, as
+    the least recently used entry: a text repeated while it stays — or the
+    text that made the template — reuses its plan, and a stream of one-off
+    constants never evicts a template.  Plans are immutable templates: a
+    run keeps its state in its operators' generator frames and what it
+    observes on its own :class:`repro.obs.ActiveQuery`, so any number of
+    snapshots may execute one plan at the same time.
+
+    A template is valid for a whole base generation, not for one write: the
+    names it resolved do not change until compaction, clustering or a
+    reload starts a new generation, and it depends on whether a write is
+    pending (zone-map push-down pauses, SQL columns become nullable).  Every
+    engine therefore puts ``(generation, pending)`` in front of its keys:
+    the first write after a clean state and every new generation miss once,
+    and every later write hits.  A binding resolves its constants against
+    the dictionary of the version it runs on, so a constant a write has
+    added is found; a binding that found one absent is never reused.
+    Nothing clears the cache when the store changes — a superseded
+    generation's entries are never asked for again and leave by LRU.
+
+    A reused plan keeps the estimates it was planned with: the ``est=``
+    of ``explain()`` may describe an earlier delta than the run's.
+    Estimates only annotate a plan; they never choose one or change an
+    answer.
+    """
+
+    _LIFT = re.compile("|".join(
+        [rf'"{STRING_BODY}"', "'(?:[^']|'')*'", f"<{IRI_BODY}>", r"#[^\n]*\n?"]
+        + [rf"{first}(?<![\w?$:.@+-].)[0-9]*(?:\.[0-9]+)?" for first in "0123456789"]
+        + [rf"\{sign}(?<![\w?$:.@+-].)[0-9]+(?:\.[0-9]+)?" for sign in "+-"]))
+    """One pass over a text: a constant — a string (SPARQL's ``"…"``, SQL's
+    ``'…'``), an IRIREF, a number that continues no word — or a ``#``
+    comment, kept verbatim with the line break that ends it.  Every branch
+    opens with a literal character (a number has one branch per first
+    character), so the regex engine skips straight to the next position
+    that can start one."""
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 0:
@@ -178,45 +216,72 @@ class PlanCache:
         self.lifetime_evictions = 0
 
     @staticmethod
-    def make_key(frontend: str, text: str, options) -> tuple:
-        """Cache key: front end, normalized query text, planner options.
+    def make_key(frontend: str, text: str, options) -> Tuple[tuple, Tuple[str, ...]]:
+        """The text's shape key — front end, normalized text with a
+        placeholder per lifted constant, constant count, planner options —
+        and the lifted constants' texts.
 
-        Whitespace is collapsed only *outside* quoted string literals
-        (SPARQL's ``"…"``, SQL's ``'…'``), IRIREFs and ``#`` comments, which
-        are kept verbatim: whitespace inside a literal is data, and the line
-        break that ends a comment decides what the comment swallows, so
-        either must keep distinct queries distinct.
+        Whitespace is collapsed only *outside* the lifted constants and
+        ``#`` comments, which are kept verbatim: whitespace inside a
+        literal is data, and the line break that ends a comment decides
+        what the comment swallows.  A placeholder keeps its constant's
+        opening character, so an IRI, a SPARQL string and a SQL string
+        never share a slot.
         """
-        parts = []
+        parts, values = [], []
         last = 0
-        for match in PlanCache._VERBATIM.finditer(text):
-            parts.append(" ".join(text[last:match.start()].split()))
-            parts.append(match.group(0))
-            last = match.end()
+        for match in PlanCache._LIFT.finditer(text):
+            start, end = match.span()
+            parts.append(" ".join(text[last:start].split()))
+            lifted = match.group()
+            if lifted[0] == "#":
+                parts.append(lifted)
+            else:
+                parts.append("\0" + (lifted[0] if lifted[0] in "\"'<" else "0"))
+                values.append(lifted)
+            last = end
         parts.append(" ".join(text[last:].split()))
-        return (frontend, " ".join(part for part in parts if part), options)
+        return ((frontend, " ".join(part for part in parts if part), len(values), options),
+                tuple(values))
 
-    def lookup(self, key: tuple, valid: Optional[Callable[[object], bool]] = None):
-        """Return the cached entry (refreshing recency) or ``None``.
+    @staticmethod
+    def slots(text: str) -> Dict[int, Tuple[int, int]]:
+        """``{start offset: (slot, end offset)}`` of the constants
+        :meth:`make_key` lifts from ``text``: what a parser needs to read a
+        constant token as its slot's :class:`~repro.planner.Param`."""
+        constants = (match.span() for match in PlanCache._LIFT.finditer(text)
+                     if match.group()[0] != "#")
+        return {start: (slot, end) for slot, (start, end) in enumerate(constants)}
 
-        An entry ``valid`` rejects counts as a miss; the caller's
-        :meth:`insert` then replaces it."""
+    def peek(self, key: tuple):
+        """The entry under ``key``, or ``None``; neither counted nor
+        refreshed."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or (valid is not None and not valid(entry)):
-                self.lifetime_misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.lifetime_hits += 1
-            return entry
+            return self._entries.get(key)
 
-    def insert(self, key: tuple, value) -> None:
-        """Insert an entry, evicting the least recently used beyond capacity."""
+    def lookup(self, *keys: tuple):
+        """Return the entry under the first of ``keys`` that has one
+        (refreshing its recency), or ``None``: one hit or one miss."""
+        with self._lock:
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    self.lifetime_hits += 1
+                    return entry
+            self.lifetime_misses += 1
+            return None
+
+    def insert(self, key: tuple, value, recent: bool = True) -> None:
+        """Insert an entry, evicting the least recently used beyond capacity.
+        An entry inserted not ``recent`` counts as the least recently used
+        one: it stays while there is room, and its first hit makes it
+        recent."""
         if self.capacity == 0:
             return
         with self._lock:
             self._entries[key] = value
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(key, last=recent)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.lifetime_evictions += 1

@@ -16,9 +16,9 @@ state:
   under keys scoped by what a plan reads — the base generation and whether
   writes are pending, not the delta version: a plan reads the delta and
   the literal tail at run time, so every version of a generation with
-  pending writes shares its plans, before and after each write.  Nothing
-  clears the cache; a hit whose lowering missed a constant a write has
-  since added is re-planned (see :class:`~repro.planner.PlanCache`).
+  pending writes shares its templates, before and after each write.
+  Nothing clears the cache; a request binds its constants against its own
+  version's dictionary (see :class:`~repro.planner.PlanCache`).
 
 The writer builds the record once per committed version, as the last step
 of every transition, and the :class:`SnapshotRegistry` *publishes* it with

@@ -25,10 +25,13 @@ Terms: ``<iri>``, ``prefix:local``, ``?var``, ``"literal"`` (with optional
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
-from ..model import Triple
-from ..model.syntax import TokenStream
+from ..errors import ParseError
+from ..model import IRI, Literal, Triple
+from ..model.syntax import TokenStream, number_literal, resolve_iri, unescape
+from ..planner import Param
 from .ast import (
     AggregateExpr,
     ArithmeticExpr,
@@ -44,9 +47,16 @@ from .ast import (
 )
 
 
-def parse_sparql(text: str) -> SelectQuery:
-    """Parse a SPARQL SELECT query (subset) into a :class:`SelectQuery`."""
-    return _Parser(text).parse_query()
+def parse_sparql(text: str, slots: Optional[Dict[int, Tuple[int, int]]] = None) -> SelectQuery:
+    """Parse a SPARQL SELECT query (subset) into a :class:`SelectQuery`.
+
+    ``slots`` maps the offset of each constant the plan cache lifted out of
+    ``text`` to its slot number and end offset
+    (:meth:`~repro.planner.PlanCache.slots`): a subject, object or FILTER
+    constant that is exactly one such IRIREF, string or number token is read
+    as a :class:`~repro.planner.Param` of its slot.
+    """
+    return (_Parser(text) if slots is None else _SlottedParser(text, slots)).parse_query()
 
 
 def parse_update(text: str) -> UpdateRequest:
@@ -310,6 +320,38 @@ class _Parser(TokenStream):
         if token is None or token.kind == "VAR":
             raise self.error("expected a constant")
         return self.read_term("object")
+
+
+class _SlottedParser(_Parser):
+    """The query grammar reading the plan cache's lifted constants as
+    :class:`~repro.planner.Param` s (see :func:`parse_sparql`)."""
+
+    def __init__(self, text: str, slots: Dict[int, Tuple[int, int]]) -> None:
+        super().__init__(text)
+        self.slots = slots
+
+    def read_term(self, position: str):
+        token = self.peek()
+        term = super().read_term(position)
+        slot, end = self.slots.get(token.position, (None, None))
+        if position == "predicate" or end != token.position + len(token.text):
+            return term  # no lifted constant, or a predicate: it picks tables
+        if token.kind == "IRIREF":
+            return Param(slot, partial(_read_iri, self.base))
+        if token.kind == "STRING":
+            return Param(slot, partial(_read_string, term.datatype, term.language))
+        return Param(slot, number_literal)
+
+
+def _read_iri(base: str, text: str) -> IRI:
+    iri = resolve_iri(base, text)
+    if not iri:
+        raise ParseError("empty IRI")
+    return IRI(iri)
+
+
+def _read_string(datatype: Optional[str], language: Optional[str], text: str) -> Literal:
+    return Literal(unescape(text[1:-1]), datatype, language)
 
 
 def _flip_op(op: str) -> str:

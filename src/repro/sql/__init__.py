@@ -3,7 +3,7 @@ parser, and the lowering of SQL to the shared logical form."""
 
 from .catalog import Catalog, CatalogColumn, CatalogTable, ID_COLUMN
 from .engine import SqlEngine, SqlResult, sql_frontend
-from .parser import ColumnRef, SelectItem, SqlConstant, SqlJoin, SqlPredicate, SqlQuery, parse_sql
+from .parser import ColumnRef, SelectItem, SqlJoin, SqlPredicate, SqlQuery, parse_sql
 
 __all__ = [
     "Catalog",
@@ -12,7 +12,6 @@ __all__ = [
     "ColumnRef",
     "ID_COLUMN",
     "SelectItem",
-    "SqlConstant",
     "SqlEngine",
     "SqlJoin",
     "SqlPredicate",

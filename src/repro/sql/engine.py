@@ -1,30 +1,22 @@
 """The SQL front end: resolve names, lower SQL ASTs to the logical star form.
 
 Every table alias in the FROM clause becomes a star pattern over the
-corresponding characteristic set; JOIN ... ON conditions over discovered
-foreign keys become shared variables (evaluated as RDFjoin when the plan
-order allows); WHERE predicates are translated to OID ranges exactly like
-SPARQL FILTERs.  The result is a :class:`~repro.planner.LogicalQuery`, the
-same form SPARQL lowers to, so one planner, one plan cache and one engine
-serve both — which is the point of Figure 1 of the paper.
+corresponding characteristic set — one ``?alias__id <column predicate>
+?alias__column`` pattern per column the query reads; JOIN ... ON conditions
+over discovered foreign keys become shared variables (evaluated as RDFjoin
+when the plan order allows); WHERE predicates become value ranges exactly
+like SPARQL FILTERs.  The result is a :class:`~repro.planner.LogicalQuery`
+template, the same form SPARQL lowers to, so one bind, one planner, one
+plan cache and one engine serve both — which is the point of Figure 1 of
+the paper.
 """
 
 from __future__ import annotations
 
-from datetime import date
 from typing import Dict, List, Tuple
 
-from ..engine import (
-    AggregateSpec,
-    ExecutionContext,
-    OidRange,
-    PatternTerm,
-    StarPattern,
-    StarProperty,
-)
+from ..engine import AggregateSpec, ExecutionContext, PatternTerm
 from ..errors import SchemaError
-from ..model import Literal
-from ..model.terms import XSD_BOOLEAN, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from ..obs import NULL_ACTIVE_QUERY
 from ..planner import (
     Frontend,
@@ -32,10 +24,11 @@ from ..planner import (
     QueryEngine,
     QueryResult,
     numeric_expression,
+    range_filter,
     unique_names,
 )
 from .catalog import Catalog, CatalogTable, ID_COLUMN
-from .parser import ColumnRef, SqlConstant, SqlQuery, parse_sql
+from .parser import ColumnRef, SqlQuery, parse_sql
 
 SqlResult = QueryResult
 """A SQL execution's result is the shared result type, with the SQL output
@@ -104,16 +97,14 @@ class _Lowering:
 
     def logical_query(self) -> LogicalQuery:
         query = self.query
-        logical = LogicalQuery(stars=self._build_stars(), limit=query.limit,
-                               output=self._output_columns())
+        logical = LogicalQuery(limit=query.limit, output=self._output_columns())
         for predicate in query.predicates:
-            if predicate.op == "!=":
-                literal = _constant_to_literal(predicate.constant)
-                oid = self.context.encoder.term_oid(literal)
-                if oid is None:
-                    logical.absent_terms.append(literal)
-                else:
-                    logical.not_equal.append((self._var_of(predicate.column), oid))
+            var = self._var_of(predicate.column)
+            if predicate.op == "!=":  # a filter above the joins
+                logical.not_equal_terms.append((var, predicate.value))
+            else:
+                logical.ranges.append(range_filter(var, predicate.op, predicate.value))
+        logical.patterns = self._patterns({entry[0] for entry in logical.ranges})
         logical.group_vars = [self._var_of(ref) for ref in query.group_by]
         logical.aggregates = [
             AggregateSpec(func=item.aggregate,
@@ -210,49 +201,28 @@ class _Lowering:
             var_names[left_key] = var_names[right_key] = unified
         return var_names
 
-    def _build_stars(self) -> Dict[str, StarPattern]:
-        constraints = self._predicate_ranges()
+    def _patterns(self, ranged: set) -> list:
+        """One ``(subject, predicate OID, object, required)`` pattern per
+        column read, star by star."""
         join_columns = {key for keys in self.join_keys for key in keys}
         # With pending writes the schema's multiplicity statistics are stale
         # (compaction refreshes them): a delete may have punched a hole into a
         # nominally 1..1 column.  Treat unpinned columns as nullable so
         # answers agree before and after compact().
         pending = self.context.has_pending_delta()
-        stars: Dict[str, StarPattern] = {}
+        patterns = []
         for alias, table in self.tables.items():
-            subject_var = self.var_names[(alias, ID_COLUMN)]
-            star = stars[subject_var] = StarPattern(subject_var=subject_var,
-                                                    subject_range=constraints.get(subject_var))
+            subject = PatternTerm.variable(self.var_names[(alias, ID_COLUMN)])
             for column_name in sorted(self.referenced[alias] - {ID_COLUMN}):
                 column = table.column(column_name)
                 var = self.var_names[(alias, column_name)]
-                oid_range = constraints.get(var)
                 # a WHERE predicate implies the value exists, and an inner
                 # join never matches NULL
-                required = (oid_range is not None or (alias, column_name) in join_columns
+                required = (var in ranged or (alias, column_name) in join_columns
                             or not (column.nullable or pending))
-                star.properties.append(StarProperty(
-                    predicate_oid=column.predicate_oid, object_term=PatternTerm.variable(var),
-                    oid_range=oid_range, required=required))
-        return stars
-
-    def _predicate_ranges(self) -> Dict[str, OidRange]:
-        encoder = self.context.encoder
-        ranges: Dict[str, OidRange] = {}
-        for predicate in self.query.predicates:
-            op = predicate.op
-            if op == "!=":
-                continue  # a filter above the joins
-            literal = _constant_to_literal(predicate.constant)
-            if op == "=":
-                bounds = encoder.literal_range(literal, literal, True, True)
-            elif op in (">", ">="):
-                bounds = encoder.literal_range(literal, None, op == ">=", True)
-            else:
-                bounds = encoder.literal_range(None, literal, True, op == "<=")
-            var = self._var_of(predicate.column)
-            ranges[var] = ranges.get(var, OidRange()).intersect(bounds)
-        return ranges
+                patterns.append((subject, int(column.predicate_oid), PatternTerm.variable(var),
+                                 required))
+        return patterns
 
     def _output_columns(self) -> List[Tuple[str, str]]:
         """``(variable or aggregate alias, output name)`` per result column."""
@@ -266,20 +236,6 @@ class _Lowering:
 
 
 # -- helpers --------------------------------------------------------------------------------
-
-
-def _constant_to_literal(constant: SqlConstant) -> Literal:
-    value = constant.value
-    if constant.kind == "number":
-        if isinstance(value, int):
-            return Literal(str(value), datatype=XSD_INTEGER)
-        return Literal(repr(float(value)), datatype=XSD_DECIMAL)
-    if constant.kind == "date":
-        assert isinstance(value, date)
-        return Literal(value.isoformat(), datatype=XSD_DATE)
-    if constant.kind == "boolean":
-        return Literal("true" if value else "false", datatype=XSD_BOOLEAN)
-    return Literal(str(value))
 
 
 def _expression_columns(node: object) -> List[ColumnRef]:

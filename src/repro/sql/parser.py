@@ -15,7 +15,9 @@ Supported grammar::
     qual_col    := [alias '.'] column
 
 The parser produces a :class:`SqlQuery` AST; translation to physical plans
-lives in :mod:`repro.sql.engine`.
+lives in :mod:`repro.sql.engine`.  A WHERE constant is read as the literal
+it compares with (or, for a constant the plan cache lifted, as a
+:class:`~repro.planner.Param` that reads it).
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ParseError
+from ..model import Literal
+from ..model.terms import XSD_BOOLEAN, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
+from ..planner import Param
 
 _TOKEN_RE = re.compile(
     r"""
@@ -52,20 +57,13 @@ class ColumnRef:
 
 
 @dataclass(frozen=True)
-class SqlConstant:
-    """A literal constant in a WHERE predicate."""
-
-    value: Union[int, float, str, bool, date]
-    kind: str  # "number" | "string" | "date" | "boolean"
-
-
-@dataclass(frozen=True)
 class SqlPredicate:
     """``column op constant``."""
 
     column: ColumnRef
     op: str
-    constant: SqlConstant
+    value: Union[Literal, Param]
+    """The constant as the literal it compares with."""
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,12 @@ class SqlQuery:
 
 
 class _Token:
-    __slots__ = ("kind", "text")
+    __slots__ = ("kind", "text", "position")
 
-    def __init__(self, kind: str, text: str) -> None:
+    def __init__(self, kind: str, text: str, position: int) -> None:
         self.kind = kind
         self.text = text
+        self.position = position
 
 
 _KEYWORDS = {"select", "from", "where", "and", "join", "on", "group", "order", "by",
@@ -129,16 +128,44 @@ _KEYWORDS = {"select", "from", "where", "and", "join", "on", "group", "order", "
              "avg", "min", "max", "inner"}
 
 
-def parse_sql(text: str) -> SqlQuery:
-    """Parse a SQL SELECT statement (subset) into a :class:`SqlQuery`."""
-    return _SqlParser(text).parse()
+def parse_sql(text: str, slots: Optional[Dict[int, Tuple[int, int]]] = None) -> SqlQuery:
+    """Parse a SQL SELECT statement (subset) into a :class:`SqlQuery`.
+
+    ``slots`` are the plan cache's lifted constants
+    (:meth:`~repro.planner.PlanCache.slots`): a WHERE constant that is
+    exactly one of them is read as a :class:`~repro.planner.Param` of its
+    slot.
+    """
+    return _SqlParser(text, slots).parse()
+
+
+def _number_literal(text: str) -> Literal:
+    """A NUMBER token's literal: an integer without a point, else a decimal."""
+    value = float(text)
+    if value.is_integer() and "." not in text:
+        return Literal(str(int(value)), datatype=XSD_INTEGER)
+    return Literal(repr(value), datatype=XSD_DECIMAL)
+
+
+def _string_literal(text: str) -> Literal:
+    """A quoted STRING token's literal."""
+    return Literal(text[1:-1].replace("''", "'"))
+
+
+def _date_literal(text: str) -> Literal:
+    """The literal of ``DATE`` followed by a quoted STRING token."""
+    try:
+        return Literal(date.fromisoformat(text[1:-1]).isoformat(), datatype=XSD_DATE)
+    except ValueError as exc:
+        raise ParseError(f"SQL: bad DATE {text}: {exc}") from None
 
 
 class _SqlParser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, slots: Optional[Dict[int, Tuple[int, int]]] = None) -> None:
         self.text = text
         self.tokens = self._tokenize(text)
         self.index = 0
+        self.slots = slots or {}
 
     def _tokenize(self, text: str) -> List[_Token]:
         tokens: List[_Token] = []
@@ -152,7 +179,7 @@ class _SqlParser:
             position = match.end()
             if kind == "WS":
                 continue
-            tokens.append(_Token(kind, value))
+            tokens.append(_Token(kind, value, match.start()))
         return tokens
 
     # -- helpers -------------------------------------------------------------------
@@ -303,29 +330,26 @@ class _SqlParser:
         if op_token.kind != "OP":
             raise self._error(f"expected a comparison operator, found {op_token.text!r}")
         op = "!=" if op_token.text == "<>" else op_token.text
-        constant = self._parse_constant()
-        return SqlPredicate(column=column, op=op, constant=constant)
+        return SqlPredicate(column=column, op=op, value=self._parse_constant())
 
-    def _parse_constant(self) -> SqlConstant:
+    def _parse_constant(self) -> Union[Literal, Param]:
         token = self.next()
         if token.kind == "NUMBER":
-            value = float(token.text)
-            if value.is_integer() and "." not in token.text:
-                return SqlConstant(int(value), "number")
-            return SqlConstant(value, "number")
-        if token.kind == "STRING":
-            return SqlConstant(token.text[1:-1].replace("''", "'"), "string")
-        if token.kind == "IDENT" and token.text.lower() == "date":
-            literal = self.next()
-            if literal.kind != "STRING":
+            read = _number_literal
+        elif token.kind == "STRING":
+            read = _string_literal
+        elif token.kind == "IDENT" and token.text.lower() == "date":
+            token = self.next()
+            if token.kind != "STRING":
                 raise self._error("DATE expects a quoted 'yyyy-mm-dd' value")
-            try:
-                return SqlConstant(date.fromisoformat(literal.text[1:-1]), "date")
-            except ValueError as exc:
-                raise self._error(f"bad DATE {literal.text}: {exc}") from None
-        if token.kind == "IDENT" and token.text.lower() in ("true", "false"):
-            return SqlConstant(token.text.lower() == "true", "boolean")
-        raise self._error(f"expected a constant, found {token.text!r}")
+            read = _date_literal
+        elif token.kind == "IDENT" and token.text.lower() in ("true", "false"):
+            return Literal(token.text.lower(), datatype=XSD_BOOLEAN)
+        else:
+            raise self._error(f"expected a constant, found {token.text!r}")
+        literal = read(token.text)
+        slot, end = self.slots.get(token.position, (None, None))
+        return Param(slot, read) if end == token.position + len(token.text) else literal
 
     def _parse_column_ref(self) -> ColumnRef:
         first = self.next()

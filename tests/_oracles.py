@@ -148,7 +148,9 @@ def oracle_literal_range(dictionary: TermDictionary, low: Optional[Literal],
                          high_inclusive: bool = True) -> Tuple[int, int, List[int]]:
     """What ``ValueEncoder.literal_range`` must resolve to, by brute force:
     its head interval (``(1, 0)`` when no head literal is in range) and the
-    ascending tail literals in range, which a run resolves."""
+    ascending tail literals in range, which a run resolves.  A one-sided
+    range admits only values of its bound's class (``Literal.sort_key``'s
+    first element): SPARQL compares values of one class only."""
     oids = sorted_literal_oids(dictionary)
     keys = [term_sort_key(dictionary.decode(oid)) for oid in oids]
     lo_idx, hi_idx = 0, len(keys)
@@ -158,8 +160,10 @@ def oracle_literal_range(dictionary: TermDictionary, low: Optional[Literal],
     if high is not None:
         key = term_sort_key(high)
         hi_idx = bisect_right(keys, key) if high_inclusive else bisect_left(keys, key)
+    classes = {term_sort_key(bound)[1] for bound in (low, high) if bound is not None}
     watermark = dictionary.value_order_watermark
-    in_range = oids[lo_idx:max(lo_idx, hi_idx)]
+    in_range = [oid for oid, key in zip(oids[lo_idx:max(lo_idx, hi_idx)], keys[lo_idx:])
+                if len(classes) != 1 or key[1] in classes]
     clean = [oid for oid in in_range if oid < watermark]
     tail = sorted(oid for oid in in_range if oid >= watermark)
     return (clean[0], clean[-1], tail) if clean else (1, 0, tail)

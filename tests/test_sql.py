@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ParseError, SchemaError
+from repro.model import Literal
+from repro.model.terms import XSD_BOOLEAN, XSD_DATE
 from repro.sql import Catalog, parse_sql
 from repro.sql.parser import ColumnRef
 from repro.cs.summarize import top_k_summary
@@ -25,7 +27,7 @@ class TestSqlParser:
         assert q.base_alias == "b"
         assert q.joins[0].table == "Person"
         assert q.joins[0].left == ColumnRef("author", "b")
-        assert q.predicates[0].constant.value == "Alice"
+        assert q.predicates[0].value == Literal("Alice")
 
     def test_aggregate_with_expression(self):
         q = parse_sql("SELECT SUM(price * (1 - discount)) AS revenue FROM Lineitem GROUP BY flag")
@@ -37,12 +39,12 @@ class TestSqlParser:
     def test_date_and_boolean_constants(self):
         q = parse_sql("SELECT * FROM t WHERE d < DATE '1995-03-15' AND f = TRUE")
         assert q.select_star
-        assert q.predicates[0].constant.kind == "date"
-        assert q.predicates[1].constant.kind == "boolean"
+        assert q.predicates[0].value == Literal("1995-03-15", datatype=XSD_DATE)
+        assert q.predicates[1].value == Literal("true", datatype=XSD_BOOLEAN)
 
     def test_string_escaping(self):
         q = parse_sql("SELECT * FROM t WHERE name = 'O''Brien'")
-        assert q.predicates[0].constant.value == "O'Brien"
+        assert q.predicates[0].value == Literal("O'Brien")
 
     @pytest.mark.parametrize("bad", [
         "SELECT FROM t",

@@ -14,7 +14,10 @@ the server, then scrapes ``GET /metrics`` over real HTTP and verifies:
   4. the one plan cache counts served reads monotonically across a write:
      after an ``INSERT DATA`` the first send of a text misses, the second
      hits, and neither total ever decreases, and
-  5. the dictionary's literal tail outlives a checkpoint (compaction moves
+  5. plans are keyed by query shape: ``ADHOC`` with a different ISBN
+     constant binds into the cached template (a hit), and so does an ISBN
+     that is absent until a write inserts it, which then returns its row,
+  6. the dictionary's literal tail outlives a checkpoint (compaction moves
      no OID) and is folded into value order by ``cluster()``.
 
 It then exercises the live query-management surface end to end: starts a
@@ -164,6 +167,29 @@ def smoke_plan_cache_across_a_write(server: QueryServer, url: str) -> None:
     assert cache() == (hits + 2, misses), "second send after a further write must hit"
 
 
+def smoke_plan_cache_binds_constants(server: QueryServer, url: str) -> None:
+    """``ADHOC`` with another ISBN constant is the same shape: it binds its
+    constant into the cached template, so it hits.  An ISBN absent from the
+    data hits too, answers nothing, and after a write inserts it the same
+    text hits again and returns the new row."""
+    def hits() -> float:
+        return scrape(url)["repro_plan_cache_hits_total"]
+
+    def send(isbn: str) -> list:
+        text = ADHOC.replace("isbn-0007", isbn)
+        return server.submit_query(text, decode=True).result()
+
+    before = hits()
+    assert send("isbn-0011") == [(f"{EX}book/11",)]
+    assert hits() == before + 1, "another constant of a cached shape must hit"
+    assert send("isbn-0950") == [], "an absent ISBN answers nothing"
+    assert hits() == before + 2, "an absent constant must hit the template too"
+    server.submit_update(f'INSERT DATA {{ <{EX}book/950> <{EX}isbn_no> "isbn-0950" ; '
+                         f'<{EX}in_year> "2014"^^<{XSD_INT}> . }}').result()
+    assert send("isbn-0950") == [(f"{EX}book/950",)], "the inserted ISBN's row"
+    assert hits() == before + 3, "a constant a write added must hit"
+
+
 def smoke_dictionary_tail(store: RDFStore, url: str) -> None:
     """The writes so far appended literals: a checkpoint keeps them above
     the value-order watermark, and clustering folds them in."""
@@ -253,6 +279,7 @@ def main() -> int:
             with urllib.request.urlopen(f"{url}/queries", timeout=10) as resp:
                 assert json.load(resp)["queries"] == []  # workload has drained
             smoke_plan_cache_across_a_write(server, url)
+            smoke_plan_cache_binds_constants(server, url)
             smoke_dictionary_tail(store, url)
 
         print(f"scraped {len(samples)} samples from /metrics on port {port}")
@@ -275,6 +302,7 @@ def main() -> int:
 
     print("metrics smoke OK: exposition parses, core families present, "
           "workload counters nonzero, plan-cache totals monotonic across a write, "
+          "a new constant of a cached shape hits, absent or inserted, "
           "literal tail kept by a checkpoint and folded by cluster()")
     smoke_query_management()
     return 0
