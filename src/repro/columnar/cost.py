@@ -35,15 +35,6 @@ class CostTracker:
     join_operations: int = 0
     operator_invocations: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.page_reads = 0
-        self.page_hits = 0
-        self.tuples_scanned = 0
-        self.tuples_probed = 0
-        self.join_operations = 0
-        self.operator_invocations = 0
-
     def snapshot(self) -> dict[str, int]:
         """Return the counters as a plain dictionary."""
         return {
@@ -54,15 +45,6 @@ class CostTracker:
             "join_operations": self.join_operations,
             "operator_invocations": self.operator_invocations,
         }
-
-    def merge(self, other: "CostTracker") -> None:
-        """Accumulate another tracker's counters into this one."""
-        self.page_reads += other.page_reads
-        self.page_hits += other.page_hits
-        self.tuples_scanned += other.tuples_scanned
-        self.tuples_probed += other.tuples_probed
-        self.join_operations += other.join_operations
-        self.operator_invocations += other.operator_invocations
 
     def diff(self, baseline: dict[str, int]) -> dict[str, int]:
         """Return counters minus a previously taken :meth:`snapshot`."""

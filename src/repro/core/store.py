@@ -73,7 +73,6 @@ from ..engine import ExecutionContext
 from ..errors import (
     PendingUpdatesError,
     PersistenceError,
-    QueryCancelledError,
     ReproError,
     StorageError,
 )
@@ -82,7 +81,6 @@ from ..obs import (
     ActiveQueryRegistry,
     EventLog,
     MetricsRegistry,
-    QueryObserver,
     QueryTrace,
     SlowQueryLog,
     default_registry,
@@ -216,16 +214,16 @@ class RDFStore:
         not generation-lifetime: it survives rebuilds and compactions, so
         counters never reset underneath a scraper."""
         self.slow_query_log = SlowQueryLog(threshold_seconds=self.config.slow_query_seconds)
-        self._observer = QueryObserver(self.metrics_registry, self.slow_query_log)
         self.event_log = EventLog(path=self.config.event_log_path)
         """Structured lifecycle events (query start/finish/cancel, updates,
         compactions, checkpoints, WAL replay).  Store-lifetime, like the
         metrics registry."""
         self.query_registry = ActiveQueryRegistry(events=self.event_log,
-                                                  metrics=self.metrics_registry)
+                                                  metrics=self.metrics_registry,
+                                                  slow_log=self.slow_query_log)
         """Live registry of in-flight queries; assigns ids, carries the
-        cooperative-cancellation flags.  Store-lifetime — ids never reset
-        under a running ``top`` view."""
+        cooperative-cancellation flags and records each query's outcome.
+        Store-lifetime — ids never reset under a running ``top`` view."""
         self._last_trace: Optional[QueryTrace] = None
         self._writer = threading.RLock()
         """The writer mutex: one transition at a time.  Reentrant, since
@@ -1013,10 +1011,10 @@ class RDFStore:
         ``explain(analyze=True)`` is the same call with ``profile=True``.
 
         The run is registered (listed and cancellable) before it executes
-        and leaves the registry with the time since then and its outcome:
-        ``cancelled`` (an operator action, so it does not count as a query
-        error), an error (event plus ``query_errors_total``), or success
-        (metrics, slow-query log and, for a profiled run, :meth:`last_trace`).
+        and leaves the registry once, with the time since then and the error
+        it raised, if any: :meth:`ActiveQueryRegistry.finish` records the
+        outcome (event, metrics, slow-query log).  A profiled success also
+        becomes :meth:`last_trace`.
         """
         scheme = "sql" if frontend == "sql" else (options or PlannerOptions()).scheme
         tracer = (QueryTrace(pool=self.pool, memory=self.config.profile_memory)
@@ -1024,20 +1022,17 @@ class RDFStore:
         registry = self.query_registry
         run = registry.begin(text, frontend, scheme, source=source, pool=self.pool,
                              trace=tracer)
+        error = None
         try:
             if frontend not in version.engine.frontends:
                 raise StorageError("catalog not available; call discover_schema() first")
             result = version.engine.query(frontend, text, options, run)
-        except QueryCancelledError:
-            registry.finish(run, run.elapsed_seconds(), status="cancelled")
-            raise
         except BaseException as exc:
-            registry.finish(run, run.elapsed_seconds(), error=exc)
-            self._observer.error(frontend)
+            error = exc
             raise
-        elapsed = run.elapsed_seconds()
-        registry.finish(run, elapsed)
-        self._observer.observe(run, elapsed)
+        finally:
+            registry.finish(run, run.elapsed_seconds(), error)
+            del error  # a frame holding its own exception is a reference cycle
         if tracer is not None:
             self._last_trace = tracer
         return result
@@ -1073,7 +1068,7 @@ class RDFStore:
             ``parse=`` and ``plan=`` (both zero when the plan came from the
             cache), and a ``buffers:`` line
             reports the pool's memory accounting — cached pages, *this
-            run's* evictions/reads/hits (the trace's
+            run's* evictions/reads/hits (the run's ``buffers``, a
             :meth:`BufferPool.snapshot_delta`) and how much of a lazily
             opened database the run materialized.  The analyze run is a
             query like any other (``source="explain"``): listed,
@@ -1092,7 +1087,7 @@ class RDFStore:
             "\nbuffers: cached_pages={cached_pages} resident_bytes={resident_bytes}"
             " evictions={evictions} reads={page_reads} hits={page_hits}"
             " lazy_materialized={lazy_segments_materialized}/{lazy_segments_registered}"
-            " lazy_values_loaded={lazy_values_loaded}".format(**run.trace.buffers))
+            " lazy_values_loaded={lazy_values_loaded}".format(**run.buffers))
         return header + "\n" + result.plan.explain(run=run)
 
     def plan_cache_stats(self) -> Dict[str, int]:

@@ -39,7 +39,7 @@ from .rdfscan import (
     fk_range_from_zonemap,
     subject_range_for_property_range,
 )
-from .values import ValueDecoder, ValueEncoder
+from .values import ValueEncoder
 
 __all__ = [
     "AggregateOp",
@@ -67,7 +67,6 @@ __all__ = [
     "StarPattern",
     "StarProperty",
     "TriplePatternPlan",
-    "ValueDecoder",
     "ValueEncoder",
     "concat_tables",
     "cross_join",

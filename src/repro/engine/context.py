@@ -11,17 +11,18 @@ from ..errors import ExecutionError
 from ..model import TermDictionary
 from ..obs import NULL_ACTIVE_QUERY
 from ..storage import ClusteredStore, ExhaustiveIndexStore
-from .values import ValueDecoder, ValueEncoder
+from .values import ValueEncoder
 
 
 @dataclass
 class ExecutionContext:
     """Shared state for one query execution.
 
-    The context bundles the dictionary, the available physical stores, the
-    buffer pool whose tracker collects cost counters, and the value
-    encoder/decoder bridges.  Operators read from whichever store their plan
-    scheme targets; the executor snapshots the tracker around the run.
+    The context bundles the dictionary (which also decodes OID columns),
+    the available physical stores, the buffer pool whose tracker collects
+    cost counters, and the value encoder.  Operators read from whichever
+    store their plan scheme targets; the executor snapshots the tracker
+    around the run.
     """
 
     dictionary: TermDictionary
@@ -49,17 +50,15 @@ class ExecutionContext:
     :data:`repro.obs.NULL_ACTIVE_QUERY` for a bare run, which costs one
     ``run.enabled`` check per operator per run."""
     encoder: ValueEncoder = field(init=False)
-    decoder: ValueDecoder = field(init=False)
 
     def __post_init__(self) -> None:
         self.encoder = ValueEncoder(self.dictionary)
-        self.decoder = ValueDecoder(self.dictionary)
 
     def with_run(self, run) -> "ExecutionContext":
         """A shallow copy of this context carrying ``run``.
 
-        Shares the encoder/decoder (and every store reference) with the
-        original; only the run slot differs.
+        Shares the encoder (and every store reference) with the original;
+        only the run slot differs.
         """
         # on every observed query's path: a plain field copy, cheaper than
         # copy.copy()'s reduce protocol, and it never re-runs __post_init__

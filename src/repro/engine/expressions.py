@@ -3,9 +3,9 @@
 Aggregates such as TPC-H Q6's ``SUM(l_extendedprice * l_discount)`` need
 arithmetic over the *values* behind OID columns.  Expressions are evaluated
 against a :class:`~repro.engine.bindings.BindingTable` with the help of the
-context's :class:`~repro.engine.values.ValueDecoder`; OID columns are
-decoded to floats on demand, already-numeric (float64) columns are used as
-is.
+context's dictionary (its value bridge,
+:meth:`~repro.model.TermDictionary.numeric_column`); OID columns are decoded
+to floats on demand, already-numeric (float64) columns are used as is.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .bindings import BindingTable
 class Expression:
     """Base class of numeric expressions over binding-table rows."""
 
-    def evaluate(self, table: BindingTable, decoder) -> np.ndarray:  # pragma: no cover - interface
+    def evaluate(self, table: BindingTable, dictionary) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
     def variables(self) -> set[str]:
@@ -38,11 +38,11 @@ class NumericVar(Expression):
 
     name: str
 
-    def evaluate(self, table: BindingTable, decoder) -> np.ndarray:
+    def evaluate(self, table: BindingTable, dictionary) -> np.ndarray:
         column = table.column(self.name)
         if column.dtype == np.float64:
             return column
-        return decoder.numeric_column(column)
+        return dictionary.numeric_column(column)
 
     def variables(self) -> set[str]:
         return {self.name}
@@ -57,7 +57,7 @@ class NumericConst(Expression):
 
     value: float
 
-    def evaluate(self, table: BindingTable, decoder) -> np.ndarray:
+    def evaluate(self, table: BindingTable, dictionary) -> np.ndarray:
         return np.full(table.num_rows, float(self.value), dtype=np.float64)
 
     def describe(self) -> str:
@@ -84,9 +84,9 @@ class BinaryOp(Expression):
         if self.op not in _BINARY_OPS:
             raise ExecutionError(f"unsupported arithmetic operator {self.op!r}")
 
-    def evaluate(self, table: BindingTable, decoder) -> np.ndarray:
-        left = self.left.evaluate(table, decoder)
-        right = self.right.evaluate(table, decoder)
+    def evaluate(self, table: BindingTable, dictionary) -> np.ndarray:
+        left = self.left.evaluate(table, dictionary)
+        right = self.right.evaluate(table, dictionary)
         with np.errstate(divide="ignore", invalid="ignore"):
             return _BINARY_OPS[self.op](left, right)
 

@@ -49,7 +49,6 @@ class IndexScanOp(PhysicalOperator):
         return " ".join(parts)
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         store = context.index_store
         s, p, o = self.pattern.subject, self.pattern.predicate, self.pattern.object
 
@@ -131,6 +130,8 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     prefix instead, so its cost follows the bound subjects, not the store.
     """
 
+    is_join = True
+
     def __init__(self, child: PhysicalOperator, pattern: TriplePatternPlan,
                  object_range: Optional[OidRange] = None) -> None:
         if not pattern.subject.is_variable:
@@ -146,8 +147,6 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         return f"NestedLoopIndexJoin[{self.pattern.describe()}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
-        context.tracker.join_operations += 1
         predicate = self.pattern.predicate
         if predicate.is_variable:
             index = context.index_store.table("spo")
@@ -232,6 +231,8 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
 class HashJoinOp(PhysicalOperator):
     """Hash join of two sub-plans on their shared variables."""
 
+    is_join = True
+
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  join_vars: Optional[Sequence[str]] = None) -> None:
         self.left = left
@@ -246,8 +247,6 @@ class HashJoinOp(PhysicalOperator):
         return f"HashJoin[on {on}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
-        context.tracker.join_operations += 1
         # drain the left child as the build side, stream the right as probe;
         # the build side is keyed once, at the first probe batch
         build = self.left.execute(context)
@@ -284,7 +283,6 @@ class FilterNotEqualOp(PhysicalOperator):
         return f"FilterNotEqual[?{self.var} != #{self.oid}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         for batch in self.child.batches(context):
             values = batch.table.column(self.var)
             context.tracker.tuples_scanned += batch.live_count()
@@ -308,7 +306,6 @@ class ProjectOp(PhysicalOperator):
         return f"Project[{', '.join(rendered)}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         for batch in self.child.batches(context):
             table = batch.table
             yield Batch(BindingTable({name: table.column(var) for var, name in self.columns}),
@@ -329,7 +326,6 @@ class DistinctOp(PhysicalOperator):
         return (self.child,)
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         distinct = kernels.StreamingDistinct()
         for batch in self.child.batches(context):
             table = batch.compact()
@@ -363,7 +359,6 @@ class OrderByOp(PhysicalOperator):
         return f"OrderBy[{rendered}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         table = self.child.execute(context)  # blocking: a sort needs all rows
         yield from emit_batches(self._sorted(table, context), context.batch_size)
 
@@ -398,7 +393,6 @@ class LimitOp(PhysicalOperator):
         return f"Limit[{self.limit}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         remaining = self.limit
         for batch in self.child.batches(context):
             table = batch.compact()
@@ -430,12 +424,11 @@ class AggregateOp(PhysicalOperator):
         return f"Aggregate[by {groups}: {aggs}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         table = self.child.execute(context)  # blocking: aggregation needs all rows
         yield from emit_batches(self._aggregate(table, context), context.batch_size)
 
     def _aggregate(self, table: BindingTable, context: ExecutionContext) -> BindingTable:
-        evaluated = {spec.alias: spec.expression.evaluate(table, context.decoder)
+        evaluated = {spec.alias: spec.expression.evaluate(table, context.dictionary)
                      for spec in self.aggregates}
 
         if not self.group_vars:
@@ -467,7 +460,6 @@ class MaterializedOp(PhysicalOperator):
         return f"Materialized[{self.label}: {self.table.num_rows} rows]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        context.tracker.operator_invocations += 1
         yield from emit_batches(self.table, context.batch_size)
 
 

@@ -226,22 +226,33 @@ class PhysicalOperator:
     estimated_rows: Optional[float] = None
     """Optimizer-estimated output rows (``None`` until a plan is annotated)."""
 
+    is_join = False
+    """Whether the operator is a join: :meth:`batches` counts it in the
+    ``join_operations`` cost counter, :meth:`count_joins` in the plan."""
+
     def _batches(self, context) -> Iterator[Batch]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def batches(self, context) -> Iterator[Batch]:
         """This operator's batch stream for one run.
 
-        The one wrapper around every operator's ``_batches``.  A bare run
-        (``context.run.enabled`` false) streams the batches untouched.  An
-        observed run times each pull in the run's trace if it has one,
-        checks for cancellation at every batch — every operator level does,
-        so a cancel lands within one batch regardless of plan depth —, and
-        adds the batch's live rows to the run's tally for this operator.
-        Closing the stream (early ``LIMIT`` stop, cancellation, an error)
-        closes ``_batches``, whose frame exit closes the child streams it
-        was pulling from.
+        The one wrapper around every operator's ``_batches``.  Every run
+        counts the operator in the cost tracker's ``operator_invocations``
+        (and a join in ``join_operations``) as the stream starts, so a run's
+        counters equal :meth:`count_operators` / :meth:`count_joins` of the
+        operators it pulled.  A bare run (``context.run.enabled`` false)
+        then streams the batches untouched.  An observed run times each
+        pull in the run's trace if it has one, checks for cancellation at
+        every batch — every operator level does, so a cancel lands within
+        one batch regardless of plan depth —, and adds the batch's live rows
+        to the run's tally for this operator.  Closing the stream (early
+        ``LIMIT`` stop, cancellation, an error) closes ``_batches``, whose
+        frame exit closes the child streams it was pulling from.
         """
+        tracker = context.tracker
+        tracker.operator_invocations += 1
+        if self.is_join:
+            tracker.join_operations += 1
         run = context.run
         inner = self._batches(context)
         try:
@@ -305,11 +316,7 @@ class PhysicalOperator:
 
     def count_joins(self) -> int:
         """Number of join operators in the subtree."""
-        from .operators import HashJoinOp, NestedLoopIndexJoinOp  # local to avoid cycle
-        from .rdfscan import RDFJoinOp
-
-        own = 1 if isinstance(self, (HashJoinOp, NestedLoopIndexJoinOp, RDFJoinOp)) else 0
-        return own + sum(child.count_joins() for child in self.children())
+        return self.is_join + sum(child.count_joins() for child in self.children())
 
     def operator_names(self) -> Dict[str, int]:
         """Histogram of operator class names in the subtree."""

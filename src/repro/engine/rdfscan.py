@@ -61,7 +61,6 @@ class _StarOperator(PhysicalOperator):
         a star predicate) and so take the residual scan — the ``residual=``
         plan annotation; the index path has no such figure.
         """
-        context.tracker.operator_invocations += 1
         if context.has_clustered_store():
             clustered = _ClusteredStarScan(context, self.star)
             if context.run.enabled:
@@ -87,6 +86,8 @@ class RDFScanOp(_StarOperator):
 class RDFJoinOp(_StarOperator):
     """Evaluate a star pattern for candidate subjects supplied by a child."""
 
+    is_join = True
+
     def __init__(self, child: PhysicalOperator, star: StarPattern) -> None:
         self.child = child
         self.star = star
@@ -99,7 +100,6 @@ class RDFJoinOp(_StarOperator):
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
         scan = self._star_scan(context)
-        context.tracker.join_operations += 1
         subject_var = self.star.subject_var
         for input_table in coalesce_batches(self.child.batches(context), context.batch_size):
             if not input_table.has(subject_var):

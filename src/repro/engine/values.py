@@ -11,20 +11,19 @@ values are needed:
   cheap integer comparison (and feed zone maps);
 * **arithmetic / aggregation and the final result**: SUM(?price * ?discount)
   needs the numeric values behind the OIDs, and a result the Python values;
-  :class:`ValueDecoder` leaves OID space one *column* at a time, as one
-  gather from the dictionary's value bridge
-  (:meth:`~repro.model.TermDictionary.numeric_column`).  A negative OID
+  the engine leaves OID space one *column* at a time, as one gather from the
+  dictionary's value bridge
+  (:meth:`~repro.model.TermDictionary.numeric_column` /
+  :meth:`~repro.model.TermDictionary.python_column`).  A negative OID
   (``NULL_OID``) decodes to NaN / ``None``; an OID the dictionary does not
   hold raises :class:`~repro.errors.DictionaryError`.
 
-Both bridges are stateless views of one dictionary.
+The encoder is a stateless view of one dictionary.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from ..model import Literal, TermDictionary, ValueBounds
 from .plan import OidRange
@@ -66,25 +65,3 @@ class ValueEncoder:
             # head OIDs are value-ordered, so the value slice is one OID run
             return OidRange(int(head[0]), int(head[-1]), bounds)
         return OidRange(1, 0, bounds)
-
-
-class ValueDecoder:
-    """Materializes numeric / python values behind OID columns.
-
-    Stateless, like the encoder: the value arrays belong to the dictionary,
-    so every context over it decodes through one warm bridge.
-    """
-
-    def __init__(self, dictionary: TermDictionary) -> None:
-        self.dictionary = dictionary
-
-    def numeric_column(self, oids: np.ndarray) -> np.ndarray:
-        """``float64`` values of an OID column (NaN for NULL and for
-        non-numeric terms)."""
-        return self.dictionary.numeric_column(oids)
-
-    def python_column(self, oids: np.ndarray) -> list:
-        """Decoded Python values of an OID column: ``Literal.to_python()``
-        for a literal, the string of an IRI or blank node, ``None`` for
-        NULL (the SQL view binds absent 0..1 columns to ``NULL_OID``)."""
-        return self.dictionary.python_column(oids)

@@ -22,7 +22,7 @@ from .queries import (
     ActiveQueryRegistry,
     NullActiveQuery,
 )
-from .slowlog import QueryObserver, SlowQueryEntry, SlowQueryLog
+from .slowlog import SlowQueryEntry, SlowQueryLog
 from .trace import QueryTrace, TraceSpan, format_bytes
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_ACTIVE_QUERY",
     "NullActiveQuery",
-    "QueryObserver",
     "QueryTrace",
     "SlowQueryEntry",
     "SlowQueryLog",

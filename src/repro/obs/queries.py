@@ -1,5 +1,5 @@
-"""Live query management: the per-run object, the active-query registry and
-cooperative cancellation.
+"""Live query management: the per-run object, the active-query registry —
+the one completion hook of a query — and cooperative cancellation.
 
 Every query a store executes is registered here for its lifetime: the
 registry assigns a stable integer id and tracks what an operator of a
@@ -8,12 +8,18 @@ scheme, since when, how far along it is, and whether someone asked it to
 stop.  The :class:`ActiveQuery` handle is also *the* per-run object: a
 physical plan is an immutable template, and everything one execution of it
 produces — per-operator row counts, residual-subject counts, parse, plan and
-execution time, an optional :class:`~repro.obs.QueryTrace` — lives on the
-handle the engine carries in the context's one observation slot
-(``context.run``).  ``PhysicalOperator.batches`` checks ``run.enabled``
-once per operator per run; a bare run (:data:`NULL_ACTIVE_QUERY`) then
-streams unobserved, an observed one adds each batch to the tally
-:meth:`ActiveQuery.tally` handed out, without a call per batch.
+execution time, a profiled run's buffer-pool delta and
+:class:`~repro.obs.QueryTrace` — lives on the handle the engine carries in
+the context's one observation slot (``context.run``).
+``PhysicalOperator.batches`` checks ``run.enabled`` once per operator per
+run; a bare run (:data:`NULL_ACTIVE_QUERY`) then streams unobserved, an
+observed one adds each batch to the tally :meth:`ActiveQuery.tally` handed
+out, without a call per batch.
+
+A run leaves the registry through :meth:`ActiveQueryRegistry.finish`, which
+records its outcome in one place — the terminal event, the completed-query
+metrics or the error counter, and the slow-query log — so direct reads,
+snapshots and the server all record identically.
 
 Cancellation is *cooperative*: :meth:`ActiveQueryRegistry.cancel` merely
 sets a flag; the executing thread observes it at its next batch boundary
@@ -39,13 +45,12 @@ import time
 from typing import Dict, List, Optional
 
 from ..errors import QueryCancelledError
+from .events import EventLog
+from .metrics import MetricsRegistry
+from .slowlog import SlowQueryLog, normalize_text
 
 __all__ = ["ActiveQuery", "ActiveQueryRegistry", "NULL_ACTIVE_QUERY",
            "NullActiveQuery"]
-
-
-def _normalize(text: str) -> str:
-    return " ".join(text.split())
 
 
 class ActiveQuery:
@@ -63,14 +68,14 @@ class ActiveQuery:
 
     __slots__ = ("query_id", "text", "frontend", "scheme", "source",
                  "started_at", "cancel_requested", "cancel_reason",
-                 "trace", "parse_seconds", "plan_seconds", "total_seconds", "residuals",
-                 "_started_perf", "_pool", "_buffers_mark", "_tallies",
-                 "_est_by_op", "_plan", "_current_op", "_progress_peak")
+                 "trace", "parse_seconds", "plan_seconds", "total_seconds",
+                 "buffers", "residuals", "_started_perf", "_pool", "_buffers_mark",
+                 "_tallies", "_est_by_op", "_plan", "_current_op", "_progress_peak")
 
     def __init__(self, query_id: int, text: str, frontend: str, scheme: str,
                  source: str = "store", pool=None, trace=None) -> None:
         self.query_id = query_id
-        self.text = _normalize(text)
+        self.text = normalize_text(text)
         self.frontend = frontend
         self.scheme = scheme
         self.source = source
@@ -87,6 +92,11 @@ class ActiveQuery:
         estimates); zero on a plan-cache hit."""
         self.total_seconds = 0.0
         """Wall time of the plan's execution, set by the executor."""
+        self.buffers: Dict[str, int] = {}
+        """A profiled run's buffer-pool
+        :meth:`~repro.columnar.BufferPool.snapshot_delta` since it was
+        registered (planning included), set by the executor; empty for an
+        unprofiled run, which takes no pool ``stats()``."""
         self.residuals: Dict[object, int] = {}
         """Per star operator, the subjects its clustered scan answers by the
         residual scan in this run (counted before candidate or subject-range
@@ -139,11 +149,11 @@ class ActiveQuery:
         return self._tallies.get(self._plan, _NO_TALLY)[1]
 
     def executed(self, seconds: float) -> None:
-        """The executor's wall time for the plan; completes the trace."""
+        """The executor's wall time for the plan; a profiled run also takes
+        its :attr:`buffers`."""
         self.total_seconds = seconds
-        if self.trace is not None:
-            self.trace.finish(seconds, self.parse_seconds, self.plan_seconds,
-                              self._buffers_mark)
+        if self.trace is not None and self._pool is not None:
+            self.buffers = self._pool.snapshot_delta(self._buffers_mark)
 
     def raise_cancelled(self) -> None:
         """Raise the typed cancellation error (executing thread only)."""
@@ -173,6 +183,16 @@ class ActiveQuery:
         if span is not None:
             parts.append(span.explain_tokens())
         return " ".join(parts)
+
+    def summary(self) -> str:
+        """One-line digest of a profiled run for the slow-query log: its
+        parse and plan time, then its trace's top operators and I/O totals
+        (empty when the run was not profiled)."""
+        operators = self.trace.summary() if self.trace is not None else ""
+        if not operators:
+            return ""
+        return (f"parse={self.parse_seconds * 1000.0:.2f}ms "
+                f"plan={self.plan_seconds * 1000.0:.2f}ms {operators}")
 
     def elapsed_seconds(self) -> float:
         return time.perf_counter() - self._started_perf
@@ -263,26 +283,67 @@ is not registered (bare-engine runs, internal DELETE WHERE)."""
 
 
 class ActiveQueryRegistry:
-    """Tracks every in-flight query of one store; store-lifetime.
+    """Tracks every in-flight query of one store and records how each one
+    ended; store-lifetime.
 
     Like the metrics registry, it survives rebuilds and compactions, so
     query ids stay unique for the life of the store and a ``top`` view
-    never observes an id reset.
+    never observes an id reset.  It records into ``events``, ``metrics``
+    and ``slow_log`` (fresh private ones when not given), and makes its
+    metric handles up front, so a completion costs a few dict lookups and
+    lock-guarded adds — no registry traffic on the hot path.
     """
 
-    def __init__(self, events=None, metrics=None) -> None:
+    def __init__(self, events: Optional[EventLog] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 slow_log: Optional[SlowQueryLog] = None) -> None:
         self._lock = threading.Lock()
         self._next_id = 0
         self._active: Dict[int, ActiveQuery] = {}
-        self._events = events
-        self._cancelled_total = None
-        if metrics is not None:
-            self._cancelled_total = metrics.counter(
-                "queries_cancelled_total",
-                "Cancellation requests that reached a running query.")
-            metrics.gauge("active_queries",
-                          "Queries currently executing on this store.",
-                          fn=self.active_count)
+        self._events = events if events is not None else EventLog()
+        self._slow_log = slow_log if slow_log is not None else SlowQueryLog()
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._cancelled_total = metrics.counter(
+            "queries_cancelled_total",
+            "Cancellation requests that reached a running query.")
+        metrics.gauge("active_queries",
+                      "Queries currently executing on this store.",
+                      fn=self.active_count)
+        self._queries = metrics.counter(
+            "queries_total", "Completed queries by front-end and plan scheme.",
+            labelnames=("frontend", "scheme"))
+        self._latency = metrics.histogram(
+            "query_seconds", "Query wall time by front-end and plan scheme.",
+            labelnames=("frontend", "scheme"))
+        self._rows = metrics.counter(
+            "query_rows_total", "Result rows returned by front-end.",
+            labelnames=("frontend",))
+        self._errors = metrics.counter(
+            "query_errors_total", "Queries that raised, by front-end.",
+            labelnames=("frontend",))
+        self._bound: dict = {}
+        """Per (frontend, scheme), the first three metrics above bound to it."""
+        metrics.counter(
+            "rows_emitted_total", "Rows emitted by root plan operators.",
+            fn=lambda: sum(rows for _labels, rows in self._rows.samples()))
+        self._emitted_batches = metrics.counter(
+            "batches_emitted_total", "Batches emitted by root plan operators.").bound()
+        self._residual_subjects = metrics.histogram(
+            "rdfscan_residual_subjects",
+            "Subjects per clustered star scan routed to the residual scan.",
+            buckets=(0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
+                     5000, 10000, 100000)).bound()
+        self._profile_seconds = metrics.histogram(
+            "query_profile_seconds", "Wall time of profiled queries.")
+        self._profile_pages = metrics.histogram(
+            "query_profile_page_reads",
+            "Buffer-pool page reads attributed per profiled query.",
+            buckets=(1, 10, 100, 1_000, 10_000, 100_000, 1_000_000))
+        self._profile_bytes = metrics.histogram(
+            "query_profile_payload_bytes",
+            "Batch payload bytes flowing between operators per profiled query.",
+            buckets=(1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26, 1 << 30))
 
     # -- lifecycle (called from RDFStore.run_query) ----------------------------
 
@@ -294,35 +355,65 @@ class ActiveQueryRegistry:
             query = ActiveQuery(self._next_id, text, frontend, scheme,
                                 source=source, pool=pool, trace=trace)
             self._active[query.query_id] = query
-        if self._events is not None:
-            self._events.emit("query_start", id=query.query_id,
-                              frontend=frontend, scheme=scheme, source=source,
-                              text=query.text[:200])
+        self._events.emit("query_start", id=query.query_id,
+                          frontend=frontend, scheme=scheme, source=source,
+                          text=query.text[:200])
         return query
 
-    def finish(self, query: ActiveQuery, seconds: float = 0.0,
-               status: str = "finished",
+    def finish(self, run: ActiveQuery, seconds: float = 0.0,
                error: Optional[BaseException] = None) -> None:
-        """Deregister a query (idempotent); emits the lifecycle event.
+        """Deregister ``run``, which took ``seconds`` in all, and record how
+        it ended (idempotent: only the first call records).
 
-        ``status`` is ``finished`` or ``cancelled``; pass ``error`` for
-        failed runs (emits ``query_error`` instead of ``query_finish``).
-        The event's ``rows`` are the rows the plan's root had emitted.
+        * a :class:`~repro.errors.QueryCancelledError` is ``cancelled`` — an
+          operator action, not a query error: a ``query_finish`` event with
+          ``status="cancelled"``, and no metric;
+        * any other ``error`` is a ``query_error`` event and one
+          ``query_errors_total``;
+        * success is a ``query_finish`` event with ``status="finished"``,
+          ``queries_total`` / ``query_seconds`` / rows / batches / residual
+          counts (and the ``query_profile_*`` histograms for a profiled
+          run), and the slow-query log when ``seconds`` reached its
+          threshold.
+
+        The events' ``rows`` are the rows the plan's root had emitted.
         """
         with self._lock:
-            if self._active.pop(query.query_id, None) is None:
+            if self._active.pop(run.query_id, None) is None:
                 return
-        if self._events is None:
-            return
-        if error is not None:
-            self._events.emit("query_error", id=query.query_id,
-                              frontend=query.frontend,
+        frontend, scheme, rows = run.frontend, run.scheme, run.rows
+        if error is not None and not isinstance(error, QueryCancelledError):
+            self._events.emit("query_error", id=run.query_id, frontend=frontend,
                               error=f"{type(error).__name__}: {error}",
                               seconds=seconds)
-        else:
-            self._events.emit("query_finish", id=query.query_id,
-                              frontend=query.frontend, status=status,
-                              rows=query.rows, seconds=seconds)
+            self._errors.inc(frontend=frontend)
+            return
+        self._events.emit("query_finish", id=run.query_id, frontend=frontend,
+                          status="finished" if error is None else "cancelled",
+                          rows=rows, seconds=seconds)
+        if error is not None:
+            return
+        bound = self._bound.get((frontend, scheme))
+        if bound is None:
+            bound = self._bound[frontend, scheme] = (
+                self._queries.bound(frontend=frontend, scheme=scheme),
+                self._latency.bound(frontend=frontend, scheme=scheme),
+                self._rows.bound(frontend=frontend))
+        count_query, observe_latency, count_rows = bound
+        count_query()
+        observe_latency(seconds)
+        count_rows(rows)
+        self._emitted_batches(run.batches)
+        for subjects in run.residuals.values():
+            self._residual_subjects(subjects)
+        trace = run.trace
+        if trace is not None:
+            self._profile_seconds.observe(seconds)
+            self._profile_pages.observe(trace.page_reads_total)
+            self._profile_bytes.observe(trace.payload_bytes_total)
+        slow_log = self._slow_log
+        if seconds >= slow_log.threshold_seconds:
+            slow_log.record(run.text, frontend, scheme, seconds, rows, run.summary())
 
     # -- control & introspection (any thread) ----------------------------------
 
@@ -339,10 +430,8 @@ class ActiveQueryRegistry:
                 return False
             query.cancel_reason = reason
             query.cancel_requested = True
-        if self._cancelled_total is not None:
-            self._cancelled_total.inc()
-        if self._events is not None:
-            self._events.emit("query_cancel", id=query_id, reason=reason)
+        self._cancelled_total.inc()
+        self._events.emit("query_cancel", id=query_id, reason=reason)
         return True
 
     def get(self, query_id: int) -> Optional[ActiveQuery]:

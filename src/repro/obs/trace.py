@@ -25,17 +25,16 @@ across the whole run, and accounts, per operator:
 Only the outermost frame of a span accrues time, pages and allocations, so
 an operator re-entered through itself is not counted twice.
 
-The trace's query-level ``buffers`` dict is the pool's
-:meth:`~repro.columnar.BufferPool.snapshot_delta` since the mark its run
-took when it was registered (planning included), so the per-operator
-totals reconcile against it:
-``sum(self_page_reads) == root.page_reads <= buffers["page_reads"]``.
-Under concurrent queries the pool counters are shared, so cross-query
-attribution is best-effort — the same caveat as ``BUFFERS`` accounting in
-any multi-user database.
-
-A trace hangs off the run it belongs to (``ActiveQuery.trace``); a run
-without one pays nothing for tracing.
+The trace is only the span tree.  What the whole run took — its phases,
+its wall time and its query-level ``buffers`` (the pool's
+:meth:`~repro.columnar.BufferPool.snapshot_delta` since the mark the run
+took when it was registered, planning included) — is on the run the trace
+hangs off (``ActiveQuery.trace``), and the per-operator totals reconcile
+against it: ``sum(self_page_reads) == root.page_reads <=
+run.buffers["page_reads"]``.  Under concurrent queries the pool counters
+are shared, so cross-query attribution is best-effort — the same caveat as
+``BUFFERS`` accounting in any multi-user database.  A run without a trace
+pays nothing for tracing.
 """
 
 from __future__ import annotations
@@ -152,9 +151,9 @@ class QueryTrace:
         pool: the store's :class:`~repro.columnar.BufferPool`; ``None``
             traces time, rows and bytes only (no page attribution).
         memory: sample per-operator allocation peaks with ``tracemalloc``
-            (starts tracing if nothing else did, and stops it again at
-            :meth:`finish`).  Roughly an order of magnitude of overhead —
-            strictly opt-in.
+            (starts tracing if nothing else did, and stops it again when
+            the root operator's stream ends).  Roughly an order of
+            magnitude of overhead — strictly opt-in.
 
     Not thread-safe by design: one trace belongs to one run, and one run
     executes on one thread.
@@ -166,14 +165,6 @@ class QueryTrace:
         self.root: Optional[TraceSpan] = None
         self._spans: Dict[int, TraceSpan] = {}
         self._stack: List[TraceSpan] = []
-        self.started_at = time.time()
-        self.total_seconds = 0.0
-        self.parse_seconds = 0.0
-        self.plan_seconds = 0.0
-        """What came before the operators ran; both zero on a plan-cache hit."""
-        self.buffers: Dict[str, int] = {}
-        """The pool's :meth:`~repro.columnar.BufferPool.snapshot_delta` over
-        the run; populated by :meth:`finish`."""
         self._owns_tracemalloc = False
         if self.memory and not tracemalloc.is_tracing():
             tracemalloc.start()
@@ -241,6 +232,8 @@ class QueryTrace:
             finally:
                 self.exit(span, batch)
             if batch is None:
+                if not self._stack:  # the root's stream ended: the run is done
+                    self._stop_tracemalloc()
                 return
             yield batch
 
@@ -252,18 +245,6 @@ class QueryTrace:
     def spans(self) -> List[TraceSpan]:
         """Every operator span, unordered (use ``root`` for the tree)."""
         return list(self._spans.values())
-
-    def finish(self, total_seconds: float, parse_seconds: float = 0.0,
-               plan_seconds: float = 0.0,
-               buffers_mark: Optional[Dict[str, int]] = None) -> None:
-        """Close the trace: record the run's phases and, given the pool
-        counters its run marked when it began, the run's ``buffers``."""
-        self.total_seconds = total_seconds
-        self.parse_seconds = parse_seconds
-        self.plan_seconds = plan_seconds
-        if self.pool is not None and buffers_mark is not None:
-            self.buffers = self.pool.snapshot_delta(buffers_mark)
-        self._stop_tracemalloc()
 
     def _stop_tracemalloc(self) -> None:
         if self._owns_tracemalloc:
@@ -295,12 +276,7 @@ class QueryTrace:
 
     def as_dict(self) -> dict:
         return {
-            "started_at": self.started_at,
-            "total_seconds": self.total_seconds,
-            "parse_seconds": self.parse_seconds,
-            "plan_seconds": self.plan_seconds,
             "root": self.root.as_dict() if self.root is not None else None,
-            "buffers": dict(self.buffers),
             "payload_bytes": self.payload_bytes_total,
         }
 
@@ -311,16 +287,15 @@ class QueryTrace:
         return "\n".join(self.root.render())
 
     def summary(self) -> str:
-        """One-line digest for the slow-query log: the phases, the top
+        """One-line digest of the operators for the slow-query log (the
+        run prefixes its phases, ``ActiveQuery.summary``): the top
         self-time operators and the I/O totals."""
         if self.root is None:
             return ""
         top = sorted(self._spans.values(), key=lambda s: s.self_seconds,
                      reverse=True)[:3]
-        parts = [f"parse={self.parse_seconds * 1000.0:.2f}ms",
-                 f"plan={self.plan_seconds * 1000.0:.2f}ms"]
-        parts.extend(f"{s.label.split('[')[0].strip()}={s.self_seconds * 1000.0:.2f}ms"
-                     for s in top)
+        parts = [f"{s.label.split('[')[0].strip()}={s.self_seconds * 1000.0:.2f}ms"
+                 for s in top]
         parts.append(f"pages={self.page_reads_total} hits={self.page_hits_total}")
         if self.mem_peak:
             parts.append(f"mem={format_bytes(self.mem_peak)}")

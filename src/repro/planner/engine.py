@@ -92,7 +92,7 @@ class QueryResult:
         for key in self.keys:
             values = self.bindings.column(key)
             columns.append(values.tolist() if values.dtype.kind == "f"
-                           else context.decoder.python_column(values))
+                           else context.dictionary.python_column(values))
         return self._zipped(columns)
 
     def _zipped(self, columns: List[list]) -> List[tuple]:

@@ -154,6 +154,26 @@ def test_rdfh_parseorder_corpus_batch_sizes(rdfh_parseorder_store):
     assert_batch_sizes_agree(rdfh_parseorder_store, RDFH_QUERIES[:2])
 
 
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_cost_counters_are_the_plan(size, rdfh_store, rdfh_parseorder_store, book_store):
+    """The batch wrapper counts every operator a run pulls once in
+    ``operator_invocations`` and every join once in ``join_operations``, so
+    Table I's operator and join counters are the plan's shape — at every
+    batch size, clustered or in parse order, under both schemes."""
+    book_parse_order = RDFStore.build(book_triples(), config=_config(), cluster=False)
+    corpora = [(rdfh_store, RDFH_QUERIES[:2]), (rdfh_parseorder_store, RDFH_QUERIES[:2]),
+               (book_store, BOOK_QUERIES), (book_parse_order, BOOK_QUERIES)]
+    for store, queries in corpora:
+        for text in queries:
+            for options in SCHEMES[:2]:
+                with batch_size(store, size):
+                    result = store.sparql(text, options)
+                counters = result.cost.counters
+                assert (counters["operator_invocations"], counters["join_operations"]) == \
+                    (result.plan.count_operators(), result.plan.count_joins()), \
+                    (options.describe(), text)
+
+
 def test_rdfjoin_coalesces_a_selective_childs_batches(rdfh_store):
     """A HashJoin over an IndexScan passes on one under-full batch per probe
     batch; RDFjoin regroups them and evaluates its star at most once per

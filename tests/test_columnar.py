@@ -201,14 +201,6 @@ class TestCost:
         assert diff["page_reads"] == 2
         assert diff["tuples_scanned"] == 10
 
-    def test_tracker_merge_and_reset(self):
-        a, b = CostTracker(), CostTracker()
-        b.page_hits = 5
-        a.merge(b)
-        assert a.page_hits == 5
-        a.reset()
-        assert a.page_hits == 0
-
     def test_cost_model_weights_reads_heavier_than_hits(self):
         model = CostModel()
         cold = model.simulated_seconds({"page_reads": 10, "page_hits": 0})

@@ -133,7 +133,7 @@ class TestExpressions:
         pool = BufferPool()
         ctx = ExecutionContext(dictionary=dictionary, pool=pool)
         table = BindingTable({"x": np.array([oid])})
-        values = NumericVar("x").evaluate(table, ctx.decoder)
+        values = NumericVar("x").evaluate(table, ctx.dictionary)
         assert values.tolist() == [5.0]
 
     def test_binary_op_and_const(self):
@@ -142,7 +142,7 @@ class TestExpressions:
         ctx = ExecutionContext(dictionary=dictionary, pool=pool)
         table = BindingTable({"x": np.array([2.0, 3.0])})
         expr = BinaryOp("*", NumericVar("x"), NumericConst(10.0))
-        assert expr.evaluate(table, ctx.decoder).tolist() == [20.0, 30.0]
+        assert expr.evaluate(table, ctx.dictionary).tolist() == [20.0, 30.0]
         assert expr.variables() == {"x"}
 
     def test_invalid_operator_rejected(self):

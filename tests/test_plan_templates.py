@@ -88,9 +88,9 @@ def _check_corpus_leaves_plans_untouched(store: RDFStore, queries) -> None:
             _assert_untouched(plan, state)
             run = store.query_registry.begin(text, "sparql", options.scheme)
             store.cancel(run.query_id)
-            with pytest.raises(QueryCancelledError):
+            with pytest.raises(QueryCancelledError) as cancelled:
                 engine.query("sparql", text, options, run)
-            store.query_registry.finish(run, run.elapsed_seconds(), status="cancelled")
+            store.query_registry.finish(run, run.elapsed_seconds(), cancelled.value)
             _assert_untouched(plan, state)
     assert store.active_queries() == []
 

@@ -89,10 +89,10 @@ class TestReconciliation:
         store = RDFStore.build(book_triples(), config=_config())
         store.reset_cold()
         mark = store.pool.stats()
-        store.sparql(STAR_QUERY, PlannerOptions(scheme=RDFSCAN_SCHEME),
-                     profile=True)
+        result = store.sparql(STAR_QUERY, PlannerOptions(scheme=RDFSCAN_SCHEME),
+                              profile=True)
         external = store.pool.snapshot_delta(mark)
-        profile = store.last_trace()
+        profile, buffers = store.last_trace(), result.run.buffers
         assert isinstance(profile, QueryTrace)
 
         spans = profile.spans()
@@ -100,15 +100,15 @@ class TestReconciliation:
         total_self = sum(span.self_page_reads for span in spans)
         # Σ per-operator self time == root cumulative == the pool's own delta
         assert total_self == profile.page_reads_total
-        assert profile.page_reads_total == profile.buffers["page_reads"]
-        assert profile.buffers["page_reads"] == external["page_reads"]
+        assert profile.page_reads_total == buffers["page_reads"]
+        assert buffers["page_reads"] == external["page_reads"]
         assert profile.page_reads_total > 0  # the cold run really read pages
-        assert profile.buffers["page_hits"] == external["page_hits"]
+        assert buffers["page_hits"] == external["page_hits"]
 
     def test_run_and_trace_share_one_buffer_mark(self):
-        """The trace's ``buffers`` is the pool delta since the mark its run
-        took at registration: the run's listing, the trace and the pool
-        agree on a cold run's page reads."""
+        """The run's ``buffers`` is the pool delta since the one mark it
+        took at registration: the run's listing, its ``buffers``, its
+        trace's root and the pool agree on a cold run's page reads."""
         store = RDFStore.build(book_triples(), config=_config())
         store.reset_cold()
         mark = store.pool.stats()
@@ -116,7 +116,8 @@ class TestReconciliation:
                               profile=True)
         external = store.pool.snapshot_delta(mark)["page_reads"]
         listed = result.run.describe()["buffers"]["page_reads"]
-        assert listed == result.trace.buffers["page_reads"] == external > 0
+        assert listed == result.run.buffers["page_reads"] == external > 0
+        assert result.trace.page_reads_total == external
 
     def test_hot_run_reads_no_pages(self, book_store):
         book_store.sparql(STAR_QUERY)  # warm

@@ -35,10 +35,12 @@ from repro import (
     EventLog,
     ExecutionError,
     GeneralizationConfig,
+    ParseError,
     PlannerOptions,
     QueryCancelledError,
     QueryServer,
     RDFStore,
+    StorageError,
     StoreConfig,
 )
 from repro.engine.operators import ProjectOp
@@ -329,9 +331,10 @@ class TestStoreIntegration:
     @pytest.mark.parametrize("outcome", ["finished", "profiled", "sql", "sql-profiled",
                                          "error", "sql-without-catalog", "cancelled"])
     def test_run_query_outcomes(self, outcome, store, monkeypatch):
-        """Each way a run ends, as ``run_query`` accounts it: the registry's
-        closing event, the completed / error / cancel counters, and
-        ``last_trace`` (only a profiled success replaces it)."""
+        """Each way a run ends, as ``run_query`` accounts it through the
+        registry's one ``finish``: exactly one terminal event, the completed
+        / error / cancel counters, the run's ``buffers`` (a profiled run's
+        only) and ``last_trace`` (only a profiled success replaces it)."""
         earlier = store.sparql(STAR_QUERY, profile=True).trace
         store.event_log.clear()
         before = store.metrics()
@@ -372,33 +375,33 @@ class TestStoreIntegration:
         (start,) = store.events(type="query_start")
         assert start["frontend"] == frontend
         assert store.active_queries() == []
+        (terminal,) = store.events(type="query_finish") + store.events(type="query_error")
+        assert terminal["id"] == start["id"] and terminal["frontend"] == frontend
+        completed = errors = cancelled = 0
         if outcome in ("error", "sql-without-catalog"):
-            assert raised is not None and not isinstance(raised, QueryCancelledError)
-            (error,) = store.events(type="query_error")
-            assert error["id"] == start["id"] and error["frontend"] == frontend
-            assert store.events(type="query_finish") == []
-            assert grew(f'query_errors_total{{frontend="{frontend}"}}') == 1
-            assert grew("queries_total") == 0
+            assert isinstance(raised, ParseError if outcome == "error" else StorageError)
+            assert terminal["type"] == "query_error"
+            errors = 1
         elif outcome == "cancelled":
             assert isinstance(raised, QueryCancelledError)
             assert raised.query_id == start["id"]
-            (finish,) = store.events(type="query_finish")
-            assert finish["status"] == "cancelled"
-            assert grew("queries_cancelled_total") == 1
-            assert grew("query_errors_total") == 0  # an operator action, not an error
-            assert grew("queries_total") == 0
+            assert terminal["type"] == "query_finish" and terminal["status"] == "cancelled"
+            cancelled = 1  # an operator action, not a query error
         else:
             assert raised is None
-            (finish,) = store.events(type="query_finish")
-            assert finish["id"] == start["id"] and finish["status"] == "finished"
-            assert finish["rows"] == len(result)
-            assert grew(f'queries_total{{frontend="{frontend}"') == 1
-            assert grew("query_errors_total") == 0
+            assert terminal["type"] == "query_finish" and terminal["status"] == "finished"
+            assert terminal["rows"] == len(result)
+            completed = 1
+        assert grew(f'queries_total{{frontend="{frontend}"') == grew("queries_total") == completed
+        assert grew(f'query_seconds_count{{frontend="{frontend}"') == completed
+        assert grew(f'query_errors_total{{frontend="{frontend}"}}') == grew("query_errors_total") == errors
+        assert grew("queries_cancelled_total") == cancelled
         if outcome in ("profiled", "sql-profiled"):
             assert store.last_trace() is result.trace is not earlier
-            assert result.trace.buffers  # finished with the run's pool delta
+            assert result.run.buffers  # the run's pool delta since it began
         else:
             assert store.last_trace() is earlier
+            assert result is None or result.run.buffers == {}  # no pool stats() taken
 
     def test_query_visible_and_cancellable_mid_run(self, store, project_gate):
         outcome = []

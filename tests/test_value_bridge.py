@@ -2,7 +2,7 @@
 
 ``TermDictionary`` owns two OID-indexed arrays — the number and the Python
 value behind each OID — filled for the distinct OIDs a column touches the
-first time it touches them.  ``ValueDecoder.numeric_column`` /
+first time it touches them.  ``TermDictionary.numeric_column`` /
 ``python_column`` and ``QueryResult.rows`` / ``decoded_rows`` are checked
 here, element for element and type for type, against the per-cell decoder
 they replaced (``_oracles.PerCellDecoder``): on random dictionaries and OID
@@ -34,7 +34,6 @@ from repro.bench import q1_sparql, q6_sparql, star_lookup_sparql, sub_order_keys
 from repro.bench.rdfh import RDFH_VOC, customer_iri
 from repro.columnar import NULL_OID
 from repro.engine import BindingTable
-from repro.engine.values import ValueDecoder
 from repro.errors import DictionaryError
 from repro.model import IRI, BNode, Literal, TermDictionary
 from repro.model.terms import (
@@ -101,11 +100,11 @@ def _assert_same_rows(got, want) -> None:
 
 
 def _assert_columns_match(dictionary: TermDictionary, oids: np.ndarray) -> None:
-    decoder, reference = ValueDecoder(dictionary), PerCellDecoder(dictionary)
-    numeric = decoder.numeric_column(oids)
+    reference = PerCellDecoder(dictionary)
+    numeric = dictionary.numeric_column(oids)
     assert numeric.dtype == np.float64
     np.testing.assert_array_equal(numeric, reference.numeric_column(oids))  # NaN == NaN
-    decoded = decoder.python_column(oids)
+    decoded = dictionary.python_column(oids)
     assert type(decoded) is list
     _assert_same_rows([tuple(decoded)], [tuple(reference.python_column(oids))])
 
@@ -117,7 +116,7 @@ def _result(columns: dict) -> QueryResult:
 
 def _context(dictionary: TermDictionary) -> SimpleNamespace:
     """What ``decoded_rows`` reads of an ``ExecutionContext``."""
-    return SimpleNamespace(decoder=ValueDecoder(dictionary))
+    return SimpleNamespace(dictionary=dictionary)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -150,8 +149,7 @@ def test_columns_and_rows_match_the_per_cell_decoder(loaded, value_order, append
 
     # an OID past the end is an error in either form, never a stale or empty slot
     beyond = np.asarray([NULL_OID, size + 3, size], dtype=np.int64)
-    for column in (ValueDecoder(dictionary).numeric_column,
-                   ValueDecoder(dictionary).python_column):
+    for column in (dictionary.numeric_column, dictionary.python_column):
         with pytest.raises(DictionaryError, match=f"unknown OID {size + 3} "):
             column(beyond)
 
@@ -169,30 +167,28 @@ def test_an_integer_beyond_float64_decodes_exactly_and_has_no_number():
     once, so it must not fail the decoding of a result that merely holds one."""
     dictionary = TermDictionary()
     oid = dictionary.encode_term(Literal("9" * 400, datatype=XSD_INTEGER))
-    decoder = ValueDecoder(dictionary)
-    assert decoder.python_column(np.asarray([oid])) == [int("9" * 400)]
-    assert math.isnan(decoder.numeric_column(np.asarray([oid]))[0])
+    assert dictionary.python_column(np.asarray([oid])) == [int("9" * 400)]
+    assert math.isnan(dictionary.numeric_column(np.asarray([oid]))[0])
 
 
 def test_appends_extend_the_bridge_and_a_remap_drops_it():
     dictionary = TermDictionary()
     oids = [dictionary.encode_term(Literal(str(i), datatype=XSD_INTEGER)) for i in (3, 1, 2)]
-    decoder = ValueDecoder(dictionary)
     before = _materialized()
-    assert decoder.numeric_column(np.asarray(oids)).tolist() == [3.0, 1.0, 2.0]
+    assert dictionary.numeric_column(np.asarray(oids)).tolist() == [3.0, 1.0, 2.0]
     assert _materialized() == before + 3
     held = dictionary._bridge  # what a concurrent reader may still be gathering from
 
     # enough appends to outgrow the arrays: the filled slots are carried over
     fresh = [dictionary.encode_term(IRI(f"{EX}new/{i}")) for i in range(64)]
-    assert decoder.python_column(np.asarray(oids + fresh[-1:])) == [3, 1, 2, f"{EX}new/63"]
+    assert dictionary.python_column(np.asarray(oids + fresh[-1:])) == [3, 1, 2, f"{EX}new/63"]
     assert _materialized() == before + 4
 
     remapped = dictionary.remap(oids[:2], oids[1::-1])
     assert held.python[oids[0]] == 3, "remap cleared arrays a reader may hold"
-    assert decoder.python_column(np.asarray(oids)) == [3, 1, 2], "remap edited its receiver"
+    assert dictionary.python_column(np.asarray(oids)) == [3, 1, 2], "remap edited its receiver"
     assert _materialized() == before + 4
-    assert ValueDecoder(remapped).python_column(np.asarray(oids)) == [1, 3, 2]
+    assert remapped.python_column(np.asarray(oids)) == [1, 3, 2]
     assert _materialized() == before + 7
 
 

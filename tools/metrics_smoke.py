@@ -20,12 +20,14 @@ the server, then scrapes ``GET /metrics`` over real HTTP and verifies:
   6. the dictionary's literal tail outlives a checkpoint (compaction moves
      no OID) and is folded into value order by ``cluster()``.
 
-It then exercises the live query-management surface end to end: starts a
-deliberately slow cross-join query on a batch-size-1 store, polls
-``GET /queries`` until the query is visible, cancels it with
-``GET /queries/cancel?id=``, and asserts the query unwound with
-``QueryCancelledError`` and that the cancel shows up in the structured
-event log.
+It then exercises the live query-management surface end to end: serves one
+query and one malformed text, starts a deliberately slow cross-join query on
+a batch-size-1 store, polls ``GET /queries`` until the query is visible,
+cancels it with ``GET /queries/cancel?id=``, and asserts the query unwound
+with ``QueryCancelledError``, that the cancel shows up in the structured
+event log, and that the success, the ``ParseError`` and the cancel each
+moved their one counter in ``/metrics`` (``/stats`` latency counts equal to
+``repro_queries_total``).
 
 Exit status 0 when all checks pass; any failure raises (nonzero exit).
 CI runs this after the unit suite as a cheap wire-format regression gate.
@@ -46,6 +48,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro import (  # noqa: E402
+    ParseError,
     QueryCancelledError,
     QueryServer,
     RDFStore,
@@ -201,6 +204,64 @@ def smoke_dictionary_tail(store: RDFStore, url: str) -> None:
     assert tail == 0, f"cluster() left a tail of {tail}"
 
 
+def smoke_query_outcomes(server: QueryServer, url: str, slow_query: str) -> dict:
+    """One query cancelled over HTTP (``slow_query``, watched in
+    ``GET /queries`` until it shows, then ``GET /queries/cancel?id=``), one
+    served success and one served ``ParseError``: the registry's one
+    completion hook moves one counter each, and ``/stats`` holds one latency
+    sample per completed query.  Returns the cancelled query's ``/queries``
+    entry."""
+    def total(samples: dict, prefix: str) -> float:
+        return sum(value for lhs, value in samples.items()
+                   if lhs == prefix or lhs.startswith(prefix + "{"))
+
+    before = scrape(url)
+    future = server.submit_query(slow_query)  # first: a cold store runs it longest
+
+    entry = None
+    for _ in range(2000):
+        with urllib.request.urlopen(f"{url}/queries", timeout=10) as resp:
+            queries = json.load(resp)["queries"]
+        if queries:
+            entry = queries[0]
+            break
+        time.sleep(0.005)
+    assert entry is not None, "slow query never showed up in /queries"
+    for key in ("id", "frontend", "scheme", "text", "elapsed_seconds",
+                "rows", "progress", "operator", "cancel_requested"):
+        assert key in entry, f"/queries entry missing {key!r}: {entry}"
+    assert entry["frontend"] == "sparql", entry
+
+    with urllib.request.urlopen(
+            f"{url}/queries/cancel?id={entry['id']}", timeout=10) as resp:
+        payload = json.load(resp)
+    assert payload == {"cancelled": True, "id": entry["id"]}, payload
+
+    try:
+        future.result(timeout=60)
+        raise AssertionError("slow query finished despite cancellation")
+    except QueryCancelledError as exc:
+        assert exc.query_id == entry["id"], exc
+    server.submit_query(SPARQL).result()
+    try:
+        server.submit_query("SELECT ?b WHERE { ?b").result()
+        raise AssertionError("a malformed query answered")
+    except ParseError:
+        pass
+
+    after = scrape(url)
+    for prefix in ("repro_queries_total", 'repro_query_errors_total{frontend="sparql"}',
+                   "repro_queries_cancelled_total"):
+        moved = total(after, prefix) - total(before, prefix)
+        assert moved == 1, f"{prefix} moved by {moved}, not 1"
+    with urllib.request.urlopen(f"{url}/stats", timeout=10) as resp:
+        latency = json.load(resp)["query_latency"]
+    counted = sum(summary["count"] for summary in latency.values())
+    assert counted == total(after, "repro_queries_total"), \
+        f"/stats counts {counted} latencies for {total(after, 'repro_queries_total')} queries"
+    return entry
+
+
 def smoke_query_management() -> None:
     """Start a slow query, watch it in /queries, cancel it over HTTP."""
     # batch_size=1 keeps every batch tiny: the cross-join star
@@ -215,43 +276,19 @@ def smoke_query_management() -> None:
                   f"?b2 <{EX}has_author> ?a . }}")
     with QueryServer(store, workers=2) as server:
         port = server.start_metrics_endpoint()
-        url = f"http://127.0.0.1:{port}"
-        future = server.submit_query(slow_query)
-
-        entry = None
-        for _ in range(2000):
-            with urllib.request.urlopen(f"{url}/queries", timeout=10) as resp:
-                queries = json.load(resp)["queries"]
-            if queries:
-                entry = queries[0]
-                break
-            time.sleep(0.005)
-        assert entry is not None, "slow query never showed up in /queries"
-        for key in ("id", "frontend", "scheme", "text", "elapsed_seconds",
-                    "rows", "progress", "operator", "cancel_requested"):
-            assert key in entry, f"/queries entry missing {key!r}: {entry}"
-        assert entry["frontend"] == "sparql", entry
-
-        with urllib.request.urlopen(
-                f"{url}/queries/cancel?id={entry['id']}", timeout=10) as resp:
-            payload = json.load(resp)
-        assert payload == {"cancelled": True, "id": entry["id"]}, payload
-
-        try:
-            future.result(timeout=60)
-            raise AssertionError("slow query finished despite cancellation")
-        except QueryCancelledError as exc:
-            assert exc.query_id == entry["id"], exc
+        entry = smoke_query_outcomes(server, f"http://127.0.0.1:{port}", slow_query)
 
     assert store.active_queries() == [], store.active_queries()
     assert store.open_snapshot_count() == 0, "cancel leaked a snapshot pin"
     types = [event["type"] for event in store.events()]
-    for expected in ("query_start", "query_cancel", "query_finish"):
+    for expected in ("query_start", "query_cancel", "query_finish", "query_error"):
         assert expected in types, f"{expected} missing from event log: {types}"
-    finish = store.events(type="query_finish", limit=1)[0]
-    assert finish["status"] == "cancelled", finish
+    cancelled = [event for event in store.events(type="query_finish")
+                 if event["id"] == entry["id"]]
+    assert [event["status"] for event in cancelled] == ["cancelled"], cancelled
     print(f"query management smoke OK: slow query id={entry['id']} visible in "
-          f"/queries, cancelled over HTTP, lifecycle in event log")
+          f"/queries, cancelled over HTTP, lifecycle in event log; a success, "
+          f"a ParseError and the cancel moved one counter each")
 
 
 def main() -> int:

@@ -100,7 +100,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         result = store.sql(args.query, profile=True)
     else:
         result = store.sparql(args.query, profile=True)
-    profile = store.last_trace()
+    profile = result.trace
     print(profile.render())
     print()
     print(f"rows:        {len(result)}")
@@ -108,9 +108,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
           f"(hits {profile.page_hits_total})")
     print(f"payload:     {format_bytes(profile.payload_bytes_total)} "
           f"moved between operators")
-    if profile.buffers:
+    if result.run.buffers:
         pairs = ", ".join(f"{key}={value}"
-                          for key, value in sorted(profile.buffers.items()))
+                          for key, value in sorted(result.run.buffers.items()))
         print(f"buffer pool: {pairs}")
     if profile.mem_peak:
         print(f"mem peak:    {format_bytes(profile.mem_peak)} "
