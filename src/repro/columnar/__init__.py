@@ -1,7 +1,7 @@
 """Columnar substrate: columns, zone maps, buffer pool and cost model."""
 
 from .bufferpool import BufferPool, DEFAULT_PAGE_SIZE
-from .column import Column, NULL_OID
+from .column import Column, NULL_OID, gather_columns
 from .cost import CostModel, CostTracker, QueryCost
 from .stats import CardinalityEstimator, ColumnStats
 from .zonemap import DEFAULT_ZONE_SIZE, Zone, ZoneMap
@@ -19,4 +19,5 @@ __all__ = [
     "QueryCost",
     "Zone",
     "ZoneMap",
+    "gather_columns",
 ]

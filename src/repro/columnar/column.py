@@ -12,7 +12,7 @@ table) are encoded as :data:`NULL_OID`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -134,14 +134,6 @@ class Column:
             self.pool.access_range(self.segment_id, start, stop)
             self.pool.tracker.tuples_scanned += max(0, stop - start)
 
-    def _touch_positions(self, positions: np.ndarray) -> None:
-        if self.pool is None or positions.size == 0:
-            return
-        # ascending distinct pages, as np.unique gives them, without a sort
-        pages = np.flatnonzero(np.bincount(positions // self.pool.page_size))
-        self.pool.access_pages(self.segment_id, pages.tolist())
-        self.pool.tracker.tuples_probed += int(positions.size)
-
     # -- reads ---------------------------------------------------------------
 
     def slice(self, start: int, stop: int) -> np.ndarray:
@@ -160,11 +152,7 @@ class Column:
         random positions touch many pages, sequential positions few — which
         is exactly the locality effect subject clustering is after.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size and (pos.min() < 0 or pos.max() >= len(self)):
-            raise StorageError(f"gather positions out of range for column {self.segment_id!r}")
-        self._touch_positions(pos)
-        return self.data[pos]
+        return gather_columns([self], positions)[0]
 
     # -- statistics ----------------------------------------------------------
 
@@ -183,3 +171,25 @@ class Column:
     def null_count(self) -> int:
         """Number of NULL values in the column (no accounting: metadata op)."""
         return int(np.count_nonzero(self.data == NULL_OID))
+
+
+def gather_columns(columns: Sequence[Column], positions: Sequence[int] | np.ndarray
+                   ) -> List[np.ndarray]:
+    """:meth:`Column.gather` of each of ``columns`` at the same positions,
+    accounted exactly as those gathers in turn: the columns are aligned
+    (one length, one pool, as a CS block's are), so the positions are
+    checked and the pages they touch found once for all of them."""
+    pos = np.asarray(positions, dtype=np.int64)
+    if not columns:
+        return []
+    first = columns[0]
+    if pos.size and (pos.min() < 0 or pos.max() >= len(first)):
+        raise StorageError(f"gather positions out of range for column {first.segment_id!r}")
+    pool = first.pool
+    if pool is not None and pos.size:
+        # ascending distinct pages, as np.unique gives them, without a sort
+        pages = np.flatnonzero(np.bincount(pos // pool.page_size)).tolist()
+        for column in columns:
+            pool.access_pages(column.segment_id, pages)
+            pool.tracker.tuples_probed += int(pos.size)
+    return [column.data[pos] for column in columns]

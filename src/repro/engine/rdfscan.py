@@ -13,11 +13,15 @@ locality.
 another operator (the paper relates it to the "Pivot Index Scan"): it
 fetches the star's properties only for those subjects.  It coalesces its
 child's under-full batches up to the batch size first, so a selective child
-does not make it evaluate the star once per fragment; over the clustered
-store it then probes the candidates' own row positions — a positional fetch
-from the aligned columns, MonetDB's *leftfetchjoin* — rather than scanning
-the row range that covers them, and joins the star rows back onto its input
-by each candidate's code (its rank among the candidates), not by a hash join.
+does not make it evaluate the star once per fragment.  Over the clustered
+store each input row is then answered by position: one binary search per
+star block finds the row of the input row's subject, and the star's columns
+are gathered there — a positional fetch from the aligned columns, MonetDB's
+*leftfetchjoin* — in input-row order, so a block-resident subject needs no
+deduplication and no join back.  Only input rows whose subject is residual
+(irregular, multi-valued or touched by a pending write) are answered as a
+set: their distinct subjects are scanned and the star rows joined back by
+each subject's rank among them.
 
 Both operators understand zone maps: when a property carries a range
 constraint and its column has a zone map, only the zones whose ``[min,max]``
@@ -29,18 +33,17 @@ foreign key into the other CS via its zone map).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..columnar import NULL_OID, Column
+from ..columnar import NULL_OID, Column, gather_columns
 from ..errors import ExecutionError
 from ..storage.clustered import CSBlock
 from ..storage.triple_table import TripleTable
 from .bindings import Batch, BindingTable, coalesce_batches, emit_batches, joined_rows
 from .context import ExecutionContext
-from .kernels import expand_ranges, unique_keys
+from .kernels import expand_ranges, sorted_member_mask, unique_keys
 from .mergescan import merge_property_pairs
 from .plan import NO_OIDS, OidRange, PhysicalOperator, StarPattern, StarProperty
 
@@ -51,10 +54,8 @@ class _StarOperator(PhysicalOperator):
 
     star: StarPattern
 
-    def _star_scan(self, context: ExecutionContext
-                   ) -> Callable[[Optional[np.ndarray]], BindingTable]:
-        """This run's evaluator of the star: given candidate subjects (or
-        ``None`` for all), its bindings.
+    def _evaluator(self, context: ExecutionContext) -> "_ClusteredStarScan | _IndexMergeStarScan":
+        """This run's evaluator of the star.
 
         Over the clustered store it also tells the run how many subjects no
         CS block could answer alone (irregular triples or pending writes on
@@ -65,8 +66,8 @@ class _StarOperator(PhysicalOperator):
             clustered = _ClusteredStarScan(context, self.star)
             if context.run.enabled:
                 context.run.residuals[self] = int(clustered.residual_subjects.size)
-            return clustered.scan
-        return partial(_scan_index_merge, context, self.star, _property_tails(context, self.star))
+            return clustered
+        return _IndexMergeStarScan(context, self.star)
 
 
 class RDFScanOp(_StarOperator):
@@ -79,12 +80,16 @@ class RDFScanOp(_StarOperator):
         return f"RDFscan[{self.star.describe()}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        scan = self._star_scan(context)
-        yield from emit_batches(scan(None), context.batch_size)
+        yield from emit_batches(self._evaluator(context).scan(), context.batch_size)
 
 
 class RDFJoinOp(_StarOperator):
-    """Evaluate a star pattern for candidate subjects supplied by a child."""
+    """Evaluate a star pattern for candidate subjects supplied by a child.
+
+    The output is what a hash join with the star as build side gives —
+    input-major, star rows in scan order within one input row, the star's
+    columns first — so it is identical for every batch size.
+    """
 
     is_join = True
 
@@ -99,34 +104,41 @@ class RDFJoinOp(_StarOperator):
         return f"RDFjoin[{self.star.describe()}]"
 
     def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
-        scan = self._star_scan(context)
-        subject_var = self.star.subject_var
+        evaluator = self._evaluator(context)
         for input_table in coalesce_batches(self.child.batches(context), context.batch_size):
-            if not input_table.has(subject_var):
-                raise ExecutionError(f"RDFjoin expects ?{subject_var} from its child operator")
-            candidates, input_codes = unique_keys(input_table.column(subject_var),
-                                                  return_inverse=True)
-            if candidates.size == 0:
-                star_table = BindingTable.empty(self.star.output_variables())
-            else:
-                star_table = scan(candidates)
-            context.tracker.tuples_probed += int(candidates.size)
-            yield Batch(_join_back(star_table, input_table, subject_var,
-                                   candidates, input_codes))
+            if not input_table.has(self.star.subject_var):
+                raise ExecutionError(
+                    f"RDFjoin expects ?{self.star.subject_var} from its child operator")
+            # one probe per input row, whatever the batch size
+            context.tracker.tuples_probed += input_table.num_rows
+            yield Batch(evaluator.join(input_table))
+
+
+def _join_candidates(scan: Callable[[np.ndarray], BindingTable], star: StarPattern,
+                     input_table: BindingTable) -> Tuple[BindingTable, np.ndarray, np.ndarray]:
+    """The star's rows for the input's distinct subjects (``scan`` of
+    them, sorted) and the ``(star_row, input_row)`` pairs joining them back."""
+    candidates, input_codes = unique_keys(input_table.column(star.subject_var),
+                                          return_inverse=True)
+    star_table = scan(candidates) if candidates.size else BindingTable.empty(
+        star.output_variables())
+    return (star_table,) + _join_back(star_table, input_table, star.subject_var,
+                                      candidates, input_codes)
 
 
 def _join_back(star_table: BindingTable, input_table: BindingTable, subject_var: str,
-               candidates: np.ndarray, input_codes: np.ndarray) -> BindingTable:
-    """The star's rows joined back onto RDFjoin's input by candidate code.
+               candidates: np.ndarray, input_codes: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(star_row, input_row)`` pairs joining the star's rows back onto
+    RDFjoin's input by candidate code.
 
     ``input_codes`` gives each input row its candidate's index among the
     sorted ``candidates``; a star row's is found by ``searchsorted``.  The
     codes are dense in ``[0, k)``, so ``bincount`` / ``cumsum`` give each
     candidate its run of the star rows in code order and every input row
     takes its candidate's run: no key search, no span check.  Other shared
-    variables filter the pairs by equality.  The output is what a hash join
-    with the star as build side gives — input-major, star rows in scan order
-    within one input row — so it is identical for every batch size.
+    variables filter the pairs by equality.  The pairs are input-major, star
+    rows in scan order within one input row.
     """
     star_codes = np.searchsorted(candidates, star_table.column(subject_var))
     counts = np.bincount(star_codes, minlength=candidates.size)
@@ -139,7 +151,7 @@ def _join_back(star_table: BindingTable, input_table: BindingTable, subject_var:
         keep = np.logical_and.reduce([star_table.column(name)[star_rows]
                                       == input_table.column(name)[input_rows] for name in shared])
         star_rows, input_rows = star_rows[keep], input_rows[keep]
-    return joined_rows(star_table, input_table, star_rows, input_rows)
+    return star_rows, input_rows
 
 
 def _property_tails(context: ExecutionContext, star: StarPattern) -> List[np.ndarray]:
@@ -155,10 +167,12 @@ def _property_tails(context: ExecutionContext, star: StarPattern) -> List[np.nda
 class _ClusteredStarScan:
     """One operator run's evaluation of a star over the clustered store.
 
-    What does not depend on the candidate subjects is derived once per run —
-    the CS blocks holding the star, the tail literals its ranges match, its
-    residual subject set and, on first need, the residual subjects' property
-    pairs — so an RDFjoin pays it once, not once per input batch.
+    What does not depend on the input rows is derived once per run — the CS
+    blocks holding the star, the tail literals its ranges match, the
+    properties a row is checked against, its residual subject set, each
+    block's row ranges the star can match (:func:`_block_row_ranges`) and,
+    on first need, the residual subjects' property pairs — so an RDFjoin
+    pays it once, not once per input batch.
     """
 
     def __init__(self, context: ExecutionContext, star: StarPattern) -> None:
@@ -181,22 +195,26 @@ class _ClusteredStarScan:
             if touched.size:
                 residual = unique_keys(np.concatenate([residual, touched]))
         self.residual_subjects = residual
+        # what a row is checked against (constants, ranges with their tails,
+        # required properties), and the predicates whose values are output,
+        # in property order
+        self.constrained = [(p, tail) for p, tail in zip(star.properties, self.tails)
+                            if not p.object_term.is_variable or _is_ranged(p) or p.required]
+        self.outputs = list(dict.fromkeys(p.predicate_oid for p in star.properties
+                                          if p.object_term.is_variable))
+        self.row_ranges = [_block_row_ranges(block, star, self.tails) for block in self.blocks]
         self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._optional_rows: Optional[np.ndarray] = None
 
-    def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
-        """The star's bindings: block by block, then the residual subjects.
-
-        ``candidate_subjects``, when given, is sorted and duplicate-free.
-        """
+    def scan(self) -> BindingTable:
+        """The star's bindings: block by block, then the residual subjects."""
         results: List[BindingTable] = []
-        for block in self.blocks:
-            table = _scan_block(self.context, block, self.star, self.tails, candidate_subjects,
-                                exclude_subjects=self.residual_subjects)
+        for index in range(len(self.blocks)):
+            table = self._scan_block(index)
             if table.num_rows:
                 results.append(table)
         if self.residual_subjects.size:
-            residual = self._scan_residual(candidate_subjects)
+            residual = self._scan_residual(None)
             if residual.num_rows:
                 results.append(residual)
         output_vars = self.star.output_variables()
@@ -206,6 +224,123 @@ class _ClusteredStarScan:
         for table in results[1:]:
             merged = merged.concat(table)
         return merged.project(output_vars)
+
+    def join(self, input_table: BindingTable) -> BindingTable:
+        """The star joined onto RDFjoin's input (see :class:`RDFJoinOp`).
+
+        A block-resident subject has at most one star row, so its input row
+        is answered by position (:meth:`_probe`).  A residual subject may
+        have several: those input rows alone take the residual scan of their
+        distinct subjects and :func:`_join_back`, and their rows are merged
+        back in input-row order.
+        """
+        star = self.star
+        subjects = input_table.column(star.subject_var)
+        residual = sorted_member_mask(subjects, self.residual_subjects)
+        has_residual = bool(residual.any())
+        # a residual subject is probed as NULL_OID, which no block holds
+        rows, columns = self._probe(np.where(residual, NULL_OID, subjects)
+                                    if has_residual else subjects)
+        shared = [name for name in input_table.variables
+                  if name in columns and name != star.subject_var]
+        if shared:
+            keep = np.logical_and.reduce([columns[name] == input_table.column(name)[rows]
+                                          for name in shared])
+            rows = rows[keep]
+            columns = {name: values[keep] for name, values in columns.items()}
+        if has_residual:
+            residual_rows = np.flatnonzero(residual)
+            star_table, star_rows, input_rows = _join_candidates(
+                self._scan_residual, star, input_table.select_rows(residual_rows))
+            merged = np.concatenate([rows, residual_rows[input_rows]])
+            order = np.argsort(merged, kind="stable")
+            rows = merged[order]
+            columns = {name: np.concatenate([values, star_table.column(name)[star_rows]])[order]
+                       for name, values in columns.items()}
+        for name, values in input_table.columns.items():
+            if name not in columns:
+                columns[name] = values[rows]
+        return BindingTable(columns)
+
+    def _probe(self, subjects: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """The rows of ``subjects`` a star block answers, ascending, and the
+        star's columns at them (see :meth:`_probe_block`).  A subject is in
+        at most one block, so blocks never answer the same row twice."""
+        parts = []
+        for index in range(len(self.blocks)):
+            rows, columns = self._probe_block(index, subjects)
+            if rows.size:
+                parts.append((rows, columns))
+        if len(parts) == 1:
+            return parts[0]
+        rows = np.concatenate([NO_OIDS] + [rows for rows, _columns in parts])
+        order = np.argsort(rows)
+        columns = {name: np.concatenate([NO_OIDS] + [part[name] for _rows, part in parts])[order]
+                   for name in self.star.output_variables()}
+        return rows[order], columns
+
+    def _scan_block(self, index: int) -> BindingTable:
+        """RDFscan over one block: its :attr:`row_ranges` read range by
+        range, constrained columns first, less the residual subjects."""
+        block, star = self.blocks[index], self.star
+        # evaluate constraints, reading only constrained columns first.  An
+        # output column read here keeps its surviving rows' values (a take by
+        # local position), so no column is read twice
+        surviving: List[np.ndarray] = []
+        kept: Dict[int, List[np.ndarray]] = {}
+        for start, stop in self.row_ranges[index]:
+            if stop <= start:
+                continue
+            mask, values = _constraint_mask(
+                block, self.constrained, self.outputs, stop - start,
+                lambda columns: [column.slice(start, stop) for column in columns])
+            local = np.flatnonzero(mask)
+            surviving.append(local + start)
+            for predicate, column_values in values.items():
+                kept.setdefault(predicate, []).append(column_values[local])
+        positions = np.concatenate(surviving) if surviving else np.empty(0, dtype=np.int64)
+        if positions.size == 0:
+            return BindingTable.empty(star.output_variables())
+        read = {predicate: np.concatenate(parts) for predicate, parts in kept.items()}
+        subjects = block.subject_column.gather(positions)
+        # residual subjects are answered elsewhere; drop them here to avoid duplicates
+        if self.residual_subjects.size:
+            keep = np.flatnonzero(~np.isin(subjects, self.residual_subjects, assume_unique=True))
+            if keep.size < positions.size:
+                positions, subjects = positions[keep], subjects[keep]
+                read = {predicate: values[keep] for predicate, values in read.items()}
+        return BindingTable(_bind_star(block, star, self.outputs, positions, read, subjects)[1])
+
+    def _probe_block(self, index: int, subjects: np.ndarray
+                     ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """RDFjoin over one block: which of the input rows' ``subjects`` it
+        holds at a row inside its :attr:`row_ranges` that matches the star,
+        ascending, and the star's columns there.
+
+        Each subject's row is a binary search (:meth:`CSBlock.locate`); the
+        constrained columns, then the output columns, are gathered at those
+        positions in input-row order — a positional fetch, MonetDB's
+        *leftfetchjoin* — so a subject repeated in the input is fetched once
+        per row and needs no join back.
+        """
+        block, row_ranges = self.blocks[index], self.row_ranges[index]
+        positions = block.locate(subjects)
+        rows = np.flatnonzero(positions >= 0)
+        positions = positions[rows]
+        if row_ranges != [(0, len(block))]:
+            inside = _inside_ranges(positions, row_ranges)
+            rows, positions = rows[inside], positions[inside]
+        if rows.size == 0:
+            return rows, {}
+        mask, read = _constraint_mask(block, self.constrained, self.outputs, positions.size,
+                                      lambda columns: gather_columns(columns, positions))
+        if not mask.all():
+            local = np.flatnonzero(mask)
+            rows, positions = rows[local], positions[local]
+            read = {predicate: values[local] for predicate, values in read.items()}
+        kept, columns = _bind_star(block, self.star, self.outputs, positions, read,
+                                   subjects[rows])
+        return (rows if kept is None else rows[kept]), columns
 
     def _scan_residual(self, candidate_subjects: Optional[np.ndarray]) -> BindingTable:
         """Answer the star for the residual subjects, set-at-a-time.
@@ -297,37 +432,72 @@ class _ClusteredStarScan:
         return pairs
 
 
-def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
-                tails: List[np.ndarray], candidate_subjects: Optional[np.ndarray],
-                exclude_subjects: np.ndarray) -> BindingTable:
+def _bind_star(block: CSBlock, star: StarPattern, outputs: List[int], positions: np.ndarray,
+               read: Dict[int, np.ndarray], subjects: np.ndarray
+               ) -> Tuple[Optional[np.ndarray], Dict[str, np.ndarray]]:
+    """The star's output columns at the block rows ``positions``, whose
+    subjects are ``subjects``: the ``outputs`` predicates' values the
+    constraints already gathered are in ``read``, the others are gathered
+    here.  Which of the rows are kept (``None`` for all) once every
+    repeated variable binds one OID, and their columns, in
+    :meth:`StarPattern.output_variables` order."""
+    unread = [predicate for predicate in outputs if predicate not in read]
+    if unread:
+        read = {**read, **dict(zip(unread, gather_columns([block.column(p) for p in unread],
+                                                          positions)))}
+    columns: Dict[str, np.ndarray] = {star.subject_var: subjects}
+    kept: Optional[np.ndarray] = None
+    for prop in star.properties:
+        term = prop.object_term
+        if not term.is_variable:
+            continue
+        values = read[prop.predicate_oid] if kept is None else read[prop.predicate_oid][kept]
+        if term.var not in columns:
+            columns[term.var] = values  # a required one's NULLs are masked above
+            continue
+        # repeated variable (e.g. ``?x <p> ?x`` or two properties sharing an
+        # object variable): every occurrence must bind the same OID
+        same = values == columns[term.var]
+        if not prop.required:
+            same |= values == NULL_OID
+        if same.all():
+            continue
+        local = np.flatnonzero(same)
+        columns = {name: values[local] for name, values in columns.items()}
+        kept = local if kept is None else kept[local]
+    return kept, columns
+
+
+def _is_ranged(prop: StarProperty) -> bool:
+    return prop.oid_range is not None and not prop.oid_range.is_unbounded()
+
+
+def _block_row_ranges(block: CSBlock, star: StarPattern, tails: List[np.ndarray]
+                      ) -> List[Tuple[int, int]]:
+    """The sorted, disjoint row ranges of ``block`` that can hold a row of
+    the star: narrowed by its subject range, by binary search of each ranged
+    property's column the block is sub-ordered on, and by each ranged
+    property's zone map.  None of it depends on candidate subjects."""
     n = len(block)
     if n == 0:
-        return BindingTable.empty(star.output_variables())
-
+        return []
     row_ranges: List[Tuple[int, int]] = [(0, n)]
 
     # subject-range restriction (zone-map push-down or FILTER on the subject)
     if star.subject_range is not None and not star.subject_range.is_unbounded():
         row_ranges = _intersect_ranges(row_ranges, [_subject_rows_for_range(block, star.subject_range)])
 
-    # candidate subjects (RDFjoin): their own rows, ascending
-    candidate_positions: Optional[np.ndarray] = None
-    if candidate_subjects is not None:
-        candidate_positions = block.positions_of_subjects(candidate_subjects)
-        if candidate_positions.size == 0:
-            return BindingTable.empty(star.output_variables())
-
     # the clustering sub-order: a range predicate on a sorted column is a
     # binary search over the block, independent of zone maps
     ranged = [(prop, prop.oid_range.intervals(tail)) for prop, tail in zip(star.properties, tails)
-              if prop.oid_range is not None and not prop.oid_range.is_unbounded()]
+              if _is_ranged(prop)]
     for prop, intervals in ranged:
         if prop.predicate_oid not in block.sorted_properties:
             continue
         row_ranges = _intersect_ranges(
             row_ranges, _sorted_prefix_rows(block.column(prop.predicate_oid).data, intervals))
         if not row_ranges:
-            return BindingTable.empty(star.output_variables())
+            return []
 
     # zone-map pruning: a ranged property reads only the zones its column's
     # zone map says can hold a value in range
@@ -337,95 +507,39 @@ def _scan_block(context: ExecutionContext, block: CSBlock, star: StarPattern,
             continue
         row_ranges = _intersect_ranges(row_ranges, zone_map.candidate_row_ranges(intervals))
         if not row_ranges:
-            return BindingTable.empty(star.output_variables())
+            return []
+    return row_ranges
 
-    # evaluate constraints, reading only constrained columns first: range by
-    # range for a scan, at the candidates' positions inside the ranges for
-    # RDFjoin (a positional fetch, MonetDB's leftfetchjoin).  An output
-    # column read here keeps its surviving rows' values (a take by local
-    # position), so no column is read twice
-    constrained = [(p, tail) for p, tail in zip(star.properties, tails)
-                   if not p.object_term.is_variable
-                   or (p.oid_range is not None and not p.oid_range.is_unbounded())
-                   or p.required]
-    outputs = {p.predicate_oid for p in star.properties if p.object_term.is_variable}
-    if candidate_positions is None:
-        reads = [(start, _constraint_mask(block, constrained, outputs, stop - start,
-                                          lambda column: column.slice(start, stop)))
-                 for start, stop in row_ranges if stop > start]
-    else:
-        within = _positions_within(candidate_positions, row_ranges)
-        reads = [(0, _constraint_mask(block, constrained, outputs, within.size,
-                                      lambda column: column.gather(within)))]
-    surviving: List[np.ndarray] = []
-    kept: Dict[int, List[np.ndarray]] = {}
-    for start, (mask, values) in reads:
-        local = np.flatnonzero(mask)
-        surviving.append(local + start)
-        for predicate, column_values in values.items():
-            kept.setdefault(predicate, []).append(column_values[local])
-    positions = np.concatenate(surviving) if surviving else np.empty(0, dtype=np.int64)
-    if candidate_positions is not None:
-        positions = within[positions]
-    if positions.size == 0:
-        return BindingTable.empty(star.output_variables())
-    read = {predicate: np.concatenate(parts) for predicate, parts in kept.items()}
-    subjects = block.subject_column.gather(positions)
-    columns: Dict[str, np.ndarray] = {star.subject_var: subjects}
 
-    def take(keep: np.ndarray) -> int:
-        """Keep the ``keep`` rows of everything aligned with ``positions``;
-        how many are left."""
-        nonlocal positions
-        positions = positions[keep]
-        for aligned in (columns, read):
-            for name in aligned:
-                aligned[name] = aligned[name][keep]
-        return positions.size
-
-    # residual subjects are answered elsewhere; drop them here to avoid duplicates
-    if exclude_subjects.size and not take(~np.isin(subjects, exclude_subjects,
-                                                   assume_unique=True)):
-        return BindingTable.empty(star.output_variables())
-
-    for prop in star.properties:
-        term = prop.object_term
-        if not term.is_variable:
-            continue
-        values = read.get(prop.predicate_oid)
-        if values is None:
-            values = block.column(prop.predicate_oid).gather(positions)
-        if term.var not in columns:
-            columns[term.var] = values  # a required one's NULLs are masked above
-            continue
-        # repeated variable (e.g. ``?x <p> ?x`` or two properties sharing an
-        # object variable): every occurrence must bind the same OID
-        keep = values == columns[term.var]
-        if not prop.required:
-            keep |= values == NULL_OID
-        if not keep.all() and not take(keep):
-            return BindingTable.empty(star.output_variables())
-    return BindingTable(columns)
+def _inside_ranges(positions: np.ndarray, row_ranges: List[Tuple[int, int]]) -> np.ndarray:
+    """Which ``positions`` lie in one of the sorted, disjoint half-open
+    ``row_ranges``."""
+    if not row_ranges:
+        return np.zeros(positions.size, dtype=bool)
+    bounds = np.asarray(row_ranges, dtype=np.int64)
+    index = np.searchsorted(bounds[:, 0], positions, side="right") - 1
+    return (index >= 0) & (positions < bounds[np.maximum(index, 0), 1])
 
 
 def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.ndarray]],
-                     outputs: Set[int], rows: int, read: Callable[[Column], np.ndarray]
+                     outputs: List[int], rows: int,
+                     read: Callable[[List[Column]], List[np.ndarray]]
                      ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """Which of ``rows`` rows satisfy every constrained property (each with
-    its range's tail literals), the rows' values of a column being what
-    ``read`` fetches from it — and those values of the ``outputs``
+    its range's tail literals), the rows' values of the columns being what
+    ``read`` fetches from them — and those values of the ``outputs``
     predicates' columns it read."""
     mask = np.ones(rows, dtype=bool)
     values_read: Dict[int, np.ndarray] = {}
-    for prop, tail in constrained:
-        values = read(block.column(prop.predicate_oid))
+    columns = read([block.column(prop.predicate_oid) for prop, _tail in constrained])
+    for (prop, tail), values in zip(constrained, columns):
         if prop.predicate_oid in outputs:
             values_read[prop.predicate_oid] = values
         if prop.required:
             mask &= values != NULL_OID
         if not prop.object_term.is_variable:
             mask &= values == prop.object_term.oid
-        if prop.oid_range is not None and not prop.oid_range.is_unbounded():
+        if _is_ranged(prop):
             mask &= prop.oid_range.mask(values, tail)
     return mask, values_read
 
@@ -443,15 +557,6 @@ def _sorted_prefix_rows(values: np.ndarray, intervals) -> List[Tuple[int, int]]:
         if hi > lo:
             rows.append((lo, hi))
     return rows
-
-
-def _positions_within(positions: np.ndarray, row_ranges: List[Tuple[int, int]]) -> np.ndarray:
-    """The ascending ``positions`` inside any of the sorted, disjoint
-    half-open ``row_ranges``."""
-    bounds = np.asarray(row_ranges, dtype=np.int64).reshape(-1, 2)
-    _, kept = expand_ranges(np.searchsorted(positions, bounds[:, 0]),
-                            np.searchsorted(positions, bounds[:, 1]))
-    return positions[kept]
 
 
 def _subject_rows_for_range(block: CSBlock, subject_range: OidRange) -> Tuple[int, int]:
@@ -506,6 +611,24 @@ def _irregular_star_subjects(irregular: TripleTable, predicates: List[int]) -> n
 
 
 # -- parse-order (index merge) evaluation ----------------------------------------------
+
+
+class _IndexMergeStarScan:
+    """One operator run's evaluation of a star over the parse-order indexes."""
+
+    def __init__(self, context: ExecutionContext, star: StarPattern) -> None:
+        self.context = context
+        self.star = star
+        self.tails = _property_tails(context, star)
+
+    def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
+        return _scan_index_merge(self.context, self.star, self.tails, candidate_subjects)
+
+    def join(self, input_table: BindingTable) -> BindingTable:
+        """The star's rows for the input's distinct subjects, joined back
+        onto the input (see :class:`RDFJoinOp`)."""
+        star_table, star_rows, input_rows = _join_candidates(self.scan, self.star, input_table)
+        return joined_rows(star_table, input_table, star_rows, input_rows)
 
 
 def _scan_index_merge(context: ExecutionContext, star: StarPattern, tails: List[np.ndarray],
@@ -566,7 +689,7 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty, tail: 
     """Fetch the (subject, object) pairs of one property, sorted by subject."""
     if not prop.object_term.is_variable:
         rows = store.scan_pattern(p=prop.predicate_oid, o=prop.object_term.oid, fetch="so")
-    elif prop.oid_range is not None and not prop.oid_range.is_unbounded():
+    elif _is_ranged(prop):
         table = store.within_predicate("o")
         rows = table.fetch_ranges(
             table.narrowed_row_ranges(prop.predicate_oid, prop.oid_range.intervals(tail)),
@@ -590,7 +713,7 @@ def _finish_pairs(delta, prop: StarProperty, tail: np.ndarray, subjects: np.ndar
         constant = None if prop.object_term.is_variable else prop.object_term.oid
         subjects, objects = merge_property_pairs(delta, subjects, objects,
                                                  prop.predicate_oid, constant)
-    if prop.oid_range is not None and not prop.oid_range.is_unbounded():
+    if _is_ranged(prop):
         mask = prop.oid_range.mask(objects, tail)
         subjects, objects = subjects[mask], objects[mask]
     if subject_range is not None and not subject_range.is_unbounded():

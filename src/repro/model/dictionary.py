@@ -160,10 +160,15 @@ class TermDictionary:
         order.  Immutable once published (a remapped dictionary that moved no
         literal shares it)."""
         self._head_keys: Optional[List[tuple]] = None
-        """The head's sort keys, in head order: kept from the value-ordering
-        pass that sorted them, else made by the first value range asked of
-        the head (:meth:`literal_value_range`); shared wherever the head
-        is."""
+        """The head's sort keys, in head order, when the value-ordering pass
+        that sorted them kept them; ``None`` after ``open()``, where a value
+        range makes only the keys it probes (:meth:`literal_value_range`).
+        Shared wherever the head is."""
+        self._probed_keys: Dict[int, tuple] = {}
+        """Head OID -> sort key of each head literal a value range probed
+        while ``_head_keys`` is ``None``: a bisection probes the same pivots
+        first every time, so later ranges make few keys.  Shared wherever
+        the head is; racing readers store equal keys."""
         self._literal_tail: Tuple[int, List[Tuple[tuple, int]]] = (0, [])
         """``(covered, entries)``: one ``(sort key, OID)`` entry, sorted, per
         literal with watermark <= OID < covered.  The tail is small, so unlike
@@ -459,6 +464,7 @@ class TermDictionary:
             remapped._value_order_watermark = self._value_order_watermark
             remapped._literal_head = self._literal_head
             remapped._head_keys = self._head_keys
+            remapped._probed_keys = self._probed_keys
             remapped._literal_tail = self._literal_tail
         return remapped
 
@@ -521,6 +527,7 @@ class TermDictionary:
         self._value_order_watermark = watermark
         self._literal_head = np.asarray(literal_oids, dtype=np.int64)
         self._head_keys = keys
+        self._probed_keys = {}
         self._literal_tail = (watermark, [])
         if watermark:
             _HEAD_BUILDS.inc()
@@ -566,14 +573,23 @@ class TermDictionary:
         """The head literals whose value lies within ``bounds``: a view of
         ascending OIDs, so its first and last element bound one OID interval.
         Fixed for the dictionary's lifetime, since appends only grow the
-        tail — what a plan may keep.  Bisects the head's sort keys, made once
-        per head, so a range decodes no term."""
+        tail — what a plan may keep.  Bisects the head's sort keys when the
+        value-ordering pass left them; otherwise (an opened store) bisects
+        the head itself, making the key of each literal it probes only — so
+        the first range after ``open()`` costs O(log head) keys, not
+        O(head), and keeping them (:meth:`_probed_key`) keeps later ranges
+        cheap."""
         keys = self._head_keys
-        if keys is None:  # racing readers make equal lists; either may stay
-            terms = self._oid_to_term
-            keys = self._head_keys = [term_sort_key(terms[oid])
-                                      for oid in self._literal_head.tolist()]
+        if keys is None:
+            return self._literal_head[bounds.span(self._literal_head, key=self._probed_key)]
         return self._literal_head[bounds.span(keys)]
+
+    def _probed_key(self, oid: int) -> tuple:
+        """A head literal's sort key, made on its first probe and kept."""
+        key = self._probed_keys.get(oid)
+        if key is None:
+            key = self._probed_keys[oid] = self._literal_key(oid)
+        return key
 
     def literal_tail_range(self, bounds: ValueBounds) -> np.ndarray:
         """The tail literals whose value lies within ``bounds``, as a sorted

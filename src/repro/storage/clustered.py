@@ -9,9 +9,9 @@ column ranges instead of performing one self-join per property.
 The subject column is ascending, not dense: clustering
 (:func:`repro.storage.loader.plan_subject_clustering`) permutes the member
 subjects' OIDs *among themselves*, so other terms' OIDs may lie between a
-block's, and a subject's row is a binary search
-(:meth:`CSBlock.positions_of_subjects`), not a subtraction.  Dense
-intervals — the paper's layout — are ROADMAP item 3.
+block's, and a subject's row is a binary search (:meth:`CSBlock.locate`),
+not a subtraction.  Dense intervals — the paper's layout — are the ROADMAP
+item "Dense subject OIDs" (item 4).
 
 Triples that do not fit — subjects outside every CS, properties not in the
 subject's CS, multi-valued (``0..n``) properties, and second/third values of
@@ -61,19 +61,20 @@ class CSBlock:
     def zone_map(self, predicate_oid: int) -> Optional[ZoneMap]:
         return self.zone_maps.get(predicate_oid)
 
-    def positions_of_subjects(self, subject_oids: np.ndarray) -> np.ndarray:
-        """Row positions of the given subject OIDs (missing ones dropped).
-
-        The subject column is sorted ascending, so this is a vectorized
-        binary search.
-        """
+    def locate(self, subject_oids: np.ndarray) -> np.ndarray:
+        """Each subject OID's row position, ``-1`` where the block does not
+        hold it: a vectorized binary search of the ascending subject column
+        and an equality check."""
         subjects = self.subject_column.data
-        positions = np.searchsorted(subjects, subject_oids)
-        positions = np.clip(positions, 0, len(subjects) - 1) if len(subjects) else positions
         if len(subjects) == 0:
-            return np.empty(0, dtype=np.int64)
-        valid = subjects[positions] == subject_oids
-        return positions[valid].astype(np.int64)
+            return np.full(len(subject_oids), -1, dtype=np.int64)
+        positions = np.searchsorted(subjects, subject_oids)
+        return np.where(subjects.take(positions, mode="clip") == subject_oids, positions, -1)
+
+    def positions_of_subjects(self, subject_oids: np.ndarray) -> np.ndarray:
+        """Row positions of the given subject OIDs (missing ones dropped)."""
+        positions = self.locate(subject_oids)
+        return positions[positions >= 0]
 
 
 def _is_sorted_ignoring_nulls(values: np.ndarray) -> bool:

@@ -14,6 +14,7 @@ from repro.columnar import (
     NULL_OID,
     QueryCost,
     ZoneMap,
+    gather_columns,
 )
 from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
 from repro.engine import OidRange, PatternTerm, StarPattern, StarProperty
@@ -132,6 +133,31 @@ class TestColumn:
         assert pool.evictions == 1
         assert list(pool._pages) == [("c", 1), ("c", 3), ("c", 4)]
         assert pool.tracker.tuples_probed == len(positions)
+
+    def test_gathering_aligned_columns_together_accounts_like_gathering_each(self):
+        """``gather_columns`` finds the positions' pages once for all the
+        columns, and reads, hits, evicts and counts probes exactly as one
+        ``gather`` per column in turn."""
+        positions = [17, 3, 5, 17, 0, 4, 13, 3, 16]
+        pools = [BufferPool(capacity_pages=5, page_size=4) for _ in range(2)]
+        columns = [[Column(name, [v * 10 + i for v in range(20)], pool=pool)
+                    for i, name in enumerate("abc")] for pool in pools]
+        for pool in pools:
+            pool.access_page("b", 1)
+        each = [column.gather(positions).tolist() for column in columns[0]]
+        together = [values.tolist() for values in gather_columns(columns[1], positions)]
+        assert together == each
+
+        def accounting(pool: BufferPool) -> tuple:
+            tracker = pool.tracker
+            return (tracker.page_reads, tracker.page_hits, tracker.tuples_probed,
+                    pool.evictions, list(pool._pages))
+
+        assert accounting(pools[1]) == accounting(pools[0])
+        assert pools[0].evictions  # three columns' pages overflow the pool
+        assert gather_columns([], positions) == []
+        with pytest.raises(StorageError):
+            gather_columns(columns[1], [20])
 
     def test_null_handling(self):
         col = Column("c", [1, NULL_OID, 3, NULL_OID])

@@ -15,6 +15,9 @@ head; it is checked against the one full sort it replaced.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from hypothesis import example, given, settings, strategies as st
 
 from _datasets import EX, book_triples
@@ -22,7 +25,9 @@ from _oracles import full_sort_value_order, oracle_literal_range
 from repro import RDFStore, default_registry
 from repro.engine.values import ValueEncoder
 from repro.model import IRI, Literal, TermDictionary
-from repro.model.terms import XSD_DATE, XSD_DOUBLE, XSD_INTEGER
+from repro.model import dictionary as dictionary_module
+from repro.model.dictionary import ValueBounds
+from repro.model.terms import XSD_DATE, XSD_DOUBLE, XSD_INTEGER, term_sort_key
 from test_updates import _config, insert_book
 
 # -- literal_range against the brute-force oracle --------------------------------------
@@ -229,6 +234,59 @@ def test_compact_builds_no_index_and_open_builds_it_once(tmp_path):
     assert reopened.dictionary.value_order_watermark == len(reopened.dictionary)
     assert len(reopened.decode_rows(reopened.sparql(RANGE_QUERY))) == 6
     _assert_ranges_match(reopened.dictionary, STORE_BOUNDS)
+
+
+def test_the_first_range_after_open_makes_only_the_keys_it_probes(tmp_path, monkeypatch):
+    """``open()`` restores the head without its sort keys.  The first range
+    query then makes the keys its bisections probe — O(log head) — rather
+    than one per head literal, and gets the answer a built store gets."""
+    store = RDFStore.build(book_triples(books=600), config=_config())
+    store.update(_insert_book(1))
+    expected = store.decode_rows(store.sparql(RANGE_QUERY))
+    store.save(tmp_path / "db")
+    reopened = RDFStore.open(tmp_path / "db")
+    watermark = reopened.dictionary.value_order_watermark  # the head is below it
+    made = []
+
+    def counted(term):
+        made.append(term)
+        return term_sort_key(term)
+
+    monkeypatch.setattr(dictionary_module, "term_sort_key", counted)
+    assert reopened.decode_rows(reopened.sparql(RANGE_QUERY)) == expected == [
+        (f"{EX}book/new1", 2006)]
+    # two bisections of the head and the range's own bound
+    assert 0 < len(made) <= 2 * watermark.bit_length() + 2 < watermark // 10
+    _assert_ranges_match(reopened.dictionary, STORE_BOUNDS)
+
+
+def test_readers_racing_on_a_reopened_head_agree(tmp_path):
+    """The keys probed on a reopened head are kept in one dictionary every
+    reader shares: threads bisecting it at once, with the interpreter
+    switching threads every few microseconds, all get the ranges one
+    reader gets alone."""
+    store = RDFStore.build(book_triples(books=300), config=_config())
+    store.save(tmp_path / "db")
+    bounds = [ValueBounds.of(*bound) for bound in STORE_BOUNDS]
+    expected = [RDFStore.open(tmp_path / "db").dictionary.literal_value_range(b).tolist()
+                for b in bounds]
+    dictionary = RDFStore.open(tmp_path / "db").dictionary
+    results, switch = [], sys.getswitchinterval()
+
+    def read() -> None:
+        results.append([dictionary.literal_value_range(b).tolist() for b in bounds])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(threads)
 
 
 def test_snapshots_share_the_index_across_updates():

@@ -21,13 +21,14 @@ the server, then scrapes ``GET /metrics`` over real HTTP and verifies:
      no OID) and is folded into value order by ``cluster()``.
 
 It then exercises the live query-management surface end to end: serves one
-query and one malformed text, starts a deliberately slow cross-join query on
-a batch-size-1 store, polls ``GET /queries`` until the query is visible,
-cancels it with ``GET /queries/cancel?id=``, and asserts the query unwound
-with ``QueryCancelledError``, that the cancel shows up in the structured
-event log, and that the success, the ``ParseError`` and the cancel each
-moved their one counter in ``/metrics`` (``/stats`` latency counts equal to
-``repro_queries_total``).
+query, starts a query whose star scan waits on a gate, finds it in
+``GET /queries``, cancels it with ``GET /queries/cancel?id=``, opens the
+gate and asserts the query unwound with ``QueryCancelledError``; then
+serves one malformed text.  It checks that the cancel shows up in the
+structured event log, and that the success, the ``ParseError`` and the
+cancel each moved their one counter in ``/metrics`` (``/stats`` latency
+counts equal to ``repro_queries_total``).  The gate, not the data, makes
+the query slow, so the cancel lands however warm the store is.
 
 Exit status 0 when all checks pass; any failure raises (nonzero exit).
 CI runs this after the unit suite as a cheap wire-format regression gate.
@@ -39,8 +40,9 @@ import json
 import re
 import sys
 import tempfile
-import time
+import threading
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -55,6 +57,7 @@ from repro import (  # noqa: E402
     StoreConfig,
 )
 from repro.cs import DiscoveryConfig, GeneralizationConfig  # noqa: E402
+from repro.engine import RDFScanOp  # noqa: E402
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
@@ -204,45 +207,64 @@ def smoke_dictionary_tail(store: RDFStore, url: str) -> None:
     assert tail == 0, f"cluster() left a tail of {tail}"
 
 
-def smoke_query_outcomes(server: QueryServer, url: str, slow_query: str) -> dict:
-    """One query cancelled over HTTP (``slow_query``, watched in
-    ``GET /queries`` until it shows, then ``GET /queries/cancel?id=``), one
-    served success and one served ``ParseError``: the registry's one
-    completion hook moves one counter each, and ``/stats`` holds one latency
-    sample per completed query.  Returns the cancelled query's ``/queries``
-    entry."""
+@contextmanager
+def gated_star_scans():
+    """While open, every RDFscan sets ``entered`` and then waits for
+    ``gate`` before it reads: a query over a star is slow by construction,
+    and its operator is running — so the query is registered — once
+    ``entered`` is set."""
+    entered, gate = threading.Event(), threading.Event()
+    scan = RDFScanOp._batches
+
+    def gated(operator, context):
+        entered.set()
+        gate.wait(timeout=60)
+        yield from scan(operator, context)
+
+    RDFScanOp._batches = gated
+    try:
+        yield entered, gate
+    finally:
+        gate.set()
+        RDFScanOp._batches = scan
+
+
+def smoke_query_outcomes(server: QueryServer, url: str) -> dict:
+    """One served success, then one query cancelled over HTTP (held at a
+    gate until the cancel is in, found in ``GET /queries``, cancelled with
+    ``GET /queries/cancel?id=``), then one served ``ParseError``: the
+    registry's one completion hook moves one counter each, and ``/stats``
+    holds one latency sample per completed query.  Returns the cancelled
+    query's ``/queries`` entry."""
     def total(samples: dict, prefix: str) -> float:
         return sum(value for lhs, value in samples.items()
                    if lhs == prefix or lhs.startswith(prefix + "{"))
 
     before = scrape(url)
-    future = server.submit_query(slow_query)  # first: a cold store runs it longest
+    server.submit_query(SPARQL).result()  # the cancel below does not rely on a cold store
 
-    entry = None
-    for _ in range(2000):
+    with gated_star_scans() as (entered, gate):
+        future = server.submit_query(SPARQL)
+        assert entered.wait(timeout=30), "gated query never reached its star scan"
         with urllib.request.urlopen(f"{url}/queries", timeout=10) as resp:
             queries = json.load(resp)["queries"]
-        if queries:
-            entry = queries[0]
-            break
-        time.sleep(0.005)
-    assert entry is not None, "slow query never showed up in /queries"
-    for key in ("id", "frontend", "scheme", "text", "elapsed_seconds",
-                "rows", "progress", "operator", "cancel_requested"):
-        assert key in entry, f"/queries entry missing {key!r}: {entry}"
-    assert entry["frontend"] == "sparql", entry
+        assert len(queries) == 1, f"/queries lists {queries}, not the gated query"
+        entry = queries[0]
+        for key in ("id", "frontend", "scheme", "text", "elapsed_seconds",
+                    "rows", "progress", "operator", "cancel_requested"):
+            assert key in entry, f"/queries entry missing {key!r}: {entry}"
+        assert entry["frontend"] == "sparql", entry
 
-    with urllib.request.urlopen(
-            f"{url}/queries/cancel?id={entry['id']}", timeout=10) as resp:
-        payload = json.load(resp)
-    assert payload == {"cancelled": True, "id": entry["id"]}, payload
-
-    try:
-        future.result(timeout=60)
-        raise AssertionError("slow query finished despite cancellation")
-    except QueryCancelledError as exc:
-        assert exc.query_id == entry["id"], exc
-    server.submit_query(SPARQL).result()
+        with urllib.request.urlopen(
+                f"{url}/queries/cancel?id={entry['id']}", timeout=10) as resp:
+            payload = json.load(resp)
+        assert payload == {"cancelled": True, "id": entry["id"]}, payload
+        gate.set()
+        try:
+            future.result(timeout=60)
+            raise AssertionError("gated query finished despite cancellation")
+        except QueryCancelledError as exc:
+            assert exc.query_id == entry["id"], exc
     try:
         server.submit_query("SELECT ?b WHERE { ?b").result()
         raise AssertionError("a malformed query answered")
@@ -263,20 +285,14 @@ def smoke_query_outcomes(server: QueryServer, url: str, slow_query: str) -> dict
 
 
 def smoke_query_management() -> None:
-    """Start a slow query, watch it in /queries, cancel it over HTTP."""
-    # batch_size=1 keeps every batch tiny: the cross-join star
-    # (~books^2/authors rows) runs long enough to observe and cancel, and a
-    # cancel lands within one (one-row) batch
-    config = StoreConfig(
-        discovery=DiscoveryConfig(
-            generalization=GeneralizationConfig(min_support=3)),
-        batch_size=1)
-    store = RDFStore.build(book_nt(books=400, authors=4), config=config)
-    slow_query = (f"SELECT ?b ?a ?b2 WHERE {{ ?b <{EX}has_author> ?a . "
-                  f"?b2 <{EX}has_author> ?a . }}")
+    """Serve a query, hold a second at a gate, watch it in /queries, cancel
+    it over HTTP."""
+    config = StoreConfig(discovery=DiscoveryConfig(
+        generalization=GeneralizationConfig(min_support=3)))
+    store = RDFStore.build(book_nt(), config=config)
     with QueryServer(store, workers=2) as server:
         port = server.start_metrics_endpoint()
-        entry = smoke_query_outcomes(server, f"http://127.0.0.1:{port}", slow_query)
+        entry = smoke_query_outcomes(server, f"http://127.0.0.1:{port}")
 
     assert store.active_queries() == [], store.active_queries()
     assert store.open_snapshot_count() == 0, "cancel leaked a snapshot pin"
@@ -286,9 +302,9 @@ def smoke_query_management() -> None:
     cancelled = [event for event in store.events(type="query_finish")
                  if event["id"] == entry["id"]]
     assert [event["status"] for event in cancelled] == ["cancelled"], cancelled
-    print(f"query management smoke OK: slow query id={entry['id']} visible in "
-          f"/queries, cancelled over HTTP, lifecycle in event log; a success, "
-          f"a ParseError and the cancel moved one counter each")
+    print(f"query management smoke OK: a success served, gated query id={entry['id']} "
+          f"visible in /queries, cancelled over HTTP, lifecycle in event log; the "
+          f"success, a ParseError and the cancel moved one counter each")
 
 
 def main() -> int:
