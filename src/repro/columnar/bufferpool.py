@@ -200,15 +200,7 @@ class BufferPool:
 
     def access_page(self, segment_id: str, page: int) -> bool:
         """Touch one page; return True on a hit, False on a miss."""
-        key = (segment_id, page)
-        with self._lock:
-            if key in self._pages:
-                self._pages.move_to_end(key)
-                self.tracker.page_hits += 1
-                return True
-            self.tracker.page_reads += 1
-            self._insert(key)
-            return False
+        return not self.access_pages(segment_id, (page,))
 
     def access_range(self, segment_id: str, start: int, stop: int) -> int:
         """Touch every page overlapping value indexes ``[start, stop)``.
@@ -218,20 +210,25 @@ class BufferPool:
         """
         if stop <= start:
             return 0
-        first_page = start // self.page_size
-        last_page = (stop - 1) // self.page_size
-        misses = 0
-        for page in range(first_page, last_page + 1):
-            if not self.access_page(segment_id, page):
-                misses += 1
-        return misses
+        return self.access_pages(segment_id,
+                                 range(start // self.page_size, (stop - 1) // self.page_size + 1))
 
     def access_pages(self, segment_id: str, pages: Iterable[int]) -> int:
-        """Touch an explicit set of pages; return the number of misses."""
-        misses = 0
-        for page in pages:
-            if not self.access_page(segment_id, page):
-                misses += 1
+        """Touch pages in the given order, each as :meth:`access_page` would,
+        under one hold of the lock; return the number of misses."""
+        misses = touched = 0
+        cached = self._pages
+        with self._lock:
+            for page in pages:
+                key = (segment_id, page)
+                touched += 1
+                if key in cached:
+                    cached.move_to_end(key)
+                else:
+                    misses += 1
+                    self._insert(key)
+            self.tracker.page_hits += touched - misses
+            self.tracker.page_reads += misses
         return misses
 
     # -- internals -----------------------------------------------------------

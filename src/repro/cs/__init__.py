@@ -28,6 +28,7 @@ from .schema_model import (
     PropertyKind,
     PropertySpec,
     SchemaCoverage,
+    match_characteristic_set,
 )
 from .summarize import (
     SchemaSummary,
@@ -73,6 +74,7 @@ __all__ = [
     "jaccard",
     "label_schema",
     "literal_kind",
+    "match_characteristic_set",
     "measure_coverage",
     "sanitize_identifier",
     "summarize_by_keywords",

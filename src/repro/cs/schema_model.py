@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -321,6 +321,32 @@ class EmergentSchema:
         lines.append(f"triple coverage: {self.coverage.triple_coverage():.1%}")
         lines.append(f"subject coverage: {self.coverage.subject_coverage():.1%}")
         return lines
+
+
+def match_characteristic_set(schema: EmergentSchema, props: AbstractSet[int]) -> Optional[int]:
+    """The one CS-admission rule: which table a subject with property set
+    ``props`` joins — at compaction, and while pending, the table whose tail
+    block holds a newcomer (:meth:`repro.storage.ClusteredStore.pending_tails`).
+
+    Exact property-set match wins; otherwise the tightest superset CS
+    (fewest extra properties, ties broken by support then id); ``None``
+    (the leftover bucket) when nothing fits.
+    """
+    if not props:
+        return None
+    exact: Optional[int] = None
+    best: Optional[Tuple[int, int, int]] = None
+    for cs in schema.tables.values():
+        cs_props = cs.property_oids()
+        if cs_props == props:
+            exact = cs.cs_id if exact is None else min(exact, cs.cs_id)
+        elif props <= cs_props:
+            candidate = (len(cs_props - props), -cs.total_support(), cs.cs_id)
+            if best is None or candidate < best:
+                best = candidate
+    if exact is not None:
+        return exact
+    return None if best is None else best[2]
 
 
 def property_presence(subjects_with_property: int, total_subjects: int) -> float:

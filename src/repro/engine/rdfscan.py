@@ -23,6 +23,14 @@ deduplication and no join back.  Only input rows whose subject is residual
 set: their distinct subjects are scanned and the star rows joined back by
 each subject's rank among them.
 
+While a write is pending, each star block (its *head*) is followed by its
+*tail*: the version's pending newcomers that table would admit, as a
+``CSBlock`` of their rows (``FrozenDelta.pending_tails``).  Both operators
+read a tail with the same block code as a head — RDFscan emits head rows,
+then tail rows, block by block, then the residual subjects' rows; RDFjoin
+locates a subject in a tail like in any block — so a brand-new subject of a
+table's shape is a row, not a residual subject.
+
 Both operators understand zone maps: when a property carries a range
 constraint and its column has a zone map, only the zones whose ``[min,max]``
 interval intersects the constraint are read.  The helpers at the bottom
@@ -181,17 +189,26 @@ class _ClusteredStarScan:
         self.store = store = context.require_clustered_store()
         self.delta = delta = context.active_delta()
         predicates = star.predicate_oids()
-        self.blocks = store.blocks_with_properties(predicates)
+        heads = store.blocks_with_properties(predicates)
         self.tails = _property_tails(context, star)
         # Subjects touched by irregular triples (spilled multi-values, dirty
         # data, subjects of no CS at all) or, MergeScan, by pending inserts or
         # tombstones on a star predicate cannot be answered from their base
         # block alone: they take the residual scan over base ∪ delta −
         # tombstones, so that neither clustering nor a pending write ever
-        # changes query answers.  This covers brand-new subjects as well.
+        # changes query answers.  A pending newcomer the version filed in a
+        # table's tail block is the exception: it is a row of that tail, which
+        # follows its head in ``blocks``.
         residual = _irregular_star_subjects(store.irregular, predicates)
-        if delta is not None:
+        if delta is None:
+            self.blocks = heads
+        else:
+            pending = delta.pending_tails(store)
+            self.blocks = [block for head in heads
+                           for block in (head, pending.blocks.get(head.cs_id))
+                           if block is not None]
             touched = delta.subjects_touching(predicates)
+            touched = touched[~sorted_member_mask(touched, pending.subjects)]
             if touched.size:
                 residual = unique_keys(np.concatenate([residual, touched]))
         self.residual_subjects = residual
@@ -495,7 +512,7 @@ def _block_row_ranges(block: CSBlock, star: StarPattern, tails: List[np.ndarray]
         if prop.predicate_oid not in block.sorted_properties:
             continue
         row_ranges = _intersect_ranges(
-            row_ranges, _sorted_prefix_rows(block.column(prop.predicate_oid).data, intervals))
+            row_ranges, _sorted_prefix_rows(block, prop.predicate_oid, intervals))
         if not row_ranges:
             return []
 
@@ -544,12 +561,13 @@ def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.nd
     return mask, values_read
 
 
-def _sorted_prefix_rows(values: np.ndarray, intervals) -> List[Tuple[int, int]]:
-    """Row ranges of a column sorted over its non-NULL prefix (trailing NULLs
-    excluded) whose values lie in the ascending, disjoint inclusive OID
-    ``intervals``: binary searches only."""
-    prefix_length = int(np.count_nonzero(values != NULL_OID))
-    prefix = values[:prefix_length]
+def _sorted_prefix_rows(block: CSBlock, predicate_oid: int, intervals) -> List[Tuple[int, int]]:
+    """Row ranges of a block column sorted over its non-NULL prefix
+    (:meth:`CSBlock.sorted_prefix_length`; trailing NULLs excluded) whose
+    values lie in the ascending, disjoint inclusive OID ``intervals``:
+    binary searches only."""
+    prefix_length = block.sorted_prefix_length(predicate_oid)
+    prefix = block.column(predicate_oid).data[:prefix_length]
     rows = []
     for low, high in intervals:
         lo = 0 if low is None else int(np.searchsorted(prefix, low, side="left"))
@@ -784,7 +802,7 @@ def subject_range_for_property_range(block: CSBlock, predicate_oid: int, oid_ran
     """
     if predicate_oid not in block.sorted_properties:
         return None
-    rows = _sorted_prefix_rows(block.column(predicate_oid).data, oid_range.intervals(tail))
+    rows = _sorted_prefix_rows(block, predicate_oid, oid_range.intervals(tail))
     if not rows:
         return OidRange(low=1, high=0)  # empty range: no subject can match
     subjects = block.subject_column.data

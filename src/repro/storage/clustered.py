@@ -18,6 +18,11 @@ subject's CS, multi-valued (``0..n``) properties, and second/third values of
 nominally single-valued properties in dirty data — stay behind in a basic
 PSO triple table (the *irregular* store), exactly as Figure 3 of the paper
 shows.  Queries consult both parts, so no data is ever lost by clustering.
+
+While writes are pending, a brand-new subject whose property set files it
+in a table is a row of that table's *tail block* (:class:`PendingTails`): a
+:class:`CSBlock` of the pending rows beside the table's block, its *head*,
+read by the same scan code.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..columnar import BufferPool, Column, NULL_OID, ZoneMap
-from ..cs import EmergentSchema, Multiplicity
+from ..cs import EmergentSchema, Multiplicity, match_characteristic_set
+from ..cs.detect import group_equal_runs, run_starts
 from ..errors import StorageError
 from .triple_table import TripleTable
 
@@ -46,6 +52,9 @@ class CSBlock:
     """Predicates whose column is non-decreasing over its non-NULL prefix —
     the result of sub-ordering the CS on that property at clustering time.
     Range predicates on these columns can binary-search instead of scanning."""
+    _prefix_lengths: Dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
+    """Per sorted property looked up so far, :meth:`sorted_prefix_length`."""
 
     def __len__(self) -> int:
         return len(self.subject_column)
@@ -61,6 +70,16 @@ class CSBlock:
     def zone_map(self, predicate_oid: int) -> Optional[ZoneMap]:
         return self.zone_maps.get(predicate_oid)
 
+    def sorted_prefix_length(self, predicate_oid: int) -> int:
+        """How many leading rows of a :attr:`sorted_properties` column are
+        non-NULL (its NULLs trail): counted on first use and kept, never
+        persisted, so a lazy column stays lazy until a range reads it."""
+        length = self._prefix_lengths.get(predicate_oid)
+        if length is None:
+            length = self._prefix_lengths[predicate_oid] = _non_null_count(
+                self.column(predicate_oid).data)
+        return length
+
     def locate(self, subject_oids: np.ndarray) -> np.ndarray:
         """Each subject OID's row position, ``-1`` where the block does not
         hold it: a vectorized binary search of the ascending subject column
@@ -75,6 +94,23 @@ class CSBlock:
         """Row positions of the given subject OIDs (missing ones dropped)."""
         positions = self.locate(subject_oids)
         return positions[positions >= 0]
+
+
+@dataclass(frozen=True)
+class PendingTails:
+    """The tail blocks of one delta version (:meth:`ClusteredStore.pending_tails`)."""
+
+    blocks: Dict[int, CSBlock]
+    """CS id -> the tail block beside that table's head block."""
+    subjects: np.ndarray
+    """Every tail row's subject, ascending."""
+
+
+_NO_TAILS = PendingTails({}, np.empty(0, dtype=np.int64))
+
+
+def _non_null_count(values: np.ndarray) -> int:
+    return int(np.count_nonzero(values != NULL_OID))
 
 
 def _is_sorted_ignoring_nulls(values: np.ndarray) -> bool:
@@ -106,6 +142,8 @@ class ClusteredStore:
         self.schema = schema
         self.pool = pool
         self._by_cs: Dict[int, CSBlock] = {block.cs_id: block for block in blocks}
+        self._irregular_subjects: Optional[np.ndarray] = None
+        self._tail_tables: Dict[frozenset, int] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -229,6 +267,86 @@ class ClusteredStore:
         wanted = list(predicate_oids)
         return [block for block in self.blocks
                 if all(block.has_property(p) for p in wanted)]
+
+    def pending_tails(self, rows: np.ndarray, name: str) -> PendingTails:
+        """The tail blocks of pending inserts ``rows``: an ``(n, 3)`` S/P/O
+        array sorted by subject, then predicate, of subjects that have one
+        pending value per predicate (which the delta knows).
+
+        Such a subject is a tail row when it also has no base triple — no
+        table, no irregular triple, hence no tombstone either — and
+        :func:`match_characteristic_set` files its property set in a table
+        whose block holds every one of its predicates as a column: then a
+        compaction would make it a row of that block, and until then it is
+        one of the tail's.  Admission runs once per distinct property set
+        (:meth:`_tail_table`).  A tail is a :class:`CSBlock` with its head's
+        columns and label, its rows subject-ordered; it has no zone maps and
+        no sorted columns (a tail is one zone), and its column segments are
+        named under ``name``.
+        """
+        if not rows.size:
+            return _NO_TAILS
+        starts = run_starts(rows[:, 0])
+        subjects = rows[starts, 0]
+        sizes = np.diff(np.append(starts, rows.shape[0]))
+        # a subject's predicates are an ascending, distinct run, so equal
+        # property sets are equal runs
+        group, first = group_equal_runs(rows[:, 1], starts)
+        tables = np.asarray([self._tail_table(rows[start:start + size, 1])
+                             for start, size in zip(starts[first].tolist(), sizes[first].tolist())],
+                            dtype=np.int64)[group]
+        # no base triple: not a member, no irregular triple
+        tables[self.schema.membership.cs_of(subjects) >= 0] = -1
+        irregular = self.irregular_subjects()
+        if irregular.size:
+            at = np.searchsorted(irregular, subjects)
+            tables[irregular.take(at, mode="clip") == subjects] = -1
+        row_tables = np.repeat(tables, sizes)
+        blocks = {cs_id: self._tail_block(self._by_cs[cs_id], subjects[tables == cs_id],
+                                          rows[row_tables == cs_id], name)
+                  for cs_id in np.unique(tables[tables >= 0]).tolist()}
+        return PendingTails(blocks, subjects[tables >= 0])
+
+    def _tail_table(self, predicates: np.ndarray) -> int:
+        """The table whose tail holds a newcomer with these predicates, or
+        ``-1``: decided once per property set and kept (the store's schema
+        and blocks never change)."""
+        props = frozenset(predicates.tolist())
+        cs_id = self._tail_tables.get(props)
+        if cs_id is None:
+            block = self._by_cs.get(match_characteristic_set(self.schema, props))
+            cs_id = self._tail_tables[props] = (
+                block.cs_id if block is not None and all(map(block.has_property, props)) else -1)
+        return cs_id
+
+    def _tail_block(self, head: CSBlock, members: np.ndarray, rows: np.ndarray,
+                    name: str) -> CSBlock:
+        """The tail of ``head`` holding ``members`` (ascending), whose
+        pending rows are ``rows``: one value per column cell, NULL where
+        a member has none."""
+        predicates = np.fromiter(head.property_columns, dtype=np.int64,
+                                 count=len(head.property_columns))
+        order = np.argsort(predicates)
+        slots = order[np.searchsorted(predicates[order], rows[:, 1])]
+        cells = np.full((predicates.size, members.size), NULL_OID, dtype=np.int64)
+        cells[slots, np.searchsorted(members, rows[:, 0])] = rows[:, 2]
+        prefix = f"{name}.cs{head.cs_id}"
+        return CSBlock(
+            cs_id=head.cs_id,
+            label=head.label,
+            subject_column=Column(f"{prefix}.subject", members, sorted_ascending=True,
+                                  pool=self.pool),
+            property_columns={int(p): Column(f"{prefix}.p{p}", values, pool=self.pool)
+                              for p, values in zip(predicates.tolist(), cells)},
+        )
+
+    def irregular_subjects(self) -> np.ndarray:
+        """The subjects of the irregular triples, ascending and distinct:
+        computed on first use and kept (the table never changes)."""
+        if self._irregular_subjects is None:
+            self._irregular_subjects = (np.unique(self.irregular.column("s").data)
+                                        if len(self.irregular) else np.empty(0, dtype=np.int64))
+        return self._irregular_subjects
 
     def warm(self) -> None:
         """Pre-load every page of the clustered store (hot state)."""

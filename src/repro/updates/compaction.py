@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cs import EmergentSchema, measure_coverage
+from ..cs import EmergentSchema, match_characteristic_set, measure_coverage
 from ..cs.detect import run_starts
 from ..cs.schema_model import classify_multiplicity
 
@@ -112,31 +112,6 @@ def compact_store(matrix: np.ndarray, delta, schema: Optional[EmergentSchema]
 
 
 # -- schema maintenance ------------------------------------------------------------
-
-
-def match_characteristic_set(schema, props: Set[int]) -> Optional[int]:
-    """The one CS-admission rule: which table a subject with property set
-    ``props`` joins.
-
-    Exact property-set match wins; otherwise the tightest superset CS
-    (fewest extra properties, ties broken by support then id); ``None``
-    (the leftover bucket) when nothing fits.
-    """
-    if not props:
-        return None
-    exact: Optional[int] = None
-    best: Optional[Tuple[int, int, int]] = None
-    for cs in schema.tables.values():
-        cs_props = cs.property_oids()
-        if cs_props == props:
-            exact = cs.cs_id if exact is None else min(exact, cs.cs_id)
-        elif props <= cs_props:
-            candidate = (len(cs_props - props), -cs.total_support(), cs.cs_id)
-            if best is None or candidate < best:
-                best = candidate
-    if exact is not None:
-        return exact
-    return None if best is None else best[2]
 
 
 def _assign_new_subjects(schema, base: np.ndarray, merged: np.ndarray,

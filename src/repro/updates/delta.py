@@ -9,9 +9,11 @@ accumulate here:
   permutation index so every engine access path can merge them in;
 * **tombstones** — base triples marked deleted; scans filter them out.
 
-Which characteristic set a new subject joins is decided at compaction, from
-the merged triples (:func:`repro.updates.compaction.match_characteristic_set`);
-the delta knows nothing of the schema.
+Which characteristic set a new subject joins is decided by one rule,
+:func:`repro.cs.match_characteristic_set`: at compaction, from the merged
+triples, and while the write is pending, for a brand-new subject with one
+value per predicate, by :meth:`FrozenDelta.pending_tails`, which files it
+in its table's tail block.  The delta itself stores nothing of the schema.
 
 Deleting a triple that only exists in the delta simply removes the insert;
 re-inserting a tombstoned base triple removes the tombstone (resurrection).
@@ -29,11 +31,12 @@ The delta has a write half and a read half:
 * :class:`FrozenDelta` is what every query reads: :meth:`DeltaStore.freeze`
   hands out *the* immutable read half of the current version — the two sets
   as arrays plus what scans derive from them (the permutation index,
-  per-predicate tombstones, touched subjects), each built once for the
-  version.  The writer builds the next one when it publishes the version,
-  by folding the mutations since into the previous one's arrays.  Deltas
-  are small by design, and :func:`repro.updates.compaction.compact_store`
-  folds them into the base before they grow large.
+  per-predicate tombstones, touched subjects, the tail blocks of the
+  newcomers), each built once for the version.  The writer builds the next
+  one when it publishes the version, by folding the mutations since into
+  the previous one's arrays.  Deltas are small by design, and
+  :func:`repro.updates.compaction.compact_store` folds them into the base
+  before they grow large.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..cs.detect import run_starts
 from ..errors import StorageError
-from ..storage import ExhaustiveIndexStore
+from ..storage import ExhaustiveIndexStore, PendingTails
 
 TripleKey = Tuple[int, int, int]
 
@@ -262,11 +266,12 @@ class FrozenDelta:
     Holds the pending inserts and tombstones as two ``(n, 3)`` arrays and
     offers nothing that mutates.  What scans need beyond the arrays — the
     permutation index over the inserts (each order sorted when a scan
-    first reads it), the tombstones grouped by
-    predicate, the touched subjects per predicate — is derived on first use
-    and kept, so every context, snapshot and estimator of the version shares
-    it.  ``name`` (``<delta>.v<N>``) prefixes the index's buffer-pool
-    segments, keeping two versions' pages apart.
+    first reads it), the tombstones grouped by predicate, the touched
+    subjects per predicate, the newcomers' tail blocks — is derived on first
+    use and kept, so every context, snapshot and estimator of the version
+    shares it.  Racing first readers derive equal values and the last one
+    stored is kept.  ``name`` (``<delta>.v<N>``) prefixes the buffer-pool
+    segments of the index and the tails, keeping two versions' pages apart.
     """
 
     def __init__(self, inserts: np.ndarray, tombstones: np.ndarray,
@@ -279,7 +284,8 @@ class FrozenDelta:
         self.name = name
         self._index: Optional[ExhaustiveIndexStore] = None
         self._tombstones_by_p: Optional[Dict[int, np.ndarray]] = None
-        self._touched_by_p: Optional[Dict[int, np.ndarray]] = None
+        self._groups: Optional[Tuple[Dict[int, np.ndarray], np.ndarray]] = None
+        self._tails: Optional[Tuple[object, PendingTails]] = None
 
     # -- inspection ---------------------------------------------------------------
 
@@ -304,17 +310,52 @@ class FrozenDelta:
         """Sorted subjects with an insert *or* tombstone on any given predicate.
 
         These are the subjects whose star-pattern answers can no longer be
-        read from the base CS block alone; the clustered scan routes them
-        through its residual scan.
+        read from the base CS block alone; the clustered scan answers them
+        from a tail block (:meth:`pending_tails`) or its residual scan.
         """
-        if self._touched_by_p is None:
-            pairs = np.concatenate([self._inserts[:, :2], self._tombstones[:, :2]])
-            self._touched_by_p = {p: np.unique(subjects) for p, subjects
-                                  in _split_by(pairs[:, 1], pairs[:, 0]).items()}
-        parts = [self._touched_by_p[p] for p in predicates if p in self._touched_by_p]
+        touched_by_p = self._subject_groups()[0]
+        parts = [touched_by_p[p] for p in predicates if p in touched_by_p]
         if not parts:
             return np.empty(0, dtype=np.int64)
         return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+
+    def pending_tails(self, store) -> PendingTails:
+        """The tail blocks of this version's newcomers over the clustered
+        ``store`` (:meth:`repro.storage.ClusteredStore.pending_tails` of the
+        subjects with one value per predicate), derived on the first read
+        and kept, their columns' segments named under this version."""
+        tails = self._tails
+        if tails is None or tails[0] is not store:
+            tails = self._tails = (store, store.pending_tails(self._subject_groups()[1],
+                                                              f"{self.name}.tail"))
+        return tails[1]
+
+    def _subject_groups(self) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+        """One pass over the pending rows grouped by subject: the sorted
+        distinct subjects per predicate (:meth:`subjects_touching`), and the
+        inserts, sorted by subject and predicate, of the subjects with one
+        pending row per predicate (the tail candidates)."""
+        if self._groups is None:
+            inserts = self._inserts
+            rows = np.concatenate([inserts, self._tombstones])
+            order = np.lexsort((rows[:, 1], rows[:, 0]))
+            rows = rows[order]
+            pairs = run_starts(rows[:, 0], rows[:, 1])  # first row of each (s, p)
+            # pairs are distinct and subject-major: a stable split by
+            # predicate leaves each predicate's subjects ascending and unique
+            touched_by_p = _split_by(rows[pairs, 1], rows[pairs, 0])
+            candidates = rows[:0]
+            if rows.size:
+                # a tombstone's subject has a base triple, so it is no tail
+                # candidate: the store drops it with the other base subjects
+                starts = run_starts(rows[:, 0])
+                sizes = np.diff(np.append(starts, rows.shape[0]))
+                first_of_pair = np.zeros(rows.shape[0], dtype=bool)
+                first_of_pair[pairs] = True
+                one_value = np.repeat(np.add.reduceat(first_of_pair, starts) == sizes, sizes)
+                candidates = rows[one_value & (order < inserts.shape[0])]
+            self._groups = (touched_by_p, candidates)
+        return self._groups
 
     # -- merge-scan access paths ----------------------------------------------------
 
@@ -366,10 +407,11 @@ class FrozenDelta:
             self.index().warm()
 
     def drop_pages(self) -> None:
-        """Evict this version's index pages, so a superseded version stops
-        counting toward pool capacity and cold/hot accounting.  *When* is
+        """Evict this version's index and tail pages, so a superseded
+        version stops counting toward pool capacity and cold/hot
+        accounting.  *When* is
         the snapshot registry's one rule (``docs/concurrency.md``)."""
-        if self._index is not None and self.pool is not None:
+        if (self._index is not None or self._tails is not None) and self.pool is not None:
             # the trailing separator keeps ``v1`` from also matching ``v10``
             self.pool.drop_segments(f"{self.name}.")
 
@@ -420,11 +462,14 @@ def _fold_changes(inserts: np.ndarray, tombstones: np.ndarray,
 
 
 def _split_by(keys: np.ndarray, values: np.ndarray) -> Dict[int, np.ndarray]:
-    """``values`` (rows aligned with ``keys``) grouped by key."""
+    """``values`` (rows aligned with ``keys``) grouped by key, each group in
+    row order."""
     order = np.argsort(keys, kind="stable")
-    distinct, starts = np.unique(keys[order], return_index=True)
-    return {int(key): part for key, part
-            in zip(distinct, np.split(values[order], starts[1:]))}
+    keys, values = keys[order], values[order]
+    starts = run_starts(keys)
+    bounds = np.append(starts, keys.size).tolist()
+    return {key: values[start:stop] for key, start, stop
+            in zip(keys[starts].tolist(), bounds, bounds[1:])}
 
 
 def _isin_rows(rows: Sequence[np.ndarray], members: Sequence[np.ndarray]) -> np.ndarray:

@@ -13,7 +13,8 @@ store started routing rows through the schema's membership arrays:
   residual subjects from block + irregular + delta data, one subject and
   one cartesian product at a time (a subject without one value of an
   all-optional star is a row only while the compacted store would keep it
-  in the star's blocks);
+  in the star's blocks), and :func:`filed_newcomers`, which of the pending
+  subjects a tail block holds, decided one subject at a time;
 * :class:`PerCellDecoder` — ``ValueDecoder.numeric`` / ``python_value`` and
   the ``.item()``-per-cell ``QueryResult.rows`` / ``decoded_rows``: one
   dictionary probe, one ``isinstance`` and one ``to_python()`` per cell;
@@ -66,6 +67,7 @@ from repro.cs import (
     finetune_schema,
     jaccard,
     label_schema,
+    match_characteristic_set,
     measure_coverage,
 )
 from repro.cs.builder import _assemble_schema
@@ -204,6 +206,31 @@ def without_zone_maps(context):
 # -- the residual star scan ------------------------------------------------------------
 
 
+def filed_newcomers(store, delta) -> Dict[int, int]:
+    """Pending subject -> the table whose tail block holds it, one subject at
+    a time over Python sets: a subject with pending inserts, no base triple
+    (no table, no irregular triple), no tombstone and one value per
+    predicate, whose property set the admission rule files in a table whose
+    block holds each of its predicates as a column."""
+    if delta is None:
+        return {}
+    tombstoned = {int(s) for s in delta.tombstone_matrix()[:, 0]}
+    irregular = {int(s) for s in store.irregular.raw()[:, 0]}
+    predicates: Dict[int, List[int]] = defaultdict(list)
+    for subject, predicate, _object in delta.matrix().tolist():
+        predicates[subject].append(predicate)
+    filed = {}
+    for subject, listed in predicates.items():
+        props = set(listed)
+        if (store.schema.cs_of_subject(subject) is not None or subject in irregular
+                or subject in tombstoned or len(props) < len(listed)):
+            continue
+        block = store.find_block(match_characteristic_set(store.schema, props))
+        if block is not None and all(block.has_property(p) for p in props):
+            filed[subject] = block.cs_id
+    return filed
+
+
 def star_over_union(store, star: StarPattern, subjects: np.ndarray,
                     candidate_subjects: Optional[np.ndarray], delta=None,
                     dictionary: Optional[TermDictionary] = None) -> BindingTable:
@@ -212,11 +239,12 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
     if candidate_subjects is not None:
         subjects = np.intersect1d(subjects, candidate_subjects)
     rows: Dict[str, List[int]] = {name: [] for name in star.output_variables()}
+    filed = filed_newcomers(store, delta)
     for subject in subjects:
         subject = int(subject)
         if star.subject_range is not None and not star.subject_range.contains(subject):
             continue
-        block = store.find_block(store.schema.cs_of_subject(subject))
+        block = store.find_block(filed.get(subject, store.schema.cs_of_subject(subject)))
         per_property: List[List[int]] = []
         satisfiable = True
         for prop in star.properties:
@@ -232,19 +260,24 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
         if not satisfiable:
             continue
         if (all(values == [NULL_OID] for values in per_property)
-                and not _member_with_a_triple(store, star, block, subject, delta)):
+                and not _member_with_a_triple(store, star, block, subject, delta,
+                                              subject in filed)):
             continue
         _expand_product(rows, star, subject, per_property)
     return BindingTable({name: np.asarray(values, dtype=np.int64)
                          for name, values in rows.items()})
 
 
-def _member_with_a_triple(store, star: StarPattern, block, subject: int, delta) -> bool:
+def _member_with_a_triple(store, star: StarPattern, block, subject: int, delta,
+                          newcomer: bool = False) -> bool:
     """Whether a subject without one value of the star still is a row: it
-    sits in a block holding every star predicate and has a triple left in
+    sits in a block holding every star predicate — or, a ``newcomer``, in
+    that block's tail, with its pending triples — and has a triple left in
     base ∪ delta − tombstones (compaction drops a subject that has none)."""
     if block is None or not all(block.has_property(p) for p in star.predicate_oids()):
         return False
+    if newcomer:
+        return True
     if not block.positions_of_subjects(np.asarray([subject], dtype=np.int64)).size:
         return False
     base = [tuple(int(v) for v in row) for row in store.reconstruct_triples()

@@ -64,6 +64,45 @@ class TestBufferPool:
         assert pool.pages_for(100) == 1
         assert pool.pages_for(101) == 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.booleans(),
+                              st.lists(st.integers(0, 12), min_size=0, max_size=8)),
+                    max_size=30),
+           st.integers(1, 6))
+    def test_batched_touches_replay_one_page_at_a_time(self, trace, capacity):
+        """``access_range`` / ``access_pages`` take the lock once per call;
+        replayed page by page through ``access_page`` on a small pool that
+        evicts, the same trace gives the same misses, hit / read / eviction
+        counts and resident pages in the same LRU order — those of a plain
+        LRU list."""
+        batched = BufferPool(capacity_pages=capacity, page_size=4)
+        paged = BufferPool(capacity_pages=capacity, page_size=4)
+        lru, model = [], [0, 0, 0]  # resident keys, oldest first; hits, reads, evictions
+        for segment, as_range, values in trace:
+            if as_range:  # a value range: its pages, ascending
+                start, stop = (min(values), max(values) + 1) if values else (3, 3)
+                misses = batched.access_range(segment, start * 4 + 1, stop * 4 - 2)
+                pages = range(start, stop) if values else range(0)
+            else:  # explicit pages, repeats and any order included
+                misses = batched.access_pages(segment, values)
+                pages = values
+            assert misses == sum(not paged.access_page(segment, page) for page in pages)
+            for page in pages:
+                hit = (segment, page) in lru
+                if hit:
+                    lru.remove((segment, page))
+                lru.append((segment, page))
+                model[0 if hit else 1] += 1
+                if len(lru) > capacity:
+                    lru.pop(0)
+                    model[2] += 1
+
+        def counts(pool):
+            return [pool.tracker.page_hits, pool.tracker.page_reads, pool.evictions]
+
+        assert counts(batched) == counts(paged) == model
+        assert list(batched._pages) == list(paged._pages) == lru
+
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             BufferPool(capacity_pages=0)

@@ -44,7 +44,7 @@ from _datasets import (
     small_graph_config,
     tiny_tpch,
 )
-from _oracles import PerCellDecoder, star_over_union
+from _oracles import PerCellDecoder, filed_newcomers, star_over_union
 from _plan_golden import GOLDEN_PATH, render
 from repro import ParseError, PlannerOptions, QueryServer, RDFStore
 from repro.bench import DirtyConfig, generate_dirty, q3_sql, q6_sparql, q6_sql
@@ -68,18 +68,24 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 def _star_subjects(store: RDFStore, star: StarPattern) -> np.ndarray:
     """The subjects a star ranges over: the rows of every CS block holding
-    all its columns, plus subjects with irregular or pending triples on one
-    of its predicates."""
+    all its columns and of those blocks' tails, plus the other subjects with
+    irregular or pending triples on one of its predicates."""
     clustered = store.clustered_store
     predicates = star.predicate_oids()
-    parts = [block.subject_column.data for block in clustered.blocks_with_properties(predicates)]
+    blocks = clustered.blocks_with_properties(predicates)
+    parts = [block.subject_column.data for block in blocks]
     for predicate in predicates:
         rows = clustered.irregular.scan_prefix(predicate, fetch="s")
         if rows.size:
             parts.append(rows[:, 0])
     delta = store.context().active_delta()
+    filed = filed_newcomers(clustered, delta)
     if delta is not None:
-        parts.append(delta.subjects_touching(predicates))
+        touched = delta.subjects_touching(predicates)
+        parts.append(touched[~np.isin(touched, list(filed))])
+    star_tables = {block.cs_id for block in blocks}
+    parts.append(np.asarray([subject for subject, cs_id in filed.items() if cs_id in star_tables],
+                            dtype=np.int64))
     return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _datasets import build_rdfh_store, tiny_tpch
 from _oracles import PerCellDecoder, without_zone_maps
 from repro import RDFStore, StoreConfig
+from repro.bench import q3_sparql
 from repro.columnar import NULL_OID, BufferPool, Column, ZoneMap
 from repro.cs import DiscoveryConfig, GeneralizationConfig, discover_schema
 from repro.engine import (
@@ -36,7 +38,7 @@ from repro.storage import (
     encode_graph,
     value_order_literals,
 )
-from repro.storage.clustered import CSBlock, _is_sorted_ignoring_nulls
+from repro.storage.clustered import CSBlock, _is_sorted_ignoring_nulls, _non_null_count
 
 EX = "http://example.org/"
 
@@ -233,6 +235,24 @@ class TestZoneMapPushdownHelpers:
         result, _ = execute_plan(RDFScanOp(star), ctx)
         for subject in result.column("b"):
             assert subject_range.contains(int(subject))
+
+    def test_a_sorted_columns_prefix_is_counted_once(self, monkeypatch):
+        """The non-NULL prefix of a sorted column is counted on its first
+        ranged read and kept on the block: 100 runs of Q3 (the push-down at
+        plan time, RDFscan's sorted-prefix search every run) count each
+        sorted property at most once."""
+        counted = []
+
+        def counting(values):
+            counted.append(id(values))
+            return _non_null_count(values)
+
+        monkeypatch.setattr("repro.storage.clustered._non_null_count", counting)
+        store = build_rdfh_store(tiny_tpch())
+        for _ in range(100):
+            assert len(store.sparql(q3_sparql()))
+        sorted_columns = sum(len(block.sorted_properties) for block in store.clustered_store.blocks)
+        assert counted and len(counted) == len(set(counted)) <= sorted_columns
 
     def test_subject_range_returns_none_for_unsorted_property(self):
         ctx = _library_context(with_dirty=False)

@@ -30,7 +30,9 @@ from test_batch_differential import BATCH_SIZES, SCHEMES, XSD_INT, batch_size
 
 
 def _dirty_store() -> RDFStore:
-    """The book graph with every kind of residual subject, base and pending."""
+    """The book graph with every kind of residual subject, base and pending
+    (``book/new1``, a newcomer of the Book table's shape, is a row of its
+    tail block instead; ``book/new3``, with two ISBNs, is residual)."""
     base = book_triples()
     base += [
         # multi-valued in the base: second values spill to the irregular table
@@ -47,6 +49,8 @@ def _dirty_store() -> RDFStore:
     INSERT DATA {{
       <{EX}book/new1> a <{EX}Book> ; <{EX}has_author> <{EX}author/1> ;
           <{EX}in_year> {year(2010)} ; <{EX}isbn_no> "isbn-n1" .
+      <{EX}book/new3> a <{EX}Book> ; <{EX}has_author> <{EX}author/2> ;
+          <{EX}in_year> {year(2010)} ; <{EX}isbn_no> "isbn-n3" , "isbn-n3-bis" .
       <{EX}book/new2> <{EX}isbn_no> "isbn-n2" , "isbn-n2-bis" .
       <{EX}book/1> <{EX}isbn_no> "isbn-extra" .
       <{EX}book/3> <{EX}has_author> <{EX}author/4> .

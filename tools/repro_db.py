@@ -108,6 +108,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
           f"(hits {profile.page_hits_total})")
     print(f"payload:     {format_bytes(profile.payload_bytes_total)} "
           f"moved between operators")
+    print(f"residual:    {sum(result.run.residuals.values())} "
+          f"subjects answered by the residual scan, not a block")
     if result.run.buffers:
         pairs = ", ".join(f"{key}={value}"
                           for key, value in sorted(result.run.buffers.items()))
