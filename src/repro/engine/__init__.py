@@ -1,15 +1,12 @@
-"""Query engine: binding tables, batches, physical operators,
+"""Query engine: binding tables, physical operators,
 RDFscan/RDFjoin and the executor."""
 
 from . import kernels
 from .bindings import (
-    Batch,
     BindingTable,
     concat_tables,
     cross_join,
     emit_batches,
-    hash_join,
-    join_tables,
 )
 from .context import ExecutionContext
 from .executor import execute_plan
@@ -44,7 +41,6 @@ from .values import ValueEncoder
 __all__ = [
     "AggregateOp",
     "AggregateSpec",
-    "Batch",
     "BinaryOp",
     "BindingTable",
     "DistinctOp",
@@ -73,8 +69,6 @@ __all__ = [
     "emit_batches",
     "execute_plan",
     "fk_range_from_zonemap",
-    "hash_join",
-    "join_tables",
     "kernels",
     "subject_range_for_property_range",
 ]

@@ -3,8 +3,9 @@
 A :class:`BindingTable` is a small column-oriented relation: a mapping from
 variable name to a NumPy array, all of equal length.  OID columns are
 ``int64``; computed value columns (aggregation inputs/outputs) are
-``float64``.  Operators consume and produce binding tables, mirroring how a
-column store passes BATs between operators rather than row tuples.
+``float64``.  Operators consume and produce binding tables — a stream of
+them, one batch at a time —, mirroring how a column store passes BATs
+between operators rather than row tuples.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import ExecutionError
-from . import kernels
 
 
 class BindingTable:
@@ -142,6 +142,12 @@ class BindingTable:
         """Return rows ``[start, stop)`` as NumPy views (no copies)."""
         return BindingTable({name: values[start:stop] for name, values in self.columns.items()})
 
+    def payload_bytes(self) -> int:
+        """Bytes of binding data the table carries: rows times the per-row
+        width of its columns (8-byte OIDs / float64 values) — the profiler's
+        per-operator byte accounting."""
+        return self.num_rows * sum(values.dtype.itemsize for values in self.columns.values())
+
     # -- output -------------------------------------------------------------------
 
     def iter_rows(self) -> Iterator[Dict[str, object]]:
@@ -175,21 +181,6 @@ def cross_join(left: BindingTable, right: BindingTable) -> BindingTable:
     return BindingTable(columns)
 
 
-def join_tables(build: BindingTable, probe: BindingTable,
-                join_vars: Sequence[str]) -> BindingTable:
-    """Equi-join with fixed build/probe roles (vectorized).
-
-    The output is probe-major with build rows in input order inside one probe
-    row, so a streaming join that feeds probe batches through this function
-    produces the same row order regardless of how the probe side is batched.
-    """
-    if not join_vars:
-        return cross_join(probe, build)
-    return joined_rows(build, probe, *kernels.hash_join_indices(
-        [build.column(name) for name in join_vars],
-        [probe.column(name) for name in join_vars]))
-
-
 def joined_rows(build: BindingTable, probe: BindingTable,
                 build_rows: np.ndarray, probe_rows: np.ndarray) -> BindingTable:
     """The join output of matching ``(build_row, probe_row)`` pairs: the
@@ -199,23 +190,6 @@ def joined_rows(build: BindingTable, probe: BindingTable,
         if name not in columns:
             columns[name] = values[probe_rows]
     return BindingTable(columns)
-
-
-def hash_join(left: BindingTable, right: BindingTable, join_vars: Sequence[str]) -> BindingTable:
-    """Equi-join two binding tables on shared variables (hash based).
-
-    Builds on the smaller side; the row loops of the original implementation
-    are replaced by the vectorized :func:`~repro.engine.kernels.hash_join_indices`
-    kernel, preserving the original output order (probe-major).
-    """
-    if not join_vars:
-        return cross_join(left, right)
-    for name in join_vars:
-        left.column(name)
-        right.column(name)
-    # build on the smaller side
-    build, probe = (left, right) if left.num_rows <= right.num_rows else (right, left)
-    return join_tables(build, probe, join_vars)
 
 
 def concat_tables(tables: Sequence[BindingTable]) -> BindingTable:
@@ -236,64 +210,7 @@ def concat_tables(tables: Sequence[BindingTable]) -> BindingTable:
     })
 
 
-class Batch:
-    """One slice of a binding stream: a table plus an optional validity mask.
-
-    ``valid`` marks live rows; ``None`` means all rows are live.  Filters AND
-    their predicate into the mask instead of copying survivors, so a chain of
-    filters over one batch touches each column once at :meth:`compact` time.
-    """
-
-    __slots__ = ("table", "valid")
-
-    def __init__(self, table: BindingTable, valid: Optional[np.ndarray] = None) -> None:
-        self.table = table
-        if valid is not None:
-            valid = np.asarray(valid, dtype=bool)
-            if len(valid) != table.num_rows:
-                raise ExecutionError(
-                    f"validity mask has {len(valid)} rows, batch has {table.num_rows}")
-            if valid.all():
-                valid = None
-        self.valid = valid
-
-    @property
-    def variables(self) -> List[str]:
-        return self.table.variables
-
-    def live_count(self) -> int:
-        """Number of valid rows in the batch."""
-        if self.valid is None:
-            return self.table.num_rows
-        return int(np.count_nonzero(self.valid))
-
-    def payload_bytes(self) -> int:
-        """Bytes of live binding data carried by the batch.
-
-        Live rows times the per-row width of the table's columns (8-byte
-        OIDs / float64 values) — what a downstream operator actually
-        consumes, used by the profiler's per-operator byte accounting.
-        """
-        row_bytes = sum(values.dtype.itemsize
-                        for values in self.table.columns.values())
-        return self.live_count() * row_bytes
-
-    def mask_valid(self, mask: np.ndarray) -> "Batch":
-        """AND an additional predicate mask into the batch (no row copies)."""
-        combined = mask if self.valid is None else (self.valid & mask)
-        return Batch(self.table, combined)
-
-    def compact(self) -> BindingTable:
-        """Materialize the live rows as a plain binding table."""
-        if self.valid is None:
-            return self.table
-        return self.table.filter_mask(self.valid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Batch(vars={self.variables}, rows={self.table.num_rows}, live={self.live_count()})"
-
-
-def emit_batches(table: BindingTable, batch_size: int) -> Iterator[Batch]:
+def emit_batches(table: BindingTable, batch_size: int) -> Iterator[BindingTable]:
     """Yield a materialized table as a sequence of batch-sized slices.
 
     Blocking operators (scans, sorts, aggregates) compute their full output
@@ -303,28 +220,26 @@ def emit_batches(table: BindingTable, batch_size: int) -> Iterator[Batch]:
     """
     total = table.num_rows
     if total == 0:
-        yield Batch(table.slice(0, 0))
+        yield table.slice(0, 0)
     for start in range(0, total, batch_size):
-        yield Batch(table.slice(start, min(total, start + batch_size)))
+        yield table.slice(start, min(total, start + batch_size))
 
 
-def coalesce_batches(batches: Iterable[Batch], batch_size: int) -> Iterator[BindingTable]:
-    """The live rows of a batch stream, in stream order, regrouped into
-    tables of at least ``batch_size`` rows (the last may hold fewer).
+def coalesce_batches(batches: Iterable[BindingTable], batch_size: int) -> Iterator[BindingTable]:
+    """The rows of a batch stream, in stream order, regrouped into tables
+    of at least ``batch_size`` rows (the last may hold fewer).
 
     The inverse of :func:`emit_batches`, for an operator whose work per
     input batch has a fixed part — RDFjoin evaluates its star once per
     table — behind a selective child that passes on under-full batches.
-    At most ``ceil(rows / batch_size)`` tables come out of ``rows`` live
-    rows; a stream with no live row still gives one schema-complete empty
-    table.
+    At most ``ceil(rows / batch_size)`` tables come out of ``rows`` rows; a
+    stream with no row still gives one schema-complete empty table.
     """
     pending: List[BindingTable] = []
     rows = 0
     emitted = False
     last: Optional[BindingTable] = None
-    for batch in batches:
-        last = batch.compact()
+    for last in batches:
         if last.num_rows:
             pending.append(last)
             rows += last.num_rows

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from . import kernels
-from .bindings import Batch, BindingTable, cross_join, emit_batches, joined_rows
+from .bindings import BindingTable, cross_join, emit_batches, joined_rows
 from .context import ExecutionContext
 from .expressions import AggregateSpec
 from .mergescan import merge_pattern_rows, merged_subject_matches
@@ -48,7 +48,7 @@ class IndexScanOp(PhysicalOperator):
             parts.append(f"subj{self.subject_range.describe()}")
         return " ".join(parts)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         store = context.index_store
         s, p, o = self.pattern.subject, self.pattern.predicate, self.pattern.object
 
@@ -146,7 +146,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
     def describe(self) -> str:
         return f"NestedLoopIndexJoin[{self.pattern.describe()}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         predicate = self.pattern.predicate
         if predicate.is_variable:
             index = context.index_store.table("spo")
@@ -156,7 +156,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
             prefix = index.prefix_row_range(predicate.oid)
         tail = _tail(self.object_range, context)
         for batch in self.child.batches(context):
-            yield Batch(self._probe(batch.compact(), context, index, prefix, tail))
+            yield self._probe(batch, context, index, prefix, tail)
 
     def _probe(self, input_table: BindingTable, context: ExecutionContext,
                index, prefix: tuple[int, int], tail: np.ndarray) -> BindingTable:
@@ -246,26 +246,25 @@ class HashJoinOp(PhysicalOperator):
         on = ", ".join(self.join_vars) if self.join_vars else "<auto>"
         return f"HashJoin[on {on}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         # drain the left child as the build side, stream the right as probe;
         # the build side is keyed once, at the first probe batch
         build = self.left.execute(context)
         context.tracker.tuples_probed += build.num_rows
         join_vars = self.join_vars
         index: Optional[kernels.JoinIndex] = None
-        for batch in self.right.batches(context):
-            probe = batch.compact()
+        for probe in self.right.batches(context):
             if join_vars is None:
                 join_vars = sorted(set(build.variables) & set(probe.variables))
             context.tracker.tuples_probed += probe.num_rows
             if not join_vars:
-                yield Batch(cross_join(probe, build))
+                yield cross_join(probe, build)
                 continue
             if index is None:
                 index = kernels.JoinIndex([build.column(name) for name in join_vars],
                                           probe.num_rows)
             matches = index.probe([probe.column(name) for name in join_vars])
-            yield Batch(joined_rows(build, probe, *matches))
+            yield joined_rows(build, probe, *matches)
 
 
 class FilterNotEqualOp(PhysicalOperator):
@@ -282,11 +281,10 @@ class FilterNotEqualOp(PhysicalOperator):
     def describe(self) -> str:
         return f"FilterNotEqual[?{self.var} != #{self.oid}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         for batch in self.child.batches(context):
-            values = batch.table.column(self.var)
-            context.tracker.tuples_scanned += batch.live_count()
-            yield batch.mask_valid(kernels.neq_mask(values, self.oid))
+            context.tracker.tuples_scanned += batch.num_rows
+            yield batch.filter_mask(kernels.neq_mask(batch.column(self.var), self.oid))
 
 
 class ProjectOp(PhysicalOperator):
@@ -305,11 +303,9 @@ class ProjectOp(PhysicalOperator):
         rendered = (f"?{var}" if var == name else f"?{var} AS {name}" for var, name in self.columns)
         return f"Project[{', '.join(rendered)}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         for batch in self.child.batches(context):
-            table = batch.table
-            yield Batch(BindingTable({name: table.column(var) for var, name in self.columns}),
-                        batch.valid)
+            yield BindingTable({name: batch.column(var) for var, name in self.columns})
 
 
 class DistinctOp(PhysicalOperator):
@@ -325,15 +321,14 @@ class DistinctOp(PhysicalOperator):
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         distinct = kernels.StreamingDistinct()
-        for batch in self.child.batches(context):
-            table = batch.compact()
+        for table in self.child.batches(context):
             if table.num_rows and table.columns:
                 keep = distinct.keep_indices(
                     [table.column(name) for name in sorted(table.columns)])
                 table = table.select_rows(keep)
-            yield Batch(table)
+            yield table
 
 
 class OrderByOp(PhysicalOperator):
@@ -358,7 +353,7 @@ class OrderByOp(PhysicalOperator):
         rendered = ", ".join(f"?{name}{' desc' if desc else ''}" for name, desc in self.keys)
         return f"OrderBy[{rendered}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         table = self.child.execute(context)  # blocking: a sort needs all rows
         yield from emit_batches(self._sorted(table, context), context.batch_size)
 
@@ -392,14 +387,13 @@ class LimitOp(PhysicalOperator):
     def describe(self) -> str:
         return f"Limit[{self.limit}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         remaining = self.limit
-        for batch in self.child.batches(context):
-            table = batch.compact()
+        for table in self.child.batches(context):
             if table.num_rows > remaining:
                 table = table.head(remaining)
             remaining -= table.num_rows
-            yield Batch(table)
+            yield table
             if remaining <= 0:
                 # early termination: the child is no longer pulled; leaving
                 # the loop closes its stream
@@ -423,7 +417,7 @@ class AggregateOp(PhysicalOperator):
         aggs = ", ".join(spec.describe() for spec in self.aggregates)
         return f"Aggregate[by {groups}: {aggs}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         table = self.child.execute(context)  # blocking: aggregation needs all rows
         yield from emit_batches(self._aggregate(table, context), context.batch_size)
 
@@ -459,7 +453,7 @@ class MaterializedOp(PhysicalOperator):
     def describe(self) -> str:
         return f"Materialized[{self.label}: {self.table.num_rows} rows]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         yield from emit_batches(self.table, context.batch_size)
 
 

@@ -18,7 +18,7 @@ from ..errors import PlanError
 from ..model import ValueBounds
 from . import kernels
 from ..obs import NULL_ACTIVE_QUERY
-from .bindings import Batch, BindingTable, concat_tables
+from .bindings import BindingTable, concat_tables
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,8 @@ class PhysicalOperator:
     Execution is batched (Volcano-style, but a column batch at a time):
     every operator implements one generator, ``_batches(context)``, that
     does its own setup first, then pulls from ``child.batches(context)``,
-    and yields :class:`~repro.engine.bindings.Batch` objects.  Emitters,
+    and yields :class:`~repro.engine.bindings.BindingTable` batches: the
+    stream is the rows themselves, with no mask to compact.  Emitters,
     hash-build tables, distinct state and limit counters are its locals,
     private to the run.  Every stream yields at least one (possibly empty)
     batch, so downstream operators always learn their input schema.
@@ -230,10 +231,10 @@ class PhysicalOperator:
     """Whether the operator is a join: :meth:`batches` counts it in the
     ``join_operations`` cost counter, :meth:`count_joins` in the plan."""
 
-    def _batches(self, context) -> Iterator[Batch]:  # pragma: no cover - interface
+    def _batches(self, context) -> Iterator[BindingTable]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def batches(self, context) -> Iterator[Batch]:
+    def batches(self, context) -> Iterator[BindingTable]:
         """This operator's batch stream for one run.
 
         The one wrapper around every operator's ``_batches``.  Every run
@@ -244,8 +245,8 @@ class PhysicalOperator:
         then streams the batches untouched.  An observed run times each
         pull in the run's trace if it has one, checks for cancellation at
         every batch — every operator level does, so a cancel lands within
-        one batch regardless of plan depth —, and adds the batch's live rows
-        to the run's tally for this operator.  Closing the stream (early
+        one batch regardless of plan depth —, and adds the batch's rows to
+        the run's tally for this operator.  Closing the stream (early
         ``LIMIT`` stop, cancellation, an error) closes ``_batches``, whose
         frame exit closes the child streams it was pulling from.
         """
@@ -263,17 +264,17 @@ class PhysicalOperator:
             for batch in (inner if run.trace is None else run.trace.timed(self, inner)):
                 if run.cancel_requested:
                     run.raise_cancelled()
-                tally[0] += batch.live_count()
+                tally[0] += batch.num_rows
                 tally[1] += 1
                 yield batch
         finally:
             inner.close()
 
     def execute(self, context) -> BindingTable:
-        """Run the operator to completion and return all live rows — what
+        """Run the operator to completion and return all its rows — what
         :func:`~repro.engine.executor.execute_plan` calls on the root and
         blocking operators on their children."""
-        return concat_tables([batch.compact() for batch in self.batches(context)])
+        return concat_tables(list(self.batches(context)))
 
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()

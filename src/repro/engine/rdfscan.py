@@ -4,9 +4,11 @@
 properties of one subject variable) in a single operator invocation.  Over
 the CS-clustered store this is join-free: the properties of a characteristic
 set are stored as aligned columns, so evaluating the star is a conjunction
-of per-column predicates followed by a gather of the output columns.  Over
-parse-order storage the operator falls back to a single merge pass across
-the per-property PSO ranges — still one operator, but without the aligned
+of per-column predicates followed by a gather of the output columns.  What
+no block holds — every subject of a parse-order store, the residual
+subjects of a clustered one — is answered by one evaluator over each
+property's subject-sorted ``(subject, object)`` pairs
+(:func:`_star_from_pairs`): still one operator, but without the aligned
 locality.
 
 ``RDFjoin`` is the variant that receives a stream of candidate subjects from
@@ -20,8 +22,8 @@ are gathered there — a positional fetch from the aligned columns, MonetDB's
 *leftfetchjoin* — in input-row order, so a block-resident subject needs no
 deduplication and no join back.  Only input rows whose subject is residual
 (irregular, multi-valued or touched by a pending write) are answered as a
-set: their distinct subjects are scanned and the star rows joined back by
-each subject's rank among them.
+set: their distinct subjects are scanned, subjects ascending, and each input
+row fans out over its subject's run of star rows (:func:`_join_candidates`).
 
 While a write is pending, each star block (its *head*) is followed by its
 *tail*: the version's pending newcomers that table would admit, as a
@@ -49,7 +51,7 @@ from ..columnar import NULL_OID, Column, gather_columns
 from ..errors import ExecutionError
 from ..storage.clustered import CSBlock
 from ..storage.triple_table import TripleTable
-from .bindings import Batch, BindingTable, coalesce_batches, emit_batches, joined_rows
+from .bindings import BindingTable, coalesce_batches, emit_batches, joined_rows
 from .context import ExecutionContext
 from .kernels import expand_ranges, sorted_member_mask, unique_keys
 from .mergescan import merge_property_pairs
@@ -87,7 +89,7 @@ class RDFScanOp(_StarOperator):
     def describe(self) -> str:
         return f"RDFscan[{self.star.describe()}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         yield from emit_batches(self._evaluator(context).scan(), context.batch_size)
 
 
@@ -111,7 +113,7 @@ class RDFJoinOp(_StarOperator):
     def describe(self) -> str:
         return f"RDFjoin[{self.star.describe()}]"
 
-    def _batches(self, context: ExecutionContext) -> Iterator[Batch]:
+    def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         evaluator = self._evaluator(context)
         for input_table in coalesce_batches(self.child.batches(context), context.batch_size):
             if not input_table.has(self.star.subject_var):
@@ -119,47 +121,33 @@ class RDFJoinOp(_StarOperator):
                     f"RDFjoin expects ?{self.star.subject_var} from its child operator")
             # one probe per input row, whatever the batch size
             context.tracker.tuples_probed += input_table.num_rows
-            yield Batch(evaluator.join(input_table))
+            yield evaluator.join(input_table)
 
 
 def _join_candidates(scan: Callable[[np.ndarray], BindingTable], star: StarPattern,
                      input_table: BindingTable) -> Tuple[BindingTable, np.ndarray, np.ndarray]:
     """The star's rows for the input's distinct subjects (``scan`` of
-    them, sorted) and the ``(star_row, input_row)`` pairs joining them back."""
-    candidates, input_codes = unique_keys(input_table.column(star.subject_var),
-                                          return_inverse=True)
-    star_table = scan(candidates) if candidates.size else BindingTable.empty(
-        star.output_variables())
-    return (star_table,) + _join_back(star_table, input_table, star.subject_var,
-                                      candidates, input_codes)
+    them, sorted) and the ``(star_row, input_row)`` pairs joining them back.
 
-
-def _join_back(star_table: BindingTable, input_table: BindingTable, subject_var: str,
-               candidates: np.ndarray, input_codes: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(star_row, input_row)`` pairs joining the star's rows back onto
-    RDFjoin's input by candidate code.
-
-    ``input_codes`` gives each input row its candidate's index among the
-    sorted ``candidates``; a star row's is found by ``searchsorted``.  The
-    codes are dense in ``[0, k)``, so ``bincount`` / ``cumsum`` give each
-    candidate its run of the star rows in code order and every input row
-    takes its candidate's run: no key search, no span check.  Other shared
+    ``scan`` emits rows subjects ascending, so each input row's subject has
+    one run of star rows, found by binary search, and the row fans out over
+    it (:func:`~repro.engine.kernels.expand_ranges`).  Other shared
     variables filter the pairs by equality.  The pairs are input-major, star
     rows in scan order within one input row.
     """
-    star_codes = np.searchsorted(candidates, star_table.column(subject_var))
-    counts = np.bincount(star_codes, minlength=candidates.size)
-    starts = np.cumsum(counts) - counts
-    lo = starts[input_codes]
-    input_rows, positions = expand_ranges(lo, lo + counts[input_codes])
-    star_rows = np.argsort(star_codes, kind="stable")[positions]
-    shared = set(input_table.variables) & set(star_table.variables) - {subject_var}
+    subjects = input_table.column(star.subject_var)
+    candidates = unique_keys(subjects)
+    star_table = scan(candidates) if candidates.size else BindingTable.empty(
+        star.output_variables())
+    star_subjects = star_table.column(star.subject_var)
+    input_rows, star_rows = expand_ranges(np.searchsorted(star_subjects, subjects, side="left"),
+                                          np.searchsorted(star_subjects, subjects, side="right"))
+    shared = set(input_table.variables) & set(star_table.variables) - {star.subject_var}
     if shared:
         keep = np.logical_and.reduce([star_table.column(name)[star_rows]
                                       == input_table.column(name)[input_rows] for name in shared])
         star_rows, input_rows = star_rows[keep], input_rows[keep]
-    return star_rows, input_rows
+    return star_table, star_rows, input_rows
 
 
 def _property_tails(context: ExecutionContext, star: StarPattern) -> List[np.ndarray]:
@@ -248,8 +236,8 @@ class _ClusteredStarScan:
         A block-resident subject has at most one star row, so its input row
         is answered by position (:meth:`_probe`).  A residual subject may
         have several: those input rows alone take the residual scan of their
-        distinct subjects and :func:`_join_back`, and their rows are merged
-        back in input-row order.
+        distinct subjects and its fan-out (:func:`_join_candidates`), and
+        their rows are merged back in input-row order.
         """
         star = self.star
         subjects = input_table.column(star.subject_var)
@@ -360,15 +348,10 @@ class _ClusteredStarScan:
         return (rows if kept is None else rows[kept]), columns
 
     def _scan_residual(self, candidate_subjects: Optional[np.ndarray]) -> BindingTable:
-        """Answer the star for the residual subjects, set-at-a-time.
-
-        Each property's ``(subject, object)`` pairs are merged into the
-        running bindings exactly like the index path merges a property.
-        Rows come out subjects ascending and, within a subject, as the
-        product of its values in property order (per property: block value,
-        irregular values, delta values) — the order every batch size and
-        ``LIMIT`` rely on.
-        """
+        """Answer the star for the residual subjects (those of the sorted,
+        distinct ``candidate_subjects`` if given), set-at-a-time, from their
+        property pairs (:meth:`_gather_residual_pairs`) by
+        :func:`_star_from_pairs`."""
         star = self.star
         subjects = self.residual_subjects
         if candidate_subjects is not None:
@@ -387,21 +370,7 @@ class _ClusteredStarScan:
             if self._optional_rows is None:
                 self._optional_rows = self._optional_row_subjects()
             subjects = np.intersect1d(subjects, self._optional_rows, assume_unique=True)
-            if subjects.size == 0:
-                return BindingTable.empty(star.output_variables())
-        table = BindingTable({star.subject_var: subjects})
-        for prop, pairs in zip(star.properties, self._residual_pairs):
-            table, values = _match_property(self.context, table, star.subject_var, prop, *pairs)
-            if values is None:
-                continue
-            var = prop.object_term.var
-            if table.has(var):
-                # repeated variable: a real value must match the earlier binding,
-                # a missing optional one keeps it (the block scan's NULL handling)
-                table = table.filter_mask((values == table.column(var)) | (values == NULL_OID))
-            else:
-                table = table.with_column(var, values)
-        return table
+        return _star_from_pairs(self.context, star, self._residual_pairs, subjects)
 
     def _optional_row_subjects(self) -> np.ndarray:
         """The residual subjects an all-optional star has rows for: those with
@@ -640,66 +609,40 @@ class _IndexMergeStarScan:
         self.tails = _property_tails(context, star)
 
     def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
-        return _scan_index_merge(self.context, self.star, self.tails, candidate_subjects)
+        """The star's rows (for the sorted, distinct ``candidate_subjects``
+        if given) from each property's PSO/POS pairs, which read the whole
+        predicate range less pushed-down object ranges.
+
+        The rows are those of the subjects that every required property has
+        — of those that have any property when none is required (the SQL
+        view under a pending write) — by :func:`_star_from_pairs`.
+        """
+        star = self.star
+        store = self.context.index_store
+        pairs = []
+        for prop, tail in zip(star.properties, self.tails):
+            subjects, objects = _property_pairs(self.context, store, prop, tail,
+                                                star.subject_range)
+            if prop.required and subjects.size == 0:
+                return BindingTable.empty(star.output_variables())
+            pairs.append((subjects, objects))
+        required = [subjects for prop, (subjects, _objects) in zip(star.properties, pairs)
+                    if prop.required]
+        if required:
+            seeds = unique_keys(min(required, key=len))
+            for subjects in required:
+                seeds = seeds[sorted_member_mask(seeds, subjects)]
+        else:
+            seeds = unique_keys(np.concatenate([NO_OIDS] + [subjects for subjects, _objects in pairs]))
+        if candidate_subjects is not None:
+            seeds = np.intersect1d(seeds, candidate_subjects, assume_unique=True)
+        return _star_from_pairs(self.context, star, pairs, seeds)
 
     def join(self, input_table: BindingTable) -> BindingTable:
         """The star's rows for the input's distinct subjects, joined back
         onto the input (see :class:`RDFJoinOp`)."""
         star_table, star_rows, input_rows = _join_candidates(self.scan, self.star, input_table)
         return joined_rows(star_table, input_table, star_rows, input_rows)
-
-
-def _scan_index_merge(context: ExecutionContext, star: StarPattern, tails: List[np.ndarray],
-                      candidate_subjects: Optional[np.ndarray]) -> BindingTable:
-    """Evaluate a star over the PSO/POS projections with one merge pass.
-
-    Each property contributes a (subject, object) list sorted by subject;
-    the lists are intersected pairwise.  This is RDFscan without clustered
-    storage: a single operator, no repeated index probes, but it reads every
-    property's full predicate range (minus pushed-down object ranges).
-    """
-    store = context.index_store
-    output_vars = star.output_variables()
-
-    property_data: List[Tuple[StarProperty, np.ndarray, np.ndarray]] = []
-    for prop, tail in zip(star.properties, tails):
-        subjects, objects = _property_pairs(context, store, prop, tail, star.subject_range)
-        if prop.required and subjects.size == 0:
-            return BindingTable.empty(output_vars)
-        property_data.append((prop, subjects, objects))
-
-    # start from the most selective required property
-    property_data.sort(key=lambda item: item[1].size if item[0].required else np.iinfo(np.int64).max)
-
-    if property_data and any(prop.required for prop, _s, _o in property_data):
-        first_prop, first_subjects, first_objects = property_data[0]
-        table = BindingTable({star.subject_var: first_subjects})
-        if first_prop.object_term.is_variable:
-            table = table.with_column(first_prop.object_term.var, first_objects)
-        remaining = property_data[1:]
-    else:
-        # all-optional star (the SQL view during pending writes): any subject
-        # with at least one of the properties is a row, so seed from the
-        # union and left-merge every property — anchoring on one property
-        # would drop the subjects that lack it
-        union = unique_keys(np.concatenate([s for _p, s, _o in property_data])) \
-            if property_data else np.empty(0, dtype=np.int64)
-        table = BindingTable({star.subject_var: union})
-        remaining = property_data
-
-    if candidate_subjects is not None:
-        mask = np.isin(table.column(star.subject_var), candidate_subjects)
-        table = table.filter_mask(mask)
-
-    for prop, subjects, objects in remaining:
-        table = _merge_property(context, table, star.subject_var, prop, subjects, objects)
-        if table.num_rows == 0 and prop.required:
-            return BindingTable.empty(output_vars)
-
-    for name in output_vars:
-        if not table.has(name):
-            table = table.with_column(name, np.full(table.num_rows, NULL_OID, dtype=np.int64))
-    return table.project(output_vars)
 
 
 def _property_pairs(context: ExecutionContext, store, prop: StarProperty, tail: np.ndarray,
@@ -741,17 +684,31 @@ def _finish_pairs(delta, prop: StarProperty, tail: np.ndarray, subjects: np.ndar
     return subjects[order], objects[order]
 
 
-def _merge_property(context: ExecutionContext, table: BindingTable, subject_var: str,
-                    prop: StarProperty, subjects: np.ndarray, objects: np.ndarray) -> BindingTable:
-    """Join the current bindings with one property's (subject, object) pairs."""
-    result, values = _match_property(context, table, subject_var, prop, subjects, objects)
-    if values is not None:
+def _star_from_pairs(context: ExecutionContext, star: StarPattern,
+                     pairs: List[Tuple[np.ndarray, np.ndarray]], subjects: np.ndarray
+                     ) -> BindingTable:
+    """The star's rows of the sorted, distinct seed ``subjects`` from each
+    property's subject-sorted ``(subject, object)`` pairs.
+
+    The seeds fan out over each property in property order
+    (:func:`_match_property`), so rows come out subjects ascending and,
+    within a subject, as the product of its values in property order — the
+    order every batch size and ``LIMIT`` rely on.  A repeated variable keeps
+    a row whose values agree or whose optional value is missing, as the
+    block scan does (:func:`_bind_star`).
+    """
+    table = BindingTable({star.subject_var: subjects})
+    for prop, (prop_subjects, objects) in zip(star.properties, pairs):
+        table, values = _match_property(context, table, star.subject_var, prop,
+                                         prop_subjects, objects)
+        if values is None:
+            continue
         var = prop.object_term.var
-        if result.has(var):
-            result = result.filter_mask(result.column(var) == values)
+        if table.has(var):
+            table = table.filter_mask((values == table.column(var)) | (values == NULL_OID))
         else:
-            result = result.with_column(var, values)
-    return result
+            table = table.with_column(var, values)
+    return table
 
 
 def _match_property(context: ExecutionContext, table: BindingTable, subject_var: str,

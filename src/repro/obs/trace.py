@@ -203,7 +203,7 @@ class QueryTrace:
         self._stack.pop()
         span.calls += 1
         if batch is not None:
-            span.rows += batch.live_count()
+            span.rows += batch.num_rows
             span.batches += 1
             span.bytes += batch.payload_bytes()
         if span in self._stack:

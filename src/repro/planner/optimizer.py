@@ -6,8 +6,9 @@ physical operator receives an ``estimated_rows`` value from the
 :class:`~repro.columnar.CardinalityEstimator` (CS subject counts, property
 fill factors, column statistics, exact index counts), so ``EXPLAIN`` can show
 estimated vs. actual cardinalities and a running query can report progress.
-(Hash-join build sides need no plan-time decision either: the executor's
-``hash_join`` builds on whichever input is actually smaller.)
+(Nor do estimates pick a hash join's build side: ``HashJoinOp`` always
+drains its left child — the plan so far — as the build side and streams its
+right child as the probe.)
 
 The :class:`PlanCache` keeps recently prepared query templates keyed on
 their front end, *shape* (the normalized text with its constants lifted
@@ -68,8 +69,8 @@ class QueryOptimizer:
         """Set ``estimated_rows`` on every operator of the plan, bottom-up.
 
         Returns the root estimate.  (Hash-join build sides are not decided
-        here: the executor's ``hash_join`` already builds on whichever input
-        is actually smaller, which beats any estimate-based choice.)
+        here: ``HashJoinOp`` always builds on its left child, the plan so
+        far, and probes with its right.)
         """
         child_estimates = [self.annotate(child) for child in plan.children()]
         estimate = self._estimate_operator(plan, child_estimates)

@@ -2,7 +2,7 @@
 parser, and the lowering of SQL to the shared logical form."""
 
 from .catalog import Catalog, CatalogColumn, CatalogTable, ID_COLUMN
-from .engine import SqlEngine, SqlResult, sql_frontend
+from .engine import sql_frontend
 from .parser import ColumnRef, SelectItem, SqlJoin, SqlPredicate, SqlQuery, parse_sql
 
 __all__ = [
@@ -12,11 +12,9 @@ __all__ = [
     "ColumnRef",
     "ID_COLUMN",
     "SelectItem",
-    "SqlEngine",
     "SqlJoin",
     "SqlPredicate",
     "SqlQuery",
-    "SqlResult",
     "parse_sql",
     "sql_frontend",
 ]

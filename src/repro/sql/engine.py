@@ -17,12 +17,9 @@ from typing import Dict, List, Tuple
 
 from ..engine import AggregateSpec, ExecutionContext, PatternTerm
 from ..errors import SchemaError
-from ..obs import NULL_ACTIVE_QUERY
 from ..planner import (
     Frontend,
     LogicalQuery,
-    QueryEngine,
-    QueryResult,
     numeric_expression,
     range_filter,
     unique_names,
@@ -30,53 +27,11 @@ from ..planner import (
 from .catalog import Catalog, CatalogTable, ID_COLUMN
 from .parser import ColumnRef, SqlQuery, parse_sql
 
-SqlResult = QueryResult
-"""A SQL execution's result is the shared result type, with the SQL output
-names as ``columns``."""
-
 
 def sql_frontend(catalog: Catalog) -> Frontend:
     """The SQL front end over one catalog."""
     return Frontend("sql", parse_sql,
                     lambda query, context: _Lowering(query, context, catalog).logical_query())
-
-
-class SqlEngine:
-    """A :class:`~repro.planner.QueryEngine` that speaks only SQL, over one
-    context and catalog."""
-
-    def __init__(self, context: ExecutionContext, catalog: Catalog) -> None:
-        self.context = context
-        self.catalog = catalog
-        self.engine = QueryEngine(context, [sql_frontend(catalog)])
-
-    def query(self, text: str, run=NULL_ACTIVE_QUERY) -> SqlResult:
-        """Parse, plan and execute one SQL SELECT statement.
-
-        Args:
-            text: a SELECT over the catalog's emergent tables (joins over
-                discovered foreign keys, WHERE comparisons, GROUP BY,
-                ORDER BY, LIMIT).
-            run: the execution's :class:`repro.obs.ActiveQuery`; the
-                default runs unobserved.
-
-        Raises:
-            ParseError: when the SQL text cannot be parsed.
-            SchemaError: when the query references unknown tables, columns
-                or joins without a discovered foreign key.
-            QueryCancelledError: when ``run`` was cancelled mid-run.
-        """
-        return self.engine.query("sql", text, run=run)
-
-    def explain(self, text: str) -> str:
-        """Return the indented, estimate-annotated physical plan of a SQL
-        statement (no run).
-
-        Raises:
-            ParseError: when the SQL text cannot be parsed.
-            SchemaError: when the query references unknown tables/columns.
-        """
-        return self.engine.prepare("sql", text)[1].explain()
 
 
 class _Lowering:

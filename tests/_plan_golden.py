@@ -2,16 +2,19 @@
 
 ``render`` produces the ``explain()`` tree (operators, pushed ranges,
 ``est=``) of every query of the ``test_batch_differential`` corpus under
-the three plan schemes, zone-map push-down off and on.
+the ``default`` and ``rdfscan`` plan schemes, zone-map push-down off and
+on.
 ``golden_sparql_plans.txt`` is that text as generated at commit 572736c,
 the last one with a planner per front end, and regenerated twice since:
 when zone-map pruning stopped being a star-operator switch (the
 `` (zonemaps)`` suffix went) and an index scan with both a subject and an
 object range started narrowing by the subject range alone (the ``est=`` of
 those scans and of the operators above them moved); and when the
-cost-based star order went, so every ``optimized`` section is the
-``rdfscan`` section of its query.
-``tests/test_frontends.py`` holds the shared planner to it byte for byte.
+cost-based star order went, so every ``optimized`` section was the
+``rdfscan`` section of its query.  Those sections are no longer kept:
+``optimized`` is another name for ``rdfscan``, and
+``tests/test_frontends.py`` checks that every case here explains alike
+under both, as it holds the shared planner to this file byte for byte.
 Regenerate (only when a plan change is intended) with::
 
     PYTHONPATH=src:tests python tests/_plan_golden.py
@@ -35,7 +38,7 @@ from test_batch_differential import BOOK_QUERIES, DBLP_QUERIES, RDFH_QUERIES
 GOLDEN_PATH = Path(__file__).with_name("golden_sparql_plans.txt")
 
 CONFIGURATIONS = [(scheme, zone_maps)
-                  for scheme in ("default", "rdfscan", "optimized")
+                  for scheme in ("default", "rdfscan")
                   for zone_maps in (False, True)]
 
 CORPUS = [("book", BOOK_QUERIES), ("dblp", DBLP_QUERIES), ("rdfh", RDFH_QUERIES),

@@ -44,7 +44,6 @@ from repro.engine import (
 from repro.model import IRI
 from repro.sparql import (
     DEFAULT_SCHEME,
-    OPTIMIZED_SCHEME,
     RDFSCAN_SCHEME,
     PlannerOptions,
 )
@@ -54,7 +53,6 @@ BATCH_SIZES = [1, 3, 1024]
 SCHEMES = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
 ]
 

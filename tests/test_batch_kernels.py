@@ -2,8 +2,8 @@
 
 Every kernel in :mod:`repro.engine.kernels` is checked against a naive
 Python reference over randomized inputs, including the awkward shapes the
-batched executor produces: empty batches, all-masked batches, and duplicate
-rows that straddle a batch boundary.  Examples are derandomized, matching
+batched executor produces: empty batches, batches a filter emptied, and
+duplicate rows that straddle a batch boundary.  Examples are derandomized, matching
 the other hypothesis suites.
 """
 
@@ -19,9 +19,11 @@ import pytest
 pytest.importorskip("hypothesis")  # optional test dep: skip cleanly, like rdflib
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar import NULL_OID
-from repro.engine import Batch, BindingTable, hash_join, kernels
+from repro.columnar import NULL_OID, BufferPool
+from repro.engine import (BindingTable, ExecutionContext, HashJoinOp, MaterializedOp,
+                          execute_plan, kernels)
 from repro.engine.expressions import AggregateSpec, NumericVar
+from repro.model import TermDictionary
 from repro.updates import FrozenDelta
 
 # keys near 0 (NULL_OID included) fit a direct-address table; a key near
@@ -171,7 +173,9 @@ def test_join_index_takes_the_table_and_the_sort_path(width, distinct, spread, t
 def test_hash_join_tables_match_set_reference(left, right):
     left_table = BindingTable({"a": _arr(r[0] for r in left), "b": _arr(r[1] for r in left)})
     right_table = BindingTable({"a": _arr(r[0] for r in right), "c": _arr(r[1] for r in right)})
-    result = hash_join(left_table, right_table, ["a"])
+    result, _cost = execute_plan(
+        HashJoinOp(MaterializedOp(left_table), MaterializedOp(right_table), join_vars=["a"]),
+        ExecutionContext(dictionary=TermDictionary(), pool=BufferPool()))
     expected = sorted((la, lb, rc) for la, lb in left for ra, rc in right if la == ra)
     got = sorted(zip(result.column("a").tolist(), result.column("b").tolist(),
                      result.column("c").tolist()))
@@ -333,23 +337,3 @@ def test_grouped_aggregate_matches_aggregate_spec_compute(grouped, func, code_li
 def test_group_rows_empty():
     representatives, group_ids = kernels.group_rows([_arr(())])
     assert representatives.size == 0 and group_ids.size == 0
-
-
-# -- Batch semantics -------------------------------------------------------------------
-
-
-def test_batch_all_masked_compacts_to_empty_with_schema():
-    table = BindingTable({"a": _arr([1, 2, 3])})
-    batch = Batch(table, np.zeros(3, dtype=bool))
-    assert batch.live_count() == 0
-    compacted = batch.compact()
-    assert compacted.num_rows == 0
-    assert compacted.variables == ["a"]
-
-
-def test_batch_mask_chaining_intersects():
-    table = BindingTable({"a": _arr([1, 2, 3, 4])})
-    batch = Batch(table, np.asarray([True, True, False, True]))
-    narrowed = batch.mask_valid(np.asarray([True, False, True, True]))
-    assert narrowed.live_count() == 2
-    assert narrowed.compact().column("a").tolist() == [1, 4]

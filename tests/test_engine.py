@@ -26,7 +26,6 @@ from repro.engine import (
     TriplePatternPlan,
     cross_join,
     execute_plan,
-    hash_join,
 )
 from repro.engine.operators import DistinctOp, FilterNotEqualOp
 from repro.engine.plan import NO_OIDS
@@ -109,21 +108,28 @@ class TestJoins:
         with pytest.raises(ExecutionError):
             cross_join(left, BindingTable({"a": np.array([1])}))
 
+    @staticmethod
+    def _hash_join(left: BindingTable, right: BindingTable, join_vars) -> BindingTable:
+        """``HashJoinOp`` of the two tables: ``left`` builds, ``right`` probes."""
+        ctx = ExecutionContext(dictionary=TermDictionary(), pool=BufferPool())
+        op = HashJoinOp(MaterializedOp(left), MaterializedOp(right), join_vars=join_vars)
+        return execute_plan(op, ctx)[0]
+
     def test_hash_join_basic(self):
         left = BindingTable({"s": np.array([1, 2, 3]), "x": np.array([10, 20, 30])})
         right = BindingTable({"s": np.array([2, 3, 4]), "y": np.array([200, 300, 400])})
-        joined = hash_join(left, right, ["s"])
+        joined = self._hash_join(left, right, ["s"])
         assert joined.to_set(["s", "x", "y"]) == {(2, 20, 200), (3, 30, 300)}
 
     def test_hash_join_duplicates(self):
         left = BindingTable({"s": np.array([1, 1])})
         right = BindingTable({"s": np.array([1, 1, 1])})
-        assert hash_join(left, right, ["s"]).num_rows == 6
+        assert self._hash_join(left, right, ["s"]).num_rows == 6
 
     def test_hash_join_no_keys_is_cross(self):
         left = BindingTable({"a": np.array([1])})
         right = BindingTable({"b": np.array([2, 3])})
-        assert hash_join(left, right, []).num_rows == 2
+        assert self._hash_join(left, right, []).num_rows == 2
 
 
 class TestExpressions:

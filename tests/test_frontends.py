@@ -45,7 +45,7 @@ from _datasets import (
     tiny_tpch,
 )
 from _oracles import PerCellDecoder, filed_newcomers, star_over_union
-from _plan_golden import GOLDEN_PATH, render
+from _plan_golden import CORPUS, GOLDEN_PATH, render
 from repro import ParseError, PlannerOptions, QueryServer, RDFStore
 from repro.bench import DirtyConfig, generate_dirty, q3_sql, q6_sparql, q6_sql
 from repro.bench.dblp import DBLP, VOC as DBLP_VOC
@@ -55,10 +55,10 @@ from repro.columnar import CardinalityEstimator
 from repro.engine import BinaryOp, NumericConst, NumericVar, ProjectOp, StarPattern, StarProperty
 from repro.engine.plan import PatternTerm
 from repro.model import IRI
-from repro.planner import LogicalQuery
+from repro.planner import LogicalQuery, QueryEngine
 from repro.rio import parse_turtle, serialize_ntriples
 from repro.sparql import SPARQL_FRONTEND
-from repro.sql import SqlEngine, sql_frontend
+from repro.sql import sql_frontend
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
@@ -444,6 +444,24 @@ def test_sparql_plan_shapes_match_the_golden_file(book_store, dblp_store, rdfh_s
     assert got == golden
 
 
+def test_optimized_explains_every_golden_case_like_rdfscan(book_store, dblp_store, rdfh_store,
+                                                         rdfh_parseorder_store):
+    """The golden file keeps no ``optimized`` section: ``optimized`` is
+    another name for ``rdfscan``, so each golden (store, query, zone maps)
+    case must explain byte for byte alike under both."""
+    stores = {"book": book_store, "dblp": dblp_store, "rdfh": rdfh_store,
+              "rdfh_parseorder": rdfh_parseorder_store}
+    for store_name, queries in CORPUS:
+        store = stores[store_name]
+        for text in queries:
+            for zone_maps in (False, True):
+                rdfscan, optimized = (
+                    store.sparql_plan(text, PlannerOptions(scheme=scheme,
+                                                           use_zone_maps=zone_maps)).explain()
+                    for scheme in ("rdfscan", "optimized"))
+                assert optimized == rdfscan, (store_name, text, zone_maps)
+
+
 @pytest.mark.parametrize("build, cases, updates", [
     (build_book_store, BOOK_CASES, BOOK_UPDATES),
     (build_dblp_store, DBLP_CASES, DBLP_UPDATES),
@@ -474,10 +492,16 @@ ZONE_MAPS = PlannerOptions(scheme="rdfscan", use_zone_maps=True)
 """What SQL plans under; SPARQL compared with SQL must ask for the same."""
 
 
+def _sql_plan(store: RDFStore, text: str) -> str:
+    """The estimate-annotated plan of a SQL text, not run."""
+    engine = QueryEngine(store.context(), [sql_frontend(store.require_catalog())])
+    return engine.prepare("sql", text)[1].explain()
+
+
 def test_constrained_customer_does_not_become_a_cross_product(rdfh_store):
     """Two predicates on the customer table used to outscore the join graph:
     customer, lineitem, order — a cross product.  Connectivity orders first."""
-    plan = SqlEngine(rdfh_store.context(), rdfh_store.require_catalog()).explain(CROSS_PRODUCT_SQL)
+    plan = _sql_plan(rdfh_store, CROSS_PRODUCT_SQL)
     assert "HashJoin[on <auto>]" not in plan and "HashJoin" not in plan, plan
     sql = rdfh_store.sql(CROSS_PRODUCT_SQL)
     sparql = rdfh_store.sparql(CROSS_PRODUCT_SPARQL, ZONE_MAPS)
@@ -487,8 +511,7 @@ def test_constrained_customer_does_not_become_a_cross_product(rdfh_store):
 
 
 def test_sql_q3_gets_the_cross_foreign_key_pushdown(rdfh_store):
-    engine = SqlEngine(rdfh_store.context(), rdfh_store.require_catalog())
-    plan = engine.explain(q3_sql())
+    plan = _sql_plan(rdfh_store, q3_sql())
     orderkey = rdfh_store.dictionary.lookup_term(IRI(f"{RDFH_VOC}l_orderkey"))
     # the order star's subject range restricts the lineitem star's FK column
     assert re.search(rf"star\(\?l__id: [^)]*p{orderkey} -> \?o__id \[\d+, \d+\]", plan), plan

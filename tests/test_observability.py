@@ -550,9 +550,9 @@ class TestOverheadGuard:
     """Python-level calls an untraced, unprofiled ``store.sparql`` adds to the
     bare engine path once per query (lifecycle, registry, metrics funnel,
     slow-log gate): 27 today."""
-    PER_BATCH_CEILING = 2
-    """... and per result batch: the observed stream is resumed and
-    ``live_count()`` feeds the progress tally.  Exactly 2 today."""
+    PER_BATCH_CEILING = 0
+    """... and per result batch: the progress tally reads the table's
+    ``num_rows`` attribute, so a batch adds no call.  Exactly 0 today."""
 
     def test_untraced_observation_is_a_counted_constant(self):
         """What the store adds around ``engine.query`` on a warmed plan, with

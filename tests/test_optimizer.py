@@ -26,7 +26,7 @@ from repro.storage import ExhaustiveIndexStore
 EX = "http://example.org/"
 DBLP_VOC = "http://example.org/dblp/schema/"
 
-ALL_SCHEMES = (DEFAULT_SCHEME, RDFSCAN_SCHEME, OPTIMIZED_SCHEME)
+ALL_SCHEMES = (DEFAULT_SCHEME, RDFSCAN_SCHEME)
 
 
 def _small_config() -> StoreConfig:

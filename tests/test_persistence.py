@@ -62,7 +62,6 @@ XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 SCHEMES = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
 ]
 
@@ -375,7 +374,7 @@ class TestLazyLoading:
         ]
         sorts_before = projection_sorts()
         for text in queries:
-            for scheme in (DEFAULT_SCHEME, RDFSCAN_SCHEME, OPTIMIZED_SCHEME):
+            for scheme in (DEFAULT_SCHEME, RDFSCAN_SCHEME):
                 options = PlannerOptions(scheme=scheme)
                 built.reset_cold()
                 fresh = built.sparql(text, options)

@@ -102,10 +102,9 @@ def test_later_writes_leave_repeated_texts_at_zero_new_misses():
 def test_delete_where_probes_the_subjects_it_binds():
     store = build_rdfh_store(tiny_tpch())
     select = _order_lines(1, "SELECT ?l ?p ?o WHERE")
-    for scheme in ("rdfscan", "optimized"):
-        plan = store.explain(select, PlannerOptions(scheme=scheme))
-        assert "IndexScan[?l ?p ?o]" not in plan, plan
-        assert "NestedLoopIndexJoin[?l ?p ?o]" in plan, plan
+    plan = store.explain(select, PlannerOptions(scheme="rdfscan"))
+    assert "IndexScan[?l ?p ?o]" not in plan, plan
+    assert "NestedLoopIndexJoin[?l ?p ?o]" in plan, plan
     # the paper's baseline keeps its shape
     assert "IndexScan[?l ?p ?o]" in store.explain(select, PlannerOptions(scheme="default"))
     rows = set(store.sparql(select).rows())

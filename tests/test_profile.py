@@ -19,7 +19,6 @@ from repro.errors import StorageError
 from repro.obs import QueryTrace, TraceSpan, format_bytes
 from repro.sparql import (
     DEFAULT_SCHEME,
-    OPTIMIZED_SCHEME,
     RDFSCAN_SCHEME,
     PlannerOptions,
 )
@@ -27,7 +26,6 @@ from repro.sparql import (
 SCHEMES = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME),
 ]
 
 BOOK_QUERIES = [

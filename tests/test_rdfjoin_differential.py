@@ -3,9 +3,10 @@
 Over the clustered store ``RDFJoinOp`` answers an input row whose subject a
 CS block holds by that block row's position, and only the rest — residual
 subjects: irregular, multi-valued or touched by a pending write — by a
-scan of their distinct subjects joined back.  Its reference is the same
-operator over the parse-order indexes (``clustered_store=None``), which
-joins every input row back by candidate code.
+scan of their distinct subjects, each input row fanned out over its
+subject's run of star rows.  Its reference is the same operator over the
+parse-order indexes (``clustered_store=None``), which fans every input row
+out that way.
 
 Hypothesis draws the input: subjects from two or more blocks, residual
 subjects, IRIs that are no subject of the star and literal OIDs, repeated
@@ -15,9 +16,9 @@ paths must give the same rows, in the same order, with the same columns,
 at batch sizes 1, 3 and 1024, on a clean, a pending and a compacted store.
 
 The guard counts what the positional path saves: on a clean RDF-H store
-the RDF-H queries' RDFjoins key no candidates (``unique_keys``) and join
-nothing back (``_join_back``); with a pending write both see the residual
-input rows only.
+the RDF-H queries' RDFjoins key no candidates (``unique_keys``) and fan
+nothing out (``_join_candidates``); with a pending write both see the
+residual input rows only.
 """
 
 from __future__ import annotations
@@ -199,12 +200,12 @@ def test_rdfjoin_matches_the_index_merge_path(stores, name, state):
 @contextmanager
 def _counted_joins(monkeypatch):
     """Per RDFjoin input table over the clustered store: its residual rows'
-    subjects, and the values ``unique_keys`` and ``_join_back`` were given
-    while RDFjoin answered it."""
+    subjects, and the values ``unique_keys`` and ``_join_candidates`` were
+    given while RDFjoin answered it."""
     tables: List[dict] = []
     answering: List[dict] = []  # the table RDFjoin is answering, while it does
-    join, unique_keys, join_back = (_ClusteredStarScan.join, rdfscan.unique_keys,
-                                    rdfscan._join_back)
+    join, unique_keys, fan_out = (_ClusteredStarScan.join, rdfscan.unique_keys,
+                                  rdfscan._join_candidates)
 
     def counted_join(self, input_table):
         subjects = input_table.column(self.star.subject_var)
@@ -221,14 +222,14 @@ def _counted_joins(monkeypatch):
             answering[-1]["keyed"] += np.asarray(values).tolist()
         return unique_keys(values, *args, **kwargs)
 
-    def counted_join_back(star_table, input_table, subject_var, *args):
+    def counted_fan_out(scan, star, input_table):
         assert answering and answering[-1]["joined"] is None
-        answering[-1]["joined"] = input_table.column(subject_var).tolist()
-        return join_back(star_table, input_table, subject_var, *args)
+        answering[-1]["joined"] = input_table.column(star.subject_var).tolist()
+        return fan_out(scan, star, input_table)
 
     monkeypatch.setattr(_ClusteredStarScan, "join", counted_join)
     monkeypatch.setattr(rdfscan, "unique_keys", counted_unique_keys)
-    monkeypatch.setattr(rdfscan, "_join_back", counted_join_back)
+    monkeypatch.setattr(rdfscan, "_join_candidates", counted_fan_out)
     yield tables
 
 

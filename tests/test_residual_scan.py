@@ -15,12 +15,14 @@ scan an operator performs is checked against the loop, at batch sizes
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _datasets import EX, book_triples
 from _oracles import star_over_union, without_zone_maps
-from repro import RDFStore, StoreConfig
+from repro import PlannerOptions, RDFStore, StoreConfig
 from repro.columnar import NULL_OID
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.engine import BindingTable, rdfscan
@@ -170,6 +172,44 @@ def test_residual_scan_after_compaction_matches_too():
         _same_table(scan._scan_residual(None), expected, star.output_variables())
         compared += expected.num_rows
     assert compared
+
+
+def _sorted_rows(table: BindingTable, names) -> list:
+    return sorted(zip(*(table.column(name).tolist() for name in names)))
+
+
+def test_parse_order_stars_match_the_clustered_ones(dirty_store):
+    """The parse-order evaluator (``_IndexMergeStarScan``) and the clustered
+    one answer every star with the same rows — a repeated variable included,
+    which the parse-order evaluator used to overwrite with the object column
+    (``?x <related> ?x``) or to drop when an optional value was missing.
+
+    ``optional_constant`` is left out: a block filters by an optional
+    constant property's value while the pairs evaluator does not, and no
+    front end emits such a property."""
+    context = dirty_store.context()
+    parse_order = dataclasses.replace(context, clustered_store=None)
+    for name, star in _stars(dirty_store).items():
+        if name == "optional_constant":
+            continue
+        names = star.output_variables()
+        clustered = rdfscan._ClusteredStarScan(context, star).scan()
+        assert clustered.num_rows, name
+        assert (_sorted_rows(rdfscan._IndexMergeStarScan(parse_order, star).scan(), names)
+                == _sorted_rows(clustered, names)), name
+
+
+def test_a_self_loop_on_a_parse_order_store():
+    """``?x <rel> ?x`` is a star whose object repeats its subject: only
+    the subject that points at itself is a row, on every scheme."""
+    triples = [Triple(IRI(f"{EX}{s}"), IRI(f"{EX}rel"), IRI(f"{EX}{o}"))
+               for s, o in (("a", "a"), ("b", "c"), ("c", "a"))]
+    store = RDFStore.build(triples, cluster=False)
+    assert store.clustered_store is None
+    text = f"SELECT ?x WHERE {{ ?x <{EX}rel> ?x . }}"
+    by_scheme = [sorted(_rows(store, text, PlannerOptions(scheme=scheme)))
+                 for scheme in ("default", "rdfscan")]
+    assert by_scheme == [[(f"{EX}a",)]] * 2
 
 
 # -- query level -----------------------------------------------------------------------

@@ -175,9 +175,10 @@ class TestSqlExecution:
             book_store.sql("SELECT type FROM Book b JOIN Person a ON b.has_author = a.id")
 
     def test_explain(self, book_store):
-        from repro.sql import SqlEngine
-        engine = SqlEngine(book_store.context(), book_store.require_catalog())
-        text = engine.explain("SELECT isbn_no FROM Book WHERE in_year >= 2000")
+        from repro.planner import QueryEngine
+        from repro.sql import sql_frontend
+        engine = QueryEngine(book_store.context(), [sql_frontend(book_store.require_catalog())])
+        text = engine.prepare("sql", "SELECT isbn_no FROM Book WHERE in_year >= 2000")[1].explain()
         assert "RDFscan" in text
 
     def test_rdfh_q3_sql_matches_sparql(self, rdfh_store, tpch_tiny):

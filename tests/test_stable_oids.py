@@ -36,7 +36,7 @@ from repro import RDFStore, StoreConfig
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.model import Literal
 from repro.model.terms import term_sort_key
-from repro.sparql import DEFAULT_SCHEME, OPTIMIZED_SCHEME, RDFSCAN_SCHEME, PlannerOptions
+from repro.sparql import DEFAULT_SCHEME, RDFSCAN_SCHEME, PlannerOptions
 from repro.storage import TripleTable
 from repro.storage.triple_table import ORDERS
 from test_updates import _sort_rows, insert_book, live_triples
@@ -62,9 +62,7 @@ SQL_QUERIES = [
 OPTIONS = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME, use_zone_maps=False),
 ]
 
 

@@ -22,7 +22,6 @@ from repro import RDFStore
 from repro.bench import q1_sparql, q3_sparql, q6_sparql, star_fk_hop_sparql
 from repro.sparql import (
     DEFAULT_SCHEME,
-    OPTIMIZED_SCHEME,
     RDFSCAN_SCHEME,
     PlannerOptions,
     parse_sparql,
@@ -306,12 +305,11 @@ def test_which_projections_the_rdfh_corpus_reads(tpch_tiny):
     nothing ever reads OPS, OSP or SOP, which therefore are never made."""
     corpus = [q6_sparql(), q3_sparql(), q1_sparql(), star_fk_hop_sparql()]
     clustered = build_rdfh_store(tpch_tiny)
-    for scheme in (RDFSCAN_SCHEME, OPTIMIZED_SCHEME):
-        for text in corpus:
-            clustered.sparql(text, PlannerOptions(scheme=scheme))
+    for text in corpus:
+        clustered.sparql(text, PlannerOptions(scheme=RDFSCAN_SCHEME))
     assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo"}
     for text in corpus:  # push-down brings subject ranges: PSO, or POS for an object range alone
-        clustered.sparql(text, PlannerOptions(scheme=OPTIMIZED_SCHEME, use_zone_maps=True))
+        clustered.sparql(text, PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=True))
     assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo", "pos"}
 
     for text in corpus:

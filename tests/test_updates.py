@@ -33,7 +33,6 @@ from repro.model import EncodedTriple, IRI, Literal, Triple
 from repro.model.terms import RDF_TYPE
 from repro.sparql import (
     DEFAULT_SCHEME,
-    OPTIMIZED_SCHEME,
     RDFSCAN_SCHEME,
     PlannerOptions,
     parse_update,
@@ -45,7 +44,6 @@ XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 SCHEMES = [
     PlannerOptions(scheme=DEFAULT_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME),
-    PlannerOptions(scheme=OPTIMIZED_SCHEME),
     PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=False),
 ]
 
