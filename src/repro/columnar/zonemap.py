@@ -62,13 +62,26 @@ class ZoneMap:
         self.total_rows = total_rows
 
     @classmethod
-    def build(cls, values: Sequence[int] | np.ndarray, zone_size: int = DEFAULT_ZONE_SIZE) -> "ZoneMap":
-        """Build a zone map over raw values (NULLs are ignored per zone)."""
+    def build(cls, values: Sequence[int] | np.ndarray, zone_size: int = DEFAULT_ZONE_SIZE,
+              head_rows: Optional[int] = None) -> "ZoneMap":
+        """Build a zone map over raw values (NULLs are ignored per zone).
+
+        With ``head_rows``, the rows before it and the rows from it on are
+        two runs, each zoned from its first row, so no zone straddles the
+        boundary (a clustered table's head and tail)."""
         data = np.asarray(values, dtype=np.int64)
-        zones: List[Zone] = []
         total = int(data.shape[0])
-        for start in range(0, total, zone_size):
-            end = min(start + zone_size, total)
+        boundary = total if head_rows is None else head_rows
+        zones = cls.zones_of(data, zone_size, 0, boundary)
+        zones += cls.zones_of(data, zone_size, boundary, total)
+        return cls(zones, zone_size, total)
+
+    @staticmethod
+    def zones_of(data: np.ndarray, zone_size: int, first: int, stop: int) -> List[Zone]:
+        """The zones of rows ``[first, stop)`` of ``data``, from ``first``."""
+        zones: List[Zone] = []
+        for start in range(first, stop, zone_size):
+            end = min(start + zone_size, stop)
             chunk = data[start:end]
             valid = chunk[chunk != NULL_OID]
             if valid.size == 0:
@@ -76,7 +89,7 @@ class ZoneMap:
                 zones.append(Zone(start, end, min_value=1, max_value=0))
             else:
                 zones.append(Zone(start, end, int(valid.min()), int(valid.max())))
-        return cls(zones, zone_size, total)
+        return zones
 
     # -- persistence ---------------------------------------------------------
 

@@ -453,8 +453,8 @@ class RDFStore:
             self.dictionary, self.matrix, schema, self.clustering_plan = cluster_subjects(
                 matrix, dictionary, self.require_schema(), resolved)
             self._install_schema(schema)
-            self._install_physical_stores(
-                ExhaustiveIndexStore(self.matrix, pool=self.pool), clustered=True)
+            self._install_physical_stores(ExhaustiveIndexStore(self.matrix, pool=self.pool),
+                                          self._build_clustered_store())
             return self.clustering_plan
 
     def build_indexes(self) -> None:
@@ -462,23 +462,26 @@ class RDFStore:
         index store (each projection sorts at its first read) and, when
         clustered, the clustered store's blocks (built now)."""
         with self._writing():
-            self._install_physical_stores(ExhaustiveIndexStore(self.matrix, pool=self.pool),
-                                          clustered=self.clustered_store is not None)
+            self._install_physical_stores(
+                ExhaustiveIndexStore(self.matrix, pool=self.pool),
+                self._build_clustered_store() if self.clustered_store is not None else None)
+
+    def _build_clustered_store(self) -> ClusteredStore:
+        """The clustered store of the current matrix and schema, all heads."""
+        return ClusteredStore.build(self.matrix, self.require_schema(), pool=self.pool,
+                                    zone_size=self.config.zone_size)
 
     def _install_physical_stores(self, index_store: ExhaustiveIndexStore,
-                                 clustered: bool) -> None:
-        """Make ``index_store`` (over the current matrix) the store's, build
-        the clustered store over the current schema when ``clustered``, and
-        publish."""
-        # rebuilding replaces every (possibly lazily loading) structure with
+                                 clustered_store: Optional[ClusteredStore]) -> None:
+        """Make ``index_store`` (over the current matrix) and
+        ``clustered_store`` the store's, and publish."""
+        # rebuilding replaces the (possibly lazily loading) structures with
         # in-memory ones; drop the stale lazy-segment bookkeeping so
-        # buffer_pool_stats() does not report dead segments as pending
+        # buffer_pool_stats() does not report dead segments as pending (a
+        # block a compaction kept loads as before, uncounted)
         self.pool.reset_lazy_registry()
         self.index_store = index_store
-        if clustered:
-            self.clustered_store = ClusteredStore.build(
-                self.matrix, self.require_schema(), pool=self.pool,
-                zone_size=self.config.zone_size)
+        self.clustered_store = clustered_store
         self._publish()
 
     @contextmanager
@@ -795,9 +798,13 @@ class RDFStore:
             self.journal.clear()
             self._install_schema(schema)
             merged = previous.materialized_orders()
+            clustered = self.clustered_store
+            if clustered is not None:
+                # untouched tables keep their blocks, touched ones their heads
+                clustered = clustered.compacted(matrix, schema, delta.subjects(),
+                                                zone_size=self.config.zone_size)
             self._install_physical_stores(
-                previous.merged(self.matrix, delta.matrix(), delta.tombstone_matrix()),
-                clustered=self.clustered_store is not None)
+                previous.merged(self.matrix, delta.matrix(), delta.tombstone_matrix()), clustered)
             finished = time.perf_counter()
             self.metrics_registry.counter(
                 "compactions_total", "Delta-into-base compactions applied.").inc()

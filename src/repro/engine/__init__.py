@@ -23,6 +23,7 @@ from .operators import (
     ProjectOp,
 )
 from .plan import (
+    HeadRange,
     OidRange,
     PatternTerm,
     PhysicalOperator,
@@ -47,6 +48,7 @@ __all__ = [
     "ExecutionContext",
     "Expression",
     "HashJoinOp",
+    "HeadRange",
     "IndexScanOp",
     "LimitOp",
     "MaterializedOp",

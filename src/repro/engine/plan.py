@@ -140,6 +140,78 @@ class OidRange:
         return f"[{self.low if self.low is not None else '-inf'}, {self.high if self.high is not None else '+inf'}]"
 
 
+@dataclass(frozen=True, eq=False)
+class HeadRange:
+    """A range the zone-map push-down derived from head rows (Table I's
+    cross-table restriction): it bounds the head rows of a star's blocks
+    only (:class:`~repro.storage.CSBlock`), never a compacted tail row, a
+    pending tail row or a residual subject, which keep the query's own
+    constraints.
+
+    A head row passes when its OID is in ``oid_range`` or is one of the
+    run's *widening* OIDs: what the non-head rows of the star a range was
+    derived from reference, or are, so a head row they join is never
+    dropped (``StarProperty.fk_range`` uses the same form for the subjects
+    a referenced star can answer, and bounds every row).  ``extra`` is the part known when the plan is made (compacted
+    tails, irregular subjects); with a write pending, a run adds every
+    written subject (``delta_subjects``) and, per ``(predicates, fk)`` of
+    ``sources``, the ``fk`` values of the pending inserts and of the
+    subjects a write touched on ``predicates``
+    (``engine/rdfscan.py:_head_widening``).
+    """
+
+    oid_range: OidRange
+    extra: np.ndarray = field(default_factory=lambda: NO_OIDS)
+    sources: Tuple[Tuple[Tuple[int, ...], int], ...] = ()
+    delta_subjects: bool = False
+
+    def intersect(self, other: "HeadRange") -> "HeadRange":
+        """Both ranges: a head row in either widening may be needed by one of
+        them, so the widenings unite (``(A ∪ X) ∩ (B ∪ Y) ⊆ (A ∩ B) ∪ X ∪ Y``)."""
+        return HeadRange(self.oid_range.intersect(other.oid_range),
+                         np.union1d(self.extra, other.extra),
+                         tuple(dict.fromkeys(self.sources + other.sources)),
+                         self.delta_subjects or other.delta_subjects)
+
+    def widened(self, extra: np.ndarray, oid_range: Optional[OidRange] = None) -> "HeadRange":
+        """This range (narrowed by ``oid_range``), letting ``extra`` through too
+        and every written subject of a run: a star's range pushed into a
+        foreign key that references it, given the subjects the star answers
+        outside its heads (``StarProperty.fk_range``)."""
+        return HeadRange(self.oid_range if oid_range is None else oid_range.intersect(self.oid_range),
+                         np.union1d(self.extra, extra), self.sources, True)
+
+    def intervals(self, widening: np.ndarray) -> List[Tuple[Optional[int], Optional[int]]]:
+        """The ascending, disjoint inclusive OID intervals a reader narrows
+        head rows by before :meth:`mask`: ``oid_range``'s and the hull of
+        the run's ``widening``, merged where they overlap."""
+        spans = self.oid_range.intervals()
+        if not len(widening):
+            return spans
+        low, high = int(widening[0]), int(widening[-1])
+        if not spans:
+            return [(low, high)]
+        (a_low, a_high), = spans
+        if a_low is not None and high < a_low:
+            return [(low, high), (a_low, a_high)]
+        if a_high is not None and low > a_high:
+            return [(a_low, a_high), (low, high)]
+        return [(None if a_low is None else min(a_low, low),
+                 None if a_high is None else max(a_high, high))]
+
+    def mask(self, values: np.ndarray, widening: np.ndarray) -> np.ndarray:
+        """Which OIDs pass: in ``oid_range`` or in the run's ``widening``."""
+        return kernels.range_mask(values, self.oid_range.low, self.oid_range.high, widening)
+
+
+def shown_range(query: Optional[OidRange], head: Optional[HeadRange]) -> Optional[OidRange]:
+    """What ``explain()`` prints for a query range and a head range: their
+    intersection, as one range."""
+    if head is None:
+        return query
+    return head.oid_range if query is None else query.intersect(head.oid_range)
+
+
 @dataclass(frozen=True)
 class TriplePatternPlan:
     """A physical triple pattern: (subject, predicate, object) slots."""
@@ -160,31 +232,42 @@ class StarProperty:
     """One property of a star pattern.
 
     ``object_term`` binds the object slot (variable or constant); an
-    additional OID range can be attached (from a FILTER or a zone-map
-    push-down).  ``required`` distinguishes mandatory properties from
-    OPTIONAL-like ones (not used by the paper's queries but kept for
-    completeness).
+    additional OID range can be attached: ``oid_range`` from a FILTER or a
+    zone-map push-down on a store that is all head rows, ``fk_range`` from
+    a push-down of the referenced star's :class:`HeadRange` on one that is
+    not.  That one lets through, beside the head subjects the referenced
+    star can keep, every subject it answers outside a head, so it bounds
+    every row of this star's blocks.  ``required`` distinguishes mandatory
+    properties from OPTIONAL-like ones (not used by the paper's queries but
+    kept for completeness).
     """
 
     predicate_oid: int
     object_term: PatternTerm
     oid_range: Optional[OidRange] = None
     required: bool = True
+    fk_range: Optional[HeadRange] = None
 
     def describe(self) -> str:
         parts = [f"p{self.predicate_oid} -> {self.object_term.describe()}"]
-        if self.oid_range is not None and not self.oid_range.is_unbounded():
-            parts.append(self.oid_range.describe())
+        shown = shown_range(self.oid_range, self.fk_range)
+        if shown is not None and not shown.is_unbounded():
+            parts.append(shown.describe())
         return " ".join(parts)
 
 
 @dataclass
 class StarPattern:
-    """A set of properties sharing one subject variable."""
+    """A set of properties sharing one subject variable.
+
+    ``subject_range`` bounds every subject (a FILTER on it, or a zone-map
+    push-down on a store that is all head rows); ``head_range`` bounds the
+    subjects of head rows only (:class:`HeadRange`)."""
 
     subject_var: str
     properties: List[StarProperty] = field(default_factory=list)
     subject_range: Optional[OidRange] = None
+    head_range: Optional[HeadRange] = None
 
     def predicate_oids(self) -> List[int]:
         return [prop.predicate_oid for prop in self.properties]
@@ -198,7 +281,8 @@ class StarPattern:
 
     def describe(self) -> str:
         inner = "; ".join(prop.describe() for prop in self.properties)
-        suffix = f" subj{self.subject_range.describe()}" if self.subject_range else ""
+        shown = shown_range(self.subject_range, self.head_range)
+        suffix = f" subj{shown.describe()}" if shown else ""
         return f"star(?{self.subject_var}: {inner}){suffix}"
 
 

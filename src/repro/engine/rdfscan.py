@@ -55,7 +55,7 @@ from .bindings import BindingTable, coalesce_batches, emit_batches, joined_rows
 from .context import ExecutionContext
 from .kernels import expand_ranges, sorted_member_mask, unique_keys
 from .mergescan import merge_property_pairs
-from .plan import NO_OIDS, OidRange, PhysicalOperator, StarPattern, StarProperty
+from .plan import NO_OIDS, HeadRange, OidRange, PhysicalOperator, StarPattern, StarProperty
 
 
 class _StarOperator(PhysicalOperator):
@@ -201,13 +201,21 @@ class _ClusteredStarScan:
                 residual = unique_keys(np.concatenate([residual, touched]))
         self.residual_subjects = residual
         # what a row is checked against (constants, ranges with their tails,
-        # required properties), and the predicates whose values are output,
-        # in property order
-        self.constrained = [(p, tail) for p, tail in zip(star.properties, self.tails)
-                            if not p.object_term.is_variable or _is_ranged(p) or p.required]
+        # required properties, FK ranges with this run's widening), and the
+        # predicates whose values are output, in property order
+        self.constrained = [
+            (p, tail, None if p.fk_range is None else (p.fk_range, _head_widening(context, p.fk_range)))
+            for p, tail in zip(star.properties, self.tails)
+            if not p.object_term.is_variable or _is_ranged(p) or p.required or p.fk_range]
         self.outputs = list(dict.fromkeys(p.predicate_oid for p in star.properties
                                           if p.object_term.is_variable))
-        self.row_ranges = [_block_row_ranges(block, star, self.tails) for block in self.blocks]
+        # the push-down's subject range bounds head rows only
+        self.head_subjects = (None if star.head_range is None else
+                              (star.head_range, _head_widening(context, star.head_range)))
+        self.row_ranges = [_block_row_ranges(block, star, self.constrained, self.head_subjects)
+                           for block in self.blocks]
+        self.restricted = [ranges != [(0, len(block))]
+                           for block, ranges in zip(self.blocks, self.row_ranges)]
         self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._optional_rows: Optional[np.ndarray] = None
 
@@ -332,7 +340,7 @@ class _ClusteredStarScan:
         positions = block.locate(subjects)
         rows = np.flatnonzero(positions >= 0)
         positions = positions[rows]
-        if row_ranges != [(0, len(block))]:
+        if self.restricted[index]:
             inside = _inside_ranges(positions, row_ranges)
             rows, positions = rows[inside], positions[inside]
         if rows.size == 0:
@@ -363,7 +371,7 @@ class _ClusteredStarScan:
             return BindingTable.empty(star.output_variables())
         if self._residual_pairs is None:
             self._residual_pairs = self._gather_residual_pairs()
-        if not any(prop.required for prop in star.properties):
+        if not any(map(_is_required, star.properties)):
             # every property optional (SQL columns under a pending write): a
             # subject without a single value makes a row only as long as the
             # compacted store would keep it in one of the star's blocks
@@ -458,43 +466,73 @@ def _is_ranged(prop: StarProperty) -> bool:
     return prop.oid_range is not None and not prop.oid_range.is_unbounded()
 
 
-def _block_row_ranges(block: CSBlock, star: StarPattern, tails: List[np.ndarray]
-                      ) -> List[Tuple[int, int]]:
+def _is_required(prop: StarProperty) -> bool:
+    """Whether a subject without a value of ``prop`` has no row: a required
+    property, and a constant one, which only its value matches (the block
+    path's rule, :func:`_constraint_mask`)."""
+    return prop.required or not prop.object_term.is_variable
+
+
+def _block_row_ranges(block: CSBlock, star: StarPattern, constrained,
+                      head_subjects) -> List[Tuple[int, int]]:
     """The sorted, disjoint row ranges of ``block`` that can hold a row of
-    the star: narrowed by its subject range, by binary search of each ranged
-    property's column the block is sub-ordered on, and by each ranged
-    property's zone map.  None of it depends on candidate subjects."""
+    the star: narrowed by its subject range, in the head by the push-down's
+    subject range (``head_subjects``: a :class:`HeadRange` with its run's
+    widening) and by binary search of each ranged property's column the
+    head is sub-ordered on, and by the zone maps of each ranged property
+    and each FK range of the ``constrained`` properties.  None of it
+    depends on candidate subjects."""
     n = len(block)
     if n == 0:
         return []
-    row_ranges: List[Tuple[int, int]] = [(0, n)]
+    head = block.head_rows
+    tail_run = [(head, n)] if head < n else []
+    row_ranges = [(0, n)]
+    subjects = block.subject_column.data
 
-    # subject-range restriction (zone-map push-down or FILTER on the subject)
+    # subject-range restriction (a FILTER on the subject): both runs
     if star.subject_range is not None and not star.subject_range.is_unbounded():
-        row_ranges = _intersect_ranges(row_ranges, [_subject_rows_for_range(block, star.subject_range)])
+        intervals = star.subject_range.intervals()
+        row_ranges = _intersect_ranges(row_ranges, _rows_in(subjects[:head], intervals) + (
+            _rows_in(subjects[head:], intervals, head) if tail_run else []))
+    # the push-down's subject range: head rows only
+    if head_subjects is not None and head:
+        head_range, widening = head_subjects
+        row_ranges = _intersect_ranges(
+            row_ranges, _rows_in(subjects[:head], head_range.intervals(widening)) + tail_run)
 
-    # the clustering sub-order: a range predicate on a sorted column is a
-    # binary search over the block, independent of zone maps
-    ranged = [(prop, prop.oid_range.intervals(tail)) for prop, tail in zip(star.properties, tails)
+    # the clustering sub-order: a range predicate on a column the head is
+    # sorted on is a binary search over the head, independent of zone maps
+    ranged = [(prop, prop.oid_range.intervals(tail)) for prop, tail, _fk in constrained
               if _is_ranged(prop)]
     for prop, intervals in ranged:
         if prop.predicate_oid not in block.sorted_properties:
             continue
         row_ranges = _intersect_ranges(
-            row_ranges, _sorted_prefix_rows(block, prop.predicate_oid, intervals))
+            row_ranges, _sorted_prefix_rows(block, prop.predicate_oid, intervals) + tail_run)
         if not row_ranges:
             return []
 
     # zone-map pruning: a ranged property reads only the zones its column's
     # zone map says can hold a value in range
-    for prop, intervals in ranged:
-        zone_map = block.zone_map(prop.predicate_oid)
+    pruning = [(prop.predicate_oid, intervals) for prop, intervals in ranged]
+    pruning += [(prop.predicate_oid, fk[0].intervals(fk[1])) for prop, _tail, fk in constrained
+                if fk is not None]
+    for predicate, intervals in pruning:
+        zone_map = block.zone_map(predicate)
         if zone_map is None:
             continue
         row_ranges = _intersect_ranges(row_ranges, zone_map.candidate_row_ranges(intervals))
         if not row_ranges:
             return []
-    return row_ranges
+    # a head range and a tail range that meet are read as one
+    merged = row_ranges[:1]
+    for start, stop in row_ranges[1:]:
+        if start == merged[-1][1]:
+            merged[-1] = (merged[-1][0], stop)
+        else:
+            merged.append((start, stop))
+    return merged
 
 
 def _inside_ranges(positions: np.ndarray, row_ranges: List[Tuple[int, int]]) -> np.ndarray:
@@ -507,18 +545,18 @@ def _inside_ranges(positions: np.ndarray, row_ranges: List[Tuple[int, int]]) -> 
     return (index >= 0) & (positions < bounds[np.maximum(index, 0), 1])
 
 
-def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.ndarray]],
-                     outputs: List[int], rows: int,
+def _constraint_mask(block: CSBlock, constrained, outputs: List[int], rows: int,
                      read: Callable[[List[Column]], List[np.ndarray]]
                      ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-    """Which of ``rows`` rows satisfy every constrained property (each with
-    its range's tail literals), the rows' values of the columns being what
-    ``read`` fetches from them — and those values of the ``outputs``
-    predicates' columns it read."""
+    """Which of ``rows`` rows satisfy every constrained property — each with
+    its range's tail literals and, if it has an FK range, that
+    :class:`HeadRange` and its run's widening — the rows' values of the
+    columns being what ``read`` fetches from them — and those values of the
+    ``outputs`` predicates' columns it read."""
     mask = np.ones(rows, dtype=bool)
     values_read: Dict[int, np.ndarray] = {}
-    columns = read([block.column(prop.predicate_oid) for prop, _tail in constrained])
-    for (prop, tail), values in zip(constrained, columns):
+    columns = read([block.column(prop.predicate_oid) for prop, _tail, _fk in constrained])
+    for (prop, tail, fk), values in zip(constrained, columns):
         if prop.predicate_oid in outputs:
             values_read[prop.predicate_oid] = values
         if prop.required:
@@ -527,31 +565,31 @@ def _constraint_mask(block: CSBlock, constrained: List[Tuple[StarProperty, np.nd
             mask &= values == prop.object_term.oid
         if _is_ranged(prop):
             mask &= prop.oid_range.mask(values, tail)
+        if fk is not None:
+            mask &= fk[0].mask(values, fk[1])
     return mask, values_read
 
 
 def _sorted_prefix_rows(block: CSBlock, predicate_oid: int, intervals) -> List[Tuple[int, int]]:
-    """Row ranges of a block column sorted over its non-NULL prefix
+    """Row ranges of a head column sorted over its non-NULL prefix
     (:meth:`CSBlock.sorted_prefix_length`; trailing NULLs excluded) whose
     values lie in the ascending, disjoint inclusive OID ``intervals``:
     binary searches only."""
-    prefix_length = block.sorted_prefix_length(predicate_oid)
-    prefix = block.column(predicate_oid).data[:prefix_length]
+    return _rows_in(block.column(predicate_oid).data[:block.sorted_prefix_length(predicate_oid)],
+                    intervals)
+
+
+def _rows_in(values: np.ndarray, intervals, offset: int = 0) -> List[Tuple[int, int]]:
+    """Row ranges (from row ``offset``) of the ascending ``values`` that lie
+    in the ascending, disjoint inclusive OID ``intervals`` (``None`` an
+    open side): binary searches only."""
     rows = []
     for low, high in intervals:
-        lo = 0 if low is None else int(np.searchsorted(prefix, low, side="left"))
-        hi = prefix_length if high is None else int(np.searchsorted(prefix, high, side="right"))
+        lo = 0 if low is None else int(np.searchsorted(values, low, side="left"))
+        hi = len(values) if high is None else int(np.searchsorted(values, high, side="right"))
         if hi > lo:
-            rows.append((lo, hi))
+            rows.append((lo + offset, hi + offset))
     return rows
-
-
-def _subject_rows_for_range(block: CSBlock, subject_range: OidRange) -> Tuple[int, int]:
-    subjects = block.subject_column.data
-    lo = 0 if subject_range.low is None else int(np.searchsorted(subjects, subject_range.low, side="left"))
-    hi = len(subjects) if subject_range.high is None else int(
-        np.searchsorted(subjects, subject_range.high, side="right"))
-    return lo, max(lo, hi)
 
 
 def _intersect_ranges(left: List[Tuple[int, int]],
@@ -607,27 +645,28 @@ class _IndexMergeStarScan:
         self.context = context
         self.star = star
         self.tails = _property_tails(context, star)
+        self._pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
         """The star's rows (for the sorted, distinct ``candidate_subjects``
         if given) from each property's PSO/POS pairs, which read the whole
-        predicate range less pushed-down object ranges.
+        predicate range less pushed-down object ranges — once per run, so
+        an RDFjoin reads them for its first input batch only.
 
         The rows are those of the subjects that every required property has
         — of those that have any property when none is required (the SQL
         view under a pending write) — by :func:`_star_from_pairs`.
         """
         star = self.star
-        store = self.context.index_store
-        pairs = []
-        for prop, tail in zip(star.properties, self.tails):
-            subjects, objects = _property_pairs(self.context, store, prop, tail,
-                                                star.subject_range)
-            if prop.required and subjects.size == 0:
-                return BindingTable.empty(star.output_variables())
-            pairs.append((subjects, objects))
+        if self._pairs is None:
+            store = self.context.index_store
+            self._pairs = [_property_pairs(self.context, store, prop, tail, star.subject_range)
+                           for prop, tail in zip(star.properties, self.tails)]
+        pairs = self._pairs
         required = [subjects for prop, (subjects, _objects) in zip(star.properties, pairs)
-                    if prop.required]
+                    if _is_required(prop)]
+        if any(subjects.size == 0 for subjects in required):
+            return BindingTable.empty(star.output_variables())
         if required:
             seeds = unique_keys(min(required, key=len))
             for subjects in required:
@@ -725,7 +764,7 @@ def _match_property(context: ExecutionContext, table: BindingTable, subject_var:
     hi = np.searchsorted(subjects, current, side="right")
     context.tracker.tuples_probed += int(current.size)
 
-    if prop.required:
+    if _is_required(prop):
         row_indices, positions = expand_ranges(lo, hi)
     else:
         # rows without a match contribute one placeholder position -1
@@ -744,14 +783,50 @@ def _match_property(context: ExecutionContext, table: BindingTable, subject_var:
 # -- zone-map push-down helpers ----------------------------------------------------------
 
 
+def _head_widening(context: ExecutionContext, head_range: HeadRange) -> np.ndarray:
+    """The OIDs ``head_range`` lets through beside its interval in this run,
+    sorted: its ``extra`` and, with a write pending, every written subject
+    (``delta_subjects``) and, per ``(predicates, fk)`` source, the ``fk``
+    values of the pending inserts and of the subjects a write touched on
+    ``predicates`` — their base values, from every block and the irregular
+    table (see :class:`~repro.engine.plan.HeadRange`): derived once per
+    version."""
+    delta = context.active_delta()
+    if delta is None or not (head_range.sources or head_range.delta_subjects):
+        return head_range.extra
+    store = context.clustered_store
+    return delta.derived((head_range, store), lambda: _widen(delta, store, head_range))
+
+
+def _widen(delta, store, head_range: HeadRange) -> np.ndarray:
+    """:func:`_head_widening` under the pending ``delta``, over ``store``."""
+    parts = [head_range.extra]
+    if head_range.delta_subjects:
+        parts.append(delta.subjects())
+    inserts = delta.matrix()
+    newcomers = delta.pending_tails(store).subjects
+    for predicates, fk in head_range.sources:
+        parts.append(inserts[inserts[:, 1] == fk, 2])
+        # a newcomer has no base value
+        touched = delta.subjects_touching(predicates)
+        touched = touched[~sorted_member_mask(touched, newcomers)]
+        if touched.size:
+            parts += [block.column(fk).gather(block.positions_of_subjects(touched))
+                      for block in store.blocks if block.has_property(fk)]
+            irregular = store.irregular.scan_prefix(fk, fetch="so")
+            parts.append(irregular[sorted_member_mask(irregular[:, 0], touched), 1])
+    widening = unique_keys(np.concatenate(parts))
+    return widening[widening != NULL_OID]
+
+
 def subject_range_for_property_range(block: CSBlock, predicate_oid: int, oid_range: OidRange,
                                      tail: np.ndarray = NO_OIDS) -> Optional[OidRange]:
-    """Subject-OID bounds of the block rows whose property value is in range.
+    """Subject-OID bounds of the head rows whose property value is in range.
 
-    Only meaningful when the block is sub-ordered on the property (which the
+    Only meaningful when the head is sub-ordered on the property (which the
     clustering step arranges for the chosen sort key and records in
     :attr:`CSBlock.sorted_properties`): the property column is then
-    non-decreasing over its non-NULL prefix, so the rows in each of the
+    non-decreasing over the head's non-NULL prefix, so the rows in each of the
     range's :meth:`~OidRange.intervals` (``tail``: the tail literals it
     matches) are contiguous, found by binary search, and the subjects of all
     of them lie between the first one's and the last one's.  Returns
@@ -772,15 +847,17 @@ def fk_range_from_zonemap(block: CSBlock, constrained_predicate: int, oid_range:
 
     Given a range constraint on one property (e.g. LINEITEM ``shipdate``;
     ``tail``: the tail literals it matches), use its zone map to find the
-    candidate row ranges and return the min/max of the foreign-key column
-    (e.g. the referenced ORDERS subject OIDs) over those rows — the
-    restriction that can be pushed into the other CS.
+    candidate head row ranges and return the min/max of the foreign-key
+    column (e.g. the referenced ORDERS subject OIDs) over those rows — the
+    restriction that can be pushed into the other CS.  It describes what
+    head rows reference only.
     """
     zone_map = block.zone_map(constrained_predicate)
     if zone_map is None or not block.has_property(fk_predicate):
         return None
     fk_zone_map = block.zone_map(fk_predicate)
-    ranges = zone_map.candidate_row_ranges(oid_range.intervals(tail))
+    ranges = _intersect_ranges(zone_map.candidate_row_ranges(oid_range.intervals(tail)),
+                               (0, block.head_rows))
     if not ranges:
         return OidRange(low=1, high=0)
     low: Optional[int] = None

@@ -370,6 +370,7 @@ def _write_clustered_store(clustered, columns_dir: Path, zonemaps_dir: Path,
             "columns": columns,
             "zone_maps": zone_maps,
             "sorted_properties": sorted(int(p) for p in block.sorted_properties),
+            "head_rows": block.head_rows,
         })
     irregular_file = "clustered.irregular.bin"
     irregular_crc = write_array(columns_dir / irregular_file, clustered.irregular.raw())
@@ -569,12 +570,13 @@ class SnapshotReader:
     def _build_block(self, entry: dict, name: str, pool: Optional[BufferPool]) -> CSBlock:
         cs_id = int(entry["cs_id"])
         rows = int(entry["rows"])
+        head_rows = int(entry.get("head_rows", rows))  # older databases: all head
         subject_entry = entry["subject"]
         subject_column = Column(
             segment_id=f"{name}.cs{cs_id}.subject",
             loader=self._array_loader(COLUMNS_DIR, subject_entry),
             length=rows,
-            sorted_ascending=True,
+            sorted_ascending=head_rows == rows,
             pool=pool,
         )
         subject_column.stats = ColumnStats.from_dict(subject_entry["stats"])
@@ -604,6 +606,7 @@ class SnapshotReader:
             property_columns=property_columns,
             zone_maps=zone_maps,
             sorted_properties=frozenset(int(p) for p in entry["sorted_properties"]),
+            head_rows=head_rows,
         )
 
     def _array_loader(self, subdir: str, entry: dict):

@@ -31,6 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from ..columnar import NULL_OID
 from ..errors import PlanError
 from ..engine import (
     AggregateOp,
@@ -38,6 +41,7 @@ from ..engine import (
     DistinctOp,
     ExecutionContext,
     HashJoinOp,
+    HeadRange,
     IndexScanOp,
     LimitOp,
     MaterializedOp,
@@ -55,6 +59,7 @@ from ..engine import (
     subject_range_for_property_range,
 )
 from ..engine.operators import FilterNotEqualOp
+from ..engine.plan import NO_OIDS
 from .logical import LogicalQuery
 from .optimizer import QueryOptimizer
 
@@ -133,11 +138,7 @@ class Planner:
             ordered = self._order_baseline(stars)
         else:
             ordered = self._order_stars(stars)
-        if (options.use_zone_maps and self.context.has_clustered_store()
-                and not self.context.has_pending_delta()):
-            # Zone-map-derived subject/FK ranges describe the immutable base
-            # columns only; with pending writes they could exclude delta rows,
-            # so push-down pauses until the next compaction.
+        if options.use_zone_maps and self.context.has_clustered_store():
             self._apply_zone_map_pushdown(stars)
 
         root: Optional[PhysicalOperator] = None
@@ -195,7 +196,7 @@ class Planner:
                                     subject_range=star.subject_range)
             joined = HashJoinOp(root, link_scan, join_vars=[linking.object_term.var])
             rest = StarPattern(subject_var=star.subject_var, properties=remaining,
-                               subject_range=star.subject_range)
+                               subject_range=star.subject_range, head_range=star.head_range)
             return RDFJoinOp(joined, rest)
         scan = RDFScanOp(star)
         return self._hash_join(root, scan, planned_vars, star.output_variables())
@@ -238,8 +239,25 @@ class Planner:
         return ordered
 
     def _apply_zone_map_pushdown(self, star_patterns: Dict[str, StarPattern]) -> None:
-        """Derive subject ranges from sorted columns and push them across FKs."""
+        """Derive subject ranges from sorted columns and push them across FKs.
+
+        A derived range describes the head rows of the block it was derived
+        from.  On a store that is all head rows — no tail, no pending write
+        — it bounds every row, like the query's own ranges, and joins them.
+        Otherwise a star's subject range is a :class:`HeadRange` that star
+        operators apply to head rows only, widened by what non-head rows
+        reference or are: the compacted tails now, a pending write's rows
+        when a run opens (the plan serves every pending version of its
+        generation).  Pushed into a foreign key that references the star, it
+        also lets through every subject the star answers outside its heads,
+        and bounds every row (``StarProperty.fk_range``).
+        """
+        if not any(_is_bounded(star.subject_range) or any(_is_bounded(prop.oid_range)
+                                                           for prop in star.properties)
+                   for star in star_patterns.values()):
+            return
         store = self.context.clustered_store
+        heads_only = store.has_tails or self.context.has_pending_delta()
         block_of_star: Dict[str, object] = {}
         for subject_var, star in star_patterns.items():
             blocks = store.blocks_with_properties(star.predicate_oids())
@@ -248,14 +266,26 @@ class Planner:
             if len(blocks) == 1 and not _has_irregular(store, star):
                 block_of_star[subject_var] = blocks[0]
 
-        # push-down runs with no pending write only, so the tail literals a
-        # range matches in the base columns are those it matches now
+        # the tail literals a range matches in head rows are among those the
+        # dictionary holds now: head rows change only with the generation
         dictionary = self.context.dictionary
 
-        # pass 1: subject ranges from range predicates over sub-ordered columns
+        def narrow(star: StarPattern, derived: HeadRange) -> None:
+            if not heads_only:
+                star.subject_range = derived.oid_range if star.subject_range is None \
+                    else star.subject_range.intersect(derived.oid_range)
+            else:
+                star.head_range = derived if star.head_range is None \
+                    else star.head_range.intersect(derived)
+
+        # pass 1: subject ranges from range predicates over sub-ordered
+        # columns.  A head range bounds the rows the sorted column's binary
+        # search finds anyway: it matters only pushed into a foreign key
+        referenced = {prop.object_term.var for star in star_patterns.values()
+                      for prop in star.properties if prop.object_term.is_variable}
         for subject_var, star in star_patterns.items():
             block = block_of_star.get(subject_var)
-            if block is None:
+            if block is None or (heads_only and subject_var not in referenced):
                 continue
             for prop in star.properties:
                 if not _is_bounded(prop.oid_range):
@@ -263,8 +293,7 @@ class Planner:
                 derived = subject_range_for_property_range(
                     block, prop.predicate_oid, prop.oid_range, prop.oid_range.tail_oids(dictionary))
                 if derived is not None:
-                    star.subject_range = derived if star.subject_range is None \
-                        else star.subject_range.intersect(derived)
+                    narrow(star, HeadRange(derived))
 
         # pass 2: push ranges across foreign keys, in both directions
         for subject_var, star in star_patterns.items():
@@ -275,11 +304,18 @@ class Planner:
                 target = star_patterns.get(prop.object_term.var)
                 if target is None or target is star:
                     continue
-                # (a) the referenced star's subject range restricts this FK column
+                # (a) the referenced star's subject range restricts this FK
+                # column; with a head range, to the subjects the target can
+                # answer: head ones in range, and every one no head holds
                 if _is_bounded(target.subject_range):
                     prop.oid_range = target.subject_range if prop.oid_range is None \
                         else prop.oid_range.intersect(target.subject_range)
-                # (b) a range predicate on this star, via zone maps, bounds the FK values
+                if target.head_range is not None:
+                    prop.fk_range = target.head_range.widened(
+                        _non_head_subjects(store, target), target.subject_range)
+                # (b) a range predicate on this star, via zone maps, bounds the
+                # FK values of its head rows; the target's head rows that
+                # this star's other rows reference pass too
                 if block is not None:
                     for other in star.properties:
                         if other is prop or not _is_bounded(other.oid_range):
@@ -288,8 +324,9 @@ class Planner:
                             block, other.predicate_oid, other.oid_range, prop.predicate_oid,
                             other.oid_range.tail_oids(dictionary))
                         if fk_bounds is not None:
-                            target.subject_range = fk_bounds if target.subject_range is None \
-                                else target.subject_range.intersect(fk_bounds)
+                            narrow(target, HeadRange(
+                                fk_bounds, _tail_values(block, prop.predicate_oid),
+                                ((tuple(star.predicate_oids()), prop.predicate_oid),)))
 
     # -- default scheme --------------------------------------------------------------------
 
@@ -338,6 +375,20 @@ class Planner:
             root = ProjectOp(root, [(var, key) for (var, _name), key
                                     in zip(logical.output, logical.output_keys())])
         return root
+
+
+def _non_head_subjects(store, star: StarPattern) -> np.ndarray:
+    """The subjects of ``star`` no head row holds, as far as the store
+    knows before a run: its blocks' tail rows and every irregular subject."""
+    tails = [block.subject_column.data[block.head_rows:]
+             for block in store.blocks_with_properties(star.predicate_oids())]
+    return np.union1d(store.irregular_subjects(), np.concatenate([NO_OIDS] + tails))
+
+
+def _tail_values(block, predicate_oid: int) -> np.ndarray:
+    """The distinct values of one column in the block's tail rows."""
+    values = np.unique(block.column(predicate_oid).data[block.head_rows:])
+    return values[values != NULL_OID]
 
 
 def _has_irregular(store, star: StarPattern) -> bool:

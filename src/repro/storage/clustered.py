@@ -6,7 +6,19 @@ property of the CS is one column aligned with it (missing 0..1 values are
 SQL NULLs).  A whole star pattern over one CS then reads a few aligned
 column ranges instead of performing one self-join per property.
 
-The subject column is ascending, not dense: clustering
+A block is a *head* and a *tail* (MonetDB's immutable column beside its
+deltas).  Clustering builds every block as a head: subject-ascending,
+sub-ordered on its sort key (:attr:`CSBlock.sorted_properties`) and
+zone-mapped.  A compaction (:meth:`ClusteredStore.compacted`) keeps, in
+head order, the head rows of the members it did not touch, so the head
+stays sorted and its zone maps and sorted prefixes stay valid; newcomers
+and changed members become the block's tail, a second subject-ascending
+run after the head with zones of its own.  A table the compaction did not
+touch keeps its block object.  Sorted prefixes and the planner's
+zone-map push-down describe head rows only.  ``cluster()`` folds every
+tail back into a head.
+
+Each run's subject column is ascending, not dense: clustering
 (:func:`repro.storage.loader.plan_subject_clustering`) permutes the member
 subjects' OIDs *among themselves*, so other terms' OIDs may lie between a
 block's, and a subject's row is a binary search (:meth:`CSBlock.locate`),
@@ -20,9 +32,9 @@ PSO triple table (the *irregular* store), exactly as Figure 3 of the paper
 shows.  Queries consult both parts, so no data is ever lost by clustering.
 
 While writes are pending, a brand-new subject whose property set files it
-in a table is a row of that table's *tail block* (:class:`PendingTails`): a
-:class:`CSBlock` of the pending rows beside the table's block, its *head*,
-read by the same scan code.
+in a table is a row of that table's *pending tail block*
+(:class:`PendingTails`): an all-tail :class:`CSBlock` of the pending rows
+beside the table's block, read by the same scan code.
 """
 
 from __future__ import annotations
@@ -41,20 +53,36 @@ from .triple_table import TripleTable
 
 @dataclass
 class CSBlock:
-    """One characteristic set's physical block: subjects plus aligned columns."""
+    """One characteristic set's physical block: subjects plus aligned columns.
+
+    The rows are two runs, each subject-ascending: the *head*, rows
+    ``[0, head_rows)``, which clustering sub-ordered and zone-mapped and a
+    compaction keeps, and the *tail*, the rows after it, which compactions
+    added since (newcomers and changed members).  A block that clustering,
+    re-discovery or a reload built is all head; a pending tail block is all
+    tail.
+    """
 
     cs_id: int
     label: str
     subject_column: Column
     property_columns: Dict[int, Column] = field(default_factory=dict)
     zone_maps: Dict[int, ZoneMap] = field(default_factory=dict)
+    """Per column, zones of the head run then of the tail run."""
     sorted_properties: frozenset = frozenset()
-    """Predicates whose column is non-decreasing over its non-NULL prefix —
-    the result of sub-ordering the CS on that property at clustering time.
-    Range predicates on these columns can binary-search instead of scanning."""
+    """Predicates whose column is non-decreasing over the head's non-NULL
+    prefix — the result of sub-ordering the CS on that property at
+    clustering time.  Range predicates on these columns can binary-search
+    the head instead of scanning it."""
+    head_rows: Optional[int] = None
+    """Rows in the head run (``None`` when built: every row)."""
     _prefix_lengths: Dict[int, int] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
     """Per sorted property looked up so far, :meth:`sorted_prefix_length`."""
+
+    def __post_init__(self) -> None:
+        if self.head_rows is None:
+            self.head_rows = len(self.subject_column)
 
     def __len__(self) -> int:
         return len(self.subject_column)
@@ -71,29 +99,40 @@ class CSBlock:
         return self.zone_maps.get(predicate_oid)
 
     def sorted_prefix_length(self, predicate_oid: int) -> int:
-        """How many leading rows of a :attr:`sorted_properties` column are
-        non-NULL (its NULLs trail): counted on first use and kept, never
-        persisted, so a lazy column stays lazy until a range reads it."""
+        """How many leading head rows of a :attr:`sorted_properties` column
+        are non-NULL (its NULLs trail the head): counted on first use and
+        kept, never persisted, so a lazy column stays lazy until a range
+        reads it."""
         length = self._prefix_lengths.get(predicate_oid)
         if length is None:
+            values = self.column(predicate_oid).data
             length = self._prefix_lengths[predicate_oid] = _non_null_count(
-                self.column(predicate_oid).data)
+                values if self.head_rows == len(values) else values[:self.head_rows])
         return length
 
     def locate(self, subject_oids: np.ndarray) -> np.ndarray:
         """Each subject OID's row position, ``-1`` where the block does not
-        hold it: a vectorized binary search of the ascending subject column
-        and an equality check."""
+        hold it: a vectorized binary search of each ascending run and an
+        equality check."""
         subjects = self.subject_column.data
-        if len(subjects) == 0:
-            return np.full(len(subject_oids), -1, dtype=np.int64)
-        positions = np.searchsorted(subjects, subject_oids)
-        return np.where(subjects.take(positions, mode="clip") == subject_oids, positions, -1)
+        head = self.head_rows
+        if head == len(subjects):
+            return _locate_in_run(subjects, subject_oids)
+        positions = _locate_in_run(subjects[:head], subject_oids)
+        tail = _locate_in_run(subjects[head:], subject_oids)
+        return np.where(tail >= 0, tail + head, positions)
 
     def positions_of_subjects(self, subject_oids: np.ndarray) -> np.ndarray:
         """Row positions of the given subject OIDs (missing ones dropped)."""
         positions = self.locate(subject_oids)
         return positions[positions >= 0]
+
+
+def _locate_in_run(subjects: np.ndarray, subject_oids: np.ndarray) -> np.ndarray:
+    if len(subjects) == 0:
+        return np.full(len(subject_oids), -1, dtype=np.int64)
+    positions = np.searchsorted(subjects, subject_oids)
+    return np.where(subjects.take(positions, mode="clip") == subject_oids, positions, -1)
 
 
 @dataclass(frozen=True)
@@ -127,6 +166,74 @@ def _is_sorted_ignoring_nulls(values: np.ndarray) -> bool:
     return bool(np.all(prefix[:-1] <= prefix[1:]))
 
 
+def _column_properties(table) -> List[int]:
+    """The properties a table's block holds a column for: all but ``MANY``."""
+    return [p for p, spec in table.properties.items()
+            if spec.multiplicity is not Multiplicity.MANY]
+
+
+def _column_values(matrix: np.ndarray, rows: np.ndarray, column_props: List[int],
+                   subjects: np.ndarray) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+    """The column values of ``subjects`` (ascending) from their rows
+    ``rows`` of ``matrix`` (row indexes in row order), and the rows the
+    columns hold.
+
+    The first value of a (property, subject) cell in row order fills the
+    column.  Every other row — a later value of a nominally single-valued
+    property, a ``MANY`` property, a property the table does not have — is
+    left to the irregular table.
+    """
+    width = subjects.size
+    rows = rows[np.isin(matrix[rows, 1], column_props)]
+    positions = np.searchsorted(subjects, matrix[rows, 0])
+    # one key per cell, ordered by (property, position); ``first`` is each
+    # cell's first row in row order
+    cells, first = np.unique(matrix[rows, 1] * width + positions, return_index=True)
+    stored = rows[first]
+    data: Dict[int, np.ndarray] = {}
+    for p in column_props:
+        lo, hi = np.searchsorted(cells, (p * width, (p + 1) * width))
+        values = np.full(width, NULL_OID, dtype=np.int64)
+        values[cells[lo:hi] - p * width] = matrix[stored[lo:hi], 2]
+        data[p] = values
+    return data, stored
+
+
+def _make_block(table, subjects: np.ndarray, data: Dict[int, np.ndarray], head_rows: int,
+                same_head: Optional[CSBlock], pool: Optional[BufferPool], zone_size: int,
+                name: str, sorted_properties: Optional[frozenset] = None) -> CSBlock:
+    """A block of ``table`` over ``subjects`` and its column ``data``, the
+    first ``head_rows`` rows its head.  Zone maps are built per run, but
+    reused for the head from ``same_head``, a block with the same head
+    rows; ``sorted_properties`` default to the columns sorted over the
+    head."""
+    prefix = f"{name}.cs{table.cs_id}"
+    property_columns = {p: Column(segment_id=f"{prefix}.p{p}", values=values,
+                                  sorted_ascending=False, pool=pool)
+                        for p, values in data.items()}
+    zone_maps = {}
+    for p, column in property_columns.items():
+        kept = same_head.zone_map(p) if same_head is not None else None
+        zone_maps[p] = (ZoneMap.build(column.data, zone_size, head_rows) if kept is None else
+                        ZoneMap([zone for zone in kept.zones if zone.end_row <= head_rows]
+                                + ZoneMap.zones_of(column.data, zone_size, head_rows,
+                                                   subjects.size),
+                                zone_size, subjects.size))
+    if sorted_properties is None:
+        sorted_properties = frozenset(p for p, values in data.items()
+                                      if _is_sorted_ignoring_nulls(values[:head_rows]))
+    return CSBlock(
+        cs_id=table.cs_id,
+        label=table.label or f"cs{table.cs_id}",
+        subject_column=Column(segment_id=f"{prefix}.subject", values=subjects,
+                              sorted_ascending=head_rows == subjects.size, pool=pool),
+        property_columns=property_columns,
+        zone_maps=zone_maps,
+        sorted_properties=sorted_properties,
+        head_rows=head_rows,
+    )
+
+
 class ClusteredStore:
     """The full clustered physical design: CS blocks plus the irregular table."""
 
@@ -142,6 +249,8 @@ class ClusteredStore:
         self.schema = schema
         self.pool = pool
         self._by_cs: Dict[int, CSBlock] = {block.cs_id: block for block in blocks}
+        self.has_tails = any(block.head_rows < len(block) for block in blocks)
+        """Whether a block has tail rows (a compaction added them)."""
         self._irregular_subjects: Optional[np.ndarray] = None
         self._tail_tables: Dict[frozenset, int] = {}
 
@@ -156,7 +265,8 @@ class ClusteredStore:
         zone_size: int = 1024,
         name: str = "clustered",
     ) -> "ClusteredStore":
-        """Build the clustered store from an encoded triple matrix and schema.
+        """Build the clustered store from an encoded triple matrix and schema:
+        every block all head.
 
         Every aligned property column gets a zone map of ``zone_size`` rows
         per zone, and a star scan with a range on that column prunes by it.
@@ -173,81 +283,70 @@ class ClusteredStore:
         blocks: List[CSBlock] = []
         for cs_id in sorted(schema.tables):
             lo, hi = np.searchsorted(grouped_cs, (cs_id, cs_id + 1))
-            block, stored = cls._build_block(
-                matrix, by_cs[lo:hi], schema.tables[cs_id],
-                schema.membership.members(cs_id), pool, zone_size, name)
-            blocks.append(block)
+            table = schema.tables[cs_id]
+            subjects = schema.membership.members(cs_id)
+            data, stored = _column_values(matrix, by_cs[lo:hi], _column_properties(table),
+                                          subjects)
+            blocks.append(_make_block(table, subjects, data, subjects.size, None,
+                                      pool, zone_size, name))
             in_block[stored] = True
         irregular = TripleTable(matrix[~in_block], order="pso", pool=pool,
                                 name=f"{name}.irregular")
         return cls(blocks=blocks, irregular=irregular, schema=schema, pool=pool)
 
-    @staticmethod
-    def _build_block(
-        matrix: np.ndarray,
-        rows: np.ndarray,
-        table,
-        subjects: np.ndarray,
-        pool: Optional[BufferPool],
-        zone_size: int,
-        name: str,
-    ) -> Tuple[CSBlock, np.ndarray]:
-        """Build one CS block from its members' rows (matrix row indexes in
-        row order); returns the block and the rows its columns hold.
+    def compacted(self, triple_matrix: np.ndarray, schema: EmergentSchema,
+                  touched: np.ndarray, zone_size: int = 1024,
+                  name: str = "clustered") -> "ClusteredStore":
+        """This store after a compaction: ``triple_matrix`` is the merged
+        base, ``schema`` the maintained schema (same tables, same columns)
+        and ``touched`` the sorted subjects the delta inserted or deleted
+        triples of.
 
-        The first value of a (property, subject) cell in row order fills the
-        column.  Every other row — a later value of a nominally
-        single-valued property, a ``MANY`` property, a property the table
-        does not have — is left to the irregular table.
+        A table no touched subject is a member of, before or after, keeps
+        its :class:`CSBlock` object.  Another keeps, in head order, the head
+        rows of its untouched members — a subsequence of a sorted run, so
+        its :attr:`~CSBlock.sorted_properties` still hold — and its other
+        members (untouched tail rows, changed members, newcomers) are its
+        tail, subject-ascending and built from their merged triples like a
+        block.  The irregular table keeps the untouched subjects' triples
+        and takes what the rebuilt tails do not hold.
         """
-        width = subjects.size
-        column_props = [p for p, spec in table.properties.items()
-                        if spec.multiplicity is not Multiplicity.MANY]
-        rows = rows[np.isin(matrix[rows, 1], column_props)]
-        positions = np.searchsorted(subjects, matrix[rows, 0])
-        # one key per cell, ordered by (property, position); ``first`` is each
-        # cell's first row in row order
-        cells, first = np.unique(matrix[rows, 1] * width + positions, return_index=True)
-        stored = rows[first]
-        data: Dict[int, np.ndarray] = {}
-        for p in column_props:
-            lo, hi = np.searchsorted(cells, (p * width, (p + 1) * width))
-            values = np.full(width, NULL_OID, dtype=np.int64)
-            values[cells[lo:hi] - p * width] = matrix[stored[lo:hi], 2]
-            data[p] = values
-
-        label = table.label or f"cs{table.cs_id}"
-        subject_column = Column(
-            segment_id=f"{name}.cs{table.cs_id}.subject",
-            values=subjects,
-            sorted_ascending=True,
-            pool=pool,
-        )
-        property_columns = {
-            p: Column(
-                segment_id=f"{name}.cs{table.cs_id}.p{p}",
-                values=values,
-                sorted_ascending=False,
-                pool=pool,
-            )
-            for p, values in data.items()
-        }
-        zone_maps = {p: ZoneMap.build(column.data, zone_size=zone_size)
-                     for p, column in property_columns.items()}
-
-        sorted_properties = frozenset(
-            p for p, values in data.items() if _is_sorted_ignoring_nulls(values)
-        )
-
-        block = CSBlock(
-            cs_id=table.cs_id,
-            label=label,
-            subject_column=subject_column,
-            property_columns=property_columns,
-            zone_maps=zone_maps,
-            sorted_properties=sorted_properties,
-        )
-        return block, stored
+        matrix = np.asarray(triple_matrix, dtype=np.int64).reshape(-1, 3)
+        # a touched subject's table before and after the compaction
+        affected = set(np.concatenate([self.schema.membership.cs_of(touched),
+                                       schema.membership.cs_of(touched)]).tolist())
+        blocks: Dict[int, CSBlock] = {}
+        heads: Dict[int, Tuple[CSBlock, np.ndarray, np.ndarray]] = {}
+        for cs_id in schema.tables:
+            block, members = self._by_cs[cs_id], schema.membership.members(cs_id)
+            if cs_id not in affected:
+                blocks[cs_id] = block
+                continue
+            head_subjects = block.subject_column.data[:block.head_rows]
+            kept = np.flatnonzero(~np.isin(head_subjects, touched))
+            heads[cs_id] = (block, kept,
+                            np.setdiff1d(members, head_subjects[kept], assume_unique=True))
+        # the subjects whose triples are filed again: the touched ones and
+        # every tail member of a table that changed
+        rebuilt = np.unique(np.concatenate([touched] + [tail for _b, _k, tail in heads.values()]))
+        rows = np.flatnonzero(np.isin(matrix[:, 0], rebuilt))
+        row_cs = schema.membership.cs_of(matrix[rows, 0])
+        in_block = np.zeros(matrix.shape[0], dtype=bool)
+        for cs_id, (head, kept, tail_subjects) in heads.items():
+            table = schema.tables[cs_id]
+            tail, stored = _column_values(matrix, rows[row_cs == cs_id],
+                                          _column_properties(table), tail_subjects)
+            in_block[stored] = True
+            blocks[cs_id] = _make_block(
+                table, np.concatenate([head.subject_column.data[kept], tail_subjects]),
+                {p: np.concatenate([head.column(p).data[kept], values])
+                 for p, values in tail.items()},
+                kept.size, head if kept.size == head.head_rows else None,
+                self.pool, zone_size, name, head.sorted_properties)
+        return ClusteredStore(
+            blocks=[blocks[cs_id] for cs_id in sorted(blocks)],
+            irregular=self.irregular.with_subjects_replaced(rebuilt, matrix[rows[~in_block[rows]]]),
+            schema=schema, pool=self.pool)
 
     # -- access -------------------------------------------------------------------
 
@@ -280,9 +379,9 @@ class ClusteredStore:
         compaction would make it a row of that block, and until then it is
         one of the tail's.  Admission runs once per distinct property set
         (:meth:`_tail_table`).  A tail is a :class:`CSBlock` with its head's
-        columns and label, its rows subject-ordered; it has no zone maps and
-        no sorted columns (a tail is one zone), and its column segments are
-        named under ``name``.
+        columns and label, its rows subject-ordered and all tail rows
+        (``head_rows`` 0); it has no zone maps and no sorted columns (a tail
+        is one zone), and its column segments are named under ``name``.
         """
         if not rows.size:
             return _NO_TAILS
@@ -338,6 +437,7 @@ class ClusteredStore:
                                   pool=self.pool),
             property_columns={int(p): Column(f"{prefix}.p{p}", values, pool=self.pool)
                               for p, values in zip(predicates.tolist(), cells)},
+            head_rows=0,
         )
 
     def irregular_subjects(self) -> np.ndarray:

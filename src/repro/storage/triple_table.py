@@ -142,6 +142,18 @@ class TripleTable:
             table._rows = None
         return table
 
+    def with_subjects_replaced(self, subjects: np.ndarray, rows: np.ndarray) -> "TripleTable":
+        """The table with every row of ``subjects`` replaced by ``rows`` (an
+        ``(n, 3)`` S/P/O array of those subjects only): :meth:`merged` from
+        this one, so a sorted table hands on its columns and an unsorted one
+        sorts nothing now."""
+        with self._mutex:
+            current = self._rows if self._columns is None else None
+        current = self.raw() if current is None else rows_matrix(current)
+        replaced = np.isin(current[:, 0], subjects)
+        kept = np.vstack([current[~replaced], rows])
+        return self.merged(kept, rows, current[replaced], length=kept.shape[0])
+
     def _merge_columns(self, columns: Dict[str, Column], inserts: np.ndarray,
                        tombstones: np.ndarray, length: int) -> Dict[str, Column]:
         data = {component: columns[component].data for component in "spo"}

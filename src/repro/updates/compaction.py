@@ -10,9 +10,12 @@ the paper's emergent schema is meant to absorb change:
   or as a subset of one CS's properties — join that CS table;
 * new subjects matching nothing fall into the irregular (leftover) bucket;
 * subjects whose last triple was deleted leave their CS;
-* affected tables get their per-property presence / multiplicity statistics
+* affected tables get their per-property presence / mean multiplicity
   refreshed, and schema coverage is recomputed — one array pass over the
-  merged matrix for both, whatever the number of tables;
+  merged matrix for both, whatever the number of tables.  A column may
+  turn nullable or not, but never ``MANY`` or back (only discovery does
+  that), so a table keeps its block's columns: a second value of a
+  single-valued column is irregular, as in dirty data;
 * literal OIDs appended by updates are folded back into value order, so
   pushed-down range predicates regain their exact OID-interval translation.
 """
@@ -20,6 +23,7 @@ the paper's emergent schema is meant to absorb change:
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -28,7 +32,7 @@ import numpy as np
 
 from ..cs import EmergentSchema, match_characteristic_set, measure_coverage
 from ..cs.detect import run_starts
-from ..cs.schema_model import classify_multiplicity
+from ..cs.schema_model import Multiplicity, classify_multiplicity
 
 
 @dataclass
@@ -154,7 +158,9 @@ def _property_sets_of(matrix: np.ndarray, subjects: np.ndarray) -> Dict[int, Set
 def _refresh_table_statistics(schema, merged: np.ndarray, row_tables: np.ndarray,
                               cs_ids: Set[int]) -> None:
     """Recompute support and, per column, presence / mean multiplicity /
-    multiplicity class of the tables ``cs_ids``.
+    multiplicity class of the tables ``cs_ids`` — the class within the
+    block's columns: a ``MANY`` property stays one, another never becomes
+    one, so the tables keep their blocks' columns.
 
     ``row_tables`` is each merged row's table.  One lexsort of the affected
     tables' rows by ``(table, predicate, subject)``: a ``(table, predicate)``
@@ -182,4 +188,6 @@ def _refresh_table_statistics(schema, merged: np.ndarray, row_tables: np.ndarray
             triple_count, subject_count = counts.get((cs_id, predicate_oid), (0, 0))
             spec.presence = subject_count / table.support
             spec.mean_multiplicity = triple_count / subject_count if subject_count else 1.0
-            spec.multiplicity = classify_multiplicity(spec.presence, spec.mean_multiplicity)
+            if spec.multiplicity is not Multiplicity.MANY:
+                spec.multiplicity = classify_multiplicity(spec.presence, spec.mean_multiplicity,
+                                                          many_threshold=math.inf)

@@ -42,7 +42,7 @@ The delta has a write half and a read half:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -286,6 +286,8 @@ class FrozenDelta:
         self._tombstones_by_p: Optional[Dict[int, np.ndarray]] = None
         self._groups: Optional[Tuple[Dict[int, np.ndarray], np.ndarray]] = None
         self._tails: Optional[Tuple[object, PendingTails]] = None
+        self._subjects: Optional[np.ndarray] = None
+        self._derived: Dict[object, np.ndarray] = {}
 
     # -- inspection ---------------------------------------------------------------
 
@@ -305,6 +307,21 @@ class FrozenDelta:
     def tombstone_matrix(self) -> np.ndarray:
         """The tombstones as an ``(n, 3)`` S/P/O matrix (unordered)."""
         return self._tombstones
+
+    def derived(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """What a reader derives from this version and ``key`` alone (say, a
+        plan's range widened by the version's writes): ``compute()`` on the
+        first read, kept for every later one."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = compute()
+        return value
+
+    def subjects(self) -> np.ndarray:
+        """Every subject with a pending insert or tombstone, sorted."""
+        if self._subjects is None:
+            self._subjects = np.union1d(self._inserts[:, 0], self._tombstones[:, 0])
+        return self._subjects
 
     def subjects_touching(self, predicates: Iterable[int]) -> np.ndarray:
         """Sorted subjects with an insert *or* tombstone on any given predicate.

@@ -72,7 +72,6 @@ from repro.cs import (
 )
 from repro.cs.builder import _assemble_schema
 from repro.cs.generalize import GeneralizationResult, GeneralizedCS
-from repro.cs.schema_model import classify_multiplicity
 from repro.cs.typing import PropertyObservation, TypingConfig, term_kind
 from repro.engine.bindings import BindingTable
 from repro.engine.plan import OidRange, StarPattern, StarProperty
@@ -252,7 +251,8 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
                                                   prop.predicate_oid, delta)
             values = [v for v in values if _value_matches(v, prop, dictionary)]
             if not values:
-                if prop.required:
+                # a constant property matches its value only: required
+                if prop.required or not prop.object_term.is_variable:
                     satisfiable = False
                     break
                 values = [NULL_OID]
@@ -912,7 +912,9 @@ def full_sort_value_order(
 def per_table_statistics(schema, merged: np.ndarray, row_tables, cs_ids: Set[int]) -> None:
     """Compaction's statistics refresh one table at a time: a full-matrix
     ``np.isin`` over the table's members, then one mask per property
-    (``row_tables`` is ignored; the shipped signature carries it)."""
+    (``row_tables`` is ignored; the shipped signature carries it).  A
+    property keeps being a column or ``MANY``: only nullability is
+    reclassified."""
     for cs_id in cs_ids:
         table = schema.tables[cs_id]
         members = schema.membership.members(cs_id)
@@ -926,7 +928,9 @@ def per_table_statistics(schema, merged: np.ndarray, row_tables, cs_ids: Set[int
             subject_count = int(np.unique(prop_rows[:, 0]).size)
             spec.presence = subject_count / table.support
             spec.mean_multiplicity = triple_count / subject_count if subject_count else 1.0
-            spec.multiplicity = classify_multiplicity(spec.presence, spec.mean_multiplicity)
+            if spec.multiplicity is not Multiplicity.MANY:
+                spec.multiplicity = (Multiplicity.EXACTLY_ONE if spec.presence >= 0.999
+                                     else Multiplicity.ZERO_OR_ONE)
 
 
 def per_table_coverage(schema, matrix: np.ndarray, row_tables=None) -> SchemaCoverage:

@@ -258,3 +258,26 @@ def test_rdfjoin_keys_and_joins_back_only_residual_rows(monkeypatch, rdfh_store,
     for table in tables:
         assert set(table["keyed"]) <= set(table["residual"])
         assert table["joined"] == (table["residual"] or None)
+
+
+@pytest.mark.parametrize("batch_size", [1024, 64, 8])
+def test_a_parse_order_star_reads_its_pairs_once_per_run(monkeypatch, rdfh_parseorder_store,
+                                                          batch_size):
+    """RDFjoin over the parse-order indexes reads each star property's
+    PSO/POS pairs once per run, however many input batches it gets."""
+    calls = []
+    reads = rdfscan._property_pairs
+    monkeypatch.setattr(rdfscan, "_property_pairs",
+                        lambda *args: calls.append(args[2]) or reads(*args))
+    context = dataclasses.replace(rdfh_parseorder_store.context(), batch_size=batch_size)
+    plan = rdfh_parseorder_store.sparql_plan(q3_sparql())
+    execute_plan(plan, context)
+    stars = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (RDFScanOp, RDFJoinOp)):
+            stars += node.star.properties
+        stack.extend(node.children())
+    assert plan.operator_names().get("RDFJoinOp", 0) >= 1
+    assert sorted(map(id, calls)) == sorted(map(id, stars))

@@ -182,16 +182,11 @@ def test_parse_order_stars_match_the_clustered_ones(dirty_store):
     """The parse-order evaluator (``_IndexMergeStarScan``) and the clustered
     one answer every star with the same rows — a repeated variable included,
     which the parse-order evaluator used to overwrite with the object column
-    (``?x <related> ?x``) or to drop when an optional value was missing.
-
-    ``optional_constant`` is left out: a block filters by an optional
-    constant property's value while the pairs evaluator does not, and no
-    front end emits such a property."""
+    (``?x <related> ?x``) or to drop when an optional value was missing —
+    and an optional constant property, which both treat as required."""
     context = dirty_store.context()
     parse_order = dataclasses.replace(context, clustered_store=None)
     for name, star in _stars(dirty_store).items():
-        if name == "optional_constant":
-            continue
         names = star.output_variables()
         clustered = rdfscan._ClusteredStarScan(context, star).scan()
         assert clustered.num_rows, name

@@ -17,6 +17,12 @@ alone, would drop the tail rows:
 * the POS fast path — the ``default`` scheme's index scan, and the
   index-merge star scan of an unclustered store.
 
+A compaction makes the new books the Book block's tail rows, which no sorted
+prefix or push-down range bounds (the ``tail`` layout); ``build_indexes()``
+then rebuilds the block from the matrix as one head, the new books its last
+rows (the ``folded`` layout), which is where the first and third readers
+meet tail literals.
+
 The oracle is a store rebuilt from scratch on the live triples, compared on
 decoded answers (a compacted store no longer equals a rebuild OID for OID);
 ``cluster()`` afterwards restores value order over every literal.  Also
@@ -71,14 +77,18 @@ def _config(batch_size: int) -> StoreConfig:
         min_support=3)), zone_size=4, batch_size=batch_size)
 
 
-def _compacted_store(batch_size: int, sorted_years: bool, clustered: bool = True) -> RDFStore:
+def _compacted_store(batch_size: int, sorted_years: bool, clustered: bool = True,
+                     layout: str = "tail") -> RDFStore:
     """The book store with three new books compacted into its base: each
-    new subject and each new year is a fresh OID above every base one."""
+    new subject and each new year is a fresh OID above every base one.  In
+    the ``folded`` layout the blocks are rebuilt from the matrix after."""
     store = RDFStore.build(book_triples(), config=_config(batch_size), cluster=clustered,
                            sort_key_names={"Book": f"{EX}in_year"} if sorted_years else None)
     for n, year in enumerate(NEW_YEARS):
         store.update(insert_book(n, year=year, author=n % 2))
     store.compact()
+    if layout == "folded":
+        store.build_indexes()
     return store
 
 
@@ -87,9 +97,10 @@ def _tail_oids(store: RDFStore) -> list:
     return [dictionary.lookup_term(Literal(str(year), datatype=XSD_INT)) for year in NEW_YEARS]
 
 
-def _assert_scenario(store: RDFStore, sorted_years: bool) -> None:
-    """The rows under test are really there: tail OIDs in base columns,
-    at the end of the Book block, which keeps its sort when asked to."""
+def _assert_scenario(store: RDFStore, sorted_years: bool, layout: str = "tail") -> None:
+    """The rows under test are really there: tail OIDs in base columns, at
+    the end of the Book block — its tail rows, or the last rows of its head
+    when folded — whose head keeps its sort when asked to."""
     tail = _tail_oids(store)
     assert min(tail) >= store.dictionary.value_order_watermark
     assert set(tail) <= set(store.matrix[:, 2].tolist())
@@ -99,6 +110,7 @@ def _assert_scenario(store: RDFStore, sorted_years: bool) -> None:
         term for term in store.dictionary.terms() if str(term) == f"{EX}in_year"))
     (block,) = store.clustered_store.blocks_with_properties([in_year])
     assert block.column(in_year).data[-len(tail):].tolist() == tail
+    assert block.head_rows == len(block) - (len(tail) if layout == "tail" else 0)
     assert (in_year in block.sorted_properties) == sorted_years
 
 
@@ -123,9 +135,11 @@ def _assert_answers(reader, expected: dict, where: str) -> None:
 
 @pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize("sorted_years", [True, False], ids=["sorted", "unsorted"])
-def test_tail_literals_in_base_columns_answer_like_a_rebuild(batch_size, sorted_years, tmp_path):
-    store = _compacted_store(batch_size, sorted_years)
-    _assert_scenario(store, sorted_years)
+@pytest.mark.parametrize("layout", ["tail", "folded"])
+def test_tail_literals_in_base_columns_answer_like_a_rebuild(batch_size, sorted_years, layout,
+                                                             tmp_path):
+    store = _compacted_store(batch_size, sorted_years, layout=layout)
+    _assert_scenario(store, sorted_years, layout)
     expected = _expected(store)
     _assert_answers(store, expected, "direct")
     with store.snapshot() as pinned:
@@ -139,7 +153,7 @@ def test_tail_literals_in_base_columns_answer_like_a_rebuild(batch_size, sorted_
 def test_an_unclustered_store_reads_tail_literals_through_pos(tmp_path):
     """Parse-order storage: every star reads POS by range (index merge)."""
     store = _compacted_store(1024, sorted_years=False, clustered=False)
-    _assert_scenario(store, sorted_years=False)
+    _assert_scenario(store, sorted_years=False, layout="folded")
     expected = {text: _sort_rows(rows) for text, rows in _expected(store).items()}
     for text in QUERIES:
         for options in OPTIONS[:3]:
@@ -149,13 +163,26 @@ def test_an_unclustered_store_reads_tail_literals_through_pos(tmp_path):
 
 
 def test_push_down_narrows_by_the_tail_interval():
-    """The zone-map push-down of the FK star sees the tail rows: the subject
-    range it derives for the books, and the author bounds it pushes across
-    ``has_author``, both cover the new books."""
-    store = _compacted_store(1024, sorted_years=True)
+    """The zone-map push-down of the FK star sees the tail literals in head
+    rows: the subject range it derives for the books, and the author bounds
+    it pushes across ``has_author``, both cover the new books."""
+    store = _compacted_store(1024, sorted_years=True, layout="folded")
     text = QUERIES[2]
     plan = store.explain(text, PlannerOptions(use_zone_maps=True))
     assert "subj[" in plan and "subj[1, 0]" not in plan, plan
+    rows = store.decode_rows(store.sparql(text, PlannerOptions(use_zone_maps=True)))
+    assert len(rows) == len(NEW_YEARS)
+
+
+def test_push_down_bounds_head_rows_only():
+    """Compacted, the new books are tail rows: no head row is in range, so
+    the author range derived from the books' head zones is empty (the books
+    star, which no FK references, gets none), and the tail rows and the
+    authors they reference answer all the same."""
+    store = _compacted_store(1024, sorted_years=True)
+    text = QUERIES[2]
+    plan = store.explain(text, PlannerOptions(use_zone_maps=True))
+    assert plan.count("subj[1, 0]") == 1 and "star(?a: p3 -> ?n) subj[1, 0]" in plan, plan
     rows = store.decode_rows(store.sparql(text, PlannerOptions(use_zone_maps=True)))
     assert len(rows) == len(NEW_YEARS)
 

@@ -10,12 +10,14 @@ invalidates the plan cache.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.updates.compaction as compaction
 from _datasets import (
     EX,
     book_triples,
+    build_dblp_store,
     person_address_triples,
     small_graph_config,
     tiny_tpch,
@@ -27,6 +29,7 @@ from _oracles import (
 )
 from repro import RDFStore, StoreConfig
 from repro.bench import DblpConfig, DirtyConfig, generate_dblp, generate_dirty, tpch_to_triples
+from repro.columnar import NULL_OID
 from repro.cs import DiscoveryConfig, GeneralizationConfig
 from repro.errors import ParseError, StorageError
 from repro.model import EncodedTriple, IRI, Literal, Triple
@@ -640,3 +643,23 @@ class TestStoreConfigValidation:
     def test_valid_config_passes(self):
         config = StoreConfig(page_size=64, zone_size=32)
         assert (config.page_size, config.zone_size) == (64, 32)
+
+
+def test_a_second_value_of_a_column_keeps_the_column():
+    """Compaction reclassifies no column as ``MANY``: DBLP's ``homepage``
+    table keeps its ``content`` column when a member gets a second value
+    (its mean multiplicity passes the threshold), the second value is
+    irregular, and the table's SQL rows are those the pending store read."""
+    store = build_dblp_store()
+    table = next(block for block in store.clustered_store.blocks if block.label == "homepage")
+    content = next(p for p in table.property_columns
+                   if str(store.dictionary.decode(p)).endswith("content"))
+    member = int(table.subject_column.data[np.flatnonzero(
+        table.column(content).data != NULL_OID)[0]])
+    store.update(f"INSERT DATA {{ {store.dictionary.decode(member).n3()} "
+                 f"{store.dictionary.decode(content).n3()} \"a second page\" . }}")
+    pending = _sort_rows(store.decode_rows(store.sql("SELECT * FROM homepage")))
+    assert len(pending) == len(table) + 1
+    store.compact()
+    assert content in store.clustered_store.block(table.cs_id).property_columns
+    assert _sort_rows(store.decode_rows(store.sql("SELECT * FROM homepage"))) == pending

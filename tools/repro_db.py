@@ -181,6 +181,10 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(f"blocks:     {len(clustered['blocks'])} CS blocks, {columns} property "
               f"columns, {zone_maps} zone maps, "
               f"{clustered['irregular']['rows']} irregular triples")
+        for block in clustered["blocks"]:
+            # an entry without head_rows (an older database) is all head
+            head = block.get("head_rows", block["rows"])
+            print(f"table {block['label']}: {head} head rows, {block['rows'] - head} tail rows")
     # read-only peek: info must not replay the WAL (that runs queries and
     # materializes columns) or recovery-truncate it (a write)
     records = WriteAheadLog.peek(wal_path(args.database)).record_count()
