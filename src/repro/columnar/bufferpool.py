@@ -121,18 +121,21 @@ class BufferPool:
         with self._lock:
             self._lazy_registered[segment_id] = int(num_values)
 
-    def reset_lazy_registry(self) -> None:
-        """Forget every lazy segment.
+    def retain_lazy_segments(self, segment_ids: Iterable[str]) -> None:
+        """Forget every lazy segment but ``segment_ids``.
 
-        Called when the physical structures are rebuilt in memory (compaction,
-        re-clustering, reload): the on-disk segments no longer back anything,
-        and keeping them registered would make ``stats()`` report stale
-        ``lazy_values_pending`` forever.  ``lazy_values_loaded`` is a lifetime
-        counter and survives.
+        Called when the physical structures are replaced (compaction,
+        re-clustering, reload): a segment that no longer backs anything
+        would make ``stats()`` report stale ``lazy_values_pending`` forever,
+        while one that a kept structure still reads from disk — a block a
+        compaction kept — stays pending until it loads.
+        ``lazy_values_loaded`` is a lifetime counter and survives.
         """
+        keep = set(segment_ids)
         with self._lock:
-            self._lazy_registered.clear()
-            self._lazy_materialized.clear()
+            for registry in (self._lazy_registered, self._lazy_materialized):
+                for segment_id in [s for s in registry if s not in keep]:
+                    del registry[segment_id]
 
     def note_materialized(self, segment_id: str, num_values: int) -> None:
         """Record that a lazy segment's values were loaded from disk.

@@ -113,6 +113,11 @@ class Column:
             self.pool.note_materialized(self.segment_id, int(self._data.shape[0]))
 
     @property
+    def is_lazy(self) -> bool:
+        """Whether the column loads its values from disk (loaded yet or not)."""
+        return self._loader is not None
+
+    @property
     def is_materialized(self) -> bool:
         """Whether the backing array is resident (always true for eager columns)."""
         return self._data is not None

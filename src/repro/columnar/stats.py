@@ -196,6 +196,11 @@ class CardinalityEstimator:
                 return total
         return float(self.index_store.distinct_in_predicate(predicate_oid, "s"))
 
+    def distinct_objects(self, predicate_oid: int) -> float:
+        """Number of distinct objects among a predicate's triples (exact,
+        from the index store's POS projection)."""
+        return float(self.index_store.distinct_in_predicate(predicate_oid, "o"))
+
     # -- per-pattern estimates -----------------------------------------------------
 
     def pattern_cardinality(self, s: Optional[int] = None, p: Optional[int] = None,

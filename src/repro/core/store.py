@@ -475,11 +475,15 @@ class RDFStore:
                                  clustered_store: Optional[ClusteredStore]) -> None:
         """Make ``index_store`` (over the current matrix) and
         ``clustered_store`` the store's, and publish."""
-        # rebuilding replaces the (possibly lazily loading) structures with
-        # in-memory ones; drop the stale lazy-segment bookkeeping so
-        # buffer_pool_stats() does not report dead segments as pending (a
-        # block a compaction kept loads as before, uncounted)
-        self.pool.reset_lazy_registry()
+        # the new structures are in memory but for the blocks a compaction
+        # kept, which may still load from disk: keep only their lazy
+        # segments, so buffer_pool_stats() reports no dead segment as
+        # pending and every kept one until it loads
+        self.pool.retain_lazy_segments(
+            column.segment_id
+            for block in (clustered_store.blocks if clustered_store is not None else ())
+            for column in (block.subject_column, *block.property_columns.values())
+            if column.is_lazy)
         self.index_store = index_store
         self.clustered_store = clustered_store
         self._publish()

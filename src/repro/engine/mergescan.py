@@ -8,8 +8,9 @@ this module supplies the small merge helpers the operators call when the
 execution context carries a pending :class:`~repro.updates.DeltaStore`.
 
 The delta object is duck-typed (the engine layer does not import the
-updates package): it only needs ``scan_pattern``, ``tombstone_mask``,
-``pair_tombstone_mask`` and ``subjects_touching``.
+updates package): it only needs ``scan_pattern``, ``index``,
+``insert_count``, ``tombstone_mask``, ``pair_tombstone_mask`` and
+``subjects_touching``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import expand_ranges
+from .kernels import merge_join_indices
 
 
 def merge_pattern_rows(delta, rows: np.ndarray,
@@ -63,20 +64,24 @@ def merge_property_pairs(delta, subjects: np.ndarray, objects: np.ndarray,
             np.concatenate([objects, extra[:, 1]]))
 
 
-def merged_subject_matches(delta, predicate: Optional[int], subjects: np.ndarray,
-                           fetch: str = "o") -> tuple[np.ndarray, np.ndarray]:
+def merged_subject_matches(delta, predicate: Optional[int], keys: np.ndarray,
+                           fetch: str = "o", key: str = "s") -> tuple[np.ndarray, np.ndarray]:
     """Delta matches of ``?s <predicate> ?o`` (``?s ?p ?o`` when ``predicate``
-    is ``None``) for a vector of probe subjects.
+    is ``None``) for a vector of probe keys: subjects (``key="s"``) or, with
+    the predicate bound, objects (``key="o"``).
 
-    Returns the index into ``subjects`` of each match and an ``(n,
+    Returns the index into ``keys`` of each match and an ``(n,
     len(fetch))`` array of its ``fetch`` components — the delta half of a
-    nested-loop index probe.  Both access paths (PSO inside the predicate,
-    SPO) sort by subject, so the matches are one binary search per subject.
+    nested-loop index probe.  The pending inserts are probed through the
+    projection the base probe reads (SPO, or the one sorting the key inside
+    the predicate: PSO or POS), which sorts them once per delta version, so
+    the matches are one binary search per key.
     """
-    rows = delta.scan_pattern(p=predicate, fetch="s" + fetch)
-    if rows.size == 0 or subjects.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, len(fetch)), dtype=np.int64)
-    lo = np.searchsorted(rows[:, 0], subjects, side="left")
-    hi = np.searchsorted(rows[:, 0], subjects, side="right")
-    input_rows, positions = expand_ranges(lo, hi)
+    if predicate is None:
+        rows = delta.scan_pattern(fetch="s" + fetch)
+    elif delta.insert_count():
+        rows = delta.index().within_predicate(key).scan_prefix(predicate, fetch=key + fetch)
+    else:
+        rows = np.empty((0, 1 + len(fetch)), dtype=np.int64)
+    input_rows, positions = merge_join_indices(rows[:, 0], keys)
     return input_rows, rows[positions, 1:]

@@ -14,6 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..columnar import gather_columns
 from ..errors import ExecutionError
 from . import kernels
 from .bindings import BindingTable, cross_join, emit_batches, joined_rows
@@ -118,33 +119,57 @@ class IndexScanOp(PhysicalOperator):
 class NestedLoopIndexJoinOp(PhysicalOperator):
     """For every input binding, probe the index for one more pattern.
 
-    This is the per-property join of the Default scheme: given the subjects
-    produced so far, each additional property is fetched by probing the PSO
-    index once per subject — "hitting the index all over the place".  The
-    probes are vectorized but the *page accounting* reflects the scattered
-    positions touched, which is what makes this operator slow in the cold,
-    parse-order configuration.
+    Keyed on the subject (``key="s"``), this is the per-property join of the
+    Default scheme: given the subjects produced so far, each additional
+    property is fetched by probing the PSO index once per subject — "hitting
+    the index all over the place".  The probes are vectorized but the *page
+    accounting* reflects the scattered positions touched, which is what makes
+    this operator slow in the cold, parse-order configuration.
 
     A variable predicate (``?s ?p ?o`` with ``?s`` bound by the plan so far,
     as in ``DELETE WHERE { ?s <p> <o> . ?s ?p ?o }``) probes SPO by subject
     prefix instead, so its cost follows the bound subjects, not the store.
+
+    Keyed on the object (``key="o"``, predicate bound), it is Fig. 4(b)'s
+    foreign-key hop: the child binds the referenced subjects, and each input
+    row probes the POS slice of the linking predicate for the subjects that
+    reference it — POS is a join index of every predicate, so the hop reads
+    the pairs of its input and never the whole predicate.
+
+    Either way a range filters the input where the child binds its variable
+    (no probe is spent on a row it drops) and the matches where the probe
+    binds it: the object range with its tail literals, the subject range
+    (subjects are never literals, so it has no tail).  Output is input-major,
+    so it is the same at every batch size.
     """
 
     is_join = True
 
     def __init__(self, child: PhysicalOperator, pattern: TriplePatternPlan,
-                 object_range: Optional[OidRange] = None) -> None:
-        if not pattern.subject.is_variable:
+                 object_range: Optional[OidRange] = None,
+                 subject_range: Optional[OidRange] = None, key: str = "s") -> None:
+        if key not in ("s", "o"):
+            raise ExecutionError(f"NestedLoopIndexJoin keys on 's' or 'o', not {key!r}")
+        if key == "s" and not pattern.subject.is_variable:
             raise ExecutionError("NestedLoopIndexJoin expects a variable subject")
+        if key == "o" and (pattern.predicate.is_variable or not pattern.object.is_variable):
+            raise ExecutionError(
+                "an object-keyed NestedLoopIndexJoin expects a constant predicate "
+                "and a variable object")
         self.child = child
         self.pattern = pattern
         self.object_range = object_range
+        self.subject_range = subject_range
+        self.key = key
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
 
     def describe(self) -> str:
-        return f"NestedLoopIndexJoin[{self.pattern.describe()}]"
+        text = f"NestedLoopIndexJoin[{self.pattern.describe()}]"
+        if _is_bounded(self.subject_range):
+            text += f" subj{self.subject_range.describe()}"
+        return text
 
     def _batches(self, context: ExecutionContext) -> Iterator[BindingTable]:
         predicate = self.pattern.predicate
@@ -152,59 +177,67 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
             index = context.index_store.table("spo")
             prefix = (0, len(index))
         else:
-            index = context.index_store.within_predicate("s")
+            index = context.index_store.within_predicate(self.key)
             prefix = index.prefix_row_range(predicate.oid)
         tail = _tail(self.object_range, context)
         for batch in self.child.batches(context):
             yield self._probe(batch, context, index, prefix, tail)
 
+    def _in_range(self, table: BindingTable, tail: np.ndarray) -> BindingTable:
+        table = _apply_range(table, self.pattern.object, self.object_range, tail)
+        return _apply_range(table, self.pattern.subject, self.subject_range)
+
     def _probe(self, input_table: BindingTable, context: ExecutionContext,
                index, prefix: tuple[int, int], tail: np.ndarray) -> BindingTable:
-        pattern = self.pattern
-        subject_var = pattern.subject.var
-        if not input_table.has(subject_var):
-            raise ExecutionError(f"join variable ?{subject_var} not produced by child operator")
+        pattern, key = self.pattern, self.key
+        key_var = (pattern.subject if key == "s" else pattern.object).var
+        if not input_table.has(key_var):
+            raise ExecutionError(f"join variable ?{key_var} not produced by child operator")
 
-        subjects = input_table.column(subject_var)
-        if subjects.size == 0:
+        input_table = self._in_range(input_table, tail)
+        keys = input_table.column(key_var)
+        if keys.size == 0:
             return BindingTable.empty(
                 list(dict.fromkeys([*input_table.variables, *pattern.variables()])))
 
         lo_row, hi_row = prefix
-        s_column = index.column("s")
-        segment_subjects = s_column.data[lo_row:hi_row]
+        key_column = index.column(key)
 
         # one probe per input row (vectorized, but accounted per probe)
-        left_positions = np.searchsorted(segment_subjects, subjects, side="left")
-        right_positions = np.searchsorted(segment_subjects, subjects, side="right")
-        context.tracker.tuples_probed += int(subjects.size) * 2
-
-        input_rows_arr, offsets = kernels.expand_ranges(left_positions, right_positions)
+        input_rows_arr, offsets = kernels.merge_join_indices(key_column.data[lo_row:hi_row], keys)
+        context.tracker.tuples_probed += int(keys.size) * 2
         matched = offsets + lo_row
 
-        # the slots the probe binds, one column each: (predicate,) object
-        fetch = "po" if pattern.predicate.is_variable else "o"
+        # the slots the probe binds, one column each: (predicate,) object by
+        # subject, subject by object
+        if key == "o":
+            fetch, terms = "s", (pattern.subject,)
+        elif pattern.predicate.is_variable:
+            fetch, terms = "po", (pattern.predicate, pattern.object)
+        else:
+            fetch, terms = "o", (pattern.object,)
         if matched.size:
-            # page accounting: the probes hit the columns at scattered positions
-            found = np.column_stack([index.column(c).gather(matched) for c in fetch])
-            s_column.gather(matched)
+            # page accounting: the probes hit the columns at scattered
+            # positions (the key column's values are the probe's own)
+            *found, _keys = gather_columns([*map(index.column, fetch), key_column], matched)
+            found = np.column_stack(found)
         else:
             found = np.empty((0, len(fetch)), dtype=np.int64)
 
         delta = context.active_delta()
         if delta is not None:
-            # drop tombstoned base matches, then probe the delta for every subject
+            # drop tombstoned base matches, then probe the delta for every key
             if input_rows_arr.size:
-                base_subjects = subjects[input_rows_arr]
+                base_keys = keys[input_rows_arr]
                 if pattern.predicate.is_variable:
-                    dead = delta.tombstone_mask(np.column_stack([base_subjects, found]))
+                    dead = delta.tombstone_mask(np.column_stack([base_keys, found]))
                 else:
-                    dead = delta.pair_tombstone_mask(pattern.predicate.oid,
-                                                     base_subjects, found[:, 0])
+                    ends = (base_keys, found[:, 0]) if key == "s" else (found[:, 0], base_keys)
+                    dead = delta.pair_tombstone_mask(pattern.predicate.oid, *ends)
                 input_rows_arr, found = input_rows_arr[~dead], found[~dead]
             delta_rows, delta_found = merged_subject_matches(
                 delta, None if pattern.predicate.is_variable else pattern.predicate.oid,
-                subjects, fetch)
+                keys, fetch, key)
             if delta_rows.size:
                 input_rows_arr = np.concatenate([input_rows_arr, delta_rows])
                 found = np.concatenate([found, delta_found])
@@ -214,7 +247,6 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
                 input_rows_arr, found = input_rows_arr[order], found[order]
 
         result = input_table.select_rows(input_rows_arr)
-        terms = (pattern.predicate, pattern.object) if len(fetch) == 2 else (pattern.object,)
         keep = np.ones(result.num_rows, dtype=bool)
         for term, values in zip(terms, found.T):
             if not term.is_variable:
@@ -225,7 +257,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
                 result = result.with_column(term.var, values)
         if not keep.all():
             result = result.filter_mask(keep)
-        return _apply_range(result, pattern.object, self.object_range, tail)
+        return self._in_range(result, tail)
 
 
 class HashJoinOp(PhysicalOperator):

@@ -101,6 +101,10 @@ class QueryOptimizer:
         if isinstance(plan, NestedLoopIndexJoinOp):
             child = child_estimates[0]
             p, o = plan.pattern.predicate, plan.pattern.object
+            if plan.key == "o":
+                # each input row finds the subjects of one object value
+                return (child * est.predicate_count(p.oid)
+                        / max(est.distinct_objects(p.oid), 1.0))
             pattern_rows = est.pattern_cardinality(
                 p=None if p.is_variable else p.oid,
                 o=None if o.is_variable else o.oid,

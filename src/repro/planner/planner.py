@@ -181,20 +181,20 @@ class Planner:
 
         The Fig. 4(b) case: when the star references an already-planned star
         through one of its properties (``?s prop4 ?s2`` with ``?s2`` bound),
-        that property is scanned on its own, joined with the plan so far to
-        obtain candidate subjects, and the *rest* of the star is evaluated by
-        RDFjoin over those candidates.  Otherwise the whole star is RDFscanned
-        and hash-joined on the shared variables.
+        each row of the plan so far probes that property's POS slice for the
+        subjects referencing its ``?s2`` (a nested-loop index join keyed on
+        the object), and the *rest* of the star is evaluated by RDFjoin over
+        those candidates.  Otherwise the whole star is RDFscanned and
+        hash-joined on the shared variables.
         """
         linking = next((prop for prop in star.properties
                         if prop.object_term.is_variable and prop.object_term.var in planned_vars),
                        None)
         remaining = [prop for prop in star.properties if prop is not linking]
         if linking is not None and remaining:
-            link_scan = IndexScanOp(_property_pattern(star, linking),
-                                    object_range=linking.oid_range,
-                                    subject_range=star.subject_range)
-            joined = HashJoinOp(root, link_scan, join_vars=[linking.object_term.var])
+            joined = NestedLoopIndexJoinOp(root, _property_pattern(star, linking),
+                                           object_range=linking.oid_range,
+                                           subject_range=star.subject_range, key="o")
             rest = StarPattern(subject_var=star.subject_var, properties=remaining,
                                subject_range=star.subject_range, head_range=star.head_range)
             return RDFJoinOp(joined, rest)

@@ -32,6 +32,7 @@ from repro.engine import (
     HashJoinOp,
     IndexScanOp,
     MaterializedOp,
+    NestedLoopIndexJoinOp,
     PatternTerm,
     RDFJoinOp,
     RDFScanOp,
@@ -42,6 +43,7 @@ from repro.engine import (
     kernels,
 )
 from repro.model import IRI
+from repro.obs import ActiveQuery
 from repro.sparql import (
     DEFAULT_SCHEME,
     RDFSCAN_SCHEME,
@@ -176,18 +178,27 @@ def test_rdfjoin_coalesces_a_selective_childs_batches(rdfh_store):
     """A HashJoin over an IndexScan passes on one under-full batch per probe
     batch; RDFjoin regroups them and evaluates its star at most once per
     ``batch_size`` input rows — counted from the run's per-operator batch
-    tally, not timed."""
+    tally, not timed.  The planner probes ``fk_hop``'s link by object, so
+    the fragmenting child is that hop built as a hash join by hand: the
+    planned plan's stars over an ``IndexScan`` of the link, answering alike."""
     size = 1024
     with batch_size(rdfh_store, size):
-        result = rdfh_store.sparql(star_fk_hop_sparql())
-    rdfjoin = result.plan
+        planned = rdfh_store.sparql(star_fk_hop_sparql())
+    rdfjoin = planned.plan
     while not isinstance(rdfjoin, RDFJoinOp):
         (rdfjoin,) = rdfjoin.children()
-    hash_join = rdfjoin.child
-    assert isinstance(hash_join, HashJoinOp) and isinstance(hash_join.right, IndexScanOp)
-    input_rows, input_batches = result.run.tally(hash_join)
+    hop = rdfjoin.child
+    assert isinstance(hop, NestedLoopIndexJoinOp) and hop.key == "o"
+    hash_join = HashJoinOp(hop.child, IndexScanOp(hop.pattern), [hop.pattern.object.var])
+    plan = RDFJoinOp(hash_join, rdfjoin.star)
+    run = ActiveQuery(1, "fk_hop by hash join", "test", RDFSCAN_SCHEME)
+    context = dataclasses.replace(rdfh_store.context(), batch_size=size).with_run(run)
+    result, _cost = execute_plan(plan, context)
+    assert (sorted(zip(*(result.column(var).tolist() for var in ("o1", "o2", "o3"))))
+            == sorted(planned.rows()))
+    input_rows, input_batches = run.tally(hash_join)
     assert input_batches > math.ceil(input_rows / size), "the child must fragment its output"
-    _rows, star_scans = result.run.tally(rdfjoin)
+    _rows, star_scans = run.tally(plan)
     assert star_scans <= math.ceil(input_rows / size)
 
 

@@ -267,6 +267,34 @@ class TestOperators:
         assert cost.counters["join_operations"] == 1
         assert join.count_joins() == 1
 
+    def test_nested_loop_index_join_by_object(self):
+        """Keyed on the object, each input row probes POS for the subjects
+        holding its value: input-major rows, a repeated value matched twice,
+        an unknown one never, the subject range applied to the matches."""
+        ctx, _p_name, p_age, ages = _context()
+        by_age = {age: s for s, age in ages.items()}
+        values = sorted(by_age)
+        probes = np.array([values[3], values[0], 10 ** 6, values[3]])
+        child = MaterializedOp(BindingTable({"a": probes, "row": np.arange(4)}))
+        pattern = TriplePatternPlan(PatternTerm.variable("s"), PatternTerm.constant(p_age),
+                                    PatternTerm.variable("a"))
+        result, cost = execute_plan(NestedLoopIndexJoinOp(child, pattern, key="o"), ctx)
+        assert result.column("row").tolist() == [0, 1, 3]
+        assert result.column("s").tolist() == [by_age[values[3]], by_age[values[0]],
+                                               by_age[values[3]]]
+        assert cost.counters["join_operations"] == 1
+        first = by_age[values[0]]
+        ranged = NestedLoopIndexJoinOp(child, pattern, subject_range=OidRange(first, first),
+                                       key="o")
+        assert "subj[" in ranged.describe()
+        assert execute_plan(ranged, ctx)[0].column("row").tolist() == [1]
+        with pytest.raises(ExecutionError):
+            NestedLoopIndexJoinOp(child, TriplePatternPlan(
+                PatternTerm.variable("s"), PatternTerm.variable("p"),
+                PatternTerm.variable("a")), key="o")
+        with pytest.raises(ExecutionError):
+            NestedLoopIndexJoinOp(child, pattern, key="p")
+
     def test_nested_loop_join_requires_variable_subject(self):
         ctx, p_name, _p_age, _ages = _context()
         child = MaterializedOp(BindingTable({"s": np.array([0])}))

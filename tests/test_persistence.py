@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import zlib
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,9 @@ from repro.sparql import (
 
 from _datasets import EX, book_triples, build_rdfh_store
 from test_updates import live_triples
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"))
+from inputs import UpdateStream  # noqa: E402
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -400,6 +405,25 @@ class TestLazyLoading:
         assert stats["lazy_values_pending"] >= 3 * reopened.triple_count()
         assert stats["lazy_values_loaded"] < 3 * reopened.triple_count()
         assert built.buffer_pool_stats()["lazy_segments_registered"] == 0
+
+    def test_a_compaction_keeps_the_kept_blocks_segments_pending(self, tpch_tiny, tmp_path):
+        """A compaction keeps the blocks of tables no write touched, and a
+        reopened store's kept blocks still load from disk: the pool keeps
+        their unread values pending and forgets every segment the new
+        structures no longer read."""
+        write_snapshot(build_rdfh_store(tpch_tiny), tmp_path / "db")
+        reopened = RDFStore.open(tmp_path / "db")
+        reopened.update(UpdateStream(tpch_tiny, 3).next_insert()[0])  # one cloned order
+        before = {block.cs_id: block for block in reopened.clustered_store.blocks}
+        reopened.compact()
+        kept = [block for block in reopened.clustered_store.blocks
+                if before.get(block.cs_id) is block]
+        assert kept and len(kept) < len(before)  # Customer kept, Orders and Lineitem not
+        columns = [column for block in kept
+                   for column in (block.subject_column, *block.property_columns.values())]
+        unread = sum(len(column) for column in columns if not column.is_materialized)
+        assert unread > 0
+        assert reopened.buffer_pool_stats()["lazy_values_pending"] == unread
 
     def test_save_sorts_nothing_and_stores_no_projection(self, store, tmp_path,
                                                          projection_sorts):

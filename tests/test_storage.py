@@ -299,18 +299,19 @@ class TestSortedOnFirstRead:
 
 def test_which_projections_the_rdfh_corpus_reads(tpch_tiny):
     """The traffic pin.  On a clustered store the star schemes answer from
-    the CS blocks and reach for PSO (a per-subject probe) or SPO at most; the
-    ``default`` scheme on ParseOrder sorts exactly what its patterns name in
-    ``ACCESS_PATHS`` plus POS for a FILTER range inside a predicate — and
-    nothing ever reads OPS, OSP or SOP, which therefore are never made."""
+    the CS blocks and read exactly one projection, POS: the foreign-key hop
+    of ``fk_hop`` probes it by the referenced subjects (and its estimate
+    counts the predicate's distinct objects there), with zone-map push-down
+    off and on.  The ``default`` scheme on ParseOrder sorts exactly what its
+    patterns name in ``ACCESS_PATHS`` plus POS for a FILTER range inside a
+    predicate — and nothing ever reads OPS, OSP or SOP, which therefore are
+    never made."""
     corpus = [q6_sparql(), q3_sparql(), q1_sparql(), star_fk_hop_sparql()]
-    clustered = build_rdfh_store(tpch_tiny)
-    for text in corpus:
-        clustered.sparql(text, PlannerOptions(scheme=RDFSCAN_SCHEME))
-    assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo"}
-    for text in corpus:  # push-down brings subject ranges: PSO, or POS for an object range alone
-        clustered.sparql(text, PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=True))
-    assert set(clustered.index_store.materialized_orders()) <= {"pso", "spo", "pos"}
+    for zone_maps in (False, True):
+        clustered = build_rdfh_store(tpch_tiny)
+        for text in corpus:
+            clustered.sparql(text, PlannerOptions(scheme=RDFSCAN_SCHEME, use_zone_maps=zone_maps))
+        assert set(clustered.index_store.materialized_orders()) == {"pos"}, zone_maps
 
     for text in corpus:
         parse_order = build_rdfh_parseorder_store(tpch_tiny)
