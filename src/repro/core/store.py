@@ -762,11 +762,12 @@ class RDFStore:
         """Fold the pending delta into base storage (the explicit heavy step).
 
         Merges ``base − tombstones + inserts`` into a new base matrix,
-        incrementally maintains the emergent schema (new subjects join a
-        property-set-matching CS or the leftover bucket, emptied subjects
-        leave, per-column statistics and coverage refresh) and rebuilds the
-        clustered store and the SQL catalog (registered reduced schemas
-        carry over).  No OID moves: the dictionary stays the store's, with
+        incrementally maintains the emergent schema (every written subject
+        goes where its delta version filed it — a property-set-matching CS
+        or the leftover bucket; emptied subjects leave; per-column statistics
+        and coverage refresh) and rebuilds the clustered store and the SQL
+        catalog (registered reduced schemas carry over).  No OID moves: the
+        dictionary stays the store's, with
         its literal tail, its watermark and its warm value bridge, so every
         projection a read has sorted is merged with the sorted delta instead
         of being sorted again.  Characteristic-set discovery, subject
@@ -789,7 +790,7 @@ class RDFStore:
             if not self.has_pending_updates():
                 self.journal.clear()  # its texts' inserts and deletes cancelled out
                 return CompactionReport()
-            delta = self.delta.freeze()
+            delta = self.delta.freeze(self.schema, self.index_store)
             previous = self.index_store
             matrix, schema, report = compact_store(self.matrix, delta, self.schema)
             indexing = time.perf_counter()
@@ -804,8 +805,9 @@ class RDFStore:
             merged = previous.materialized_orders()
             clustered = self.clustered_store
             if clustered is not None:
-                # untouched tables keep their blocks, touched ones their heads
-                clustered = clustered.compacted(matrix, schema, delta.subjects(),
+                # untouched tables keep their blocks, touched ones their heads;
+                # the written subjects' rows are the ones the version filed
+                clustered = clustered.compacted(schema, delta.filing,
                                                 zone_size=self.config.zone_size)
             self._install_physical_stores(
                 previous.merged(self.matrix, delta.matrix(), delta.tombstone_matrix()), clustered)

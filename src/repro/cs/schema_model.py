@@ -199,13 +199,16 @@ class Membership:
 
     # -- the four edits (each returns a new membership) -----------------------------
 
-    def assigned(self, subjects, cs_id: int) -> "Membership":
-        """With ``subjects`` belonging to table ``cs_id`` (and to no other)."""
-        subjects = np.unique(np.asarray(subjects, dtype=np.int64))
-        rest = self.without(subjects)
-        return self._sorted(np.concatenate([rest.subjects, subjects]),
-                            np.concatenate([rest.cs_ids,
-                                            np.full(subjects.size, cs_id, dtype=np.int64)]))
+    def assigned(self, subjects, cs_ids) -> "Membership":
+        """With ``subjects`` belonging to table ``cs_ids`` — one id, or one
+        per subject, ``-1`` for no table — and to no other."""
+        subjects = np.asarray(subjects, dtype=np.int64).reshape(-1)
+        cs_ids = np.broadcast_to(np.asarray(cs_ids, dtype=np.int64), subjects.shape)
+        subjects, first = np.unique(subjects, return_index=True)
+        rest, cs_ids = self.without(subjects), cs_ids[first]
+        filed = cs_ids >= 0
+        return self._sorted(np.concatenate([rest.subjects, subjects[filed]]),
+                            np.concatenate([rest.cs_ids, cs_ids[filed]]))
 
     def without(self, subjects) -> "Membership":
         """With ``subjects`` belonging to no table."""
@@ -324,9 +327,9 @@ class EmergentSchema:
 
 
 def match_characteristic_set(schema: EmergentSchema, props: AbstractSet[int]) -> Optional[int]:
-    """The one CS-admission rule: which table a subject with property set
-    ``props`` joins — at compaction, and while pending, the table whose tail
-    block holds a newcomer (:meth:`repro.storage.ClusteredStore.pending_tails`).
+    """The one CS-admission rule: which table a written subject with live
+    property set ``props`` is filed in, when its delta version is frozen
+    (``updates/delta.py:Filing``); compaction applies that filing.
 
     Exact property-set match wins; otherwise the tightest superset CS
     (fewest extra properties, ties broken by support then id); ``None``

@@ -9,8 +9,8 @@ execution context carries a pending :class:`~repro.updates.DeltaStore`.
 
 The delta object is duck-typed (the engine layer does not import the
 updates package): it only needs ``scan_pattern``, ``index``,
-``insert_count``, ``tombstone_mask``, ``pair_tombstone_mask`` and
-``subjects_touching``.
+``insert_count``, ``tombstone_mask`` and ``pair_tombstone_mask`` (the
+clustered scans also read its ``filing``).
 """
 
 from __future__ import annotations

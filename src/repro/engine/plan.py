@@ -154,15 +154,14 @@ class HeadRange:
     dropped (``StarProperty.fk_range`` uses the same form for the subjects
     a referenced star can answer, and bounds every row).  ``extra`` is the part known when the plan is made (compacted
     tails, irregular subjects); with a write pending, a run adds every
-    written subject (``delta_subjects``) and, per ``(predicates, fk)`` of
-    ``sources``, the ``fk`` values of the pending inserts and of the
-    subjects a write touched on ``predicates``
+    written subject (``delta_subjects``) and, per foreign key of
+    ``sources``, its values in the rows the version filed
     (``engine/rdfscan.py:_head_widening``).
     """
 
     oid_range: OidRange
     extra: np.ndarray = field(default_factory=lambda: NO_OIDS)
-    sources: Tuple[Tuple[Tuple[int, ...], int], ...] = ()
+    sources: Tuple[int, ...] = ()
     delta_subjects: bool = False
 
     def intersect(self, other: "HeadRange") -> "HeadRange":

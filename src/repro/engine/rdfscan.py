@@ -21,17 +21,20 @@ star block finds the row of the input row's subject, and the star's columns
 are gathered there — a positional fetch from the aligned columns, MonetDB's
 *leftfetchjoin* — in input-row order, so a block-resident subject needs no
 deduplication and no join back.  Only input rows whose subject is residual
-(irregular, multi-valued or touched by a pending write) are answered as a
-set: their distinct subjects are scanned, subjects ascending, and each input
-row fans out over its subject's run of star rows (:func:`_join_candidates`).
+(irregular or multi-valued, in the base or by a pending write) are answered
+as a set: their distinct subjects are scanned, subjects ascending, and each
+input row fans out over its subject's run of star rows
+(:func:`_join_candidates`).
 
-While a write is pending, each star block (its *head*) is followed by its
-*tail*: the version's pending newcomers that table would admit, as a
-``CSBlock`` of their rows (``FrozenDelta.pending_tails``).  Both operators
-read a tail with the same block code as a head — RDFscan emits head rows,
-then tail rows, block by block, then the residual subjects' rows; RDFjoin
-locates a subject in a tail like in any block — so a brand-new subject of a
-table's shape is a row, not a residual subject.
+While a write is pending, each star block is followed by the tail block
+the version filed for its table (``updates/delta.py:Filing``): every
+written subject is a row of the tail of the table the admission rule picks
+for its live triples, and its base row is not read.  Both operators read a
+tail with the same block code as a block — RDFscan emits a block's rows,
+then its tail's, then the residual subjects' rows; RDFjoin locates a
+subject in a tail like in any block — so only a written subject with a
+triple the columns cannot hold is residual.  Readers derive nothing from
+the write.
 
 Both operators understand zone maps: when a property carries a range
 constraint and its column has a zone map, only the zones whose ``[min,max]``
@@ -177,29 +180,38 @@ class _ClusteredStarScan:
         self.store = store = context.require_clustered_store()
         self.delta = delta = context.active_delta()
         predicates = star.predicate_oids()
-        heads = store.blocks_with_properties(predicates)
         self.tails = _property_tails(context, star)
-        # Subjects touched by irregular triples (spilled multi-values, dirty
-        # data, subjects of no CS at all) or, MergeScan, by pending inserts or
-        # tombstones on a star predicate cannot be answered from their base
-        # block alone: they take the residual scan over base ∪ delta −
-        # tombstones, so that neither clustering nor a pending write ever
-        # changes query answers.  A pending newcomer the version filed in a
-        # table's tail block is the exception: it is a row of that tail, which
-        # follows its head in ``blocks``.
+        # Subjects with irregular triples on a star predicate (spilled
+        # multi-values, dirty data, subjects of no CS at all) cannot be
+        # answered from a block alone: they take the residual scan over base
+        # ∪ delta − tombstones, so that neither clustering nor a pending write
+        # ever changes query answers.  A written subject is where its delta
+        # version filed it: its base row is replaced by a row of the table's
+        # tail block, which follows the head in ``blocks``, and its triples
+        # the columns cannot hold are pending-irregular.
         residual = _irregular_star_subjects(store.irregular, predicates)
-        if delta is None:
-            self.blocks = heads
-        else:
-            pending = delta.pending_tails(store)
-            self.blocks = [block for head in heads
-                           for block in (head, pending.blocks.get(head.cs_id))
-                           if block is not None]
-            touched = delta.subjects_touching(predicates)
-            touched = touched[~sorted_member_mask(touched, pending.subjects)]
-            if touched.size:
-                residual = unique_keys(np.concatenate([residual, touched]))
+        tails: Dict[int, CSBlock] = {}
+        self.written = NO_OIDS
+        if delta is not None:
+            filing = delta.filing
+            tails, self.written = filing.tails, filing.subjects
+            # written subjects with a triple on a star predicate no column holds
+            pending = (filing.irregular[np.isin(filing.irregular[:, 1], predicates), 0]
+                       if filing.irregular.size else NO_OIDS)
+            if residual.size or pending.size:
+                residual = unique_keys(np.concatenate(
+                    [residual[~sorted_member_mask(residual, self.written)], pending]))
         self.residual_subjects = residual
+        # what a base block's rows are read without; a tail's, without the
+        # residual subjects
+        self.replaced = np.union1d(residual, self.written) if residual.size else self.written
+        self.blocks: List[CSBlock] = []
+        self.filed: List[bool] = []
+        for head in store.blocks_with_properties(predicates):
+            for block, filed in ((head, False), (tails.get(head.cs_id), True)):
+                if block is not None:
+                    self.blocks.append(block)
+                    self.filed.append(filed)
         # what a row is checked against (constants, ranges with their tails,
         # required properties, FK ranges with this run's widening), and the
         # predicates whose values are output, in property order
@@ -217,7 +229,6 @@ class _ClusteredStarScan:
         self.restricted = [ranges != [(0, len(block))]
                            for block, ranges in zip(self.blocks, self.row_ranges)]
         self._residual_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-        self._optional_rows: Optional[np.ndarray] = None
 
     def scan(self) -> BindingTable:
         """The star's bindings: block by block, then the residual subjects."""
@@ -277,11 +288,15 @@ class _ClusteredStarScan:
 
     def _probe(self, subjects: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """The rows of ``subjects`` a star block answers, ascending, and the
-        star's columns at them (see :meth:`_probe_block`).  A subject is in
-        at most one block, so blocks never answer the same row twice."""
+        star's columns at them (see :meth:`_probe_block`).  A written
+        subject's base row was replaced by its filed row, so a base block is
+        probed without it; then a subject is in at most one block, and
+        blocks never answer the same row twice."""
+        replaced = (np.where(sorted_member_mask(subjects, self.written), NULL_OID, subjects)
+                    if self.written.size else subjects)
         parts = []
-        for index in range(len(self.blocks)):
-            rows, columns = self._probe_block(index, subjects)
+        for index, filed in enumerate(self.filed):
+            rows, columns = self._probe_block(index, subjects if filed else replaced)
             if rows.size:
                 parts.append((rows, columns))
         if len(parts) == 1:
@@ -294,7 +309,8 @@ class _ClusteredStarScan:
 
     def _scan_block(self, index: int) -> BindingTable:
         """RDFscan over one block: its :attr:`row_ranges` read range by
-        range, constrained columns first, less the residual subjects."""
+        range, constrained columns first, less the residual subjects and, in
+        a base block, the written ones."""
         block, star = self.blocks[index], self.star
         # evaluate constraints, reading only constrained columns first.  An
         # output column read here keeps its surviving rows' values (a take by
@@ -316,9 +332,10 @@ class _ClusteredStarScan:
             return BindingTable.empty(star.output_variables())
         read = {predicate: np.concatenate(parts) for predicate, parts in kept.items()}
         subjects = block.subject_column.gather(positions)
-        # residual subjects are answered elsewhere; drop them here to avoid duplicates
-        if self.residual_subjects.size:
-            keep = np.flatnonzero(~np.isin(subjects, self.residual_subjects, assume_unique=True))
+        # residual and written subjects are answered elsewhere; drop them here
+        hidden = self.residual_subjects if self.filed[index] else self.replaced
+        if hidden.size:
+            keep = np.flatnonzero(~np.isin(subjects, hidden, assume_unique=True))
             if keep.size < positions.size:
                 positions, subjects = positions[keep], subjects[keep]
                 read = {predicate: values[keep] for predicate, values in read.items()}
@@ -371,29 +388,10 @@ class _ClusteredStarScan:
             return BindingTable.empty(star.output_variables())
         if self._residual_pairs is None:
             self._residual_pairs = self._gather_residual_pairs()
-        if not any(map(_is_required, star.properties)):
-            # every property optional (SQL columns under a pending write): a
-            # subject without a single value makes a row only as long as the
-            # compacted store would keep it in one of the star's blocks
-            if self._optional_rows is None:
-                self._optional_rows = self._optional_row_subjects()
-            subjects = np.intersect1d(subjects, self._optional_rows, assume_unique=True)
+        # a residual subject has a live triple on a star predicate, so an
+        # all-optional star (SQL columns under a pending write) has a row of
+        # it, as after compaction
         return _star_from_pairs(self.context, star, self._residual_pairs, subjects)
-
-    def _optional_row_subjects(self) -> np.ndarray:
-        """The residual subjects an all-optional star has rows for: those with
-        a value of a star property, and the members of the star's blocks with
-        a triple left (compaction drops a subject that has none)."""
-        valued = unique_keys(np.concatenate(
-            [NO_OIDS] + [subjects for subjects, _objects in self._residual_pairs]))
-        rest = np.setdiff1d(self.residual_subjects, valued, assume_unique=True)
-        if rest.size == 0 or self.delta is None:
-            # with no pending write a residual subject has an irregular value
-            return valued
-        members = unique_keys(np.concatenate(
-            [NO_OIDS] + [block.subject_column.gather(block.positions_of_subjects(rest))
-                         for block in self.blocks]))
-        return np.union1d(valued, members[_has_triples(self.context, self.delta, members)])
 
     def _gather_residual_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per star property, the residual subjects' ``(subject, object)``
@@ -609,18 +607,6 @@ def _intersect_ranges(left: List[Tuple[int, int]],
 # -- residual / irregular evaluation ---------------------------------------------------
 
 
-def _has_triples(context: ExecutionContext, delta, subjects: np.ndarray) -> np.ndarray:
-    """Which ``subjects`` have a triple in ``base ∪ delta − tombstones``: their
-    base rows on SPO, less their tombstones, plus their inserts."""
-    def count(sorted_subjects: np.ndarray) -> np.ndarray:
-        return (np.searchsorted(sorted_subjects, subjects, side="right")
-                - np.searchsorted(sorted_subjects, subjects, side="left"))
-
-    base = context.index_store.table("spo").column("s").data
-    return (count(base) - count(np.sort(delta.tombstone_matrix()[:, 0]))
-            + count(np.sort(delta.matrix()[:, 0]))) > 0
-
-
 def _irregular_star_subjects(irregular: TripleTable, predicates: List[int]) -> np.ndarray:
     """Subjects having at least one irregular triple with a star predicate."""
     if len(irregular) == 0:
@@ -786,35 +772,19 @@ def _match_property(context: ExecutionContext, table: BindingTable, subject_var:
 def _head_widening(context: ExecutionContext, head_range: HeadRange) -> np.ndarray:
     """The OIDs ``head_range`` lets through beside its interval in this run,
     sorted: its ``extra`` and, with a write pending, every written subject
-    (``delta_subjects``) and, per ``(predicates, fk)`` source, the ``fk``
-    values of the pending inserts and of the subjects a write touched on
-    ``predicates`` — their base values, from every block and the irregular
-    table (see :class:`~repro.engine.plan.HeadRange`): derived once per
-    version."""
+    (``delta_subjects``) and, per foreign key of ``sources``, its values in
+    the version's filed rows — its tail blocks' column and its
+    pending-irregular triples (see :class:`~repro.engine.plan.HeadRange`)."""
     delta = context.active_delta()
     if delta is None or not (head_range.sources or head_range.delta_subjects):
         return head_range.extra
-    store = context.clustered_store
-    return delta.derived((head_range, store), lambda: _widen(delta, store, head_range))
-
-
-def _widen(delta, store, head_range: HeadRange) -> np.ndarray:
-    """:func:`_head_widening` under the pending ``delta``, over ``store``."""
+    filing = delta.filing
     parts = [head_range.extra]
     if head_range.delta_subjects:
-        parts.append(delta.subjects())
-    inserts = delta.matrix()
-    newcomers = delta.pending_tails(store).subjects
-    for predicates, fk in head_range.sources:
-        parts.append(inserts[inserts[:, 1] == fk, 2])
-        # a newcomer has no base value
-        touched = delta.subjects_touching(predicates)
-        touched = touched[~sorted_member_mask(touched, newcomers)]
-        if touched.size:
-            parts += [block.column(fk).gather(block.positions_of_subjects(touched))
-                      for block in store.blocks if block.has_property(fk)]
-            irregular = store.irregular.scan_prefix(fk, fetch="so")
-            parts.append(irregular[sorted_member_mask(irregular[:, 0], touched), 1])
+        parts.append(filing.subjects)
+    for fk in head_range.sources:
+        parts += [tail.column(fk).data for tail in filing.tails.values() if tail.has_property(fk)]
+        parts.append(filing.irregular[filing.irregular[:, 1] == fk, 2])
     widening = unique_keys(np.concatenate(parts))
     return widening[widening != NULL_OID]
 

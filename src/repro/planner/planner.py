@@ -326,7 +326,7 @@ class Planner:
                         if fk_bounds is not None:
                             narrow(target, HeadRange(
                                 fk_bounds, _tail_values(block, prop.predicate_oid),
-                                ((tuple(star.predicate_oids()), prop.predicate_oid),)))
+                                (prop.predicate_oid,)))
 
     # -- default scheme --------------------------------------------------------------------
 

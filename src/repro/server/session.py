@@ -59,7 +59,8 @@ class StoreVersion:
 
     def __init__(self, store) -> None:
         self.key = key = (store.generation, store.delta.version)
-        self.delta = None if store.delta.is_empty() else store.delta.freeze()
+        self.delta = (None if store.delta.is_empty()
+                      else store.delta.freeze(store.schema, store.index_store))
         self.context = ExecutionContext(
             dictionary=store.dictionary,
             pool=store.pool,

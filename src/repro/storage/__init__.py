@@ -1,6 +1,6 @@
 """Physical storage: triple tables, exhaustive indexes and the clustered store."""
 
-from .clustered import CSBlock, ClusteredStore, PendingTails
+from .clustered import CSBlock, ClusteredStore
 from .loader import (
     ClusteringPlan,
     apply_oid_mapping,
@@ -19,7 +19,6 @@ __all__ = [
     "ClusteringPlan",
     "ExhaustiveIndexStore",
     "ORDERS",
-    "PendingTails",
     "TripleTable",
     "apply_oid_mapping",
     "cluster_subjects",

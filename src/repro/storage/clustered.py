@@ -10,20 +10,20 @@ A block is a *head* and a *tail* (MonetDB's immutable column beside its
 deltas).  Clustering builds every block as a head: subject-ascending,
 sub-ordered on its sort key (:attr:`CSBlock.sorted_properties`) and
 zone-mapped.  A compaction (:meth:`ClusteredStore.compacted`) keeps, in
-head order, the head rows of the members it did not touch, so the head
-stays sorted and its zone maps and sorted prefixes stay valid; newcomers
-and changed members become the block's tail, a second subject-ascending
-run after the head with zones of its own.  A table the compaction did not
-touch keeps its block object.  Sorted prefixes and the planner's
-zone-map push-down describe head rows only.  ``cluster()`` folds every
-tail back into a head.
+head order, the head rows of the members no write touched, so the head
+stays sorted and its zone maps and sorted prefixes stay valid; the rows
+the writes filed become the block's tail, a second subject-ascending run
+after the head with zones of its own.  A table the compaction did not
+touch keeps its block object.  Sorted prefixes and the planner's zone-map
+push-down describe head rows only.  ``cluster()`` folds every tail back
+into a head.
 
 Each run's subject column is ascending, not dense: clustering
 (:func:`repro.storage.loader.plan_subject_clustering`) permutes the member
 subjects' OIDs *among themselves*, so other terms' OIDs may lie between a
 block's, and a subject's row is a binary search (:meth:`CSBlock.locate`),
 not a subtraction.  Dense intervals — the paper's layout — are the ROADMAP
-item "Dense subject OIDs" (item 4).
+item "Dense subject OIDs" (item 5).
 
 Triples that do not fit — subjects outside every CS, properties not in the
 subject's CS, multi-valued (``0..n``) properties, and second/third values of
@@ -31,10 +31,10 @@ nominally single-valued properties in dirty data — stay behind in a basic
 PSO triple table (the *irregular* store), exactly as Figure 3 of the paper
 shows.  Queries consult both parts, so no data is ever lost by clustering.
 
-While writes are pending, a brand-new subject whose property set files it
-in a table is a row of that table's *pending tail block*
-(:class:`PendingTails`): an all-tail :class:`CSBlock` of the pending rows
-beside the table's block, read by the same scan code.
+While writes are pending, each written subject is a row of the tail block
+its delta version filed it in (``updates/delta.py:Filing``): an all-tail
+:class:`CSBlock` beside the table's block, read by the same scan code, its
+columns filled by :func:`column_values` like a block's.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..columnar import BufferPool, Column, NULL_OID, ZoneMap
-from ..cs import EmergentSchema, Multiplicity, match_characteristic_set
-from ..cs.detect import group_equal_runs, run_starts
+from ..cs import EmergentSchema, Multiplicity
 from ..errors import StorageError
 from .triple_table import TripleTable
 
@@ -58,7 +57,7 @@ class CSBlock:
     The rows are two runs, each subject-ascending: the *head*, rows
     ``[0, head_rows)``, which clustering sub-ordered and zone-mapped and a
     compaction keeps, and the *tail*, the rows after it, which compactions
-    added since (newcomers and changed members).  A block that clustering,
+    added since (the rows writes filed).  A block that clustering,
     re-discovery or a reload built is all head; a pending tail block is all
     tail.
     """
@@ -135,19 +134,6 @@ def _locate_in_run(subjects: np.ndarray, subject_oids: np.ndarray) -> np.ndarray
     return np.where(subjects.take(positions, mode="clip") == subject_oids, positions, -1)
 
 
-@dataclass(frozen=True)
-class PendingTails:
-    """The tail blocks of one delta version (:meth:`ClusteredStore.pending_tails`)."""
-
-    blocks: Dict[int, CSBlock]
-    """CS id -> the tail block beside that table's head block."""
-    subjects: np.ndarray
-    """Every tail row's subject, ascending."""
-
-
-_NO_TAILS = PendingTails({}, np.empty(0, dtype=np.int64))
-
-
 def _non_null_count(values: np.ndarray) -> int:
     return int(np.count_nonzero(values != NULL_OID))
 
@@ -166,17 +152,18 @@ def _is_sorted_ignoring_nulls(values: np.ndarray) -> bool:
     return bool(np.all(prefix[:-1] <= prefix[1:]))
 
 
-def _column_properties(table) -> List[int]:
+def column_properties(table) -> List[int]:
     """The properties a table's block holds a column for: all but ``MANY``."""
     return [p for p, spec in table.properties.items()
             if spec.multiplicity is not Multiplicity.MANY]
 
 
-def _column_values(matrix: np.ndarray, rows: np.ndarray, column_props: List[int],
-                   subjects: np.ndarray) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
+def column_values(matrix: np.ndarray, rows: np.ndarray, column_props: List[int],
+                  subjects: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The column values of ``subjects`` (ascending) from their rows
-    ``rows`` of ``matrix`` (row indexes in row order), and the rows the
-    columns hold.
+    ``rows`` of ``matrix`` (row indexes in row order), one row of the
+    ``(properties, subjects)`` result per ``column_props`` entry, and the
+    rows the columns hold.
 
     The first value of a (property, subject) cell in row order fills the
     column.  Every other row — a later value of a nominally single-valued
@@ -184,18 +171,21 @@ def _column_values(matrix: np.ndarray, rows: np.ndarray, column_props: List[int]
     left to the irregular table.
     """
     width = subjects.size
-    rows = rows[np.isin(matrix[rows, 1], column_props)]
-    positions = np.searchsorted(subjects, matrix[rows, 0])
-    # one key per cell, ordered by (property, position); ``first`` is each
+    props = np.asarray(column_props, dtype=np.int64)
+    by_value = np.argsort(props)
+    # the sorted properties, then a sentinel no predicate equals
+    ordered = np.append(props[by_value], np.iinfo(np.int64).max)
+    predicates = matrix[rows, 1]
+    at = np.searchsorted(ordered, predicates)
+    held = ordered[at] == predicates
+    rows, slots = rows[held], by_value[at[held]]
+    # one key per cell, ordered by (slot, position); ``first`` is each
     # cell's first row in row order
-    cells, first = np.unique(matrix[rows, 1] * width + positions, return_index=True)
+    cells, first = np.unique(slots * width + np.searchsorted(subjects, matrix[rows, 0]),
+                             return_index=True)
     stored = rows[first]
-    data: Dict[int, np.ndarray] = {}
-    for p in column_props:
-        lo, hi = np.searchsorted(cells, (p * width, (p + 1) * width))
-        values = np.full(width, NULL_OID, dtype=np.int64)
-        values[cells[lo:hi] - p * width] = matrix[stored[lo:hi], 2]
-        data[p] = values
+    data = np.full((props.size, width), NULL_OID, dtype=np.int64)
+    data.reshape(-1)[cells] = matrix[stored, 2]
     return data, stored
 
 
@@ -252,7 +242,6 @@ class ClusteredStore:
         self.has_tails = any(block.head_rows < len(block) for block in blocks)
         """Whether a block has tail rows (a compaction added them)."""
         self._irregular_subjects: Optional[np.ndarray] = None
-        self._tail_tables: Dict[frozenset, int] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -285,67 +274,57 @@ class ClusteredStore:
             lo, hi = np.searchsorted(grouped_cs, (cs_id, cs_id + 1))
             table = schema.tables[cs_id]
             subjects = schema.membership.members(cs_id)
-            data, stored = _column_values(matrix, by_cs[lo:hi], _column_properties(table),
-                                          subjects)
-            blocks.append(_make_block(table, subjects, data, subjects.size, None,
-                                      pool, zone_size, name))
+            columns = column_properties(table)
+            data, stored = column_values(matrix, by_cs[lo:hi], columns, subjects)
+            blocks.append(_make_block(table, subjects, dict(zip(columns, data)), subjects.size,
+                                      None, pool, zone_size, name))
             in_block[stored] = True
         irregular = TripleTable(matrix[~in_block], order="pso", pool=pool,
                                 name=f"{name}.irregular")
         return cls(blocks=blocks, irregular=irregular, schema=schema, pool=pool)
 
-    def compacted(self, triple_matrix: np.ndarray, schema: EmergentSchema,
-                  touched: np.ndarray, zone_size: int = 1024,
+    def compacted(self, schema: EmergentSchema, filing, zone_size: int = 1024,
                   name: str = "clustered") -> "ClusteredStore":
-        """This store after a compaction: ``triple_matrix`` is the merged
-        base, ``schema`` the maintained schema (same tables, same columns)
-        and ``touched`` the sorted subjects the delta inserted or deleted
-        triples of.
+        """This store after a compaction that applied ``filing`` (a delta
+        version's :class:`~repro.updates.delta.Filing`): ``schema`` is the
+        maintained schema (same tables, same columns).
 
-        A table no touched subject is a member of, before or after, keeps
+        A table no written subject was a member of, before or after, keeps
         its :class:`CSBlock` object.  Another keeps, in head order, the head
-        rows of its untouched members — a subsequence of a sorted run, so
-        its :attr:`~CSBlock.sorted_properties` still hold — and its other
-        members (untouched tail rows, changed members, newcomers) are its
-        tail, subject-ascending and built from their merged triples like a
-        block.  The irregular table keeps the untouched subjects' triples
-        and takes what the rebuilt tails do not hold.
+        rows of its unwritten members — a subsequence of a sorted run, so
+        its :attr:`~CSBlock.sorted_properties` still hold — and its tail is
+        its unwritten tail rows merged with the filing's tail block of the
+        table, subject-ascending.  The irregular table trades the written
+        subjects' triples for the filing's pending-irregular ones.
         """
-        matrix = np.asarray(triple_matrix, dtype=np.int64).reshape(-1, 3)
-        # a touched subject's table before and after the compaction
-        affected = set(np.concatenate([self.schema.membership.cs_of(touched),
-                                       schema.membership.cs_of(touched)]).tolist())
+        written = filing.subjects
+        affected = set(np.concatenate([self.schema.membership.cs_of(written),
+                                       filing.tables]).tolist())
         blocks: Dict[int, CSBlock] = {}
-        heads: Dict[int, Tuple[CSBlock, np.ndarray, np.ndarray]] = {}
         for cs_id in schema.tables:
-            block, members = self._by_cs[cs_id], schema.membership.members(cs_id)
+            block = self._by_cs[cs_id]
             if cs_id not in affected:
                 blocks[cs_id] = block
                 continue
-            head_subjects = block.subject_column.data[:block.head_rows]
-            kept = np.flatnonzero(~np.isin(head_subjects, touched))
-            heads[cs_id] = (block, kept,
-                            np.setdiff1d(members, head_subjects[kept], assume_unique=True))
-        # the subjects whose triples are filed again: the touched ones and
-        # every tail member of a table that changed
-        rebuilt = np.unique(np.concatenate([touched] + [tail for _b, _k, tail in heads.values()]))
-        rows = np.flatnonzero(np.isin(matrix[:, 0], rebuilt))
-        row_cs = schema.membership.cs_of(matrix[rows, 0])
-        in_block = np.zeros(matrix.shape[0], dtype=bool)
-        for cs_id, (head, kept, tail_subjects) in heads.items():
-            table = schema.tables[cs_id]
-            tail, stored = _column_values(matrix, rows[row_cs == cs_id],
-                                          _column_properties(table), tail_subjects)
-            in_block[stored] = True
+            stay = ~np.isin(block.subject_column.data, written)
+            kept = np.flatnonzero(stay[:block.head_rows])
+            rest = block.head_rows + np.flatnonzero(stay[block.head_rows:])
+            # the tail: the unwritten tail rows, then the filed ones
+            filed = filing.tails.get(cs_id)
+            runs = [(block, rest)] + ([] if filed is None else [(filed, slice(None))])
+            tail = np.concatenate([run.subject_column.data[rows] for run, rows in runs])
+            ascending = np.argsort(tail)
             blocks[cs_id] = _make_block(
-                table, np.concatenate([head.subject_column.data[kept], tail_subjects]),
-                {p: np.concatenate([head.column(p).data[kept], values])
-                 for p, values in tail.items()},
-                kept.size, head if kept.size == head.head_rows else None,
-                self.pool, zone_size, name, head.sorted_properties)
+                schema.tables[cs_id],
+                np.concatenate([block.subject_column.data[kept], tail[ascending]]),
+                {p: np.concatenate([block.column(p).data[kept], np.concatenate(
+                    [run.column(p).data[rows] for run, rows in runs])[ascending]])
+                 for p in block.property_columns},
+                kept.size, block if kept.size == block.head_rows else None,
+                self.pool, zone_size, name, block.sorted_properties)
         return ClusteredStore(
             blocks=[blocks[cs_id] for cs_id in sorted(blocks)],
-            irregular=self.irregular.with_subjects_replaced(rebuilt, matrix[rows[~in_block[rows]]]),
+            irregular=self.irregular.with_subjects_replaced(written, filing.irregular),
             schema=schema, pool=self.pool)
 
     # -- access -------------------------------------------------------------------
@@ -366,79 +345,6 @@ class ClusteredStore:
         wanted = list(predicate_oids)
         return [block for block in self.blocks
                 if all(block.has_property(p) for p in wanted)]
-
-    def pending_tails(self, rows: np.ndarray, name: str) -> PendingTails:
-        """The tail blocks of pending inserts ``rows``: an ``(n, 3)`` S/P/O
-        array sorted by subject, then predicate, of subjects that have one
-        pending value per predicate (which the delta knows).
-
-        Such a subject is a tail row when it also has no base triple — no
-        table, no irregular triple, hence no tombstone either — and
-        :func:`match_characteristic_set` files its property set in a table
-        whose block holds every one of its predicates as a column: then a
-        compaction would make it a row of that block, and until then it is
-        one of the tail's.  Admission runs once per distinct property set
-        (:meth:`_tail_table`).  A tail is a :class:`CSBlock` with its head's
-        columns and label, its rows subject-ordered and all tail rows
-        (``head_rows`` 0); it has no zone maps and no sorted columns (a tail
-        is one zone), and its column segments are named under ``name``.
-        """
-        if not rows.size:
-            return _NO_TAILS
-        starts = run_starts(rows[:, 0])
-        subjects = rows[starts, 0]
-        sizes = np.diff(np.append(starts, rows.shape[0]))
-        # a subject's predicates are an ascending, distinct run, so equal
-        # property sets are equal runs
-        group, first = group_equal_runs(rows[:, 1], starts)
-        tables = np.asarray([self._tail_table(rows[start:start + size, 1])
-                             for start, size in zip(starts[first].tolist(), sizes[first].tolist())],
-                            dtype=np.int64)[group]
-        # no base triple: not a member, no irregular triple
-        tables[self.schema.membership.cs_of(subjects) >= 0] = -1
-        irregular = self.irregular_subjects()
-        if irregular.size:
-            at = np.searchsorted(irregular, subjects)
-            tables[irregular.take(at, mode="clip") == subjects] = -1
-        row_tables = np.repeat(tables, sizes)
-        blocks = {cs_id: self._tail_block(self._by_cs[cs_id], subjects[tables == cs_id],
-                                          rows[row_tables == cs_id], name)
-                  for cs_id in np.unique(tables[tables >= 0]).tolist()}
-        return PendingTails(blocks, subjects[tables >= 0])
-
-    def _tail_table(self, predicates: np.ndarray) -> int:
-        """The table whose tail holds a newcomer with these predicates, or
-        ``-1``: decided once per property set and kept (the store's schema
-        and blocks never change)."""
-        props = frozenset(predicates.tolist())
-        cs_id = self._tail_tables.get(props)
-        if cs_id is None:
-            block = self._by_cs.get(match_characteristic_set(self.schema, props))
-            cs_id = self._tail_tables[props] = (
-                block.cs_id if block is not None and all(map(block.has_property, props)) else -1)
-        return cs_id
-
-    def _tail_block(self, head: CSBlock, members: np.ndarray, rows: np.ndarray,
-                    name: str) -> CSBlock:
-        """The tail of ``head`` holding ``members`` (ascending), whose
-        pending rows are ``rows``: one value per column cell, NULL where
-        a member has none."""
-        predicates = np.fromiter(head.property_columns, dtype=np.int64,
-                                 count=len(head.property_columns))
-        order = np.argsort(predicates)
-        slots = order[np.searchsorted(predicates[order], rows[:, 1])]
-        cells = np.full((predicates.size, members.size), NULL_OID, dtype=np.int64)
-        cells[slots, np.searchsorted(members, rows[:, 0])] = rows[:, 2]
-        prefix = f"{name}.cs{head.cs_id}"
-        return CSBlock(
-            cs_id=head.cs_id,
-            label=head.label,
-            subject_column=Column(f"{prefix}.subject", members, sorted_ascending=True,
-                                  pool=self.pool),
-            property_columns={int(p): Column(f"{prefix}.p{p}", values, pool=self.pool)
-                              for p, values in zip(predicates.tolist(), cells)},
-            head_rows=0,
-        )
 
     def irregular_subjects(self) -> np.ndarray:
         """The subjects of the irregular triples, ascending and distinct:

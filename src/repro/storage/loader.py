@@ -14,7 +14,7 @@ The loading pipeline mirrors the paper's architecture:
    optionally sub-ordered on a chosen property's value
    (``cluster_subjects``).  The set of OID values is unchanged, so a table's
    OIDs ascend but are no dense interval (see ``plan_subject_clustering``;
-   dense intervals are the ROADMAP item "Dense subject OIDs", item 4);
+   dense intervals are the ROADMAP item "Dense subject OIDs", item 5);
 6. build physical stores: the exhaustive-permutation baseline (each
    projection sorted when first read) and/or the CS-clustered store.
 """

@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
+import numpy as np
+
+from ..engine.kernels import expand_ranges
 from ..errors import StorageError
 from ..model import EncodedTriple, Triple
 from ..sparql.ast import (
@@ -67,36 +70,24 @@ class UpdateApplier:
     # -- statements -----------------------------------------------------------------
 
     def _insert_data(self, operation: InsertDataOp) -> UpdateResult:
-        delta = self.store.delta
-        result = UpdateResult(statements=1)
-        for triple in operation.triples:
-            encoded = self.store.dictionary.encode_triple(triple)
-            if delta.insert(encoded.s, encoded.p, encoded.o,
-                            in_base=self._base_contains(encoded)):
-                result.inserted += 1
-        return result
+        rows = self.store.dictionary.encode_triples(operation.triples)
+        return UpdateResult(inserted=self._each(self.store.delta.insert, rows), statements=1)
 
     def _delete_data(self, operation: DeleteDataOp) -> UpdateResult:
-        delta = self.store.delta
-        result = UpdateResult(statements=1)
-        for triple in operation.triples:
-            encoded = self._lookup_triple(triple)
-            if encoded is None:  # an unseen term cannot be part of any triple
-                continue
-            if delta.delete(encoded.s, encoded.p, encoded.o,
-                            in_base=self._base_contains(encoded)):
-                result.deleted += 1
-        return result
+        # an unseen term cannot be part of any triple
+        found = [encoded for encoded in map(self._lookup_triple, operation.triples)
+                 if encoded is not None]
+        return UpdateResult(deleted=self._each(self.store.delta.delete, found), statements=1)
 
     def _delete_where(self, operation: DeleteWhereOp) -> UpdateResult:
-        result = UpdateResult(statements=1)
-        for s, p, o in self._matching_triples(operation):
-            encoded = EncodedTriple(s, p, o)
-            if self.store.delta.delete(
-                    encoded.s, encoded.p, encoded.o,
-                    in_base=self._base_contains(encoded)):
-                result.deleted += 1
-        return result
+        matches = list(self._matching_triples(operation))
+        return UpdateResult(deleted=self._each(self.store.delta.delete, matches), statements=1)
+
+    def _each(self, change, rows) -> int:
+        """``change(s, p, o, in_base)`` per row, in order; how many changed
+        the delta."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        return sum(map(change, *rows.T.tolist(), self._base_contains(rows)))
 
     # -- DELETE WHERE evaluation -------------------------------------------------------
 
@@ -151,8 +142,17 @@ class UpdateApplier:
             return None
         return EncodedTriple(s, p, o)
 
-    def _base_contains(self, encoded: EncodedTriple) -> bool:
-        return self.store.index_store.contains(encoded)
+    def _base_contains(self, rows: np.ndarray) -> List[bool]:
+        """Which of the ``(n, 3)`` S/P/O ``rows`` the base holds: each one's
+        subject run on the SPO projection, then its (p, o) among those."""
+        spo = self.store.index_store.table("spo")
+        subjects = spo.column("s").data
+        owner, at = expand_ranges(np.searchsorted(subjects, rows[:, 0]),
+                                  np.searchsorted(subjects, rows[:, 0], side="right"))
+        found = np.zeros(rows.shape[0], dtype=bool)
+        found[owner[(spo.column("p").data[at] == rows[owner, 1])
+                    & (spo.column("o").data[at] == rows[owner, 2])]] = True
+        return found.tolist()
 
     def _is_live(self, encoded: EncodedTriple) -> bool:
         """Whether the triple is visible right now (base ∪ delta − tombstones)."""
@@ -161,4 +161,4 @@ class UpdateApplier:
             return True
         if delta.is_tombstoned(*encoded):
             return False
-        return self._base_contains(encoded)
+        return self._base_contains(np.asarray([encoded], dtype=np.int64))[0]

@@ -6,10 +6,12 @@ triple set — but it deliberately does **not** re-run characteristic-set
 discovery or subject clustering.  Schema maintenance is incremental, the way
 the paper's emergent schema is meant to absorb change:
 
-* new subjects whose (merged) property set matches an existing CS — exactly,
-  or as a subset of one CS's properties — join that CS table;
-* new subjects matching nothing fall into the irregular (leftover) bucket;
-* subjects whose last triple was deleted leave their CS;
+* every written subject goes where the delta version filed it
+  (:class:`~repro.updates.delta.Filing`): to the table
+  :func:`~repro.cs.match_characteristic_set` picks for its live property
+  set — exactly, or as a subset of one CS's properties — or, matching
+  nothing, to the irregular (leftover) bucket; a subject whose last triple
+  was deleted leaves its CS.  Nothing is filed again here;
 * affected tables get their per-property presence / mean multiplicity
   refreshed, and schema coverage is recomputed — one array pass over the
   merged matrix for both, whatever the number of tables.  A column may
@@ -26,11 +28,11 @@ import copy
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cs import EmergentSchema, match_characteristic_set, measure_coverage
+from ..cs import EmergentSchema, measure_coverage
 from ..cs.detect import run_starts
 from ..cs.schema_model import Multiplicity, classify_multiplicity
 
@@ -42,11 +44,11 @@ class CompactionReport:
     merged_inserts: int = 0
     applied_deletes: int = 0
     subjects_assigned: int = 0
-    """New subjects that joined an existing characteristic set."""
+    """Written subjects that joined a characteristic set they were not in."""
     subjects_leftover: int = 0
     """New subjects routed to the irregular (leftover) bucket."""
     subjects_removed: int = 0
-    """Subjects dropped from their CS because every triple was deleted."""
+    """Written subjects left without a triple (out of their CS, if any)."""
     assignments: Dict[int, int] = field(default_factory=dict)
     """CS id -> number of subjects admitted into that table."""
     statistics_s: float = 0.0
@@ -90,23 +92,26 @@ def compact_store(matrix: np.ndarray, delta, schema: Optional[EmergentSchema]
     physical stores and the catalog.
     """
     report = CompactionReport()
-    delta_subjects = np.unique(delta.matrix()[:, 0])
-    tombstone_subjects = np.unique(delta.tombstone_matrix()[:, 0])
-
     merged, report.merged_inserts, report.applied_deletes = merge_matrices(matrix, delta)
 
     if schema is not None:
         schema = copy.deepcopy(schema)
+        filing = delta.filing
+        written, tables = filing.subjects, filing.tables
+        before = schema.membership.cs_of(written)
+        live = np.isin(written, merged[:, 0])
+        report.subjects_removed = int(np.count_nonzero(~live))
+        leftover = written[live & (tables < 0)]
+        if leftover.size:  # new to the bucket: no base triple
+            report.subjects_leftover = int(np.count_nonzero(~np.isin(leftover, matrix[:, 0])))
+        joined = (tables >= 0) & (tables != before)
+        cs_ids, counts = np.unique(tables[joined], return_counts=True)
+        report.subjects_assigned = int(counts.sum())
+        report.assignments = dict(zip(cs_ids.tolist(), counts.tolist()))
+        schema.membership = schema.membership.assigned(written, tables)
         # statistics drift wherever members gained or lost triples, so a
-        # touched subject's table before *and* after the maintenance counts
-        touched = np.union1d(delta_subjects, tombstone_subjects)
-        before = schema.membership.cs_of(touched)
-        gone = tombstone_subjects[~np.isin(tombstone_subjects, merged[:, 0])]
-        schema.membership = schema.membership.without(gone)
-        report.subjects_removed = int(gone.size)
-        _assign_new_subjects(schema, matrix, merged, delta_subjects, report)
-        after = schema.membership.cs_of(touched)
-        affected_cs = set(np.concatenate([before, after]).tolist()) - {-1}
+        # written subject's table before *and* after counts
+        affected_cs = set(np.concatenate([before, tables]).tolist()) - {-1}
         started = time.perf_counter()
         row_tables = schema.membership.cs_of(merged[:, 0])
         _refresh_table_statistics(schema, merged, row_tables, affected_cs)
@@ -116,43 +121,6 @@ def compact_store(matrix: np.ndarray, delta, schema: Optional[EmergentSchema]
 
 
 # -- schema maintenance ------------------------------------------------------------
-
-
-def _assign_new_subjects(schema, base: np.ndarray, merged: np.ndarray,
-                         delta_subjects: np.ndarray, report: CompactionReport) -> None:
-    """Route delta subjects that have no table: exact/subset match, else they
-    stay irregular — new to the leftover bucket when ``base`` never had them."""
-    candidates = delta_subjects[schema.membership.cs_of(delta_subjects) < 0]
-    if not candidates.size:
-        return
-    property_sets = _property_sets_of(merged, candidates)
-    in_base = np.isin(candidates, base[:, 0])
-    additions: Dict[int, List[int]] = {}
-    for subject, was_in_base in zip(candidates.tolist(), in_base.tolist()):
-        props = property_sets.get(subject)
-        if not props:  # inserted then fully deleted again before compaction
-            continue
-        cs_id = match_characteristic_set(schema, props)
-        if cs_id is not None:
-            additions.setdefault(cs_id, []).append(subject)
-        elif not was_in_base:
-            report.subjects_leftover += 1
-    for cs_id, subjects in additions.items():
-        schema.membership = schema.membership.assigned(subjects, cs_id)
-        report.subjects_assigned += len(subjects)
-        report.assignments[cs_id] = len(subjects)
-
-
-def _property_sets_of(matrix: np.ndarray, subjects: np.ndarray) -> Dict[int, Set[int]]:
-    """Each of ``subjects``' property set in ``matrix`` (a subject without a
-    triple is absent): one lexsort of their rows by ``(s, p)``, one set per
-    subject from the distinct pairs."""
-    rows = matrix[np.isin(matrix[:, 0], subjects)]
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    pairs = rows[run_starts(rows[:, 0], rows[:, 1])]
-    holders = run_starts(pairs[:, 0])
-    return {subject: set(predicates.tolist()) for subject, predicates
-            in zip(pairs[holders, 0].tolist(), np.split(pairs[:, 1], holders[1:]))}
 
 
 def _refresh_table_statistics(schema, merged: np.ndarray, row_tables: np.ndarray,

@@ -9,14 +9,15 @@ accumulate here:
   permutation index so every engine access path can merge them in;
 * **tombstones** — base triples marked deleted; scans filter them out.
 
-Which characteristic set a new subject joins is decided by one rule,
-:func:`repro.cs.match_characteristic_set`: at compaction, from the merged
-triples, and while the write is pending, for a brand-new subject with one
-value per predicate, by :meth:`FrozenDelta.pending_tails`, which files it
-in its table's tail block.  The delta itself stores nothing of the schema.
-
 Deleting a triple that only exists in the delta simply removes the insert;
 re-inserting a tombstoned base triple removes the tombstone (resurrection).
+
+A write is filed once, when its version is frozen: every subject with a
+pending insert or tombstone goes to the table the one admission rule,
+:func:`repro.cs.match_characteristic_set`, picks for its live property set,
+as a row of that table's tail block, and what the table's columns cannot
+hold stays pending-irregular (:class:`Filing`).  Readers read the filing;
+compaction applies it.
 
 The delta has a write half and a read half:
 
@@ -30,25 +31,30 @@ The delta has a write half and a read half:
   instead of quadratic;
 * :class:`FrozenDelta` is what every query reads: :meth:`DeltaStore.freeze`
   hands out *the* immutable read half of the current version — the two sets
-  as arrays plus what scans derive from them (the permutation index,
-  per-predicate tombstones, touched subjects, the tail blocks of the
-  newcomers), each built once for the version.  The writer builds the next
-  one when it publishes the version, by folding the mutations since into
-  the previous one's arrays.  Deltas are small by design, and
-  :func:`repro.updates.compaction.compact_store` folds them into the base
-  before they grow large.
+  as arrays, the version's :class:`Filing`, and what scans derive from the
+  arrays (the permutation index, per-predicate tombstones), each built once
+  for the version.  The writer builds the next one when it publishes the
+  version, by folding the mutations since into the previous one's arrays
+  and filing again only the subjects they touched.  Deltas are small by
+  design, and :func:`repro.updates.compaction.compact_store` folds them
+  into the base before they grow large.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..columnar import Column
+from ..cs import EmergentSchema, match_characteristic_set
 from ..cs.detect import run_starts
+from ..engine.kernels import expand_ranges, sorted_member_mask
 from ..errors import StorageError
-from ..storage import ExhaustiveIndexStore, PendingTails
+from ..storage import CSBlock, ExhaustiveIndexStore
+from ..storage.clustered import column_properties, column_values
 
 TripleKey = Tuple[int, int, int]
 
@@ -104,6 +110,9 @@ class DeltaStore:
         the :class:`UndoLog` op names: what :meth:`freeze` folds into it."""
         self.version = 0
         self._undo: Optional[UndoLog] = None
+        self._tables_of: Dict[bytes, int] = {}
+        """The table of each property set filed so far, under the schema of
+        ``_frozen``'s filing."""
 
     # -- mutation -----------------------------------------------------------------
 
@@ -205,24 +214,40 @@ class DeltaStore:
         self._changes = []
         self.version += 1
 
-    def freeze(self) -> "FrozenDelta":
-        """The read half of the current version.
+    def freeze(self, schema: Optional[EmergentSchema] = None,
+               index_store=None) -> "FrozenDelta":
+        """The read half of the current version, its subjects filed by
+        ``schema`` over the base rows of ``index_store`` (nothing is filed
+        without a schema).
 
         Built on the first call after a mutation — the store's publish, or
         a request's own read of its pending state — from the previous
-        frozen version's arrays and the mutations since: O(keys touched)
-        Python and one masked array copy, so a burst of updates that each
-        publish stays linear.  Every later caller of the version gets it as
-        is, so all readers of one version share one index.  Only the writer
-        calls this, under the store's writer mutex.
+        frozen version's arrays and filing and the mutations since: O(keys
+        touched) Python and a few masked array copies, so a burst of
+        updates that each publish stays linear.  A new ``schema`` files
+        every pending subject again.  Every later caller of the version
+        gets it as is, so all readers of one version share one index.  Only
+        the writer calls this, under the store's writer mutex.
         """
         name = f"{self.name}.v{self.version}"
         frozen = self._frozen
-        if frozen is None or frozen.name != name:
-            previous = ((_NO_TRIPLES, _NO_TRIPLES) if frozen is None
-                        else (frozen.matrix(), frozen.tombstone_matrix()))
-            inserts, tombstones = _fold_changes(*previous, self._changes)
-            frozen = self._frozen = FrozenDelta(inserts, tombstones, self.pool, name)
+        if (frozen is None or frozen.name != name
+                or (schema is not None and frozen.filing.schema is not schema)):
+            previous = _NO_DELTA if frozen is None else frozen
+            inserts, tombstones = _fold_changes(previous.matrix(), previous.tombstone_matrix(),
+                                                self._changes)
+            filing = _NO_FILING
+            if schema is not None:
+                filing = previous.filing
+                if filing.schema is schema:
+                    changed = np.unique(np.fromiter((key[0] for _op, key in self._changes),
+                                                    dtype=np.int64, count=len(self._changes)))
+                else:
+                    filing, self._tables_of = _NO_FILING, {}
+                    changed = np.union1d(inserts[:, 0], tombstones[:, 0])
+                filing = _file(filing, changed, schema, index_store.table("spo"),
+                               inserts, tombstones, self._tables_of, name)
+            frozen = self._frozen = FrozenDelta(inserts, tombstones, self.pool, name, filing)
             self._changes = []
         return frozen
 
@@ -260,34 +285,59 @@ class DeltaStore:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class Filing:
+    """Where one delta version files its written subjects.
+
+    Each subject with a pending insert or tombstone replaces its base rows:
+    it is a row of the tail block of the table
+    :func:`~repro.cs.match_characteristic_set` picks for its live property
+    set (base rows less tombstones, plus inserts), with one value per
+    column cell, as a block's columns are filled at build
+    (:func:`repro.storage.clustered.column_values`).  What the columns
+    cannot hold — a second value, a property without a column, every
+    triple of a subject no table fits — is pending-irregular.
+    """
+
+    schema: Optional[EmergentSchema]
+    """The schema the subjects were filed by (``None``: nothing filed)."""
+    subjects: np.ndarray
+    """Every written subject, ascending."""
+    tables: np.ndarray
+    """Aligned with :attr:`subjects`: each one's table, ``-1`` for none (no
+    table fits, or no triple is left)."""
+    tails: Dict[int, CSBlock]
+    """Table id -> the tail block of its filed subjects, subject-ascending,
+    all tail rows (``head_rows`` 0), no zone maps, no page accounting."""
+    irregular: np.ndarray
+    """The written subjects' live triples no tail column holds, ``(n, 3)``."""
+
+
 class FrozenDelta:
     """The read half of one delta version: what queries merge with the base.
 
     Holds the pending inserts and tombstones as two ``(n, 3)`` arrays and
-    offers nothing that mutates.  What scans need beyond the arrays — the
-    permutation index over the inserts (each order sorted when a scan
-    first reads it), the tombstones grouped by predicate, the touched
-    subjects per predicate, the newcomers' tail blocks — is derived on first
-    use and kept, so every context, snapshot and estimator of the version
-    shares it.  Racing first readers derive equal values and the last one
-    stored is kept.  ``name`` (``<delta>.v<N>``) prefixes the buffer-pool
-    segments of the index and the tails, keeping two versions' pages apart.
+    the version's :class:`Filing`, and offers nothing that mutates.  What
+    scans need beyond them — the permutation index over the inserts (each
+    order sorted when a scan first reads it), the tombstones grouped by
+    predicate — is derived on first use and kept, so every context,
+    snapshot and estimator of the version shares it.  Racing first readers
+    derive equal values and the last one stored is kept.  ``name``
+    (``<delta>.v<N>``) prefixes the buffer-pool segments of the index,
+    keeping two versions' pages apart.
     """
 
     def __init__(self, inserts: np.ndarray, tombstones: np.ndarray,
-                 pool=None, name: str = "delta") -> None:
+                 pool=None, name: str = "delta", filing: Optional[Filing] = None) -> None:
         for array in (inserts, tombstones):
             array.setflags(write=False)
         self._inserts = inserts
         self._tombstones = tombstones
         self.pool = pool
         self.name = name
+        self.filing = _NO_FILING if filing is None else filing
         self._index: Optional[ExhaustiveIndexStore] = None
         self._tombstones_by_p: Optional[Dict[int, np.ndarray]] = None
-        self._groups: Optional[Tuple[Dict[int, np.ndarray], np.ndarray]] = None
-        self._tails: Optional[Tuple[object, PendingTails]] = None
-        self._subjects: Optional[np.ndarray] = None
-        self._derived: Dict[object, np.ndarray] = {}
 
     # -- inspection ---------------------------------------------------------------
 
@@ -307,72 +357,6 @@ class FrozenDelta:
     def tombstone_matrix(self) -> np.ndarray:
         """The tombstones as an ``(n, 3)`` S/P/O matrix (unordered)."""
         return self._tombstones
-
-    def derived(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        """What a reader derives from this version and ``key`` alone (say, a
-        plan's range widened by the version's writes): ``compute()`` on the
-        first read, kept for every later one."""
-        value = self._derived.get(key)
-        if value is None:
-            value = self._derived[key] = compute()
-        return value
-
-    def subjects(self) -> np.ndarray:
-        """Every subject with a pending insert or tombstone, sorted."""
-        if self._subjects is None:
-            self._subjects = np.union1d(self._inserts[:, 0], self._tombstones[:, 0])
-        return self._subjects
-
-    def subjects_touching(self, predicates: Iterable[int]) -> np.ndarray:
-        """Sorted subjects with an insert *or* tombstone on any given predicate.
-
-        These are the subjects whose star-pattern answers can no longer be
-        read from the base CS block alone; the clustered scan answers them
-        from a tail block (:meth:`pending_tails`) or its residual scan.
-        """
-        touched_by_p = self._subject_groups()[0]
-        parts = [touched_by_p[p] for p in predicates if p in touched_by_p]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-
-    def pending_tails(self, store) -> PendingTails:
-        """The tail blocks of this version's newcomers over the clustered
-        ``store`` (:meth:`repro.storage.ClusteredStore.pending_tails` of the
-        subjects with one value per predicate), derived on the first read
-        and kept, their columns' segments named under this version."""
-        tails = self._tails
-        if tails is None or tails[0] is not store:
-            tails = self._tails = (store, store.pending_tails(self._subject_groups()[1],
-                                                              f"{self.name}.tail"))
-        return tails[1]
-
-    def _subject_groups(self) -> Tuple[Dict[int, np.ndarray], np.ndarray]:
-        """One pass over the pending rows grouped by subject: the sorted
-        distinct subjects per predicate (:meth:`subjects_touching`), and the
-        inserts, sorted by subject and predicate, of the subjects with one
-        pending row per predicate (the tail candidates)."""
-        if self._groups is None:
-            inserts = self._inserts
-            rows = np.concatenate([inserts, self._tombstones])
-            order = np.lexsort((rows[:, 1], rows[:, 0]))
-            rows = rows[order]
-            pairs = run_starts(rows[:, 0], rows[:, 1])  # first row of each (s, p)
-            # pairs are distinct and subject-major: a stable split by
-            # predicate leaves each predicate's subjects ascending and unique
-            touched_by_p = _split_by(rows[pairs, 1], rows[pairs, 0])
-            candidates = rows[:0]
-            if rows.size:
-                # a tombstone's subject has a base triple, so it is no tail
-                # candidate: the store drops it with the other base subjects
-                starts = run_starts(rows[:, 0])
-                sizes = np.diff(np.append(starts, rows.shape[0]))
-                first_of_pair = np.zeros(rows.shape[0], dtype=bool)
-                first_of_pair[pairs] = True
-                one_value = np.repeat(np.add.reduceat(first_of_pair, starts) == sizes, sizes)
-                candidates = rows[one_value & (order < inserts.shape[0])]
-            self._groups = (touched_by_p, candidates)
-        return self._groups
 
     # -- merge-scan access paths ----------------------------------------------------
 
@@ -424,11 +408,10 @@ class FrozenDelta:
             self.index().warm()
 
     def drop_pages(self) -> None:
-        """Evict this version's index and tail pages, so a superseded
-        version stops counting toward pool capacity and cold/hot
-        accounting.  *When* is
+        """Evict this version's index pages, so a superseded version stops
+        counting toward pool capacity and cold/hot accounting.  *When* is
         the snapshot registry's one rule (``docs/concurrency.md``)."""
-        if (self._index is not None or self._tails is not None) and self.pool is not None:
+        if self._index is not None and self.pool is not None:
             # the trailing separator keeps ``v1`` from also matching ``v10``
             self.pool.drop_segments(f"{self.name}.")
 
@@ -439,6 +422,8 @@ def _as_triples(keys: List[TripleKey]) -> np.ndarray:
 
 _NO_TRIPLES = _as_triples([])
 _NO_TRIPLES.setflags(write=False)
+_NO_FILING = Filing(None, _NO_TRIPLES[:, 0], _NO_TRIPLES[:, 0], {}, _NO_TRIPLES)
+_NO_DELTA = FrozenDelta(_NO_TRIPLES, _NO_TRIPLES)
 
 _INVERSE = {UndoLog.INSERTED: UndoLog.INSERT_REMOVED,
             UndoLog.INSERT_REMOVED: UndoLog.INSERTED,
@@ -476,6 +461,100 @@ def _fold_changes(inserts: np.ndarray, tombstones: np.ndarray,
             rows = np.concatenate([rows, _as_triples(list(side_added))])
         folded.append(rows)
     return folded[0], folded[1]
+
+
+def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inserts: np.ndarray,
+          tombstones: np.ndarray, tables_of: Dict[bytes, int], name: str) -> Filing:
+    """``prior`` with the ``changed`` subjects (ascending) filed again by
+    ``schema``: each one's live triples are its base rows on the sorted
+    ``spo`` projection less its tombstones, then its inserts, and its
+    table is decided once per property set (``tables_of`` keeps them).
+    Tail blocks of tables no changed subject leaves or joins are kept."""
+    own_inserts = inserts[sorted_member_mask(inserts[:, 0], changed)]
+    own_tombstones = tombstones[sorted_member_mask(tombstones[:, 0], changed)]
+    written = np.union1d(own_inserts[:, 0], own_tombstones[:, 0])
+    base_subjects = spo.column("s").data
+    _, at = expand_ranges(np.searchsorted(base_subjects, written),
+                          np.searchsorted(base_subjects, written, side="right"))
+    base = np.column_stack([base_subjects[at], spo.column("p").data[at], spo.column("o").data[at]])
+    live = np.concatenate([base[~_isin_rows(base.T, own_tombstones.T)], own_inserts])
+    # a subject's distinct predicates are an ascending run: equal property
+    # sets are equal byte strings, matched once
+    order = np.lexsort((live[:, 1], live[:, 0]))
+    pairs = order[run_starts(live[order, 0], live[order, 1])]
+    holders = run_starts(live[pairs, 0])
+    filed = live[pairs[holders], 0]
+    packed = live[pairs, 1].tobytes()
+    bounds = (np.append(holders, pairs.size) * live.itemsize).tolist()
+    tables = np.asarray([_table_of(schema, packed[start:stop], tables_of)
+                         for start, stop in zip(bounds, bounds[1:])], dtype=np.int64)
+    row_tables = tables[np.searchsorted(filed, live[:, 0])]
+    in_column = np.zeros(live.shape[0], dtype=bool)
+    kept = _unchanged(prior.subjects, changed)
+    left = set(prior.tables[~kept].tolist())
+    tails = dict(prior.tails)
+    for cs_id in left.union(tables.tolist()):
+        if cs_id < 0:
+            continue
+        table = schema.tables[cs_id]
+        columns = column_properties(table)
+        subjects = filed[tables == cs_id]
+        data, stored = column_values(live, np.flatnonzero(row_tables == cs_id), columns, subjects)
+        in_column[stored] = True
+        old = tails.pop(cs_id, None)
+        if old is not None:
+            old_subjects = old.subject_column.data
+            old_data = np.stack([old.column(p).data for p in columns])
+            if cs_id in left:  # a changed subject's old row goes
+                stay = _unchanged(old_subjects, changed)
+                old_subjects, old_data = old_subjects[stay], old_data[:, stay]
+            merged = np.concatenate([old_subjects, subjects])
+            data = np.concatenate([old_data, data], axis=1)
+            if old_subjects.size and subjects.size and old_subjects[-1] > subjects[0]:
+                ascending = np.argsort(merged)
+                merged, data = merged[ascending], data[:, ascending]
+            subjects = merged
+        if subjects.size:
+            tails[cs_id] = _tail_of(table, subjects, dict(zip(columns, data)), name)
+    subjects = np.concatenate([prior.subjects[kept], written])
+    ascending = np.argsort(subjects)
+    written_tables = np.full(written.size, -1, dtype=np.int64)
+    written_tables[np.searchsorted(written, filed)] = tables
+    irregular = prior.irregular
+    if irregular.size:
+        irregular = irregular[~np.isin(irregular[:, 0], changed)]
+    return Filing(schema, subjects[ascending],
+                  np.concatenate([prior.tables[kept], written_tables])[ascending], tails,
+                  np.concatenate([irregular, live[~in_column]]))
+
+
+def _unchanged(subjects: np.ndarray, changed: np.ndarray) -> np.ndarray:
+    """Which of the ascending ``subjects`` are not among ``changed``: a
+    binary search per changed subject."""
+    kept = np.ones(subjects.size, dtype=bool)
+    kept[np.searchsorted(subjects, changed)[sorted_member_mask(changed, subjects)]] = False
+    return kept
+
+
+def _table_of(schema: EmergentSchema, predicates: bytes, tables_of: Dict[bytes, int]) -> int:
+    """The table of a property set (its ascending predicates' bytes)."""
+    cs_id = tables_of.get(predicates)
+    if cs_id is None:
+        matched = match_characteristic_set(
+            schema, frozenset(np.frombuffer(predicates, dtype=np.int64).tolist()))
+        cs_id = tables_of[predicates] = -1 if matched is None else matched
+    return cs_id
+
+
+def _tail_of(table, subjects: np.ndarray, data: Dict[int, np.ndarray], name: str) -> CSBlock:
+    """The tail block of ``table`` over ``subjects`` and its column ``data``;
+    its columns' ids are named under the version ``name``."""
+    prefix = f"{name}.tail.cs{table.cs_id}"
+    return CSBlock(cs_id=table.cs_id, label=table.label or f"cs{table.cs_id}",
+                   subject_column=Column(f"{prefix}.subject", subjects),
+                   property_columns={p: Column(f"{prefix}.p{p}", values)
+                                     for p, values in data.items()},
+                   head_rows=0)
 
 
 def _split_by(keys: np.ndarray, values: np.ndarray) -> Dict[int, np.ndarray]:

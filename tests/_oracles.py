@@ -12,9 +12,9 @@ store started routing rows through the schema's membership arrays:
 * :func:`star_over_union` — the per-subject loop that answered a star for
   residual subjects from block + irregular + delta data, one subject and
   one cartesian product at a time (a subject without one value of an
-  all-optional star is a row only while the compacted store would keep it
-  in the star's blocks), and :func:`filed_newcomers`, which of the pending
-  subjects a tail block holds, decided one subject at a time;
+  all-optional star is a row only when its table has the star's columns),
+  and :func:`filed_subjects`, the one admission rule applied to each
+  written subject's live triples, one subject at a time;
 * :class:`PerCellDecoder` — ``ValueDecoder.numeric`` / ``python_value`` and
   the ``.item()``-per-cell ``QueryResult.rows`` / ``decoded_rows``: one
   dictionary probe, one ``isinstance`` and one ``to_python()`` per cell;
@@ -32,11 +32,11 @@ store started routing rows through the schema's membership arrays:
   became an array pass over the OID matrix; :func:`per_row_discover_schema`
   and :func:`per_row_cluster` run them as the pipeline did;
 * :func:`full_sort_value_order`, :func:`per_table_statistics`,
-  :func:`per_table_coverage`, :func:`per_row_property_sets` and
-  :func:`per_character_escape` — what a checkpoint redid over the whole
-  store, whatever the delta: one Python sort of every literal, one
-  full-matrix mask per table and per property, a per-row set fill and a
-  character-at-a-time escape of every literal written to ``dictionary.nt``;
+  :func:`per_table_coverage` and :func:`per_character_escape` — what a
+  checkpoint redid over the whole store, whatever the delta: one Python
+  sort of every literal, one full-matrix mask per table and per property
+  and a character-at-a-time escape of every literal written to
+  ``dictionary.nt``;
 * :func:`without_zone_maps` — a context whose clustered blocks carry no zone
   map, which is what the star operators read before they pruned by zone
   map whenever a block has one.
@@ -205,28 +205,28 @@ def without_zone_maps(context):
 # -- the residual star scan ------------------------------------------------------------
 
 
-def filed_newcomers(store, delta) -> Dict[int, int]:
-    """Pending subject -> the table whose tail block holds it, one subject at
-    a time over Python sets: a subject with pending inserts, no base triple
-    (no table, no irregular triple), no tombstone and one value per
-    predicate, whose property set the admission rule files in a table whose
-    block holds each of its predicates as a column."""
+def filed_subjects(store, delta) -> Dict[int, Tuple[int, List[Tuple[int, int]]]]:
+    """Written subject -> the table the one admission rule files it in
+    (``-1`` for none) and its live ``(predicate, object)`` pairs, one
+    subject at a time over Python sets: every subject with a pending insert
+    or tombstone, whose live triples are its base triples less its
+    tombstones, then its inserts, and whose table is
+    ``match_characteristic_set`` of their predicates (none without one)."""
     if delta is None:
         return {}
-    tombstoned = {int(s) for s in delta.tombstone_matrix()[:, 0]}
-    irregular = {int(s) for s in store.irregular.raw()[:, 0]}
-    predicates: Dict[int, List[int]] = defaultdict(list)
-    for subject, predicate, _object in delta.matrix().tolist():
-        predicates[subject].append(predicate)
+    tombstones = {tuple(row) for row in delta.tombstone_matrix().tolist()}
+    inserts = delta.matrix().tolist()
+    live: Dict[int, List[Tuple[int, int]]] = {s: [] for s, _p, _o in [*inserts, *tombstones]}
+    for s, p, o in store.reconstruct_triples().tolist():
+        if s in live and (s, p, o) not in tombstones:
+            live[s].append((p, o))
+    for s, p, o in inserts:
+        live[s].append((p, o))
     filed = {}
-    for subject, listed in predicates.items():
-        props = set(listed)
-        if (store.schema.cs_of_subject(subject) is not None or subject in irregular
-                or subject in tombstoned or len(props) < len(listed)):
-            continue
-        block = store.find_block(match_characteristic_set(store.schema, props))
-        if block is not None and all(block.has_property(p) for p in props):
-            filed[subject] = block.cs_id
+    for subject, pairs in live.items():
+        props = {p for p, _o in pairs}
+        cs_id = match_characteristic_set(store.schema, props) if props else None
+        filed[subject] = (-1 if cs_id is None else cs_id, pairs)
     return filed
 
 
@@ -234,16 +234,19 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
                     candidate_subjects: Optional[np.ndarray], delta=None,
                     dictionary: Optional[TermDictionary] = None) -> BindingTable:
     """Answer the star for specific subjects, one subject at a time
-    (``dictionary`` decides which tail literals a range matches)."""
+    (``dictionary`` decides which tail literals a range matches): a
+    subject's values are its live triples, and a subject without one value
+    of an all-optional star is a row when its table — the one it is filed
+    in, if written — has a column for every star predicate."""
     if candidate_subjects is not None:
         subjects = np.intersect1d(subjects, candidate_subjects)
     rows: Dict[str, List[int]] = {name: [] for name in star.output_variables()}
-    filed = filed_newcomers(store, delta)
+    filed = filed_subjects(store, delta)
     for subject in subjects:
         subject = int(subject)
         if star.subject_range is not None and not star.subject_range.contains(subject):
             continue
-        block = store.find_block(filed.get(subject, store.schema.cs_of_subject(subject)))
+        block = store.find_block(store.schema.cs_of_subject(subject))
         per_property: List[List[int]] = []
         satisfiable = True
         for prop in star.properties:
@@ -259,33 +262,13 @@ def star_over_union(store, star: StarPattern, subjects: np.ndarray,
             per_property.append(values)
         if not satisfiable:
             continue
+        table = store.find_block(filed[subject][0]) if subject in filed else block
         if (all(values == [NULL_OID] for values in per_property)
-                and not _member_with_a_triple(store, star, block, subject, delta,
-                                              subject in filed)):
+                and (table is None or not all(map(table.has_property, star.predicate_oids())))):
             continue
         _expand_product(rows, star, subject, per_property)
     return BindingTable({name: np.asarray(values, dtype=np.int64)
                          for name, values in rows.items()})
-
-
-def _member_with_a_triple(store, star: StarPattern, block, subject: int, delta,
-                          newcomer: bool = False) -> bool:
-    """Whether a subject without one value of the star still is a row: it
-    sits in a block holding every star predicate — or, a ``newcomer``, in
-    that block's tail, with its pending triples — and has a triple left in
-    base ∪ delta − tombstones (compaction drops a subject that has none)."""
-    if block is None or not all(block.has_property(p) for p in star.predicate_oids()):
-        return False
-    if newcomer:
-        return True
-    if not block.positions_of_subjects(np.asarray([subject], dtype=np.int64)).size:
-        return False
-    base = [tuple(int(v) for v in row) for row in store.reconstruct_triples()
-            if int(row[0]) == subject]
-    if delta is None:
-        return bool(base)
-    return (any(not delta.is_tombstoned(*triple) for triple in base)
-            or delta.scan_pattern(s=subject).size > 0)
 
 
 def _property_values_for_subject(store, block, subject: int, predicate: int,
@@ -945,15 +928,6 @@ def per_table_coverage(schema, matrix: np.ndarray, row_tables=None) -> SchemaCov
                     & np.isin(matrix[:, 1], list(cs.property_oids())))
     coverage.covered_triples = int(covered.sum())
     return coverage
-
-
-def per_row_property_sets(matrix: np.ndarray, subjects: np.ndarray) -> Dict[int, Set[int]]:
-    """Each subject's property set, one row at a time."""
-    rows = matrix[np.isin(matrix[:, 0], subjects)]
-    out: Dict[int, Set[int]] = {}
-    for s, p in zip(rows[:, 0], rows[:, 1]):
-        out.setdefault(int(s), set()).add(int(p))
-    return out
 
 
 _LOOP_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}

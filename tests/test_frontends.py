@@ -27,7 +27,7 @@
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
@@ -44,7 +44,7 @@ from _datasets import (
     small_graph_config,
     tiny_tpch,
 )
-from _oracles import PerCellDecoder, filed_newcomers, star_over_union
+from _oracles import PerCellDecoder, filed_subjects, star_over_union
 from _plan_golden import CORPUS, GOLDEN_PATH, render
 from repro import ParseError, PlannerOptions, QueryServer, RDFStore
 from repro.bench import DirtyConfig, generate_dirty, q3_sql, q6_sparql, q6_sql
@@ -66,27 +66,28 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 # -- the row-at-a-time reference --------------------------------------------------------
 
 
-def _star_subjects(store: RDFStore, star: StarPattern) -> np.ndarray:
-    """The subjects a star ranges over: the rows of every CS block holding
-    all its columns and of those blocks' tails, plus the other subjects with
-    irregular or pending triples on one of its predicates."""
+def _star_subjects(store: RDFStore, star: StarPattern) -> List[int]:
+    """The subjects a star ranges over, one at a time: those whose table —
+    the one the admission rule files it in, for a written subject — has a
+    block with a column for every star predicate, and those with a triple
+    on a star predicate no column holds (an irregular triple; for a written
+    subject, a second value or a property its table has no column for)."""
     clustered = store.clustered_store
-    predicates = star.predicate_oids()
-    blocks = clustered.blocks_with_properties(predicates)
-    parts = [block.subject_column.data for block in blocks]
-    for predicate in predicates:
-        rows = clustered.irregular.scan_prefix(predicate, fetch="s")
-        if rows.size:
-            parts.append(rows[:, 0])
-    delta = store.context().active_delta()
-    filed = filed_newcomers(clustered, delta)
-    if delta is not None:
-        touched = delta.subjects_touching(predicates)
-        parts.append(touched[~np.isin(touched, list(filed))])
-    star_tables = {block.cs_id for block in blocks}
-    parts.append(np.asarray([subject for subject, cs_id in filed.items() if cs_id in star_tables],
-                            dtype=np.int64))
-    return np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+    predicates = set(star.predicate_oids())
+    filed = filed_subjects(clustered, store.context().active_delta())
+    subjects = set()
+    for block in clustered.blocks_with_properties(predicates):
+        subjects.update(s for s in block.subject_column.data.tolist() if s not in filed)
+    subjects.update(s for s, p, _o in clustered.irregular.raw().tolist()
+                    if p in predicates and s not in filed)
+    for subject, (cs_id, pairs) in filed.items():
+        block = clustered.find_block(cs_id)
+        columns = set() if block is None else set(block.property_columns)
+        values = Counter(p for p, _o in pairs)
+        if predicates <= columns or any(p in predicates and (p not in columns or count > 1)
+                                        for p, count in values.items()):
+            subjects.add(subject)
+    return sorted(subjects)
 
 
 def _numeric(expression, row: Dict[str, object], decoder) -> float:

@@ -1,13 +1,15 @@
-"""Pending newcomers read as rows of a per-version tail block.
+"""Written subjects read as rows of a per-version tail block.
 
-While a write is pending, a brand-new subject — no base triple, no
-tombstone, one value per predicate — whose property set the admission rule
-(``repro.cs.match_characteristic_set``) files in a table with a block is a
-row of that table's *tail block*: a ``CSBlock`` of the version's pending
-rows that RDFscan reads after the table's head block and RDFjoin probes
-like any block.  Every other touched subject keeps the residual scan.
+While a write is pending, every subject with a pending insert or tombstone
+is filed once, when the version is frozen, by the one admission rule
+(``repro.cs.match_characteristic_set`` over its live property set): it is
+a row of that table's *tail block* — a ``CSBlock`` of the version's rows
+that RDFscan reads after the table's block and RDFjoin probes like any
+block — its base row is not read, and what the table's columns cannot hold
+(a second value, a property without a column) is pending-irregular and
+sends it to the residual scan.  Compaction applies the filing.
 
-Two levels:
+Three levels:
 
 * a generated differential over the DBLP and dirty stores.  Hypothesis
   draws insert batches of newcomers — exact and superset property sets, a
@@ -20,11 +22,15 @@ Two levels:
   a single-block star whose residual set compaction does not grow, in
   exactly the compacted row order (head rows, then tail rows); at batch
   sizes 1, 3 and 1024, on direct and snapshot reads;
+* written subjects whose table changes — a member stripped of its table's
+  properties, a member without its ``rdf:type`` — read alike pending, after
+  ``compact()``, after ``cluster()`` and reopened after ``checkpoint()``;
 * counted guards on RDF-H with cloned orders pending, the update stream of
-  the repo benchmark: its delta reads make no residual scan, one tombstone
-  sends exactly its subject residual, one version derives its tails once,
-  and racing first readers agree; and a newcomer of a table that keeps one
-  of its properties out of the block (``MANY``) stays residual.
+  the repo benchmark: its delta reads make no residual scan, a re-valued
+  head lineitem is a tail row, a second value sends exactly its subject
+  residual, no read and no compaction files anything, and racing first
+  readers agree; and a newcomer with a value of a table's ``MANY`` property
+  is residual.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _datasets import build_dblp_store, build_rdfh_store, tiny_tpch
+from _datasets import EX, build_book_store, build_dblp_store, build_rdfh_store, tiny_tpch
 from repro import RDFStore
 from repro.bench import DirtyConfig, generate_dirty
+from repro.bench.dblp import DBLP
 from repro.bench.rdfh import RDFH_VOC
+from repro.cs import match_characteristic_set
 from repro.engine import (
     BindingTable,
     MaterializedOp,
@@ -56,7 +64,8 @@ from repro.engine import (
 )
 from repro.engine.rdfscan import _ClusteredStarScan
 from repro.model import IRI, Literal
-from repro.storage import ClusteredStore
+from repro.model.terms import RDF_TYPE
+from repro.storage import CSBlock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"))
 from inputs import UpdateStream, lines_of_order_op, q3_op, q6_op  # noqa: E402
@@ -266,8 +275,10 @@ def test_tails_answer_like_compaction_and_the_index_path(name):
         context = store.context()
         newcomers = np.asarray([context.dictionary.lookup_term(s) for s in subjects],
                                dtype=np.int64)
-        tails = context.delta.pending_tails(context.clustered_store)
-        seen["tail rows"] += int(tails.subjects.size)
+        filing = context.delta.filing
+        tail_rows = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            tail.subject_column.data for tail in filing.tails.values()])
+        seen["tail rows"] += int(tail_rows.size)
         stars = _stars(store)
         pending = [_pending_answers(store, star, newcomers) for star in stars]
         scans = [_ClusteredStarScan(context, star) for star in stars]
@@ -277,9 +288,9 @@ def test_tails_answer_like_compaction_and_the_index_path(name):
         # through its own table must read the same
         decode = context.dictionary.decode
         tail_subjects = {tail.label: {decode(int(s)).value for s in tail.subject_column.data}
-                         for tail in tails.blocks.values()}
+                         for tail in filing.tails.values()}
         sql = _sql_rows(store, tail_subjects)
-        moved = set(np.setdiff1d(context.delta.subjects(), tails.subjects).tolist())
+        moved = set(np.setdiff1d(filing.subjects, tail_rows).tolist())
         store.compact()
         compacted = store.context()
         for star, answers, scan in zip(stars, pending, scans):
@@ -290,10 +301,9 @@ def test_tails_answer_like_compaction_and_the_index_path(name):
             assert Counter(scanned) == Counter(answers["scan"]), star.describe()
             assert Counter(joined) == Counter(answers["join"]), star.describe()
             # one head, and no residual subject compaction did not have
-            # pending: the compacted block is the untouched head rows in head
-            # order, then the tail, subject-ascending, as the pending head and
-            # tail blocks are (compaction moves the other written subjects'
-            # rows to the tail, and the residual ones come last)
+            # pending: the compacted block is the unwritten head rows in head
+            # order, then the filed tail, subject-ascending, as the pending
+            # head and tail blocks are (the residual subjects come last)
             heads = context.clustered_store.blocks_with_properties(star.predicate_oids())
             residual = set(scan.residual_subjects.tolist())
             after = set(_ClusteredStarScan(compacted, star).residual_subjects.tolist())
@@ -309,6 +319,77 @@ def test_tails_answer_like_compaction_and_the_index_path(name):
     check()
     # the draws reached what they are for
     assert seen["tail rows"] and seen["exact order"], seen
+
+
+# -- written subjects whose table changes --------------------------------------------
+
+
+def _strip_author_4(store: RDFStore) -> None:
+    store.update(f"DELETE WHERE {{ <{EX}author/4> ?p ?o . }}")
+    store.update(f'INSERT DATA {{ <{EX}author/4> <{EX}in_year> '
+                 f'"2001"^^<http://www.w3.org/2001/XMLSchema#int> . }}')
+
+
+def _book_and_person_rows(store: RDFStore) -> Dict[str, list]:
+    return {text: sorted(map(tuple, store.decode_rows(store.sql(text))), key=repr)
+            for text in ("SELECT id, isbn_no, in_year FROM Book", "SELECT * FROM Person")}
+
+
+def _filed_in_book(rows: Dict[str, list]) -> None:
+    """``{in_year}`` is filed in Book: 31 Book rows, 4 Person rows."""
+    book, person = rows.values()
+    assert len(book) == 31 and (f"{EX}author/4", None, 2001) in book
+    assert len(person) == 4 and f"{EX}author/4" not in {row[0] for row in person}
+
+
+def _untype_inproc_0(store: RDFStore) -> None:
+    store.update(f"DELETE WHERE {{ <{DBLP}inproc/0> <{RDF_TYPE}> ?type . }}")
+
+
+def _tables_listing_inproc_0(store: RDFStore) -> set:
+    """The tables whose star of every block column, all optional (how SQL
+    reads a table while a write is pending), has a row of ``inproc/0``."""
+    context = store.context()
+    subject = context.dictionary.lookup_term(IRI(f"{DBLP}inproc/0"))
+    listed = set()
+    for block in context.clustered_store.blocks:
+        star = StarPattern("s", [StarProperty(p, PatternTerm.variable(f"v{i}"), required=False)
+                                 for i, p in enumerate(sorted(block.property_columns))])
+        if subject in execute_plan(RDFScanOp(star), context)[0].column("s"):
+            listed.add(block.label)
+    return listed
+
+
+def _listed_in_inproceedings(listed: set) -> None:
+    """Untyped, ``inproc/0`` still fits Inproceedings best."""
+    assert "Inproceedings" in listed and "Conference" not in listed
+
+
+WRITTEN = {
+    # a member loses every triple of its table and gains another table's
+    "book_author_4": (build_book_store, _strip_author_4, _book_and_person_rows, _filed_in_book),
+    # a member loses its rdf:type, which the rule files by, not its columns
+    "dblp_inproc_0": (build_dblp_store, _untype_inproc_0, _tables_listing_inproc_0,
+                      _listed_in_inproceedings),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN))
+def test_a_written_subject_reads_alike_in_every_state(case, tmp_path):
+    """Pending, after ``checkpoint()`` and reopened, compacted and folded by
+    ``cluster()``: compaction applies the pending filing, so the subject is
+    a row of the same tables in each."""
+    build, write, read, expected = WRITTEN[case]
+    store = build()
+    store.save(tmp_path / "db")
+    write(store)
+    pending = read(store)
+    expected(pending)
+    store.checkpoint()
+    assert read(RDFStore.open(tmp_path / "db")) == pending
+    assert not store.has_pending_updates() and read(store) == pending
+    store.cluster()
+    assert read(store) == pending
 
 
 # -- counted guards on RDF-H ------------------------------------------------------------
@@ -364,17 +445,48 @@ def test_cloned_orders_make_no_residual_scan(residual_scans):
             for result in _delta_reads(store, stream)] == pending
 
 
-def test_a_tombstone_sends_exactly_its_subject_residual(residual_scans):
-    store, stream = _rdfh_with_orders()
+def _lineitem(store: RDFStore, row: int = 5):
+    """A head lineitem's subject, its ``l_extendedprice`` predicate and value."""
     context = store.context()
     lineitems = next(block for block in context.clustered_store.blocks
                      if block.label.lower() == "lineitem")
     price = context.dictionary.lookup_term(IRI(f"{RDFH_VOC}l_extendedprice"))
-    victim = int(lineitems.subject_column.data[5])
-    value = int(lineitems.column(price).data[5])
-    decode = context.dictionary.decode
-    store.update(f"DELETE DATA {{ {decode(victim).n3()} {decode(price).n3()} "
-                 f"{decode(value).n3()} . }}")
+    return (int(lineitems.subject_column.data[row]), price,
+            int(lineitems.column(price).data[row]), lineitems.cs_id)
+
+
+def _n3_oids(store: RDFStore, *oids: int) -> str:
+    return " ".join(store.dictionary.decode(oid).n3() for oid in oids) + " ."
+
+
+def test_a_revalued_head_lineitem_is_a_tail_row(residual_scans):
+    """A changed value replaces the member's head row by a row of its
+    table's tail: ``q6`` reads it with ``residual=0``, as after compaction."""
+    store, stream = _rdfh_with_orders()
+    victim, price, value, lineitem = _lineitem(store)
+    new_price = Literal("123.45", datatype="http://www.w3.org/2001/XMLSchema#decimal")
+    store.update(f"DELETE DATA {{ {_n3_oids(store, victim, price, value)} }} ; "
+                 f"INSERT DATA {{ {store.dictionary.decode(victim).n3()} "
+                 f"{store.dictionary.decode(price).n3()} {new_price.n3()} . }}")
+    residual_scans.clear()
+    results = _delta_reads(store, stream)
+    assert not any(made is None or made.size for made in residual_scans)
+    assert all(not any(result.run.residuals.values()) for result in results)
+    filing = store.context().delta.filing
+    tail = filing.tails[lineitem]
+    row = tail.locate(np.asarray([victim]))[0]
+    assert row >= 0 and tail.column(price).data[row] == store.dictionary.lookup_term(new_price)
+    pending = [sorted(map(tuple, store.decode_rows(result))) for result in results]
+    store.compact()
+    assert [sorted(map(tuple, store.decode_rows(result)))
+            for result in _delta_reads(store, stream)] == pending
+
+
+def test_a_second_value_sends_exactly_its_subject_residual(residual_scans):
+    store, stream = _rdfh_with_orders()
+    victim, price, _value, _lineitem_cs = _lineitem(store)
+    store.update(f"INSERT DATA {{ {store.dictionary.decode(victim).n3()} "
+                 f"{store.dictionary.decode(price).n3()} \"7.5\" . }}")
     residual_scans.clear()
     _delta_reads(store, stream)
     touched = [made for made in residual_scans if made is not None and made.size]
@@ -382,29 +494,48 @@ def test_a_tombstone_sends_exactly_its_subject_residual(residual_scans):
     assert None in residual_scans  # its residual scan ran
 
 
-def test_one_version_derives_its_tails_once(monkeypatch):
+@pytest.fixture()
+def filing_calls(monkeypatch) -> Counter:
+    """Calls of the admission rule, under every name ``repro`` binds it
+    to, and ``CSBlock`` constructions."""
+    calls = Counter()
+    rule = match_characteristic_set
+
+    def counted_rule(schema, props):
+        calls["match"] += 1
+        return rule(schema, props)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("repro")]:
+        if getattr(module, "match_characteristic_set", None) is rule:
+            monkeypatch.setattr(module, "match_characteristic_set", counted_rule)
+    post_init = CSBlock.__post_init__
+
+    def counted_block(self):
+        calls["block"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(CSBlock, "__post_init__", counted_block)
+    return calls
+
+
+def test_reads_and_compaction_file_nothing(filing_calls):
+    """The write files its subjects; no read of its version, direct or
+    through a snapshot, calls the admission rule or builds a block, and
+    ``compact()`` applies the filing without calling the rule."""
     store, stream = _rdfh_with_orders()
-    derived = []
-    pending_tails = ClusteredStore.pending_tails
-
-    def counted(self, rows, name):
-        derived.append(name)
-        return pending_tails(self, rows, name)
-
-    monkeypatch.setattr(ClusteredStore, "pending_tails", counted)
-    for read in range(20):
+    store.update(stream.next_insert()[0])
+    assert filing_calls["block"]  # the write built its tail blocks
+    filing_calls.clear()
+    for read in range(6):
         if read % 2:
             with store.snapshot() as snapshot:
                 snapshot.sparql(q6_op("q6").text)
+                snapshot.sql(q6_op("sql_q6", frontend="sql").text)
         else:
             _delta_reads(store, stream)
-    assert len(derived) == 1
-    store.update(stream.next_insert()[0])
-    _delta_reads(store, stream)
-    assert len(derived) == 2 and derived[0] != derived[1]
-    # the superseded version's tail pages leave the pool with its index
-    assert store.pool.segments_cached(derived[0]) == 0
-    assert store.pool.segments_cached(derived[1]) > 0
+    assert not filing_calls
+    store.compact()
+    assert filing_calls["match"] == 0
 
 
 def test_racing_first_readers_agree():
@@ -441,32 +572,42 @@ def test_racing_first_readers_agree():
     assert answers[0][0] and answers[0][0] != expected[0]  # the new order's lineitems
 
 
-def test_pending_tails_hold_only_newcomers_of_their_tables():
-    """A newcomer's tail is its admitted table's; the tail has its head's
-    columns, one zone and no sorted columns, and its segments are the
-    version's."""
+def test_a_version_files_each_written_subject_in_its_table():
+    """Cloned orders and lineitems are rows of their tables' tails: each
+    tail has its block's columns, no zones and no sorted columns, holds no
+    block member, and a version keeps the tails of tables it did not
+    touch."""
     store, _stream = _rdfh_with_orders(3)
     context = store.context()
-    tails = context.delta.pending_tails(context.clustered_store)
-    # every cloned order and lineitem is a newcomer of its table's shape
-    assert tails.subjects.tolist() == np.unique(context.delta.matrix()[:, 0]).tolist()
-    assert sorted(tails.blocks) == sorted(block.cs_id for block in context.clustered_store.blocks
+    filing = context.delta.filing
+    # every cloned order and lineitem is filed in its table's tail
+    assert filing.subjects.tolist() == np.unique(context.delta.matrix()[:, 0]).tolist()
+    assert sorted(filing.tails) == sorted(block.cs_id for block in context.clustered_store.blocks
                                           if block.label in ("Order", "Lineitem"))
     assert np.array_equal(np.sort(np.concatenate([tail.subject_column.data
-                                                  for tail in tails.blocks.values()])),
-                          tails.subjects)
-    for cs_id, tail in tails.blocks.items():
+                                                  for tail in filing.tails.values()])),
+                          filing.subjects)
+    assert (filing.tables >= 0).all() and not filing.irregular.size
+    for cs_id, tail in filing.tails.items():
         head = context.clustered_store.block(cs_id)
         assert sorted(tail.property_columns) == sorted(head.property_columns)
+        assert tail.head_rows == 0 and tail.label == head.label
         assert tail.zone_maps == {} and tail.sorted_properties == frozenset()
-        assert tail.subject_column.segment_id.startswith(f"{context.delta.name}.")
         assert not np.isin(tail.subject_column.data, head.subject_column.data).any()
+    # a write to orders alone files no lineitem again
+    order = next(cs_id for cs_id, tail in filing.tails.items() if tail.label == "Order")
+    subject = context.dictionary.decode(int(filing.tails[order].subject_column.data[0]))
+    store.update(f'INSERT DATA {{ {subject.n3()} <{RDFH_VOC}o_comment> "again" . }}')
+    refiled = store.context().delta.filing
+    assert all(refiled.tails[cs_id] is tail for cs_id, tail in filing.tails.items()
+               if cs_id != order)
 
 
 def test_a_newcomer_with_a_many_property_stays_residual():
     """DBLP's ``Inproceedings_2`` keeps ``creator`` (``MANY``) out of its
-    block: a newcomer of exactly that table's shape has no column for one
-    of its values, so it is no tail row, and the residual scan answers it."""
+    block: a newcomer of exactly that table's shape is a row of its tail
+    with a value no column holds, so a star naming ``creator`` takes the
+    residual scan for it."""
     store = build_dblp_store()
     context = store.context()
     table = next(block for block in context.clustered_store.blocks
@@ -480,7 +621,9 @@ def test_a_newcomer_with_a_many_property_stays_residual():
         for p in properties) + " }")
     context = store.context()
     oid = context.dictionary.lookup_term(subject)
-    assert oid not in context.delta.pending_tails(context.clustered_store).subjects
+    filing = context.delta.filing
+    assert oid in filing.tails[table.cs_id].subject_column.data  # its columns' values
+    assert oid in filing.irregular[:, 0]  # and its MANY value
     star = StarPattern("s", [StarProperty(p, PatternTerm.variable(f"v{i}"))
                              for i, p in enumerate(properties)])
     scan = _ClusteredStarScan(context, star)

@@ -23,7 +23,6 @@ from _datasets import (
     tiny_tpch,
 )
 from _oracles import (
-    per_row_property_sets,
     per_table_coverage,
     per_table_statistics,
 )
@@ -619,7 +618,6 @@ def test_one_pass_statistics_equal_the_per_table_oracle(name, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(compaction, "_refresh_table_statistics", per_table_statistics)
             patched.setattr(compaction, "measure_coverage", per_table_coverage)
-            patched.setattr(compaction, "_property_sets_of", per_row_property_sets)
             expected = oracle.compact()
         assert report.describe() == expected.describe()
         assert _schema_statistics(store) == _schema_statistics(oracle), verb
