@@ -735,7 +735,7 @@ class RDFStore:
         try:
             yield version
         finally:
-            version.drop_pages()
+            version.drop_pages(published)
 
     # -- concurrent access ---------------------------------------------------------------
 

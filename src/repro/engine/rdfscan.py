@@ -190,28 +190,30 @@ class _ClusteredStarScan:
         # tail block, which follows the head in ``blocks``, and its triples
         # the columns cannot hold are pending-irregular.
         residual = _irregular_star_subjects(store.irregular, predicates)
-        tails: Dict[int, CSBlock] = {}
-        self.written = NO_OIDS
-        if delta is not None:
-            filing = delta.filing
-            tails, self.written = filing.tails, filing.subjects
+        filing = None if delta is None else delta.filing
+        if filing is not None:
             # written subjects with a triple on a star predicate no column holds
             pending = (filing.irregular[np.isin(filing.irregular[:, 1], predicates), 0]
                        if filing.irregular.size else NO_OIDS)
             if residual.size or pending.size:
                 residual = unique_keys(np.concatenate(
-                    [residual[~sorted_member_mask(residual, self.written)], pending]))
+                    [residual[~sorted_member_mask(residual, filing.subjects)], pending]))
         self.residual_subjects = residual
-        # what a base block's rows are read without; a tail's, without the
-        # residual subjects
-        self.replaced = np.union1d(residual, self.written) if residual.size else self.written
+        # per block, its members a write replaced (probed as NULL_OID) and
+        # what its rows are read without: a tail's, the residual subjects
         self.blocks: List[CSBlock] = []
-        self.filed: List[bool] = []
+        self.replaced: List[np.ndarray] = []
+        self.hidden: List[np.ndarray] = []
         for head in store.blocks_with_properties(predicates):
-            for block, filed in ((head, False), (tails.get(head.cs_id), True)):
-                if block is not None:
-                    self.blocks.append(block)
-                    self.filed.append(filed)
+            replaced = NO_OIDS if filing is None else filing.replaced.get(head.cs_id, NO_OIDS)
+            self.blocks.append(head)
+            self.replaced.append(replaced)
+            self.hidden.append(np.union1d(residual, replaced) if replaced.size else residual)
+            tail = None if filing is None else filing.tails.get(head.cs_id)
+            if tail is not None:
+                self.blocks.append(tail)
+                self.replaced.append(NO_OIDS)
+                self.hidden.append(residual)
         # what a row is checked against (constants, ranges with their tails,
         # required properties, FK ranges with this run's widening), and the
         # predicates whose values are output, in property order
@@ -290,13 +292,13 @@ class _ClusteredStarScan:
         """The rows of ``subjects`` a star block answers, ascending, and the
         star's columns at them (see :meth:`_probe_block`).  A written
         subject's base row was replaced by its filed row, so a base block is
-        probed without it; then a subject is in at most one block, and
-        blocks never answer the same row twice."""
-        replaced = (np.where(sorted_member_mask(subjects, self.written), NULL_OID, subjects)
-                    if self.written.size else subjects)
+        probed without its replaced members; then a subject is in at most
+        one block, and blocks never answer the same row twice."""
         parts = []
-        for index, filed in enumerate(self.filed):
-            rows, columns = self._probe_block(index, subjects if filed else replaced)
+        for index, replaced in enumerate(self.replaced):
+            rows, columns = self._probe_block(
+                index, np.where(sorted_member_mask(subjects, replaced), NULL_OID, subjects)
+                if replaced.size else subjects)
             if rows.size:
                 parts.append((rows, columns))
         if len(parts) == 1:
@@ -309,8 +311,7 @@ class _ClusteredStarScan:
 
     def _scan_block(self, index: int) -> BindingTable:
         """RDFscan over one block: its :attr:`row_ranges` read range by
-        range, constrained columns first, less the residual subjects and, in
-        a base block, the written ones."""
+        range, constrained columns first, less its :attr:`hidden` subjects."""
         block, star = self.blocks[index], self.star
         # evaluate constraints, reading only constrained columns first.  An
         # output column read here keeps its surviving rows' values (a take by
@@ -332,8 +333,8 @@ class _ClusteredStarScan:
             return BindingTable.empty(star.output_variables())
         read = {predicate: np.concatenate(parts) for predicate, parts in kept.items()}
         subjects = block.subject_column.gather(positions)
-        # residual and written subjects are answered elsewhere; drop them here
-        hidden = self.residual_subjects if self.filed[index] else self.replaced
+        # residual and replaced subjects are answered elsewhere; drop them here
+        hidden = self.hidden[index]
         if hidden.size:
             keep = np.flatnonzero(~np.isin(subjects, hidden, assume_unique=True))
             if keep.size < positions.size:

@@ -81,10 +81,11 @@ class StoreVersion:
                                   version=(store.generation, self.delta is not None))
         self.base_triples = store.triple_count()
 
-    def drop_pages(self) -> None:
-        """Evict this version's delta index pages from the buffer pool."""
+    def drop_pages(self, current: "StoreVersion") -> None:
+        """Evict this version's delta pages from the buffer pool, but for
+        the tail blocks ``current``, the published record, shares."""
         if self.delta is not None:
-            self.delta.drop_pages()
+            self.delta.drop_pages(current.delta)
 
 
 class ReadSnapshot:
@@ -208,7 +209,7 @@ class SnapshotRegistry:
         with self._lock:
             replaced, self.current = self.current, version
             if replaced not in self._pins:
-                replaced.drop_pages()
+                replaced.drop_pages(version)
 
     def acquire(self, store) -> ReadSnapshot:
         """Pin the published record and hand out a snapshot."""
@@ -227,7 +228,7 @@ class SnapshotRegistry:
                 return
             del self._pins[version]
             if version is not self.current:
-                version.drop_pages()
+                version.drop_pages(self.current)
 
     def active_count(self) -> int:
         """Number of snapshots currently open across all versions."""

@@ -291,22 +291,21 @@ class ClusteredStore:
 
         A table no written subject was a member of, before or after, keeps
         its :class:`CSBlock` object.  Another keeps, in head order, the head
-        rows of its unwritten members — a subsequence of a sorted run, so
-        its :attr:`~CSBlock.sorted_properties` still hold — and its tail is
-        its unwritten tail rows merged with the filing's tail block of the
-        table, subject-ascending.  The irregular table trades the written
+        rows of the members the filing did not replace — a subsequence of a
+        sorted run, so its :attr:`~CSBlock.sorted_properties` still hold —
+        and its tail is its other tail rows merged with the filing's tail
+        block of the table, subject-ascending.  The irregular table trades the written
         subjects' triples for the filing's pending-irregular ones.
         """
-        written = filing.subjects
-        affected = set(np.concatenate([self.schema.membership.cs_of(written),
-                                       filing.tables]).tolist())
+        affected = set(filing.replaced).union(filing.tables.tolist())
         blocks: Dict[int, CSBlock] = {}
         for cs_id in schema.tables:
             block = self._by_cs[cs_id]
             if cs_id not in affected:
                 blocks[cs_id] = block
                 continue
-            stay = ~np.isin(block.subject_column.data, written)
+            stay = ~np.isin(block.subject_column.data,
+                            filing.replaced.get(cs_id, filing.subjects[:0]))
             kept = np.flatnonzero(stay[:block.head_rows])
             rest = block.head_rows + np.flatnonzero(stay[block.head_rows:])
             # the tail: the unwritten tail rows, then the filed ones
@@ -324,7 +323,7 @@ class ClusteredStore:
                 self.pool, zone_size, name, block.sorted_properties)
         return ClusteredStore(
             blocks=[blocks[cs_id] for cs_id in sorted(blocks)],
-            irregular=self.irregular.with_subjects_replaced(written, filing.irregular),
+            irregular=self.irregular.with_subjects_replaced(filing.subjects, filing.irregular),
             schema=schema, pool=self.pool)
 
     # -- access -------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..columnar import BufferPool
 from ..errors import StorageError
-from ..model import EncodedTriple
 from .triple_table import ORDERS, Rows, TripleTable, rows_matrix
 
 ACCESS_PATHS = {
@@ -145,9 +144,10 @@ class ExhaustiveIndexStore:
         lo, hi = table.prefix_row_range(*prefix)
         return hi - lo
 
-    def contains(self, triple: EncodedTriple) -> bool:
-        """Exact membership check through the SPO projection."""
-        return self.tables[ACCESS_PATHS["spo"]].contains(triple)
+    def contains(self, triples: np.ndarray) -> np.ndarray:
+        """Which rows of the ``(n, 3)`` S/P/O ``triples`` the store holds,
+        through the SPO projection."""
+        return self.tables["spo"].contains(triples)
 
     def predicate_counts(self) -> Dict[int, int]:
         """Triple counts per predicate (metadata, no accounting).

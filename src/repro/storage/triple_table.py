@@ -16,8 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..columnar import BufferPool, Column
+from ..engine.kernels import expand_ranges
 from ..errors import StorageError
-from ..model import EncodedTriple
 from ..obs import default_registry
 
 ORDERS = ("spo", "pso", "pos", "osp")
@@ -269,8 +269,24 @@ class TripleTable:
         return np.concatenate([self.fetch_rows(lo, hi, fetch=fetch) for lo, hi in ranges]
                               or [np.empty((0, len(fetch)), dtype=np.int64)])
 
-    def contains(self, triple: EncodedTriple) -> bool:
-        """Exact triple membership test (three binary searches)."""
-        ordered = triple.reordered(self.order)
-        lo, hi = self._prefix_range(*ordered)
-        return hi > lo
+    def fetch_runs(self, values: np.ndarray, fetch: str = "spo") -> Tuple[np.ndarray, np.ndarray]:
+        """The rows whose first sort component is one of ``values``: each
+        row's index into ``values`` and its ``fetch`` components, value by
+        value, each value's run in row order (two binary searches a value)."""
+        first = self.column(self.order[0]).data
+        owner, rows = expand_ranges(np.searchsorted(first, values),
+                                    np.searchsorted(first, values, side="right"))
+        if self.pool is not None:
+            self.pool.tracker.tuples_probed += 2 * int(np.size(values))
+        columns = self._sorted()
+        return owner, np.column_stack([columns[component].data[rows] for component in fetch])
+
+    def contains(self, triples: np.ndarray) -> np.ndarray:
+        """Which rows of the ``(n, 3)`` S/P/O ``triples`` the table holds:
+        the run of each one's first sort component, then its other two
+        components among those."""
+        ordered = triples[:, [_COMPONENT_INDEX[component] for component in self.order]]
+        owner, rows = self.fetch_runs(ordered[:, 0], fetch=self.order[1:])
+        found = np.zeros(triples.shape[0], dtype=bool)
+        found[owner[(rows == ordered[owner, 1:]).all(axis=1)]] = True
+        return found

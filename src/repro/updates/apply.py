@@ -17,7 +17,6 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..engine.kernels import expand_ranges
 from ..errors import StorageError
 from ..model import EncodedTriple, Triple
 from ..sparql.ast import (
@@ -87,7 +86,7 @@ class UpdateApplier:
         """``change(s, p, o, in_base)`` per row, in order; how many changed
         the delta."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-        return sum(map(change, *rows.T.tolist(), self._base_contains(rows)))
+        return sum(map(change, *rows.T.tolist(), self.store.index_store.contains(rows).tolist()))
 
     # -- DELETE WHERE evaluation -------------------------------------------------------
 
@@ -142,18 +141,6 @@ class UpdateApplier:
             return None
         return EncodedTriple(s, p, o)
 
-    def _base_contains(self, rows: np.ndarray) -> List[bool]:
-        """Which of the ``(n, 3)`` S/P/O ``rows`` the base holds: each one's
-        subject run on the SPO projection, then its (p, o) among those."""
-        spo = self.store.index_store.table("spo")
-        subjects = spo.column("s").data
-        owner, at = expand_ranges(np.searchsorted(subjects, rows[:, 0]),
-                                  np.searchsorted(subjects, rows[:, 0], side="right"))
-        found = np.zeros(rows.shape[0], dtype=bool)
-        found[owner[(spo.column("p").data[at] == rows[owner, 1])
-                    & (spo.column("o").data[at] == rows[owner, 2])]] = True
-        return found.tolist()
-
     def _is_live(self, encoded: EncodedTriple) -> bool:
         """Whether the triple is visible right now (base ∪ delta − tombstones)."""
         delta = self.store.delta
@@ -161,4 +148,4 @@ class UpdateApplier:
             return True
         if delta.is_tombstoned(*encoded):
             return False
-        return self._base_contains(np.asarray([encoded], dtype=np.int64))[0]
+        return bool(self.store.index_store.contains(np.asarray([encoded], dtype=np.int64))[0])

@@ -214,20 +214,21 @@ class DeltaStore:
         self._changes = []
         self.version += 1
 
-    def freeze(self, schema: Optional[EmergentSchema] = None,
-               index_store=None) -> "FrozenDelta":
+    def freeze(self, schema: Optional[EmergentSchema], index_store) -> "FrozenDelta":
         """The read half of the current version, its subjects filed by
-        ``schema`` over the base rows of ``index_store`` (nothing is filed
-        without a schema).
+        ``schema`` over the base rows of ``index_store`` (a store without a
+        schema files nothing and passes ``None`` for both).
 
         Built on the first call after a mutation — the store's publish, or
         a request's own read of its pending state — from the previous
-        frozen version's arrays and filing and the mutations since: O(keys
-        touched) Python and a few masked array copies, so a burst of
-        updates that each publish stays linear.  A new ``schema`` files
-        every pending subject again.  Every later caller of the version
-        gets it as is, so all readers of one version share one index.  Only
-        the writer calls this, under the store's writer mutex.
+        frozen version's arrays and filing and the mutations since: Python
+        work per key touched, binary searches and array copies, no sort of
+        the pending rows.  Folding the two sets copies them, and refiling a
+        table copies its tail, so a write costs a few memory copies of what
+        is pending beside its own keys.  A new ``schema`` files every
+        pending subject again.  Every later caller of the version gets it
+        as is, so all readers of one version share one index.  Only the
+        writer calls this, under the store's writer mutex.
         """
         name = f"{self.name}.v{self.version}"
         frozen = self._frozen
@@ -246,7 +247,7 @@ class DeltaStore:
                     filing, self._tables_of = _NO_FILING, {}
                     changed = np.union1d(inserts[:, 0], tombstones[:, 0])
                 filing = _file(filing, changed, schema, index_store.table("spo"),
-                               inserts, tombstones, self._tables_of, name)
+                               inserts, tombstones, self._tables_of, name, self.pool)
             frozen = self._frozen = FrozenDelta(inserts, tombstones, self.pool, name, filing)
             self._changes = []
         return frozen
@@ -306,11 +307,16 @@ class Filing:
     tables: np.ndarray
     """Aligned with :attr:`subjects`: each one's table, ``-1`` for none (no
     table fits, or no triple is left)."""
+    replaced: Dict[int, np.ndarray]
+    """Table id -> its members among the written subjects, ascending: the
+    rows of its block a reader skips."""
     tails: Dict[int, CSBlock]
     """Table id -> the tail block of its filed subjects, subject-ascending,
-    all tail rows (``head_rows`` 0), no zone maps, no page accounting."""
+    all tail rows (``head_rows`` 0), no zone maps, its columns' segments
+    named under the version that built it."""
     irregular: np.ndarray
-    """The written subjects' live triples no tail column holds, ``(n, 3)``."""
+    """The written subjects' live triples no tail column holds, ``(n, 3)``,
+    subject-ascending."""
 
 
 class FrozenDelta:
@@ -407,13 +413,24 @@ class FrozenDelta:
         if self._inserts.size:
             self.index().warm()
 
-    def drop_pages(self) -> None:
-        """Evict this version's index pages, so a superseded version stops
-        counting toward pool capacity and cold/hot accounting.  *When* is
-        the snapshot registry's one rule (``docs/concurrency.md``)."""
-        if self._index is not None and self.pool is not None:
-            # the trailing separator keeps ``v1`` from also matching ``v10``
-            self.pool.drop_segments(f"{self.name}.")
+    def drop_pages(self, current: Optional["FrozenDelta"]) -> None:
+        """Evict this version's index pages, and those of its tail blocks
+        ``current`` (the version now published, ``None`` for none) does not
+        hold, so a superseded version stops counting toward pool capacity
+        and cold/hot accounting: a tail block a later version kept goes with
+        the last version holding it.  *When* is the snapshot registry's one
+        rule (``docs/concurrency.md``)."""
+        if self.pool is None:
+            return
+        if self._index is not None:
+            for table in self._index.tables.values():
+                # the trailing separator keeps ``v1`` from also matching ``v10``
+                self.pool.drop_segments(f"{table.name}.")
+        held = [] if current is None else list(current.filing.tails.values())
+        for tail in self.filing.tails.values():
+            if not any(tail is other for other in held):
+                for column in (tail.subject_column, *tail.property_columns.values()):
+                    self.pool.drop_segments(column.segment_id)
 
 
 def _as_triples(keys: List[TripleKey]) -> np.ndarray:
@@ -422,7 +439,7 @@ def _as_triples(keys: List[TripleKey]) -> np.ndarray:
 
 _NO_TRIPLES = _as_triples([])
 _NO_TRIPLES.setflags(write=False)
-_NO_FILING = Filing(None, _NO_TRIPLES[:, 0], _NO_TRIPLES[:, 0], {}, _NO_TRIPLES)
+_NO_FILING = Filing(None, _NO_TRIPLES[:, 0], _NO_TRIPLES[:, 0], {}, {}, _NO_TRIPLES)
 _NO_DELTA = FrozenDelta(_NO_TRIPLES, _NO_TRIPLES)
 
 _INVERSE = {UndoLog.INSERTED: UndoLog.INSERT_REMOVED,
@@ -464,24 +481,24 @@ def _fold_changes(inserts: np.ndarray, tombstones: np.ndarray,
 
 
 def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inserts: np.ndarray,
-          tombstones: np.ndarray, tables_of: Dict[bytes, int], name: str) -> Filing:
+          tombstones: np.ndarray, tables_of: Dict[bytes, int], name: str, pool) -> Filing:
     """``prior`` with the ``changed`` subjects (ascending) filed again by
     ``schema``: each one's live triples are its base rows on the sorted
     ``spo`` projection less its tombstones, then its inserts, and its
     table is decided once per property set (``tables_of`` keeps them).
-    Tail blocks of tables no changed subject leaves or joins are kept."""
+    Every array of ``prior`` loses the changed subjects by position and
+    gains their new rows at binary-searched positions; a table no changed
+    subject leaves or joins keeps its tail block."""
     own_inserts = inserts[sorted_member_mask(inserts[:, 0], changed)]
     own_tombstones = tombstones[sorted_member_mask(tombstones[:, 0], changed)]
     written = np.union1d(own_inserts[:, 0], own_tombstones[:, 0])
-    base_subjects = spo.column("s").data
-    _, at = expand_ranges(np.searchsorted(base_subjects, written),
-                          np.searchsorted(base_subjects, written, side="right"))
-    base = np.column_stack([base_subjects[at], spo.column("p").data[at], spo.column("o").data[at]])
+    _, base = spo.fetch_runs(written)
     live = np.concatenate([base[~_isin_rows(base.T, own_tombstones.T)], own_inserts])
-    # a subject's distinct predicates are an ascending run: equal property
-    # sets are equal byte strings, matched once
-    order = np.lexsort((live[:, 1], live[:, 0]))
-    pairs = order[run_starts(live[order, 0], live[order, 1])]
+    # by subject, then predicate, rows in order within a (subject,
+    # predicate) cell; a subject's distinct predicates are then an ascending
+    # run, and equal property sets equal byte strings, matched once
+    live = live[np.lexsort((live[:, 1], live[:, 0]))]
+    pairs = run_starts(live[:, 0], live[:, 1])
     holders = run_starts(live[pairs, 0])
     filed = live[pairs[holders], 0]
     packed = live[pairs, 1].tobytes()
@@ -491,48 +508,50 @@ def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inser
     row_tables = tables[np.searchsorted(filed, live[:, 0])]
     in_column = np.zeros(live.shape[0], dtype=bool)
     kept = _unchanged(prior.subjects, changed)
-    left = set(prior.tables[~kept].tolist())
     tails = dict(prior.tails)
-    for cs_id in left.union(tables.tolist()):
-        if cs_id < 0:
-            continue
+    for cs_id in set(prior.tables[~kept].tolist()).union(tables.tolist()) - {-1}:
         table = schema.tables[cs_id]
         columns = column_properties(table)
         subjects = filed[tables == cs_id]
         data, stored = column_values(live, np.flatnonzero(row_tables == cs_id), columns, subjects)
         in_column[stored] = True
         old = tails.pop(cs_id, None)
-        if old is not None:
-            old_subjects = old.subject_column.data
-            old_data = np.stack([old.column(p).data for p in columns])
-            if cs_id in left:  # a changed subject's old row goes
-                stay = _unchanged(old_subjects, changed)
-                old_subjects, old_data = old_subjects[stay], old_data[:, stay]
-            merged = np.concatenate([old_subjects, subjects])
-            data = np.concatenate([old_data, data], axis=1)
-            if old_subjects.size and subjects.size and old_subjects[-1] > subjects[0]:
-                ascending = np.argsort(merged)
-                merged, data = merged[ascending], data[:, ascending]
-            subjects = merged
+        if old is not None:  # a changed subject's old row goes
+            stay = _unchanged(old.subject_column.data, changed)
+            old_subjects = old.subject_column.data[stay]
+            at = np.searchsorted(old_subjects, subjects)
+            data = np.insert(np.stack([old.column(p).data[stay] for p in columns]), at, data,
+                             axis=1)
+            subjects = np.insert(old_subjects, at, subjects)
         if subjects.size:
-            tails[cs_id] = _tail_of(table, subjects, dict(zip(columns, data)), name)
-    subjects = np.concatenate([prior.subjects[kept], written])
-    ascending = np.argsort(subjects)
+            tails[cs_id] = _tail_of(table, subjects, dict(zip(columns, data)), name, pool)
     written_tables = np.full(written.size, -1, dtype=np.int64)
     written_tables[np.searchsorted(written, filed)] = tables
-    irregular = prior.irregular
+    subjects = prior.subjects[kept]
+    at = np.searchsorted(subjects, written)
+    bases = schema.membership.cs_of(changed)
+    written_bases = bases[np.searchsorted(changed, written)]
+    replaced = dict(prior.replaced)
+    for cs_id in set(bases.tolist()) - {-1}:
+        old = replaced.pop(cs_id, _NO_TRIPLES[:, 0])
+        old, members = old[_unchanged(old, changed)], written[written_bases == cs_id]
+        if old.size or members.size:
+            replaced[cs_id] = np.insert(old, np.searchsorted(old, members), members)
+    irregular, pending = prior.irregular, live[~in_column]
     if irregular.size:
-        irregular = irregular[~np.isin(irregular[:, 0], changed)]
-    return Filing(schema, subjects[ascending],
-                  np.concatenate([prior.tables[kept], written_tables])[ascending], tails,
-                  np.concatenate([irregular, live[~in_column]]))
+        irregular = irregular[_unchanged(irregular[:, 0], changed)]
+    return Filing(schema, np.insert(subjects, at, written),
+                  np.insert(prior.tables[kept], at, written_tables), replaced, tails,
+                  np.insert(irregular, np.searchsorted(irregular[:, 0], pending[:, 0]),
+                            pending, axis=0))
 
 
 def _unchanged(subjects: np.ndarray, changed: np.ndarray) -> np.ndarray:
-    """Which of the ascending ``subjects`` are not among ``changed``: a
-    binary search per changed subject."""
+    """Which of the ascending ``subjects`` (each may repeat) are not among
+    ``changed``: a run of binary searches per changed subject."""
     kept = np.ones(subjects.size, dtype=bool)
-    kept[np.searchsorted(subjects, changed)[sorted_member_mask(changed, subjects)]] = False
+    kept[expand_ranges(np.searchsorted(subjects, changed),
+                       np.searchsorted(subjects, changed, side="right"))[1]] = False
     return kept
 
 
@@ -546,13 +565,15 @@ def _table_of(schema: EmergentSchema, predicates: bytes, tables_of: Dict[bytes, 
     return cs_id
 
 
-def _tail_of(table, subjects: np.ndarray, data: Dict[int, np.ndarray], name: str) -> CSBlock:
+def _tail_of(table, subjects: np.ndarray, data: Dict[int, np.ndarray], name: str,
+             pool) -> CSBlock:
     """The tail block of ``table`` over ``subjects`` and its column ``data``;
-    its columns' ids are named under the version ``name``."""
+    its columns' segments are named under the version ``name``."""
     prefix = f"{name}.tail.cs{table.cs_id}"
     return CSBlock(cs_id=table.cs_id, label=table.label or f"cs{table.cs_id}",
-                   subject_column=Column(f"{prefix}.subject", subjects),
-                   property_columns={p: Column(f"{prefix}.p{p}", values)
+                   subject_column=Column(f"{prefix}.subject", subjects, sorted_ascending=True,
+                                         pool=pool),
+                   property_columns={p: Column(f"{prefix}.p{p}", values, pool=pool)
                                      for p, values in data.items()},
                    head_rows=0)
 

@@ -254,9 +254,9 @@ class TestReadSnapshots:
         per version, and is untouched by the writes that supersede it."""
         store = build_store()
         store.update(pair_update(1))
-        frozen = store.delta.freeze()
+        frozen = store.delta.freeze(store.schema, store.index_store)
         assert isinstance(frozen, FrozenDelta) and not isinstance(frozen, DeltaStore)
-        assert store.delta.freeze() is frozen
+        assert store.delta.freeze(store.schema, store.index_store) is frozen
         assert frozen.insert_count() == store.delta.insert_count() == 2
         for mutator in ("insert", "delete", "clear", "begin_request",
                         "abort_request"):
@@ -264,10 +264,10 @@ class TestReadSnapshots:
         rows = frozen.matrix().copy()
         store.update(pair_update(2))
         store.update(f'DELETE DATA {{ <{EX}book/1> <{EX}isbn_no> "isbn-0001" . }}')
-        assert store.delta.freeze() is not frozen
+        assert store.delta.freeze(store.schema, store.index_store) is not frozen
         assert (frozen.matrix() == rows).all() and frozen.tombstone_count() == 0
-        assert store.delta.freeze().insert_count() == 4
-        assert store.delta.freeze().tombstone_count() == 1
+        assert store.delta.freeze(store.schema, store.index_store).insert_count() == 4
+        assert store.delta.freeze(store.schema, store.index_store).tombstone_count() == 1
 
     def test_snapshots_of_one_version_share_a_plan_cache(self):
         """Readers amortize parse + plan through the store's one cache, keyed

@@ -300,7 +300,7 @@ def test_freeze_folds_changes_into_the_previous_version(requests):
         else:
             delta.abort_request(undo)
         if outcome.endswith("freeze"):
-            frozen = delta.freeze()
+            frozen = delta.freeze(None, None)
             assert [tuple(row) for row in frozen.matrix().tolist()] == list(delta._inserts)
             assert {tuple(row) for row in frozen.tombstone_matrix().tolist()} \
                 == delta._tombstones

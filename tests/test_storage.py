@@ -95,8 +95,7 @@ class TestTripleTable:
         table = TripleTable(SAMPLE, order="spo")
         lo, hi = table.prefix_row_range(0)
         assert hi - lo == 2
-        assert table.contains(EncodedTriple(0, 10, 20))
-        assert not table.contains(EncodedTriple(0, 10, 999))
+        assert table.contains(np.asarray([[0, 10, 20], [0, 10, 999]])).tolist() == [True, False]
 
     def test_subject_property_sets(self):
         """The raw input of characteristic-set detection, computed where
@@ -187,8 +186,7 @@ class TestExhaustiveIndexStore:
         assert store.materialized_orders() == []
 
     def test_contains_and_object_lookup(self, store):
-        assert store.contains(EncodedTriple(2, 12, 23))
-        assert not store.contains(EncodedTriple(2, 12, 99))
+        assert store.contains(np.asarray([[2, 12, 99], [2, 12, 23]])).tolist() == [False, True]
         assert store.scan_pattern(s=2, p=12, fetch="o")[:, 0].tolist() == [23]
 
     def test_unknown_order_rejected(self, store):

@@ -538,6 +538,26 @@ def test_reads_and_compaction_file_nothing(filing_calls):
     assert filing_calls["match"] == 0
 
 
+def test_superseded_tail_pages_leave_the_pool():
+    """A tail block's reads are paged like a block's; when a write replaces
+    it, its pages leave the pool with its version — at once, or at the last
+    release of a snapshot pinning that version."""
+    store, stream = _rdfh_with_orders()
+    first = f"{store.context().delta.name}.tail."
+    _delta_reads(store, stream)
+    assert store.pool.segments_cached(first) > 0
+    store.update(stream.next_insert()[0])  # a new order: both tails refiled
+    assert store.pool.segments_cached(first) == 0
+    second = f"{store.context().delta.name}.tail."
+    with store.snapshot() as snapshot:
+        snapshot.sparql(q6_op("q6").text)
+        store.update(stream.next_insert()[0])
+        assert store.pool.segments_cached(second) > 0
+    assert store.pool.segments_cached(second) == 0
+    _delta_reads(store, stream)
+    assert store.pool.segments_cached(f"{store.context().delta.name}.tail.") > 0
+
+
 def test_racing_first_readers_agree():
     store, stream = _rdfh_with_orders()
     expected = [sorted(map(tuple, store.decode_rows(result)))
@@ -593,14 +613,20 @@ def test_a_version_files_each_written_subject_in_its_table():
         assert sorted(tail.property_columns) == sorted(head.property_columns)
         assert tail.head_rows == 0 and tail.label == head.label
         assert tail.zone_maps == {} and tail.sorted_properties == frozenset()
+        assert tail.subject_column.segment_id.startswith(f"{context.delta.name}.")
         assert not np.isin(tail.subject_column.data, head.subject_column.data).any()
-    # a write to orders alone files no lineitem again
+    # a write to orders alone files no lineitem again: the lineitems' tail,
+    # and its pages, outlive the version that built them
+    store.sparql(q6_op("q6").text)
     order = next(cs_id for cs_id, tail in filing.tails.items() if tail.label == "Order")
+    kept = [f"{context.delta.name}.tail.cs{cs_id}." for cs_id in filing.tails if cs_id != order]
+    assert all(store.pool.segments_cached(prefix) for prefix in kept)
     subject = context.dictionary.decode(int(filing.tails[order].subject_column.data[0]))
     store.update(f'INSERT DATA {{ {subject.n3()} <{RDFH_VOC}o_comment> "again" . }}')
     refiled = store.context().delta.filing
     assert all(refiled.tails[cs_id] is tail for cs_id, tail in filing.tails.items()
                if cs_id != order)
+    assert all(store.pool.segments_cached(prefix) for prefix in kept)
 
 
 def test_a_newcomer_with_a_many_property_stays_residual():
