@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Set, Tuple, Union
 
 from .cost import CostTracker
 
@@ -50,6 +50,8 @@ class BufferPool:
         self.page_size = page_size
         self._lock = threading.RLock()
         self._pages: OrderedDict[tuple[str, int], None] = OrderedDict()
+        self._segments: Dict[str, Set[int]] = {}
+        """Segment id -> its cached pages: what a drop by prefix visits."""
         self.tracker = CostTracker()
         self.evictions = 0
         """Lifetime count of pages evicted by LRU capacity pressure."""
@@ -64,6 +66,7 @@ class BufferPool:
         """Empty the cache, simulating a cold start."""
         with self._lock:
             self._pages.clear()
+            self._segments.clear()
 
     def warm(self, segment_id: str, num_values: int) -> None:
         """Pre-load every page of a segment (simulating a hot cache)."""
@@ -81,18 +84,23 @@ class BufferPool:
         with self._lock:
             return (segment_id, page) in self._pages
 
-    def drop_segments(self, prefix: str) -> int:
-        """Evict every cached page of segments whose id starts with ``prefix``.
+    def drop_segments(self, prefix: Union[str, Tuple[str, ...]]) -> int:
+        """Evict every cached page of segments whose id starts with ``prefix``
+        (or with one of a tuple of prefixes): one pass over the cached
+        segments, then their pages.
 
         Used when a structure is rebuilt under new segment names (e.g. the
         delta store's per-version index): superseded pages would otherwise
         linger, counting toward capacity and skewing cold/hot accounting.
         """
         with self._lock:
-            doomed = [key for key in self._pages if key[0].startswith(prefix)]
-            for key in doomed:
-                del self._pages[key]
-            return len(doomed)
+            dropped = 0
+            for segment_id in [key for key in self._segments if key.startswith(prefix)]:
+                pages = self._segments.pop(segment_id)
+                for page in pages:
+                    del self._pages[(segment_id, page)]
+                dropped += len(pages)
+            return dropped
 
     def segments_cached(self, prefix: str) -> int:
         """Number of cached pages whose segment id starts with ``prefix``.
@@ -101,7 +109,8 @@ class BufferPool:
         must stay resident until the last snapshot releases them.
         """
         with self._lock:
-            return sum(1 for key in self._pages if key[0].startswith(prefix))
+            return sum(len(pages) for segment_id, pages in self._segments.items()
+                       if segment_id.startswith(prefix))
 
     def pages_for(self, num_values: int) -> int:
         """Number of pages needed to hold ``num_values`` values."""
@@ -239,6 +248,11 @@ class BufferPool:
     def _insert(self, key: tuple[str, int]) -> None:
         self._pages[key] = None
         self._pages.move_to_end(key)
+        self._segments.setdefault(key[0], set()).add(key[1])
         while len(self._pages) > self.capacity_pages:
-            self._pages.popitem(last=False)
+            segment_id, page = self._pages.popitem(last=False)[0]
+            pages = self._segments[segment_id]
+            pages.discard(page)
+            if not pages:
+                del self._segments[segment_id]
             self.evictions += 1

@@ -329,8 +329,9 @@ class FrozenDelta:
     predicate — is derived on first use and kept, so every context,
     snapshot and estimator of the version shares it.  Racing first readers
     derive equal values and the last one stored is kept.  ``name``
-    (``<delta>.v<N>``) prefixes the buffer-pool segments of the index,
-    keeping two versions' pages apart.
+    (``<delta>.v<N>``) prefixes the buffer-pool segments of the index and
+    of the tail blocks the version builds, keeping two versions' pages
+    apart.
     """
 
     def __init__(self, inserts: np.ndarray, tombstones: np.ndarray,
@@ -422,15 +423,15 @@ class FrozenDelta:
         rule (``docs/concurrency.md``)."""
         if self.pool is None:
             return
-        if self._index is not None:
-            for table in self._index.tables.values():
-                # the trailing separator keeps ``v1`` from also matching ``v10``
-                self.pool.drop_segments(f"{table.name}.")
+        # the trailing separator keeps ``v1`` from also matching ``v10``
+        prefixes = ([] if self._index is None else
+                    [f"{table.name}." for table in self._index.tables.values()])
         held = [] if current is None else list(current.filing.tails.values())
-        for tail in self.filing.tails.values():
-            if not any(tail is other for other in held):
-                for column in (tail.subject_column, *tail.property_columns.values()):
-                    self.pool.drop_segments(column.segment_id)
+        prefixes += [tail.subject_column.segment_id.rpartition(".")[0] + "."
+                     for tail in self.filing.tails.values()
+                     if not any(tail is other for other in held)]
+        if prefixes:
+            self.pool.drop_segments(tuple(prefixes))
 
 
 def _as_triples(keys: List[TripleKey]) -> np.ndarray:
@@ -520,9 +521,9 @@ def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inser
             stay = _unchanged(old.subject_column.data, changed)
             old_subjects = old.subject_column.data[stay]
             at = np.searchsorted(old_subjects, subjects)
-            data = np.insert(np.stack([old.column(p).data[stay] for p in columns]), at, data,
-                             axis=1)
-            subjects = np.insert(old_subjects, at, subjects)
+            data = _spliced(np.stack([old.column(p).data[stay] for p in columns]), at, data,
+                            axis=1)
+            subjects = _spliced(old_subjects, at, subjects)
         if subjects.size:
             tails[cs_id] = _tail_of(table, subjects, dict(zip(columns, data)), name, pool)
     written_tables = np.full(written.size, -1, dtype=np.int64)
@@ -536,14 +537,23 @@ def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inser
         old = replaced.pop(cs_id, _NO_TRIPLES[:, 0])
         old, members = old[_unchanged(old, changed)], written[written_bases == cs_id]
         if old.size or members.size:
-            replaced[cs_id] = np.insert(old, np.searchsorted(old, members), members)
+            replaced[cs_id] = _spliced(old, np.searchsorted(old, members), members)
     irregular, pending = prior.irregular, live[~in_column]
     if irregular.size:
         irregular = irregular[_unchanged(irregular[:, 0], changed)]
-    return Filing(schema, np.insert(subjects, at, written),
-                  np.insert(prior.tables[kept], at, written_tables), replaced, tails,
-                  np.insert(irregular, np.searchsorted(irregular[:, 0], pending[:, 0]),
-                            pending, axis=0))
+    return Filing(schema, _spliced(subjects, at, written),
+                  _spliced(prior.tables[kept], at, written_tables), replaced, tails,
+                  _spliced(irregular, np.searchsorted(irregular[:, 0], pending[:, 0]), pending))
+
+
+def _spliced(old: np.ndarray, at: np.ndarray, new: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``old`` with ``new`` inserted along ``axis`` before its positions
+    ``at`` (ascending): an append when they are all past its end."""
+    if not at.size:
+        return old
+    if at[0] == old.shape[axis]:
+        return np.concatenate([old, new], axis=axis)
+    return np.insert(old, at, new, axis=axis)
 
 
 def _unchanged(subjects: np.ndarray, changed: np.ndarray) -> np.ndarray:
