@@ -235,19 +235,19 @@ class DeltaStore:
         if (frozen is None or frozen.name != name
                 or (schema is not None and frozen.filing.schema is not schema)):
             previous = _NO_DELTA if frozen is None else frozen
-            inserts, tombstones = _fold_changes(previous.matrix(), previous.tombstone_matrix(),
-                                                self._changes)
+            inserts, tombstones, added = _fold_changes(
+                previous.matrix(), previous.tombstone_matrix(), self._changes)
             filing = _NO_FILING
             if schema is not None:
                 filing = previous.filing
                 if filing.schema is schema:
-                    changed = np.unique(np.fromiter((key[0] for _op, key in self._changes),
-                                                    dtype=np.int64, count=len(self._changes)))
-                else:
-                    filing, self._tables_of = _NO_FILING, {}
+                    changed = np.asarray(sorted({key[0] for _op, key in self._changes}),
+                                         dtype=np.int64)
+                else:  # every pending row is new to the filing
+                    filing, self._tables_of, added = _NO_FILING, {}, (inserts, tombstones)
                     changed = np.union1d(inserts[:, 0], tombstones[:, 0])
                 filing = _file(filing, changed, schema, index_store.table("spo"),
-                               inserts, tombstones, self._tables_of, name, self.pool)
+                               (inserts, tombstones), added, self._tables_of, name, self.pool)
             frozen = self._frozen = FrozenDelta(inserts, tombstones, self.pool, name, filing)
             self._changes = []
         return frozen
@@ -454,9 +454,10 @@ _SIDE = {UndoLog.INSERTED: (0, True), UndoLog.INSERT_REMOVED: (0, False),
 
 
 def _fold_changes(inserts: np.ndarray, tombstones: np.ndarray,
-                  changes: List[Tuple[str, TripleKey]]) -> Tuple[np.ndarray, np.ndarray]:
+                  changes: List[Tuple[str, TripleKey]]
+                  ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """The next version's arrays: ``inserts`` and ``tombstones`` with
-    ``changes`` applied in order.
+    ``changes`` applied in order, and the rows appended to each.
 
     A key removed at any point leaves its old row; a key whose last change
     adds it is appended, in the order of those last adds — so the inserts
@@ -471,27 +472,30 @@ def _fold_changes(inserts: np.ndarray, tombstones: np.ndarray,
             added[side][key] = None
         else:
             removed[side].add(key)
-    folded = []
+    folded, appended = [], []
     for rows, side_added, side_removed in zip((inserts, tombstones), added, removed):
         if side_removed:
             rows = rows[~_isin_rows(rows.T, _as_triples(list(side_removed)).T)]
-        if side_added:
-            rows = np.concatenate([rows, _as_triples(list(side_added))])
-        folded.append(rows)
-    return folded[0], folded[1]
+        appended.append(_as_triples(list(side_added)))
+        folded.append(np.concatenate([rows, appended[-1]]) if side_added else rows)
+    return folded[0], folded[1], (appended[0], appended[1])
 
 
-def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inserts: np.ndarray,
-          tombstones: np.ndarray, tables_of: Dict[bytes, int], name: str, pool) -> Filing:
+def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo,
+          pending: Tuple[np.ndarray, np.ndarray], added: Tuple[np.ndarray, np.ndarray],
+          tables_of: Dict[bytes, int], name: str, pool) -> Filing:
     """``prior`` with the ``changed`` subjects (ascending) filed again by
     ``schema``: each one's live triples are its base rows on the sorted
     ``spo`` projection less its tombstones, then its inserts, and its
     table is decided once per property set (``tables_of`` keeps them).
-    Every array of ``prior`` loses the changed subjects by position and
-    gains their new rows at binary-searched positions; a table no changed
-    subject leaves or joins keeps its tail block."""
-    own_inserts = inserts[sorted_member_mask(inserts[:, 0], changed)]
-    own_tombstones = tombstones[sorted_member_mask(tombstones[:, 0], changed)]
+    ``pending`` are the version's inserts and tombstones, ``added`` the
+    rows its fold appended: all a changed subject has when ``prior`` filed
+    none of them.  Every array of ``prior`` loses the changed subjects by
+    position and gains their new rows at binary-searched positions; a
+    table no changed subject leaves or joins keeps its tail block."""
+    kept = _unchanged(prior.subjects, changed)
+    own_inserts, own_tombstones = added if kept.all() else (
+        rows[sorted_member_mask(rows[:, 0], changed)] for rows in pending)
     written = np.union1d(own_inserts[:, 0], own_tombstones[:, 0])
     _, base = spo.fetch_runs(written)
     live = np.concatenate([base[~_isin_rows(base.T, own_tombstones.T)], own_inserts])
@@ -508,27 +512,30 @@ def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inser
                          for start, stop in zip(bounds, bounds[1:])], dtype=np.int64)
     row_tables = tables[np.searchsorted(filed, live[:, 0])]
     in_column = np.zeros(live.shape[0], dtype=bool)
-    kept = _unchanged(prior.subjects, changed)
+    left = set(prior.tables[~kept].tolist())
     tails = dict(prior.tails)
-    for cs_id in set(prior.tables[~kept].tolist()).union(tables.tolist()) - {-1}:
+    for cs_id in left.union(tables.tolist()) - {-1}:
         table = schema.tables[cs_id]
         columns = column_properties(table)
         subjects = filed[tables == cs_id]
         data, stored = column_values(live, np.flatnonzero(row_tables == cs_id), columns, subjects)
         in_column[stored] = True
         old = tails.pop(cs_id, None)
-        if old is not None:  # a changed subject's old row goes
-            stay = _unchanged(old.subject_column.data, changed)
-            old_subjects = old.subject_column.data[stay]
+        if old is not None:
+            old_subjects = old.subject_column.data
+            old_data = np.stack([old.column(p).data for p in columns])
+            if cs_id in left:  # a changed subject's old row goes
+                stay = _unchanged(old_subjects, changed)
+                old_subjects, old_data = old_subjects[stay], old_data[:, stay]
             at = np.searchsorted(old_subjects, subjects)
-            data = _spliced(np.stack([old.column(p).data[stay] for p in columns]), at, data,
-                            axis=1)
+            data = _spliced(old_data, at, data, axis=1)
             subjects = _spliced(old_subjects, at, subjects)
         if subjects.size:
             tails[cs_id] = _tail_of(table, subjects, dict(zip(columns, data)), name, pool)
     written_tables = np.full(written.size, -1, dtype=np.int64)
     written_tables[np.searchsorted(written, filed)] = tables
-    subjects = prior.subjects[kept]
+    subjects, tables_kept = ((prior.subjects, prior.tables) if kept.all() else
+                             (prior.subjects[kept], prior.tables[kept]))
     at = np.searchsorted(subjects, written)
     bases = schema.membership.cs_of(changed)
     written_bases = bases[np.searchsorted(changed, written)]
@@ -538,12 +545,12 @@ def _file(prior: Filing, changed: np.ndarray, schema: EmergentSchema, spo, inser
         old, members = old[_unchanged(old, changed)], written[written_bases == cs_id]
         if old.size or members.size:
             replaced[cs_id] = _spliced(old, np.searchsorted(old, members), members)
-    irregular, pending = prior.irregular, live[~in_column]
+    irregular, unheld = prior.irregular, live[~in_column]
     if irregular.size:
         irregular = irregular[_unchanged(irregular[:, 0], changed)]
     return Filing(schema, _spliced(subjects, at, written),
-                  _spliced(prior.tables[kept], at, written_tables), replaced, tails,
-                  _spliced(irregular, np.searchsorted(irregular[:, 0], pending[:, 0]), pending))
+                  _spliced(tables_kept, at, written_tables), replaced, tails,
+                  _spliced(irregular, np.searchsorted(irregular[:, 0], unheld[:, 0]), unheld))
 
 
 def _spliced(old: np.ndarray, at: np.ndarray, new: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -560,8 +567,10 @@ def _unchanged(subjects: np.ndarray, changed: np.ndarray) -> np.ndarray:
     """Which of the ascending ``subjects`` (each may repeat) are not among
     ``changed``: a run of binary searches per changed subject."""
     kept = np.ones(subjects.size, dtype=bool)
-    kept[expand_ranges(np.searchsorted(subjects, changed),
-                       np.searchsorted(subjects, changed, side="right"))[1]] = False
+    lo, hi = np.searchsorted(subjects, changed), np.searchsorted(subjects, changed, side="right")
+    held = lo < hi
+    if held.any():
+        kept[expand_ranges(lo[held], hi[held])[1]] = False
     return kept
 
 
@@ -581,8 +590,7 @@ def _tail_of(table, subjects: np.ndarray, data: Dict[int, np.ndarray], name: str
     its columns' segments are named under the version ``name``."""
     prefix = f"{name}.tail.cs{table.cs_id}"
     return CSBlock(cs_id=table.cs_id, label=table.label or f"cs{table.cs_id}",
-                   subject_column=Column(f"{prefix}.subject", subjects, sorted_ascending=True,
-                                         pool=pool),
+                   subject_column=Column(f"{prefix}.subject", subjects, pool=pool),
                    property_columns={p: Column(f"{prefix}.p{p}", values, pool=pool)
                                      for p, values in data.items()},
                    head_rows=0)
