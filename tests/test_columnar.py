@@ -74,7 +74,7 @@ class TestBufferPool:
         replayed page by page through ``access_page`` on a small pool that
         evicts, the same trace gives the same misses, hit / read / eviction
         counts and resident pages in the same LRU order — those of a plain
-        LRU list."""
+        LRU list — and a drop by segment prefix leaves the list's others."""
         batched = BufferPool(capacity_pages=capacity, page_size=4)
         paged = BufferPool(capacity_pages=capacity, page_size=4)
         lru, model = [], [0, 0, 0]  # resident keys, oldest first; hits, reads, evictions
@@ -102,6 +102,11 @@ class TestBufferPool:
 
         assert counts(batched) == counts(paged) == model
         assert list(batched._pages) == list(paged._pages) == lru
+        # the per-segment page index follows evictions: a drop by prefix
+        # removes exactly the resident pages of the segments it names
+        assert batched.segments_cached("b") == sum(segment == "b" for segment, _ in lru)
+        assert batched.drop_segments(("a", "c")) == sum(segment == "a" for segment, _ in lru)
+        assert list(batched._pages) == [key for key in lru if key[0] != "a"]
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
