@@ -294,8 +294,9 @@ class ClusteredStore:
         rows of the members the filing did not replace — a subsequence of a
         sorted run, so its :attr:`~CSBlock.sorted_properties` still hold —
         and its tail is its other tail rows merged with the filing's tail
-        block of the table, subject-ascending.  The irregular table trades the written
-        subjects' triples for the filing's pending-irregular ones.
+        block of the table, subject-ascending.  The irregular table trades
+        the written subjects' triples for the filing's pending-irregular
+        ones.
         """
         affected = set(filing.replaced).union(filing.tables.tolist())
         blocks: Dict[int, CSBlock] = {}
