@@ -37,7 +37,6 @@ from .rdfscan import (
     fk_range_from_zonemap,
     subject_range_for_property_range,
 )
-from .values import ValueEncoder
 
 __all__ = [
     "AggregateOp",
@@ -65,7 +64,6 @@ __all__ = [
     "StarPattern",
     "StarProperty",
     "TriplePatternPlan",
-    "ValueEncoder",
     "concat_tables",
     "cross_join",
     "emit_batches",

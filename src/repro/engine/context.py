@@ -11,7 +11,6 @@ from ..errors import ExecutionError
 from ..model import TermDictionary
 from ..obs import NULL_ACTIVE_QUERY
 from ..storage import ClusteredStore, ExhaustiveIndexStore
-from .values import ValueEncoder
 
 
 @dataclass
@@ -19,8 +18,8 @@ class ExecutionContext:
     """Shared state for one query execution.
 
     The context bundles the dictionary (which also decodes OID columns),
-    the available physical stores, the buffer pool whose tracker collects
-    cost counters, and the value encoder.  Operators read from whichever
+    the available physical stores and the buffer pool whose tracker
+    collects cost counters.  Operators read from whichever
     store their plan scheme targets; the executor snapshots the tracker
     around the run.
     """
@@ -49,19 +48,14 @@ class ExecutionContext:
     counts, optional trace), or the shared no-op
     :data:`repro.obs.NULL_ACTIVE_QUERY` for a bare run, which costs one
     ``run.enabled`` check per operator per run."""
-    encoder: ValueEncoder = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.encoder = ValueEncoder(self.dictionary)
-
     def with_run(self, run) -> "ExecutionContext":
         """A shallow copy of this context carrying ``run``.
 
-        Shares the encoder (and every store reference) with the original;
-        only the run slot differs.
+        Shares every store reference with the original; only the run slot
+        differs.
         """
         # on every observed query's path: a plain field copy, cheaper than
-        # copy.copy()'s reduce protocol, and it never re-runs __post_init__
+        # copy.copy()'s reduce protocol
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, run=run)
         return clone

@@ -21,7 +21,8 @@ from .bindings import BindingTable, cross_join, emit_batches, joined_rows
 from .context import ExecutionContext
 from .expressions import AggregateSpec
 from .mergescan import merge_pattern_rows, merged_subject_matches
-from .plan import NO_OIDS, OidRange, PatternTerm, PhysicalOperator, TriplePatternPlan
+from .plan import (NO_OIDS, OidRange, PatternTerm, PhysicalOperator, TriplePatternPlan,
+                   is_bounded, run_tail)
 
 
 class IndexScanOp(PhysicalOperator):
@@ -43,9 +44,9 @@ class IndexScanOp(PhysicalOperator):
 
     def describe(self) -> str:
         parts = [f"IndexScan[{self.pattern.describe()}]"]
-        if self.object_range and not self.object_range.is_unbounded():
+        if is_bounded(self.object_range):
             parts.append(f"obj{self.object_range.describe()}")
-        if self.subject_range and not self.subject_range.is_unbounded():
+        if is_bounded(self.subject_range):
             parts.append(f"subj{self.subject_range.describe()}")
         return " ".join(parts)
 
@@ -56,12 +57,12 @@ class IndexScanOp(PhysicalOperator):
         # Fast paths: predicate bound plus a range on the subject (PSO prefix)
         # or, failing that, on the object (POS prefix), narrowed by binary
         # search; _bind() applies the object range as a post-filter either way.
-        tail = _tail(self.object_range, context)
+        tail = run_tail(self.object_range, context.dictionary)
         table = None
-        if not p.is_variable and s.is_variable and _is_bounded(self.subject_range):
+        if not p.is_variable and s.is_variable and is_bounded(self.subject_range):
             # subjects are never literals: a subject range has no tail
             table, intervals = store.within_predicate("s"), self.subject_range.intervals()
-        elif not p.is_variable and o.is_variable and _is_bounded(self.object_range):
+        elif not p.is_variable and o.is_variable and is_bounded(self.object_range):
             table, intervals = store.within_predicate("o"), self.object_range.intervals(tail)
         if table is not None:
             ranges = table.narrowed_row_ranges(p.oid, intervals)
@@ -167,7 +168,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
 
     def describe(self) -> str:
         text = f"NestedLoopIndexJoin[{self.pattern.describe()}]"
-        if _is_bounded(self.subject_range):
+        if is_bounded(self.subject_range):
             text += f" subj{self.subject_range.describe()}"
         return text
 
@@ -179,7 +180,7 @@ class NestedLoopIndexJoinOp(PhysicalOperator):
         else:
             index = context.index_store.within_predicate(self.key)
             prefix = index.prefix_row_range(predicate.oid)
-        tail = _tail(self.object_range, context)
+        tail = run_tail(self.object_range, context.dictionary)
         for batch in self.child.batches(context):
             yield self._probe(batch, context, index, prefix, tail)
 
@@ -369,9 +370,10 @@ class OrderByOp(PhysicalOperator):
     Ordering normally runs on raw OIDs — the loader's value-ordered literal
     OIDs make OID order equal value order.  Literals appended by updates
     after the last value-ordering pass break that invariant until the next
-    compaction, so when a key column contains OIDs past the dictionary's
-    value-order watermark the column is re-ranked by decoded term order
-    before sorting.
+    ``cluster()``, so a key column holding OIDs past the dictionary's
+    value-order watermark is sorted by the dictionary's ranks
+    (:meth:`~repro.model.TermDictionary.value_ranks`), which put each tail
+    literal where that pass will.
     """
 
     def __init__(self, child: PhysicalOperator, keys: Sequence[tuple[str, bool]]) -> None:
@@ -400,7 +402,7 @@ class OrderByOp(PhysicalOperator):
             values = sort_table.column(name)
             if values.dtype.kind != "i" or not (values >= watermark).any():
                 continue
-            sort_table = sort_table.with_column(name, _value_ranks(values, context))
+            sort_table = sort_table.with_column(name, context.dictionary.value_ranks(values))
         if sort_table is table:
             return table.sort_by(self.keys)
         return table.select_rows(sort_table.sort_permutation(self.keys))
@@ -492,59 +494,9 @@ class MaterializedOp(PhysicalOperator):
 # -- helpers --------------------------------------------------------------------------
 
 
-def _value_ranks(values: np.ndarray, context: ExecutionContext) -> np.ndarray:
-    """Float sort keys that put post-watermark literals in value position.
-
-    Pre-watermark OIDs keep their own value as key (OID order *is* value
-    order for them — the baseline semantics); each tail literal is keyed
-    fractionally between the value-ordered OIDs of its clean neighbours, so
-    only the handful of post-watermark OIDs is ever decoded.
-    """
-    from ..model import Literal
-    from ..model.terms import term_sort_key
-
-    dictionary = context.dictionary
-    watermark = dictionary.value_order_watermark
-    keys = values.astype(np.float64)
-    tail = sorted(np.unique(values[values >= watermark]).tolist(),
-                  key=lambda oid: term_sort_key(dictionary.decode(oid)))
-    counts: dict = {}
-    denominator = float(len(tail) + 1)
-    for oid in tail:
-        term = dictionary.decode(oid)
-        if not isinstance(term, Literal):
-            continue  # non-literal tail terms keep raw-OID order, as the base does
-        anchor = _tail_anchor(context, term)
-        if anchor is None:
-            continue
-        counts[anchor] = counts.get(anchor, 0) + 1
-        keys[values == oid] = anchor + counts[anchor] / denominator
-    return keys
-
-
-def _tail_anchor(context: ExecutionContext, literal) -> Optional[float]:
-    """The value-ordered OID a tail literal should sort just after."""
-    below = context.encoder.literal_range(None, literal, True, True)
-    if not below.is_empty_interval():
-        return float(below.high)  # largest value-ordered literal OID <= value
-    above = context.encoder.literal_range(literal, None, True, True)
-    if not above.is_empty_interval():
-        return float(above.low) - 1.0  # just below the smallest clean literal
-    return None  # no value-ordered literals at all: keep raw-OID order
-
-
-def _tail(oid_range: Optional[OidRange], context: ExecutionContext) -> np.ndarray:
-    """A run's resolution of a range's tail literals (see :meth:`OidRange.tail_oids`)."""
-    return NO_OIDS if oid_range is None else oid_range.tail_oids(context.dictionary)
-
-
-def _is_bounded(oid_range: Optional[OidRange]) -> bool:
-    return oid_range is not None and not oid_range.is_unbounded()
-
-
 def _apply_range(table: BindingTable, term: PatternTerm, oid_range: Optional[OidRange],
                  tail: np.ndarray = NO_OIDS) -> BindingTable:
-    if not _is_bounded(oid_range) or not term.is_variable:
+    if not is_bounded(oid_range) or not term.is_variable:
         return table
     if not table.has(term.var):
         return table

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PlanError
-from ..model import ValueBounds
+from ..model import Literal, ValueBounds
 from . import kernels
 from ..obs import NULL_ACTIVE_QUERY
 from .bindings import BindingTable, concat_tables
@@ -108,6 +108,20 @@ class OidRange:
                  else self.value.intersect(other.value))
         return OidRange(low, high, value)
 
+    @classmethod
+    def of_values(cls, dictionary, low: Optional[Literal], high: Optional[Literal],
+                  low_inclusive: bool = True, high_inclusive: bool = True) -> "OidRange":
+        """The range of a literal comparison (:meth:`ValueBounds.of`) over
+        ``dictionary``: the head literals in range are one OID interval, and
+        none gives the empty interval ``[1, 0]`` with the bounds — never
+        "unsatisfiable", since a later write may add a tail literal in
+        range."""
+        bounds = ValueBounds.of(low, high, low_inclusive, high_inclusive)
+        head = dictionary.literal_value_range(bounds)
+        if head.size:
+            return cls(int(head[0]), int(head[-1]), bounds)
+        return cls(1, 0, bounds)
+
     def tail_oids(self, dictionary) -> np.ndarray:
         """The tail literals in range right now, sorted: what one run passes
         to every :meth:`mask` it makes (nothing without a value part)."""
@@ -138,6 +152,17 @@ class OidRange:
 
     def describe(self) -> str:
         return f"[{self.low if self.low is not None else '-inf'}, {self.high if self.high is not None else '+inf'}]"
+
+
+def is_bounded(oid_range: Optional[OidRange]) -> bool:
+    """Whether a range restricts anything (``None`` does not)."""
+    return oid_range is not None and not oid_range.is_unbounded()
+
+
+def run_tail(oid_range: Optional[OidRange], dictionary) -> np.ndarray:
+    """A run's resolution of a range's tail literals (see
+    :meth:`OidRange.tail_oids`; none for ``None``)."""
+    return NO_OIDS if oid_range is None else oid_range.tail_oids(dictionary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +262,8 @@ class StarProperty:
     not.  That one lets through, beside the head subjects the referenced
     star can keep, every subject it answers outside a head, so it bounds
     every row of this star's blocks.  ``required`` distinguishes mandatory
-    properties from OPTIONAL-like ones (not used by the paper's queries but
-    kept for completeness).
+    properties from optional ones: SQL reads a nullable column, and every
+    column while a write is pending, as an optional property.
     """
 
     predicate_oid: int
@@ -250,7 +275,7 @@ class StarProperty:
     def describe(self) -> str:
         parts = [f"p{self.predicate_oid} -> {self.object_term.describe()}"]
         shown = shown_range(self.oid_range, self.fk_range)
-        if shown is not None and not shown.is_unbounded():
+        if is_bounded(shown):
             parts.append(shown.describe())
         return " ".join(parts)
 

@@ -58,7 +58,8 @@ from .bindings import BindingTable, coalesce_batches, emit_batches, joined_rows
 from .context import ExecutionContext
 from .kernels import expand_ranges, sorted_member_mask, unique_keys
 from .mergescan import merge_property_pairs
-from .plan import NO_OIDS, HeadRange, OidRange, PhysicalOperator, StarPattern, StarProperty
+from .plan import (NO_OIDS, HeadRange, OidRange, PhysicalOperator, StarPattern, StarProperty,
+                   is_bounded, run_tail)
 
 
 class _StarOperator(PhysicalOperator):
@@ -153,13 +154,6 @@ def _join_candidates(scan: Callable[[np.ndarray], BindingTable], star: StarPatte
     return star_table, star_rows, input_rows
 
 
-def _property_tails(context: ExecutionContext, star: StarPattern) -> List[np.ndarray]:
-    """Per star property, the tail literals its range matches: resolved
-    once per operator run (see :meth:`OidRange.tail_oids`)."""
-    return [NO_OIDS if prop.oid_range is None else prop.oid_range.tail_oids(context.dictionary)
-            for prop in star.properties]
-
-
 # -- clustered-store evaluation -----------------------------------------------------
 
 
@@ -180,7 +174,7 @@ class _ClusteredStarScan:
         self.store = store = context.require_clustered_store()
         self.delta = delta = context.active_delta()
         predicates = star.predicate_oids()
-        self.tails = _property_tails(context, star)
+        self.tails = [run_tail(prop.oid_range, context.dictionary) for prop in star.properties]
         # Subjects with irregular triples on a star predicate (spilled
         # multi-values, dirty data, subjects of no CS at all) cannot be
         # answered from a block alone: they take the residual scan over base
@@ -220,7 +214,7 @@ class _ClusteredStarScan:
         self.constrained = [
             (p, tail, None if p.fk_range is None else (p.fk_range, _head_widening(context, p.fk_range)))
             for p, tail in zip(star.properties, self.tails)
-            if not p.object_term.is_variable or _is_ranged(p) or p.required or p.fk_range]
+            if not p.object_term.is_variable or is_bounded(p.oid_range) or p.required or p.fk_range]
         self.outputs = list(dict.fromkeys(p.predicate_oid for p in star.properties
                                           if p.object_term.is_variable))
         # the push-down's subject range bounds head rows only
@@ -382,7 +376,7 @@ class _ClusteredStarScan:
         subjects = self.residual_subjects
         if candidate_subjects is not None:
             subjects = np.intersect1d(subjects, candidate_subjects, assume_unique=True)
-        if star.subject_range is not None and not star.subject_range.is_unbounded():
+        if is_bounded(star.subject_range):
             # subjects are never literals: a subject range has no tail to match
             subjects = subjects[star.subject_range.mask(subjects)]
         if subjects.size == 0:
@@ -461,10 +455,6 @@ def _bind_star(block: CSBlock, star: StarPattern, outputs: List[int], positions:
     return kept, columns
 
 
-def _is_ranged(prop: StarProperty) -> bool:
-    return prop.oid_range is not None and not prop.oid_range.is_unbounded()
-
-
 def _is_required(prop: StarProperty) -> bool:
     """Whether a subject without a value of ``prop`` has no row: a required
     property, and a constant one, which only its value matches (the block
@@ -490,7 +480,7 @@ def _block_row_ranges(block: CSBlock, star: StarPattern, constrained,
     subjects = block.subject_column.data
 
     # subject-range restriction (a FILTER on the subject): both runs
-    if star.subject_range is not None and not star.subject_range.is_unbounded():
+    if is_bounded(star.subject_range):
         intervals = star.subject_range.intervals()
         row_ranges = _intersect_ranges(row_ranges, _rows_in(subjects[:head], intervals) + (
             _rows_in(subjects[head:], intervals, head) if tail_run else []))
@@ -503,7 +493,7 @@ def _block_row_ranges(block: CSBlock, star: StarPattern, constrained,
     # the clustering sub-order: a range predicate on a column the head is
     # sorted on is a binary search over the head, independent of zone maps
     ranged = [(prop, prop.oid_range.intervals(tail)) for prop, tail, _fk in constrained
-              if _is_ranged(prop)]
+              if is_bounded(prop.oid_range)]
     for prop, intervals in ranged:
         if prop.predicate_oid not in block.sorted_properties:
             continue
@@ -562,7 +552,7 @@ def _constraint_mask(block: CSBlock, constrained, outputs: List[int], rows: int,
             mask &= values != NULL_OID
         if not prop.object_term.is_variable:
             mask &= values == prop.object_term.oid
-        if _is_ranged(prop):
+        if is_bounded(prop.oid_range):
             mask &= prop.oid_range.mask(values, tail)
         if fk is not None:
             mask &= fk[0].mask(values, fk[1])
@@ -631,7 +621,7 @@ class _IndexMergeStarScan:
     def __init__(self, context: ExecutionContext, star: StarPattern) -> None:
         self.context = context
         self.star = star
-        self.tails = _property_tails(context, star)
+        self.tails = [run_tail(prop.oid_range, context.dictionary) for prop in star.properties]
         self._pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     def scan(self, candidate_subjects: Optional[np.ndarray] = None) -> BindingTable:
@@ -676,7 +666,7 @@ def _property_pairs(context: ExecutionContext, store, prop: StarProperty, tail: 
     """Fetch the (subject, object) pairs of one property, sorted by subject."""
     if not prop.object_term.is_variable:
         rows = store.scan_pattern(p=prop.predicate_oid, o=prop.object_term.oid, fetch="so")
-    elif _is_ranged(prop):
+    elif is_bounded(prop.oid_range):
         table = store.within_predicate("o")
         rows = table.fetch_ranges(
             table.narrowed_row_ranges(prop.predicate_oid, prop.oid_range.intervals(tail)),
@@ -700,10 +690,10 @@ def _finish_pairs(delta, prop: StarProperty, tail: np.ndarray, subjects: np.ndar
         constant = None if prop.object_term.is_variable else prop.object_term.oid
         subjects, objects = merge_property_pairs(delta, subjects, objects,
                                                  prop.predicate_oid, constant)
-    if _is_ranged(prop):
+    if is_bounded(prop.oid_range):
         mask = prop.oid_range.mask(objects, tail)
         subjects, objects = subjects[mask], objects[mask]
-    if subject_range is not None and not subject_range.is_unbounded():
+    if is_bounded(subject_range):
         mask = subject_range.mask(subjects)  # subjects are never literals: no tail
         subjects, objects = subjects[mask], objects[mask]
     order = np.argsort(subjects, kind="stable")

@@ -25,7 +25,10 @@ reproduction:
   (:meth:`TermDictionary.literal_value_range`), which no write moves; a run
   asks the tail for its matches (:meth:`TermDictionary.literal_tail_range`),
   which every write may extend.  Both bisect sort keys: the tail keeps one
-  per entry, the head a list of them made by its first range lookup.
+  per entry, the head a list of them made by its first range lookup.  The
+  same bisection of the head places each tail literal when a value-ordering
+  pass merges the tail in, and ranks it for ORDER BY until then
+  (:meth:`TermDictionary.value_ranks`), so a literal sorts by one rule.
 * **The value bridge.**  The engine runs on OIDs and leaves OID space in two
   places only: arithmetic / aggregation needs the number behind an OID, the
   final result the Python value.  The dictionary answers both one *column*
@@ -39,7 +42,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -491,13 +494,7 @@ class TermDictionary:
         """
         head = self._literal_head
         tail = self._tail_through(len(self._oid_to_term))
-        places, lo = [], 0
-        for key, _oid in tail:
-            if lo == head.size:
-                break  # past the head: the rest of the tail goes at its end
-            lo = bisect_right(head, key, lo, key=self._literal_key)
-            places.append(lo)
-        places += [head.size] * (len(tail) - len(places))
+        places = self._head_places(tail)
         tail_oids = np.fromiter(map(itemgetter(1), tail), dtype=np.int64, count=len(tail))
         old = np.insert(head, places, tail_oids)
         new = np.concatenate([head, np.sort(tail_oids)])
@@ -579,10 +576,56 @@ class TermDictionary:
         the first range after ``open()`` costs O(log head) keys, not
         O(head), and keeping them (:meth:`_probed_key`) keeps later ranges
         cheap."""
-        keys = self._head_keys
-        if keys is None:
-            return self._literal_head[bounds.span(self._literal_head, key=self._probed_key)]
-        return self._literal_head[bounds.span(keys)]
+        return self._literal_head[bounds.span(*self._head_order())]
+
+    def value_ranks(self, oids: np.ndarray) -> np.ndarray:
+        """Float sort keys that order ``oids`` as the next value-ordering
+        pass will: an OID below the watermark, and any non-literal, keeps
+        its own value (OID order *is* value order in the head); each
+        distinct tail literal lands just after the head literal it follows
+        (:meth:`_head_places`, the merge's rule), in value order among the
+        tail literals there and ties in OID order.  Only the tail literals
+        ``oids`` holds are decoded."""
+        distinct, inverse = np.unique(oids, return_inverse=True)
+        ranks = distinct.astype(np.float64)
+        watermark, terms = self._value_order_watermark, self._oid_to_term
+        tail = sorted((term_sort_key(terms[oid]), oid)
+                      for oid in distinct[distinct >= watermark].tolist()
+                      if isinstance(terms[oid], Literal))
+        if tail:
+            head = self._literal_head
+            # what a literal that follows no head literal follows: the OID
+            # before the first head literal, or with no head the first tail one
+            first = head[0] if head.size else next(
+                oid for oid in range(watermark, len(terms)) if isinstance(terms[oid], Literal))
+            follows = np.concatenate([[first - 1], head])
+            places = self._head_places(tail)
+            ranks[np.searchsorted(distinct, [oid for _key, oid in tail])] = (
+                follows[places] + np.arange(1, len(tail) + 1) / (len(tail) + 1))
+        return ranks[inverse]
+
+    def _head_order(self) -> Tuple[Sequence, Optional[Callable]]:
+        """The head as ``bisect`` takes it: its sort keys when the
+        value-ordering pass kept them, else its OIDs keyed by
+        :meth:`_probed_key`."""
+        if self._head_keys is None:
+            return self._literal_head, self._probed_key
+        return self._head_keys, None
+
+    def _head_places(self, tail: List[Tuple[tuple, int]]) -> List[int]:
+        """Where each ``(sort key, OID)`` of ``tail``, ascending, goes in
+        the head: the number of head literals that sort at or before it
+        (the head wins a tie)."""
+        entries, key = self._head_order()
+        size = len(entries)
+        places, lo = [], 0
+        for probe, _oid in tail:
+            if lo == size:
+                break  # past the head: the rest go at its end
+            lo = bisect_right(entries, probe, lo, key=key)
+            places.append(lo)
+        places += [size] * (len(tail) - len(places))
+        return places
 
     def _probed_key(self, oid: int) -> tuple:
         """A head literal's sort key, made on its first probe and kept."""

@@ -154,7 +154,7 @@ class LogicalQuery:
                 bound.empty = "unsatisfiable filter"
                 return bound, not absent
             ranges[var] = ranges.get(var, OidRange()).intersect(
-                context.encoder.literal_range(low, high, low_inclusive, high_inclusive))
+                OidRange.of_values(context.dictionary, low, high, low_inclusive, high_inclusive))
         for subject, predicate, obj, required in self.patterns:
             in_star = type(subject) is PatternTerm and type(predicate) is not PatternTerm
             predicate_oid = oid_of(predicate) if in_star else None

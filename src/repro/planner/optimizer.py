@@ -182,8 +182,9 @@ class PlanCache:
     A template is valid for a whole base generation, not for one write: the
     names it resolved do not change until compaction, clustering or a
     reload starts a new generation, and it depends on whether a write is
-    pending (zone-map push-down pauses, SQL columns become nullable).  Every
-    engine therefore puts ``(generation, pending)`` in front of its keys:
+    pending (the zone-map push-down bounds head rows only, SQL columns
+    become nullable).  Every engine therefore puts ``(generation,
+    pending)`` in front of its keys:
     the first write after a clean state and every new generation miss once,
     and every later write hits.  A binding resolves its constants against
     the dictionary of the version it runs on, so a constant a write has

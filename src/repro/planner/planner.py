@@ -59,7 +59,7 @@ from ..engine import (
     subject_range_for_property_range,
 )
 from ..engine.operators import FilterNotEqualOp
-from ..engine.plan import NO_OIDS
+from ..engine.plan import NO_OIDS, is_bounded
 from .logical import LogicalQuery
 from .optimizer import QueryOptimizer
 
@@ -89,10 +89,6 @@ class PlannerOptions:
 
     def describe(self) -> str:
         return f"scheme={self.scheme} zonemaps={'yes' if self.use_zone_maps else 'no'}"
-
-
-def _is_bounded(oid_range) -> bool:
-    return oid_range is not None and not oid_range.is_unbounded()
 
 
 class Planner:
@@ -212,9 +208,9 @@ class Planner:
             for prop in star.properties:
                 if not prop.object_term.is_variable:
                     score += 20
-                if _is_bounded(prop.oid_range):
+                if is_bounded(prop.oid_range):
                     score += 20
-            if _is_bounded(star.subject_range):
+            if is_bounded(star.subject_range):
                 score += 20
             return score
 
@@ -252,8 +248,8 @@ class Planner:
         also lets through every subject the star answers outside its heads,
         and bounds every row (``StarProperty.fk_range``).
         """
-        if not any(_is_bounded(star.subject_range) or any(_is_bounded(prop.oid_range)
-                                                           for prop in star.properties)
+        if not any(is_bounded(star.subject_range) or any(is_bounded(prop.oid_range)
+                                                          for prop in star.properties)
                    for star in star_patterns.values()):
             return
         store = self.context.clustered_store
@@ -288,7 +284,7 @@ class Planner:
             if block is None or (heads_only and subject_var not in referenced):
                 continue
             for prop in star.properties:
-                if not _is_bounded(prop.oid_range):
+                if not is_bounded(prop.oid_range):
                     continue
                 derived = subject_range_for_property_range(
                     block, prop.predicate_oid, prop.oid_range, prop.oid_range.tail_oids(dictionary))
@@ -307,7 +303,7 @@ class Planner:
                 # (a) the referenced star's subject range restricts this FK
                 # column; with a head range, to the subjects the target can
                 # answer: head ones in range, and every one no head holds
-                if _is_bounded(target.subject_range):
+                if is_bounded(target.subject_range):
                     prop.oid_range = target.subject_range if prop.oid_range is None \
                         else prop.oid_range.intersect(target.subject_range)
                 if target.head_range is not None:
@@ -318,7 +314,7 @@ class Planner:
                 # this star's other rows reference pass too
                 if block is not None:
                     for other in star.properties:
-                        if other is prop or not _is_bounded(other.oid_range):
+                        if other is prop or not is_bounded(other.oid_range):
                             continue
                         fk_bounds = fk_range_from_zonemap(
                             block, other.predicate_oid, other.oid_range, prop.predicate_oid,
@@ -339,7 +335,7 @@ class Planner:
         def rank(prop: StarProperty) -> int:
             if not prop.object_term.is_variable:
                 return 0
-            return 1 if _is_bounded(prop.oid_range) else 2
+            return 1 if is_bounded(prop.oid_range) else 2
 
         for star in star_patterns.values():
             star.properties.sort(key=rank)

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..columnar import BufferPool, Column
-from ..engine.kernels import expand_ranges
+from ..engine.kernels import expand_ranges, pack_rows
 from ..errors import StorageError
 from ..obs import default_registry
 
@@ -37,16 +37,6 @@ _SORTS = default_registry().counter(
     "Triple tables sorted into their columns: one per table, at its first read "
     "(a projection nothing reads is never sorted).",
     labelnames=("order",))
-
-
-_ROW_KEY = np.dtype([("first", np.int64), ("second", np.int64), ("third", np.int64)])
-
-
-def _row_keys(components) -> np.ndarray:
-    """One structured key per row of three aligned columns: keys compare
-    like the rows do lexicographically, so ``searchsorted`` works on them."""
-    return np.ascontiguousarray(np.column_stack(components), dtype=np.int64).view(
-        _ROW_KEY).reshape(-1)
 
 
 def rows_matrix(rows: Rows) -> np.ndarray:
@@ -157,9 +147,9 @@ class TripleTable:
     def _merge_columns(self, columns: Dict[str, Column], inserts: np.ndarray,
                        tombstones: np.ndarray, length: int) -> Dict[str, Column]:
         data = {component: columns[component].data for component in "spo"}
-        keys = _row_keys([data[component] for component in self.order])
+        keys = pack_rows([data[component] for component in self.order])
         if tombstones.size:
-            dropped = _row_keys([tombstones[:, _COMPONENT_INDEX[c]] for c in self.order])
+            dropped = pack_rows([tombstones[:, _COMPONENT_INDEX[c]] for c in self.order])
             at = np.minimum(np.searchsorted(keys, dropped), max(keys.size - 1, 0))
             keep = np.ones(keys.size, dtype=bool)
             keep[at[keys[at] == dropped]] = False
@@ -168,7 +158,7 @@ class TripleTable:
         if inserts.size:
             added = inserts[np.lexsort([inserts[:, _COMPONENT_INDEX[c]]
                                         for c in reversed(self.order)])]
-            at = np.searchsorted(keys, _row_keys([added[:, _COMPONENT_INDEX[c]]
+            at = np.searchsorted(keys, pack_rows([added[:, _COMPONENT_INDEX[c]]
                                                   for c in self.order]))
             data = {component: np.insert(values, at, added[:, _COMPONENT_INDEX[component]])
                     for component, values in data.items()}

@@ -18,8 +18,10 @@ the paper's emergent schema is meant to absorb change:
   turn nullable or not, but never ``MANY`` or back (only discovery does
   that), so a table keeps its block's columns: a second value of a
   single-valued column is irregular, as in dirty data;
-* literal OIDs appended by updates are folded back into value order, so
-  pushed-down range predicates regain their exact OID-interval translation.
+* no OID moves: literals appended by updates keep their OIDs above the
+  dictionary's value-order watermark, in base columns now, and a range
+  still matches them by value; only ``load()`` and ``cluster()`` put them
+  back in value order.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ store started routing rows through the schema's membership arrays:
 
 * :func:`sorted_literal_oids` / :func:`oracle_literal_range` — the full
   Python sort of every literal plus bisect over a materialised key list
-  that ``ValueEncoder`` used to rebuild after every update, and
+  that the engine's value encoder used to rebuild after every update, and
   :func:`in_literal_range`, a range decided from the decoded term;
 * :func:`star_over_union` — the per-subject loop that answered a star for
   residual subjects from block + irregular + delta data, one subject and
@@ -147,7 +147,7 @@ def sorted_literal_oids(dictionary: TermDictionary) -> List[int]:
 def oracle_literal_range(dictionary: TermDictionary, low: Optional[Literal],
                          high: Optional[Literal], low_inclusive: bool = True,
                          high_inclusive: bool = True) -> Tuple[int, int, List[int]]:
-    """What ``ValueEncoder.literal_range`` must resolve to, by brute force:
+    """What ``OidRange.of_values`` must resolve to, by brute force:
     its head interval (``(1, 0)`` when no head literal is in range) and the
     ascending tail literals in range, which a run resolves.  A one-sided
     range admits only values of its bound's class (``Literal.sort_key``'s

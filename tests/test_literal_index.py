@@ -3,14 +3,16 @@
 ``TermDictionary`` owns the index that turns a value range into literal
 OIDs: a *head* (literal OIDs below the value-order watermark, which are in
 value order already) and a small value-sorted *tail* of literals appended
-since.  ``ValueEncoder.literal_range`` — its head interval and the tail
-literals a run resolves — is checked here against the full Python sort it
-used to redo after every update (``_oracles``), and the
+since.  ``OidRange.of_values`` — its head interval and the tail literals a
+run resolves — is checked here against the full Python sort the engine used
+to redo after every update (``_oracles``), and the
 ``literal_index_full_builds_total`` counter pins down *when* a full pass
 over the dictionary may happen: build, clustering and open — never an
 update, a compaction (it moves no OID, so the tail outlives it), a snapshot
 or a query.  Clustering's value ordering merges the sorted tail into the
-head; it is checked against the one full sort it replaced.
+head; it is checked against the one full sort it replaced, and so is
+``value_ranks``, which ranks a pending tail literal where that merge will
+put it (ORDER BY's rule).
 """
 
 from __future__ import annotations
@@ -18,19 +20,20 @@ from __future__ import annotations
 import sys
 import threading
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from _datasets import EX, book_triples
 from _oracles import full_sort_value_order, oracle_literal_range
 from repro import RDFStore, default_registry
-from repro.engine.values import ValueEncoder
+from repro.engine import OidRange
 from repro.model import IRI, Literal, TermDictionary
 from repro.model import dictionary as dictionary_module
 from repro.model.dictionary import ValueBounds
 from repro.model.terms import XSD_DATE, XSD_DOUBLE, XSD_INTEGER, term_sort_key
 from test_updates import _config, insert_book
 
-# -- literal_range against the brute-force oracle --------------------------------------
+# -- OidRange.of_values against the brute-force oracle ------------------------------------
 
 _literals = st.one_of(
     st.integers(-6, 6).map(lambda i: Literal(str(i), datatype=XSD_INTEGER)),
@@ -48,9 +51,8 @@ _bounds = st.tuples(st.none() | _literals, st.none() | _literals,
 
 
 def _assert_ranges_match(dictionary: TermDictionary, bounds) -> None:
-    encoder = ValueEncoder(dictionary)
     for low, high, low_inclusive, high_inclusive in bounds:
-        got = encoder.literal_range(low, high, low_inclusive, high_inclusive)
+        got = OidRange.of_values(dictionary, low, high, low_inclusive, high_inclusive)
         expected = oracle_literal_range(dictionary, low, high, low_inclusive, high_inclusive)
         resolved = (got.low, got.high, got.tail_oids(dictionary).tolist())
         assert resolved == expected, (low, high, low_inclusive, high_inclusive)
@@ -122,6 +124,7 @@ def test_the_value_order_merge_equals_the_full_sort(loaded, value_order, appende
                             in list(dictionary.terms())[dictionary.value_order_watermark:])
     terms, watermark = list(dictionary.terms()), dictionary.value_order_watermark
     expected, expected_old, expected_new = full_sort_value_order(dictionary)
+    ranks = dictionary.value_ranks(np.arange(len(terms)))
 
     remaps = []
     remap = dictionary.remap
@@ -135,6 +138,11 @@ def test_the_value_order_merge_equals_the_full_sort(loaded, value_order, appende
     assert bool(remaps) == (old.tolist() != new.tolist())
     if tail_is_empty:
         assert not remaps
+    # ORDER BY's ranks put the literals where the merge puts them, and keep
+    # every OID below the watermark
+    assert [oid for oid in np.argsort(ranks, kind="stable").tolist()
+            if isinstance(terms[oid], Literal)] == old.tolist()
+    assert ranks[:watermark].tolist() == list(range(watermark))
     _assert_ranges_match(ordered, STORE_BOUNDS)
     # the receiver is left as it was
     assert list(dictionary.terms()) == terms

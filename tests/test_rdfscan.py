@@ -127,8 +127,8 @@ class TestRDFScanEquivalence:
 
     def test_range_constraint_consistency(self):
         ctx = _library_context()
-        year_range = ctx.encoder.literal_range(Literal("1994", datatype=XSD_INTEGER),
-                                               Literal("1998", datatype=XSD_INTEGER))
+        year_range = OidRange.of_values(ctx.dictionary, Literal("1994", datatype=XSD_INTEGER),
+                                        Literal("1998", datatype=XSD_INTEGER))
         default_result, _ = execute_plan(_default_plan(ctx, year_range), ctx)
         for context in (without_zone_maps(ctx), ctx):
             scan_result, _ = execute_plan(RDFScanOp(_star(ctx, year_range)), context)
@@ -158,8 +158,8 @@ class TestRDFScanEquivalence:
 
     def test_zone_maps_reduce_page_reads(self):
         ctx = _library_context(with_dirty=False, zone_size=4)
-        year_range = ctx.encoder.literal_range(Literal("1990", datatype=XSD_INTEGER),
-                                               Literal("1991", datatype=XSD_INTEGER))
+        year_range = OidRange.of_values(ctx.dictionary, Literal("1990", datatype=XSD_INTEGER),
+                                        Literal("1991", datatype=XSD_INTEGER))
         ctx.pool.reset_cold()
         plain, cost_plain = execute_plan(RDFScanOp(_star(ctx, year_range)), without_zone_maps(ctx))
         ctx.pool.reset_cold()
@@ -226,8 +226,8 @@ class TestZoneMapPushdownHelpers:
         year_oid = _predicate(ctx, "in_year")
         block = next(b for b in store.blocks if b.has_property(year_oid))
         assert year_oid in block.sorted_properties
-        year_range = ctx.encoder.literal_range(Literal("1990", datatype=XSD_INTEGER),
-                                               Literal("1992", datatype=XSD_INTEGER))
+        year_range = OidRange.of_values(ctx.dictionary, Literal("1990", datatype=XSD_INTEGER),
+                                        Literal("1992", datatype=XSD_INTEGER))
         subject_range = subject_range_for_property_range(block, year_oid, year_range)
         assert subject_range is not None
         # every matching subject must fall inside the derived range
@@ -269,8 +269,8 @@ class TestZoneMapPushdownHelpers:
         year_oid = _predicate(ctx, "in_year")
         author_oid = _predicate(ctx, "has_author")
         block = next(b for b in store.blocks if b.has_property(year_oid))
-        year_range = ctx.encoder.literal_range(Literal("1990", datatype=XSD_INTEGER),
-                                               Literal("1993", datatype=XSD_INTEGER))
+        year_range = OidRange.of_values(ctx.dictionary, Literal("1990", datatype=XSD_INTEGER),
+                                        Literal("1993", datatype=XSD_INTEGER))
         fk_range = fk_range_from_zonemap(block, year_oid, year_range, author_oid)
         assert fk_range is not None
         # the derived bound must cover every author actually referenced by matching books

@@ -92,8 +92,7 @@ def _stars(store: RDFStore):
     var, const = PatternTerm.variable, PatternTerm.constant
     author, isbn, year = oid("has_author"), oid("isbn_no"), oid("in_year")
     related, url, content = oid("related"), oid("url"), oid("content")
-    late_years = store.context().encoder.literal_range(
-        Literal("1998", datatype=XSD_INT), None)
+    late_years = OidRange.of_values(store.dictionary, Literal("1998", datatype=XSD_INT), None)
     book_subjects = OidRange(oid("book/1"), oid("book/20"))
     return {
         "multi_valued": StarPattern("b", [StarProperty(author, var("a")),

@@ -121,6 +121,38 @@ def insert_book(n: int, year: int = 2001, author: int = 1) -> str:
     }}"""
 
 
+def value_class_triples() -> list:
+    """Six integer values of ``ex:v`` (s0-s5), then three plain strings (s6-s8)."""
+    return [Triple(IRI(f"http://ex/s{i}"), IRI("http://ex/v"),
+                   Literal(str(i), datatype=XSD_INT) if i < 6 else Literal(f"word{i}"))
+            for i in range(9)]
+
+
+ISBN_ORDER = f"SELECT ?i WHERE {{ ?b <{EX}isbn_no> ?i . }} ORDER BY ?i LIMIT 13"
+VALUE_ORDER = "SELECT ?s WHERE { ?s <http://ex/v> ?v . } ORDER BY ?v"
+
+ORDER_BY_CASES = {
+    # (triples, the insert, ORDER BY queries, SQL ones, (query, row, its position))
+    # "isbn-0010a" sorts between existing isbns, right after isbn-0010
+    "isbn-between-isbns": (book_triples, f"""
+        INSERT DATA {{
+          <{EX}book/newo> a <{EX}Book> ;
+              <{EX}has_author> <{EX}author/1> ;
+              <{EX}in_year> "1997"^^<{XSD_INT}> ;
+              <{EX}isbn_no> "isbn-0010a" .
+        }}""", [ISBN_ORDER, f"SELECT ?i WHERE {{ ?b <{EX}isbn_no> ?i . }} ORDER BY DESC(?i) LIMIT 3"],
+        ["SELECT isbn_no FROM Book WHERE in_year >= 1990 ORDER BY isbn_no"],
+        (ISBN_ORDER, ("isbn-0010a",), 11)),
+    # no head literal is a date: a date sorts after every number and before
+    # every string, so s9 follows s5, as a value-ordering pass puts it
+    "date-between-integers-and-strings": (value_class_triples, """
+        INSERT DATA { <http://ex/s9> <http://ex/v>
+                      "1999-12-31"^^<http://www.w3.org/2001/XMLSchema#date> . }""",
+        [VALUE_ORDER, "SELECT ?s WHERE { ?s <http://ex/v> ?v . } ORDER BY DESC(?v)"],
+        [], (VALUE_ORDER, ("http://ex/s9",), 6)),
+}
+
+
 class TestUpdateParser:
     def test_insert_data(self):
         request = parse_update(insert_book(1))
@@ -352,35 +384,36 @@ class TestOracleEquivalence:
         assert after == before
         assert len(after) == 8
 
-    def test_order_by_with_pending_tail_literals(self, store):
-        # "isbn-0010a" sorts between existing isbns but its OID lands at the
-        # end of the dictionary; ORDER BY must rank by value, not OID —
-        # compared UNSORTED against the oracle (ordering is the result here)
-        store.update(f"""
-        INSERT DATA {{
-          <{EX}book/newo> a <{EX}Book> ;
-              <{EX}has_author> <{EX}author/1> ;
-              <{EX}in_year> "1997"^^<{XSD_INT}> ;
-              <{EX}isbn_no> "isbn-0010a" .
-        }}""")
-        ordered_q = f"SELECT ?i WHERE {{ ?b <{EX}isbn_no> ?i . }} ORDER BY ?i LIMIT 13"
-        desc_q = f"SELECT ?i WHERE {{ ?b <{EX}isbn_no> ?i . }} ORDER BY DESC(?i) LIMIT 3"
-        sql_q = "SELECT isbn_no FROM Book WHERE in_year >= 1990 ORDER BY isbn_no"
+    @pytest.mark.parametrize("case", sorted(ORDER_BY_CASES))
+    def test_order_by_with_pending_tail_literals(self, case, tmp_path):
+        # a pending literal's OID lands at the end of the dictionary; ORDER BY
+        # must rank it by value, not OID, pending, compacted (no OID moves)
+        # and reopened (the head has no kept sort keys) — compared UNSORTED
+        # against the oracle (ordering is the result here)
+        triples, insert, queries, sql_queries, (anchor, row, position) = ORDER_BY_CASES[case]
+        store = RDFStore.build(triples(), config=_config())
+        store.save(tmp_path / "db")
+        store.update(insert)
 
-        def check():
+        def check(store):
             oracle = RDFStore.build(live_triples(store), config=_config())
-            for text in (ordered_q, desc_q):
+            for text in queries:
                 expected = oracle.decode_rows(oracle.sparql(text))
                 for options in SCHEMES:
                     assert store.decode_rows(store.sparql(text, options)) == expected, text
-            assert (store.decode_rows(store.sql(sql_q))
-                    == oracle.decode_rows(oracle.sql(sql_q)))
+            for text in sql_queries:
+                assert (store.decode_rows(store.sql(text))
+                        == oracle.decode_rows(oracle.sql(text)))
 
-        check()
-        rows = store.decode_rows(store.sparql(ordered_q))
-        assert rows.index(("isbn-0010a",)) == 11  # right after isbn-0010
+        check(store)
+        assert store.decode_rows(store.sparql(anchor)).index(row) == position
         store.compact()
-        check()
+        check(store)
+        store.checkpoint()
+        reopened = RDFStore.open(tmp_path / "db")
+        assert reopened.dictionary._head_keys is None
+        assert reopened.dictionary.value_order_watermark < len(reopened.dictionary)
+        check(reopened)
 
     def test_interleaved_rounds(self, store):
         rounds = [
