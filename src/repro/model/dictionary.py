@@ -584,11 +584,12 @@ class TermDictionary:
         its own value (OID order *is* value order in the head); each
         distinct tail literal lands just after the head literal it follows
         (:meth:`_head_places`, the merge's rule), in value order among the
-        tail literals there and ties in OID order.  Only the tail literals
-        ``oids`` holds are decoded."""
-        distinct, inverse = np.unique(oids, return_inverse=True)
-        ranks = distinct.astype(np.float64)
+        tail literals there and ties in OID order.  Only the tail OIDs
+        ``oids`` holds are de-duplicated and only its tail literals decoded."""
         watermark, terms = self._value_order_watermark, self._oid_to_term
+        ranks = oids.astype(np.float64)
+        in_tail = oids >= watermark
+        distinct, inverse = np.unique(oids[in_tail], return_inverse=True)
         tail = sorted((term_sort_key(terms[oid]), oid)
                       for oid in distinct[distinct >= watermark].tolist()
                       if isinstance(terms[oid], Literal))
@@ -600,9 +601,11 @@ class TermDictionary:
                 oid for oid in range(watermark, len(terms)) if isinstance(terms[oid], Literal))
             follows = np.concatenate([[first - 1], head])
             places = self._head_places(tail)
-            ranks[np.searchsorted(distinct, [oid for _key, oid in tail])] = (
+            tail_ranks = distinct.astype(np.float64)
+            tail_ranks[np.searchsorted(distinct, [oid for _key, oid in tail])] = (
                 follows[places] + np.arange(1, len(tail) + 1) / (len(tail) + 1))
-        return ranks[inverse]
+            ranks[in_tail] = tail_ranks[inverse]
+        return ranks
 
     def _head_order(self) -> Tuple[Sequence, Optional[Callable]]:
         """The head as ``bisect`` takes it: its sort keys when the
