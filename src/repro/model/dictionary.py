@@ -591,7 +591,7 @@ class TermDictionary:
         in_tail = oids >= watermark
         distinct, inverse = np.unique(oids[in_tail], return_inverse=True)
         tail = sorted((term_sort_key(terms[oid]), oid)
-                      for oid in distinct[distinct >= watermark].tolist()
+                      for oid in distinct.tolist()
                       if isinstance(terms[oid], Literal))
         if tail:
             head = self._literal_head
